@@ -206,9 +206,10 @@ func maskKeyCells(cells []Cell, pos []int, dict *relation.Dict) relation.Key {
 // matchingRows returns the pattern rows of g whose tp[X] is matched by the
 // given X ids (already known to be null-free). An InvalidID component —
 // a probe value absent from the dictionary — can match constants of no
-// row, but still matches all-wildcard positions.
-func (g *fdGroup) matchingRows(xids []relation.ValueID) []*groupRow {
-	var out []*groupRow
+// row, but still matches all-wildcard positions. The rows are appended to
+// out: callers on a hot path pass a small stack buffer, so the common
+// handful of matching rows costs no allocation.
+func (g *fdGroup) matchingRows(xids []relation.ValueID, out []*groupRow) []*groupRow {
 	for _, mb := range g.masks {
 		var buf [8]relation.ValueID
 		sel := buf[:0]
@@ -229,10 +230,11 @@ func (g *fdGroup) matchingRows(xids []relation.ValueID) []*groupRow {
 	return out
 }
 
-// xids projects t onto g.x as interned ids: directly for relation-owned
-// tuples, through a read-only dictionary lookup for scratch probes (novel
-// probe constants become InvalidID — they match only wildcards and agree
-// with no stored tuple).
+// xids projects t onto g.x as interned ids: directly for tuples that
+// carry them (relation-owned ones and relation.Tuple.Probe copies), through
+// a read-only dictionary lookup for free-standing tuples handed to the
+// query API (novel constants become InvalidID — they match only wildcards
+// and agree with no stored tuple).
 func (d *Detector) xids(g *fdGroup, t *relation.Tuple, buf []relation.ValueID) []relation.ValueID {
 	if t.Interned() {
 		return t.ProjectIDs(buf, g.x)
@@ -295,7 +297,8 @@ func (d *Detector) vioInGroup(g *fdGroup, t *relation.Tuple) int {
 	}
 	var buf [8]relation.ValueID
 	xids := d.xids(g, t, buf[:0])
-	rows := g.matchingRows(xids)
+	var rbuf [8]*groupRow
+	rows := g.matchingRows(xids, rbuf[:0])
 	if len(rows) == 0 {
 		return 0
 	}
@@ -422,7 +425,8 @@ func (d *Detector) scanBucket(g *fdGroup, ids []relation.TupleID, sc *scanScratc
 	}
 	var buf [8]relation.ValueID
 	xids := rep.ProjectIDs(buf[:0], g.x)
-	rows := g.matchingRows(xids)
+	var rbuf [8]*groupRow
+	rows := g.matchingRows(xids, rbuf[:0])
 	if len(rows) == 0 {
 		return
 	}
@@ -505,12 +509,13 @@ func (d *Detector) scanBucket(g *fdGroup, ids []relation.TupleID, sc *scanScratc
 // case 1).
 func (d *Detector) scanConstTuples(g *fdGroup, tuples []*relation.Tuple, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
 	a := g.a
+	var rbuf [8]*groupRow
 	for _, t := range tuples {
 		if t.HasNullOn(g.x) {
 			continue
 		}
 		var buf [8]relation.ValueID
-		rows := g.matchingRows(t.ProjectIDs(buf[:0], g.x))
+		rows := g.matchingRows(t.ProjectIDs(buf[:0], g.x), rbuf[:0])
 		if len(rows) == 0 {
 			continue
 		}
@@ -749,7 +754,7 @@ func (g Group) MatchingRules(t *relation.Tuple) []*Normal {
 		return nil
 	}
 	var buf [8]relation.ValueID
-	rows := g.g.matchingRows(g.d.xids(g.g, t, buf[:0]))
+	rows := g.g.matchingRows(g.d.xids(g.g, t, buf[:0]), nil)
 	if len(rows) == 0 {
 		return nil
 	}
@@ -767,10 +772,11 @@ func (g Group) Bucket(t *relation.Tuple) []relation.TupleID {
 }
 
 // VioCount returns vio(t) restricted to this group — the group's
-// contribution to the paper's vio(t) (§3.1). It is the allocation-free
-// fast path behind TUPLERESOLVE's candidate probing: one pattern match,
-// one index probe, and one interned-id bucket scan shared by every
-// variable-RHS rule of the group, with no rule slice materialized.
+// contribution to the paper's vio(t) (§3.1). It is the fast path behind
+// TUPLERESOLVE's candidate probing: one pattern match, one index probe,
+// and one interned-id bucket scan shared by every variable-RHS rule of
+// the group, with no rule slice materialized — and, for a t that carries
+// ids, no dictionary access and no allocation.
 func (g Group) VioCount(t *relation.Tuple) int {
 	return g.d.vioInGroup(g.g, t)
 }

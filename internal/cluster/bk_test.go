@@ -12,6 +12,10 @@ import (
 // bruteNearest is the reference implementation: full scan, sort by
 // (distance, value), keep those within MaxRadius, cut at k.
 func bruteNearest(vals []string, q string, k int) []string {
+	return bruteNearestBy(strdist.DL, vals, q, k)
+}
+
+func bruteNearestBy(m strdist.Metric, vals []string, q string, k int) []string {
 	type hit struct {
 		v string
 		d int
@@ -23,7 +27,7 @@ func bruteNearest(vals []string, q string, k int) []string {
 			continue
 		}
 		seen[v] = true
-		d := strdist.DamerauLevenshtein(q, v)
+		d := m.Distance(q, v)
 		if d <= MaxRadius {
 			hits = append(hits, hit{v, d})
 		}

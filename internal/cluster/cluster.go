@@ -17,6 +17,28 @@
 //     and O(n log n) construction.
 //
 // New picks HAC below a size threshold and BKTree above it.
+//
+// Both grow in place as repairs add values to the domain (Add). Only the
+// BKTree also shrinks in place (Remove): its search prunes by the triangle
+// inequality alone, so under a metric Nearest is the exact top-k by
+// (distance, value) within MaxRadius — a function of the set of live
+// values, not of the tree's shape — and a removed value can stay behind
+// as a tombstone that routes searches but is never returned. A later Add
+// revives it; once tombstones outnumber live values the tree is rebuilt
+// without them, which keeps both memory and search cost within a constant
+// factor of a fresh tree at amortised O(1) re-insertions per Remove.
+// HAC's Nearest is approximate — it collects leaves along one descent — so
+// its answers do depend on the shape; it refuses Remove and the caller
+// rebuilds it over the shrunk domain, which is cheap at the sizes HAC
+// serves.
+//
+// One caveat on "exact": the restricted DL distance the paper names is a
+// metric except around a transposition that is then edited in the middle
+// (CA→AC→ABC costs 1+1, CA→ABC costs 3). Where a probe, a node and a
+// value form such a triple the pruning can pass the value by, in a fresh
+// tree and in a maintained one alike; which tree does depends on its
+// shape. Measured on generated order data: one probe in several thousand,
+// at the tail of the k results.
 package cluster
 
 import (
@@ -34,8 +56,35 @@ type Index interface {
 	// Add inserts a new value into the index (repairs grow the active
 	// domain as tuples are inserted, §5.1).
 	Add(v string)
+	// Remove takes v out of the index (a delete or update took its last
+	// occurrence out of the active domain) and reports whether the index
+	// could do that in place. After false the index is unchanged and the
+	// caller must build a new one over the shrunk domain.
+	Remove(v string) bool
 	// Len returns the number of indexed values.
 	Len() int
+	// Stats returns the index's work counters.
+	Stats() Stats
+}
+
+// Stats are the plain work counters of one index. An index has a single
+// writer, and Nearest counts too, so they are not synchronised.
+type Stats struct {
+	// Visited counts tree nodes examined by Nearest.
+	Visited int
+	// Compactions counts BKTree rebuilds that dropped its tombstones.
+	Compactions int
+	// Tombstones is the number of removed values a BKTree still holds.
+	Tombstones int
+}
+
+// Plus returns the fieldwise sum of s and o.
+func (s Stats) Plus(o Stats) Stats {
+	return Stats{
+		Visited:     s.Visited + o.Visited,
+		Compactions: s.Compactions + o.Compactions,
+		Tombstones:  s.Tombstones + o.Tombstones,
+	}
 }
 
 // HACSizeLimit is the domain size up to which New builds the paper's HAC
@@ -60,20 +109,30 @@ func New(vals []string, m strdist.Metric) Index {
 // --- BK-tree ---
 
 type bkNode struct {
-	val      string
-	children map[int]*bkNode
+	val string
+	// dead marks a tombstone: the value left the domain, the node stays to
+	// route searches to its subtree.
+	dead bool
+	// children are sorted by edge label (the distance from val).
+	children []bkEdge
 	// maxe is the largest edge label below this node; it bounds how far
 	// any descendant can be from this node's value and lets Nearest call
 	// the bounded metric with a sound cutoff.
 	maxe int
 }
 
+type bkEdge struct {
+	e int
+	n *bkNode
+}
+
 // BKTree is a Burkhard–Keller metric tree over strings.
 type BKTree struct {
 	metric strdist.Metric
 	root   *bkNode
-	size   int
-	seen   map[string]bool
+	// nodes maps every value in the tree, live or dead, to its node.
+	nodes map[string]*bkNode
+	stats Stats
 }
 
 // NewBKTree indexes vals under metric m (nil = DL).
@@ -81,25 +140,32 @@ func NewBKTree(vals []string, m strdist.Metric) *BKTree {
 	if m == nil {
 		m = strdist.DL
 	}
-	t := &BKTree{metric: m, seen: make(map[string]bool, len(vals))}
+	t := &BKTree{metric: m, nodes: make(map[string]*bkNode, len(vals))}
 	for _, v := range vals {
 		t.Add(v)
 	}
 	return t
 }
 
-// Len returns the number of distinct indexed values.
-func (t *BKTree) Len() int { return t.size }
+// Len returns the number of distinct live values.
+func (t *BKTree) Len() int { return len(t.nodes) - t.stats.Tombstones }
 
-// Add inserts v (duplicates are ignored).
+// Stats returns the tree's work counters.
+func (t *BKTree) Stats() Stats { return t.stats }
+
+// Add inserts v, or revives its tombstone (duplicates are ignored).
 func (t *BKTree) Add(v string) {
-	if t.seen[v] {
+	if n := t.nodes[v]; n != nil {
+		if n.dead {
+			n.dead = false
+			t.stats.Tombstones--
+		}
 		return
 	}
-	t.seen[v] = true
-	t.size++
+	leaf := &bkNode{val: v}
+	t.nodes[v] = leaf
 	if t.root == nil {
-		t.root = &bkNode{val: v}
+		t.root = leaf
 		return
 	}
 	cur := t.root
@@ -108,16 +174,44 @@ func (t *BKTree) Add(v string) {
 		if d > cur.maxe {
 			cur.maxe = d
 		}
-		if cur.children == nil {
-			cur.children = make(map[int]*bkNode)
-		}
-		next, ok := cur.children[d]
-		if !ok {
-			cur.children[d] = &bkNode{val: v}
+		i := edgeAtLeast(cur.children, d)
+		if i == len(cur.children) || cur.children[i].e != d {
+			cur.children = append(cur.children, bkEdge{})
+			copy(cur.children[i+1:], cur.children[i:])
+			cur.children[i] = bkEdge{e: d, n: leaf}
 			return
 		}
-		cur = next
+		cur = cur.children[i].n
 	}
+}
+
+// Remove tombstones v's node; it always succeeds. When the tombstones
+// come to outnumber the live values the tree is rebuilt from the live
+// ones (in sorted order, so the new shape is reproducible).
+func (t *BKTree) Remove(v string) bool {
+	n := t.nodes[v]
+	if n == nil || n.dead {
+		return true
+	}
+	n.dead = true
+	t.stats.Tombstones++
+	if t.stats.Tombstones > t.Len() {
+		live := make([]string, 0, t.Len())
+		for s, n := range t.nodes {
+			if !n.dead {
+				live = append(live, s)
+			}
+		}
+		sort.Strings(live)
+		t.root = nil
+		clear(t.nodes)
+		t.stats.Tombstones = 0
+		t.stats.Compactions++
+		for _, s := range live {
+			t.Add(s)
+		}
+	}
+	return true
 }
 
 // MaxRadius caps the BK-tree search: repair candidates farther than this
@@ -127,6 +221,23 @@ func (t *BKTree) Add(v string) {
 // cheap early exits of the bounded metric.
 const MaxRadius = 8
 
+type bkHit struct {
+	val string
+	d   int
+}
+
+// bkSearch is the state of one Nearest call.
+type bkSearch struct {
+	t       *BKTree
+	v       string
+	k       int
+	bounded strdist.BoundedMetric // nil when the metric has no cutoff form
+	// hits holds the best ≤ k live values found so far, sorted by (d, val);
+	// worst is the current search radius.
+	hits  []bkHit
+	worst int
+}
+
 // Nearest returns up to k values within MaxRadius of v by increasing
 // distance, using the triangle-inequality pruning of the BK-tree: a
 // subtree at edge distance e from a node at distance d can only contain
@@ -135,65 +246,82 @@ func (t *BKTree) Nearest(v string, k int) []string {
 	if t.root == nil || k <= 0 {
 		return nil
 	}
-	bounded, hasBound := t.metric.(strdist.BoundedMetric)
-	type hit struct {
-		val string
-		d   int
-	}
-	// hits holds the best ≤ k values found so far, sorted by (d, val);
-	// worst is the current search radius.
-	hits := make([]hit, 0, k+1)
-	worst := MaxRadius
-	insert := func(val string, d int) {
-		i := len(hits)
-		for i > 0 && (hits[i-1].d > d || (hits[i-1].d == d && hits[i-1].val > val)) {
-			i--
-		}
-		hits = append(hits, hit{})
-		copy(hits[i+1:], hits[i:])
-		hits[i] = hit{val, d}
-		if len(hits) > k {
-			hits = hits[:k]
-		}
-		if len(hits) == k && hits[k-1].d < worst {
-			worst = hits[k-1].d
-		}
-	}
-	var walk func(n *bkNode)
-	walk = func(n *bkNode) {
-		// The distance computation may give up at worst+maxe: beyond
-		// that neither the value itself (> worst away) nor any child
-		// subtree (|e−D| ≥ D−maxe > worst) can contribute, so the
-		// truncated result still prunes soundly.
-		bound := worst + n.maxe
-		var d int
-		if hasBound {
-			d = bounded.DistanceBounded(v, n.val, bound)
-		} else {
-			d = t.metric.Distance(v, n.val)
-		}
-		if d <= worst {
-			insert(n.val, d)
-		}
-		if d > bound {
-			return
-		}
-		for e, child := range n.children {
-			diff := e - d
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff <= worst {
-				walk(child)
-			}
-		}
-	}
-	walk(t.root)
-	out := make([]string, len(hits))
-	for i, h := range hits {
+	s := bkSearch{t: t, v: v, k: k, hits: make([]bkHit, 0, k+1), worst: MaxRadius}
+	s.bounded, _ = t.metric.(strdist.BoundedMetric)
+	s.walk(t.root)
+	out := make([]string, len(s.hits))
+	for i, h := range s.hits {
 		out[i] = h.val
 	}
 	return out
+}
+
+func (s *bkSearch) insert(val string, d int) {
+	i := len(s.hits)
+	for i > 0 && (s.hits[i-1].d > d || (s.hits[i-1].d == d && s.hits[i-1].val > val)) {
+		i--
+	}
+	s.hits = append(s.hits, bkHit{})
+	copy(s.hits[i+1:], s.hits[i:])
+	s.hits[i] = bkHit{val, d}
+	if len(s.hits) > s.k {
+		s.hits = s.hits[:s.k]
+	}
+	if len(s.hits) == s.k && s.hits[s.k-1].d < s.worst {
+		s.worst = s.hits[s.k-1].d
+	}
+}
+
+func (s *bkSearch) walk(n *bkNode) {
+	s.t.stats.Visited++
+	// The distance computation may give up at worst+maxe: beyond
+	// that neither the value itself (> worst away) nor any child
+	// subtree (|e−D| ≥ D−maxe > worst) can contribute, so the
+	// truncated result still prunes soundly.
+	bound := s.worst + n.maxe
+	var d int
+	if s.bounded != nil {
+		d = s.bounded.DistanceBounded(s.v, n.val, bound)
+	} else {
+		d = s.t.metric.Distance(s.v, n.val)
+	}
+	if d <= s.worst && !n.dead {
+		s.insert(n.val, d)
+	}
+	if d > bound {
+		return
+	}
+	// Visit the children by increasing |e−d|, lower edge first on ties:
+	// the closest subtrees hold the closest values, so the radius shrinks
+	// soonest, and once one edge is out of reach so are all the rest.
+	ch := n.children
+	hi := edgeAtLeast(ch, d)
+	lo := hi - 1
+	for lo >= 0 || hi < len(ch) {
+		var c bkEdge
+		if hi == len(ch) || (lo >= 0 && d-ch[lo].e <= ch[hi].e-d) {
+			c = ch[lo]
+			lo--
+		} else {
+			c = ch[hi]
+			hi++
+		}
+		if c.e-d > s.worst || d-c.e > s.worst {
+			return
+		}
+		s.walk(c.n)
+	}
+}
+
+// edgeAtLeast returns the position of the first edge labelled ≥ d. Fan-out
+// is bounded by the distances that occur, a dozen or so, so a scan beats a
+// binary search.
+func edgeAtLeast(ch []bkEdge, d int) int {
+	i := 0
+	for i < len(ch) && ch[i].e < d {
+		i++
+	}
+	return i
 }
 
 // --- Hierarchical agglomerative clustering ---
@@ -212,6 +340,7 @@ type HAC struct {
 	root   *hacNode
 	size   int
 	seen   map[string]bool
+	stats  Stats
 }
 
 // NewHAC builds the tree by average-linkage agglomerative clustering.
@@ -265,6 +394,14 @@ func NewHAC(vals []string, m strdist.Metric) *HAC {
 // Len returns the number of distinct indexed values.
 func (h *HAC) Len() int { return h.size }
 
+// Stats returns the tree's work counters.
+func (h *HAC) Stats() Stats { return h.stats }
+
+// Remove always refuses: which leaves Nearest collects depends on the
+// dendrogram's shape, so only a rebuild over the shrunk domain answers as
+// a fresh index would.
+func (h *HAC) Remove(string) bool { return false }
+
 // Add inserts v into the leaf cluster with the closest medoid.
 func (h *HAC) Add(v string) {
 	if h.seen[v] {
@@ -302,6 +439,7 @@ func (h *HAC) Nearest(v string, k int) []string {
 		if len(pool) >= 4*k {
 			return
 		}
+		h.stats.Visited++
 		if n.left == nil {
 			pool = append(pool, n.leaves...)
 			return

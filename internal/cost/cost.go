@@ -119,16 +119,6 @@ func (m *Model) ChangeInterned(dict *relation.Dict, t *relation.Tuple, a int, vp
 	return w * m.distIDs(dict, t.IDAt(a), dict.LookupValue(vp), t.Vals[a], vp)
 }
 
-// ChangeFromInterned is ChangeFrom with the distance memoized by the
-// interned ids of old and vp in dict.
-func (m *Model) ChangeFromInterned(dict *relation.Dict, t *relation.Tuple, a int, old, vp relation.Value) float64 {
-	w := t.Weight(a)
-	if w == 0 {
-		return 0
-	}
-	return w * m.distIDs(dict, dict.LookupValue(old), dict.LookupValue(vp), old, vp)
-}
-
 // scratchCap bounds each per-worker local memo independently of the
 // shared one.
 const scratchCap = 1 << 18
@@ -192,14 +182,16 @@ func (s *Scratch) ChangeInterned(dict *relation.Dict, t *relation.Tuple, a int, 
 	return w * s.distIDs(dict, t.IDAt(a), dict.LookupValue(vp), t.Vals[a], vp)
 }
 
-// ChangeFromInterned is Model.ChangeFromInterned through the worker-local
-// memo.
-func (s *Scratch) ChangeFromInterned(dict *relation.Dict, t *relation.Tuple, a int, old, vp relation.Value) float64 {
+// ChangeFromInterned is Model.ChangeFrom through the memos, keyed by the
+// ids old and vp carry relative to dict — the dictionary itself is not
+// consulted, so TUPLERESOLVE's candidate loop can call this from several
+// workers without sharing a lock.
+func (s *Scratch) ChangeFromInterned(dict *relation.Dict, t *relation.Tuple, a int, old, vp relation.IDValue) float64 {
 	w := t.Weight(a)
 	if w == 0 {
 		return 0
 	}
-	return w * s.distIDs(dict, dict.LookupValue(old), dict.LookupValue(vp), old, vp)
+	return w * s.distIDs(dict, old.ID, vp.ID, old.Value, vp.Value)
 }
 
 // Tuple returns the cost of changing tuple old into new: the sum of

@@ -41,12 +41,6 @@ func TestChangeInternedMatchesChange(t *testing.T) {
 			}
 		}
 	}
-	old := relation.S("spruce")
-	want := m.ChangeFrom(tu, 1, old, relation.S("bruce"))
-	if got := m.ChangeFromInterned(r.Dict(), tu, 1, old, relation.S("bruce")); got != want {
-		t.Fatalf("ChangeFromInterned = %v, want %v", got, want)
-	}
-
 	// A zero weight short-circuits to 0 without touching the memo.
 	tu.SetWeight(0, 0)
 	if got := m.ChangeInterned(r.Dict(), tu, 0, relation.S("wallnut")); got != 0 {
@@ -96,13 +90,22 @@ func TestScratchMatchesModel(t *testing.T) {
 			}
 		}
 	}
-	old := relation.S("spruce")
-	want := m.ChangeFrom(tu, 1, old, relation.S("bruce"))
-	if got := s.ChangeFromInterned(r.Dict(), tu, 1, old, relation.S("bruce")); got != want {
-		t.Fatalf("Scratch.ChangeFromInterned = %v, want %v", got, want)
+	// Both ids known, one unseen (InvalidID bypasses the memo), one null.
+	bruce := r.Dict().Resolve(relation.S("bruce"))
+	for _, old := range []relation.IDValue{
+		r.Dict().Resolve(relation.S("spruce")),
+		r.Dict().Resolve(relation.S("never-interned")),
+		relation.NullIDValue,
+	} {
+		want := m.ChangeFrom(tu, 1, old.Value, bruce.Value)
+		for pass := 0; pass < 2; pass++ {
+			if got := s.ChangeFromInterned(r.Dict(), tu, 1, old, bruce); got != want {
+				t.Fatalf("Scratch.ChangeFromInterned(%v) pass %d = %v, want %v", old, pass, got, want)
+			}
+		}
 	}
 	tu.SetWeight(1, 0)
-	if got := s.ChangeFromInterned(r.Dict(), tu, 1, old, relation.S("bruce")); got != 0 {
+	if got := s.ChangeFromInterned(r.Dict(), tu, 1, relation.NullIDValue, bruce); got != 0 {
 		t.Fatalf("zero-weight scratch change = %v", got)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/relation"
@@ -252,5 +253,28 @@ func TestCustomersConsistent(t *testing.T) {
 		if g.zipCity[cu.zip] != ci {
 			t.Fatalf("customer zip %s not in city %s", cu.zip, c.name)
 		}
+	}
+}
+
+// TestLargeSizeTerminates: with the default tableau scaling a Size of
+// 40050 or more asks the geography for over 800 area codes, more than the
+// [2-9]dd format has; buildGeo used to redraw forever. The pool sizes are
+// clamped to what the formats can produce.
+func TestLargeSizeTerminates(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := New(Config{Size: 50000, NoiseRate: 0.01, Seed: 1})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("gen.New(Size=50000) did not return within 60s")
+	}
+	if d := deriveDims(1 << 30); d.nACs != maxACs || d.nZips != maxZips {
+		t.Errorf("deriveDims(huge) = %+v, want the pools clamped to %d area codes and %d zips", d, maxACs, maxZips)
 	}
 }

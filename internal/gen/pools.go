@@ -119,16 +119,18 @@ type dims struct {
 	nStreets   int // streets carried per city
 }
 
+// maxZips and maxACs are how many distinct values buildGeo's formats can
+// produce: zips are 10000–99998, area codes [2-9]dd. Asking it for more
+// would have it redraw forever.
+const (
+	maxZips = 89999
+	maxACs  = 800
+)
+
 func deriveDims(patternRows int) dims {
 	var d dims
-	d.nZips = patternRows / 2
-	if d.nZips < 8 {
-		d.nZips = 8
-	}
-	d.nACs = patternRows / 5
-	if d.nACs < 4 {
-		d.nACs = 4
-	}
+	d.nZips = min(max(patternRows/2, 8), maxZips)
+	d.nACs = min(max(patternRows/5, 4), maxACs)
 	d.nCities = patternRows / 10
 	if d.nCities < 4 {
 		d.nCities = 4

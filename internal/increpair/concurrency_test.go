@@ -264,79 +264,6 @@ func TestSessionApplyOps(t *testing.T) {
 	}
 }
 
-// TestSessionDeleteInvalidatesDomainCaches: the engine's cost-based
-// cluster indices and nearest caches are derived from the active domain
-// and only grow under inserts; a batch that deletes or updates tuples
-// must drop them for every attribute whose domain actually shrank, or
-// TUPLERESOLVE could hand a vanished value to a later repair (§3.1
-// requires donors from adom ∪ null). Attributes whose domain kept every
-// removed value keep their caches — that carry-over is what the
-// pipelined service leans on for steady mixed traffic.
-func TestSessionDeleteInvalidatesDomainCaches(t *testing.T) {
-	d := cleanPaperData(t)
-	sigma := cfd.NormalizeAll(paperCFDs(d.Schema()))
-	sess, err := NewSession(d, sigma, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	// Dirty batches force TUPLERESOLVE to build candidate indices.
-	if _, err := sess.ApplyDelta(randomDelta(rand.New(rand.NewSource(2)), 8)); err != nil {
-		t.Fatal(err)
-	}
-	if len(sess.e.clusterIdx) == 0 {
-		t.Fatal("fixture did not warm the cluster indices; strengthen the delta")
-	}
-
-	// Pick the victim carrying the most domain-unique values among the
-	// indexed attributes, so the shrink path is actually exercised.
-	var victim *relation.Tuple
-	bestUnique := -1
-	for _, tu := range sess.Current().Tuples() {
-		unique := 0
-		for a := range sess.e.clusterIdx {
-			if v := tu.Vals[a]; !v.Null && sess.Current().DomainCount(a, v.Str) == 1 {
-				unique++
-			}
-		}
-		if unique > bestUnique {
-			victim, bestUnique = tu, unique
-		}
-	}
-	if bestUnique < 1 {
-		t.Fatal("fixture has no tuple with a domain-unique indexed value; strengthen the delta")
-	}
-	vals := append([]relation.Value(nil), victim.Vals...)
-	warmIdx := make(map[int]bool, len(sess.e.clusterIdx))
-	for a := range sess.e.clusterIdx {
-		warmIdx[a] = true
-	}
-	if _, _, err := sess.ApplyOps([]relation.TupleID{victim.ID}, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	for a := range warmIdx {
-		shrank := !vals[a].Null && sess.Current().DomainCount(a, vals[a].Str) == 0
-		_, idxKept := sess.e.clusterIdx[a]
-		if shrank && idxKept {
-			t.Errorf("attr %d: domain shrank but the cluster index survived", a)
-		}
-		if !shrank && !idxKept {
-			t.Errorf("attr %d: domain kept every removed value but the cluster index was dropped", a)
-		}
-		if _, nearKept := sess.e.nearCache[a]; shrank && nearKept {
-			t.Errorf("attr %d: domain shrank but the nearest cache survived", a)
-		}
-	}
-	// The session keeps repairing correctly on the partially rebuilt caches.
-	if _, err := sess.ApplyDelta(randomDelta(rand.New(rand.NewSource(3)), 4)); err != nil {
-		t.Fatal(err)
-	}
-	if !sess.Satisfied() || !cfd.Satisfies(sess.Current(), sigma) {
-		t.Fatal("session inconsistent after cache rebuild")
-	}
-}
-
 // TestSessionDumpMatchesWriteCSV: Dump must serialize exactly what
 // WriteCSV over Current yields when the session is quiescent.
 func TestSessionDumpMatchesWriteCSV(t *testing.T) {

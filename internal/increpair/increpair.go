@@ -144,13 +144,51 @@ type engine struct {
 	scratches []*cost.Scratch
 
 	// clusterIdx[a] is the cost-based index over adom(Repr, a); built
-	// lazily for the attributes Σ constrains.
+	// lazily for the attributes Σ constrains and then maintained under
+	// every insert (insertBatch) and removal (forget).
 	clusterIdx map[int]cluster.Index
-	// nearCache memoizes clusterIdx[a].Nearest(v, NearestK): TUPLERESOLVE
-	// evaluates every size-k attribute subset, so the same (a, v) query
-	// recurs once per subset containing a. Entries are invalidated per
-	// attribute when a repaired tuple grows the active domain.
-	nearCache map[int]map[string][]string
+	// nearCache memoizes clusterIdx[a].Nearest(v, NearestK) within one
+	// tupleResolve call, which clears it on entry: the indices do not
+	// change during a call, so there is nothing to invalidate. (Kept
+	// across calls it answered another 45–65 % of the queries but saved
+	// only 2–6 % of the nodes visited — the repeats are the cheap queries.)
+	nearCache map[nearKey][]relation.IDValue
+
+	// stats and retired back Session.IndexStats: the engine's own
+	// counters, and the work counters of indices since dropped.
+	stats   IndexStats
+	retired cluster.Stats
+}
+
+// IndexStats are the work counters of a session's cost-based similarity
+// indices (§5.2), cumulative since the session opened. They ride beside
+// the session's state: no snapshot, listing or log carries them.
+type IndexStats struct {
+	// Builds counts indices built from an active domain. A maintained
+	// index is built once; only small (HAC-sized) domains are ever rebuilt.
+	Builds int
+	// Nearest counts similarity queries answered by an index, NearHits
+	// those answered by the memo in front of it.
+	Nearest  int
+	NearHits int
+	// Stats sums the indices' own counters, dropped indices included
+	// (Tombstones: live indices only).
+	cluster.Stats
+}
+
+// indexStats assembles the counters; callers hold the session lock.
+func (e *engine) indexStats() IndexStats {
+	out := e.stats
+	out.Stats = e.retired
+	for _, ix := range e.clusterIdx {
+		out.Stats = out.Stats.Plus(ix.Stats())
+	}
+	return out
+}
+
+type nearKey struct {
+	a int
+	v string
 }
 
 type groupInfo struct {
@@ -177,7 +215,7 @@ func newEngine(repr *relation.Relation, sigma []*cfd.Normal, o Options) (*engine
 		opts:       o,
 		arity:      repr.Schema().Arity(),
 		clusterIdx: make(map[int]cluster.Index),
-		nearCache:  make(map[int]map[string][]string),
+		nearCache:  make(map[nearKey][]relation.IDValue),
 	}
 	for _, g := range e.det.Groups() {
 		var m uint64
@@ -194,27 +232,6 @@ func newEngine(repr *relation.Relation, sigma []*cfd.Normal, o Options) (*engine
 // returned repair can be mutated by the caller without maintenance cost.
 func (e *engine) close() {
 	e.store.Close()
-}
-
-// invalidateDomainCaches drops the cost-based cluster indices and the
-// nearest-neighbour cache. Both are derived from the active domain and
-// only ever grow under inserts; after a delete or update shrinks the
-// domain they could hand out values present nowhere in the database, so
-// the session's mixed-batch path clears them and lets the next
-// TUPLERESOLVE rebuild from the current domain.
-func (e *engine) invalidateDomainCaches() {
-	clear(e.clusterIdx)
-	clear(e.nearCache)
-}
-
-// invalidateDomainCachesFor drops the domain-derived caches of a single
-// attribute: the per-attribute refinement of invalidateDomainCaches used
-// by the session's mixed-batch path, which checks which attribute
-// domains a batch actually shrank and keeps every other attribute's
-// index warm across batches.
-func (e *engine) invalidateDomainCachesFor(a int) {
-	delete(e.clusterIdx, a)
-	delete(e.nearCache, a)
 }
 
 // insertBatch repairs the tuples of delta one at a time (in the
@@ -236,13 +253,7 @@ func (e *engine) insertBatch(delta []*relation.Tuple) (*Result, error) {
 		}
 		for a, ix := range e.clusterIdx {
 			if !rt.Vals[a].Null {
-				before := ix.Len()
 				ix.Add(rt.Vals[a].Str)
-				if ix.Len() != before {
-					// The active domain grew; cached Nearest results for
-					// this attribute may now miss the new value.
-					delete(e.nearCache, a)
-				}
 			}
 		}
 		c, err := e.model.Tuple(t, rt)

@@ -1,0 +1,284 @@
+package increpair
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"cfdclean/internal/cfd"
+	"cfdclean/internal/cluster"
+	"cfdclean/internal/gen"
+	"cfdclean/internal/relation"
+)
+
+// genChurn is a seeded stream of mixed batches over a generated dataset:
+// a session opens over the first base tuples of the clean Dopt, and the
+// rest of the dirty D arrives batch by batch beside random deletes and
+// cell updates of live tuples. Key-like attributes (id, name, PN, STR,
+// zip) have domains in the hundreds — BK-tree territory — and lose values
+// to nearly every delete; the categorical ones stay HAC-sized.
+type genChurn struct {
+	ds   *gen.Dataset
+	rng  *rand.Rand
+	next int // position in ds.Dirty of the next arrival
+}
+
+func newGenChurn(t testing.TB, size int, seed int64) *genChurn {
+	t.Helper()
+	ds, err := gen.New(gen.Config{Size: size, NoiseRate: 0.08, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &genChurn{ds: ds, rng: rand.New(rand.NewSource(seed))}
+}
+
+func (c *genChurn) open(t testing.TB, base int, opts *Options) *Session {
+	t.Helper()
+	d := relation.New(c.ds.Schema)
+	for _, tu := range c.ds.Opt.Tuples()[:base] {
+		d.MustInsert(tu.Clone())
+	}
+	c.next = base
+	sess, err := NewSession(d, c.ds.Sigma, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// batch draws the next mixed batch against the session's live tuples.
+func (c *genChurn) batch(sess *Session, inserts, deletes, sets int) ([]relation.TupleID, []SetOp, []*relation.Tuple) {
+	live := sess.Current().Tuples()
+	perm := c.rng.Perm(len(live))
+	if deletes+sets > len(perm) {
+		deletes, sets = len(perm)/2, 0
+	}
+	var dels []relation.TupleID
+	for _, i := range perm[:deletes] {
+		dels = append(dels, live[i].ID)
+	}
+	var ops []SetOp
+	for _, i := range perm[deletes : deletes+sets] {
+		a := c.rng.Intn(c.ds.Schema.Arity())
+		donor := live[c.rng.Intn(len(live))]
+		ops = append(ops, SetOp{ID: live[i].ID, Attr: a, Value: donor.Vals[a]})
+	}
+	var ins []*relation.Tuple
+	dirty := c.ds.Dirty.Tuples()
+	for ; inserts > 0 && c.next < len(dirty); inserts-- {
+		tu := dirty[c.next].Clone()
+		tu.ID = 0
+		ins = append(ins, tu)
+		c.next++
+	}
+	return dels, ops, ins
+}
+
+// mangle returns a near-miss of s, the kind of probe TUPLERESOLVE sends.
+func mangle(rng *rand.Rand, s string) string {
+	if len(s) < 2 {
+		return s + "x"
+	}
+	b := []byte(s)
+	i := rng.Intn(len(b) - 1)
+	switch rng.Intn(3) {
+	case 0:
+		b[i], b[i+1] = b[i+1], b[i]
+	case 1:
+		b[i] = 'q'
+	default:
+		b = append(b[:i], b[i+1:]...)
+	}
+	return string(b)
+}
+
+// indexCheck accumulates what checkIndices compared.
+type indexCheck struct {
+	trees   int // BK-trees held against a rebuilt one
+	probes  int // similarity probes sent to both
+	differs int // probes the two answered differently
+}
+
+// checkIndices holds every warm cost-based index against the relation it
+// is maintained beside.
+//
+// Content: the index holds as many values as the active domain, a BK-tree
+// finds every one of them (an exact-match lookup cannot be pruned away,
+// whatever the metric), and no index ever offers a value no tuple carries (§3.1:
+// repairs draw from adom ∪ null) — probed with the values the batch just
+// deleted (gone) and with near-misses of live ones.
+//
+// Answers: a BK-tree, maintained in place through deletes, is also asked
+// what a tree built from scratch over the current domain is asked. For a
+// metric the two agree always (TestBKTreeRemoveMatchesRebuild in package
+// cluster); the restricted DL breaks the triangle inequality around
+// edited transpositions ("31.16" → "13.17" is 2, and either tree may
+// prune it away depending on its shape), so a handful of probes in ten
+// thousand differ, here as between any two BK-trees of different history.
+// The caller bounds that share. (A HAC tree is only ever replaced, never
+// shrunk, so content is its whole contract here.)
+func checkIndices(t *testing.T, sess *Session, rng *rand.Rand, gone []*relation.Tuple, acc *indexCheck) {
+	t.Helper()
+	repr := sess.Current()
+	// In attribute order: the probes draw from rng, and the batches after
+	// them must not depend on map iteration.
+	for a := 0; a < repr.Schema().Arity(); a++ {
+		ix, ok := sess.e.clusterIdx[a]
+		if !ok {
+			continue
+		}
+		dom := repr.ActiveDomain(a)
+		if ix.Len() != len(dom) {
+			t.Fatalf("attr %d: index holds %d values, the active domain %d", a, ix.Len(), len(dom))
+		}
+		_, isBK := ix.(*cluster.BKTree)
+		for _, v := range dom {
+			if !isBK {
+				break // HAC's descent may pass an exact match by
+			}
+			if got := ix.Nearest(v, 1); len(got) != 1 || got[0] != v {
+				t.Fatalf("attr %d: live value %q is not in the index (Nearest = %v)", a, v, got)
+			}
+		}
+		var probes []string
+		for i := 0; i < 6 && len(dom) > 0; i++ {
+			probes = append(probes, mangle(rng, dom[rng.Intn(len(dom))]))
+		}
+		for _, tu := range gone {
+			if !tu.Vals[a].Null {
+				probes = append(probes, tu.Vals[a].Str)
+			}
+		}
+		var fresh cluster.Index
+		if isBK {
+			acc.trees++
+			fresh = cluster.NewBKTree(dom, nil)
+		}
+		for _, q := range probes {
+			got := ix.Nearest(q, 4)
+			for _, v := range got {
+				if repr.DomainCount(a, v) == 0 {
+					t.Fatalf("attr %d: Nearest(%q) offers %q, which no tuple carries", a, q, v)
+				}
+			}
+			if fresh != nil {
+				acc.probes++
+				if !reflect.DeepEqual(got, fresh.Nearest(q, 4)) {
+					acc.differs++
+				}
+			}
+		}
+	}
+}
+
+// TestSessionIndicesTrackDomain is the contract that replaced "a delete
+// drops the index": through random insert/delete/update batches, after
+// every batch, every surviving index holds exactly the active domain and
+// answers as a from-scratch one — across tombstone compactions too — and
+// no BK-tree is rebuilt while its domain is BK-sized: one index object per
+// attribute, and the build counter agrees.
+func TestSessionIndicesTrackDomain(t *testing.T) {
+	c := newGenChurn(t, 1100, 11)
+	sess := c.open(t, 500, nil)
+	defer sess.Close()
+
+	built := make(map[cluster.Index]bool) // every index object seen at a batch end
+	trees := make(map[int]cluster.Index)  // the one BK-tree of each attribute
+	var acc indexCheck
+	step := func(inserts, deletes, sets int) {
+		t.Helper()
+		dels, ops, ins := c.batch(sess, inserts, deletes, sets)
+		var gone []*relation.Tuple
+		for _, id := range dels {
+			gone = append(gone, sess.Current().Tuple(id))
+		}
+		if _, _, err := sess.ApplyOps(dels, ops, ins); err != nil {
+			t.Fatal(err)
+		}
+		if !sess.Satisfied() {
+			t.Fatal("session violates Σ")
+		}
+		checkIndices(t, sess, c.rng, gone, &acc)
+		for a, ix := range sess.e.clusterIdx {
+			built[ix] = true
+			if _, ok := ix.(*cluster.BKTree); !ok {
+				continue
+			}
+			// Only a tree that shrank to HAC size is ever let go.
+			if prev, ok := trees[a]; ok && prev != ix && prev.Len() > cluster.HACSizeLimit {
+				t.Fatalf("attr %d: its BK-tree was rebuilt at %d values", a, prev.Len())
+			}
+			trees[a] = ix
+		}
+	}
+	// 50 mixed batches at a steady size, then a purge deep enough to push
+	// tombstones past the live values, then regrowth over the compacted
+	// trees.
+	for i := 0; i < 50; i++ {
+		step(10, 10, 3)
+	}
+	for sess.Current().Size() > 150 {
+		step(2, 80, 2)
+	}
+	for i := 0; i < 5; i++ {
+		step(30, 5, 3)
+	}
+
+	st := sess.IndexStats()
+	if len(trees) == 0 || acc.probes < 1000 {
+		t.Fatalf("%d BK-trees, %d probes compared; the fixture exercises too little", len(trees), acc.probes)
+	}
+	if acc.differs*100 > acc.probes {
+		t.Errorf("%d of %d probes answered differently by the maintained and the rebuilt tree — far beyond DL's triangle gap", acc.differs, acc.probes)
+	}
+	if st.Builds != len(built) {
+		t.Errorf("%d index builds, but only %d distinct indices were ever in use: something was rebuilt within a batch", st.Builds, len(built))
+	}
+	if st.Compactions == 0 {
+		t.Error("the purge never compacted a tree; deepen it")
+	}
+	if st.Nearest == 0 || st.NearHits == 0 || st.Visited == 0 {
+		t.Errorf("counters did not move: %+v", st)
+	}
+	t.Logf("%+v; %+v", acc, st)
+}
+
+// TestSessionWorkersIdentical: the interned probe is cloned per worker and
+// the candidates are shared read-only; every worker count must walk the
+// same repairs, batch by batch and byte for byte. (Run under -race in CI.)
+func TestSessionWorkersIdentical(t *testing.T) {
+	var ref []byte
+	var refCost float64
+	for _, w := range []int{1, 2, 4} {
+		c := newGenChurn(t, 900, 5)
+		sess := c.open(t, 500, &Options{Workers: w})
+		var cost float64
+		for i := 0; i < 12; i++ {
+			dels, ops, ins := c.batch(sess, 30, 10, 3)
+			res, _, err := sess.ApplyOps(dels, ops, ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost += res.Cost
+		}
+		var dump bytes.Buffer
+		if err := sess.Dump(&dump); err != nil {
+			t.Fatal(err)
+		}
+		if !cfd.Satisfies(sess.Current(), c.ds.Sigma) {
+			t.Fatalf("workers=%d: result violates Σ", w)
+		}
+		sess.Close()
+		if cost == 0 {
+			t.Fatal("the stream needed no repair; the fixture exercises nothing")
+		}
+		if ref == nil {
+			ref, refCost = dump.Bytes(), cost
+			continue
+		}
+		if cost != refCost || !bytes.Equal(dump.Bytes(), ref) {
+			t.Fatalf("workers=%d: cost %v and dump differ from workers=1 (cost %v)", w, cost, refCost)
+		}
+	}
+}

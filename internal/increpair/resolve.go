@@ -25,7 +25,10 @@ import (
 // describes in Example 5.1, where every attribute outside the violated
 // CFDs is fixed without change first.
 func (e *engine) tupleResolve(t *relation.Tuple) *relation.Tuple {
-	rt := t.Clone()
+	clear(e.nearCache)
+	// rt carries ids (unseen constants as InvalidID) and is only changed
+	// through SetAt, so every probe below runs on integers.
+	rt := t.Probe(e.repr.Dict())
 	if e.repr.Tuple(rt.ID) != nil {
 		rt.ID = 0 // let Insert assign a fresh id later
 	}
@@ -64,9 +67,7 @@ func (e *engine) tupleResolve(t *relation.Tuple) *relation.Tuple {
 		}
 		best := e.bestFix(rt, fixed, attrs, k, violated)
 		for i, a := range best.attrs {
-			rt.Vals[a] = best.vals[i]
-		}
-		for _, a := range best.attrs {
+			rt.SetAt(a, best.vals[i])
 			fixed |= 1 << uint(a)
 		}
 	}
@@ -144,7 +145,7 @@ func (e *engine) consistentOn(rt *relation.Tuple, mask uint64) bool {
 // fix is a candidate assignment to a set of attributes with its ranking.
 type fix struct {
 	attrs []int
-	vals  []relation.Value
+	vals  []relation.IDValue
 	// costfix ranking (Fig. 7 line 6): primary cost·vio, then cost, then
 	// vio — the tie-breakers resolve the paper's many 0·0 products in
 	// favor of unchanged and cheap candidates. contested breaks the
@@ -201,7 +202,7 @@ func (e *engine) bestFix(rt *relation.Tuple, fixed uint64, attrs []int, k int, v
 		}
 	}
 	rec(0, 0)
-	cands := make(map[int][]relation.Value, len(attrs))
+	cands := make(map[int][]relation.IDValue, len(attrs))
 	for _, a := range attrs {
 		cands[a] = e.candidates(rt, a)
 	}
@@ -230,7 +231,7 @@ func (e *engine) bestFix(rt *relation.Tuple, fixed uint64, attrs []int, k int, v
 			go func(w int) {
 				defer wg.Done()
 				local := ranked{idx: -1}
-				wrt := rt.Clone()
+				wrt := rt.Probe(e.repr.Dict())
 				sc := e.scratches[w]
 				for i := w; i < len(subsets); i += nw {
 					f := e.bestValsFor(wrt, fixed, subsets[i], violated, cands, sc)
@@ -254,9 +255,9 @@ func (e *engine) bestFix(rt *relation.Tuple, fixed uint64, attrs []int, k int, v
 	}
 	if !best.valid {
 		// Defensive: the all-null fix on the first k attributes.
-		vals := make([]relation.Value, k)
+		vals := make([]relation.IDValue, k)
 		for i := range vals {
-			vals[i] = relation.NullValue
+			vals[i] = relation.NullIDValue
 		}
 		best = fix{attrs: attrs[:k], vals: vals, valid: true}
 	}
@@ -278,8 +279,10 @@ func (e *engine) ensureScratches(n int) {
 
 // bestValsFor finds the cheapest consistent value combination for the
 // attribute set c, drawing per-attribute candidates from cands; sc is
-// the calling worker's cost scratch.
-func (e *engine) bestValsFor(rt *relation.Tuple, fixed uint64, c []int, violated []uint64, cands map[int][]relation.Value, sc *cost.Scratch) fix {
+// the calling worker's cost scratch. rt and the candidates carry their ids,
+// so nothing in here — the odometer loop least of all — touches the
+// dictionary or its lock.
+func (e *engine) bestValsFor(rt *relation.Tuple, fixed uint64, c []int, violated []uint64, cands map[int][]relation.IDValue, sc *cost.Scratch) fix {
 	var cmask uint64
 	for _, a := range c {
 		cmask |= 1 << uint(a)
@@ -319,25 +322,24 @@ func (e *engine) bestValsFor(rt *relation.Tuple, fixed uint64, c []int, violated
 			return fix{}
 		}
 	}
-	cvals := make([][]relation.Value, len(c))
+	cvals := make([][]relation.IDValue, len(c))
+	saved := make([]relation.IDValue, len(c))
 	for i, a := range c {
 		cvals[i] = cands[a]
-	}
-	saved := make([]relation.Value, len(c))
-	for i, a := range c {
-		saved[i] = rt.Vals[a]
+		saved[i] = rt.At(a)
 	}
 	defer func() {
 		for i, a := range c {
-			rt.Vals[a] = saved[i]
+			rt.SetAt(a, saved[i])
 		}
 	}()
+	dict := e.repr.Dict()
 	var best fix
 	bestIdx := make([]int, len(c)) // odometer position of best; vals materialize after the loop
 	idx := make([]int, len(c))
 	for {
 		for i, a := range c {
-			rt.Vals[a] = cvals[i][idx[i]]
+			rt.SetAt(a, cvals[i][idx[i]])
 		}
 		consistent := true
 		for _, gi := range variantCheck {
@@ -349,8 +351,8 @@ func (e *engine) bestValsFor(rt *relation.Tuple, fixed uint64, c []int, violated
 		if consistent {
 			var chg float64
 			for i, a := range c {
-				if !relation.StrictEq(saved[i], rt.Vals[a]) {
-					chg += sc.ChangeFromInterned(e.repr.Dict(), rt, a, saved[i], rt.Vals[a])
+				if v := cvals[i][idx[i]]; !relation.StrictEq(saved[i].Value, v.Value) {
+					chg += sc.ChangeFromInterned(dict, rt, a, saved[i], v)
 				}
 			}
 			v := baseVio
@@ -384,7 +386,7 @@ func (e *engine) bestValsFor(rt *relation.Tuple, fixed uint64, c []int, violated
 		}
 	}
 	if best.valid {
-		best.vals = make([]relation.Value, len(c))
+		best.vals = make([]relation.IDValue, len(c))
 		for i := range c {
 			best.vals[i] = cvals[i][bestIdx[i]]
 		}
@@ -396,27 +398,30 @@ func (e *engine) bestValsFor(rt *relation.Tuple, fixed uint64, c []int, violated
 // spirit of FINDV (§4.2) and the cost-based indices (§5.2): the current
 // value, constants from applicable pattern tuples, donor values from
 // clean tuples agreeing with rt on a rule's LHS, the nearest active-
-// domain values by the DL metric, and null.
-func (e *engine) candidates(rt *relation.Tuple, a int) []relation.Value {
-	var out []relation.Value
-	seen := make(map[string]bool)
-	add := func(v relation.Value) {
+// domain values by the DL metric, and null. Each comes with its id, looked
+// up here once, so the enumeration that follows never needs the strings'
+// identity again.
+func (e *engine) candidates(rt *relation.Tuple, a int) []relation.IDValue {
+	var out []relation.IDValue
+	add := func(v relation.IDValue) {
 		if v.Null {
 			return
 		}
-		if !seen[v.Str] {
-			seen[v.Str] = true
-			out = append(out, v)
+		for _, o := range out {
+			if o.Str == v.Str {
+				return
+			}
 		}
+		out = append(out, v)
 	}
-	add(rt.Vals[a]) // unchanged first
+	add(rt.At(a)) // unchanged first
 	for _, gi := range e.groups {
 		if gi.g.A() != a {
 			continue
 		}
 		for _, n := range gi.g.MatchingRules(rt) {
 			if n.ConstantRHS() {
-				add(relation.S(n.TpA.Const))
+				add(e.repr.Dict().Resolve(relation.S(n.TpA.Const)))
 				continue
 			}
 			// Variable RHS: the clean bucket dictates the value.
@@ -424,34 +429,35 @@ func (e *engine) candidates(rt *relation.Tuple, a int) []relation.Value {
 				if id == rt.ID {
 					continue
 				}
-				add(e.repr.Tuple(id).Vals[a])
+				add(e.repr.Tuple(id).At(a))
 				break // clean buckets agree; one donor suffices
 			}
 		}
 	}
 	if !rt.Vals[a].Null {
-		for _, s := range e.nearest(a, rt.Vals[a].Str) {
-			add(relation.S(s))
+		for _, v := range e.nearest(a, rt.Vals[a].Str) {
+			add(v)
 		}
 	}
-	out = append(out, relation.NullValue)
-	return out
+	return append(out, relation.NullIDValue)
 }
 
-// nearest returns the memoized cost-based index lookup for (a, v):
-// TUPLERESOLVE's subset enumeration asks for the same neighbours once per
-// subset containing a, and the index query dominates the profile.
-func (e *engine) nearest(a int, v string) []string {
-	byVal, ok := e.nearCache[a]
-	if !ok {
-		byVal = make(map[string][]string)
-		e.nearCache[a] = byVal
-	}
-	if res, ok := byVal[v]; ok {
+// nearest returns the memoized cost-based index lookup for (a, v): each
+// round of TUPLERESOLVE's greedy cover asks again for the neighbours of
+// every attribute still open, whose values have not changed.
+func (e *engine) nearest(a int, v string) []relation.IDValue {
+	key := nearKey{a, v}
+	if res, ok := e.nearCache[key]; ok {
+		e.stats.NearHits++
 		return res
 	}
-	res := e.clusterIndex(a).Nearest(v, e.opts.NearestK)
-	byVal[v] = res
+	e.stats.Nearest++
+	strs := e.clusterIndex(a).Nearest(v, e.opts.NearestK)
+	res := make([]relation.IDValue, len(strs))
+	for i, s := range strs {
+		res[i] = e.repr.Dict().Resolve(relation.S(s))
+	}
+	e.nearCache[key] = res
 	return res
 }
 
@@ -460,9 +466,38 @@ func (e *engine) clusterIndex(a int) cluster.Index {
 	if ix, ok := e.clusterIdx[a]; ok {
 		return ix
 	}
+	e.stats.Builds++
 	ix := cluster.New(e.repr.ActiveDomain(a), nil)
 	e.clusterIdx[a] = ix
 	return ix
+}
+
+// forget takes out of the cost-based indices every value the removed
+// tuples just took out of the active domain, so TUPLERESOLVE cannot offer a
+// vanished value as a donor (§3.1: repairs draw from adom ∪ null). A
+// BK-tree drops the value in place — its Nearest depends on the live
+// values only, so it goes on answering exactly as one rebuilt over the
+// shrunk domain would — and no index is rebuilt on the delete/update path.
+// The exception is the small domain: a HAC tree refuses (its answers
+// depend on its shape), and a BK-tree that shrinks to HAC size hands over
+// to one; both are dropped here and rebuilt by the next probe that needs
+// them, which is rare and cheap at that size.
+func (e *engine) forget(removed []*relation.Tuple) {
+	for a, ix := range e.clusterIdx {
+		for _, t := range removed {
+			v := t.Vals[a]
+			if v.Null || e.repr.DomainCount(a, v.Str) > 0 {
+				continue
+			}
+			if !ix.Remove(v.Str) || ix.Len() <= cluster.HACSizeLimit {
+				st := ix.Stats()
+				st.Tombstones = 0 // gone with the index
+				e.retired = e.retired.Plus(st)
+				delete(e.clusterIdx, a)
+				break
+			}
+		}
+	}
 }
 
 // bitsOf expands a bitmask into sorted attribute positions.

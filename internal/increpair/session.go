@@ -21,8 +21,9 @@ var errClosed = errors.New("increpair: session is closed")
 // and then keeps the engine alive. Each ApplyDelta pushes a ΔD batch
 // through INCREPAIR against the maintained state, so the per-batch cost
 // is O(|ΔD|) — the base is never rescanned, no detector is ever rebuilt,
-// and TUPLERESOLVE's donor indices, cost-based cluster indices and
-// nearest-neighbour caches all carry over from batch to batch.
+// and TUPLERESOLVE's donor indices and cost-based cluster indices carry
+// over from batch to batch, maintained in place under inserts, deletes and
+// updates alike.
 //
 // # Concurrency contract
 //
@@ -267,25 +268,7 @@ func (s *Session) ApplyOps(deletes []relation.TupleID, sets []SetOp, inserts []*
 	for _, c := range updated {
 		s.e.repr.Delete(c.ID)
 	}
-	if len(removed) > 0 {
-		// Values may just have left the active domain; where that actually
-		// happened, drop the engine's domain-derived candidate caches so
-		// TUPLERESOLVE cannot offer a vanished value as a donor (§3.1:
-		// repairs draw from adom ∪ null). The check is per attribute:
-		// an attribute whose domain still holds every removed value keeps
-		// its cluster index and nearest-neighbour memo, so steady mixed
-		// traffic does not rebuild the cost-based indices each pass.
-		// (Values a batch *introduces* are handled by the insert loop,
-		// which grows the index and evicts stale memo entries.)
-		for a := 0; a < arity; a++ {
-			for _, t := range removed {
-				if v := t.Vals[a]; !v.Null && s.e.repr.DomainCount(a, v.Str) == 0 {
-					s.e.invalidateDomainCachesFor(a)
-					break
-				}
-			}
-		}
-	}
+	s.e.forget(removed)
 
 	delta := make([]*relation.Tuple, 0, len(updated)+len(inserts))
 	delta = append(delta, updated...)
@@ -335,6 +318,15 @@ func (s *Session) Snapshot() Snapshot { return *s.snap.Load() }
 // use it while another goroutine may be applying batches (use Dump for
 // a consistent serialization, or Close first).
 func (s *Session) Current() *relation.Relation { return s.e.repr }
+
+// IndexStats returns the work counters of the session's similarity
+// indices. Like the other structure reads it briefly takes the writer
+// lock.
+func (s *Session) IndexStats() IndexStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.e.indexStats()
+}
 
 // Initial reports the §5.3 cleaning NewSession performed on a dirty
 // input, or nil if the input already satisfied sigma.

@@ -27,9 +27,11 @@ const (
 // value is deleted. Dict is safe for concurrent use: building a Detector
 // interns pattern constants into the relation's dictionary, so independent
 // read-only queries (Satisfies, Detect, ...) may race on it otherwise.
-// The hot scan paths never touch the dictionary — relation-owned tuples
-// carry their ids — so the lock only guards scratch-probe lookups and
-// interning.
+// The hot paths never touch the dictionary: relation-owned tuples carry
+// their ids, and so do TUPLERESOLVE's trial tuples (Tuple.Probe) and its
+// candidate values (IDValue), which are resolved once before the candidate
+// enumeration starts. The lock only guards interning and the lookups of
+// genuinely free-standing tuples handed to the query APIs.
 type Dict struct {
 	mu    sync.RWMutex
 	byStr map[string]ValueID
@@ -92,6 +94,23 @@ func (d *Dict) LookupValue(v Value) ValueID {
 	}
 	id, _ := d.LookupStr(v.Str)
 	return id
+}
+
+// IDValue is a value together with its id in some Dict, so that whoever
+// receives it can take the id-keyed paths (index probes, pattern matching,
+// the cost memo) without resolving the string again. ID is NullID for null
+// and InvalidID for a constant the dictionary has never seen.
+type IDValue struct {
+	Value
+	ID ValueID
+}
+
+// NullIDValue is SQL null as an IDValue, in every dictionary.
+var NullIDValue = IDValue{Value: NullValue, ID: NullID}
+
+// Resolve pairs v with its id, without interning.
+func (d *Dict) Resolve(v Value) IDValue {
+	return IDValue{Value: v, ID: d.LookupValue(v)}
 }
 
 // Value resolves an id back to its Value. NullID yields the null value.

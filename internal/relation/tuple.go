@@ -22,9 +22,10 @@ type Tuple struct {
 	// ids holds the interned ValueID of each attribute value, parallel to
 	// Vals. It is owned by the Relation the tuple lives in: Insert fills
 	// it against the relation's Dict and Set keeps it in sync. A nil ids
-	// marks a free-standing tuple (built by NewTuple/Clone, or a scratch
-	// probe whose Vals are mutated directly); such tuples take the
-	// value-based slow paths.
+	// marks a free-standing tuple (built by NewTuple/Clone); such tuples
+	// take the value-based slow paths. A probe (see Probe) carries ids
+	// without being owned: they are looked up, not interned, and only
+	// SetAt may change its values.
 	ids []ValueID
 }
 
@@ -44,6 +45,32 @@ func (t *Tuple) Clone() *Tuple {
 		c.W = append([]float64(nil), t.W...)
 	}
 	return c
+}
+
+// Probe returns a free-standing copy of t that carries ids resolved against
+// dict without interning — a trial tuple for "what if t held these values"
+// questions against the relation owning dict. A constant dict has never
+// seen gets InvalidID: it equals no stored value and matches no pattern
+// constant, which is all there is to know about it. Change a probe's values
+// with SetAt only; Insert re-interns it like any tuple.
+func (t *Tuple) Probe(dict *Dict) *Tuple {
+	c := t.Clone()
+	c.ids = make([]ValueID, len(c.Vals))
+	for a, v := range c.Vals {
+		c.ids[a] = dict.LookupValue(v)
+	}
+	return c
+}
+
+// At returns attribute a with its id; t must carry ids.
+func (t *Tuple) At(a int) IDValue { return IDValue{Value: t.Vals[a], ID: t.ids[a]} }
+
+// SetAt overwrites attribute a of a probe with v, value and id together.
+// (A relation-owned tuple changes through Relation.Set, which also keeps
+// the active domain and the journal.)
+func (t *Tuple) SetAt(a int, v IDValue) {
+	t.Vals[a] = v.Value
+	t.ids[a] = v.ID
 }
 
 // Weight returns the confidence weight of attribute i, defaulting to 1
@@ -102,8 +129,8 @@ func (t *Tuple) KeyOn(attrs []int) string {
 	return string(b)
 }
 
-// Interned reports whether t carries interned value ids (i.e. it is owned
-// by a Relation and its ids are in sync with Vals).
+// Interned reports whether t carries value ids in sync with Vals: it is
+// owned by a Relation, or it is a probe.
 func (t *Tuple) Interned() bool { return t.ids != nil }
 
 // IDAt returns the interned id of attribute a, or InvalidID for a

@@ -1,0 +1,131 @@
+package strdist
+
+import (
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// checkBounded asserts the whole contract of DamerauLevenshteinBounded on
+// one input: it decides "distance ≤ max" exactly as the unbounded metric
+// does and returns the distance when so, it is symmetric, and the stack
+// fast path (taken or not, as the input decides) agrees with the rune
+// path taken unconditionally.
+func checkBounded(t *testing.T, a, b string, max int) {
+	t.Helper()
+	got := DamerauLevenshteinBounded(a, b, max)
+	if max < 0 {
+		if got <= max {
+			t.Fatalf("Bounded(%q,%q,%d) = %d, must exceed a negative bound", a, b, max, got)
+		}
+		return
+	}
+	full := dlRunes(a, b, len(a)+len(b))
+	if d := DamerauLevenshtein(a, b); d != full {
+		t.Fatalf("DL(%q,%q) = %d, rune path says %d", a, b, d, full)
+	}
+	if (got <= max) != (full <= max) {
+		t.Fatalf("Bounded(%q,%q,%d) = %d but DL = %d", a, b, max, got, full)
+	}
+	if full <= max && got != full {
+		t.Fatalf("Bounded(%q,%q,%d) = %d, want the exact %d", a, b, max, got, full)
+	}
+	if rev := DamerauLevenshteinBounded(b, a, max); (rev <= max) != (got <= max) || (got <= max && rev != got) {
+		t.Fatalf("Bounded(%q,%q,%d) = %d but reversed = %d", a, b, max, got, rev)
+	}
+	if slow := dlRunes(a, b, max); (slow <= max) != (got <= max) || (got <= max && slow != got) {
+		t.Fatalf("Bounded(%q,%q,%d): fast path %d, rune path %d", a, b, max, got, slow)
+	}
+}
+
+func randomString(rng *rand.Rand, n int, ascii bool) string {
+	alphabet := []rune("abcde")
+	if !ascii {
+		alphabet = []rune("abcdéß世")
+	}
+	r := make([]rune, n)
+	for i := range r {
+		r[i] = alphabet[rng.Intn(len(alphabet))]
+	}
+	return string(r)
+}
+
+// TestFastPathMatchesRunePath drives random ASCII and non-ASCII pairs —
+// small alphabets, so transpositions and near-misses are common — through
+// every bound around the true distance.
+func TestFastPathMatchesRunePath(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3000; i++ {
+		a := randomString(rng, rng.Intn(12), rng.Intn(4) > 0)
+		b := randomString(rng, rng.Intn(12), rng.Intn(4) > 0)
+		for max := -1; max <= 13; max++ {
+			checkBounded(t, a, b, max)
+		}
+	}
+}
+
+// TestFastPathBoundary: 63 bytes is the last length served from the stack
+// arrays, 64 the first that falls back; both sides of the boundary, on
+// either argument, must agree with the rune path.
+func TestFastPathBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, la := range []int{0, 1, 62, 63, 64, 65} {
+		for _, lb := range []int{0, 1, 62, 63, 64, 65} {
+			for i := 0; i < 20; i++ {
+				a, b := randomString(rng, la, true), randomString(rng, lb, true)
+				if i%2 == 0 && la <= lb {
+					// A near-copy, so that the distance is small and the
+					// DP runs to the last row and column.
+					b = a + strings.Repeat("x", lb-la)
+				}
+				for _, max := range []int{0, 1, 3, 8, 70, 200} {
+					checkBounded(t, a, b, max)
+				}
+			}
+		}
+	}
+	// 63 bytes of which one is half of a two-byte rune: not ASCII.
+	a := strings.Repeat("a", 61) + "é"
+	checkBounded(t, a, strings.Repeat("a", 63), 5)
+}
+
+// FuzzDamerauLevenshteinBounded is the tree's first native fuzz target;
+// CI runs it for a few seconds on every push.
+func FuzzDamerauLevenshteinBounded(f *testing.F) {
+	f.Add("", "", 0)
+	f.Add("abc", "acb", 1)
+	f.Add("kitten", "sitting", 2)
+	f.Add("héllo", "hello", 1)
+	f.Add("Pennsylvania Avenue 1600", "Pennsylvanai Avenue 1060", 8)
+	f.Add(strings.Repeat("ab", 32), strings.Repeat("ba", 31)+"a", 70)
+	f.Add("\xff\xfe", "a", -1)
+	f.Fuzz(func(t *testing.T, a, b string, max int) {
+		if len(a) > 200 || len(b) > 200 {
+			t.Skip() // the DP is quadratic
+		}
+		if max > 1<<20 {
+			max = 1 << 20 // max+1 must not overflow; no distance gets near
+		}
+		checkBounded(t, a, b, max)
+	})
+}
+
+// The DL kernels are the innermost loop of both repair engines (the cost
+// model and the BK-tree search): on the values they actually see — ASCII,
+// at most 63 bytes — they must not allocate.
+func TestDLKernelsDoNotAllocate(t *testing.T) {
+	a := "Pennsylvania Avenue 1600, Washington DC, the United States, x63"
+	b := "Pennsylvanai Avenue 1060, Washington DC, the United States, x63"
+	if len(a) != 63 || len(b) != 63 {
+		t.Fatalf("fixture lengths %d, %d: want 63", len(a), len(b))
+	}
+	if n := testing.AllocsPerRun(100, func() { DamerauLevenshtein(a, b) }); n != 0 {
+		t.Errorf("DamerauLevenshtein: %v allocs per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { DamerauLevenshteinBounded(a, b, 3) }); n != 0 {
+		t.Errorf("DamerauLevenshteinBounded: %v allocs per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { DL.(BoundedMetric).DistanceBounded("walnut", "wallnut", 8) }); n != 0 {
+		t.Errorf("DL.DistanceBounded: %v allocs per call, want 0", n)
+	}
+}

@@ -10,6 +10,8 @@
 // can be plugged in through the Metric interface.
 package strdist
 
+import "unicode/utf8"
+
 // Metric computes a non-negative distance between two strings.
 // Implementations must guarantee Distance(a, a) == 0 and symmetry.
 type Metric interface {
@@ -64,39 +66,9 @@ func Levenshtein(a, b string) int {
 // adjacent characters, with no substring edited more than once.
 // This is the metric named in the paper [16].
 func DamerauLevenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	// Three-row dynamic program: prev2 = row i-2, prev = row i-1, cur = row i.
-	prev2 := make([]int, lb+1)
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			d := min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if t := prev2[j-2] + 1; t < d {
-					d = t
-				}
-			}
-			cur[j] = d
-		}
-		prev2, prev, cur = prev, cur, prev2
-	}
-	return prev[lb]
+	// The distance never exceeds the longer string, so this bound never
+	// cuts the program short.
+	return DamerauLevenshteinBounded(a, b, len(a)+len(b))
 }
 
 // BoundedMetric is an optional extension: DistanceBounded may give up as
@@ -124,43 +96,65 @@ func (dlMetric) DistanceBounded(a, b string, max int) int {
 	return DamerauLevenshteinBounded(a, b, max)
 }
 
+// stackLen is the longest string the ASCII fast path of the DL kernels
+// takes: both strings and the three DP rows then live in fixed-size arrays
+// on the stack.
+const stackLen = 63
+
 // DamerauLevenshteinBounded is DamerauLevenshtein with a cutoff: it
 // returns max+1 as soon as the distance provably exceeds max. The length
 // difference is a lower bound on the distance, and each DP row's minimum
 // is non-decreasing, so both give cheap early exits.
+//
+// Two ASCII strings of at most stackLen bytes — nearly every value the
+// repair loops compare — are handled without touching the heap; anything
+// else goes through dlRunes.
 func DamerauLevenshteinBounded(a, b string, max int) int {
 	if max < 0 {
 		return 0
 	}
-	la, lb := len(a), len(b)
-	// Byte lengths bound rune lengths from above; compute rune lengths
-	// only when the cheap byte-length test cannot decide.
-	if la-lb > max || lb-la > max {
-		if d := runeLenDiff(a, b); d > max {
-			return max + 1
-		}
+	if len(a) > stackLen || len(b) > stackLen || !isASCII(a) || !isASCII(b) {
+		return dlRunes(a, b, max)
 	}
-	ra, rb := []rune(a), []rune(b)
-	if diff := len(ra) - len(rb); diff > max || -diff > max {
+	if d := len(a) - len(b); d > max || -d > max {
 		return max + 1
 	}
-	n := len(rb)
-	prev2 := make([]int, n+1)
-	prev := make([]int, n+1)
-	cur := make([]int, n+1)
-	for j := 0; j <= n; j++ {
+	var sa, sb [stackLen]byte
+	var rows [3][stackLen + 1]int
+	n := len(b) + 1
+	return dlRows(sa[:copy(sa[:], a)], sb[:copy(sb[:], b)], rows[0][:n], rows[1][:n], rows[2][:n], max)
+}
+
+// dlRunes is the general path of DamerauLevenshteinBounded (max ≥ 0): it
+// decodes both strings to runes and allocates the DP rows.
+func dlRunes(a, b string, max int) int {
+	if d := utf8.RuneCountInString(a) - utf8.RuneCountInString(b); d > max || -d > max {
+		return max + 1
+	}
+	ra, rb := []rune(a), []rune(b)
+	n := len(rb) + 1
+	rows := make([]int, 3*n)
+	return dlRows(ra, rb, rows[:n], rows[n:2*n], rows[2*n:], max)
+}
+
+// dlRows runs the bounded three-row DL dynamic program over two symbol
+// sequences: prev2 = row i-2, prev = row i-1, cur = row i, each of length
+// len(b)+1 and supplied by the caller.
+func dlRows[T byte | rune](a, b []T, prev2, prev, cur []int, max int) int {
+	n := len(b)
+	for j := range prev {
 		prev[j] = j
 	}
-	for i := 1; i <= len(ra); i++ {
+	for i := 1; i <= len(a); i++ {
 		cur[0] = i
-		rowMin := cur[0]
+		rowMin := i
 		for j := 1; j <= n; j++ {
 			cost := 1
-			if ra[i-1] == rb[j-1] {
+			if a[i-1] == b[j-1] {
 				cost = 0
 			}
 			d := min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
+			if i > 1 && j > 1 && a[i-1] == b[j-2] && a[i-2] == b[j-1] {
 				if t := prev2[j-2] + 1; t < d {
 					d = t
 				}
@@ -181,12 +175,13 @@ func DamerauLevenshteinBounded(a, b string, max int) int {
 	return prev[n]
 }
 
-func runeLenDiff(a, b string) int {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la > lb {
-		return la - lb
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
 	}
-	return lb - la
+	return true
 }
 
 // Normalized returns dis(a,b)/max(|a|,|b|) under metric m, the similarity
