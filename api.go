@@ -188,11 +188,14 @@ const (
 // d is not modified. opts may be nil.
 //
 // Execution is component-parallel: the violation graph's connected
-// components (tuples sharing no violation) are repaired concurrently
-// across BatchOptions.Workers workers, each against a pristine view of
-// the database with per-worker equivalence-class and cost state, and
-// the resolved fixes are merged in canonical component order. Workers 0
-// means all cores, 1 forces the sequential path; the repaired output is
+// components (tuples sharing no violation) are each repaired against a
+// pristine view of the database, largest first, and the resolved fixes
+// are merged in canonical component order. BatchOptions.Workers is an
+// upper bound on the engines that do so (0 means all cores, 1 forces the
+// sequential path): one is always built, and a further one — its own
+// clone, violation store, equivalence-class and cost state — only when
+// the components beside the largest warrant its set-up;
+// BatchResult.Engines reports the count. The repaired output is
 // byte-identical at every setting.
 func BatchRepair(d *Relation, sigma []*NormalCFD, opts *BatchOptions) (*BatchResult, error) {
 	return repair.Batch(d, sigma, opts)

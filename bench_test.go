@@ -319,10 +319,11 @@ func BenchmarkDetectParallel(b *testing.B) {
 
 // BenchmarkBatchRepair measures BATCHREPAIR end to end under the
 // component-parallel schedule: the violation graph's connected
-// components are repaired concurrently across the configured workers
-// and merged in canonical order. Every sub-bench returns byte-identical
-// repairs (enforced by the property battery); only wall-clock may
-// differ. workers=0 is the default (all cores).
+// components are repaired largest first, on as many engines — at most
+// workers — as their sizes warrant (the engines metric), and merged in
+// canonical order. Every sub-bench returns byte-identical repairs
+// (enforced by the property battery); only wall-clock may differ.
+// workers=0 is the default (all cores).
 func BenchmarkBatchRepair(b *testing.B) {
 	ds := benchData(b, 2*benchSize, 0.05, 0.5)
 	for _, w := range []int{1, 2, 4, 0} {
@@ -336,6 +337,7 @@ func BenchmarkBatchRepair(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(last.Resolutions), "resolutions")
+			b.ReportMetric(float64(last.Engines), "engines")
 			reportQuality(b, ds, last.Repair)
 		})
 	}

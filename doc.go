@@ -56,8 +56,8 @@
 //	  VioStore: per-group violation lists, vio(t), vio(D),
 //	            violation-graph components — all delta-maintained
 //	        │
-//	        ├── BatchRepair (§4): components repaired in parallel,
-//	        │   merged in canonical order
+//	        ├── BatchRepair (§4): components repaired largest
+//	        │   first, merged in canonical order
 //	        ├── IncRepair / Repair (§5): TUPLERESOLVE per arriving
 //	        │   tuple against maintained state
 //	        └── Session: the same engine kept alive across ΔD batches
@@ -150,9 +150,10 @@
 //
 //   - Detection shards index buckets across workers and merges in the
 //     canonical (tuple, rule, partner) order.
-//   - BatchRepair repairs violation-graph components concurrently, each
-//     worker owning a full engine over its own clone, and merges fixes
-//     in canonical component order.
+//   - BatchRepair repairs violation-graph components largest first, on
+//     one engine or — when the components beside the largest warrant the
+//     set-up — on several, each over its own clone, and merges fixes in
+//     canonical component order.
 //   - INCREPAIR evaluates TUPLERESOLVE's candidate attribute subsets on
 //     per-worker scratch tuples with a deterministic merge.
 //   - A Session is single-writer, many-reader: mutations serialize on

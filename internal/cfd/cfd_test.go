@@ -208,7 +208,7 @@ func TestPaperRepairSatisfies(t *testing.T) {
 	r := paperData(t)
 	s := r.Schema()
 	sigma := NormalizeAll([]*CFD{phi1(s), phi2(s), phi3(s), phi4(s)})
-	d := NewDetector(r, sigma)
+	d := NewVioStore(r, sigma)
 	ct, st := s.MustIndex("CT"), s.MustIndex("ST")
 	for _, i := range []int{2, 3} {
 		tp := r.Tuples()[i]
@@ -218,7 +218,6 @@ func TestPaperRepairSatisfies(t *testing.T) {
 		if _, err := r.Set(tp.ID, st, relation.S("NY")); err != nil {
 			t.Fatal(err)
 		}
-		d.UpdateTuple(tp)
 	}
 	if !d.Satisfied() {
 		t.Error("repaired Fig. 1 data must satisfy all CFDs")
@@ -268,7 +267,7 @@ func TestCase2Violation(t *testing.T) {
 			break
 		}
 	}
-	ps := d2.Partners(t5, varRule)
+	ps := d2.Partners(t5, varRule, nil)
 	if len(ps) != 1 || ps[0] != t1.ID {
 		t.Errorf("Partners(t5) = %v, want [t1]", ps)
 	}
@@ -285,13 +284,12 @@ func TestNullResolvesCase2(t *testing.T) {
 		t.Fatal(err)
 	}
 	sigma := fd.Normalize()
-	d := NewDetector(r, sigma)
+	d := NewVioStore(r, sigma)
 	if d.Satisfied() {
 		t.Fatal("k->v1/v2 must violate the FD")
 	}
 	// Setting one side to null resolves the violation (§4.1 case 2.3).
 	r.Set(t2.ID, 1, relation.NullValue)
-	d.UpdateTuple(t2)
 	if !d.Satisfied() {
 		t.Error("null must resolve a variable-RHS violation")
 	}
@@ -354,18 +352,16 @@ func TestDetectorLifecycle(t *testing.T) {
 	t1 := relation.NewTuple(0, "k", "v1")
 	r.MustInsert(t1)
 	fd, _ := FD("fd", s, []string{"a"}, []string{"b"})
-	d := NewDetector(r, fd.Normalize())
+	d := NewVioStore(r, fd.Normalize())
 	if !d.Satisfied() {
 		t.Fatal("one tuple cannot violate an FD")
 	}
 	t2 := relation.NewTuple(0, "k", "v2")
 	r.MustInsert(t2)
-	d.AddTuple(t2)
 	if d.Satisfied() {
 		t.Fatal("detector must see the inserted tuple")
 	}
 	r.Delete(t2.ID)
-	d.RemoveTuple(t2.ID)
 	if !d.Satisfied() {
 		t.Fatal("detector must see the deletion")
 	}

@@ -2,6 +2,7 @@ package cfd
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -16,12 +17,15 @@ type Violation struct {
 	With relation.TupleID // zero for single-tuple (case 1) violations
 }
 
-// fdGroup collects the normal CFDs sharing an embedded FD X → A. Grouping
+// groupPlan collects the normal CFDs sharing an embedded FD X → A. Grouping
 // lets detection make one pass per embedded FD instead of one per pattern
 // tuple — essential when tableaus carry hundreds of pattern rows (§7.1).
-type fdGroup struct {
-	x []int // sorted LHS attribute positions
-	a int   // RHS attribute position
+// A plan is a function of Σ and the dictionary its constants are interned
+// in, and immutable once compiled: detectors share it (see Compiled).
+type groupPlan struct {
+	x      []int // sorted LHS attribute positions
+	a      int   // RHS attribute position
+	schema *relation.Schema
 
 	// masks groups pattern rows by which positions of x carry constants;
 	// each mask bucket maps the interned constants at those positions to
@@ -29,6 +33,12 @@ type fdGroup struct {
 	masks []*maskBucket
 
 	hasVar bool // any variable-RHS row in this group
+}
+
+// fdGroup is one detector's embedded-FD group: the shared plan plus the
+// detector's own live index.
+type fdGroup struct {
+	*groupPlan
 
 	// xIndex is the live index of D on x, built lazily via Detector.index
 	// (ixOnce makes the build safe under concurrent read-only probes).
@@ -37,19 +47,22 @@ type fdGroup struct {
 }
 
 type maskBucket struct {
-	pos  []int // positions within x that are constants for these rows
-	rows map[relation.Key][]*groupRow
+	pos []int // positions within x that are constants for these rows
+	// rows maps the constants at pos to the first row carrying them; rows
+	// sharing a key are chained through next, in sigma order.
+	rows map[relation.Key]*groupRow
 }
 
-// groupRow is a normal CFD with its LHS cells permuted to the group's
-// sorted attribute order.
+// groupRow is one normal CFD as a pattern row of its group.
 type groupRow struct {
 	n    *Normal
-	tpx  []Cell // cells in group x-order
 	tpa  Cell
 	cons bool // constant RHS
 	// tpaID is the interned id of the constant RHS (cons rows only).
 	tpaID relation.ValueID
+	// next is the following row with the same mask key; the chain's head
+	// keeps its tail in last.
+	next, last *groupRow
 }
 
 // Detector performs CFD violation detection over a relation, maintaining
@@ -63,56 +76,147 @@ type groupRow struct {
 // merged deterministically.
 type Detector struct {
 	rel    *relation.Relation
-	sigma  []*Normal
+	prog   *Compiled
 	groups []*fdGroup
-
-	// rank orders normal CFDs by their position in sigma; it canonicalizes
-	// the violation sort so sequential and parallel detection return
-	// bit-identical slices.
-	rank map[*Normal]int
 
 	// workers is the detection parallelism; <= 1 means sequential.
 	workers int
+}
+
+// Compiled is Σ compiled against a dictionary: the embedded-FD groups with
+// their pattern rows keyed by interned constants, and the canonical rule
+// order. It is immutable, so any number of detectors — one per worker
+// engine of a component-parallel repair — share one compilation instead
+// of re-deriving it from hundreds of pattern rows each.
+type Compiled struct {
+	sigma []*Normal
+	plans []*groupPlan
+
+	// rank orders normal CFDs by their position in sigma; it canonicalizes
+	// the violation sort so sequential and parallel detection return
+	// bit-identical slices. groupOf is the plan each rule was filed under.
+	rank    map[*Normal]int
+	groupOf map[*Normal]int
+}
+
+// Compile groups sigma by embedded FD and interns its pattern constants
+// into dict. This is the only step of detection that interns; scans and
+// probes never do.
+func Compile(dict *relation.Dict, sigma []*Normal) *Compiled {
+	c := &Compiled{
+		sigma:   sigma,
+		rank:    make(map[*Normal]int, len(sigma)),
+		groupOf: make(map[*Normal]int, len(sigma)),
+	}
+	byKey := make(map[string]int)
+	// Tableau rows arrive in runs: the rows of one CFD share X, A and
+	// often the positions of their constants. Everything but the row
+	// itself is worked out once per run.
+	for i := 0; i < len(sigma); {
+		n := sigma[i]
+		j := i + 1
+		for j < len(sigma) && sameShape(n, sigma[j]) {
+			j++
+		}
+		// Canonical group key: sorted X positions plus A.
+		perm := sortedPerm(n.X)
+		x := make([]int, len(n.X))
+		var pos []int // constant positions, in the group's x-order
+		for k, p := range perm {
+			x[k] = n.X[p]
+			if !n.TpX[p].Wildcard {
+				pos = append(pos, k)
+			}
+		}
+		key := groupKey(x, n.A)
+		gi, ok := byKey[key]
+		if !ok {
+			gi = len(c.plans)
+			byKey[key] = gi
+			c.plans = append(c.plans, &groupPlan{x: x, a: n.A, schema: n.Schema})
+		}
+		g := c.plans[gi]
+		mb := g.mask(pos, j-i)
+		for ; i < j; i++ {
+			n := sigma[i]
+			c.rank[n] = i
+			c.groupOf[n] = gi
+			row := &groupRow{n: n, tpa: n.TpA, cons: n.ConstantRHS()}
+			if row.cons {
+				row.tpaID = dict.InternStr(n.TpA.Const)
+			} else {
+				g.hasVar = true
+			}
+			var buf [8]relation.ValueID
+			ids := buf[:0]
+			for _, k := range pos {
+				ids = append(ids, dict.InternStr(n.TpX[perm[k]].Const))
+			}
+			mb.add(relation.KeyOfIDs(ids), row)
+		}
+	}
+	return c
+}
+
+// sameShape reports whether two normal CFDs list the same X in the same
+// order, share A, and carry their LHS constants at the same positions.
+func sameShape(a, b *Normal) bool {
+	if a.A != b.A || !slices.Equal(a.X, b.X) {
+		return false
+	}
+	for i := range a.TpX {
+		if a.TpX[i].Wildcard != b.TpX[i].Wildcard {
+			return false
+		}
+	}
+	return true
+}
+
+// mask returns g's bucket for rows with constants at pos, creating it —
+// sized for the n rows about to be added — when it is the first such row.
+func (g *groupPlan) mask(pos []int, n int) *maskBucket {
+	for _, mb := range g.masks {
+		if slices.Equal(mb.pos, pos) {
+			return mb
+		}
+	}
+	mb := &maskBucket{pos: pos, rows: make(map[relation.Key]*groupRow, n)}
+	g.masks = append(g.masks, mb)
+	return mb
+}
+
+func (mb *maskBucket) add(key relation.Key, r *groupRow) {
+	r.last = r
+	if head, ok := mb.rows[key]; ok {
+		head.last.next = r
+		head.last = r
+	} else {
+		mb.rows[key] = r
+	}
+}
+
+// NewDetector returns a detector for the compiled Σ over rel, indexing
+// rel's current contents on demand. rel's dictionary must be the one c
+// was compiled against or a clone of it made afterwards (clones preserve
+// ids), so that the compiled constants mean the same values.
+func (c *Compiled) NewDetector(rel *relation.Relation) *Detector {
+	d := &Detector{
+		rel:     rel,
+		prog:    c,
+		groups:  make([]*fdGroup, len(c.plans)),
+		workers: runtime.GOMAXPROCS(0),
+	}
+	for i, p := range c.plans {
+		d.groups[i] = &fdGroup{groupPlan: p}
+	}
+	return d
 }
 
 // NewDetector builds a detector for sigma over rel, indexing the current
 // contents of rel. Pattern constants are interned into rel's dictionary
 // here, before any parallel scan starts; scans themselves never intern.
 func NewDetector(rel *relation.Relation, sigma []*Normal) *Detector {
-	d := &Detector{
-		rel:     rel,
-		sigma:   sigma,
-		rank:    make(map[*Normal]int, len(sigma)),
-		workers: runtime.GOMAXPROCS(0),
-	}
-	dict := rel.Dict()
-	byKey := make(map[string]*fdGroup)
-	for i, n := range sigma {
-		d.rank[n] = i
-		// Canonical group key: sorted X positions plus A.
-		perm := sortedPerm(n.X)
-		x := make([]int, len(n.X))
-		cells := make([]Cell, len(n.X))
-		for j, p := range perm {
-			x[j] = n.X[p]
-			cells[j] = n.TpX[p]
-		}
-		key := groupKey(x, n.A)
-		g, ok := byKey[key]
-		if !ok {
-			g = &fdGroup{x: x, a: n.A}
-			byKey[key] = g
-			d.groups = append(d.groups, g)
-		}
-		row := &groupRow{n: n, tpx: cells, tpa: n.TpA, cons: n.ConstantRHS()}
-		if row.cons {
-			row.tpaID = dict.InternStr(n.TpA.Const)
-		} else {
-			g.hasVar = true
-		}
-		g.addRow(row, dict)
-	}
-	return d
+	return Compile(rel.Dict(), sigma).NewDetector(rel)
 }
 
 // index returns g's live LHS index, building it on first use. Groups with
@@ -162,54 +266,13 @@ func appendInt(b []byte, v int) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), ',')
 }
 
-func (g *fdGroup) addRow(r *groupRow, dict *relation.Dict) {
-	var pos []int
-	for i, c := range r.tpx {
-		if !c.Wildcard {
-			pos = append(pos, i)
-		}
-	}
-	key := maskKeyCells(r.tpx, pos, dict)
-	for _, mb := range g.masks {
-		if equalInts(mb.pos, pos) {
-			mb.rows[key] = append(mb.rows[key], r)
-			return
-		}
-	}
-	mb := &maskBucket{pos: pos, rows: make(map[relation.Key][]*groupRow)}
-	mb.rows[key] = append(mb.rows[key], r)
-	g.masks = append(g.masks, mb)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// maskKeyCells interns the constant cells at pos and packs their ids.
-func maskKeyCells(cells []Cell, pos []int, dict *relation.Dict) relation.Key {
-	var buf [8]relation.ValueID
-	ids := buf[:0]
-	for _, p := range pos {
-		ids = append(ids, dict.InternStr(cells[p].Const))
-	}
-	return relation.KeyOfIDs(ids)
-}
-
 // matchingRows returns the pattern rows of g whose tp[X] is matched by the
 // given X ids (already known to be null-free). An InvalidID component —
 // a probe value absent from the dictionary — can match constants of no
 // row, but still matches all-wildcard positions. The rows are appended to
 // out: callers on a hot path pass a small stack buffer, so the common
 // handful of matching rows costs no allocation.
-func (g *fdGroup) matchingRows(xids []relation.ValueID, out []*groupRow) []*groupRow {
+func (g *groupPlan) matchingRows(xids []relation.ValueID, out []*groupRow) []*groupRow {
 	for _, mb := range g.masks {
 		var buf [8]relation.ValueID
 		sel := buf[:0]
@@ -225,7 +288,9 @@ func (g *fdGroup) matchingRows(xids []relation.ValueID, out []*groupRow) []*grou
 		if !ok {
 			continue
 		}
-		out = append(out, mb.rows[relation.KeyOfIDs(sel)]...)
+		for r := mb.rows[relation.KeyOfIDs(sel)]; r != nil; r = r.next {
+			out = append(out, r)
+		}
 	}
 	return out
 }
@@ -250,35 +315,7 @@ func (d *Detector) xids(g *fdGroup, t *relation.Tuple, buf []relation.ValueID) [
 func (d *Detector) Relation() *relation.Relation { return d.rel }
 
 // Sigma returns the normal CFDs under detection.
-func (d *Detector) Sigma() []*Normal { return d.sigma }
-
-// UpdateTuple re-indexes t after its attribute values changed. Must be
-// called after every relation.Set on a tuple, or indices go stale.
-func (d *Detector) UpdateTuple(t *relation.Tuple) {
-	for _, g := range d.groups {
-		if g.xIndex != nil {
-			g.xIndex.Update(t)
-		}
-	}
-}
-
-// AddTuple indexes a newly inserted tuple.
-func (d *Detector) AddTuple(t *relation.Tuple) {
-	for _, g := range d.groups {
-		if g.xIndex != nil {
-			g.xIndex.Add(t)
-		}
-	}
-}
-
-// RemoveTuple un-indexes a deleted tuple.
-func (d *Detector) RemoveTuple(id relation.TupleID) {
-	for _, g := range d.groups {
-		if g.xIndex != nil {
-			g.xIndex.Remove(id)
-		}
-	}
-}
+func (d *Detector) Sigma() []*Normal { return d.prog.sigma }
 
 // VioTuple returns vio(t): the number of violations incurred by t (§3.1).
 // Case 1 adds one per violated constant-RHS CFD; case 2 adds one per
@@ -392,7 +429,7 @@ func (d *Detector) sortViolations(vs []Violation) {
 		if a.T != b.T {
 			return a.T < b.T
 		}
-		if ra, rb := d.rank[a.N], d.rank[b.N]; ra != rb {
+		if ra, rb := d.prog.rank[a.N], d.prog.rank[b.N]; ra != rb {
 			return ra < rb
 		}
 		return a.With < b.With
@@ -619,18 +656,20 @@ func (d *Detector) scanAll(visit func(t *relation.Tuple, n *Normal, with relatio
 }
 
 // Partners returns the ids of tuples with which t violates the variable-RHS
-// normal CFD n (empty for constant-RHS CFDs or when t does not match).
-func (d *Detector) Partners(t *relation.Tuple, n *Normal) []relation.TupleID {
+// normal CFD n, one of the detector's own rules (empty for constant-RHS
+// CFDs or when t does not match). The ids are appended to out[:0]: a
+// caller that asks repeatedly passes one buffer and allocates nothing.
+func (d *Detector) Partners(t *relation.Tuple, n *Normal, out []relation.TupleID) []relation.TupleID {
+	out = out[:0]
 	if n.ConstantRHS() || !n.MatchesLHS(t) || t.Vals[n.A].Null {
-		return nil
+		return out
 	}
 	g := d.groupFor(n)
 	if g == nil {
-		return nil
+		return out
 	}
 	var buf [8]relation.ValueID
 	xids := d.xids(g, t, buf[:0])
-	var out []relation.TupleID
 	for _, id := range d.index(g).LookupIDs(xids) {
 		if id == t.ID {
 			continue
@@ -644,16 +683,8 @@ func (d *Detector) Partners(t *relation.Tuple, n *Normal) []relation.TupleID {
 }
 
 func (d *Detector) groupFor(n *Normal) *fdGroup {
-	perm := sortedPerm(n.X)
-	x := make([]int, len(n.X))
-	for i, p := range perm {
-		x[i] = n.X[p]
-	}
-	key := groupKey(x, n.A)
-	for _, g := range d.groups {
-		if groupKey(g.x, g.a) == key {
-			return g
-		}
+	if gi, ok := d.prog.groupOf[n]; ok {
+		return d.groups[gi]
 	}
 	return nil
 }
@@ -724,21 +755,9 @@ func (g Group) Rep() *Normal {
 	for i := range cells {
 		cells[i] = W
 	}
-	var schema *relation.Schema
-	for _, mb := range g.g.masks {
-		for _, rows := range mb.rows {
-			if len(rows) > 0 {
-				schema = rows[0].n.Schema
-				break
-			}
-		}
-		if schema != nil {
-			break
-		}
-	}
 	return &Normal{
 		Name:   "group",
-		Schema: schema,
+		Schema: g.g.schema,
 		X:      append([]int(nil), g.g.x...),
 		A:      g.g.a,
 		TpX:    cells,

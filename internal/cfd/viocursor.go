@@ -53,8 +53,8 @@ func (f VioFilter) matchVio(v Violation) bool {
 // normal CFD with the given name.
 func groupHasRule(g *fdGroup, rule string) bool {
 	for _, mb := range g.masks {
-		for _, rows := range mb.rows {
-			for _, row := range rows {
+		for _, head := range mb.rows {
+			for row := head; row != nil; row = row.next {
 				if row.n.Name == rule {
 					return true
 				}
@@ -175,7 +175,7 @@ func (c *VioCursor) gather(id relation.TupleID) []Violation {
 			}
 		}
 	}
-	rank := c.s.d.rank
+	rank := c.s.d.prog.rank
 	sort.Slice(buf, func(i, j int) bool {
 		if ra, rb := rank[buf[i].N], rank[buf[j].N]; ra != rb {
 			return ra < rb

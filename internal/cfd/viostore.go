@@ -123,7 +123,17 @@ func NewVioStore(rel *relation.Relation, sigma []*Normal) *VioStore {
 // the sequential path, <= 0 means runtime.GOMAXPROCS(0). The resulting
 // state is identical at every setting.
 func NewVioStoreWorkers(rel *relation.Relation, sigma []*Normal, workers int) *VioStore {
-	d := NewDetector(rel, sigma)
+	return Compile(rel.Dict(), sigma).NewVioStore(rel, workers)
+}
+
+// scanWorkerBuckets is the least number of index buckets a worker of the
+// store's initial scan is worth (see NewVioStore).
+const scanWorkerBuckets = 4096
+
+// NewVioStore is NewVioStoreWorkers over an already compiled Σ; rel's
+// dictionary must satisfy the condition Compiled.NewDetector states.
+func (c *Compiled) NewVioStore(rel *relation.Relation, workers int) *VioStore {
+	d := c.NewDetector(rel)
 	d.SetWorkers(workers)
 	s := &VioStore{
 		d:     d,
@@ -141,26 +151,33 @@ func NewVioStoreWorkers(rel *relation.Relation, sigma []*Normal, workers int) *V
 		key relation.Key
 		ids []relation.TupleID
 	}
-	var work []bucketWork
+	buckets := 0
 	for gi, g := range d.groups {
 		st := &s.state[gi]
 		if g.hasVar {
 			st.byBucket = make(map[relation.Key][]Violation)
-			d.index(g).Buckets(func(key relation.Key, ids []relation.TupleID) {
-				work = append(work, bucketWork{gi: gi, key: key, ids: ids})
-			})
+			buckets += d.index(g).Len()
 		} else {
 			st.byTuple = make(map[relation.TupleID][]Violation)
 		}
 	}
+	work := make([]bucketWork, 0, buckets)
+	for gi, g := range d.groups {
+		if g.hasVar {
+			g.xIndex.Buckets(func(key relation.Key, ids []relation.TupleID) {
+				work = append(work, bucketWork{gi: gi, key: key, ids: ids})
+			})
+		}
+	}
 
 	// Scan buckets in parallel; results land in an index-aligned slice,
-	// so the merge below is deterministic regardless of worker count.
+	// so the merge below is deterministic regardless of worker count. A
+	// bucket scans in a fraction of a microsecond and waking a second
+	// thread costs a hundred times that, so a worker is granted per
+	// scanWorkerBuckets buckets: a 500-tuple database scans on the
+	// caller's goroutine whatever d.workers says.
 	results := make([][]Violation, len(work))
-	nw := d.workers
-	if nw > len(work) {
-		nw = len(work)
-	}
+	nw := min(d.workers, len(work)/scanWorkerBuckets)
 	scanOne := func(w bucketWork, sc *scanScratch) []Violation {
 		var vios []Violation
 		d.scanBucket(d.groups[w.gi], w.ids, sc, func(t *relation.Tuple, n *Normal, with relation.TupleID) {
@@ -281,11 +298,11 @@ func (s *VioStore) onDelta(dl relation.Delta) {
 		for gi, g := range s.d.groups {
 			if g.hasVar {
 				key := t.KeyOnIDs(g.x)
-				g.xIndex.Remove(t.ID)
+				g.xIndex.Remove(t)
 				s.rescanBucket(gi, key)
 			} else {
 				if g.xIndex != nil {
-					g.xIndex.Remove(t.ID)
+					g.xIndex.Remove(t)
 				}
 				s.dropConstTuple(gi, t.ID)
 			}
@@ -296,7 +313,7 @@ func (s *VioStore) onDelta(dl relation.Delta) {
 			inX := containsAttr(g.x, a)
 			if !g.hasVar {
 				if g.xIndex != nil && inX {
-					g.xIndex.Update(t)
+					g.xIndex.Update(t, a, dl.OldID)
 				}
 				if inX || g.a == a {
 					s.rescanConstTuple(gi, t)
@@ -305,7 +322,7 @@ func (s *VioStore) onDelta(dl relation.Delta) {
 			}
 			if inX {
 				oldKey := keyWithOverride(t, g.x, a, dl.OldID)
-				g.xIndex.Update(t)
+				g.xIndex.Update(t, a, dl.OldID)
 				newKey := t.KeyOnIDs(g.x)
 				s.rescanBucket(gi, oldKey)
 				if newKey != oldKey {

@@ -300,3 +300,28 @@ func TestVioStoreComponentStateDrains(t *testing.T) {
 		t.Fatalf("components after rebuild = %v, want %v", got, want)
 	}
 }
+
+// TestVioStoreParallelScan builds a store over enough buckets that the
+// initial scan is split across workers (a worker per scanWorkerBuckets)
+// and checks its state against a freshly built detector's.
+func TestVioStoreParallelScan(t *testing.T) {
+	s := relation.MustSchema("r", "k", "v")
+	r := relation.New(s)
+	for i := 0; i < 3*scanWorkerBuckets; i++ {
+		r.MustInsert(relation.NewTuple(0, fmt.Sprint("k", i), "v"))
+		if i%97 == 0 { // a second tuple under the key, disagreeing on v
+			r.MustInsert(relation.NewTuple(0, fmt.Sprint("k", i), "w"))
+		}
+	}
+	fd, err := FD("fd", s, []string{"k"}, []string{"v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigma := fd.Normalize()
+	st := NewVioStoreWorkers(r, sigma, 3)
+	defer st.Close()
+	if st.Satisfied() {
+		t.Fatal("fixture has no violations; it exercises nothing")
+	}
+	checkStoreEquivalence(t, "parallel scan", st, r, sigma)
+}

@@ -173,15 +173,6 @@ func (s *Scratch) distIDs(dict *relation.Dict, ia, ib relation.ValueID, va, vb r
 	return d
 }
 
-// ChangeInterned is Model.ChangeInterned through the worker-local memo.
-func (s *Scratch) ChangeInterned(dict *relation.Dict, t *relation.Tuple, a int, vp relation.Value) float64 {
-	w := t.Weight(a)
-	if w == 0 {
-		return 0
-	}
-	return w * s.distIDs(dict, t.IDAt(a), dict.LookupValue(vp), t.Vals[a], vp)
-}
-
 // ChangeFromInterned is Model.ChangeFrom through the memos, keyed by the
 // ids old and vp carry relative to dict — the dictionary itself is not
 // consulted, so TUPLERESOLVE's candidate loop can call this from several

@@ -85,8 +85,8 @@ func TestScratchMatchesModel(t *testing.T) {
 	} {
 		want := m.Change(tu, 0, cand)
 		for pass := 0; pass < 2; pass++ { // miss, then local-memo hit
-			if got := s.ChangeInterned(r.Dict(), tu, 0, cand); got != want {
-				t.Fatalf("Scratch.ChangeInterned(%v) pass %d = %v, want %v", cand, pass, got, want)
+			if got := s.ChangeFromInterned(r.Dict(), tu, 0, tu.At(0), r.Dict().Resolve(cand)); got != want {
+				t.Fatalf("Scratch.ChangeFromInterned(%v) pass %d = %v, want %v", cand, pass, got, want)
 			}
 		}
 	}
@@ -111,7 +111,7 @@ func TestScratchMatchesModel(t *testing.T) {
 
 	// Foreign dictionary: bypass, not stale hit.
 	r2, t2 := internedFixture(t)
-	if want, got := m.Change(t2, 0, relation.S("wallnut")), s.ChangeInterned(r2.Dict(), t2, 0, relation.S("wallnut")); got != want {
+	if want, got := m.Change(t2, 0, relation.S("wallnut")), s.ChangeFromInterned(r2.Dict(), t2, 0, t2.At(0), r2.Dict().Resolve(relation.S("wallnut"))); got != want {
 		t.Fatalf("scratch foreign-dict = %v, want %v", got, want)
 	}
 }

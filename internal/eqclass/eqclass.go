@@ -80,8 +80,8 @@ func New(dict *relation.Dict) *Classes {
 
 // NewSized is New with a capacity hint: the node table and key index are
 // pre-sized for about n keys, so a repair whose working-set cardinality
-// is known up front (e.g. from the violation store's maintained counts)
-// skips the incremental map growth entirely. The hint is advisory and
+// is known up front (e.g. the tuples of the largest violation-graph
+// component times the arity) skips the incremental map growth entirely. The hint is advisory and
 // has no effect on behaviour.
 func NewSized(dict *relation.Dict, n int) *Classes {
 	if dict == nil {
@@ -167,9 +167,15 @@ func (c *Classes) Size(k Key) int {
 	return c.nodes[r].size
 }
 
-// SameClass reports whether k1 and k2 are in one class.
+// SameClass reports whether k1 and k2 are in one class. It registers
+// neither key: one that no operation has named yet is alone in its class.
 func (c *Classes) SameClass(k1, k2 Key) bool {
-	return c.find(c.node(k1)) == c.find(c.node(k2))
+	if k1 == k2 {
+		return true
+	}
+	i1, ok1 := c.index[k1]
+	i2, ok2 := c.index[k2]
+	return ok1 && ok2 && c.find(i1) == c.find(i2)
 }
 
 // SetConst upgrades the target of k's class from '_' to the constant v.

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"encoding/binary"
+	"maps"
 	"sync"
 )
 
@@ -163,14 +164,10 @@ func (d *Dict) Len() int {
 func (d *Dict) Clone() *Dict {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	c := &Dict{
-		byStr: make(map[string]ValueID, len(d.byStr)),
+	return &Dict{
+		byStr: maps.Clone(d.byStr),
 		strs:  append([]string(nil), d.strs...),
 	}
-	for s, id := range d.byStr {
-		c.byStr[s] = id
-	}
-	return c
 }
 
 // Key is a fixed-width composite key over interned value ids, replacing

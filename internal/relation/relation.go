@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -244,12 +245,30 @@ func (r *Relation) DomainCount(a int, s string) int {
 
 // Clone deep-copies the relation, tuples included. The interning
 // dictionary is cloned id-preservingly, so value ids remain comparable
-// across a relation and its clones.
+// across a relation and its clones — which is also why the copy needs no
+// dictionary lookups: every tuple keeps the ids it has. The clone starts
+// a journal of its own, as if its tuples had just been inserted in order.
 func (r *Relation) Clone() *Relation {
-	c := New(r.schema)
-	c.dict = r.dict.Clone()
-	for _, t := range r.tuples {
-		c.MustInsert(t.Clone())
+	c := &Relation{
+		schema:  r.schema,
+		tuples:  make([]*Tuple, len(r.tuples)),
+		byID:    make(map[TupleID]int, len(r.tuples)),
+		nextID:  1,
+		dict:    r.dict.Clone(),
+		adom:    make([]map[ValueID]int, len(r.adom)),
+		version: uint64(len(r.tuples)),
+	}
+	for a, m := range r.adom {
+		c.adom[a] = maps.Clone(m)
+	}
+	for i, t := range r.tuples {
+		ct := t.Clone()
+		ct.ids = append([]ValueID(nil), t.ids...)
+		c.tuples[i] = ct
+		c.byID[ct.ID] = i
+		if ct.ID >= c.nextID {
+			c.nextID = ct.ID + 1
+		}
 	}
 	return c
 }

@@ -255,10 +255,11 @@ func TestHashIndexLifecycle(t *testing.T) {
 		t.Fatalf("Lookup(x) = %v", ids)
 	}
 	// Update t1.a -> y.
+	old := t1.IDAt(0)
 	if _, err := r.Set(t1.ID, 0, S("y")); err != nil {
 		t.Fatal(err)
 	}
-	ix.Update(t1)
+	ix.Update(t1, 0, old)
 	if ids := ix.Lookup([]Value{S("x")}); len(ids) != 1 || ids[0] != t2.ID {
 		t.Errorf("Lookup(x) after update = %v", ids)
 	}
@@ -266,11 +267,11 @@ func TestHashIndexLifecycle(t *testing.T) {
 		t.Errorf("Lookup(y) after update = %v", ids)
 	}
 	// No-op update keeps a single entry.
-	ix.Update(t1)
+	ix.Update(t1, 0, t1.IDAt(0))
 	if ids := ix.Lookup([]Value{S("y")}); len(ids) != 1 {
 		t.Errorf("Lookup(y) after no-op update = %v", ids)
 	}
-	ix.Remove(t2.ID)
+	ix.Remove(t2)
 	if ids := ix.Lookup([]Value{S("x")}); len(ids) != 0 {
 		t.Errorf("Lookup(x) after remove = %v", ids)
 	}

@@ -2,7 +2,7 @@ package repair
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/cost"
@@ -22,30 +22,37 @@ import (
 // violations and re-enter the loop (Theorem 4.2 guarantees termination).
 //
 // Execution is component-parallel (see parallel.go): the loop runs per
-// connected component of the violation graph, components are distributed
-// across Options.Workers workers with per-worker engine state, and the
+// connected component of the violation graph, largest first, on the
+// engine built here and on as many further engines — at most
+// Options.Workers in all — as the component sizes warrant, and the
 // resolved fixes are merged in canonical component order. A residual
 // sequential pass resolves anything the merged fixes surface across
 // component boundaries, so the result satisfies sigma unconditionally
 // and is byte-identical at every worker count.
 func Batch(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, error) {
 	o := opts.withDefaults()
-	e, err := newEngine(d, sigma, o)
-	if err != nil {
-		return nil, err
+	if _, err := cfd.Satisfiable(sigma); err != nil {
+		return nil, fmt.Errorf("repair: %w", err)
 	}
+	// Σ is compiled once, against the working copy's dictionary; every
+	// engine of the run works on a clone of that copy and shares the
+	// compilation.
+	work := d.Clone()
+	prog := cfd.Compile(work.Dict(), sigma)
+	e := newEngine(work, d, prog, nil, o)
 	// Detach the store before handing the repaired relation to the
 	// caller, so their later mutations don't pay maintenance.
 	defer e.store.Close()
 	// Safety bound from the termination argument of Theorem 4.2: the
 	// progress measure is bounded by 3k for k = (tuple, attribute) pairs.
 	maxSteps := 3*e.rel.Size()*e.rel.Schema().Arity() + 1024
-	res := &Result{}
+	res := &Result{Engines: 1}
 	if comps := e.store.Components(); len(comps) > 0 {
-		fixes, st, err := e.runComponents(comps, maxSteps)
+		fixes, st, sched, err := e.runComponents(comps, maxSteps)
 		if err != nil {
 			return nil, err
 		}
+		res.Components, res.LargestComponent, res.Engines = len(comps), sched.largest, sched.engines
 		// Merge in canonical component order: components by smallest
 		// member, cells by (tuple, attribute) within each. Conflicting
 		// writes from cross-component cascades resolve to the later
@@ -151,7 +158,7 @@ func (e *engine) pickNext() (plan, bool) {
 		for id := range set {
 			ids = append(ids, id)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		e.idScratch = ids
 		scanned := 0
 		for _, id := range ids {
@@ -197,8 +204,8 @@ func (e *engine) instantiate() bool {
 			return
 		}
 		// Gather the distinct stored values of the members.
-		var candidates []relation.Value
-		seen := make(map[string]bool)
+		var candidates []relation.IDValue
+		seen := make(map[relation.ValueID]bool)
 		allEqual := true
 		var first relation.Value
 		for i, m := range members {
@@ -206,14 +213,14 @@ func (e *engine) instantiate() bool {
 			if t == nil {
 				continue
 			}
-			v := t.Vals[m.A]
+			v := t.At(m.A)
 			if i == 0 {
-				first = v
-			} else if !relation.StrictEq(first, v) {
+				first = v.Value
+			} else if !relation.StrictEq(first, v.Value) {
 				allEqual = false
 			}
-			if !v.Null && !seen[v.Str] {
-				seen[v.Str] = true
+			if !v.Null && !seen[v.ID] {
+				seen[v.ID] = true
 				candidates = append(candidates, v)
 			}
 		}

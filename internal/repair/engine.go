@@ -9,7 +9,7 @@ package repair
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/cost"
@@ -33,12 +33,13 @@ type Options struct {
 	// groups (then groups are visited in input order). Exposed for the
 	// ablation benchmarks.
 	NoDepGraph bool
-	// Workers bounds the component-parallel execution of BATCHREPAIR:
-	// the violation graph's connected components (tuples sharing no
-	// violation edge, per cfd.VioStore.Components) are repaired
-	// concurrently, each against a pristine view of the database with
-	// per-worker equivalence-class and cost state, and the resolved fixes
-	// are merged in canonical component order. 0 means
+	// Workers is an upper bound on the engines a component-parallel
+	// BATCHREPAIR may run: the violation graph's connected components
+	// (tuples sharing no violation edge, per cfd.VioStore.Components) are
+	// each repaired against a pristine view of the database and the
+	// resolved fixes are merged in canonical component order. An engine
+	// beyond the first is built only when the components warrant one
+	// (see enginesFor); Result.Engines reports how many were. 0 means
 	// runtime.GOMAXPROCS(0); 1 forces the sequential path. The repaired
 	// output is byte-identical at every setting — determinism is by
 	// construction, not by luck of scheduling.
@@ -83,17 +84,27 @@ type Result struct {
 	// InstantiationRounds counts how many times the instantiation phase
 	// (Fig. 4 lines 9–13) ran, summed the same way.
 	InstantiationRounds int
+	// Components is the number of connected components of the input's
+	// violation graph and LargestComponent the tuple count of the biggest;
+	// both are properties of the input, identical at every worker count.
+	Components       int
+	LargestComponent int
+	// Engines is the number of engines the run built: 1, plus those the
+	// component sizes warranted within Options.Workers.
+	Engines int
 }
 
 // engine is the mutable state of one BATCHREPAIR run. Under the
 // component-parallel schedule each worker owns one engine over its own
 // clone of the database, so every map below — equivalence classes, dirty
 // sets, cost memo, support indices — is per-worker scratch state, never
-// shared across goroutines.
+// shared across goroutines. What is shared, read-only, is what Σ alone
+// determines: the compiled detector program and the sigmaPlan.
 type engine struct {
-	rel     *relation.Relation // working copy; stored values track targets
-	orig    *relation.Relation // input database (for cost accounting)
-	sigma   []*cfd.Normal
+	rel  *relation.Relation // working copy; stored values track targets
+	orig *relation.Relation // input database (for cost accounting)
+	prog *cfd.Compiled
+	*sigmaPlan
 	store   *cfd.VioStore // delta-maintained violation state over the working copy
 	det     *cfd.Detector // the store's mask/index machinery
 	groups  []cfd.Group
@@ -104,16 +115,13 @@ type engine struct {
 	// dirty[i] is the union of Dirty_Tuples(φ) over the rules φ in
 	// groups[i]: tuples possibly violating some rule of the group.
 	dirty []map[relation.TupleID]bool
-	order []int // group indices in repair order (dependency graph)
-	comp  []int // comp[i] = dependency stratum of groups[i]
 
-	// sIdx are the FINDV support indices on X ∪ {A} \ {B} (§4.2),
-	// keyed by the fixed-width integer key of the sorted attribute set.
-	// Built lazily.
-	sIdx map[relation.Key]*relation.HashIndex
-
-	// touching[a] lists group indices whose X ∪ {A} contains attribute a.
-	touching map[int][]int
+	// support[i][b] is the FINDV support index (§4.2) of groups[i] for
+	// LHS attribute b, on X ∪ {A} \ {B}; built lazily. Groups with the
+	// same attribute set share one index; indexes lists each once, for
+	// setStored to maintain.
+	support [][]*relation.HashIndex
+	indexes []*relation.HashIndex
 
 	// seedGroups maps each violating tuple to the groups it violates
 	// under; built once from the store to seed per-component dirty sets.
@@ -126,10 +134,55 @@ type engine struct {
 	recording bool
 	writes    []cellWrite
 
-	// idScratch is pickNext's reusable buffer for sorting dirty ids.
-	idScratch []relation.TupleID
+	// Reusable buffers: pickNext's sorted dirty ids; propagationCost's
+	// partner list; FINDV's trial tuple, context value ids and ranked
+	// candidates.
+	idScratch  []relation.TupleID
+	partnerBuf []relation.TupleID
+	probe      *relation.Tuple
+	idBuf      []relation.ValueID
+	candBuf    []candidate
 
 	resolutions int
+}
+
+// sigmaPlan is what BATCHREPAIR derives from Σ alone: computed once per
+// Batch and shared by every engine of the run.
+type sigmaPlan struct {
+	order []int // group indices in repair order (dependency graph)
+	comp  []int // comp[i] = dependency stratum of groups[i]
+
+	// touching[a] lists the group indices whose X ∪ {A} contains
+	// attribute a.
+	touching [][]int
+}
+
+func newSigmaPlan(groups []cfd.Group, arity int, noDepGraph bool) *sigmaPlan {
+	p := &sigmaPlan{
+		order:    make([]int, len(groups)),
+		comp:     make([]int, len(groups)),
+		touching: make([][]int, arity),
+	}
+	reps := make([]*cfd.Normal, len(groups))
+	for i, g := range groups {
+		reps[i] = g.Rep()
+		for _, a := range g.X() {
+			p.touching[a] = appendUnique(p.touching[a], i)
+		}
+		p.touching[g.A()] = appendUnique(p.touching[g.A()], i)
+	}
+	if noDepGraph {
+		for i := range p.order {
+			p.order[i] = i // all comps stay 0: one flat stratum
+		}
+		return p
+	}
+	g := cfd.NewDepGraph(reps)
+	p.order = g.Order()
+	for i := range groups {
+		p.comp[i] = g.Comp(i)
+	}
+	return p
 }
 
 // cellWrite is one journaled setStored: the cell and the value it held
@@ -140,71 +193,45 @@ type cellWrite struct {
 	old relation.Value
 }
 
-func attrsKey(attrs []int) relation.Key {
-	s := append([]int(nil), attrs...)
-	sort.Ints(s)
-	ids := make([]relation.ValueID, len(s))
-	for i, a := range s {
-		ids[i] = relation.ValueID(a)
-	}
-	return relation.KeyOfIDs(ids)
-}
-
-func newEngine(d *relation.Relation, sigma []*cfd.Normal, opts Options) (*engine, error) {
-	if _, err := cfd.Satisfiable(sigma); err != nil {
-		return nil, fmt.Errorf("repair: %w", err)
-	}
-	work := d.Clone()
-	// One violation store for the whole run: it scans once here and then
-	// maintains itself under every write the engine performs, via the
-	// relation's mutation journal — no per-round detector rebuilds.
-	store := cfd.NewVioStoreWorkers(work, sigma, opts.Workers)
+// newEngine builds an engine over work, a private copy of orig whose
+// dictionary prog was compiled against (or a later clone of that one).
+// One violation store serves the whole run: it scans once here and then
+// maintains itself under every write the engine performs, via the
+// relation's mutation journal — no per-round detector rebuilds. plan is
+// nil for the first engine of a run, which derives it.
+func newEngine(work, orig *relation.Relation, prog *cfd.Compiled, plan *sigmaPlan, opts Options) *engine {
+	store := prog.NewVioStore(work, opts.Workers)
 	det := store.Detector()
-	// Pre-size the equivalence-class universe from the store's maintained
-	// violation count: each violating tuple contributes at most arity keys,
-	// and the count is known before the first resolution runs. Capped so a
-	// pathological input cannot drive a huge empty allocation.
-	classHint := store.TotalViolations() * d.Schema().Arity()
-	if classHint > 1<<16 {
-		classHint = 1 << 16
-	}
 	e := &engine{
-		rel:      work,
-		orig:     d,
-		sigma:    sigma,
-		store:    store,
-		det:      det,
-		groups:   det.Groups(),
-		scorer:   opts.CostModel.Scratch(),
-		classes:  eqclass.NewSized(work.Dict(), classHint),
-		opts:     opts,
-		sIdx:     make(map[relation.Key]*relation.HashIndex),
-		touching: make(map[int][]int),
+		rel:       work,
+		orig:      orig,
+		prog:      prog,
+		sigmaPlan: plan,
+		store:     store,
+		det:       det,
+		groups:    det.Groups(),
+		scorer:    opts.CostModel.Scratch(),
+		classes:   eqclass.New(work.Dict()),
+		opts:      opts,
+	}
+	arity := work.Schema().Arity()
+	if e.sigmaPlan == nil {
+		e.sigmaPlan = newSigmaPlan(e.groups, arity, opts.NoDepGraph)
 	}
 	e.dirty = make([]map[relation.TupleID]bool, len(e.groups))
-	reps := make([]*cfd.Normal, len(e.groups))
-	for i, g := range e.groups {
+	e.support = make([][]*relation.HashIndex, len(e.groups))
+	for i := range e.groups {
 		e.dirty[i] = make(map[relation.TupleID]bool)
-		reps[i] = g.Rep()
-		for _, a := range g.X() {
-			e.touching[a] = appendUnique(e.touching[a], i)
-		}
-		e.touching[g.A()] = appendUnique(e.touching[g.A()], i)
+		e.support[i] = make([]*relation.HashIndex, arity)
 	}
-	e.comp = make([]int, len(e.groups))
-	if opts.NoDepGraph {
-		e.order = make([]int, len(e.groups))
-		for i := range e.order {
-			e.order[i] = i // all comps stay 0: one flat stratum
-		}
-	} else {
-		g := cfd.NewDepGraph(reps)
-		e.order = g.Order()
-		for i := range e.groups {
-			e.comp[i] = g.Comp(i)
-		}
-	}
-	return e, nil
+	return e
+}
+
+// sizeClasses pre-sizes the equivalence-class universe for components of
+// up to n tuples: a component's classes range over its tuples' attributes.
+// Capped so a pathological input cannot drive a huge empty allocation.
+func (e *engine) sizeClasses(n int) {
+	e.classes = eqclass.NewSized(e.dict(), min(n*e.rel.Schema().Arity(), 1<<16))
 }
 
 func appendUnique(xs []int, v int) []int {
@@ -224,6 +251,7 @@ func key(t *relation.Tuple, a int) eqclass.Key {
 // setStored writes value v into attribute a of tuple t in the working
 // relation and refreshes every index that covers a.
 func (e *engine) setStored(t *relation.Tuple, a int, v relation.Value) {
+	oldID := t.IDAt(a)
 	old, err := e.rel.Set(t.ID, a, v)
 	if err != nil {
 		panic(fmt.Sprintf("repair: internal: %v", err))
@@ -240,10 +268,8 @@ func (e *engine) setStored(t *relation.Tuple, a int, v relation.Value) {
 	// The violation store (and with it the detector's LHS indices) is
 	// maintained by the relation's mutation journal; only the FINDV
 	// support indices are engine-owned and refreshed here.
-	for _, ix := range e.sIdx {
-		if ix.Touches(a) {
-			ix.Update(t)
-		}
+	for _, ix := range e.indexes {
+		ix.Update(t, a, oldID)
 	}
 }
 
@@ -274,23 +300,38 @@ func (e *engine) markDirty(id relation.TupleID, a int) {
 	}
 }
 
-// supportIndex returns (building if needed) the FINDV index on the attr
-// set. The index is always built on the *sorted* attribute positions —
-// the same canonical form the memo key uses — so every caller of a
-// shared index agrees on its key layout regardless of the attribute
-// order its rule happened to list; lookups must project via Attrs().
-// (Building with the first caller's order used to leave later callers
-// with a different order probing keys that could never match.)
-func (e *engine) supportIndex(attrs []int) *relation.HashIndex {
-	k := attrsKey(attrs)
-	ix, ok := e.sIdx[k]
-	if !ok {
-		sorted := append([]int(nil), attrs...)
-		sort.Ints(sorted)
-		ix = relation.NewHashIndex(e.rel, sorted)
-		e.sIdx[k] = ix
+// supportIndex returns (building if needed) the FINDV index of group gi
+// for LHS attribute b: the group's X ∪ {A} without b, or nil when that
+// leaves nothing. The index is built on the *sorted* attribute positions,
+// so groups sharing an attribute set share the index whatever order their
+// rules list it in.
+func (e *engine) supportIndex(gi, b int) *relation.HashIndex {
+	if ix := e.support[gi][b]; ix != nil {
+		return ix
 	}
-	return ix
+	g := e.groups[gi]
+	attrs := make([]int, 0, len(g.X())+1)
+	for _, a := range g.X() {
+		if a != b {
+			attrs = append(attrs, a)
+		}
+	}
+	if g.A() != b {
+		attrs = append(attrs, g.A())
+	}
+	if len(attrs) == 0 {
+		return nil
+	}
+	slices.Sort(attrs)
+	at := slices.IndexFunc(e.indexes, func(ix *relation.HashIndex) bool {
+		return slices.Equal(ix.Attrs(), attrs)
+	})
+	if at < 0 {
+		at = len(e.indexes)
+		e.indexes = append(e.indexes, relation.NewHashIndex(e.rel, attrs))
+	}
+	e.support[gi][b] = e.indexes[at]
+	return e.indexes[at]
 }
 
 // eqOnRHS reports whether t and t2 agree on attribute a for violation
@@ -299,14 +340,16 @@ func (e *engine) supportIndex(attrs []int) *relation.HashIndex {
 // but-unset classes hold possibly different stored values yet are already
 // destined for one target (§4.1).
 func (e *engine) eqOnRHS(t, t2 *relation.Tuple, a int) bool {
-	if e.classes.SameClass(key(t, a), key(t2, a)) {
-		return true
-	}
-	return relation.Eq(t.Vals[a], t2.Vals[a])
+	// Stored values first: most bucket neighbours simply agree, and the
+	// class lookup is the dearer test.
+	v, v2 := t.IDAt(a), t2.IDAt(a)
+	return v == v2 || v == relation.NullID || v2 == relation.NullID ||
+		e.classes.SameClass(key(t, a), key(t2, a))
 }
 
 // violation is one live violation found for a tuple within a group.
 type violation struct {
+	gi      int // the rule's group
 	t       *relation.Tuple
 	rule    *cfd.Normal
 	partner *relation.Tuple // nil for constant-RHS (case 1) violations
@@ -334,7 +377,7 @@ func (e *engine) findViolation(gi int, t *relation.Tuple) (violation, bool) {
 	for _, n := range rules {
 		if n.ConstantRHS() {
 			if cfd.RHSViolates(t.Vals[a], n.TpA) {
-				return violation{t: t, rule: n}, true
+				return violation{gi: gi, t: t, rule: n}, true
 			}
 			continue
 		}
@@ -358,22 +401,23 @@ func (e *engine) findViolation(gi int, t *relation.Tuple) (violation, bool) {
 			}
 		}
 		if partner != nil {
-			return violation{t: t, rule: n, partner: partner}, true
+			return violation{gi: gi, t: t, rule: n, partner: partner}, true
 		}
 	}
 	return violation{}, false
 }
 
 // classCost returns the paper's Cost(t, B, v): the weighted cost of
-// moving every member of eq(t, B) to value v (Fig. 5).
-func (e *engine) classCost(k eqclass.Key, v relation.Value) float64 {
+// moving every member of eq(t, B) to value v (Fig. 5). v carries its id,
+// so the distance memo is reached without a dictionary lookup per member.
+func (e *engine) classCost(k eqclass.Key, v relation.IDValue) float64 {
 	var sum float64
 	for _, m := range e.classes.Members(k) {
 		t := e.rel.Tuple(m.T)
 		if t == nil {
 			continue
 		}
-		sum += e.scorer.ChangeInterned(e.dict(), t, m.A, v)
+		sum += e.scorer.ChangeFromInterned(e.dict(), t, m.A, t.At(m.A), v)
 	}
 	return sum
 }

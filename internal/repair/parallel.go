@@ -1,7 +1,8 @@
 package repair
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,9 +21,14 @@ import (
 //     database: a worker journals its writes and rolls them back before
 //     taking the next component, so what a component's repair observes
 //     never depends on which worker ran it or what ran before it;
-//   - each worker owns a full engine — its own clone of the relation,
-//     violation store, equivalence classes, cost memo and support
-//     indices — so nothing is shared but immutable inputs;
+//   - each engine owns its clone of the relation, violation store,
+//     equivalence classes, cost memo and support indices, so nothing is
+//     shared but immutable inputs and the compiled Σ;
+//   - components are handed out largest first, the largest to the engine
+//     Batch already holds, and a further engine is built only when the
+//     components beside the largest are worth its set-up (enginesFor):
+//     generated dirty data puts most violating tuples in one component,
+//     where a second engine would be built to repair crumbs;
 //   - the per-component fix lists are merged into the result in
 //     canonical component order (components by smallest member, cells by
 //     (tuple, attribute)), making the merged state independent of
@@ -83,7 +89,7 @@ func (e *engine) repairComponent(comp []relation.TupleID, budget int) ([]cellFix
 	limit := e.resolutions + budget
 	for {
 		if err := e.mainLoop(limit); err != nil {
-			e.rollback()
+			e.unwind()
 			return nil, st, err
 		}
 		st.rounds++
@@ -92,64 +98,35 @@ func (e *engine) repairComponent(comp []relation.TupleID, budget int) ([]cellFix
 		}
 	}
 	st.resolutions = e.resolutions - start
-	fixes := e.collectFixes()
-	e.rollback()
-	return fixes, st, nil
+	return e.unwind(), st, nil
 }
 
-// collectFixes reduces the write journal to net per-cell changes against
-// pristine state, in canonical (tuple id, attribute) order. Cells whose
-// final value equals their pristine value are dropped.
-func (e *engine) collectFixes() []cellFix {
-	type cell struct {
-		id relation.TupleID
-		a  int
-	}
-	seen := make(map[cell]bool, len(e.writes))
+// unwind ends a component repair: it reduces the write journal to the net
+// per-cell changes against pristine state, in canonical (tuple id,
+// attribute) order, restores every journaled cell to its pristine value
+// and resets the per-component scratch state (write journal, dirty sets,
+// equivalence classes), returning the engine to the state it was in
+// before the component repair began. Cells whose final value equals their
+// pristine value yield no fix. The violation store maintains itself back
+// through the relation's journal.
+func (e *engine) unwind() []cellFix {
+	e.recording = false
+	// Stable, so the first journaled write of each cell — the one whose
+	// old value is pristine — leads its run.
+	slices.SortStableFunc(e.writes, func(x, y cellWrite) int {
+		return cmp.Or(cmp.Compare(x.id, y.id), cmp.Compare(x.a, y.a))
+	})
 	var fixes []cellFix
-	for _, w := range e.writes {
-		c := cell{w.id, w.a}
-		if seen[c] {
+	for i, w := range e.writes {
+		if i > 0 && e.writes[i-1].id == w.id && e.writes[i-1].a == w.a {
 			continue
 		}
-		seen[c] = true
 		t := e.rel.Tuple(w.id)
 		if t == nil {
 			continue // unreachable: Batch never deletes tuples
 		}
-		// w.old of the first write to a cell is its pristine value.
 		if cur := t.Vals[w.a]; !relation.StrictEq(cur, w.old) {
 			fixes = append(fixes, cellFix{id: w.id, a: w.a, v: cur})
-		}
-	}
-	sort.Slice(fixes, func(i, j int) bool {
-		if fixes[i].id != fixes[j].id {
-			return fixes[i].id < fixes[j].id
-		}
-		return fixes[i].a < fixes[j].a
-	})
-	return fixes
-}
-
-// rollback restores every journaled cell to its pristine value and
-// resets the per-component scratch state (write journal, dirty sets,
-// equivalence classes), returning the engine to the state it was in
-// before the component repair began. The violation store maintains
-// itself back through the relation's journal.
-func (e *engine) rollback() {
-	e.recording = false
-	type cell struct {
-		id relation.TupleID
-		a  int
-	}
-	restored := make(map[cell]bool, len(e.writes))
-	for _, w := range e.writes {
-		c := cell{w.id, w.a}
-		if restored[c] {
-			continue
-		}
-		restored[c] = true
-		if t := e.rel.Tuple(w.id); t != nil {
 			e.setStored(t, w.a, w.old)
 		}
 	}
@@ -158,80 +135,102 @@ func (e *engine) rollback() {
 		clear(e.dirty[i])
 	}
 	e.classes.Reset()
+	return fixes
+}
+
+// What the schedule weighs, in microseconds on the box that measured them
+// (EXPERIMENTS.md "PR 14"; only their ratio matters). Setting an engine up
+// — a clone, a store scan, a dozen group and support indexes — is linear
+// in |D|. The greedy loop is quadratic in a component, every resolution
+// re-planning the violations still open: the small components that sit
+// beside the largest cost about a microsecond per pair of tuples.
+const (
+	setupMicrosPerTuple = 6
+	repairMicrosPerPair = 1
+)
+
+// enginesFor decides how many engines — the caller's included, at most
+// workers — a schedule over components of the given sizes (largest first)
+// in a database of n tuples is worth. The caller's engine takes the
+// largest component at once. A further engine repairs nothing until it is
+// set up, and its set-up is wasted CPU unless the wall-clock time it saves
+// is at least as long, which takes twice its set-up in work beside the
+// largest component; so one is granted per such portion. A pure function
+// of the input: a run's Engines is as reproducible as its repair.
+func enginesFor(sizes []int, n, workers int) int {
+	rest := 0
+	for _, s := range sizes[1:] {
+		rest += repairMicrosPerPair * s * s
+	}
+	setup := setupMicrosPerTuple * max(n, 1)
+	return max(1, min(workers, len(sizes), 1+rest/(2*setup)))
+}
+
+// schedule is how a run's components were scheduled, for Result.
+type schedule struct {
+	largest int // tuples in the biggest component
+	engines int // engines built, the caller's included
 }
 
 // runComponents repairs every component and returns the per-component
-// fix lists, index-aligned with comps. With more than one worker, each
-// worker builds its own engine over a clone of the (pristine) working
-// copy and pulls components off a shared counter; results land in the
-// index-aligned slice, so scheduling never shows in the output.
-func (e *engine) runComponents(comps [][]relation.TupleID, budget int) ([][]cellFix, compStats, error) {
+// fix lists, index-aligned with comps. Components are pulled largest
+// first off a shared counter by the engines enginesFor grants: e itself,
+// which starts on the largest at once, and forks of it over clones of the
+// (pristine) working copy, each set up on its own goroutine. Results land
+// in the index-aligned slice, so scheduling never shows in the output.
+func (e *engine) runComponents(comps [][]relation.TupleID, budget int) ([][]cellFix, compStats, schedule, error) {
 	fixes := make([][]cellFix, len(comps))
 	stats := make([]compStats, len(comps))
-	nw := e.opts.Workers
-	if nw > len(comps) {
-		nw = len(comps)
+	order := make([]int, len(comps))
+	for i := range order {
+		order[i] = i
 	}
-	// A worker is not free: it clones the relation and runs a full
-	// detection scan before repairing anything. Cap the worker count by
-	// the violating-tuple volume so a large, mostly-clean database with
-	// a handful of dirty tuples runs sequentially instead of paying
-	// cores × O(|D|) setup for milliseconds of repair work. The cap is a
-	// pure function of the input, so determinism is unaffected (and the
-	// output is identical at every worker count anyway).
-	totalDirty := 0
-	for _, comp := range comps {
-		totalDirty += len(comp)
+	slices.SortStableFunc(order, func(i, j int) int { return len(comps[j]) - len(comps[i]) })
+	sizes := make([]int, len(comps))
+	for i, ci := range order {
+		sizes[i] = len(comps[ci])
 	}
-	if workCap := (totalDirty + 31) / 32; nw > workCap {
-		nw = workCap
-	}
-	if nw <= 1 {
-		for i, comp := range comps {
-			fl, st, err := e.repairComponent(comp, budget)
+	sched := schedule{largest: sizes[0], engines: enginesFor(sizes, e.rel.Size(), e.opts.Workers)}
+
+	var next atomic.Int64
+	next.Store(1)
+	// run repairs order[i] and then whatever the counter hands out.
+	run := func(we *engine, i int) error {
+		for ; i < len(order); i = int(next.Add(1)) - 1 {
+			ci := order[i]
+			fl, st, err := we.repairComponent(comps[ci], budget)
 			if err != nil {
-				return nil, compStats{}, err
+				return err
 			}
-			fixes[i], stats[i] = fl, st
+			fixes[ci], stats[ci] = fl, st
 		}
-	} else {
-		var next atomic.Int64
-		errs := make([]error, nw)
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Per-worker engine: own clone, store, classes, memo.
-				// The worker's store scan stays sequential — the
-				// parallelism budget is already spent on components.
-				wopts := e.opts
-				wopts.Workers = 1
-				we, err := newEngine(e.rel, e.sigma, wopts)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				defer we.store.Close()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(comps) {
-						return
-					}
-					fl, st, err := we.repairComponent(comps[i], budget)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					fixes[i], stats[i] = fl, st
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, compStats{}, err
-			}
+		return nil
+	}
+	errs := make([]error, sched.engines)
+	var wg sync.WaitGroup
+	for w := 1; w < sched.engines; w++ {
+		// Cloned here, while e.rel is still pristine; the store scan and
+		// the rest of the set-up run beside worker 0's repair. The scan
+		// stays sequential — the parallelism budget is already spent on
+		// components.
+		wrel := e.rel.Clone()
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wopts := e.opts
+			wopts.Workers = 1
+			we := newEngine(wrel, e.orig, e.prog, e.sigmaPlan, wopts)
+			defer we.store.Close()
+			we.sizeClasses(sizes[1])
+			errs[w] = run(we, int(next.Add(1))-1)
+		}(w)
+	}
+	e.sizeClasses(sizes[0])
+	errs[0] = run(e, 0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, compStats{}, sched, err
 		}
 	}
 	var total compStats
@@ -239,5 +238,5 @@ func (e *engine) runComponents(comps [][]relation.TupleID, budget int) ([][]cell
 		total.resolutions += st.resolutions
 		total.rounds += st.rounds
 	}
-	return fixes, total, nil
+	return fixes, total, sched, nil
 }

@@ -1,7 +1,8 @@
 package repair
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/eqclass"
@@ -61,9 +62,9 @@ func (e *engine) planViolation(v violation) (plan, bool) {
 			// only when it wins by a factor of two — in practice, when
 			// enforcing the constant would rewrite a sizable equivalence
 			// class while one LHS cell explains the violation.
-			val := relation.S(n.TpA.Const)
-			rhs := plan{kind: planSetConst, k1: ka, v: val, cost: e.classCost(ka, val)}
-			if lhs, ok := e.planLHS(t, n, true); ok && 2*lhs.cost < rhs.cost {
+			val := e.dict().Resolve(relation.S(n.TpA.Const))
+			rhs := plan{kind: planSetConst, k1: ka, v: val.Value, cost: e.classCost(ka, val)}
+			if lhs, ok := e.planLHS(v.gi, t, n, true); ok && 2*lhs.cost < rhs.cost {
 				return lhs, true
 			}
 			return rhs, true
@@ -71,7 +72,7 @@ func (e *engine) planViolation(v violation) (plan, bool) {
 		// Case 1.2: the RHS target is a different constant or null; the
 		// violation must be resolved on the LHS — a situation that does
 		// not arise when repairing traditional FDs.
-		return e.planLHS(t, n, true)
+		return e.planLHS(v.gi, t, n, true)
 	}
 	// Case 2: t violates a variable-RHS rule with partner t'.
 	ka, kb := key(t, n.A), key(v.partner, n.A)
@@ -86,8 +87,8 @@ func (e *engine) planViolation(v violation) (plan, bool) {
 		return plan{}, false
 	case akind == eqclass.Const && bkind == eqclass.Const && aval != bval:
 		// Case 2.2: distinct constant targets; edit the LHS of t or t'.
-		p1, ok1 := e.planLHS(t, n, false)
-		p2, ok2 := e.planLHS(v.partner, n, false)
+		p1, ok1 := e.planLHS(v.gi, t, n, false)
+		p2, ok2 := e.planLHS(v.gi, v.partner, n, false)
 		switch {
 		case ok1 && ok2:
 			if p1.cost <= p2.cost {
@@ -120,7 +121,7 @@ func (e *engine) planViolation(v violation) (plan, bool) {
 		case bkind == eqclass.Const:
 			p.cost = e.propagationCost(v.partner, t, n, ka, bval)
 		default:
-			va, vb := t.Vals[n.A], v.partner.Vals[n.A]
+			va, vb := t.At(n.A), v.partner.At(n.A)
 			ca := e.classCost(ka, va) + e.classCost(kb, va)
 			cb := e.classCost(ka, vb) + e.classCost(kb, vb)
 			if cb < ca {
@@ -141,10 +142,10 @@ func (e *engine) planViolation(v violation) (plan, bool) {
 		// practice it only does when the merge bridges a high-weight
 		// disagreement while one low-weight LHS cell explains it.
 		best := p
-		if q, lok := e.planLHS(t, n, false); lok && 2*q.cost < best.cost {
+		if q, lok := e.planLHS(v.gi, t, n, false); lok && 2*q.cost < best.cost {
 			best = q
 		}
-		if q, lok := e.planLHS(v.partner, n, false); lok && 2*q.cost < best.cost {
+		if q, lok := e.planLHS(v.gi, v.partner, n, false); lok && 2*q.cost < best.cost {
 			best = q
 		}
 		return best, true
@@ -162,8 +163,9 @@ func (e *engine) planViolation(v violation) (plan, bool) {
 // when the constant is wrong (it disagrees with a whole clean group) the
 // scaled cost lets PICKNEXT prefer any plan that separates c instead.
 func (e *engine) propagationCost(c, partner *relation.Tuple, n *cfd.Normal, kb eqclass.Key, cval string) float64 {
-	pair := e.classCost(kb, relation.S(cval))
-	disagree := len(e.det.Partners(c, n))
+	pair := e.classCost(kb, e.dict().Resolve(relation.S(cval)))
+	e.partnerBuf = e.det.Partners(c, n, e.partnerBuf)
+	disagree := len(e.partnerBuf)
 	if disagree > 1 {
 		return pair * float64(disagree)
 	}
@@ -180,7 +182,7 @@ func (e *engine) propagationCost(c, partner *relation.Tuple, n *cfd.Normal, kb e
 // under a wildcard cell cannot break the pattern match, so only constant
 // cells help. For pairwise (case 2.2) violations any LHS edit separates
 // t[X] from t'[X].
-func (e *engine) planLHS(t *relation.Tuple, n *cfd.Normal, needConstCell bool) (plan, bool) {
+func (e *engine) planLHS(gi int, t *relation.Tuple, n *cfd.Normal, needConstCell bool) (plan, bool) {
 	best := plan{cost: -1}
 	for i, a := range n.X {
 		if needConstCell && n.TpX[i].Wildcard {
@@ -191,13 +193,13 @@ func (e *engine) planLHS(t *relation.Tuple, n *cfd.Normal, needConstCell bool) (
 			continue
 		}
 		var p plan
-		if v, vio, ok := e.findV(t, a, n); ok {
+		if v, vio, c, ok := e.findV(gi, t, a); ok {
 			// Scale by the violations the edited tuple would retain, as
 			// the incremental engine's costfix does (§5.1): an LHS value
 			// that silences this rule but leaves the tuple fighting
 			// others is no fix, just a shifted conflict.
 			p = plan{kind: planSetConst, k1: kb, v: v,
-				cost: e.classCost(kb, v) * float64(1+vio), lhs: true}
+				cost: c * float64(1+vio), lhs: true}
 		} else {
 			// FINDV found no semantically related value; assign null.
 			p = plan{kind: planSetNull, k1: kb, cost: e.classWeight(kb), lhs: true}
@@ -226,35 +228,42 @@ func (e *engine) planLHS(t *relation.Tuple, n *cfd.Normal, needConstCell bool) (
 	return best, best.cost >= 0
 }
 
-// findV implements procedure FINDV (§4.2) for an LHS attribute B of rule
-// n: gather the set S of tuples agreeing with t on X ∪ {A} \ {B} — the
-// tuples sharing t's "semantic context" — and pick from their B-values
-// the candidate v ≠ t[B] minimizing Cost(t, B, v). ok is false when no
-// such value exists (the caller then assigns null).
-func (e *engine) findV(t *relation.Tuple, b int, n *cfd.Normal) (relation.Value, int, bool) {
-	attrs := make([]int, 0, len(n.X))
-	for _, a := range n.X {
-		if a != b {
-			attrs = append(attrs, a)
-		}
+// candidate is one FINDV replacement value with its support: how many
+// context tuples carry it.
+type candidate struct {
+	v relation.IDValue
+	n int
+}
+
+// findV implements procedure FINDV (§4.2) for an LHS attribute B of a
+// rule of group gi: gather the set S of tuples agreeing with t on
+// X ∪ {A} \ {B} — the tuples sharing t's "semantic context" — and pick
+// from their B-values the candidate v ≠ t[B]. It returns v, the
+// violations t would retain under it, and Cost(t, B, v); ok is false when
+// no such value exists (the caller then assigns null).
+//
+// Candidates are ranked by the violations t would incur with B := v (the
+// value must fit every rule covering B, not just the one being resolved —
+// a zip that matches the city but not the street would only shift the
+// conflict onto ϕ4 and domino from there), then by support — how many
+// context tuples carry the value, the paper's most-common-value strategy —
+// and by Cost(t, B, v) only to break ties. Ranking by cost alone is a trap
+// at scale: the DL-closest "different value" in any context is usually
+// another tuple's typo of the same string, and picking it would spread
+// noise onto clean tuples. Candidates are visited in sorted value order so
+// full ties break lexicographically, never by map or bucket order — part
+// of the engine's determinism-by-construction.
+//
+// Everything runs on interned ids and the engine's reusable buffers: a
+// warm call allocates nothing.
+func (e *engine) findV(gi int, t *relation.Tuple, b int) (relation.Value, int, float64, bool) {
+	ix := e.supportIndex(gi, b)
+	if ix == nil {
+		return relation.Value{}, 0, 0, false
 	}
-	if n.A != b {
-		attrs = append(attrs, n.A)
-	}
-	kb := key(t, b)
-	cur := t.Vals[b]
-	if len(attrs) == 0 {
-		return relation.Value{}, 0, false
-	}
-	// Candidates are ranked by support first — how many context tuples
-	// carry the value — and by Cost(t, B, v) only to break ties: the
-	// paper's most-common-value strategy. Ranking by cost alone is a
-	// trap at scale: the DL-closest "different value" in any context is
-	// usually another tuple's typo of the same string, and picking it
-	// would spread noise onto clean tuples.
-	counts := make(map[string]int)
-	ix := e.supportIndex(attrs)
-	for _, id := range ix.Lookup(t.Project(ix.Attrs())) {
+	curID := t.IDAt(b)
+	ids := e.idBuf[:0]
+	for _, id := range ix.LookupTuple(t) {
 		if id == t.ID {
 			continue
 		}
@@ -262,48 +271,69 @@ func (e *engine) findV(t *relation.Tuple, b int, n *cfd.Normal) (relation.Value,
 		if t2 == nil {
 			continue
 		}
-		v := t2.Vals[b]
-		if v.Null {
-			continue
+		// Null is no value, and the value must differ from the current.
+		if v := t2.IDAt(b); v != relation.NullID && v != curID {
+			ids = append(ids, v)
 		}
-		if !cur.Null && v.Str == cur.Str {
-			continue // must differ from the current value
+	}
+	e.idBuf = ids
+	if len(ids) == 0 {
+		return relation.Value{}, 0, 0, false
+	}
+	slices.Sort(ids)
+	dict := e.dict()
+	cands := e.candBuf[:0]
+	for i, id := range ids {
+		if i > 0 && ids[i-1] == id {
+			cands[len(cands)-1].n++
+		} else {
+			cands = append(cands, candidate{v: relation.IDValue{Value: dict.Value(id), ID: id}, n: 1})
 		}
-		counts[v.Str]++
 	}
-	// Rank candidates by the violations t would incur with B := v (the
-	// value must fit every rule covering B, not just the one being
-	// resolved — a zip that matches the city but not the street would
-	// only shift the conflict onto ϕ4 and domino from there), then by
-	// support, then by Cost(t, B, v). Candidates are visited in sorted
-	// value order so full ties break lexicographically, never by map
-	// order — part of the engine's determinism-by-construction.
-	cands := make([]string, 0, len(counts))
-	for s := range counts {
-		cands = append(cands, s)
+	slices.SortFunc(cands, func(x, y candidate) int { return strings.Compare(x.v.Str, y.v.Str) })
+	e.candBuf = cands
+
+	// vio(t) under B := v differs from vio(t) only in the groups whose
+	// X ∪ {A} contains B: the store maintains the whole count, so the
+	// other groups' share — the base every candidate adds to — is that
+	// count less what the touching groups contribute today.
+	touching := e.touching[b]
+	base := e.store.VioCount(t.ID)
+	for _, i := range touching {
+		base -= e.groups[i].VioCount(t)
 	}
-	sort.Strings(cands)
-	probe := t.Clone()
+	probe := e.probeOf(t)
+	kb := key(t, b)
 	var best relation.Value
 	bestVio, bestN, bestCost := -1, 0, -1.0
-	for _, s := range cands {
-		n := counts[s]
-		v := relation.S(s)
-		probe.Vals[b] = v
-		vio := e.det.VioTuple(probe)
-		c := e.classCost(kb, v)
+	for _, cd := range cands {
+		probe.SetAt(b, cd.v)
+		vio := base
+		for _, i := range touching {
+			vio += e.groups[i].VioCount(probe)
+		}
+		c := e.classCost(kb, cd.v)
 		better := bestVio < 0 ||
 			vio < bestVio ||
-			(vio == bestVio && n > bestN) ||
-			(vio == bestVio && n == bestN && c < bestCost)
+			(vio == bestVio && cd.n > bestN) ||
+			(vio == bestVio && cd.n == bestN && c < bestCost)
 		if better {
-			best, bestVio, bestN, bestCost = v, vio, n, c
+			best, bestVio, bestN, bestCost = cd.v.Value, vio, cd.n, c
 		}
 	}
-	if bestVio < 0 {
-		return relation.Value{}, 0, false
+	return best, bestVio, bestCost, true
+}
+
+// probeOf loads the engine's trial tuple with t's id and values.
+func (e *engine) probeOf(t *relation.Tuple) *relation.Tuple {
+	if e.probe == nil {
+		e.probe = t.Probe(e.dict())
 	}
-	return best, bestVio, true
+	e.probe.ID = t.ID
+	for a := range t.Vals {
+		e.probe.SetAt(a, t.At(a))
+	}
+	return e.probe
 }
 
 // execute applies a plan: the body of CFD-RESOLVE. It updates equivalence
