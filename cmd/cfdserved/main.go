@@ -9,7 +9,7 @@
 //	cfdserved [-addr :8344] [-queue 32] [-drain 10s] [-pprof ADDR]
 //	          [-data-dir DIR] [-fsync batch|interval|off]
 //	          [-fsync-interval 100ms] [-snap-every 64]
-//	          [-store mem|disk] [-store-page 16384] [-store-cache 256]
+//	          [-store mem|disk]
 //	          [-coalesce-tuples 0] [-coalesce-delay 0]
 //	          [-max-read-limit 1000]
 //	          [-quota-ops 0] [-quota-tuples 0]
@@ -32,15 +32,13 @@
 // "off" leaves flushing to the OS. In -loadtest mode -data-dir makes
 // the driver measure durable and in-memory throughput side by side.
 //
-// -store picks the default tuple storage backend for durable sessions:
+// -store picks the node's tuple storage backend for durable sessions:
 // "mem" (the default) writes full inline snapshots, "disk" spills
 // tuples into generation-numbered page files under DIR/<session>/store/
 // with a slim snapshot header, so rotation writes only dirty pages and
 // recovery opens pages lazily instead of decoding the whole relation.
-// A create request may override per session via its "store" field.
-// -store-page and -store-cache tune the page size and the hot-set page
-// cache. Recovered sessions keep the backend their snapshot was written
-// with — restarting with -store disk does not convert existing tenants.
+// Recovered sessions keep the backend their snapshot was written with —
+// restarting with -store disk does not convert existing tenants.
 //
 // With -peers (a static comma-separated node list including this node's
 // -self address) the service runs clustered: session names hash
@@ -145,9 +143,7 @@ func main() {
 	fsyncMode := flag.String("fsync", "batch", "WAL fsync policy: batch (sync before every ack), interval, or off")
 	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "sync timer for -fsync interval")
 	snapEvery := flag.Int("snap-every", 64, "rotate to a fresh snapshot after this many logged batches")
-	storeKind := flag.String("store", "", "default tuple storage backend for durable sessions: mem (inline snapshots) or disk (page-file spill store; requires -data-dir)")
-	storePage := flag.Int("store-page", 0, "disk store page size in bytes, 4096-65536 power of two (0: store default)")
-	storeCache := flag.Int("store-cache", 0, "disk store hot-set cache size in pages (0: store default)")
+	storeKind := flag.String("store", "", "tuple storage backend for this node's durable sessions: mem (inline snapshots) or disk (page-file spill store; requires -data-dir)")
 	coalesceTuples := flag.Int("coalesce-tuples", 0, "cap on tuples folded into one ingest pass (0: unbounded)")
 	coalesceDelay := flag.Duration("coalesce-delay", 0, "linger window for folding more ingest batches into a pass (0: fold queued work only)")
 	maxReadLimit := flag.Int("max-read-limit", 1000, "cap on ?limit= for paginated violation reads")
@@ -224,8 +220,6 @@ func main() {
 		FsyncInterval:     *fsyncEvery,
 		SnapshotEvery:     *snapEvery,
 		Store:             kind,
-		StorePageSize:     *storePage,
-		StoreCachePages:   *storeCache,
 		CoalesceMaxTuples: *coalesceTuples,
 		CoalesceDelay:     *coalesceDelay,
 		MaxReadLimit:      *maxReadLimit,

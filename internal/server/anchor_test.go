@@ -1,0 +1,152 @@
+package server
+
+// What every anchor must leave behind. There is one way a session's
+// state becomes a generation on disk (persister.capture + anchor), used
+// by session create, routine rotation, the re-anchor after a failed pass
+// and recovery's re-anchor; this battery drives each of the four on both
+// backends and asserts the same postconditions on the session directory,
+// then boots a second server on a copy of it — what kill -9 would leave —
+// and requires a byte-identical dump.
+
+import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"cfdclean/internal/store"
+	"cfdclean/internal/wal"
+)
+
+// requireAnchored asserts the postconditions of an anchor at generation
+// gen in the session directory dir.
+func requireAnchored(t *testing.T, dir string, gen uint64, kind store.Kind) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, wals := map[uint64]bool{}, map[uint64]bool{}
+	for _, e := range ents {
+		if g, k, ok := parseGenName(e.Name()); ok && k == "snap" {
+			snaps[g] = true
+		} else if ok {
+			wals[g] = true
+		}
+	}
+	if !snaps[gen] || !wals[gen] {
+		t.Fatalf("no snap/wal pair at generation %d: snaps %v, wals %v", gen, snaps, wals)
+	}
+	for g := range snaps {
+		if g > gen {
+			t.Fatalf("snapshot generation %d is newer than the anchor %d", g, gen)
+		}
+	}
+	if len(snaps) > 2 || len(wals) > 2 {
+		t.Fatalf("more than two generations kept: snaps %v, wals %v", snaps, wals)
+	}
+	snap, err := wal.ReadSnapshotFile(snapPath(dir, gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, storeDirName, fmt.Sprintf("manifest-%010d.mft", gen))
+	if kind != store.KindDisk {
+		if snap.StoreKind != wal.StoreInline {
+			t.Fatalf("memory-backed snapshot has store kind %d", snap.StoreKind)
+		}
+		if _, err := os.Stat(filepath.Join(dir, storeDirName)); !os.IsNotExist(err) {
+			t.Fatalf("memory-backed session has a store directory (%v)", err)
+		}
+		return
+	}
+	if snap.StoreKind != wal.StorePaged || snap.StoreGen != gen || len(snap.Tuples) != 0 {
+		t.Fatalf("snapshot %d: store kind %d gen %d with %d inline tuples; want a slim header at store generation %d",
+			gen, snap.StoreKind, snap.StoreGen, len(snap.Tuples), gen)
+	}
+	if _, err := os.Stat(manifest); err != nil {
+		t.Fatalf("no store manifest at the snapshot's generation: %v", err)
+	}
+}
+
+func TestEveryAnchorLeavesARecoverableGeneration(t *testing.T) {
+	const name = "a"
+	badDelete := func(t *testing.T, base string) {
+		resp, body := do(t, "POST", base+"/v1/sessions/"+name+"/apply", ApplyRequest{Deletes: []int64{99999}})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("bad delete: %d: %s", resp.StatusCode, body)
+		}
+	}
+	scenarios := []struct {
+		name      string
+		snapEvery int
+		// drive takes the freshly created session to the anchor under
+		// test and returns the server now hosting it.
+		drive   func(t *testing.T, opts Options, s *Server, base string) (live string)
+		wantGen uint64
+	}{
+		{"create", 1 << 20, func(t *testing.T, _ Options, _ *Server, base string) string {
+			return base
+		}, 0},
+		{"routine rotation", 2, func(t *testing.T, _ Options, _ *Server, base string) string {
+			for i := 0; i < 5; i++ { // rotates after batches 2 and 4
+				applyRecovery(t, base, name, i)
+			}
+			return base
+		}, 2},
+		{"failed-pass re-anchor", 1 << 20, func(t *testing.T, _ Options, _ *Server, base string) string {
+			applyRecovery(t, base, name, 1)
+			badDelete(t, base)
+			applyRecovery(t, base, name, 2) // lands in the new generation's WAL
+			return base
+		}, 1},
+		{"recovery re-anchor, tip WAL missing", 2, func(t *testing.T, opts Options, s *Server, base string) string {
+			applyRecovery(t, base, name, 0)
+			applyRecovery(t, base, name, 1) // rotates to generation 1; its WAL stays empty
+			if err := s.Shutdown(t.Context()); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(walPath(filepath.Join(opts.DataDir, name), 1)); err != nil {
+				t.Fatal(err)
+			}
+			s2, ts2 := newTestService(t, opts)
+			if n, err := s2.Recover(); err != nil || n != 1 {
+				t.Fatalf("recover without the tip WAL: n=%d err=%v", n, err)
+			}
+			return ts2.URL
+		}, 2},
+	}
+	for _, kind := range []store.Kind{store.KindMem, store.KindDisk} {
+		for _, sc := range scenarios {
+			t.Run(fmt.Sprintf("%v/%s", kind, sc.name), func(t *testing.T) {
+				opts := Options{DataDir: t.TempDir(), Store: kind, Fsync: FsyncOff, SnapshotEvery: sc.snapEvery, QueueDepth: 8}
+				s, ts := newTestService(t, opts)
+				createRecovery(t, ts.URL, name)
+				live := sc.drive(t, opts, s, ts.URL)
+
+				requireAnchored(t, filepath.Join(opts.DataDir, name), sc.wantGen, kind)
+				if _, body := do(t, "GET", live+"/v1/sessions/"+name, nil); !bytes.Contains(body, []byte(`"persist":"ok"`)) {
+					t.Fatalf("session is not persisting after the anchor: %s", body)
+				}
+
+				// A second server on a copy of the directory, taken while the
+				// first is still live: recovered ≡ never-crashed.
+				want, wantSnap, wantVios := sessionState(t, live, name)
+				crashed := opts
+				crashed.DataDir = t.TempDir()
+				if err := os.CopyFS(crashed.DataDir, os.DirFS(opts.DataDir)); err != nil {
+					t.Fatal(err)
+				}
+				s2, ts2 := newTestService(t, crashed)
+				if n, err := s2.Recover(); err != nil || n != 1 {
+					t.Fatalf("recover from the anchored directory: n=%d err=%v", n, err)
+				}
+				got, gotSnap, gotVios := sessionState(t, ts2.URL, name)
+				if !bytes.Equal(want, got) || wantSnap != gotSnap || wantVios != gotVios {
+					t.Fatalf("restart diverged from the live session\nwant:\n%s%+v\ngot:\n%s%+v", want, wantSnap, got, gotSnap)
+				}
+			})
+		}
+	}
+}

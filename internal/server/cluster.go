@@ -301,7 +301,7 @@ func (s *Server) handleReplicaInstall(w http.ResponseWriter, req *http.Request) 
 		writeStatus(w, http.StatusBadRequest, fmt.Sprintf("bad snapshot payload: %v", err))
 		return
 	}
-	if err := s.reg.InstallReplica(name, snap); err != nil {
+	if err := s.reg.InstallReplica(req.Context(), name, snap); err != nil {
 		writeReplicationError(w, err)
 		return
 	}
@@ -321,7 +321,7 @@ func (s *Server) handleReplicaBatch(w http.ResponseWriter, req *http.Request) {
 		writeStatus(w, http.StatusBadRequest, fmt.Sprintf("bad batch payload: %v", err))
 		return
 	}
-	if err := s.reg.ReplicateBatch(name, b); err != nil {
+	if err := s.reg.ReplicateBatch(req.Context(), name, b); err != nil {
 		writeReplicationError(w, err)
 		return
 	}
@@ -340,7 +340,7 @@ func (s *Server) handleReplicaDrop(w http.ResponseWriter, req *http.Request) {
 // handlePromote flips a replica to primary: POST /v1/sessions/{name}/promote.
 // Idempotent — promoting a primary reports its current state.
 func (s *Server) handlePromote(w http.ResponseWriter, req *http.Request) {
-	h, err := s.reg.Promote(req.PathValue("name"))
+	h, err := s.reg.Promote(req.Context(), req.PathValue("name"))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -434,24 +434,23 @@ func (s *Server) handlePeers(w http.ResponseWriter, req *http.Request) {
 // promote the remote copy, and remove the local session. Any remote
 // failure rolls the local role back so the session keeps serving here.
 func (s *Server) transferSession(ctx context.Context, h *hosted, owner string) error {
-	c := s.reg.cluster
 	h.stopShipper()
 	h.role.Store(roleFollower) // refuses new writes from this instant
-	if !h.waitQuiesce(10 * time.Second) {
-		h.role.Store(rolePrimary)
-		return fmt.Errorf("pipeline did not quiesce")
+	handOver := func() error {
+		if !h.waitQuiesce(ctx) {
+			return fmt.Errorf("pipeline did not quiesce")
+		}
+		snap, err := h.captureSnapshot()
+		if err != nil {
+			return err
+		}
+		tr := s.reg.cluster.transport(owner)
+		if err := tr.ShipSnapshot(h.name, snap); err != nil {
+			return err
+		}
+		return tr.Promote(h.name)
 	}
-	snap, err := h.captureSnapshot()
-	if err != nil {
-		h.role.Store(rolePrimary)
-		return err
-	}
-	tr := c.transport(owner)
-	if err := tr.ShipSnapshot(h.name, snap); err != nil {
-		h.role.Store(rolePrimary)
-		return err
-	}
-	if err := tr.Promote(h.name); err != nil {
+	if err := handOver(); err != nil {
 		h.role.Store(rolePrimary)
 		return err
 	}

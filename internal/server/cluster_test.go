@@ -21,6 +21,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cfdclean/internal/store"
 )
 
 type clusterNode struct {
@@ -63,6 +65,41 @@ func newClusterPair(t *testing.T, mk func(self string, peers []string) Options) 
 		return n
 	}
 	return node(ln1), node(ln2)
+}
+
+// restart stops the node gracefully and boots a fresh Server on its data
+// dir, address and identity — an ordinary node restart.
+func (n *clusterNode) restart(t *testing.T, opts Options) *Server {
+	t.Helper()
+	n.hs.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	err := n.srv.Shutdown(ctx)
+	cancel()
+	if err != nil {
+		t.Fatalf("shutdown of %s: %v", n.addr, err)
+	}
+	ln, err := net.Listen("tcp", n.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(opts)
+	if _, err := s2.Recover(); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	hs2 := &http.Server{Handler: s2.Handler()}
+	go hs2.Serve(ln)
+	t.Cleanup(func() {
+		hs2.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s2.Shutdown(ctx)
+	})
+	// Drop keep-alive connections pooled against the dead server: a
+	// non-replayable POST reusing one would surface EOF instead of
+	// reaching the restarted node.
+	http.DefaultClient.CloseIdleConnections()
+	n.srv, n.hs = s2, hs2
+	return s2
 }
 
 func quorumOpts(self string, peers []string) Options {
@@ -482,36 +519,7 @@ func TestClusterFollowerRestartStaysFollower(t *testing.T) {
 		t.Fatal("primary session directory carries a follower marker")
 	}
 
-	// Stop the follower node and boot a fresh server on its data dir,
-	// address and identity — an ordinary follower restart.
-	follower.hs.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	err := follower.srv.Shutdown(ctx)
-	cancel()
-	if err != nil {
-		t.Fatalf("follower shutdown: %v", err)
-	}
-	ln, err := net.Listen("tcp", follower.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := New(durable(follower.addr, []string{a.addr, b.addr}))
-	if _, err := s2.Recover(); err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	hs2 := &http.Server{Handler: s2.Handler()}
-	go hs2.Serve(ln)
-	t.Cleanup(func() {
-		hs2.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s2.Shutdown(ctx)
-	})
-
-	// Drop keep-alive connections pooled against the dead server: a
-	// non-replayable POST reusing one would surface EOF instead of
-	// reaching the restarted node.
-	http.DefaultClient.CloseIdleConnections()
+	s2 := follower.restart(t, durable(follower.addr, []string{a.addr, b.addr}))
 
 	h, err := s2.reg.Get(name)
 	if err != nil {
@@ -614,5 +622,89 @@ func TestClusterRebalanceDrainsCoalesceLinger(t *testing.T) {
 	dump, _ := readState(t, other.url, name)
 	if !strings.Contains(string(dump), "646,SFO") {
 		t.Fatalf("transferred session lost the lingering ingest:\n%s", dump)
+	}
+}
+
+// TestClusterDiskFollower: the follower runs the primary's write path —
+// its own worker replays every shipped batch and its own committer logs,
+// rotates and publishes it — so a disk-backed follower must do everything
+// a disk-backed primary does while following: rotate page-store
+// generations, restart still a follower from a slim snapshot, and after
+// the primary is killed be promoted into a session whose dump, violations
+// and stats are byte-identical to the primary's at the same version, with
+// the SSE seq continuing across the promotion.
+func TestClusterDiskFollower(t *testing.T) {
+	dirs := map[string]string{}
+	diskOpts := func(self string, peers []string) Options {
+		if dirs[self] == "" {
+			dirs[self] = t.TempDir()
+		}
+		return Options{QueueDepth: 16, Peers: peers, Self: self, Ack: AckQuorum,
+			DataDir: dirs[self], Store: store.KindDisk, SnapshotEvery: 2, Fsync: FsyncOff}
+	}
+	a, b := newClusterPair(t, diskOpts)
+	const name = "spilled"
+	owner, follower := ownerAndFollower(a, b, name)
+	createTiny(t, owner.url, name)
+	waitFollower(t, follower, name)
+
+	// Five replicated batches at SnapshotEvery=2: the follower, like the
+	// primary, anchors generations 1 and 2 — while following.
+	for i := 0; i < 5; i++ {
+		applyDirty(t, owner.url, name, i)
+	}
+	for _, n := range []*clusterNode{owner, follower} {
+		requireAnchored(t, filepath.Join(dirs[n.addr], name), 2, store.KindDisk)
+	}
+
+	// Both metrics endpoints report the replication counters.
+	_, body := getBody(t, owner.url+"/metrics")
+	if v := parseProm(t, string(body)).get(t, "cfdserved_ship_batches_total").value; v < 5 {
+		t.Fatalf("primary ship_batches_total = %g, want >= 5", v)
+	}
+	_, body = getBody(t, follower.url+"/metrics")
+	if v := parseProm(t, string(body)).get(t, "cfdserved_replica_applied_total").value; v != 5 {
+		t.Fatalf("follower replica_applied_total = %g, want 5", v)
+	}
+
+	// Restart the follower: it comes back a follower, disk-backed, from
+	// the slim snapshot and the page store, and keeps following.
+	s2 := follower.restart(t, diskOpts(follower.addr, []string{a.addr, b.addr}))
+	h, err := s2.reg.Get(name)
+	if err != nil {
+		t.Fatalf("restarted node lost the session: %v", err)
+	}
+	if h.roleString() != "follower" || h.pers.storeStats() == nil {
+		t.Fatalf("restarted as %s, store %v; want a disk-backed follower", h.roleString(), h.pers.storeStats())
+	}
+	events, closeSSE := openSSE(t, follower.url+"/v1/sessions/"+name+"/events", "")
+	defer closeSSE()
+	applyDirty(t, owner.url, name, 5)
+	applyDirty(t, owner.url, name, 6)
+	lastSeq := collectSSE(t, events, 2)[1].ev.Seq
+
+	// Same version, same bytes — under quorum ack every reply means the
+	// follower has committed the batch.
+	wantDump, wantSnap, wantVios := sessionState(t, owner.url, name)
+	gotDump, gotSnap, gotVios := sessionState(t, follower.url, name)
+	if !bytes.Equal(wantDump, gotDump) || wantSnap != gotSnap || wantVios != gotVios {
+		t.Fatalf("disk follower diverged from its primary\nprimary:\n%s%+v\nfollower:\n%s%+v", wantDump, wantSnap, gotDump, gotSnap)
+	}
+
+	owner.kill()
+	resp, body := do(t, "POST", follower.url+"/v1/sessions/"+name+"/promote", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("promote: %d: %s", resp.StatusCode, body)
+	}
+	gotDump, gotSnap, gotVios = sessionState(t, follower.url, name)
+	if !bytes.Equal(wantDump, gotDump) || wantSnap != gotSnap || wantVios != gotVios {
+		t.Fatalf("promoted disk follower diverged\nwant:\n%s%+v\ngot:\n%s%+v", wantDump, wantSnap, gotDump, gotSnap)
+	}
+
+	// The promoted session takes writes, and its event stream continues
+	// where the replicated one stopped.
+	ar := applyDirty(t, follower.url, name, 7)
+	if ev := collectSSE(t, events, 1)[0].ev; ev.Seq != lastSeq+1 || ar.Seq != ev.Seq {
+		t.Fatalf("seq after promotion: event %d, reply %d, want %d", ev.Seq, ar.Seq, lastSeq+1)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"cfdclean/internal/increpair"
-	"cfdclean/internal/relation"
 	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
 )
@@ -29,23 +29,29 @@ import (
 // successful engine pass (a coalesced ingest run is one pass and one
 // record) *before* replying to the client, so under the per-batch fsync
 // policy an acknowledged apply is on disk; the fsync itself is amortized
-// across sessions by the registry's group-fsync goroutine. Every
-// SnapshotEvery batches the persister rotates: it writes snapshot gen+1,
-// starts an empty WAL gen+1, and deletes generations older than the
-// previous one — the previous pair is kept as a fallback in case the
-// newest snapshot is damaged. Recovery (Server.Recover) walks the session directories,
-// restores the newest readable snapshot, and replays the WAL records
-// after it through the ordinary ApplyOps path; the journal-version
-// cursor carried by every record (wal.Batch) makes the replay
-// idempotent across generations and detects gaps. A torn or corrupted
-// WAL tail — the expected artifact of kill -9 — is detected by CRC,
-// discarded, and the file truncated back to the last intact record;
-// committed batches before the damage are never lost.
+// across sessions by the registry's group-fsync goroutine. A follower's
+// shipped batches take the same path (see Registry.ReplicateBatch).
+//
+// A session's state becomes a generation in one way (capture, anchor):
+// snapshot gen, an empty WAL gen, generations older than the previous
+// one deleted — the previous pair is kept as a fallback in case the
+// newest snapshot is damaged. Create anchors generation 0, every
+// SnapshotEvery batches the committer anchors gen+1, and recovery
+// re-anchors when it finds no appendable tip WAL. Recovery
+// (Server.Recover) walks the session directories, restores the newest
+// readable snapshot, and replays the WAL records after it through the
+// ordinary ApplyOps path; the journal-version cursor carried by every
+// record (wal.Batch) makes the replay idempotent across generations and
+// detects gaps. A torn or corrupted WAL tail — the expected artifact of
+// kill -9 — is detected by CRC, discarded, and the file truncated back
+// to the last intact record; committed batches before the damage are
+// never lost.
 //
 // A pass that fails *partway* (validation rejects before any mutation,
 // so this is nearly impossible) leaves relation state that no WAL
-// record describes; the persister resynchronizes by rotating to a fresh
-// snapshot immediately, keeping the on-disk image authoritative.
+// record describes; the worker captures that boundary too and the
+// committer anchors it instead of appending, keeping the on-disk image
+// authoritative.
 
 // FsyncPolicy selects when WAL appends reach stable storage.
 type FsyncPolicy int
@@ -90,22 +96,6 @@ func (p FsyncPolicy) String() string {
 	return fmt.Sprintf("FsyncPolicy(%d)", int(p))
 }
 
-// persistConfig is the registry-wide durability configuration; nil on
-// the Registry means persistence is off.
-type persistConfig struct {
-	dir       string
-	policy    FsyncPolicy
-	interval  time.Duration
-	snapEvery int
-	// kind is the node's default tuple-storage backend for new sessions
-	// (-store); KindDefault/KindMem write full inline snapshots, KindDisk
-	// gives each session a write-through page store whose snapshots are
-	// slim headers. A create request may override per session.
-	kind store.Kind
-	// storeOpts tunes disk-backed sessions (-store-page, -store-cache).
-	storeOpts store.Options
-}
-
 // storeDirName is the page store's subdirectory inside a session's data
 // directory. It never collides with the generation files (snap-*/wal-*)
 // and is pruned with the directory on destroy.
@@ -122,22 +112,26 @@ const storeDirName = "store"
 // split brain the marker exists to prevent.
 const roleMarkerName = "follower.role"
 
-// writeRoleMarker syncs the on-disk role marker to the given role.
-// Written via tmp+rename so a crash can only leave the old role or the
-// new one, never a torn marker.
+// writeRoleMarker syncs the on-disk role marker to the given role,
+// durably: written through wal.WriteFileAtomic (a crash leaves the old
+// role or the new one, never a torn marker), removed with a directory
+// fsync — a power loss must not resurrect a promoted session as a
+// follower, nor lose a follower's marker.
 func writeRoleMarker(dir string, follower bool) error {
 	path := filepath.Join(dir, roleMarkerName)
-	if !follower {
-		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if follower {
+		return wal.WriteFileAtomic(path, func(w io.Writer) error {
+			_, err := io.WriteString(w, "follower\n")
 			return err
-		}
-		return nil
+		})
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte("follower\n"), 0o644); err != nil {
+	if err := os.Remove(path); err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil // nothing changed, nothing to make durable
+		}
 		return err
 	}
-	return os.Rename(tmp, path)
+	return wal.SyncDir(dir)
 }
 
 // readRoleMarker reports whether dir is marked as holding a follower
@@ -155,28 +149,33 @@ func walPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%010d.log", gen))
 }
 
-// persister is one session's durability sidecar, driven by the
-// session's committer goroutine (the pipeline stage downstream of the
-// engine worker — see hosted.committer). The mutex fences the
+// persister is one session's durability sidecar. The session's worker
+// asks it after every pass whether the boundary must become a generation
+// (boundary); everything that touches the files runs on the session's
+// committer goroutine (see hosted.committer). The mutex fences the
 // committer's appends against the interval-fsync ticker and the
-// registry's group-fsync goroutine; all state transitions happen on the
-// committer.
+// registry's group-fsync goroutine.
 type persister struct {
-	cfg  *persistConfig
+	cfg  *Options // the server's options; DataDir is set
 	dir  string
 	name string
+	// sess is the session this sidecar records; quota its quota mark
+	// (wal.Quota{} for inherited defaults), stamped into every snapshot
+	// header so an explicit override survives recovery and ships to
+	// replicas. Both are fixed for the persister's life.
+	sess  *increpair.Session
+	quota wal.Quota
+	// sinceSnap is the rotation budget: successful passes since the last
+	// anchor, seeded by recovery with the records it replayed out of the
+	// tip WAL. Worker-only state (see boundary).
+	sinceSnap int
 
 	mu       sync.Mutex
 	gen      uint64
 	log      *wal.Log
-	last     uint64 // journal version after the last logged batch
 	appended uint64 // last version appended to the open log
 	synced   uint64 // last version known to be on stable storage
-	// sinceSnap is the rotation budget carried out of recovery (replayed
-	// records already in the tip WAL); the session worker seeds its own
-	// rotation counter from it and owns the count from then on.
-	sinceSnap int
-	broken    error // first unrecoverable persistence failure; sticky
+	broken   error  // first unrecoverable persistence failure; sticky
 
 	// st is the session's disk page store, nil for memory-backed
 	// sessions. The persister owns its lifecycle: created or reopened
@@ -188,98 +187,54 @@ type persister struct {
 }
 
 // newPersister sets up durability for a freshly created session: its
-// directory is (re)created empty, snapshot generation 0 captures the
-// post-initial-cleaning state, and an empty WAL is opened. Any stale
-// directory content under the same name — left by a session that could
-// not be recovered — is replaced. quota is the session's quota mark
-// (wal.Quota{} for inherited defaults); it rides in every snapshot
-// header so explicit overrides survive recovery and ship to replicas.
-//
-// kind picks the tuple-storage backend: KindDefault inherits the node's
-// -store configuration. A disk-backed session gets a page store seeded
-// from the live relation, and its generation-0 snapshot is a slim
-// header referencing store generation 0 instead of carrying every tuple
-// inline.
-func newPersister(cfg *persistConfig, name string, sess *increpair.Session, quota wal.Quota, kind store.Kind) (*persister, error) {
-	dir := filepath.Join(cfg.dir, name)
+// directory is (re)created empty and generation 0 is anchored on the
+// post-initial-cleaning state. Any stale directory content under the
+// same name — left by a session that could not be recovered — is
+// replaced. On a -store disk node the session gets a page store seeded
+// from the live relation.
+func newPersister(cfg *Options, name string, sess *increpair.Session, quota wal.Quota) (*persister, error) {
+	dir := filepath.Join(cfg.DataDir, name)
 	if err := os.RemoveAll(dir); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if kind == store.KindDefault {
-		kind = cfg.kind
-	}
-	var (
-		st   *store.Disk
-		snap *wal.Snapshot
-		err  error
-	)
-	if kind == store.KindDisk {
-		arity := sess.Current().Schema().Arity()
-		st, err = store.Create(filepath.Join(dir, storeDirName), arity, cfg.storeOpts)
+	p := &persister{cfg: cfg, dir: dir, name: name, sess: sess, quota: quota}
+	if cfg.Store == store.KindDisk {
+		st, err := store.Create(filepath.Join(dir, storeDirName), sess.Current().Schema().Arity(), store.Options{})
 		if err != nil {
 			return nil, err
 		}
-		if err = sess.AttachStore(st, true); err != nil {
-			st.Close()
+		p.st = st
+		if err := sess.AttachStore(st, true); err != nil {
+			p.close()
 			return nil, err
 		}
-		var fl *store.Flush
-		if snap, fl, err = sess.PersistBoundary(name); err != nil {
-			st.Close()
-			return nil, err
-		}
-		snap.Quota = quota
-		if err = fl.Commit(0); err != nil {
-			st.Close()
-			return nil, err
-		}
-	} else {
-		if snap, err = sess.PersistSnapshot(name); err != nil {
-			return nil, err
-		}
-		snap.Quota = quota
 	}
-	if err := wal.WriteSnapshotFile(snapPath(dir, 0), snap); err != nil {
-		if st != nil {
-			st.Close()
-		}
+	if err := p.anchorNow(0); err != nil {
+		p.close()
 		return nil, err
-	}
-	log, err := wal.Create(walPath(dir, 0))
-	if err != nil {
-		if st != nil {
-			st.Close()
-		}
-		return nil, err
-	}
-	p := &persister{
-		cfg: cfg, dir: dir, name: name, log: log, st: st,
-		last: snap.Version, appended: snap.Version, synced: snap.Version,
 	}
 	p.startTicker()
 	return p, nil
 }
 
 func (p *persister) startTicker() {
-	if p.cfg.policy != FsyncInterval {
+	if p.cfg.Fsync != FsyncInterval {
 		return
 	}
-	// The goroutine watches a local copy of the stop channel: stopTicker
+	// The goroutine watches a local copy of the stop channel: close()
 	// nils the field afterwards, and re-reading it here would race.
 	stop := make(chan struct{})
 	p.tick = stop
 	go func() {
-		t := time.NewTicker(p.cfg.interval)
+		t := time.NewTicker(p.cfg.FsyncInterval)
 		defer t.Stop()
 		for {
 			select {
 			case <-t.C:
-				p.mu.Lock()
-				p.syncLocked()
-				p.mu.Unlock()
+				p.syncNow() // a failure is sticky in p.broken
 			case <-stop:
 				return
 			}
@@ -295,8 +250,7 @@ func (p *persister) startTicker() {
 // The ops slices are the batch's original decoded inputs, which the
 // engine never mutates (TUPLERESOLVE clones arriving tuples), so
 // reading them here races nothing.
-func (p *persister) appendBatch(ops []relation.Delta, version uint64) error {
-	b := wal.Batch{PrevVersion: p.last, Version: version, Ops: ops}
+func (p *persister) appendBatch(b *wal.Batch) error {
 	payload := b.Encode() // off-lock: overlaps the ticker and group syncer
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -307,23 +261,17 @@ func (p *persister) appendBatch(ops []relation.Delta, version uint64) error {
 		p.broken = err
 		return err
 	}
-	p.last = version
-	p.appended = version
+	p.appended = b.Version
 	return nil
 }
 
-// syncNow flushes the log to stable storage; the group-fsync goroutine
-// calls it once per log per sync window.
+// syncNow flushes the log to stable storage — the one sync step, called
+// by the group-fsync goroutine once per log per sync window and by the
+// interval ticker: on success everything appended so far is known
+// durable.
 func (p *persister) syncNow() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.syncLocked()
-}
-
-// syncLocked is the shared sync step (committer-driven group sync and
-// the interval ticker): on success everything appended so far is known
-// durable.
-func (p *persister) syncLocked() error {
 	if p.broken != nil {
 		return p.broken
 	}
@@ -357,91 +305,136 @@ func (p *persister) markBroken(err error) {
 	p.mu.Unlock()
 }
 
-// rotateTo advances to a new snapshot/WAL generation anchored on snap
-// and prunes generations older than the previous one. The snapshot is
-// captured by the session WORKER at the exact batch boundary that
-// triggered the rotation (not here on the committer): the worker may
-// already be several passes ahead by the time this runs, and a snapshot
-// taken now would be newer than the WAL cursor — the new generation's
-// base must equal the last logged record's state. On any failure the
-// persister marks itself broken: the session keeps serving, the
-// recorded state stops advancing, and the condition surfaces through
-// info().
-func (p *persister) rotateTo(snap *wal.Snapshot) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.broken != nil {
-		return
-	}
-	next := p.gen + 1
-	if err := wal.WriteSnapshotFile(snapPath(p.dir, next), snap); err != nil {
-		p.broken = err
-		return
-	}
-	log, err := wal.Create(walPath(p.dir, next))
+// inlineSnapshot is the one full-image capture: a quiescent snapshot
+// carrying every tuple inline, the quota mark stamped in. A memory-backed
+// generation is anchored on it and replication always ships it (a slim
+// header carries no rows). Rotation and resync images must be captured
+// by the session worker at the exact batch boundary.
+func inlineSnapshot(sess *increpair.Session, name string, quota wal.Quota) (*wal.Snapshot, error) {
+	snap, err := sess.PersistSnapshot(name)
 	if err != nil {
-		p.broken = err
-		return
+		return nil, err
 	}
-	old := p.log
-	p.log = log
-	p.gen = next
-	p.last = snap.Version
-	p.appended = snap.Version
-	p.synced = snap.Version // WriteSnapshotFile fsyncs file and directory
-	if err := old.Close(); err != nil && p.broken == nil {
-		p.broken = err
-	}
-	// Keep the previous generation as a fallback; drop everything older.
-	if next >= 2 {
-		pruneGenerations(p.dir, next-2)
-	}
+	snap.Quota = quota
+	return snap, nil
 }
 
-// rotationCapture is one rotation's boundary image, captured by the
-// session worker at the exact batch boundary that triggered it. For a
-// memory-backed session it is just the full snapshot; for a disk-backed
-// session the snapshot is a slim header and flush holds the dirty pages
-// to commit under the new generation. Exactly one of rotate/abort must
-// consume it.
-type rotationCapture struct {
+// capture is a session's state at one batch boundary, ready to become a
+// generation on disk: for a memory-backed session the full inline
+// snapshot, for a disk-backed one a slim header plus the store flush
+// holding the dirty pages. Exactly one of anchor/abort must consume it.
+type capture struct {
 	snap  *wal.Snapshot
 	flush *store.Flush
 }
 
+// capture images the session at its current batch boundary in the shape
+// its backend anchors — decided here and nowhere else, from whether a
+// page store is attached.
+func (p *persister) capture() (c *capture, err error) {
+	c = &capture{}
+	if p.st == nil {
+		c.snap, err = inlineSnapshot(p.sess, p.name, p.quota)
+		return c, err
+	}
+	if c.snap, c.flush, err = p.sess.PersistBoundary(p.name); err == nil {
+		c.snap.Quota = p.quota
+	}
+	return c, err
+}
+
+// boundary is the worker's call after every engine pass: it returns a
+// capture when this batch boundary must become a generation — the
+// rotation budget ran out, or the pass failed and may have left state no
+// WAL record describes — and nil otherwise. It cannot be deferred to the
+// committer, which may lag passes behind: a generation's base must equal
+// the last logged record's state. A failed capture breaks the persister.
+func (p *persister) boundary(failed bool) *capture {
+	if !failed {
+		p.sinceSnap++
+		if p.sinceSnap < p.cfg.SnapshotEvery {
+			return nil
+		}
+	}
+	c, err := p.capture()
+	if err != nil {
+		p.markBroken(err)
+		return nil
+	}
+	p.sinceSnap = 0
+	return c
+}
+
 // abort releases an unconsumed capture (purge raced in, the WAL append
 // failed, the persister broke): the flush's pinned view and pages are
-// handed back so the next rotation carries them.
-func (rc *rotationCapture) abort() {
-	if rc != nil && rc.flush != nil {
-		rc.flush.Abort()
+// handed back so the next boundary carries them.
+func (c *capture) abort() {
+	if c != nil && c.flush != nil {
+		c.flush.Abort()
 	}
 }
 
-// rotateCapture advances to the next generation from a worker-captured
-// boundary. Disk-backed sessions commit the page flush first — the
-// store's manifest for generation N is durable before the slim snapshot
-// that references it — so a crash between the two leaves a readable
-// previous generation, never a snapshot pointing at missing pages.
-func (p *persister) rotateCapture(rc *rotationCapture) {
+// anchor makes c generation gen on disk — the one way a session's state
+// becomes a generation: at create (gen 0), routine rotation, the
+// re-anchor after a failed pass and recovery's re-anchor alike. The
+// store's flush commits first, so manifest gen is durable before the
+// slim snapshot that references it (a crash between the two leaves a
+// readable previous generation, never a snapshot pointing at missing
+// pages); then the snapshot file, then the empty WAL. Generations older
+// than the previous one are pruned last; the previous pair stays as a
+// fallback.
+func (p *persister) anchor(gen uint64, c *capture) error {
+	if c.flush != nil {
+		if err := c.flush.Commit(gen); err != nil {
+			return err
+		}
+		c.snap.StoreGen = gen
+	}
+	if err := wal.WriteSnapshotFile(snapPath(p.dir, gen), c.snap); err != nil {
+		return err
+	}
+	log, err := wal.Create(walPath(p.dir, gen))
+	if err != nil {
+		return err
+	}
 	p.mu.Lock()
-	if p.broken != nil {
-		p.mu.Unlock()
-		rc.abort()
+	old := p.log
+	p.log, p.gen = log, gen
+	p.appended, p.synced = c.snap.Version, c.snap.Version // the snapshot write fsynced file and directory
+	p.mu.Unlock()
+	if gen >= 2 {
+		pruneGenerations(p.dir, gen-2)
+	}
+	if old != nil {
+		return old.Close()
+	}
+	return nil
+}
+
+// anchorNow captures the session as it stands and anchors it: the
+// create and recovery form, where nothing runs beside the caller.
+func (p *persister) anchorNow(gen uint64) error {
+	c, err := p.capture()
+	if err != nil {
+		return err
+	}
+	return p.anchor(gen, c)
+}
+
+// rotate is the committer's anchor: the next generation from a boundary
+// the worker captured. A failure breaks the persister: the session keeps
+// serving, the recorded state stops advancing, info() says so.
+func (p *persister) rotate(c *capture) {
+	p.mu.Lock()
+	broken, next := p.broken, p.gen+1
+	p.mu.Unlock()
+	if broken != nil {
+		c.abort()
 		return
 	}
-	next := p.gen + 1
-	p.mu.Unlock()
-	if rc.flush != nil {
-		// Store generations track snapshot generations one-to-one; the
-		// flush commit is the store's own atomic step (manifest rename).
-		if err := rc.flush.Commit(next); err != nil {
-			p.markBroken(err)
-			return
-		}
-		rc.snap.StoreGen = next
+	if err := p.anchor(next, c); err != nil {
+		p.markBroken(err)
 	}
-	p.rotateTo(rc.snap)
 }
 
 // pruneGenerations removes snapshot and WAL files of generations <= max.
@@ -482,7 +475,10 @@ func parseGenName(name string) (gen uint64, kind string, ok bool) {
 // close ends persistence gracefully (drain/shutdown): sync, close, keep
 // the data for the next boot.
 func (p *persister) close() {
-	p.stopTicker()
+	if p.tick != nil {
+		close(p.tick)
+		p.tick = nil
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.log != nil {
@@ -501,25 +497,8 @@ func (p *persister) close() {
 // durable counterpart of DELETE /v1/sessions/{name}: a removed session
 // must not resurrect on the next boot.
 func (p *persister) destroy() {
-	p.stopTicker()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.log != nil {
-		p.log.Close()
-		p.log = nil
-	}
-	if p.st != nil {
-		p.st.Close()
-		p.st = nil
-	}
+	p.close()
 	os.RemoveAll(p.dir)
-}
-
-func (p *persister) stopTicker() {
-	if p.tick != nil {
-		close(p.tick)
-		p.tick = nil
-	}
 }
 
 // storeStats reports the page store's stats, or nil for memory-backed
@@ -558,8 +537,8 @@ func (p *persister) status() string {
 // re-attach the store so the WAL replay that follows writes through
 // again. No relation-sized snapshot record is ever decoded — recovery
 // reads the order file once and only the pages it names.
-func restorePaged(cfg *persistConfig, dir, name string, snap *wal.Snapshot, workers int) (*increpair.Session, error) {
-	st, err := store.Open(filepath.Join(dir, storeDirName), snap.StoreGen, len(snap.Attrs), cfg.storeOpts)
+func restorePaged(dir, name string, snap *wal.Snapshot) (*increpair.Session, error) {
+	st, err := store.Open(filepath.Join(dir, storeDirName), snap.StoreGen, len(snap.Attrs), store.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)
 	}
@@ -568,7 +547,7 @@ func restorePaged(cfg *persistConfig, dir, name string, snap *wal.Snapshot, work
 		st.Close()
 		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)
 	}
-	sess, err := increpair.RestoreFromSnapshotSource(snap, src, workers, st.Strings())
+	sess, err := increpair.RestoreFromSnapshotSource(snap, src, 0, st.Strings())
 	src.Close()
 	if err != nil {
 		st.Close()
@@ -584,22 +563,20 @@ func restorePaged(cfg *persistConfig, dir, name string, snap *wal.Snapshot, work
 
 // recoverSession rebuilds one session from its directory: newest
 // readable snapshot generation first, then WAL replay across that and
-// any later generations. It returns the restored session plus a
-// persister positioned to continue appending, and the quota mark read
-// from the chosen snapshot (Set only for explicit per-session
-// overrides). warn, when non-nil,
-// reports acknowledged records that could NOT be replayed — payload
-// corruption mid-log or a gap between generations — after which the
-// session still serves, re-anchored on the recovered prefix; the
-// operator must hear about the dropped suffix. (A torn *tail* in the
+// any later generations. It returns a persister positioned to continue
+// appending, holding the restored session and the quota mark read from
+// the chosen snapshot (Set only for explicit per-session overrides).
+// warn, when non-nil, reports acknowledged records that could NOT be
+// replayed — payload corruption mid-log or a gap between generations —
+// after which the session still serves, re-anchored on the recovered
+// prefix; the operator must hear about the dropped suffix. (A torn *tail* in the
 // newest log is not warned: those bytes never completed their append,
-// so nothing acknowledged is behind them.) workers > 0 overrides the
-// persisted per-session engine worker count.
-func recoverSession(cfg *persistConfig, name string, workers int) (*increpair.Session, *persister, wal.Quota, error, error) {
-	dir := filepath.Join(cfg.dir, name)
+// so nothing acknowledged is behind them.)
+func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
+	dir := filepath.Join(cfg.DataDir, name)
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, wal.Quota{}, nil, err
+		return nil, nil, err
 	}
 	var snapGens, walGens []uint64
 	for _, e := range ents {
@@ -614,7 +591,7 @@ func recoverSession(cfg *persistConfig, name string, workers int) (*increpair.Se
 		}
 	}
 	if len(snapGens) == 0 {
-		return nil, nil, wal.Quota{}, nil, fmt.Errorf("server: recover %s: no snapshot found", name)
+		return nil, nil, fmt.Errorf("server: recover %s: no snapshot found", name)
 	}
 	sort.Slice(snapGens, func(i, j int) bool { return snapGens[i] > snapGens[j] })
 	sort.Slice(walGens, func(i, j int) bool { return walGens[i] < walGens[j] })
@@ -641,9 +618,9 @@ func recoverSession(cfg *persistConfig, name string, workers int) (*increpair.Se
 			// referenced generation. Any store damage fails THIS
 			// generation only — the loop falls back to the previous
 			// snapshot, exactly as for a corrupt snapshot file.
-			s, err = restorePaged(cfg, dir, name, snap, workers)
+			s, err = restorePaged(dir, name, snap)
 		} else {
-			s, err = increpair.RestoreFromSnapshot(snap, workers)
+			s, err = increpair.RestoreFromSnapshot(snap, 0)
 		}
 		if err != nil {
 			lastErr = err
@@ -653,7 +630,7 @@ func recoverSession(cfg *persistConfig, name string, workers int) (*increpair.Se
 		break
 	}
 	if sess == nil {
-		return nil, nil, wal.Quota{}, nil, fmt.Errorf("server: recover %s: no usable snapshot: %w", name, lastErr)
+		return nil, nil, fmt.Errorf("server: recover %s: no usable snapshot: %w", name, lastErr)
 	}
 
 	// Replay the logs from the restored generation forward. The version
@@ -663,7 +640,6 @@ func recoverSession(cfg *persistConfig, name string, workers int) (*increpair.Se
 	var (
 		tip      *wal.Log // open log of the newest generation, append-ready
 		damaged  bool
-		warn     error
 		replayed int // records applied into the tip generation's session
 	)
 	for i, g := range walGens {
@@ -718,76 +694,28 @@ func recoverSession(cfg *persistConfig, name string, workers int) (*increpair.Se
 	}
 
 	v := sess.Snapshot().Version
-	p := &persister{cfg: cfg, dir: dir, name: name, st: sess.Store(), last: v, appended: v, synced: v}
+	p = &persister{cfg: cfg, dir: dir, name: name, sess: sess, quota: quota, st: sess.Store(), appended: v, synced: v}
 	if tip != nil {
-		p.gen = walGens[len(walGens)-1]
-		p.log = tip
 		// Count the replayed records against the rotation budget: a
 		// server that crash-loops just under SnapshotEvery fresh
 		// batches per life must still rotate, or the tip WAL (and
 		// every boot's replay) would grow without bound.
-		p.sinceSnap = replayed
-		p.startTicker()
-		return sess, p, quota, warn, nil
-	}
-	// No appendable tip (damage, or the newest WAL is missing): start a
-	// fresh generation whose snapshot captures the recovered state.
-	next := uint64(0)
-	if len(walGens) > 0 && walGens[len(walGens)-1] >= snapGens[0] {
-		next = walGens[len(walGens)-1] + 1
+		p.gen, p.log, p.sinceSnap = walGens[len(walGens)-1], tip, replayed
 	} else {
-		next = snapGens[0] + 1
-	}
-	// closeRecovered releases everything the failed re-anchor opened:
-	// the session, and the page store it may have re-attached.
-	closeRecovered := func() {
-		sess.Close()
-		if st := sess.Store(); st != nil {
-			st.Close()
+		// No appendable tip (damage, or the newest WAL is missing): anchor
+		// the recovered state as a fresh generation.
+		next := snapGens[0] + 1
+		if len(walGens) > 0 && walGens[len(walGens)-1] >= snapGens[0] {
+			next = walGens[len(walGens)-1] + 1
 		}
-	}
-	var snap *wal.Snapshot
-	if sess.Store() != nil {
-		// Disk-backed re-anchor: commit the replay's dirty pages as store
-		// generation next, then write the slim snapshot referencing it.
-		snap2, fl, berr := sess.PersistBoundary(name)
-		if berr == nil {
-			if berr = fl.Commit(next); berr == nil {
-				snap2.StoreGen = next
-			}
+		if err := p.anchorNow(next); err != nil {
+			sess.Close()
+			p.close() // the page store recovery re-attached, too
+			return nil, nil, err
 		}
-		if berr != nil {
-			closeRecovered()
-			return nil, nil, wal.Quota{}, nil, berr
-		}
-		snap = snap2
-	} else {
-		var perr error
-		if snap, perr = sess.PersistSnapshot(name); perr != nil {
-			closeRecovered()
-			return nil, nil, wal.Quota{}, nil, perr
-		}
-	}
-	snap.Quota = quota // the override survives the re-anchoring rotation
-	if err := wal.WriteSnapshotFile(snapPath(dir, next), snap); err != nil {
-		closeRecovered()
-		return nil, nil, wal.Quota{}, nil, err
-	}
-	log, err := wal.Create(walPath(dir, next))
-	if err != nil {
-		closeRecovered()
-		return nil, nil, wal.Quota{}, nil, err
-	}
-	p.gen = next
-	p.log = log
-	p.last = snap.Version
-	p.appended = snap.Version
-	p.synced = snap.Version
-	if next >= 2 {
-		pruneGenerations(p.dir, next-2)
 	}
 	p.startTicker()
-	return sess, p, quota, warn, nil
+	return p, warn, nil
 }
 
 // Recover scans Options.DataDir and re-hosts every persisted session.
@@ -804,7 +732,7 @@ func (s *Server) Recover() (restored int, err error) {
 	if cfg == nil {
 		return 0, nil
 	}
-	ents, readErr := os.ReadDir(cfg.dir)
+	ents, readErr := os.ReadDir(cfg.DataDir)
 	if readErr != nil {
 		if errors.Is(readErr, os.ErrNotExist) {
 			return 0, nil
@@ -817,7 +745,7 @@ func (s *Server) Recover() (restored int, err error) {
 			continue
 		}
 		name := e.Name()
-		sess, p, wq, warn, rerr := recoverSession(cfg, name, 0)
+		p, warn, rerr := recoverSession(cfg, name)
 		if rerr != nil {
 			errs = append(errs, rerr)
 			continue
@@ -828,23 +756,23 @@ func (s *Server) Recover() (restored int, err error) {
 		// An explicit per-session override persisted in the snapshot
 		// beats the boot-time defaults; inherited quotas re-resolve.
 		quota := s.reg.quota
-		if wq.Set {
-			quota = quotaFromWAL(wq)
+		if p.quota.Set {
+			quota = quotaFromWAL(p.quota)
 		}
 		// A session whose directory carries the follower marker was a
 		// replica when this node went down; re-host it as one, so the
 		// true primary's shipping stream resumes (healing any missed
 		// batches by gap-detected resync) instead of hitting a phantom
 		// primary and stopping. On a node rebooted WITHOUT peers the
-		// marker is ignored — and cleared by adopt — because a follower
+		// marker is ignored — and cleared by register — because a follower
 		// with no cluster would refuse writes forever.
 		role := rolePrimary
-		if s.reg.cluster != nil && readRoleMarker(filepath.Join(cfg.dir, name)) {
+		if s.reg.cluster != nil && readRoleMarker(filepath.Join(cfg.DataDir, name)) {
 			role = roleFollower
 		}
-		if _, cerr := s.reg.adopt(name, sess, sess.Current().Schema(), p, quota, role); cerr != nil {
+		if _, cerr := s.reg.register(name, p.sess, p.sess.Current().Schema(), p, quota, role); cerr != nil {
 			p.close()
-			sess.Close()
+			p.sess.Close()
 			errs = append(errs, fmt.Errorf("server: recover %s: %w", name, cerr))
 			continue
 		}

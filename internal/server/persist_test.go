@@ -23,7 +23,6 @@ import (
 
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/increpair"
-	"cfdclean/internal/store"
 	"cfdclean/internal/relation"
 	"cfdclean/internal/wal"
 )
@@ -559,12 +558,12 @@ func TestFinishPersistSupersededKeepsData(t *testing.T) {
 		return sess
 	}
 	reg := NewRegistry(4)
-	reg.persist = &persistConfig{dir: t.TempDir(), policy: FsyncOff, interval: time.Second, snapEvery: 64}
-	dataDir := filepath.Join(reg.persist.dir, "x")
+	reg.persist = &Options{DataDir: t.TempDir(), Fsync: FsyncOff, FsyncInterval: time.Second, SnapshotEvery: 64}
+	dataDir := filepath.Join(reg.persist.DataDir, "x")
 
 	// Not superseded: purge removes the directory.
 	s1 := newSess()
-	p1, err := newPersister(reg.persist, "x", s1, wal.Quota{}, store.KindDefault)
+	p1, err := newPersister(reg.persist, "x", s1, wal.Quota{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,14 +577,14 @@ func TestFinishPersistSupersededKeepsData(t *testing.T) {
 	// Superseded: a new hosted session owns the name (and a rebuilt
 	// directory); the stale worker's purge must keep its hands off.
 	s2 := newSess()
-	pOld, err := newPersister(reg.persist, "x", s2, wal.Quota{}, store.KindDefault)
+	pOld, err := newPersister(reg.persist, "x", s2, wal.Quota{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hOld := &hosted{name: "x", sess: s2, pers: pOld}
 	hOld.purge.Store(true)
 	s3 := newSess()
-	hNew, err := reg.Create("x", s3, s3.Current().Schema())
+	hNew, err := reg.Create("x", s3, s3.Current().Schema(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,5 +620,32 @@ func TestParseGenName(t *testing.T) {
 		if gen != want.gen || kind != want.kind || ok != want.ok {
 			t.Fatalf("parseGenName(%q) = %d %q %v", name, gen, kind, ok)
 		}
+	}
+}
+
+// TestRoleMarkerWrites: the marker goes through the atomic writer (no
+// temporary sibling survives), clearing an absent marker is not an
+// error, and a write that cannot happen is reported — register and
+// Promote turn that report into a broken persister.
+func TestRoleMarkerWrites(t *testing.T) {
+	dir := t.TempDir()
+	if err := writeRoleMarker(dir, false); err != nil {
+		t.Fatalf("clearing an absent marker: %v", err)
+	}
+	if err := writeRoleMarker(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !readRoleMarker(dir) || len(ents) != 1 || ents[0].Name() != roleMarkerName {
+		t.Fatalf("after marking: marker %v, directory %v", readRoleMarker(dir), ents)
+	}
+	if err := writeRoleMarker(dir, false); err != nil || readRoleMarker(dir) {
+		t.Fatalf("after clearing: err %v, marker %v", err, readRoleMarker(dir))
+	}
+	if err := writeRoleMarker(filepath.Join(dir, "gone"), true); err == nil {
+		t.Fatal("marker write into a missing directory reported no error")
 	}
 }

@@ -119,7 +119,7 @@ func TestGroupFsyncOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := reg.Create(fmt.Sprintf("g%d", i), sess, sch)
+		h, err := reg.Create(fmt.Sprintf("g%d", i), sess, sch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,6 +136,12 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, req *http.Request) {
 	p.counter("cfdserved_error_batches_total", "Engine passes that returned an error.", s.reg.errorPasses.Load())
 	p.counter("cfdserved_tuples_total", "Tuples inserted.", s.reg.tuples.Load())
 	p.counter("cfdserved_sse_dropped_total", "Events dropped at slow SSE subscribers.", s.reg.sseDrops.Load())
+	st := shipTotals(hs)
+	p.counter("cfdserved_ship_batches_total", "Batches acknowledged by this node's followers.", st.Batches)
+	p.counter("cfdserved_ship_snapshots_total", "Snapshot installs shipped (bootstrap and resyncs).", st.Snapshots)
+	p.counter("cfdserved_ship_degraded_total", "Replication delivery failures absorbed.", st.Degraded)
+	p.counter("cfdserved_ship_dropped_total", "Replication frames dropped on a full backlog or backoff.", st.Dropped)
+	p.counter("cfdserved_replica_applied_total", "Shipped batches applied on this node as a follower.", s.reg.replicaApplied.Load())
 
 	// Service-wide histograms.
 	p.header("cfdserved_pass_duration_seconds", "Engine pass duration.", "histogram")
@@ -201,29 +207,20 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, req *http.Request) {
 	// per session.
 	p.header("cfdserved_session_pass_duration_seconds", "Engine pass duration per session.", "histogram")
 	for _, h := range hs {
-		if h.ops != nil {
-			p.histogramSeries("cfdserved_session_pass_duration_seconds", []string{"session", h.name}, h.ops.passLat)
-		}
+		p.histogramSeries("cfdserved_session_pass_duration_seconds", []string{"session", h.name}, h.ops.passLat)
 	}
 	p.header("cfdserved_session_fsync_lag_seconds", "WAL append to fsync-acknowledged lag per session.", "histogram")
 	for _, h := range hs {
-		if h.ops != nil {
-			p.histogramSeries("cfdserved_session_fsync_lag_seconds", []string{"session", h.name}, h.ops.walLag)
-		}
+		p.histogramSeries("cfdserved_session_fsync_lag_seconds", []string{"session", h.name}, h.ops.walLag)
 	}
 	p.header("cfdserved_session_fold_batches", "Client batches folded per engine pass per session.", "histogram")
 	for _, h := range hs {
-		if h.ops != nil {
-			p.histogramSeries("cfdserved_session_fold_batches", []string{"session", h.name}, h.ops.foldSize)
-		}
+		p.histogramSeries("cfdserved_session_fold_batches", []string{"session", h.name}, h.ops.foldSize)
 	}
 
 	// Per-session counters.
 	var dropped, errored, limited []labelledCounter
 	for _, h := range hs {
-		if h.ops == nil {
-			continue
-		}
 		dropped = append(dropped, labelledCounter{h.name, h.ops.sseDropped.Load()})
 		errored = append(errored, labelledCounter{h.name, h.ops.errorPasses.Load()})
 		limited = append(limited, labelledCounter{h.name, h.ops.rateLimited.Load()})

@@ -277,6 +277,11 @@ func TestPrometheusExposition(t *testing.T) {
 		"cfdserved_batches_total", "cfdserved_coalesced_total", "cfdserved_rejected_total",
 		"cfdserved_rate_limited_total", "cfdserved_error_batches_total",
 		"cfdserved_tuples_total", "cfdserved_sse_dropped_total",
+		// The replication counters /v1/metrics reports: present (at zero)
+		// on a single node too, so dashboards need no per-topology shape.
+		"cfdserved_ship_batches_total", "cfdserved_ship_snapshots_total",
+		"cfdserved_ship_degraded_total", "cfdserved_ship_dropped_total",
+		"cfdserved_replica_applied_total",
 	} {
 		if doc.types[c] != "counter" {
 			t.Fatalf("%s: type %q, want counter", c, doc.types[c])

@@ -15,7 +15,6 @@ import (
 	"cfdclean/internal/increpair"
 	"cfdclean/internal/metrics"
 	"cfdclean/internal/relation"
-	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
 )
 
@@ -37,10 +36,9 @@ var (
 	ErrFollower = errors.New("server: session is a replica on this node")
 )
 
-// A hosted session's replication role. Primaries run the full write
-// pipeline; followers keep their worker idle and advance only by
-// applying batches shipped from the primary (ReplicateBatch), until
-// promotion flips the role and the session resumes the WAL as its own.
+// A hosted session's replication role. Both run the same pipeline: a
+// primary's worker applies client batches; a follower's refuses them and
+// replays the batches its primary ships (ReplicateBatch) until promoted.
 const (
 	rolePrimary int32 = iota
 	roleFollower
@@ -70,10 +68,10 @@ type Registry struct {
 	coalesceMax   int
 	coalesceDelay time.Duration
 
-	// persist, when non-nil, gives every session a durability sidecar
-	// (WAL + snapshots under persist.dir; see persist.go). nil hosts
-	// sessions purely in memory, as before PR 5.
-	persist *persistConfig
+	// persist, when non-nil, is the server's options with DataDir set:
+	// every session gets a durability sidecar (WAL + snapshots under it;
+	// see persist.go). nil hosts sessions purely in memory.
+	persist *Options
 
 	// quota is the server-wide default admission-control configuration;
 	// a create request may override it per session (see quota.go). The
@@ -133,12 +131,8 @@ func NewRegistry(queueDepth int) *Registry {
 	if queueDepth < 1 {
 		queueDepth = 1
 	}
-	r := &Registry{
-		queueDepth: queueDepth,
-		passLat:    metrics.NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5),
-		walLag:     metrics.NewHistogram(0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5),
-		foldSize:   metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64),
-	}
+	r := &Registry{queueDepth: queueDepth}
+	r.passLat, r.walLag, r.foldSize = opsHistograms()
 	for i := range r.shards {
 		r.shards[i].m = make(map[string]*hosted)
 	}
@@ -169,11 +163,18 @@ type sessionOps struct {
 }
 
 func newSessionOps() *sessionOps {
-	return &sessionOps{
-		passLat:  metrics.NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5),
-		walLag:   metrics.NewHistogram(0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5),
-		foldSize: metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64),
-	}
+	o := &sessionOps{}
+	o.passLat, o.walLag, o.foldSize = opsHistograms()
+	return o
+}
+
+// opsHistograms builds the three hot-path histograms under the one set
+// of bucket bounds the registry's service-wide instruments and every
+// session's own share.
+func opsHistograms() (passLat, walLag, foldSize *metrics.Histogram) {
+	return metrics.NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5),
+		metrics.NewHistogram(0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5),
+		metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64)
 }
 
 type hosted struct {
@@ -194,11 +195,6 @@ type hosted struct {
 	// set by Remove, never by Drain.
 	pers  *persister
 	purge atomic.Bool
-	// sinceSnap is the worker's rotation budget: successful passes since
-	// the last snapshot, seeded from recovery's replay count. Worker-only
-	// state — the worker must capture the rotation snapshot at the exact
-	// batch boundary (the committer may lag several passes behind).
-	sinceSnap int
 
 	queue chan job
 	// commits carries finished passes, in pass order, from the worker to
@@ -233,14 +229,6 @@ type hosted struct {
 	// info() knows to render the role at all.
 	role      atomic.Int32
 	clustered bool
-	// replMu serializes replicated applies against each other and
-	// against promotion: a batch in flight when promote lands either
-	// fully applies before the role flips or observes the flip and is
-	// refused — never half of each.
-	replMu sync.Mutex
-	// replSince is the follower-side rotation budget (guarded by
-	// replMu), the replica twin of sinceSnap.
-	replSince int
 	// shipper, when set, streams this primary's committed batches to its
 	// follower. Swapped atomically so the committer reads it without a
 	// lock; the target rides along for listings and rebalance decisions.
@@ -262,6 +250,10 @@ type job struct {
 	sets        []increpair.SetOp
 	inserts     []*relation.Tuple
 	coalescable bool
+	// replay, when set, is a batch shipped by the session's primary: the
+	// worker replays it instead of applying the (empty) op slices, and
+	// only while the session is still a follower.
+	replay *wal.Batch
 	// quiesce marks a sentinel with no engine pass of its own: it rides
 	// the queue and the commits channel like any batch, and its reply
 	// therefore PROVES every job enqueued before it has been applied and
@@ -308,50 +300,34 @@ type commitItem struct {
 	// the same (PrevVersion, Version] chain the WAL uses.
 	prev     uint64
 	passDone time.Time // when the engine finished; start of persist stage
+	// noPass marks an item with no engine pass to record — the quiesce
+	// sentinel, a refused or duplicate shipped batch: no WAL record, ship
+	// or event, only its reply riding the pipeline in order.
+	noPass bool
 	// rotate / resync are boundary images the WORKER captured at this
 	// exact batch boundary: rotate advances the persister's generation
 	// (a routine rotation, or the re-anchor after a failed pass whose
 	// partial effects no WAL record can describe); resync is the full
 	// inline snapshot the shipper sends a follower after a failed pass —
 	// always inline, since a slim disk-backed header carries no rows.
-	rotate *rotationCapture
+	rotate *capture
 	resync *wal.Snapshot
 }
 
-// Create opens a session under name and starts its worker, with the
-// registry's default quota. The caller supplies a ready
-// increpair.Session (built from the decoded create request) and the
-// schema used for wire encoding and attribute lookup.
-func (r *Registry) Create(name string, sess *increpair.Session, schema *relation.Schema) (*hosted, error) {
-	return r.register(name, sess, schema, nil, r.quota, rolePrimary, store.KindDefault)
+// Create opens a session under name and starts its worker. The caller
+// supplies a ready increpair.Session (built from the decoded create
+// request) and the schema used for wire encoding and attribute lookup;
+// wq, when non-nil, overrides the registry's default quota per field
+// (see resolveQuota).
+func (r *Registry) Create(name string, sess *increpair.Session, schema *relation.Schema, wq *WireQuota) (*hosted, error) {
+	return r.register(name, sess, schema, nil, resolveQuota(r.quota, wq), rolePrimary)
 }
 
-// CreateWithQuota is Create with a per-session quota override layered
-// over the registry defaults (zero fields inherit, negative fields
-// lift the default; see resolveQuota).
-func (r *Registry) CreateWithQuota(name string, sess *increpair.Session, schema *relation.Schema, wq *WireQuota) (*hosted, error) {
-	return r.register(name, sess, schema, nil, resolveQuota(r.quota, wq), rolePrimary, store.KindDefault)
-}
-
-// CreateWithStore is CreateWithQuota plus an explicit tuple-storage
-// backend for the session; KindDefault inherits the node's -store
-// configuration. kind only matters on durable registries — an in-memory
-// registry has no persister to host the page store.
-func (r *Registry) CreateWithStore(name string, sess *increpair.Session, schema *relation.Schema, wq *WireQuota, kind store.Kind) (*hosted, error) {
-	return r.register(name, sess, schema, nil, resolveQuota(r.quota, wq), rolePrimary, kind)
-}
-
-// adopt re-hosts a recovered session with its existing persister —
-// Create's boot-time sibling, which must not write a fresh generation 0
-// over the recovered files. quota is the resolved admission state: an
-// explicit override read back from the snapshot header, or the current
-// registry defaults; role is the replication role read back from the
-// directory's marker (see Server.Recover).
-func (r *Registry) adopt(name string, sess *increpair.Session, schema *relation.Schema, p *persister, quota QuotaConfig, role int32) (*hosted, error) {
-	return r.register(name, sess, schema, p, quota, role, store.KindDefault)
-}
-
-func (r *Registry) register(name string, sess *increpair.Session, schema *relation.Schema, p *persister, quota QuotaConfig, role int32, kind store.Kind) (*hosted, error) {
+// register hosts sess under name in the given role. p is nil for a new
+// session (a durable registry then anchors generation 0 under a fresh
+// persister) and recovery's persister for a re-hosted one, which must
+// not write a generation 0 over the recovered files.
+func (r *Registry) register(name string, sess *increpair.Session, schema *relation.Schema, p *persister, quota QuotaConfig, role int32) (*hosted, error) {
 	sh := r.shard(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -370,7 +346,7 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 		// racing create of the same name from touching the same
 		// directory. Creates are rare; the lock is per-shard.
 		var err error
-		if p, err = newPersister(r.persist, name, sess, walQuota(quota), kind); err != nil {
+		if p, err = newPersister(r.persist, name, sess, walQuota(quota)); err != nil {
 			return nil, fmt.Errorf("server: persist %s: %w", name, err)
 		}
 	}
@@ -393,9 +369,6 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 	h.subs.sessionDrops = &h.ops.sseDropped
 	h.subs.max = quota.MaxSubscribers
 	if p != nil {
-		// Carry recovery's replay count into the rotation budget so a
-		// crash-looping server still rotates (see recoverSession).
-		h.sinceSnap = p.sinceSnap
 		// Record the steady-state role on disk so a restart re-hosts the
 		// session as what it really was (see roleMarkerName). Failing to
 		// record it risks a phantom primary after the next crash, which
@@ -419,45 +392,10 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 	return h, nil
 }
 
-// captureSnapshot is the one snapshot capture path: a quiescent image of
-// the live session with the quota mark stamped in, so every image that
-// reaches disk or a follower carries the session's explicit override.
-// Caller discipline matters as much as here as for PersistSnapshot
-// itself: rotation/resync images must be captured by the worker at the
-// exact batch boundary.
+// captureSnapshot is the session's full inline image, which is what
+// replication ships (see inlineSnapshot for the caller discipline).
 func (h *hosted) captureSnapshot() (*wal.Snapshot, error) {
-	snap, err := h.sess.PersistSnapshot(h.name)
-	if err != nil {
-		return nil, err
-	}
-	if h.quota != nil {
-		snap.Quota = walQuota(h.quota.cfg)
-	}
-	return snap, nil
-}
-
-// captureRotation captures the persister's rotation boundary under the
-// same caller discipline as captureSnapshot (worker, exact batch
-// boundary). For a store-backed session it is a slim snapshot header
-// plus the store's dirty-page flush — the committer resolves the pair
-// through rotateCapture or abort — while a memory-backed session gets a
-// plain full inline snapshot wrapped with no flush.
-func (h *hosted) captureRotation() (*rotationCapture, error) {
-	if h.sess.Store() != nil {
-		snap, fl, err := h.sess.PersistBoundary(h.name)
-		if err != nil {
-			return nil, err
-		}
-		if h.quota != nil {
-			snap.Quota = walQuota(h.quota.cfg)
-		}
-		return &rotationCapture{snap: snap, flush: fl}, nil
-	}
-	snap, err := h.captureSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &rotationCapture{snap: snap}, nil
+	return inlineSnapshot(h.sess, h.name, walQuota(h.quota.cfg))
 }
 
 // startShipper hooks the session's committer to a follower on target.
@@ -518,9 +456,7 @@ func (r *Registry) admit(h *hosted, tuples, deletes int) error {
 	}
 	if err := q.admit(size, tuples, deletes, time.Now()); err != nil {
 		r.rateLimited.Add(1)
-		if h.ops != nil {
-			h.ops.rateLimited.Add(1)
-		}
+		h.ops.rateLimited.Add(1)
 		return err
 	}
 	return nil
@@ -540,14 +476,28 @@ func (r *Registry) Apply(ctx context.Context, h *hosted, deletes []relation.Tupl
 		return jobReply{}, err
 	}
 	j := job{deletes: deletes, sets: sets, inserts: inserts, enqueued: time.Now(), reply: make(chan jobReply, 1)}
-	select {
-	case h.queue <- j:
-	case <-h.quit:
-		return jobReply{}, ErrDraining
-	case <-ctx.Done():
-		return jobReply{}, ctx.Err()
+	if err := h.enqueue(ctx, j); err != nil {
+		return jobReply{}, err
 	}
 	r.batches.Add(1)
+	return h.await(ctx, j)
+}
+
+// enqueue puts a synchronous job on the session's queue, waiting out a
+// full one (backpressure bounded by ctx) unless the session shuts down.
+func (h *hosted) enqueue(ctx context.Context, j job) error {
+	select {
+	case h.queue <- j:
+		return nil
+	case <-h.quit:
+		return ErrDraining
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// await waits for an enqueued job's reply to come out of the committer.
+func (h *hosted) await(ctx context.Context, j job) (jobReply, error) {
 	select {
 	case rep := <-j.reply:
 		return rep, nil
@@ -763,11 +713,12 @@ func (h *hosted) dispatch(r *Registry, j job) {
 // worker's next pass; only the pass itself is serialized per session.
 // Pass order fixes seq and the journal-version order, and the commits
 // channel is FIFO, so the committer observes them in the same order.
+// A shipped batch (j.replay) is the same pass reached through replay, so
+// shipped batches, a promotion and the first local write after it are
+// totally ordered by the queue.
 func (h *hosted) apply(r *Registry, j job, batches int) {
 	if j.quiesce {
-		// No pass, no WAL record, no event: the sentinel only carries
-		// its reply through the pipeline in order.
-		h.commits <- commitItem{j: j}
+		h.commits <- commitItem{j: j, noPass: true}
 		return
 	}
 	var wait time.Duration
@@ -778,16 +729,38 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 	// worker-only read, so no lock needed.
 	prev := h.sess.Snapshot().Version
 	start := time.Now()
-	res, deleted, err := h.sess.ApplyOps(j.deletes, j.sets, j.inserts)
+	var (
+		res     *increpair.Result
+		deleted int
+		err     error
+	)
+	if j.replay == nil {
+		res, deleted, err = h.sess.ApplyOps(j.deletes, j.sets, j.inserts)
+	} else {
+		applied := false
+		if h.role.Load() != roleFollower {
+			// Promoted (or never a replica) since the frame was accepted:
+			// the primary's stream must stop, not resync.
+			err = errReplicaConflict
+		} else if res, deleted, applied, err = h.sess.ReplayBatchResult(j.replay); err != nil {
+			// A gap, undecodable ops, divergence: all heal the same way —
+			// the primary reships a full image that replaces this session.
+			err = fmt.Errorf("%w: %v", errReplicaGap, err)
+		}
+		if err != nil || !applied {
+			// Refused, or a duplicate the cursor already covers.
+			h.commits <- commitItem{j: j, noPass: true, rep: jobReply{err: err}}
+			return
+		}
+		r.replicaApplied.Add(1)
+	}
 	snap := h.sess.Snapshot()
 	engine := time.Since(start)
 	h.lat.record(engine)
 	r.passLat.Observe(engine.Seconds())
 	r.foldSize.Observe(float64(batches))
-	if h.ops != nil {
-		h.ops.passLat.Observe(engine.Seconds())
-		h.ops.foldSize.Observe(float64(batches))
-	}
+	h.ops.passLat.Observe(engine.Seconds())
+	h.ops.foldSize.Observe(float64(batches))
 	var seq uint64
 	if err == nil {
 		seq = h.seq.Add(1)
@@ -795,57 +768,25 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 		r.tuples.Add(uint64(len(res.Inserted)))
 	} else {
 		r.errorPasses.Add(1)
-		if h.ops != nil {
-			h.ops.errorPasses.Add(1)
-		}
+		h.ops.errorPasses.Add(1)
 	}
 	item := commitItem{
 		j: j, batches: batches, version: snap.Version, prev: prev, passDone: time.Now(),
 		rep: jobReply{res: res, deleted: deleted, seq: seq, snap: snap, err: err, wait: wait, engine: engine},
 	}
-	// Rotation and resync snapshots must capture THIS batch boundary; by
-	// the time the committer handles the item the worker may be passes
-	// ahead, so the capture cannot be deferred downstream. A failed pass
-	// forces a resync snapshot even for a memory-only session when a
-	// follower is attached: the partial effects no batch frame can
-	// describe must reach the replica as a full image too.
-	needPersist := h.pers != nil && !h.purge.Load()
-	needShip := h.shipper.Load() != nil
-	if err != nil {
-		// The failed pass may have mutated state no WAL record
-		// describes; re-anchor the on-disk image on a fresh boundary
-		// capture, and hand the follower a full inline image too.
-		if needPersist {
-			if rc, serr := h.captureRotation(); serr != nil {
-				h.pers.markBroken(serr)
-			} else {
-				item.rotate = rc
-				h.sinceSnap = 0
-			}
-		}
-		if needShip {
-			if item.rotate != nil && item.rotate.flush == nil {
-				// The memory-backed capture is already a full inline
-				// snapshot; share it with the shipper.
-				item.resync = item.rotate.snap
-			} else if rs, serr := h.captureSnapshot(); serr == nil {
-				// A store-backed capture is a slim header with no rows —
-				// the follower needs its own inline image. A capture
-				// failure here only degrades replication; the follower
-				// heals by snapshot on the next gap it refuses.
-				item.resync = rs
-			}
-		}
-	} else if needPersist {
-		h.sinceSnap++
-		if h.sinceSnap >= h.pers.cfg.snapEvery {
-			if rc, serr := h.captureRotation(); serr != nil {
-				h.pers.markBroken(serr)
-			} else {
-				item.rotate = rc
-				h.sinceSnap = 0
-			}
-		}
+	// A rotation boundary must be captured at THIS batch boundary; by the
+	// time the committer handles the item the worker may be passes ahead,
+	// so the capture cannot be deferred downstream.
+	if h.pers != nil && !h.purge.Load() {
+		item.rotate = h.pers.boundary(err != nil)
+	}
+	// The partial effects of a failed pass must reach an attached follower
+	// as a full inline image too (a slim header carries no rows) — for a
+	// memory-only session as well. A capture failure here only degrades
+	// replication: the follower heals by snapshot on the next gap it
+	// refuses.
+	if err != nil && h.shipper.Load() != nil {
+		item.resync, _ = h.captureSnapshot()
 	}
 	h.commits <- item
 }
@@ -856,7 +797,8 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 // per-batch policy), sends the client reply, and publishes the pass
 // event. The reply still happens strictly after the record is durable —
 // fsync-before-ack is preserved per batch — but the fsync of pass N now
-// overlaps the worker's pass N+1 instead of blocking it.
+// overlaps the worker's pass N+1 instead of blocking it. A follower's
+// replayed passes are committed the same way.
 //
 // A purged session (Remove in progress) stops persisting immediately:
 // its directory is doomed — and may already belong to a re-created
@@ -865,56 +807,47 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 func (h *hosted) committer(r *Registry) {
 	defer close(h.committerDone)
 	for item := range h.commits {
-		if item.j.quiesce {
-			// The quiesce sentinel: everything before it in the pipeline
-			// is applied AND committed; answer and move on. It must not
-			// touch the WAL, the shipper or the event stream — its
-			// version fields are zero.
+		if item.noPass {
+			// Everything before it in the pipeline is applied AND
+			// committed; answer and move on.
 			if item.j.reply != nil {
 				item.j.reply <- item.rep
 			}
 			continue
 		}
-		// ops is computed at most once per pass and shared by the WAL
-		// append and the replication frame.
-		var ops []relation.Delta
-		if item.rep.err == nil && (h.pers != nil || h.shipper.Load() != nil) {
-			ops = increpair.OpsToDeltas(item.j.deletes, item.j.sets, item.j.inserts)
+		// The batch record is built at most once per pass and shared by
+		// the WAL append and the replication frame; a replayed pass logs
+		// the record it was shipped.
+		ref := h.shipper.Load()
+		b := item.j.replay
+		if b == nil && item.rep.err == nil && (h.pers != nil || ref != nil) {
+			b = &wal.Batch{PrevVersion: item.prev, Version: item.version,
+				Ops: increpair.OpsToDeltas(item.j.deletes, item.j.sets, item.j.inserts)}
 		}
 		if h.pers != nil && !h.purge.Load() {
-			if item.rep.err != nil {
-				// Failed pass: the capture is a re-anchor, applied without
-				// (and instead of) a WAL append.
-				if item.rotate != nil {
-					h.pers.rotateCapture(item.rotate)
-					item.rotate = nil
-				}
-			} else {
-				if aerr := h.pers.appendBatch(ops, item.version); aerr == nil {
-					if h.pers.cfg.policy == FsyncBatch {
-						appended := time.Now()
-						if r.groupSync(h.pers) == nil {
-							lag := time.Since(appended).Seconds()
-							r.walLag.Observe(lag)
-							if h.ops != nil {
-								h.ops.walLag.Observe(lag)
-							}
-						}
-					}
-					if item.rotate != nil {
-						h.pers.rotateCapture(item.rotate)
-						item.rotate = nil
+			// A failed pass has nothing to append: its capture is a
+			// re-anchor, applied instead of a WAL record.
+			ok := true
+			if item.rep.err == nil {
+				ok = h.pers.appendBatch(b) == nil
+				if ok && h.pers.cfg.Fsync == FsyncBatch {
+					appended := time.Now()
+					if r.groupSync(h.pers) == nil {
+						lag := time.Since(appended).Seconds()
+						r.walLag.Observe(lag)
+						h.ops.walLag.Observe(lag)
 					}
 				}
 			}
+			if ok && item.rotate != nil {
+				h.pers.rotate(item.rotate)
+				item.rotate = nil
+			}
 		}
-		if item.rotate != nil {
-			// Unconsumed capture — a purge raced in, or the append failed
-			// before the rotation point. Release the store's flush lease so
-			// the next boundary can begin one.
-			item.rotate.abort()
-			item.rotate = nil
-		}
+		// Unconsumed capture — a purge raced in, or the append failed
+		// before the rotation point. Release the store's flush lease so
+		// the next boundary can begin one.
+		item.rotate.abort()
 		// Replication, strictly after the local fsync: a follower can
 		// never hold a batch the primary's own disk does not. ack=quorum
 		// ships synchronously — the client's reply waits for the
@@ -923,11 +856,10 @@ func (h *hosted) committer(r *Registry) {
 		// shipper's stats), never fail the write: the primary keeps
 		// serving through a dead follower, and the stream heals by
 		// snapshot once the follower is back.
-		if ref := h.shipper.Load(); ref != nil {
+		if ref != nil {
 			if item.resync != nil {
 				ref.sp.EnqueueSnapshot(item.resync)
 			} else if item.rep.err == nil {
-				b := &wal.Batch{PrevVersion: item.prev, Version: item.version, Ops: ops}
 				if r.cluster != nil && r.cluster.ack == AckQuorum {
 					_ = ref.sp.ShipSync(b)
 				} else {

@@ -7,19 +7,19 @@ import (
 	"time"
 
 	"cfdclean/internal/increpair"
-	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
 )
 
 // Follower-side replication: the registry half of the WAL-shipping
 // stream (see internal/cluster/ship for the wire and the primary half).
-// A follower session is an ordinary hosted session whose worker and
-// committer sit idle: state advances only through ReplicateBatch, under
-// the same journal-version discipline WAL replay uses, so a promoted
-// follower is byte-identical to a primary that was never lost. The
-// follower keeps its own persister in lockstep — every shipped batch is
-// appended to the replica's local WAL before acknowledgement — which is
-// what lets promotion simply resume the log as its own.
+// A follower session is an ordinary hosted session that refuses client
+// writes: state advances only through ReplicateBatch, whose batches the
+// session's own worker replays under the journal-version discipline WAL
+// replay uses, so a promoted follower is byte-identical to a primary
+// that was never lost. The session's committer logs every replayed pass
+// like any other — appended to the replica's local WAL (and fsynced,
+// rotated, published) before acknowledgement — which is what lets
+// promotion simply resume the log as its own.
 
 // Replication errors mapped by the handler layer.
 var (
@@ -36,33 +36,28 @@ var (
 // InstallReplica installs (or replaces) a follower session from a
 // shipped snapshot — the bootstrap for a follower joining mid-stream and
 // the healing move after any gap. An existing follower under the name is
-// torn down and rebuilt from the image; a primary under the name refuses
-// with errReplicaConflict.
-func (r *Registry) InstallReplica(name string, snap *wal.Snapshot) error {
+// removed, files and all, once the image has proven restorable, and
+// rebuilt from it; a primary under the name refuses with
+// errReplicaConflict.
+func (r *Registry) InstallReplica(ctx context.Context, name string, snap *wal.Snapshot) error {
 	if r.draining.Load() {
 		return ErrDraining
 	}
 	r.installMu.Lock()
 	defer r.installMu.Unlock()
-	if h, err := r.Get(name); err == nil {
-		if h.role.Load() != roleFollower {
-			return errReplicaConflict
-		}
-		// Replace: free the name, stop the old replica's goroutines and
-		// wait them out. The old persister keeps its files; register
-		// below rebuilds the directory from the new image.
-		sh := r.shard(name)
-		sh.mu.Lock()
-		if sh.m[name] == h {
-			delete(sh.m, name)
-		}
-		sh.mu.Unlock()
-		h.quitOnce.Do(func() { close(h.quit) })
-		<-h.done
+	h, err := r.Get(name)
+	if err == nil && h.role.Load() != roleFollower {
+		return errReplicaConflict
 	}
-	sess, err := increpair.RestoreFromSnapshot(snap, 0)
-	if err != nil {
-		return fmt.Errorf("server: install replica %s: %w", name, err)
+	sess, rerr := increpair.RestoreFromSnapshot(snap, 0)
+	if rerr != nil {
+		return fmt.Errorf("server: install replica %s: %w", name, rerr)
+	}
+	if err == nil {
+		if err := r.Remove(ctx, name); err != nil && !errors.Is(err, ErrNotFound) {
+			sess.Close()
+			return err
+		}
 	}
 	// An explicit quota override travels in the snapshot header; without
 	// one the replica runs this node's defaults (it only matters after
@@ -71,89 +66,56 @@ func (r *Registry) InstallReplica(name string, snap *wal.Snapshot) error {
 	if snap.Quota.Set {
 		quota = quotaFromWAL(snap.Quota)
 	}
-	if _, err := r.register(name, sess, sess.Current().Schema(), nil, quota, roleFollower, store.KindDefault); err != nil {
+	if _, err := r.register(name, sess, sess.Current().Schema(), nil, quota, roleFollower); err != nil {
 		sess.Close()
 		return err
 	}
 	return nil
 }
 
-// ReplicateBatch applies one shipped batch to the follower session under
-// the replay discipline: duplicates are skipped, a gap refuses with
-// errReplicaGap and leaves the replica untouched — a batch never applies
-// out of order. On success the batch is appended to the replica's own
-// WAL (group-fsynced under the per-batch policy) and the same pass event
-// a primary would publish goes out to this node's SSE subscribers.
-func (r *Registry) ReplicateBatch(name string, b *wal.Batch) error {
+// ReplicateBatch hands one shipped batch to the follower session's own
+// pipeline and waits for it to be committed. The worker replays it under
+// the replay discipline — a duplicate is skipped, a gap (or any other
+// replay failure) refuses with errReplicaGap, a batch never applies out
+// of order — and refuses with errReplicaConflict once the session is no
+// longer a follower; the committer publishes the same pass event a
+// primary would, so SSE consumers on the follower see the same stream
+// (seq continues across promotion).
+func (r *Registry) ReplicateBatch(ctx context.Context, name string, b *wal.Batch) error {
 	h, err := r.Get(name)
 	if err != nil {
 		return err
 	}
-	h.replMu.Lock()
-	defer h.replMu.Unlock()
 	if h.role.Load() != roleFollower {
 		return errReplicaConflict
 	}
-	res, deleted, applied, err := h.sess.ReplayBatchResult(b)
+	j := job{replay: b, reply: make(chan jobReply, 1)}
+	if err := h.enqueue(ctx, j); err != nil {
+		return err
+	}
+	rep, err := h.await(ctx, j)
 	if err != nil {
-		if errors.Is(err, increpair.ErrReplayGap) {
-			return fmt.Errorf("%w: %v", errReplicaGap, err)
-		}
-		// Any other replay failure (undecodable ops, divergence) heals
-		// the same way a gap does: the primary reships a full image.
-		return fmt.Errorf("%w: %v", errReplicaGap, err)
+		return err
 	}
-	if !applied {
-		return nil // duplicate frame; the cursor already covers it
-	}
-	r.replicaApplied.Add(1)
-	if h.pers != nil && !h.purge.Load() {
-		if aerr := h.pers.appendBatch(b.Ops, b.Version); aerr == nil {
-			if h.pers.cfg.policy == FsyncBatch {
-				_ = r.groupSync(h.pers)
-			}
-			h.replSince++
-			if h.replSince >= h.pers.cfg.snapEvery {
-				if rc, serr := h.captureRotation(); serr != nil {
-					h.pers.markBroken(serr)
-				} else {
-					h.pers.rotateCapture(rc)
-					h.replSince = 0
-				}
-			}
-		}
-	}
-	// The replica's read plane is live: publish the pass event exactly as
-	// the primary's committer would, so SSE consumers on the follower see
-	// the same stream (seq continues across promotion).
-	snap := h.sess.Snapshot()
-	h.subs.publish(Event{
-		Session:   h.name,
-		Seq:       h.seq.Add(1),
-		Coalesced: 1,
-		Inserted:  len(res.Inserted),
-		Deleted:   deleted,
-		Dirty:     changedCells(res, h.attrs),
-		Snapshot:  encodeSnapshot(snap),
-	})
-	return nil
+	return rep.err
 }
 
 // Promote flips a follower session to primary: writes are accepted from
 // the next request on, and the session's WAL — kept in lockstep while
-// following — continues as its own. Idempotent: promoting a primary is a
-// no-op. Re-establishing replication toward a new follower is the ring's
+// following — continues as its own. A shipped batch in the pipeline when
+// the role flips either was replayed before it or is refused after it,
+// never half of each, and Promote returns behind all of them (the
+// quiesce sentinel). Idempotent: promoting a primary is a no-op.
+// Re-establishing replication toward a new follower is the ring's
 // business: after a failover promotion the old primary is presumed dead,
 // and a two-node cluster has no third peer to ship to, so a shipper is
 // started only when the updated peer list (PUT /v1/cluster/peers) or the
 // ring already names this node the session's owner with a live follower.
-func (r *Registry) Promote(name string) (*hosted, error) {
+func (r *Registry) Promote(ctx context.Context, name string) (*hosted, error) {
 	h, err := r.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	h.replMu.Lock()
-	defer h.replMu.Unlock()
 	if h.role.CompareAndSwap(roleFollower, rolePrimary) {
 		// The durable role flips with the live one: a promoted session
 		// restarting must come back a primary, not re-demote itself.
@@ -161,6 +123,9 @@ func (r *Registry) Promote(name string) (*hosted, error) {
 			if err := writeRoleMarker(h.pers.dir, false); err != nil {
 				h.pers.markBroken(err)
 			}
+		}
+		if !h.waitQuiesce(ctx) {
+			return nil, fmt.Errorf("%w: promote %s: pipeline did not quiesce", ErrDraining, name)
 		}
 		if c := r.cluster; c != nil {
 			// Ship onward only when the ring says this node owns the
@@ -192,11 +157,12 @@ func (r *Registry) DropReplica(ctx context.Context, name string) error {
 }
 
 // waitQuiesce blocks until h's pipeline is provably empty — every job
-// accepted before the call is applied AND committed — or the deadline
-// passes. Used by rebalance after flipping a primary to follower: new
-// writes are already refused, so once the pipeline drains the session
-// is quiescent and the transfer snapshot captured next misses nothing
-// acknowledged.
+// accepted before the call is applied AND committed — or ten seconds (or
+// ctx) run out. Rebalance uses it after flipping a primary to follower:
+// new writes are already refused, so once the pipeline drains the
+// session is quiescent and the transfer snapshot captured next misses
+// nothing acknowledged. Promote uses it to order itself behind in-flight
+// shipped batches.
 //
 // Quiescence is positive, not inferred: a quiesce sentinel job rides
 // the FIFO queue and the FIFO commits channel, so its reply proves the
@@ -208,30 +174,24 @@ func (r *Registry) DropReplica(ctx context.Context, name string) error {
 // also flushes any lingering fold before it is answered. A straggler
 // write that slipped past the role flip re-arms the loop: the sentinel
 // is resent until both channels are empty at acknowledgement time.
-func (h *hosted) waitQuiesce(d time.Duration) bool {
-	deadline := time.Now().Add(d)
+func (h *hosted) waitQuiesce(ctx context.Context) bool {
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
 	for {
 		j := job{quiesce: true, reply: make(chan jobReply, 1)}
-		select {
-		case h.queue <- j:
-		case <-h.quit:
-			return false
-		case <-time.After(time.Until(deadline)):
+		if h.enqueue(ctx, j) != nil {
 			return false
 		}
-		select {
-		case <-j.reply:
-		case <-h.done:
-			return false
-		case <-time.After(time.Until(deadline)):
+		if _, err := h.await(ctx, j); err != nil {
 			return false
 		}
 		if len(h.queue) == 0 && len(h.commits) == 0 {
 			return true
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-ctx.Done():
 			return false
+		case <-time.After(2 * time.Millisecond):
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -23,9 +23,10 @@
 // The shipping arm exists only on clustered nodes (Options.Peers): the
 // committer hands each fsynced batch to a per-session Shipper, which
 // frames it (CRC-32C, version-bracketed) and forwards it to the ring
-// follower, where ReplicateBatch replays it onto a standby session and
-// appends it to the replica's own WAL — so a promoted follower resumes
-// the journal as its own. Under Options.Ack == AckQuorum the committer
+// follower, where ReplicateBatch puts it on the standby session's own
+// queue: the same worker replays it and the same committer appends it
+// to the replica's own WAL — so a promoted follower resumes the journal
+// as its own. Under Options.Ack == AckQuorum the committer
 // waits for the follower's acknowledgement before replying; under
 // AckLeader shipping is asynchronous and lost frames heal via the
 // follower's gap detection plus a snapshot resync.
@@ -75,6 +76,7 @@ import (
 	"time"
 
 	"cfdclean/internal/cfd"
+	"cfdclean/internal/cluster/ship"
 	"cfdclean/internal/increpair"
 	"cfdclean/internal/relation"
 	"cfdclean/internal/store"
@@ -125,19 +127,12 @@ type Options struct {
 	// Default 64.
 	SnapshotEvery int
 
-	// Store selects the node-default tuple storage backend for durable
+	// Store selects the node's tuple storage backend for durable
 	// sessions: store.KindMem (the default) keeps full inline snapshots,
 	// store.KindDisk spills tuples into generation-numbered page files
-	// with a slim snapshot header (see internal/store). A create request
-	// may override per session (CreateRequest.Store). Ignored without
+	// with a slim snapshot header (see internal/store). Ignored without
 	// DataDir.
 	Store store.Kind
-	// StorePageSize is the disk store's page size in bytes (4–64 KiB,
-	// power of two). 0 takes the store default.
-	StorePageSize int
-	// StoreCachePages bounds the disk store's hot-set page cache. 0
-	// takes the store default.
-	StoreCachePages int
 
 	// Peers is the cluster's static node list (host:port each); Self is
 	// this node's own entry in it. With both set the server runs
@@ -192,14 +187,7 @@ func New(opts Options) *Server {
 	s.reg.coalesceDelay = s.opts.CoalesceDelay
 	s.reg.quota = s.opts.Quota
 	if s.opts.DataDir != "" {
-		s.reg.persist = &persistConfig{
-			dir:       s.opts.DataDir,
-			policy:    s.opts.Fsync,
-			interval:  s.opts.FsyncInterval,
-			snapEvery: s.opts.SnapshotEvery,
-			kind:      s.opts.Store,
-			storeOpts: store.Options{PageSize: s.opts.StorePageSize, CachePages: s.opts.StoreCachePages},
-		}
+		s.reg.persist = &s.opts
 	}
 	if len(s.opts.Peers) > 0 && s.opts.Self != "" {
 		s.reg.cluster = newClusterState(s.opts.Peers, s.opts.Self, s.opts.Ack)
@@ -330,22 +318,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	kind, err := store.ParseKind(cr.Store)
-	if err != nil {
-		writeStatus(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if kind == store.KindDisk && s.reg.persist == nil {
-		writeStatus(w, http.StatusBadRequest, "store \"disk\" requires a durable server (-data-dir)")
-		return
-	}
-
 	sess, err := increpair.NewSession(rel, sigma, opts)
 	if err != nil {
 		writeStatus(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	h, err := s.reg.CreateWithStore(cr.Name, sess, rel.Schema(), cr.Quota, kind)
+	h, err := s.reg.Create(cr.Name, sess, rel.Schema(), cr.Quota)
 	if err != nil {
 		sess.Close()
 		writeError(w, err)
@@ -696,23 +674,21 @@ func (s *Server) handleDump(w http.ResponseWriter, req *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	hs := s.reg.List()
 	var all []time.Duration
+	st := shipTotals(hs)
 	ops := &OpsMetrics{
 		PassSeconds:    s.reg.passLat.Snapshot(),
 		FsyncLag:       s.reg.walLag.Snapshot(),
 		FoldBatches:    s.reg.foldSize.Snapshot(),
 		SSEDropped:     s.reg.sseDrops.Load(),
+		ShipBatches:    st.Batches,
+		ShipSnapshots:  st.Snapshots,
+		ShipDegraded:   st.Degraded,
+		ShipDropped:    st.Dropped,
 		ReplicaApplied: s.reg.replicaApplied.Load(),
 	}
 	for _, h := range hs {
 		all = append(all, h.lat.window()...)
 		ops.Queues = append(ops.Queues, QueueGauge{Session: h.name, Depth: len(h.queue), Cap: cap(h.queue)})
-		if ref := h.shipper.Load(); ref != nil {
-			st := ref.sp.Stats()
-			ops.ShipBatches += st.Batches
-			ops.ShipSnapshots += st.Snapshots
-			ops.ShipDegraded += st.Degraded
-			ops.ShipDropped += st.Dropped
-		}
 	}
 	writeJSON(w, http.StatusOK, MetricsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
@@ -727,6 +703,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		Latency:       LatencySummary(all),
 		Ops:           ops,
 	})
+}
+
+// shipTotals sums the delivery counters of hs's shipping streams — the
+// replication figures both metrics endpoints report.
+func shipTotals(hs []*hosted) (t ship.ShipStats) {
+	for _, h := range hs {
+		if ref := h.shipper.Load(); ref != nil {
+			st := ref.sp.Stats()
+			t.Batches += st.Batches
+			t.Snapshots += st.Snapshots
+			t.Degraded += st.Degraded
+			t.Dropped += st.Dropped
+		}
+	}
+	return t
 }
 
 func decodeBody(w http.ResponseWriter, req *http.Request, max int64, into any) bool {

@@ -252,8 +252,19 @@ func TestServiceCreateValidation(t *testing.T) {
 		}
 	}
 
+	// The storage backend is a node property (-store): a create body
+	// that still carries the removed per-session "store" field is an
+	// unknown field, not a silently ignored one.
+	resp, body := do(t, "POST", base+"/v1/sessions", map[string]any{
+		"name": "x", "cfds": tinyCFDs, "store": "disk",
+		"schema": WireSchema{Name: "r", Attrs: []string{"AC", "CT"}},
+	})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"store\"`) {
+		t.Errorf("create with a store field: got %d: %s", resp.StatusCode, body)
+	}
+
 	createTiny(t, base, "dup")
-	resp, body := do(t, "POST", base+"/v1/sessions", CreateRequest{
+	resp, body = do(t, "POST", base+"/v1/sessions", CreateRequest{
 		Name:   "dup",
 		Schema: &WireSchema{Name: "orders", Attrs: []string{"AC", "CT"}},
 		CFDs:   tinyCFDs,
@@ -330,6 +341,7 @@ func newTinyHosted(t *testing.T, r *Registry, queueDepth int) *hosted {
 		schema:        sch,
 		attrs:         sch.Attrs(),
 		sess:          sess,
+		ops:           newSessionOps(),
 		queue:         make(chan job, queueDepth),
 		commits:       make(chan commitItem, queueDepth),
 		committerDone: make(chan struct{}),

@@ -8,7 +8,8 @@ package server
 // tenant killed at any batch boundary must recover byte-identical and
 // keep serving. The storage backend is an implementation detail of the
 // durability boundary; the moment it becomes observable in a response
-// body, determinism-by-construction is broken.
+// body, determinism-by-construction is broken. The backend is a node
+// property (Options.Store), so "disk vs mem" is two nodes' defaults.
 
 import (
 	"bytes"
@@ -22,21 +23,22 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cfdclean/internal/store"
 )
 
-// createStored opens a session with an explicit storage backend and the
-// given engine options.
-func createStored(t *testing.T, base, name, storeKind string, wo *WireOptions) {
+// createStored opens a session with the given engine options on a node
+// whose storage backend is whatever its Options.Store says.
+func createStored(t *testing.T, base, name string, wo *WireOptions) {
 	t.Helper()
 	resp, body := do(t, "POST", base+"/v1/sessions", CreateRequest{
 		Name:    name,
 		CFDs:    recoveryCFDs,
 		BaseCSV: recoveryBase,
 		Options: wo,
-		Store:   storeKind,
 	})
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create %s (store=%q): %d: %s", name, storeKind, resp.StatusCode, body)
+		t.Fatalf("create %s: %d: %s", name, resp.StatusCode, body)
 	}
 }
 
@@ -65,12 +67,12 @@ func TestDiskMemEquivalenceAcrossWorkers(t *testing.T) {
 			opts := Options{Fsync: FsyncOff, SnapshotEvery: 3, QueueDepth: 8}
 			optsMem, optsDisk := opts, opts
 			optsMem.DataDir = t.TempDir()
-			optsDisk.DataDir = t.TempDir()
+			optsDisk.DataDir, optsDisk.Store = t.TempDir(), store.KindDisk
 			_, tsMem := newTestService(t, optsMem)
 			_, tsDisk := newTestService(t, optsDisk)
 
-			createStored(t, tsMem.URL, name, "mem", wo)
-			createStored(t, tsDisk.URL, name, "disk", wo)
+			createStored(t, tsMem.URL, name, wo)
+			createStored(t, tsDisk.URL, name, wo)
 
 			drive := func(base string) {
 				for i := 0; i < 8; i++ { // crosses SnapshotEvery=3 rotations
@@ -141,14 +143,14 @@ func TestDiskRecoveryKillAtEveryBoundary(t *testing.T) {
 	for k := 0; k <= total; k++ {
 		t.Run(fmt.Sprintf("boundary=%d", k), func(t *testing.T) {
 			dir := t.TempDir()
-			opts := Options{DataDir: dir, Fsync: FsyncBatch, SnapshotEvery: 2, QueueDepth: 8}
+			opts := Options{DataDir: dir, Store: store.KindDisk, Fsync: FsyncBatch, SnapshotEvery: 2, QueueDepth: 8}
 
 			// First life: never drained, never shut down — its goroutines
 			// are simply abandoned, exactly what SIGKILL leaves behind
 			// minus the page cache (shared here, as on a real crash).
 			s1 := New(opts)
 			ts1 := httptest.NewServer(s1.Handler())
-			createStored(t, ts1.URL, name, "disk", &WireOptions{Ordering: "linear", Workers: 2})
+			createStored(t, ts1.URL, name, &WireOptions{Ordering: "linear", Workers: 2})
 			for i := 0; i < k; i++ {
 				applyRecovery(t, ts1.URL, name, i)
 			}
@@ -200,9 +202,9 @@ func TestDiskRecoveryKillAtEveryBoundary(t *testing.T) {
 // removal deletes all of it.
 func TestDiskStoreFilesOnDisk(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Fsync: FsyncOff, SnapshotEvery: 2, QueueDepth: 8}
+	opts := Options{DataDir: dir, Store: store.KindDisk, Fsync: FsyncOff, SnapshotEvery: 2, QueueDepth: 8}
 	s, ts := newTestService(t, opts)
-	createStored(t, ts.URL, "phys", "disk", nil)
+	createStored(t, ts.URL, "phys", nil)
 	for i := 0; i < 5; i++ {
 		applyRecovery(t, ts.URL, "phys", i)
 	}

@@ -77,10 +77,6 @@ type CreateRequest struct {
 	// this session: zero fields inherit the -quota-* defaults, negative
 	// fields mean explicitly unlimited.
 	Quota *WireQuota `json:"quota,omitempty"`
-	// Store selects this session's tuple storage backend: "mem" (full
-	// inline snapshots), "disk" (page-file spill store; requires a
-	// durable server), or "" to inherit the node's -store default.
-	Store string `json:"store,omitempty"`
 }
 
 // WireQuota is a session's admission-control configuration on the wire:

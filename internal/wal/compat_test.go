@@ -1,176 +1,86 @@
 package wal_test
 
-// Backward compatibility: version 2 added the quota block to the
-// snapshot payload, and a durable deployment upgrading across that
-// bump must still read every file it wrote before it. This battery
-// writes faithful version-1 files — the snapshot payload without the
-// quota block, under a header stamped 1 — and requires that today's
-// readers restore and replay them to the same byte-identical state the
-// recovery battery proves for current files.
+// Format versions: this build writes and reads version 3 only. A data
+// directory written by any other version — older or from the future —
+// is refused loudly, by both file readers, with an error that wraps
+// ErrCorrupt and names the version found and the one supported. The
+// files themselves are otherwise intact current-format files with only
+// the header's version byte changed, so the version check is the one
+// thing that can refuse them.
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
-	"math"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cfdclean/internal/increpair"
-	"cfdclean/internal/relation"
 	"cfdclean/internal/wal"
 )
 
-var compatCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// encodeSnapshotV1 renders a snapshot payload exactly as the version-1
-// writer did: field for field the current codec, minus the quota block
-// between the journal version and the tuple count.
-func encodeSnapshotV1(t *testing.T, s *wal.Snapshot) []byte {
-	t.Helper()
-	if s.Quota != (wal.Quota{}) {
-		t.Fatal("a v1 writer could not have recorded a quota")
-	}
-	str := func(dst []byte, v string) []byte {
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		return append(dst, v...)
-	}
-	out := str(nil, s.Name)
-	out = str(out, s.Relname)
-	out = binary.AppendUvarint(out, uint64(len(s.Attrs)))
-	for _, a := range s.Attrs {
-		out = str(out, a)
-	}
-	out = str(out, s.CFDs)
-	out = append(out, s.Ordering)
-	out = binary.AppendUvarint(out, uint64(s.K))
-	out = binary.AppendUvarint(out, uint64(s.NearestK))
-	out = binary.AppendUvarint(out, uint64(s.Workers))
-	out = binary.AppendUvarint(out, uint64(s.Batches))
-	out = binary.AppendUvarint(out, uint64(s.Inserted))
-	out = binary.AppendUvarint(out, uint64(s.Deleted))
-	out = binary.AppendUvarint(out, uint64(s.Changes))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.Cost))
-	out = binary.AppendVarint(out, int64(s.NextID))
-	out = binary.AppendUvarint(out, s.Version)
-	out = binary.AppendUvarint(out, uint64(len(s.Tuples)))
-	arity := len(s.Attrs)
-	for _, tp := range s.Tuples {
-		out = binary.AppendVarint(out, int64(tp.ID))
-		for a := 0; a < arity; a++ {
-			out = relation.AppendValue(out, tp.Vals[a])
-		}
-		if tp.W != nil {
-			out = append(out, 1)
-			for _, w := range tp.W {
-				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(w))
-			}
-		} else {
-			out = append(out, 0)
-		}
-	}
-	return out
-}
-
-// frameV1 builds a whole version-1 file: magic, version byte 1, then
-// one CRC-framed record per payload.
-func frameV1(magic string, payloads ...[]byte) []byte {
-	out := append([]byte(magic), 1)
-	for _, p := range payloads {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(p)))
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(p, compatCRC))
-		out = append(out, p...)
-	}
-	return out
-}
-
-// TestV1FilesStillRecover writes a session's snapshot and WAL in the
-// version-1 format and requires the current readers to reproduce the
-// recorded session byte for byte: equal dump, violations and stats,
-// with the quota reading back zero (= inherit service defaults).
-func TestV1FilesStillRecover(t *testing.T) {
-	rec := record(t, 77, increpair.Linear, 1, 5, true)
-
-	// Downgrade the recorded v2 snapshot: decode, re-encode without the
-	// quota block, stamp the header 1.
-	snap, err := wal.ReadSnapshot(bytes.NewReader(rec.snap0))
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestOtherFormatVersionsAreRefused(t *testing.T) {
+	rec := record(t, 77, increpair.Linear, 1, 3, true)
 	dir := t.TempDir()
-	snapPath := filepath.Join(dir, "snap-0000000000.snap")
 	walPath := filepath.Join(dir, "wal-0000000000.log")
-	if err := os.WriteFile(snapPath, frameV1("CFDSNAP", encodeSnapshotV1(t, snap)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(walPath, frameV1("CFDWAL", rec.payloads...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := wal.ReadSnapshotFile(snapPath)
-	if err != nil {
-		t.Fatalf("v1 snapshot unreadable: %v", err)
-	}
-	if got.Quota != (wal.Quota{}) {
-		t.Fatalf("v1 snapshot read back a quota: %+v", got.Quota)
-	}
-	if got.Version != snap.Version || got.Name != snap.Name || len(got.Tuples) != len(snap.Tuples) {
-		t.Fatalf("v1 snapshot decoded wrong: %+v", got)
-	}
-
-	l, payloads, discarded, err := wal.Open(walPath)
-	if err != nil {
-		t.Fatalf("v1 wal unreadable: %v", err)
-	}
-	if discarded != 0 {
-		t.Fatalf("clean v1 wal reported %d discarded bytes", discarded)
-	}
-	if len(payloads) != len(rec.payloads) {
-		t.Fatalf("v1 wal recovered %d records, want %d", len(payloads), len(rec.payloads))
-	}
-
-	sess, err := increpair.RestoreFromSnapshot(got, 0)
+	l, err := wal.Create(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
-	for i, p := range payloads {
-		b, err := wal.DecodeBatch(p)
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+	for _, p := range rec.payloads {
+		if err := l.Append(p); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := sess.ReplayBatch(b); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-	}
-	requireEqual(t, "v1 recovery", rec.fps[len(rec.fps)-1], capture(t, sess))
-
-	// The reopened v1 log stays appendable — the upgraded server keeps
-	// writing into it — and a further open replays the mixed file.
-	extra := wal.Batch{PrevVersion: 1 << 40, Version: 1<<40 + 1}
-	if err := l.Append(extra.Encode()); err != nil {
-		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, payloads, _, err = wal.Open(walPath)
+	walBytes, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(payloads) != len(rec.payloads)+1 {
-		t.Fatalf("append after upgrade lost: %d records", len(payloads))
+
+	// Unmodified, both files read back: what is refused below is the
+	// version byte and nothing else.
+	if _, err := wal.ReadSnapshot(bytes.NewReader(rec.snap0)); err != nil {
+		t.Fatalf("current-version snapshot: %v", err)
+	}
+	if _, payloads, _, err := wal.Open(walPath); err != nil || len(payloads) != len(rec.payloads) {
+		t.Fatalf("current-version wal: %d records, err %v", len(payloads), err)
 	}
 
-	// A version from the future still refuses loudly.
-	future := frameV1("CFDSNAP", encodeSnapshotV1(t, snap))
-	future[len("CFDSNAP")] = 99
-	futPath := filepath.Join(dir, "snap-0000000001.snap")
-	if err := os.WriteFile(futPath, future, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wal.ReadSnapshotFile(futPath); err == nil {
-		t.Fatal("version-99 snapshot decoded without error")
+	for _, ver := range []byte{1, 2, 99} {
+		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
+			check := func(kind string, err error) {
+				t.Helper()
+				if !errors.Is(err, wal.ErrCorrupt) {
+					t.Fatalf("%s stamped version %d: got %v, want ErrCorrupt", kind, ver, err)
+				}
+				msg := err.Error()
+				if !strings.Contains(msg, fmt.Sprintf("format version %d", ver)) ||
+					!strings.Contains(msg, fmt.Sprintf("only version %d", wal.Version)) {
+					t.Fatalf("%s refusal does not name the versions: %v", kind, err)
+				}
+			}
+			snapPath := filepath.Join(t.TempDir(), "snap-0000000000.snap")
+			snap := append([]byte(nil), rec.snap0...)
+			snap[len("CFDSNAP")] = ver
+			if err := os.WriteFile(snapPath, snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := wal.ReadSnapshotFile(snapPath)
+			check("snapshot", err)
+
+			log := append([]byte(nil), walBytes...)
+			log[len("CFDWAL")] = ver
+			logPath := filepath.Join(t.TempDir(), "wal-0000000000.log")
+			if err := os.WriteFile(logPath, log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, err = wal.Open(logPath)
+			check("wal", err)
+		})
 	}
 }

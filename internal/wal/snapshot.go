@@ -141,11 +141,10 @@ type Snapshot struct {
 	Quota Quota
 
 	// StoreKind records where the relation rows live. StoreInline (the
-	// zero value, and the only possibility before format version 3)
-	// means Tuples carries them; StorePaged means the session runs the
-	// disk-backed page store (internal/store) and the rows live in its
-	// page files at generation StoreGen — Tuples is then empty and the
-	// snapshot is a slim header, which is what makes recovery ~O(dirty)
+	// zero value) means Tuples carries them; StorePaged means the session
+	// runs the disk-backed page store (internal/store) and the rows live
+	// in its page files at generation StoreGen — Tuples is then empty and
+	// the snapshot is a slim header, which is what makes recovery ~O(dirty)
 	// instead of O(relation).
 	StoreKind byte
 	StoreGen  uint64
@@ -162,8 +161,8 @@ const (
 )
 
 // appendHeader renders every snapshot field through the tuple count —
-// the prefix shared by the wire payload (Encode) and the version-3 file
-// header record.
+// the prefix shared by the wire payload (Encode) and the file's header
+// record.
 func (s *Snapshot) appendHeader(out []byte) []byte {
 	out = appendString(out, s.Name)
 	out = appendString(out, s.Relname)
@@ -281,20 +280,9 @@ func stringLen(s string) int {
 	return uvarintLen(uint64(len(s))) + len(s)
 }
 
-// DecodeSnapshot parses a snapshot payload in the current format.
-// File readers go through decodeSnapshotVersion instead, keyed on the
-// file header's version byte; this entry point is for the replication
-// wire, whose frames are always produced by the running build.
-func DecodeSnapshot(p []byte) (*Snapshot, error) {
-	return decodeSnapshotVersion(p, Version)
-}
-
 // decodeSnapshotPrefix parses the snapshot header fields (through the
-// tuple count) from d under format version ver. Version 1 predates the
-// quota block and versions 1–2 the store block: absent blocks read back
-// as zero values — the session inherits the restoring service's
-// defaults and the rows are inline, exactly what those deployments got.
-func decodeSnapshotPrefix(d *decoder, ver byte) (*Snapshot, uint64) {
+// tuple count) from d.
+func decodeSnapshotPrefix(d *decoder) (*Snapshot, uint64) {
 	s := &Snapshot{}
 	s.Name = d.str("name")
 	s.Relname = d.str("relation name")
@@ -318,28 +306,24 @@ func decodeSnapshotPrefix(d *decoder, ver byte) (*Snapshot, uint64) {
 	s.Cost = math.Float64frombits(d.u64("cost"))
 	s.NextID = relation.TupleID(d.varint("next id"))
 	s.Version = d.uvarint("version")
-	if ver >= 2 {
-		switch d.byte("quota flag") {
-		case 0:
-		case 1:
-			s.Quota.Set = true
-		default:
-			if d.err == nil {
-				d.err = fmt.Errorf("%w: snapshot: bad quota flag", ErrCorrupt)
-			}
+	switch d.byte("quota flag") {
+	case 0:
+	case 1:
+		s.Quota.Set = true
+	default:
+		if d.err == nil {
+			d.err = fmt.Errorf("%w: snapshot: bad quota flag", ErrCorrupt)
 		}
-		s.Quota.OpsPerSec = math.Float64frombits(d.u64("quota ops/sec"))
-		s.Quota.TuplesPerSec = math.Float64frombits(d.u64("quota tuples/sec"))
-		s.Quota.MaxRelationSize = int(d.varint("quota max relation size"))
-		s.Quota.MaxSubscribers = int(d.varint("quota max subscribers"))
 	}
-	if ver >= 3 {
-		s.StoreKind = d.byte("store kind")
-		if d.err == nil && s.StoreKind > StorePaged {
-			d.err = fmt.Errorf("%w: snapshot: unknown store kind %d", ErrCorrupt, s.StoreKind)
-		}
-		s.StoreGen = d.uvarint("store generation")
+	s.Quota.OpsPerSec = math.Float64frombits(d.u64("quota ops/sec"))
+	s.Quota.TuplesPerSec = math.Float64frombits(d.u64("quota tuples/sec"))
+	s.Quota.MaxRelationSize = int(d.varint("quota max relation size"))
+	s.Quota.MaxSubscribers = int(d.varint("quota max subscribers"))
+	s.StoreKind = d.byte("store kind")
+	if d.err == nil && s.StoreKind > StorePaged {
+		d.err = fmt.Errorf("%w: snapshot: unknown store kind %d", ErrCorrupt, s.StoreKind)
 	}
+	s.StoreGen = d.uvarint("store generation")
 	return s, d.uvarint("tuple count")
 }
 
@@ -365,11 +349,11 @@ func decodeSnapTuple(d *decoder, arity int, i uint64) SnapTuple {
 	return t
 }
 
-// decodeSnapshotVersion parses a contiguous snapshot payload (header
-// fields with the tuples inline) written under format version ver.
-func decodeSnapshotVersion(p []byte, ver byte) (*Snapshot, error) {
+// DecodeSnapshot parses a contiguous snapshot payload (header fields with
+// the tuples inline) — the replication-wire layout Encode produces.
+func DecodeSnapshot(p []byte) (*Snapshot, error) {
 	d := &decoder{b: p}
-	s, ntuples := decodeSnapshotPrefix(d, ver)
+	s, ntuples := decodeSnapshotPrefix(d)
 	arity := len(s.Attrs)
 	for i := uint64(0); i < ntuples && d.err == nil; i++ {
 		s.Tuples = append(s.Tuples, decodeSnapTuple(d, arity, i))
@@ -445,49 +429,22 @@ func readSnapFrame(br *bufio.Reader) ([]byte, error) {
 }
 
 // ReadSnapshot reads and verifies a framed snapshot from r, record by
-// record. Files at format version <= 2 (one record covering the whole
-// stream) decode through the legacy path.
+// record.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	hdr := make([]byte, len(snapMagic)+1)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, fmt.Errorf("%w: bad %s header: %v", ErrCorrupt, snapMagic, err)
 	}
-	if string(hdr[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("%w: bad %s header", ErrCorrupt, snapMagic)
-	}
-	ver := hdr[len(snapMagic)]
-	if ver < minVersion || ver > Version {
-		return nil, fmt.Errorf("%w: format version %d, reader supports %d..%d", ErrCorrupt, ver, minVersion, Version)
-	}
-	if ver < 3 {
-		// Legacy layout: exactly one record covering the rest of the
-		// stream; a torn tail or trailing garbage means the atomic write
-		// protocol was violated — reject entirely.
-		b, err := io.ReadAll(br)
-		if err != nil {
-			return nil, err
-		}
-		if len(b) < frameHeaderLen {
-			return nil, fmt.Errorf("%w: snapshot stream is torn", ErrCorrupt)
-		}
-		ln := binary.LittleEndian.Uint32(b[:4])
-		crc := binary.LittleEndian.Uint32(b[4:])
-		if ln > maxRecordLen || int(ln) != len(b)-frameHeaderLen {
-			return nil, fmt.Errorf("%w: snapshot stream is torn or trailed by garbage", ErrCorrupt)
-		}
-		payload := b[frameHeaderLen:]
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return nil, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
-		}
-		return decodeSnapshotVersion(payload, ver)
+	if err := checkHeader(hdr, snapMagic); err != nil {
+		return nil, err
 	}
 	hp, err := readSnapFrame(br)
 	if err != nil {
 		return nil, err
 	}
 	d := &decoder{b: hp}
-	s, ntuples := decodeSnapshotPrefix(d, ver)
+	s, ntuples := decodeSnapshotPrefix(d)
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -11,21 +11,18 @@
 // # File formats
 //
 // Both file kinds open with a magic string and a single format version
-// byte; writers stamp Version, readers accept minVersion..Version and
-// decode version-gated blocks per the header byte, so old data dirs
-// survive an upgrade. Any codec change that breaks old logs must bump
-// Version (the golden fixture under testdata/golden/wal-session fails
-// loudly when this is forgotten).
+// byte; writers stamp Version and readers accept exactly Version — a
+// file of any other version is refused with ErrCorrupt. Any codec change
+// that breaks old logs must bump Version (the golden fixture under
+// testdata/golden/wal-session fails loudly when this is forgotten).
 //
 //	wal file      = "CFDWAL"  version(u8) record*
 //	snapshot file = "CFDSNAP" version(u8) header-record chunk-record*
 //	record        = length(u32 LE) crc(u32 LE) payload
 //
-// Snapshot files at format version <= 2 carried exactly one record (the
-// whole relation in one payload); version 3 streams a header record
-// (everything through the tuple count) followed by bounded tuple-chunk
-// records, so snapshots of any size are written and read without a
-// relation-sized allocation.
+// A snapshot file streams a header record (everything through the tuple
+// count) followed by bounded tuple-chunk records, so snapshots of any
+// size are written and read without a relation-sized allocation.
 //
 // crc is the CRC-32C (Castagnoli) checksum of the payload alone; length
 // counts payload bytes. Record payloads are opaque at this layer —
@@ -48,28 +45,27 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 )
 
 // Version is the on-disk format version byte shared by WAL and snapshot
-// files; writers always stamp it. Bump it on any incompatible codec
-// change. Readers accept every version back to minVersion — a durable
-// deployment's existing files must stay readable across an upgrade —
-// and decode version-gated blocks per the file's own header byte.
-// Version 2 added the quota block to the snapshot payload (see
-// Snapshot.Quota); a v1 snapshot reads back with a zero Quota
-// (= inherit service defaults). Version 3 added the storage-backend
-// block (Snapshot.StoreKind / StoreGen) and switched snapshot FILES
-// from a single whole-relation record to a header record followed by
-// bounded tuple-chunk records, so writing and reading a snapshot
-// streams instead of materializing one relation-sized buffer; v1/v2
-// single-record snapshot files stay readable, and the WAL record codec
-// is unchanged across all three versions.
+// files, and the only one written or read. Bump it on any incompatible
+// codec change.
 const Version = 3
 
-// minVersion is the oldest format version readers still decode.
-const minVersion = 1
+// checkHeader verifies a file's magic+version header: the magic names
+// the file kind, and a version other than Version is refused.
+func checkHeader(b []byte, magic string) error {
+	if len(b) < len(magic)+1 || string(b[:len(magic)]) != magic {
+		return fmt.Errorf("%w: bad %s header", ErrCorrupt, magic)
+	}
+	if ver := b[len(magic)]; ver != Version {
+		return fmt.Errorf("%w: %s format version %d, this build reads and writes only version %d", ErrCorrupt, magic, ver, Version)
+	}
+	return nil
+}
 
 const (
 	walMagic  = "CFDWAL"
@@ -128,7 +124,7 @@ func Open(path string) (l *Log, payloads [][]byte, discarded int64, err error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	payloads, _, good, scanErr := scanFrames(b, walMagic)
+	payloads, good, scanErr := scanFrames(b, walMagic)
 	if scanErr != nil {
 		return nil, nil, 0, scanErr
 	}
@@ -155,36 +151,30 @@ func Open(path string) (l *Log, payloads [][]byte, discarded int64, err error) {
 }
 
 // scanFrames walks the framed records after a magic+version header,
-// returning the intact payloads, the file's format version, and the
-// offset just past the last intact record. A torn or checksum-failing
-// record ends the scan without error (tail damage is the expected crash
-// artifact); a bad header is ErrCorrupt — nothing in the file can be
-// trusted.
-func scanFrames(b []byte, magic string) (payloads [][]byte, ver byte, good int64, err error) {
-	hdr := len(magic) + 1
-	if len(b) < hdr || string(b[:len(magic)]) != magic {
-		return nil, 0, 0, fmt.Errorf("%w: bad %s header", ErrCorrupt, magic)
+// returning the intact payloads and the offset just past the last intact
+// record. A torn or checksum-failing record ends the scan without error
+// (tail damage is the expected crash artifact); a bad header is
+// ErrCorrupt — nothing in the file can be trusted.
+func scanFrames(b []byte, magic string) (payloads [][]byte, good int64, err error) {
+	if err := checkHeader(b, magic); err != nil {
+		return nil, 0, err
 	}
-	ver = b[len(magic)]
-	if ver < minVersion || ver > Version {
-		return nil, 0, 0, fmt.Errorf("%w: format version %d, reader supports %d..%d", ErrCorrupt, ver, minVersion, Version)
-	}
-	pos := hdr
+	pos := len(magic) + 1
 	for {
 		if pos == len(b) {
-			return payloads, ver, int64(pos), nil // clean end
+			return payloads, int64(pos), nil // clean end
 		}
 		if pos+frameHeaderLen > len(b) {
-			return payloads, ver, int64(pos), nil // torn frame header
+			return payloads, int64(pos), nil // torn frame header
 		}
 		ln := binary.LittleEndian.Uint32(b[pos:])
 		crc := binary.LittleEndian.Uint32(b[pos+4:])
 		if ln > maxRecordLen || pos+frameHeaderLen+int(ln) > len(b) {
-			return payloads, ver, int64(pos), nil // torn or garbage payload length
+			return payloads, int64(pos), nil // torn or garbage payload length
 		}
 		payload := b[pos+frameHeaderLen : pos+frameHeaderLen+int(ln)]
 		if crc32.Checksum(payload, castagnoli) != crc {
-			return payloads, ver, int64(pos), nil // checksum mismatch
+			return payloads, int64(pos), nil // checksum mismatch
 		}
 		payloads = append(payloads, payload)
 		pos += frameHeaderLen + int(ln)
@@ -232,36 +222,38 @@ func (l *Log) Close() error {
 // Path returns the log's file path.
 func (l *Log) Path() string { return l.path }
 
-// WriteSnapshotFile atomically writes a snapshot file: the encoded
-// snapshot goes to a temporary sibling, is fsynced, and is renamed over
-// path, so a crash mid-write can never leave a half-written snapshot
-// under the final name. The directory is fsynced after the rename so
-// the new name itself survives a crash.
+// WriteSnapshotFile atomically writes a snapshot file (see
+// WriteFileAtomic): a crash mid-write can never leave a half-written
+// snapshot under the final name.
 func WriteSnapshotFile(path string, s *Snapshot) error {
+	return WriteFileAtomic(path, func(w io.Writer) error { return WriteSnapshot(w, s) })
+}
+
+// WriteFileAtomic is the crash-safe file replacement every durable
+// marker in a session directory goes through: write fills a temporary
+// sibling, which is fsynced and renamed over path, so a crash can only
+// leave the old content or the new, never a torn file. The directory is
+// fsynced after the rename so the new name itself survives a crash.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := WriteSnapshot(f, s); err != nil {
-		f.Close()
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return SyncDir(filepath.Dir(path))
 }
 
 // ReadSnapshotFile reads and verifies a snapshot file written by
@@ -281,7 +273,9 @@ func ReadSnapshotFile(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory, making the creations, renames and removals
+// inside it durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
