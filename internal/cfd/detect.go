@@ -40,8 +40,9 @@ type groupPlan struct {
 type fdGroup struct {
 	*groupPlan
 
-	// xIndex is the live index of D on x, built lazily via Detector.index
-	// (ixOnce makes the build safe under concurrent read-only probes).
+	// xIndex is the live index of D on x, counting a per bucket, built
+	// lazily via Detector.index (ixOnce makes the build safe under
+	// concurrent read-only probes).
 	ixOnce sync.Once
 	xIndex *relation.HashIndex
 }
@@ -227,7 +228,7 @@ func NewDetector(rel *relation.Relation, sigma []*Normal) *Detector {
 // eventual build reads the relation's current state.
 func (d *Detector) index(g *fdGroup) *relation.HashIndex {
 	g.ixOnce.Do(func() {
-		g.xIndex = relation.NewHashIndex(d.rel, g.x)
+		g.xIndex = relation.NewCountedHashIndex(d.rel, g.x, g.a)
 	})
 	return g.xIndex
 }
@@ -341,12 +342,8 @@ func (d *Detector) vioInGroup(g *fdGroup, t *relation.Tuple) int {
 	}
 	total := 0
 	av := t.Vals[g.a]
-	// partners is the number of bucket tuples disagreeing with t on A.
-	// It is the same for every variable-RHS row of the group, so the
-	// bucket is scanned once per call, on interned ids: a probe value
-	// absent from the dictionary (avID == InvalidID) can equal no stored
-	// id, so every non-null partner disagrees — exactly what the string
-	// comparison would conclude.
+	// partners is the number of bucket tuples disagreeing with t on A; it
+	// is the same for every variable-RHS row of the group.
 	partners := -1
 	for _, r := range rows {
 		if r.cons {
@@ -360,24 +357,56 @@ func (d *Detector) vioInGroup(g *fdGroup, t *relation.Tuple) int {
 			continue // null A is Eq to everything: already resolved (§4.1 case 2.3)
 		}
 		if partners < 0 {
-			partners = 0
-			avID := t.IDAt(g.a)
-			if !t.Interned() {
-				avID = d.rel.Dict().LookupValue(av)
-			}
-			for _, id := range d.index(g).LookupIDs(xids) {
-				if id == t.ID {
-					continue
-				}
-				vid := d.rel.Tuple(id).IDAt(g.a)
-				if vid != relation.NullID && vid != avID {
-					partners++
-				}
-			}
+			partners = d.disagreeing(g, t, xids)
 		}
 		total += partners
 	}
 	return total
+}
+
+// aID returns the interned id of t's A-value in group g; InvalidID for a
+// constant the dictionary has never seen.
+func (d *Detector) aID(g *fdGroup, t *relation.Tuple) relation.ValueID {
+	if t.Interned() {
+		return t.IDAt(g.a)
+	}
+	return d.rel.Dict().LookupValue(t.Vals[g.a])
+}
+
+// disagreeing returns the number of stored tuples other than t that agree
+// with t on g.x (given as xids) and carry a non-null A-value different from
+// t's, which must not be null. The bucket's tally answers in O(1): the
+// members with any non-null A less those with t's. A value the dictionary
+// has never seen (InvalidID) is carried by no member, so all of them
+// disagree. What the tally cannot know is whether t's own stored copy —
+// a tuple with t's id, when t is a modified copy of it — is among those
+// counted; that is one more lookup, made only when something disagrees.
+func (d *Detector) disagreeing(g *fdGroup, t *relation.Tuple, xids []relation.ValueID) int {
+	c := d.index(g).CountsIDs(xids)
+	if c == nil {
+		return 0
+	}
+	avID := d.aID(g, t)
+	n := c.NonNull() - c.Count(avID)
+	if n == 0 {
+		return 0
+	}
+	if own := d.rel.Tuple(t.ID); own != nil {
+		if vid := own.IDAt(g.a); vid != relation.NullID && vid != avID && sameIDs(own, g.x, xids) {
+			n--
+		}
+	}
+	return n
+}
+
+// sameIDs reports whether the stored tuple t projects onto attrs as ids.
+func sameIDs(t *relation.Tuple, attrs []int, ids []relation.ValueID) bool {
+	for i, a := range attrs {
+		if t.IDAt(a) != ids[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // VioAll returns vio(t) for every tuple with at least one violation.
@@ -439,33 +468,45 @@ func (d *Detector) sortViolations(vs []Violation) {
 // scanScratch holds per-scan reusable buffers: one per worker, so bucket
 // scans allocate nothing on the steady path.
 type scanScratch struct {
-	ts     []*relation.Tuple
-	counts map[relation.ValueID]int
+	ts []*relation.Tuple
 }
 
-func newScanScratch() *scanScratch {
-	return &scanScratch{counts: make(map[relation.ValueID]int)}
+func newScanScratch() *scanScratch { return &scanScratch{} }
+
+// open reports whether some member of a bucket with tally c violates row
+// r: a constant row as soon as one non-null A-value is not its constant, a
+// variable row as soon as two members disagree.
+func (r *groupRow) open(c *relation.BucketCounts) bool {
+	if r.cons {
+		return c.NonNull() != c.Count(r.tpaID)
+	}
+	return c.Distinct() > 1
 }
 
-// scanBucket visits every violation within one LHS-key bucket of group g.
-// All bucket tuples are relation-owned, so every comparison runs on
-// interned ids. The RHS-value histogram and the partner labels are shared
-// by every variable-RHS row of the group, so they are computed once per
-// bucket, in O(bucket).
-func (d *Detector) scanBucket(g *fdGroup, ids []relation.TupleID, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
-	if len(ids) == 0 {
-		return
+// scanBucket visits every violation within one LHS-key bucket of group g:
+// xids is the bucket's key as ids, ids its members, c its tally. It reports
+// whether it had to walk the members: the tally alone says whether any
+// matching row can be violated, and in a clean bucket — nearly every bucket
+// of a database under repair — none can, so the scan ends after the pattern
+// match without having touched a tuple. Otherwise all comparisons run on
+// interned ids (bucket tuples are relation-owned), the tally serves as the
+// RHS-value histogram, and the partner labels, shared by every
+// variable-RHS row of the group, are computed once, in O(bucket).
+func (d *Detector) scanBucket(g *fdGroup, xids []relation.ValueID, ids []relation.TupleID, c *relation.BucketCounts, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) bool {
+	if len(ids) == 0 || slices.Contains(xids, relation.NullID) {
+		return false
 	}
-	rep := d.rel.Tuple(ids[0])
-	if rep.HasNullOn(g.x) {
-		return
-	}
-	var buf [8]relation.ValueID
-	xids := rep.ProjectIDs(buf[:0], g.x)
 	var rbuf [8]*groupRow
 	rows := g.matchingRows(xids, rbuf[:0])
-	if len(rows) == 0 {
-		return
+	anyOpen := false
+	for _, r := range rows {
+		if r.open(c) {
+			anyOpen = true
+			break
+		}
+	}
+	if !anyOpen {
+		return false
 	}
 	a := g.a
 	sc.ts = sc.ts[:0]
@@ -474,7 +515,7 @@ func (d *Detector) scanBucket(g *fdGroup, ids []relation.TupleID, sc *scanScratc
 	}
 	// Lazily prepared state for variable-RHS rows.
 	prepared := false
-	nonNull := 0
+	nonNull := c.NonNull()
 	// Partner labels: s1 is the smallest tuple id with a non-null A value
 	// v1; s2 the smallest id whose A value differs from v1. Every tuple's
 	// canonical partner is s1 (if they disagree with v1) or s2 (if they
@@ -482,6 +523,9 @@ func (d *Detector) scanBucket(g *fdGroup, ids []relation.TupleID, sc *scanScratc
 	var s1, s2 relation.TupleID
 	var v1 relation.ValueID
 	for _, r := range rows {
+		if !r.open(c) {
+			continue
+		}
 		if r.cons {
 			for _, t := range sc.ts {
 				vid := t.IDAt(a)
@@ -493,17 +537,9 @@ func (d *Detector) scanBucket(g *fdGroup, ids []relation.TupleID, sc *scanScratc
 		}
 		if !prepared {
 			prepared = true
-			clear(sc.counts)
-			nonNull = 0
-			s1, s2, v1 = 0, 0, relation.NullID
 			for _, t := range sc.ts {
 				vid := t.IDAt(a)
-				if vid == relation.NullID {
-					continue
-				}
-				sc.counts[vid]++
-				nonNull++
-				if s1 == 0 || t.ID < s1 {
+				if vid != relation.NullID && (s1 == 0 || t.ID < s1) {
 					s1, v1 = t.ID, vid
 				}
 			}
@@ -517,15 +553,12 @@ func (d *Detector) scanBucket(g *fdGroup, ids []relation.TupleID, sc *scanScratc
 				}
 			}
 		}
-		if len(sc.counts) < 2 {
-			continue
-		}
 		for _, t := range sc.ts {
 			vid := t.IDAt(a)
 			if vid == relation.NullID {
 				continue
 			}
-			diff := nonNull - sc.counts[vid]
+			diff := nonNull - c.Count(vid)
 			if diff == 0 {
 				continue
 			}
@@ -538,6 +571,17 @@ func (d *Detector) scanBucket(g *fdGroup, ids []relation.TupleID, sc *scanScratc
 			}
 		}
 	}
+	return true
+}
+
+// scanIndexBucket is scanBucket for a bucket met while iterating an index,
+// where the key's ids have to be read off a member.
+func (d *Detector) scanIndexBucket(g *fdGroup, ids []relation.TupleID, c *relation.BucketCounts, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
+	if len(ids) == 0 {
+		return
+	}
+	var buf [8]relation.ValueID
+	d.scanBucket(g, d.rel.Tuple(ids[0]).ProjectIDs(buf[:0], g.x), ids, c, sc, visit)
 }
 
 // scanConstTuples visits the violations of a constant-RHS-only group over
@@ -576,8 +620,8 @@ func (d *Detector) groupScan(g *fdGroup, visit func(t *relation.Tuple, n *Normal
 		return
 	}
 	sc := newScanScratch()
-	d.index(g).Buckets(func(_ relation.Key, ids []relation.TupleID) {
-		d.scanBucket(g, ids, sc, visit)
+	d.index(g).Buckets(func(_ relation.Key, ids []relation.TupleID, c *relation.BucketCounts) {
+		d.scanIndexBucket(g, ids, c, sc, visit)
 	})
 }
 
@@ -586,8 +630,9 @@ func (d *Detector) groupScan(g *fdGroup, visit func(t *relation.Tuple, n *Normal
 // group.
 type shardedWork struct {
 	g      *fdGroup
-	ids    []relation.TupleID // bucket work (variable-RHS groups)
-	tuples []*relation.Tuple  // chunk work (constant-only groups)
+	ids    []relation.TupleID     // bucket work (variable-RHS groups) ...
+	counts *relation.BucketCounts // ... and the bucket's tally
+	tuples []*relation.Tuple      // chunk work (constant-only groups)
 }
 
 // scanAll drives a whole-database scan. The sequential path calls visit
@@ -623,9 +668,9 @@ func (d *Detector) scanAll(visit func(t *relation.Tuple, n *Normal, with relatio
 			}
 			continue
 		}
-		d.index(g).Buckets(func(key relation.Key, ids []relation.TupleID) {
+		d.index(g).Buckets(func(key relation.Key, ids []relation.TupleID, c *relation.BucketCounts) {
 			w := int(key.Hash() % uint64(nw))
-			shards[w] = append(shards[w], shardedWork{g: g, ids: ids})
+			shards[w] = append(shards[w], shardedWork{g: g, ids: ids, counts: c})
 		})
 	}
 	parts := make([][]Violation, nw)
@@ -643,7 +688,7 @@ func (d *Detector) scanAll(visit func(t *relation.Tuple, n *Normal, with relatio
 				if sw.tuples != nil {
 					d.scanConstTuples(sw.g, sw.tuples, emit)
 				} else {
-					d.scanBucket(sw.g, sw.ids, sc, emit)
+					d.scanIndexBucket(sw.g, sw.ids, sw.counts, sc, emit)
 				}
 			}
 			parts[w] = local
@@ -670,12 +715,12 @@ func (d *Detector) Partners(t *relation.Tuple, n *Normal, out []relation.TupleID
 	}
 	var buf [8]relation.ValueID
 	xids := d.xids(g, t, buf[:0])
+	avID := d.aID(g, t)
 	for _, id := range d.index(g).LookupIDs(xids) {
 		if id == t.ID {
 			continue
 		}
-		v := d.rel.Tuple(id).Vals[n.A]
-		if !v.Null && v.Str != t.Vals[n.A].Str {
+		if vid := d.rel.Tuple(id).IDAt(n.A); vid != relation.NullID && vid != avID {
 			out = append(out, id)
 		}
 	}
@@ -773,7 +818,8 @@ func (g Group) MatchingRules(t *relation.Tuple) []*Normal {
 		return nil
 	}
 	var buf [8]relation.ValueID
-	rows := g.g.matchingRows(g.d.xids(g.g, t, buf[:0]), nil)
+	var rbuf [8]*groupRow
+	rows := g.g.matchingRows(g.d.xids(g.g, t, buf[:0]), rbuf[:0])
 	if len(rows) == 0 {
 		return nil
 	}
@@ -792,10 +838,10 @@ func (g Group) Bucket(t *relation.Tuple) []relation.TupleID {
 
 // VioCount returns vio(t) restricted to this group — the group's
 // contribution to the paper's vio(t) (§3.1). It is the fast path behind
-// TUPLERESOLVE's candidate probing: one pattern match, one index probe,
-// and one interned-id bucket scan shared by every variable-RHS rule of
-// the group, with no rule slice materialized — and, for a t that carries
-// ids, no dictionary access and no allocation.
+// TUPLERESOLVE's candidate probing: one pattern match, one index probe and
+// one read of the bucket's tally, shared by every variable-RHS rule of the
+// group — O(1) whatever the bucket holds, with no rule slice materialized
+// and, for a t that carries ids, no dictionary access and no allocation.
 func (g Group) VioCount(t *relation.Tuple) int {
 	return g.d.vioInGroup(g.g, t)
 }

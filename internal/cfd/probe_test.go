@@ -2,6 +2,7 @@ package cfd
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cfdclean/internal/relation"
@@ -57,30 +58,66 @@ func TestProbeMatchesFreeStanding(t *testing.T) {
 		if got, want := det.VioTuple(probe), det.VioTuple(free); got != want {
 			t.Fatalf("step %d: VioTuple(probe) = %d, free-standing %d", i, got, want)
 		}
+		// Partners compares ids like every other probe: rule by rule it
+		// lists, for the probe and the free-standing copy alike, as many
+		// tuples as vio(t) counts.
+		byRule := 0
+		for _, n := range sigma {
+			if n.ConstantRHS() {
+				if n.MatchesLHS(probe) && RHSViolates(probe.Vals[n.A], n.TpA) {
+					byRule++
+				}
+				continue
+			}
+			pp, fp := det.Partners(probe, n, nil), det.Partners(free, n, nil)
+			if !slices.Equal(pp, fp) {
+				t.Fatalf("step %d rule %s: partners of the probe %v, of the free-standing copy %v", i, n.Name, pp, fp)
+			}
+			byRule += len(pp)
+		}
+		if want := det.VioTuple(probe); byRule != want {
+			t.Fatalf("step %d: the rules list %d violations of %v, VioTuple counts %d", i, byRule, probe, want)
+		}
 	}
 }
 
 // TestVioCountProbeDoesNotAllocate pins the budget of TUPLERESOLVE's
 // innermost call: on a probe that carries its ids, Group.VioCount — the
-// pattern match, the index probe and the bucket scan — allocates nothing.
+// pattern match, the index probe and the read of the bucket's tally —
+// allocates nothing, in a clean bucket (one inline value), in a dirty one
+// (the tally's map) and when the probe's own stored copy has to be looked
+// up and discounted.
 func TestVioCountProbeDoesNotAllocate(t *testing.T) {
 	r := paperData(t)
+	// A third a23 under another name: ϕ3's [id] bucket now holds two names,
+	// the second of them in the tally's map.
+	if _, err := r.InsertRow("a23", "H. Potter", "17.99", "610", "3456789", "Spruce", "PHI", "PA", "19014"); err != nil {
+		t.Fatal(err)
+	}
 	s := r.Schema()
 	det := NewDetector(r, NormalizeAll([]*CFD{phi1(s), phi2(s), phi3(s), phi4(s)}))
 	// t5 of Example 5.1: matches constant rows of ϕ1 and ϕ2 and shares
-	// its id with two stored tuples (variable rows of ϕ3).
-	probe := relation.NewTuple(0, "a23", "H. Porter", "17.99", "215", "8983490", "Walnut", "NYC", "PA", "10012").Probe(r.Dict())
-	total := 0
-	for _, g := range det.Groups() {
-		g.VioCount(probe) // builds the group's lazy LHS index
-		total += g.VioCount(probe)
-	}
-	if total == 0 {
-		t.Fatal("fixture violates nothing; it would not exercise the bucket scan")
-	}
-	for gi, g := range det.Groups() {
-		if n := testing.AllocsPerRun(100, func() { g.VioCount(probe) }); n != 0 {
-			t.Errorf("group %d: VioCount on a probe allocates %v times per call, want 0", gi, n)
+	// its id with the stored a23 tuples (variable rows of ϕ3).
+	t5 := relation.NewTuple(0, "a23", "H. Porter", "17.99", "215", "8983490", "Walnut", "NYC", "PA", "10012").Probe(r.Dict())
+	// A stored tuple's own TupleID with a city no tuple of its buckets
+	// carries: every group counts partners, less the stored copy.
+	own := r.Tuples()[0].Probe(r.Dict())
+	own.SetAt(6, r.Dict().Resolve(relation.S("CHI")))
+	potter := t5.Probe(r.Dict())
+	potter.SetAt(1, r.Dict().Resolve(relation.S("H. Potter")))
+	for _, probe := range []*relation.Tuple{t5, own, potter} {
+		total := 0
+		for _, g := range det.Groups() {
+			g.VioCount(probe) // builds the group's lazy LHS index
+			total += g.VioCount(probe)
+		}
+		if total == 0 {
+			t.Fatalf("%v violates nothing; it would not exercise the partner count", probe)
+		}
+		for gi, g := range det.Groups() {
+			if n := testing.AllocsPerRun(100, func() { g.VioCount(probe) }); n != 0 {
+				t.Errorf("group %d: VioCount(%v) allocates %v times per call, want 0", gi, probe, n)
+			}
 		}
 	}
 }

@@ -45,6 +45,10 @@ type VioStore struct {
 	// violation entering the store and rebuilt lazily after removals.
 	comp compState
 
+	// rescans counts the bucket rescans deltas asked for; rescansSkipped
+	// those the bucket's tally answered without walking its members.
+	rescans, rescansSkipped int
+
 	sc          *scanScratch
 	unsubscribe func()
 }
@@ -147,9 +151,10 @@ func (c *Compiled) NewVioStore(rel *relation.Relation, workers int) *VioStore {
 	// build them now and snapshot the bucket work list. Constant-only
 	// groups stay index-free (their violations are per-tuple).
 	type bucketWork struct {
-		gi  int
-		key relation.Key
-		ids []relation.TupleID
+		gi     int
+		key    relation.Key
+		ids    []relation.TupleID
+		counts *relation.BucketCounts
 	}
 	buckets := 0
 	for gi, g := range d.groups {
@@ -164,8 +169,8 @@ func (c *Compiled) NewVioStore(rel *relation.Relation, workers int) *VioStore {
 	work := make([]bucketWork, 0, buckets)
 	for gi, g := range d.groups {
 		if g.hasVar {
-			g.xIndex.Buckets(func(key relation.Key, ids []relation.TupleID) {
-				work = append(work, bucketWork{gi: gi, key: key, ids: ids})
+			g.xIndex.Buckets(func(key relation.Key, ids []relation.TupleID, c *relation.BucketCounts) {
+				work = append(work, bucketWork{gi: gi, key: key, ids: ids, counts: c})
 			})
 		}
 	}
@@ -180,7 +185,7 @@ func (c *Compiled) NewVioStore(rel *relation.Relation, workers int) *VioStore {
 	nw := min(d.workers, len(work)/scanWorkerBuckets)
 	scanOne := func(w bucketWork, sc *scanScratch) []Violation {
 		var vios []Violation
-		d.scanBucket(d.groups[w.gi], w.ids, sc, func(t *relation.Tuple, n *Normal, with relation.TupleID) {
+		d.scanIndexBucket(d.groups[w.gi], w.ids, w.counts, sc, func(t *relation.Tuple, n *Normal, with relation.TupleID) {
 			vios = append(vios, Violation{T: t.ID, N: n, With: with})
 		})
 		return vios
@@ -276,16 +281,23 @@ func (s *VioStore) Detector() *Detector { return s.d }
 // Relation returns the observed relation.
 func (s *VioStore) Relation() *relation.Relation { return s.rel }
 
+// Rescans returns how many bucket rescans the relation's deltas have
+// asked of the store since it was built, and how many of those the bucket's
+// tally answered without a walk over its members.
+func (s *VioStore) Rescans() (total, skipped int) { return s.rescans, s.rescansSkipped }
+
 // onDelta is the journal hook: it re-derives the violation state of
-// exactly the buckets (or tuples) a mutation can affect.
+// exactly the buckets (or tuples) a mutation can affect. Every live index
+// hears of every delta that touches its key or its counted attribute.
 func (s *VioStore) onDelta(dl relation.Delta) {
+	var buf [8]relation.ValueID
 	switch dl.Kind {
 	case relation.DeltaInsert:
 		t := dl.T
 		for gi, g := range s.d.groups {
 			if g.hasVar {
 				g.xIndex.Add(t)
-				s.rescanBucket(gi, t.KeyOnIDs(g.x))
+				s.rescanBucket(gi, t.ProjectIDs(buf[:0], g.x))
 			} else {
 				if g.xIndex != nil {
 					g.xIndex.Add(t)
@@ -297,9 +309,8 @@ func (s *VioStore) onDelta(dl relation.Delta) {
 		t := dl.T
 		for gi, g := range s.d.groups {
 			if g.hasVar {
-				key := t.KeyOnIDs(g.x)
 				g.xIndex.Remove(t)
-				s.rescanBucket(gi, key)
+				s.rescanBucket(gi, t.ProjectIDs(buf[:0], g.x))
 			} else {
 				if g.xIndex != nil {
 					g.xIndex.Remove(t)
@@ -311,47 +322,57 @@ func (s *VioStore) onDelta(dl relation.Delta) {
 		t, a := dl.T, dl.Attr
 		for gi, g := range s.d.groups {
 			inX := containsAttr(g.x, a)
-			if !g.hasVar {
-				if g.xIndex != nil && inX {
-					g.xIndex.Update(t, a, dl.OldID)
-				}
-				if inX || g.a == a {
-					s.rescanConstTuple(gi, t)
-				}
+			if !inX && g.a != a {
 				continue
 			}
-			if inX {
-				oldKey := keyWithOverride(t, g.x, a, dl.OldID)
+			if g.xIndex != nil {
 				g.xIndex.Update(t, a, dl.OldID)
-				newKey := t.KeyOnIDs(g.x)
-				s.rescanBucket(gi, oldKey)
-				if newKey != oldKey {
-					s.rescanBucket(gi, newKey)
-				}
-			} else if g.a == a {
-				s.rescanBucket(gi, t.KeyOnIDs(g.x))
 			}
+			if !g.hasVar {
+				s.rescanConstTuple(gi, t)
+				continue
+			}
+			xids := t.ProjectIDs(buf[:0], g.x)
+			if inX && t.IDAt(a) != dl.OldID {
+				// t moved buckets: the one it left is rescanned too.
+				var obuf [8]relation.ValueID
+				old := append(obuf[:0], xids...)
+				for i, x := range g.x {
+					if x == a {
+						old[i] = dl.OldID
+					}
+				}
+				s.rescanBucket(gi, old)
+			}
+			s.rescanBucket(gi, xids)
 		}
 	}
 }
 
 // rescanBucket recomputes the violation list of one LHS-key bucket of a
-// variable-RHS group and swaps it into the maintained state.
-func (s *VioStore) rescanBucket(gi int, key relation.Key) {
+// variable-RHS group — the bucket whose key is xids — and swaps it into
+// the maintained state.
+func (s *VioStore) rescanBucket(gi int, xids []relation.ValueID) {
+	s.rescans++
 	st := &s.state[gi]
-	if old := st.byBucket[key]; len(old) > 0 {
+	key := relation.KeyOfIDs(xids)
+	old, had := st.byBucket[key]
+	if had {
 		s.account(gi, old, -1)
 	}
 	g := s.d.groups[gi]
-	ids := g.xIndex.LookupKey(key)
+	ids, counts := g.xIndex.Bucket(key)
 	var vios []Violation
-	if len(ids) > 0 {
-		s.d.scanBucket(g, ids, s.sc, func(t *relation.Tuple, n *Normal, with relation.TupleID) {
-			vios = append(vios, Violation{T: t.ID, N: n, With: with})
-		})
+	walked := s.d.scanBucket(g, xids, ids, counts, s.sc, func(t *relation.Tuple, n *Normal, with relation.TupleID) {
+		vios = append(vios, Violation{T: t.ID, N: n, With: with})
+	})
+	if !walked {
+		s.rescansSkipped++
 	}
 	if len(vios) == 0 {
-		delete(st.byBucket, key)
+		if had {
+			delete(st.byBucket, key)
+		}
 		return
 	}
 	st.byBucket[key] = vios
@@ -380,21 +401,6 @@ func (s *VioStore) dropConstTuple(gi int, id relation.TupleID) {
 		s.account(gi, old, -1)
 	}
 	delete(st.byTuple, id)
-}
-
-// keyWithOverride is t's LHS-index key with attribute a's interned id
-// replaced by oldID — the bucket t occupied before an update.
-func keyWithOverride(t *relation.Tuple, attrs []int, a int, oldID relation.ValueID) relation.Key {
-	var buf [8]relation.ValueID
-	ids := buf[:0]
-	for _, x := range attrs {
-		id := t.IDAt(x)
-		if x == a {
-			id = oldID
-		}
-		ids = append(ids, id)
-	}
-	return relation.KeyOfIDs(ids)
 }
 
 func containsAttr(xs []int, a int) bool {

@@ -131,8 +131,11 @@ func TestVioStoreMatchesDetectorOnPaperData(t *testing.T) {
 }
 
 // TestVioStoreFuzzEquivalence drives random insert/delete/update
-// sequences against a store and asserts, after every mutation, that the
-// maintained state is bit-identical to a freshly built detector.
+// sequences (updates of X and of A, to values and to null, in clean and
+// dirty buckets alike) against a store and asserts, after every mutation,
+// that the maintained state is bit-identical to a freshly built detector,
+// that every LHS index's bucket tallies equal a recount, and that
+// Group.VioCount agrees with the bucket walk it replaced.
 func TestVioStoreFuzzEquivalence(t *testing.T) {
 	schema := orderSchema()
 	sigma := paperSigma(schema)
@@ -173,7 +176,13 @@ func TestVioStoreFuzzEquivalence(t *testing.T) {
 			}
 			s := NewVioStore(rel, sigma)
 			defer s.Close()
+			// Constant-only groups index lazily; build theirs too, so the
+			// store maintains every kind.
+			for _, g := range s.d.groups {
+				s.d.index(g)
+			}
 			checkStoreEquivalence(t, "seeded", s, rel, sigma)
+			checkCountedIndexes(t, "seeded", s.d, rng)
 
 			for step := 0; step < 120; step++ {
 				tag := fmt.Sprintf("step %d", step)
@@ -202,6 +211,10 @@ func TestVioStoreFuzzEquivalence(t *testing.T) {
 					}
 				}
 				checkStoreEquivalence(t, tag, s, rel, sigma)
+				checkCountedIndexes(t, tag, s.d, rng)
+			}
+			if total, skipped := s.Rescans(); skipped == 0 || skipped == total {
+				t.Errorf("%d bucket rescans, %d skipped: the stream should leave both clean and dirty buckets behind", total, skipped)
 			}
 		})
 	}

@@ -129,7 +129,15 @@ type bkEdge struct {
 // BKTree is a Burkhard–Keller metric tree over strings.
 type BKTree struct {
 	metric strdist.Metric
-	root   *bkNode
+	// bounded is the metric's cutoff form and probe its prepared form, nil
+	// when it has none. Nearest measures one string against every node it
+	// visits, so what depends on that string alone — for DL, the ASCII
+	// check and the match vectors of the bit-vector kernel — is prepared
+	// once per query. The distances, and so the nodes visited, are the same
+	// through all three.
+	bounded strdist.BoundedMetric
+	probe   strdist.Probe
+	root    *bkNode
 	// nodes maps every value in the tree, live or dead, to its node.
 	nodes map[string]*bkNode
 	stats Stats
@@ -141,6 +149,10 @@ func NewBKTree(vals []string, m strdist.Metric) *BKTree {
 		m = strdist.DL
 	}
 	t := &BKTree{metric: m, nodes: make(map[string]*bkNode, len(vals))}
+	t.bounded, _ = m.(strdist.BoundedMetric)
+	if pm, ok := m.(strdist.ProbeMetric); ok {
+		t.probe = pm.NewProbe()
+	}
 	for _, v := range vals {
 		t.Add(v)
 	}
@@ -228,10 +240,9 @@ type bkHit struct {
 
 // bkSearch is the state of one Nearest call.
 type bkSearch struct {
-	t       *BKTree
-	v       string
-	k       int
-	bounded strdist.BoundedMetric // nil when the metric has no cutoff form
+	t *BKTree
+	v string
+	k int
 	// hits holds the best ≤ k live values found so far, sorted by (d, val);
 	// worst is the current search radius.
 	hits  []bkHit
@@ -247,7 +258,9 @@ func (t *BKTree) Nearest(v string, k int) []string {
 		return nil
 	}
 	s := bkSearch{t: t, v: v, k: k, hits: make([]bkHit, 0, k+1), worst: MaxRadius}
-	s.bounded, _ = t.metric.(strdist.BoundedMetric)
+	if t.probe != nil {
+		t.probe.Reset(v)
+	}
 	s.walk(t.root)
 	out := make([]string, len(s.hits))
 	for i, h := range s.hits {
@@ -280,9 +293,12 @@ func (s *bkSearch) walk(n *bkNode) {
 	// truncated result still prunes soundly.
 	bound := s.worst + n.maxe
 	var d int
-	if s.bounded != nil {
-		d = s.bounded.DistanceBounded(s.v, n.val, bound)
-	} else {
+	switch {
+	case s.t.probe != nil:
+		d = s.t.probe.DistanceBounded(n.val, bound)
+	case s.t.bounded != nil:
+		d = s.t.bounded.DistanceBounded(s.v, n.val, bound)
+	default:
 		d = s.t.metric.Distance(s.v, n.val)
 	}
 	if d <= s.worst && !n.dead {

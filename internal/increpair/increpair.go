@@ -136,12 +136,25 @@ type engine struct {
 	groups []groupInfo
 	arity  int
 
-	// scratches[w] is worker w's memoized view of the cost model: a
-	// lock-free local distance memo over the shared one, so concurrent
-	// candidate scoring does not serialize on the model's mutex. Sized
-	// lazily to the worker count; scratches[0] serves the sequential
-	// path.
-	scratches []*cost.Scratch
+	// workers[w] is the scratch of TUPLERESOLVE's subset evaluator w (see
+	// resolveWorker), sized lazily to the worker count; workers[0] serves
+	// the sequential path.
+	workers []*resolveWorker
+
+	// The state of one round of TUPLERESOLVE's greedy cover, in buffers
+	// reused from round to round: cur[i] is the violation count of group i
+	// with the trial tuple as it stands and violated the masks of those
+	// above zero (countGroups); attrs the contested attributes, subsets
+	// their k-subsets laid end to end, cands[a] the candidates of
+	// attribute a (bestFix); off and one the single-attribute violation
+	// counts (fillTable).
+	cur      []int
+	violated []uint64
+	attrs    []int
+	subsets  []int
+	cands    [][]relation.IDValue
+	off      []int32
+	one      []int32
 
 	// clusterIdx[a] is the cost-based index over adom(Repr, a); built
 	// lazily for the attributes Σ constrains and then maintained under
@@ -160,9 +173,10 @@ type engine struct {
 	retired cluster.Stats
 }
 
-// IndexStats are the work counters of a session's cost-based similarity
-// indices (§5.2), cumulative since the session opened. They ride beside
-// the session's state: no snapshot, listing or log carries them.
+// IndexStats are the work counters of a session's indices (§5.2) — the
+// cost-based similarity indices and the LHS indices behind vio(t) —
+// cumulative since the session opened. They ride beside the session's
+// state: no snapshot, listing or log carries them.
 type IndexStats struct {
 	// Builds counts indices built from an active domain. A maintained
 	// index is built once; only small (HAC-sized) domains are ever rebuilt.
@@ -174,6 +188,14 @@ type IndexStats struct {
 	// Stats sums the indices' own counters, dropped indices included
 	// (Tombstones: live indices only).
 	cluster.Stats
+	// VioProbes counts TUPLERESOLVE's per-group vio(t) probes of the LHS
+	// indices (Group.VioCount calls).
+	VioProbes int
+	// BucketRescans counts the LHS buckets the violation store re-derived
+	// under inserts, deletes and updates; BucketRescansSkipped those whose
+	// tally showed no rule could be violated, so no member was visited.
+	BucketRescans        int
+	BucketRescansSkipped int
 }
 
 // indexStats assembles the counters; callers hold the session lock.
@@ -183,6 +205,10 @@ func (e *engine) indexStats() IndexStats {
 	for _, ix := range e.clusterIdx {
 		out.Stats = out.Stats.Plus(ix.Stats())
 	}
+	for _, w := range e.workers {
+		out.VioProbes += w.probes
+	}
+	out.BucketRescans, out.BucketRescansSkipped = e.store.Rescans()
 	return out
 }
 
@@ -225,6 +251,8 @@ func newEngine(repr *relation.Relation, sigma []*cfd.Normal, o Options) (*engine
 		m |= 1 << uint(g.A())
 		e.groups = append(e.groups, groupInfo{g: g, mask: m})
 	}
+	e.cands = make([][]relation.IDValue, e.arity)
+	e.off = make([]int32, len(e.groups)*e.arity)
 	return e, nil
 }
 

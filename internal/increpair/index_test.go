@@ -282,3 +282,39 @@ func TestSessionWorkersIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestTupleResolveAllocBudget pins what one TUPLERESOLVE of a dirty arrival
+// allocates once the engine is warm. The greedy rounds reuse the engine's
+// buffers — violated masks, attribute subsets, candidates per attribute,
+// the violation-count table, the odometers — so what is left is per tuple,
+// not per round, subset or combination: the trial tuple, the similarity
+// searches and their memo, and the rule slices behind the candidates.
+func TestTupleResolveAllocBudget(t *testing.T) {
+	c := newGenChurn(t, 900, 5)
+	sess := c.open(t, 600, &Options{Workers: 1})
+	defer sess.Close()
+	e := sess.e
+	var dirty []*relation.Tuple
+	for _, tu := range c.ds.Dirty.Tuples()[600:] {
+		p := tu.Clone()
+		p.ID = 0
+		if len(e.countGroups(p.Probe(e.repr.Dict()))) > 0 {
+			dirty = append(dirty, p)
+		}
+	}
+	if len(dirty) < 5 {
+		t.Fatalf("%d dirty arrivals; the fixture exercises too little", len(dirty))
+	}
+	worst := 0.0
+	for _, p := range dirty {
+		e.tupleResolve(p) // warm: indices built, buffers grown, memos filled
+		n := testing.AllocsPerRun(10, func() { e.tupleResolve(p) })
+		worst = max(worst, n)
+	}
+	t.Logf("%d dirty arrivals, at most %v allocations per tupleResolve", len(dirty), worst)
+	// Measured: at most 124 on this fixture (1 728 before the buffers were
+	// reused).
+	if worst > 160 {
+		t.Errorf("a tupleResolve allocates %v times, budget 160", worst)
+	}
+}

@@ -1,7 +1,8 @@
 package increpair
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"cfdclean/internal/cfd"
@@ -35,7 +36,7 @@ func (e *engine) tupleResolve(t *relation.Tuple) *relation.Tuple {
 	var fixed uint64
 	full := uint64(1)<<uint(e.arity) - 1
 	for fixed != full {
-		violated := e.violatedMasks(rt)
+		violated := e.countGroups(rt)
 		if len(violated) == 0 {
 			// Consistent as-is: every remaining attribute is fixable
 			// unchanged at zero cost (the greedy's first choices anyway).
@@ -60,12 +61,11 @@ func (e *engine) tupleResolve(t *relation.Tuple) *relation.Tuple {
 			fixed |= free
 		}
 		// Enumerate C ∈ [contested]^k and candidate values.
-		attrs := bitsOf(contested)
-		k := e.opts.K
-		if k > len(attrs) {
-			k = len(attrs)
+		e.attrs = e.attrs[:0]
+		for m := contested; m != 0; m &= m - 1 {
+			e.attrs = append(e.attrs, bits.TrailingZeros64(m))
 		}
-		best := e.bestFix(rt, fixed, attrs, k, violated)
+		best := e.bestFix(rt, fixed, e.attrs, min(e.opts.K, len(e.attrs)), violated)
 		for i, a := range best.attrs {
 			rt.SetAt(a, best.vals[i])
 			fixed |= 1 << uint(a)
@@ -74,16 +74,29 @@ func (e *engine) tupleResolve(t *relation.Tuple) *relation.Tuple {
 	return rt
 }
 
-// violatedMasks returns the attribute masks of the embedded-FD groups
-// with at least one rule currently violated by rt against Repr.
-func (e *engine) violatedMasks(rt *relation.Tuple) []uint64 {
-	var out []uint64
+// probe counts the violations of rt against Repr within one embedded-FD
+// group (the vio(t) contribution of the group, §3.1). The counting lives in
+// the detector (Group.VioCount), which compares interned ids and reads the
+// LHS bucket's tally — O(1) per call.
+func (e *engine) probe(g cfd.Group, rt *relation.Tuple, probes *int) int {
+	*probes++
+	return g.VioCount(rt)
+}
+
+// countGroups probes every embedded-FD group with rt as it stands. The
+// counts stay in e.cur for the round's bestFix; the attribute masks of the
+// groups with at least one rule violated are returned (in a buffer reused
+// by the next call).
+func (e *engine) countGroups(rt *relation.Tuple) []uint64 {
+	e.cur, e.violated = e.cur[:0], e.violated[:0]
 	for _, gi := range e.groups {
-		if e.groupViolations(gi.g, rt) > 0 {
-			out = append(out, gi.mask)
+		n := e.probe(gi.g, rt, &e.stats.VioProbes)
+		e.cur = append(e.cur, n)
+		if n > 0 {
+			e.violated = append(e.violated, gi.mask)
 		}
 	}
-	return out
+	return e.violated
 }
 
 // closure expands the union of the violated masks until no group
@@ -106,40 +119,6 @@ func (e *engine) closure(violated []uint64) uint64 {
 			return m
 		}
 	}
-}
-
-// groupViolations counts the violations of rt against Repr within one
-// embedded-FD group (the vio(t) contribution of the group, §3.1). The
-// counting lives in the detector (Group.VioCount), which compares
-// interned ids and scans the LHS bucket once per call — this is the
-// innermost loop of TUPLERESOLVE's candidate enumeration.
-func (e *engine) groupViolations(g cfd.Group, rt *relation.Tuple) int {
-	return g.VioCount(rt)
-}
-
-// vio returns vio(rt) against Repr over all of Σ.
-func (e *engine) vio(rt *relation.Tuple) int {
-	total := 0
-	for _, gi := range e.groups {
-		total += e.groupViolations(gi.g, rt)
-	}
-	return total
-}
-
-// consistentOn reports whether Repr ∪ {rt} satisfies every rule whose
-// attributes lie entirely within the given attribute mask — the paper's
-// Σ(C ∪ C̄) check (Fig. 7 line 5), accelerated by the detector's LHS
-// indices.
-func (e *engine) consistentOn(rt *relation.Tuple, mask uint64) bool {
-	for _, gi := range e.groups {
-		if gi.mask&mask != gi.mask {
-			continue
-		}
-		if e.groupViolations(gi.g, rt) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // fix is a candidate assignment to a set of attributes with its ranking.
@@ -175,50 +154,145 @@ func (f fix) better(g fix) bool {
 	return f.contested < g.contested
 }
 
+// resolveWorker is the scratch of one evaluator of attribute subsets:
+// worker w of every bestFix is e.workers[w] (the WaitGroup barrier orders
+// its uses), so its cost memo warms up over the run and its buffers are
+// allocated once.
+type resolveWorker struct {
+	// sc is a lock-free local distance memo over the shared cost model, so
+	// concurrent candidate scoring does not serialize on the model's mutex.
+	sc     *cost.Scratch
+	probes int // Group.VioCount calls made by this worker
+
+	// bestValsFor's state: per attribute of the subset, its candidates,
+	// rt's own value and the odometer; per group meeting the subset, where
+	// its count comes from.
+	cvals        [][]relation.IDValue
+	saved        []relation.IDValue
+	idx, bestIdx []int
+	single       []singleRef
+	live         []liveRef
+	vals         []relation.IDValue // the values of bestValsFor's last result
+	keep         []relation.IDValue // the values of the worker's best so far
+}
+
+// singleRef is a group that meets the attribute subset in one attribute:
+// its count for candidate j of that attribute is one[off+j] of the
+// round's table.
+type singleRef struct {
+	off   int32
+	pos   int  // the attribute's position in the subset
+	check bool // the group lies within the fixed attributes and the subset
+}
+
+// liveRef is a group that meets the subset in two or more attributes and
+// is probed per combination.
+type liveRef struct {
+	gi    int
+	check bool
+}
+
+// ensureWorkers sizes the worker pool to at least n.
+func (e *engine) ensureWorkers(n int) {
+	for len(e.workers) < n {
+		e.workers = append(e.workers, &resolveWorker{sc: e.model.Scratch()})
+	}
+}
+
+// appendSubsets appends every k-subset of attrs (1 ≤ k ≤ len(attrs)), in
+// lexicographic order of positions, to dst, k attributes per subset.
+func appendSubsets(dst, attrs []int, k int) []int {
+	n := len(attrs)
+	var buf [8]int
+	idx := append(buf[:0], make([]int, k)...)
+	for i := range idx {
+		idx[i] = i
+	}
+	for {
+		for _, i := range idx {
+			dst = append(dst, attrs[i])
+		}
+		p := k - 1
+		for p >= 0 && idx[p] == n-k+p {
+			p--
+		}
+		if p < 0 {
+			return dst
+		}
+		idx[p]++
+		for q := p + 1; q < k; q++ {
+			idx[q] = idx[q-1] + 1
+		}
+	}
+}
+
+// fillTable probes, for every group and every contested attribute of that
+// group, rt with that attribute alone replaced by each of its candidates.
+// Inside one bestFix a group's count depends only on rt's values at the
+// group's own attributes, so a group that meets an attribute subset in one
+// attribute has all its counts here, whatever the other attributes of the
+// subset are set to: the odometers read them instead of probing once per
+// combination. off[gi·arity+a] is where the counts of (group gi,
+// attribute a) start in one, in candidate order.
+func (e *engine) fillTable(rt *relation.Tuple, attrs []int) {
+	e.one = e.one[:0]
+	for i, gi := range e.groups {
+		for _, a := range attrs {
+			if gi.mask&(1<<uint(a)) == 0 {
+				continue
+			}
+			e.off[i*e.arity+a] = int32(len(e.one))
+			saved := rt.At(a)
+			for _, v := range e.cands[a] {
+				rt.SetAt(a, v)
+				e.one = append(e.one, int32(e.probe(gi.g, rt, &e.stats.VioProbes)))
+			}
+			rt.SetAt(a, saved)
+		}
+	}
+}
+
 // bestFix evaluates every C ∈ [attrs]^k with every candidate value
 // combination and returns the best valid fix. At least one valid fix
 // always exists: the all-null assignment matches no pattern and conflicts
 // with nothing (Example 5.1's (null, null)).
 //
-// The attribute subsets are independent of one another, so their
-// evaluation fans out across the engine's worker pool, each worker
-// mutating its own clone of rt. Candidate values depend only on rt's
-// current (unmutated) state and are computed once up front — this also
-// keeps the nearest-neighbour cache single-threaded. The merge picks the
-// fix the sequential left-to-right scan would have kept: the lowest
-// subset index attaining the minimal costfix ranking.
+// Candidate values and the single-attribute violation counts (fillTable)
+// depend only on rt's current state and are computed once up front — this
+// also keeps the nearest-neighbour cache single-threaded. The attribute
+// subsets are then independent of one another, so their evaluation fans
+// out across the engine's worker pool, each worker mutating its own clone
+// of rt. The merge picks the fix the sequential left-to-right scan would
+// have kept: the lowest subset index attaining the minimal costfix
+// ranking. The result's attrs and vals live in the engine's buffers and
+// hold until the next call.
 func (e *engine) bestFix(rt *relation.Tuple, fixed uint64, attrs []int, k int, violated []uint64) fix {
-	var subsets [][]int
-	subset := make([]int, k)
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if depth == k {
-			subsets = append(subsets, append([]int(nil), subset...))
-			return
-		}
-		for i := start; i < len(attrs); i++ {
-			subset[depth] = attrs[i]
-			rec(i+1, depth+1)
-		}
-	}
-	rec(0, 0)
-	cands := make(map[int][]relation.IDValue, len(attrs))
+	e.subsets = appendSubsets(e.subsets[:0], attrs, k)
+	n := len(e.subsets) / k
 	for _, a := range attrs {
-		cands[a] = e.candidates(rt, a)
+		e.cands[a] = e.candidates(rt, a, e.cands[a][:0])
 	}
-	var best fix
-	nw := e.opts.Workers
-	if nw > len(subsets) {
-		nw = len(subsets)
-	}
-	e.ensureScratches(nw)
-	if nw <= 1 {
-		for _, c := range subsets {
-			f := e.bestValsFor(rt, fixed, c, violated, cands, e.scratches[0])
+	e.fillTable(rt, attrs)
+	nw := min(e.opts.Workers, n)
+	e.ensureWorkers(max(nw, 1))
+	// scan evaluates subsets from, from+step, … on worker w against its
+	// trial tuple and returns the first best with its subset index.
+	scan := func(w *resolveWorker, wrt *relation.Tuple, from, step int) (fix, int) {
+		var best fix
+		at := -1
+		for i := from; i < n; i += step {
+			f := e.bestValsFor(w, wrt, fixed, e.subsets[i*k:(i+1)*k], violated)
 			if f.valid && f.better(best) {
-				best = f
+				w.keep = append(w.keep[:0], f.vals...)
+				best, at = f, i
+				best.vals = w.keep
 			}
 		}
+		return best, at
+	}
+	var best fix
+	if nw <= 1 {
+		best, _ = scan(e.workers[0], rt, 0, 1)
 	} else {
 		type ranked struct {
 			f   fix
@@ -230,16 +304,8 @@ func (e *engine) bestFix(rt *relation.Tuple, fixed uint64, attrs []int, k int, v
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				local := ranked{idx: -1}
-				wrt := rt.Probe(e.repr.Dict())
-				sc := e.scratches[w]
-				for i := w; i < len(subsets); i += nw {
-					f := e.bestValsFor(wrt, fixed, subsets[i], violated, cands, sc)
-					if f.valid && f.better(local.f) {
-						local = ranked{f: f, idx: i}
-					}
-				}
-				bests[w] = local
+				f, at := scan(e.workers[w], rt.Probe(e.repr.Dict()), w, nw)
+				bests[w] = ranked{f, at}
 			}(w)
 		}
 		wg.Wait()
@@ -264,25 +330,12 @@ func (e *engine) bestFix(rt *relation.Tuple, fixed uint64, attrs []int, k int, v
 	return best
 }
 
-// ensureScratches sizes the per-worker cost scratch pool to at least n
-// (minimum one, for the sequential path). Scratches are reused across
-// bestFix calls — worker w always gets scratches[w], and the WaitGroup
-// barrier orders its uses — so the local memos warm up over the run.
-func (e *engine) ensureScratches(n int) {
-	if n < 1 {
-		n = 1
-	}
-	for len(e.scratches) < n {
-		e.scratches = append(e.scratches, e.model.Scratch())
-	}
-}
-
 // bestValsFor finds the cheapest consistent value combination for the
-// attribute set c, drawing per-attribute candidates from cands; sc is
-// the calling worker's cost scratch. rt and the candidates carry their ids,
-// so nothing in here — the odometer loop least of all — touches the
-// dictionary or its lock.
-func (e *engine) bestValsFor(rt *relation.Tuple, fixed uint64, c []int, violated []uint64, cands map[int][]relation.IDValue, sc *cost.Scratch) fix {
+// attribute set c, drawing per-attribute candidates from e.cands, on
+// worker w. rt and the candidates carry their ids, so nothing in here — the
+// odometer loop least of all — touches the dictionary or its lock. The
+// result's vals are w's and hold until its next call.
+func (e *engine) bestValsFor(w *resolveWorker, rt *relation.Tuple, fixed uint64, c []int, violated []uint64) fix {
 	var cmask uint64
 	for _, a := range c {
 		cmask |= 1 << uint(a)
@@ -294,70 +347,76 @@ func (e *engine) bestValsFor(rt *relation.Tuple, fixed uint64, c []int, violated
 			contested++
 		}
 	}
-	// The odometer below only mutates rt's values at the attributes in c,
+	// The odometer below only changes rt's values at the attributes in c,
 	// and a group's violation count depends only on rt's values at X ∪
-	// {A}. Groups disjoint from c are therefore loop invariants: count
-	// them once here instead of once per candidate combination. Of those,
-	// a group lying entirely inside checkMask that is violated now stays
-	// violated for every candidate — no combination can be consistent, so
-	// the whole enumeration is skipped (exactly what the unhoisted loop
-	// would conclude, one rejected candidate at a time).
-	var (
-		variant      []int // e.groups indices whose mask intersects c
-		variantCheck []int // the variant groups within checkMask
-		baseVio      int   // Σ violations of the invariant groups
-	)
+	// {A}. Groups disjoint from c are therefore loop invariants, counted
+	// once per round (e.cur). Of those, a group lying entirely inside
+	// checkMask that is violated now stays violated for every candidate —
+	// no combination can be consistent, so the whole enumeration is
+	// skipped (exactly what the unhoisted loop would conclude, one rejected
+	// candidate at a time). Groups meeting c in one attribute read the
+	// round's table; only those meeting it in two or more are probed per
+	// combination.
+	baseVio := 0
+	w.single, w.live = w.single[:0], w.live[:0]
 	for i := range e.groups {
-		gi := &e.groups[i]
-		if gi.mask&cmask != 0 {
-			variant = append(variant, i)
-			if gi.mask&checkMask == gi.mask {
-				variantCheck = append(variantCheck, i)
+		mask := e.groups[i].mask
+		meet := mask & cmask
+		check := mask&checkMask == mask
+		switch {
+		case meet == 0:
+			n := e.cur[i]
+			baseVio += n
+			if n > 0 && check {
+				return fix{}
 			}
-			continue
-		}
-		n := e.groupViolations(gi.g, rt)
-		baseVio += n
-		if n > 0 && gi.mask&checkMask == gi.mask {
-			return fix{}
+		case meet&(meet-1) == 0:
+			a := bits.TrailingZeros64(meet)
+			w.single = append(w.single, singleRef{off: e.off[i*e.arity+a], pos: slices.Index(c, a), check: check})
+		default:
+			w.live = append(w.live, liveRef{gi: i, check: check})
 		}
 	}
-	cvals := make([][]relation.IDValue, len(c))
-	saved := make([]relation.IDValue, len(c))
-	for i, a := range c {
-		cvals[i] = cands[a]
-		saved[i] = rt.At(a)
+	w.cvals, w.saved, w.idx, w.bestIdx = w.cvals[:0], w.saved[:0], w.idx[:0], w.bestIdx[:0]
+	for _, a := range c {
+		w.cvals = append(w.cvals, e.cands[a])
+		w.saved = append(w.saved, rt.At(a))
+		w.idx = append(w.idx, 0)
+		w.bestIdx = append(w.bestIdx, 0)
 	}
-	defer func() {
-		for i, a := range c {
-			rt.SetAt(a, saved[i])
-		}
-	}()
+	cvals, saved, idx := w.cvals, w.saved, w.idx
 	dict := e.repr.Dict()
 	var best fix
-	bestIdx := make([]int, len(c)) // odometer position of best; vals materialize after the loop
-	idx := make([]int, len(c))
 	for {
-		for i, a := range c {
-			rt.SetAt(a, cvals[i][idx[i]])
-		}
 		consistent := true
-		for _, gi := range variantCheck {
-			if e.groupViolations(e.groups[gi].g, rt) > 0 {
+		v := baseVio
+		for _, s := range w.single {
+			n := int(e.one[int(s.off)+idx[s.pos]])
+			if n > 0 && s.check {
 				consistent = false
 				break
+			}
+			v += n
+		}
+		if consistent && len(w.live) > 0 {
+			for i, a := range c {
+				rt.SetAt(a, cvals[i][idx[i]])
+			}
+			for _, l := range w.live {
+				n := e.probe(e.groups[l.gi].g, rt, &w.probes)
+				if n > 0 && l.check {
+					consistent = false
+					break
+				}
+				v += n
 			}
 		}
 		if consistent {
 			var chg float64
 			for i, a := range c {
 				if v := cvals[i][idx[i]]; !relation.StrictEq(saved[i].Value, v.Value) {
-					chg += sc.ChangeFromInterned(dict, rt, a, saved[i], v)
+					chg += w.sc.ChangeFromInterned(dict, rt, a, saved[i], v)
 				}
-			}
-			v := baseVio
-			for _, gi := range variant {
-				v += e.groupViolations(e.groups[gi].g, rt)
 			}
 			f := fix{
 				attrs:     c,
@@ -369,7 +428,7 @@ func (e *engine) bestValsFor(rt *relation.Tuple, fixed uint64, c []int, violated
 			}
 			if f.better(best) {
 				best = f
-				copy(bestIdx, idx)
+				copy(w.bestIdx, idx)
 			}
 		}
 		// Advance the odometer.
@@ -385,11 +444,17 @@ func (e *engine) bestValsFor(rt *relation.Tuple, fixed uint64, c []int, violated
 			break
 		}
 	}
-	if best.valid {
-		best.vals = make([]relation.IDValue, len(c))
-		for i := range c {
-			best.vals[i] = cvals[i][bestIdx[i]]
+	if len(w.live) > 0 {
+		for i, a := range c {
+			rt.SetAt(a, saved[i])
 		}
+	}
+	if best.valid {
+		w.vals = w.vals[:0]
+		for i := range c {
+			w.vals = append(w.vals, cvals[i][w.bestIdx[i]])
+		}
+		best.vals = w.vals
 	}
 	return best
 }
@@ -400,9 +465,9 @@ func (e *engine) bestValsFor(rt *relation.Tuple, fixed uint64, c []int, violated
 // clean tuples agreeing with rt on a rule's LHS, the nearest active-
 // domain values by the DL metric, and null. Each comes with its id, looked
 // up here once, so the enumeration that follows never needs the strings'
-// identity again.
-func (e *engine) candidates(rt *relation.Tuple, a int) []relation.IDValue {
-	var out []relation.IDValue
+// identity again. They are appended to out, the attribute's buffer from the
+// round before.
+func (e *engine) candidates(rt *relation.Tuple, a int, out []relation.IDValue) []relation.IDValue {
 	add := func(v relation.IDValue) {
 		if v.Null {
 			return
@@ -498,17 +563,4 @@ func (e *engine) forget(removed []*relation.Tuple) {
 			}
 		}
 	}
-}
-
-// bitsOf expands a bitmask into sorted attribute positions.
-func bitsOf(m uint64) []int {
-	var out []int
-	for a := 0; m != 0; a++ {
-		if m&1 == 1 {
-			out = append(out, a)
-		}
-		m >>= 1
-	}
-	sort.Ints(out)
-	return out
 }

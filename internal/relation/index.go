@@ -16,6 +16,13 @@ package relation
 // takes the id the changed attribute held before — both are what the
 // relation's mutation journal hands its subscribers. What an index costs
 // is then its distinct keys, not |D|.
+//
+// A counted index (NewCountedHashIndex) also keeps, per bucket, how many
+// members carry each non-null value of one further attribute — for the LHS
+// index of an embedded FD X → A, the attribute A. "How many tuples agreeing
+// with t on X disagree with it on A" is then two subtractions
+// (BucketCounts) instead of a walk over the bucket, and "can this bucket
+// hold a violation at all" is answered without touching a member.
 type HashIndex struct {
 	rel   *Relation
 	attrs []int
@@ -24,10 +31,92 @@ type HashIndex struct {
 	byKey map[Key]int32
 	lists [][]TupleID
 	free  []int32
+	// counted is the attribute whose values the buckets tally, -1 for a
+	// plain index; counts[b] is bucket b's tally (counted indices only).
+	counted int
+	counts  []BucketCounts
+}
+
+// BucketCounts tallies one bucket of a counted index: how many members
+// carry each non-null value of the counted attribute. Under X → A nearly
+// every X-bucket holds a single A-value, so one value lives inline and a
+// clean bucket costs no allocation; any others go to a map.
+type BucketCounts struct {
+	nonNull int32
+	val     ValueID // the inline value; meaningful while n > 0
+	n       int32
+	more    map[ValueID]int32
+}
+
+// NonNull returns the number of members whose counted attribute is not null.
+func (c *BucketCounts) NonNull() int { return int(c.nonNull) }
+
+// Count returns the number of members carrying the value with id v. NullID
+// and InvalidID, which no tallied member carries, count zero.
+func (c *BucketCounts) Count(v ValueID) int {
+	if c.n > 0 && c.val == v {
+		return int(c.n)
+	}
+	return int(c.more[v])
+}
+
+// Distinct returns the number of distinct non-null values in the bucket.
+func (c *BucketCounts) Distinct() int {
+	if c.n > 0 {
+		return len(c.more) + 1
+	}
+	return len(c.more)
+}
+
+func (c *BucketCounts) add(v ValueID) {
+	if v == NullID {
+		return
+	}
+	c.nonNull++
+	switch {
+	case c.n > 0 && c.val == v:
+		c.n++
+	case c.n == 0 && c.more[v] == 0:
+		c.val, c.n = v, 1
+	default:
+		if c.more == nil {
+			c.more = make(map[ValueID]int32)
+		}
+		c.more[v]++
+	}
+}
+
+func (c *BucketCounts) remove(v ValueID) {
+	if v == NullID {
+		return
+	}
+	c.nonNull--
+	if c.n > 0 && c.val == v {
+		c.n--
+		return
+	}
+	if k := c.more[v]; k > 1 {
+		c.more[v] = k - 1
+		return
+	}
+	delete(c.more, v)
+	if len(c.more) == 0 {
+		c.more = nil
+	}
 }
 
 // NewHashIndex builds an index on attrs over the current contents of r.
 func NewHashIndex(r *Relation, attrs []int) *HashIndex {
+	return newHashIndex(r, attrs, -1)
+}
+
+// NewCountedHashIndex builds an index on attrs whose buckets also tally
+// the values of attribute counted (see BucketCounts).
+func NewCountedHashIndex(r *Relation, attrs []int, counted int) *HashIndex {
+	return newHashIndex(r, attrs, counted)
+}
+
+func newHashIndex(r *Relation, attrs []int, counted int) *HashIndex {
 	// The widest active domain among attrs is a lower bound on the number
 	// of distinct keys and, for the near-key attribute sets that make an
 	// index large, close to it.
@@ -36,14 +125,17 @@ func NewHashIndex(r *Relation, attrs []int) *HashIndex {
 		distinct = max(distinct, len(r.adom[a]))
 	}
 	ix := &HashIndex{
-		rel:   r,
-		attrs: append([]int(nil), attrs...),
-		byKey: make(map[Key]int32, distinct),
+		rel:     r,
+		attrs:   append([]int(nil), attrs...),
+		byKey:   make(map[Key]int32, distinct),
+		counted: counted,
 	}
 	// Two passes, one hash per tuple: number the buckets and count their
 	// members, then carve every bucket out of one backing array. Each
 	// bucket's capacity ends at its own last slot, so a later Add
 	// reallocates that bucket alone and never runs into its neighbour.
+	// The tallies of a counted index fill in the second pass, where the
+	// tuple is in hand anyway.
 	tuples := r.Tuples()
 	bucketOf := make([]int32, len(tuples))
 	counts := make([]int32, 0, distinct)
@@ -66,9 +158,15 @@ func NewHashIndex(r *Relation, attrs []int) *HashIndex {
 		ix.lists[b] = arena[off:off:end]
 		off = end
 	}
+	if counted >= 0 {
+		ix.counts = make([]BucketCounts, len(counts))
+	}
 	for i, t := range tuples {
 		b := bucketOf[i]
 		ix.lists[b] = append(ix.lists[b], t.ID)
+		if counted >= 0 {
+			ix.counts[b].add(ix.idOf(t, counted))
+		}
 	}
 	return ix
 }
@@ -91,7 +189,18 @@ func (ix *HashIndex) keyOf(t *Tuple) Key {
 	return KeyOfIDs(ids)
 }
 
-func (ix *HashIndex) insert(k Key, id TupleID) {
+// idOf returns the id of t's value at attribute a, with keyOf's treatment
+// of a free-standing tuple.
+func (ix *HashIndex) idOf(t *Tuple, a int) ValueID {
+	if t.Interned() {
+		return t.ids[a]
+	}
+	return ix.rel.dict.Intern(t.Vals[a])
+}
+
+// insert files id under k; cv is its counted value (ignored by a plain
+// index).
+func (ix *HashIndex) insert(k Key, id TupleID, cv ValueID) {
 	b, ok := ix.byKey[k]
 	if !ok {
 		if n := len(ix.free); n > 0 {
@@ -99,48 +208,81 @@ func (ix *HashIndex) insert(k Key, id TupleID) {
 		} else {
 			b = int32(len(ix.lists))
 			ix.lists = append(ix.lists, nil)
+			if ix.counted >= 0 {
+				ix.counts = append(ix.counts, BucketCounts{})
+			}
 		}
 		ix.byKey[k] = b
 	}
 	ix.lists[b] = append(ix.lists[b], id)
+	if ix.counted >= 0 {
+		ix.counts[b].add(cv)
+	}
 }
 
-func (ix *HashIndex) drop(k Key, id TupleID) {
+// drop takes id, filed under k with counted value cv, out of the index.
+func (ix *HashIndex) drop(k Key, id TupleID, cv ValueID) {
 	b, ok := ix.byKey[k]
 	if !ok {
 		return
 	}
-	ix.lists[b] = dropID(ix.lists[b], id)
-	if len(ix.lists[b]) == 0 {
+	kept := dropID(ix.lists[b], id)
+	if len(kept) == len(ix.lists[b]) {
+		return
+	}
+	ix.lists[b] = kept
+	if ix.counted >= 0 {
+		ix.counts[b].remove(cv)
+	}
+	if len(kept) == 0 {
 		delete(ix.byKey, k)
 		ix.free = append(ix.free, b)
 	}
 }
 
+// countedID is t's value at the counted attribute, NullID for a plain
+// index (whose insert and drop ignore it).
+func (ix *HashIndex) countedID(t *Tuple) ValueID {
+	if ix.counted < 0 {
+		return NullID
+	}
+	return ix.idOf(t, ix.counted)
+}
+
 // Add indexes tuple t.
-func (ix *HashIndex) Add(t *Tuple) { ix.insert(ix.keyOf(t), t.ID) }
+func (ix *HashIndex) Add(t *Tuple) { ix.insert(ix.keyOf(t), t.ID, ix.countedID(t)) }
 
 // Remove un-indexes tuple t, which must still carry the values it was
 // indexed under. A tuple the index does not hold is left alone.
-func (ix *HashIndex) Remove(t *Tuple) { ix.drop(ix.keyOf(t), t.ID) }
+func (ix *HashIndex) Remove(t *Tuple) { ix.drop(ix.keyOf(t), t.ID, ix.countedID(t)) }
 
 // Update re-indexes tuple t after its attribute a changed from the value
-// with id oldID to the one t carries now. It is a no-op when a is not
-// indexed or the value did not change.
+// with id oldID to the one t carries now. It is a no-op when a is neither
+// indexed nor counted, or the value did not change.
 func (ix *HashIndex) Update(t *Tuple, a int, oldID ValueID) {
-	if !ix.Touches(a) || t.IDAt(a) == oldID {
+	inKey := ix.Touches(a)
+	if !inKey && a != ix.counted || t.IDAt(a) == oldID {
 		return
 	}
 	var buf [8]ValueID
 	ids := t.ProjectIDs(buf[:0], ix.attrs)
 	newKey := KeyOfIDs(ids)
-	for i, x := range ix.attrs {
-		if x == a {
-			ids[i] = oldID
+	oldKey := newKey
+	if inKey {
+		for i, x := range ix.attrs {
+			if x == a {
+				ids[i] = oldID
+			}
 		}
+		oldKey = KeyOfIDs(ids)
 	}
-	ix.drop(KeyOfIDs(ids), t.ID)
-	ix.insert(newKey, t.ID)
+	newCV := ix.countedID(t)
+	oldCV := newCV
+	if a == ix.counted {
+		oldCV = oldID
+	}
+	ix.drop(oldKey, t.ID, oldCV)
+	ix.insert(newKey, t.ID, newCV)
 }
 
 // Touches reports whether attribute a participates in the index key.
@@ -203,11 +345,42 @@ func (ix *HashIndex) LookupKey(key Key) []TupleID {
 	return nil
 }
 
-// Buckets iterates over all (key, ids) pairs in unspecified order. The
-// callback must not mutate the index.
-func (ix *HashIndex) Buckets(f func(key Key, ids []TupleID)) {
+// Bucket returns the members and the tally of the bucket for a precomputed
+// key; both are nil when no tuple carries it, and the tally is nil for a
+// plain index. The tally is valid until the index next changes.
+func (ix *HashIndex) Bucket(key Key) ([]TupleID, *BucketCounts) {
+	b, ok := ix.byKey[key]
+	if !ok {
+		return nil, nil
+	}
+	if ix.counted < 0 {
+		return ix.lists[b], nil
+	}
+	return ix.lists[b], &ix.counts[b]
+}
+
+// CountsIDs returns the tally of the bucket whose key is the given interned
+// ids, nil when there is none (an InvalidID component matches nothing) or
+// the index is plain. It is valid until the index next changes.
+func (ix *HashIndex) CountsIDs(ids []ValueID) *BucketCounts {
+	for _, id := range ids {
+		if id == InvalidID {
+			return nil
+		}
+	}
+	_, c := ix.Bucket(KeyOfIDs(ids))
+	return c
+}
+
+// Buckets iterates over all buckets in unspecified order: key, members and
+// (nil for a plain index) tally. The callback must not mutate the index.
+func (ix *HashIndex) Buckets(f func(key Key, ids []TupleID, c *BucketCounts)) {
 	for k, b := range ix.byKey {
-		f(k, ix.lists[b])
+		var c *BucketCounts
+		if ix.counted >= 0 {
+			c = &ix.counts[b]
+		}
+		f(k, ix.lists[b], c)
 	}
 }
 

@@ -221,11 +221,19 @@ func allocBytes(f func()) uint64 {
 // by its distinct keys and carries no per-tuple map, so over 500 tuples a
 // key-like index stays under 80 KiB and a 10-key index under 12 KiB. (With
 // two maps pre-sized to |D| the same builds took 116 KiB and 122 KiB.)
+//
+// A counted index adds one 24-byte tally per bucket and nothing per tuple —
+// a bucket's first value lives in the tally itself — so counting a
+// single-valued attribute costs keys × 24 B on top of the plain build, give
+// or take the allocator's size classes. Only a bucket holding a second
+// value allocates, one small map each: counting d, five values per bucket,
+// the ten buckets may take 256 B apiece.
 func TestHashIndexBuildBudget(t *testing.T) {
-	r := New(MustSchema("r", "a", "b", "c"))
+	r := New(MustSchema("r", "a", "b", "c", "d"))
 	for i := 0; i < 500; i++ {
-		r.MustInsert(NewTuple(0, fmt.Sprint("a", i), fmt.Sprint("b", i%10), "c"))
+		r.MustInsert(NewTuple(0, fmt.Sprint("a", i), fmt.Sprint("b", i%10), "c", fmt.Sprint("d", i%50)))
 	}
+	const tally = 24
 	for _, tc := range []struct {
 		attrs  []int
 		keys   int
@@ -235,13 +243,101 @@ func TestHashIndexBuildBudget(t *testing.T) {
 		{[]int{1}, 10, 12 << 10},
 	} {
 		var ix *HashIndex
-		got := allocBytes(func() { ix = NewHashIndex(r, tc.attrs) })
+		plain := allocBytes(func() { ix = NewHashIndex(r, tc.attrs) })
 		if ix.Len() != tc.keys {
 			t.Fatalf("index on %v has %d keys, want %d", tc.attrs, ix.Len(), tc.keys)
 		}
-		if got > tc.budget {
-			t.Errorf("NewHashIndex on %v allocates %d B, budget %d B", tc.attrs, got, tc.budget)
+		if plain > tc.budget {
+			t.Errorf("NewHashIndex on %v allocates %d B, budget %d B", tc.attrs, plain, tc.budget)
 		}
-		t.Logf("NewHashIndex on %v: %d B", tc.attrs, got)
+		clean := allocBytes(func() { ix = NewCountedHashIndex(r, tc.attrs, 2) })
+		// (The measurement is a mean over runs with the test's own garbage
+		// being collected beside it: good to a few hundred bytes.)
+		if extra, budget := int(clean)-int(plain), tc.keys*tally+tc.keys*tally/16+512; extra > budget {
+			t.Errorf("counting a single-valued attribute on %v costs %d B over the plain build, budget %d B", tc.attrs, extra, budget)
+		}
+		dirty := allocBytes(func() { ix = NewCountedHashIndex(r, tc.attrs, 3) })
+		if extra, budget := int(dirty)-int(clean), 256*min(tc.keys, 10)+512; extra > budget {
+			t.Errorf("counting d on %v costs %d B over counting c, budget %d B", tc.attrs, extra, budget)
+		}
+		t.Logf("index on %v: plain %d B, counting c %d B, counting d %d B", tc.attrs, plain, clean, dirty)
+	}
+}
+
+// TestCountedIndexTallies drives a counted index through Add, Remove and
+// Update — of a key attribute, of the counted attribute alone, to and from
+// null — and holds every bucket's tally to a recount after each step.
+func TestCountedIndexTallies(t *testing.T) {
+	r := New(MustSchema("r", "k", "v", "w"))
+	ix := NewCountedHashIndex(r, []int{0}, 1)
+	check := func(tag string) {
+		t.Helper()
+		seen := 0
+		ix.Buckets(func(key Key, ids []TupleID, c *BucketCounts) {
+			seen += len(ids)
+			want := map[ValueID]int{}
+			nonNull := 0
+			for _, id := range ids {
+				if vid := r.Tuple(id).IDAt(1); vid != NullID {
+					want[vid]++
+					nonNull++
+				}
+			}
+			if c.NonNull() != nonNull || c.Distinct() != len(want) {
+				t.Fatalf("%s: bucket %v: tally %d non-null / %d distinct, recount %d / %d", tag, ids, c.NonNull(), c.Distinct(), nonNull, len(want))
+			}
+			for vid, n := range want {
+				if c.Count(vid) != n {
+					t.Fatalf("%s: bucket %v: Count(%d) = %d, recount %d", tag, ids, vid, c.Count(vid), n)
+				}
+			}
+		})
+		if seen != r.Size() {
+			t.Fatalf("%s: index holds %d of %d tuples", tag, seen, r.Size())
+		}
+	}
+	set := func(id TupleID, a int, v Value) {
+		t.Helper()
+		old := r.Tuple(id).IDAt(a)
+		if _, err := r.Set(id, a, v); err != nil {
+			t.Fatal(err)
+		}
+		ix.Update(r.Tuple(id), a, old)
+	}
+	var ids []TupleID
+	for _, row := range [][]string{{"x", "1", "p"}, {"x", "1", "q"}, {"x", "2", "p"}, {"y", "3", "p"}} {
+		tu := NewTuple(0, row...)
+		r.MustInsert(tu)
+		ix.Add(tu)
+		ids = append(ids, tu.ID)
+	}
+	check("built by Add")
+	if c := ix.CountsIDs([]ValueID{r.Dict().InternStr("x")}); c == nil || c.NonNull() != 3 || c.Distinct() != 2 {
+		t.Fatalf("bucket x: %+v, want 3 non-null over 2 values", c)
+	}
+	if c := ix.CountsIDs([]ValueID{InvalidID}); c != nil {
+		t.Fatal("an InvalidID key has no bucket")
+	}
+	set(ids[2], 1, S("1")) // counted attribute alone: x becomes clean
+	check("v: 2 → 1")
+	set(ids[0], 1, NullValue) // … to null
+	check("v: 1 → null")
+	set(ids[0], 1, S("9")) // … and back to a value, while the inline one is taken
+	check("v: null → 9")
+	set(ids[1], 0, S("y")) // key attribute: the tuple takes its count along
+	check("k: x → y")
+	set(ids[1], 2, S("z")) // neither: nothing moves
+	check("w: q → z")
+	for _, id := range ids[:3] {
+		tu := r.Tuple(id)
+		r.Delete(id)
+		ix.Remove(tu)
+		check("removed")
+	}
+	if rebuilt := NewCountedHashIndex(r, []int{0}, 1); rebuilt.Len() != ix.Len() {
+		t.Fatalf("maintained index has %d buckets, a rebuilt one %d", ix.Len(), rebuilt.Len())
+	}
+	if _, c := NewHashIndex(r, []int{0}).Bucket(r.Tuples()[0].KeyOnIDs([]int{0})); c != nil {
+		t.Fatal("a plain index has no tallies")
 	}
 }

@@ -4,13 +4,14 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // checkBounded asserts the whole contract of DamerauLevenshteinBounded on
 // one input: it decides "distance ≤ max" exactly as the unbounded metric
-// does and returns the distance when so, it is symmetric, and the stack
-// fast path (taken or not, as the input decides) agrees with the rune
-// path taken unconditionally.
+// does and returns the distance when so, it is symmetric, and the
+// bit-vector kernel (taken or not, as the input decides) agrees with the
+// rune path taken unconditionally.
 func checkBounded(t *testing.T, a, b string, max int) {
 	t.Helper()
 	got := DamerauLevenshteinBounded(a, b, max)
@@ -64,9 +65,10 @@ func TestFastPathMatchesRunePath(t *testing.T) {
 	}
 }
 
-// TestFastPathBoundary: 63 bytes is the last length served from the stack
-// arrays, 64 the first that falls back; both sides of the boundary, on
-// either argument, must agree with the rune path.
+// TestFastPathBoundary: 64 bytes is the last pattern length the bit-vector
+// kernel serves, 65 the first that falls back (unless the other string is
+// short enough to be the pattern); both sides of the boundary, on either
+// argument, must agree with the rune path.
 func TestFastPathBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, la := range []int{0, 1, 62, 63, 64, 65} {
@@ -110,14 +112,108 @@ func FuzzDamerauLevenshteinBounded(f *testing.F) {
 	})
 }
 
+// checkBits holds the bit-vector kernel to the dynamic program it replaced
+// on the hot path, to the value: both return the distance when it is ≤ max
+// and exactly max+1 otherwise, in either argument order, called directly
+// or through a prepared probe (whose masks must survive being reset from
+// one string to another).
+func checkBits(t *testing.T, p Probe, a, b string, max int) {
+	t.Helper()
+	want := dlRunes(a, b, max)
+	if got := DamerauLevenshteinBounded(a, b, max); got != want {
+		t.Fatalf("Bounded(%q,%q,%d) = %d, dlRows says %d", a, b, max, got, want)
+	}
+	if got := DamerauLevenshteinBounded(b, a, max); got != want {
+		t.Fatalf("Bounded(%q,%q,%d) = %d, dlRows says %d for the reverse", b, a, max, got, want)
+	}
+	p.Reset(a)
+	if got := p.DistanceBounded(b, max); got != want {
+		t.Fatalf("probe(%q).DistanceBounded(%q,%d) = %d, dlRows says %d", a, b, max, got, want)
+	}
+	p.Reset(b)
+	if got := p.DistanceBounded(a, max); got != want {
+		t.Fatalf("probe(%q).DistanceBounded(%q,%d) = %d, dlRows says %d", b, a, max, got, want)
+	}
+}
+
+// TestOSABitsVsRows: every max from 0 to |a|+|b| on the lengths around the
+// word boundary, on near-copies (so the program runs to its last column)
+// and on unrelated strings, ASCII and not.
+func TestOSABitsVsRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	p := DL.(ProbeMetric).NewProbe()
+	for _, la := range []int{0, 1, 2, 63, 64, 65} {
+		for _, lb := range []int{0, 1, 2, 63, 64, 65} {
+			for i := 0; i < 6; i++ {
+				a, b := randomString(rng, la, i != 5), randomString(rng, lb, i != 4)
+				if i < 2 && la <= lb {
+					b = a + strings.Repeat("x", lb-la)
+				}
+				for max := 0; max <= len(a)+len(b); max++ {
+					checkBits(t, p, a, b, max)
+				}
+			}
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		a := randomString(rng, rng.Intn(20), rng.Intn(8) > 0)
+		b := a
+		if rng.Intn(3) == 0 {
+			b = randomString(rng, rng.Intn(20), rng.Intn(8) > 0)
+		}
+		for e := rng.Intn(4); e > 0 && utf8.RuneCountInString(b) > 1; e-- {
+			r := []rune(b)
+			j := rng.Intn(len(r) - 1)
+			switch rng.Intn(3) {
+			case 0:
+				r[j], r[j+1] = r[j+1], r[j]
+			case 1:
+				r[j] = 'q'
+			default:
+				r = append(r[:j], r[j+1:]...)
+			}
+			b = string(r)
+		}
+		checkBits(t, p, a, b, rng.Intn(len(a)+len(b)+1))
+	}
+}
+
+// FuzzOSABitsVsRows: CI runs it for a few seconds on every push, next to
+// FuzzDamerauLevenshteinBounded.
+func FuzzOSABitsVsRows(f *testing.F) {
+	f.Add("31.16", "13.17") // PR 13: the transposition that is then edited
+	f.Add("", "")
+	f.Add("abc", "abc")
+	f.Add("abc", "acb")
+	f.Add("kitten", "sitting")
+	f.Add("walnut", "wallnut")
+	f.Add("short", "a much longer string entirely")
+	f.Add("héllo", "hello")
+	f.Add("ab", "ba")
+	f.Add("abcdef", "ghijkl")
+	f.Add(strings.Repeat("ab", 32), strings.Repeat("ba", 31)+"a")
+	f.Add(strings.Repeat("a", 63)+"b", strings.Repeat("a", 63)+"cb")
+	p := DL.(ProbeMetric).NewProbe()
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if len(a) > 100 || len(b) > 100 {
+			t.Skip() // every max is tried, and the DP is quadratic
+		}
+		for max := 0; max <= len(a)+len(b); max++ {
+			checkBits(t, p, a, b, max)
+		}
+	})
+}
+
 // The DL kernels are the innermost loop of both repair engines (the cost
 // model and the BK-tree search): on the values they actually see — ASCII,
-// at most 63 bytes — they must not allocate.
+// at most 64 bytes — they must not allocate, called directly or through a
+// prepared probe.
 func TestDLKernelsDoNotAllocate(t *testing.T) {
 	a := "Pennsylvania Avenue 1600, Washington DC, the United States, x63"
 	b := "Pennsylvanai Avenue 1060, Washington DC, the United States, x63"
-	if len(a) != 63 || len(b) != 63 {
-		t.Fatalf("fixture lengths %d, %d: want 63", len(a), len(b))
+	a, b = a+"y", b+"z"
+	if len(a) != 64 || len(b) != 64 {
+		t.Fatalf("fixture lengths %d, %d: want 64", len(a), len(b))
 	}
 	if n := testing.AllocsPerRun(100, func() { DamerauLevenshtein(a, b) }); n != 0 {
 		t.Errorf("DamerauLevenshtein: %v allocs per call, want 0", n)
@@ -127,5 +223,17 @@ func TestDLKernelsDoNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { DL.(BoundedMetric).DistanceBounded("walnut", "wallnut", 8) }); n != 0 {
 		t.Errorf("DL.DistanceBounded: %v allocs per call, want 0", n)
+	}
+	// Normalized is what the cost model pays on every memo miss.
+	if n := testing.AllocsPerRun(100, func() { Normalized(DL, a, b) }); n != 0 {
+		t.Errorf("Normalized: %v allocs per call, want 0", n)
+	}
+	p := DL.(ProbeMetric).NewProbe()
+	if n := testing.AllocsPerRun(100, func() {
+		p.Reset(a)
+		p.DistanceBounded(b, 3)
+		p.DistanceBounded("walnut", 70)
+	}); n != 0 {
+		t.Errorf("probe Reset + DistanceBounded: %v allocs per call, want 0", n)
 	}
 }

@@ -26,7 +26,9 @@ type Func func(a, b string) int
 func (f Func) Distance(a, b string) int { return f(a, b) }
 
 // DL is the package-default Damerau–Levenshtein metric. It implements
-// BoundedMetric with a pruned dynamic program.
+// BoundedMetric and ProbeMetric: a bit-vector program with a cutoff for
+// ASCII strings that fit a machine word, a pruned dynamic program for the
+// rest.
 var DL Metric = dlMetric{}
 
 // Levenshtein returns the classic edit distance between a and b:
@@ -89,40 +91,162 @@ func (f Func) DistanceBounded(a, b string, max int) int {
 	return f(a, b)
 }
 
+// ProbeMetric is an optional extension of BoundedMetric for a search that
+// measures one string against many (the BK-tree's Nearest): whatever
+// depends on that string alone is worked out once, by Probe.Reset, instead
+// of once per pair.
+type ProbeMetric interface {
+	BoundedMetric
+	// NewProbe returns a probe of this metric; Reset it before use.
+	NewProbe() Probe
+}
+
+// Probe measures distances from one string under the metric it came from.
+// A probe is one goroutine's scratch.
+type Probe interface {
+	// Reset makes a the string distances are measured from.
+	Reset(a string)
+	// DistanceBounded is the metric's DistanceBounded(a, b, max).
+	DistanceBounded(b string, max int) int
+}
+
 type dlMetric struct{}
 
 func (dlMetric) Distance(a, b string) int { return DamerauLevenshtein(a, b) }
 func (dlMetric) DistanceBounded(a, b string, max int) int {
 	return DamerauLevenshteinBounded(a, b, max)
 }
+func (dlMetric) NewProbe() Probe { return new(dlProbe) }
 
-// stackLen is the longest string the ASCII fast path of the DL kernels
-// takes: both strings and the three DP rows then live in fixed-size arrays
-// on the stack.
-const stackLen = 63
+// bitsLen is the longest pattern the bit-vector kernel takes: one bit of
+// a machine word per byte.
+const bitsLen = 64
+
+// masks are a pattern's match vectors: bit i of masks[c] is set when the
+// pattern's byte i is c. ASCII only, which is what the table's size says.
+type masks [utf8.RuneSelf]uint64
+
+// set adds the vectors of a, at most bitsLen bytes, to all-zero masks. If a
+// is not ASCII it reports false and leaves the masks all-zero.
+func (pm *masks) set(a string) bool {
+	for i := 0; i < len(a); i++ {
+		c := a[i]
+		if c >= utf8.RuneSelf {
+			pm.clear(a[:i])
+			return false
+		}
+		pm[c] |= 1 << uint(i)
+	}
+	return true
+}
+
+// clear undoes set(a) for an ASCII a.
+func (pm *masks) clear(a string) {
+	for i := 0; i < len(a); i++ {
+		pm[a[i]] = 0
+	}
+}
+
+// dlProbe is DL's Probe: the ASCII check of a and its match vectors are
+// made once per Reset, so a distance costs one pass over b.
+type dlProbe struct {
+	a    string
+	bits bool // a is ASCII, at most bitsLen bytes, and pm holds its vectors
+	pm   masks
+}
+
+func (p *dlProbe) Reset(a string) {
+	if p.bits {
+		p.pm.clear(p.a)
+	}
+	p.a = a
+	p.bits = len(a) <= bitsLen && p.pm.set(a)
+}
+
+func (p *dlProbe) DistanceBounded(b string, max int) int {
+	if p.bits && max >= 0 {
+		if d, ok := osaBits(&p.pm, len(p.a), b, max); ok {
+			return d
+		}
+	}
+	return DamerauLevenshteinBounded(p.a, b, max)
+}
 
 // DamerauLevenshteinBounded is DamerauLevenshtein with a cutoff: it
-// returns max+1 as soon as the distance provably exceeds max. The length
-// difference is a lower bound on the distance, and each DP row's minimum
-// is non-decreasing, so both give cheap early exits.
+// returns max+1 as soon as the distance provably exceeds max.
 //
-// Two ASCII strings of at most stackLen bytes — nearly every value the
-// repair loops compare — are handled without touching the heap; anything
-// else goes through dlRunes.
+// Two ASCII strings of which one has at most bitsLen bytes — nearly every
+// pair the repair loops compare — go through the bit-vector kernel without
+// touching the heap; anything else goes through dlRunes.
 func DamerauLevenshteinBounded(a, b string, max int) int {
 	if max < 0 {
 		return 0
 	}
-	if len(a) > stackLen || len(b) > stackLen || !isASCII(a) || !isASCII(b) {
-		return dlRunes(a, b, max)
+	if len(a) > bitsLen {
+		a, b = b, a // the metric is symmetric; the shorter string is the pattern
 	}
-	if d := len(a) - len(b); d > max || -d > max {
-		return max + 1
+	var pm masks
+	if len(a) <= bitsLen && pm.set(a) {
+		if d, ok := osaBits(&pm, len(a), b, max); ok {
+			return d
+		}
 	}
-	var sa, sb [stackLen]byte
-	var rows [3][stackLen + 1]int
-	n := len(b) + 1
-	return dlRows(sa[:copy(sa[:], a)], sb[:copy(sb[:], b)], rows[0][:n], rows[1][:n], rows[2][:n], max)
+	return dlRunes(a, b, max)
+}
+
+// osaBits is the bounded restricted DL distance between a pattern of
+// m ≤ bitsLen ASCII bytes, given by its match vectors, and b: Hyyrö's
+// bit-parallel program for the optimal-string-alignment distance ("A
+// bit-vector algorithm for computing Levenshtein and Damerau edit
+// distances", 2003). Column j of the dynamic program lives in two words —
+// vp and vn, the rows where it steps up or down by one — and moves to
+// column j+1 in a dozen word operations, whatever m is; tr carries the
+// transposition (b[j-1], b[j] matching the pattern's bytes i, i-1) into
+// the diagonal vector d0. The score is the column's last cell. It can
+// fall by at most one per remaining column, which is the cutoff.
+//
+// ok is false when b holds a non-ASCII byte: distances count runes, so
+// the caller must take the rune path. The lengths, in bytes, decide
+// nothing before b is known to be ASCII.
+func osaBits(pm *masks, m int, b string, max int) (d int, ok bool) {
+	n := len(b)
+	if d := m - n; d > max || -d > max || m == 0 {
+		if !isASCII(b) {
+			return 0, false
+		}
+		if m == 0 && n <= max {
+			return n, true
+		}
+		return max + 1, true
+	}
+	vp, vn, d0, prev := ^uint64(0), uint64(0), uint64(0), uint64(0)
+	last := uint64(1) << uint(m-1)
+	score := m
+	for j := 0; j < n; j++ {
+		c := b[j]
+		if c >= utf8.RuneSelf {
+			return 0, false
+		}
+		eq := pm[c]
+		tr := (^d0 & eq) << 1 & prev
+		d0 = ((eq & vp) + vp) ^ vp | eq | vn | tr
+		hp := vn | ^(d0 | vp)
+		hn := d0 & vp
+		if hp&last != 0 {
+			score++
+		} else if hn&last != 0 {
+			score--
+		}
+		hp = hp<<1 | 1
+		vp = hn<<1 | ^(d0 | hp)
+		vn = hp & d0
+		prev = eq
+		if score-(n-1-j) > max {
+			// Sound even if a rune follows: fewer columns remain, not more.
+			return max + 1, true
+		}
+	}
+	return score, true
 }
 
 // dlRunes is the general path of DamerauLevenshteinBounded (max ≥ 0): it
@@ -189,11 +313,7 @@ func isASCII(s string) bool {
 // metrics bounded by the longer string length (true for Levenshtein and DL).
 // Normalized("", "") is 0: identical strings have zero distance.
 func Normalized(m Metric, a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	n := la
-	if lb > n {
-		n = lb
-	}
+	n := max(utf8.RuneCountInString(a), utf8.RuneCountInString(b))
 	if n == 0 {
 		return 0
 	}
