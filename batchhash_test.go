@@ -54,6 +54,13 @@ func TestBatchRepairHashes(t *testing.T) {
 	for i, h := range got {
 		lines[i] = fmt.Sprintf("%d %s", first+i, h)
 	}
+	checkRecorded(t, path, lines)
+}
+
+// checkRecorded compares lines with the file at path, or with -update
+// rewrites the file from them.
+func checkRecorded(t *testing.T, path string, lines []string) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -65,12 +72,12 @@ func TestBatchRepairHashes(t *testing.T) {
 		t.Fatalf("%v (run with -update to generate)", err)
 	}
 	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(want) != count {
-		t.Fatalf("%s has %d lines, want %d", path, len(want), count)
+	if len(want) != len(lines) {
+		t.Fatalf("%s has %d lines, want %d", path, len(want), len(lines))
 	}
 	for i := range lines {
 		if lines[i] != want[i] {
-			t.Errorf("repair hash %q, recorded %q", lines[i], want[i])
+			t.Errorf("got %q, recorded %q", lines[i], want[i])
 		}
 	}
 }

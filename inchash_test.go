@@ -5,9 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"cfdclean"
@@ -26,16 +24,13 @@ type incStream struct {
 	inserts [][]*cfdclean.Tuple
 }
 
-func buildIncStream(t *testing.T, seed int64, churn bool) *incStream {
-	t.Helper()
-	const base, batches, batchSize, window, sets = 800, 8, 50, 3, 4
-	ds, err := workload.Generate(workload.Config{
-		Size: base + batches*batchSize, NoiseRate: 0.05, ConstShare: 0.5,
-		PatternRows: 600, Weights: true, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// The shape of every stream: tuples in the base, batches, arrivals per
+// batch; in the churn form, batches an arrival lives and cell updates per
+// batch.
+const incBase, incBatches, incBatchSize, incWindow, incSets = 800, 8, 50, 3, 4
+
+func buildIncStream(ds *workload.Dataset, seed int64, churn bool) *incStream {
+	const base, batchSize, sets = incBase, incBatchSize, incSets
 	st := &incStream{ds: ds, base: base}
 	opt, dirty := ds.Opt.Tuples(), ds.Dirty.Tuples()
 	setAttrs := []int{
@@ -43,7 +38,7 @@ func buildIncStream(t *testing.T, seed int64, churn bool) *incStream {
 		workload.AttrPR, workload.AttrVAT, workload.AttrST,
 	}
 	rng := rand.New(rand.NewSource(seed))
-	for b := 0; b < batches; b++ {
+	for b := 0; b < incBatches; b++ {
 		var ins []*cfdclean.Tuple
 		for _, tu := range dirty[base+b*batchSize : base+(b+1)*batchSize] {
 			c := tu.Clone()
@@ -54,9 +49,9 @@ func buildIncStream(t *testing.T, seed int64, churn bool) *incStream {
 		var dels []cfdclean.TupleID
 		var ops []cfdclean.SessionSet
 		if churn {
-			if b >= window {
+			if b >= incWindow {
 				// Arrivals are numbered base+1, base+2, … in arrival order.
-				old := base + (b-window)*batchSize
+				old := base + (b-incWindow)*batchSize
 				for i := 0; i < batchSize; i++ {
 					dels = append(dels, cfdclean.TupleID(old+i+1))
 				}
@@ -129,8 +124,15 @@ func TestSessionStreamHashes(t *testing.T) {
 	var lines []string
 	for i := 0; i < count; i++ {
 		seed := int64(first + i)
+		ds, err := workload.Generate(workload.Config{
+			Size: incBase + incBatches*incBatchSize, NoiseRate: 0.05, ConstShare: 0.5,
+			PatternRows: 600, Weights: true, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, kind := range []string{"stream", "churn"} {
-			st := buildIncStream(t, seed, kind == "churn")
+			st := buildIncStream(ds, seed, kind == "churn")
 			hash, ix := st.run(t, nil)
 			if one, ix1 := st.run(t, &cfdclean.IncOptions{Workers: 1}); one != hash || ix1 != ix {
 				t.Errorf("seed %d %s: Workers=1 run differs from the default run", seed, kind)
@@ -141,23 +143,5 @@ func TestSessionStreamHashes(t *testing.T) {
 			}
 		}
 	}
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to generate)", err)
-	}
-	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(want) != len(lines) {
-		t.Fatalf("%s has %d lines, want %d", path, len(want), len(lines))
-	}
-	for i := range lines {
-		if lines[i] != want[i] {
-			t.Errorf("got %q, recorded %q", lines[i], want[i])
-		}
-	}
+	checkRecorded(t, path, lines)
 }

@@ -392,21 +392,12 @@ func (d *Detector) disagreeing(g *fdGroup, t *relation.Tuple, xids []relation.Va
 		return 0
 	}
 	if own := d.rel.Tuple(t.ID); own != nil {
-		if vid := own.IDAt(g.a); vid != relation.NullID && vid != avID && sameIDs(own, g.x, xids) {
+		var buf [8]relation.ValueID
+		if vid := own.IDAt(g.a); vid != relation.NullID && vid != avID && slices.Equal(own.ProjectIDs(buf[:0], g.x), xids) {
 			n--
 		}
 	}
 	return n
-}
-
-// sameIDs reports whether the stored tuple t projects onto attrs as ids.
-func sameIDs(t *relation.Tuple, attrs []int, ids []relation.ValueID) bool {
-	for i, a := range attrs {
-		if t.IDAt(a) != ids[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // VioAll returns vio(t) for every tuple with at least one violation.

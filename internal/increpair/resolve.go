@@ -172,8 +172,15 @@ type resolveWorker struct {
 	idx, bestIdx []int
 	single       []singleRef
 	live         []liveRef
-	vals         []relation.IDValue // the values of bestValsFor's last result
-	keep         []relation.IDValue // the values of the worker's best so far
+	keep         []relation.IDValue // the values of the worker's best fix so far
+}
+
+// bestVals appends the values of bestValsFor's last valid result to dst.
+func (w *resolveWorker) bestVals(dst []relation.IDValue) []relation.IDValue {
+	for i, j := range w.bestIdx {
+		dst = append(dst, w.cvals[i][j])
+	}
+	return dst
 }
 
 // singleRef is a group that meets the attribute subset in one attribute:
@@ -283,9 +290,9 @@ func (e *engine) bestFix(rt *relation.Tuple, fixed uint64, attrs []int, k int, v
 		for i := from; i < n; i += step {
 			f := e.bestValsFor(w, wrt, fixed, e.subsets[i*k:(i+1)*k], violated)
 			if f.valid && f.better(best) {
-				w.keep = append(w.keep[:0], f.vals...)
+				w.keep = w.bestVals(w.keep[:0])
+				f.vals = w.keep
 				best, at = f, i
-				best.vals = w.keep
 			}
 		}
 		return best, at
@@ -334,7 +341,7 @@ func (e *engine) bestFix(rt *relation.Tuple, fixed uint64, attrs []int, k int, v
 // attribute set c, drawing per-attribute candidates from e.cands, on
 // worker w. rt and the candidates carry their ids, so nothing in here — the
 // odometer loop least of all — touches the dictionary or its lock. The
-// result's vals are w's and hold until its next call.
+// result carries no vals: w.bestVals reads them off until w's next call.
 func (e *engine) bestValsFor(w *resolveWorker, rt *relation.Tuple, fixed uint64, c []int, violated []uint64) fix {
 	var cmask uint64
 	for _, a := range c {
@@ -448,13 +455,6 @@ func (e *engine) bestValsFor(w *resolveWorker, rt *relation.Tuple, fixed uint64,
 		for i, a := range c {
 			rt.SetAt(a, saved[i])
 		}
-	}
-	if best.valid {
-		w.vals = w.vals[:0]
-		for i := range c {
-			w.vals = append(w.vals, cvals[i][w.bestIdx[i]])
-		}
-		best.vals = w.vals
 	}
 	return best
 }

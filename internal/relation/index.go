@@ -107,16 +107,13 @@ func (c *BucketCounts) remove(v ValueID) {
 
 // NewHashIndex builds an index on attrs over the current contents of r.
 func NewHashIndex(r *Relation, attrs []int) *HashIndex {
-	return newHashIndex(r, attrs, -1)
+	return NewCountedHashIndex(r, attrs, -1)
 }
 
 // NewCountedHashIndex builds an index on attrs whose buckets also tally
-// the values of attribute counted (see BucketCounts).
+// the values of attribute counted (see BucketCounts); counted < 0 builds a
+// plain index.
 func NewCountedHashIndex(r *Relation, attrs []int, counted int) *HashIndex {
-	return newHashIndex(r, attrs, counted)
-}
-
-func newHashIndex(r *Relation, attrs []int, counted int) *HashIndex {
 	// The widest active domain among attrs is a lower bound on the number
 	// of distinct keys and, for the near-key attribute sets that make an
 	// index large, close to it.
