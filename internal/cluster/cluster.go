@@ -32,6 +32,15 @@
 // rebuilds it over the shrunk domain, which is cheap at the sizes HAC
 // serves.
 //
+// A BK search measures one probe against every node it visits, with a
+// cutoff (the current radius plus the node's reach). Where the metric can
+// split that work (strdist.ProbeMetric) the tree prepares the probe once
+// per Nearest — for DL, the ASCII check and the match vectors of the
+// bit-vector kernel — and each node then costs one pass over its own
+// value, a word operation per byte, instead of a |probe|·|value| dynamic
+// program. The distances are the same to the value, so the search visits
+// the same nodes in the same order as it would through the plain metric.
+//
 // One caveat on "exact": the restricted DL distance the paper names is a
 // metric except around a transposition that is then edited in the middle
 // (CA→AC→ABC costs 1+1, CA→ABC costs 3). Where a probe, a node and a

@@ -261,10 +261,11 @@ func dlRunes(a, b string, max int) int {
 	return dlRows(ra, rb, rows[:n], rows[n:2*n], rows[2*n:], max)
 }
 
-// dlRows runs the bounded three-row DL dynamic program over two symbol
+// dlRows runs the bounded three-row DL dynamic program over two rune
 // sequences: prev2 = row i-2, prev = row i-1, cur = row i, each of length
-// len(b)+1 and supplied by the caller.
-func dlRows[T byte | rune](a, b []T, prev2, prev, cur []int, max int) int {
+// len(b)+1 and supplied by the caller. Each row's minimum is
+// non-decreasing, which is the cutoff.
+func dlRows(a, b []rune, prev2, prev, cur []int, max int) int {
 	n := len(b)
 	for j := range prev {
 		prev[j] = j
