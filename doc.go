@@ -23,8 +23,8 @@
 //	§4    BATCHREPAIR     internal/repair + internal/eqclass (cost-guided
 //	                      equivalence classes, component-parallel engine)
 //	§5    INCREPAIR       internal/increpair (TUPLERESOLVE, the three
-//	                      orderings, streaming Session) with
-//	                      internal/cluster's cost-based indices
+//	                      orderings, the similarity search over the
+//	                      active domains, streaming Session)
 //	§6    sampling        internal/sampling (stratified samples, z-test)
 //	                      wired by internal/core (the Fig. 3 loop)
 //	§7    evaluation      internal/gen + workload (the order-relation
@@ -38,6 +38,25 @@
 //	—     durability      internal/wal (CRC-checked write-ahead log +
 //	                      full-state snapshots; crash recovery replays
 //	                      the journal's Delta stream through ApplyOps)
+//
+// One documented substitution. §5.2 arranges adom(Repr, A) in a tree built
+// by hierarchical agglomerative clustering and descends it to range over
+// the values nearest a given one. This reproduction scans the live domain
+// instead: Relation keeps it as a dense list, a query measures every value
+// of it with the bounded bit-vector DL kernel and keeps the best NearestK
+// by (distance, value) within radius 8. That is exact, and a function of
+// the relation's contents alone — a recovered session or a follower
+// offers the candidates the live session offers. The limit: a query is
+// O(|adom(A)|), about 60 ns a value. The trees this replaced (the paper's
+// dendrogram up to 64 values, a BK-tree beyond) bought little on the
+// generated data, whose key-like values are nearly equidistant — nodes
+// visited per query, as a share of the domain:
+//
+//	id 99 %   zip 95 %   PN 93 %   AC 73 %   PR 40 %   name 26 %
+//
+// — and neither was exact: the dendrogram's descent is approximate by
+// design, and BK pruning assumes a triangle inequality the restricted DL
+// distance breaks. EXPERIMENTS.md "PR 17" has the table and the timings.
 //
 // # Data flow
 //

@@ -70,9 +70,8 @@ func buildIncStream(ds *workload.Dataset, seed int64, churn bool) *incStream {
 	return st
 }
 
-// run plays the stream through a fresh session and returns the SHA-256 of
-// its dump together with the session's index counters.
-func (st *incStream) run(t *testing.T, opts *cfdclean.IncOptions) (string, string) {
+// open starts a session over the stream's clean base.
+func (st *incStream) open(t *testing.T, opts *cfdclean.IncOptions) *cfdclean.Session {
 	t.Helper()
 	d := cfdclean.NewRelation(st.ds.Schema)
 	for _, tu := range st.ds.Opt.Tuples()[:st.base] {
@@ -84,8 +83,14 @@ func (st *incStream) run(t *testing.T, opts *cfdclean.IncOptions) (string, strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
-	for b := range st.inserts {
+	return sess
+}
+
+// play pushes batches [from, to) of the stream through sess.
+func (st *incStream) play(t *testing.T, sess *cfdclean.Session, from, to int) {
+	t.Helper()
+	for b := from; b < to; b++ {
+		var err error
 		if st.deletes[b] == nil && st.sets[b] == nil {
 			_, err = sess.ApplyDelta(st.inserts[b])
 		} else {
@@ -98,39 +103,65 @@ func (st *incStream) run(t *testing.T, opts *cfdclean.IncOptions) (string, strin
 			t.Fatalf("session violates Σ after batch %d", b)
 		}
 	}
+}
+
+// dumpHash is the SHA-256 of the session's dump.
+func dumpHash(t *testing.T, sess *cfdclean.Session) string {
+	t.Helper()
 	var out bytes.Buffer
 	if err := sess.Dump(&out); err != nil {
 		t.Fatal(err)
 	}
+	return fmt.Sprintf("%x", sha256.Sum256(out.Bytes()))
+}
+
+// run plays the stream through a fresh session and returns the SHA-256 of
+// its dump together with the session's index counters.
+func (st *incStream) run(t *testing.T, opts *cfdclean.IncOptions) (string, string) {
+	t.Helper()
+	sess := st.open(t, opts)
+	defer sess.Close()
+	st.play(t, sess, 0, incBatches)
 	ix := sess.IndexStats()
-	return fmt.Sprintf("%x", sha256.Sum256(out.Bytes())),
-		fmt.Sprintf("nearest=%d visited=%d", ix.Nearest, ix.Visited)
+	return dumpHash(t, sess), fmt.Sprintf("nearest=%d visited=%d", ix.Nearest, ix.Visited)
+}
+
+// incDataset generates the data every stream of one seed draws from.
+func incDataset(t *testing.T, seed int64) *workload.Dataset {
+	t.Helper()
+	ds, err := workload.Generate(workload.Config{
+		Size: incBase + incBatches*incBatchSize, NoiseRate: 0.05, ConstShare: 0.5,
+		PatternRows: 600, Weights: true, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
 }
 
 // TestSessionStreamHashes plays 10 seeds × {insert-only ApplyDelta, ApplyOps
 // churn with deletes and SetOps} through Session and compares the SHA-256
 // of each Session.Dump with testdata/inc_hashes.txt, plus — for the first
-// seed — the similarity indices' Nearest and Visited counters. The file was
+// seed — the similarity search's Nearest and Visited counters. The file was
 // recorded at the commit before PR 16, whose vio(t) walked the LHS bucket
 // one Relation.Tuple lookup per member and whose DL kernel was a three-row
 // dynamic program; both are gone, so these hashes are their oracle: a
 // counted bucket that miscounts or a bit-vector kernel that is off by one
-// picks another candidate somewhere in 8 000 arrivals, and a BK search that
-// prunes differently visits another number of nodes. Regenerate with
-// -update only for a change that means to alter repairs.
+// picks another candidate somewhere in 8 000 arrivals. PR 17 replaced the
+// similarity trees of that commit by an exact scan of the active domain and
+// re-recorded the lines that changed with it: "16009 stream", whose repair
+// turned on a candidate list the trees had got wrong (EXPERIMENTS.md
+// "PR 17"), and the two index lines — Visited is now the number of domain
+// values measured, Σ|adom(a)| over the queries, so it moves with any change
+// to which queries are asked or to what the relation holds when they are.
+// Regenerate with -update only for a change that means to alter repairs.
 func TestSessionStreamHashes(t *testing.T) {
 	path := filepath.Join("testdata", "inc_hashes.txt")
 	const first, count = 16001, 10
 	var lines []string
 	for i := 0; i < count; i++ {
 		seed := int64(first + i)
-		ds, err := workload.Generate(workload.Config{
-			Size: incBase + incBatches*incBatchSize, NoiseRate: 0.05, ConstShare: 0.5,
-			PatternRows: 600, Weights: true, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ds := incDataset(t, seed)
 		for _, kind := range []string{"stream", "churn"} {
 			st := buildIncStream(ds, seed, kind == "churn")
 			hash, ix := st.run(t, nil)
@@ -144,4 +175,49 @@ func TestSessionStreamHashes(t *testing.T) {
 		}
 	}
 	checkRecorded(t, path, lines)
+}
+
+// TestRestoreMidStreamMatchesLive: a session persisted after batch 2, 4 or 6
+// of a stream, restored from that image and played the rest, ends byte for
+// byte where the session that never stopped ends — on the generated domains
+// (hundreds of values an attribute), over 10 seeds × {stream, churn}. A
+// restored session interns its values in another order and has asked none
+// of the earlier similarity queries, so this holds because the candidates
+// of a repair are a function of the relation's contents alone.
+func TestRestoreMidStreamMatchesLive(t *testing.T) {
+	const first, count = 17001, 10
+	cuts := []int{2, 4, 6}
+	for i := 0; i < count; i++ {
+		seed := int64(first + i)
+		ds := incDataset(t, seed)
+		for _, kind := range []string{"stream", "churn"} {
+			st := buildIncStream(ds, seed, kind == "churn")
+			// One session plays straight through; Persist is a read.
+			live := st.open(t, nil)
+			images := make([]bytes.Buffer, len(cuts))
+			at := 0
+			for c, cut := range cuts {
+				st.play(t, live, at, cut)
+				if err := live.Persist("", &images[c]); err != nil {
+					t.Fatal(err)
+				}
+				at = cut
+			}
+			st.play(t, live, at, incBatches)
+			want := dumpHash(t, live)
+			live.Close()
+
+			for c, cut := range cuts {
+				back, err := cfdclean.RestoreSession(&images[c], 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.play(t, back, cut, incBatches)
+				if got := dumpHash(t, back); got != want {
+					t.Errorf("seed %d %s: restored after batch %d, the dump is %s; the live session's is %s", seed, kind, cut, got[:12], want[:12])
+				}
+				back.Close()
+			}
+		}
+	}
 }

@@ -30,9 +30,9 @@ import (
 	"sort"
 
 	"cfdclean/internal/cfd"
-	"cfdclean/internal/cluster"
 	"cfdclean/internal/cost"
 	"cfdclean/internal/relation"
+	"cfdclean/internal/strdist"
 )
 
 // Ordering selects the tuple-processing order of §5.2.
@@ -156,38 +156,34 @@ type engine struct {
 	off      []int32
 	one      []int32
 
-	// clusterIdx[a] is the cost-based index over adom(Repr, a); built
-	// lazily for the attributes Σ constrains and then maintained under
-	// every insert (insertBatch) and removal (forget).
-	clusterIdx map[int]cluster.Index
-	// nearCache memoizes clusterIdx[a].Nearest(v, NearestK) within one
-	// tupleResolve call, which clears it on entry: the indices do not
-	// change during a call, so there is nothing to invalidate. (Kept
-	// across calls it answered another 45–65 % of the queries but saved
-	// only 2–6 % of the nodes visited — the repeats are the cheap queries.)
+	// dl and hits are the scratch of nearest: the prepared DL probe and
+	// the best values found so far.
+	dl   strdist.Probe
+	hits []nearHit
+	// nearCache memoizes nearest(a, v) within one tupleResolve call, which
+	// clears it on entry: the relation does not change during a call, so
+	// there is nothing to invalidate. (Kept across calls it answered another
+	// 45–65 % of the queries but saved only 2–6 % of the values measured —
+	// the repeats are the cheap queries.)
 	nearCache map[nearKey][]relation.IDValue
 
-	// stats and retired back Session.IndexStats: the engine's own
-	// counters, and the work counters of indices since dropped.
-	stats   IndexStats
-	retired cluster.Stats
+	// stats backs Session.IndexStats.
+	stats IndexStats
 }
 
 // IndexStats are the work counters of a session's indices (§5.2) — the
-// cost-based similarity indices and the LHS indices behind vio(t) —
-// cumulative since the session opened. They ride beside the session's
-// state: no snapshot, listing or log carries them.
+// similarity search over the active domains and the LHS indices behind
+// vio(t) — cumulative since the session opened. They ride beside the
+// session's state: no snapshot, listing or log carries them.
 type IndexStats struct {
-	// Builds counts indices built from an active domain. A maintained
-	// index is built once; only small (HAC-sized) domains are ever rebuilt.
-	Builds int
-	// Nearest counts similarity queries answered by an index, NearHits
-	// those answered by the memo in front of it.
+	// Nearest counts similarity queries answered by a scan of the active
+	// domain, NearHits those answered by the memo in front of it.
 	Nearest  int
 	NearHits int
-	// Stats sums the indices' own counters, dropped indices included
-	// (Tombstones: live indices only).
-	cluster.Stats
+	// Visited counts the domain values measured against a query: the sum of
+	// |adom(a)| over the Nearest queries, so it repeats exactly from run to
+	// run.
+	Visited int
 	// VioProbes counts TUPLERESOLVE's per-group vio(t) probes of the LHS
 	// indices (Group.VioCount calls).
 	VioProbes int
@@ -201,10 +197,6 @@ type IndexStats struct {
 // indexStats assembles the counters; callers hold the session lock.
 func (e *engine) indexStats() IndexStats {
 	out := e.stats
-	out.Stats = e.retired
-	for _, ix := range e.clusterIdx {
-		out.Stats = out.Stats.Plus(ix.Stats())
-	}
 	for _, w := range e.workers {
 		out.VioProbes += w.probes
 	}
@@ -234,14 +226,14 @@ func newEngine(repr *relation.Relation, sigma []*cfd.Normal, o Options) (*engine
 	}
 	store := cfd.NewVioStoreWorkers(repr, sigma, o.Workers)
 	e := &engine{
-		repr:       repr,
-		store:      store,
-		det:        store.Detector(),
-		model:      o.CostModel,
-		opts:       o,
-		arity:      repr.Schema().Arity(),
-		clusterIdx: make(map[int]cluster.Index),
-		nearCache:  make(map[nearKey][]relation.IDValue),
+		repr:      repr,
+		store:     store,
+		det:       store.Detector(),
+		model:     o.CostModel,
+		opts:      o,
+		arity:     repr.Schema().Arity(),
+		dl:        strdist.DL.(strdist.ProbeMetric).NewProbe(),
+		nearCache: make(map[nearKey][]relation.IDValue),
 	}
 	for _, g := range e.det.Groups() {
 		var m uint64
@@ -278,11 +270,6 @@ func (e *engine) insertBatch(delta []*relation.Tuple) (*Result, error) {
 		rt := e.tupleResolve(t)
 		if err := e.repr.Insert(rt); err != nil {
 			return nil, fmt.Errorf("increpair: inserting repaired tuple: %w", err)
-		}
-		for a, ix := range e.clusterIdx {
-			if !rt.Vals[a].Null {
-				ix.Add(rt.Vals[a].Str)
-			}
 		}
 		c, err := e.model.Tuple(t, rt)
 		if err != nil {

@@ -135,8 +135,8 @@ func TestCleanInsertPassesThrough(t *testing.T) {
 
 // TestTypoFixedByConstantCFD: a typo'd city on an otherwise matching
 // tuple is corrected to the pattern constant, not nulled: the pattern
-// constant is a zero-violation candidate and the cluster index offers the
-// original value too.
+// constant is a zero-violation candidate and the similarity search offers
+// the original value too.
 func TestTypoFixedByConstantCFD(t *testing.T) {
 	d := cleanPaperData(t)
 	s := d.Schema()

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"cfdclean/internal/cfd"
-	"cfdclean/internal/cluster"
 	"cfdclean/internal/cost"
 	"cfdclean/internal/relation"
 )
@@ -507,7 +506,24 @@ func (e *engine) candidates(rt *relation.Tuple, a int, out []relation.IDValue) [
 	return append(out, relation.NullIDValue)
 }
 
-// nearest returns the memoized cost-based index lookup for (a, v): each
+// maxRadius caps the similarity search: repair candidates farther than
+// this from the query are not meaningfully "similar" (the paper's noise is
+// at DL distance 1–6, and the normalized cost of such distant values
+// approaches 1 anyway), and the cap turns most distance computations into
+// cheap early exits of the bounded kernel.
+const maxRadius = 8
+
+// nearHit is a domain value at DL distance d from the query.
+type nearHit struct {
+	v relation.IDValue
+	d int
+}
+
+// nearest is the cost-based index of §5.2: the up to NearestK values of
+// adom(Repr, a) within maxRadius of v, by increasing (DL distance, value).
+// It measures v against every value of the live domain — the exact top-k, a
+// function of the relation alone — with the kernel cut off at the worst
+// distance that can still enter the result. Lookups are memoized: each
 // round of TUPLERESOLVE's greedy cover asks again for the neighbours of
 // every attribute still open, whose values have not changed.
 func (e *engine) nearest(a int, v string) []relation.IDValue {
@@ -517,50 +533,36 @@ func (e *engine) nearest(a int, v string) []relation.IDValue {
 		return res
 	}
 	e.stats.Nearest++
-	strs := e.clusterIndex(a).Nearest(v, e.opts.NearestK)
-	res := make([]relation.IDValue, len(strs))
-	for i, s := range strs {
-		res[i] = e.repr.Dict().Resolve(relation.S(s))
+	e.stats.Visited += e.repr.ActiveDomainSize(a)
+	k := e.opts.NearestK
+	e.dl.Reset(v)
+	hits, worst := e.hits[:0], maxRadius
+	e.repr.EachDomainValue(a, func(id relation.ValueID, s string) {
+		d := e.dl.DistanceBounded(s, worst)
+		if d > worst {
+			return
+		}
+		i := len(hits)
+		for i > 0 && (hits[i-1].d > d || (hits[i-1].d == d && hits[i-1].v.Str > s)) {
+			i--
+		}
+		if i == k {
+			return
+		}
+		if len(hits) < k {
+			hits = append(hits, nearHit{})
+		}
+		copy(hits[i+1:], hits[i:])
+		hits[i] = nearHit{relation.IDValue{Value: relation.S(s), ID: id}, d}
+		if len(hits) == k {
+			worst = hits[k-1].d
+		}
+	})
+	e.hits = hits
+	res := make([]relation.IDValue, len(hits))
+	for i, h := range hits {
+		res[i] = h.v
 	}
 	e.nearCache[key] = res
 	return res
-}
-
-// clusterIndex lazily builds the cost-based index over adom(Repr, a).
-func (e *engine) clusterIndex(a int) cluster.Index {
-	if ix, ok := e.clusterIdx[a]; ok {
-		return ix
-	}
-	e.stats.Builds++
-	ix := cluster.New(e.repr.ActiveDomain(a), nil)
-	e.clusterIdx[a] = ix
-	return ix
-}
-
-// forget takes out of the cost-based indices every value the removed
-// tuples just took out of the active domain, so TUPLERESOLVE cannot offer a
-// vanished value as a donor (§3.1: repairs draw from adom ∪ null). A
-// BK-tree drops the value in place — its Nearest depends on the live
-// values only, so it goes on answering exactly as one rebuilt over the
-// shrunk domain would — and no index is rebuilt on the delete/update path.
-// The exception is the small domain: a HAC tree refuses (its answers
-// depend on its shape), and a BK-tree that shrinks to HAC size hands over
-// to one; both are dropped here and rebuilt by the next probe that needs
-// them, which is rare and cheap at that size.
-func (e *engine) forget(removed []*relation.Tuple) {
-	for a, ix := range e.clusterIdx {
-		for _, t := range removed {
-			v := t.Vals[a]
-			if v.Null || e.repr.DomainCount(a, v.Str) > 0 {
-				continue
-			}
-			if !ix.Remove(v.Str) || ix.Len() <= cluster.HACSizeLimit {
-				st := ix.Stats()
-				st.Tombstones = 0 // gone with the index
-				e.retired = e.retired.Plus(st)
-				delete(e.clusterIdx, a)
-				break
-			}
-		}
-	}
 }

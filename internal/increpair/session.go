@@ -21,9 +21,8 @@ var errClosed = errors.New("increpair: session is closed")
 // and then keeps the engine alive. Each ApplyDelta pushes a ΔD batch
 // through INCREPAIR against the maintained state, so the per-batch cost
 // is O(|ΔD|) — the base is never rescanned, no detector is ever rebuilt,
-// and TUPLERESOLVE's donor indices and cost-based cluster indices carry
-// over from batch to batch, maintained in place under inserts, deletes and
-// updates alike.
+// and TUPLERESOLVE's donor indices carry over from batch to batch,
+// maintained in place under inserts, deletes and updates alike.
 //
 // # Concurrency contract
 //
@@ -243,9 +242,7 @@ func (s *Session) ApplyOps(deletes []relation.TupleID, sets []SetOp, inserts []*
 		return nil, 0, fmt.Errorf("increpair: batch mixes id-less inserts with explicit ids at or beyond the watermark %d", s.e.repr.NextID())
 	}
 
-	removed := make([]*relation.Tuple, 0, len(deletes)+len(sets))
 	for _, id := range deletes {
-		removed = append(removed, s.e.repr.Tuple(id))
 		s.e.repr.Delete(id)
 	}
 
@@ -257,9 +254,7 @@ func (s *Session) ApplyOps(deletes []relation.TupleID, sets []SetOp, inserts []*
 	for _, op := range sets {
 		c := mods[op.ID]
 		if c == nil {
-			orig := s.e.repr.Tuple(op.ID)
-			removed = append(removed, orig)
-			c = orig.Clone()
+			c = s.e.repr.Tuple(op.ID).Clone()
 			mods[op.ID] = c
 			updated = append(updated, c)
 		}
@@ -268,7 +263,6 @@ func (s *Session) ApplyOps(deletes []relation.TupleID, sets []SetOp, inserts []*
 	for _, c := range updated {
 		s.e.repr.Delete(c.ID)
 	}
-	s.e.forget(removed)
 
 	delta := make([]*relation.Tuple, 0, len(updated)+len(inserts))
 	delta = append(delta, updated...)
@@ -319,9 +313,9 @@ func (s *Session) Snapshot() Snapshot { return *s.snap.Load() }
 // a consistent serialization, or Close first).
 func (s *Session) Current() *relation.Relation { return s.e.repr }
 
-// IndexStats returns the work counters of the session's similarity
-// indices. Like the other structure reads it briefly takes the writer
-// lock.
+// IndexStats returns the work counters of the session's similarity search
+// and LHS indices. Like the other structure reads it briefly takes the
+// writer lock.
 func (s *Session) IndexStats() IndexStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -119,7 +119,7 @@ func NewCountedHashIndex(r *Relation, attrs []int, counted int) *HashIndex {
 	// index large, close to it.
 	distinct := 0
 	for _, a := range attrs {
-		distinct = max(distinct, len(r.adom[a]))
+		distinct = max(distinct, r.ActiveDomainSize(a))
 	}
 	ix := &HashIndex{
 		rel:     r,

@@ -50,21 +50,31 @@ func NewDict() *Dict {
 // InternStr returns the id of constant s, assigning the next dense id on
 // first sight.
 func (d *Dict) InternStr(s string) ValueID {
+	id, _ := d.intern(s)
+	return id
+}
+
+// intern is InternStr that also returns the dictionary's own copy of s,
+// under the one lock.
+func (d *Dict) intern(s string) (ValueID, string) {
 	d.mu.RLock()
 	id, ok := d.byStr[s]
+	if ok {
+		s = d.strs[id]
+	}
 	d.mu.RUnlock()
 	if ok {
-		return id
+		return id, s
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if id, ok := d.byStr[s]; ok {
-		return id
+		return id, d.strs[id]
 	}
 	id = ValueID(len(d.strs))
 	d.strs = append(d.strs, s)
 	d.byStr[s] = id
-	return id
+	return id, s
 }
 
 // Intern returns the id of v: NullID for null, InternStr otherwise.

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,10 +19,8 @@ type Relation struct {
 	nextID TupleID
 	dict   *Dict
 
-	// adom[a] maps the interned id of each non-null constant appearing in
-	// attribute a to the number of tuples currently carrying it.
-	// Maintained incrementally.
-	adom []map[ValueID]int
+	// adom[a] is the live domain of attribute a, maintained incrementally.
+	adom []domain
 
 	// subs are the mutation-journal subscribers (see journal.go); notified
 	// synchronously after each insert, delete and update. version counts
@@ -41,9 +40,9 @@ type Relation struct {
 
 // New creates an empty relation instance of schema s.
 func New(s *Schema) *Relation {
-	adom := make([]map[ValueID]int, s.Arity())
+	adom := make([]domain, s.Arity())
 	for i := range adom {
-		adom[i] = make(map[ValueID]int)
+		adom[i].pos = make(map[ValueID]int32)
 	}
 	return &Relation{
 		schema: s,
@@ -52,6 +51,45 @@ func New(s *Schema) *Relation {
 		dict:   NewDict(),
 		adom:   adom,
 	}
+}
+
+// domain is the active domain of one attribute: every non-null constant
+// some tuple currently carries, with the number of tuples carrying it. The
+// values lie densely in a slice, so walking them (EachDomainValue) is a
+// scan; pos finds a value's place, and the value whose last occurrence
+// goes is overwritten by the last one.
+type domain struct {
+	vals []domainValue
+	pos  map[ValueID]int32 // pos[vals[i].id] == i
+}
+
+type domainValue struct {
+	str string // the dictionary's copy, so a walk takes no dictionary lock
+	id  ValueID
+	n   int32 // tuples carrying it, ≥ 1
+}
+
+func (d *domain) bump(id ValueID, str string) {
+	if i, ok := d.pos[id]; ok {
+		d.vals[i].n++
+		return
+	}
+	d.pos[id] = int32(len(d.vals))
+	d.vals = append(d.vals, domainValue{str: str, id: id, n: 1})
+}
+
+func (d *domain) drop(id ValueID) {
+	i := d.pos[id]
+	if d.vals[i].n > 1 {
+		d.vals[i].n--
+		return
+	}
+	last := len(d.vals) - 1
+	d.vals[i] = d.vals[last]
+	d.pos[d.vals[i].id] = i
+	d.vals[last] = domainValue{}
+	d.vals = d.vals[:last]
+	delete(d.pos, id)
 }
 
 // Schema returns the relation's schema.
@@ -109,14 +147,14 @@ func (r *Relation) Insert(t *Tuple) error {
 	// parser-owned copies.
 	t.ids = make([]ValueID, len(t.Vals))
 	for a, v := range t.Vals {
-		id := r.dict.Intern(v)
-		t.ids[a] = id
-		if id != NullID {
-			t.Vals[a] = Value{Str: r.dict.Str(id)}
-			r.adom[a][id]++
-		} else {
+		if v.Null {
 			t.Vals[a] = NullValue
+			continue
 		}
+		id, s := r.dict.intern(v.Str)
+		t.ids[a] = id
+		t.Vals[a] = Value{Str: s}
+		r.adom[a].bump(id, s)
 	}
 	r.version++
 	if len(r.subs) > 0 {
@@ -151,7 +189,7 @@ func (r *Relation) Delete(id TupleID) bool {
 	t := r.tuples[i]
 	for a, id := range t.ids {
 		if id != NullID {
-			r.dropAdom(a, id)
+			r.adom[a].drop(id)
 		}
 	}
 	if r.activeGens.Load() != 0 {
@@ -184,15 +222,15 @@ func (r *Relation) Set(id TupleID, a int, v Value) (Value, error) {
 	}
 	oldID := t.ids[a]
 	if oldID != NullID {
-		r.dropAdom(a, oldID)
+		r.adom[a].drop(oldID)
 	}
-	vid := r.dict.Intern(v)
-	if vid != NullID {
-		// Canonicalize to the dictionary's backing string (see Insert).
-		v = Value{Str: r.dict.Str(vid)}
-		r.adom[a][vid]++
-	} else {
+	vid := NullID
+	if v.Null {
 		v = NullValue
+	} else {
+		// Canonicalize to the dictionary's backing string (see Insert).
+		vid, v.Str = r.dict.intern(v.Str)
+		r.adom[a].bump(vid, v.Str)
 	}
 	if r.activeGens.Load() != 0 {
 		// Tuples reachable from pinned views are immutable: update via
@@ -209,29 +247,29 @@ func (r *Relation) Set(id TupleID, a int, v Value) (Value, error) {
 	return old, nil
 }
 
-func (r *Relation) dropAdom(a int, id ValueID) {
-	if n := r.adom[a][id]; n <= 1 {
-		delete(r.adom[a], id)
-	} else {
-		r.adom[a][id] = n - 1
-	}
-}
-
 // ActiveDomain returns the sorted distinct non-null constants currently
 // appearing in attribute a — the paper's adom(A, D) (§2). Repairs draw
 // replacement values from the active domain or null; no values are
 // invented (§3.1).
 func (r *Relation) ActiveDomain(a int) []string {
-	out := make([]string, 0, len(r.adom[a]))
-	for id := range r.adom[a] {
-		out = append(out, r.dict.Str(id))
+	out := make([]string, 0, len(r.adom[a].vals))
+	for _, v := range r.adom[a].vals {
+		out = append(out, v.str)
 	}
 	sort.Strings(out)
 	return out
 }
 
 // ActiveDomainSize returns |adom(a, D)| without materializing it.
-func (r *Relation) ActiveDomainSize(a int) int { return len(r.adom[a]) }
+func (r *Relation) ActiveDomainSize(a int) int { return len(r.adom[a].vals) }
+
+// EachDomainValue calls f with every value of adom(a, D) and its id, in no
+// particular order, without allocating. f must not mutate the relation.
+func (r *Relation) EachDomainValue(a int, f func(id ValueID, s string)) {
+	for _, v := range r.adom[a].vals {
+		f(v.id, v.str)
+	}
+}
 
 // DomainCount returns the number of tuples whose attribute a currently
 // equals constant s.
@@ -240,7 +278,10 @@ func (r *Relation) DomainCount(a int, s string) int {
 	if !ok {
 		return 0
 	}
-	return r.adom[a][id]
+	if i, ok := r.adom[a].pos[id]; ok {
+		return int(r.adom[a].vals[i].n)
+	}
+	return 0
 }
 
 // Clone deep-copies the relation, tuples included. The interning
@@ -255,11 +296,11 @@ func (r *Relation) Clone() *Relation {
 		byID:    make(map[TupleID]int, len(r.tuples)),
 		nextID:  1,
 		dict:    r.dict.Clone(),
-		adom:    make([]map[ValueID]int, len(r.adom)),
+		adom:    make([]domain, len(r.adom)),
 		version: uint64(len(r.tuples)),
 	}
-	for a, m := range r.adom {
-		c.adom[a] = maps.Clone(m)
+	for a, d := range r.adom {
+		c.adom[a] = domain{vals: slices.Clone(d.vals), pos: maps.Clone(d.pos)}
 	}
 	for i, t := range r.tuples {
 		ct := t.Clone()

@@ -200,8 +200,8 @@ type SessionInfo struct {
 	// Role ("primary"/"follower") and Replication ("target@version",
 	// the follower's acknowledged journal version) render only on
 	// clustered nodes; single-node listings stay byte-stable.
-	Role        string       `json:"role,omitempty"`
-	Replication string       `json:"replication,omitempty"`
+	Role        string `json:"role,omitempty"`
+	Replication string `json:"replication,omitempty"`
 	// Store reports the disk-backed page store's state; absent for
 	// memory-backed sessions, so their listings stay byte-stable.
 	Store    *WireStore   `json:"store,omitempty"`

@@ -205,7 +205,7 @@ func FuzzOSABitsVsRows(f *testing.F) {
 }
 
 // The DL kernels are the innermost loop of both repair engines (the cost
-// model and the BK-tree search): on the values they actually see — ASCII,
+// model and the similarity search): on the values they actually see — ASCII,
 // at most 64 bytes — they must not allocate, called directly or through a
 // prepared probe.
 func TestDLKernelsDoNotAllocate(t *testing.T) {

@@ -75,9 +75,10 @@ func DamerauLevenshtein(a, b string) int {
 
 // BoundedMetric is an optional extension: DistanceBounded may give up as
 // soon as it can prove the distance exceeds max, returning any value
-// greater than max. Index structures that search within a radius (the
-// BK-tree of package cluster) use it to prune the dynamic program, which
-// dominates whole-run profiles otherwise.
+// greater than max. A search within a radius (TUPLERESOLVE's scan of the
+// active domain for the nearest values, package increpair) uses it to cut
+// the distance computation short, which dominates whole-run profiles
+// otherwise.
 type BoundedMetric interface {
 	Metric
 	// DistanceBounded returns the distance if it is ≤ max, or any value
@@ -85,16 +86,16 @@ type BoundedMetric interface {
 	DistanceBounded(a, b string, max int) int
 }
 
-// DistanceBounded makes DL a BoundedMetric via DamerauLevenshteinBounded
-// when f is the package default; other Funcs fall back to full distance.
+// DistanceBounded makes every Func a BoundedMetric without a cutoff: it
+// calls f(a, b) and ignores max.
 func (f Func) DistanceBounded(a, b string, max int) int {
 	return f(a, b)
 }
 
 // ProbeMetric is an optional extension of BoundedMetric for a search that
-// measures one string against many (the BK-tree's Nearest): whatever
-// depends on that string alone is worked out once, by Probe.Reset, instead
-// of once per pair.
+// measures one string against many (a query against every value of an
+// active domain): whatever depends on that string alone is worked out
+// once, by Probe.Reset, instead of once per pair.
 type ProbeMetric interface {
 	BoundedMetric
 	// NewProbe returns a probe of this metric; Reset it before use.
