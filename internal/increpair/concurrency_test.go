@@ -1,6 +1,7 @@
 package increpair
 
 import (
+	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -292,6 +293,33 @@ func TestSessionDumpMatchesWriteCSV(t *testing.T) {
 	}
 	if vs, total := sess.Violations(0); vs != nil || total != 0 {
 		t.Fatalf("Violations after close must refuse, got %d entries", len(vs))
+	}
+}
+
+// TestWriteCSVAllocs: a read-out allocates its block, its cursor and a few
+// headers — the same handful at 1 000 rows and at 20 000.
+func TestWriteCSVAllocs(t *testing.T) {
+	allocs := func(rows int) (writeCSV, dump float64) {
+		c := newGenChurn(t, rows, 7)
+		sess := c.open(t, rows, nil)
+		defer sess.Close()
+		cur := sess.Current()
+		writeCSV = testing.AllocsPerRun(5, func() {
+			if err := relation.WriteCSV(cur, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		dump = testing.AllocsPerRun(5, func() {
+			if err := sess.Dump(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return writeCSV, dump
+	}
+	w1, d1 := allocs(1000)
+	w20, d20 := allocs(20000)
+	if w1 != w20 || d1 != d20 || w1 > 3 || d1 > 7 {
+		t.Errorf("allocations WriteCSV %v → %v, Session.Dump %v → %v at 1 000 → 20 000 rows; want equal and at most 3 and 7", w1, w20, d1, d20)
 	}
 }
 

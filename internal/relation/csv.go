@@ -7,9 +7,12 @@ import (
 	"strconv"
 )
 
-// NullLiteral is the CSV representation of SQL null. Chosen so it cannot
-// collide with ordinary data written by WriteCSV (which escapes nothing;
-// callers with literal "\N" data should use a custom codec).
+// NullLiteral is the CSV representation of SQL null, chosen because
+// ordinary data rarely spells it. WriteCSV quotes fields per RFC 4180
+// (encoding/csv's rule), so commas, quotes, line breaks and leading blanks
+// survive WriteCSV → ReadCSV; two values do not: a non-null value equal to
+// `\N` reads back as null, and "\r\n" inside a value reads back as "\n"
+// (encoding/csv's Reader drops the carriage return).
 const NullLiteral = `\N`
 
 // ReadCSV loads a relation from CSV. The first record is the header and
@@ -57,20 +60,17 @@ func ReadCSV(name string, r io.Reader) (*Relation, error) {
 }
 
 // WriteCSV writes the relation as CSV with a header row. Null values are
-// written as NullLiteral. It shares its row codec with the streaming
-// CSVEncoder (cursor.go), so a pinned View.WriteCSV at the same version
+// written as NullLiteral. It shares its row codec (csvWriter, cursor.go)
+// with the streaming View.WriteCSV, so a pinned view at the same version
 // is byte-identical.
 func WriteCSV(rel *Relation, w io.Writer) error {
-	enc, err := NewCSVEncoder(w, rel.Schema())
-	if err != nil {
-		return err
-	}
+	enc := newCSVWriter(w, rel.Schema())
 	for _, t := range rel.Tuples() {
-		if err := enc.Write(t); err != nil {
+		if err := enc.row(t); err != nil {
 			return err
 		}
 	}
-	return enc.Flush()
+	return enc.flush()
 }
 
 // WriteWeightsCSV writes the per-attribute confidence weights as a CSV

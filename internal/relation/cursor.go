@@ -1,9 +1,11 @@
 package relation
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
+	"unicode"
+	"unicode/utf8"
 )
 
 // RowCursor iterates a pinned View in physical (pin-time) order, one page
@@ -63,62 +65,141 @@ func (c *RowCursor) Next() *Tuple {
 // unit of lock acquisition and of peak buffering for streamed reads.
 func (c *RowCursor) Pages() int { return c.pages }
 
-// A CSVEncoder streams tuples as CSV rows behind a shared row codec, so
-// the buffered whole-relation WriteCSV and the server's streamed dump
-// emit byte-identical output. NewCSVEncoder writes the header row
-// immediately; Flush must be called (and its error checked) after the
-// last Write.
-type CSVEncoder struct {
-	cw  *csv.Writer
-	rec []string
-}
+// csvBlockSize is how much encoded CSV accumulates before it is handed to
+// the underlying writer in one Write.
+const csvBlockSize = 64 << 10
 
-// NewCSVEncoder writes the schema's header row to w and returns an
-// encoder for the tuple rows.
-func NewCSVEncoder(w io.Writer, s *Schema) (*CSVEncoder, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(s.Attrs()); err != nil {
-		return nil, fmt.Errorf("relation: writing CSV header: %w", err)
+// csvClass holds the quoting rule of encoding/csv's Writer, whose output
+// csvWriter reproduces byte for byte: a csvSpecial byte anywhere in a field
+// forces the quoted form; a csvLead first byte means the field may be `\.`
+// or open with a Unicode space, which are quoted too.
+const (
+	csvSpecial = 1 << iota // , " \r \n
+	csvLead                // ASCII blank, backslash, or the start of a multi-byte rune
+)
+
+var csvClass = func() (c [256]uint8) {
+	for _, b := range []byte(",\"\r\n") {
+		c[b] = csvSpecial
 	}
-	return &CSVEncoder{cw: cw, rec: make([]string, s.Arity())}, nil
+	for _, b := range []byte(" \t\v\f\\") {
+		c[b] = csvLead
+	}
+	for b := utf8.RuneSelf; b < len(c); b++ {
+		c[b] = csvLead
+	}
+	return c
+}()
+
+// A csvWriter is the one CSV row codec behind every read-out (WriteCSV,
+// View.WriteCSV and through them Session.Dump and the server's dump): it
+// appends rows straight into a byte block and writes each full block at
+// once. It keeps nothing between dumps. The caller flushes after the last
+// row; the first write error is sticky and stops every later write.
+type csvWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
 }
 
-// Write encodes one tuple row. Null values are written as NullLiteral.
-func (e *CSVEncoder) Write(t *Tuple) error {
+// newCSVWriter returns a codec on w with the schema's header row encoded.
+func newCSVWriter(w io.Writer, s *Schema) *csvWriter {
+	e := &csvWriter{w: w, buf: make([]byte, 0, csvBlockSize)}
+	e.record(s.Attrs())
+	return e
+}
+
+// record encodes one row of plain strings.
+func (e *csvWriter) record(fields []string) {
+	for i, f := range fields {
+		e.field(f, i > 0)
+	}
+	e.buf = append(e.buf, '\n')
+}
+
+// row encodes one tuple, nulls as the unquoted NullLiteral, and returns the
+// writer's error once a block has failed.
+func (e *csvWriter) row(t *Tuple) error {
 	for i, v := range t.Vals {
+		s := v.Str
 		if v.Null {
-			e.rec[i] = NullLiteral
-		} else {
-			e.rec[i] = v.Str
+			s = NullLiteral
+		}
+		e.field(s, i > 0)
+	}
+	e.buf = append(e.buf, '\n')
+	return e.err
+}
+
+// field appends s, after a comma if asked. One pass copies and classifies
+// the bytes on the guess that no quoting is needed; a field that needs it
+// is written again quoted, `"` doubled and nothing else changed.
+func (e *csvWriter) field(s string, comma bool) {
+	// Room for the worst case — every byte a quote — plus the enclosing
+	// quotes, the comma and the row's newline.
+	if need := 2*len(s) + 4; len(e.buf)+need > cap(e.buf) {
+		e.flush()
+		e.buf = slices.Grow(e.buf, need) // only a field larger than the block grows it
+	}
+	if comma {
+		e.buf = append(e.buf, ',')
+	}
+	if s == "" {
+		return
+	}
+	n := len(e.buf)
+	dst := e.buf[n : n+len(s)]
+	var class uint8
+	for i := 0; i < len(dst); i++ {
+		c := s[i]
+		dst[i] = c
+		class |= csvClass[c]
+	}
+	quote := class&csvSpecial != 0
+	if !quote && csvClass[s[0]]&csvLead != 0 {
+		r, _ := utf8.DecodeRuneInString(s)
+		quote = unicode.IsSpace(r) || s == `\.`
+	}
+	if !quote {
+		e.buf = e.buf[:n+len(s)]
+		return
+	}
+	e.buf = append(e.buf, '"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' {
+			e.buf = append(e.buf, '"')
+		}
+		e.buf = append(e.buf, s[i])
+	}
+	e.buf = append(e.buf, '"')
+}
+
+// flush hands the block to the writer and empties it.
+func (e *csvWriter) flush() error {
+	if e.err == nil && len(e.buf) > 0 {
+		n, err := e.w.Write(e.buf)
+		if err == nil && n < len(e.buf) {
+			err = io.ErrShortWrite
+		}
+		if err != nil {
+			e.err = fmt.Errorf("relation: writing CSV: %w", err)
 		}
 	}
-	if err := e.cw.Write(e.rec); err != nil {
-		return fmt.Errorf("relation: writing CSV tuple %d: %w", t.ID, err)
-	}
-	return nil
-}
-
-// Flush drains the encoder's buffer to the underlying writer and returns
-// any deferred write error.
-func (e *CSVEncoder) Flush() error {
-	e.cw.Flush()
-	return e.cw.Error()
+	e.buf = e.buf[:0]
+	return e.err
 }
 
 // WriteCSV streams the pinned view as CSV with a header row —
 // byte-identical to relation.WriteCSV at the same version. Peak
-// buffering is one page of row pointers plus the csv writer's buffer,
+// buffering is one page of row pointers plus the codec's one block,
 // independent of the relation size.
 func (v *View) WriteCSV(w io.Writer) error {
-	enc, err := NewCSVEncoder(w, v.Schema())
-	if err != nil {
-		return err
-	}
+	enc := newCSVWriter(w, v.Schema())
 	cur := v.Rows()
 	for t := cur.Next(); t != nil; t = cur.Next() {
-		if err := enc.Write(t); err != nil {
+		if err := enc.row(t); err != nil {
 			return err
 		}
 	}
-	return enc.Flush()
+	return enc.flush()
 }

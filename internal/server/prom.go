@@ -142,6 +142,12 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, req *http.Request) {
 	p.counter("cfdserved_ship_degraded_total", "Replication delivery failures absorbed.", st.Degraded)
 	p.counter("cfdserved_ship_dropped_total", "Replication frames dropped on a full backlog or backoff.", st.Dropped)
 	p.counter("cfdserved_replica_applied_total", "Shipped batches applied on this node as a follower.", s.reg.replicaApplied.Load())
+	// Finished dumps only; rate(rows)/rate(seconds) is the benchmark's
+	// read_rows_per_s as the server sees it.
+	p.counter("cfdserved_dump_rows_total", "Rows streamed by finished CSV dumps.", s.reg.dumpRows.Load())
+	p.counter("cfdserved_dump_bytes_total", "CSV bytes written by finished dumps.", s.reg.dumpBytes.Load())
+	p.header("cfdserved_dump_seconds_total", "Handler seconds spent in finished dumps.", "counter")
+	p.sample("cfdserved_dump_seconds_total", nil, formatValue(time.Duration(s.reg.dumpNanos.Load()).Seconds()))
 
 	// Service-wide histograms.
 	p.header("cfdserved_pass_duration_seconds", "Engine pass duration.", "histogram")

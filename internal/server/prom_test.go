@@ -241,6 +241,8 @@ func TestPrometheusExposition(t *testing.T) {
 		applyOne(t, base, "alpha", "212", fmt.Sprintf("X%d", i))
 	}
 
+	_, dump := do(t, "GET", base+"/v1/sessions/alpha/dump", nil)
+
 	resp, body := do(t, "GET", base+"/metrics", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /metrics: %d", resp.StatusCode)
@@ -287,6 +289,13 @@ func TestPrometheusExposition(t *testing.T) {
 			t.Fatalf("%s: type %q, want counter", c, doc.types[c])
 		}
 		doc.get(t, c)
+	}
+	// The one dump of alpha: its four rows, its bytes, and some time.
+	rows := doc.get(t, "cfdserved_dump_rows_total").value
+	size := doc.get(t, "cfdserved_dump_bytes_total").value
+	secs := doc.get(t, "cfdserved_dump_seconds_total").value
+	if rows != 4 || size != float64(len(dump)) || secs <= 0 || doc.types["cfdserved_dump_seconds_total"] != "counter" {
+		t.Fatalf("dump counters: %g rows, %g bytes, %g s; want 4 rows, %d bytes, > 0 s", rows, size, secs, len(dump))
 	}
 	if doc.get(t, "cfdserved_uptime_seconds").value < 0 {
 		t.Fatal("uptime must be non-negative")

@@ -6,7 +6,9 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -131,6 +133,54 @@ func TestDumpStreamsWithTrailer(t *testing.T) {
 	}
 	if !bytes.Equal(body, want.Bytes()) {
 		t.Fatalf("streamed dump differs from buffered serialization:\n%s\nvs\n%s", body, want.Bytes())
+	}
+}
+
+// dyingResponse is a client that goes away mid-dump: its failAt-th body
+// write fails, and it counts the writes it sees.
+type dyingResponse struct {
+	*httptest.ResponseRecorder
+	failAt, writes int
+}
+
+func (d *dyingResponse) Write(p []byte) (int, error) {
+	d.writes++
+	if d.writes >= d.failAt {
+		return 0, io.ErrClosedPipe
+	}
+	return d.ResponseRecorder.Write(p)
+}
+
+// TestDumpAbortsWhenTheClientGoesAway: a write error after the headers
+// are out aborts the handler — no completion trailer, no clean end of the
+// chunked body — at the block that failed, and the dump counts as not
+// finished.
+func TestDumpAbortsWhenTheClientGoesAway(t *testing.T) {
+	s, ts := newTestService(t, Options{})
+	resp, body := do(t, "POST", ts.URL+"/v1/sessions", CreateRequest{
+		Name: "big", CFDs: tinyCFDs,
+		BaseCSV: "AC,CT\n" + strings.Repeat("212,NYC\n", 40000), // 5 codec blocks
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d: %s", resp.StatusCode, body)
+	}
+	w := &dyingResponse{ResponseRecorder: httptest.NewRecorder(), failAt: 2}
+	func() {
+		defer func() {
+			if r := recover(); r != http.ErrAbortHandler {
+				t.Errorf("handler ended with %v, want the http.ErrAbortHandler panic", r)
+			}
+		}()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/sessions/big/dump", nil))
+	}()
+	if w.writes != 2 {
+		t.Errorf("the dead connection saw %d writes, want 2 (none after the failing one)", w.writes)
+	}
+	if got := w.Header().Get("X-Dump-Complete"); got != "" {
+		t.Errorf("truncated dump carries X-Dump-Complete: %q", got)
+	}
+	if n := s.reg.dumpRows.Load(); n != 0 {
+		t.Errorf("an aborted dump counted %d rows as dumped", n)
 	}
 }
 

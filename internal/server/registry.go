@@ -112,6 +112,9 @@ type Registry struct {
 	rateLimited atomic.Uint64 // writes refused by a tenant quota (429/403)
 	tuples      atomic.Uint64 // tuples inserted
 	errorPasses atomic.Uint64 // engine passes that returned an error
+	dumpRows    atomic.Uint64 // rows streamed by finished dumps
+	dumpBytes   atomic.Uint64 // CSV bytes of finished dumps
+	dumpNanos   atomic.Uint64 // handler time of finished dumps, ns
 
 	// Operational instruments (see OpsMetrics).
 	passLat  *metrics.Histogram // engine pass duration, seconds

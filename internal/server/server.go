@@ -614,36 +614,30 @@ func (s *Server) handleViolations(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// dumpFlushBytes is how much CSV accumulates between explicit flushes
-// of a streaming dump: small enough that clients see steady progress,
-// large enough to amortize the chunked-encoding overhead.
-const dumpFlushBytes = 256 << 10
-
-// flushWriter flushes the HTTP response every dumpFlushBytes written.
-type flushWriter struct {
-	w  io.Writer
-	fl http.Flusher
-	n  int
+// countWriter counts a streaming dump's bytes. Nothing flushes the
+// response on the way: the row codec writes 64 KiB blocks, which net/http's
+// few-KiB buffers pass straight to the socket, so a client sees steady
+// progress without being pushed.
+type countWriter struct {
+	w io.Writer
+	n int
 }
 
-func (fw *flushWriter) Write(p []byte) (int, error) {
-	n, err := fw.w.Write(p)
-	fw.n += n
-	if fw.fl != nil && fw.n >= dumpFlushBytes {
-		fw.fl.Flush()
-		fw.n = 0
-	}
+func (cw *countWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.n += n
 	return n, err
 }
 
 // handleDump streams the session as CSV from a pinned snapshot view:
-// no full-relation buffering, peak memory one cursor page regardless
-// of relation size. Completion is signaled out-of-band — the body has
-// no length up front — by the X-Dump-Complete trailer; a mid-stream
-// failure aborts the connection instead of ending the chunked body
-// cleanly, so `curl -f` (and any client checking the trailer) can tell
-// a truncated export from a finished one.
+// no full-relation buffering, peak memory one cursor page and one codec
+// block regardless of relation size. Completion is signaled out-of-band
+// — the body has no length up front — by the X-Dump-Complete trailer; a
+// mid-stream failure aborts the connection instead of ending the chunked
+// body cleanly, so `curl -f` (and any client checking the trailer) can
+// tell a truncated export from a finished one.
 func (s *Server) handleDump(w http.ResponseWriter, req *http.Request) {
+	start := time.Now()
 	h, err := s.reg.Get(req.PathValue("name"))
 	if err != nil {
 		writeError(w, err)
@@ -662,13 +656,16 @@ func (s *Server) handleDump(w http.ResponseWriter, req *http.Request) {
 	hdr.Set("X-Session-Version", strconv.FormatUint(rv.Version(), 10))
 	hdr.Set("Trailer", "X-Dump-Complete")
 	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	if err := rv.WriteCSV(&flushWriter{w: w, fl: fl}); err != nil {
+	cw := &countWriter{w: w}
+	if err := rv.WriteCSV(cw); err != nil {
 		// Headers are out; a clean EOF here would masquerade as a
 		// successful export. Abort the connection mid-chunk instead.
 		panic(http.ErrAbortHandler)
 	}
 	hdr.Set("X-Dump-Complete", "true")
+	s.reg.dumpRows.Add(uint64(rv.Len()))
+	s.reg.dumpBytes.Add(uint64(cw.n))
+	s.reg.dumpNanos.Add(uint64(time.Since(start)))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
