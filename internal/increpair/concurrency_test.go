@@ -296,20 +296,22 @@ func TestSessionDumpMatchesWriteCSV(t *testing.T) {
 	}
 }
 
-// TestWriteCSVAllocs: a read-out allocates its block, its cursor and a few
-// headers — the same handful at 1 000 rows and at 20 000.
+// TestWriteCSVAllocs: a read-out allocates its cursor and a few headers (the
+// block comes from a pool) — the same handful at 1 000 rows and at 20 000.
+// Twenty runs each: the race detector makes the pool drop a quarter of what
+// it is given, and AllocsPerRun truncates the average.
 func TestWriteCSVAllocs(t *testing.T) {
 	allocs := func(rows int) (writeCSV, dump float64) {
 		c := newGenChurn(t, rows, 7)
 		sess := c.open(t, rows, nil)
 		defer sess.Close()
 		cur := sess.Current()
-		writeCSV = testing.AllocsPerRun(5, func() {
+		writeCSV = testing.AllocsPerRun(20, func() {
 			if err := relation.WriteCSV(cur, io.Discard); err != nil {
 				t.Fatal(err)
 			}
 		})
-		dump = testing.AllocsPerRun(5, func() {
+		dump = testing.AllocsPerRun(20, func() {
 			if err := sess.Dump(io.Discard); err != nil {
 				t.Fatal(err)
 			}
@@ -318,8 +320,8 @@ func TestWriteCSVAllocs(t *testing.T) {
 	}
 	w1, d1 := allocs(1000)
 	w20, d20 := allocs(20000)
-	if w1 != w20 || d1 != d20 || w1 > 3 || d1 > 7 {
-		t.Errorf("allocations WriteCSV %v → %v, Session.Dump %v → %v at 1 000 → 20 000 rows; want equal and at most 3 and 7", w1, w20, d1, d20)
+	if w1 != w20 || d1 != d20 || w1 > 2 || d1 > 6 {
+		t.Errorf("allocations WriteCSV %v → %v, Session.Dump %v → %v at 1 000 → 20 000 rows; want equal and at most 2 and 6", w1, w20, d1, d20)
 	}
 }
 

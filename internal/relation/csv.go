@@ -70,7 +70,7 @@ func WriteCSV(rel *Relation, w io.Writer) error {
 			return err
 		}
 	}
-	return enc.flush()
+	return enc.close()
 }
 
 // WriteWeightsCSV writes the per-attribute confidence weights as a CSV

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -94,17 +95,24 @@ var csvClass = func() (c [256]uint8) {
 // A csvWriter is the one CSV row codec behind every read-out (WriteCSV,
 // View.WriteCSV and through them Session.Dump and the server's dump): it
 // appends rows straight into a byte block and writes each full block at
-// once. It keeps nothing between dumps. The caller flushes after the last
-// row; the first write error is sticky and stops every later write.
+// once. No encoded byte outlives its dump. The caller closes it after the
+// last row; the first write error is sticky and stops every later write.
 type csvWriter struct {
 	w   io.Writer
+	blk *[csvBlockSize]byte // buf's first backing array, csvBlocks' to have back
 	buf []byte
 	err error
 }
 
+// csvBlocks recycles blocks — storage only, no byte is read across dumps.
+// A served session is dumped some 200 times a second, and a fresh block
+// for each was +1.5 MB of peak RSS (EXPERIMENTS.md "PR 18").
+var csvBlocks = sync.Pool{New: func() any { return new([csvBlockSize]byte) }}
+
 // newCSVWriter returns a codec on w with the schema's header row encoded.
 func newCSVWriter(w io.Writer, s *Schema) *csvWriter {
-	e := &csvWriter{w: w, buf: make([]byte, 0, csvBlockSize)}
+	blk := csvBlocks.Get().(*[csvBlockSize]byte)
+	e := &csvWriter{w: w, blk: blk, buf: blk[:0]}
 	e.record(s.Attrs())
 	return e
 }
@@ -189,6 +197,15 @@ func (e *csvWriter) flush() error {
 	return e.err
 }
 
+// close flushes the last block and gives it back; the codec is dead after
+// it. (A dump that ends in an error leaves its block to the collector.)
+func (e *csvWriter) close() error {
+	err := e.flush()
+	csvBlocks.Put(e.blk)
+	e.blk, e.buf = nil, nil
+	return err
+}
+
 // WriteCSV streams the pinned view as CSV with a header row —
 // byte-identical to relation.WriteCSV at the same version. Peak
 // buffering is one page of row pointers plus the codec's one block,
@@ -201,5 +218,5 @@ func (v *View) WriteCSV(w io.Writer) error {
 			return err
 		}
 	}
-	return enc.flush()
+	return enc.close()
 }
