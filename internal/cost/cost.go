@@ -45,7 +45,10 @@ type Model struct {
 // Default returns a model with the paper's DL metric.
 func Default() *Model { return New(strdist.DL) }
 
-// New returns a model with a custom metric (§3.2 remark 2).
+// New returns a model with a custom metric (§3.2 remark 2). The metric must
+// keep strdist.Metric's contract, a positive distance between distinct
+// strings included: a repair that changes a value of positive weight then
+// costs more than one that changes nothing, which TUPLERESOLVE relies on.
 func New(m strdist.Metric) *Model {
 	return &Model{metric: m, memo: make(map[uint64]float64)}
 }

@@ -1,6 +1,7 @@
 package strdist
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -91,16 +92,64 @@ func TestFastPathBoundary(t *testing.T) {
 	checkBounded(t, a, strings.Repeat("a", 63), 5)
 }
 
+// corpus seeds both fuzz targets below, and TestMetricsSeparateDistinctStrings
+// runs on its pairs.
+var corpus = []struct {
+	a, b string
+	max  int // FuzzDamerauLevenshteinBounded's third argument
+}{
+	{"", "", 0},
+	{"abc", "acb", 1},
+	{"kitten", "sitting", 2},
+	{"héllo", "hello", 1},
+	{"Pennsylvania Avenue 1600", "Pennsylvanai Avenue 1060", 8},
+	{strings.Repeat("ab", 32), strings.Repeat("ba", 31) + "a", 70},
+	{"\xff\xfe", "a", -1},
+	{"31.16", "13.17", 2}, // PR 13: the transposition that is then edited
+	{"abc", "abc", 0},
+	{"walnut", "wallnut", 1},
+	{"short", "a much longer string entirely", 30},
+	{"ab", "ba", 1},
+	{"abcdef", "ghijkl", 3},
+	{strings.Repeat("a", 63) + "b", strings.Repeat("a", 63) + "cb", 1},
+	// Distinct strings of equal runes: every invalid byte decodes to U+FFFD.
+	{"\xff", "\xfe", 0},
+	{"caf\xe9", "caf\xe8", 1},
+}
+
+// TestMetricsSeparateDistinctStrings holds the built-in metrics to Metric's
+// contract where TUPLERESOLVE leans on it: 0 between a string and itself, a
+// positive distance between any two others — from DL, from Levenshtein, and
+// from DL's bounded form at every cutoff from 1 up, called directly and
+// through a prepared probe.
+func TestMetricsSeparateDistinctStrings(t *testing.T) {
+	p := DL.(ProbeMetric).NewProbe()
+	for _, c := range corpus {
+		for _, pair := range [][2]string{{c.a, c.b}, {c.b, c.a}, {c.a, c.a}, {c.b, c.b}} {
+			a, b := pair[0], pair[1]
+			check := func(metric string, d int) {
+				t.Helper()
+				if d < 0 || (d == 0) != (a == b) {
+					t.Errorf("%s(%q, %q) = %d", metric, a, b, d)
+				}
+			}
+			check("DL", DL.Distance(a, b))
+			check("Levenshtein", Levenshtein(a, b))
+			p.Reset(a)
+			for max := 1; max <= len(a)+len(b)+1; max++ {
+				check(fmt.Sprintf("DistanceBounded[max %d]", max), DL.(BoundedMetric).DistanceBounded(a, b, max))
+				check(fmt.Sprintf("Probe.DistanceBounded[max %d]", max), p.DistanceBounded(b, max))
+			}
+		}
+	}
+}
+
 // FuzzDamerauLevenshteinBounded is the tree's first native fuzz target;
 // CI runs it for a few seconds on every push.
 func FuzzDamerauLevenshteinBounded(f *testing.F) {
-	f.Add("", "", 0)
-	f.Add("abc", "acb", 1)
-	f.Add("kitten", "sitting", 2)
-	f.Add("héllo", "hello", 1)
-	f.Add("Pennsylvania Avenue 1600", "Pennsylvanai Avenue 1060", 8)
-	f.Add(strings.Repeat("ab", 32), strings.Repeat("ba", 31)+"a", 70)
-	f.Add("\xff\xfe", "a", -1)
+	for _, c := range corpus {
+		f.Add(c.a, c.b, c.max)
+	}
 	f.Fuzz(func(t *testing.T, a, b string, max int) {
 		if len(a) > 200 || len(b) > 200 {
 			t.Skip() // the DP is quadratic
@@ -181,18 +230,9 @@ func TestOSABitsVsRows(t *testing.T) {
 // FuzzOSABitsVsRows: CI runs it for a few seconds on every push, next to
 // FuzzDamerauLevenshteinBounded.
 func FuzzOSABitsVsRows(f *testing.F) {
-	f.Add("31.16", "13.17") // PR 13: the transposition that is then edited
-	f.Add("", "")
-	f.Add("abc", "abc")
-	f.Add("abc", "acb")
-	f.Add("kitten", "sitting")
-	f.Add("walnut", "wallnut")
-	f.Add("short", "a much longer string entirely")
-	f.Add("héllo", "hello")
-	f.Add("ab", "ba")
-	f.Add("abcdef", "ghijkl")
-	f.Add(strings.Repeat("ab", 32), strings.Repeat("ba", 31)+"a")
-	f.Add(strings.Repeat("a", 63)+"b", strings.Repeat("a", 63)+"cb")
+	for _, c := range corpus {
+		f.Add(c.a, c.b)
+	}
 	p := DL.(ProbeMetric).NewProbe()
 	f.Fuzz(func(t *testing.T, a, b string) {
 		if len(a) > 100 || len(b) > 100 {

@@ -13,7 +13,10 @@ package strdist
 import "unicode/utf8"
 
 // Metric computes a non-negative distance between two strings.
-// Implementations must guarantee Distance(a, a) == 0 and symmetry.
+// Implementations must guarantee Distance(a, a) == 0, symmetry and the
+// identity of indiscernibles, Distance(a, b) > 0 for a ≠ b: TUPLERESOLVE
+// (package increpair) takes an attribute left as it is for the only choice
+// that costs nothing, and keeps it without weighing the others.
 type Metric interface {
 	// Distance returns the edit distance between a and b.
 	Distance(a, b string) int
@@ -60,7 +63,7 @@ func Levenshtein(a, b string) int {
 		}
 		prev, cur = cur, prev
 	}
-	return prev[lb]
+	return apart(a, b, prev[lb])
 }
 
 // DamerauLevenshtein returns the restricted Damerau–Levenshtein distance
@@ -259,7 +262,17 @@ func dlRunes(a, b string, max int) int {
 	ra, rb := []rune(a), []rune(b)
 	n := len(rb) + 1
 	rows := make([]int, 3*n)
-	return dlRows(ra, rb, rows[:n], rows[n:2*n], rows[2*n:], max)
+	return apart(a, b, dlRows(ra, rb, rows[:n], rows[n:2*n], rows[2*n:], max))
+}
+
+// apart is d unless two distinct strings measured 0: every invalid byte
+// decodes to the one U+FFFD, and Metric's contract keeps such a pair an
+// edit apart.
+func apart(a, b string, d int) int {
+	if d == 0 && a != b {
+		return 1
+	}
+	return d
 }
 
 // dlRows runs the bounded three-row DL dynamic program over two rune
