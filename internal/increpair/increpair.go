@@ -144,10 +144,10 @@ type engine struct {
 	// The state of one round of TUPLERESOLVE's greedy cover, in buffers
 	// reused from round to round: cur[i] is the violation count of group i
 	// with the trial tuple as it stands and violated the masks of those
-	// above zero (countGroups); attrs the contested attributes, subsets
-	// their k-subsets laid end to end, cands[a] the candidates of
-	// attribute a (bestFix); off and one the single-attribute violation
-	// counts (fillTable).
+	// above zero (countGroups); attrs the contested attributes and subsets
+	// their k-subsets laid end to end (tupleResolve); cands[a] the
+	// candidates of attribute a (bestFix); off and one the single-attribute
+	// violation counts (fillTable).
 	cur      []int
 	violated []uint64
 	attrs    []int
@@ -157,15 +157,9 @@ type engine struct {
 	one      []int32
 
 	// dl and hits are the scratch of nearest: the prepared DL probe and
-	// the best values found so far.
+	// the best values found so far, its result.
 	dl   strdist.Probe
 	hits []nearHit
-	// nearCache memoizes nearest(a, v) within one tupleResolve call, which
-	// clears it on entry: the relation does not change during a call, so
-	// there is nothing to invalidate. (Kept across calls it answered another
-	// 45–65 % of the queries but saved only 2–6 % of the values measured —
-	// the repeats are the cheap queries.)
-	nearCache map[nearKey][]relation.IDValue
 
 	// stats backs Session.IndexStats.
 	stats IndexStats
@@ -176,14 +170,18 @@ type engine struct {
 // vio(t) — cumulative since the session opened. They ride beside the
 // session's state: no snapshot, listing or log carries them.
 type IndexStats struct {
-	// Nearest counts similarity queries answered by a scan of the active
-	// domain, NearHits those answered by the memo in front of it.
-	Nearest  int
-	NearHits int
+	// Nearest counts the similarity queries, each one scan of an active
+	// domain.
+	Nearest int
 	// Visited counts the domain values measured against a query: the sum of
 	// |adom(a)| over the Nearest queries, so it repeats exactly from run to
 	// run.
 	Visited int
+	// Rounds counts the rounds of TUPLERESOLVE's greedy cover over dirty
+	// arrivals, FreePins those decided from the attribute masks alone, with
+	// no candidate looked up and no subset enumerated.
+	Rounds   int
+	FreePins int
 	// VioProbes counts TUPLERESOLVE's per-group vio(t) probes of the LHS
 	// indices (Group.VioCount calls).
 	VioProbes int
@@ -204,11 +202,6 @@ func (e *engine) indexStats() IndexStats {
 	return out
 }
 
-type nearKey struct {
-	a int
-	v string
-}
-
 type groupInfo struct {
 	g    cfd.Group
 	mask uint64 // attribute-set bitmask of X ∪ {A}
@@ -226,14 +219,13 @@ func newEngine(repr *relation.Relation, sigma []*cfd.Normal, o Options) (*engine
 	}
 	store := cfd.NewVioStoreWorkers(repr, sigma, o.Workers)
 	e := &engine{
-		repr:      repr,
-		store:     store,
-		det:       store.Detector(),
-		model:     o.CostModel,
-		opts:      o,
-		arity:     repr.Schema().Arity(),
-		dl:        strdist.DL.(strdist.ProbeMetric).NewProbe(),
-		nearCache: make(map[nearKey][]relation.IDValue),
+		repr:  repr,
+		store: store,
+		det:   store.Detector(),
+		model: o.CostModel,
+		opts:  o,
+		arity: repr.Schema().Arity(),
+		dl:    strdist.DL.(strdist.ProbeMetric).NewProbe(),
 	}
 	for _, g := range e.det.Groups() {
 		var m uint64

@@ -16,16 +16,20 @@ import (
 // Repr ∪ {t[C/v̂]} consistent on the CFDs entirely within the fixed
 // attributes and minimizes costfix.
 //
-// Two optimizations preserve the greedy's choices while skipping dead
+// Three optimizations preserve the greedy's choices while skipping dead
 // work. First, if the current tuple violates nothing, every remaining
 // attribute is fixable at zero cost at once (the paper's greedy would
 // pick those zero-cost sets first anyway). Second, attributes involved in
 // no violated rule are likewise fixed unchanged before subsets of the
 // contested attributes are enumerated — exactly the behaviour the paper
 // describes in Example 5.1, where every attribute outside the violated
-// CFDs is fixed without change first.
+// CFDs is fixed without change first. Third, a round in which some C can
+// stay as it is enumerates nothing (freePin): unchanged, C ranks (primary 0,
+// cost 0, the round's Σ vio, the violated groups C meets), and a fix that
+// changes a value costs w(t,A)·dis/max > 0 — the weights are checked, the
+// metric separates distinct strings by contract — so it loses on cost even
+// at primary 0, and the winner is picked among the unchanged C by mask.
 func (e *engine) tupleResolve(t *relation.Tuple) *relation.Tuple {
-	clear(e.nearCache)
 	// rt carries ids (unseen constants as InvalidID) and is only changed
 	// through SetAt, so every probe below runs on integers.
 	rt := t.Probe(e.repr.Dict())
@@ -35,36 +39,38 @@ func (e *engine) tupleResolve(t *relation.Tuple) *relation.Tuple {
 	var fixed uint64
 	full := uint64(1)<<uint(e.arity) - 1
 	for fixed != full {
-		violated := e.countGroups(rt)
-		if len(violated) == 0 {
-			// Consistent as-is: every remaining attribute is fixable
-			// unchanged at zero cost (the greedy's first choices anyway).
-			fixed = full
-			break
-		}
 		// The closure of the violated rules' attributes over shared
 		// embedded-FD groups: attributes outside it can never help (or
 		// hurt) the open violations, because their groups are disjoint
 		// from the contested ones — fix them unchanged at zero cost.
 		// Attributes inside the closure stay open; Example 5.1 needs the
 		// un-violated zip available when k = 3 reaches {CT, ST, zip}.
+		violated := e.countGroups(rt)
 		contested := e.closure(violated) &^ fixed
 		if contested == 0 {
-			// All contested attributes are already fixed, yet a rule is
-			// violated — impossible while the fixing invariant holds;
-			// stop rather than loop (defensive).
-			fixed = full
+			// Nothing is violated (or only within the fixed attributes,
+			// impossible while the fixing invariant holds): done.
 			break
 		}
-		if free := full &^ fixed &^ contested; free != 0 {
-			fixed |= free
-		}
-		// Enumerate C ∈ [contested]^k and candidate values.
+		fixed |= full &^ contested
+		// C ranges over [contested]^k; a changed value is sure to cost
+		// something only while every open weight is positive.
 		e.attrs = e.attrs[:0]
+		positive := true
 		for m := contested; m != 0; m &= m - 1 {
-			e.attrs = append(e.attrs, bits.TrailingZeros64(m))
+			a := bits.TrailingZeros64(m)
+			e.attrs = append(e.attrs, a)
+			positive = positive && rt.Weight(a) > 0
 		}
-		best := e.bestFix(rt, fixed, e.attrs, min(e.opts.K, len(e.attrs)), violated)
+		k := min(e.opts.K, len(e.attrs))
+		e.subsets = appendSubsets(e.subsets[:0], e.attrs, k)
+		e.stats.Rounds++
+		if c := freePin(e.subsets, k, fixed, violated); positive && c != 0 {
+			e.stats.FreePins++
+			fixed |= c
+			continue
+		}
+		best := e.bestFix(rt, fixed, e.attrs, k, violated)
 		for i, a := range best.attrs {
 			rt.SetAt(a, best.vals[i])
 			fixed |= 1 << uint(a)
@@ -118,6 +124,34 @@ func (e *engine) closure(violated []uint64) uint64 {
 			return m
 		}
 	}
+}
+
+// freePin decides a round of the greedy from the masks alone. Keeping every
+// attribute of a subset C as it is costs nothing, and is consistent iff no
+// violated group lies within fixed ∪ C (bestValsFor's check rule at the
+// round's counts). Of the k-subsets laid end to end in subsets, freePin
+// returns the mask of the first such C among those meeting the fewest
+// violated groups; 0 if there is none.
+func freePin(subsets []int, k int, fixed uint64, violated []uint64) (best uint64) {
+	fewest := len(violated) + 1
+	for ; len(subsets) > 0; subsets = subsets[k:] {
+		var c uint64
+		for _, a := range subsets[:k] {
+			c |= 1 << uint(a)
+		}
+		met := 0
+		for _, m := range violated {
+			if m&^(fixed|c) == 0 {
+				met = fewest // inconsistent; counting on only takes it further
+			} else if m&c != 0 {
+				met++
+			}
+		}
+		if met < fewest {
+			best, fewest = c, met
+		}
+	}
+	return best
 }
 
 // fix is a candidate assignment to a set of attributes with its ranking.
@@ -258,14 +292,14 @@ func (e *engine) fillTable(rt *relation.Tuple, attrs []int) {
 	}
 }
 
-// bestFix evaluates every C ∈ [attrs]^k with every candidate value
-// combination and returns the best valid fix. At least one valid fix
-// always exists: the all-null assignment matches no pattern and conflicts
-// with nothing (Example 5.1's (null, null)).
+// bestFix evaluates every C ∈ [attrs]^k, as laid out in e.subsets, with
+// every candidate value combination and returns the best valid fix. At
+// least one valid fix always exists: the all-null assignment matches no
+// pattern and conflicts with nothing (Example 5.1's (null, null)).
 //
 // Candidate values and the single-attribute violation counts (fillTable)
 // depend only on rt's current state and are computed once up front — this
-// also keeps the nearest-neighbour cache single-threaded. The attribute
+// also keeps the similarity search single-threaded. The attribute
 // subsets are then independent of one another, so their evaluation fans
 // out across the engine's worker pool, each worker mutating its own clone
 // of rt. The merge picks the fix the sequential left-to-right scan would
@@ -273,7 +307,6 @@ func (e *engine) fillTable(rt *relation.Tuple, attrs []int) {
 // ranking. The result's attrs and vals live in the engine's buffers and
 // hold until the next call.
 func (e *engine) bestFix(rt *relation.Tuple, fixed uint64, attrs []int, k int, violated []uint64) fix {
-	e.subsets = appendSubsets(e.subsets[:0], attrs, k)
 	n := len(e.subsets) / k
 	for _, a := range attrs {
 		e.cands[a] = e.candidates(rt, a, e.cands[a][:0])
@@ -499,8 +532,8 @@ func (e *engine) candidates(rt *relation.Tuple, a int, out []relation.IDValue) [
 		}
 	}
 	if !rt.Vals[a].Null {
-		for _, v := range e.nearest(a, rt.Vals[a].Str) {
-			add(v)
+		for _, h := range e.nearest(a, rt.Vals[a].Str) {
+			add(h.v)
 		}
 	}
 	return append(out, relation.NullIDValue)
@@ -523,15 +556,9 @@ type nearHit struct {
 // adom(Repr, a) within maxRadius of v, by increasing (DL distance, value).
 // It measures v against every value of the live domain — the exact top-k, a
 // function of the relation alone — with the kernel cut off at the worst
-// distance that can still enter the result. Lookups are memoized: each
-// round of TUPLERESOLVE's greedy cover asks again for the neighbours of
-// every attribute still open, whose values have not changed.
-func (e *engine) nearest(a int, v string) []relation.IDValue {
-	key := nearKey{a, v}
-	if res, ok := e.nearCache[key]; ok {
-		e.stats.NearHits++
-		return res
-	}
+// distance that can still enter the result, which lives in the engine's
+// buffer until the next call.
+func (e *engine) nearest(a int, v string) []nearHit {
 	e.stats.Nearest++
 	e.stats.Visited += e.repr.ActiveDomainSize(a)
 	k := e.opts.NearestK
@@ -559,10 +586,5 @@ func (e *engine) nearest(a int, v string) []relation.IDValue {
 		}
 	})
 	e.hits = hits
-	res := make([]relation.IDValue, len(hits))
-	for i, h := range hits {
-		res[i] = h.v
-	}
-	e.nearCache[key] = res
-	return res
+	return hits
 }
