@@ -140,6 +140,7 @@ func TestFreePinMatchesEnumeration(t *testing.T) {
 	ac, pn, str, ct, st, zip := s.MustIndex("AC"), s.MustIndex("PN"), s.MustIndex("STR"), s.MustIndex("CT"), s.MustIndex("ST"), s.MustIndex("zip")
 	null := relation.NullValue.String()
 	nulled := map[int]string{ct: null, st: null}
+	asIs := func(*relation.Tuple) {}
 	for _, tc := range []struct {
 		name string
 		k    int
@@ -151,9 +152,9 @@ func TestFreePinMatchesEnumeration(t *testing.T) {
 		// values, as recorded from the enumeration before freePin existed.
 		repair map[int]string
 	}{
-		{"Example 5.1, k = 2", 2, func(*relation.Tuple) {}, bothWays{2, 1, 0}, nulled},
-		{"Example 5.1, k = 3", 3, func(*relation.Tuple) {}, bothWays{1, 1, 0}, map[int]string{ac: "212"}},
-		{"k beyond the open attributes", 20, func(*relation.Tuple) {}, bothWays{0, 1, 0}, map[int]string{ac: "212"}},
+		{"Example 5.1, k = 2", 2, asIs, bothWays{2, 1, 0}, nulled},
+		{"Example 5.1, k = 3", 3, asIs, bothWays{1, 1, 0}, map[int]string{ac: "212"}},
+		{"k beyond the open attributes", 20, asIs, bothWays{0, 1, 0}, map[int]string{ac: "212"}},
 		{"an open null stays null", 2, func(tu *relation.Tuple) { tu.Vals[str] = relation.NullValue }, bothWays{2, 1, 0}, nulled},
 		{"an unseen constant stays", 2, func(tu *relation.Tuple) { tu.Vals[pn] = relation.S("5550000") }, bothWays{2, 1, 0}, nulled},
 		{"W spelled out, all 1", 2, func(tu *relation.Tuple) { tu.SetWeight(0, 1) }, bothWays{2, 1, 0}, nulled},

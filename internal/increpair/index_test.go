@@ -127,7 +127,7 @@ func osa(a, b string) int {
 	if a != b {
 		return max(1, d[len(ra)*w+len(rb)])
 	}
-	return 0
+	return d[len(ra)*w+len(rb)]
 }
 
 // oracleNearest is the contract of engine.nearest read off its sentence:

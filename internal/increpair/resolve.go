@@ -39,13 +39,13 @@ func (e *engine) tupleResolve(t *relation.Tuple) *relation.Tuple {
 	var fixed uint64
 	full := uint64(1)<<uint(e.arity) - 1
 	for fixed != full {
+		violated := e.countGroups(rt)
 		// The closure of the violated rules' attributes over shared
 		// embedded-FD groups: attributes outside it can never help (or
 		// hurt) the open violations, because their groups are disjoint
 		// from the contested ones — fix them unchanged at zero cost.
 		// Attributes inside the closure stay open; Example 5.1 needs the
 		// un-violated zip available when k = 3 reaches {CT, ST, zip}.
-		violated := e.countGroups(rt)
 		contested := e.closure(violated) &^ fixed
 		if contested == 0 {
 			// Nothing is violated (or only within the fixed attributes,

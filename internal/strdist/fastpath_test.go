@@ -1,7 +1,6 @@
 package strdist
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -127,18 +126,19 @@ func TestMetricsSeparateDistinctStrings(t *testing.T) {
 	for _, c := range corpus {
 		for _, pair := range [][2]string{{c.a, c.b}, {c.b, c.a}, {c.a, c.a}, {c.b, c.b}} {
 			a, b := pair[0], pair[1]
+			max := 0 // the cutoff, where the metric takes one
 			check := func(metric string, d int) {
 				t.Helper()
 				if d < 0 || (d == 0) != (a == b) {
-					t.Errorf("%s(%q, %q) = %d", metric, a, b, d)
+					t.Errorf("%s(%q, %q) = %d (cutoff %d)", metric, a, b, d, max)
 				}
 			}
 			check("DL", DL.Distance(a, b))
 			check("Levenshtein", Levenshtein(a, b))
 			p.Reset(a)
-			for max := 1; max <= len(a)+len(b)+1; max++ {
-				check(fmt.Sprintf("DistanceBounded[max %d]", max), DL.(BoundedMetric).DistanceBounded(a, b, max))
-				check(fmt.Sprintf("Probe.DistanceBounded[max %d]", max), p.DistanceBounded(b, max))
+			for max = 1; max <= len(a)+len(b)+1; max++ {
+				check("DistanceBounded", DL.(BoundedMetric).DistanceBounded(a, b, max))
+				check("Probe.DistanceBounded", p.DistanceBounded(b, max))
 			}
 		}
 	}
