@@ -120,14 +120,15 @@
 //	                                │
 //	                                ├── -store disk: internal/store
 //	                                │   subscribes to the same journal
-//	                                │   and write-throughs dirty pages;
-//	                                │   rotation flushes only those into
-//	                                │   generation-numbered page files
-//	                                │   (fixed-width interned rows,
-//	                                │   persistent dict, LRU page cache)
-//	                                │   and the snapshot shrinks to a
-//	                                │   slim header naming StoreGen —
-//	                                │   O(dirty) per rotation, not O(|D|)
+//	                                │   and notes which pages it dirties;
+//	                                │   rotation walks the pinned relation
+//	                                │   once, writes the row order and only
+//	                                │   those pages into generation-numbered
+//	                                │   page files (fixed-width interned
+//	                                │   rows, persistent dict) and the
+//	                                │   snapshot shrinks to a slim header
+//	                                │   naming StoreGen — O(dirty) page
+//	                                │   bytes per rotation + an O(|D|) walk
 //	                                │ on boot
 //	                                ▼
 //	                           RestoreSession + ReplayBatch: newest

@@ -9,19 +9,21 @@ import (
 	"cfdclean/internal/wal"
 )
 
-// Disk-store integration: a session whose tuples are mirrored into a
-// write-through page store (internal/store). The engine itself is
-// untouched — it operates on the in-memory relation either way — but the
-// durability boundary changes shape: PersistBoundary captures a slim
-// snapshot header plus a page flush instead of re-encoding every tuple,
-// and RestoreFromSnapshotSource streams rows back from the store's page
-// files instead of a snapshot record.
+// Disk-store integration: a session whose relation is snapshotted
+// incrementally into a page store (internal/store). The engine itself is
+// untouched — it operates on the in-memory relation either way, and the
+// store holds no row in memory — but the durability boundary changes
+// shape: PersistBoundary captures a slim snapshot header plus a page
+// flush (the dirty page numbers and the pinned relation) instead of
+// re-encoding every tuple into one record, and RestoreFromSnapshotSource
+// streams rows back from the store's page files instead of a snapshot
+// record.
 
 // AttachStore subscribes st to the session's live relation, so every
-// mutation from now on writes through to the store's dirty page image.
-// With seed set, the relation's current rows are written into the image
-// first (the bootstrap for a brand-new store; a store reopened by crash
-// recovery already holds them). A session can hold at most one store.
+// mutation from now on marks its row's page dirty in the store. With seed
+// set, the pages of the relation's current rows are marked first (the
+// bootstrap for a brand-new store; a store reopened by crash recovery
+// already holds them). A session can hold at most one store.
 func (s *Session) AttachStore(st *store.Disk, seed bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -49,10 +51,10 @@ func (s *Session) Store() *store.Disk {
 // PersistBoundary captures the session's durability boundary for a
 // store-backed rotation: a slim snapshot header (StoreKind=StorePaged,
 // no inline tuples — the caller stamps StoreGen once it assigns the
-// generation) and a Flush holding the dirty pages, dictionary watermark
-// and pinned physical order. Both are taken under the session lock, so
-// they describe the same quiescent point; the caller must resolve the
-// flush with exactly one Commit or Abort.
+// generation) and a Flush holding the dirty page numbers, the dictionary
+// watermark and the pinned relation. Both are taken under the session
+// lock, so they describe the same quiescent point; the caller must
+// resolve the flush with exactly one Commit or Abort.
 func (s *Session) PersistBoundary(name string) (*wal.Snapshot, *store.Flush, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

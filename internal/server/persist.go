@@ -534,9 +534,9 @@ func (p *persister) status() string {
 // header: open the page store at the referenced generation, stream its
 // rows in the persisted physical order (with the persisted intern
 // dictionary preloaded so every ValueID reproduces exactly), and
-// re-attach the store so the WAL replay that follows writes through
-// again. No relation-sized snapshot record is ever decoded — recovery
-// reads the order file once and only the pages it names.
+// re-attach the store so the WAL replay that follows marks its pages
+// dirty again. No relation-sized snapshot record is ever decoded —
+// recovery reads the order file once and only the pages it names.
 func restorePaged(dir, name string, snap *wal.Snapshot) (*increpair.Session, error) {
 	st, err := store.Open(filepath.Join(dir, storeDirName), snap.StoreGen, len(snap.Attrs), store.Options{})
 	if err != nil {

@@ -196,7 +196,7 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, req *http.Request) {
 	for _, s := range stores {
 		p.sample("cfdserved_session_store_dirty_pages", []string{"session", s.session}, strconv.Itoa(s.st.DirtyPages))
 	}
-	p.header("cfdserved_session_store_cached_pages", "Clean pages held by the session store's LRU cache.", "gauge")
+	p.header("cfdserved_session_store_cached_pages", "Pages the last recovery scan left cached in the session's page store.", "gauge")
 	for _, s := range stores {
 		p.sample("cfdserved_session_store_cached_pages", []string{"session", s.session}, strconv.Itoa(s.st.CachedPages))
 	}

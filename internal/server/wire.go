@@ -209,9 +209,10 @@ type SessionInfo struct {
 }
 
 // WireStore reports a session's disk-backed tuple store in listings:
-// the committed manifest generation, page counts (committed / dirty in
-// memory / clean cached), row and dictionary sizes at the last flush,
-// and the store's total on-disk footprint.
+// the committed manifest generation, page counts (committed / marked
+// dirty for the next flush / left cached by the last recovery scan), row
+// and dictionary sizes at the last flush, and the store's total on-disk
+// footprint.
 type WireStore struct {
 	Kind        string `json:"kind"`
 	Gen         uint64 `json:"gen"`

@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -82,19 +83,18 @@ type pageLoc struct {
 }
 
 // Disk is the disk-backed tuple store for one session. It subscribes to
-// the live relation's mutation journal and maintains, write-through, a
-// dirty in-memory image of every page touched since the last flush;
-// BeginFlush/Commit move that image into a new file generation at
-// snapshot-rotation boundaries. All methods are safe for the session
-// pipeline's concurrency: the worker writes through observe while the
-// committer commits a prior flush.
+// the live relation's mutation journal and remembers which pages were
+// touched since the last flush — their numbers, not their contents;
+// BeginFlush/Commit encode those pages from the relation as pinned at a
+// snapshot-rotation boundary into a new file generation. All methods are
+// safe for the session pipeline's concurrency: the worker marks pages
+// through observe while the committer commits a prior flush.
 type Disk struct {
 	dir         string
 	arity       int
 	rowWidth    int
 	rowsPerPage uint64
 	pageBytes   int
-	cacheCap    int
 
 	mu    sync.Mutex
 	dict  *relation.Dict
@@ -120,9 +120,9 @@ type Disk struct {
 	// ValueID i+1); populated by Open, extended on dict flush.
 	strs []string
 
-	dirty   map[uint64][]byte
-	pending []*Flush
-	cache   *pageLRU
+	dirty   map[uint64]struct{} // pages touched since the last BeginFlush
+	pending []*Flush            // unresolved flushes, oldest first
+	cache   *pageLRU            // pages a recovery scan has read
 	files   map[uint64]*os.File // read handles, keyed by generation
 
 	err    error
@@ -139,7 +139,7 @@ func Create(dir string, arity int, opts Options) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	d := newDisk(dir, arity, opts.PageSize, opts.CachePages)
+	d := newDisk(dir, arity, opts.PageSize)
 	f, err := os.OpenFile(filepath.Join(dir, dictName), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
@@ -158,7 +158,7 @@ func Create(dir string, arity int, opts Options) (*Disk, error) {
 	return d, nil
 }
 
-func newDisk(dir string, arity, pageSize, cachePages int) *Disk {
+func newDisk(dir string, arity, pageSize int) *Disk {
 	rowWidth := 2 + 8 + 4*arity + 8*arity
 	rpp := pageSize / rowWidth
 	if rpp < 1 {
@@ -170,17 +170,17 @@ func newDisk(dir string, arity, pageSize, cachePages int) *Disk {
 		rowWidth:    rowWidth,
 		rowsPerPage: uint64(rpp),
 		pageBytes:   rpp * rowWidth,
-		cacheCap:    cachePages,
 		table:       make(map[uint64]pageLoc),
-		dirty:       make(map[uint64][]byte),
+		dirty:       make(map[uint64]struct{}),
 		cache:       newPageLRU(cachePages),
 		files:       make(map[uint64]*os.File),
 	}
 }
 
-// Attach subscribes the store to rel's mutation journal, write-through
-// from the next mutation on. Must be called from the relation's writer
-// serialization context (increpair.Session holds its lock).
+// Attach subscribes the store to rel's mutation journal: every mutation
+// from the next one on marks its row's page dirty. Must be called from
+// the relation's writer serialization context (increpair.Session holds
+// its lock).
 func (d *Disk) Attach(rel *relation.Relation) {
 	d.mu.Lock()
 	d.dict = rel.Dict()
@@ -188,163 +188,64 @@ func (d *Disk) Attach(rel *relation.Relation) {
 	d.unsub = rel.Subscribe(d.observe)
 }
 
-// SeedAll writes every current row of rel into the dirty image — the
+// SeedAll marks the page of every current row of rel dirty — the
 // bootstrap for a freshly created store under a live relation. Must be
 // called from the writer context, after Attach.
 func (d *Disk) SeedAll(rel *relation.Relation) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, t := range rel.Tuples() {
-		d.writeRowLocked(t)
+		d.dirty[uint64(t.ID)/d.rowsPerPage] = struct{}{}
 	}
 }
 
+// observe marks the page of the inserted, updated or deleted row. What
+// the page holds is read from the pinned view when a flush commits.
 func (d *Disk) observe(dl relation.Delta) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed || d.err != nil {
-		return
-	}
-	switch dl.Kind {
-	case relation.DeltaInsert, relation.DeltaUpdate:
-		d.writeRowLocked(dl.T)
-	case relation.DeltaDelete:
-		d.clearRowLocked(dl.T.ID)
-	}
+	d.dirty[uint64(dl.T.ID)/d.rowsPerPage] = struct{}{}
+	d.mu.Unlock()
 }
 
-func (d *Disk) writeRowLocked(t *relation.Tuple) {
-	page, off := d.slotLocked(t.ID)
-	if page == nil {
-		return
-	}
+// encodeRow writes t's fixed-width row into its slot of page.
+func (d *Disk) encodeRow(page []byte, t *relation.Tuple) {
+	off := int(uint64(t.ID)%d.rowsPerPage) * d.rowWidth
 	row := page[off : off+d.rowWidth]
 	row[0] = 1
-	if t.W != nil {
-		row[1] = 1
-	} else {
-		row[1] = 0
-	}
 	binary.LittleEndian.PutUint64(row[2:], uint64(t.ID))
 	p := 10
 	for a := 0; a < d.arity; a++ {
 		binary.LittleEndian.PutUint32(row[p:], uint32(t.IDAt(a)))
 		p += 4
 	}
+	if t.W == nil {
+		return // wflag and the weight cells stay zero
+	}
+	row[1] = 1
 	for a := 0; a < d.arity; a++ {
-		var w float64
-		if t.W != nil {
-			w = t.W[a]
-		}
-		binary.LittleEndian.PutUint64(row[p:], math.Float64bits(w))
+		binary.LittleEndian.PutUint64(row[p:], math.Float64bits(t.W[a]))
 		p += 8
 	}
 }
 
-func (d *Disk) clearRowLocked(id relation.TupleID) {
-	page, off := d.slotLocked(id)
-	if page == nil {
-		return
-	}
-	clear(page[off : off+d.rowWidth])
-}
-
-// slotLocked returns the dirty page holding id's row and the row's byte
-// offset, materializing the page copy-on-write from the newest prior
-// image (pending flush, clean cache, or committed file).
-func (d *Disk) slotLocked(id relation.TupleID) ([]byte, int) {
-	if d.err != nil {
-		return nil, 0
-	}
-	no := uint64(id) / d.rowsPerPage
-	off := int(uint64(id)%d.rowsPerPage) * d.rowWidth
-	if b, ok := d.dirty[no]; ok {
-		return b, off
-	}
-	b := make([]byte, d.pageBytes)
-	if src := d.findPageLocked(no); src != nil {
-		copy(b, src)
-	} else if d.err != nil {
-		return nil, 0 // read failure latched; stop advancing the image
-	}
-	d.dirty[no] = b
-	return b, off
-}
-
-// findPageLocked returns the newest non-dirty image of page no: an
-// in-flight flush (newest first), the clean LRU, or the committed file.
-// A missing page (never written) returns nil with no error; a failing
-// disk read latches d.err and returns nil.
-func (d *Disk) findPageLocked(no uint64) []byte {
-	for i := len(d.pending) - 1; i >= 0; i-- {
-		if b, ok := d.pending[i].pages[no]; ok {
-			return b
-		}
-	}
-	if b, ok := d.cache.get(no); ok {
-		return b
-	}
-	loc, ok := d.table[no]
-	if !ok {
-		return nil
-	}
-	b, err := d.readPageLocked(no, loc)
-	if err != nil {
-		d.err = err
-		return nil
-	}
-	d.cache.put(no, b)
-	return b
-}
-
-// readPageLocked reads and verifies one committed page image.
-func (d *Disk) readPageLocked(no uint64, loc pageLoc) ([]byte, error) {
-	f, ok := d.files[loc.gen]
-	if !ok {
-		var err error
-		f, err = os.Open(filepath.Join(d.dir, pagesName(loc.gen)))
-		if err != nil {
-			return nil, err
-		}
-		d.files[loc.gen] = f
-	}
-	hdr := make([]byte, 16)
-	if _, err := f.ReadAt(hdr, loc.off); err != nil {
-		return nil, fmt.Errorf("%w: page %d record header: %v", errCorrupt, no, err)
-	}
-	gotNo := binary.LittleEndian.Uint64(hdr)
-	ln := binary.LittleEndian.Uint32(hdr[8:])
-	crc := binary.LittleEndian.Uint32(hdr[12:])
-	if gotNo != no || int(ln) != d.pageBytes {
-		return nil, fmt.Errorf("%w: page %d record mismatch (no=%d len=%d)", errCorrupt, no, gotNo, ln)
-	}
-	b := make([]byte, d.pageBytes)
-	if _, err := f.ReadAt(b, loc.off+16); err != nil {
-		return nil, fmt.Errorf("%w: page %d payload: %v", errCorrupt, no, err)
-	}
-	if crc32.Checksum(b, storeCastagnoli) != crc {
-		return nil, fmt.Errorf("%w: page %d checksum mismatch", errCorrupt, no)
-	}
-	return b, nil
-}
-
-// Flush is the dirty image captured at one snapshot-rotation boundary,
-// between BeginFlush (worker, at the boundary) and Commit or Abort
-// (committer, in commit order).
+// Flush is the set of dirty pages captured at one snapshot-rotation
+// boundary together with the relation as pinned there, between
+// BeginFlush (worker, at the boundary) and Commit or Abort (committer,
+// in commit order).
 type Flush struct {
 	d       *Disk
-	pages   map[uint64][]byte
+	pages   map[uint64]struct{}
 	view    *relation.View
 	dictLen int
 	rows    int
 	done    bool
 }
 
-// BeginFlush captures the dirty image, the physical row order (via the
-// pinned view) and the dictionary watermark at a quiescent boundary.
-// Must be called from the writer context. The returned Flush must be
-// resolved with exactly one Commit or Abort, in FIFO order relative to
-// other flushes of the same store.
+// BeginFlush captures the dirty page set, the relation's rows and
+// physical order (the pinned view) and the dictionary watermark at a
+// quiescent boundary. Must be called from the writer context. The
+// returned Flush must be resolved with exactly one Commit or Abort, in
+// FIFO order relative to other flushes of the same store.
 func (d *Disk) BeginFlush(v *relation.View, rows int) *Flush {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -352,14 +253,15 @@ func (d *Disk) BeginFlush(v *relation.View, rows int) *Flush {
 	if d.dict != nil {
 		f.dictLen = d.dict.Len()
 	}
-	d.dirty = make(map[uint64][]byte)
+	d.dirty = make(map[uint64]struct{})
 	d.pending = append(d.pending, f)
 	return f
 }
 
-// Abort releases the flush without committing: its pages merge back
-// into the newer image (only where a newer copy does not supersede
-// them) and the pinned view is released.
+// Abort releases the flush without committing. Its pages are still
+// newer than their committed images, so their numbers pass to the next
+// unresolved flush — whose later view holds them as of its own boundary
+// — or, when there is none, back to the dirty set.
 func (f *Flush) Abort() {
 	if f.done {
 		return
@@ -367,33 +269,14 @@ func (f *Flush) Abort() {
 	f.done = true
 	d := f.d
 	d.mu.Lock()
-	idx := -1
-	for i, p := range d.pending {
-		if p == f {
-			idx = i
-			break
+	if i := slices.Index(d.pending, f); i >= 0 {
+		d.pending = slices.Delete(d.pending, i, i+1)
+		heir := d.dirty
+		if i < len(d.pending) {
+			heir = d.pending[i].pages
 		}
-	}
-	if idx >= 0 {
-		d.pending = append(d.pending[:idx], d.pending[idx+1:]...)
-		// Re-home pages that nothing newer has copied forward. Newer
-		// images (later pending flushes, the dirty map) were CoW'd from
-		// this one, so where they exist they strictly supersede it.
-	merge:
-		for no, b := range f.pages {
-			if _, ok := d.dirty[no]; ok {
-				continue
-			}
-			for i := idx; i < len(d.pending); i++ {
-				if _, ok := d.pending[i].pages[no]; ok {
-					continue merge
-				}
-			}
-			if idx < len(d.pending) {
-				d.pending[idx].pages[no] = b
-			} else {
-				d.dirty[no] = b
-			}
+		for no := range f.pages {
+			heir[no] = struct{}{}
 		}
 	}
 	d.mu.Unlock()
@@ -401,13 +284,13 @@ func (f *Flush) Abort() {
 }
 
 // Commit durably writes the flush as generation gen: dictionary delta
-// first (fsync), then the page images and the row order (fsync), then
-// the manifest (tmp + rename + dirsync) as the atomic commit point. On
-// success the store's committed state advances and files no manifest of
-// the two newest generations references are pruned. On failure the
-// flush is aborted and the error is latched — the caller (the
-// persister) marks the session's durability broken, exactly as for a
-// failed snapshot write.
+// first (fsync), then the row order and the dirty pages' images, both
+// from one walk of the pinned view (fsync), then the manifest (tmp +
+// rename + dirsync) as the atomic commit point. On success the store's
+// committed state advances and files no manifest of the two newest
+// generations references are pruned. On failure the flush is aborted and
+// the error is latched — the caller (the persister) marks the session's
+// durability broken, exactly as for a failed snapshot write.
 func (f *Flush) Commit(gen uint64) error {
 	d := f.d
 	d.mu.Lock()
@@ -455,20 +338,20 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int) error {
 		d.mu.Unlock()
 	}
 
-	// 2. Page images.
-	locs := make(map[uint64]pageLoc, len(f.pages))
-	if len(f.pages) > 0 {
-		if err := d.writePages(gen, f.pages, locs); err != nil {
+	// 2. Physical row order and the dirty pages' images, from one walk
+	// of the pinned view.
+	pages, err := d.walkView(gen, f)
+	if err != nil {
+		return err
+	}
+	locs := make(map[uint64]pageLoc, len(pages))
+	if len(pages) > 0 {
+		if err := d.writePages(gen, pages, locs); err != nil {
 			return err
 		}
 	}
 
-	// 3. Physical row order, streamed from the pinned view.
-	if err := d.writeOrder(gen, f.view, f.rows); err != nil {
-		return err
-	}
-
-	// 4. Manifest: the commit point.
+	// 3. Manifest: the commit point.
 	d.mu.Lock()
 	newTable := make(map[uint64]pageLoc, len(d.table)+len(locs))
 	for no, loc := range d.table {
@@ -483,7 +366,7 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int) error {
 		return err
 	}
 
-	// 5. Advance committed state and prune.
+	// 4. Advance committed state and prune.
 	d.mu.Lock()
 	if hadManifest {
 		d.prevGen, d.prevRefs, d.hasPrev = oldGen, tableRefs(oldTable, oldGen), true
@@ -491,13 +374,8 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int) error {
 	d.gen, d.table, d.hasManifest = gen, newTable, true
 	d.tupleCount = f.rows
 	d.dictNext = f.dictLen
-	if idx := pendingIndex(d.pending, f); idx >= 0 {
-		d.pending = append(d.pending[:idx], d.pending[idx+1:]...)
-	}
-	for no, b := range f.pages {
-		if _, ok := d.dirty[no]; !ok {
-			d.cache.put(no, b)
-		}
+	if i := slices.Index(d.pending, f); i >= 0 {
+		d.pending = slices.Delete(d.pending, i, i+1)
 	}
 	keep := tableRefs(newTable, gen)
 	if d.hasPrev {
@@ -512,15 +390,6 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int) error {
 	f.done = true
 	f.view.Release()
 	return nil
-}
-
-func pendingIndex(pending []*Flush, f *Flush) int {
-	for i, p := range pending {
-		if p == f {
-			return i
-		}
-	}
-	return -1
 }
 
 func tableRefs(table map[uint64]pageLoc, gen uint64) map[uint64]bool {
@@ -576,18 +445,29 @@ func (d *Disk) writePages(gen uint64, pages map[uint64][]byte, locs map[uint64]p
 	return f.Close()
 }
 
-func (d *Disk) writeOrder(gen uint64, v *relation.View, rows int) error {
-	f, err := os.OpenFile(filepath.Join(d.dir, orderName(gen)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
+// walkView walks f's pinned view once: every row's id goes to
+// order-<gen>.dat, and every row on a page of f's dirty set is encoded
+// into that page's image. A dirty page no surviving row lands on (its
+// rows were all deleted) comes back as the all-zero image of empty slots.
+func (d *Disk) walkView(gen uint64, f *Flush) (map[uint64][]byte, error) {
+	d.mu.Lock() // an Abort ahead of f in the FIFO may have added pages
+	pages := make(map[uint64][]byte, len(f.pages))
+	for no := range f.pages {
+		pages[no] = nil
 	}
-	w := bufio.NewWriterSize(f, 1<<16)
+	d.mu.Unlock()
+
+	of, err := os.OpenFile(filepath.Join(d.dir, orderName(gen)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	defer of.Close()
+	w := bufio.NewWriterSize(of, 1<<16)
 	if _, err := w.Write(append([]byte(orderMagic), storeVersion)); err != nil {
-		f.Close()
-		return err
+		return nil, err
 	}
 	var chunk, frame []byte
-	var ids, total, n int
+	var total, n int
 	var prev int64
 	body := make([]byte, 0, orderChunkIDs*2)
 	flushChunk := func() error {
@@ -604,11 +484,18 @@ func (d *Disk) writeOrder(gen uint64, v *relation.View, rows int) error {
 		_, err := w.Write(frame)
 		return err
 	}
-	_ = ids
-	for cur := v.Rows(); ; {
+	for cur := f.view.Rows(); ; {
 		t := cur.Next()
 		if t == nil {
 			break
+		}
+		no := uint64(t.ID) / d.rowsPerPage
+		if page, dirty := pages[no]; dirty {
+			if page == nil {
+				page = make([]byte, d.pageBytes)
+				pages[no] = page
+			}
+			d.encodeRow(page, t)
 		}
 		body = binary.AppendVarint(body, int64(t.ID)-prev)
 		prev = int64(t.ID)
@@ -616,28 +503,28 @@ func (d *Disk) writeOrder(gen uint64, v *relation.View, rows int) error {
 		total++
 		if n == orderChunkIDs {
 			if err := flushChunk(); err != nil {
-				f.Close()
-				return err
+				return nil, err
 			}
 		}
 	}
 	if err := flushChunk(); err != nil {
-		f.Close()
-		return err
+		return nil, err
 	}
-	if total != rows {
-		f.Close()
-		return fmt.Errorf("store: order stream saw %d rows, boundary captured %d", total, rows)
+	if total != f.rows {
+		return nil, fmt.Errorf("store: order stream saw %d rows, boundary captured %d", total, f.rows)
 	}
 	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
+		return nil, err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err := of.Sync(); err != nil {
+		return nil, err
 	}
-	return f.Close()
+	for no, page := range pages {
+		if page == nil {
+			pages[no] = make([]byte, d.pageBytes)
+		}
+	}
+	return pages, of.Close()
 }
 
 func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows int) error {
@@ -831,7 +718,7 @@ func Open(dir string, gen uint64, arity int, opts Options) (*Disk, error) {
 	if geom.arity != arity {
 		return nil, fmt.Errorf("%w: manifest arity %d, relation has %d", errCorrupt, geom.arity, arity)
 	}
-	d := newDisk(dir, arity, opts.PageSize, opts.CachePages)
+	d := newDisk(dir, arity, opts.PageSize)
 	// The persisted geometry wins: row addressing must stay stable.
 	d.rowWidth = geom.rowWidth
 	d.rowsPerPage = geom.rowsPerPage
@@ -1091,27 +978,58 @@ func (it *Iterator) readChunk() error {
 	return nil
 }
 
+// readPageLocked reads and verifies one committed page image.
+func (d *Disk) readPageLocked(no uint64, loc pageLoc) ([]byte, error) {
+	f, ok := d.files[loc.gen]
+	if !ok {
+		var err error
+		f, err = os.Open(filepath.Join(d.dir, pagesName(loc.gen)))
+		if err != nil {
+			return nil, err
+		}
+		d.files[loc.gen] = f
+	}
+	hdr := make([]byte, 16)
+	if _, err := f.ReadAt(hdr, loc.off); err != nil {
+		return nil, fmt.Errorf("%w: page %d record header: %v", errCorrupt, no, err)
+	}
+	gotNo := binary.LittleEndian.Uint64(hdr)
+	ln := binary.LittleEndian.Uint32(hdr[8:])
+	crc := binary.LittleEndian.Uint32(hdr[12:])
+	if gotNo != no || int(ln) != d.pageBytes {
+		return nil, fmt.Errorf("%w: page %d record mismatch (no=%d len=%d)", errCorrupt, no, gotNo, ln)
+	}
+	b := make([]byte, d.pageBytes)
+	if _, err := f.ReadAt(b, loc.off+16); err != nil {
+		return nil, fmt.Errorf("%w: page %d payload: %v", errCorrupt, no, err)
+	}
+	if crc32.Checksum(b, storeCastagnoli) != crc {
+		return nil, fmt.Errorf("%w: page %d checksum mismatch", errCorrupt, no)
+	}
+	return b, nil
+}
+
 func (it *Iterator) row(id relation.TupleID) (wal.SnapTuple, error) {
 	d := it.d
 	no := uint64(id) / d.rowsPerPage
 	if !it.hasPage || it.pageNo != no {
 		d.mu.Lock()
-		var b []byte
-		if cb, ok := d.cache.get(no); ok {
-			b = cb
-		} else if loc, ok := d.table[no]; ok {
+		loc, ok := d.table[no]
+		if !ok {
+			d.mu.Unlock()
+			return wal.SnapTuple{}, fmt.Errorf("%w: row %d points at missing page %d", errCorrupt, id, no)
+		}
+		b, ok := d.cache.get(loc)
+		if !ok {
 			var err error
 			b, err = d.readPageLocked(no, loc)
 			if err != nil {
 				d.mu.Unlock()
 				return wal.SnapTuple{}, err
 			}
-			d.cache.put(no, b)
+			d.cache.put(loc, b)
 		}
 		d.mu.Unlock()
-		if b == nil {
-			return wal.SnapTuple{}, fmt.Errorf("%w: row %d points at missing page %d", errCorrupt, id, no)
-		}
 		it.page, it.pageNo, it.hasPage = b, no, true
 	}
 	off := int(uint64(id)%d.rowsPerPage) * d.rowWidth
@@ -1154,24 +1072,30 @@ func (it *Iterator) Close() {
 	}
 }
 
-// pageLRU is a minimal LRU over clean page images.
+// cachePages bounds the LRU of pages a recovery scan has read: rows
+// stream in physical order, which revisits a page wherever deletes and
+// re-inserts interleaved ids (256 × 16 KiB ≈ 4 MiB).
+const cachePages = 256
+
+// pageLRU is a minimal LRU over committed page images, keyed by where the
+// image lives: page files are immutable, so an entry never goes stale.
 type pageLRU struct {
 	cap int
-	m   map[uint64]*list.Element
+	m   map[pageLoc]*list.Element
 	l   *list.List
 }
 
 type lruEntry struct {
-	no uint64
-	b  []byte
+	loc pageLoc
+	b   []byte
 }
 
 func newPageLRU(cap int) *pageLRU {
-	return &pageLRU{cap: cap, m: make(map[uint64]*list.Element), l: list.New()}
+	return &pageLRU{cap: cap, m: make(map[pageLoc]*list.Element), l: list.New()}
 }
 
-func (c *pageLRU) get(no uint64) ([]byte, bool) {
-	e, ok := c.m[no]
+func (c *pageLRU) get(loc pageLoc) ([]byte, bool) {
+	e, ok := c.m[loc]
 	if !ok {
 		return nil, false
 	}
@@ -1179,20 +1103,12 @@ func (c *pageLRU) get(no uint64) ([]byte, bool) {
 	return e.Value.(*lruEntry).b, true
 }
 
-func (c *pageLRU) put(no uint64, b []byte) {
-	if c.cap <= 0 {
-		return
-	}
-	if e, ok := c.m[no]; ok {
-		e.Value.(*lruEntry).b = b
-		c.l.MoveToFront(e)
-		return
-	}
-	c.m[no] = c.l.PushFront(&lruEntry{no: no, b: b})
+func (c *pageLRU) put(loc pageLoc, b []byte) {
+	c.m[loc] = c.l.PushFront(&lruEntry{loc: loc, b: b})
 	for c.l.Len() > c.cap {
 		e := c.l.Back()
 		c.l.Remove(e)
-		delete(c.m, e.Value.(*lruEntry).no)
+		delete(c.m, e.Value.(*lruEntry).loc)
 	}
 }
 

@@ -1,19 +1,21 @@
 // Package store is the pluggable tuple-storage layer behind a streaming
 // session's relation. The default backend is the relation's own in-memory
 // tuple array — zero overhead, exactly the pre-store behavior. The disk
-// backend (Disk) is a write-through page store subscribed to the
-// relation's mutation journal: fixed-width interned rows in
-// generation-numbered page files, a persistent intern dictionary keyed by
-// the relation Dict's dense ValueIDs, and an LRU cache over clean pages.
+// backend (Disk) is an incremental snapshot of that relation: fixed-width
+// interned rows in generation-numbered page files and a persistent intern
+// dictionary keyed by the relation Dict's dense ValueIDs. It subscribes to
+// the relation's mutation journal only to learn which pages a mutation
+// touched; it keeps no copy of a row in memory.
 //
 // The disk backend does not move the working set out of RAM — the repair
-// engine operates on the in-memory relation either way. What it removes
-// is the O(relation) cost at the durability boundary: snapshot rotation
-// flushes only the pages dirtied since the last rotation (the snapshot
-// file shrinks to a slim header pointing at a page-file generation), and
-// recovery streams rows back from the page files instead of decoding a
-// relation-sized snapshot record, reopening pages lazily as they are
-// touched. See internal/server for the wiring.
+// engine needs the whole relation resident either way. What it removes is
+// the relation-sized snapshot record at the durability boundary: a
+// rotation walks the relation as pinned at the boundary once, writes the
+// physical row order (O(|D|) small varints) and the images of the pages
+// dirtied since the last rotation (the snapshot file shrinks to a slim
+// header pointing at a page-file generation), and recovery streams rows
+// back from the page files, reading only the pages the order file names,
+// through a small LRU. See internal/server for the wiring.
 package store
 
 import "fmt"
@@ -27,8 +29,8 @@ const (
 	// KindMem keeps rows only in the relation's in-memory array;
 	// snapshots carry the full relation inline (the pre-store format).
 	KindMem
-	// KindDisk runs the write-through page store; snapshots are slim
-	// headers referencing a page-file generation.
+	// KindDisk runs the page store; snapshots are slim headers
+	// referencing a page-file generation.
 	KindDisk
 )
 
@@ -57,7 +59,7 @@ func (k Kind) String() string {
 	return "default"
 }
 
-// Page size bounds. A page buffers rowsPerPage = PageSize/rowWidth rows;
+// Page size bounds. A page holds rowsPerPage = PageSize/rowWidth rows;
 // wide schemas whose single row exceeds PageSize degrade to one row per
 // page rather than failing.
 const (
@@ -66,20 +68,13 @@ const (
 	DefaultPageSize = 16 << 10
 )
 
-// DefaultCachePages bounds the clean-page LRU when Options leaves it
-// zero: 256 × 16 KiB ≈ 4 MiB of hot rows per session.
-const DefaultCachePages = 256
-
 // Options tunes a Disk store.
 type Options struct {
-	// PageSize is the page buffer size in bytes, clamped to
+	// PageSize is the page size in bytes, clamped to
 	// [MinPageSize, MaxPageSize]; zero means DefaultPageSize. It only
 	// matters at Create: an existing store's geometry is read from its
 	// manifest, since row addressing must stay stable for its lifetime.
 	PageSize int
-	// CachePages bounds the clean-page LRU; zero means
-	// DefaultCachePages, negative disables caching.
-	CachePages int
 }
 
 func (o Options) withDefaults() Options {
@@ -92,12 +87,6 @@ func (o Options) withDefaults() Options {
 	if o.PageSize > MaxPageSize {
 		o.PageSize = MaxPageSize
 	}
-	if o.CachePages == 0 {
-		o.CachePages = DefaultCachePages
-	}
-	if o.CachePages < 0 {
-		o.CachePages = 0
-	}
 	return o
 }
 
@@ -107,8 +96,9 @@ type Stats struct {
 	// Gen is the last committed manifest generation.
 	Gen uint64
 	// Pages counts pages in the committed page table; DirtyPages the
-	// pages buffered in memory awaiting the next flush (including
-	// flushes in flight); CachedPages the clean pages held by the LRU.
+	// pages marked for the next flush (including flushes in flight);
+	// CachedPages the page images the last recovery scan left in its
+	// LRU — zero for a store that was never read back.
 	Pages       int
 	DirtyPages  int
 	CachedPages int
