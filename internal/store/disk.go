@@ -382,7 +382,6 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int) error {
 		for g := range d.prevRefs {
 			keep[g] = true
 		}
-		keep[d.prevGen] = true
 	}
 	d.pruneLocked(keep)
 	d.mu.Unlock()
@@ -583,9 +582,12 @@ func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows
 	return dh.Sync()
 }
 
-// pruneLocked removes generation files not in keep, closing any cached
-// read handle first. Best-effort: a leftover file is garbage collected
-// at the next commit.
+// pruneLocked removes the page files of generations not in keep (those
+// no page of the two newest manifests lives in), closing any cached read
+// handle first, and the order file and manifest of every generation but
+// the current one and the previous one, which is the fallback recovery
+// opens when the current snapshot is damaged. Best-effort: a leftover
+// file is garbage collected at the next commit.
 func (d *Disk) pruneLocked(keep map[uint64]bool) {
 	ents, err := os.ReadDir(d.dir)
 	if err != nil {
@@ -593,18 +595,21 @@ func (d *Disk) pruneLocked(keep map[uint64]bool) {
 	}
 	for _, e := range ents {
 		var gen uint64
+		var stale bool
 		name := e.Name()
 		switch {
-		case scanGenName(name, "pages-", ".dat", &gen),
-			scanGenName(name, "order-", ".dat", &gen),
-			scanGenName(name, "manifest-", ".mft", &gen):
-			if !keep[gen] {
-				if f, ok := d.files[gen]; ok {
-					f.Close()
-					delete(d.files, gen)
-				}
-				os.Remove(filepath.Join(d.dir, name))
+		case scanGenName(name, "pages-", ".dat", &gen):
+			stale = !keep[gen]
+			if f, ok := d.files[gen]; ok && stale {
+				f.Close()
+				delete(d.files, gen)
 			}
+		case scanGenName(name, "order-", ".dat", &gen),
+			scanGenName(name, "manifest-", ".mft", &gen):
+			stale = gen != d.gen && !(d.hasPrev && gen == d.prevGen)
+		}
+		if stale {
+			os.Remove(filepath.Join(d.dir, name))
 		}
 	}
 }

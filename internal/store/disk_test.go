@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -401,4 +402,52 @@ func runSchedule(t *testing.T, dir string, seed int64) (emptyPages int) {
 		t.Fatalf("seed %d: %d pinned views leaked", seed, rel.ActiveViews())
 	}
 	return emptyPages
+}
+
+// Page files live for as long as a page of the two newest manifests is
+// in them; order files and manifests only for the current generation and
+// the one before it, whatever pages the older rotations still hold.
+func TestDiskPrunesOrderFilesAndManifests(t *testing.T) {
+	dir := t.TempDir()
+	rel := testRelation(t)
+	d, err := Create(dir, 3, Options{PageSize: MinPageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Attach(rel)
+	var prev *relation.Relation
+	for gen := uint64(0); gen < 5; gen++ {
+		// Insert-only: every rotation's page file keeps a page that is
+		// never dirtied again.
+		prev = rel.Clone()
+		for i := 0; i < 200; i++ {
+			if _, err := rel.InsertRow("a", "b", strconv.Itoa(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flushCommit(t, d, rel, gen)
+	}
+	names := func(pattern string) []string {
+		t.Helper()
+		m, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range m {
+			m[i] = filepath.Base(m[i])
+		}
+		return m
+	}
+	if got, want := names("order-*"), []string{orderName(3), orderName(4)}; !slices.Equal(got, want) {
+		t.Errorf("order files %v, want %v", got, want)
+	}
+	if got, want := names("manifest-*"), []string{manifestName(3), manifestName(4)}; !slices.Equal(got, want) {
+		t.Errorf("manifests %v, want %v", got, want)
+	}
+	if got := names("pages-*"); len(got) != 5 {
+		t.Errorf("page files %v, want all five: each still holds a live page", got)
+	}
+	reopen(t, dir, 4, rel)
+	reopen(t, dir, 3, prev)
 }
