@@ -253,8 +253,8 @@ func NewSession(d *Relation, sigma []*NormalCFD, opts *IncOptions) (*Session, er
 // violation store rebuilt by one deterministic detection pass. The
 // restored session's Dump, Violations and Stats are byte-identical to
 // the persisted session's at the snapshot point. workers > 0 overrides
-// the persisted engine worker count (output is identical at every
-// setting); 0 keeps it. Batches logged after the snapshot are reapplied
+// the persisted worker count of the detection pass (output is identical
+// at every setting); 0 keeps it. Batches logged after the snapshot are reapplied
 // with Session.ReplayBatch — cmd/cfdserved does exactly this on boot
 // when run with -data-dir.
 func RestoreSession(r io.Reader, workers int) (*Session, error) {

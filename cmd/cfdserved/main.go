@@ -163,7 +163,7 @@ func main() {
 	baseSize := flag.Int("base", 800, "loadtest: clean base size per session")
 	noise := flag.Float64("noise", 0.08, "loadtest: generator noise rate")
 	seed := flag.Int64("seed", 1, "loadtest: generator seed (session i uses seed+i)")
-	workers := flag.Int("workers", 1, "loadtest: per-session engine workers")
+	workers := flag.Int("workers", 1, "loadtest: per-session workers of the initial violation scan")
 	readFrac := flag.Float64("read-frac", 0, "loadtest: fraction of operations that are streaming reads (0 <= f < 1)")
 	sloP99 := flag.Float64("slo-p99", 0, "loadtest: SLO gate — exit non-zero when write p99 exceeds this many ms (0: off)")
 	sloErrors := flag.Float64("slo-errors", 0, "loadtest: SLO gate — error-batch rate tolerated before breaching (default: none)")

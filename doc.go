@@ -165,7 +165,7 @@
 //
 // # Concurrency contracts
 //
-// Parallelism appears at four independent layers, each with the same
+// Parallelism appears at three independent layers, each with the same
 // rule — concurrency changes wall-clock time, never output:
 //
 //   - Detection shards index buckets across workers and merges in the
@@ -174,10 +174,6 @@
 //     one engine or — when the components beside the largest warrant the
 //     set-up — on several, each over its own clone, and merges fixes in
 //     canonical component order.
-//   - INCREPAIR evaluates TUPLERESOLVE's candidate attribute subsets on
-//     per-worker scratch tuples with a deterministic merge — in the rounds
-//     that enumerate at all: a round in which some subset can stay as it
-//     is is decided from the violated rules' attribute sets alone.
 //   - A Session is single-writer, many-reader: mutations serialize on
 //     an internal lock while snapshot reads are lock-free against
 //     atomically published state stamped with the journal's NextID

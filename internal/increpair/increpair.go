@@ -78,11 +78,10 @@ type Options struct {
 	// SkipCleanCheck skips verifying that D |= Σ on entry. The batch-mode
 	// driver sets it (its D is clean by construction).
 	SkipCleanCheck bool
-	// Workers bounds the parallelism of TUPLERESOLVE's candidate
-	// evaluation (attribute subsets are evaluated concurrently against
-	// per-worker scratch tuples) and of the violation store's initial
-	// scan. 0 means runtime.GOMAXPROCS(0); 1 forces the sequential path.
-	// The result is identical at every setting.
+	// Workers bounds the parallelism of the violation store's initial
+	// scan of D; TUPLERESOLVE runs on the caller's goroutine. 0 means
+	// runtime.GOMAXPROCS(0); 1 forces the sequential scan. The result is
+	// identical at every setting.
 	Workers int
 }
 
@@ -136,10 +135,8 @@ type engine struct {
 	groups []groupInfo
 	arity  int
 
-	// workers[w] is the scratch of TUPLERESOLVE's subset evaluator w (see
-	// resolveWorker), sized lazily to the worker count; workers[0] serves
-	// the sequential path.
-	workers []*resolveWorker
+	// rs is the scratch of TUPLERESOLVE's subset evaluation.
+	rs resolveScratch
 
 	// The state of one round of TUPLERESOLVE's greedy cover, in buffers
 	// reused from round to round: cur[i] is the violation count of group i
@@ -195,9 +192,6 @@ type IndexStats struct {
 // indexStats assembles the counters; callers hold the session lock.
 func (e *engine) indexStats() IndexStats {
 	out := e.stats
-	for _, w := range e.workers {
-		out.VioProbes += w.probes
-	}
 	out.BucketRescans, out.BucketRescansSkipped = e.store.Rescans()
 	return out
 }
@@ -224,6 +218,7 @@ func newEngine(repr *relation.Relation, sigma []*cfd.Normal, o Options) (*engine
 		det:   store.Detector(),
 		model: o.CostModel,
 		opts:  o,
+		rs:    resolveScratch{sc: o.CostModel.Scratch()},
 		arity: repr.Schema().Arity(),
 		dl:    strdist.DL.(strdist.ProbeMetric).NewProbe(),
 	}

@@ -213,8 +213,8 @@ func sigmaEqual(a, b []*cfd.Normal) bool {
 // original at the snapshot point. Batches logged after the snapshot are
 // reapplied with ReplayBatch.
 //
-// workers > 0 overrides the persisted engine worker count (the engine's
-// output is identical at every setting); 0 keeps the persisted value.
+// workers > 0 overrides the persisted worker count of that detection pass
+// (the output is identical at every setting); 0 keeps the persisted value.
 // The determinism-relevant options — ordering, K, NearestK — always come
 // from the snapshot, since replay must re-run the exact passes that were
 // logged.

@@ -3,7 +3,6 @@ package increpair
 import (
 	"math/bits"
 	"slices"
-	"sync"
 
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/cost"
@@ -83,8 +82,8 @@ func (e *engine) tupleResolve(t *relation.Tuple) *relation.Tuple {
 // group (the vio(t) contribution of the group, §3.1). The counting lives in
 // the detector (Group.VioCount), which compares interned ids and reads the
 // LHS bucket's tally — O(1) per call.
-func (e *engine) probe(g cfd.Group, rt *relation.Tuple, probes *int) int {
-	*probes++
+func (e *engine) probe(g cfd.Group, rt *relation.Tuple) int {
+	e.stats.VioProbes++
 	return g.VioCount(rt)
 }
 
@@ -95,7 +94,7 @@ func (e *engine) probe(g cfd.Group, rt *relation.Tuple, probes *int) int {
 func (e *engine) countGroups(rt *relation.Tuple) []uint64 {
 	e.cur, e.violated = e.cur[:0], e.violated[:0]
 	for _, gi := range e.groups {
-		n := e.probe(gi.g, rt, &e.stats.VioProbes)
+		n := e.probe(gi.g, rt)
 		e.cur = append(e.cur, n)
 		if n > 0 {
 			e.violated = append(e.violated, gi.mask)
@@ -187,15 +186,12 @@ func (f fix) better(g fix) bool {
 	return f.contested < g.contested
 }
 
-// resolveWorker is the scratch of one evaluator of attribute subsets:
-// worker w of every bestFix is e.workers[w] (the WaitGroup barrier orders
-// its uses), so its cost memo warms up over the run and its buffers are
+// resolveScratch is the scratch of the engine's evaluation of attribute
+// subsets: its distance memo warms up over the run and its buffers are
 // allocated once.
-type resolveWorker struct {
-	// sc is a lock-free local distance memo over the shared cost model, so
-	// concurrent candidate scoring does not serialize on the model's mutex.
-	sc     *cost.Scratch
-	probes int // Group.VioCount calls made by this worker
+type resolveScratch struct {
+	// sc memoizes the cost model's distances between interned values.
+	sc *cost.Scratch
 
 	// bestValsFor's state: per attribute of the subset, its candidates,
 	// rt's own value and the odometer; per group meeting the subset, where
@@ -205,11 +201,11 @@ type resolveWorker struct {
 	idx, bestIdx []int
 	single       []singleRef
 	live         []liveRef
-	keep         []relation.IDValue // the values of the worker's best fix so far
+	keep         []relation.IDValue // the values of bestFix's best fix so far
 }
 
 // bestVals appends the values of bestValsFor's last valid result to dst.
-func (w *resolveWorker) bestVals(dst []relation.IDValue) []relation.IDValue {
+func (w *resolveScratch) bestVals(dst []relation.IDValue) []relation.IDValue {
 	for i, j := range w.bestIdx {
 		dst = append(dst, w.cvals[i][j])
 	}
@@ -230,13 +226,6 @@ type singleRef struct {
 type liveRef struct {
 	gi    int
 	check bool
-}
-
-// ensureWorkers sizes the worker pool to at least n.
-func (e *engine) ensureWorkers(n int) {
-	for len(e.workers) < n {
-		e.workers = append(e.workers, &resolveWorker{sc: e.model.Scratch()})
-	}
 }
 
 // appendSubsets appends every k-subset of attrs (1 ≤ k ≤ len(attrs)), in
@@ -285,7 +274,7 @@ func (e *engine) fillTable(rt *relation.Tuple, attrs []int) {
 			saved := rt.At(a)
 			for _, v := range e.cands[a] {
 				rt.SetAt(a, v)
-				e.one = append(e.one, int32(e.probe(gi.g, rt, &e.stats.VioProbes)))
+				e.one = append(e.one, int32(e.probe(gi.g, rt)))
 			}
 			rt.SetAt(a, saved)
 		}
@@ -293,69 +282,29 @@ func (e *engine) fillTable(rt *relation.Tuple, attrs []int) {
 }
 
 // bestFix evaluates every C ∈ [attrs]^k, as laid out in e.subsets, with
-// every candidate value combination and returns the best valid fix. At
-// least one valid fix always exists: the all-null assignment matches no
-// pattern and conflicts with nothing (Example 5.1's (null, null)).
+// every candidate value combination and returns the best valid fix: the
+// first subset attaining the minimal costfix ranking. At least one valid
+// fix always exists: the all-null assignment matches no pattern and
+// conflicts with nothing (Example 5.1's (null, null)).
 //
 // Candidate values and the single-attribute violation counts (fillTable)
-// depend only on rt's current state and are computed once up front — this
-// also keeps the similarity search single-threaded. The attribute
-// subsets are then independent of one another, so their evaluation fans
-// out across the engine's worker pool, each worker mutating its own clone
-// of rt. The merge picks the fix the sequential left-to-right scan would
-// have kept: the lowest subset index attaining the minimal costfix
-// ranking. The result's attrs and vals live in the engine's buffers and
-// hold until the next call.
+// depend only on rt's current state and are computed once up front. Since
+// freePin the rounds that get here have a handful of subsets, and they are
+// evaluated one after the other on rt itself. The result's attrs and vals
+// live in the engine's buffers and hold until the next call.
 func (e *engine) bestFix(rt *relation.Tuple, fixed uint64, attrs []int, k int, violated []uint64) fix {
-	n := len(e.subsets) / k
 	for _, a := range attrs {
 		e.cands[a] = e.candidates(rt, a, e.cands[a][:0])
 	}
 	e.fillTable(rt, attrs)
-	nw := min(e.opts.Workers, n)
-	e.ensureWorkers(max(nw, 1))
-	// scan evaluates subsets from, from+step, … on worker w against its
-	// trial tuple and returns the first best with its subset index.
-	scan := func(w *resolveWorker, wrt *relation.Tuple, from, step int) (fix, int) {
-		var best fix
-		at := -1
-		for i := from; i < n; i += step {
-			f := e.bestValsFor(w, wrt, fixed, e.subsets[i*k:(i+1)*k], violated)
-			if f.valid && f.better(best) {
-				w.keep = w.bestVals(w.keep[:0])
-				f.vals = w.keep
-				best, at = f, i
-			}
-		}
-		return best, at
-	}
+	w := &e.rs
 	var best fix
-	if nw <= 1 {
-		best, _ = scan(e.workers[0], rt, 0, 1)
-	} else {
-		type ranked struct {
-			f   fix
-			idx int
-		}
-		bests := make([]ranked, nw)
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				f, at := scan(e.workers[w], rt.Probe(e.repr.Dict()), w, nw)
-				bests[w] = ranked{f, at}
-			}(w)
-		}
-		wg.Wait()
-		bestIdx := -1
-		for _, r := range bests {
-			if r.idx < 0 {
-				continue
-			}
-			if bestIdx < 0 || r.f.better(best) || (!best.better(r.f) && r.idx < bestIdx) {
-				best, bestIdx = r.f, r.idx
-			}
+	for c := e.subsets; len(c) > 0; c = c[k:] {
+		f := e.bestValsFor(rt, fixed, c[:k], violated)
+		if f.valid && f.better(best) {
+			w.keep = w.bestVals(w.keep[:0])
+			f.vals = w.keep
+			best = f
 		}
 	}
 	if !best.valid {
@@ -370,11 +319,12 @@ func (e *engine) bestFix(rt *relation.Tuple, fixed uint64, attrs []int, k int, v
 }
 
 // bestValsFor finds the cheapest consistent value combination for the
-// attribute set c, drawing per-attribute candidates from e.cands, on
-// worker w. rt and the candidates carry their ids, so nothing in here — the
-// odometer loop least of all — touches the dictionary or its lock. The
-// result carries no vals: w.bestVals reads them off until w's next call.
-func (e *engine) bestValsFor(w *resolveWorker, rt *relation.Tuple, fixed uint64, c []int, violated []uint64) fix {
+// attribute set c, drawing per-attribute candidates from e.cands. rt and
+// the candidates carry their ids, so nothing in here — the odometer loop
+// least of all — touches the dictionary. The result carries no vals:
+// e.rs.bestVals reads them off until the next call.
+func (e *engine) bestValsFor(rt *relation.Tuple, fixed uint64, c []int, violated []uint64) fix {
+	w := &e.rs
 	var cmask uint64
 	for _, a := range c {
 		cmask |= 1 << uint(a)
@@ -442,7 +392,7 @@ func (e *engine) bestValsFor(w *resolveWorker, rt *relation.Tuple, fixed uint64,
 				rt.SetAt(a, cvals[i][idx[i]])
 			}
 			for _, l := range w.live {
-				n := e.probe(e.groups[l.gi].g, rt, &w.probes)
+				n := e.probe(e.groups[l.gi].g, rt)
 				if n > 0 && l.check {
 					consistent = false
 					break

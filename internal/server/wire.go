@@ -107,8 +107,8 @@ type WireOptions struct {
 	K int `json:"k,omitempty"`
 	// NearestK is the per-attribute fan-out of the cost-based index.
 	NearestK int `json:"nearest_k,omitempty"`
-	// Workers bounds candidate-evaluation parallelism inside one engine
-	// pass (sessions are single-writer; this is intra-batch parallelism).
+	// Workers bounds the parallelism of the violation store's initial
+	// scan of the base; engine passes run on the session's one worker.
 	Workers int `json:"workers,omitempty"`
 }
 

@@ -55,7 +55,7 @@ type LoadConfig struct {
 	NoiseRate float64
 	// Seed seeds the generator; session i uses Seed+i. Default 1.
 	Seed int64
-	// Workers bounds each session engine's intra-batch parallelism.
+	// Workers bounds the initial violation scan of each session's base.
 	// Default 1 (sessions are already concurrent with each other).
 	Workers int
 	// QueueDepth configures the in-process server. Default 32.
