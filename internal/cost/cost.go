@@ -12,34 +12,17 @@ package cost
 
 import (
 	"fmt"
-	"sync"
 
 	"cfdclean/internal/relation"
 	"cfdclean/internal/strdist"
 )
 
-// memoCap bounds the interned-pair distance memo; beyond it, distances are
-// computed without caching rather than growing memory unboundedly.
-const memoCap = 1 << 20
-
 // Model carries the distance metric; the zero value is not usable, call
-// Default or New. Models memoize normalized distances between interned
-// value pairs under a fixed-width integer key, so the repair loops — which
-// re-score the same (stored value, candidate) pairs over and over — pay
-// for each string-distance computation once. The memo is safe for
-// concurrent use; the parallel candidate evaluation of INCREPAIR shares
-// one model across workers.
+// Default or New. A Model is immutable, so any number of goroutines may
+// share one; the repair loops, which re-score the same (stored value,
+// candidate) pairs over and over, score through a Scratch each.
 type Model struct {
 	metric strdist.Metric
-
-	mu   sync.Mutex
-	memo map[uint64]float64
-	// dict is the dictionary the memo's id keys are relative to, bound on
-	// first interned call. Ids from other dictionaries name different
-	// strings, so calls against a different dict bypass the memo instead
-	// of returning a stale distance. (A relation and its clones share one
-	// id space only until they diverge, so pointer identity is the rule.)
-	dict *relation.Dict
 }
 
 // Default returns a model with the paper's DL metric.
@@ -50,7 +33,7 @@ func Default() *Model { return New(strdist.DL) }
 // strings included: a repair that changes a value of positive weight then
 // costs more than one that changes nothing, which TUPLERESOLVE relies on.
 func New(m strdist.Metric) *Model {
-	return &Model{metric: m, memo: make(map[uint64]float64)}
+	return &Model{metric: m}
 }
 
 // Dist returns the normalized distance dis(v,v')/max(|v|,|v'|) between two
@@ -81,80 +64,34 @@ func (m *Model) ChangeFrom(t *relation.Tuple, a int, old, vp relation.Value) flo
 	return t.Weight(a) * m.Dist(old, vp)
 }
 
-// distIDs is Dist memoized under the interned-pair key (ia, ib), valid
-// relative to dict. Either id being InvalidID (value absent from the
-// dictionary), or dict differing from the dictionary the memo is bound
-// to, bypasses the memo.
-func (m *Model) distIDs(dict *relation.Dict, ia, ib relation.ValueID, va, vb relation.Value) float64 {
-	if ia == relation.InvalidID || ib == relation.InvalidID || m.memo == nil || dict == nil {
-		return m.Dist(va, vb)
-	}
-	key := relation.PairKey(ia, ib)
-	m.mu.Lock()
-	if m.dict == nil {
-		m.dict = dict
-	}
-	bound := m.dict == dict
-	d, ok := m.memo[key]
-	m.mu.Unlock()
-	if !bound {
-		return m.Dist(va, vb)
-	}
-	if ok {
-		return d
-	}
-	d = m.Dist(va, vb)
-	m.mu.Lock()
-	if len(m.memo) < memoCap {
-		m.memo[key] = d
-	}
-	m.mu.Unlock()
-	return d
-}
+// scratchCap bounds a Scratch's memo; beyond it, distances are computed
+// without caching rather than growing memory unboundedly.
+const scratchCap = 1 << 20
 
-// ChangeInterned is Change with the distance memoized by interned ids:
-// t's stored id (when t is relation-owned) paired with vp's id in dict.
-func (m *Model) ChangeInterned(dict *relation.Dict, t *relation.Tuple, a int, vp relation.Value) float64 {
-	w := t.Weight(a)
-	if w == 0 {
-		return 0
-	}
-	return w * m.distIDs(dict, t.IDAt(a), dict.LookupValue(vp), t.Vals[a], vp)
-}
-
-// scratchCap bounds each per-worker local memo independently of the
-// shared one.
-const scratchCap = 1 << 18
-
-// Scratch is a per-worker view of a Model: a lock-free local distance
-// memo in front of the shared (mutex-guarded) one. Repair workers score
-// the same (stored value, candidate) pairs over and over within their
-// own partition of the work, so after the first miss every repeat hit
-// is an uncontended map read. The miss path goes through Model.distIDs,
-// which consults and feeds the shared memo only when the caller's
-// dictionary is the one the model is bound to: INCREPAIR's candidate
-// workers all score against one relation and genuinely share, while the
-// component-parallel batch workers each own a cloned relation (own
-// Dict), so at most one of them matches the binding and the rest warm
-// purely local memos — correct either way, shared only when pointer-
-// identical dictionaries make it sound. A Scratch must not be shared
-// between goroutines; the Model underneath may be.
+// Scratch is one engine's view of a Model: a memo of normalized distances
+// between interned value pairs under a fixed-width integer key, so each
+// string-distance computation is paid for once. The keys are ids relative
+// to one dictionary, bound on first use: ids from another dictionary name
+// different strings, so a call against one bypasses the memo instead of
+// returning a stale distance. (A relation and its clones share one id
+// space only until they diverge, so pointer identity is the rule.) A
+// Scratch must not be shared between goroutines; the Model underneath
+// may be.
 type Scratch struct {
-	m     *Model
-	local map[uint64]float64
-	// dict is the dictionary the local keys are relative to, bound on
-	// first use exactly like the shared memo's binding.
+	m    *Model
+	memo map[uint64]float64
 	dict *relation.Dict
 }
 
-// Scratch returns a fresh per-worker scratch over m.
+// Scratch returns a fresh scratch over m.
 func (m *Model) Scratch() *Scratch {
-	return &Scratch{m: m, local: make(map[uint64]float64)}
+	return &Scratch{m: m, memo: make(map[uint64]float64)}
 }
 
-// Model returns the shared model underneath.
-func (s *Scratch) Model() *Model { return s.m }
-
+// distIDs is Model.Dist memoized under the interned-pair key (ia, ib),
+// valid relative to dict. Either id being InvalidID (value absent from the
+// dictionary), or dict differing from the dictionary the memo is bound
+// to, bypasses the memo.
 func (s *Scratch) distIDs(dict *relation.Dict, ia, ib relation.ValueID, va, vb relation.Value) float64 {
 	if ia == relation.InvalidID || ib == relation.InvalidID || dict == nil {
 		return s.m.Dist(va, vb)
@@ -166,20 +103,19 @@ func (s *Scratch) distIDs(dict *relation.Dict, ia, ib relation.ValueID, va, vb r
 		return s.m.Dist(va, vb)
 	}
 	key := relation.PairKey(ia, ib)
-	if d, ok := s.local[key]; ok {
+	if d, ok := s.memo[key]; ok {
 		return d
 	}
-	d := s.m.distIDs(dict, ia, ib, va, vb)
-	if len(s.local) < scratchCap {
-		s.local[key] = d
+	d := s.m.Dist(va, vb)
+	if len(s.memo) < scratchCap {
+		s.memo[key] = d
 	}
 	return d
 }
 
-// ChangeFromInterned is Model.ChangeFrom through the memos, keyed by the
+// ChangeFromInterned is Model.ChangeFrom through the memo, keyed by the
 // ids old and vp carry relative to dict — the dictionary itself is not
-// consulted, so TUPLERESOLVE's candidate loop can call this from several
-// workers without sharing a lock.
+// consulted.
 func (s *Scratch) ChangeFromInterned(dict *relation.Dict, t *relation.Tuple, a int, old, vp relation.IDValue) float64 {
 	w := t.Weight(a)
 	if w == 0 {

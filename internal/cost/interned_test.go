@@ -6,11 +6,10 @@ import (
 	"cfdclean/internal/relation"
 )
 
-// The interned memo paths (PR 1's hot path): ChangeInterned and the
-// per-worker Scratch must return exactly what the unmemoized model
-// returns, bind to the first dictionary they see, and bypass the memo —
-// never serve a stale distance — for foreign dictionaries and invalid
-// ids.
+// The interned memo path: a Scratch must return exactly what the
+// unmemoized model returns, bind to the first dictionary it sees, and
+// bypass the memo — never serve a stale distance — for foreign
+// dictionaries and invalid ids.
 
 func internedFixture(t *testing.T) (*relation.Relation, *relation.Tuple) {
 	t.Helper()
@@ -26,65 +25,16 @@ func internedFixture(t *testing.T) (*relation.Relation, *relation.Tuple) {
 	return r, tu
 }
 
-func TestChangeInternedMatchesChange(t *testing.T) {
+func TestScratchMatchesModel(t *testing.T) {
 	r, tu := internedFixture(t)
 	m := Default()
+	s := m.Scratch()
 	for _, cand := range []relation.Value{
 		relation.S("wallnut"), relation.S("walnut"), relation.NullValue,
 		relation.S("never-interned"),
 	} {
 		want := m.Change(tu, 0, cand)
-		// Twice: miss then memo hit must agree.
-		for pass := 0; pass < 2; pass++ {
-			if got := m.ChangeInterned(r.Dict(), tu, 0, cand); got != want {
-				t.Fatalf("ChangeInterned(%v) pass %d = %v, want %v", cand, pass, got, want)
-			}
-		}
-	}
-	// A zero weight short-circuits to 0 without touching the memo.
-	tu.SetWeight(0, 0)
-	if got := m.ChangeInterned(r.Dict(), tu, 0, relation.S("wallnut")); got != 0 {
-		t.Fatalf("zero-weight change = %v", got)
-	}
-}
-
-func TestModelMemoBindsToFirstDict(t *testing.T) {
-	r1, t1 := internedFixture(t)
-	m := Default()
-	bound := m.ChangeInterned(r1.Dict(), t1, 0, relation.S("wallnut"))
-
-	// A different relation whose dictionary assigns the same ids to
-	// different strings must not hit r1's cached distances.
-	r2 := relation.New(relation.MustSchema("r", "A", "B"))
-	t2, err := r2.InsertRow("table", "chair")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r2.InsertRow("cable", "hair"); err != nil {
-		t.Fatal(err)
-	}
-	want := m.Change(t2, 0, relation.S("cable"))
-	if got := m.ChangeInterned(r2.Dict(), t2, 0, relation.S("cable")); got != want {
-		t.Fatalf("foreign-dict ChangeInterned = %v, want %v", got, want)
-	}
-	// And the bound dictionary still answers correctly afterwards.
-	if got := m.ChangeInterned(r1.Dict(), t1, 0, relation.S("wallnut")); got != bound {
-		t.Fatalf("bound-dict answer drifted: %v != %v", got, bound)
-	}
-}
-
-func TestScratchMatchesModel(t *testing.T) {
-	r, tu := internedFixture(t)
-	m := Default()
-	s := m.Scratch()
-	if s.Model() != m {
-		t.Fatal("Scratch must expose its model")
-	}
-	for _, cand := range []relation.Value{
-		relation.S("wallnut"), relation.S("walnut"), relation.NullValue,
-	} {
-		want := m.Change(tu, 0, cand)
-		for pass := 0; pass < 2; pass++ { // miss, then local-memo hit
+		for pass := 0; pass < 2; pass++ { // miss, then memo hit
 			if got := s.ChangeFromInterned(r.Dict(), tu, 0, tu.At(0), r.Dict().Resolve(cand)); got != want {
 				t.Fatalf("Scratch.ChangeFromInterned(%v) pass %d = %v, want %v", cand, pass, got, want)
 			}
@@ -104,14 +54,33 @@ func TestScratchMatchesModel(t *testing.T) {
 			}
 		}
 	}
+	// A zero weight short-circuits to 0 without touching the memo.
 	tu.SetWeight(1, 0)
 	if got := s.ChangeFromInterned(r.Dict(), tu, 1, relation.NullIDValue, bruce); got != 0 {
 		t.Fatalf("zero-weight scratch change = %v", got)
 	}
 
-	// Foreign dictionary: bypass, not stale hit.
-	r2, t2 := internedFixture(t)
-	if want, got := m.Change(t2, 0, relation.S("wallnut")), s.ChangeFromInterned(r2.Dict(), t2, 0, t2.At(0), r2.Dict().Resolve(relation.S("wallnut"))); got != want {
+	// A different relation whose dictionary assigns the same ids to
+	// different strings must not hit r's memoized distances.
+	wallnut := r.Dict().Resolve(relation.S("wallnut"))
+	bound := s.ChangeFromInterned(r.Dict(), tu, 0, tu.At(0), wallnut)
+	r2 := relation.New(relation.MustSchema("r", "A", "B"))
+	t2, err := r2.InsertRow("table", "chair")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r2.InsertRow("cable", "hair"); err != nil {
+		t.Fatal(err)
+	}
+	cable := r2.Dict().Resolve(relation.S("cable"))
+	if t2.At(0).ID != tu.At(0).ID || cable.ID != wallnut.ID {
+		t.Fatalf("fixture: the two dictionaries must assign the same ids")
+	}
+	if want, got := m.Change(t2, 0, cable.Value), s.ChangeFromInterned(r2.Dict(), t2, 0, t2.At(0), cable); got != want {
 		t.Fatalf("scratch foreign-dict = %v, want %v", got, want)
+	}
+	// And the bound dictionary still answers correctly afterwards.
+	if got := s.ChangeFromInterned(r.Dict(), tu, 0, tu.At(0), wallnut); got != bound {
+		t.Fatalf("bound-dict answer drifted: %v != %v", got, bound)
 	}
 }

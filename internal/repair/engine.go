@@ -108,7 +108,7 @@ type engine struct {
 	store   *cfd.VioStore // delta-maintained violation state over the working copy
 	det     *cfd.Detector // the store's mask/index machinery
 	groups  []cfd.Group
-	scorer  *cost.Scratch // per-worker memoized view of the cost model
+	scorer  *cost.Scratch // this engine's distance memo over the cost model
 	classes *eqclass.Classes
 	opts    Options
 
