@@ -446,8 +446,9 @@ func (d *Disk) writePages(gen uint64, pages map[uint64][]byte, locs map[uint64]p
 
 // walkView walks f's pinned view once: every row's id goes to
 // order-<gen>.dat, and every row on a page of f's dirty set is encoded
-// into that page's image. A dirty page no surviving row lands on (its
-// rows were all deleted) comes back as the all-zero image of empty slots.
+// into that page's zero-initialised image. A dirty page no surviving row
+// lands on (its rows were all deleted) stays the all-zero image of empty
+// slots.
 func (d *Disk) walkView(gen uint64, f *Flush) (map[uint64][]byte, error) {
 	d.mu.Lock() // an Abort ahead of f in the FIFO may have added pages
 	pages := make(map[uint64][]byte, len(f.pages))
@@ -455,6 +456,9 @@ func (d *Disk) walkView(gen uint64, f *Flush) (map[uint64][]byte, error) {
 		pages[no] = nil
 	}
 	d.mu.Unlock()
+	for no := range pages {
+		pages[no] = make([]byte, d.pageBytes)
+	}
 
 	of, err := os.OpenFile(filepath.Join(d.dir, orderName(gen)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -468,6 +472,8 @@ func (d *Disk) walkView(gen uint64, f *Flush) (map[uint64][]byte, error) {
 	var chunk, frame []byte
 	var total, n int
 	var prev int64
+	// Rows mostly arrive in id order: look a page up when it changes.
+	pageNo, page := ^uint64(0), []byte(nil)
 	body := make([]byte, 0, orderChunkIDs*2)
 	flushChunk := func() error {
 		if n == 0 {
@@ -488,12 +494,10 @@ func (d *Disk) walkView(gen uint64, f *Flush) (map[uint64][]byte, error) {
 		if t == nil {
 			break
 		}
-		no := uint64(t.ID) / d.rowsPerPage
-		if page, dirty := pages[no]; dirty {
-			if page == nil {
-				page = make([]byte, d.pageBytes)
-				pages[no] = page
-			}
+		if no := uint64(t.ID) / d.rowsPerPage; no != pageNo {
+			pageNo, page = no, pages[no] // nil: the page is clean
+		}
+		if page != nil {
 			d.encodeRow(page, t)
 		}
 		body = binary.AppendVarint(body, int64(t.ID)-prev)
@@ -517,11 +521,6 @@ func (d *Disk) walkView(gen uint64, f *Flush) (map[uint64][]byte, error) {
 	}
 	if err := of.Sync(); err != nil {
 		return nil, err
-	}
-	for no, page := range pages {
-		if page == nil {
-			pages[no] = make([]byte, d.pageBytes)
-		}
 	}
 	return pages, of.Close()
 }
