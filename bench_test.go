@@ -316,120 +316,3 @@ func BenchmarkDetectParallel(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkBatchRepair measures BATCHREPAIR end to end under the
-// component-parallel schedule: the violation graph's connected
-// components are repaired largest first, on as many engines — at most
-// workers — as their sizes warrant (the engines metric), and merged in
-// canonical order. Every sub-bench returns byte-identical repairs
-// (enforced by the property battery); only wall-clock may differ.
-// workers=0 is the default (all cores).
-func BenchmarkBatchRepair(b *testing.B) {
-	ds := benchData(b, 2*benchSize, 0.05, 0.5)
-	for _, w := range []int{1, 2, 4, 0} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var last *cfdclean.BatchResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				last, err = cfdclean.BatchRepair(ds.Dirty, ds.Sigma, &cfdclean.BatchOptions{Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(last.Resolutions), "resolutions")
-			b.ReportMetric(float64(last.Engines), "engines")
-			reportQuality(b, ds, last.Repair)
-		})
-	}
-}
-
-// BenchmarkIncRepairDelta measures the per-batch cost of streaming a
-// fixed-size ΔD into an open Session while the base database D grows
-// across sub-benches. Under delta-maintained violation state the cost
-// must track |ΔD|, not |D|: the delta=32 rows should stay near-flat as D
-// quadruples, while the delta=128 row costs ~4x the delta=32 row at
-// equal D. The session (store build, base indexing) is constructed
-// outside the timer; each iteration pays only ApplyDelta.
-func BenchmarkIncRepairDelta(b *testing.B) {
-	for _, cfg := range []struct{ base, delta, workers int }{
-		{benchSize, 32, 1},
-		{2 * benchSize, 32, 1},
-		{4 * benchSize, 32, 1},
-		{benchSize, 128, 1},
-		{benchSize, 128, 4},
-	} {
-		b.Run(fmt.Sprintf("base=%d/delta=%d/workers=%d", cfg.base, cfg.delta, cfg.workers), func(b *testing.B) {
-			// ρ = 10% keeps the dirty pool ≥ 128 at every base size; the
-			// session's base is ds.Opt, which is independent of ρ.
-			ds := benchData(b, cfg.base, 0.10, 0.5)
-			deltas, _ := ds.StreamBatches(1)
-			dirty := 0
-			if len(deltas) > 0 {
-				dirty = len(deltas[0])
-			}
-			if dirty < cfg.delta {
-				b.Skipf("only %d dirty tuples at this size", dirty)
-			}
-			batch := deltas[0][:cfg.delta]
-			sess, err := cfdclean.NewSession(ds.Opt, ds.Sigma,
-				&cfdclean.IncOptions{Workers: cfg.workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sess.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				push := make([]*cfdclean.Tuple, len(batch))
-				for j, t := range batch {
-					c := t.Clone()
-					c.ID = 0
-					push[j] = c
-				}
-				res, err := sess.ApplyDelta(push)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Undo the batch outside the timer so |D| stays fixed
-				// across iterations (otherwise ns/op would drift with
-				// b.N). Deletions never introduce violations (§3.3) and
-				// the store maintains exactly under them, so the session
-				// returns to its pre-batch state.
-				b.StopTimer()
-				for _, rt := range res.Inserted {
-					sess.Current().Delete(rt.ID)
-				}
-				b.StartTimer()
-			}
-			b.StopTimer()
-			if !sess.Satisfied() {
-				b.Fatal("session violates Σ after stream")
-			}
-			b.ReportMetric(float64(len(batch)), "Δtuples")
-		})
-	}
-}
-
-// BenchmarkStreamSession measures the whole online scenario end to end:
-// open a session over the clean base, stream every dirty tuple in
-// batches, close. One iteration is one complete stream.
-func BenchmarkStreamSession(b *testing.B) {
-	ds := benchData(b, benchSize, 0.05, 0.5)
-	deltas, _ := ds.StreamBatches(8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess, err := cfdclean.NewSession(ds.Opt, ds.Sigma,
-			&cfdclean.IncOptions{Ordering: cfdclean.OrderByViolations})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, delta := range deltas {
-			if _, err := sess.ApplyDelta(delta); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if !sess.Satisfied() {
-			b.Fatal("stream left violations")
-		}
-		sess.Close()
-	}
-}

@@ -33,6 +33,11 @@ func main() {
 	limit := flag.Int("limit", 20, "max violations to print with -detect (0 = all)")
 	workers := flag.Int("workers", 0, "detection/repair parallelism, an upper bound on the engines of component-parallel batch repair (0 = all cores, 1 = sequential; output identical at every setting)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "cfdclean: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *data == "" || *cfds == "" {
 		fmt.Fprintln(os.Stderr, "cfdclean: -data and -cfds are required")

@@ -27,6 +27,11 @@ func main() {
 	confidence := flag.Float64("confidence", 1, "minimum in-group agreement (1 = unanimous)")
 	attrs := flag.String("attrs", "", "comma-separated attributes to mine over (default all)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "cfddiscover: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *data == "" {
 		fmt.Fprintln(os.Stderr, "cfddiscover: -data is required")

@@ -33,6 +33,11 @@ func main() {
 	patterns := flag.Int("patterns", 0, "approximate pattern rows across tableaus (0 = scale with size)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "cfdgen: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "cfdgen: -out is required")

@@ -16,11 +16,6 @@
 //	          [-quota-max-size 0] [-quota-max-subscribers 0]
 //	          [-peers HOST:PORT,HOST:PORT,...] [-self HOST:PORT]
 //	          [-ack leader|quorum]
-//	cfdserved -loadtest [-sessions 1,4,16] [-gomaxprocs 1,2,4]
-//	          [-batches 8] [-base 800] [-noise 0.08] [-seed 1]
-//	          [-workers 1] [-read-frac 0] [-data-dir DIR]
-//	          [-slo-p99 0] [-slo-errors 0] [-quota-ops 0]
-//	          [-target http://host:port] [-out BENCH.json]
 //
 // With -data-dir the service is durable: every session writes a
 // CRC-checked write-ahead log plus periodic full-state snapshots under
@@ -29,8 +24,7 @@
 // traffic, discarding any torn record tail a crash (kill -9 included)
 // left behind. -fsync picks the durability/latency trade: "batch"
 // syncs before every acknowledgement, "interval" syncs on a timer,
-// "off" leaves flushing to the OS. In -loadtest mode -data-dir makes
-// the driver measure durable and in-memory throughput side by side.
+// "off" leaves flushing to the OS.
 //
 // -store picks the node's tuple storage backend for durable sessions:
 // "mem" (the default) writes full inline snapshots, "disk" spills
@@ -97,18 +91,7 @@
 // marker flags replays that outran the retained tail).
 //
 // On SIGINT/SIGTERM the service drains gracefully: in-flight and queued
-// batches finish, sessions close, then the listener stops. With
-// -loadtest the binary instead measures its own sustained throughput
-// (see workload.RunLoad) and writes a JSON report; -gomaxprocs sweeps
-// the runtime's parallelism across the given values, one result group
-// per value, and -read-frac mixes streaming reads (dumps and cursor
-// walks) into the write workload at the given operation fraction.
-// -slo-p99 turns the loadtest into an SLO gate: the report gains a
-// per-row verdict and the command exits non-zero (after writing the
-// report) when any row's write p99 exceeds the bound or its error rate
-// exceeds -slo-errors. In -loadtest mode -quota-ops throttles session 0
-// to that many writes/sec — its clients absorb 429s and back off per
-// Retry-After — so the run demonstrates per-tenant isolation.
+// batches finish, sessions close, then the listener stops.
 //
 // -pprof ADDR opens a second listener serving net/http/pprof on its
 // default mux (/debug/pprof/...), kept off the service mux so profiling
@@ -127,6 +110,7 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the DefaultServeMux, served only by -pprof
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -136,134 +120,88 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8344", "listen address")
-	queue := flag.Int("queue", 32, "per-session work queue depth (full queue: apply blocks, ingest gets 429)")
-	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget for queued work")
-	dataDir := flag.String("data-dir", "", "durability root: per-session WAL + snapshots, recovered on boot (empty: in-memory)")
-	fsyncMode := flag.String("fsync", "batch", "WAL fsync policy: batch (sync before every ack), interval, or off")
-	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "sync timer for -fsync interval")
-	snapEvery := flag.Int("snap-every", 64, "rotate to a fresh snapshot after this many logged batches")
-	storeKind := flag.String("store", "", "tuple storage backend for this node's durable sessions: mem (inline snapshots) or disk (page-file spill store; requires -data-dir)")
-	coalesceTuples := flag.Int("coalesce-tuples", 0, "cap on tuples folded into one ingest pass (0: unbounded)")
-	coalesceDelay := flag.Duration("coalesce-delay", 0, "linger window for folding more ingest batches into a pass (0: fold queued work only)")
-	maxReadLimit := flag.Int("max-read-limit", 1000, "cap on ?limit= for paginated violation reads")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this extra address (empty: off)")
-	quotaOps := flag.Float64("quota-ops", 0, "per-session write ops/sec quota, 429 past it (0: unlimited; loadtest: throttle session 0)")
-	quotaTuples := flag.Float64("quota-tuples", 0, "per-session tuples/sec quota, 429 past it (0: unlimited)")
-	quotaMaxSize := flag.Int("quota-max-size", 0, "per-session relation size cap, 403 past it (0: unlimited)")
-	quotaMaxSubs := flag.Int("quota-max-subscribers", 0, "per-session SSE subscriber cap, 409 past it (0: unlimited)")
-	peers := flag.String("peers", "", "cluster: comma-separated static node list, host:port each (empty: single-node)")
-	self := flag.String("self", "", "cluster: this node's own entry in -peers")
-	ackMode := flag.String("ack", "leader", "cluster: write acknowledgement scope: leader (local fsync) or quorum (follower ack too)")
-
-	loadtest := flag.Bool("loadtest", false, "run the service load driver instead of serving")
-	sessions := flag.String("sessions", "1,4,16", "loadtest: comma-separated concurrent session counts")
-	gomaxprocs := flag.String("gomaxprocs", "", "loadtest: comma-separated GOMAXPROCS values to sweep (empty: current)")
-	batches := flag.Int("batches", 8, "loadtest: batches streamed per session")
-	baseSize := flag.Int("base", 800, "loadtest: clean base size per session")
-	noise := flag.Float64("noise", 0.08, "loadtest: generator noise rate")
-	seed := flag.Int64("seed", 1, "loadtest: generator seed (session i uses seed+i)")
-	workers := flag.Int("workers", 1, "loadtest: per-session workers of the initial violation scan")
-	readFrac := flag.Float64("read-frac", 0, "loadtest: fraction of operations that are streaming reads (0 <= f < 1)")
-	sloP99 := flag.Float64("slo-p99", 0, "loadtest: SLO gate — exit non-zero when write p99 exceeds this many ms (0: off)")
-	sloErrors := flag.Float64("slo-errors", 0, "loadtest: SLO gate — error-batch rate tolerated before breaching (default: none)")
-	out := flag.String("out", "", "loadtest: JSON report path (default stdout)")
-	target := flag.String("target", "", "loadtest: drive an already-running service at this base URL instead of an in-process server")
-	flag.Parse()
-
-	policy, err := server.ParseFsyncPolicy(*fsyncMode)
+	addr, pprofAddr, opts, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cfdserved: -fsync: %v\n", err)
+		fmt.Fprintf(os.Stderr, "cfdserved: %v\n", err)
 		os.Exit(2)
-	}
-	ack, err := server.ParseAckMode(*ackMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cfdserved: -ack: %v\n", err)
-		os.Exit(2)
-	}
-	kind, err := store.ParseKind(*storeKind)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cfdserved: -store: %v\n", err)
-		os.Exit(2)
-	}
-	if kind == store.KindDisk && *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "cfdserved: -store disk requires -data-dir (the page files live under it)")
-		os.Exit(2)
-	}
-	var peerList []string
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-		if *self == "" {
-			fmt.Fprintln(os.Stderr, "cfdserved: -peers requires -self (this node's own entry in the list)")
-			os.Exit(2)
-		}
-		ok := false
-		for _, p := range peerList {
-			if p == *self {
-				ok = true
-			}
-		}
-		if !ok {
-			fmt.Fprintf(os.Stderr, "cfdserved: -self %q is not in -peers\n", *self)
-			os.Exit(2)
-		}
-	}
-	popts := server.Options{
-		QueueDepth:        *queue,
-		DrainTimeout:      *drain,
-		DataDir:           *dataDir,
-		Fsync:             policy,
-		FsyncInterval:     *fsyncEvery,
-		SnapshotEvery:     *snapEvery,
-		Store:             kind,
-		CoalesceMaxTuples: *coalesceTuples,
-		CoalesceDelay:     *coalesceDelay,
-		MaxReadLimit:      *maxReadLimit,
-		Quota: server.QuotaConfig{
-			OpsPerSec:       *quotaOps,
-			TuplesPerSec:    *quotaTuples,
-			MaxRelationSize: *quotaMaxSize,
-			MaxSubscribers:  *quotaMaxSubs,
-		},
-		Peers: peerList,
-		Self:  *self,
-		Ack:   ack,
-	}
-
-	if *loadtest {
-		err := runLoadtest(loadtestOpts{
-			sessionsCSV:   *sessions,
-			gomaxprocsCSV: *gomaxprocs,
-			batches:       *batches,
-			baseSize:      *baseSize,
-			noise:         *noise,
-			seed:          *seed,
-			workers:       *workers,
-			queue:         *queue,
-			readFrac:      *readFrac,
-			dataDir:       *dataDir,
-			target:        *target,
-			outPath:       *out,
-			sloP99:        *sloP99,
-			sloErrors:     *sloErrors,
-			quotaOps:      *quotaOps,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cfdserved: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	if err := serve(*addr, *pprofAddr, popts, sigc, nil); err != nil {
+	if err := serve(addr, pprofAddr, opts, sigc, nil); err != nil {
 		fmt.Fprintf(os.Stderr, "cfdserved: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags turns the command line into the two listen addresses and
+// the service options, or an error naming the flag at fault. Errors of
+// the flag package itself (an undefined flag, a malformed value, -h)
+// arrive after it has printed them and the usage to standard error.
+func parseFlags(args []string) (addr, pprofAddr string, opts server.Options, err error) {
+	fs := flag.NewFlagSet("cfdserved", flag.ContinueOnError)
+	fs.StringVar(&addr, "addr", ":8344", "listen address")
+	fs.IntVar(&opts.QueueDepth, "queue", 32, "per-session work queue depth (full queue: apply blocks, ingest gets 429)")
+	fs.DurationVar(&opts.DrainTimeout, "drain", 10*time.Second, "graceful shutdown budget for queued work")
+	fs.StringVar(&opts.DataDir, "data-dir", "", "durability root: per-session WAL + snapshots, recovered on boot (empty: in-memory)")
+	fsyncMode := fs.String("fsync", "batch", "WAL fsync policy: batch (sync before every ack), interval, or off")
+	fs.DurationVar(&opts.FsyncInterval, "fsync-interval", 100*time.Millisecond, "sync timer for -fsync interval")
+	fs.IntVar(&opts.SnapshotEvery, "snap-every", 64, "rotate to a fresh snapshot after this many logged batches")
+	storeKind := fs.String("store", "", "tuple storage backend for this node's durable sessions: mem (inline snapshots) or disk (page-file spill store; requires -data-dir)")
+	fs.IntVar(&opts.CoalesceMaxTuples, "coalesce-tuples", 0, "cap on tuples folded into one ingest pass (0: unbounded)")
+	fs.DurationVar(&opts.CoalesceDelay, "coalesce-delay", 0, "linger window for folding more ingest batches into a pass (0: fold queued work only)")
+	fs.IntVar(&opts.MaxReadLimit, "max-read-limit", 1000, "cap on ?limit= for paginated violation reads")
+	fs.StringVar(&pprofAddr, "pprof", "", "serve net/http/pprof on this extra address (empty: off)")
+	fs.Float64Var(&opts.Quota.OpsPerSec, "quota-ops", 0, "per-session write ops/sec quota, 429 past it (0: unlimited)")
+	fs.Float64Var(&opts.Quota.TuplesPerSec, "quota-tuples", 0, "per-session tuples/sec quota, 429 past it (0: unlimited)")
+	fs.IntVar(&opts.Quota.MaxRelationSize, "quota-max-size", 0, "per-session relation size cap, 403 past it (0: unlimited)")
+	fs.IntVar(&opts.Quota.MaxSubscribers, "quota-max-subscribers", 0, "per-session SSE subscriber cap, 409 past it (0: unlimited)")
+	peers := fs.String("peers", "", "cluster: comma-separated static node list, host:port each (empty: single-node)")
+	fs.StringVar(&opts.Self, "self", "", "cluster: this node's own entry in -peers")
+	ackMode := fs.String("ack", "leader", "cluster: write acknowledgement scope: leader (local fsync) or quorum (follower ack too)")
+	if err = fs.Parse(args); err != nil {
+		return
+	}
+	if fs.NArg() > 0 {
+		fs.Usage()
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+		return
+	}
+
+	if opts.Fsync, err = server.ParseFsyncPolicy(*fsyncMode); err != nil {
+		err = fmt.Errorf("-fsync: %w", err)
+		return
+	}
+	if opts.Ack, err = server.ParseAckMode(*ackMode); err != nil {
+		err = fmt.Errorf("-ack: %w", err)
+		return
+	}
+	if opts.Store, err = store.ParseKind(*storeKind); err != nil {
+		err = fmt.Errorf("-store: %w", err)
+		return
+	}
+	if opts.Store == store.KindDisk && opts.DataDir == "" {
+		err = errors.New("-store disk requires -data-dir (the page files live under it)")
+		return
+	}
+	if *peers != "" {
+		for _, p := range strings.Split(*peers, ",") {
+			if p = strings.TrimSpace(p); p != "" {
+				opts.Peers = append(opts.Peers, p)
+			}
+		}
+		if opts.Self == "" {
+			err = errors.New("-peers requires -self (this node's own entry in the list)")
+			return
+		}
+		if !slices.Contains(opts.Peers, opts.Self) {
+			err = fmt.Errorf("-self %q is not in -peers", opts.Self)
+			return
+		}
+	}
+	return
 }
 
 // serve runs the service until stop yields (a signal in production, a

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
+	"flag"
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
+	"slices"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -86,116 +88,83 @@ func TestServeBadAddr(t *testing.T) {
 	}
 }
 
-// TestLoadtestWritesReport runs the self-loadtest at a tiny scale and
-// checks the BENCH json shape it writes, including the durable rows
-// the -data-dir mode adds next to each in-memory row, the per-stage
-// server-side timings each row carries, the read-side summary a
-// non-zero -read-frac attaches, and the per-row SLO verdict a -slo-p99
-// bound adds (passing here: the bound is generous and every batch must
-// succeed anyway).
-func TestLoadtestWritesReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	dataDir := t.TempDir()
-	err := runLoadtest(loadtestOpts{
-		sessionsCSV: "1,2", batches: 2, baseSize: 120, noise: 0.08, seed: 3,
-		workers: 1, queue: 8, readFrac: 0.5, dataDir: dataDir, outPath: out,
-		sloP99: 60_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep loadReport
-	if err := json.Unmarshal(b, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.PR != 8 || len(rep.Results) != 4 {
-		t.Fatalf("report shape: %s", b)
-	}
-	if rep.Config.ReadFrac != 0.5 {
-		t.Fatalf("read_frac not recorded: %s", b)
-	}
-	if rep.Results[0].Sessions != 1 || rep.Results[2].Sessions != 2 {
-		t.Fatalf("session counts: %s", b)
-	}
-	for i, r := range rep.Results {
-		if r.BatchesPerSec <= 0 || r.P99ms < r.P50ms {
-			t.Fatalf("bad result row: %+v", r)
-		}
-		wantDurable := i%2 == 1
-		if r.Durable != wantDurable {
-			t.Fatalf("row %d durable = %v, want %v: %s", i, r.Durable, wantDurable, b)
-		}
-		if r.ErrorBatches != 0 {
-			t.Fatalf("row %d reports %d error batches: %s", i, r.ErrorBatches, b)
-		}
-		if r.Gomaxprocs < 1 {
-			t.Fatalf("row %d gomaxprocs = %d: %s", i, r.Gomaxprocs, b)
-		}
-		if r.Stages == nil || r.Stages.Engine == nil || r.Stages.Persist == nil {
-			t.Fatalf("row %d missing stage timings: %s", i, b)
-		}
-		if r.Reads == nil || r.Reads.ErrorReads != 0 || r.Reads.RowsStreamed <= 0 {
-			t.Fatalf("row %d missing or failed read summary: %s", i, b)
-		}
-		if r.SLO == nil || !r.SLO.Pass || r.SLO.TargetP99ms != 60_000 {
-			t.Fatalf("row %d missing or failed SLO verdict: %s", i, b)
-		}
-	}
-	// Durable runs clean their scratch directories up after themselves.
-	ents, err := os.ReadDir(dataDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("loadtest left %d entries in the data dir", len(ents))
-	}
-}
-
-func TestLoadtestRejectsBadSessions(t *testing.T) {
-	tiny := loadtestOpts{batches: 1, baseSize: 50, noise: 0.05, seed: 1, workers: 1, queue: 8}
+// TestParseFlags runs every validation main exits 2 on, and holds the
+// flag set to the names README's cfdserved table lists.
+func TestParseFlags(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		mut  func(*loadtestOpts)
+		args string
+		want string // substring of the error; "" means the line is valid
 	}{
-		{"non-integer session count", func(o *loadtestOpts) { o.sessionsCSV = "1,zero" }},
-		{"zero session count", func(o *loadtestOpts) { o.sessionsCSV = "0" }},
-		{"non-integer gomaxprocs", func(o *loadtestOpts) { o.sessionsCSV = "1"; o.gomaxprocsCSV = "2,x" }},
-		{"read fraction >= 1", func(o *loadtestOpts) { o.sessionsCSV = "1"; o.readFrac = 1.5 }},
+		{"-addr :9000 -data-dir d -store disk -peers a:1,b:2 -self b:2 -ack quorum", ""},
+		{"-store disk", "-data-dir"},
+		{"-peers a:1,b:2", "-self"},
+		{"-peers a:1,b:2 -self c:3", `-self "c:3"`},
+		{"-fsync never", "-fsync"},
+		{"-ack all", "-ack"},
+		{"loadtest", `unexpected argument "loadtest"`},
+		{"-addr :9000 serve", `unexpected argument "serve"`},
+		{"-loadtest", "flag provided but not defined: -loadtest"},
+		{"-slo-p99 1", "flag provided but not defined: -slo-p99"},
 	} {
-		o := tiny
-		tc.mut(&o)
-		if err := runLoadtest(o); err == nil {
-			t.Fatalf("%s must fail", tc.name)
+		_, _, _, err := parseFlags(strings.Fields(tc.args))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%q: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%q: error %v, want one naming %q", tc.args, err, tc.want)
 		}
 	}
-}
 
-// TestLoadtestSLOGateFails drives the gate itself: an impossible p99
-// bound must fail the command — but only after the report (the CI
-// evidence) was written.
-func TestLoadtestSLOGateFails(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	err := runLoadtest(loadtestOpts{
-		sessionsCSV: "1", batches: 2, baseSize: 120, noise: 0.08, seed: 3,
-		workers: 1, queue: 8, outPath: out,
-		sloP99: 0.000001, // no real run can beat a nanosecond p99
-	})
-	if err == nil {
-		t.Fatal("impossible SLO bound must fail the gate")
+	addr, pprofAddr, opts, err := parseFlags(strings.Fields("-pprof :6060 -queue 8 -quota-ops 2 -peers a:1,b:2 -self a:1"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	b, rerr := os.ReadFile(out)
-	if rerr != nil {
-		t.Fatalf("breached run must still write its report: %v", rerr)
+	if addr != ":8344" || pprofAddr != ":6060" || opts.QueueDepth != 8 || opts.Quota.OpsPerSec != 2 ||
+		opts.SnapshotEvery != 64 || !slices.Equal(opts.Peers, []string{"a:1", "b:2"}) || opts.Self != "a:1" {
+		t.Errorf("parsed %q %q %+v", addr, pprofAddr, opts)
 	}
-	var rep loadReport
-	if jerr := json.Unmarshal(b, &rep); jerr != nil || len(rep.Results) != 1 {
-		t.Fatalf("breached report shape: %v: %s", jerr, b)
+
+	// The first column of README's cfdserved table is the flag surface:
+	// a flag in one and not the other fails with its name.
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.Results[0].SLO == nil || rep.Results[0].SLO.Pass {
-		t.Fatalf("breached row must carry a failing verdict: %s", b)
+	_, section, _ := strings.Cut(string(readme), "### `cfdserved`")
+	section, _, _ = strings.Cut(section, "\n### ")
+	var listed []string
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "| `-") {
+			for _, name := range strings.Split(strings.Split(line, "|")[1], ",") {
+				listed = append(listed, strings.Trim(name, " `"))
+			}
+		}
+	}
+	slices.Sort(listed)
+	// A help request makes the flag package print every defined flag
+	// to os.Stderr, a few KB: the pipe holds it all before it is read.
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	_, _, _, err = parseFlags([]string{"-h"})
+	os.Stderr = stderr
+	w.Close()
+	usage, _ := io.ReadAll(r)
+	r.Close()
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h: error %v, want flag.ErrHelp", err)
+	}
+	var defined []string
+	for _, line := range strings.Split(string(usage), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			defined = append(defined, strings.Fields(line)[0])
+		}
+	}
+	slices.Sort(defined)
+	if len(defined) != 19 || !slices.Equal(listed, defined) {
+		t.Errorf("README lists %v\nbinary defines %d: %v", listed, len(defined), defined)
 	}
 }

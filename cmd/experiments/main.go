@@ -29,6 +29,11 @@ func main() {
 	quick := flag.Bool("quick", false, "thin parameter sweeps for a smoke run")
 	tsv := flag.Bool("tsv", false, "emit tab-separated values")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	cfg := experiments.Config{Size: *size, Seed: *seed, Quick: *quick}
 

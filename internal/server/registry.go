@@ -1001,9 +1001,7 @@ func (l *latWindow) window() []time.Duration {
 
 // LatencySummary summarizes a latency sample into the wire shape
 // (nearest-rank percentiles in milliseconds); it sorts all in place.
-// Shared by /v1/metrics and the workload load driver so both report
-// identically defined p50/p99 — and the SLO gate asserts on these
-// numbers, so the definition is load-bearing: the q-th percentile is
+// The definition behind /v1/metrics' p50/p99: the q-th percentile is
 // the ceil(q·n)-th smallest sample (never an interpolation, never a
 // sample below the true rank — a single-sample run reports that sample
 // for every percentile, and p99 of two samples is the larger one).

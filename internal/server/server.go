@@ -225,8 +225,7 @@ func (s *Server) Handler() http.Handler {
 	return s.mux
 }
 
-// Registry exposes the session registry (the load driver and tests talk
-// to it directly).
+// Registry exposes the session registry (tests talk to it directly).
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Shutdown drains the registry gracefully: refuses new work, finishes

@@ -377,8 +377,8 @@ func decodeValue(p *string) relation.Value {
 }
 
 // EncodeTuple converts a tuple to its wire form (used by the handlers,
-// the load driver and the equivalence tests; inverse of decodeTuple up
-// to id assignment).
+// the benchmark harness and the equivalence tests; inverse of
+// decodeTuple up to id assignment).
 func EncodeTuple(t *relation.Tuple) WireTuple {
 	wt := WireTuple{ID: int64(t.ID), Vals: make([]*string, len(t.Vals))}
 	for i, v := range t.Vals {
