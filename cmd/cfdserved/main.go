@@ -10,7 +10,6 @@
 //	          [-data-dir DIR] [-fsync batch|interval|off]
 //	          [-fsync-interval 100ms] [-snap-every 64]
 //	          [-store mem|disk]
-//	          [-coalesce-tuples 0] [-coalesce-delay 0]
 //	          [-max-read-limit 1000]
 //	          [-quota-ops 0] [-quota-tuples 0]
 //	          [-quota-max-size 0] [-quota-max-subscribers 0]
@@ -75,6 +74,9 @@
 //	PUT    /v1/replica/{name}              replication: snapshot install
 //	POST   /v1/replica/{name}/batch        replication: one shipped batch
 //	DELETE /v1/replica/{name}              replication: drop a replica
+//
+// The three /v1/replica routes are node-to-node traffic and answer 400
+// on a node started without -peers.
 //
 // Reads are snapshot-isolated: each request pins a consistent view of
 // the session and never blocks (or is blocked by) the writer. Every
@@ -150,8 +152,6 @@ func parseFlags(args []string) (addr, pprofAddr string, opts server.Options, err
 	fs.DurationVar(&opts.FsyncInterval, "fsync-interval", 100*time.Millisecond, "sync timer for -fsync interval")
 	fs.IntVar(&opts.SnapshotEvery, "snap-every", 64, "rotate to a fresh snapshot after this many logged batches")
 	storeKind := fs.String("store", "", "tuple storage backend for this node's durable sessions: mem (inline snapshots) or disk (page-file spill store; requires -data-dir)")
-	fs.IntVar(&opts.CoalesceMaxTuples, "coalesce-tuples", 0, "cap on tuples folded into one ingest pass (0: unbounded)")
-	fs.DurationVar(&opts.CoalesceDelay, "coalesce-delay", 0, "linger window for folding more ingest batches into a pass (0: fold queued work only)")
 	fs.IntVar(&opts.MaxReadLimit, "max-read-limit", 1000, "cap on ?limit= for paginated violation reads")
 	fs.StringVar(&pprofAddr, "pprof", "", "serve net/http/pprof on this extra address (empty: off)")
 	fs.Float64Var(&opts.Quota.OpsPerSec, "quota-ops", 0, "per-session write ops/sec quota, 429 past it (0: unlimited)")

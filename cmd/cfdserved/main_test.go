@@ -105,6 +105,8 @@ func TestParseFlags(t *testing.T) {
 		{"-addr :9000 serve", `unexpected argument "serve"`},
 		{"-loadtest", "flag provided but not defined: -loadtest"},
 		{"-slo-p99 1", "flag provided but not defined: -slo-p99"},
+		{"-coalesce-delay 1ms", "flag provided but not defined: -coalesce-delay"},
+		{"-coalesce-tuples 8", "flag provided but not defined: -coalesce-tuples"},
 	} {
 		_, _, _, err := parseFlags(strings.Fields(tc.args))
 		switch {
@@ -164,7 +166,7 @@ func TestParseFlags(t *testing.T) {
 		}
 	}
 	slices.Sort(defined)
-	if len(defined) != 19 || !slices.Equal(listed, defined) {
+	if len(defined) != 17 || !slices.Equal(listed, defined) {
 		t.Errorf("README lists %v\nbinary defines %d: %v", listed, len(defined), defined)
 	}
 }

@@ -11,15 +11,14 @@
 //
 // # Wire format
 //
-// Every shipped message is one frame:
+// Every shipped message is one frame: a kind byte, then one record of
+// the on-disk WAL's own framing (internal/wal's package comment is the
+// format reference), so a truncated or corrupted frame is detected before
+// it can reach the replica's engine.
 //
-//	frame   = kind(u8) length(u32 LE) crc(u32 LE) payload
+//	frame   = kind(u8) record
 //	kind    = 1 (snapshot, wal.Snapshot payload)
 //	        | 2 (batch,    wal.Batch payload)
-//
-// crc is the CRC-32C (Castagnoli) checksum of the payload alone — the
-// same framing discipline as the on-disk WAL, so a truncated or
-// corrupted frame is detected before it can reach the replica's engine.
 //
 // # Healing model
 //
@@ -38,10 +37,8 @@
 package ship
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"cfdclean/internal/wal"
@@ -83,8 +80,6 @@ var (
 	ErrRoleConflict = errors.New("ship: target hosts the session as primary")
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // Transport delivers frames for one session to its follower. ShipBatch
 // returns ErrGap (resync needed), ErrUnknownReplica (bootstrap needed)
 // or ErrRoleConflict (stop) as sentinel-wrapped errors; any other error
@@ -97,53 +92,35 @@ type Transport interface {
 	ShipBatch(name string, b *wal.Batch) error
 }
 
-// AppendFrame appends one framed message to dst.
-func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
-	dst = append(dst, kind)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
-}
-
 // EncodeSnapshotFrame frames a full snapshot.
 func EncodeSnapshotFrame(snap *wal.Snapshot) []byte {
-	return AppendFrame(nil, KindSnapshot, snap.Encode())
+	return wal.AppendFrame([]byte{KindSnapshot}, snap.Encode())
 }
 
 // EncodeBatchFrame frames one committed batch.
 func EncodeBatchFrame(b *wal.Batch) []byte {
-	return AppendFrame(nil, KindBatch, b.Encode())
+	return wal.AppendFrame([]byte{KindBatch}, b.Encode())
 }
 
 // ReadFrame reads and verifies one frame from r. A clean end of stream
 // before any header byte returns io.EOF; a stream that ends inside a
 // frame (the shipped analogue of a torn WAL tail) or fails its checksum
-// returns an ErrFrame-wrapped error.
+// returns an ErrFrame-wrapped error. The length a header claims is held
+// to MaxFrameLen before anything is allocated, and what is allocated
+// follows the bytes that arrive (wal.ReadFrame).
 func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+	var k [1]byte
+	if _, err := io.ReadFull(r, k[:]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: %v", ErrFrame, err)
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated header: %v", ErrFrame, err)
-	}
-	kind = hdr[0]
-	if kind != KindSnapshot && kind != KindBatch {
+	if kind = k[0]; kind != KindSnapshot && kind != KindBatch {
 		return 0, nil, fmt.Errorf("%w: unknown kind %d", ErrFrame, kind)
 	}
-	ln := binary.LittleEndian.Uint32(hdr[1:5])
-	if ln > MaxFrameLen {
-		return 0, nil, fmt.Errorf("%w: implausible length %d", ErrFrame, ln)
-	}
-	payload = make([]byte, ln)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrFrame, err)
-	}
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(hdr[5:9]); got != want {
-		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrFrame)
+	if payload, err = wal.ReadFrame(r, MaxFrameLen); err != nil {
+		return 0, nil, fmt.Errorf("%w: %v", ErrFrame, err)
 	}
 	return kind, payload, nil
 }

@@ -8,10 +8,12 @@ package ship_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"cfdclean/internal/cluster/ship"
@@ -209,5 +211,25 @@ func TestReplicaRejectsStaleAndGappedBatches(t *testing.T) {
 	}
 	if r.Version() != cur {
 		t.Fatalf("gap moved the cursor to %d", r.Version())
+	}
+}
+
+// TestReadFrameAllocatesWhatArrives: the length in a frame header comes
+// off the network (PUT /v1/replica/{name}), so it may bound the read but
+// must not size the buffer — a header claiming MaxFrameLen with nothing
+// behind it is refused having allocated next to nothing.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	hdr := make([]byte, 9)
+	hdr[0] = ship.KindSnapshot
+	binary.LittleEndian.PutUint32(hdr[1:], ship.MaxFrameLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ship.ReadFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ship.ErrFrame) {
+		t.Fatalf("want ErrFrame, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("a 9-byte header made ReadFrame allocate %d bytes", got)
 	}
 }

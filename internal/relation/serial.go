@@ -2,6 +2,7 @@ package relation
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -57,85 +58,49 @@ func AppendDelta(dst []byte, d *Delta) []byte {
 // it carries no interned ids (and OldID is InvalidID) until a Relation
 // adopts it through Insert.
 func DecodeDelta(b []byte) (Delta, int, error) {
-	var d Delta
-	pos := 0
-	if len(b) < 1 {
-		return d, 0, fmt.Errorf("relation: delta: missing kind byte")
-	}
-	kind := DeltaKind(b[0])
+	d := NewDecoder(b, errDelta)
+	dl := d.Delta()
+	return dl, d.pos, d.err
+}
+
+var errDelta = errors.New("relation: delta")
+
+// Delta reads one Delta; see DecodeDelta.
+func (d *Decoder) Delta() Delta {
+	kind := DeltaKind(d.Byte("kind"))
 	if kind > DeltaUpdate {
-		return d, 0, fmt.Errorf("relation: delta: unknown kind %d", b[0])
+		d.Failf("unknown delta kind %d", kind)
 	}
-	pos++
-	id, n := binary.Varint(b[pos:])
-	if n <= 0 {
-		return d, 0, fmt.Errorf("relation: delta: truncated tuple id")
-	}
-	pos += n
-	nvals, n := binary.Uvarint(b[pos:])
-	if n <= 0 {
-		return d, 0, fmt.Errorf("relation: delta: truncated value count")
-	}
-	pos += n
+	t := &Tuple{ID: TupleID(d.Varint("tuple id"))}
+	nvals := d.Uvarint("value count")
 	// The arity cap mirrors the engine's 64-attribute schema limit and
 	// stops a corrupted count from driving a huge allocation.
 	if nvals > 1<<16 {
-		return d, 0, fmt.Errorf("relation: delta: implausible value count %d", nvals)
+		d.Failf("implausible value count %d", nvals)
 	}
-	t := &Tuple{ID: TupleID(id)}
+	if d.err != nil {
+		return Delta{}
+	}
 	if nvals > 0 {
 		t.Vals = make([]Value, nvals)
 		for i := range t.Vals {
-			v, n, err := DecodeValue(b[pos:])
-			if err != nil {
-				return d, 0, fmt.Errorf("relation: delta: value %d: %w", i, err)
-			}
-			t.Vals[i] = v
-			pos += n
+			t.Vals[i] = d.Value("value")
 		}
 	}
-	if pos >= len(b) {
-		return d, 0, fmt.Errorf("relation: delta: missing weight flag")
+	t.W = d.Weights(int(nvals))
+	attr := d.Uvarint("attribute")
+	old := d.Value("old value")
+	if d.err != nil {
+		return Delta{}
 	}
-	wflag := b[pos]
-	pos++
-	switch wflag {
-	case 0:
-	case 1:
-		t.W = make([]float64, nvals)
-		for i := range t.W {
-			if pos+8 > len(b) {
-				return d, 0, fmt.Errorf("relation: delta: truncated weight %d", i)
-			}
-			t.W[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[pos:]))
-			pos += 8
-		}
-	default:
-		return d, 0, fmt.Errorf("relation: delta: bad weight flag %d", wflag)
-	}
-	attr, n := binary.Uvarint(b[pos:])
-	if n <= 0 {
-		return d, 0, fmt.Errorf("relation: delta: truncated attribute")
-	}
-	pos += n
-	old, n, err := DecodeValue(b[pos:])
-	if err != nil {
-		return d, 0, fmt.Errorf("relation: delta: old value: %w", err)
-	}
-	pos += n
-	d.Kind = kind
-	d.T = t
-	d.Attr = int(attr)
-	d.Old = old
-	d.OldID = InvalidID
-	return d, pos, nil
+	return Delta{Kind: kind, T: t, Attr: int(attr), Old: old, OldID: InvalidID}
 }
 
 // AppendValue appends the canonical binary encoding of one Value:
 // 0x00 for null, or 0x01 + uvarint length + bytes for a constant. It
 // is the single value codec shared by the Delta encoding here and the
 // snapshot encoding in internal/wal — the two on-disk formats must
-// never fork at the value level.
+// never fork at the value level — and Decoder.Value is its inverse.
 func AppendValue(dst []byte, v Value) []byte {
 	if v.Null {
 		return append(dst, 0)
@@ -145,27 +110,132 @@ func AppendValue(dst []byte, v Value) []byte {
 	return append(dst, v.Str...)
 }
 
-// DecodeValue decodes one Value from the front of b, returning it and
-// the number of bytes consumed; inverse of AppendValue.
-func DecodeValue(b []byte) (Value, int, error) {
-	if len(b) < 1 {
-		return Value{}, 0, fmt.Errorf("missing value tag")
+// Decoder is the one cursor every payload decoder in the durability
+// stack reads through — deltas and values here, batches and snapshots in
+// internal/wal, manifests in internal/store. It latches the first error,
+// so field-by-field parsing reads linearly without per-field error
+// plumbing: after a failure every read returns a zero value, and Done
+// reports what went wrong. Every error wraps the sentinel the decoder
+// was built with, so each package's callers keep matching their own.
+type Decoder struct {
+	b        []byte
+	pos      int
+	err      error
+	sentinel error
+}
+
+// NewDecoder returns a cursor at the start of b whose errors wrap
+// sentinel.
+func NewDecoder(b []byte, sentinel error) *Decoder {
+	return &Decoder{b: b, sentinel: sentinel}
+}
+
+// Failf latches a decode error unless one is latched already — for the
+// checks a caller makes on what it read (an implausible count, an
+// unknown flag).
+func (d *Decoder) Failf(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: byte %d: %s", d.sentinel, d.pos, fmt.Sprintf(format, args...))
 	}
-	switch b[0] {
+}
+
+// Err returns the latched error, if any.
+func (d *Decoder) Err() error { return d.err }
+
+// Done ends the decode: the latched error if there is one, else an error
+// if bytes remain — a payload is consumed exactly or refused.
+func (d *Decoder) Done() error {
+	if d.pos != len(d.b) {
+		d.Failf("%d trailing bytes", len(d.b)-d.pos)
+	}
+	return d.err
+}
+
+// take returns the next n bytes, or nil after latching "truncated at
+// what" when fewer remain.
+func (d *Decoder) take(n uint64, what string) []byte {
+	if d.err == nil && n > uint64(len(d.b)-d.pos) {
+		d.Failf("truncated at %s", what)
+	}
+	if d.err != nil {
+		return nil
+	}
+	p := d.b[d.pos : d.pos+int(n)]
+	d.pos += int(n)
+	return p
+}
+
+// Byte reads one byte.
+func (d *Decoder) Byte(what string) byte {
+	if p := d.take(1, what); p != nil {
+		return p[0]
+	}
+	return 0
+}
+
+// U64 reads a little-endian uint64.
+func (d *Decoder) U64(what string) uint64 {
+	if p := d.take(8, what); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+// Uvarint reads an unsigned varint.
+func (d *Decoder) Uvarint(what string) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b[d.pos:])
+	if n <= 0 {
+		d.Failf("truncated at %s", what)
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+// Varint reads a signed (zig-zag) varint.
+func (d *Decoder) Varint(what string) int64 {
+	u := d.Uvarint(what)
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// Str reads a uvarint-length-prefixed string.
+func (d *Decoder) Str(what string) string {
+	return string(d.take(d.Uvarint(what), what))
+}
+
+// Value reads one Value; inverse of AppendValue.
+func (d *Decoder) Value(what string) Value {
+	switch tag := d.Byte(what); tag {
 	case 0:
-		return NullValue, 1, nil
+		return NullValue
 	case 1:
-		ln, n := binary.Uvarint(b[1:])
-		if n <= 0 {
-			return Value{}, 0, fmt.Errorf("truncated value length")
-		}
-		start := 1 + n
-		end := start + int(ln)
-		if ln > uint64(len(b)) || end > len(b) {
-			return Value{}, 0, fmt.Errorf("value of %d bytes exceeds buffer", ln)
-		}
-		return S(string(b[start:end])), end, nil
+		return S(d.Str(what))
 	default:
-		return Value{}, 0, fmt.Errorf("bad value tag %d", b[0])
+		d.Failf("bad value tag %d at %s", tag, what)
+		return Value{}
 	}
+}
+
+// Weights reads a tuple's weight block: a flag byte, then — when the
+// flag is 1 — exactly n float64 bit patterns. A flag other than 0 or 1
+// is refused: silently dropping weights would let a restored session
+// score repairs differently.
+func (d *Decoder) Weights(n int) []float64 {
+	switch flag := d.Byte("weight flag"); flag {
+	case 0:
+	case 1:
+		if p := d.take(8*uint64(n), "weights"); d.err == nil {
+			w := make([]float64, n)
+			for i := range w {
+				w[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+			}
+			return w
+		}
+	default:
+		d.Failf("bad weight flag %d", flag)
+	}
+	return nil
 }

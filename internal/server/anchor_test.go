@@ -30,7 +30,7 @@ func requireAnchored(t *testing.T, dir string, gen uint64, kind store.Kind) {
 	}
 	snaps, wals := map[uint64]bool{}, map[uint64]bool{}
 	for _, e := range ents {
-		if g, k, ok := parseGenName(e.Name()); ok && k == "snap" {
+		if k, g, ok := wal.ParseGenName(e.Name()); ok && k == "snap" {
 			snaps[g] = true
 		} else if ok {
 			wals[g] = true

@@ -288,9 +288,32 @@ func writeMisdirected(w http.ResponseWriter, primary string) {
 // to bootstrap or heal a follower.
 const replicaBodyLimit = ship.MaxFrameLen + 64
 
+// replicaName gates the three /v1/replica/* handlers and returns the
+// session name they act on. A node without peers serves no replication —
+// register would host the shipped image as a writable primary there —
+// and the name, which the mux matched on the unescaped path segment
+// (%2e%2e is ".."), must be one a create would accept. ok=false means the
+// 400 has been written.
+func (s *Server) replicaName(w http.ResponseWriter, req *http.Request) (name string, ok bool) {
+	name = req.PathValue("name")
+	err := errNotClustered
+	if s.reg.cluster != nil {
+		err = validName(name)
+	}
+	if err != nil {
+		writeStatus(w, http.StatusBadRequest, err.Error())
+	}
+	return name, err == nil
+}
+
+var errNotClustered = errors.New("node is not clustered (start with -peers)")
+
 // handleReplicaInstall receives a snapshot frame: PUT /v1/replica/{name}.
 func (s *Server) handleReplicaInstall(w http.ResponseWriter, req *http.Request) {
-	name := req.PathValue("name")
+	name, ok := s.replicaName(w, req)
+	if !ok {
+		return
+	}
 	kind, payload, err := ship.ReadFrame(http.MaxBytesReader(w, req.Body, replicaBodyLimit))
 	if err != nil || kind != ship.KindSnapshot {
 		writeStatus(w, http.StatusBadRequest, fmt.Sprintf("bad snapshot frame: kind=%d err=%v", kind, err))
@@ -310,7 +333,10 @@ func (s *Server) handleReplicaInstall(w http.ResponseWriter, req *http.Request) 
 
 // handleReplicaBatch receives a batch frame: POST /v1/replica/{name}/batch.
 func (s *Server) handleReplicaBatch(w http.ResponseWriter, req *http.Request) {
-	name := req.PathValue("name")
+	name, ok := s.replicaName(w, req)
+	if !ok {
+		return
+	}
 	kind, payload, err := ship.ReadFrame(http.MaxBytesReader(w, req.Body, replicaBodyLimit))
 	if err != nil || kind != ship.KindBatch {
 		writeStatus(w, http.StatusBadRequest, fmt.Sprintf("bad batch frame: kind=%d err=%v", kind, err))
@@ -330,7 +356,11 @@ func (s *Server) handleReplicaBatch(w http.ResponseWriter, req *http.Request) {
 
 // handleReplicaDrop removes a local replica: DELETE /v1/replica/{name}.
 func (s *Server) handleReplicaDrop(w http.ResponseWriter, req *http.Request) {
-	if err := s.reg.DropReplica(req.Context(), req.PathValue("name")); err != nil {
+	name, ok := s.replicaName(w, req)
+	if !ok {
+		return
+	}
+	if err := s.reg.DropReplica(req.Context(), name); err != nil {
 		writeReplicationError(w, err)
 		return
 	}
@@ -385,7 +415,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, req *http.Request) {
 func (s *Server) handlePeers(w http.ResponseWriter, req *http.Request) {
 	c := s.reg.cluster
 	if c == nil {
-		writeStatus(w, http.StatusBadRequest, "node is not clustered (start with -peers)")
+		writeStatus(w, http.StatusBadRequest, errNotClustered.Error())
 		return
 	}
 	var pr PeersRequest

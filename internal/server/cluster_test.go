@@ -16,12 +16,15 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"cfdclean/internal/cluster/ship"
+	"cfdclean/internal/relation"
 	"cfdclean/internal/store"
 )
 
@@ -575,36 +578,58 @@ func TestClusterFollowerRestartStaysFollower(t *testing.T) {
 	}
 }
 
-// TestClusterRebalanceDrainsCoalesceLinger: an accepted (202) ingest
-// the worker is holding in the coalesce linger sits in neither the
-// queue nor the commits channel — invisible to any len() poll — when a
-// rebalance transfer starts. The positive quiesce sentinel must flush
-// it through the pipeline before the transfer snapshot is captured;
-// with inferred quiescence the batch would apply locally after the
-// snapshot shipped and vanish when the local session is purged.
+// TestClusterRebalanceDrainsCoalesceLinger: accepted (202) ingests the
+// pipeline has not committed yet — one waiting in the queue, one the
+// worker holds between the two channels, invisible to any len() poll,
+// one in the commits channel — when a rebalance transfer starts. The
+// positive quiesce sentinel must carry them all through the pipeline
+// before the transfer snapshot is captured; with inferred quiescence a
+// batch would apply locally after the snapshot shipped and vanish when
+// the local session is purged. (The name dates from the coalesce linger,
+// a knob deleted in PR 22, which parked a batch in the same blind spot.)
 func TestClusterRebalanceDrainsCoalesceLinger(t *testing.T) {
-	linger := func(self string, peers []string) Options {
-		return Options{QueueDepth: 16, Peers: peers, Self: self, Ack: AckLeader,
-			CoalesceDelay: 400 * time.Millisecond}
-	}
-	a, b := newClusterPair(t, linger)
+	a, b := newClusterPair(t, func(self string, peers []string) Options {
+		return Options{QueueDepth: 1, Peers: peers, Self: self, Ack: AckLeader}
+	})
 	const name = "lingering"
 	owner, other := ownerAndFollower(a, b, name)
 	createTiny(t, owner.url, name)
-
-	// Accept one async batch and give the worker a moment to dequeue it
-	// into the linger window.
-	resp, body := do(t, "POST", owner.url+"/v1/sessions/"+name+"/ingest", ApplyRequest{
-		Inserts: []WireTuple{{Vals: []*string{strp("646"), strp("SFO")}}},
-	})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("ingest: %d: %s", resp.StatusCode, body)
+	h, err := owner.srv.reg.Get(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
 
-	// Shrink the ring to the other node while the batch is parked: the
-	// session must transfer WITH the accepted batch.
-	resp, body = do(t, "PUT", owner.url+"/v1/cluster/peers", PeersRequest{Peers: []string{other.addr}})
+	// Stall the committer on a pass whose reply nobody takes yet, then
+	// accept three ingests behind it, each once the worker has taken the
+	// one before: the first fills the commits channel, the worker blocks
+	// handing over the second, the third stays queued.
+	stalled := make(chan jobReply)
+	h.queue <- job{inserts: []*relation.Tuple{relation.NewTuple(0, "212", "NYC")}, reply: stalled}
+	for _, ac := range []string{"646", "718", "917"} {
+		for deadline := time.Now().Add(10 * time.Second); len(h.queue) > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("worker never took the queued job")
+			}
+		}
+		resp, body := do(t, "POST", owner.url+"/v1/sessions/"+name+"/ingest", ApplyRequest{
+			Inserts: []WireTuple{{Vals: []*string{strp(ac), strp("SFO")}}},
+		})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest %s: %d: %s", ac, resp.StatusCode, body)
+		}
+	}
+
+	// Shrink the ring to the other node while the batches are parked,
+	// and let the pipeline go once the transfer has fenced writes off and
+	// is waiting on it: the session must transfer WITH the accepted
+	// batches.
+	go func() {
+		for deadline := time.Now().Add(10 * time.Second); h.role.Load() != roleFollower && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		<-stalled
+	}()
+	resp, body := do(t, "PUT", owner.url+"/v1/cluster/peers", PeersRequest{Peers: []string{other.addr}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("peers: %d: %s", resp.StatusCode, body)
 	}
@@ -620,8 +645,10 @@ func TestClusterRebalanceDrainsCoalesceLinger(t *testing.T) {
 	}
 
 	dump, _ := readState(t, other.url, name)
-	if !strings.Contains(string(dump), "646,SFO") {
-		t.Fatalf("transferred session lost the lingering ingest:\n%s", dump)
+	for _, row := range []string{"646,SFO", "718,SFO", "917,SFO"} {
+		if !strings.Contains(string(dump), row) {
+			t.Fatalf("transferred session lost the accepted ingest %s:\n%s", row, dump)
+		}
 	}
 }
 
@@ -706,5 +733,67 @@ func TestClusterDiskFollower(t *testing.T) {
 	ar := applyDirty(t, follower.url, name, 7)
 	if ev := collectSSE(t, events, 1)[0].ev; ev.Seq != lastSeq+1 || ar.Seq != ev.Seq {
 		t.Fatalf("seq after promotion: event %d, reply %d, want %d", ev.Seq, ar.Seq, lastSeq+1)
+	}
+}
+
+// TestReplicaRefusesUnsafeNames: the replication endpoints take the
+// session name from a path segment the mux matches unescaped, so
+// PUT /v1/replica/%2e%2e names "..". Every name a create would refuse
+// must be refused there too — 400, before a session directory is made
+// or removed — and a node without peers serves no replication at all.
+func TestReplicaRefusesUnsafeNames(t *testing.T) {
+	snap, err := newTinyHosted(t, NewRegistry(1), 1).sess.PersistSnapshot("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := ship.EncodeSnapshotFrame(snap)
+	names := []string{"%2e%2e", "..%2Fx", "a%2Fb", ".hidden", "a%5Cb", "a:b", strings.Repeat("n", 129)}
+
+	for _, clustered := range []bool{true, false} {
+		outer := t.TempDir()
+		dataDir := filepath.Join(outer, "data")
+		sentinel := filepath.Join(outer, "sentinel")
+		if err := os.Mkdir(dataDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(sentinel, []byte("keep"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{DataDir: dataDir, Fsync: FsyncOff}
+		if clustered {
+			opts.Peers, opts.Self = []string{"127.0.0.1:1", "127.0.0.1:2"}, "127.0.0.1:1"
+		}
+		s, ts := newTestService(t, opts)
+		requireUntouched := func(what string) {
+			t.Helper()
+			if b, err := os.ReadFile(sentinel); err != nil || string(b) != "keep" {
+				t.Fatalf("clustered=%v %s: sentinel beside the data dir: %q, %v", clustered, what, b, err)
+			}
+			beside, _ := os.ReadDir(outer)
+			inside, _ := os.ReadDir(dataDir)
+			if len(beside) != 2 || len(inside) != 0 {
+				t.Fatalf("clustered=%v %s: beside the data dir %v, inside it %v", clustered, what, beside, inside)
+			}
+		}
+		for _, name := range names {
+			req, err := http.NewRequest("PUT", ts.URL+"/v1/replica/"+name, bytes.NewReader(frame))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("clustered=%v PUT /v1/replica/%s: %d %s, want 400", clustered, name, resp.StatusCode, body)
+			}
+			requireUntouched("PUT /v1/replica/" + name)
+		}
+		if err := s.reg.InstallReplica(context.Background(), "..", snap); err == nil {
+			t.Errorf("clustered=%v: InstallReplica(\"..\") in-process succeeded", clustered)
+		}
+		requireUntouched(`InstallReplica("..")`)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -141,13 +139,8 @@ func readRoleMarker(dir string) bool {
 	return err == nil
 }
 
-func snapPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%010d.snap", gen))
-}
-
-func walPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%010d.log", gen))
-}
+func snapPath(dir string, gen uint64) string { return filepath.Join(dir, wal.GenName("snap", gen)) }
+func walPath(dir string, gen uint64) string  { return filepath.Join(dir, wal.GenName("wal", gen)) }
 
 // persister is one session's durability sidecar. The session's worker
 // asks it after every pass whether the boundary must become a generation
@@ -380,9 +373,10 @@ func (c *capture) abort() {
 // store's flush commits first, so manifest gen is durable before the
 // slim snapshot that references it (a crash between the two leaves a
 // readable previous generation, never a snapshot pointing at missing
-// pages); then the snapshot file, then the empty WAL. Generations older
-// than the previous one are pruned last; the previous pair stays as a
-// fallback.
+// pages); then the snapshot file, then the empty WAL, whose directory
+// entry wal.Create syncs before a batch can be acknowledged into it.
+// Generations older than the previous one are pruned last; the previous
+// pair stays as a fallback.
 func (p *persister) anchor(gen uint64, c *capture) error {
 	if c.flush != nil {
 		if err := c.flush.Commit(gen); err != nil {
@@ -437,39 +431,18 @@ func (p *persister) rotate(c *capture) {
 	}
 }
 
-// pruneGenerations removes snapshot and WAL files of generations <= max.
+// pruneGenerations removes snapshot and WAL files of generations <= max
+// (the .tmp sibling of a snapshot write in flight is no generation file).
 func pruneGenerations(dir string, max uint64) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range ents {
-		gen, kind, ok := parseGenName(e.Name())
-		if ok && kind != "" && gen <= max {
+		if _, gen, ok := wal.ParseGenName(e.Name()); ok && gen <= max {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-}
-
-// parseGenName splits "snap-0000000001.snap" / "wal-0000000001.log"
-// into (generation, kind); ok is false for anything else (including the
-// .tmp siblings of in-flight snapshot writes).
-func parseGenName(name string) (gen uint64, kind string, ok bool) {
-	switch {
-	case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-		kind = "snap"
-		name = strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap")
-	case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-		kind = "wal"
-		name = strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log")
-	default:
-		return 0, "", false
-	}
-	gen, err := strconv.ParseUint(name, 10, 64)
-	if err != nil {
-		return 0, "", false
-	}
-	return gen, kind, true
 }
 
 // close ends persistence gracefully (drain/shutdown): sync, close, keep
@@ -580,13 +553,10 @@ func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 	}
 	var snapGens, walGens []uint64
 	for _, e := range ents {
-		gen, kind, ok := parseGenName(e.Name())
-		if !ok {
-			continue
-		}
-		if kind == "snap" {
+		switch kind, gen, _ := wal.ParseGenName(e.Name()); kind {
+		case "snap":
 			snapGens = append(snapGens, gen)
-		} else {
+		case "wal":
 			walGens = append(walGens, gen)
 		}
 	}

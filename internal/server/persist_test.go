@@ -612,13 +612,19 @@ func TestParseGenName(t *testing.T) {
 	}{
 		"snap-0000000007.snap":     {7, "snap", true},
 		"wal-0000000123.log":       {123, "wal", true},
+		"pages-0000000002.dat":     {2, "pages", true},
+		"order-0000000002.dat":     {2, "order", true},
+		"manifest-0000000002.mft":  {2, "manifest", true},
 		"snap-0000000007.snap.tmp": {0, "", false},
 		"wal-x.log":                {0, "", false},
+		"wal-7.log":                {0, "", false},
+		"snap-0000000007.log":      {0, "", false},
+		"dict-0000000001.log":      {0, "", false},
 		"README":                   {0, "", false},
 	} {
-		gen, kind, ok := parseGenName(name)
+		kind, gen, ok := wal.ParseGenName(name)
 		if gen != want.gen || kind != want.kind || ok != want.ok {
-			t.Fatalf("parseGenName(%q) = %d %q %v", name, gen, kind, ok)
+			t.Fatalf("ParseGenName(%q) = %q %d %v", name, kind, gen, ok)
 		}
 	}
 }

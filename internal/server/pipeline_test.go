@@ -15,85 +15,9 @@ import (
 	"cfdclean/internal/relation"
 )
 
-// Pipeline tests: the coalescing extensions (fold-size cap, linger
-// window) and the durability ordering the committer/group-fsync split
-// must preserve — no batch is acknowledged before its WAL record is on
-// stable storage.
-
-// TestCoalescingFoldCap: with CoalesceMaxTuples set, a run of queued
-// async batches is split into passes at the tuple cap instead of being
-// folded whole.
-func TestCoalescingFoldCap(t *testing.T) {
-	r := NewRegistry(8)
-	r.coalesceMax = 2
-	h := newTinyHosted(t, r, 8)
-
-	mk := func(ct string) []*relation.Tuple {
-		return []*relation.Tuple{relation.NewTuple(0, "212", ct)}
-	}
-	h.queue <- job{inserts: mk("PHI"), coalescable: true}
-	h.queue <- job{inserts: mk("NYC"), coalescable: true}
-	h.queue <- job{inserts: mk("PHI"), coalescable: true}
-	h.dispatch(r, job{inserts: mk("NYC"), coalescable: true})
-	h.dispatch(r, <-h.queue)
-
-	// 4 batches at cap 2 → two passes of two batches each.
-	if got := h.seq.Load(); got != 2 {
-		t.Fatalf("capped run took %d passes, want 2", got)
-	}
-	if r.coalesced.Load() != 2 {
-		t.Fatalf("coalesced counter = %d, want 2", r.coalesced.Load())
-	}
-	if sn := h.sess.Snapshot(); sn.Inserted != 4 || !sn.Satisfied {
-		t.Fatalf("after capped passes: %+v", sn)
-	}
-}
-
-// TestCoalescingDeadline: with CoalesceDelay set, a worker whose queue
-// ran dry lingers for more coalescable work — a batch arriving inside
-// the window joins the pass — and flushes when the window expires.
-func TestCoalescingDeadline(t *testing.T) {
-	r := NewRegistry(8)
-	r.coalesceDelay = 200 * time.Millisecond
-	h := newTinyHosted(t, r, 8)
-
-	mk := func(ct string) []*relation.Tuple {
-		return []*relation.Tuple{relation.NewTuple(0, "212", ct)}
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// Queue is empty: dispatch must linger, fold the late batch, and
-		// only then (window expired) run one pass for both.
-		h.dispatch(r, job{inserts: mk("NYC"), coalescable: true})
-	}()
-	time.Sleep(20 * time.Millisecond)
-	h.queue <- job{inserts: mk("PHI"), coalescable: true}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("dispatch did not flush after the coalesce window")
-	}
-	if got := h.seq.Load(); got != 1 {
-		t.Fatalf("lingering fold took %d passes, want 1", got)
-	}
-	if r.coalesced.Load() != 1 {
-		t.Fatalf("coalesced counter = %d, want 1", r.coalesced.Load())
-	}
-	if sn := h.sess.Snapshot(); sn.Inserted != 2 {
-		t.Fatalf("after lingering pass: %+v", sn)
-	}
-
-	// An expiring window with nothing arriving flushes the lone batch.
-	start := time.Now()
-	h.dispatch(r, job{inserts: mk("NYC"), coalescable: true})
-	if waited := time.Since(start); waited < r.coalesceDelay/2 {
-		t.Fatalf("expiry flush returned after %v, expected to linger ~%v", waited, r.coalesceDelay)
-	}
-	if got := h.seq.Load(); got != 2 {
-		t.Fatalf("expiry flush took %d total passes, want 2", got)
-	}
-}
+// Pipeline tests: the durability ordering the committer/group-fsync
+// split must preserve — no batch is acknowledged before its WAL record
+// is on stable storage. (Adjacent-batch folding is TestCoalescing's.)
 
 // TestGroupFsyncOrdering: under the per-batch policy with many sessions
 // committing concurrently — the group-fsync window at work — no apply

@@ -61,13 +61,6 @@ const registryShards = 16
 type Registry struct {
 	queueDepth int
 
-	// coalesceMax, when > 0, caps the tuples folded into one ingest
-	// pass; coalesceDelay, when > 0, lets the worker linger that long
-	// for more coalescable work before starting a pass on an otherwise
-	// empty queue. Zero values reproduce pure adjacency coalescing.
-	coalesceMax   int
-	coalesceDelay time.Duration
-
 	// persist, when non-nil, is the server's options with DataDir set:
 	// every session gets a durability sidecar (WAL + snapshots under it;
 	// see persist.go). nil hosts sessions purely in memory.
@@ -260,9 +253,9 @@ type job struct {
 	// quiesce marks a sentinel with no engine pass of its own: it rides
 	// the queue and the commits channel like any batch, and its reply
 	// therefore PROVES every job enqueued before it has been applied and
-	// committed — including a 202-accepted ingest the worker was holding
-	// in the coalesce linger, which no amount of len(queue) polling can
-	// see. Rebalance transfers use it as the positive quiescence signal.
+	// committed — including one the worker has dequeued and not yet handed
+	// to the committer, which no amount of len(queue) polling can see.
+	// Rebalance transfers use it as the positive quiescence signal.
 	quiesce bool
 	// enqueued is when the job entered the queue (zero for tests that
 	// drive dispatch directly); the reply reports the queue wait.
@@ -331,6 +324,9 @@ func (r *Registry) Create(name string, sess *increpair.Session, schema *relation
 // persister) and recovery's persister for a re-hosted one, which must
 // not write a generation 0 over the recovered files.
 func (r *Registry) register(name string, sess *increpair.Session, schema *relation.Schema, p *persister, quota QuotaConfig, role int32) (*hosted, error) {
+	if err := validName(name); err != nil {
+		return nil, err
+	}
 	sh := r.shard(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -654,48 +650,19 @@ func (h *hosted) run(r *Registry) {
 
 // dispatch runs one queued job, first folding any directly following
 // coalescable jobs into it: their inserts concatenate in arrival order
-// and the whole run is repaired by a single engine pass. Folding stops
-// at the registry's tuple cap (coalesceMax), and an empty queue waits
-// out the remainder of the coalesce window (coalesceDelay, one deadline
-// per fold) before starting the pass — with both at zero only queue
-// adjacency folds, the original behavior. A synchronous job is never
-// folded — its reply must match a dedicated in-process call — so a sync
-// job encountered while folding just flushes the accumulated pass and
-// runs next.
+// and the whole run is repaired by a single engine pass. Only what is
+// already queued folds; an empty queue starts the pass. A synchronous
+// job is never folded — its reply must match a dedicated in-process call
+// — so a sync job encountered while folding just flushes the accumulated
+// pass and runs next.
 func (h *hosted) dispatch(r *Registry, j job) {
-	var deadline *time.Timer
-	defer func() {
-		if deadline != nil {
-			deadline.Stop()
-		}
-	}()
 	for j.coalescable {
-		if r.coalesceMax > 0 && len(j.inserts) >= r.coalesceMax {
-			h.apply(r, j, 1+j.extra)
-			return
-		}
 		var next job
 		select {
 		case next = <-h.queue:
 		default:
-			if r.coalesceDelay <= 0 {
-				h.apply(r, j, 1+j.extra)
-				return
-			}
-			if deadline == nil {
-				deadline = time.NewTimer(r.coalesceDelay)
-			}
-			select {
-			case next = <-h.queue:
-			case <-deadline.C:
-				h.apply(r, j, 1+j.extra)
-				return
-			case <-h.quit:
-				// Shutdown: flush immediately; run()'s final sweep
-				// handles whatever is still queued.
-				h.apply(r, j, 1+j.extra)
-				return
-			}
+			h.apply(r, j, 1+j.extra)
+			return
 		}
 		if next.coalescable {
 			j.inserts = append(j.inserts, next.inserts...)

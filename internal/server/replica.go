@@ -167,11 +167,9 @@ func (r *Registry) DropReplica(ctx context.Context, name string) error {
 // Quiescence is positive, not inferred: a quiesce sentinel job rides
 // the FIFO queue and the FIFO commits channel, so its reply proves the
 // drain. Polling len(queue)+len(commits) cannot — a 202-accepted ingest
-// the worker dequeued and parked in the coalesce linger (configurable
-// far beyond any settle delay) is in neither channel, and a snapshot
-// captured across it would silently lose the batch when the local
-// session is purged after transfer. The sentinel, being non-coalescable,
-// also flushes any lingering fold before it is answered. A straggler
+// the worker has dequeued and is still folding or repairing is in
+// neither channel, and a snapshot captured across it would silently lose
+// the batch when the local session is purged after transfer. A straggler
 // write that slipped past the role flip re-arms the loop: the sentinel
 // is resent until both channels are empty at acknowledgement time.
 func (h *hosted) waitQuiesce(ctx context.Context) bool {

@@ -45,9 +45,8 @@
 // wait — natural backpressure bounded by the client's context). POST
 // .../ingest is asynchronous: it enqueues and returns 202 immediately,
 // or 429 when the queue is full; the worker coalesces runs of adjacent
-// ingested batches into one engine pass — optionally up to a tuple cap
-// and a linger window (Options.CoalesceMaxTuples, CoalesceDelay) — to
-// amortize per-pass overhead under burst load.
+// ingested batches into one engine pass to amortize per-pass overhead
+// under burst load.
 //
 // Reads never hold the session lock beyond a pinned-view handoff:
 // session snapshots are published atomically after every pass, and the
@@ -102,15 +101,6 @@ type Options struct {
 	// ahead of the worker queue. The zero value is fully unlimited; a
 	// create request may override per session (CreateRequest.Quota).
 	Quota QuotaConfig
-
-	// CoalesceMaxTuples caps the tuples folded into one ingest pass; 0
-	// (the default) leaves the fold bounded only by queue content.
-	CoalesceMaxTuples int
-	// CoalesceDelay lets a session worker linger this long for more
-	// coalescable work before starting a pass on an otherwise empty
-	// queue — trading a bounded latency for larger folds under steady
-	// ingest. 0 (the default) folds only already-queued batches.
-	CoalesceDelay time.Duration
 
 	// DataDir, when non-empty, makes every session durable: each gets
 	// <DataDir>/<name>/ with WAL + snapshot generations (see persist.go),
@@ -183,8 +173,6 @@ type Server struct {
 func New(opts Options) *Server {
 	s := &Server{opts: opts.withDefaults(), started: time.Now()}
 	s.reg = NewRegistry(s.opts.QueueDepth)
-	s.reg.coalesceMax = s.opts.CoalesceMaxTuples
-	s.reg.coalesceDelay = s.opts.CoalesceDelay
 	s.reg.quota = s.opts.Quota
 	if s.opts.DataDir != "" {
 		s.reg.persist = &s.opts
@@ -253,14 +241,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 	if !decodeBody(w, req, s.opts.MaxBodyBytes, &cr) {
 		return
 	}
-	// The leading-dot ban keeps names usable as data-dir entries ("." and
-	// ".." foremost) and applies whether or not persistence is on — a
-	// name accepted by an in-memory service must stay valid when the
-	// operator turns -data-dir on. Backslash and colon are banned for
-	// the same reason: on Windows they are path syntax, and a name like
-	// `a\..\x` would escape the data dir through filepath.Join.
-	if cr.Name == "" || strings.ContainsAny(cr.Name, "/\\: \t\n") || len(cr.Name) > 128 || strings.HasPrefix(cr.Name, ".") {
-		writeStatus(w, http.StatusBadRequest, "session name must be non-empty, at most 128 bytes, contain no slash, backslash, colon or whitespace, and not start with a dot")
+	if err := validName(cr.Name); err != nil {
+		writeStatus(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if strings.TrimSpace(cr.CFDs) == "" {
@@ -338,6 +320,22 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		resp.Initial = &BatchSummary{Tuples: len(ini.Inserted), Cost: ini.Cost, Changes: ini.Changes}
 	}
 	writeJSON(w, http.StatusCreated, resp)
+}
+
+// validName refuses a session name that is not usable as a data-dir
+// entry. The leading-dot ban ("." and ".." foremost) applies whether or
+// not persistence is on — a name accepted by an in-memory service must
+// stay valid when the operator turns -data-dir on. Backslash and colon
+// are banned for the same reason: on Windows they are path syntax, and a
+// name like `a\..\x` would escape the data dir through filepath.Join.
+// Every way a session comes to be hosted goes through Registry.register,
+// which calls this where the directory is made; handlers call it first
+// only to answer 400 before doing any work.
+func validName(name string) error {
+	if name == "" || strings.ContainsAny(name, "/\\: \t\n") || len(name) > 128 || strings.HasPrefix(name, ".") {
+		return errors.New("session name must be non-empty, at most 128 bytes, contain no slash, backslash, colon or whitespace, and not start with a dot")
+	}
+	return nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, req *http.Request) {

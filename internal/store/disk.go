@@ -2,17 +2,17 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 
 	"cfdclean/internal/relation"
@@ -26,16 +26,17 @@ import (
 //	manifest-<gen>.mft page table + geometry at flush <gen>
 //	dict.log           append-only intern dictionary (shared by all gens)
 //
-// All files open with a magic string and a version byte. Records are
-// CRC-32C framed like the WAL's. A page file holds full page images:
+// Headers, records, file names and the two file writes are internal/wal's
+// (its package comment is the format reference); what is the store's own
+// is a page record's prefix and the payloads:
 //
-//	page record  = pageNo(u64 LE) length(u32 LE) crc(u32 LE) payload
+//	page record  = pageNo(u64 LE) record(page image)
 //
-// and is written once per flush, then never modified — a later flush
-// that re-dirties a page writes the page's new image into its own
-// generation's file and repoints the page table. The manifest is the
-// atomic commit point (tmp + fsync + rename + dirsync): it names, for
-// every page, the generation file and offset holding its newest image.
+// A page file holds full page images and is written once per flush, then
+// never modified — a later flush that re-dirties a page writes the page's
+// new image into its own generation's file and repoints the page table.
+// The manifest is the atomic commit point (wal.WriteFileAtomic): it names,
+// for every page, the generation file and offset holding its newest image.
 // Because old page files are immutable, the previous manifest remains a
 // consistent fallback, which is exactly what snapshot-generation pruning
 // (keep the newest two) requires.
@@ -57,22 +58,23 @@ const (
 	manifestMagic = "CFDSTOR"
 	dictMagic     = "CFDDICT"
 
-	// orderChunkIDs bounds the row ids per order-file record.
-	orderChunkIDs = 1 << 16
+	// orderChunkIDs bounds the row ids per order-file record, and
+	// maxOrderRecord the bytes a reader accepts for one.
+	orderChunkIDs  = 1 << 16
+	maxOrderRecord = 1 << 24
 )
-
-var storeCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed reports use of a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// errCorrupt reports structural damage in a store file; recovery treats
-// it like a damaged snapshot and falls back to an older generation.
+// errCorrupt reports structural damage in a store file (a damaged header
+// or record reports wal.ErrCorrupt); recovery treats either like a damaged
+// snapshot and falls back to an older generation.
 var errCorrupt = errors.New("store: corrupt")
 
-func pagesName(gen uint64) string    { return fmt.Sprintf("pages-%010d.dat", gen) }
-func orderName(gen uint64) string    { return fmt.Sprintf("order-%010d.dat", gen) }
-func manifestName(gen uint64) string { return fmt.Sprintf("manifest-%010d.mft", gen) }
+func pagesName(gen uint64) string    { return wal.GenName("pages", gen) }
+func orderName(gen uint64) string    { return wal.GenName("order", gen) }
+func manifestName(gen uint64) string { return wal.GenName("manifest", gen) }
 
 const dictName = "dict.log"
 
@@ -144,7 +146,7 @@ func Create(dir string, arity int, opts Options) (*Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr := append([]byte(dictMagic), storeVersion)
+	hdr := wal.AppendHeader(nil, dictMagic, storeVersion)
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return nil, err
@@ -401,47 +403,23 @@ func tableRefs(table map[uint64]pageLoc, gen uint64) map[uint64]bool {
 }
 
 func (d *Disk) writePages(gen uint64, pages map[uint64][]byte, locs map[uint64]pageLoc) error {
-	nos := make([]uint64, 0, len(pages))
-	for no := range pages {
-		nos = append(nos, no)
-	}
-	sort.Slice(nos, func(i, j int) bool { return nos[i] < nos[j] })
-	f, err := os.OpenFile(filepath.Join(d.dir, pagesName(gen)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	if _, err := w.Write(append([]byte(pageMagic), storeVersion)); err != nil {
-		f.Close()
-		return err
-	}
-	off := int64(len(pageMagic) + 1)
-	hdr := make([]byte, 16)
-	for _, no := range nos {
-		b := pages[no]
-		binary.LittleEndian.PutUint64(hdr, no)
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(b)))
-		binary.LittleEndian.PutUint32(hdr[12:], crc32.Checksum(b, storeCastagnoli))
+	return wal.WriteFileSynced(filepath.Join(d.dir, pagesName(gen)), func(w io.Writer) error {
+		hdr := wal.AppendHeader(nil, pageMagic, storeVersion)
 		if _, err := w.Write(hdr); err != nil {
-			f.Close()
 			return err
 		}
-		if _, err := w.Write(b); err != nil {
-			f.Close()
-			return err
+		off := int64(len(hdr))
+		var rec []byte
+		for _, no := range slices.Sorted(maps.Keys(pages)) {
+			rec = wal.AppendFrame(binary.LittleEndian.AppendUint64(rec[:0], no), pages[no])
+			if _, err := w.Write(rec); err != nil {
+				return err
+			}
+			locs[no] = pageLoc{gen: gen, off: off}
+			off += int64(len(rec))
 		}
-		locs[no] = pageLoc{gen: gen, off: off}
-		off += 16 + int64(len(b))
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+		return nil
+	})
 }
 
 // walkView walks f's pinned view once: every row's id goes to
@@ -460,69 +438,54 @@ func (d *Disk) walkView(gen uint64, f *Flush) (map[uint64][]byte, error) {
 		pages[no] = make([]byte, d.pageBytes)
 	}
 
-	of, err := os.OpenFile(filepath.Join(d.dir, orderName(gen)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	defer of.Close()
-	w := bufio.NewWriterSize(of, 1<<16)
-	if _, err := w.Write(append([]byte(orderMagic), storeVersion)); err != nil {
-		return nil, err
-	}
-	var chunk, frame []byte
-	var total, n int
-	var prev int64
-	// Rows mostly arrive in id order: look a page up when it changes.
-	pageNo, page := ^uint64(0), []byte(nil)
-	body := make([]byte, 0, orderChunkIDs*2)
-	flushChunk := func() error {
-		if n == 0 {
-			return nil
+	err := wal.WriteFileSynced(filepath.Join(d.dir, orderName(gen)), func(w io.Writer) error {
+		if _, err := w.Write(wal.AppendHeader(nil, orderMagic, storeVersion)); err != nil {
+			return err
 		}
-		chunk = binary.AppendUvarint(chunk[:0], uint64(n))
-		chunk = append(chunk, body...)
-		frame = frame[:0]
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(chunk)))
-		frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(chunk, storeCastagnoli))
-		frame = append(frame, chunk...)
-		body, n = body[:0], 0
-		_, err := w.Write(frame)
-		return err
-	}
-	for cur := f.view.Rows(); ; {
-		t := cur.Next()
-		if t == nil {
-			break
+		var chunk, frame []byte
+		var total, n int
+		var prev int64
+		// Rows mostly arrive in id order: look a page up when it changes.
+		pageNo, page := ^uint64(0), []byte(nil)
+		body := make([]byte, 0, orderChunkIDs*2)
+		flushChunk := func() error {
+			if n == 0 {
+				return nil
+			}
+			chunk = binary.AppendUvarint(chunk[:0], uint64(n))
+			chunk = append(chunk, body...)
+			frame = wal.AppendFrame(frame[:0], chunk)
+			body, n = body[:0], 0
+			_, err := w.Write(frame)
+			return err
 		}
-		if no := uint64(t.ID) / d.rowsPerPage; no != pageNo {
-			pageNo, page = no, pages[no] // nil: the page is clean
-		}
-		if page != nil {
-			d.encodeRow(page, t)
-		}
-		body = binary.AppendVarint(body, int64(t.ID)-prev)
-		prev = int64(t.ID)
-		n++
-		total++
-		if n == orderChunkIDs {
-			if err := flushChunk(); err != nil {
-				return nil, err
+		for cur := f.view.Rows(); ; {
+			t := cur.Next()
+			if t == nil {
+				break
+			}
+			if no := uint64(t.ID) / d.rowsPerPage; no != pageNo {
+				pageNo, page = no, pages[no] // nil: the page is clean
+			}
+			if page != nil {
+				d.encodeRow(page, t)
+			}
+			body = binary.AppendVarint(body, int64(t.ID)-prev)
+			prev = int64(t.ID)
+			n++
+			total++
+			if n == orderChunkIDs {
+				if err := flushChunk(); err != nil {
+					return err
+				}
 			}
 		}
-	}
-	if err := flushChunk(); err != nil {
-		return nil, err
-	}
-	if total != f.rows {
-		return nil, fmt.Errorf("store: order stream saw %d rows, boundary captured %d", total, f.rows)
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	if err := of.Sync(); err != nil {
-		return nil, err
-	}
-	return pages, of.Close()
+		if total != f.rows {
+			return fmt.Errorf("store: order stream saw %d rows, boundary captured %d", total, f.rows)
+		}
+		return flushChunk()
+	})
+	return pages, err
 }
 
 func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows int) error {
@@ -533,52 +496,16 @@ func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows
 	payload = binary.AppendUvarint(payload, uint64(dictLen))
 	payload = binary.AppendUvarint(payload, uint64(rows))
 	payload = binary.AppendUvarint(payload, uint64(len(table)))
-	nos := make([]uint64, 0, len(table))
-	for no := range table {
-		nos = append(nos, no)
-	}
-	sort.Slice(nos, func(i, j int) bool { return nos[i] < nos[j] })
-	for _, no := range nos {
+	for _, no := range slices.Sorted(maps.Keys(table)) {
 		loc := table[no]
 		payload = binary.AppendUvarint(payload, no)
 		payload = binary.AppendUvarint(payload, loc.gen)
 		payload = binary.AppendUvarint(payload, uint64(loc.off))
 	}
-	buf := append([]byte(manifestMagic), storeVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, storeCastagnoli))
-	buf = append(buf, payload...)
-
-	path := filepath.Join(d.dir, manifestName(gen))
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	return wal.WriteFileAtomic(filepath.Join(d.dir, manifestName(gen)), func(w io.Writer) error {
+		_, err := w.Write(wal.AppendFrame(wal.AppendHeader(nil, manifestMagic, storeVersion), payload))
 		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	dh, err := os.Open(d.dir)
-	if err != nil {
-		return err
-	}
-	defer dh.Close()
-	return dh.Sync()
+	})
 }
 
 // pruneLocked removes the page files of generations not in keep (those
@@ -593,40 +520,21 @@ func (d *Disk) pruneLocked(keep map[uint64]bool) {
 		return
 	}
 	for _, e := range ents {
-		var gen uint64
 		var stale bool
-		name := e.Name()
-		switch {
-		case scanGenName(name, "pages-", ".dat", &gen):
+		switch kind, gen, _ := wal.ParseGenName(e.Name()); kind {
+		case "pages":
 			stale = !keep[gen]
 			if f, ok := d.files[gen]; ok && stale {
 				f.Close()
 				delete(d.files, gen)
 			}
-		case scanGenName(name, "order-", ".dat", &gen),
-			scanGenName(name, "manifest-", ".mft", &gen):
+		case "order", "manifest":
 			stale = gen != d.gen && !(d.hasPrev && gen == d.prevGen)
 		}
 		if stale {
-			os.Remove(filepath.Join(d.dir, name))
+			os.Remove(filepath.Join(d.dir, e.Name()))
 		}
 	}
-}
-
-func scanGenName(name, prefix, suffix string, gen *uint64) bool {
-	if len(name) != len(prefix)+10+len(suffix) ||
-		name[:len(prefix)] != prefix || name[len(name)-len(suffix):] != suffix {
-		return false
-	}
-	var g uint64
-	for _, c := range name[len(prefix) : len(prefix)+10] {
-		if c < '0' || c > '9' {
-			return false
-		}
-		g = g*10 + uint64(c-'0')
-	}
-	*gen = g
-	return true
 }
 
 // fail latches the first error; every later write path refuses.
@@ -755,56 +663,36 @@ type manifestGeom struct {
 }
 
 func decodeManifest(b []byte) (geom manifestGeom, table map[uint64]pageLoc, dictLen, rows int, err error) {
-	hdr := len(manifestMagic) + 1
-	if len(b) < hdr+8 || string(b[:len(manifestMagic)]) != manifestMagic {
-		return geom, nil, 0, 0, fmt.Errorf("%w: bad manifest header", errCorrupt)
-	}
-	if b[len(manifestMagic)] != storeVersion {
-		return geom, nil, 0, 0, fmt.Errorf("%w: manifest version %d, reader supports %d", errCorrupt, b[len(manifestMagic)], storeVersion)
-	}
-	ln := binary.LittleEndian.Uint32(b[hdr:])
-	crc := binary.LittleEndian.Uint32(b[hdr+4:])
-	payload := b[hdr+8:]
-	if int(ln) != len(payload) || crc32.Checksum(payload, storeCastagnoli) != crc {
-		return geom, nil, 0, 0, fmt.Errorf("%w: manifest torn or checksum mismatch", errCorrupt)
-	}
-	u := func() uint64 {
-		if err != nil {
-			return 0
-		}
-		v, n := binary.Uvarint(payload)
-		if n <= 0 {
-			err = fmt.Errorf("%w: manifest truncated", errCorrupt)
-			return 0
-		}
-		payload = payload[n:]
-		return v
-	}
-	geom.arity = int(u())
-	geom.rowWidth = int(u())
-	geom.rowsPerPage = u()
-	geom.pageBytes = int(u())
-	dictLen = int(u())
-	rows = int(u())
-	n := u()
-	if err != nil {
+	r := bytes.NewReader(b)
+	if err = wal.CheckHeader(r, manifestMagic, storeVersion); err != nil {
 		return geom, nil, 0, 0, err
 	}
+	payload, err := wal.ExpectFrame(r, len(b))
+	if err != nil {
+		return geom, nil, 0, 0, fmt.Errorf("manifest: %w", err)
+	}
+	if r.Len() != 0 {
+		return geom, nil, 0, 0, fmt.Errorf("%w: manifest record trailed by %d bytes", errCorrupt, r.Len())
+	}
+	d := relation.NewDecoder(payload, errCorrupt)
+	geom.arity = int(d.Uvarint("arity"))
+	geom.rowWidth = int(d.Uvarint("row width"))
+	geom.rowsPerPage = d.Uvarint("rows per page")
+	geom.pageBytes = int(d.Uvarint("page bytes"))
+	dictLen = int(d.Uvarint("dictionary length"))
+	rows = int(d.Uvarint("row count"))
+	n := d.Uvarint("page count")
 	if geom.rowsPerPage == 0 || geom.rowWidth <= 0 || geom.pageBytes != int(geom.rowsPerPage)*geom.rowWidth {
-		return geom, nil, 0, 0, fmt.Errorf("%w: manifest geometry inconsistent", errCorrupt)
+		d.Failf("geometry inconsistent")
 	}
-	table = make(map[uint64]pageLoc, n)
-	for i := uint64(0); i < n; i++ {
-		no := u()
-		g := u()
-		off := u()
-		if err != nil {
-			return geom, nil, 0, 0, err
-		}
-		table[no] = pageLoc{gen: g, off: int64(off)}
+	// A page table entry is at least three bytes.
+	table = make(map[uint64]pageLoc, min(n, uint64(len(payload))/3))
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		no := d.Uvarint("page number")
+		table[no] = pageLoc{gen: d.Uvarint("page generation"), off: int64(d.Uvarint("page offset"))}
 	}
-	if len(payload) != 0 {
-		return geom, nil, 0, 0, fmt.Errorf("%w: manifest carries %d trailing bytes", errCorrupt, len(payload))
+	if err := d.Done(); err != nil {
+		return geom, nil, 0, 0, fmt.Errorf("manifest: %w", err)
 	}
 	return geom, table, dictLen, rows, nil
 }
@@ -817,12 +705,10 @@ func (d *Disk) openDict(dictLen int) error {
 		return err
 	}
 	br := bufio.NewReaderSize(f, 1<<16)
-	hdr := make([]byte, len(dictMagic)+1)
-	if _, err := io.ReadFull(br, hdr); err != nil || string(hdr[:len(dictMagic)]) != dictMagic || hdr[len(dictMagic)] != storeVersion {
+	if err := wal.CheckHeader(br, dictMagic, storeVersion); err != nil {
 		f.Close()
-		return fmt.Errorf("%w: bad dict.log header", errCorrupt)
+		return err
 	}
-	off := int64(len(hdr))
 	strs := make([]string, 0, dictLen)
 	buf := make([]byte, 0, 256)
 	for i := 0; i < dictLen; i++ {
@@ -840,9 +726,15 @@ func (d *Disk) openDict(dictLen int) error {
 			return fmt.Errorf("%w: dict.log truncated at entry %d of %d", errCorrupt, i, dictLen)
 		}
 		strs = append(strs, string(buf))
-		off += int64(uvarintSize(ln)) + int64(ln)
 	}
-	if err := f.Truncate(off); err != nil {
+	// The entries end where the file has been read to, less what the
+	// reader holds unconsumed.
+	off, err := f.Seek(0, io.SeekCurrent)
+	if err == nil {
+		off -= int64(br.Buffered())
+		err = f.Truncate(off)
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -854,15 +746,6 @@ func (d *Disk) openDict(dictLen int) error {
 	d.dictOff = off
 	d.strs = strs
 	return nil
-}
-
-func uvarintSize(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 // Iterator streams the store's committed rows in physical order as
@@ -894,10 +777,9 @@ func (d *Disk) Source() (*Iterator, error) {
 		return nil, err
 	}
 	br := bufio.NewReaderSize(f, 1<<16)
-	hdr := make([]byte, len(orderMagic)+1)
-	if _, err := io.ReadFull(br, hdr); err != nil || string(hdr[:len(orderMagic)]) != orderMagic || hdr[len(orderMagic)] != storeVersion {
+	if err := wal.CheckHeader(br, orderMagic, storeVersion); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("%w: bad order file header", errCorrupt)
+		return nil, err
 	}
 	return &Iterator{d: d, f: f, br: br, remaining: rows}, nil
 }
@@ -954,35 +836,20 @@ func (it *Iterator) fail(err error) error {
 }
 
 func (it *Iterator) readChunk() error {
-	var h [8]byte
-	if _, err := io.ReadFull(it.br, h[:]); err != nil {
-		return fmt.Errorf("%w: order record torn: %v", errCorrupt, err)
+	p, err := wal.ExpectFrame(it.br, maxOrderRecord)
+	if err != nil {
+		return fmt.Errorf("order file: %w", err)
 	}
-	ln := binary.LittleEndian.Uint32(h[:4])
-	crc := binary.LittleEndian.Uint32(h[4:])
-	if ln > 1<<24 {
-		return fmt.Errorf("%w: order record of implausible length %d", errCorrupt, ln)
-	}
-	if cap(it.chunk) < int(ln) {
-		it.chunk = make([]byte, ln)
-	}
-	it.chunk = it.chunk[:ln]
-	if _, err := io.ReadFull(it.br, it.chunk); err != nil {
-		return fmt.Errorf("%w: order record torn: %v", errCorrupt, err)
-	}
-	if crc32.Checksum(it.chunk, storeCastagnoli) != crc {
-		return fmt.Errorf("%w: order record checksum mismatch", errCorrupt)
-	}
-	n, sz := binary.Uvarint(it.chunk)
+	n, sz := binary.Uvarint(p)
 	if sz <= 0 || n == 0 {
 		return fmt.Errorf("%w: order record with bad row count", errCorrupt)
 	}
-	it.chunk = it.chunk[sz:]
-	it.inChunk = n
+	it.chunk, it.inChunk = p[sz:], n
 	return nil
 }
 
-// readPageLocked reads and verifies one committed page image.
+// readPageLocked reads and verifies one committed page image. A
+// generation's page file has its header checked when it is first opened.
 func (d *Disk) readPageLocked(no uint64, loc pageLoc) ([]byte, error) {
 	f, ok := d.files[loc.gen]
 	if !ok {
@@ -991,24 +858,23 @@ func (d *Disk) readPageLocked(no uint64, loc pageLoc) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := wal.CheckHeader(f, pageMagic, storeVersion); err != nil {
+			f.Close()
+			return nil, err
+		}
 		d.files[loc.gen] = f
 	}
-	hdr := make([]byte, 16)
-	if _, err := f.ReadAt(hdr, loc.off); err != nil {
-		return nil, fmt.Errorf("%w: page %d record header: %v", errCorrupt, no, err)
+	r := io.NewSectionReader(f, loc.off, 8+8+int64(d.pageBytes))
+	var prefix [8]byte
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+		return nil, fmt.Errorf("%w: page %d record prefix: %v", errCorrupt, no, err)
 	}
-	gotNo := binary.LittleEndian.Uint64(hdr)
-	ln := binary.LittleEndian.Uint32(hdr[8:])
-	crc := binary.LittleEndian.Uint32(hdr[12:])
-	if gotNo != no || int(ln) != d.pageBytes {
-		return nil, fmt.Errorf("%w: page %d record mismatch (no=%d len=%d)", errCorrupt, no, gotNo, ln)
+	b, err := wal.ExpectFrame(r, d.pageBytes)
+	if err != nil {
+		return nil, fmt.Errorf("page %d: %w", no, err)
 	}
-	b := make([]byte, d.pageBytes)
-	if _, err := f.ReadAt(b, loc.off+16); err != nil {
-		return nil, fmt.Errorf("%w: page %d payload: %v", errCorrupt, no, err)
-	}
-	if crc32.Checksum(b, storeCastagnoli) != crc {
-		return nil, fmt.Errorf("%w: page %d checksum mismatch", errCorrupt, no)
+	if gotNo := binary.LittleEndian.Uint64(prefix[:]); gotNo != no || len(b) != d.pageBytes {
+		return nil, fmt.Errorf("%w: page %d record mismatch (no=%d len=%d)", errCorrupt, no, gotNo, len(b))
 	}
 	return b, nil
 }

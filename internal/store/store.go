@@ -24,39 +24,32 @@ import "fmt"
 type Kind int
 
 const (
-	// KindDefault inherits the node's configured default backend.
-	KindDefault Kind = iota
-	// KindMem keeps rows only in the relation's in-memory array;
-	// snapshots carry the full relation inline (the pre-store format).
-	KindMem
+	// KindMem (the zero value) keeps rows only in the relation's
+	// in-memory array; snapshots carry the full relation inline.
+	KindMem Kind = iota
 	// KindDisk runs the page store; snapshots are slim headers
 	// referencing a page-file generation.
 	KindDisk
 )
 
-// ParseKind parses the textual backend names used by the -store flag and
-// the per-session create option.
+// ParseKind parses the -store flag's backend names; the empty string is
+// the default, mem.
 func ParseKind(s string) (Kind, error) {
 	switch s {
-	case "":
-		return KindDefault, nil
-	case "mem":
+	case "", "mem":
 		return KindMem, nil
 	case "disk":
 		return KindDisk, nil
 	}
-	return KindDefault, fmt.Errorf("store: unknown backend %q (want mem or disk)", s)
+	return KindMem, fmt.Errorf("store: unknown backend %q (want mem or disk)", s)
 }
 
 // String renders the flag spelling.
 func (k Kind) String() string {
-	switch k {
-	case KindMem:
-		return "mem"
-	case KindDisk:
+	if k == KindDisk {
 		return "disk"
 	}
-	return "default"
+	return "mem"
 }
 
 // Page size bounds. A page holds rowsPerPage = PageSize/rowWidth rows;

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
@@ -46,29 +45,14 @@ func (b *Batch) Encode() []byte {
 
 // DecodeBatch parses a WAL record payload.
 func DecodeBatch(p []byte) (*Batch, error) {
-	if len(p) < 16 {
-		return nil, fmt.Errorf("%w: batch record of %d bytes", ErrCorrupt, len(p))
+	d := relation.NewDecoder(p, ErrCorrupt)
+	b := &Batch{PrevVersion: d.U64("batch prev version"), Version: d.U64("batch version")}
+	nops := d.Uvarint("batch op count")
+	for i := uint64(0); i < nops && d.Err() == nil; i++ {
+		b.Ops = append(b.Ops, d.Delta())
 	}
-	b := &Batch{
-		PrevVersion: binary.LittleEndian.Uint64(p),
-		Version:     binary.LittleEndian.Uint64(p[8:]),
-	}
-	pos := 16
-	nops, n := binary.Uvarint(p[pos:])
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: batch record truncated at op count", ErrCorrupt)
-	}
-	pos += n
-	for i := uint64(0); i < nops; i++ {
-		d, n, err := relation.DecodeDelta(p[pos:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: batch op %d: %v", ErrCorrupt, i, err)
-		}
-		b.Ops = append(b.Ops, d)
-		pos += n
-	}
-	if pos != len(p) {
-		return nil, fmt.Errorf("%w: batch record carries %d trailing bytes", ErrCorrupt, len(p)-pos)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("batch record: %w", err)
 	}
 	return b, nil
 }
@@ -282,87 +266,69 @@ func stringLen(s string) int {
 
 // decodeSnapshotPrefix parses the snapshot header fields (through the
 // tuple count) from d.
-func decodeSnapshotPrefix(d *decoder) (*Snapshot, uint64) {
+func decodeSnapshotPrefix(d *relation.Decoder) (*Snapshot, uint64) {
 	s := &Snapshot{}
-	s.Name = d.str("name")
-	s.Relname = d.str("relation name")
-	nattrs := d.uvarint("attribute count")
-	if d.err == nil && nattrs > 1<<16 {
-		d.err = fmt.Errorf("%w: snapshot: implausible attribute count %d", ErrCorrupt, nattrs)
-		return s, 0
+	s.Name = d.Str("name")
+	s.Relname = d.Str("relation name")
+	nattrs := d.Uvarint("attribute count")
+	if nattrs > 1<<16 {
+		d.Failf("implausible attribute count %d", nattrs)
 	}
-	for i := uint64(0); i < nattrs && d.err == nil; i++ {
-		s.Attrs = append(s.Attrs, d.str("attribute"))
+	for i := uint64(0); i < nattrs && d.Err() == nil; i++ {
+		s.Attrs = append(s.Attrs, d.Str("attribute"))
 	}
-	s.CFDs = d.str("cfds")
-	s.Ordering = d.byte("ordering")
-	s.K = int(d.uvarint("k"))
-	s.NearestK = int(d.uvarint("nearest_k"))
-	s.Workers = int(d.uvarint("workers"))
-	s.Batches = int(d.uvarint("batches"))
-	s.Inserted = int(d.uvarint("inserted"))
-	s.Deleted = int(d.uvarint("deleted"))
-	s.Changes = int(d.uvarint("changes"))
-	s.Cost = math.Float64frombits(d.u64("cost"))
-	s.NextID = relation.TupleID(d.varint("next id"))
-	s.Version = d.uvarint("version")
-	switch d.byte("quota flag") {
+	s.CFDs = d.Str("cfds")
+	s.Ordering = d.Byte("ordering")
+	s.K = int(d.Uvarint("k"))
+	s.NearestK = int(d.Uvarint("nearest_k"))
+	s.Workers = int(d.Uvarint("workers"))
+	s.Batches = int(d.Uvarint("batches"))
+	s.Inserted = int(d.Uvarint("inserted"))
+	s.Deleted = int(d.Uvarint("deleted"))
+	s.Changes = int(d.Uvarint("changes"))
+	s.Cost = math.Float64frombits(d.U64("cost"))
+	s.NextID = relation.TupleID(d.Varint("next id"))
+	s.Version = d.Uvarint("version")
+	switch d.Byte("quota flag") {
 	case 0:
 	case 1:
 		s.Quota.Set = true
 	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("%w: snapshot: bad quota flag", ErrCorrupt)
-		}
+		d.Failf("bad quota flag")
 	}
-	s.Quota.OpsPerSec = math.Float64frombits(d.u64("quota ops/sec"))
-	s.Quota.TuplesPerSec = math.Float64frombits(d.u64("quota tuples/sec"))
-	s.Quota.MaxRelationSize = int(d.varint("quota max relation size"))
-	s.Quota.MaxSubscribers = int(d.varint("quota max subscribers"))
-	s.StoreKind = d.byte("store kind")
-	if d.err == nil && s.StoreKind > StorePaged {
-		d.err = fmt.Errorf("%w: snapshot: unknown store kind %d", ErrCorrupt, s.StoreKind)
+	s.Quota.OpsPerSec = math.Float64frombits(d.U64("quota ops/sec"))
+	s.Quota.TuplesPerSec = math.Float64frombits(d.U64("quota tuples/sec"))
+	s.Quota.MaxRelationSize = int(d.Varint("quota max relation size"))
+	s.Quota.MaxSubscribers = int(d.Varint("quota max subscribers"))
+	s.StoreKind = d.Byte("store kind")
+	if s.StoreKind > StorePaged {
+		d.Failf("unknown store kind %d", s.StoreKind)
 	}
-	s.StoreGen = d.uvarint("store generation")
-	return s, d.uvarint("tuple count")
+	s.StoreGen = d.Uvarint("store generation")
+	return s, d.Uvarint("tuple count")
 }
 
 // decodeSnapTuple parses one tuple row.
-func decodeSnapTuple(d *decoder, arity int, i uint64) SnapTuple {
-	t := SnapTuple{ID: relation.TupleID(d.varint("tuple id"))}
-	for a := 0; a < arity; a++ {
-		t.Vals = append(t.Vals, d.value("tuple value"))
+func decodeSnapTuple(d *relation.Decoder, arity int) SnapTuple {
+	t := SnapTuple{ID: relation.TupleID(d.Varint("tuple id"))}
+	for a := 0; a < arity && d.Err() == nil; a++ {
+		t.Vals = append(t.Vals, d.Value("tuple value"))
 	}
-	switch d.byte("weight flag") {
-	case 0:
-	case 1:
-		for a := 0; a < arity; a++ {
-			t.W = append(t.W, math.Float64frombits(d.u64("weight")))
-		}
-	default:
-		// Strict like the Delta codec: silently dropping weights
-		// would let a restored session score repairs differently.
-		if d.err == nil {
-			d.err = fmt.Errorf("%w: snapshot: bad weight flag on tuple %d", ErrCorrupt, i)
-		}
-	}
+	t.W = d.Weights(arity)
 	return t
 }
 
 // DecodeSnapshot parses a contiguous snapshot payload (header fields with
 // the tuples inline) — the replication-wire layout Encode produces.
 func DecodeSnapshot(p []byte) (*Snapshot, error) {
-	d := &decoder{b: p}
+	d := relation.NewDecoder(p, ErrCorrupt)
 	s, ntuples := decodeSnapshotPrefix(d)
 	arity := len(s.Attrs)
-	for i := uint64(0); i < ntuples && d.err == nil; i++ {
-		s.Tuples = append(s.Tuples, decodeSnapTuple(d, arity, i))
+	for i := uint64(0); i < ntuples && d.Err() == nil; i++ {
+		s.Tuples = append(s.Tuples, decodeSnapTuple(d, arity))
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.pos != len(p) {
-		return nil, fmt.Errorf("%w: snapshot carries %d trailing bytes", ErrCorrupt, len(p)-d.pos)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	return s, nil
 }
@@ -372,19 +338,11 @@ func DecodeSnapshot(p []byte) (*Snapshot, error) {
 // reader never hold more than one modest buffer.
 const snapChunkTuples = 4096
 
-// appendSnapFrame frames one CRC-checked record.
-func appendSnapFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
-}
-
 // WriteSnapshot writes the framed snapshot to w: magic and version,
 // one header record, then the tuples as bounded chunk records — the
 // whole relation is never materialized as a single buffer.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
-	buf := append([]byte(snapMagic), Version)
-	buf = appendSnapFrame(buf, s.appendHeader(nil))
+	buf := AppendFrame(AppendHeader(nil, snapMagic, Version), s.appendHeader(nil))
 	if _, err := w.Write(buf); err != nil {
 		return err
 	}
@@ -396,7 +354,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 		for i := start; i < end; i++ {
 			chunk = appendSnapTuple(chunk, arity, &s.Tuples[i])
 		}
-		frame = appendSnapFrame(frame[:0], chunk)
+		frame = AppendFrame(frame[:0], chunk)
 		if _, err := w.Write(frame); err != nil {
 			return err
 		}
@@ -404,72 +362,38 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	return nil
 }
 
-// readSnapFrame reads and verifies one framed record. Every failure —
-// including a clean EOF, which at a call site always means a record is
-// missing — wraps ErrCorrupt: snapshots are atomic, so any damage
-// rejects the whole file.
-func readSnapFrame(br *bufio.Reader) ([]byte, error) {
-	var h [frameHeaderLen]byte
-	if _, err := io.ReadFull(br, h[:]); err != nil {
-		return nil, fmt.Errorf("%w: snapshot record torn: %v", ErrCorrupt, err)
-	}
-	ln := binary.LittleEndian.Uint32(h[:4])
-	crc := binary.LittleEndian.Uint32(h[4:])
-	if ln > maxRecordLen {
-		return nil, fmt.Errorf("%w: snapshot record of implausible length %d", ErrCorrupt, ln)
-	}
-	p := make([]byte, ln)
-	if _, err := io.ReadFull(br, p); err != nil {
-		return nil, fmt.Errorf("%w: snapshot record torn: %v", ErrCorrupt, err)
-	}
-	if crc32.Checksum(p, castagnoli) != crc {
-		return nil, fmt.Errorf("%w: snapshot record checksum mismatch", ErrCorrupt)
-	}
-	return p, nil
-}
-
 // ReadSnapshot reads and verifies a framed snapshot from r, record by
-// record.
+// record. Snapshots are atomic, so any damage rejects the whole file.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	hdr := make([]byte, len(snapMagic)+1)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("%w: bad %s header: %v", ErrCorrupt, snapMagic, err)
-	}
-	if err := checkHeader(hdr, snapMagic); err != nil {
+	if err := CheckHeader(br, snapMagic, Version); err != nil {
 		return nil, err
 	}
-	hp, err := readSnapFrame(br)
+	p, err := ExpectFrame(br, maxRecordLen)
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{b: hp}
+	d := relation.NewDecoder(p, ErrCorrupt)
 	s, ntuples := decodeSnapshotPrefix(d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.pos != len(hp) {
-		return nil, fmt.Errorf("%w: snapshot header record carries %d trailing bytes", ErrCorrupt, len(hp)-d.pos)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("snapshot header record: %w", err)
 	}
 	arity := len(s.Attrs)
 	for got := uint64(0); got < ntuples; {
-		cp, err := readSnapFrame(br)
+		p, err := ExpectFrame(br, maxRecordLen)
 		if err != nil {
 			return nil, err
 		}
-		cd := &decoder{b: cp}
-		n := cd.uvarint("chunk tuple count")
-		if cd.err == nil && (n == 0 || got+n > ntuples) {
-			cd.err = fmt.Errorf("%w: snapshot chunk of %d tuples at row %d of %d", ErrCorrupt, n, got, ntuples)
+		d := relation.NewDecoder(p, ErrCorrupt)
+		n := d.Uvarint("chunk tuple count")
+		if n == 0 || got+n > ntuples {
+			d.Failf("chunk of %d tuples at row %d of %d", n, got, ntuples)
 		}
-		for i := uint64(0); i < n && cd.err == nil; i++ {
-			s.Tuples = append(s.Tuples, decodeSnapTuple(cd, arity, got+i))
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			s.Tuples = append(s.Tuples, decodeSnapTuple(d, arity))
 		}
-		if cd.err != nil {
-			return nil, cd.err
-		}
-		if cd.pos != len(cp) {
-			return nil, fmt.Errorf("%w: snapshot chunk carries %d trailing bytes", ErrCorrupt, len(cp)-cd.pos)
+		if err := d.Done(); err != nil {
+			return nil, fmt.Errorf("snapshot chunk at row %d: %w", got, err)
 		}
 		got += n
 	}
@@ -477,98 +401,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: snapshot stream trailed by garbage", ErrCorrupt)
 	}
 	return s, nil
-}
-
-// decoder is a cursor over a snapshot payload that latches the first
-// error, so field-by-field parsing reads linearly without per-field
-// error plumbing.
-type decoder struct {
-	b   []byte
-	pos int
-	err error
-}
-
-func (d *decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: snapshot truncated at %s", ErrCorrupt, what)
-	}
-}
-
-func (d *decoder) byte(what string) byte {
-	if d.err != nil || d.pos >= len(d.b) {
-		d.fail(what)
-		return 0
-	}
-	v := d.b[d.pos]
-	d.pos++
-	return v
-}
-
-func (d *decoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) varint(what string) int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.pos:])
-	if n <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) u64(what string) uint64 {
-	if d.err != nil || d.pos+8 > len(d.b) {
-		d.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.pos:])
-	d.pos += 8
-	return v
-}
-
-func (d *decoder) str(what string) string {
-	ln := d.uvarint(what)
-	if d.err != nil {
-		return ""
-	}
-	end := d.pos + int(ln)
-	if ln > uint64(len(d.b)) || end > len(d.b) {
-		d.fail(what)
-		return ""
-	}
-	v := string(d.b[d.pos:end])
-	d.pos = end
-	return v
-}
-
-// value reads one Value through the shared relation codec, so the
-// snapshot format can never fork from the WAL delta format at the
-// value level.
-func (d *decoder) value(what string) relation.Value {
-	if d.err != nil {
-		return relation.Value{}
-	}
-	v, n, err := relation.DecodeValue(d.b[d.pos:])
-	if err != nil {
-		d.err = fmt.Errorf("%w: snapshot: %s: %v", ErrCorrupt, what, err)
-		return relation.Value{}
-	}
-	d.pos += n
-	return v
 }
 
 func appendString(dst []byte, s string) []byte {
