@@ -1,0 +1,147 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"testing"
+)
+
+// postRaw posts body as it is — do marshals a value, which cannot spell
+// malformed or padded JSON.
+func postRaw(t *testing.T, url string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
+}
+
+func errorBody(msg string) string {
+	b, _ := json.Marshal(errorResponse{Error: msg})
+	return string(b) + "\n"
+}
+
+// tinyCreate is createTiny's request with one more base row spliced in.
+func tinyCreate(name, row string) []byte {
+	return []byte(fmt.Sprintf(`{"name":%q,"schema":{"name":"orders","attrs":["AC","CT"]},"cfds":%q,"base":[{"vals":["212","NYC"]}%s]}`,
+		name, tinyCFDs, row))
+}
+
+// TestWeightRange: the cost model takes w(t,A) in [0,1]; a weight outside
+// it is refused on every route a tuple arrives by, and the session's cost
+// stays what it was.
+func TestWeightRange(t *testing.T) {
+	_, ts := newTestService(t, Options{})
+	createTiny(t, ts.URL, "s")
+	sess := ts.URL + "/v1/sessions/s"
+	for _, c := range []struct{ url, body, want string }{
+		{sess + "/apply", `{"inserts":[{"vals":["212","PHI"],"w":[-5,1e300]}]}`, "inserts[0]: weight -5 outside [0,1]"},
+		{sess + "/apply", `{"inserts":[{"vals":["212","NYC"]},{"vals":["212","PHI"],"w":[0.5,1.0000001]}]}`, "inserts[1]: weight 1.0000001 outside [0,1]"},
+		{sess + "/ingest", `{"inserts":[{"vals":["212","PHI"],"w":[1,-0.25]}]}`, "inserts[0]: weight -0.25 outside [0,1]"},
+		// The stdlib path refuses too ("Inserts" is outside the subset).
+		{sess + "/apply", `{"Inserts":[{"vals":["212","PHI"],"w":[2,0]}]}`, "inserts[0]: weight 2 outside [0,1]"},
+		{ts.URL + "/v1/sessions", string(tinyCreate("c", `,{"vals":["212","PHI"],"w":[-5,1]}`)), "base[1]: weight -5 outside [0,1]"},
+	} {
+		status, body := postRaw(t, c.url, []byte(c.body))
+		if status != http.StatusBadRequest || body != errorBody(c.want) {
+			t.Errorf("POST %s %s:\n got %d %s want 400 %s", c.url, c.body, status, body, errorBody(c.want))
+		}
+	}
+	// The bounds themselves are weights.
+	if status, body := postRaw(t, sess+"/apply", []byte(`{"inserts":[{"vals":["212","NYC"],"w":[0,1]}]}`)); status != http.StatusOK {
+		t.Fatalf("weights 0 and 1: %d %s", status, body)
+	}
+	var info SessionInfo
+	_, body := do(t, "GET", sess, nil)
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Snapshot.Cost != 0 || info.Snapshot.Size != 2 {
+		t.Fatalf("after the refusals: cost %v, size %d; want 0 and 2", info.Snapshot.Cost, info.Snapshot.Size)
+	}
+}
+
+// TestTrailingData: after the request object only JSON whitespace may
+// remain — on both decoders of /apply and /ingest and on decodeBody
+// (create; peers shares it).
+func TestTrailingData(t *testing.T) {
+	s, ts := newTestService(t, Options{})
+	createTiny(t, ts.URL, "s")
+	sess := ts.URL + "/v1/sessions/s"
+	const trailing = "bad request body: unexpected data after the request object"
+	for _, c := range []struct{ url, body string }{
+		{sess + "/apply", `{"inserts":[]} {"deletes":[1]} trailing junk`},
+		{sess + "/apply", `{"inserts":[]}{"deletes":[1]}`},
+		{sess + "/apply", `{"inserts":[]} junk`},
+		{sess + "/apply", `{"inserts":[]}]`},
+		{sess + "/apply", `{"Inserts":[]} 1`}, // stdlib path
+		{sess + "/ingest", `{"inserts":[{"vals":["212","NYC"]}]} null`},
+		{ts.URL + "/v1/sessions", string(tinyCreate("c", "")) + ` {}`},
+	} {
+		status, body := postRaw(t, c.url, []byte(c.body))
+		if status != http.StatusBadRequest || body != errorBody(trailing) {
+			t.Errorf("%s %s:\n got %d %s want 400 %s", c.url, c.body, status, body, errorBody(trailing))
+		}
+	}
+	if n := s.reg.passes.Load(); n != 0 {
+		t.Fatalf("%d engine passes ran for refused bodies", n)
+	}
+	// What curl -d @file sends stays accepted, on both decoders.
+	for _, c := range []struct {
+		url, body string
+		want      int
+	}{
+		{sess + "/apply", "{\"inserts\":[]}\n", http.StatusOK},
+		{sess + "/apply", "\n {\"Inserts\":[]}\r\n\t ", http.StatusOK},
+		{sess + "/ingest", "{\"inserts\":[{\"vals\":[\"212\",\"NYC\"]}]}\n", http.StatusAccepted},
+		{ts.URL + "/v1/sessions", string(tinyCreate("c", "")) + "\n", http.StatusCreated},
+	} {
+		if status, body := postRaw(t, c.url, []byte(c.body)); status != c.want {
+			t.Errorf("POST %s %q: %d %s, want %d", c.url, c.body, status, body, c.want)
+		}
+	}
+}
+
+// TestBodyTooLarge: a body over MaxBodyBytes is a 413 with the message it
+// always had; one of exactly MaxBodyBytes decodes.
+func TestBodyTooLarge(t *testing.T) {
+	const limit = 256
+	_, ts := newTestService(t, Options{MaxBodyBytes: limit})
+	createTiny(t, ts.URL, "s")
+	sess := ts.URL + "/v1/sessions/s"
+	pad := func(body string, n int) []byte {
+		return []byte(body + strings.Repeat(" ", n-len(body)))
+	}
+	const tooLarge = "bad request body: http: request body too large"
+	apply := `{"inserts":[{"vals":["212","NYC"]}]}`
+	for _, c := range []struct {
+		url  string
+		body []byte
+		ok   int
+	}{
+		{sess + "/apply", []byte(apply), http.StatusOK},
+		{sess + "/ingest", []byte(apply), http.StatusAccepted},
+		{ts.URL + "/v1/sessions", tinyCreate("c", ""), http.StatusCreated},
+	} {
+		// Over by one byte of padding, and over inside the value itself.
+		long := `{"inserts":[{"vals":["212","` + strings.Repeat("N", limit) + `"]}]}`
+		for _, body := range [][]byte{pad(string(c.body), limit+1), []byte(long)} {
+			if status, got := postRaw(t, c.url, body); status != http.StatusRequestEntityTooLarge || got != errorBody(tooLarge) {
+				t.Errorf("POST %s, %d bytes: %d %s want 413 %s", c.url, len(body), status, got, errorBody(tooLarge))
+			}
+		}
+		if status, got := postRaw(t, c.url, pad(string(c.body), limit)); status != c.ok {
+			t.Errorf("POST %s, exactly %d bytes: %d %s, want %d", c.url, limit, status, got, c.ok)
+		}
+	}
+}

@@ -148,6 +148,14 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, req *http.Request) {
 	p.counter("cfdserved_dump_bytes_total", "CSV bytes written by finished dumps.", s.reg.dumpBytes.Load())
 	p.header("cfdserved_dump_seconds_total", "Handler seconds spent in finished dumps.", "counter")
 	p.sample("cfdserved_dump_seconds_total", nil, formatValue(time.Duration(s.reg.dumpNanos.Load()).Seconds()))
+	// seconds/bodies is the decode share of the benchmark's
+	// server.codec_ms; stdlib/bodies is the share of traffic outside the
+	// hand-written decoder's subset.
+	p.counter("cfdserved_apply_bodies_total", "Apply and ingest request bodies read.", s.reg.applyBodies.Load())
+	p.counter("cfdserved_apply_bodies_stdlib_total", "Apply and ingest bodies the hand-written decoder declined and encoding/json decoded.", s.reg.applyBodiesStdlib.Load())
+	p.counter("cfdserved_apply_body_bytes_total", "Bytes of apply and ingest request bodies read.", s.reg.applyBodyBytes.Load())
+	p.header("cfdserved_apply_decode_seconds_total", "Seconds spent decoding apply and ingest bodies, either decoder.", "counter")
+	p.sample("cfdserved_apply_decode_seconds_total", nil, formatValue(time.Duration(s.reg.applyDecodeNanos.Load()).Seconds()))
 
 	// Service-wide histograms.
 	p.header("cfdserved_pass_duration_seconds", "Engine pass duration.", "histogram")

@@ -240,6 +240,13 @@ func TestPrometheusExposition(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		applyOne(t, base, "alpha", "212", fmt.Sprintf("X%d", i))
 	}
+	// A fourth body, outside the hand-written decoder's subset (a key in
+	// upper case), and one no decoder accepts.
+	applyBytes := 3 * len(mustJSON(t, ApplyRequest{Inserts: []WireTuple{{Vals: []*string{strp("212"), strp("X0")}}}}))
+	for _, raw := range []string{`{"DELETES":[]}`, `{"deletes":[}`} {
+		postRaw(t, base+"/v1/sessions/alpha/apply", []byte(raw))
+		applyBytes += len(raw)
+	}
 
 	_, dump := do(t, "GET", base+"/v1/sessions/alpha/dump", nil)
 
@@ -296,6 +303,14 @@ func TestPrometheusExposition(t *testing.T) {
 	secs := doc.get(t, "cfdserved_dump_seconds_total").value
 	if rows != 4 || size != float64(len(dump)) || secs <= 0 || doc.types["cfdserved_dump_seconds_total"] != "counter" {
 		t.Fatalf("dump counters: %g rows, %g bytes, %g s; want 4 rows, %d bytes, > 0 s", rows, size, secs, len(dump))
+	}
+	// The five apply bodies: two went to encoding/json, all were timed.
+	bodies := doc.get(t, "cfdserved_apply_bodies_total").value
+	declined := doc.get(t, "cfdserved_apply_bodies_stdlib_total").value
+	size = doc.get(t, "cfdserved_apply_body_bytes_total").value
+	secs = doc.get(t, "cfdserved_apply_decode_seconds_total").value
+	if bodies != 5 || declined != 2 || size != float64(applyBytes) || secs <= 0 || doc.types["cfdserved_apply_decode_seconds_total"] != "counter" {
+		t.Fatalf("apply body counters: %g bodies, %g to the stdlib, %g bytes, %g s; want 5, 2, %d, > 0", bodies, declined, size, secs, applyBytes)
 	}
 	if doc.get(t, "cfdserved_uptime_seconds").value < 0 {
 		t.Fatal("uptime must be non-negative")

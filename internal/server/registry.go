@@ -109,6 +109,15 @@ type Registry struct {
 	dumpBytes   atomic.Uint64 // CSV bytes of finished dumps
 	dumpNanos   atomic.Uint64 // handler time of finished dumps, ns
 
+	// /apply and /ingest bodies read whole (Prometheus only, like the
+	// dump counters): how many, how many of them the hand-written decoder
+	// declined and encoding/json decoded, their bytes, and the time spent
+	// decoding on either path.
+	applyBodies       atomic.Uint64
+	applyBodiesStdlib atomic.Uint64
+	applyBodyBytes    atomic.Uint64
+	applyDecodeNanos  atomic.Uint64
+
 	// Operational instruments (see OpsMetrics).
 	passLat  *metrics.Histogram // engine pass duration, seconds
 	walLag   *metrics.Histogram // WAL append→fsync-acknowledged lag, seconds

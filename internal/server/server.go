@@ -64,6 +64,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -72,6 +73,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"cfdclean/internal/cfd"
@@ -444,7 +446,7 @@ func (s *Server) handleApply(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var ar ApplyRequest
-	if !decodeBody(w, req, s.opts.MaxBodyBytes, &ar) {
+	if !s.decodeApplyBody(w, req, &ar) {
 		return
 	}
 	deletes, sets, inserts, err := h.decodeApply(ar)
@@ -491,7 +493,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var ar ApplyRequest
-	if !decodeBody(w, req, s.opts.MaxBodyBytes, &ar) {
+	if !s.decodeApplyBody(w, req, &ar) {
 		return
 	}
 	if len(ar.Deletes) > 0 || len(ar.Sets) > 0 {
@@ -714,11 +716,89 @@ func shipTotals(hs []*hosted) (t ship.ShipStats) {
 	return t
 }
 
+// decodeBody decodes a create or peers body with encoding/json, streamed
+// through the size limit.
 func decodeBody(w http.ResponseWriter, req *http.Request, max int64, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, max))
+	if err := decodeJSON(http.MaxBytesReader(w, req.Body, max), into); err != nil {
+		writeBodyError(w, err)
+		return false
+	}
+	return true
+}
+
+// decodeJSON is encoding/json with unknown fields refused, and the one
+// rule every body is held to after its value: only JSON whitespace may
+// follow (a trailing newline, as curl -d @file sends, is fine; a second
+// value or junk is not silently dropped).
+func decodeJSON(r io.Reader, into any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		writeStatus(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		return err
+	}
+	var syntax *json.SyntaxError
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err == nil || errors.As(err, &syntax):
+		return errors.New("unexpected data after the request object")
+	default:
+		return err // the read failed: over the limit, or the client went away
+	}
+}
+
+// writeBodyError answers a body that could not be read or decoded: 413
+// when it ran over MaxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeStatus(w, status, fmt.Sprintf("bad request body: %v", err))
+}
+
+// maxPooledBody bounds what bodyPool keeps: a buffer grown past it by
+// one large batch is left to the collector.
+const maxPooledBody = 1 << 20
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeApplyBody reads an /apply or /ingest body once, through the size
+// limit, into a pooled buffer sized from Content-Length, and decodes it:
+// by the hand-written decoder when that is certain of every byte, by
+// decodeJSON on the same bytes when it declines. Both decoders copy what
+// they keep, so the buffer goes back to the pool.
+func (s *Server) decodeApplyBody(w http.ResponseWriter, req *http.Request, ar *ApplyRequest) bool {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	// Content-Length is the client's word: it sizes the buffer only up to
+	// what the pool keeps, beyond that memory follows the bytes that
+	// arrive. ReadFrom wants MinRead spare bytes for the read that finds
+	// the end, or it doubles a buffer that was exactly large enough.
+	if n := req.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxPooledBody)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, s.opts.MaxBodyBytes)); err != nil {
+		writeBodyError(w, err)
+		return false
+	}
+	start := time.Now()
+	var err error
+	if !decodeApplyRequest(buf.Bytes(), ar) {
+		s.reg.applyBodiesStdlib.Add(1)
+		err = decodeJSON(bytes.NewReader(buf.Bytes()), ar)
+	}
+	s.reg.applyBodies.Add(1)
+	s.reg.applyBodyBytes.Add(uint64(buf.Len()))
+	s.reg.applyDecodeNanos.Add(uint64(time.Since(start)))
+	if err != nil {
+		writeBodyError(w, err)
 		return false
 	}
 	return true

@@ -397,12 +397,18 @@ func decodeTuple(wt WireTuple, arity int) (*relation.Tuple, error) {
 	if wt.W != nil && len(wt.W) != arity {
 		return nil, fmt.Errorf("tuple has %d weights, want %d", len(wt.W), arity)
 	}
-	t := &relation.Tuple{ID: relation.TupleID(wt.ID), Vals: make([]relation.Value, arity)}
+	// The cost model takes w(t,A) in [0,1] (§3.2): a negative weight makes
+	// a change cheaper than leaving the cell alone. NaN cannot arrive as
+	// JSON.
+	for _, w := range wt.W {
+		if w < 0 || w > 1 {
+			return nil, fmt.Errorf("weight %v outside [0,1]", w)
+		}
+	}
+	// W is the decoded request's own slice; the tuple takes it over.
+	t := &relation.Tuple{ID: relation.TupleID(wt.ID), Vals: make([]relation.Value, arity), W: wt.W}
 	for i, p := range wt.Vals {
 		t.Vals[i] = decodeValue(p)
-	}
-	if wt.W != nil {
-		t.W = append([]float64(nil), wt.W...)
 	}
 	return t, nil
 }
