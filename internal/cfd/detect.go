@@ -27,6 +27,10 @@ type groupPlan struct {
 	a      int   // RHS attribute position
 	schema *relation.Schema
 
+	// lhs is the plan of the one index on x (Compiled.lhs), shared with
+	// every other group on the same x; slot is where that index tallies a.
+	lhs, slot int
+
 	// masks groups pattern rows by which positions of x carry constants;
 	// each mask bucket maps the interned constants at those positions to
 	// rows via a fixed-width integer key.
@@ -35,16 +39,23 @@ type groupPlan struct {
 	hasVar bool // any variable-RHS row in this group
 }
 
-// fdGroup is one detector's embedded-FD group: the shared plan plus the
-// detector's own live index.
-type fdGroup struct {
-	*groupPlan
+// lhsPlan is one distinct LHS attribute set of Σ. The paper's normal form
+// (§2) splits ϕ: X → A1,…,An into n embedded FDs, but the tuples agreeing
+// on X are the same whichever Ai is asked about: there is one index per X,
+// tallying every Ai, and one bucket lookup per X answers for all of them.
+type lhsPlan struct {
+	x      []int // sorted attribute positions
+	as     []int // the RHS attribute of every group on x; as[j] is tallied in slot j
+	groups []int // groups[j] is the group x → as[j] (index into Compiled.plans)
+}
 
-	// xIndex is the live index of D on x, counting a per bucket, built
-	// lazily via Detector.index (ixOnce makes the build safe under
-	// concurrent read-only probes).
-	ixOnce sync.Once
-	xIndex *relation.HashIndex
+// lhsIndex is one detector's live index of D on an lhsPlan's x, built
+// lazily via Detector.index (once makes the build safe under concurrent
+// read-only probes).
+type lhsIndex struct {
+	*lhsPlan
+	once sync.Once
+	ix   *relation.HashIndex
 }
 
 type maskBucket struct {
@@ -67,18 +78,19 @@ type groupRow struct {
 }
 
 // Detector performs CFD violation detection over a relation, maintaining
-// per-embedded-FD hash indices so that both whole-database detection and
+// one hash index per distinct LHS so that both whole-database detection and
 // single-tuple checks are fast. It implements the SQL-based detection
 // technique of [6] over the interned in-memory substrate: every index
 // probe and pattern match compares fixed-width integer keys, never
 // strings. Whole-database scans (Detect, VioAll, TotalViolations) are
 // partition-parallel: index buckets — one bucket per distinct LHS key —
-// are sharded by key hash across a worker pool, and per-shard results are
+// are dealt by number across a worker pool, and per-shard results are
 // merged deterministically.
 type Detector struct {
 	rel    *relation.Relation
 	prog   *Compiled
-	groups []*fdGroup
+	groups []*groupPlan // prog.plans
+	lhs    []lhsIndex   // parallel to prog.lhs
 
 	// workers is the detection parallelism; <= 1 means sequential.
 	workers int
@@ -92,6 +104,7 @@ type Detector struct {
 type Compiled struct {
 	sigma []*Normal
 	plans []*groupPlan
+	lhs   []*lhsPlan
 
 	// rank orders normal CFDs by their position in sigma; it canonicalizes
 	// the violation sort so sequential and parallel detection return
@@ -109,7 +122,7 @@ func Compile(dict *relation.Dict, sigma []*Normal) *Compiled {
 		rank:    make(map[*Normal]int, len(sigma)),
 		groupOf: make(map[*Normal]int, len(sigma)),
 	}
-	byKey := make(map[string]int)
+	byKey := make(map[string]int) // groups by (x, a), lhs plans by x alone
 	// Tableau rows arrive in runs: the rows of one CFD share X, A and
 	// often the positions of their constants. Everything but the row
 	// itself is worked out once per run.
@@ -134,7 +147,17 @@ func Compile(dict *relation.Dict, sigma []*Normal) *Compiled {
 		if !ok {
 			gi = len(c.plans)
 			byKey[key] = gi
-			c.plans = append(c.plans, &groupPlan{x: x, a: n.A, schema: n.Schema})
+			xkey := groupKey(x, -1)
+			li, ok := byKey[xkey]
+			if !ok {
+				li = len(c.lhs)
+				byKey[xkey] = li
+				c.lhs = append(c.lhs, &lhsPlan{x: x})
+			}
+			lx := c.lhs[li]
+			c.plans = append(c.plans, &groupPlan{x: lx.x, a: n.A, schema: n.Schema, lhs: li, slot: len(lx.as)})
+			lx.as = append(lx.as, n.A)
+			lx.groups = append(lx.groups, gi)
 		}
 		g := c.plans[gi]
 		mb := g.mask(pos, j-i)
@@ -204,11 +227,12 @@ func (c *Compiled) NewDetector(rel *relation.Relation) *Detector {
 	d := &Detector{
 		rel:     rel,
 		prog:    c,
-		groups:  make([]*fdGroup, len(c.plans)),
+		groups:  c.plans,
+		lhs:     make([]lhsIndex, len(c.lhs)),
 		workers: runtime.GOMAXPROCS(0),
 	}
-	for i, p := range c.plans {
-		d.groups[i] = &fdGroup{groupPlan: p}
+	for i, p := range c.lhs {
+		d.lhs[i].lhsPlan = p
 	}
 	return d
 }
@@ -220,17 +244,20 @@ func NewDetector(rel *relation.Relation, sigma []*Normal) *Detector {
 	return Compile(rel.Dict(), sigma).NewDetector(rel)
 }
 
-// index returns g's live LHS index, building it on first use. Groups with
-// only constant-RHS rows never need bucket partitioning for whole-database
-// scans (each tuple is checked against the pattern constants alone), so
-// one-shot detection skips building their indices entirely. Laziness is
-// sound under mutation too: an unbuilt index needs no maintenance — the
-// eventual build reads the relation's current state.
-func (d *Detector) index(g *fdGroup) *relation.HashIndex {
-	g.ixOnce.Do(func() {
-		g.xIndex = relation.NewCountedHashIndex(d.rel, g.x, g.a)
+// index returns the live index on g's LHS — the one every group on that
+// LHS shares, tallying the RHS attribute of each — building it on first
+// use. Groups with only constant-RHS rows never need bucket partitioning
+// for whole-database scans (each tuple is checked against the pattern
+// constants alone), so one-shot detection builds no index for an LHS that
+// carries only such groups. Laziness is sound under mutation too: an
+// unbuilt index needs no maintenance — the eventual build reads the
+// relation's current state.
+func (d *Detector) index(g *groupPlan) *relation.HashIndex {
+	lx := &d.lhs[g.lhs]
+	lx.once.Do(func() {
+		lx.ix = relation.NewCountedHashIndex(d.rel, lx.x, lx.as...)
 	})
-	return g.xIndex
+	return lx.ix
 }
 
 // SetWorkers sets the parallelism of whole-database scans: n == 1 forces
@@ -296,20 +323,29 @@ func (g *groupPlan) matchingRows(xids []relation.ValueID, out []*groupRow) []*gr
 	return out
 }
 
-// xids projects t onto g.x as interned ids: directly for tuples that
+// xids projects t onto x as interned ids: directly for tuples that
 // carry them (relation-owned ones and relation.Tuple.Probe copies), through
 // a read-only dictionary lookup for free-standing tuples handed to the
 // query API (novel constants become InvalidID — they match only wildcards
 // and agree with no stored tuple).
-func (d *Detector) xids(g *fdGroup, t *relation.Tuple, buf []relation.ValueID) []relation.ValueID {
+func (d *Detector) xids(x []int, t *relation.Tuple, buf []relation.ValueID) []relation.ValueID {
 	if t.Interned() {
-		return t.ProjectIDs(buf, g.x)
+		return t.ProjectIDs(buf, x)
 	}
 	dict := d.rel.Dict()
-	for _, a := range g.x {
+	for _, a := range x {
 		buf = append(buf, dict.LookupValue(t.Vals[a]))
 	}
 	return buf
+}
+
+// xProbe is a tuple's projection onto one LHS, as every group on that LHS
+// sees it: the ids and, once some group has needed them, the tallies of the
+// bucket they name (nil when no stored tuple carries them).
+type xProbe struct {
+	xids   []relation.ValueID
+	counts []relation.BucketCounts
+	looked bool
 }
 
 // Relation returns the relation the detector is attached to.
@@ -322,21 +358,41 @@ func (d *Detector) Sigma() []*Normal { return d.prog.sigma }
 // Case 1 adds one per violated constant-RHS CFD; case 2 adds one per
 // (CFD, partner-tuple) pair.
 func (d *Detector) VioTuple(t *relation.Tuple) int {
+	var buf [16]int
 	total := 0
-	for _, g := range d.groups {
-		total += d.vioInGroup(g, t)
+	for _, n := range d.VioCounts(t, buf[:0]) {
+		total += n
 	}
 	return total
 }
 
-func (d *Detector) vioInGroup(g *fdGroup, t *relation.Tuple) int {
-	if t.HasNullOn(g.x) {
-		return 0 // null never matches a pattern (§3.1 remark 2)
-	}
+// VioCounts returns vio(t) group by group (in Groups order), in out[:0]:
+// what Group.VioCount answers for each, with t projected onto every
+// distinct LHS once and that LHS's bucket looked up at most once, for all
+// the groups on it. A caller that asks repeatedly passes one buffer and,
+// for a t that carries ids, allocates nothing.
+func (d *Detector) VioCounts(t *relation.Tuple, out []int) []int {
+	out = slices.Grow(out[:0], len(d.groups))[:len(d.groups)]
+	clear(out)
 	var buf [8]relation.ValueID
-	xids := d.xids(g, t, buf[:0])
+	for li := range d.lhs {
+		lx := &d.lhs[li]
+		if t.HasNullOn(lx.x) {
+			continue // null never matches a pattern (§3.1 remark 2)
+		}
+		p := xProbe{xids: d.xids(lx.x, t, buf[:0])}
+		for _, gi := range lx.groups {
+			out[gi] = d.vioInGroup(d.groups[gi], t, &p)
+		}
+	}
+	return out
+}
+
+// vioInGroup counts t's violations within g; p is t's null-free projection
+// onto g's LHS.
+func (d *Detector) vioInGroup(g *groupPlan, t *relation.Tuple, p *xProbe) int {
 	var rbuf [8]*groupRow
-	rows := g.matchingRows(xids, rbuf[:0])
+	rows := g.matchingRows(p.xids, rbuf[:0])
 	if len(rows) == 0 {
 		return 0
 	}
@@ -357,7 +413,7 @@ func (d *Detector) vioInGroup(g *fdGroup, t *relation.Tuple) int {
 			continue // null A is Eq to everything: already resolved (§4.1 case 2.3)
 		}
 		if partners < 0 {
-			partners = d.disagreeing(g, t, xids)
+			partners = d.disagreeing(g, t, p)
 		}
 		total += partners
 	}
@@ -366,7 +422,7 @@ func (d *Detector) vioInGroup(g *fdGroup, t *relation.Tuple) int {
 
 // aID returns the interned id of t's A-value in group g; InvalidID for a
 // constant the dictionary has never seen.
-func (d *Detector) aID(g *fdGroup, t *relation.Tuple) relation.ValueID {
+func (d *Detector) aID(g *groupPlan, t *relation.Tuple) relation.ValueID {
 	if t.Interned() {
 		return t.IDAt(g.a)
 	}
@@ -374,18 +430,21 @@ func (d *Detector) aID(g *fdGroup, t *relation.Tuple) relation.ValueID {
 }
 
 // disagreeing returns the number of stored tuples other than t that agree
-// with t on g.x (given as xids) and carry a non-null A-value different from
-// t's, which must not be null. The bucket's tally answers in O(1): the
+// with t on g.x (given as p) and carry a non-null A-value different from
+// t's, which must not be null. The bucket's tally of A answers in O(1): the
 // members with any non-null A less those with t's. A value the dictionary
 // has never seen (InvalidID) is carried by no member, so all of them
 // disagree. What the tally cannot know is whether t's own stored copy —
 // a tuple with t's id, when t is a modified copy of it — is among those
 // counted; that is one more lookup, made only when something disagrees.
-func (d *Detector) disagreeing(g *fdGroup, t *relation.Tuple, xids []relation.ValueID) int {
-	c := d.index(g).CountsIDs(xids)
-	if c == nil {
+func (d *Detector) disagreeing(g *groupPlan, t *relation.Tuple, p *xProbe) int {
+	if !p.looked {
+		p.counts, p.looked = d.index(g).CountsIDs(p.xids), true
+	}
+	if p.counts == nil {
 		return 0
 	}
+	c := &p.counts[g.slot]
 	avID := d.aID(g, t)
 	n := c.NonNull() - c.Count(avID)
 	if n == 0 {
@@ -393,7 +452,7 @@ func (d *Detector) disagreeing(g *fdGroup, t *relation.Tuple, xids []relation.Va
 	}
 	if own := d.rel.Tuple(t.ID); own != nil {
 		var buf [8]relation.ValueID
-		if vid := own.IDAt(g.a); vid != relation.NullID && vid != avID && slices.Equal(own.ProjectIDs(buf[:0], g.x), xids) {
+		if vid := own.IDAt(g.a); vid != relation.NullID && vid != avID && slices.Equal(own.ProjectIDs(buf[:0], g.x), p.xids) {
 			n--
 		}
 	}
@@ -416,7 +475,7 @@ func (d *Detector) VioAll() map[relation.TupleID]int {
 }
 
 // Detect returns every violation of sigma in the relation, sorted by
-// (tuple id, rule rank, partner id). Detection shards the per-group index
+// (tuple id, rule rank, partner id). Detection deals the LHS index
 // buckets — one bucket per distinct LHS key — across the configured
 // worker pool; the canonical sort makes the output bit-identical to the
 // sequential path.
@@ -483,7 +542,7 @@ func (r *groupRow) open(c *relation.BucketCounts) bool {
 // interned ids (bucket tuples are relation-owned), the tally serves as the
 // RHS-value histogram, and the partner labels, shared by every
 // variable-RHS row of the group, are computed once, in O(bucket).
-func (d *Detector) scanBucket(g *fdGroup, xids []relation.ValueID, ids []relation.TupleID, c *relation.BucketCounts, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) bool {
+func (d *Detector) scanBucket(g *groupPlan, xids []relation.ValueID, ids []relation.TupleID, c *relation.BucketCounts, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) bool {
 	if len(ids) == 0 || slices.Contains(xids, relation.NullID) {
 		return false
 	}
@@ -567,7 +626,7 @@ func (d *Detector) scanBucket(g *fdGroup, xids []relation.ValueID, ids []relatio
 
 // scanIndexBucket is scanBucket for a bucket met while iterating an index,
 // where the key's ids have to be read off a member.
-func (d *Detector) scanIndexBucket(g *fdGroup, ids []relation.TupleID, c *relation.BucketCounts, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
+func (d *Detector) scanIndexBucket(g *groupPlan, ids []relation.TupleID, c *relation.BucketCounts, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
 	if len(ids) == 0 {
 		return
 	}
@@ -579,7 +638,7 @@ func (d *Detector) scanIndexBucket(g *fdGroup, ids []relation.TupleID, c *relati
 // a slice of tuples directly — no bucket partitioning (and hence no LHS
 // index) is needed, since constant-RHS violations are per-tuple (§3.1
 // case 1).
-func (d *Detector) scanConstTuples(g *fdGroup, tuples []*relation.Tuple, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
+func (d *Detector) scanConstTuples(g *groupPlan, tuples []*relation.Tuple, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
 	a := g.a
 	var rbuf [8]*groupRow
 	for _, t := range tuples {
@@ -605,14 +664,14 @@ func (d *Detector) scanConstTuples(g *fdGroup, tuples []*relation.Tuple, visit f
 
 // groupScan visits every violation in group g exactly once per the
 // paper's counting, sequentially.
-func (d *Detector) groupScan(g *fdGroup, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
+func (d *Detector) groupScan(g *groupPlan, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
 	if !g.hasVar {
 		d.scanConstTuples(g, d.rel.Tuples(), visit)
 		return
 	}
 	sc := newScanScratch()
-	d.index(g).Buckets(func(_ relation.Key, ids []relation.TupleID, c *relation.BucketCounts) {
-		d.scanIndexBucket(g, ids, c, sc, visit)
+	d.index(g).Buckets(func(_ int32, ids []relation.TupleID, counts []relation.BucketCounts) {
+		d.scanIndexBucket(g, ids, &counts[g.slot], sc, visit)
 	})
 }
 
@@ -620,16 +679,16 @@ func (d *Detector) groupScan(g *fdGroup, visit func(t *relation.Tuple, n *Normal
 // bucket of a variable-RHS group, or a chunk of tuples of a constant-only
 // group.
 type shardedWork struct {
-	g      *fdGroup
+	g      *groupPlan
 	ids    []relation.TupleID     // bucket work (variable-RHS groups) ...
-	counts *relation.BucketCounts // ... and the bucket's tally
+	counts *relation.BucketCounts // ... and the bucket's tally of g.a
 	tuples []*relation.Tuple      // chunk work (constant-only groups)
 }
 
 // scanAll drives a whole-database scan. The sequential path calls visit
-// for every violation; the parallel path shards variable-RHS groups'
-// index buckets by LHS-key hash and constant-only groups' tuples by
-// chunk across workers, each worker collects its shard's violations, and
+// for every violation; the parallel path deals variable-RHS groups'
+// index buckets by number and constant-only groups' tuples by chunk
+// across workers, each worker collects its shard's violations, and
 // merge consumes one per-shard list at a time on the caller's goroutine.
 // The partition is a partition of the violation multiset, so every merge
 // order yields the same final set; callers that need a canonical sequence
@@ -659,9 +718,9 @@ func (d *Detector) scanAll(visit func(t *relation.Tuple, n *Normal, with relatio
 			}
 			continue
 		}
-		d.index(g).Buckets(func(key relation.Key, ids []relation.TupleID, c *relation.BucketCounts) {
-			w := int(key.Hash() % uint64(nw))
-			shards[w] = append(shards[w], shardedWork{g: g, ids: ids, counts: c})
+		d.index(g).Buckets(func(b int32, ids []relation.TupleID, counts []relation.BucketCounts) {
+			w := int(b) % nw
+			shards[w] = append(shards[w], shardedWork{g: g, ids: ids, counts: &counts[g.slot]})
 		})
 	}
 	parts := make([][]Violation, nw)
@@ -705,7 +764,7 @@ func (d *Detector) Partners(t *relation.Tuple, n *Normal, out []relation.TupleID
 		return out
 	}
 	var buf [8]relation.ValueID
-	xids := d.xids(g, t, buf[:0])
+	xids := d.xids(g.x, t, buf[:0])
 	avID := d.aID(g, t)
 	for _, id := range d.index(g).LookupIDs(xids) {
 		if id == t.ID {
@@ -718,7 +777,7 @@ func (d *Detector) Partners(t *relation.Tuple, n *Normal, out []relation.TupleID
 	return out
 }
 
-func (d *Detector) groupFor(n *Normal) *fdGroup {
+func (d *Detector) groupFor(n *Normal) *groupPlan {
 	if gi, ok := d.prog.groupOf[n]; ok {
 		return d.groups[gi]
 	}
@@ -757,13 +816,14 @@ func Satisfies(rel *relation.Relation, sigma []*Normal) bool {
 
 // Group is a public handle on one embedded-FD group of the detector:
 // all normal CFDs sharing LHS attributes X and RHS attribute A, together
-// with the detector's live index on X. The repair algorithms track dirty
+// with the detector's live index on X (one per X, shared by the groups on
+// it). The repair algorithms track dirty
 // tuples per group instead of per pattern row, which keeps bookkeeping
 // proportional to the number of embedded FDs rather than the (often
 // thousands of) pattern tuples (§7.1).
 type Group struct {
 	d *Detector
-	g *fdGroup
+	g *groupPlan
 }
 
 // Groups returns the embedded-FD groups of the detector, in construction
@@ -810,7 +870,7 @@ func (g Group) MatchingRules(t *relation.Tuple) []*Normal {
 	}
 	var buf [8]relation.ValueID
 	var rbuf [8]*groupRow
-	rows := g.g.matchingRows(g.d.xids(g.g, t, buf[:0]), rbuf[:0])
+	rows := g.g.matchingRows(g.d.xids(g.g.x, t, buf[:0]), rbuf[:0])
 	if len(rows) == 0 {
 		return nil
 	}
@@ -833,6 +893,13 @@ func (g Group) Bucket(t *relation.Tuple) []relation.TupleID {
 // one read of the bucket's tally, shared by every variable-RHS rule of the
 // group — O(1) whatever the bucket holds, with no rule slice materialized
 // and, for a t that carries ids, no dictionary access and no allocation.
+// Detector.VioCounts answers for every group at once, with one probe per
+// distinct X.
 func (g Group) VioCount(t *relation.Tuple) int {
-	return g.d.vioInGroup(g.g, t)
+	if t.HasNullOn(g.g.x) {
+		return 0 // null never matches a pattern (§3.1 remark 2)
+	}
+	var buf [8]relation.ValueID
+	p := xProbe{xids: g.d.xids(g.g.x, t, buf[:0])}
+	return g.d.vioInGroup(g.g, t, &p)
 }

@@ -2,6 +2,7 @@ package cfd
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cfdclean/internal/relation"
@@ -11,12 +12,12 @@ import (
 // their buckets: the partners of t are found by walking t's bucket, one
 // Relation.Tuple lookup per member. It is kept as the oracle the counted
 // path is held against.
-func walkVioInGroup(d *Detector, g *fdGroup, t *relation.Tuple) int {
+func walkVioInGroup(d *Detector, g *groupPlan, t *relation.Tuple) int {
 	if t.HasNullOn(g.x) {
 		return 0
 	}
 	var buf [8]relation.ValueID
-	xids := d.xids(g, t, buf[:0])
+	xids := d.xids(g.x, t, buf[:0])
 	rows := g.matchingRows(xids, nil)
 	total := 0
 	av := t.Vals[g.a]
@@ -52,60 +53,86 @@ func walkVioInGroup(d *Detector, g *fdGroup, t *relation.Tuple) int {
 	return total
 }
 
-// checkCountedIndexes holds every live LHS index of d to a from-scratch
-// recount — each bucket's tally against its members, the buckets against
-// the relation — and Group.VioCount to the walk it replaced, for every
-// stored tuple and for probes of the kinds TUPLERESOLVE sends: a stored
-// tuple's id with another A-value, an X or A constant the dictionary has
-// never seen, a null.
+// checkCountedIndexes holds every LHS index of d — one per distinct X,
+// shared by the groups on it — to a from-scratch recount: every tally slot
+// of every bucket against the bucket's members, the buckets against the
+// relation. It holds Detector.VioCounts to Group.VioCount group by group,
+// and both to the walk they replaced, for every stored tuple and for probes
+// of the kinds TUPLERESOLVE sends: a stored tuple's id with another
+// A-value, an X or A constant the dictionary has never seen, a null.
 func checkCountedIndexes(t *testing.T, tag string, d *Detector, rng *rand.Rand) {
 	t.Helper()
 	rel := d.rel
-	for gi, g := range d.groups {
-		if g.xIndex == nil {
-			t.Fatalf("%s: group %d has no index; the caller builds them all", tag, gi)
+	slots := 0
+	for li := range d.lhs {
+		lx := &d.lhs[li]
+		if lx.ix == nil {
+			t.Fatalf("%s: no index on %v; the caller builds them all", tag, lx.x)
 		}
+		for j, gi := range lx.groups {
+			if g := d.groups[gi]; g.lhs != li || g.slot != j || g.a != lx.as[j] || !slices.Equal(g.x, lx.x) {
+				t.Fatalf("%s: group %d (%v → %d, lhs %d slot %d) is not slot %d of the index on %v tallying %v", tag, gi, g.x, g.a, g.lhs, g.slot, j, lx.x, lx.as)
+			}
+		}
+		slots += len(lx.groups)
 		members := 0
-		g.xIndex.Buckets(func(key relation.Key, ids []relation.TupleID, c *relation.BucketCounts) {
+		lx.ix.Buckets(func(b int32, ids []relation.TupleID, counts []relation.BucketCounts) {
 			members += len(ids)
-			want := make(map[relation.ValueID]int)
-			nonNull := 0
+			if len(counts) != len(lx.as) {
+				t.Fatalf("%s: index on %v: bucket %v has %d tallies for %d groups", tag, lx.x, ids, len(counts), len(lx.as))
+			}
 			for _, id := range ids {
 				tu := rel.Tuple(id)
 				if tu == nil {
-					t.Fatalf("%s: group %d indexes the missing tuple %d", tag, gi, id)
+					t.Fatalf("%s: index on %v holds the missing tuple %d", tag, lx.x, id)
 				}
-				if tu.KeyOnIDs(g.x) != key {
-					t.Fatalf("%s: group %d files tuple %d under the wrong key", tag, gi, id)
-				}
-				if vid := tu.IDAt(g.a); vid != relation.NullID {
-					want[vid]++
-					nonNull++
+				if lx.ix.BucketOf(tu.KeyOnIDs(lx.x)) != b {
+					t.Fatalf("%s: index on %v files tuple %d under the wrong key", tag, lx.x, id)
 				}
 			}
-			if c.NonNull() != nonNull || c.Distinct() != len(want) {
-				t.Fatalf("%s: group %d bucket %v: tally says %d non-null, %d distinct; recount %d, %d",
-					tag, gi, ids, c.NonNull(), c.Distinct(), nonNull, len(want))
-			}
-			for vid, n := range want {
-				if c.Count(vid) != n {
-					t.Fatalf("%s: group %d bucket %v: Count(%d) = %d, recount %d", tag, gi, ids, vid, c.Count(vid), n)
+			for j, a := range lx.as {
+				c := &counts[j]
+				want := make(map[relation.ValueID]int)
+				nonNull := 0
+				for _, id := range ids {
+					if vid := rel.Tuple(id).IDAt(a); vid != relation.NullID {
+						want[vid]++
+						nonNull++
+					}
 				}
-			}
-			if c.Count(relation.NullID) != 0 || c.Count(relation.InvalidID) != 0 {
-				t.Fatalf("%s: group %d bucket %v counts members under NullID or InvalidID", tag, gi, ids)
+				if c.NonNull() != nonNull || c.Distinct() != len(want) {
+					t.Fatalf("%s: index on %v bucket %v: the tally of %d says %d non-null, %d distinct; recount %d, %d",
+						tag, lx.x, ids, a, c.NonNull(), c.Distinct(), nonNull, len(want))
+				}
+				for vid, n := range want {
+					if c.Count(vid) != n {
+						t.Fatalf("%s: index on %v bucket %v: tally of %d: Count(%d) = %d, recount %d", tag, lx.x, ids, a, vid, c.Count(vid), n)
+					}
+				}
+				if c.Count(relation.NullID) != 0 || c.Count(relation.InvalidID) != 0 {
+					t.Fatalf("%s: index on %v bucket %v counts members under NullID or InvalidID", tag, lx.x, ids)
+				}
 			}
 		})
 		if members != rel.Size() {
-			t.Fatalf("%s: group %d indexes %d tuples of %d", tag, gi, members, rel.Size())
+			t.Fatalf("%s: index on %v holds %d tuples of %d", tag, lx.x, members, rel.Size())
 		}
 	}
+	if slots != len(d.groups) {
+		t.Fatalf("%s: the indexes tally for %d groups of %d", tag, slots, len(d.groups))
+	}
 
+	var counts []int
 	compare := func(what string, p *relation.Tuple) {
 		t.Helper()
-		for gi, g := range d.groups {
-			if got, want := d.vioInGroup(g, p), walkVioInGroup(d, g, p); got != want {
+		counts = d.VioCounts(p, counts)
+		for gi, g := range d.Groups() {
+			want := walkVioInGroup(d, g.g, p)
+			if got := g.VioCount(p); got != want {
 				t.Fatalf("%s: group %d: VioCount(%s %v) = %d, the bucket walk says %d", tag, gi, what, p, got, want)
+			}
+			if counts[gi] != want {
+				t.Fatalf("%s: group %d: VioCounts(%s %v) = %d, the bucket walk says %d", tag, gi, what, p, counts[gi], want)
 			}
 		}
 	}

@@ -51,7 +51,7 @@ func (f VioFilter) matchVio(v Violation) bool {
 
 // groupHasRule reports whether any pattern row of group g came from a
 // normal CFD with the given name.
-func groupHasRule(g *fdGroup, rule string) bool {
+func groupHasRule(g *groupPlan, rule string) bool {
 	for _, mb := range g.masks {
 		for _, head := range mb.rows {
 			for row := head; row != nil; row = row.next {
@@ -162,7 +162,11 @@ func (c *VioCursor) gather(id relation.TupleID) []Violation {
 			if t == nil {
 				continue
 			}
-			for _, v := range st.byBucket[t.KeyOnIDs(g.x)] {
+			b := c.s.d.index(g).BucketOf(t.KeyOnIDs(g.x))
+			if !st.dirty.has(b) {
+				continue
+			}
+			for _, v := range st.byBucket[b] {
 				if v.T == id && c.f.matchVio(v) {
 					buf = append(buf, v)
 				}

@@ -105,13 +105,42 @@ func (c *compState) union(a, b relation.TupleID) {
 }
 
 // groupVioState is the maintained violation set of one embedded-FD group.
-// Variable-RHS groups key their violations by LHS-index bucket (the unit
-// of recomputation under deltas); constant-only groups have no index and
-// key per tuple, since case-1 violations involve one tuple alone.
+// Variable-RHS groups file their violations by LHS-index bucket (the unit
+// of recomputation under deltas), under the number the group's LHS index
+// gives the bucket: a number stays with its bucket while the bucket has a
+// member, and the rescan of a bucket that has just emptied drops its list
+// before the index can hand the number to another key. Nearly every bucket
+// is clean, so the lists are sparse: dirty has a bit per bucket number, and
+// only a set bit is looked up in byBucket. Constant-only groups need no
+// index and file per tuple, since case-1 violations involve one tuple
+// alone.
 type groupVioState struct {
 	total    int
-	byBucket map[relation.Key][]Violation
+	dirty    bitset
+	byBucket map[int32][]Violation
 	byTuple  map[relation.TupleID][]Violation
+}
+
+// bitset is a growable set of bucket numbers.
+type bitset []uint64
+
+func (s bitset) has(b int32) bool {
+	w := int(b >> 6) // negative for "no such bucket"
+	return uint(w) < uint(len(s)) && s[w]>>(uint(b)&63)&1 != 0
+}
+
+func (s *bitset) set(b int32, on bool) {
+	w := int(b >> 6)
+	if !on {
+		if w < len(*s) {
+			(*s)[w] &^= 1 << (uint(b) & 63)
+		}
+		return
+	}
+	for len(*s) <= w {
+		*s = append(*s, 0)
+	}
+	(*s)[w] |= 1 << (uint(b) & 63)
 }
 
 // NewVioStore builds the violation store for sigma over rel: one full
@@ -147,12 +176,12 @@ func (c *Compiled) NewVioStore(rel *relation.Relation, workers int) *VioStore {
 		sc:    newScanScratch(),
 	}
 
-	// Variable-RHS groups need their LHS indices live for maintenance;
-	// build them now and snapshot the bucket work list. Constant-only
-	// groups stay index-free (their violations are per-tuple).
+	// Variable-RHS groups need the index on their LHS live for
+	// maintenance; build those now and snapshot the bucket work list.
+	// Constant-only groups need none (their violations are per-tuple).
 	type bucketWork struct {
 		gi     int
-		key    relation.Key
+		b      int32
 		ids    []relation.TupleID
 		counts *relation.BucketCounts
 	}
@@ -160,7 +189,7 @@ func (c *Compiled) NewVioStore(rel *relation.Relation, workers int) *VioStore {
 	for gi, g := range d.groups {
 		st := &s.state[gi]
 		if g.hasVar {
-			st.byBucket = make(map[relation.Key][]Violation)
+			st.byBucket = make(map[int32][]Violation)
 			buckets += d.index(g).Len()
 		} else {
 			st.byTuple = make(map[relation.TupleID][]Violation)
@@ -169,8 +198,8 @@ func (c *Compiled) NewVioStore(rel *relation.Relation, workers int) *VioStore {
 	work := make([]bucketWork, 0, buckets)
 	for gi, g := range d.groups {
 		if g.hasVar {
-			g.xIndex.Buckets(func(key relation.Key, ids []relation.TupleID, c *relation.BucketCounts) {
-				work = append(work, bucketWork{gi: gi, key: key, ids: ids, counts: c})
+			d.index(g).Buckets(func(b int32, ids []relation.TupleID, counts []relation.BucketCounts) {
+				work = append(work, bucketWork{gi: gi, b: b, ids: ids, counts: &counts[g.slot]})
 			})
 		}
 	}
@@ -212,7 +241,8 @@ func (c *Compiled) NewVioStore(rel *relation.Relation, workers int) *VioStore {
 		if len(results[i]) == 0 {
 			continue
 		}
-		s.state[w.gi].byBucket[w.key] = results[i]
+		s.state[w.gi].byBucket[w.b] = results[i]
+		s.state[w.gi].dirty.set(w.b, true)
 		s.account(w.gi, results[i], +1)
 	}
 
@@ -288,95 +318,94 @@ func (s *VioStore) Rescans() (total, skipped int) { return s.rescans, s.rescansS
 
 // onDelta is the journal hook: it re-derives the violation state of
 // exactly the buckets (or tuples) a mutation can affect. Every live index
-// hears of every delta that touches its key or its counted attribute.
+// hears once of every delta that touches its key or an attribute it
+// tallies, and the bucket numbers it answers with address the rescans of
+// every variable-RHS group on its LHS.
 func (s *VioStore) onDelta(dl relation.Delta) {
-	var buf [8]relation.ValueID
-	switch dl.Kind {
-	case relation.DeltaInsert:
-		t := dl.T
-		for gi, g := range s.d.groups {
-			if g.hasVar {
-				g.xIndex.Add(t)
-				s.rescanBucket(gi, t.ProjectIDs(buf[:0], g.x))
-			} else {
-				if g.xIndex != nil {
-					g.xIndex.Add(t)
-				}
-				s.rescanConstTuple(gi, t)
-			}
+	t, a := dl.T, dl.Attr
+	var buf, obuf [8]relation.ValueID
+	for li := range s.d.lhs {
+		lx := &s.d.lhs[li]
+		if lx.ix == nil {
+			continue // never asked for: nothing to maintain
 		}
-	case relation.DeltaDelete:
-		t := dl.T
-		for gi, g := range s.d.groups {
-			if g.hasVar {
-				g.xIndex.Remove(t)
-				s.rescanBucket(gi, t.ProjectIDs(buf[:0], g.x))
-			} else {
-				if g.xIndex != nil {
-					g.xIndex.Remove(t)
-				}
-				s.dropConstTuple(gi, t.ID)
+		switch dl.Kind {
+		case relation.DeltaInsert:
+			s.rescan(lx, lx.ix.Add(t), t.ProjectIDs(buf[:0], lx.x), -1)
+		case relation.DeltaDelete:
+			if b := lx.ix.Remove(t); b >= 0 {
+				s.rescan(lx, b, t.ProjectIDs(buf[:0], lx.x), -1)
 			}
-		}
-	case relation.DeltaUpdate:
-		t, a := dl.T, dl.Attr
-		for gi, g := range s.d.groups {
-			inX := containsAttr(g.x, a)
-			if !inX && g.a != a {
+		case relation.DeltaUpdate:
+			from, to := lx.ix.Update(t, a, dl.OldID)
+			if to < 0 {
 				continue
 			}
-			if g.xIndex != nil {
-				g.xIndex.Update(t, a, dl.OldID)
-			}
-			if !g.hasVar {
-				s.rescanConstTuple(gi, t)
+			xids := t.ProjectIDs(buf[:0], lx.x)
+			if from == to {
+				// a is tallied, not indexed: its own group alone is affected.
+				s.rescan(lx, to, xids, a)
 				continue
 			}
-			xids := t.ProjectIDs(buf[:0], g.x)
-			if inX && t.IDAt(a) != dl.OldID {
-				// t moved buckets: the one it left is rescanned too.
-				var obuf [8]relation.ValueID
-				old := append(obuf[:0], xids...)
-				for i, x := range g.x {
-					if x == a {
-						old[i] = dl.OldID
-					}
+			// t moved buckets: the one it left is rescanned too.
+			old := append(obuf[:0], xids...)
+			for i, x := range lx.x {
+				if x == a {
+					old[i] = dl.OldID
 				}
-				s.rescanBucket(gi, old)
 			}
-			s.rescanBucket(gi, xids)
+			s.rescan(lx, from, old, -1)
+			s.rescan(lx, to, xids, -1)
+		}
+	}
+	for gi, g := range s.d.groups {
+		switch {
+		case g.hasVar:
+		case dl.Kind == relation.DeltaDelete:
+			s.dropConstTuple(gi, t.ID)
+		case dl.Kind == relation.DeltaInsert || g.a == a || containsAttr(g.x, a):
+			s.rescanConstTuple(gi, t)
 		}
 	}
 }
 
-// rescanBucket recomputes the violation list of one LHS-key bucket of a
-// variable-RHS group — the bucket whose key is xids — and swaps it into
-// the maintained state.
-func (s *VioStore) rescanBucket(gi int, xids []relation.ValueID) {
-	s.rescans++
-	st := &s.state[gi]
-	key := relation.KeyOfIDs(xids)
-	old, had := st.byBucket[key]
-	if had {
-		s.account(gi, old, -1)
-	}
-	g := s.d.groups[gi]
-	ids, counts := g.xIndex.Bucket(key)
-	var vios []Violation
-	walked := s.d.scanBucket(g, xids, ids, counts, s.sc, func(t *relation.Tuple, n *Normal, with relation.TupleID) {
-		vios = append(vios, Violation{T: t.ID, N: n, With: with})
-	})
-	if !walked {
-		s.rescansSkipped++
-	}
-	if len(vios) == 0 {
-		if had {
-			delete(st.byBucket, key)
+// rescan recomputes, for bucket b of lx — the bucket whose key is xids —
+// the violation list of every variable-RHS group on lx, or only of the
+// group whose RHS attribute is only when that is not negative.
+func (s *VioStore) rescan(lx *lhsIndex, b int32, xids []relation.ValueID, only int) {
+	ids, counts := lx.ix.BucketAt(b)
+	for j, gi := range lx.groups {
+		g := s.d.groups[gi]
+		if !g.hasVar || only >= 0 && g.a != only {
+			continue
 		}
-		return
+		s.rescans++
+		st := &s.state[gi]
+		had := st.dirty.has(b)
+		if had {
+			s.account(gi, st.byBucket[b], -1)
+		}
+		var vios []Violation
+		walked := s.d.scanBucket(g, xids, ids, &counts[j], s.sc, func(t *relation.Tuple, n *Normal, with relation.TupleID) {
+			vios = append(vios, Violation{T: t.ID, N: n, With: with})
+		})
+		if !walked {
+			s.rescansSkipped++
+		}
+		if len(vios) == 0 {
+			if had {
+				delete(st.byBucket, b)
+				st.dirty.set(b, false)
+			}
+			continue
+		}
+		if len(ids) == 0 {
+			panic("cfd: an emptied bucket kept violations under a number about to be reused")
+		}
+		st.byBucket[b] = vios
+		st.dirty.set(b, true)
+		s.account(gi, vios, +1)
 	}
-	st.byBucket[key] = vios
-	s.account(gi, vios, +1)
 }
 
 // rescanConstTuple recomputes the case-1 violations of one tuple within a

@@ -87,17 +87,17 @@ func (e *engine) probe(g cfd.Group, rt *relation.Tuple) int {
 	return g.VioCount(rt)
 }
 
-// countGroups probes every embedded-FD group with rt as it stands. The
+// countGroups probes every embedded-FD group with rt as it stands, each
+// distinct LHS once for all the groups on it (Detector.VioCounts). The
 // counts stay in e.cur for the round's bestFix; the attribute masks of the
 // groups with at least one rule violated are returned (in a buffer reused
 // by the next call).
 func (e *engine) countGroups(rt *relation.Tuple) []uint64 {
-	e.cur, e.violated = e.cur[:0], e.violated[:0]
-	for _, gi := range e.groups {
-		n := e.probe(gi.g, rt)
-		e.cur = append(e.cur, n)
+	e.stats.VioProbes += len(e.groups)
+	e.cur, e.violated = e.det.VioCounts(rt, e.cur), e.violated[:0]
+	for i, n := range e.cur {
 		if n > 0 {
-			e.violated = append(e.violated, gi.mask)
+			e.violated = append(e.violated, e.groups[i].mask)
 		}
 	}
 	return e.violated

@@ -1,5 +1,7 @@
 package relation
 
+import "slices"
+
 // HashIndex is an equality index over a fixed set of attributes, mapping
 // the fixed-width integer composite key of a tuple's projection (interned
 // value ids) to the tuple ids carrying it. It is the workhorse behind
@@ -18,11 +20,17 @@ package relation
 // is then its distinct keys, not |D|.
 //
 // A counted index (NewCountedHashIndex) also keeps, per bucket, how many
-// members carry each non-null value of one further attribute — for the LHS
-// index of an embedded FD X → A, the attribute A. "How many tuples agreeing
-// with t on X disagree with it on A" is then two subtractions
-// (BucketCounts) instead of a walk over the bucket, and "can this bucket
-// hold a violation at all" is answered without touching a member.
+// members carry each non-null value of any number of further attributes —
+// for the one LHS index of every embedded FD X → A on the same X, each such
+// A. "How many tuples agreeing with t on X disagree with it on A" is then
+// two subtractions (BucketCounts) instead of a walk over the bucket, and
+// "can this bucket hold a violation at all" is answered without touching a
+// member.
+//
+// Buckets are numbered. A bucket keeps its number for as long as it has a
+// member; the number of one that empties is handed to the next new key. The
+// mutators return the numbers they touched, so a caller keeping state per
+// bucket addresses it by number (BucketAt) and hashes no key a second time.
 type HashIndex struct {
 	rel   *Relation
 	attrs []int
@@ -31,9 +39,10 @@ type HashIndex struct {
 	byKey map[Key]int32
 	lists [][]TupleID
 	free  []int32
-	// counted is the attribute whose values the buckets tally, -1 for a
-	// plain index; counts[b] is bucket b's tally (counted indices only).
-	counted int
+	// counted are the attributes whose values the buckets tally, none for
+	// a plain index; bucket b's tally of counted[j] is
+	// counts[b·len(counted)+j].
+	counted []int
 	counts  []BucketCounts
 }
 
@@ -107,13 +116,13 @@ func (c *BucketCounts) remove(v ValueID) {
 
 // NewHashIndex builds an index on attrs over the current contents of r.
 func NewHashIndex(r *Relation, attrs []int) *HashIndex {
-	return NewCountedHashIndex(r, attrs, -1)
+	return NewCountedHashIndex(r, attrs)
 }
 
 // NewCountedHashIndex builds an index on attrs whose buckets also tally
-// the values of attribute counted (see BucketCounts); counted < 0 builds a
-// plain index.
-func NewCountedHashIndex(r *Relation, attrs []int, counted int) *HashIndex {
+// the values of each counted attribute (see BucketCounts), in the order
+// given; with none it builds a plain index.
+func NewCountedHashIndex(r *Relation, attrs []int, counted ...int) *HashIndex {
 	// The widest active domain among attrs is a lower bound on the number
 	// of distinct keys and, for the near-key attribute sets that make an
 	// index large, close to it.
@@ -125,7 +134,7 @@ func NewCountedHashIndex(r *Relation, attrs []int, counted int) *HashIndex {
 		rel:     r,
 		attrs:   append([]int(nil), attrs...),
 		byKey:   make(map[Key]int32, distinct),
-		counted: counted,
+		counted: append([]int(nil), counted...),
 	}
 	// Two passes, one hash per tuple: number the buckets and count their
 	// members, then carve every bucket out of one backing array. Each
@@ -155,14 +164,15 @@ func NewCountedHashIndex(r *Relation, attrs []int, counted int) *HashIndex {
 		ix.lists[b] = arena[off:off:end]
 		off = end
 	}
-	if counted >= 0 {
-		ix.counts = make([]BucketCounts, len(counts))
+	if len(counted) > 0 {
+		ix.counts = make([]BucketCounts, len(counts)*len(counted))
 	}
 	for i, t := range tuples {
 		b := bucketOf[i]
 		ix.lists[b] = append(ix.lists[b], t.ID)
-		if counted >= 0 {
-			ix.counts[b].add(ix.idOf(t, counted))
+		tl := ix.tallies(b)
+		for j, a := range ix.counted {
+			tl[j].add(ix.idOf(t, a))
 		}
 	}
 	return ix
@@ -195,71 +205,83 @@ func (ix *HashIndex) idOf(t *Tuple, a int) ValueID {
 	return ix.rel.dict.Intern(t.Vals[a])
 }
 
-// insert files id under k; cv is its counted value (ignored by a plain
-// index).
-func (ix *HashIndex) insert(k Key, id TupleID, cv ValueID) {
-	b, ok := ix.byKey[k]
-	if !ok {
-		if n := len(ix.free); n > 0 {
-			b, ix.free = ix.free[n-1], ix.free[:n-1]
-		} else {
-			b = int32(len(ix.lists))
-			ix.lists = append(ix.lists, nil)
-			if ix.counted >= 0 {
-				ix.counts = append(ix.counts, BucketCounts{})
-			}
-		}
-		ix.byKey[k] = b
-	}
-	ix.lists[b] = append(ix.lists[b], id)
-	if ix.counted >= 0 {
-		ix.counts[b].add(cv)
-	}
+// tallies returns bucket b's tallies, one per counted attribute.
+func (ix *HashIndex) tallies(b int32) []BucketCounts {
+	nc := len(ix.counted)
+	return ix.counts[int(b)*nc : (int(b)+1)*nc]
 }
 
-// drop takes id, filed under k with counted value cv, out of the index.
-func (ix *HashIndex) drop(k Key, id TupleID, cv ValueID) {
+// numberOf returns the number of the bucket for k, giving a key met for
+// the first time a freed number or the next new one.
+func (ix *HashIndex) numberOf(k Key) int32 {
 	b, ok := ix.byKey[k]
-	if !ok {
-		return
+	if ok {
+		return b
 	}
-	kept := dropID(ix.lists[b], id)
-	if len(kept) == len(ix.lists[b]) {
-		return
+	if n := len(ix.free); n > 0 {
+		b, ix.free = ix.free[n-1], ix.free[:n-1]
+	} else {
+		b = int32(len(ix.lists))
+		ix.lists = append(ix.lists, nil)
+		ix.counts = append(ix.counts, make([]BucketCounts, len(ix.counted))...)
 	}
-	ix.lists[b] = kept
-	if ix.counted >= 0 {
-		ix.counts[b].remove(cv)
-	}
-	if len(kept) == 0 {
+	ix.byKey[k] = b
+	return b
+}
+
+// release unfiles bucket b, keyed k, if its last member has gone.
+func (ix *HashIndex) release(k Key, b int32) {
+	if len(ix.lists[b]) == 0 {
 		delete(ix.byKey, k)
 		ix.free = append(ix.free, b)
 	}
 }
 
-// countedID is t's value at the counted attribute, NullID for a plain
-// index (whose insert and drop ignore it).
-func (ix *HashIndex) countedID(t *Tuple) ValueID {
-	if ix.counted < 0 {
-		return NullID
+// Add indexes tuple t and returns the number of its bucket.
+func (ix *HashIndex) Add(t *Tuple) int32 {
+	b := ix.numberOf(ix.keyOf(t))
+	ix.lists[b] = append(ix.lists[b], t.ID)
+	tl := ix.tallies(b)
+	for j, a := range ix.counted {
+		tl[j].add(ix.idOf(t, a))
 	}
-	return ix.idOf(t, ix.counted)
+	return b
 }
 
-// Add indexes tuple t.
-func (ix *HashIndex) Add(t *Tuple) { ix.insert(ix.keyOf(t), t.ID, ix.countedID(t)) }
-
 // Remove un-indexes tuple t, which must still carry the values it was
-// indexed under. A tuple the index does not hold is left alone.
-func (ix *HashIndex) Remove(t *Tuple) { ix.drop(ix.keyOf(t), t.ID, ix.countedID(t)) }
+// indexed under, and returns the number of the bucket it left — which may
+// now be empty, its number free for the next new key. A tuple the index
+// does not hold is left alone: -1.
+func (ix *HashIndex) Remove(t *Tuple) int32 {
+	k := ix.keyOf(t)
+	b, ok := ix.byKey[k]
+	if !ok {
+		return -1
+	}
+	kept := dropID(ix.lists[b], t.ID)
+	if len(kept) == len(ix.lists[b]) {
+		return -1
+	}
+	ix.lists[b] = kept
+	tl := ix.tallies(b)
+	for j, a := range ix.counted {
+		tl[j].remove(ix.idOf(t, a))
+	}
+	ix.release(k, b)
+	return b
+}
 
 // Update re-indexes tuple t after its attribute a changed from the value
-// with id oldID to the one t carries now. It is a no-op when a is neither
-// indexed nor counted, or the value did not change.
-func (ix *HashIndex) Update(t *Tuple, a int, oldID ValueID) {
+// with id oldID to the one t carries now, and returns the numbers of the
+// bucket t left and the one it is in: the same when a is only counted, two
+// different ones when a is part of the key (the new bucket is numbered
+// before the old one can give its number up). It is a no-op, returning
+// -1, -1, when a is neither indexed nor counted, the value did not change,
+// or — as with Remove — the index does not hold t.
+func (ix *HashIndex) Update(t *Tuple, a int, oldID ValueID) (from, to int32) {
 	inKey := ix.Touches(a)
-	if !inKey && a != ix.counted || t.IDAt(a) == oldID {
-		return
+	if !inKey && !slices.Contains(ix.counted, a) || t.IDAt(a) == oldID {
+		return -1, -1
 	}
 	var buf [8]ValueID
 	ids := t.ProjectIDs(buf[:0], ix.attrs)
@@ -273,13 +295,32 @@ func (ix *HashIndex) Update(t *Tuple, a int, oldID ValueID) {
 		}
 		oldKey = KeyOfIDs(ids)
 	}
-	newCV := ix.countedID(t)
-	oldCV := newCV
-	if a == ix.counted {
-		oldCV = oldID
+	from, ok := ix.byKey[oldKey]
+	if !ok {
+		return -1, -1
 	}
-	ix.drop(oldKey, t.ID, oldCV)
-	ix.insert(newKey, t.ID, newCV)
+	kept := dropID(ix.lists[from], t.ID)
+	if len(kept) == len(ix.lists[from]) {
+		return -1, -1
+	}
+	to = from
+	if inKey {
+		to = ix.numberOf(newKey)
+	}
+	ix.lists[from] = kept
+	ix.lists[to] = append(ix.lists[to], t.ID)
+	left, entered := ix.tallies(from), ix.tallies(to)
+	for j, c := range ix.counted {
+		now := t.ids[c]
+		was := now
+		if c == a {
+			was = oldID
+		}
+		left[j].remove(was)
+		entered[j].add(now)
+	}
+	ix.release(oldKey, from)
+	return from, to
 }
 
 // Touches reports whether attribute a participates in the index key.
@@ -342,42 +383,46 @@ func (ix *HashIndex) LookupKey(key Key) []TupleID {
 	return nil
 }
 
-// Bucket returns the members and the tally of the bucket for a precomputed
-// key; both are nil when no tuple carries it, and the tally is nil for a
-// plain index. The tally is valid until the index next changes.
-func (ix *HashIndex) Bucket(key Key) ([]TupleID, *BucketCounts) {
-	b, ok := ix.byKey[key]
-	if !ok {
-		return nil, nil
+// BucketOf returns the number of the bucket for a precomputed key, -1 when
+// no tuple carries it.
+func (ix *HashIndex) BucketOf(key Key) int32 {
+	if b, ok := ix.byKey[key]; ok {
+		return b
 	}
-	if ix.counted < 0 {
-		return ix.lists[b], nil
-	}
-	return ix.lists[b], &ix.counts[b]
+	return -1
 }
 
-// CountsIDs returns the tally of the bucket whose key is the given interned
-// ids, nil when there is none (an InvalidID component matches nothing) or
-// the index is plain. It is valid until the index next changes.
-func (ix *HashIndex) CountsIDs(ids []ValueID) *BucketCounts {
+// BucketAt returns the members of bucket b and its tallies, one per counted
+// attribute in NewCountedHashIndex's order (nil for a plain index). Both
+// are valid until the index next changes; a number whose bucket has emptied
+// reads as no members and all-zero tallies.
+func (ix *HashIndex) BucketAt(b int32) ([]TupleID, []BucketCounts) {
+	return ix.lists[b], ix.tallies(b)
+}
+
+// CountsIDs returns the tallies of the bucket whose key is the given
+// interned ids, nil when there is none (an InvalidID component matches
+// nothing) or the index is plain. They are valid until the index next
+// changes.
+func (ix *HashIndex) CountsIDs(ids []ValueID) []BucketCounts {
 	for _, id := range ids {
 		if id == InvalidID {
 			return nil
 		}
 	}
-	_, c := ix.Bucket(KeyOfIDs(ids))
-	return c
+	if b, ok := ix.byKey[KeyOfIDs(ids)]; ok {
+		return ix.tallies(b)
+	}
+	return nil
 }
 
-// Buckets iterates over all buckets in unspecified order: key, members and
-// (nil for a plain index) tally. The callback must not mutate the index.
-func (ix *HashIndex) Buckets(f func(key Key, ids []TupleID, c *BucketCounts)) {
-	for k, b := range ix.byKey {
-		var c *BucketCounts
-		if ix.counted >= 0 {
-			c = &ix.counts[b]
+// Buckets iterates over all buckets in order of their numbers: number,
+// members and tallies (as BucketAt). The callback must not mutate the index.
+func (ix *HashIndex) Buckets(f func(b int32, ids []TupleID, counts []BucketCounts)) {
+	for b, ids := range ix.lists {
+		if len(ids) > 0 {
+			f(int32(b), ids, ix.tallies(int32(b)))
 		}
-		f(k, ix.lists[b], c)
 	}
 }
 

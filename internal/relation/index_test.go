@@ -125,6 +125,34 @@ func TestHashIndexRemoveUnindexed(t *testing.T) {
 	}
 }
 
+// TestHashIndexUpdateUnindexed: like Remove, Update leaves a tuple the
+// index does not hold alone — it must not file it under its new key, where
+// one phantom member would miscount every tally of the bucket at once.
+func TestHashIndexUpdateUnindexed(t *testing.T) {
+	r := idxRel(t)
+	t1, _ := r.InsertRow("x", "1", "p")
+	ix := NewCountedHashIndex(r, []int{0}, 1, 2)
+	t2, _ := r.InsertRow("y", "2", "q") // the index never hears of it
+	for _, a := range []int{0, 1} {     // a key attribute, a counted one
+		old := t2.IDAt(a)
+		if _, err := r.Set(t2.ID, a, S("x")); err != nil {
+			t.Fatal(err)
+		}
+		if from, to := ix.Update(t2, a, old); from != -1 || to != -1 {
+			t.Fatalf("Update of an unindexed tuple on attribute %d touched buckets %d, %d", a, from, to)
+		}
+	}
+	if got := ix.Lookup([]Value{S("x")}); len(got) != 1 || got[0] != t1.ID {
+		t.Fatalf("Update filed an unindexed tuple: Lookup(x) = %v, want [%d]", got, t1.ID)
+	}
+	if c := ix.CountsIDs([]ValueID{t1.IDAt(0)}); c[0].NonNull() != 1 || c[1].NonNull() != 1 {
+		t.Fatalf("bucket x tallies %d and %d members, want 1 and 1", c[0].NonNull(), c[1].NonNull())
+	}
+	if ix.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", ix.Len())
+	}
+}
+
 func TestHashIndexNullKeys(t *testing.T) {
 	r := idxRel(t)
 	tn := &Tuple{Vals: []Value{NullValue, S("1"), S("p")}}
@@ -163,9 +191,6 @@ func TestKeyOfIDsWideArity(t *testing.T) {
 	}
 	if a != c {
 		t.Fatal("equal wide keys compare unequal")
-	}
-	if a.Hash() == b.Hash() && a.ext == b.ext {
-		t.Fatal("ext ignored by Hash")
 	}
 }
 
@@ -222,10 +247,10 @@ func allocBytes(f func()) uint64 {
 // key-like index stays under 80 KiB and a 10-key index under 12 KiB. (With
 // two maps pre-sized to |D| the same builds took 116 KiB and 122 KiB.)
 //
-// A counted index adds one 24-byte tally per bucket and nothing per tuple —
-// a bucket's first value lives in the tally itself — so counting a
-// single-valued attribute costs keys × 24 B on top of the plain build, give
-// or take the allocator's size classes. Only a bucket holding a second
+// A counted index adds one 24-byte tally per bucket and counted attribute
+// and nothing per tuple — a bucket's first value lives in the tally itself —
+// so counting a single-valued attribute costs keys × 24 B on top of the
+// plain build, give or take the allocator's size classes. Only a bucket holding a second
 // value allocates, one small map each: counting d, five values per bucket,
 // the ten buckets may take 256 B apiece.
 func TestHashIndexBuildBudget(t *testing.T) {
@@ -256,39 +281,55 @@ func TestHashIndexBuildBudget(t *testing.T) {
 		if extra, budget := int(clean)-int(plain), tc.keys*tally+tc.keys*tally/16+512; extra > budget {
 			t.Errorf("counting a single-valued attribute on %v costs %d B over the plain build, budget %d B", tc.attrs, extra, budget)
 		}
+		both := allocBytes(func() { ix = NewCountedHashIndex(r, tc.attrs, 2, 2) })
+		if extra, budget := int(both)-int(clean), tc.keys*tally+tc.keys*tally/16+512; extra > budget {
+			t.Errorf("a second tally on %v costs %d B over the first, budget %d B", tc.attrs, extra, budget)
+		}
 		dirty := allocBytes(func() { ix = NewCountedHashIndex(r, tc.attrs, 3) })
 		if extra, budget := int(dirty)-int(clean), 256*min(tc.keys, 10)+512; extra > budget {
 			t.Errorf("counting d on %v costs %d B over counting c, budget %d B", tc.attrs, extra, budget)
 		}
-		t.Logf("index on %v: plain %d B, counting c %d B, counting d %d B", tc.attrs, plain, clean, dirty)
+		t.Logf("index on %v: plain %d B, counting c %d B, c twice %d B, counting d %d B", tc.attrs, plain, clean, both, dirty)
 	}
 }
 
-// TestCountedIndexTallies drives a counted index through Add, Remove and
-// Update — of a key attribute, of the counted attribute alone, to and from
-// null — and holds every bucket's tally to a recount after each step.
+// TestCountedIndexTallies drives an index counting two attributes through
+// Add, Remove and Update — of a key attribute, of either counted attribute
+// alone, to and from null — and holds every tally of every bucket to a
+// recount, and every bucket number the mutators return to the bucket the
+// tuple is (or was) in, after each step.
 func TestCountedIndexTallies(t *testing.T) {
-	r := New(MustSchema("r", "k", "v", "w"))
-	ix := NewCountedHashIndex(r, []int{0}, 1)
+	r := New(MustSchema("r", "k", "v", "w", "u"))
+	counted := []int{1, 2}
+	ix := NewCountedHashIndex(r, []int{0}, counted...)
 	check := func(tag string) {
 		t.Helper()
 		seen := 0
-		ix.Buckets(func(key Key, ids []TupleID, c *BucketCounts) {
+		ix.Buckets(func(b int32, ids []TupleID, counts []BucketCounts) {
 			seen += len(ids)
-			want := map[ValueID]int{}
-			nonNull := 0
-			for _, id := range ids {
-				if vid := r.Tuple(id).IDAt(1); vid != NullID {
-					want[vid]++
-					nonNull++
+			if got := ix.BucketOf(r.Tuple(ids[0]).KeyOnIDs([]int{0})); got != b {
+				t.Fatalf("%s: bucket %d is filed under the key of bucket %d", tag, b, got)
+			}
+			if len(counts) != len(counted) {
+				t.Fatalf("%s: bucket %d has %d tallies, want %d", tag, b, len(counts), len(counted))
+			}
+			for j, a := range counted {
+				c := &counts[j]
+				want := map[ValueID]int{}
+				nonNull := 0
+				for _, id := range ids {
+					if vid := r.Tuple(id).IDAt(a); vid != NullID {
+						want[vid]++
+						nonNull++
+					}
 				}
-			}
-			if c.NonNull() != nonNull || c.Distinct() != len(want) {
-				t.Fatalf("%s: bucket %v: tally %d non-null / %d distinct, recount %d / %d", tag, ids, c.NonNull(), c.Distinct(), nonNull, len(want))
-			}
-			for vid, n := range want {
-				if c.Count(vid) != n {
-					t.Fatalf("%s: bucket %v: Count(%d) = %d, recount %d", tag, ids, vid, c.Count(vid), n)
+				if c.NonNull() != nonNull || c.Distinct() != len(want) {
+					t.Fatalf("%s: bucket %v attribute %d: tally %d non-null / %d distinct, recount %d / %d", tag, ids, a, c.NonNull(), c.Distinct(), nonNull, len(want))
+				}
+				for vid, n := range want {
+					if c.Count(vid) != n {
+						t.Fatalf("%s: bucket %v attribute %d: Count(%d) = %d, recount %d", tag, ids, a, vid, c.Count(vid), n)
+					}
 				}
 			}
 		})
@@ -296,48 +337,71 @@ func TestCountedIndexTallies(t *testing.T) {
 			t.Fatalf("%s: index holds %d of %d tuples", tag, seen, r.Size())
 		}
 	}
+	bucketOf := func(tu *Tuple) int32 { return ix.BucketOf(tu.KeyOnIDs([]int{0})) }
 	set := func(id TupleID, a int, v Value) {
 		t.Helper()
-		old := r.Tuple(id).IDAt(a)
+		tu := r.Tuple(id)
+		old, was := tu.IDAt(a), bucketOf(tu)
 		if _, err := r.Set(id, a, v); err != nil {
 			t.Fatal(err)
 		}
-		ix.Update(r.Tuple(id), a, old)
+		from, to := ix.Update(tu, a, old)
+		switch {
+		case a == 3:
+			if from != -1 || to != -1 {
+				t.Fatalf("Update on an attribute neither indexed nor counted touched buckets %d, %d", from, to)
+			}
+		case from != was || to != bucketOf(tu) || (a == 0) == (from == to):
+			t.Fatalf("Update on attribute %d returned buckets %d → %d; the tuple went %d → %d", a, from, to, was, bucketOf(tu))
+		}
 	}
 	var ids []TupleID
-	for _, row := range [][]string{{"x", "1", "p"}, {"x", "1", "q"}, {"x", "2", "p"}, {"y", "3", "p"}} {
+	for _, row := range [][]string{{"x", "1", "p", "-"}, {"x", "1", "q", "-"}, {"x", "2", "p", "-"}, {"y", "3", "p", "-"}} {
 		tu := NewTuple(0, row...)
 		r.MustInsert(tu)
-		ix.Add(tu)
+		if b := ix.Add(tu); b != bucketOf(tu) {
+			t.Fatalf("Add returned bucket %d, the tuple is in %d", b, bucketOf(tu))
+		}
 		ids = append(ids, tu.ID)
 	}
 	check("built by Add")
-	if c := ix.CountsIDs([]ValueID{r.Dict().InternStr("x")}); c == nil || c.NonNull() != 3 || c.Distinct() != 2 {
-		t.Fatalf("bucket x: %+v, want 3 non-null over 2 values", c)
+	if c := ix.CountsIDs([]ValueID{r.Dict().InternStr("x")}); c == nil || c[0].NonNull() != 3 || c[0].Distinct() != 2 || c[1].Distinct() != 2 {
+		t.Fatalf("bucket x: %+v, want 3 non-null over 2 values of v, 2 of w", c)
 	}
 	if c := ix.CountsIDs([]ValueID{InvalidID}); c != nil {
 		t.Fatal("an InvalidID key has no bucket")
 	}
-	set(ids[2], 1, S("1")) // counted attribute alone: x becomes clean
+	set(ids[2], 1, S("1")) // a counted attribute alone: x becomes clean on v
 	check("v: 2 → 1")
 	set(ids[0], 1, NullValue) // … to null
 	check("v: 1 → null")
 	set(ids[0], 1, S("9")) // … and back to a value, while the inline one is taken
 	check("v: null → 9")
-	set(ids[1], 0, S("y")) // key attribute: the tuple takes its count along
+	set(ids[1], 2, S("p")) // the other counted attribute
+	check("w: q → p")
+	set(ids[1], 0, S("y")) // key attribute: the tuple takes its counts along
 	check("k: x → y")
-	set(ids[1], 2, S("z")) // neither: nothing moves
-	check("w: q → z")
+	set(ids[1], 3, S("z")) // neither: nothing moves
+	check("u: - → z")
+	set(ids[3], 0, S("z")) // the last member but one leaves y …
+	set(ids[1], 0, S("z")) // … and the last: y's number is free, z keeps its own
+	check("k: y → z, emptying y")
 	for _, id := range ids[:3] {
 		tu := r.Tuple(id)
+		was := bucketOf(tu)
 		r.Delete(id)
-		ix.Remove(tu)
+		if b := ix.Remove(tu); b != was {
+			t.Fatalf("Remove returned bucket %d, the tuple was in %d", b, was)
+		}
+		if members, counts := ix.BucketAt(was); len(members) == 0 && (counts[0].NonNull() != 0 || counts[1].Distinct() != 0) {
+			t.Fatalf("emptied bucket %d still tallies %+v", was, counts)
+		}
 		check("removed")
 	}
-	if rebuilt := NewCountedHashIndex(r, []int{0}, 1); rebuilt.Len() != ix.Len() {
+	if rebuilt := NewCountedHashIndex(r, []int{0}, counted...); rebuilt.Len() != ix.Len() {
 		t.Fatalf("maintained index has %d buckets, a rebuilt one %d", ix.Len(), rebuilt.Len())
 	}
-	if _, c := NewHashIndex(r, []int{0}).Bucket(r.Tuples()[0].KeyOnIDs([]int{0})); c != nil {
+	if _, c := NewHashIndex(r, []int{0}).BucketAt(0); c != nil {
 		t.Fatal("a plain index has no tallies")
 	}
 }

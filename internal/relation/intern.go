@@ -220,28 +220,6 @@ func KeyOfIDs(ids []ValueID) Key {
 	return k
 }
 
-// Hash returns a well-mixed 64-bit hash of the key, used to shard buckets
-// across detection workers.
-func (k Key) Hash() uint64 {
-	h := mix64(k.lo) ^ mix64(k.hi+0x9e3779b97f4a7c15)
-	for i := 0; i+4 <= len(k.ext); i += 4 {
-		w := uint64(k.ext[i]) | uint64(k.ext[i+1])<<8 |
-			uint64(k.ext[i+2])<<16 | uint64(k.ext[i+3])<<24
-		h = mix64(h ^ w)
-	}
-	return h
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // PairKey packs two interned ids into one uint64, for symmetric or ordered
 // pair-keyed memo tables (e.g. the cost model's distance cache).
 func PairKey(a, b ValueID) uint64 { return uint64(a)<<32 | uint64(b) }

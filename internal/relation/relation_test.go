@@ -289,7 +289,7 @@ func TestHashIndexBuckets(t *testing.T) {
 	r.MustInsert(NewTuple(0, "y"))
 	ix := NewHashIndex(r, []int{0})
 	n := 0
-	ix.Buckets(func(key Key, ids []TupleID, _ *BucketCounts) { n += len(ids) })
+	ix.Buckets(func(_ int32, ids []TupleID, _ []BucketCounts) { n += len(ids) })
 	if n != 2 {
 		t.Errorf("bucket walk saw %d ids", n)
 	}
