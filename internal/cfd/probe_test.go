@@ -82,9 +82,10 @@ func TestProbeMatchesFreeStanding(t *testing.T) {
 }
 
 // TestVioCountProbeDoesNotAllocate pins the budget of TUPLERESOLVE's
-// innermost call: on a probe that carries its ids, Group.VioCount — the
-// pattern match, the index probe and the read of the bucket's tally —
-// allocates nothing, in a clean bucket (one inline value), in a dirty one
+// innermost calls: on a probe that carries its ids, Group.VioCount — the
+// pattern match, the index probe and the read of the bucket's tally — and
+// Detector.VioCounts, the same for every group with one probe per distinct
+// X, allocate nothing, in a clean bucket (one inline value), in a dirty one
 // (the tally's map) and when the probe's own stored copy has to be looked
 // up and discounted.
 func TestVioCountProbeDoesNotAllocate(t *testing.T) {
@@ -118,6 +119,17 @@ func TestVioCountProbeDoesNotAllocate(t *testing.T) {
 			if n := testing.AllocsPerRun(100, func() { g.VioCount(probe) }); n != 0 {
 				t.Errorf("group %d: VioCount(%v) allocates %v times per call, want 0", gi, probe, n)
 			}
+		}
+		counts := det.VioCounts(probe, nil)
+		if n := testing.AllocsPerRun(100, func() { counts = det.VioCounts(probe, counts) }); n != 0 {
+			t.Errorf("VioCounts(%v) allocates %v times per call, want 0", probe, n)
+		}
+		sum := 0
+		for _, n := range counts {
+			sum += n
+		}
+		if sum != total {
+			t.Errorf("VioCounts(%v) sums to %d, the groups' VioCount to %d", probe, sum, total)
 		}
 	}
 }

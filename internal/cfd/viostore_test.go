@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"cfdclean/internal/relation"
@@ -130,94 +131,216 @@ func TestVioStoreMatchesDetectorOnPaperData(t *testing.T) {
 	checkStoreEquivalence(t, "after delete", s, rel, sigma)
 }
 
-// TestVioStoreFuzzEquivalence drives random insert/delete/update
-// sequences (updates of X and of A, to values and to null, in clean and
-// dirty buckets alike) against a store and asserts, after every mutation,
-// that the maintained state is bit-identical to a freshly built detector,
-// that every LHS index's bucket tallies equal a recount, and that
-// Group.VioCount agrees with the bucket walk it replaced.
-func TestVioStoreFuzzEquivalence(t *testing.T) {
-	schema := orderSchema()
-	sigma := paperSigma(schema)
+// fuzzSigma is paperSigma plus the shapes of §7.1's Σ it lacks, each of
+// which makes two embedded FDs share one LHS index: a constant-only group
+// beside a variable one on the same X ([AC] → CT by constants, [AC] → ST by
+// a wildcard row), a group whose A lies in its own X ([CT,ST] → ST), and two
+// X that differ only in the order they are written in (ϕ4's [CT,STR] and
+// [STR,CT], once with ϕ4's own A and once with another).
+func fuzzSigma(s *relation.Schema) []*Normal {
+	return NormalizeAll([]*CFD{
+		phi1(s), phi2(s), phi3(s), phi4(s),
+		MustNew("phi6", s, []string{"AC"}, []string{"CT"},
+			[]Cell{C("212"), C("NYC")},
+			[]Cell{C("215"), C("PHI")}),
+		MustNew("phi8", s, []string{"AC"}, []string{"ST"},
+			[]Cell{W, W},
+			[]Cell{C("610"), C("PA")}),
+		MustNew("phi9", s, []string{"CT", "ST"}, []string{"ST"},
+			[]Cell{W, W, W},
+			[]Cell{C("NYC"), W, C("NY")}),
+		MustNew("phi10", s, []string{"STR", "CT"}, []string{"zip", "PR"},
+			[]Cell{C("Walnut"), C("PHI"), C("19014"), W},
+			[]Cell{W, W, W, W}),
+	})
+}
 
-	// Small value pools per attribute keep collisions (and hence
-	// violations, bucket moves, pattern matches) frequent.
-	pools := [][]string{
-		{"a23", "a12", "a89"},                        // id
-		{"H. Porter", "J. Denver", "Snow White"},     // name
-		{"17.99", "7.94", "18.99"},                   // PR
-		{"212", "215", "610", "415"},                 // AC
-		{"8983490", "3456789", "3345677", "5674322"}, // PN
-		{"Walnut", "Spruce", "Canel", "Broad"},       // STR
-		{"PHI", "NYC", "CHI"},                        // CT
-		{"PA", "NY", "IL"},                           // ST
-		{"10012", "19014", "60614"},                  // zip
+// fuzzPools are small value pools per attribute: they keep collisions (and
+// hence violations, bucket moves, pattern matches) frequent.
+var fuzzPools = [][]string{
+	{"a23", "a12", "a89"},                        // id
+	{"H. Porter", "J. Denver", "Snow White"},     // name
+	{"17.99", "7.94", "18.99"},                   // PR
+	{"212", "215", "610", "415"},                 // AC
+	{"8983490", "3456789", "3345677", "5674322"}, // PN
+	{"Walnut", "Spruce", "Canel", "Broad"},       // STR
+	{"PHI", "NYC", "CHI"},                        // CT
+	{"PA", "NY", "IL"},                           // ST
+	{"10012", "19014", "60614"},                  // zip
+}
+
+// runVioStoreOps reads data as a mutation sequence over fuzzPools — how
+// many tuples the relation holds before the store is built, then inserts,
+// deletes and cell updates (of X and of A, to values and to null, in clean
+// and dirty buckets alike) until the bytes run out — and asserts after
+// every step that the maintained state is bit-identical to a freshly built
+// detector's (Detect, the cursor, VioAll, the totals, Components), that
+// every tally of every shared LHS index equals a recount, and that
+// VioCounts and Group.VioCount agree with the bucket walk they replaced.
+// It returns the store's rescan counters.
+func runVioStoreOps(t *testing.T, data []byte) (rescans, skipped int) {
+	t.Helper()
+	schema := orderSchema()
+	sigma := fuzzSigma(schema)
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
 	}
-	randVal := func(rng *rand.Rand, a int) relation.Value {
-		if rng.Intn(8) == 0 {
+	val := func(a int) relation.Value {
+		b := next()
+		if b%8 == 0 {
 			return relation.NullValue
 		}
-		p := pools[a]
-		return relation.S(p[rng.Intn(len(p))])
+		p := fuzzPools[a]
+		return relation.S(p[b/8%len(p)])
 	}
+	row := func() *relation.Tuple {
+		vals := make([]relation.Value, schema.Arity())
+		for a := range vals {
+			vals[a] = val(a)
+		}
+		return &relation.Tuple{Vals: vals}
+	}
+	seed := int64(len(data))
+	rel := relation.New(schema)
+	for n := next() % 16; n > 0; n-- {
+		rel.MustInsert(row())
+	}
+	s := NewVioStore(rel, sigma)
+	defer s.Close()
+	// An LHS with constant-only groups alone indexes lazily; build those
+	// too, so the store maintains every kind.
+	for _, g := range s.d.groups {
+		s.d.index(g)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	check := func(tag string) {
+		t.Helper()
+		checkStoreEquivalence(t, tag, s, rel, sigma)
+		checkCursor(t, tag, s, AnyVio())
+		checkCountedIndexes(t, tag, s.d, rng)
+	}
+	check("seeded")
+	for step := 0; len(data) > 0; step++ {
+		op := next()
+		ts := rel.Tuples()
+		switch {
+		case op%10 < 3 || len(ts) == 0:
+			rel.MustInsert(row())
+		case op%10 < 5:
+			rel.Delete(ts[next()%len(ts)].ID)
+		default:
+			tu := ts[next()%len(ts)]
+			a := next() % schema.Arity()
+			if _, err := rel.Set(tu.ID, a, val(a)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("step %d", step))
+	}
+	return s.Rescans()
+}
 
+// TestVioStoreFuzzEquivalence drives runVioStoreOps with random mutation
+// sequences.
+func TestVioStoreFuzzEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			rel := relation.New(schema)
-			// Seed population.
-			for i := 0; i < 12; i++ {
-				vals := make([]relation.Value, schema.Arity())
-				for a := range vals {
-					vals[a] = randVal(rng, a)
-				}
-				rel.MustInsert(&relation.Tuple{Vals: vals})
-			}
-			s := NewVioStore(rel, sigma)
-			defer s.Close()
-			// Constant-only groups index lazily; build theirs too, so the
-			// store maintains every kind.
-			for _, g := range s.d.groups {
-				s.d.index(g)
-			}
-			checkStoreEquivalence(t, "seeded", s, rel, sigma)
-			checkCountedIndexes(t, "seeded", s.d, rng)
-
-			for step := 0; step < 120; step++ {
-				tag := fmt.Sprintf("step %d", step)
-				switch op := rng.Intn(10); {
-				case op < 3: // insert
-					vals := make([]relation.Value, schema.Arity())
-					for a := range vals {
-						vals[a] = randVal(rng, a)
-					}
-					rel.MustInsert(&relation.Tuple{Vals: vals})
-				case op < 5: // delete
-					ts := rel.Tuples()
-					if len(ts) == 0 {
-						continue
-					}
-					rel.Delete(ts[rng.Intn(len(ts))].ID)
-				default: // update
-					ts := rel.Tuples()
-					if len(ts) == 0 {
-						continue
-					}
-					tu := ts[rng.Intn(len(ts))]
-					a := rng.Intn(schema.Arity())
-					if _, err := rel.Set(tu.ID, a, randVal(rng, a)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				checkStoreEquivalence(t, tag, s, rel, sigma)
-				checkCountedIndexes(t, tag, s.d, rng)
-			}
-			if total, skipped := s.Rescans(); skipped == 0 || skipped == total {
+			data := make([]byte, 600)
+			rand.New(rand.NewSource(seed)).Read(data)
+			if total, skipped := runVioStoreOps(t, data); skipped == 0 || skipped == total {
 				t.Errorf("%d bucket rescans, %d skipped: the stream should leave both clean and dirty buckets behind", total, skipped)
 			}
 		})
 	}
+}
+
+// FuzzVioStoreOps is TestVioStoreFuzzEquivalence with the fuzzer choosing
+// the mutation sequence.
+func FuzzVioStoreOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 9, 9, 9, 17, 9, 9, 9, 9, 9, 9, 9, 9, 17, 9, 9, 17, 9, 9, 9, 9, 9, 9, 25, 9, 9, 9, 9, 9, 4, 0, 7, 1, 6, 17})
+	seeded := make([]byte, 300)
+	rand.New(rand.NewSource(24)).Read(seeded)
+	f.Add(seeded)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1000 {
+			t.Skip("long enough")
+		}
+		runVioStoreOps(t, data)
+	})
+}
+
+// TestVioStoreBucketNumberReuse: violation lists are filed under bucket
+// numbers, and an LHS index hands the number of a bucket that emptied to
+// the next new key. Deleting the last member of a bucket that held a
+// constant-row violation must drop the list with it, so that the tuple
+// whose key takes the freed number inherits nothing — not in Detect, not
+// in the cursor, not in vio(t).
+func TestVioStoreBucketNumberReuse(t *testing.T) {
+	rel := relation.New(orderSchema())
+	sigma := fuzzSigma(rel.Schema())
+	var rule *Normal // ϕ8's (610 ‖ PA), a constant row of the variable-RHS group [AC] → ST
+	for _, n := range sigma {
+		if strings.HasPrefix(n.Name, "phi8") && n.ConstantRHS() {
+			rule = n
+		}
+	}
+	clean, _ := rel.InsertRow("a12", "J. Denver", "7.94", "215", "3345677", "Canel", "PHI", "PA", "19014")
+	s := NewVioStore(rel, sigma)
+	defer s.Close()
+	if !s.Satisfied() {
+		t.Fatalf("the base is dirty: %v", s.Detect())
+	}
+	for _, g := range s.d.groups {
+		s.d.index(g) // the constant-only LHS too, for checkCountedIndexes
+	}
+	g, st := s.d.groupFor(rule), &s.state[s.d.prog.groupOf[rule]]
+	ix := s.d.index(g)
+	// Alone in its [AC] bucket with the wrong state: the violation is filed
+	// under that bucket's number.
+	dirtyRow := []string{"a23", "H. Porter", "17.99", "610", "8983490", "Walnut", "PHI", "NY", "19014"}
+	dirty, _ := rel.InsertRow(dirtyRow...)
+	b := ix.BucketOf(dirty.KeyOnIDs(g.x))
+	if !st.dirty.has(b) || len(st.byBucket[b]) != 1 || st.byBucket[b][0].N != rule {
+		t.Fatalf("the fixture files no violation of %s under bucket %d: %v", rule.Name, b, s.Detect())
+	}
+	rel.Delete(dirty.ID)
+	checkStoreEquivalence(t, "after the delete", s, rel, sigma)
+	// A clean tuple under a key no bucket has: it takes the freed number.
+	fresh, _ := rel.InsertRow("a89", "Snow White", "18.99", "415", "5674322", "Broad", "CHI", "IL", "60614")
+	if got := ix.BucketOf(fresh.KeyOnIDs(g.x)); got != b {
+		t.Fatalf("the new key took bucket %d, not the freed %d; the case exercises nothing", got, b)
+	}
+	checkStoreEquivalence(t, "after the reuse", s, rel, sigma)
+	checkCursor(t, "after the reuse", s, AnyVio())
+	if n := s.VioCount(fresh.ID) + s.VioCount(clean.ID) + s.TotalViolations(); n != 0 {
+		t.Fatalf("the tuple in the reused bucket inherited violations: %v", s.Detect())
+	}
+	// The same through an update that moves the last member out.
+	moved, _ := rel.InsertRow(dirtyRow...)
+	b = ix.BucketOf(moved.KeyOnIDs(g.x))
+	if !st.dirty.has(b) {
+		t.Fatalf("no violation filed under bucket %d", b)
+	}
+	if _, err := rel.Set(moved.ID, 3, relation.S("215")); err != nil { // AC: it joins the clean tuple's bucket
+		t.Fatal(err)
+	}
+	checkStoreEquivalence(t, "after the move", s, rel, sigma)
+	other, _ := rel.InsertRow("a77", "J. Denver", "7.94", "312", "8983490", "Canel", "CHI", "IL", "60614")
+	if got := ix.BucketOf(other.KeyOnIDs(g.x)); got != b {
+		t.Fatalf("the new key took bucket %d, not the freed %d", got, b)
+	}
+	if st.dirty.has(b) || s.VioCount(other.ID) != 0 {
+		t.Fatalf("the tuple in the reused bucket inherited violations: %v", s.Detect())
+	}
+	checkStoreEquivalence(t, "after the second reuse", s, rel, sigma)
+	checkCursor(t, "after the second reuse", s, AnyVio())
+	checkCountedIndexes(t, "after the second reuse", s.d, rand.New(rand.NewSource(1)))
 }
 
 // TestVioStoreCloseDetaches asserts mutations after Close are no longer
