@@ -31,9 +31,9 @@ type groupPlan struct {
 	// every other group on the same x; slot is where that index tallies a.
 	lhs, slot int
 
-	// masks groups pattern rows by which positions of x carry constants;
-	// each mask bucket maps the interned constants at those positions to
-	// rows via a fixed-width integer key.
+	// masks are those of the LHS's mask buckets (lhsPlan.masks) that hold
+	// a row of this group, in the order its rows first used them: the order
+	// MatchingRules lists rules in.
 	masks []*maskBucket
 
 	hasVar bool // any variable-RHS row in this group
@@ -47,6 +47,12 @@ type lhsPlan struct {
 	x      []int // sorted attribute positions
 	as     []int // the RHS attribute of every group on x; as[j] is tallied in slot j
 	groups []int // groups[j] is the group x → as[j] (index into Compiled.plans)
+
+	// masks groups the pattern rows of every group on x by which positions
+	// of x carry constants; each mask bucket maps the interned constants at
+	// those positions to rows via a fixed-width integer key. A probe or a
+	// bucket is matched once per mask, for all the groups on x at once.
+	masks []*maskBucket
 }
 
 // lhsIndex is one detector's live index of D on an lhsPlan's x, built
@@ -61,13 +67,16 @@ type lhsIndex struct {
 type maskBucket struct {
 	pos []int // positions within x that are constants for these rows
 	// rows maps the constants at pos to the first row carrying them; rows
-	// sharing a key are chained through next, in sigma order.
+	// sharing a key are chained through next, in sigma order. wild is the
+	// one chain of the all-wildcard mask (no pos), which needs no key.
 	rows map[relation.Key]*groupRow
+	wild *groupRow
 }
 
 // groupRow is one normal CFD as a pattern row of its group.
 type groupRow struct {
 	n    *Normal
+	slot int // of the row's group on its LHS
 	tpa  Cell
 	cons bool // constant RHS
 	// tpaID is the interned id of the constant RHS (cons rows only).
@@ -160,12 +169,15 @@ func Compile(dict *relation.Dict, sigma []*Normal) *Compiled {
 			lx.groups = append(lx.groups, gi)
 		}
 		g := c.plans[gi]
-		mb := g.mask(pos, j-i)
+		mb := c.lhs[g.lhs].mask(pos, j-i)
+		if !slices.Contains(g.masks, mb) {
+			g.masks = append(g.masks, mb)
+		}
 		for ; i < j; i++ {
 			n := sigma[i]
 			c.rank[n] = i
 			c.groupOf[n] = gi
-			row := &groupRow{n: n, tpa: n.TpA, cons: n.ConstantRHS()}
+			row := &groupRow{n: n, slot: g.slot, tpa: n.TpA, cons: n.ConstantRHS()}
 			if row.cons {
 				row.tpaID = dict.InternStr(n.TpA.Const)
 			} else {
@@ -196,16 +208,16 @@ func sameShape(a, b *Normal) bool {
 	return true
 }
 
-// mask returns g's bucket for rows with constants at pos, creating it —
+// mask returns lx's bucket for rows with constants at pos, creating it —
 // sized for the n rows about to be added — when it is the first such row.
-func (g *groupPlan) mask(pos []int, n int) *maskBucket {
-	for _, mb := range g.masks {
+func (lx *lhsPlan) mask(pos []int, n int) *maskBucket {
+	for _, mb := range lx.masks {
 		if slices.Equal(mb.pos, pos) {
 			return mb
 		}
 	}
 	mb := &maskBucket{pos: pos, rows: make(map[relation.Key]*groupRow, n)}
-	g.masks = append(g.masks, mb)
+	lx.masks = append(lx.masks, mb)
 	return mb
 }
 
@@ -214,8 +226,11 @@ func (mb *maskBucket) add(key relation.Key, r *groupRow) {
 	if head, ok := mb.rows[key]; ok {
 		head.last.next = r
 		head.last = r
-	} else {
-		mb.rows[key] = r
+		return
+	}
+	mb.rows[key] = r
+	if len(mb.pos) == 0 {
+		mb.wild = r
 	}
 }
 
@@ -294,33 +309,53 @@ func appendInt(b []byte, v int) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), ',')
 }
 
-// matchingRows returns the pattern rows of g whose tp[X] is matched by the
+// matchRows returns the pattern rows in masks whose tp[X] is matched by the
 // given X ids (already known to be null-free). An InvalidID component —
 // a probe value absent from the dictionary — can match constants of no
 // row, but still matches all-wildcard positions. The rows are appended to
 // out: callers on a hot path pass a small stack buffer, so the common
 // handful of matching rows costs no allocation.
-func (g *groupPlan) matchingRows(xids []relation.ValueID, out []*groupRow) []*groupRow {
-	for _, mb := range g.masks {
-		var buf [8]relation.ValueID
-		sel := buf[:0]
-		ok := true
-		for _, p := range mb.pos {
-			id := xids[p]
-			if id == relation.InvalidID {
-				ok = false
-				break
+func matchRows(masks []*maskBucket, xids []relation.ValueID, out []*groupRow) []*groupRow {
+	for _, mb := range masks {
+		r := mb.wild
+		if len(mb.pos) > 0 {
+			var buf [8]relation.ValueID
+			sel := buf[:0]
+			for _, p := range mb.pos {
+				if xids[p] == relation.InvalidID {
+					break
+				}
+				sel = append(sel, xids[p])
 			}
-			sel = append(sel, id)
+			if len(sel) < len(mb.pos) {
+				continue
+			}
+			r = mb.rows[relation.KeyOfIDs(sel)]
 		}
-		if !ok {
-			continue
-		}
-		for r := mb.rows[relation.KeyOfIDs(sel)]; r != nil; r = r.next {
+		for ; r != nil; r = r.next {
 			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// matchingRows is matchRows over the rows of every group on lx; a caller
+// asking for one group skips the rows of the other slots.
+func (lx *lhsPlan) matchingRows(xids []relation.ValueID, out []*groupRow) []*groupRow {
+	return matchRows(lx.masks, xids, out)
+}
+
+// matchingRows is matchRows over g's own rows, in the order of g.masks.
+func (g *groupPlan) matchingRows(xids []relation.ValueID, out []*groupRow) []*groupRow {
+	n := len(out)
+	out = matchRows(g.masks, xids, out)
+	kept := out[:n]
+	for _, r := range out[n:] {
+		if r.slot == g.slot {
+			kept = append(kept, r)
+		}
+	}
+	return kept
 }
 
 // xids projects t onto x as interned ids: directly for tuples that
@@ -340,10 +375,12 @@ func (d *Detector) xids(x []int, t *relation.Tuple, buf []relation.ValueID) []re
 }
 
 // xProbe is a tuple's projection onto one LHS, as every group on that LHS
-// sees it: the ids and, once some group has needed them, the tallies of the
-// bucket they name (nil when no stored tuple carries them).
+// sees it: the ids, the pattern rows of all those groups that they match
+// and, once some group has needed them, the tallies of the bucket they name
+// (nil when no stored tuple carries them).
 type xProbe struct {
 	xids   []relation.ValueID
+	rows   []*groupRow
 	counts []relation.BucketCounts
 	looked bool
 }
@@ -375,12 +412,14 @@ func (d *Detector) VioCounts(t *relation.Tuple, out []int) []int {
 	out = slices.Grow(out[:0], len(d.groups))[:len(d.groups)]
 	clear(out)
 	var buf [8]relation.ValueID
+	var rbuf [16]*groupRow
 	for li := range d.lhs {
 		lx := &d.lhs[li]
 		if t.HasNullOn(lx.x) {
 			continue // null never matches a pattern (§3.1 remark 2)
 		}
-		p := xProbe{xids: d.xids(lx.x, t, buf[:0])}
+		xids := d.xids(lx.x, t, buf[:0])
+		p := xProbe{xids: xids, rows: lx.matchingRows(xids, rbuf[:0])}
 		for _, gi := range lx.groups {
 			out[gi] = d.vioInGroup(d.groups[gi], t, &p)
 		}
@@ -391,17 +430,15 @@ func (d *Detector) VioCounts(t *relation.Tuple, out []int) []int {
 // vioInGroup counts t's violations within g; p is t's null-free projection
 // onto g's LHS.
 func (d *Detector) vioInGroup(g *groupPlan, t *relation.Tuple, p *xProbe) int {
-	var rbuf [8]*groupRow
-	rows := g.matchingRows(p.xids, rbuf[:0])
-	if len(rows) == 0 {
-		return 0
-	}
 	total := 0
 	av := t.Vals[g.a]
 	// partners is the number of bucket tuples disagreeing with t on A; it
 	// is the same for every variable-RHS row of the group.
 	partners := -1
-	for _, r := range rows {
+	for _, r := range p.rows {
+		if r.slot != g.slot {
+			continue
+		}
 		if r.cons {
 			if RHSViolates(av, r.tpa) {
 				total++
@@ -533,8 +570,17 @@ func (r *groupRow) open(c *relation.BucketCounts) bool {
 	return c.Distinct() > 1
 }
 
+// bucketRows returns the pattern rows, of every group on lx, that the
+// members of the bucket keyed xids match: none when the key holds a null.
+func (lx *lhsPlan) bucketRows(xids []relation.ValueID, out []*groupRow) []*groupRow {
+	if slices.Contains(xids, relation.NullID) {
+		return out
+	}
+	return lx.matchingRows(xids, out)
+}
+
 // scanBucket visits every violation within one LHS-key bucket of group g:
-// xids is the bucket's key as ids, ids its members, c its tally. It reports
+// rows is the bucket's bucketRows, ids its members, c its tally of g.a. It reports
 // whether it had to walk the members: the tally alone says whether any
 // matching row can be violated, and in a clean bucket — nearly every bucket
 // of a database under repair — none can, so the scan ends after the pattern
@@ -542,15 +588,10 @@ func (r *groupRow) open(c *relation.BucketCounts) bool {
 // interned ids (bucket tuples are relation-owned), the tally serves as the
 // RHS-value histogram, and the partner labels, shared by every
 // variable-RHS row of the group, are computed once, in O(bucket).
-func (d *Detector) scanBucket(g *groupPlan, xids []relation.ValueID, ids []relation.TupleID, c *relation.BucketCounts, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) bool {
-	if len(ids) == 0 || slices.Contains(xids, relation.NullID) {
-		return false
-	}
-	var rbuf [8]*groupRow
-	rows := g.matchingRows(xids, rbuf[:0])
+func (d *Detector) scanBucket(g *groupPlan, rows []*groupRow, ids []relation.TupleID, c *relation.BucketCounts, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) bool {
 	anyOpen := false
 	for _, r := range rows {
-		if r.open(c) {
+		if r.slot == g.slot && r.open(c) {
 			anyOpen = true
 			break
 		}
@@ -573,7 +614,7 @@ func (d *Detector) scanBucket(g *groupPlan, xids []relation.ValueID, ids []relat
 	var s1, s2 relation.TupleID
 	var v1 relation.ValueID
 	for _, r := range rows {
-		if !r.open(c) {
+		if r.slot != g.slot || !r.open(c) {
 			continue
 		}
 		if r.cons {
@@ -631,7 +672,9 @@ func (d *Detector) scanIndexBucket(g *groupPlan, ids []relation.TupleID, c *rela
 		return
 	}
 	var buf [8]relation.ValueID
-	d.scanBucket(g, d.rel.Tuple(ids[0]).ProjectIDs(buf[:0], g.x), ids, c, sc, visit)
+	var rbuf [16]*groupRow
+	rows := d.prog.lhs[g.lhs].bucketRows(d.rel.Tuple(ids[0]).ProjectIDs(buf[:0], g.x), rbuf[:0])
+	d.scanBucket(g, rows, ids, c, sc, visit)
 }
 
 // scanConstTuples visits the violations of a constant-RHS-only group over
@@ -900,6 +943,8 @@ func (g Group) VioCount(t *relation.Tuple) int {
 		return 0 // null never matches a pattern (§3.1 remark 2)
 	}
 	var buf [8]relation.ValueID
-	p := xProbe{xids: g.d.xids(g.g.x, t, buf[:0])}
+	var rbuf [8]*groupRow
+	xids := g.d.xids(g.g.x, t, buf[:0])
+	p := xProbe{xids: xids, rows: g.g.matchingRows(xids, rbuf[:0])}
 	return g.d.vioInGroup(g.g, t, &p)
 }

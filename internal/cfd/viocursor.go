@@ -55,7 +55,7 @@ func groupHasRule(g *groupPlan, rule string) bool {
 	for _, mb := range g.masks {
 		for _, head := range mb.rows {
 			for row := head; row != nil; row = row.next {
-				if row.n.Name == rule {
+				if row.slot == g.slot && row.n.Name == rule {
 					return true
 				}
 			}

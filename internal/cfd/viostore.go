@@ -374,6 +374,11 @@ func (s *VioStore) onDelta(dl relation.Delta) {
 // group whose RHS attribute is only when that is not negative.
 func (s *VioStore) rescan(lx *lhsIndex, b int32, xids []relation.ValueID, only int) {
 	ids, counts := lx.ix.BucketAt(b)
+	var rbuf [16]*groupRow
+	rows := rbuf[:0]
+	if len(ids) > 0 {
+		rows = lx.bucketRows(xids, rows)
+	}
 	for j, gi := range lx.groups {
 		g := s.d.groups[gi]
 		if !g.hasVar || only >= 0 && g.a != only {
@@ -386,7 +391,7 @@ func (s *VioStore) rescan(lx *lhsIndex, b int32, xids []relation.ValueID, only i
 			s.account(gi, st.byBucket[b], -1)
 		}
 		var vios []Violation
-		walked := s.d.scanBucket(g, xids, ids, &counts[j], s.sc, func(t *relation.Tuple, n *Normal, with relation.TupleID) {
+		walked := s.d.scanBucket(g, rows, ids, &counts[j], s.sc, func(t *relation.Tuple, n *Normal, with relation.TupleID) {
 			vios = append(vios, Violation{T: t.ID, N: n, With: with})
 		})
 		if !walked {
