@@ -339,13 +339,9 @@ func matchRows(masks []*maskBucket, xids []relation.ValueID, out []*groupRow) []
 	return out
 }
 
-// matchingRows is matchRows over the rows of every group on lx; a caller
-// asking for one group skips the rows of the other slots.
-func (lx *lhsPlan) matchingRows(xids []relation.ValueID, out []*groupRow) []*groupRow {
-	return matchRows(lx.masks, xids, out)
-}
-
 // matchingRows is matchRows over g's own rows, in the order of g.masks.
+// (Over lx.masks it matches for every group on the LHS at once; a caller
+// then asking about one group skips the rows of the other slots.)
 func (g *groupPlan) matchingRows(xids []relation.ValueID, out []*groupRow) []*groupRow {
 	n := len(out)
 	out = matchRows(g.masks, xids, out)
@@ -419,7 +415,7 @@ func (d *Detector) VioCounts(t *relation.Tuple, out []int) []int {
 			continue // null never matches a pattern (§3.1 remark 2)
 		}
 		xids := d.xids(lx.x, t, buf[:0])
-		p := xProbe{xids: xids, rows: lx.matchingRows(xids, rbuf[:0])}
+		p := xProbe{xids: xids, rows: matchRows(lx.masks, xids, rbuf[:0])}
 		for _, gi := range lx.groups {
 			out[gi] = d.vioInGroup(d.groups[gi], t, &p)
 		}
@@ -576,12 +572,12 @@ func (lx *lhsPlan) bucketRows(xids []relation.ValueID, out []*groupRow) []*group
 	if slices.Contains(xids, relation.NullID) {
 		return out
 	}
-	return lx.matchingRows(xids, out)
+	return matchRows(lx.masks, xids, out)
 }
 
 // scanBucket visits every violation within one LHS-key bucket of group g:
-// rows is the bucket's bucketRows, ids its members, c its tally of g.a. It reports
-// whether it had to walk the members: the tally alone says whether any
+// rows is the bucket's bucketRows, ids its members, c its tally of g.a. It
+// reports whether it had to walk the members: the tally alone says whether any
 // matching row can be violated, and in a clean bucket — nearly every bucket
 // of a database under repair — none can, so the scan ends after the pattern
 // match without having touched a tuple. Otherwise all comparisons run on
@@ -860,10 +856,9 @@ func Satisfies(rel *relation.Relation, sigma []*Normal) bool {
 // Group is a public handle on one embedded-FD group of the detector:
 // all normal CFDs sharing LHS attributes X and RHS attribute A, together
 // with the detector's live index on X (one per X, shared by the groups on
-// it). The repair algorithms track dirty
-// tuples per group instead of per pattern row, which keeps bookkeeping
-// proportional to the number of embedded FDs rather than the (often
-// thousands of) pattern tuples (§7.1).
+// it). The repair algorithms track dirty tuples per group instead of per
+// pattern row, which keeps bookkeeping proportional to the number of
+// embedded FDs rather than the (often thousands of) pattern tuples (§7.1).
 type Group struct {
 	d *Detector
 	g *groupPlan

@@ -131,16 +131,14 @@ func (s bitset) has(b int32) bool {
 
 func (s *bitset) set(b int32, on bool) {
 	w := int(b >> 6)
-	if !on {
-		if w < len(*s) {
-			(*s)[w] &^= 1 << (uint(b) & 63)
-		}
-		return
-	}
 	for len(*s) <= w {
 		*s = append(*s, 0)
 	}
-	(*s)[w] |= 1 << (uint(b) & 63)
+	if on {
+		(*s)[w] |= 1 << (uint(b) & 63)
+	} else {
+		(*s)[w] &^= 1 << (uint(b) & 63)
+	}
 }
 
 // NewVioStore builds the violation store for sigma over rel: one full
