@@ -131,7 +131,7 @@ func Compile(dict *relation.Dict, sigma []*Normal) *Compiled {
 		rank:    make(map[*Normal]int, len(sigma)),
 		groupOf: make(map[*Normal]int, len(sigma)),
 	}
-	byKey := make(map[string]int) // groups by (x, a), lhs plans by x alone
+	byKey := make(map[string]int)
 	// Tableau rows arrive in runs: the rows of one CFD share X, A and
 	// often the positions of their constants. Everything but the row
 	// itself is worked out once per run.
@@ -156,11 +156,9 @@ func Compile(dict *relation.Dict, sigma []*Normal) *Compiled {
 		if !ok {
 			gi = len(c.plans)
 			byKey[key] = gi
-			xkey := groupKey(x, -1)
-			li, ok := byKey[xkey]
-			if !ok {
+			li := slices.IndexFunc(c.lhs, func(lx *lhsPlan) bool { return slices.Equal(lx.x, x) })
+			if li < 0 {
 				li = len(c.lhs)
-				byKey[xkey] = li
 				c.lhs = append(c.lhs, &lhsPlan{x: x})
 			}
 			lx := c.lhs[li]
