@@ -80,10 +80,10 @@ func (c Config) withDefaults() (Config, error) {
 	if len(c.Sigma) == 0 {
 		return c, fmt.Errorf("core: empty constraint set")
 	}
-	if c.Eps <= 0 || c.Eps >= 1 {
+	if !(0 < c.Eps && c.Eps < 1) {
 		return c, fmt.Errorf("core: ε = %v outside (0,1)", c.Eps)
 	}
-	if c.Delta <= 0 || c.Delta >= 1 {
+	if !(0 < c.Delta && c.Delta < 1) {
 		return c, fmt.Errorf("core: δ = %v outside (0,1)", c.Delta)
 	}
 	if c.MaxRounds <= 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"cfdclean/internal/cfd"
@@ -26,6 +27,8 @@ func TestConfigValidation(t *testing.T) {
 		{Sigma: ds.Sigma, Eps: 0.1},             // missing δ
 		{Sigma: ds.Sigma, Eps: 1.5, Delta: 0.9}, // ε out of range
 		{Sigma: ds.Sigma, Eps: 0.1, Delta: -1},  // δ out of range
+		{Sigma: ds.Sigma, Eps: math.NaN(), Delta: 0.9},
+		{Sigma: ds.Sigma, Eps: 0.1, Delta: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

@@ -78,13 +78,13 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Size <= 0 {
 		return c, fmt.Errorf("gen: size %d must be positive", c.Size)
 	}
-	if c.NoiseRate < 0 || c.NoiseRate > 1 {
+	if !(0 <= c.NoiseRate && c.NoiseRate <= 1) {
 		return c, fmt.Errorf("gen: noise rate %v outside [0,1]", c.NoiseRate)
 	}
 	if c.ConstShare == 0 {
 		c.ConstShare = 0.5
 	}
-	if c.ConstShare < 0 || c.ConstShare > 1 {
+	if !(0 <= c.ConstShare && c.ConstShare <= 1) {
 		return c, fmt.Errorf("gen: constant share %v outside [0,1]", c.ConstShare)
 	}
 	if c.PatternRows <= 0 {
@@ -120,7 +120,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.WeightB == 0 {
 		c.WeightB = 0.5
 	}
-	if c.WeightA < 0 || c.WeightA > 1 || c.WeightB < 0 || c.WeightB > 1 {
+	if !(0 <= c.WeightA && c.WeightA <= 1 && 0 <= c.WeightB && c.WeightB <= 1) {
 		return c, fmt.Errorf("gen: weight bounds a=%v b=%v outside [0,1]", c.WeightA, c.WeightB)
 	}
 	return c, nil

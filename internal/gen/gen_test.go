@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -166,6 +167,22 @@ func TestConfigValidation(t *testing.T) {
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("New(%+v) accepted invalid config", cfg)
+		}
+	}
+}
+
+// TestConfigRejectsNaN: each rate and weight bound is checked so that NaN
+// fails it; a NaN noise rate used to generate data with no noise at all.
+func TestConfigRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, cfg := range []Config{
+		{Size: 10, NoiseRate: nan},
+		{Size: 10, ConstShare: nan},
+		{Size: 10, Weights: true, WeightA: nan},
+		{Size: 10, Weights: true, WeightB: nan},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New(%+v) accepted a NaN", cfg)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func ReadCSV(name string, r io.Reader) (*Relation, error) {
 // with the streaming View.WriteCSV, so a pinned view at the same version
 // is byte-identical.
 func WriteCSV(rel *Relation, w io.Writer) error {
-	enc := newCSVWriter(w, rel.Schema())
+	enc := newCSVWriter(w, rel.Schema(), rel.dict)
 	for _, t := range rel.Tuples() {
 		if err := enc.row(t); err != nil {
 			return err
@@ -133,7 +133,7 @@ func ReadWeightsCSV(rel *Relation, r io.Reader) error {
 			if err != nil {
 				return fmt.Errorf("relation: weights row %d field %d: %w", i+2, a, err)
 			}
-			if w < 0 || w > 1 {
+			if !(0 <= w && w <= 1) { // written so that NaN fails it too
 				return fmt.Errorf("relation: weights row %d field %d: weight %v outside [0,1]", i+2, a, w)
 			}
 			tuples[i].SetWeight(a, w)

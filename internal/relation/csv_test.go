@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/csv"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -87,8 +89,32 @@ func TestCSVRowMatchesStdlib(t *testing.T) {
 	}
 }
 
+// checkTupleRows inserts rec twice as a tuple of a fresh relation — the
+// second row finds every value interned — and holds WriteCSV and a pinned
+// View.WriteCSV, which take the dictionary's flags, to encoding/csv.
+func checkTupleRows(t *testing.T, rec []string) {
+	t.Helper()
+	header := make([]string, len(rec))
+	for i := range header {
+		header[i] = fmt.Sprintf("h%d", i)
+	}
+	r := New(MustSchema("r", header...))
+	r.MustInsert(NewTuple(0, rec...))
+	r.MustInsert(NewTuple(0, rec...))
+	want := slices.Concat(stdlibRow(t, header), stdlibRow(t, rec), stdlibRow(t, rec))
+	if got := dumpLive(t, r); !bytes.Equal(got, want) {
+		t.Fatalf("WriteCSV of tuple %q:\n got %q\nwant %q", rec, got, want)
+	}
+	v := r.Pin()
+	defer v.Release()
+	if got := dumpView(t, v); !bytes.Equal(got, want) {
+		t.Fatalf("View.WriteCSV of tuple %q:\n got %q\nwant %q", rec, got, want)
+	}
+}
+
 // FuzzCSVRowVsStdlib holds the codec to encoding/csv for arbitrary field
-// bytes at every position of a row.
+// bytes at every position of a row, as plain strings and as the values of
+// an interned tuple.
 func FuzzCSVRowVsStdlib(f *testing.F) {
 	for _, s := range csvAwkward {
 		f.Add(s, "x", "")
@@ -99,8 +125,58 @@ func FuzzCSVRowVsStdlib(f *testing.F) {
 			if got, want := codecRow(t, rec), stdlibRow(t, rec); !bytes.Equal(got, want) {
 				t.Fatalf("record %q:\n got %q\nwant %q", rec, got, want)
 			}
+			checkTupleRows(t, rec)
 		}
 	})
+}
+
+// TestCSVPlain: the flag the dictionary sets when it interns a value is set
+// exactly when encoding/csv writes that value as it is — for every single
+// byte, the byte beside a letter, every awkward field and the fuzz seeds.
+func TestCSVPlain(t *testing.T) {
+	fields := append([]string{"x", "", "ab", "x,"}, csvAwkward...)
+	for b := 0; b < 256; b++ {
+		s := string([]byte{byte(b)})
+		fields = append(fields, s, "x"+s, s+"x")
+	}
+	d := NewDict()
+	for _, s := range fields {
+		stdlibPlain := string(stdlibRow(t, []string{s})) == s+"\n"
+		id := d.InternStr(s)
+		if flags := d.plainFlags(); flags[id] != stdlibPlain || csvPlain(s) != stdlibPlain {
+			t.Errorf("%.40q: flag %v, csvPlain %v; encoding/csv writes it unquoted: %v", s, flags[id], csvPlain(s), stdlibPlain)
+		}
+	}
+	if d.plainFlags()[NullID] {
+		t.Error("NullID is flagged plain")
+	}
+}
+
+// TestCSVCloneGrows: a clone keeps its source's flags and grows its own —
+// values interned on either side after the clone, awkward ones included,
+// dump to encoding/csv's bytes on both.
+func TestCSVCloneGrows(t *testing.T) {
+	r := New(MustSchema("r", "a", "b"))
+	for _, s := range csvAwkward[:len(csvAwkward)/2] {
+		r.MustInsert(NewTuple(0, s, "x"))
+	}
+	c := r.Clone()
+	for i, s := range csvAwkward[len(csvAwkward)/2:] {
+		c.MustInsert(NewTuple(0, s, fmt.Sprintf("c%d", i)))
+		r.MustInsert(NewTuple(0, fmt.Sprintf("r%d", i), s))
+	}
+	for name, rel := range map[string]*Relation{"source": r, "clone": c} {
+		if n, ids := len(rel.Dict().plainFlags()), rel.Dict().Len()+1; n != ids {
+			t.Errorf("%s: %d flags for %d ids", name, n, ids)
+		}
+		want := stdlibRow(t, rel.Schema().Attrs())
+		for _, tu := range rel.Tuples() {
+			want = append(want, stdlibRow(t, []string{tu.Vals[0].Str, tu.Vals[1].Str})...)
+		}
+		if got := dumpLive(t, rel); !bytes.Equal(got, want) {
+			t.Errorf("%s: WriteCSV differs from encoding/csv", name)
+		}
+	}
 }
 
 // TestCSVRoundTripAwkwardValues: what WriteCSV quotes, ReadCSV reads back

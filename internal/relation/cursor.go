@@ -70,10 +70,9 @@ func (c *RowCursor) Pages() int { return c.pages }
 // the underlying writer in one Write.
 const csvBlockSize = 64 << 10
 
-// csvClass holds the quoting rule of encoding/csv's Writer, whose output
-// csvWriter reproduces byte for byte: a csvSpecial byte anywhere in a field
-// forces the quoted form; a csvLead first byte means the field may be `\.`
-// or open with a Unicode space, which are quoted too.
+// csvClass classifies bytes for csvPlain: a csvSpecial byte anywhere in a
+// field forces the quoted form; a csvLead first byte means the field may be
+// `\.` or open with a Unicode space, which are quoted too.
 const (
 	csvSpecial = 1 << iota // , " \r \n
 	csvLead                // ASCII blank, backslash, or the start of a multi-byte rune
@@ -92,16 +91,35 @@ var csvClass = func() (c [256]uint8) {
 	return c
 }()
 
+// csvPlain reports whether encoding/csv's Writer writes s exactly as it is,
+// unquoted. It is the one statement of that rule: Dict.intern records it
+// once per distinct value, and field asks it of everything else.
+func csvPlain(s string) bool {
+	var class uint8
+	for i := 0; i < len(s); i++ {
+		class |= csvClass[s[i]]
+	}
+	if class&csvSpecial != 0 {
+		return false
+	}
+	if s == "" || csvClass[s[0]]&csvLead == 0 {
+		return true
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return !unicode.IsSpace(r) && s != `\.`
+}
+
 // A csvWriter is the one CSV row codec behind every read-out (WriteCSV,
 // View.WriteCSV and through them Session.Dump and the server's dump): it
 // appends rows straight into a byte block and writes each full block at
 // once. No encoded byte outlives its dump. The caller closes it after the
 // last row; the first write error is sticky and stops every later write.
 type csvWriter struct {
-	w   io.Writer
-	blk *[csvBlockSize]byte // buf's first backing array, csvBlocks' to have back
-	buf []byte
-	err error
+	w     io.Writer
+	plain []bool              // the dictionary's csvPlain flags, indexed by ValueID
+	blk   *[csvBlockSize]byte // buf's first backing array, csvBlocks' to have back
+	buf   []byte
+	err   error
 }
 
 // csvBlocks recycles blocks — storage only, no byte is read across dumps.
@@ -110,14 +128,16 @@ type csvWriter struct {
 var csvBlocks = sync.Pool{New: func() any { return new([csvBlockSize]byte) }}
 
 // newCSVWriter returns a codec on w with the schema's header row encoded.
-func newCSVWriter(w io.Writer, s *Schema) *csvWriter {
+// It takes d's flags once: d only appends, so they stay valid for every id
+// a relation or pinned view holds at this point.
+func newCSVWriter(w io.Writer, s *Schema, d *Dict) *csvWriter {
 	blk := csvBlocks.Get().(*[csvBlockSize]byte)
-	e := &csvWriter{w: w, blk: blk, buf: blk[:0]}
+	e := &csvWriter{w: w, plain: d.plainFlags(), blk: blk, buf: blk[:0]}
 	e.record(s.Attrs())
 	return e
 }
 
-// record encodes one row of plain strings.
+// record encodes one row of strings that carry no ids (the header, tests).
 func (e *csvWriter) record(fields []string) {
 	for i, f := range fields {
 		e.field(f, i > 0)
@@ -126,50 +146,64 @@ func (e *csvWriter) record(fields []string) {
 }
 
 // row encodes one tuple, nulls as the unquoted NullLiteral, and returns the
-// writer's error once a block has failed.
+// writer's error once a block has failed. A value whose id the dictionary
+// flagged plain is one append after the comma; the rest (values that need
+// quotes, ids past the flags, free-standing tuples) go through field. The
+// block lives in a local slice and goes back to e.buf around the calls
+// that use it.
 func (e *csvWriter) row(t *Tuple) error {
+	ids := t.ids
+	b := e.buf
 	for i, v := range t.Vals {
 		s := v.Str
-		if v.Null {
+		switch {
+		case v.Null:
 			s = NullLiteral
+		case ids == nil || int(ids[i]) >= len(e.plain) || !e.plain[ids[i]]:
+			e.buf = b
+			e.field(s, i > 0)
+			b = e.buf
+			continue
 		}
-		e.field(s, i > 0)
+		if len(b)+len(s)+2 > cap(b) { // s, the comma and the row's newline
+			e.buf = b
+			e.makeRoom(len(s) + 2)
+			b = e.buf
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, s...)
 	}
-	e.buf = append(e.buf, '\n')
+	e.buf = append(b, '\n')
 	return e.err
 }
 
-// field appends s, after a comma if asked. One pass copies and classifies
-// the bytes on the guess that no quoting is needed; a field that needs it
-// is written again quoted, `"` doubled and nothing else changed.
+// makeRoom flushes the block so that n more bytes fit; only a field larger
+// than the block grows it.
+func (e *csvWriter) makeRoom(n int) {
+	e.flush()
+	e.buf = slices.Grow(e.buf, n)
+}
+
+// field appends s, after a comma if asked, quoted unless csvPlain lets it go
+// as it is: `"` doubled and nothing else changed.
 func (e *csvWriter) field(s string, comma bool) {
-	// Room for the worst case — every byte a quote — plus the enclosing
-	// quotes, the comma and the row's newline.
-	if need := 2*len(s) + 4; len(e.buf)+need > cap(e.buf) {
-		e.flush()
-		e.buf = slices.Grow(e.buf, need) // only a field larger than the block grows it
+	plain := csvPlain(s)
+	// Room for the comma, the row's newline and s — in the worst case
+	// quoted with every byte a quote.
+	need := len(s) + 2
+	if !plain {
+		need = 2*len(s) + 4
+	}
+	if len(e.buf)+need > cap(e.buf) {
+		e.makeRoom(need)
 	}
 	if comma {
 		e.buf = append(e.buf, ',')
 	}
-	if s == "" {
-		return
-	}
-	n := len(e.buf)
-	dst := e.buf[n : n+len(s)]
-	var class uint8
-	for i := 0; i < len(dst); i++ {
-		c := s[i]
-		dst[i] = c
-		class |= csvClass[c]
-	}
-	quote := class&csvSpecial != 0
-	if !quote && csvClass[s[0]]&csvLead != 0 {
-		r, _ := utf8.DecodeRuneInString(s)
-		quote = unicode.IsSpace(r) || s == `\.`
-	}
-	if !quote {
-		e.buf = e.buf[:n+len(s)]
+	if plain {
+		e.buf = append(e.buf, s...)
 		return
 	}
 	e.buf = append(e.buf, '"')
@@ -211,7 +245,7 @@ func (e *csvWriter) close() error {
 // buffering is one page of row pointers plus the codec's one block,
 // independent of the relation size.
 func (v *View) WriteCSV(w io.Writer) error {
-	enc := newCSVWriter(w, v.Schema())
+	enc := newCSVWriter(w, v.Schema(), v.rel.dict)
 	cur := v.Rows()
 	for t := cur.Next(); t != nil; t = cur.Next() {
 		if err := enc.row(t); err != nil {

@@ -37,6 +37,7 @@ type Dict struct {
 	mu    sync.RWMutex
 	byStr map[string]ValueID
 	strs  []string // strs[id]; strs[0] is the null placeholder
+	plain []bool   // plain[id]: csvPlain(strs[id]), set once by intern; false for null
 }
 
 // NewDict returns an empty dictionary with the null id reserved.
@@ -44,6 +45,7 @@ func NewDict() *Dict {
 	return &Dict{
 		byStr: make(map[string]ValueID),
 		strs:  []string{""},
+		plain: []bool{false},
 	}
 }
 
@@ -73,8 +75,19 @@ func (d *Dict) intern(s string) (ValueID, string) {
 	}
 	id = ValueID(len(d.strs))
 	d.strs = append(d.strs, s)
+	d.plain = append(d.plain, csvPlain(s))
 	d.byStr[s] = id
 	return id, s
+}
+
+// plainFlags returns the csvPlain flag of every id assigned so far. The
+// entries are never written again, only appended to, so the caller may read
+// them without the lock while the dictionary grows.
+func (d *Dict) plainFlags() []bool {
+	d.mu.RLock()
+	p := d.plain
+	d.mu.RUnlock()
+	return p
 }
 
 // Intern returns the id of v: NullID for null, InternStr otherwise.
@@ -177,6 +190,7 @@ func (d *Dict) Clone() *Dict {
 	return &Dict{
 		byStr: maps.Clone(d.byStr),
 		strs:  append([]string(nil), d.strs...),
+		plain: append([]bool(nil), d.plain...),
 	}
 }
 

@@ -374,6 +374,21 @@ func TestReadWeightsCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadWeightsCSVRejectsNaN: NaN compares false with everything, so a
+// range check written as `w < 0 || w > 1` let it in — and a NaN weight makes
+// every cost NaN and every comparison between repairs false.
+func TestReadWeightsCSVRejectsNaN(t *testing.T) {
+	r := New(MustSchema("r", "a", "b"))
+	r.MustInsert(NewTuple(0, "x", "y"))
+	for _, c := range []string{"NaN,0.5", "0.5,nan", "NAN,1", "+Inf,0", "0,-Inf"} {
+		fresh := r.Clone()
+		err := ReadWeightsCSV(fresh, strings.NewReader("a,b\n"+c+"\n"))
+		if err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
+			t.Errorf("ReadWeightsCSV(%q): error %v, want a weight outside [0,1] (loaded W = %v)", c, err, fresh.Tuples()[0].W)
+		}
+	}
+}
+
 func TestTupleString(t *testing.T) {
 	tp := &Tuple{ID: 3, Vals: []Value{S("a"), NullValue}}
 	if got := tp.String(); got != "t3(a, ␀)" {

@@ -80,10 +80,10 @@ type Options struct {
 }
 
 func (o Options) withDefaults() (Options, error) {
-	if o.Eps <= 0 || o.Eps >= 1 {
+	if !(0 < o.Eps && o.Eps < 1) {
 		return o, fmt.Errorf("sampling: ε = %v outside (0,1)", o.Eps)
 	}
-	if o.Delta <= 0 || o.Delta >= 1 {
+	if !(0 < o.Delta && o.Delta < 1) {
 		return o, fmt.Errorf("sampling: δ = %v outside (0,1)", o.Delta)
 	}
 	if o.ExpectBad <= 0 {

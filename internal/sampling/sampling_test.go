@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -126,6 +127,8 @@ func TestEvaluateOptionValidation(t *testing.T) {
 	bad := []Options{
 		{Eps: 0, Delta: 0.9},
 		{Eps: 0.05, Delta: 0},
+		{Eps: math.NaN(), Delta: 0.9},
+		{Eps: 0.05, Delta: math.NaN()},
 		{Eps: 0.05, Delta: 0.9, Xi: []float64{1}},                                      // strata mismatch
 		{Eps: 0.05, Delta: 0.9, Xi: []float64{0.5, 0.3, 0.2}},                          // not ascending
 		{Eps: 0.05, Delta: 0.9, Xi: []float64{0.1, 0.2, 0.2}},                          // sum != 1

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -68,6 +69,16 @@ func TestWeightRange(t *testing.T) {
 	}
 	if info.Snapshot.Cost != 0 || info.Snapshot.Size != 2 {
 		t.Fatalf("after the refusals: cost %v, size %d; want 0 and 2", info.Snapshot.Cost, info.Snapshot.Size)
+	}
+}
+
+// TestDecodeTupleRejectsNaN: JSON cannot spell NaN, but decodeTuple's range
+// check is written so that it would fail one (and ±Inf) all the same.
+func TestDecodeTupleRejectsNaN(t *testing.T) {
+	for _, w := range [][]float64{{math.NaN(), 0.5}, {1, math.NaN()}, {math.Inf(1), 0}, {0, math.Inf(-1)}} {
+		if _, err := decodeTuple(WireTuple{Vals: []*string{nil, nil}, W: w}, 2); err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
+			t.Errorf("weights %v: error %v, want a weight outside [0,1]", w, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/base64"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,10 +13,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cfdclean/internal/cfd"
+	"cfdclean/internal/relation"
 )
 
 // Tests for the streaming read path: cursor-paginated violation
@@ -181,6 +184,127 @@ func TestDumpAbortsWhenTheClientGoesAway(t *testing.T) {
 	}
 	if n := s.reg.dumpRows.Load(); n != 0 {
 		t.Errorf("an aborted dump counted %d rows as dumped", n)
+	}
+}
+
+// stdlibCSV is the oracle for a dump: header and records through
+// encoding/csv's Writer.
+func stdlibCSV(t *testing.T, header []string, recs [][]string) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	cw := csv.NewWriter(&b)
+	cw.Write(header)
+	cw.WriteAll(recs)
+	if err := cw.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestDumpWhileInterning: the row codec reads the dictionary's quoting
+// flags through a snapshot taken as each dump starts, while the writer
+// keeps interning. One reader dumps pinned views in process, one streams
+// /dump, and the writer applies batches of new values — a quarter of them
+// needing quotes, a quarter null — so the flag slice grows and moves under
+// every snapshot. Each in-process dump must be encoding/csv's bytes over
+// its view's rows; each streamed one must be encoding/csv's bytes over the
+// records it parses to. (In CI's GOMAXPROCS=2 -race battery by its name.)
+func TestDumpWhileInterning(t *testing.T) {
+	s, ts := newTestService(t, Options{})
+	base := ts.URL
+	createTiny(t, base, "s")
+	h, err := s.Registry().Get("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		stop            = make(chan struct{})
+		readers         sync.WaitGroup
+		inProc, streamd atomic.Int64
+	)
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		for !stopped() {
+			v, err := h.sess.ReadView()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var recs [][]string
+			cur := v.Rows()
+			for tu := cur.Next(); tu != nil; tu = cur.Next() {
+				rec := make([]string, len(tu.Vals))
+				for i, val := range tu.Vals {
+					rec[i] = val.Str
+					if val.Null {
+						rec[i] = relation.NullLiteral
+					}
+				}
+				recs = append(recs, rec)
+			}
+			var got bytes.Buffer
+			err = v.WriteCSV(&got)
+			v.Release()
+			if want := stdlibCSV(t, v.Schema().Attrs(), recs); err != nil || !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("pinned dump of %d rows (error %v) differs from encoding/csv", len(recs), err)
+				return
+			}
+			inProc.Add(1)
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for !stopped() {
+			resp, body := do(t, "GET", base+"/v1/sessions/s/dump", nil)
+			recs, err := csv.NewReader(bytes.NewReader(body)).ReadAll()
+			if resp.StatusCode != http.StatusOK || err != nil || len(recs) == 0 {
+				t.Errorf("streamed dump: %d, %v", resp.StatusCode, err)
+				return
+			}
+			if want := stdlibCSV(t, recs[0], recs[1:]); !bytes.Equal(body, want) {
+				t.Errorf("streamed dump of %d rows differs from encoding/csv", len(recs)-1)
+				return
+			}
+			streamd.Add(1)
+		}
+	}()
+
+	const perBatch = 150
+	b := 0
+	for ; b < 300 && (b < 30 || inProc.Load() < 3 || streamd.Load() < 3); b++ {
+		var ar ApplyRequest
+		for i := 0; i < perBatch; i++ {
+			n := b*perBatch + i
+			var ct *string
+			switch n % 4 {
+			case 0:
+				ct = strp(fmt.Sprintf("a,\"b%d", n))
+			case 1:
+				ct = strp(fmt.Sprintf(" lead\n%d", n))
+			case 2:
+				ct = strp(fmt.Sprintf("ct%d", n))
+			}
+			ar.Inserts = append(ar.Inserts, WireTuple{Vals: []*string{strp(fmt.Sprintf("9%05d", n)), ct}})
+		}
+		if resp, body := do(t, "POST", base+"/v1/sessions/s/apply", ar); resp.StatusCode != http.StatusOK {
+			t.Errorf("apply: %d: %s", resp.StatusCode, body)
+			break
+		}
+	}
+	close(stop)
+	readers.Wait()
+	t.Logf("%d pinned and %d streamed dumps beside %d batches", inProc.Load(), streamd.Load(), b)
+	if !t.Failed() && (inProc.Load() < 3 || streamd.Load() < 3) {
+		t.Fatal("want at least 3 of each")
 	}
 }
 

@@ -399,9 +399,9 @@ func decodeTuple(wt WireTuple, arity int) (*relation.Tuple, error) {
 	}
 	// The cost model takes w(t,A) in [0,1] (§3.2): a negative weight makes
 	// a change cheaper than leaving the cell alone. NaN cannot arrive as
-	// JSON.
+	// JSON, but the check is written so that it fails NaN too.
 	for _, w := range wt.W {
-		if w < 0 || w > 1 {
+		if !(0 <= w && w <= 1) {
 			return nil, fmt.Errorf("weight %v outside [0,1]", w)
 		}
 	}

@@ -19,7 +19,7 @@ func NormalCDF(x float64) float64 {
 // Computed by bisection on the CDF — 80 iterations give ~1e-15 accuracy,
 // and the sampling module calls this a handful of times per run.
 func NormalQuantile(p float64) (float64, error) {
-	if p <= 0 || p >= 1 {
+	if !(0 < p && p < 1) {
 		return 0, fmt.Errorf("stats: quantile probability %v outside (0,1)", p)
 	}
 	lo, hi := -40.0, 40.0
@@ -38,7 +38,7 @@ func NormalQuantile(p float64) (float64, error) {
 // value with Φ(z_α) = 1 − α = δ. The one-sided test of §6 rejects the
 // null hypothesis ("the inaccuracy rate is above ε") when z ≤ −z_α.
 func CriticalValue(delta float64) (float64, error) {
-	if delta <= 0 || delta >= 1 {
+	if !(0 < delta && delta < 1) {
 		return 0, fmt.Errorf("stats: confidence level %v outside (0,1)", delta)
 	}
 	return NormalQuantile(delta)
@@ -52,10 +52,10 @@ func ZStatistic(pHat, eps float64, k int) (float64, error) {
 	if k <= 0 {
 		return 0, fmt.Errorf("stats: sample size %d must be positive", k)
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(0 < eps && eps < 1) {
 		return 0, fmt.Errorf("stats: bound ε = %v outside (0,1)", eps)
 	}
-	if pHat < 0 || pHat > 1 {
+	if !(0 <= pHat && pHat <= 1) {
 		return 0, fmt.Errorf("stats: p̂ = %v outside [0,1]", pHat)
 	}
 	return (pHat - eps) / math.Sqrt(eps*(1-eps)/float64(k)), nil
@@ -82,13 +82,13 @@ func AcceptRepair(pHat, eps, delta float64, k int) (accept bool, z, zAlpha float
 // the lower the inaccuracy rate, the larger the sample needed for
 // inaccurate tuples to show up at all.
 func ChernoffSampleSize(c float64, eps, delta float64) (int, error) {
-	if eps <= 0 || eps >= 1 {
+	if !(0 < eps && eps < 1) {
 		return 0, fmt.Errorf("stats: ε = %v outside (0,1)", eps)
 	}
-	if delta <= 0 || delta >= 1 {
+	if !(0 < delta && delta < 1) {
 		return 0, fmt.Errorf("stats: δ = %v outside (0,1)", delta)
 	}
-	if c <= 0 {
+	if !(c > 0) {
 		return 0, fmt.Errorf("stats: c = %v must be positive", c)
 	}
 	ln := math.Log(1 / (1 - delta))

@@ -162,6 +162,29 @@ func TestChernoffGuarantee(t *testing.T) {
 	}
 }
 
+// TestNaNRejected: every probability argument is range-checked so that NaN
+// fails the check (a check written `x < 0 || x > 1` passes it).
+func TestNaNRejected(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"NormalQuantile(p)", func() error { _, err := NormalQuantile(nan); return err }},
+		{"CriticalValue(δ)", func() error { _, err := CriticalValue(nan); return err }},
+		{"ZStatistic(p̂)", func() error { _, err := ZStatistic(nan, 0.05, 10); return err }},
+		{"ZStatistic(ε)", func() error { _, err := ZStatistic(0.05, nan, 10); return err }},
+		{"AcceptRepair(δ)", func() error { _, _, _, err := AcceptRepair(0, 0.05, nan, 10); return err }},
+		{"ChernoffSampleSize(c)", func() error { _, err := ChernoffSampleSize(nan, 0.05, 0.9); return err }},
+		{"ChernoffSampleSize(ε)", func() error { _, err := ChernoffSampleSize(5, nan, 0.9); return err }},
+		{"ChernoffSampleSize(δ)", func() error { _, err := ChernoffSampleSize(5, 0.05, nan); return err }},
+	} {
+		if err := c.call(); err == nil {
+			t.Errorf("%s = NaN accepted", c.name)
+		}
+	}
+}
+
 func TestReservoirBasics(t *testing.T) {
 	r := NewReservoir[int](3, nil)
 	for i := 0; i < 10; i++ {
