@@ -83,20 +83,7 @@ func (p *inProcess) apply(ar ApplyRequest) []byte {
 		p.t.Fatal(err)
 	}
 	p.seq++
-	resp := ApplyResponse{
-		Session:  p.name,
-		Seq:      p.seq,
-		Inserted: make([]WireTuple, 0, len(res.Inserted)),
-		Changed:  changedCells(res, h.attrs),
-		Deleted:  deleted,
-		Cost:     res.Cost,
-		Changes:  res.Changes,
-		Snapshot: encodeSnapshot(p.sess.Snapshot()),
-	}
-	for _, tt := range res.Inserted {
-		resp.Inserted = append(resp.Inserted, EncodeTuple(tt))
-	}
-	return mustJSON(p.t, resp)
+	return mustJSON(p.t, applyResponse(p.name, p.seq, res, deleted, p.sess.Snapshot(), h.attrs))
 }
 
 func (p *inProcess) dump() []byte {

@@ -149,13 +149,17 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, req *http.Request) {
 	p.header("cfdserved_dump_seconds_total", "Handler seconds spent in finished dumps.", "counter")
 	p.sample("cfdserved_dump_seconds_total", nil, formatValue(time.Duration(s.reg.dumpNanos.Load()).Seconds()))
 	// seconds/bodies is the decode share of the benchmark's
-	// server.codec_ms; stdlib/bodies is the share of traffic outside the
+	// server.codec_ms, and the encode seconds are the server's share of
+	// the rest; stdlib/bodies is the share of traffic outside the
 	// hand-written decoder's subset.
 	p.counter("cfdserved_apply_bodies_total", "Apply and ingest request bodies read.", s.reg.applyBodies.Load())
 	p.counter("cfdserved_apply_bodies_stdlib_total", "Apply and ingest bodies the hand-written decoder declined and encoding/json decoded.", s.reg.applyBodiesStdlib.Load())
 	p.counter("cfdserved_apply_body_bytes_total", "Bytes of apply and ingest request bodies read.", s.reg.applyBodyBytes.Load())
 	p.header("cfdserved_apply_decode_seconds_total", "Seconds spent decoding apply and ingest bodies, either decoder.", "counter")
 	p.sample("cfdserved_apply_decode_seconds_total", nil, formatValue(time.Duration(s.reg.applyDecodeNanos.Load()).Seconds()))
+	p.counter("cfdserved_apply_reply_bytes_total", "Bytes of successful apply replies written.", s.reg.applyReplyBytes.Load())
+	p.header("cfdserved_apply_encode_seconds_total", "Seconds spent building and writing successful apply replies.", "counter")
+	p.sample("cfdserved_apply_encode_seconds_total", nil, formatValue(time.Duration(s.reg.applyEncodeNanos.Load()).Seconds()))
 
 	// Service-wide histograms.
 	p.header("cfdserved_pass_duration_seconds", "Engine pass duration.", "histogram")

@@ -237,14 +237,26 @@ func TestPrometheusExposition(t *testing.T) {
 	const quoted = `q"uote` // legal name; breaks naive label rendering
 	createTiny(t, base, "alpha")
 	createTiny(t, base, quoted)
+	replyBytes := 0
 	for i := 0; i < 3; i++ {
-		applyOne(t, base, "alpha", "212", fmt.Sprintf("X%d", i))
+		resp, body := do(t, "POST", base+"/v1/sessions/alpha/apply", ApplyRequest{
+			Inserts: []WireTuple{{Vals: []*string{strp("212"), strp(fmt.Sprintf("X%d", i))}}},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("apply: %d: %s", resp.StatusCode, body)
+		}
+		if _, err := strconv.ParseUint(resp.Header.Get("X-Stage-Decode-Us"), 10, 64); err != nil {
+			t.Fatalf("X-Stage-Decode-Us: %v", err)
+		}
+		replyBytes += len(body)
 	}
 	// A fourth body, outside the hand-written decoder's subset (a key in
 	// upper case), and one no decoder accepts.
 	applyBytes := 3 * len(mustJSON(t, ApplyRequest{Inserts: []WireTuple{{Vals: []*string{strp("212"), strp("X0")}}}}))
 	for _, raw := range []string{`{"DELETES":[]}`, `{"deletes":[}`} {
-		postRaw(t, base+"/v1/sessions/alpha/apply", []byte(raw))
+		if status, reply := postRaw(t, base+"/v1/sessions/alpha/apply", []byte(raw)); status == http.StatusOK {
+			replyBytes += len(reply) // the empty batch is applied
+		}
 		applyBytes += len(raw)
 	}
 
@@ -311,6 +323,12 @@ func TestPrometheusExposition(t *testing.T) {
 	secs = doc.get(t, "cfdserved_apply_decode_seconds_total").value
 	if bodies != 5 || declined != 2 || size != float64(applyBytes) || secs <= 0 || doc.types["cfdserved_apply_decode_seconds_total"] != "counter" {
 		t.Fatalf("apply body counters: %g bodies, %g to the stdlib, %g bytes, %g s; want 5, 2, %d, > 0", bodies, declined, size, secs, applyBytes)
+	}
+	// The 200 replies, byte for byte; the 400 is not counted.
+	size = doc.get(t, "cfdserved_apply_reply_bytes_total").value
+	secs = doc.get(t, "cfdserved_apply_encode_seconds_total").value
+	if size != float64(replyBytes) || secs <= 0 || doc.types["cfdserved_apply_reply_bytes_total"] != "counter" || doc.types["cfdserved_apply_encode_seconds_total"] != "counter" {
+		t.Fatalf("apply reply counters: %g bytes, %g s; want %d, > 0", size, secs, replyBytes)
 	}
 	if doc.get(t, "cfdserved_uptime_seconds").value < 0 {
 		t.Fatal("uptime must be non-negative")

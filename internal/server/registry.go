@@ -117,6 +117,10 @@ type Registry struct {
 	applyBodiesStdlib atomic.Uint64
 	applyBodyBytes    atomic.Uint64
 	applyDecodeNanos  atomic.Uint64
+	// The other direction: bytes of the 200 replies /apply wrote, and the
+	// time spent building and encoding them.
+	applyReplyBytes  atomic.Uint64
+	applyEncodeNanos atomic.Uint64
 
 	// Operational instruments (see OpsMetrics).
 	passLat  *metrics.Histogram // engine pass duration, seconds

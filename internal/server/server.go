@@ -446,7 +446,8 @@ func (s *Server) handleApply(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var ar ApplyRequest
-	if !s.decodeApplyBody(w, req, &ar) {
+	decode, ok := s.decodeApplyBody(w, req, &ar)
+	if !ok {
 		return
 	}
 	deletes, sets, inserts, err := h.decodeApply(ar)
@@ -464,25 +465,17 @@ func (s *Server) handleApply(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	// Per-stage timings ride as headers, never in the body: the body must
-	// stay byte-identical to the equivalent in-process call.
+	// stay byte-identical to the equivalent in-process call. The reply's
+	// own encode is still to come, so it is counted in /metrics instead.
 	hdr := w.Header()
+	hdr.Set("X-Stage-Decode-Us", strconv.FormatInt(decode.Microseconds(), 10))
 	hdr.Set("X-Stage-Queue-Us", strconv.FormatInt(rep.wait.Microseconds(), 10))
 	hdr.Set("X-Stage-Engine-Us", strconv.FormatInt(rep.engine.Microseconds(), 10))
 	hdr.Set("X-Stage-Persist-Us", strconv.FormatInt(rep.persist.Microseconds(), 10))
-	resp := ApplyResponse{
-		Session:  name,
-		Seq:      rep.seq,
-		Inserted: make([]WireTuple, 0, len(rep.res.Inserted)),
-		Changed:  changedCells(rep.res, h.attrs),
-		Deleted:  rep.deleted,
-		Cost:     rep.res.Cost,
-		Changes:  rep.res.Changes,
-		Snapshot: encodeSnapshot(rep.snap),
-	}
-	for _, t := range rep.res.Inserted {
-		resp.Inserted = append(resp.Inserted, EncodeTuple(t))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	start := time.Now()
+	n := writeJSON(w, http.StatusOK, applyResponse(name, rep.seq, rep.res, rep.deleted, rep.snap, h.attrs))
+	s.reg.applyReplyBytes.Add(uint64(n))
+	s.reg.applyEncodeNanos.Add(uint64(time.Since(start)))
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
@@ -493,7 +486,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var ar ApplyRequest
-	if !s.decodeApplyBody(w, req, &ar) {
+	if _, ok := s.decodeApplyBody(w, req, &ar); !ok {
 		return
 	}
 	if len(ar.Deletes) > 0 || len(ar.Sets) > 0 {
@@ -613,10 +606,11 @@ func (s *Server) handleViolations(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// countWriter counts a streaming dump's bytes. Nothing flushes the
-// response on the way: the row codec writes 64 KiB blocks, which net/http's
-// few-KiB buffers pass straight to the socket, so a client sees steady
-// progress without being pushed.
+// countWriter counts the bytes of a response body: a streaming dump or a
+// JSON reply. Nothing flushes the response on the way: the row codec
+// writes 64 KiB blocks, which net/http's few-KiB buffers pass straight to
+// the socket, so a dump's client sees steady progress without being
+// pushed.
 type countWriter struct {
 	w io.Writer
 	n int
@@ -768,8 +762,9 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // limit, into a pooled buffer sized from Content-Length, and decodes it:
 // by the hand-written decoder when that is certain of every byte, by
 // decodeJSON on the same bytes when it declines. Both decoders copy what
-// they keep, so the buffer goes back to the pool.
-func (s *Server) decodeApplyBody(w http.ResponseWriter, req *http.Request, ar *ApplyRequest) bool {
+// they keep, so the buffer goes back to the pool. It reports how long the
+// decode took, and whether the body was good (if not, it has answered).
+func (s *Server) decodeApplyBody(w http.ResponseWriter, req *http.Request, ar *ApplyRequest) (time.Duration, bool) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer func() {
 		if buf.Cap() <= maxPooledBody {
@@ -786,7 +781,7 @@ func (s *Server) decodeApplyBody(w http.ResponseWriter, req *http.Request, ar *A
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, req.Body, s.opts.MaxBodyBytes)); err != nil {
 		writeBodyError(w, err)
-		return false
+		return 0, false
 	}
 	start := time.Now()
 	var err error
@@ -794,21 +789,25 @@ func (s *Server) decodeApplyBody(w http.ResponseWriter, req *http.Request, ar *A
 		s.reg.applyBodiesStdlib.Add(1)
 		err = decodeJSON(bytes.NewReader(buf.Bytes()), ar)
 	}
+	decode := time.Since(start)
 	s.reg.applyBodies.Add(1)
 	s.reg.applyBodyBytes.Add(uint64(buf.Len()))
-	s.reg.applyDecodeNanos.Add(uint64(time.Since(start)))
+	s.reg.applyDecodeNanos.Add(uint64(decode))
 	if err != nil {
 		writeBodyError(w, err)
-		return false
+		return 0, false
 	}
-	return true
+	return decode, true
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON answers with v as one JSON document and reports the body
+// bytes written.
+func writeJSON(w http.ResponseWriter, status int, v any) int {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	cw := &countWriter{w: w}
+	_ = json.NewEncoder(cw).Encode(v)
+	return cw.n
 }
 
 func writeStatus(w http.ResponseWriter, status int, msg string) {

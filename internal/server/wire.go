@@ -20,7 +20,9 @@ import (
 // WireTuple is one tuple on the wire. ID must be omitted (zero) on
 // insert requests — the session assigns ids in arrival order, and a
 // client-supplied id is rejected with 400 — and is always present on
-// responses. W carries optional per-attribute confidence weights.
+// responses. W carries optional per-attribute confidence weights, the
+// paper's w(t, A) (§3.2). It is request-only: a repair changes values,
+// never weights, so replies leave it nil and the "w" key is omitted.
 type WireTuple struct {
 	ID   int64     `json:"id,omitempty"`
 	Vals []*string `json:"vals"`
@@ -138,9 +140,11 @@ type ApplyRequest struct {
 }
 
 // ApplyResponse reports one synchronously applied batch. Seq is the
-// session's engine-pass sequence number; Inserted holds the repaired
-// tuples under their assigned ids, and Changed lists the cells the
-// repair modified relative to the arriving values.
+// session's engine-pass sequence number; Inserted holds each repaired
+// tuple's assigned id and stored values (never its weights, which the
+// client sent and the repair kept), and Changed lists the cells the
+// repair modified relative to the arriving values. applyResponse is the
+// one place it is built.
 type ApplyResponse struct {
 	Session  string       `json:"session"`
 	Seq      uint64       `json:"seq"`
@@ -376,18 +380,24 @@ func decodeValue(p *string) relation.Value {
 	return relation.S(*p)
 }
 
-// EncodeTuple converts a tuple to its wire form (used by the handlers,
-// the benchmark harness and the equivalence tests; inverse of
-// decodeTuple up to id assignment).
+// EncodeTuple converts a tuple, weights included, to its request form
+// (used by clients — the benchmark harness, examples/service and the
+// tests — to build insert batches; inverse of decodeTuple up to id
+// assignment). Replies do not use it: applyResponse sends no weights.
 func EncodeTuple(t *relation.Tuple) WireTuple {
-	wt := WireTuple{ID: int64(t.ID), Vals: make([]*string, len(t.Vals))}
-	for i, v := range t.Vals {
-		wt.Vals[i] = encodeValue(v)
-	}
+	wt := WireTuple{ID: int64(t.ID), Vals: encodeVals(t.Vals)}
 	if t.W != nil {
 		wt.W = append([]float64(nil), t.W...)
 	}
 	return wt
+}
+
+func encodeVals(vals []relation.Value) []*string {
+	out := make([]*string, len(vals))
+	for i, v := range vals {
+		out[i] = encodeValue(v)
+	}
+	return out
 }
 
 func decodeTuple(wt WireTuple, arity int) (*relation.Tuple, error) {
@@ -446,6 +456,26 @@ func changedCells(res *increpair.Result, attrs []string) []WireChange {
 		}
 	}
 	return out
+}
+
+// applyResponse builds the reply to one applied batch; handleApply sends
+// it, and the equivalence battery builds its expected bytes with it. Each
+// inserted tuple goes out as its id and stored values, W left nil.
+func applyResponse(name string, seq uint64, res *increpair.Result, deleted int, snap increpair.Snapshot, attrs []string) ApplyResponse {
+	resp := ApplyResponse{
+		Session:  name,
+		Seq:      seq,
+		Inserted: make([]WireTuple, len(res.Inserted)),
+		Changed:  changedCells(res, attrs),
+		Deleted:  deleted,
+		Cost:     res.Cost,
+		Changes:  res.Changes,
+		Snapshot: encodeSnapshot(snap),
+	}
+	for i, t := range res.Inserted {
+		resp.Inserted[i] = WireTuple{ID: int64(t.ID), Vals: encodeVals(t.Vals)}
+	}
+	return resp
 }
 
 func encodeViolations(vs []cfd.Violation) []WireViolation {
