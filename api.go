@@ -187,16 +187,13 @@ const (
 // BatchRepair computes a repair of d satisfying sigma (BATCHREPAIR, §4).
 // d is not modified. opts may be nil.
 //
-// Execution is component-parallel: the violation graph's connected
-// components (tuples sharing no violation) are each repaired against a
-// pristine view of the database, largest first, and the resolved fixes
-// are merged in canonical component order. BatchOptions.Workers is an
-// upper bound on the engines that do so (0 means all cores, 1 forces the
-// sequential path): one is always built, and a further one — its own
-// clone, violation store, equivalence-class and cost state — only when
-// the components beside the largest warrant its set-up;
-// BatchResult.Engines reports the count. The repaired output is
-// byte-identical at every setting.
+// The greedy loop runs on the calling goroutine, once per connected
+// component of the violation graph (tuples sharing no violation), in
+// canonical order; each component's repairs are written into the one
+// working copy and seen by the components after it. BatchOptions.Workers
+// bounds only the parallelism of the initial violation scan (0 means all
+// cores, 1 the sequential scan); the repaired output is identical at
+// every setting.
 func BatchRepair(d *Relation, sigma []*NormalCFD, opts *BatchOptions) (*BatchResult, error) {
 	return repair.Batch(d, sigma, opts)
 }

@@ -31,7 +31,7 @@ func main() {
 	ordering := flag.String("ordering", "vio", "inc mode tuple order: linear, vio, or weight")
 	k := flag.Int("k", 2, "inc mode attribute-subset size")
 	limit := flag.Int("limit", 20, "max violations to print with -detect (0 = all)")
-	workers := flag.Int("workers", 0, "detection/repair parallelism, an upper bound on the engines of component-parallel batch repair (0 = all cores, 1 = sequential; output identical at every setting)")
+	workers := flag.Int("workers", 0, "parallelism of the whole-database violation scan that detection and both repair modes start with (0 = all cores, 1 = sequential; output identical at every setting)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "cfdclean: unexpected argument %q\n", flag.Arg(0))
@@ -145,16 +145,14 @@ func report(rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, limit, workers 
 func repairWith(rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, mode, ordering string, k, workers int) (*cfdclean.Relation, int, float64, error) {
 	switch mode {
 	case "batch":
-		// -workers bounds the component-parallel schedule: violation-
-		// graph components are repaired on as many engines as their
-		// sizes warrant, and the output is byte-identical at every
-		// worker count.
+		// -workers bounds the violation store's initial scan; the
+		// greedy loop runs on one goroutine, one component at a time.
 		res, err := cfdclean.BatchRepair(rel, sigma, &cfdclean.BatchOptions{Workers: workers})
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		fmt.Fprintf(os.Stderr, "batch: components %d (largest %d tuples), engines %d, resolutions %d\n",
-			res.Components, res.LargestComponent, res.Engines, res.Resolutions)
+		fmt.Fprintf(os.Stderr, "batch: components %d (largest %d tuples), resolutions %d\n",
+			res.Components, res.LargestComponent, res.Resolutions)
 		return res.Repair, res.Changes, res.Cost, nil
 	case "inc":
 		var ord cfdclean.Ordering

@@ -21,7 +21,7 @@
 //	                      satisfiability, detection)
 //	§3.2  cost model      internal/cost (weighted DL/ED distances, dif)
 //	§4    BATCHREPAIR     internal/repair + internal/eqclass (cost-guided
-//	                      equivalence classes, component-parallel engine)
+//	                      equivalence classes, one component at a time)
 //	§5    INCREPAIR       internal/increpair (TUPLERESOLVE, the three
 //	                      orderings, the similarity search over the
 //	                      active domains, streaming Session)
@@ -72,11 +72,11 @@
 //	        │                             Version counter)
 //	        │ subscribe                     │
 //	        ▼                               ▼
-//	  VioStore: per-group violation lists, vio(t), vio(D),
-//	            violation-graph components — all delta-maintained
+//	  VioStore: per-group violation lists, vio(t), vio(D) —
+//	            all delta-maintained
 //	        │
-//	        ├── BatchRepair (§4): components repaired largest
-//	        │   first, merged in canonical order
+//	        ├── BatchRepair (§4): violation-graph components
+//	        │   repaired in place, one after another
 //	        ├── IncRepair / Repair (§5): TUPLERESOLVE per arriving
 //	        │   tuple against maintained state
 //	        └── Session: the same engine kept alive across ΔD batches
@@ -165,15 +165,12 @@
 //
 // # Concurrency contracts
 //
-// Parallelism appears at three independent layers, each with the same
+// Parallelism appears at two independent layers, each with the same
 // rule — concurrency changes wall-clock time, never output:
 //
 //   - Detection shards index buckets across workers and merges in the
-//     canonical (tuple, rule, partner) order.
-//   - BatchRepair repairs violation-graph components largest first, on
-//     one engine or — when the components beside the largest warrant the
-//     set-up — on several, each over its own clone, and merges fixes in
-//     canonical component order.
+//     canonical (tuple, rule, partner) order. Both repair engines start
+//     with such a scan and then run on the calling goroutine.
 //   - A Session is single-writer, many-reader: mutations serialize on
 //     an internal lock while snapshot reads are lock-free against
 //     atomically published state stamped with the journal's NextID

@@ -1,6 +1,7 @@
 package cfd
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -539,12 +540,115 @@ func TestParseErrors(t *testing.T) {
 		"cfd : [a] -> [b]\n(_ || _)\n",       // empty name
 		"cfd x: [a, ] -> [b]\n(_, _ || _)\n", // empty attribute
 		"cfd x: [a] -> [b]\n(_ || )\n",       // empty cell
+		"cfd x: [a] -> [b]\n(a\rb || _)\n",   // carriage return inside a line
 	}
 	for _, c := range cases {
 		if _, err := Parse(s, strings.NewReader(c)); err == nil {
 			t.Errorf("Parse(%q) should fail", c)
 		}
 	}
+}
+
+// TestFormatParseSeparatorAndLineBreaks holds Format and Parse to each
+// other where the row syntax is tight: a constant holding `||` on either
+// side reads back as written, a row that parses at its first `||` keeps
+// that reading, and a constant or name holding a line break is refused by
+// Format instead of written as text Parse would misread.
+func TestFormatParseSeparatorAndLineBreaks(t *testing.T) {
+	s := relation.MustSchema("r", "a", "b")
+	for _, tc := range []struct {
+		name    string
+		cfdName string
+		lhs     string
+		rhs     string
+		wantErr bool
+	}{
+		{"or-in-lhs", "x", "a||b", "c", false},
+		{"or-in-rhs", "x", "c", "a||b", false},
+		{"or-on-both-sides", "x", "p||q", "r||s", false},
+		{"newline-constant", "x", "a\nb", "c", true},
+		{"carriage-return-constant", "x", "c", "a\rb", true},
+		{"newline-name", "x\ny", "a", "c", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			φ, err := New(tc.cfdName, s, []string{"a"}, []string{"b"}, []Cell{C(tc.lhs), C(tc.rhs)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf strings.Builder
+			err = Format(&buf, []*CFD{φ})
+			if tc.wantErr {
+				if err == nil || buf.Len() != 0 {
+					t.Fatalf("Format = %v, wrote %q; want an error and nothing written", err, buf.String())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := Parse(s, strings.NewReader(buf.String()))
+			if err != nil {
+				t.Fatalf("Parse(%q): %v", buf.String(), err)
+			}
+			if got, want := normalForm(again), normalForm([]*CFD{φ}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round trip through %q: got %v, want %v", buf.String(), got, want)
+			}
+		})
+	}
+
+	// Rows that parse at their first `||` are read as before, even where
+	// a `||` outside quotes comes later.
+	cfds, err := Parse(s, strings.NewReader("cfd r: [a] -> [b]\n('x'y' || 'a''||'b')\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := cfds[0].Tableau[0]; row[0].Const != "x'y" || row[1].Const != "a''||'b" {
+		t.Fatalf("row read as %q || %q", row[0].Const, row[1].Const)
+	}
+}
+
+// FuzzParseCFDs: whatever Parse accepts, Format writes, and Parse reads
+// the written text back to the same normal-form Σ.
+func FuzzParseCFDs(f *testing.F) {
+	s := relation.MustSchema("r", "a", "b", "c")
+	for _, seed := range []string{
+		"cfd x: [a] -> [b]\n(_ || _)\n",
+		"# comment\ncfd q: [a, b] -> [c]\n('New York, NY', _ || '_')\n(1, 2 || 3)\n",
+		"cfd p: [a] -> [b, c]\n('a||b' || c, 'd||e')\n",
+		"cfd r: [a] -> [b]\n('x'y' || 'a''||'b')\n",
+		"cfd s:: [c] -> [a]\r\n(' (x) ' || 'it''s')\r\n",
+		"cfd t:[a, b] -> [c]\n( a|, |b || _ )\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		cfds, err := Parse(s, strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var buf strings.Builder
+		if err := Format(&buf, cfds); err != nil {
+			t.Fatalf("Format refused what Parse accepted: %v", err)
+		}
+		again, err := Parse(s, strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatalf("Parse of the formatted text\n%s: %v", buf.String(), err)
+		}
+		if got, want := normalForm(again), normalForm(cfds); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip through\n%s\nchanged Σ:\ngot  %v\nwant %v", buf.String(), got, want)
+		}
+	})
+}
+
+// normalForm is Σ's normal form without the pointers to schema and source.
+func normalForm(cfds []*CFD) []Normal {
+	var out []Normal
+	for _, n := range NormalizeAll(cfds) {
+		m := *n
+		m.Schema, m.Source = nil, nil
+		out = append(out, m)
+	}
+	return out
 }
 
 func TestAttrsOf(t *testing.T) {

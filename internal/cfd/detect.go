@@ -107,9 +107,9 @@ type Detector struct {
 
 // Compiled is Σ compiled against a dictionary: the embedded-FD groups with
 // their pattern rows keyed by interned constants, and the canonical rule
-// order. It is immutable, so any number of detectors — one per worker
-// engine of a component-parallel repair — share one compilation instead
-// of re-deriving it from hundreds of pattern rows each.
+// order. It is immutable, so any number of detectors over relations
+// sharing the dictionary can share one compilation instead of re-deriving
+// it from hundreds of pattern rows each.
 type Compiled struct {
 	sigma []*Normal
 	plans []*groupPlan

@@ -20,9 +20,10 @@ import (
 //
 // Each `cfd` header starts a constraint; the following parenthesized rows
 // are its pattern tableau, with LHS cells before `||` and RHS cells after.
-// `_` is the wildcard; constants containing commas, parens, `_` or spaces
-// can be single-quoted ('New York'). A standard FD is a CFD whose tableau
-// is the single all-wildcard row.
+// `_` is the wildcard; constants containing commas, parens, `_`, `||` or
+// spaces can be single-quoted ('New York'). A standard FD is a CFD whose
+// tableau is the single all-wildcard row. Lines end at "\n" or "\r\n"; a
+// carriage return anywhere else is refused.
 func Parse(s *relation.Schema, r io.Reader) ([]*CFD, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -52,6 +53,8 @@ func Parse(s *relation.Schema, r io.Reader) ([]*CFD, error) {
 			continue
 		}
 		switch {
+		case strings.ContainsRune(text, '\r'):
+			return nil, fmt.Errorf("cfd: line %d: carriage return inside a line", line)
 		case strings.HasPrefix(text, "cfd "):
 			if err := flush(); err != nil {
 				return nil, err
@@ -142,21 +145,39 @@ func parseAttrList(s string, line int) ([]string, error) {
 	return out, nil
 }
 
-// parseRow parses `(c1, c2 || c3)` into cells.
+// parseRow parses `(c1, c2 || c3)` into cells. The row is split at its
+// first `||`; a row that does not parse so is split at the first `||`
+// outside single quotes instead, which lets an LHS constant hold `||`
+// ('a||b') without changing what any row that parses at its first `||`
+// means.
 func parseRow(text string, line, nl, nr int) ([]Cell, error) {
 	if !strings.HasSuffix(text, ")") {
 		return nil, fmt.Errorf("cfd: line %d: pattern row must end with ')'", line)
 	}
 	inner := text[1 : len(text)-1]
-	sides := strings.SplitN(inner, "||", 2)
-	if len(sides) != 2 {
+	at := strings.Index(inner, "||")
+	if at < 0 {
 		return nil, fmt.Errorf("cfd: line %d: pattern row missing '||' separator", line)
 	}
-	l, err := parseCells(sides[0], line)
+	cells, err := splitRow(inner, at, line, nl, nr)
+	if err != nil {
+		if q := unquotedSeparator(inner); q > at {
+			if cells, qerr := splitRow(inner, q, line, nl, nr); qerr == nil {
+				return cells, nil
+			}
+		}
+	}
+	return cells, err
+}
+
+// splitRow parses the two sides of a row's inner text split at the `||`
+// at index at.
+func splitRow(inner string, at, line, nl, nr int) ([]Cell, error) {
+	l, err := parseCells(inner[:at], line)
 	if err != nil {
 		return nil, err
 	}
-	r, err := parseCells(sides[1], line)
+	r, err := parseCells(inner[at+2:], line)
 	if err != nil {
 		return nil, err
 	}
@@ -164,6 +185,21 @@ func parseRow(text string, line, nl, nr int) ([]Cell, error) {
 		return nil, fmt.Errorf("cfd: line %d: pattern row has %d||%d cells, want %d||%d", line, len(l), len(r), nl, nr)
 	}
 	return append(l, r...), nil
+}
+
+// unquotedSeparator returns the index of the first `||` of s outside
+// single quotes, or -1.
+func unquotedSeparator(s string) int {
+	quoted := false
+	for i := 0; i < len(s); i++ {
+		switch {
+		case s[i] == '\'':
+			quoted = !quoted
+		case !quoted && strings.HasPrefix(s[i:], "||"):
+			return i
+		}
+	}
+	return -1
 }
 
 func parseCells(s string, line int) ([]Cell, error) {
@@ -207,8 +243,23 @@ func splitQuoted(s string) []string {
 	return out
 }
 
-// Format renders CFDs in the syntax accepted by Parse.
+// Format renders CFDs in the syntax accepted by Parse. The syntax is one
+// line per header or row, so a name or constant holding a line break
+// ("\n" or "\r") cannot be written, and Format returns an error for it
+// before writing anything.
 func Format(w io.Writer, cfds []*CFD) error {
+	for _, φ := range cfds {
+		if strings.ContainsAny(φ.Name, "\r\n") {
+			return fmt.Errorf("cfd: %q: a name holding a line break cannot be formatted", φ.Name)
+		}
+		for _, row := range φ.Tableau {
+			for _, c := range row {
+				if strings.ContainsAny(c.Const, "\r\n") {
+					return fmt.Errorf("cfd: %s: the constant %q holds a line break and cannot be formatted", φ.Name, c.Const)
+				}
+			}
+		}
+	}
 	bw := bufio.NewWriter(w)
 	for _, φ := range cfds {
 		l := make([]string, len(φ.LHS))

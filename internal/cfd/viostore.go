@@ -40,68 +40,12 @@ type VioStore struct {
 	// state[i] holds the maintained violation lists of d.groups[i].
 	state []groupVioState
 
-	// comp is the maintained violation-graph connectivity (see
-	// Components): a union-find over violating tuples, grown in O(α) per
-	// violation entering the store and rebuilt lazily after removals.
-	comp compState
-
 	// rescans counts the bucket rescans deltas asked for; rescansSkipped
 	// those the bucket's tally answered without walking its members.
 	rescans, rescansSkipped int
 
 	sc          *scanScratch
 	unsubscribe func()
-}
-
-// compState is the union-find behind Components. Violations entering the
-// store union their endpoints immediately; violations leaving the store
-// can split a component, which a union-find cannot express, so removals
-// only mark the structure stale and the next Components call rebuilds it
-// from the maintained violation lists in O(vio(D)·α). In the insert-only
-// regime of a streaming session the structure therefore stays exact
-// without ever being rebuilt.
-type compState struct {
-	parent map[relation.TupleID]relation.TupleID
-	stale  bool
-}
-
-func (c *compState) add(v Violation) {
-	if c.parent == nil {
-		c.parent = make(map[relation.TupleID]relation.TupleID)
-	}
-	c.node(v.T)
-	if v.With != 0 {
-		c.union(v.T, v.With)
-	}
-}
-
-func (c *compState) node(id relation.TupleID) {
-	if _, ok := c.parent[id]; !ok {
-		c.parent[id] = id
-	}
-}
-
-func (c *compState) find(id relation.TupleID) relation.TupleID {
-	for c.parent[id] != id {
-		c.parent[id] = c.parent[c.parent[id]] // path halving
-		id = c.parent[id]
-	}
-	return id
-}
-
-// union merges the components of a and b; the smaller root id wins, which
-// keeps the representative choice independent of union order.
-func (c *compState) union(a, b relation.TupleID) {
-	c.node(a)
-	c.node(b)
-	ra, rb := c.find(a), c.find(b)
-	if ra == rb {
-		return
-	}
-	if rb < ra {
-		ra, rb = rb, ra
-	}
-	c.parent[rb] = ra
 }
 
 // groupVioState is the maintained violation set of one embedded-FD group.
@@ -273,24 +217,8 @@ func (s *VioStore) account(gi int, vios []Violation, sign int) {
 			s.vio[v.T] = n
 		}
 	}
-	if sign > 0 {
-		for _, v := range vios {
-			s.comp.add(v)
-		}
-	} else if len(vios) > 0 {
-		// Removed violations can split a component; rebuild lazily.
-		s.comp.stale = true
-	}
 	s.state[gi].total += sign * len(vios)
 	s.total += sign * len(vios)
-	if s.total == 0 && s.comp.parent != nil {
-		// The violation graph is empty: drop the union-find outright.
-		// Long-lived streaming sessions drain violations to zero after
-		// every batch, so without this reset comp.parent would grow with
-		// every tuple that ever violated — unbounded memory for a
-		// structure Components can rebuild from the (now empty) lists.
-		s.comp = compState{}
-	}
 }
 
 // Close detaches the store from the relation's mutation journal. The
@@ -526,21 +454,31 @@ func (s *VioStore) Satisfied() bool { return s.total == 0 }
 // components are ordered by their smallest member, so the result is a
 // canonical, deterministic partition of the currently violating tuples.
 //
-// Two tuples in different components share no violation, so repairing
-// them is independent: this is the decomposition the component-parallel
-// repair engine schedules across workers. The underlying union-find is
-// maintained incrementally as violations enter the store; removals mark
-// it stale and the next call rebuilds it from the maintained lists in
-// O(vio(D)). The result slice is freshly allocated on every call.
+// Two tuples in different components share no violation: BATCHREPAIR
+// runs its greedy loop one component at a time. Each call builds a
+// union-find over the maintained violation lists, in O(vio(D)·α); the
+// store keeps no connectivity state between calls.
 func (s *VioStore) Components() [][]relation.TupleID {
-	if s.comp.stale {
-		s.comp.parent = nil
-		s.comp.stale = false
-		s.EachViolation(func(_ int, v Violation) { s.comp.add(v) })
+	parent := make(map[relation.TupleID]relation.TupleID, len(s.vio))
+	find := func(id relation.TupleID) relation.TupleID {
+		if _, ok := parent[id]; !ok {
+			parent[id] = id
+		}
+		for parent[id] != id {
+			parent[id] = parent[parent[id]] // path halving
+			id = parent[id]
+		}
+		return id
 	}
+	s.EachViolation(func(_ int, v Violation) {
+		if v.With != 0 {
+			a, b := find(v.T), find(v.With)
+			parent[max(a, b)] = min(a, b)
+		}
+	})
 	byRoot := make(map[relation.TupleID][]relation.TupleID)
 	for id := range s.vio {
-		root := s.comp.find(id)
+		root := find(id)
 		byRoot[root] = append(byRoot[root], id)
 	}
 	out := make([][]relation.TupleID, 0, len(byRoot))

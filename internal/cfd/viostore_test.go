@@ -49,8 +49,8 @@ func checkStoreEquivalence(t *testing.T, tag string, s *VioStore, rel *relation.
 	if sum != s.TotalViolations() {
 		t.Fatalf("%s: group totals sum %d != total %d", tag, sum, s.TotalViolations())
 	}
-	// The maintained violation-graph components must equal the partition
-	// a scratch union-find derives from the fresh violation list.
+	// The store's violation-graph components must equal the partition a
+	// scratch union-find derives from the fresh violation list.
 	if got, want := s.Components(), referenceComponents(wantVios); !reflect.DeepEqual(got, want) {
 		if len(got) != 0 || len(want) != 0 {
 			t.Fatalf("%s: components diverged:\ngot:  %v\nwant: %v", tag, got, want)
@@ -388,11 +388,9 @@ func TestVioStoreApplyUndoProbe(t *testing.T) {
 	checkStoreEquivalence(t, "after undo", s, rel, sigma)
 }
 
-// TestVioStoreComponentStateDrains pins the streaming-session memory
-// bound: when the violation total drains back to zero the union-find
-// behind Components is dropped outright, instead of accumulating an
-// entry for every tuple that ever violated. Re-entering violations must
-// rebuild it correctly from scratch.
+// TestVioStoreComponentStateDrains checks Components through a drain to
+// zero violations and a re-entry: a drained store has no components, and
+// violations entering again give the canonical partition.
 func TestVioStoreComponentStateDrains(t *testing.T) {
 	rel := paperData(t)
 	sigma := paperSigma(rel.Schema())
@@ -401,13 +399,8 @@ func TestVioStoreComponentStateDrains(t *testing.T) {
 	if s.Satisfied() {
 		t.Fatal("paper data should start dirty")
 	}
-	if s.comp.parent == nil {
-		t.Fatal("violations present but no union-find state")
-	}
 
-	// Drain to zero by deleting every violating tuple; each tuple that
-	// ever violated would be a permanent comp.parent entry without the
-	// reset.
+	// Drain to zero by deleting every violating tuple.
 	for !s.Satisfied() {
 		var victim relation.TupleID
 		for id := range s.VioAll() {
@@ -416,16 +409,11 @@ func TestVioStoreComponentStateDrains(t *testing.T) {
 		}
 		rel.Delete(victim)
 	}
-	if s.comp.parent != nil || s.comp.stale {
-		t.Fatalf("drained store kept union-find state: %d entries, stale=%v",
-			len(s.comp.parent), s.comp.stale)
-	}
 	if got := s.Components(); len(got) != 0 {
 		t.Fatalf("drained store has %d components", len(got))
 	}
 
-	// Violations re-entering rebuild the structure from scratch and
-	// Components stays canonical.
+	// Violations re-entering give canonical components again.
 	if _, err := rel.InsertRow("a23", "H. Porter", "17.99", "215", "8983490", "Walnut", "CHI", "IL", "19014"); err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +421,7 @@ func TestVioStoreComponentStateDrains(t *testing.T) {
 		t.Fatal("inserted tuple should violate")
 	}
 	if got, want := s.Components(), referenceComponents(s.Detect()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("components after rebuild = %v, want %v", got, want)
+		t.Fatalf("components after re-entry = %v, want %v", got, want)
 	}
 }
 

@@ -94,11 +94,10 @@ func NewSized(dict *relation.Dict, n int) *Classes {
 }
 
 // Reset empties the manager for reuse, keeping its dictionary and the
-// allocated capacity of the node table and key index. The component-
-// parallel repair engine runs one equivalence-class universe per
-// violation-graph component; Reset is what lets a worker reuse one
-// Classes (its per-worker scratch state) across the components it is
-// assigned instead of reallocating per component.
+// allocated capacity of the node table and key index. BATCHREPAIR runs
+// one equivalence-class universe per violation-graph component; Reset is
+// what lets it reuse one Classes across the components instead of
+// reallocating per component.
 func (c *Classes) Reset() {
 	c.nodes = c.nodes[:0]
 	clear(c.index)

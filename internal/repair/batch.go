@@ -21,62 +21,43 @@ import (
 // instantiated with least-cost constants, which may surface new
 // violations and re-enter the loop (Theorem 4.2 guarantees termination).
 //
-// Execution is component-parallel (see parallel.go): the loop runs per
-// connected component of the violation graph, largest first, on the
-// engine built here and on as many further engines — at most
-// Options.Workers in all — as the component sizes warrant, and the
-// resolved fixes are merged in canonical component order. A residual
-// sequential pass resolves anything the merged fixes surface across
-// component boundaries, so the result satisfies sigma unconditionally
-// and is byte-identical at every worker count.
+// The loop runs once per connected component of the input's violation
+// graph (cfd.VioStore.Components: tuples sharing no violation), in
+// canonical order, on one engine and one working copy: a component's
+// repairs stay in place, so the next component sees them. The components
+// bound PICKNEXT's per-step scan to one component's dirty tuples; the
+// equivalence classes are reset between them.
 func Batch(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, error) {
 	o := opts.withDefaults()
 	if _, err := cfd.Satisfiable(sigma); err != nil {
 		return nil, fmt.Errorf("repair: %w", err)
 	}
-	// Σ is compiled once, against the working copy's dictionary; every
-	// engine of the run works on a clone of that copy and shares the
-	// compilation.
 	work := d.Clone()
-	prog := cfd.Compile(work.Dict(), sigma)
-	e := newEngine(work, d, prog, nil, o)
+	store := cfd.Compile(work.Dict(), sigma).NewVioStore(work, o.Workers)
 	// Detach the store before handing the repaired relation to the
 	// caller, so their later mutations don't pay maintenance.
-	defer e.store.Close()
+	defer store.Close()
+	comps := store.Components()
+	res := &Result{Components: len(comps)}
+	for _, comp := range comps {
+		res.LargestComponent = max(res.LargestComponent, len(comp))
+	}
+	// Each violating tuple is seeded into the dirty sets of the groups it
+	// violates under in the input.
+	seeds := make(map[relation.TupleID][]int)
+	store.EachViolation(func(gi int, v cfd.Violation) {
+		seeds[v.T] = appendUnique(seeds[v.T], gi)
+	})
+	e := newEngine(store, d, res.LargestComponent, o)
 	// Safety bound from the termination argument of Theorem 4.2: the
 	// progress measure is bounded by 3k for k = (tuple, attribute) pairs.
-	maxSteps := 3*e.rel.Size()*e.rel.Schema().Arity() + 1024
-	res := &Result{Engines: 1}
-	if comps := e.store.Components(); len(comps) > 0 {
-		fixes, st, sched, err := e.runComponents(comps, maxSteps)
-		if err != nil {
-			return nil, err
-		}
-		res.Components, res.LargestComponent, res.Engines = len(comps), sched.largest, sched.engines
-		// Merge in canonical component order: components by smallest
-		// member, cells by (tuple, attribute) within each. Conflicting
-		// writes from cross-component cascades resolve to the later
-		// component, deterministically.
-		for _, fl := range fixes {
-			for _, f := range fl {
-				if t := e.rel.Tuple(f.id); t != nil {
-					e.setStored(t, f.a, f.v)
-				}
+	limit := 3*e.rel.Size()*e.rel.Schema().Arity() + 1024
+	for _, comp := range comps {
+		for _, id := range comp {
+			for _, gi := range seeds[id] {
+				e.dirty[gi][id] = true
 			}
 		}
-		res.Resolutions = st.resolutions
-		res.InstantiationRounds = st.rounds
-	}
-	// Residual pass (sequential, deterministic): the merged component
-	// fixes satisfy sigma except when components cascaded into shared
-	// clean tuples; whatever the store still reports is re-run through
-	// the same loop, seeded from the maintained state.
-	if !e.store.Satisfied() {
-		e.store.EachViolation(func(gi int, v cfd.Violation) {
-			e.dirty[gi][v.T] = true
-		})
-		before := e.resolutions
-		limit := e.resolutions + maxSteps
 		for {
 			if err := e.mainLoop(limit); err != nil {
 				return nil, err
@@ -86,8 +67,12 @@ func Batch(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, e
 				break
 			}
 		}
-		res.Resolutions += e.resolutions - before
+		e.classes.Reset()
 	}
+	if !store.Satisfied() {
+		return nil, fmt.Errorf("repair: internal: %d violations left after the last component", store.TotalViolations())
+	}
+	res.Resolutions = e.resolutions
 	repaired := e.rel
 	c, err := o.CostModel.Repair(repaired, d)
 	if err != nil {
@@ -132,9 +117,8 @@ func (e *engine) mainLoop(limit int) error {
 //
 // Dirty tuples are visited in ascending id order — never in Go map
 // order — so the violations scanned under the MaxScan cap, and the
-// winner of cost ties, are fixed properties of the engine state. This is
-// what lets the component-parallel schedule promise byte-identical
-// output at every worker count.
+// winner of cost ties, are fixed properties of the engine state, and a
+// repair is a function of its input.
 func (e *engine) pickNext() (plan, bool) {
 	var best plan
 	bestOK := false

@@ -8,7 +8,6 @@ package repair
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 
 	"cfdclean/internal/cfd"
@@ -33,16 +32,10 @@ type Options struct {
 	// groups (then groups are visited in input order). Exposed for the
 	// ablation benchmarks.
 	NoDepGraph bool
-	// Workers is an upper bound on the engines a component-parallel
-	// BATCHREPAIR may run: the violation graph's connected components
-	// (tuples sharing no violation edge, per cfd.VioStore.Components) are
-	// each repaired against a pristine view of the database and the
-	// resolved fixes are merged in canonical component order. An engine
-	// beyond the first is built only when the components warrant one
-	// (see enginesFor); Result.Engines reports how many were. 0 means
-	// runtime.GOMAXPROCS(0); 1 forces the sequential path. The repaired
-	// output is byte-identical at every setting — determinism is by
-	// construction, not by luck of scheduling.
+	// Workers bounds the parallelism of the violation store's initial
+	// scan of D; the repair loop runs on the caller's goroutine. 0 means
+	// runtime.GOMAXPROCS(0); 1 forces the sequential scan. The result is
+	// identical at every setting.
 	Workers int
 	// Trace, when non-nil, receives a line per executed resolution step;
 	// for debugging and the verbose CLI mode.
@@ -63,9 +56,6 @@ func (o *Options) withDefaults() Options {
 	if out.MaxScan < 0 {
 		out.MaxScan = 0 // explicit "no cap"
 	}
-	if out.Workers <= 0 {
-		out.Workers = runtime.GOMAXPROCS(0)
-	}
 	return out
 }
 
@@ -78,39 +68,35 @@ type Result struct {
 	// Changes counts modified attribute values, dif(D, Repr).
 	Changes int
 	// Resolutions counts CFD-RESOLVE invocations (algorithm iterations),
-	// summed across the violation-graph components (plus the residual
-	// pass); identical at every worker count.
+	// summed across the violation-graph components.
 	Resolutions int
 	// InstantiationRounds counts how many times the instantiation phase
 	// (Fig. 4 lines 9–13) ran, summed the same way.
 	InstantiationRounds int
 	// Components is the number of connected components of the input's
-	// violation graph and LargestComponent the tuple count of the biggest;
-	// both are properties of the input, identical at every worker count.
+	// violation graph and LargestComponent the tuple count of the biggest.
 	Components       int
 	LargestComponent int
-	// Engines is the number of engines the run built: 1, plus those the
-	// component sizes warranted within Options.Workers.
-	Engines int
 }
 
-// engine is the mutable state of one BATCHREPAIR run. Under the
-// component-parallel schedule each worker owns one engine over its own
-// clone of the database, so every map below — equivalence classes, dirty
-// sets, cost memo, support indices — is per-worker scratch state, never
-// shared across goroutines. What is shared, read-only, is what Σ alone
-// determines: the compiled detector program and the sigmaPlan.
+// engine is the mutable state of one BATCHREPAIR run: one working copy,
+// its violation store, and the equivalence classes, dirty sets, cost memo
+// and support indices of the greedy loop.
 type engine struct {
-	rel  *relation.Relation // working copy; stored values track targets
-	orig *relation.Relation // input database (for cost accounting)
-	prog *cfd.Compiled
-	*sigmaPlan
-	store   *cfd.VioStore // delta-maintained violation state over the working copy
-	det     *cfd.Detector // the store's mask/index machinery
+	rel     *relation.Relation // working copy; stored values track targets
+	orig    *relation.Relation // input database (for cost accounting)
+	store   *cfd.VioStore      // delta-maintained violation state over the working copy
+	det     *cfd.Detector      // the store's mask/index machinery
 	groups  []cfd.Group
-	scorer  *cost.Scratch // this engine's distance memo over the cost model
+	scorer  *cost.Scratch // the run's distance memo over the cost model
 	classes *eqclass.Classes
 	opts    Options
+
+	order []int // group indices in repair order (dependency graph)
+	comp  []int // comp[i] = dependency stratum of groups[i]
+	// touching[a] lists the group indices whose X ∪ {A} contains
+	// attribute a.
+	touching [][]int
 
 	// dirty[i] is the union of Dirty_Tuples(φ) over the rules φ in
 	// groups[i]: tuples possibly violating some rule of the group.
@@ -122,17 +108,6 @@ type engine struct {
 	// setStored to maintain.
 	support [][]*relation.HashIndex
 	indexes []*relation.HashIndex
-
-	// seedGroups maps each violating tuple to the groups it violates
-	// under; built once from the store to seed per-component dirty sets.
-	seedGroups map[relation.TupleID][]int
-
-	// recording, writes: while a component repair runs, every setStored
-	// is journaled (first write per cell keeps the pristine value) so the
-	// component's net fixes can be collected and the working copy rolled
-	// back to its pristine state for the next component.
-	recording bool
-	writes    []cellWrite
 
 	// Reusable buffers: pickNext's sorted dirty ids; propagationCost's
 	// partner list; FINDV's trial tuple, context value ids and ranked
@@ -146,92 +121,50 @@ type engine struct {
 	resolutions int
 }
 
-// sigmaPlan is what BATCHREPAIR derives from Σ alone: computed once per
-// Batch and shared by every engine of the run.
-type sigmaPlan struct {
-	order []int // group indices in repair order (dependency graph)
-	comp  []int // comp[i] = dependency stratum of groups[i]
-
-	// touching[a] lists the group indices whose X ∪ {A} contains
-	// attribute a.
-	touching [][]int
-}
-
-func newSigmaPlan(groups []cfd.Group, arity int, noDepGraph bool) *sigmaPlan {
-	p := &sigmaPlan{
-		order:    make([]int, len(groups)),
-		comp:     make([]int, len(groups)),
+// newEngine builds an engine over the store's relation, a private copy of
+// orig. The one violation store serves the whole run: it has scanned once
+// and maintains itself under every write the engine performs, via the
+// relation's mutation journal — no per-round detector rebuilds. The
+// equivalence-class universe is pre-sized for components of up to largest
+// tuples (a component's classes range over its tuples' attributes), capped
+// so a pathological input cannot drive a huge empty allocation.
+func newEngine(store *cfd.VioStore, orig *relation.Relation, largest int, opts Options) *engine {
+	work, det := store.Relation(), store.Detector()
+	arity := work.Schema().Arity()
+	e := &engine{
+		rel:      work,
+		orig:     orig,
+		store:    store,
+		det:      det,
+		groups:   det.Groups(),
+		scorer:   opts.CostModel.Scratch(),
+		classes:  eqclass.NewSized(work.Dict(), min(largest*arity, 1<<16)),
+		opts:     opts,
 		touching: make([][]int, arity),
 	}
-	reps := make([]*cfd.Normal, len(groups))
-	for i, g := range groups {
+	n := len(e.groups)
+	e.order, e.comp = make([]int, n), make([]int, n)
+	e.dirty = make([]map[relation.TupleID]bool, n)
+	e.support = make([][]*relation.HashIndex, n)
+	reps := make([]*cfd.Normal, n)
+	for i, g := range e.groups {
+		e.order[i] = i // NoDepGraph: input order, one flat stratum (comps all 0)
 		reps[i] = g.Rep()
 		for _, a := range g.X() {
-			p.touching[a] = appendUnique(p.touching[a], i)
+			e.touching[a] = appendUnique(e.touching[a], i)
 		}
-		p.touching[g.A()] = appendUnique(p.touching[g.A()], i)
-	}
-	if noDepGraph {
-		for i := range p.order {
-			p.order[i] = i // all comps stay 0: one flat stratum
-		}
-		return p
-	}
-	g := cfd.NewDepGraph(reps)
-	p.order = g.Order()
-	for i := range groups {
-		p.comp[i] = g.Comp(i)
-	}
-	return p
-}
-
-// cellWrite is one journaled setStored: the cell and the value it held
-// before the write.
-type cellWrite struct {
-	id  relation.TupleID
-	a   int
-	old relation.Value
-}
-
-// newEngine builds an engine over work, a private copy of orig whose
-// dictionary prog was compiled against (or a later clone of that one).
-// One violation store serves the whole run: it scans once here and then
-// maintains itself under every write the engine performs, via the
-// relation's mutation journal — no per-round detector rebuilds. plan is
-// nil for the first engine of a run, which derives it.
-func newEngine(work, orig *relation.Relation, prog *cfd.Compiled, plan *sigmaPlan, opts Options) *engine {
-	store := prog.NewVioStore(work, opts.Workers)
-	det := store.Detector()
-	e := &engine{
-		rel:       work,
-		orig:      orig,
-		prog:      prog,
-		sigmaPlan: plan,
-		store:     store,
-		det:       det,
-		groups:    det.Groups(),
-		scorer:    opts.CostModel.Scratch(),
-		classes:   eqclass.New(work.Dict()),
-		opts:      opts,
-	}
-	arity := work.Schema().Arity()
-	if e.sigmaPlan == nil {
-		e.sigmaPlan = newSigmaPlan(e.groups, arity, opts.NoDepGraph)
-	}
-	e.dirty = make([]map[relation.TupleID]bool, len(e.groups))
-	e.support = make([][]*relation.HashIndex, len(e.groups))
-	for i := range e.groups {
+		e.touching[g.A()] = appendUnique(e.touching[g.A()], i)
 		e.dirty[i] = make(map[relation.TupleID]bool)
 		e.support[i] = make([]*relation.HashIndex, arity)
 	}
+	if !opts.NoDepGraph {
+		g := cfd.NewDepGraph(reps)
+		e.order = g.Order()
+		for i := range e.comp {
+			e.comp[i] = g.Comp(i)
+		}
+	}
 	return e
-}
-
-// sizeClasses pre-sizes the equivalence-class universe for components of
-// up to n tuples: a component's classes range over its tuples' attributes.
-// Capped so a pathological input cannot drive a huge empty allocation.
-func (e *engine) sizeClasses(n int) {
-	e.classes = eqclass.NewSized(e.dict(), min(n*e.rel.Schema().Arity(), 1<<16))
 }
 
 func appendUnique(xs []int, v int) []int {
@@ -258,9 +191,6 @@ func (e *engine) setStored(t *relation.Tuple, a int, v relation.Value) {
 	}
 	if relation.StrictEq(old, v) {
 		return
-	}
-	if e.recording {
-		e.writes = append(e.writes, cellWrite{id: t.ID, a: a, old: old})
 	}
 	if e.opts.Trace != nil {
 		e.opts.Trace("write    t%d.%s %q -> %q", t.ID, e.rel.Schema().Attr(a), old, v)
