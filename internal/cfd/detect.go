@@ -122,40 +122,65 @@ type Compiled struct {
 	groupOf map[*Normal]int
 }
 
+// rowShape is what the rows of one shape (sameShape) have in common: the
+// group they are filed under, the order that sorts their X, the positions
+// of their constants in that order, and the mask bucket those name.
+type rowShape struct {
+	n    *Normal // the shape's first row
+	rows int     // how many rows of sigma have the shape
+	gi   int
+	perm []int
+	pos  []int
+	mb   *maskBucket
+}
+
 // Compile groups sigma by embedded FD and interns its pattern constants
 // into dict. This is the only step of detection that interns; scans and
 // probes never do.
+//
+// Normalize lists a CFD's rows attribute by attribute (A1, A2, …, A1, A2,
+// …), so rows of one shape — X in its given order, A, and the wildcard
+// positions — seldom sit side by side, yet a Σ has few shapes (§7.1's
+// 1 275 rows have 18). Compile works a shape out once: the first pass
+// files each row under its shape, the second builds each shape's group,
+// LHS plan and mask bucket in order of first appearance — the order in
+// which a row-by-row pass would create them — and the third fills the rows
+// in sigma order, interning in that order, so every plan, chain and
+// dictionary id is the one a row-by-row pass gives.
 func Compile(dict *relation.Dict, sigma []*Normal) *Compiled {
 	c := &Compiled{
 		sigma:   sigma,
 		rank:    make(map[*Normal]int, len(sigma)),
 		groupOf: make(map[*Normal]int, len(sigma)),
 	}
-	byKey := make(map[string]int)
-	// Tableau rows arrive in runs: the rows of one CFD share X, A and
-	// often the positions of their constants. Everything but the row
-	// itself is worked out once per run.
-	for i := 0; i < len(sigma); {
-		n := sigma[i]
-		j := i + 1
-		for j < len(sigma) && sameShape(n, sigma[j]) {
-			j++
-		}
-		// Canonical group key: sorted X positions plus A.
-		perm := sortedPerm(n.X)
-		x := make([]int, len(n.X))
-		var pos []int // constant positions, in the group's x-order
-		for k, p := range perm {
-			x[k] = n.X[p]
-			if !n.TpX[p].Wildcard {
-				pos = append(pos, k)
+	var shapes []rowShape
+	shapeOf := make([]int, len(sigma))
+	for i, n := range sigma {
+		s := len(shapes) - 1
+		if s < 0 || !sameShape(shapes[s].n, n) {
+			s = slices.IndexFunc(shapes, func(sh rowShape) bool { return sameShape(sh.n, n) })
+			if s < 0 {
+				s = len(shapes)
+				shapes = append(shapes, rowShape{n: n})
 			}
 		}
-		key := groupKey(x, n.A)
-		gi, ok := byKey[key]
-		if !ok {
-			gi = len(c.plans)
-			byKey[key] = gi
+		shapes[s].rows++
+		shapeOf[i] = s
+	}
+	for s := range shapes {
+		sh := &shapes[s]
+		n := sh.n
+		sh.perm = sortedPerm(n.X)
+		x := make([]int, len(n.X))
+		for k, p := range sh.perm {
+			x[k] = n.X[p]
+			if !n.TpX[p].Wildcard {
+				sh.pos = append(sh.pos, k) // in the group's x-order
+			}
+		}
+		sh.gi = slices.IndexFunc(c.plans, func(g *groupPlan) bool { return g.a == n.A && slices.Equal(g.x, x) })
+		if sh.gi < 0 {
+			sh.gi = len(c.plans)
 			li := slices.IndexFunc(c.lhs, func(lx *lhsPlan) bool { return slices.Equal(lx.x, x) })
 			if li < 0 {
 				li = len(c.lhs)
@@ -164,30 +189,33 @@ func Compile(dict *relation.Dict, sigma []*Normal) *Compiled {
 			lx := c.lhs[li]
 			c.plans = append(c.plans, &groupPlan{x: lx.x, a: n.A, schema: n.Schema, lhs: li, slot: len(lx.as)})
 			lx.as = append(lx.as, n.A)
-			lx.groups = append(lx.groups, gi)
+			lx.groups = append(lx.groups, sh.gi)
 		}
-		g := c.plans[gi]
-		mb := c.lhs[g.lhs].mask(pos, j-i)
-		if !slices.Contains(g.masks, mb) {
-			g.masks = append(g.masks, mb)
+		g := c.plans[sh.gi]
+		sh.mb = c.lhs[g.lhs].mask(sh.pos, sh.rows)
+		if !slices.Contains(g.masks, sh.mb) {
+			g.masks = append(g.masks, sh.mb)
 		}
-		for ; i < j; i++ {
-			n := sigma[i]
-			c.rank[n] = i
-			c.groupOf[n] = gi
-			row := &groupRow{n: n, slot: g.slot, tpa: n.TpA, cons: n.ConstantRHS()}
-			if row.cons {
-				row.tpaID = dict.InternStr(n.TpA.Const)
-			} else {
-				g.hasVar = true
-			}
-			var buf [8]relation.ValueID
-			ids := buf[:0]
-			for _, k := range pos {
-				ids = append(ids, dict.InternStr(n.TpX[perm[k]].Const))
-			}
-			mb.add(relation.KeyOfIDs(ids), row)
+	}
+	slab := make([]groupRow, len(sigma))
+	for i, n := range sigma {
+		sh := &shapes[shapeOf[i]]
+		g := c.plans[sh.gi]
+		c.rank[n] = i
+		c.groupOf[n] = sh.gi
+		row := &slab[i]
+		*row = groupRow{n: n, slot: g.slot, tpa: n.TpA, cons: n.ConstantRHS()}
+		if row.cons {
+			row.tpaID = dict.InternStr(n.TpA.Const)
+		} else {
+			g.hasVar = true
 		}
+		var buf [8]relation.ValueID
+		ids := buf[:0]
+		for _, k := range sh.pos {
+			ids = append(ids, dict.InternStr(n.TpX[sh.perm[k]].Const))
+		}
+		sh.mb.add(relation.KeyOfIDs(ids), row)
 	}
 	return c
 }
@@ -207,7 +235,8 @@ func sameShape(a, b *Normal) bool {
 }
 
 // mask returns lx's bucket for rows with constants at pos, creating it —
-// sized for the n rows about to be added — when it is the first such row.
+// sized for the n rows of the shape asking — when it is the first such
+// shape.
 func (lx *lhsPlan) mask(pos []int, n int) *maskBucket {
 	for _, mb := range lx.masks {
 		if slices.Equal(mb.pos, pos) {
@@ -291,20 +320,6 @@ func sortedPerm(xs []int) []int {
 	}
 	sort.Slice(perm, func(i, j int) bool { return xs[perm[i]] < xs[perm[j]] })
 	return perm
-}
-
-func groupKey(x []int, a int) string {
-	b := make([]byte, 0, 4*(len(x)+1))
-	for _, p := range x {
-		b = appendInt(b, p)
-	}
-	b = append(b, '>')
-	b = appendInt(b, a)
-	return string(b)
-}
-
-func appendInt(b []byte, v int) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), ',')
 }
 
 // matchRows returns the pattern rows in masks whose tp[X] is matched by the

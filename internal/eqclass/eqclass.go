@@ -166,6 +166,18 @@ func (c *Classes) Size(k Key) int {
 	return c.nodes[r].size
 }
 
+// Peek is Size without registering k: a key that no operation has named
+// yet is alone in its class, so it gives 1. Registration is visible (Keys,
+// NumClasses, the order Roots visits classes in), so a read that must not
+// leave a trace — a cache check — asks Peek.
+func (c *Classes) Peek(k Key) int {
+	i, ok := c.index[k]
+	if !ok {
+		return 1
+	}
+	return c.nodes[c.find(i)].size
+}
+
 // SameClass reports whether k1 and k2 are in one class. It registers
 // neither key: one that no operation has named yet is alone in its class.
 func (c *Classes) SameClass(k1, k2 Key) bool {

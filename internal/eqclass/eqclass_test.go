@@ -129,6 +129,27 @@ func TestMembers(t *testing.T) {
 	}
 }
 
+// TestPeek: Peek answers Size for every key and registers none — an
+// unnamed key is a singleton, and asking leaves Keys and NumClasses as
+// they were.
+func TestPeek(t *testing.T) {
+	c := New(nil)
+	if got := c.Peek(k(9, 0)); got != 1 {
+		t.Errorf("Peek of an unnamed key = %d, want 1", got)
+	}
+	c.Merge(k(1, 0), k(2, 0))
+	c.Merge(k(2, 0), k(3, 0))
+	for _, key := range []Key{k(1, 0), k(2, 0), k(3, 0), k(4, 0)} {
+		if got, want := c.Peek(key), c.Size(key); got != want {
+			t.Errorf("Peek(%v) = %d, Size = %d", key, got, want)
+		}
+	}
+	c.Peek(k(5, 0))
+	if n := len(c.Keys()); n != 4 || c.NumClasses() != 2 {
+		t.Errorf("after Peek: %d keys, %d classes; want 4 keys (Size registered t4), 2 classes", n, c.NumClasses())
+	}
+}
+
 // TestTerminationMeasures verifies the invariants behind Theorem 4.2:
 // merging reduces N (class count) and never reduces H (assigned count);
 // target upgrades increase H.

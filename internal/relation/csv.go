@@ -11,8 +11,11 @@ import (
 // ordinary data rarely spells it. WriteCSV quotes fields per RFC 4180
 // (encoding/csv's rule), so commas, quotes, line breaks and leading blanks
 // survive WriteCSV → ReadCSV; two values do not: a non-null value equal to
-// `\N` reads back as null, and "\r\n" inside a value reads back as "\n"
-// (encoding/csv's Reader drops the carriage return).
+// `\N` reads back as null, and "\r\n" inside a value (or an attribute name)
+// reads back as "\n" (encoding/csv's Reader drops the carriage return). Nor
+// does one row: in a relation of one attribute, a row holding the empty
+// string is written as an empty line (as encoding/csv writes it), and the
+// Reader skips it.
 const NullLiteral = `\N`
 
 // ReadCSV loads a relation from CSV. The first record is the header and
@@ -95,7 +98,9 @@ func WriteWeightsCSV(rel *Relation, w io.Writer) error {
 }
 
 // ReadWeightsCSV attaches weights from a CSV produced by WriteWeightsCSV
-// to the tuples of rel, in order. The header must match the schema.
+// to the tuples of rel, in order. The header must match the schema. The
+// whole file is read and checked before any weight is set: on error, rel's
+// weights are as they were.
 func ReadWeightsCSV(rel *Relation, r io.Reader) error {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -110,14 +115,15 @@ func ReadWeightsCSV(rel *Relation, r io.Reader) error {
 			return fmt.Errorf("relation: weights header %q at position %d, want %q", h, i, rel.Schema().Attr(i))
 		}
 	}
-	tuples := rel.Tuples()
+	tuples, arity := rel.Tuples(), rel.Schema().Arity()
+	ws := make([]float64, 0, len(tuples)*arity)
 	for i := 0; ; i++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			if i != len(tuples) {
 				return fmt.Errorf("relation: weights CSV has %d rows, relation has %d tuples", i, len(tuples))
 			}
-			return nil
+			break
 		}
 		if err != nil {
 			return fmt.Errorf("relation: reading weights row %d: %w", i+2, err)
@@ -125,8 +131,8 @@ func ReadWeightsCSV(rel *Relation, r io.Reader) error {
 		if i >= len(tuples) {
 			return fmt.Errorf("relation: weights CSV has more rows than the relation's %d tuples", len(tuples))
 		}
-		if len(rec) != rel.Schema().Arity() {
-			return fmt.Errorf("relation: weights row %d has %d fields, want %d", i+2, len(rec), rel.Schema().Arity())
+		if len(rec) != arity {
+			return fmt.Errorf("relation: weights row %d has %d fields, want %d", i+2, len(rec), arity)
 		}
 		for a, f := range rec {
 			w, err := strconv.ParseFloat(f, 64)
@@ -136,7 +142,13 @@ func ReadWeightsCSV(rel *Relation, r io.Reader) error {
 			if !(0 <= w && w <= 1) { // written so that NaN fails it too
 				return fmt.Errorf("relation: weights row %d field %d: weight %v outside [0,1]", i+2, a, w)
 			}
-			tuples[i].SetWeight(a, w)
+			ws = append(ws, w)
 		}
 	}
+	for i, t := range tuples {
+		for a, w := range ws[i*arity : (i+1)*arity] {
+			t.SetWeight(a, w)
+		}
+	}
+	return nil
 }

@@ -215,6 +215,90 @@ func TestCSVRoundTripAwkwardValues(t *testing.T) {
 	}
 }
 
+// FuzzReadCSV: whatever ReadCSV accepts, WriteCSV writes and ReadCSV reads
+// back to the same header and the same rows, but for the losses
+// NullLiteral's comment names: "\r\n" inside a name or a value reads back
+// as "\n" (a value read from "\r\r\n" holds one), and a one-attribute row
+// holding the empty string reads back as no row. (A value spelled `\N`
+// reads as null the first time.)
+func FuzzReadCSV(f *testing.F) {
+	f.Add([]byte("a,b\n1,2\n3,4\n"))
+	f.Add([]byte("a\n\"\"\nx\n"))
+	f.Add([]byte("k,\"the, header\"\n\\N,\"line\nbreak\"\n\"x\ry\",\" lead\"\n"))
+	f.Add([]byte("a,b\r\n\"q\"\"uote\",\\.\r\n"))
+	f.Add([]byte("\"\r\r\n\",\"\n\"\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := ReadCSV("r", bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		readBack := func(s string) string { return strings.ReplaceAll(s, "\r\n", "\n") }
+		attrs := r.Schema().Attrs()
+		for i, a := range attrs {
+			attrs[i] = readBack(a)
+		}
+		back, err := ReadCSV("r", bytes.NewReader(dumpLive(t, r)))
+		if _, serr := NewSchema("r", attrs...); serr != nil {
+			if err == nil {
+				t.Fatalf("header %q reads back as %q, which NewSchema refuses (%v), yet ReadCSV accepted it", r.Schema().Attrs(), attrs, serr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("ReadCSV refuses what WriteCSV wrote: %v", err)
+		}
+		if got := back.Schema().Attrs(); !slices.Equal(got, attrs) {
+			t.Fatalf("header read back as %q, want %q", got, attrs)
+		}
+		var want [][]Value
+		for _, tu := range r.Tuples() {
+			if len(tu.Vals) == 1 && tu.Vals[0] == S("") {
+				continue
+			}
+			vals := slices.Clone(tu.Vals)
+			for a := range vals {
+				vals[a].Str = readBack(vals[a].Str)
+			}
+			want = append(want, vals)
+		}
+		got := back.Tuples()
+		if len(got) != len(want) {
+			t.Fatalf("%d rows read back, want %d", len(got), len(want))
+		}
+		for i, tu := range got {
+			if !StrictEqVals(tu.Vals, want[i]) {
+				t.Fatalf("row %d read back as %q, want %q", i, tu.Vals, want[i])
+			}
+		}
+	})
+}
+
+// FuzzReadWeightsCSV: every weight ReadWeightsCSV accepts is in [0, 1],
+// and a file it refuses leaves every weight as it was.
+func FuzzReadWeightsCSV(f *testing.F) {
+	f.Add([]byte("a,b\n0.5,0.5\n0.5,7\n"))
+	f.Add([]byte("a,b\n1,0\n0.25,1e-3\n"))
+	f.Add([]byte("a,b\nNaN,1\n1,1\n"))
+	f.Add([]byte("a,b\n1,1\n1,\"1\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := weightsFixture()
+		before := weightsOf(r)
+		if err := ReadWeightsCSV(r, bytes.NewReader(data)); err != nil {
+			if got := weightsOf(r); !slices.EqualFunc(got, before, slices.Equal) {
+				t.Fatalf("refused (%v) but weights moved from %v to %v", err, before, got)
+			}
+			return
+		}
+		for _, tu := range r.Tuples() {
+			for a := range tu.Vals {
+				if w := tu.Weight(a); !(0 <= w && w <= 1) {
+					t.Fatalf("t%d accepted weight %v for attribute %d", tu.ID, w, a)
+				}
+			}
+		}
+	})
+}
+
 // failAfter fails its n-th Write and counts the calls it sees.
 type failAfter struct {
 	n, calls int

@@ -3,6 +3,7 @@ package relation
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -356,20 +357,48 @@ func TestWeightsCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// weightsOf copies the weight vector of every tuple of r (nil where a tuple
+// carries none).
+func weightsOf(r *Relation) [][]float64 {
+	var out [][]float64
+	for _, tu := range r.Tuples() {
+		out = append(out, slices.Clone(tu.W))
+	}
+	return out
+}
+
+// weightsFixture is two tuples over (a, b), the first without weights and
+// the second weighing b at 0.25.
+func weightsFixture() *Relation {
+	r := New(MustSchema("r", "a", "b"))
+	r.MustInsert(NewTuple(0, "x", "y"))
+	r.MustInsert(NewTuple(0, "z", "w"))
+	r.Tuples()[1].SetWeight(1, 0.25)
+	return r
+}
+
+// TestReadWeightsCSVErrors: every malformed weights file is refused, and
+// refused whole — no weight of it is set, whichever row or field is bad.
 func TestReadWeightsCSVErrors(t *testing.T) {
-	r := New(MustSchema("r", "a"))
-	r.MustInsert(NewTuple(0, "x"))
+	r := weightsFixture()
 	cases := []string{
-		"b\n1\n",      // wrong header name
-		"a\n",         // too few rows
-		"a\n1\n0.5\n", // too many rows
-		"a\nnope\n",   // unparsable weight
-		"a\n1.5\n",    // out of range
+		"b,a\n1,1\n1,1\n",           // wrong header name
+		"a,b\n1,1\n",                // too few rows
+		"a,b\n1,1\n1,1\n0.5,0.5\n",  // too many rows
+		"a,b\n1,nope\n1,1\n",        // unparsable weight
+		"a,b\n1.5,1\n1,1\n",         // out of range
+		"a,b\n0.5,0.5\n0.5,7\n",     // the last field is out of range
+		"a,b\n0.5,0.5\n0.5\n",       // the last row is short
+		"a,b\n0.5,0.5\n0.5,\"0.5\n", // the last row does not parse as CSV
 	}
 	for _, c := range cases {
 		fresh := r.Clone()
+		want := weightsOf(fresh)
 		if err := ReadWeightsCSV(fresh, strings.NewReader(c)); err == nil {
 			t.Errorf("ReadWeightsCSV(%q) should fail", c)
+		}
+		if got := weightsOf(fresh); !reflect.DeepEqual(got, want) {
+			t.Errorf("ReadWeightsCSV(%q) failed but left weights %v, want %v", c, got, want)
 		}
 	}
 }

@@ -67,7 +67,7 @@ func Batch(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, e
 				break
 			}
 		}
-		e.classes.Reset()
+		e.resetClasses()
 	}
 	if !store.Satisfied() {
 		return nil, fmt.Errorf("repair: internal: %d violations left after the last component", store.TotalViolations())

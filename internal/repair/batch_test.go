@@ -448,7 +448,8 @@ func TestBatchReportsComponents(t *testing.T) {
 
 // TestFindVAllocates pins FINDV's allocation budget: on an engine that has
 // planned the violation once — support index built, probe and buffers
-// grown, distances memoized — a call allocates nothing.
+// grown, distances memoized, the answer kept — neither computing the
+// answer again nor taking the kept one allocates.
 func TestFindVAllocates(t *testing.T) {
 	ds, err := gen.New(gen.Config{Size: 500, NoiseRate: 0.05, ConstShare: 0.5, PatternRows: 600, Weights: true, Seed: 14})
 	if err != nil {
@@ -466,8 +467,12 @@ func TestFindVAllocates(t *testing.T) {
 				continue
 			}
 			calls++
+			ix := e.supportIndex(gi, b)
+			if n := testing.AllocsPerRun(10, func() { e.findVUncached(ix, tp, b) }); n != 0 {
+				t.Errorf("findVUncached(group %d, t%d, attr %d) allocates %v times per call", gi, tp.ID, b, n)
+			}
 			if n := testing.AllocsPerRun(10, func() { e.findV(gi, tp, b) }); n != 0 {
-				t.Errorf("findV(group %d, t%d, attr %d) allocates %v times per call", gi, tp.ID, b, n)
+				t.Errorf("findV(group %d, t%d, attr %d), answered from the memo, allocates %v times per call", gi, tp.ID, b, n)
 			}
 		}
 	})

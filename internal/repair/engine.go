@@ -109,6 +109,9 @@ type engine struct {
 	support [][]*relation.HashIndex
 	indexes []*relation.HashIndex
 
+	// found keeps FINDV's answers (see findV); cleared with the classes.
+	found map[foundKey]foundV
+
 	// Reusable buffers: pickNext's sorted dirty ids; propagationCost's
 	// partner list; FINDV's trial tuple, context value ids and ranked
 	// candidates.
@@ -141,6 +144,7 @@ func newEngine(store *cfd.VioStore, orig *relation.Relation, largest int, opts O
 		classes:  eqclass.NewSized(work.Dict(), min(largest*arity, 1<<16)),
 		opts:     opts,
 		touching: make([][]int, arity),
+		found:    make(map[foundKey]foundV),
 	}
 	n := len(e.groups)
 	e.order, e.comp = make([]int, n), make([]int, n)
@@ -174,6 +178,14 @@ func appendUnique(xs []int, v int) []int {
 		}
 	}
 	return append(xs, v)
+}
+
+// resetClasses empties the equivalence classes between components, and
+// with them the FINDV memo: its entries are keyed by class sizes that mean
+// nothing once the classes restart.
+func (e *engine) resetClasses() {
+	e.classes.Reset()
+	clear(e.found)
 }
 
 // key returns the equivalence-class key of attribute a of tuple t.

@@ -254,13 +254,56 @@ type candidate struct {
 // full ties break lexicographically, never by map or bucket order — part
 // of the engine's determinism-by-construction.
 //
-// Everything runs on interned ids and the engine's reusable buffers: a
-// warm call allocates nothing.
+// PICKNEXT re-plans after every resolution and most of what it asks has
+// not changed since it last asked, so the answer is kept (engine.found)
+// and reused while the working relation's version and |eq(t, B)| are both
+// what they were. That reuse is exact: FINDV reads the relation — the
+// support bucket, t's values and the maintained violation counts, none of
+// which moves but by an effective write, and every effective write bumps
+// the version — and the members of eq(t, B), whose costs it sums.
+// Within one component a class only grows (by Merge), so an unchanged size
+// is an unchanged membership, in the same order; Batch clears the memo
+// when it resets the classes between components. Weights do not change
+// during a run. The size is read with Peek, so a cached answer registers
+// no key a fresh one would not have.
 func (e *engine) findV(gi int, t *relation.Tuple, b int) (relation.Value, int, float64, bool) {
 	ix := e.supportIndex(gi, b)
 	if ix == nil {
 		return relation.Value{}, 0, 0, false
 	}
+	fk := foundKey{ix: ix, k: key(t, b)}
+	ver, size := e.rel.Version(), e.classes.Peek(fk.k)
+	if f, hit := e.found[fk]; hit && f.ver == ver && f.size == size {
+		return f.v, f.vio, f.cost, f.ok
+	}
+	v, vio, c, ok := e.findVUncached(ix, t, b)
+	e.found[fk] = foundV{ver: ver, size: size, v: v, vio: vio, cost: c, ok: ok}
+	return v, vio, c, ok
+}
+
+// foundKey names one FINDV question: the support index it is answered from
+// — one per attribute set X ∪ {A} \ {B}, so groups sharing that set share
+// the answers — and the cell (t, B).
+type foundKey struct {
+	ix *relation.HashIndex
+	k  eqclass.Key
+}
+
+// foundV is one FINDV answer with the relation version and class size it
+// was computed at.
+type foundV struct {
+	ver  uint64
+	size int
+	v    relation.Value
+	vio  int
+	cost float64
+	ok   bool
+}
+
+// findVUncached is FINDV's body over support index ix. Everything runs on
+// interned ids and the engine's reusable buffers: a warm call allocates
+// nothing.
+func (e *engine) findVUncached(ix *relation.HashIndex, t *relation.Tuple, b int) (relation.Value, int, float64, bool) {
 	curID := t.IDAt(b)
 	ids := e.idBuf[:0]
 	for _, id := range ix.LookupTuple(t) {
