@@ -58,7 +58,7 @@
 //
 //	GET    /healthz                        liveness (503 while draining)
 //	GET    /metrics                        Prometheus text exposition
-//	GET    /v1/metrics                     service counters + pass latency
+//	GET    /v1/metrics                     the /metrics families as JSON
 //	GET    /v1/sessions                    list sessions
 //	POST   /v1/sessions                    create a session
 //	GET    /v1/sessions/{name}             lock-free state snapshot

@@ -148,12 +148,14 @@
 //	          out), X-Session-Version on every response; SSE reconnects
 //	          replay the journal tail from Last-Event-ID
 //
-//	          observability: GET /v1/metrics (JSON) and GET /metrics
-//	          (Prometheus text exposition — cumulative le-bucketed
+//	          observability: one family list, rendered as Prometheus
+//	          text by GET /metrics and as JSON keyed by the same family
+//	          names by GET /v1/metrics — cumulative le-bucketed
 //	          histograms for pass latency, fsync lag and fold size,
-//	          plus per-session queue-depth gauges and quota/SSE-drop
-//	          counters), assembled from atomic loads without touching
-//	          any session worker
+//	          per-session queue, store and quota/SSE-drop series, and
+//	          service-wide counters a session's removal never lowers —
+//	          assembled from atomic loads without touching any session
+//	          worker
 //
 // Detection state is computed once per engine run and then maintained:
 // every mutation costs O(affected buckets), never O(|D|), which is what

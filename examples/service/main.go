@@ -109,11 +109,19 @@ func main() {
 	fmt.Printf("\nfinal: %d tuples, %d batches, %d cells changed, open violations: %d\n",
 		info.Snapshot.Size, info.Snapshot.Batches, info.Snapshot.Changes, vr.Total)
 
-	var mr server.MetricsResponse
+	// /v1/metrics carries every family /metrics does, keyed by the same
+	// names; a histogram is {count, sum, buckets}.
+	var mr struct {
+		Passes float64 `json:"cfdserved_passes_total"`
+		Pass   struct {
+			Count uint64  `json:"count"`
+			Sum   float64 `json:"sum"`
+		} `json:"cfdserved_pass_duration_seconds"`
+	}
 	get(base+"/v1/metrics", &mr)
-	if mr.Latency != nil {
-		fmt.Printf("service: %d passes, p50 %.0fms, p99 %.0fms\n",
-			mr.Passes, mr.Latency.P50ms, mr.Latency.P99ms)
+	if mr.Pass.Count > 0 {
+		fmt.Printf("service: %.0f passes, mean pass %.1fms\n",
+			mr.Passes, 1000*mr.Pass.Sum/float64(mr.Pass.Count))
 	}
 }
 

@@ -130,7 +130,7 @@ func TestFaultInjection(t *testing.T) {
 			fc := &faultConn{inner: lt, mode: mode}
 			sp := ship.NewShipper(name, fc, func() (*wal.Snapshot, error) {
 				return live.PersistSnapshot(name)
-			})
+			}, ship.Counters{})
 			defer sp.Close()
 
 			rng := rand.New(rand.NewSource(61))
@@ -216,7 +216,7 @@ func TestShipperDeadFollowerBackoff(t *testing.T) {
 	sp := ship.NewShipper("gone", dead, func() (*wal.Snapshot, error) {
 		snaps.Add(1)
 		return sampleSnapshot(t, "gone")
-	})
+	}, ship.Counters{})
 	defer sp.Close()
 
 	const sends = 64
@@ -285,7 +285,7 @@ func TestShipperBlackholedFollowerBatchBackoff(t *testing.T) {
 	bt := &blackholeTransport{inner: lt}
 	sp := ship.NewShipper(name, bt, func() (*wal.Snapshot, error) {
 		return live.PersistSnapshot(name)
-	})
+	}, ship.Counters{})
 	defer sp.Close()
 
 	rng := rand.New(rand.NewSource(83))
@@ -421,7 +421,7 @@ func TestShipperRefusesOversizedSnapshot(t *testing.T) {
 	sp := ship.NewShipper("huge", tr, func() (*wal.Snapshot, error) {
 		captures.Add(1)
 		return snap, nil
-	})
+	}, ship.Counters{})
 	defer sp.Close()
 
 	// The background bootstrap is the first attempt; wait for its

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cfdclean/internal/metrics"
 	"cfdclean/internal/wal"
 )
 
@@ -47,10 +48,7 @@ type Shipper struct {
 	done      chan struct{}
 	closeOnce sync.Once
 
-	batches     atomic.Uint64
-	snapshots   atomic.Uint64
-	degraded    atomic.Uint64
-	dropped     atomic.Uint64
+	c           Counters
 	lastShipped atomic.Uint64
 	// lastErr holds the most recent delivery failure as a string (""
 	// when the last delivery succeeded): the loud, human-readable signal
@@ -82,15 +80,24 @@ type ShipStats struct {
 	LastError   string // most recent delivery failure; "" when healthy
 }
 
+// Counters are a shipping stream's delivery counts (see ShipStats).
+type Counters struct {
+	Batches, Snapshots, Degraded, Dropped *metrics.Counter
+}
+
 // NewShipper starts a shipping stream for the named session. snapFn
 // captures a fresh quiescent snapshot from the live session — it is
 // the bootstrap image and the healing move for every gap. The follower
-// is bootstrapped immediately in the background.
-func NewShipper(name string, tr Transport, snapFn func() (*wal.Snapshot, error)) *Shipper {
+// is bootstrapped immediately in the background. The stream counts into
+// children of totals (nil fields count nowhere else), so a node's totals
+// keep every delivery of a stream that has since stopped.
+func NewShipper(name string, tr Transport, snapFn func() (*wal.Snapshot, error), totals Counters) *Shipper {
 	s := &Shipper{
-		name:     name,
-		tr:       tr,
-		snapFn:   snapFn,
+		name:   name,
+		tr:     tr,
+		snapFn: snapFn,
+		c: Counters{totals.Batches.Child(), totals.Snapshots.Child(),
+			totals.Degraded.Child(), totals.Dropped.Child()},
 		needSnap: true,
 		queue:    make(chan shipItem, shipQueueDepth),
 		quit:     make(chan struct{}),
@@ -123,7 +130,7 @@ func (s *Shipper) EnqueueBatch(b *wal.Batch) {
 	select {
 	case s.queue <- shipItem{batch: b}:
 	default:
-		s.dropped.Add(1)
+		s.c.Dropped.Add(1)
 	}
 }
 
@@ -134,7 +141,7 @@ func (s *Shipper) EnqueueSnapshot(snap *wal.Snapshot) {
 	select {
 	case s.queue <- shipItem{snap: snap}:
 	default:
-		s.dropped.Add(1)
+		s.c.Dropped.Add(1)
 	}
 }
 
@@ -162,7 +169,7 @@ func (s *Shipper) send(it shipItem) error {
 			// instead of eating a transport timeout (or capturing a
 			// full image) per committed batch.
 			s.failStreak++
-			s.dropped.Add(1)
+			s.c.Dropped.Add(1)
 			return errors.New("ship: follower unavailable, frame dropped")
 		}
 		if err := s.resyncLocked(); err != nil {
@@ -179,7 +186,7 @@ func (s *Shipper) send(it shipItem) error {
 	switch {
 	case err == nil:
 		s.failStreak = 0
-		s.batches.Add(1)
+		s.c.Batches.Add(1)
 		s.lastShipped.Store(it.batch.Version)
 		s.noteOK()
 		return nil
@@ -190,7 +197,7 @@ func (s *Shipper) send(it shipItem) error {
 	case errors.Is(err, ErrRoleConflict):
 		// The target believes it is the primary. Resyncing would split
 		// the brain; stop and surface through Stats.
-		s.degraded.Add(1)
+		s.c.Degraded.Add(1)
 		s.noteErr(err)
 		return err
 	default:
@@ -203,7 +210,7 @@ func (s *Shipper) send(it shipItem) error {
 		// timeout until the follower returns.
 		s.needSnap = true
 		s.failStreak++
-		s.degraded.Add(1)
+		s.c.Degraded.Add(1)
 		s.noteErr(err)
 		return err
 	}
@@ -213,7 +220,7 @@ func (s *Shipper) resyncLocked() error {
 	snap, err := s.snapFn()
 	if err != nil {
 		s.failStreak++
-		s.degraded.Add(1)
+		s.c.Degraded.Add(1)
 		s.noteErr(err)
 		return err
 	}
@@ -230,7 +237,7 @@ func (s *Shipper) shipSnapLocked(snap *wal.Snapshot) error {
 	if size := snap.EncodedSize(); size+frameHeaderLen > MaxFrameLen {
 		s.needSnap = true
 		s.failStreak++
-		s.degraded.Add(1)
+		s.c.Degraded.Add(1)
 		err := fmt.Errorf("ship: session %s snapshot (%d bytes) exceeds the %d-byte frame cap; the follower cannot be bootstrapped or resynced until the session shrinks", s.name, size, MaxFrameLen)
 		s.noteErr(err)
 		return err
@@ -238,13 +245,13 @@ func (s *Shipper) shipSnapLocked(snap *wal.Snapshot) error {
 	if err := s.tr.ShipSnapshot(s.name, snap); err != nil {
 		s.needSnap = true
 		s.failStreak++
-		s.degraded.Add(1)
+		s.c.Degraded.Add(1)
 		s.noteErr(err)
 		return err
 	}
 	s.needSnap = false
 	s.failStreak = 0
-	s.snapshots.Add(1)
+	s.c.Snapshots.Add(1)
 	if v := snap.Version; v > s.lastShipped.Load() {
 		s.lastShipped.Store(v)
 	}
@@ -263,10 +270,10 @@ func retryAt(streak int) bool {
 func (s *Shipper) Stats() ShipStats {
 	le, _ := s.lastErr.Load().(string)
 	return ShipStats{
-		Batches:     s.batches.Load(),
-		Snapshots:   s.snapshots.Load(),
-		Degraded:    s.degraded.Load(),
-		Dropped:     s.dropped.Load(),
+		Batches:     s.c.Batches.Load(),
+		Snapshots:   s.c.Snapshots.Load(),
+		Degraded:    s.c.Degraded.Load(),
+		Dropped:     s.c.Dropped.Load(),
 		LastShipped: s.lastShipped.Load(),
 		LastError:   le,
 	}

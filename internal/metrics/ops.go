@@ -1,16 +1,39 @@
 // Operational metrics. Besides the paper's repair-quality measures,
 // the long-running service (internal/server, cmd/cfdserved) needs
 // cheap, concurrency-safe instruments for its hot paths: pass latency,
-// WAL append→fsync lag, coalesce fold sizes. A fixed-bucket histogram
-// covers all of them — bounded memory, lock per observation, and a
-// JSON-ready snapshot for the /v1/metrics endpoint.
+// WAL append→fsync lag, coalesce fold sizes, and event counts. A
+// fixed-bucket histogram and a monotone counter cover all of them, and
+// both can feed a parent: one call on a session's instrument also
+// counts in the service-wide one, which therefore never drops when the
+// session goes away.
 
 package metrics
 
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 )
+
+// Counter is a monotone count safe for concurrent use.
+type Counter struct {
+	n      atomic.Uint64
+	parent *Counter
+}
+
+// Child returns a zero counter whose every Add also adds to c. A nil c
+// gives a counter with no parent.
+func (c *Counter) Child() *Counter { return &Counter{parent: c} }
+
+// Add adds n to c and to its ancestors; a nil counter counts nothing.
+func (c *Counter) Add(n uint64) {
+	for ; c != nil; c = c.parent {
+		c.n.Add(n)
+	}
+}
+
+// Load returns the current count.
+func (c *Counter) Load() uint64 { return c.n.Load() }
 
 // Histogram is a fixed-bucket histogram safe for concurrent use. Bounds
 // are upper bucket edges in increasing order; an observation lands in
@@ -23,6 +46,7 @@ type Histogram struct {
 	counts []uint64 // len(bounds)+1: the last slot is the overflow bucket
 	n      uint64
 	sum    float64
+	parent *Histogram
 }
 
 // NewHistogram builds a histogram over the given upper bucket bounds
@@ -34,52 +58,43 @@ func NewHistogram(bounds ...float64) *Histogram {
 	}
 }
 
-// Observe records one value.
+// Child returns an empty histogram over h's bounds whose every
+// observation is also recorded in h.
+func (h *Histogram) Child() *Histogram {
+	c := NewHistogram(h.bounds...)
+	c.parent = h
+	return c
+}
+
+// Observe records one value in h and in its ancestors.
 func (h *Histogram) Observe(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.mu.Lock()
-	h.counts[i]++
-	h.n++
-	h.sum += v
-	h.mu.Unlock()
-}
-
-// Bucket is one histogram bucket in a snapshot: Count observations with
-// value <= LE (per-bucket counts, not cumulative).
-type Bucket struct {
-	LE    float64 `json:"le"`
-	Count uint64  `json:"count"`
-}
-
-// Snapshot is a point-in-time copy of a histogram, shaped for JSON.
-// Overflow counts observations past the last bucket bound (kept out of
-// Buckets because +Inf does not serialize).
-type Snapshot struct {
-	Count    uint64   `json:"count"`
-	Sum      float64  `json:"sum"`
-	Mean     float64  `json:"mean"`
-	Buckets  []Bucket `json:"buckets,omitempty"`
-	Overflow uint64   `json:"overflow,omitempty"`
+	for ; h != nil; h = h.parent {
+		h.mu.Lock()
+		h.counts[i]++
+		h.n++
+		h.sum += v
+		h.mu.Unlock()
+	}
 }
 
 // CumBucket is one Prometheus-style cumulative bucket: Count is the
 // number of observations with value <= LE, and the final bucket's LE is
 // +Inf (its count equals the total observation count).
 type CumBucket struct {
-	LE    float64
-	Count uint64
+	LE    float64 `json:"le"`
+	Count uint64  `json:"count"`
 }
 
-// Cumulative converts the histogram into Prometheus exposition
+// Cumulative is the one read of a histogram, in Prometheus exposition
 // semantics: one bucket per configured bound plus the +Inf bucket, each
 // carrying the cumulative count of observations at or below its bound.
-// Unlike Snapshot, empty buckets are kept — a scraper needs the full
-// bucket layout to compute quantiles — and an unobserved histogram
-// returns all-zero buckets rather than nil, so idle series still
-// expose their shape.
+// Empty buckets are kept — a scraper needs the full bucket layout to
+// compute quantiles — and an unobserved histogram returns all-zero
+// buckets rather than nil, so idle series still expose their shape.
 func (h *Histogram) Cumulative() (buckets []CumBucket, count uint64, sum float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -92,22 +107,4 @@ func (h *Histogram) Cumulative() (buckets []CumBucket, count uint64, sum float64
 	cum += h.counts[len(h.bounds)]
 	buckets = append(buckets, CumBucket{LE: math.Inf(1), Count: cum})
 	return buckets, h.n, h.sum
-}
-
-// Snapshot copies the current state; nil when nothing was observed, so
-// idle instruments vanish from JSON via omitempty.
-func (h *Histogram) Snapshot() *Snapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return nil
-	}
-	s := &Snapshot{Count: h.n, Sum: h.sum, Mean: h.sum / float64(h.n)}
-	for i, b := range h.bounds {
-		if h.counts[i] > 0 {
-			s.Buckets = append(s.Buckets, Bucket{LE: b, Count: h.counts[i]})
-		}
-	}
-	s.Overflow = h.counts[len(h.bounds)]
-	return s
 }

@@ -9,35 +9,23 @@ import (
 
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram(0.01, 0.1, 1)
-	if h.Snapshot() != nil {
-		t.Fatal("empty histogram must snapshot to nil")
-	}
 	for _, v := range []float64{0.005, 0.01, 0.05, 0.5, 2, 3} {
 		h.Observe(v)
 	}
-	s := h.Snapshot()
-	if s.Count != 6 {
-		t.Fatalf("count = %d, want 6", s.Count)
+	buckets, count, sum := h.Cumulative()
+	if count != 6 || sum <= 0 {
+		t.Fatalf("count = %d, sum = %g; want 6, > 0", count, sum)
 	}
-	want := map[float64]uint64{0.01: 2, 0.1: 1, 1: 1}
-	for _, b := range s.Buckets {
-		if b.Count != want[b.LE] {
-			t.Fatalf("bucket le=%g count=%d, want %d", b.LE, b.Count, want[b.LE])
+	// Two at or below 0.01, one more below 0.1, one more below 1, and
+	// the two past the last bound only in +Inf.
+	for i, want := range []uint64{2, 3, 4, 6} {
+		if buckets[i].Count != want {
+			t.Fatalf("bucket le=%g count=%d, want %d", buckets[i].LE, buckets[i].Count, want)
 		}
-		delete(want, b.LE)
 	}
-	if len(want) != 0 {
-		t.Fatalf("missing buckets: %v", want)
-	}
-	if s.Overflow != 2 {
-		t.Fatalf("overflow = %d, want 2", s.Overflow)
-	}
-	if s.Mean <= 0 || s.Sum <= 0 {
-		t.Fatalf("sum/mean: %+v", s)
-	}
-	// The snapshot must be JSON-safe (no +Inf bound anywhere).
-	if _, err := json.Marshal(s); err != nil {
-		t.Fatalf("snapshot does not serialize: %v", err)
+	// The finite buckets are what /v1/metrics serializes (+Inf does not).
+	if _, err := json.Marshal(buckets[:len(buckets)-1]); err != nil {
+		t.Fatalf("finite buckets do not serialize: %v", err)
 	}
 }
 
@@ -100,10 +88,6 @@ func TestHistogramCumulative(t *testing.T) {
 	if sum != wantSum {
 		t.Fatalf("sum = %g, want %g", sum, wantSum)
 	}
-	// Cumulative and Snapshot describe the same state.
-	if s := h.Snapshot(); s.Count != count || s.Sum != sum {
-		t.Fatalf("snapshot disagrees with cumulative: %+v vs count=%d sum=%g", s, count, sum)
-	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
@@ -119,7 +103,45 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s := h.Snapshot(); s.Count != 8000 {
-		t.Fatalf("count = %d, want 8000", s.Count)
+	if _, n, _ := h.Cumulative(); n != 8000 {
+		t.Fatalf("count = %d, want 8000", n)
+	}
+}
+
+// TestChildrenCountInParents: one call on a child instrument counts in
+// the child and in every ancestor, siblings stay apart, and a nil
+// counter (a bare fixture with no sink) absorbs an Add.
+func TestChildrenCountInParents(t *testing.T) {
+	var total Counter
+	a, b := total.Child(), total.Child()
+	a.Add(2)
+	b.Add(3)
+	b.Child().Add(1)
+	if total.Load() != 6 || a.Load() != 2 || b.Load() != 4 {
+		t.Fatalf("counters: total %d a %d b %d, want 6 2 4", total.Load(), a.Load(), b.Load())
+	}
+	var none *Counter
+	none.Add(1)
+	orphan := none.Child()
+	orphan.Add(5)
+	if orphan.Load() != 5 {
+		t.Fatalf("orphan child = %d, want 5", orphan.Load())
+	}
+
+	all := NewHistogram(1, 10)
+	one, two := all.Child(), all.Child()
+	one.Observe(0.5)
+	two.Observe(5)
+	two.Observe(50)
+	want := [][3]uint64{{1, 1, 1}, {0, 1, 2}, {1, 2, 3}} // one, two, all
+	for i, h := range []*Histogram{one, two, all} {
+		buckets, n, _ := h.Cumulative()
+		got := [3]uint64{buckets[0].Count, buckets[1].Count, n}
+		if got != want[i] {
+			t.Fatalf("histogram %d: buckets+count %v, want %v", i, got, want[i])
+		}
+	}
+	if _, _, sum := all.Cumulative(); sum != 55.5 {
+		t.Fatalf("parent sum = %g, want 55.5", sum)
 	}
 }

@@ -444,7 +444,7 @@ func (s *Server) handlePeers(w http.ResponseWriter, req *http.Request) {
 			if cur != desired {
 				h.stopShipper()
 				if desired != "" {
-					h.startShipper(c, desired)
+					h.startShipper(s.reg, desired)
 				}
 			}
 			continue

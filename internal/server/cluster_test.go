@@ -488,6 +488,63 @@ func TestClusterRebalance(t *testing.T) {
 	}
 }
 
+// TestClusterCountersMonotone: a node's counters never go backwards
+// when a shipping stream stops — with its deleted session, or on a
+// re-ring that leaves the session no follower. Every _total series the
+// owner exported before is at least as large after (a deleted session's
+// own series are gone, not lowered); the ship totals above all, which
+// rate() would read as a reset.
+func TestClusterCountersMonotone(t *testing.T) {
+	totals := func(t *testing.T, base string) map[string]float64 {
+		t.Helper()
+		_, body := do(t, "GET", base+"/metrics", nil)
+		out := map[string]float64{}
+		for _, s := range parseProm(t, string(body)).samples {
+			if strings.HasSuffix(s.name, "_total") {
+				out[s.name+"|"+s.labels["session"]] = s.value
+			}
+		}
+		return out
+	}
+	for _, stop := range []struct {
+		name string
+		do   func(t *testing.T, owner *clusterNode, name string)
+	}{
+		{"delete", func(t *testing.T, owner *clusterNode, name string) {
+			if resp, body := do(t, "DELETE", owner.url+"/v1/sessions/"+name, nil); resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("delete: %d: %s", resp.StatusCode, body)
+			}
+		}},
+		{"re-ring", func(t *testing.T, owner *clusterNode, name string) {
+			if resp, body := do(t, "PUT", owner.url+"/v1/cluster/peers", PeersRequest{Peers: []string{owner.addr}}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("peers: %d: %s", resp.StatusCode, body)
+			}
+		}},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			a, b := newClusterPair(t, quorumOpts)
+			const name = "counted"
+			owner, other := ownerAndFollower(a, b, name)
+			createTiny(t, owner.url, name)
+			waitFollower(t, other, name)
+			for i := 0; i < 3; i++ {
+				applyDirty(t, owner.url, name, i)
+			}
+			before := totals(t, owner.url)
+			if n := before["cfdserved_ship_batches_total|"]; n < 3 {
+				t.Fatalf("cfdserved_ship_batches_total = %g after 3 quorum applies, want >= 3", n)
+			}
+			stop.do(t, owner, name)
+			after := totals(t, owner.url)
+			for k, v := range before {
+				if now, ok := after[k]; (ok || !strings.Contains(k, "_session_")) && now < v {
+					t.Errorf("%s went backwards: %g -> %g", k, v, now)
+				}
+			}
+		})
+	}
+}
+
 // TestClusterFollowerRestartStaysFollower: the split-brain regression.
 // A node hosting replicas goes down and comes back — the most ordinary
 // cluster event there is — and must re-host them as FOLLOWERS: the

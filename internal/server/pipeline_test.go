@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/increpair"
+	"cfdclean/internal/metrics"
 	"cfdclean/internal/relation"
 )
 
@@ -90,7 +90,7 @@ func TestGroupFsyncOrdering(t *testing.T) {
 // dropped (counted registry-wide), and the first event it receives
 // after the gap carries resync: true.
 func TestSubscriberDropResync(t *testing.T) {
-	var drops atomic.Uint64
+	var drops metrics.Counter
 	s := subscribers{drops: &drops}
 	ch, cancel := s.subscribe()
 	defer cancel()
@@ -125,7 +125,7 @@ func TestSubscriberDropResync(t *testing.T) {
 // TestPublishAsync: publish never blocks the caller even when no one
 // drains the fanout queue, and the whole stream shuts down cleanly.
 func TestPublishAsync(t *testing.T) {
-	var drops atomic.Uint64
+	var drops metrics.Counter
 	s := subscribers{drops: &drops}
 	_, cancel := s.subscribe()
 	defer cancel()

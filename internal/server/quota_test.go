@@ -78,37 +78,6 @@ func TestResolveQuota(t *testing.T) {
 	}
 }
 
-// TestLatencySummaryNearestRank pins the percentile definition the SLO
-// gate asserts on: the q-th percentile is the ceil(q*n)-th smallest
-// sample. Small samples are the load-bearing cases — a 2-sample p99
-// must be the LARGER sample, not the smaller one an (n-1)-scaled index
-// would pick.
-func TestLatencySummaryNearestRank(t *testing.T) {
-	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
-	if LatencySummary(nil) != nil {
-		t.Fatal("empty sample must summarize to nil")
-	}
-	one := LatencySummary([]time.Duration{ms(7)})
-	if one.Count != 1 || one.P50ms != 7 || one.P99ms != 7 || one.Maxms != 7 {
-		t.Fatalf("single sample: %+v", one)
-	}
-	two := LatencySummary([]time.Duration{ms(30), ms(10)})
-	if two.P50ms != 10 {
-		t.Fatalf("p50 of {10,30} = %g, want 10 (ceil(.5*2)=1st)", two.P50ms)
-	}
-	if two.P99ms != 30 {
-		t.Fatalf("p99 of {10,30} = %g, want 30 (ceil(.99*2)=2nd)", two.P99ms)
-	}
-	hundred := make([]time.Duration, 100)
-	for i := range hundred {
-		hundred[i] = ms(float64(100 - i))
-	}
-	h := LatencySummary(hundred)
-	if h.P50ms != 50 || h.P99ms != 99 || h.Maxms != 100 {
-		t.Fatalf("1..100ms: p50=%g p99=%g max=%g, want 50/99/100", h.P50ms, h.P99ms, h.Maxms)
-	}
-}
-
 // createWithQuota creates a session named name over the tiny schema
 // with a per-session quota override.
 func createWithQuota(t *testing.T, base, name string, q *WireQuota) {
@@ -162,17 +131,15 @@ func TestQuotaOpsRateLimit(t *testing.T) {
 		}
 	}
 
-	// The rejection is visible in the service counters.
-	resp, body = do(t, "GET", base+"/v1/metrics", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d", resp.StatusCode)
+	// The rejection is visible in the service counters, service-wide and
+	// on the limited session only.
+	mr := getMetricsJSON(t, base)
+	if n := mr["cfdserved_rate_limited_total"]; n != 1.0 {
+		t.Fatalf("cfdserved_rate_limited_total = %v, want 1", n)
 	}
-	var mr MetricsResponse
-	if err := json.Unmarshal(body, &mr); err != nil {
-		t.Fatal(err)
-	}
-	if mr.RateLimited < 1 {
-		t.Fatalf("rate_limited = %d, want >= 1: %s", mr.RateLimited, body)
+	perSession := mr["cfdserved_session_rate_limited_total"].(map[string]any)
+	if perSession["limited"] != 1.0 || perSession["free"] != 0.0 {
+		t.Fatalf("cfdserved_session_rate_limited_total = %v, want limited 1, free 0", perSession)
 	}
 
 	// And the effective quota is reported in the session listing.

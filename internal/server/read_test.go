@@ -103,6 +103,38 @@ func TestCursorRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeCursor: a ?cursor= token is bytes from the client. Whatever
+// it is, decodeCursor must not panic, and whatever it accepts,
+// encodeCursor must re-encode into a token that decodes to the same
+// cursor. Each input is tried as a token and, so the fuzzer reaches the
+// field parser without guessing base64, as a token's decoded text.
+func FuzzDecodeCursor(f *testing.F) {
+	for _, c := range []readCursor{
+		{version: 7, offset: 120, f: cfd.AnyVio()},
+		{version: 1, offset: 0, f: cfd.VioFilter{Rule: "phi:with:colons", Attr: 3, MinID: 5, MaxID: 900}},
+	} {
+		tok := encodeCursor(c)
+		raw, _ := base64.RawURLEncoding.DecodeString(tok)
+		f.Add(tok)
+		f.Add(string(raw))
+	}
+	for _, bad := range []string{"", "AAAA", "!!!", "9:9:9:9", "1:x:0:0:0:r", "1:0:-2:0:0:r", "+1:+0:-1:0:0:"} {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, tok := range []string{s, base64.RawURLEncoding.EncodeToString([]byte(s))} {
+			c, err := decodeCursor(tok)
+			if err != nil {
+				continue
+			}
+			again, err := decodeCursor(encodeCursor(c))
+			if err != nil || again != c {
+				t.Fatalf("token %q decodes to %+v, which re-encodes to %+v (%v)", tok, c, again, err)
+			}
+		}
+	})
+}
+
 // TestDumpStreamsWithTrailer: the dump is served chunked with the
 // completion trailer, carries the pinned version, and its bytes are
 // identical to the in-process buffered serialization at that version.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,7 +79,7 @@ type Registry struct {
 	// deregister/register pairs.
 	installMu sync.Mutex
 	// replicaApplied counts batches applied on this node as a follower.
-	replicaApplied atomic.Uint64
+	replicaApplied metrics.Counter
 
 	// Group fsync: committers under the per-batch policy funnel sync
 	// requests through one lazily started goroutine that drains a
@@ -97,36 +96,16 @@ type Registry struct {
 	// refused while in-flight queues run dry.
 	draining atomic.Bool
 
-	// Service-wide counters (see MetricsResponse).
-	passes      atomic.Uint64 // engine passes completed
-	batches     atomic.Uint64 // client batches accepted
-	coalesced   atomic.Uint64 // client batches merged into a shared pass
-	rejected    atomic.Uint64 // ingests refused with ErrBacklog
-	rateLimited atomic.Uint64 // writes refused by a tenant quota (429/403)
-	tuples      atomic.Uint64 // tuples inserted
-	errorPasses atomic.Uint64 // engine passes that returned an error
-	dumpRows    atomic.Uint64 // rows streamed by finished dumps
-	dumpBytes   atomic.Uint64 // CSV bytes of finished dumps
-	dumpNanos   atomic.Uint64 // handler time of finished dumps, ns
+	// Service-wide counters; metrics.go declares what each one exports.
+	passes, batches, coalesced, rejected, tuples                     metrics.Counter
+	dumpRows, dumpBytes, dumpNanos                                   metrics.Counter
+	applyBodies, applyBodiesStdlib, applyBodyBytes, applyDecodeNanos metrics.Counter
+	applyReplyBytes, applyEncodeNanos                                metrics.Counter
 
-	// /apply and /ingest bodies read whole (Prometheus only, like the
-	// dump counters): how many, how many of them the hand-written decoder
-	// declined and encoding/json decoded, their bytes, and the time spent
-	// decoding on either path.
-	applyBodies       atomic.Uint64
-	applyBodiesStdlib atomic.Uint64
-	applyBodyBytes    atomic.Uint64
-	applyDecodeNanos  atomic.Uint64
-	// The other direction: bytes of the 200 replies /apply wrote, and the
-	// time spent building and encoding them.
-	applyReplyBytes  atomic.Uint64
-	applyEncodeNanos atomic.Uint64
-
-	// Operational instruments (see OpsMetrics).
-	passLat  *metrics.Histogram // engine pass duration, seconds
-	walLag   *metrics.Histogram // WAL append→fsync-acknowledged lag, seconds
-	foldSize *metrics.Histogram // client batches folded per engine pass
-	sseDrops atomic.Uint64      // events dropped at slow SSE subscribers
+	// ops are the service-wide totals of every session's instruments, and
+	// ship those of every shipping stream this node has run.
+	ops  instruments
+	ship ship.Counters
 }
 
 type shard struct {
@@ -141,7 +120,16 @@ func NewRegistry(queueDepth int) *Registry {
 		queueDepth = 1
 	}
 	r := &Registry{queueDepth: queueDepth}
-	r.passLat, r.walLag, r.foldSize = opsHistograms()
+	r.ops = instruments{
+		passLat:     metrics.NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5),
+		walLag:      metrics.NewHistogram(0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5),
+		foldSize:    metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64),
+		sseDropped:  new(metrics.Counter),
+		errorPasses: new(metrics.Counter),
+		rateLimited: new(metrics.Counter),
+	}
+	r.ship = ship.Counters{Batches: new(metrics.Counter), Snapshots: new(metrics.Counter),
+		Degraded: new(metrics.Counter), Dropped: new(metrics.Counter)}
 	for i := range r.shards {
 		r.shards[i].m = make(map[string]*hosted)
 	}
@@ -154,38 +142,27 @@ func (r *Registry) shard(name string) *shard {
 	return &r.shards[h.Sum32()%registryShards]
 }
 
-// hosted is one session plus its service furniture: the work queue, the
-// worker and committer goroutines' lifecycle channels, the event
-// fan-out and a bounded latency window.
-// sessionOps is one session's operational instrumentation: the same
-// hot-path histograms the registry keeps service-wide, but per tenant,
-// which is what the Prometheus exposition labels by session. Counters
-// live here too so a tenant's error and drop history survives scrapes
-// (but not the session's removal — registry totals do).
-type sessionOps struct {
+// instruments are the events counted per session and service-wide. The
+// registry holds the service-wide set and each session a child of it, so
+// one call on a session's instrument counts in both, and a total never
+// drops when a session goes.
+type instruments struct {
 	passLat     *metrics.Histogram // engine pass duration, seconds
 	walLag      *metrics.Histogram // WAL append→fsync-acknowledged lag, seconds
 	foldSize    *metrics.Histogram // client batches folded per engine pass
-	sseDropped  atomic.Uint64      // events dropped at this session's slow subscribers
-	errorPasses atomic.Uint64      // engine passes that returned an error
-	rateLimited atomic.Uint64      // writes refused by this session's quota
+	sseDropped  *metrics.Counter   // events dropped at slow SSE subscribers
+	errorPasses *metrics.Counter   // engine passes that returned an error
+	rateLimited *metrics.Counter   // writes refused by a quota (429/403)
 }
 
-func newSessionOps() *sessionOps {
-	o := &sessionOps{}
-	o.passLat, o.walLag, o.foldSize = opsHistograms()
-	return o
+func (in *instruments) child() *instruments {
+	return &instruments{in.passLat.Child(), in.walLag.Child(), in.foldSize.Child(),
+		in.sseDropped.Child(), in.errorPasses.Child(), in.rateLimited.Child()}
 }
 
-// opsHistograms builds the three hot-path histograms under the one set
-// of bucket bounds the registry's service-wide instruments and every
-// session's own share.
-func opsHistograms() (passLat, walLag, foldSize *metrics.Histogram) {
-	return metrics.NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5),
-		metrics.NewHistogram(0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5),
-		metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64)
-}
-
+// hosted is one session plus its service furniture: the work queue, the
+// worker and committer goroutines' lifecycle channels, the event
+// fan-out and its instruments.
 type hosted struct {
 	name   string
 	schema *relation.Schema
@@ -193,10 +170,9 @@ type hosted struct {
 	sess   *increpair.Session
 
 	// quota is the session's admission-control state (nil limiter
-	// fields = unlimited); ops the per-tenant instruments behind the
-	// Prometheus exposition.
+	// fields = unlimited); ops the per-tenant instruments.
 	quota *quotaState
-	ops   *sessionOps
+	ops   *instruments
 
 	// pers is the session's durability sidecar (nil when the registry
 	// runs in memory); purge tells the exiting worker to delete the
@@ -228,7 +204,6 @@ type hosted struct {
 
 	seq  atomic.Uint64 // engine passes completed on this session
 	subs subscribers
-	lat  latWindow
 	// views shares pinned read views among this session's streaming
 	// readers (see views.go); cursor tokens name versions in it.
 	views *viewCache
@@ -368,7 +343,7 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 		attrs:         schema.Attrs(),
 		sess:          sess,
 		quota:         newQuotaState(quota),
-		ops:           newSessionOps(),
+		ops:           r.ops.child(),
 		pers:          p,
 		queue:         make(chan job, r.queueDepth),
 		commits:       make(chan commitItem, r.queueDepth),
@@ -377,8 +352,7 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 		done:          make(chan struct{}),
 		views:         newViewCache(sess),
 	}
-	h.subs.drops = &r.sseDrops
-	h.subs.sessionDrops = &h.ops.sseDropped
+	h.subs.drops = h.ops.sseDropped
 	h.subs.max = quota.MaxSubscribers
 	if p != nil {
 		// Record the steady-state role on disk so a restart re-hosts the
@@ -394,7 +368,7 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 		h.role.Store(role)
 		if role == rolePrimary {
 			if target := c.shipTarget(name); target != "" {
-				h.startShipper(c, target)
+				h.startShipper(r, target)
 			}
 		}
 	}
@@ -411,8 +385,8 @@ func (h *hosted) captureSnapshot() (*wal.Snapshot, error) {
 }
 
 // startShipper hooks the session's committer to a follower on target.
-func (h *hosted) startShipper(c *clusterState, target string) {
-	sp := ship.NewShipper(h.name, c.transport(target), h.captureSnapshot)
+func (h *hosted) startShipper(r *Registry, target string) {
+	sp := ship.NewShipper(h.name, r.cluster.transport(target), h.captureSnapshot, r.ship)
 	h.shipper.Store(&sessionShipper{sp: sp, target: target})
 }
 
@@ -467,7 +441,6 @@ func (r *Registry) admit(h *hosted, tuples, deletes int) error {
 		size = h.sess.Snapshot().Size
 	}
 	if err := q.admit(size, tuples, deletes, time.Now()); err != nil {
-		r.rateLimited.Add(1)
 		h.ops.rateLimited.Add(1)
 		return err
 	}
@@ -739,9 +712,6 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 	}
 	snap := h.sess.Snapshot()
 	engine := time.Since(start)
-	h.lat.record(engine)
-	r.passLat.Observe(engine.Seconds())
-	r.foldSize.Observe(float64(batches))
 	h.ops.passLat.Observe(engine.Seconds())
 	h.ops.foldSize.Observe(float64(batches))
 	var seq uint64
@@ -750,7 +720,6 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 		r.passes.Add(1)
 		r.tuples.Add(uint64(len(res.Inserted)))
 	} else {
-		r.errorPasses.Add(1)
 		h.ops.errorPasses.Add(1)
 	}
 	item := commitItem{
@@ -816,9 +785,7 @@ func (h *hosted) committer(r *Registry) {
 				if ok && h.pers.cfg.Fsync == FsyncBatch {
 					appended := time.Now()
 					if r.groupSync(h.pers) == nil {
-						lag := time.Since(appended).Seconds()
-						r.walLag.Observe(lag)
-						h.ops.walLag.Observe(lag)
+						h.ops.walLag.Observe(time.Since(appended).Seconds())
 					}
 				}
 			}
@@ -948,59 +915,4 @@ func (h *hosted) finishPersist(r *Registry) {
 		return
 	}
 	h.pers.destroy()
-}
-
-// latWindow keeps a bounded ring of recent engine-pass latencies; big
-// enough for meaningful percentiles, small enough to never grow.
-type latWindow struct {
-	mu   sync.Mutex
-	ring [1024]time.Duration
-	n    int // total recorded
-}
-
-func (l *latWindow) record(d time.Duration) {
-	l.mu.Lock()
-	l.ring[l.n%len(l.ring)] = d
-	l.n++
-	l.mu.Unlock()
-}
-
-// window returns a copy of the recorded latencies (at most the ring
-// size, the most recent ones).
-func (l *latWindow) window() []time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.n
-	if n > len(l.ring) {
-		n = len(l.ring)
-	}
-	out := make([]time.Duration, n)
-	copy(out, l.ring[:n])
-	return out
-}
-
-// LatencySummary summarizes a latency sample into the wire shape
-// (nearest-rank percentiles in milliseconds); it sorts all in place.
-// The definition behind /v1/metrics' p50/p99: the q-th percentile is
-// the ceil(q·n)-th smallest sample (never an interpolation, never a
-// sample below the true rank — a single-sample run reports that sample
-// for every percentile, and p99 of two samples is the larger one).
-func LatencySummary(all []time.Duration) *WireLatency {
-	if len(all) == 0 {
-		return nil
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	pick := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(all)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return float64(all[i]) / float64(time.Millisecond)
-	}
-	return &WireLatency{
-		Count: len(all),
-		P50ms: pick(0.50),
-		P99ms: pick(0.99),
-		Maxms: float64(all[len(all)-1]) / float64(time.Millisecond),
-	}
 }

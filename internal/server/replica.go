@@ -133,7 +133,7 @@ func (r *Registry) Promote(ctx context.Context, name string) (*hosted, error) {
 			// ring follower, which is neither self nor a dead peer.
 			if c.primary(name) == c.self {
 				if target := c.shipTarget(name); target != "" {
-					h.startShipper(c, target)
+					h.startShipper(r, target)
 				}
 			}
 		}

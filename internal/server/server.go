@@ -77,7 +77,6 @@ import (
 	"time"
 
 	"cfdclean/internal/cfd"
-	"cfdclean/internal/cluster/ship"
 	"cfdclean/internal/increpair"
 	"cfdclean/internal/relation"
 	"cfdclean/internal/store"
@@ -165,10 +164,11 @@ func (o Options) withDefaults() Options {
 // Server is the HTTP face of the session registry. Build one with New,
 // mount Handler on an http.Server, and call Shutdown to drain.
 type Server struct {
-	opts    Options
-	reg     *Registry
-	mux     *http.ServeMux
-	started time.Time
+	opts     Options
+	reg      *Registry
+	mux      *http.ServeMux
+	started  time.Time
+	families []family // what /metrics and /v1/metrics export
 }
 
 // New builds a Server with an empty registry.
@@ -182,6 +182,7 @@ func New(opts Options) *Server {
 	if len(s.opts.Peers) > 0 && s.opts.Self != "" {
 		s.reg.cluster = newClusterState(s.opts.Peers, s.opts.Self, s.opts.Ack)
 	}
+	s.families = s.declareFamilies()
 	m := http.NewServeMux()
 	m.HandleFunc("GET /healthz", s.handleHealth)
 	m.HandleFunc("GET /metrics", s.handlePrometheus)
@@ -659,55 +660,6 @@ func (s *Server) handleDump(w http.ResponseWriter, req *http.Request) {
 	s.reg.dumpRows.Add(uint64(rv.Len()))
 	s.reg.dumpBytes.Add(uint64(cw.n))
 	s.reg.dumpNanos.Add(uint64(time.Since(start)))
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	hs := s.reg.List()
-	var all []time.Duration
-	st := shipTotals(hs)
-	ops := &OpsMetrics{
-		PassSeconds:    s.reg.passLat.Snapshot(),
-		FsyncLag:       s.reg.walLag.Snapshot(),
-		FoldBatches:    s.reg.foldSize.Snapshot(),
-		SSEDropped:     s.reg.sseDrops.Load(),
-		ShipBatches:    st.Batches,
-		ShipSnapshots:  st.Snapshots,
-		ShipDegraded:   st.Degraded,
-		ShipDropped:    st.Dropped,
-		ReplicaApplied: s.reg.replicaApplied.Load(),
-	}
-	for _, h := range hs {
-		all = append(all, h.lat.window()...)
-		ops.Queues = append(ops.Queues, QueueGauge{Session: h.name, Depth: len(h.queue), Cap: cap(h.queue)})
-	}
-	writeJSON(w, http.StatusOK, MetricsResponse{
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Sessions:      len(hs),
-		Passes:        s.reg.passes.Load(),
-		Batches:       s.reg.batches.Load(),
-		Coalesced:     s.reg.coalesced.Load(),
-		Rejected:      s.reg.rejected.Load(),
-		RateLimited:   s.reg.rateLimited.Load(),
-		ErrorPasses:   s.reg.errorPasses.Load(),
-		Tuples:        s.reg.tuples.Load(),
-		Latency:       LatencySummary(all),
-		Ops:           ops,
-	})
-}
-
-// shipTotals sums the delivery counters of hs's shipping streams — the
-// replication figures both metrics endpoints report.
-func shipTotals(hs []*hosted) (t ship.ShipStats) {
-	for _, h := range hs {
-		if ref := h.shipper.Load(); ref != nil {
-			st := ref.sp.Stats()
-			t.Batches += st.Batches
-			t.Snapshots += st.Snapshots
-			t.Degraded += st.Degraded
-			t.Dropped += st.Dropped
-		}
-	}
-	return t
 }
 
 // decodeBody decodes a create or peers body with encoding/json, streamed

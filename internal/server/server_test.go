@@ -145,16 +145,17 @@ func TestServiceRoundTrip(t *testing.T) {
 		t.Fatalf("list: %s", body)
 	}
 
-	resp, body = do(t, "GET", base+"/v1/metrics", nil)
-	var mr MetricsResponse
-	if err := json.Unmarshal(body, &mr); err != nil {
-		t.Fatal(err)
+	mr := getMetricsJSON(t, base)
+	for name, want := range map[string]float64{
+		"cfdserved_sessions": 1, "cfdserved_passes_total": 1,
+		"cfdserved_batches_total": 1, "cfdserved_tuples_total": 2,
+	} {
+		if mr[name] != want {
+			t.Fatalf("%s = %v, want %g", name, mr[name], want)
+		}
 	}
-	if mr.Sessions != 1 || mr.Passes != 1 || mr.Batches != 1 || mr.Tuples != 2 {
-		t.Fatalf("metrics: %s", body)
-	}
-	if mr.Latency == nil || mr.Latency.Count != 1 {
-		t.Fatalf("metrics latency: %s", body)
+	if n := mr["cfdserved_pass_duration_seconds"].(map[string]any)["count"]; n != 1.0 {
+		t.Fatalf("cfdserved_pass_duration_seconds count = %v, want 1", n)
 	}
 
 	resp, _ = do(t, "DELETE", base+"/v1/sessions/orders", nil)
@@ -341,7 +342,7 @@ func newTinyHosted(t *testing.T, r *Registry, queueDepth int) *hosted {
 		schema:        sch,
 		attrs:         sch.Attrs(),
 		sess:          sess,
-		ops:           newSessionOps(),
+		ops:           r.ops.child(),
 		queue:         make(chan job, queueDepth),
 		commits:       make(chan commitItem, queueDepth),
 		committerDone: make(chan struct{}),

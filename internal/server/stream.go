@@ -6,7 +6,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
+
+	"cfdclean/internal/metrics"
 )
 
 // The notification stream: every engine pass publishes one Event to the
@@ -59,11 +60,9 @@ type subscribers struct {
 
 	queue   chan Event
 	fanDone chan struct{}
-	// drops counts events dropped at slow consumers, registry-wide;
-	// sessionDrops is the same count on the session's own instruments
-	// (either may be nil on bare test fixtures).
-	drops        *atomic.Uint64
-	sessionDrops *atomic.Uint64
+	// drops counts events dropped at slow consumers (nil on bare test
+	// fixtures).
+	drops *metrics.Counter
 	// max caps concurrent subscribers (0 = unlimited); set from the
 	// session's quota at registration.
 	max int
@@ -192,17 +191,6 @@ func (s *subscribers) subscribeFrom(lastID uint64, resume bool) (ch chan frame, 
 	}, nil
 }
 
-// countDrops bumps the registry-wide and per-session slow-subscriber
-// drop counters (either may be nil on bare test fixtures).
-func (s *subscribers) countDrops(n uint64) {
-	if s.drops != nil {
-		s.drops.Add(n)
-	}
-	if s.sessionDrops != nil {
-		s.sessionDrops.Add(n)
-	}
-}
-
 // publish records ev in the replay ring and hands it to the fanout
 // goroutine without blocking. If even the fanout queue is saturated the
 // event is dropped at every current subscriber — they all get
@@ -232,9 +220,7 @@ func (s *subscribers) publish(ev Event) {
 			sub.dropped = true
 		}
 		s.mu.Unlock()
-		if n > 0 {
-			s.countDrops(uint64(n))
-		}
+		s.drops.Add(uint64(n))
 	}
 }
 
@@ -285,7 +271,7 @@ func (s *subscribers) deliver(ev Event) {
 			sub.afterSeq = ev.Seq
 		default:
 			sub.dropped = true
-			s.countDrops(1)
+			s.drops.Add(1)
 		}
 	}
 }

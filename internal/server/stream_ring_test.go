@@ -1,8 +1,9 @@
 package server
 
 import (
-	"sync/atomic"
 	"testing"
+
+	"cfdclean/internal/metrics"
 )
 
 // Deterministic unit tests for the replay ring's eviction boundary —
@@ -163,10 +164,12 @@ func TestRingReplayFencesLiveDelivery(t *testing.T) {
 }
 
 // TestRingDropCountersBothSinks: a slow subscriber's dropped events
-// count on the registry-wide sink and the per-session sink alike.
+// count on the per-session counter and, through it, the registry-wide
+// total alike.
 func TestRingDropCountersBothSinks(t *testing.T) {
-	var global, local atomic.Uint64
-	s := &subscribers{ringCap: 2, drops: &global, sessionDrops: &local}
+	var global metrics.Counter
+	local := global.Child()
+	s := &subscribers{ringCap: 2, drops: local}
 	t.Cleanup(s.closeAll)
 	ch, _, cancel, err := s.subscribeFrom(0, false)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/increpair"
-	"cfdclean/internal/metrics"
 	"cfdclean/internal/relation"
 )
 
@@ -231,59 +230,6 @@ type WireStore struct {
 // ListResponse enumerates hosted sessions in name order.
 type ListResponse struct {
 	Sessions []SessionInfo `json:"sessions"`
-}
-
-// MetricsResponse is the service-wide counter and latency report.
-// RateLimited counts writes refused by tenant quotas (429/403);
-// ErrorPasses counts engine passes that returned an error. Both are
-// omitted while zero so pre-quota clients see unchanged bodies.
-type MetricsResponse struct {
-	UptimeSeconds float64      `json:"uptime_seconds"`
-	Sessions      int          `json:"sessions"`
-	Passes        uint64       `json:"passes"`
-	Batches       uint64       `json:"batches"`
-	Coalesced     uint64       `json:"coalesced"`
-	Rejected      uint64       `json:"rejected"`
-	RateLimited   uint64       `json:"rate_limited,omitempty"`
-	ErrorPasses   uint64       `json:"error_passes,omitempty"`
-	Tuples        uint64       `json:"tuples"`
-	Latency       *WireLatency `json:"latency,omitempty"`
-	Ops           *OpsMetrics  `json:"ops,omitempty"`
-}
-
-// OpsMetrics is the pipeline's operational instrumentation: per-session
-// queue depths plus histograms over the hot-path stages (engine pass,
-// WAL append→fsync lag, ingest fold size) and the slow-SSE drop count.
-type OpsMetrics struct {
-	Queues      []QueueGauge      `json:"queues,omitempty"`
-	PassSeconds *metrics.Snapshot `json:"pass_seconds,omitempty"`
-	FsyncLag    *metrics.Snapshot `json:"fsync_lag_seconds,omitempty"`
-	FoldBatches *metrics.Snapshot `json:"fold_batches,omitempty"`
-	SSEDropped  uint64            `json:"sse_dropped,omitempty"`
-	// Replication counters, summed over this node's shipping streams
-	// (primary side) plus the batches it applied as a follower. All
-	// omitted while zero so single-node bodies are unchanged.
-	ShipBatches    uint64 `json:"ship_batches,omitempty"`
-	ShipSnapshots  uint64 `json:"ship_snapshots,omitempty"`
-	ShipDegraded   uint64 `json:"ship_degraded,omitempty"`
-	ShipDropped    uint64 `json:"ship_dropped,omitempty"`
-	ReplicaApplied uint64 `json:"replica_applied,omitempty"`
-}
-
-// QueueGauge is one session's work-queue occupancy at scrape time.
-type QueueGauge struct {
-	Session string `json:"session"`
-	Depth   int    `json:"depth"`
-	Cap     int    `json:"cap"`
-}
-
-// WireLatency summarizes engine-pass latencies over a bounded window of
-// recent passes (milliseconds).
-type WireLatency struct {
-	Count int     `json:"count"`
-	P50ms float64 `json:"p50_ms"`
-	P99ms float64 `json:"p99_ms"`
-	Maxms float64 `json:"max_ms"`
 }
 
 // Event is one server-sent notification, emitted after every engine
