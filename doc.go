@@ -105,10 +105,10 @@
 //	                │ relation size (403) and SSE subscribers (409)
 //	                │ enqueue (bounded queue, 429 backpressure)
 //	                ▼
-//	          worker: fold coalescable batches → engine pass
-//	                │ finished pass (FIFO)   [single writer]
+//	          worker: fold coalescable batches → Check → engine pass
+//	                │ record, then finished pass (FIFO)  [single writer]
 //	                ▼
-//	          committer: encode ∥ WAL append ∥ group fsync
+//	          committer: encode, WAL append, fsync ∥ the record's pass
 //	                │              │ reply after durable    │ async
 //	                ▼              ▼                        ▼
 //	          response codec   internal/wal            SSE fan-out
@@ -183,9 +183,10 @@
 //     pinned epoch, readers pay nothing. The server builds on this with a
 //     per-session pipeline — request decode in the handler goroutine,
 //     one worker goroutine running engine passes (single-writer by
-//     construction), one committer goroutine doing WAL encode/append,
-//     group fsync (one sync amortized over the sessions of a window),
-//     post-durability acknowledgement and asynchronous SSE fan-out —
+//     construction), one committer goroutine doing WAL encode, append
+//     and fsync while the worker runs that batch's pass (Session.Check
+//     fixes the record before the pass), post-durability
+//     acknowledgement and asynchronous SSE fan-out —
 //     plus a sharded session registry, bounded queues with
 //     backpressure, and graceful drain. Reply content is fixed at the
 //     pass boundary, so overlapping pass N+1 with pass N's commit

@@ -289,32 +289,39 @@ var ErrReplayGap = fmt.Errorf("increpair: replay gap")
 // pre-crash one. applied reports whether the batch ran (false for the
 // idempotent skip).
 func (s *Session) ReplayBatch(b *wal.Batch) (applied bool, err error) {
-	_, _, applied, err = s.ReplayBatchResult(b)
-	return applied, err
+	deletes, sets, inserts, applies, err := s.CheckReplay(b)
+	if err != nil || !applies {
+		return false, err
+	}
+	if _, _, err := s.ApplyOps(deletes, sets, inserts); err != nil {
+		return false, fmt.Errorf("increpair: replay: %w", err)
+	}
+	return true, nil
 }
 
-// ReplayBatchResult is ReplayBatch returning the engine pass's Result
-// and delete count alongside the applied flag — a replication follower
-// uses them to publish the same change events a primary's committer
-// publishes. res is nil when the batch was skipped or failed.
-func (s *Session) ReplayBatchResult(b *wal.Batch) (res *Result, deleted int, applied bool, err error) {
+// CheckReplay is ReplayBatch up to the pass: it decodes b's ops and
+// checks them against the session without mutating it. applies is false
+// for a batch the session already contains; a gap, undecodable ops, a
+// batch Check refuses, and one whose pass would not land on b.Version
+// are errors. A replication follower runs the pass itself, so it can log
+// b while the pass runs.
+func (s *Session) CheckReplay(b *wal.Batch) (deletes []relation.TupleID, sets []SetOp, inserts []*relation.Tuple, applies bool, err error) {
 	cur := s.snap.Load().Version
 	if b.Version <= cur {
-		return nil, 0, false, nil
+		return nil, nil, nil, false, nil
 	}
 	if b.PrevVersion != cur {
-		return nil, 0, false, fmt.Errorf("%w: batch expects journal version %d, session is at %d", ErrReplayGap, b.PrevVersion, cur)
+		return nil, nil, nil, false, fmt.Errorf("%w: batch expects journal version %d, session is at %d", ErrReplayGap, b.PrevVersion, cur)
 	}
-	deletes, sets, inserts, err := DeltasToOps(b.Ops)
+	if deletes, sets, inserts, err = DeltasToOps(b.Ops); err != nil {
+		return nil, nil, nil, false, err
+	}
+	landing, err := s.Check(deletes, sets, inserts)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, nil, nil, false, fmt.Errorf("increpair: replay: %w", err)
 	}
-	res, deleted, err = s.ApplyOps(deletes, sets, inserts)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("increpair: replay: %w", err)
+	if landing != b.Version {
+		return nil, nil, nil, false, fmt.Errorf("increpair: replay: pass should end at journal version %d, session would land on %d", b.Version, landing)
 	}
-	if got := s.snap.Load().Version; got != b.Version {
-		return res, deleted, true, fmt.Errorf("increpair: replay: pass should end at journal version %d, session landed on %d", b.Version, got)
-	}
-	return res, deleted, true, nil
+	return deletes, sets, inserts, true, nil
 }

@@ -152,65 +152,57 @@ func (s *Session) ApplyDelta(delta []*relation.Tuple) (*Result, error) {
 	return res, err
 }
 
-// ApplyOps applies one mixed mutation batch in a single engine pass:
-// deletes first (deletions never introduce CFD violations, §3.3), then
-// cell updates, then inserts. Updates are re-cleaned: each updated tuple
-// is removed, its modified version keeps its id and joins the inserts as
-// ΔD, and the whole ΔD is repaired by one INCREPAIR pass in the
-// session's configured ordering. It returns the pass's Result and the
-// number of tuples deleted (updated tuples are not counted as deleted).
-//
-// The batch is validated before anything mutates: unknown delete or
-// update ids, out-of-range attributes, updates targeting a tuple
-// deleted in the same batch, bad insert arities or weight vectors, and
-// explicit insert ids that collide (with live tuples, with same-batch
-// updates, or with each other) all fail with the session state
-// untouched. An explicit insert id below the watermark (NextID) may
-// name any currently-unused slot — one freed by an earlier batch, or by
-// a deletion in this same batch; explicit ids at or beyond the
-// watermark (fresh ids the caller chose) must not be mixed with id-0
-// inserts in one batch, since the auto-assigner could take their slots
-// first; id 0 lets the relation assign the next id.
-func (s *Session) ApplyOps(deletes []relation.TupleID, sets []SetOp, inserts []*relation.Tuple) (*Result, int, error) {
+// Check validates one ApplyOps batch against the session's current state
+// without mutating anything, and returns the journal version the batch's
+// pass will land on. ApplyOps runs this same check first, so Check
+// refuses exactly what ApplyOps refuses. The landing is fixed by the
+// batch's shape alone: one mutation per delete and per insert, two per
+// updated tuple (its removal and its re-entry), and under ByViolations
+// two more per arriving tuple (the ranking probe's insert and delete).
+// That is what lets a caller log the batch while its pass runs.
+func (s *Session) Check(deletes []relation.TupleID, sets []SetOp, inserts []*relation.Tuple) (landing uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, 0, errClosed
-	}
+	return s.checkLocked(deletes, sets, inserts)
+}
 
-	// Validate up front so errors leave the session untouched.
+// checkLocked is Check under s.mu.
+func (s *Session) checkLocked(deletes []relation.TupleID, sets []SetOp, inserts []*relation.Tuple) (uint64, error) {
+	if s.closed {
+		return 0, errClosed
+	}
 	arity := s.e.arity
 	dropped := make(map[relation.TupleID]bool, len(deletes))
 	for _, id := range deletes {
 		if s.e.repr.Tuple(id) == nil {
-			return nil, 0, fmt.Errorf("increpair: delete of unknown tuple id %d", id)
+			return 0, fmt.Errorf("increpair: delete of unknown tuple id %d", id)
 		}
 		if dropped[id] {
-			return nil, 0, fmt.Errorf("increpair: duplicate delete of tuple id %d", id)
+			return 0, fmt.Errorf("increpair: duplicate delete of tuple id %d", id)
 		}
 		dropped[id] = true
 	}
 	updatedIDs := make(map[relation.TupleID]bool, len(sets))
 	for _, op := range sets {
 		if op.Attr < 0 || op.Attr >= arity {
-			return nil, 0, fmt.Errorf("increpair: set on tuple %d addresses attribute %d of a %d-attribute schema", op.ID, op.Attr, arity)
+			return 0, fmt.Errorf("increpair: set on tuple %d addresses attribute %d of a %d-attribute schema", op.ID, op.Attr, arity)
 		}
 		if dropped[op.ID] {
-			return nil, 0, fmt.Errorf("increpair: set on tuple %d deleted in the same batch", op.ID)
+			return 0, fmt.Errorf("increpair: set on tuple %d deleted in the same batch", op.ID)
 		}
 		if s.e.repr.Tuple(op.ID) == nil {
-			return nil, 0, fmt.Errorf("increpair: set on unknown tuple id %d", op.ID)
+			return 0, fmt.Errorf("increpair: set on unknown tuple id %d", op.ID)
 		}
 		updatedIDs[op.ID] = true
 	}
-	seenInsertIDs := make(map[relation.TupleID]bool, len(inserts))
+	var seenInsertIDs map[relation.TupleID]bool // made at the first explicit id
 	hasAuto, hasAboveWatermark := false, false
 	for i, t := range inserts {
 		if len(t.Vals) != arity {
-			return nil, 0, fmt.Errorf("increpair: insert %d has arity %d, want %d", i, len(t.Vals), arity)
+			return 0, fmt.Errorf("increpair: insert %d has arity %d, want %d", i, len(t.Vals), arity)
 		}
 		if t.W != nil && len(t.W) != arity {
-			return nil, 0, fmt.Errorf("increpair: insert %d has %d weights, want %d", i, len(t.W), arity)
+			return 0, fmt.Errorf("increpair: insert %d has %d weights, want %d", i, len(t.W), arity)
 		}
 		if t.ID == 0 {
 			hasAuto = true
@@ -223,14 +215,17 @@ func (s *Session) ApplyOps(deletes []relation.TupleID, sets []SetOp, inserts []*
 		// deletion; updated tuples re-enter under their own id, so an
 		// insert claiming it would collide mid-pass.
 		if seenInsertIDs[t.ID] {
-			return nil, 0, fmt.Errorf("increpair: duplicate insert id %d in batch", t.ID)
+			return 0, fmt.Errorf("increpair: duplicate insert id %d in batch", t.ID)
+		}
+		if seenInsertIDs == nil {
+			seenInsertIDs = make(map[relation.TupleID]bool, len(inserts))
 		}
 		seenInsertIDs[t.ID] = true
 		if updatedIDs[t.ID] {
-			return nil, 0, fmt.Errorf("increpair: insert id %d is updated in the same batch", t.ID)
+			return 0, fmt.Errorf("increpair: insert id %d is updated in the same batch", t.ID)
 		}
 		if s.e.repr.Tuple(t.ID) != nil && !dropped[t.ID] {
-			return nil, 0, fmt.Errorf("increpair: insert id %d already exists", t.ID)
+			return 0, fmt.Errorf("increpair: insert id %d already exists", t.ID)
 		}
 	}
 	// A batch may carry explicit ids above the watermark (a caller
@@ -239,7 +234,42 @@ func (s *Session) ApplyOps(deletes []relation.TupleID, sets []SetOp, inserts []*
 	// mixing lets an id-less tuple take an explicit tuple's slot first
 	// and the latecomer would be silently renumbered mid-pass.
 	if hasAuto && hasAboveWatermark {
-		return nil, 0, fmt.Errorf("increpair: batch mixes id-less inserts with explicit ids at or beyond the watermark %d", s.e.repr.NextID())
+		return 0, fmt.Errorf("increpair: batch mixes id-less inserts with explicit ids at or beyond the watermark %d", s.e.repr.NextID())
+	}
+	arriving := uint64(len(updatedIDs) + len(inserts))
+	bumps := uint64(len(deletes)) + uint64(len(updatedIDs)) + arriving
+	if s.e.opts.Ordering == ByViolations {
+		bumps += 2 * arriving
+	}
+	return s.e.repr.Version() + bumps, nil
+}
+
+// ApplyOps applies one mixed mutation batch in a single engine pass:
+// deletes first (deletions never introduce CFD violations, §3.3), then
+// cell updates, then inserts. Updates are re-cleaned: each updated tuple
+// is removed, its modified version keeps its id and joins the inserts as
+// ΔD, and the whole ΔD is repaired by one INCREPAIR pass in the
+// session's configured ordering. It returns the pass's Result and the
+// number of tuples deleted (updated tuples are not counted as deleted).
+//
+// The batch is validated by Check before anything mutates: unknown delete or
+// update ids, out-of-range attributes, updates targeting a tuple
+// deleted in the same batch, bad insert arities or weight vectors, and
+// explicit insert ids that collide (with live tuples, with same-batch
+// updates, or with each other) all fail with the session state
+// untouched. An explicit insert id below the watermark (NextID) may
+// name any currently-unused slot — one freed by an earlier batch, or by
+// a deletion in this same batch; explicit ids at or beyond the
+// watermark (fresh ids the caller chose) must not be mixed with id-0
+// inserts in one batch, since the auto-assigner could take their slots
+// first; id 0 lets the relation assign the next id. A pass that lands on
+// any journal version but the one Check promised is an internal error.
+func (s *Session) ApplyOps(deletes []relation.TupleID, sets []SetOp, inserts []*relation.Tuple) (*Result, int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	landing, err := s.checkLocked(deletes, sets, inserts)
+	if err != nil {
+		return nil, 0, err
 	}
 
 	for _, id := range deletes {
@@ -269,6 +299,9 @@ func (s *Session) ApplyOps(deletes []relation.TupleID, sets []SetOp, inserts []*
 	delta = append(delta, inserts...)
 
 	res, err := s.e.insertBatch(delta)
+	if err == nil && s.e.repr.Version() != landing {
+		err = fmt.Errorf("increpair: internal error: pass landed on journal version %d, Check promised %d", s.e.repr.Version(), landing)
+	}
 	if err != nil {
 		// The pass may have partially applied; republish so snapshot
 		// readers see the true state rather than the last good batch.

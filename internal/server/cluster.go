@@ -497,7 +497,7 @@ func writeReplicationError(w http.ResponseWriter, err error) {
 		writeStatus(w, http.StatusMisdirectedRequest, err.Error())
 	case errors.Is(err, ErrNotFound):
 		writeStatus(w, http.StatusNotFound, err.Error())
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrNotDurable):
 		writeStatus(w, http.StatusServiceUnavailable, err.Error())
 	default:
 		// Gaps and every other replay failure heal the same way: the

@@ -127,6 +127,12 @@ func (s *Server) declareFamilies() []family {
 		sessionGauge("cfdserved_session_queue_depth", "Work-queue occupancy per session.", func(h *hosted) float64 { return float64(len(h.queue)) }),
 		sessionGauge("cfdserved_session_queue_capacity", "Work-queue capacity per session.", func(h *hosted) float64 { return float64(cap(h.queue)) }),
 		sessionGauge("cfdserved_session_relation_size", "Tuples currently in the session's relation.", func(h *hosted) float64 { return float64(h.sess.Snapshot().Size) }),
+		sessionGauge("cfdserved_session_persist_broken", "1 when the session's persistence has failed and it refuses writes (read-only), else 0.", func(h *hosted) float64 {
+			if h.pers.failure() != nil {
+				return 1
+			}
+			return 0
+		}),
 		storeGauge("cfdserved_session_store_gen", "Committed page-store manifest generation per disk-backed session.", func(st *store.Stats) float64 { return float64(st.Gen) }),
 		storeGauge("cfdserved_session_store_pages", "Committed pages in the session's page store.", func(st *store.Stats) float64 { return float64(st.Pages) }),
 		storeGauge("cfdserved_session_store_dirty_pages", "Dirty pages awaiting the session's next store flush.", func(st *store.Stats) float64 { return float64(st.DirtyPages) }),

@@ -15,8 +15,9 @@ import (
 
 // parentFamilies is every HELP and TYPE line of GET /metrics, in document
 // order, as recorded at the commit before the family list replaced the
-// two hand-built renderings: moving, renaming or retyping a family is a
-// change to this list, never a side effect.
+// two hand-built renderings, plus the families added since
+// (cfdserved_session_persist_broken): adding, moving, renaming or
+// retyping a family is a change to this list, never a side effect.
 const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server started.
 # TYPE cfdserved_uptime_seconds gauge
 # HELP cfdserved_sessions Hosted sessions.
@@ -77,6 +78,8 @@ const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server
 # TYPE cfdserved_session_queue_capacity gauge
 # HELP cfdserved_session_relation_size Tuples currently in the session's relation.
 # TYPE cfdserved_session_relation_size gauge
+# HELP cfdserved_session_persist_broken 1 when the session's persistence has failed and it refuses writes (read-only), else 0.
+# TYPE cfdserved_session_persist_broken gauge
 # HELP cfdserved_session_store_gen Committed page-store manifest generation per disk-backed session.
 # TYPE cfdserved_session_store_gen gauge
 # HELP cfdserved_session_store_pages Committed pages in the session's page store.

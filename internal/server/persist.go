@@ -23,12 +23,16 @@ import (
 //	wal-<gen>.log     batches accepted after that snapshot
 //
 // The session's committer goroutine — the pipeline stage downstream of
-// the single-writer engine worker — appends one WAL record per
-// successful engine pass (a coalesced ingest run is one pass and one
-// record) *before* replying to the client, so under the per-batch fsync
-// policy an acknowledged apply is on disk; the fsync itself is amortized
-// across sessions by the registry's group-fsync goroutine. A follower's
-// shipped batches take the same path (see Registry.ReplicateBatch).
+// the single-writer engine worker — appends one WAL record per engine
+// pass (a coalesced ingest run is one pass and one record) *before*
+// replying to the client, so under the per-batch fsync policy an
+// acknowledged apply is on disk. The record is the batch's ops bracketed
+// by the journal versions before and after the pass, and Check fixes the
+// second before the pass runs, so the committer appends and fsyncs the
+// record while the worker runs the pass. A follower's shipped batches
+// take the same path (see Registry.ReplicateBatch). A failed append,
+// fsync, rotation or role-marker write breaks the persister: the batch
+// is not acknowledged, and the session refuses every later write.
 //
 // A session's state becomes a generation in one way (capture, anchor):
 // snapshot gen, an empty WAL gen, generations older than the previous
@@ -45,11 +49,11 @@ import (
 // to the last intact record; committed batches before the damage are
 // never lost.
 //
-// A pass that fails *partway* (validation rejects before any mutation,
-// so this is nearly impossible) leaves relation state that no WAL
-// record describes; the worker captures that boundary too and the
-// committer anchors it instead of appending, keeping the on-disk image
-// authoritative.
+// A batch Check refuses has no record. Its pass fails before any
+// mutation, and a pass that fails *partway* (nearly impossible once
+// Check passed) leaves relation state that no WAL record describes.
+// Either way the worker captures that boundary and the committer anchors
+// it, keeping the on-disk image authoritative.
 
 // FsyncPolicy selects when WAL appends reach stable storage.
 type FsyncPolicy int
@@ -146,8 +150,7 @@ func walPath(dir string, gen uint64) string  { return filepath.Join(dir, wal.Gen
 // asks it after every pass whether the boundary must become a generation
 // (boundary); everything that touches the files runs on the session's
 // committer goroutine (see hosted.committer). The mutex fences the
-// committer's appends against the interval-fsync ticker and the
-// registry's group-fsync goroutine.
+// committer's appends against the interval-fsync ticker.
 type persister struct {
 	cfg  *Options // the server's options; DataDir is set
 	dir  string
@@ -235,16 +238,16 @@ func (p *persister) startTicker() {
 	}()
 }
 
-// appendBatch logs one successful engine pass: delta-encode, CRC-frame
-// and append, without syncing. Called by the session's committer, which
-// is how the encode and the append run concurrently with the worker's
-// NEXT engine pass — the WAL is off the single-writer hot path while
-// record order still equals pass order (the commit channel is FIFO).
-// The ops slices are the batch's original decoded inputs, which the
-// engine never mutates (TUPLERESOLVE clones arriving tuples), so
-// reading them here races nothing.
+// appendBatch logs one batch: delta-encode, CRC-frame and append, without
+// syncing. Called by the session's committer, which is how the encode and
+// the append run concurrently with the worker's pass of that same batch —
+// the WAL is off the single-writer hot path while record order still
+// equals pass order (the commit channel is FIFO). The ops slices are the
+// batch's original decoded inputs, which the engine never mutates
+// (TUPLERESOLVE clones arriving tuples), so reading them here races
+// nothing.
 func (p *persister) appendBatch(b *wal.Batch) error {
-	payload := b.Encode() // off-lock: overlaps the ticker and group syncer
+	payload := b.Encode() // off-lock: overlaps the ticker
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.broken != nil {
@@ -259,7 +262,7 @@ func (p *persister) appendBatch(b *wal.Batch) error {
 }
 
 // syncNow flushes the log to stable storage — the one sync step, called
-// by the group-fsync goroutine once per log per sync window and by the
+// by the committer after each append under -fsync batch and by the
 // interval ticker: on success everything appended so far is known
 // durable.
 func (p *persister) syncNow() error {
@@ -280,12 +283,23 @@ func (p *persister) syncNow() error {
 }
 
 // syncedVersion reports the newest journal version known to be on
-// stable storage — what the group-fsync ordering test asserts against:
-// under the per-batch policy no acknowledged version may exceed it.
+// stable storage — what the fsync-before-ack test asserts against: under
+// the per-batch policy no acknowledged version may exceed it.
 func (p *persister) syncedVersion() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.synced
+}
+
+// failure returns the persistence failure that broke p, or nil — always
+// nil for a memory-backed session (p == nil).
+func (p *persister) failure() error {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.broken
 }
 
 // markBroken records a persistence failure discovered outside the
@@ -416,8 +430,9 @@ func (p *persister) anchorNow(gen uint64) error {
 }
 
 // rotate is the committer's anchor: the next generation from a boundary
-// the worker captured. A failure breaks the persister: the session keeps
-// serving, the recorded state stops advancing, info() says so.
+// the worker captured. A failure breaks the persister: the session
+// refuses later writes and keeps serving reads, and info() and /metrics
+// say so.
 func (p *persister) rotate(c *capture) {
 	p.mu.Lock()
 	broken, next := p.broken, p.gen+1
@@ -495,10 +510,8 @@ func (p *persister) status() string {
 	if p == nil {
 		return ""
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.broken != nil {
-		return "error: " + p.broken.Error()
+	if err := p.failure(); err != nil {
+		return "error: " + err.Error()
 	}
 	return "ok"
 }

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,76 +18,195 @@ import (
 	"cfdclean/internal/increpair"
 	"cfdclean/internal/metrics"
 	"cfdclean/internal/relation"
+	"cfdclean/internal/wal"
 )
 
-// Pipeline tests: the durability ordering the committer/group-fsync
-// split must preserve — no batch is acknowledged before its WAL record
-// is on stable storage. (Adjacent-batch folding is TestCoalescing's.)
+// Pipeline tests: the durability ordering the worker/committer split must
+// preserve — no batch is acknowledged before its WAL record is on stable
+// storage, and none at all once the record cannot be made durable.
+// (Adjacent-batch folding is TestCoalescing's.)
 
-// TestGroupFsyncOrdering: under the per-batch policy with many sessions
-// committing concurrently — the group-fsync window at work — no apply
-// may be acknowledged before the WAL version it produced is on stable
-// storage. This is the fsync-before-ack invariant the pipelined
-// committer must not weaken.
-func TestGroupFsyncOrdering(t *testing.T) {
-	s := New(Options{QueueDepth: 8, DataDir: t.TempDir(), Fsync: FsyncBatch})
-	reg := s.reg
-	t.Cleanup(func() { s.Shutdown(context.Background()) })
+// TestFsyncBeforeAck: under the per-batch policy, with many sessions
+// committing concurrently and several clients per session, no apply may
+// be acknowledged before the WAL version it produced is on stable
+// storage — even though the committer syncs each record while the
+// worker is still running that record's pass.
+func TestFsyncBeforeAck(t *testing.T) {
+	for _, tc := range []struct{ sessions, clients int }{{4, 1}, {8, 4}} {
+		t.Run(fmt.Sprintf("%dsessions_%dclients", tc.sessions, tc.clients), func(t *testing.T) {
+			s := New(Options{QueueDepth: 8, DataDir: t.TempDir(), Fsync: FsyncBatch, SnapshotEvery: 5})
+			reg := s.reg
+			t.Cleanup(func() { s.Shutdown(context.Background()) })
 
-	const sessions = 4
-	sch := relation.MustSchema("orders", "AC", "CT")
-	hs := make([]*hosted, sessions)
-	for i := range hs {
-		rel := relation.New(sch)
-		rel.MustInsert(relation.NewTuple(0, "212", "NYC"))
-		parsed, err := cfd.Parse(sch, strings.NewReader(tinyCFDs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := increpair.NewSession(rel, cfd.NormalizeAll(parsed), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := reg.Create(fmt.Sprintf("g%d", i), sess, sch, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs[i] = h
-	}
-
-	const perSession = 16
-	errc := make(chan error, sessions)
-	var wg sync.WaitGroup
-	for _, h := range hs {
-		wg.Add(1)
-		go func(h *hosted) {
-			defer wg.Done()
-			for k := 0; k < perSession; k++ {
-				ins := []*relation.Tuple{relation.NewTuple(0, "212", "NYC")}
-				rep, err := reg.Apply(context.Background(), h, nil, nil, ins)
+			sch := relation.MustSchema("orders", "AC", "CT")
+			hs := make([]*hosted, tc.sessions)
+			for i := range hs {
+				rel := relation.New(sch)
+				rel.MustInsert(relation.NewTuple(0, "212", "NYC"))
+				parsed, err := cfd.Parse(sch, strings.NewReader(tinyCFDs))
 				if err != nil {
-					errc <- err
-					return
+					t.Fatal(err)
 				}
-				if rep.err != nil {
-					errc <- rep.err
-					return
+				sess, err := increpair.NewSession(rel, cfd.NormalizeAll(parsed), nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				// The ack for version V happened-before this read; the
-				// durable watermark must already cover V.
-				if synced := h.pers.syncedVersion(); synced < rep.snap.Version {
-					errc <- fmt.Errorf("session %s: acked version %d with synced watermark %d", h.name, rep.snap.Version, synced)
-					return
+				if hs[i], err = reg.Create(fmt.Sprintf("g%d", i), sess, sch, nil); err != nil {
+					t.Fatal(err)
 				}
 			}
-			errc <- nil
-		}(h)
+
+			const perClient = 8
+			errc := make(chan error, tc.sessions*tc.clients)
+			var wg sync.WaitGroup
+			for _, h := range hs {
+				for c := 0; c < tc.clients; c++ {
+					wg.Add(1)
+					go func(h *hosted) {
+						defer wg.Done()
+						for k := 0; k < perClient; k++ {
+							// Odd batches violate the rule and are repaired.
+							ct := "NYC"
+							if k%2 == 1 {
+								ct = "PHI"
+							}
+							ins := []*relation.Tuple{relation.NewTuple(0, "212", ct)}
+							rep, err := reg.Apply(context.Background(), h, nil, nil, ins)
+							if err == nil {
+								err = rep.err
+							}
+							if err != nil {
+								errc <- err
+								return
+							}
+							// The ack for version V happened-before this read;
+							// the durable watermark must already cover V.
+							if synced := h.pers.syncedVersion(); synced < rep.snap.Version {
+								errc <- fmt.Errorf("session %s: acked version %d with synced watermark %d", h.name, rep.snap.Version, synced)
+								return
+							}
+						}
+					}(h)
+				}
+			}
+			wg.Wait()
+			close(errc)
+			for err := range errc {
+				t.Fatal(err)
+			}
+			for _, h := range hs {
+				if got, want := h.sess.Snapshot().Batches, tc.clients*perClient; got != want {
+					t.Fatalf("session %s applied %d batches, want %d", h.name, got, want)
+				}
+			}
+		})
 	}
-	wg.Wait()
-	for range hs {
-		if err := <-errc; err != nil {
+}
+
+// walRecords reads every record of one WAL generation of a session.
+func walRecords(t *testing.T, dir, name string, gen uint64) []*wal.Batch {
+	t.Helper()
+	l, payloads, _, err := wal.Open(walPath(filepath.Join(dir, name), gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	out := make([]*wal.Batch, len(payloads))
+	for i, p := range payloads {
+		if out[i], err = wal.DecodeBatch(p); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return out
+}
+
+// TestRefusedBatchLeavesNoRecord: a batch Check refuses is never logged
+// — its record would be sent before the pass — yet its failed pass still
+// re-anchors a fresh generation, and the next record chains onto that
+// generation's snapshot.
+func TestRefusedBatchLeavesNoRecord(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{DataDir: dir, Fsync: FsyncBatch, SnapshotEvery: 1 << 20, QueueDepth: 8}
+	s1 := New(opts)
+	ts1 := httptest.NewServer(s1.Handler())
+	createRecovery(t, ts1.URL, "t")
+	applyRecovery(t, ts1.URL, "t", 1)
+	resp, body := do(t, "POST", ts1.URL+"/v1/sessions/t/apply", ApplyRequest{Deletes: []int64{99999}})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("bad delete: %d: %s", resp.StatusCode, body)
+	}
+	applyRecovery(t, ts1.URL, "t", 2)
+	shutdownService(t, s1, ts1)
+
+	if recs := walRecords(t, dir, "t", 0); len(recs) != 1 {
+		t.Fatalf("generation 0 holds %d records, want only the first batch's", len(recs))
+	}
+	snap, err := wal.ReadSnapshotFile(snapPath(filepath.Join(dir, "t"), 1))
+	if err != nil {
+		t.Fatalf("the refused batch did not re-anchor: %v", err)
+	}
+	recs := walRecords(t, dir, "t", 1)
+	if len(recs) != 1 || recs[0].PrevVersion != snap.Version || len(recs[0].Ops) != 1 {
+		t.Fatalf("generation 1 records %+v do not chain onto its snapshot at version %d", recs, snap.Version)
+	}
+}
+
+// TestBrokenPersisterRefusesWrites: a durable session whose persister is
+// marked broken answers /apply with 503 and its dump is unchanged; a
+// batch whose record cannot be appended is answered 503, not 200. Either
+// way the session then refuses every write before its pass, while the
+// listing and /metrics say what happened.
+func TestBrokenPersisterRefusesWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		breakIt  func(p *persister)
+		passRuns bool // the first refused batch's pass still ran
+	}{
+		{"marked", func(p *persister) { p.markBroken(errors.New("disk on fire")) }, false},
+		{"append fails", func(p *persister) {
+			p.mu.Lock()
+			p.log.Close() // the next append fails
+			p.mu.Unlock()
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestService(t, Options{DataDir: t.TempDir(), Fsync: FsyncBatch, QueueDepth: 8})
+			createRecovery(t, ts.URL, "t")
+			applyRecovery(t, ts.URL, "t", 1)
+			h, err := s.reg.Get("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			apply := func(i int) {
+				t.Helper()
+				resp, body := do(t, "POST", ts.URL+"/v1/sessions/t/apply", ApplyRequest{Inserts: []WireTuple{
+					{Vals: []*string{strp("212"), strp(fmt.Sprintf("666%04d", i)), strp("NYC"), strp("NY"), strp("10012")}},
+				}})
+				if resp.StatusCode != http.StatusServiceUnavailable {
+					t.Fatalf("apply %d: %d: %s, want 503", i, resp.StatusCode, body)
+				}
+			}
+			before, _, _ := sessionState(t, ts.URL, "t")
+			tc.breakIt(h.pers)
+			apply(2)
+			if after, _, _ := sessionState(t, ts.URL, "t"); !tc.passRuns && !bytes.Equal(before, after) {
+				t.Fatalf("a refused write changed the dump:\nbefore:\n%s\nafter:\n%s", before, after)
+			}
+			before, _, _ = sessionState(t, ts.URL, "t")
+			apply(3)
+			apply(4)
+			if after, _, _ := sessionState(t, ts.URL, "t"); !bytes.Equal(before, after) {
+				t.Fatalf("a write on a broken session changed the dump:\nbefore:\n%s\nafter:\n%s", before, after)
+			}
+			_, body := do(t, "GET", ts.URL+"/v1/sessions/t", nil)
+			if !strings.Contains(string(body), `"persist":"error: `) {
+				t.Fatalf("listing does not name the failure: %s", body)
+			}
+			_, body = do(t, "GET", ts.URL+"/metrics", nil)
+			if !strings.Contains(string(body), `cfdserved_session_persist_broken{session="t"} 1`) {
+				t.Fatal("/metrics does not show the broken session")
+			}
+		})
 	}
 }
 

@@ -33,6 +33,10 @@ var (
 	// replica — mapped to 421 with the primary's address, the redirect
 	// contract of the thin-proxy routing scheme.
 	ErrFollower = errors.New("server: session is a replica on this node")
+	// ErrNotDurable reports a write whose record could not be made
+	// durable, or one refused because an earlier one could not — mapped
+	// to 503. A session whose persistence has failed is read-only.
+	ErrNotDurable = errors.New("server: session persistence failed; writes are refused")
 )
 
 // A hosted session's replication role. Both run the same pipeline: a
@@ -50,13 +54,14 @@ const registryShards = 16
 // different sessions rarely contend on one lock. Each hosted session is
 // a two-stage pipeline: a bounded work queue drained by a dedicated
 // worker goroutine — the session's single writer by construction, and
-// the ONLY stage serialized per session — feeding a committer goroutine
-// that delta-encodes, appends to the WAL, waits out the (group) fsync,
-// acknowledges the client, and publishes the pass event. HTTP handlers
+// the ONLY stage serialized per session — feeding a committer goroutine.
+// For each batch the worker hands the committer the batch's WAL record
+// before it runs the pass, and the pass's result after; the committer
+// delta-encodes, appends and fsyncs the record while the pass runs, then
+// acknowledges the client and publishes the pass event. HTTP handlers
 // never run an engine pass themselves; they decode and enqueue, then
 // either wait for the committer's reply (apply) or return immediately
-// (ingest). While the committer of pass N is encoding and syncing, the
-// worker is already folding and repairing pass N+1.
+// (ingest).
 type Registry struct {
 	queueDepth int
 
@@ -80,15 +85,6 @@ type Registry struct {
 	installMu sync.Mutex
 	// replicaApplied counts batches applied on this node as a follower.
 	replicaApplied metrics.Counter
-
-	// Group fsync: committers under the per-batch policy funnel sync
-	// requests through one lazily started goroutine that drains a
-	// window of pending requests and issues one Fsync per distinct WAL
-	// (see groupSync). The goroutine lives for the process — the
-	// registry has no Close — which is one small bounded goroutine per
-	// durable registry.
-	syncOnce sync.Once
-	syncCh   chan syncReq
 
 	shards [registryShards]shard
 
@@ -182,10 +178,11 @@ type hosted struct {
 	purge atomic.Bool
 
 	queue chan job
-	// commits carries finished passes, in pass order, from the worker to
-	// the committer: the downstream pipeline stage that encodes, logs,
-	// syncs, replies and publishes. Closed by the exiting worker after
-	// the final drain; committerDone is closed by the exiting committer.
+	// commits carries each batch's record and then its finished pass, in
+	// pass order, from the worker to the committer: the downstream
+	// pipeline stage that encodes, logs, syncs, replies and publishes.
+	// Closed by the exiting worker after the final drain; committerDone
+	// is closed by the exiting committer.
 	commits       chan commitItem
 	committerDone chan struct{}
 	// quit is closed to ask the worker to drain and exit; done is closed
@@ -269,24 +266,24 @@ type jobReply struct {
 	persist time.Duration // pass end → durable and acknowledged
 }
 
-// commitItem is one finished engine pass travelling from the worker to
-// the committer. The job's op slices are safe to read downstream while
-// the worker runs the next pass: the engine never mutates them
-// (TUPLERESOLVE clones arriving tuples before insertion), and res/snap
-// are immutable after the pass.
+// commitItem travels from the worker to the committer. It is either a
+// log item, carrying only the batch's record and sent before the pass
+// runs, or a result item, carrying the finished pass. The record's ops
+// are safe to read downstream while the worker runs the pass: the engine
+// never mutates them (TUPLERESOLVE clones arriving tuples before
+// insertion), and res/snap are immutable after the pass.
 type commitItem struct {
-	j       job
-	batches int // client batches folded into the pass
-	rep     jobReply
-	version uint64 // journal version after the pass
-	// prev is the journal version before the pass — with version it
-	// brackets the batch for the replication stream, whose frames carry
-	// the same (PrevVersion, Version] chain the WAL uses.
-	prev     uint64
+	// log is the batch's WAL record: its ops between the journal version
+	// before the pass and the one Check says the pass lands on.
+	log      *wal.Batch
+	j        job
+	batches  int // client batches folded into the pass
+	rep      jobReply
 	passDone time.Time // when the engine finished; start of persist stage
 	// noPass marks an item with no engine pass to record — the quiesce
-	// sentinel, a refused or duplicate shipped batch: no WAL record, ship
-	// or event, only its reply riding the pipeline in order.
+	// sentinel, a refused or duplicate shipped batch, a write refused by
+	// a broken persister: no WAL record, ship or event, only its reply
+	// riding the pipeline in order.
 	noPass bool
 	// rotate / resync are boundary images the WORKER captured at this
 	// exact batch boundary: rotate advances the persister's generation
@@ -346,7 +343,7 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 		ops:           r.ops.child(),
 		pers:          p,
 		queue:         make(chan job, r.queueDepth),
-		commits:       make(chan commitItem, r.queueDepth),
+		commits:       make(chan commitItem, 2*r.queueDepth), // a log and a result item per pass
 		committerDone: make(chan struct{}),
 		quit:          make(chan struct{}),
 		done:          make(chan struct{}),
@@ -465,7 +462,11 @@ func (r *Registry) Apply(ctx context.Context, h *hosted, deletes []relation.Tupl
 		return jobReply{}, err
 	}
 	r.batches.Add(1)
-	return h.await(ctx, j)
+	rep, err := h.await(ctx, j)
+	if err == nil && errors.Is(rep.err, ErrNotDurable) {
+		return jobReply{}, rep.err
+	}
+	return rep, err
 }
 
 // enqueue puts a synchronous job on the session's queue, waiting out a
@@ -663,52 +664,70 @@ func (h *hosted) dispatch(r *Registry, j job) {
 }
 
 // apply runs one engine pass for job j (which may represent several
-// coalesced client batches) and hands the result to the committer.
-// Everything after the pass — delta encode, WAL append, fsync, client
-// reply, event fan-out — happens downstream, overlapped with this
-// worker's next pass; only the pass itself is serialized per session.
-// Pass order fixes seq and the journal-version order, and the commits
-// channel is FIFO, so the committer observes them in the same order.
-// A shipped batch (j.replay) is the same pass reached through replay, so
-// shipped batches, a promotion and the first local write after it are
-// totally ordered by the queue.
+// coalesced client batches). It first hands the committer the batch's
+// WAL record, which does not depend on the pass: the ops between the
+// journal version before the pass and the one Check says the pass lands
+// on. The committer appends and syncs it while the pass runs, so a reply
+// waits for the longer of the two rather than their sum. The result goes
+// to the committer after the pass; the reply, ship and event fan-out
+// happen there, overlapped with this worker's next pass. Pass order
+// fixes seq and the journal-version order, the commits channel is FIFO,
+// and record N+1 is sent only after result N, so the committer appends
+// record N+1 after it has rotated at boundary N. A shipped batch
+// (j.replay) is the same pass with the shipped record, so shipped
+// batches, a promotion and the first local write after it are totally
+// ordered by the queue.
 func (h *hosted) apply(r *Registry, j job, batches int) {
 	if j.quiesce {
 		h.commits <- commitItem{j: j, noPass: true}
+		return
+	}
+	refuse := func(err error) { h.commits <- commitItem{j: j, noPass: true, rep: jobReply{err: err}} }
+	if err := h.pers.failure(); err != nil && !h.purge.Load() {
+		refuse(fmt.Errorf("%w: %v", ErrNotDurable, err))
 		return
 	}
 	var wait time.Duration
 	if !j.enqueued.IsZero() {
 		wait = time.Since(j.enqueued)
 	}
-	// The pre-pass journal version brackets the batch for replication;
-	// worker-only read, so no lock needed.
-	prev := h.sess.Snapshot().Version
-	start := time.Now()
-	var (
-		res     *increpair.Result
-		deleted int
-		err     error
-	)
-	if j.replay == nil {
-		res, deleted, err = h.sess.ApplyOps(j.deletes, j.sets, j.inserts)
-	} else {
-		applied := false
+	deletes, sets, inserts, rec := j.deletes, j.sets, j.inserts, j.replay
+	if rec != nil {
+		var (
+			applies bool
+			err     error
+		)
 		if h.role.Load() != roleFollower {
 			// Promoted (or never a replica) since the frame was accepted:
 			// the primary's stream must stop, not resync.
 			err = errReplicaConflict
-		} else if res, deleted, applied, err = h.sess.ReplayBatchResult(j.replay); err != nil {
+		} else if deletes, sets, inserts, applies, err = h.sess.CheckReplay(rec); err != nil {
 			// A gap, undecodable ops, divergence: all heal the same way —
 			// the primary reships a full image that replaces this session.
 			err = fmt.Errorf("%w: %v", errReplicaGap, err)
 		}
-		if err != nil || !applied {
+		if err != nil || !applies {
 			// Refused, or a duplicate the cursor already covers.
-			h.commits <- commitItem{j: j, noPass: true, rep: jobReply{err: err}}
+			refuse(err)
 			return
 		}
-		r.replicaApplied.Add(1)
+	} else if landing, err := h.sess.Check(deletes, sets, inserts); err == nil {
+		// Worker-only read of the pre-pass version, so no lock needed.
+		rec = &wal.Batch{PrevVersion: h.sess.Snapshot().Version, Version: landing,
+			Ops: increpair.OpsToDeltas(deletes, sets, inserts)}
+	}
+	// A batch Check refuses has no record; its pass fails below.
+	if rec != nil {
+		h.commits <- commitItem{log: rec}
+	}
+	start := time.Now()
+	res, deleted, err := h.sess.ApplyOps(deletes, sets, inserts)
+	if j.replay != nil {
+		if err != nil {
+			err = fmt.Errorf("%w: %v", errReplicaGap, err)
+		} else {
+			r.replicaApplied.Add(1)
+		}
 	}
 	snap := h.sess.Snapshot()
 	engine := time.Since(start)
@@ -723,7 +742,7 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 		h.ops.errorPasses.Add(1)
 	}
 	item := commitItem{
-		j: j, batches: batches, version: snap.Version, prev: prev, passDone: time.Now(),
+		j: j, batches: batches, passDone: time.Now(),
 		rep: jobReply{res: res, deleted: deleted, seq: seq, snap: snap, err: err, wait: wait, engine: engine},
 	}
 	// A rotation boundary must be captured at THIS batch boundary; by the
@@ -743,14 +762,15 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 	h.commits <- item
 }
 
-// committer is the pipeline stage downstream of the session worker: it
-// receives finished passes in pass order and, for each, appends the WAL
-// record, waits out the fsync (grouped across sessions under the
-// per-batch policy), sends the client reply, and publishes the pass
-// event. The reply still happens strictly after the record is durable —
-// fsync-before-ack is preserved per batch — but the fsync of pass N now
-// overlaps the worker's pass N+1 instead of blocking it. A follower's
-// replayed passes are committed the same way.
+// committer is the pipeline stage downstream of the session worker. On a
+// log item it appends the batch's WAL record and, under -fsync batch,
+// syncs it, while the worker runs the batch's pass. On the result item
+// that follows it rotates at a boundary the worker captured, ships,
+// sends the client reply and publishes the pass event. The reply happens
+// strictly after the record is durable, so fsync-before-ack holds per
+// batch, and a batch whose record could not be made durable is answered
+// with ErrNotDurable and shipped nowhere. A follower's replayed passes
+// are committed the same way.
 //
 // A purged session (Remove in progress) stops persisting immediately:
 // its directory is doomed — and may already belong to a re-created
@@ -758,7 +778,17 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 // and their waiting clients are still answered.
 func (h *hosted) committer(r *Registry) {
 	defer close(h.committerDone)
+	// b is the record of the pass whose result comes next, and logErr
+	// what logging it returned.
+	var (
+		b      *wal.Batch
+		logErr error
+	)
 	for item := range h.commits {
+		if item.log != nil {
+			b, logErr = item.log, h.logRecord(item.log)
+			continue
+		}
 		if item.noPass {
 			// Everything before it in the pipeline is applied AND
 			// committed; answer and move on.
@@ -767,37 +797,17 @@ func (h *hosted) committer(r *Registry) {
 			}
 			continue
 		}
-		// The batch record is built at most once per pass and shared by
-		// the WAL append and the replication frame; a replayed pass logs
-		// the record it was shipped.
-		ref := h.shipper.Load()
-		b := item.j.replay
-		if b == nil && item.rep.err == nil && (h.pers != nil || ref != nil) {
-			b = &wal.Batch{PrevVersion: item.prev, Version: item.version,
-				Ops: increpair.OpsToDeltas(item.j.deletes, item.j.sets, item.j.inserts)}
+		if logErr != nil && item.rep.err == nil {
+			item.rep.err = fmt.Errorf("%w: %v", ErrNotDurable, logErr)
 		}
-		if h.pers != nil && !h.purge.Load() {
-			// A failed pass has nothing to append: its capture is a
-			// re-anchor, applied instead of a WAL record.
-			ok := true
-			if item.rep.err == nil {
-				ok = h.pers.appendBatch(b) == nil
-				if ok && h.pers.cfg.Fsync == FsyncBatch {
-					appended := time.Now()
-					if r.groupSync(h.pers) == nil {
-						h.ops.walLag.Observe(time.Since(appended).Seconds())
-					}
-				}
-			}
-			if ok && item.rotate != nil {
-				h.pers.rotate(item.rotate)
-				item.rotate = nil
-			}
+		if item.rotate != nil && !h.purge.Load() {
+			h.pers.rotate(item.rotate)
+			item.rotate = nil
 		}
-		// Unconsumed capture — a purge raced in, or the append failed
-		// before the rotation point. Release the store's flush lease so
-		// the next boundary can begin one.
+		// Unconsumed capture — a purge raced in. Release the store's flush
+		// lease so the next boundary can begin one.
 		item.rotate.abort()
+		ref := h.shipper.Load()
 		// Replication, strictly after the local fsync: a follower can
 		// never hold a batch the primary's own disk does not. ack=quorum
 		// ships synchronously — the client's reply waits for the
@@ -837,54 +847,22 @@ func (h *hosted) committer(r *Registry) {
 	}
 }
 
-// syncReq asks the group-fsync goroutine to make one persister's log
-// durable; done receives the sync result.
-type syncReq struct {
-	p    *persister
-	done chan error
-}
-
-// groupSync makes p's appended records durable, batching with whatever
-// other sessions are syncing in the same window: while one fsync is in
-// flight, later requests pile up in syncCh, and the loop then satisfies
-// the whole window with a single Fsync per distinct WAL. Under N
-// concurrent durable sessions this amortizes the dominant per-batch
-// cost N ways without weakening fsync-before-ack — every caller blocks
-// until a sync that covers its append has completed.
-func (r *Registry) groupSync(p *persister) error {
-	r.syncOnce.Do(func() {
-		r.syncCh = make(chan syncReq, 4*registryShards)
-		go r.syncLoop()
-	})
-	req := syncReq{p: p, done: make(chan error, 1)}
-	r.syncCh <- req
-	return <-req.done
-}
-
-func (r *Registry) syncLoop() {
-	for req := range r.syncCh {
-		window := []syncReq{req}
-	drain:
-		for {
-			select {
-			case more := <-r.syncCh:
-				window = append(window, more)
-			default:
-				break drain
-			}
-		}
-		// One Fsync per distinct persister covers every append that
-		// happened before its request entered the window.
-		results := make(map[*persister]error, 1)
-		for _, q := range window {
-			if _, done := results[q.p]; !done {
-				results[q.p] = q.p.syncNow()
-			}
-		}
-		for _, q := range window {
-			q.done <- results[q.p]
-		}
+// logRecord is the committer's work on a log item: append b to the WAL
+// and, under -fsync batch, sync it. A memory-backed or purged session
+// logs nothing. An error has broken the persister.
+func (h *hosted) logRecord(b *wal.Batch) error {
+	if h.pers == nil || h.purge.Load() {
+		return nil
 	}
+	if err := h.pers.appendBatch(b); err != nil || h.pers.cfg.Fsync != FsyncBatch {
+		return err
+	}
+	appended := time.Now()
+	if err := h.pers.syncNow(); err != nil {
+		return err
+	}
+	h.ops.walLag.Observe(time.Since(appended).Seconds())
+	return nil
 }
 
 // finishPersist ends the session's durability on worker exit: purge

@@ -14,9 +14,10 @@
 //
 //	handler: decode + validate            (per-request goroutine)
 //	worker:  fold coalescable batches,    (the session's single writer)
+//	         Check, send the record,
 //	         run the engine pass
-//	committer: delta-encode, WAL append,  (overlaps the next pass)
-//	         group fsync, reply, event
+//	committer: delta-encode, WAL append,  (overlaps the record's pass)
+//	         fsync; then reply, event     (overlaps the next pass)
 //	         └─ shipper: frame + forward  (after the local fsync)
 //	              └────────────────────────▶ follower: ReplicateBatch
 //
@@ -35,10 +36,10 @@
 // what keeps service results byte-identical to driving the in-process
 // API: it issues the same ApplyOps calls a single-threaded caller
 // would, and the reply content is fixed at the pass boundary before the
-// committer ships it. Everything downstream of the pass — WAL encoding,
-// fsync (amortized across sessions by a registry-wide group-commit
-// goroutine), response encoding, SSE fan-out — runs concurrently with
-// the worker's next pass.
+// committer ships it. The WAL record does not depend on the pass —
+// Session.Check fixes the version the pass lands on — so its encoding,
+// append and fsync run concurrently with the pass itself, and response
+// encoding and SSE fan-out with the worker's next pass.
 //
 // Two write paths feed the queue. POST .../apply is synchronous: the
 // handler enqueues and waits for the pass's reply (a full queue makes it
@@ -792,7 +793,7 @@ func writeError(w http.ResponseWriter, err error) {
 		writeStatus(w, http.StatusNotFound, err.Error())
 	case errors.Is(err, ErrExists):
 		writeStatus(w, http.StatusConflict, err.Error())
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrNotDurable):
 		writeStatus(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, ErrBacklog):
 		writeStatus(w, http.StatusTooManyRequests, err.Error())

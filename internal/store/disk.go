@@ -489,10 +489,21 @@ func (d *Disk) walkView(gen uint64, f *Flush) (map[uint64][]byte, error) {
 }
 
 func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows int) error {
-	payload := binary.AppendUvarint(nil, uint64(d.arity))
-	payload = binary.AppendUvarint(payload, uint64(d.rowWidth))
-	payload = binary.AppendUvarint(payload, d.rowsPerPage)
-	payload = binary.AppendUvarint(payload, uint64(d.pageBytes))
+	b := encodeManifest(manifestGeom{d.arity, d.rowWidth, d.rowsPerPage, d.pageBytes}, table, dictLen, rows)
+	return wal.WriteFileAtomic(filepath.Join(d.dir, manifestName(gen)), func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
+}
+
+// encodeManifest renders a manifest file, the inverse of decodeManifest:
+// the header, then one record holding the geometry, the dictionary
+// length, the row count and the page table in page order.
+func encodeManifest(geom manifestGeom, table map[uint64]pageLoc, dictLen, rows int) []byte {
+	payload := binary.AppendUvarint(nil, uint64(geom.arity))
+	payload = binary.AppendUvarint(payload, uint64(geom.rowWidth))
+	payload = binary.AppendUvarint(payload, geom.rowsPerPage)
+	payload = binary.AppendUvarint(payload, uint64(geom.pageBytes))
 	payload = binary.AppendUvarint(payload, uint64(dictLen))
 	payload = binary.AppendUvarint(payload, uint64(rows))
 	payload = binary.AppendUvarint(payload, uint64(len(table)))
@@ -502,10 +513,7 @@ func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows
 		payload = binary.AppendUvarint(payload, loc.gen)
 		payload = binary.AppendUvarint(payload, uint64(loc.off))
 	}
-	return wal.WriteFileAtomic(filepath.Join(d.dir, manifestName(gen)), func(w io.Writer) error {
-		_, err := w.Write(wal.AppendFrame(wal.AppendHeader(nil, manifestMagic, storeVersion), payload))
-		return err
-	})
+	return wal.AppendFrame(wal.AppendHeader(nil, manifestMagic, storeVersion), payload)
 }
 
 // pruneLocked removes the page files of generations not in keep (those

@@ -21,6 +21,10 @@ import (
 	"cfdclean/internal/wal"
 )
 
+// otherVersions is the refusal table: format versions no file this build
+// reads may carry — older ones and one from the future.
+var otherVersions = []byte{1, 2, 99}
+
 func TestOtherFormatVersionsAreRefused(t *testing.T) {
 	rec := record(t, 77, increpair.Linear, 1, 3, true)
 	dir := t.TempDir()
@@ -51,7 +55,7 @@ func TestOtherFormatVersionsAreRefused(t *testing.T) {
 		t.Fatalf("current-version wal: %d records, err %v", len(payloads), err)
 	}
 
-	for _, ver := range []byte{1, 2, 99} {
+	for _, ver := range otherVersions {
 		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
 			check := func(kind string, err error) {
 				t.Helper()
@@ -83,4 +87,69 @@ func TestOtherFormatVersionsAreRefused(t *testing.T) {
 			check("wal", err)
 		})
 	}
+}
+
+// FuzzDecodeSnapshot holds the snapshot decoders behind the frame to
+// their contract: the fuzzer writes a file's version byte, its header
+// (prefix) record and one tuple chunk record, and the test frames them
+// with valid checksums, so the bytes reach the prefix and chunk decoders
+// rather than dying at the CRC. Whatever ReadSnapshot accepts,
+// WriteSnapshot writes to a file that reads back to the same snapshot;
+// whatever DecodeSnapshot accepts as a wire payload, Encode (whose length
+// EncodedSize predicts) writes back to the same snapshot. Snapshots are
+// compared by their encodings, since a cost or a weight may be NaN.
+func FuzzDecodeSnapshot(f *testing.F) {
+	rec := record(f, 77, increpair.Linear, 1, 3, true)
+	r := bytes.NewReader(rec.snap0[len("CFDSNAP")+1:])
+	prefix, err := wal.ReadFrame(r, 1<<30)
+	if err != nil {
+		f.Fatal(err)
+	}
+	chunk, err := wal.ReadFrame(r, 1<<30)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, ver := range append([]byte{wal.Version}, otherVersions...) {
+		f.Add(ver, prefix, chunk)
+	}
+	snap, err := wal.ReadSnapshot(bytes.NewReader(rec.snap0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(byte(wal.Version), snap.Encode(), []byte(nil))
+	f.Fuzz(func(t *testing.T, ver byte, prefix, chunk []byte) {
+		file := wal.AppendFrame(wal.AppendHeader(nil, "CFDSNAP", ver), prefix)
+		if len(chunk) > 0 {
+			file = wal.AppendFrame(file, chunk)
+		}
+		if s, err := wal.ReadSnapshot(bytes.NewReader(file)); err == nil {
+			var w1, w2 bytes.Buffer
+			if err := wal.WriteSnapshot(&w1, s); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := wal.ReadSnapshot(bytes.NewReader(w1.Bytes()))
+			if err != nil {
+				t.Fatalf("rewritten snapshot file does not read: %v", err)
+			}
+			if err := wal.WriteSnapshot(&w2, s2); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
+				t.Fatal("rewritten snapshot file reads back to another snapshot")
+			}
+		}
+		if s, err := wal.DecodeSnapshot(prefix); err == nil {
+			enc := s.Encode()
+			if len(enc) != s.EncodedSize() {
+				t.Fatalf("EncodedSize %d, Encode wrote %d bytes", s.EncodedSize(), len(enc))
+			}
+			s2, err := wal.DecodeSnapshot(enc)
+			if err != nil {
+				t.Fatalf("re-encoded snapshot payload does not decode: %v", err)
+			}
+			if !bytes.Equal(enc, s2.Encode()) {
+				t.Fatal("re-encoded snapshot payload decodes to another snapshot")
+			}
+		}
+	})
 }
