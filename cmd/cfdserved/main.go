@@ -83,14 +83,16 @@
 // read response carries the pinned journal version in
 // X-Session-Version. /violations pages with ?limit=N (positive,
 // capped by -max-read-limit) plus optional ?rule=, ?attr=, ?min_id=,
-// ?max_id= pushdown filters; follow next_cursor via ?cursor= to walk
+// ?max_id= filters; follow next_cursor via ?cursor= to walk
 // the rest of the listing at the same pinned version, and restart from
 // scratch on 410 Gone once that version ages out. /dump streams CSV in
 // chunks — a successful response ends with an X-Dump-Complete: true
 // trailer, a mid-stream failure aborts the connection so truncation is
 // detectable. /events resumes: reconnect with Last-Event-ID set to the
-// last seen version and the missed journal tail is replayed (a resync
-// marker flags replays that outran the retained tail).
+// last seen version and the missed journal tail is replayed from the
+// session's 256-event ring. A "resync": true marker on the first event
+// flags a gap: the ring no longer covers the id, the session was
+// restarted or re-hosted since, or a stream fell 256 events behind.
 //
 // On SIGINT/SIGTERM the service drains gracefully: in-flight and queued
 // batches finish, sessions close, then the listener stops.

@@ -88,8 +88,8 @@
 //	                │         ▼
 //	                │   RowCursor / VioCursor: lazy iterators in pinned
 //	                │   physical / canonical (tuple, rule, partner) order
-//	                │   with filter pushdown — streamed CSV dumps and
-//	                │   paginated violation listings, O(page) allocation,
+//	                │   — streamed CSV dumps and filtered, paginated
+//	                │   violation listings, O(page) allocation,
 //	                │   no writer lock held during serialization
 //	                ▼
 //	        internal/server: named sessions, each a pipeline whose
@@ -109,14 +109,14 @@
 //	                │ record, then finished pass (FIFO)  [single writer]
 //	                ▼
 //	          committer: encode, WAL append, fsync ∥ the record's pass
-//	                │              │ reply after durable    │ async
+//	                │              │ reply after durable    │ append, wake
 //	                ▼              ▼                        ▼
-//	          response codec   internal/wal            SSE fan-out
-//	                           length-prefixed CRC'd   (per-subscriber
-//	                           batch records +         bounded buffers,
-//	                           rotating snapshots      slow consumers
-//	                           under -data-dir/        drop + resync)
-//	                           <session>/
+//	          response codec   internal/wal            event ring (256
+//	                           length-prefixed CRC'd   passes); each SSE
+//	                           batch records +         stream reads it by
+//	                           rotating snapshots      cursor on its own
+//	                           under -data-dir/        goroutine, resync
+//	                           <session>/              when overtaken
 //	                                │
 //	                                ├── -store disk: internal/store
 //	                                │   subscribes to the same journal
@@ -146,7 +146,8 @@
 //	          CSV with a completion trailer, opaque (version, offset)
 //	          pagination cursors (410 Gone once the pinned version ages
 //	          out), X-Session-Version on every response; SSE reconnects
-//	          replay the journal tail from Last-Event-ID
+//	          replay the journal tail from Last-Event-ID; the committer
+//	          expires idle cached views after each pass
 //
 //	          observability: one family list, rendered as Prometheus
 //	          text by GET /metrics and as JSON keyed by the same family
@@ -186,7 +187,8 @@
 //     construction), one committer goroutine doing WAL encode, append
 //     and fsync while the worker runs that batch's pass (Session.Check
 //     fixes the record before the pass), post-durability
-//     acknowledgement and asynchronous SSE fan-out —
+//     acknowledgement and an append to the session's event ring, which
+//     each SSE stream reads on its own goroutine —
 //     plus a sharded session registry, bounded queues with
 //     backpressure, and graceful drain. Reply content is fixed at the
 //     pass boundary, so overlapping pass N+1 with pass N's commit

@@ -6,8 +6,8 @@ import (
 	"cfdclean/internal/relation"
 )
 
-// VioFilter is the pushdown predicate of a VioCursor. Zero bounds are
-// open; Rule "" matches every rule; Attr < 0 matches every attribute
+// VioFilter selects violations from a listing (see Match). Zero bounds
+// are open; Rule "" matches every rule; Attr < 0 matches every attribute
 // (use AnyVio for the match-everything filter — the zero value pins
 // attribute 0, which is almost never what a caller wants).
 type VioFilter struct {
@@ -24,9 +24,7 @@ type VioFilter struct {
 // AnyVio returns the filter that matches every violation.
 func AnyVio() VioFilter { return VioFilter{Attr: -1} }
 
-// Match reports whether v passes the filter. It agrees exactly with the
-// cursor's group-level pushdown: filtering Detect()'s output through
-// Match yields the same list a filtered cursor streams.
+// Match reports whether v passes the filter.
 func (f VioFilter) Match(v Violation) bool {
 	if f.MinID != 0 && v.T < f.MinID {
 		return false
@@ -43,38 +41,12 @@ func (f VioFilter) Match(v Violation) bool {
 	return true
 }
 
-// matchVio is the per-violation residue of the filter once the cursor's
-// group pushdown (attr) and id pushdown (range) have been applied.
-func (f VioFilter) matchVio(v Violation) bool {
-	return f.Rule == "" || v.N.Name == f.Rule
-}
-
-// groupHasRule reports whether any pattern row of group g came from a
-// normal CFD with the given name.
-func groupHasRule(g *groupPlan, rule string) bool {
-	for _, mb := range g.masks {
-		for _, head := range mb.rows {
-			for row := head; row != nil; row = row.next {
-				if row.slot == g.slot && row.n.Name == rule {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // VioCursor streams the maintained violations in the canonical (tuple
 // id, rule rank, partner id) order — the exact sequence Detect returns —
 // without materializing the full list. It walks the dirty-tuple set in
 // sorted id order and gathers each tuple's violations from the per-group
 // state on demand, so a limited read costs O(dirty·log dirty + rows
-// consumed), not O(vio(D)).
-//
-// Pushdown: groups whose embedded FD cannot produce a matching violation
-// (attribute filter, rule filter, zero group total) are skipped
-// entirely; the tuple-id range prunes the dirty-id walk before any
-// gather happens.
+// consumed), not O(vio(D)). Groups with no violation are skipped.
 //
 // The cursor reads live maintained state: it must run under the same
 // serialization as other VioStore queries (no concurrent mutation).
@@ -83,8 +55,7 @@ func groupHasRule(g *groupPlan, rule string) bool {
 // zero between batches.
 type VioCursor struct {
 	s      *VioStore
-	f      VioFilter
-	groups []int // relevant group indices after pushdown
+	groups []int // indices of the groups holding violations
 	ids    []relation.TupleID
 	i      int
 	cur    []Violation
@@ -92,36 +63,20 @@ type VioCursor struct {
 	buf    []Violation
 }
 
-// Cursor opens a violation cursor with the given pushdown filter. See
-// VioCursor for the iteration contract.
-func (s *VioStore) Cursor(f VioFilter) *VioCursor {
-	c := &VioCursor{s: s, f: f}
+// Cursor opens a cursor over every maintained violation. See VioCursor
+// for the iteration contract.
+func (s *VioStore) Cursor() *VioCursor {
+	c := &VioCursor{s: s}
 	if s.total == 0 {
 		return c
 	}
-	for gi, g := range s.d.groups {
-		if s.state[gi].total == 0 {
-			continue
+	for gi := range s.d.groups {
+		if s.state[gi].total != 0 {
+			c.groups = append(c.groups, gi)
 		}
-		if f.Attr >= 0 && !containsAttr(g.x, f.Attr) && g.a != f.Attr {
-			continue
-		}
-		if f.Rule != "" && !groupHasRule(g, f.Rule) {
-			continue
-		}
-		c.groups = append(c.groups, gi)
-	}
-	if len(c.groups) == 0 {
-		return c
 	}
 	c.ids = make([]relation.TupleID, 0, len(s.vio))
 	for id := range s.vio {
-		if f.MinID != 0 && id < f.MinID {
-			continue
-		}
-		if f.MaxID != 0 && id > f.MaxID {
-			continue
-		}
 		c.ids = append(c.ids, id)
 	}
 	sort.Slice(c.ids, func(i, j int) bool { return c.ids[i] < c.ids[j] })
@@ -147,9 +102,9 @@ func (c *VioCursor) Next() (v Violation, ok bool) {
 	}
 }
 
-// gather collects tuple id's matching violations across the relevant
-// groups, sorted by (rule rank, partner id) — the within-tuple leg of
-// the canonical order. The backing buffer is reused across tuples.
+// gather collects tuple id's violations across the groups holding any,
+// sorted by (rule rank, partner id) — the within-tuple leg of the
+// canonical order. The backing buffer is reused across tuples.
 func (c *VioCursor) gather(id relation.TupleID) []Violation {
 	buf := c.buf[:0]
 	for _, gi := range c.groups {
@@ -167,16 +122,12 @@ func (c *VioCursor) gather(id relation.TupleID) []Violation {
 				continue
 			}
 			for _, v := range st.byBucket[b] {
-				if v.T == id && c.f.matchVio(v) {
+				if v.T == id {
 					buf = append(buf, v)
 				}
 			}
 		} else {
-			for _, v := range st.byTuple[id] {
-				if c.f.matchVio(v) {
-					buf = append(buf, v)
-				}
-			}
+			buf = append(buf, st.byTuple[id]...)
 		}
 	}
 	rank := c.s.d.prog.rank

@@ -41,7 +41,7 @@ func (s *Session) ReadView() (*ReadView, error) {
 	v := &ReadView{rel: s.e.repr.Pin(), snap: *s.snap.Load()}
 	if !s.e.store.Satisfied() {
 		v.vios = make([]cfd.Violation, 0, s.e.store.TotalViolations())
-		c := s.e.store.Cursor(cfd.AnyVio())
+		c := s.e.store.Cursor()
 		for vi, ok := c.Next(); ok; vi, ok = c.Next() {
 			v.vios = append(v.vios, vi)
 		}
@@ -70,12 +70,6 @@ func (v *ReadView) Schema() *relation.Schema { return v.rel.Schema() }
 
 // Rows opens a cursor over the view's tuples in pinned physical order.
 func (v *ReadView) Rows() *relation.RowCursor { return v.rel.Rows() }
-
-// RowsRange opens a row cursor restricted to tuple ids in [minID,
-// maxID]; zero bounds are open.
-func (v *ReadView) RowsRange(minID, maxID relation.TupleID) *relation.RowCursor {
-	return v.rel.RowsRange(minID, maxID)
-}
 
 // WriteCSV streams the view as CSV — byte-identical to Session.Dump at
 // the same version, with peak buffering of one page.

@@ -394,7 +394,7 @@ func (s *Session) Violations(limit int) (vs []cfd.Violation, total int) {
 		n = limit
 	}
 	vs = make([]cfd.Violation, 0, n)
-	c := s.e.store.Cursor(cfd.AnyVio())
+	c := s.e.store.Cursor()
 	for v, ok := c.Next(); ok && len(vs) < n; v, ok = c.Next() {
 		vs = append(vs, v)
 	}

@@ -12,45 +12,25 @@ import (
 // RowCursor iterates a pinned View in physical (pin-time) order, one page
 // of row pointers at a time: each refill copies up to viewPageSize
 // pointers under the view's read lock, then rows are served from the
-// private buffer with no lock held. An optional tuple-id range is pushed
-// down so filtered scans never materialize non-matching rows.
+// private buffer with no lock held.
 type RowCursor struct {
-	v     *View
-	minID TupleID // 0: no lower bound
-	maxID TupleID // 0: no upper bound
-	p     int     // next page to fetch
-	buf   []*Tuple
-	pos   int
-	pages int
+	v   *View
+	p   int // next page to fetch
+	buf []*Tuple
+	pos int
 }
 
-// Rows returns a cursor over all rows of the view.
-func (v *View) Rows() *RowCursor { return v.RowsRange(0, 0) }
-
-// RowsRange returns a cursor over the view's rows whose tuple id lies in
-// [minID, maxID]; a zero bound means unbounded on that side. Rows come
-// back in physical order (ids are not sorted — deletions compact the
-// array), matching the unfiltered dump order.
-func (v *View) RowsRange(minID, maxID TupleID) *RowCursor {
-	return &RowCursor{v: v, minID: minID, maxID: maxID, buf: make([]*Tuple, 0, viewPageSize)}
+// Rows returns a cursor over all rows of the view. Rows come back in
+// physical order (ids are not sorted — deletions compact the array).
+func (v *View) Rows() *RowCursor {
+	return &RowCursor{v: v, buf: make([]*Tuple, 0, viewPageSize)}
 }
 
-// Next returns the next matching row, or nil when the cursor is
-// exhausted. The returned tuple is immutable for the view's lifetime and
-// must not be modified.
+// Next returns the next row, or nil when the cursor is exhausted. The
+// returned tuple is immutable for the view's lifetime and must not be
+// modified.
 func (c *RowCursor) Next() *Tuple {
-	for {
-		for c.pos < len(c.buf) {
-			t := c.buf[c.pos]
-			c.pos++
-			if c.minID != 0 && t.ID < c.minID {
-				continue
-			}
-			if c.maxID != 0 && t.ID > c.maxID {
-				continue
-			}
-			return t
-		}
+	for c.pos == len(c.buf) {
 		n := c.v.page(c.p, c.buf[:cap(c.buf)])
 		if n == 0 {
 			return nil
@@ -58,13 +38,11 @@ func (c *RowCursor) Next() *Tuple {
 		c.p++
 		c.buf = c.buf[:n]
 		c.pos = 0
-		c.pages++
 	}
+	t := c.buf[c.pos]
+	c.pos++
+	return t
 }
-
-// Pages reports how many page copy-outs the cursor has performed — the
-// unit of lock acquisition and of peak buffering for streamed reads.
-func (c *RowCursor) Pages() int { return c.pages }
 
 // csvBlockSize is how much encoded CSV accumulates before it is handed to
 // the underlying writer in one Write.

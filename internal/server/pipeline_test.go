@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -210,64 +209,74 @@ func TestBrokenPersisterRefusesWrites(t *testing.T) {
 	}
 }
 
-// TestSubscriberDropResync: a subscriber that stops reading has events
-// dropped (counted registry-wide), and the first event it receives
-// after the gap carries resync: true.
+// TestSubscriberDropResync: a stream that stops reading is overtaken once
+// more than a ring's worth of passes land. It then reads the retained
+// tail, whose first event carries resync: true, the events it skipped
+// count as drops, and it continues with unflagged live events.
 func TestSubscriberDropResync(t *testing.T) {
 	var drops metrics.Counter
 	s := subscribers{drops: &drops}
-	ch, cancel := s.subscribe()
-	defer cancel()
-	defer s.closeAll()
-
-	for i := 0; i < subscriberBuffer; i++ {
-		s.deliver(Event{Seq: uint64(i + 1)})
+	c, err := s.open(0, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.deliver(Event{Seq: 100}) // buffer full: dropped, gap recorded
+	defer s.close()
+
+	for i := 1; i <= eventRingSize+1; i++ {
+		s.publish(Event{Seq: uint64(i)})
+	}
+	evs, _ := s.since(&c)
+	if len(evs) != eventRingSize || evs[0].Seq != 2 || !evs[0].Resync {
+		t.Fatalf("overtaken stream read %d events starting %+v, want %d from seq 2 with resync", len(evs), evs[0], eventRingSize)
+	}
+	for _, ev := range evs[1:] {
+		if ev.Resync {
+			t.Fatalf("event %d after the first flagged resync", ev.Seq)
+		}
+	}
 	if drops.Load() != 1 {
 		t.Fatalf("drop counter = %d, want 1", drops.Load())
 	}
-	<-ch // reader catches up by one
-	s.deliver(Event{Seq: 101})
-
-	var last Event
-	for i := 0; i < subscriberBuffer; i++ {
-		fr := <-ch
-		last = Event{}
-		if err := json.Unmarshal(fr.data, &last); err != nil {
-			t.Fatal(err)
-		}
-		if last.Seq < 100 && last.Resync {
-			t.Fatalf("pre-gap event %d flagged resync", last.Seq)
-		}
-	}
-	if last.Seq != 101 || !last.Resync {
-		t.Fatalf("post-gap event = %+v, want seq 101 with resync", last)
+	s.publish(Event{Seq: eventRingSize + 2})
+	if evs, _ := s.since(&c); len(evs) != 1 || evs[0].Resync || evs[0].Seq != eventRingSize+2 {
+		t.Fatalf("live event after the gap = %+v, want one unflagged", evs)
 	}
 }
 
-// TestPublishAsync: publish never blocks the caller even when no one
-// drains the fanout queue, and the whole stream shuts down cleanly.
+// TestPublishAsync: publish never blocks the committer, even with a
+// connected stream that waits and never reads: it appends to the ring and
+// wakes the stream, nothing more.
 func TestPublishAsync(t *testing.T) {
 	var drops metrics.Counter
 	s := subscribers{drops: &drops}
-	_, cancel := s.subscribe()
-	defer cancel()
+	c, err := s.open(0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	_, wake := s.since(&c)
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 10*fanoutBuffer; i++ {
+		for i := 0; i < 10*eventRingSize; i++ {
 			s.publish(Event{Seq: uint64(i + 1)})
 		}
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("publish blocked on a saturated stream")
+		t.Fatal("publish blocked behind a stream that does not read")
 	}
-	s.closeAll()
-	if s.fanDone != nil {
-		<-s.fanDone // closeAll already waited; must not hang either way
+	select {
+	case <-wake:
+	default:
+		t.Fatal("the waiting stream was not woken")
+	}
+	s.mu.Lock()
+	n := len(s.ring)
+	s.mu.Unlock()
+	if n != eventRingSize {
+		t.Fatalf("ring holds %d events, want %d", n, eventRingSize)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/csv"
 	"encoding/json"
@@ -529,24 +530,28 @@ func openSSE(t *testing.T, url, lastEventID string) (<-chan sseEvent, func()) {
 		t.Fatalf("events: %d", resp.StatusCode)
 	}
 	out := make(chan sseEvent, 64)
-	go func() {
-		defer close(out)
-		sc := bufio.NewScanner(resp.Body)
-		var cur sseEvent
-		for sc.Scan() {
-			l := sc.Text()
-			switch {
-			case strings.HasPrefix(l, "id: "):
-				cur.id, _ = strconv.ParseUint(strings.TrimPrefix(l, "id: "), 10, 64)
-			case strings.HasPrefix(l, "data: "):
-				if json.Unmarshal([]byte(strings.TrimPrefix(l, "data: ")), &cur.ev) == nil {
-					out <- cur
-				}
-				cur = sseEvent{}
-			}
-		}
-	}()
+	go readSSE(resp.Body, out)
 	return out, func() { resp.Body.Close() }
+}
+
+// readSSE parses an SSE body into out until the body ends, then closes
+// out. It reads the next event only once out takes the last one.
+func readSSE(body io.Reader, out chan<- sseEvent) {
+	defer close(out)
+	sc := bufio.NewScanner(body)
+	var cur sseEvent
+	for sc.Scan() {
+		l := sc.Text()
+		switch {
+		case strings.HasPrefix(l, "id: "):
+			cur.id, _ = strconv.ParseUint(strings.TrimPrefix(l, "id: "), 10, 64)
+		case strings.HasPrefix(l, "data: "):
+			if json.Unmarshal([]byte(strings.TrimPrefix(l, "data: ")), &cur.ev) == nil {
+				out <- cur
+			}
+			cur = sseEvent{}
+		}
+	}
 }
 
 func collectSSE(t *testing.T, ch <-chan sseEvent, n int) []sseEvent {
@@ -599,9 +604,9 @@ func TestSSEResumeFromLastEventID(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		h.subs.mu.Lock()
-		n := len(h.subs.tail(lastID))
+		n := h.subs.ringN
 		h.subs.mu.Unlock()
-		if n >= 3 {
+		if n >= 6 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -677,5 +682,162 @@ func TestSSEResumeBeyondRing(t *testing.T) {
 	}
 	if !replay[1].ev.Snapshot.Satisfied {
 		t.Fatalf("replayed snapshot not authoritative: %+v", replay[1].ev.Snapshot)
+	}
+}
+
+// stallResponse is an http.ResponseWriter whose body goes into a pipe and
+// which a test can stall: while stall is held, a Write waits for it, as
+// for a client that stopped reading once the socket buffers filled.
+// waiting counts the Writes doing so.
+type stallResponse struct {
+	*io.PipeWriter
+	hdr     http.Header
+	stall   sync.Mutex
+	waiting atomic.Int32
+}
+
+func (p *stallResponse) Header() http.Header { return p.hdr }
+func (p *stallResponse) WriteHeader(int)     {}
+func (p *stallResponse) Flush()              {}
+
+func (p *stallResponse) Write(b []byte) (int, error) {
+	p.waiting.Add(1)
+	p.stall.Lock()
+	p.stall.Unlock() //nolint:staticcheck // a gate, not a critical section
+	p.waiting.Add(-1)
+	return p.PipeWriter.Write(b)
+}
+
+// TestSSESlowSubscriberResyncs: a stream that stops reading while more
+// than a ring's worth of passes land is overtaken. Reading again, it
+// sends the event it was writing, then the retained tail with exactly its
+// first event resync-flagged, then live events; both drop counters rise
+// by the number of events it skipped.
+func TestSSESlowSubscriberResyncs(t *testing.T) {
+	s, ts := newTestService(t, Options{})
+	createTiny(t, ts.URL, "s")
+	h, err := s.Registry().Get("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	w := &stallResponse{PipeWriter: pw, hdr: http.Header{}}
+	ctx, stop := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		req := httptest.NewRequest("GET", "/v1/sessions/s/events", nil).WithContext(ctx)
+		s.Handler().ServeHTTP(w, req)
+		pw.Close()
+	}()
+	defer func() { stop(); pr.Close(); <-served }()
+	// Room for every event the test reads, so only the stall holds the
+	// stream back.
+	events := make(chan sseEvent, 2*eventRingSize)
+	go readSSE(pr, events)
+
+	applyOne(t, ts.URL, "s", "212", "NYC")
+	if ev := collectSSE(t, events, 1)[0].ev; ev.Seq != 1 || ev.Resync {
+		t.Fatalf("first event: %+v", ev)
+	}
+	// The stream stops reading in the middle of pass 2's event, then more
+	// than a ring's worth of passes land.
+	w.stall.Lock()
+	applyOne(t, ts.URL, "s", "212", "NYC")
+	waitFor(t, "the stream to write pass 2's event", func() bool { return w.waiting.Load() == 1 })
+	global, local := s.reg.ops.sseDropped.Load(), h.ops.sseDropped.Load()
+	const total = 2 + eventRingSize + 40
+	for i := 2; i < total; i++ {
+		applyOne(t, ts.URL, "s", "212", "NYC")
+	}
+	waitFor(t, "the ring to hold every pass", func() bool {
+		h.subs.mu.Lock()
+		defer h.subs.mu.Unlock()
+		return h.subs.ringN == total
+	})
+	w.stall.Unlock()
+
+	got := collectSSE(t, events, 1+eventRingSize)
+	if got[0].ev.Seq != 2 || got[0].ev.Resync {
+		t.Fatalf("the event the stream was writing: %+v", got[0].ev)
+	}
+	for i, e := range got[1:] {
+		if want := uint64(total - eventRingSize + 1 + i); e.ev.Seq != want || e.ev.Resync != (i == 0) {
+			t.Fatalf("tail event %d: seq %d resync %v, want seq %d resync %v", i, e.ev.Seq, e.ev.Resync, want, i == 0)
+		}
+	}
+	skipped := uint64(total - eventRingSize - 2)
+	if g, l := s.reg.ops.sseDropped.Load()-global, h.ops.sseDropped.Load()-local; g != skipped || l != skipped {
+		t.Fatalf("drop counters rose by %d (service) and %d (session), want %d", g, l, skipped)
+	}
+
+	applyOne(t, ts.URL, "s", "212", "NYC")
+	if ev := collectSSE(t, events, 1)[0].ev; ev.Seq != total+1 || ev.Resync {
+		t.Fatalf("live event after the resync: %+v", ev)
+	}
+}
+
+// waitFor polls cond for up to ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestSSEResumeAcrossRestart: a session hosted again starts an empty
+// ring, which covers only the passes after the version it was recovered
+// at. A client that missed passes before the restart gets its next event
+// resync-flagged; one that saw the last pass before it resumes without a
+// flag; and an id past a re-created session's version is a gap too.
+func TestSSEResumeAcrossRestart(t *testing.T) {
+	opts := Options{DataDir: t.TempDir(), Fsync: FsyncOff}
+	s1 := New(opts)
+	ts1 := httptest.NewServer(s1.Handler())
+	createTiny(t, ts1.URL, "s")
+	ch, cancel := openSSE(t, ts1.URL+"/v1/sessions/s/events", "")
+	applyOne(t, ts1.URL, "s", "212", "NYC")
+	applyOne(t, ts1.URL, "s", "212", "NYC")
+	seen := collectSSE(t, ch, 2)[1].id
+	cancel()
+	// Two passes the client never sees.
+	applyOne(t, ts1.URL, "s", "215", "NYC")
+	last := applyOne(t, ts1.URL, "s", "215", "NYC").Version
+	ctx, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+
+	s2, ts2 := newTestService(t, opts)
+	if n, err := s2.Recover(); err != nil || n != 1 {
+		t.Fatalf("recover: n=%d err=%v", n, err)
+	}
+	events := ts2.URL + "/v1/sessions/s/events"
+	missed, cancelMissed := openSSE(t, events, strconv.FormatUint(seen, 10))
+	defer cancelMissed()
+	caught, cancelCaught := openSSE(t, events, strconv.FormatUint(last, 10))
+	defer cancelCaught()
+	applyOne(t, ts2.URL, "s", "212", "NYC")
+	if ev := collectSSE(t, missed, 1)[0].ev; !ev.Resync {
+		t.Fatalf("resume at %d after passes up to %d were missed across a restart: %+v, want resync", seen, last, ev)
+	}
+	if ev := collectSSE(t, caught, 1)[0].ev; ev.Resync {
+		t.Fatalf("resume at %d, the last version before the restart: %+v, want no resync", last, ev)
+	}
+
+	// Deleted and re-created: the old ids are past the new session's.
+	if resp, body := do(t, "DELETE", ts2.URL+"/v1/sessions/s", nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: %d: %s", resp.StatusCode, body)
+	}
+	createTiny(t, ts2.URL, "s")
+	again, cancelAgain := openSSE(t, events, strconv.FormatUint(last, 10))
+	defer cancelAgain()
+	applyOne(t, ts2.URL, "s", "212", "NYC")
+	if ev := collectSSE(t, again, 1)[0].ev; !ev.Resync {
+		t.Fatalf("resume at %d on a re-created session at version %d: %+v, want resync", last, ev.Snapshot.Version, ev)
 	}
 }

@@ -157,8 +157,8 @@ func (in *instruments) child() *instruments {
 }
 
 // hosted is one session plus its service furniture: the work queue, the
-// worker and committer goroutines' lifecycle channels, the event
-// fan-out and its instruments.
+// worker and committer goroutines' lifecycle channels, the event log,
+// the view cache and the instruments.
 type hosted struct {
 	name   string
 	schema *relation.Schema
@@ -351,6 +351,9 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 	}
 	h.subs.drops = h.ops.sseDropped
 	h.subs.max = quota.MaxSubscribers
+	// The event log covers only the passes this hosting runs: a resume
+	// from an earlier version (before a restart or re-host) is a gap.
+	h.subs.dropVersion = sess.Snapshot().Version
 	if p != nil {
 		// Record the steady-state role on disk so a restart re-hosts the
 		// session as what it really was (see roleMarkerName). Failing to
@@ -596,11 +599,10 @@ func (r *Registry) Drain(ctx context.Context) error {
 // drains the queue before closing the session — no accepted batch is
 // dropped. Deferred teardown runs innermost-first: the committer drains
 // every pending commit (replies, WAL records, events) before
-// persistence is finalized, the session closes, subscribers are
-// released, and done is closed.
+// persistence is finalized, the session closes, and done is closed,
+// which ends every event stream once it has sent the last events.
 func (h *hosted) run(r *Registry) {
 	defer close(h.done)
-	defer h.subs.closeAll()
 	defer h.sess.Close()
 	defer h.views.closeAll()
 	defer h.finishPersist(r)
@@ -669,8 +671,8 @@ func (h *hosted) dispatch(r *Registry, j job) {
 // journal version before the pass and the one Check says the pass lands
 // on. The committer appends and syncs it while the pass runs, so a reply
 // waits for the longer of the two rather than their sum. The result goes
-// to the committer after the pass; the reply, ship and event fan-out
-// happen there, overlapped with this worker's next pass. Pass order
+// to the committer after the pass; the reply, ship and event happen
+// there, overlapped with this worker's next pass. Pass order
 // fixes seq and the journal-version order, the commits channel is FIFO,
 // and record N+1 is sent only after result N, so the committer appends
 // record N+1 after it has rotated at boundary N. A shipped batch
@@ -831,6 +833,9 @@ func (h *hosted) committer(r *Registry) {
 		if item.j.reply != nil {
 			item.j.reply <- item.rep
 		}
+		// A pinned view accrues cost only when a pass dirties pages, so
+		// idle views expire here, at the next pass, failed or not.
+		h.views.prune()
 		if item.rep.err != nil {
 			continue
 		}

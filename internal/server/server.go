@@ -39,7 +39,12 @@
 // committer ships it. The WAL record does not depend on the pass —
 // Session.Check fixes the version the pass lands on — so its encoding,
 // append and fsync run concurrently with the pass itself, and response
-// encoding and SSE fan-out with the worker's next pass.
+// encoding and the event's append with the worker's next pass. Nothing
+// else runs per session: SSE streams read the event ring on their own
+// request goroutines (see stream.go), and idle cached views expire when
+// the committer prunes after a pass (see views.go). A hosted session's
+// only goroutines are its worker, its committer, on clustered nodes its
+// shipper, and under -fsync interval its persister's sync ticker.
 //
 // Two write paths feed the queue. POST .../apply is synchronous: the
 // handler enqueues and waits for the pass's reply (a full queue makes it
@@ -510,7 +515,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, req *http.Request) {
 // handleViolations serves one page of a session's violation listing,
 // read from a pinned snapshot view. Without a cursor it pins the
 // current version, applies the optional rule/attr/min_id/max_id
-// pushdown filters, and returns the first limit entries of the
+// filters, and returns the first limit entries of the
 // canonical (tuple id, rule, partner) order; when entries remain, the
 // response carries next_cursor — an opaque (version, offset, filter)
 // token that continues the SAME pinned version, so the concatenation

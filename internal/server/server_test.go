@@ -348,6 +348,7 @@ func newTinyHosted(t *testing.T, r *Registry, queueDepth int) *hosted {
 		committerDone: make(chan struct{}),
 		quit:          make(chan struct{}),
 		done:          make(chan struct{}),
+		views:         newViewCache(sess),
 	}
 	go h.committer(r)
 	t.Cleanup(func() {

@@ -10,80 +10,57 @@ import (
 	"cfdclean/internal/metrics"
 )
 
-// The notification stream: every engine pass publishes one Event to the
-// session's subscribers, and GET /v1/sessions/{name}/events serves them
-// as server-sent events (SSE). The fan-out is fully asynchronous — the
-// committer hands the event to a per-session fanout goroutine and moves
-// on, so neither the engine worker nor the commit path ever waits on
-// marshaling or on a slow reader. Delivery is best-effort by design: a
-// subscriber that cannot keep up has whole events dropped (never torn
-// ones), and the next event it does receive carries "resync": true to
-// say the sequence has a gap — the authoritative state is always the
-// session snapshot, which every event carries.
+// The notification stream: every engine pass appends one Event to the
+// session's event log, and GET /v1/sessions/{name}/events serves it as
+// server-sent events (SSE). The log is a bounded ring of the most recent
+// events in pass order; appending never waits on a reader, so the
+// committer acknowledges batches no matter how slow the stream side is.
+// Each stream is a cursor into the ring, read on the stream's own
+// goroutine, which also does the marshaling.
 //
 // Every event is written with an SSE "id:" line holding the journal
-// version it advanced the session to, and a bounded ring of recent
-// events is retained. A client that reconnects with Last-Event-ID
-// resumes by replaying the ring's tail past that version — the journal
-// tail, not a full resync — and only when the ring no longer covers
-// the version does the replay fall back to resync semantics.
+// version it advanced the session to. A client that reconnects with
+// Last-Event-ID resumes after that version — the journal tail, not a full
+// resync — while the ring covers it. When it does not, or when the ring
+// overtakes a stream that reads too slowly, the stream gets the retained
+// tail and its first event carries "resync": true to say the sequence has
+// a gap; the authoritative state is the session snapshot every event
+// carries.
 
-// subscriber is one SSE consumer: a bounded event buffer plus the
-// gap flag that turns its next delivered event into a resync marker.
-// afterSeq fences live delivery against the replay handed out at
-// subscribe time: passes up to that engine sequence were already
-// replayed (or already seen by the resuming client), so deliver skips
-// them even if they are still in flight through the fanout queue.
-type subscriber struct {
-	ch       chan frame
-	dropped  bool
-	afterSeq uint64
-}
+// eventRingSize bounds the events a session retains: the replayable tail
+// and the lag a stream may fall behind before it is resynced.
+const eventRingSize = 256
 
-// frame is one wire-ready SSE event: the marshaled data line plus the
-// journal version for its id: line.
-type frame struct {
-	version uint64
-	data    []byte
-}
-
-// subscribers is a session's event fan-out: subscriptions guarded by mu,
-// and a lazily started fanout goroutine fed through queue. Lifecycle
-// rule: publish is only called by the session's committer, and closeAll
-// only after the committer has exited (see hosted.run's defer order), so
-// publish never races the queue being closed.
+// subscribers is a session's event log. Positions count events ever
+// appended, so a stream's cursor survives the ring wrapping around.
+// publish is called by the session's committer only, so ring order is
+// pass order.
 type subscribers struct {
-	mu     sync.Mutex
-	m      map[int]*subscriber
-	next   int
-	closed bool
-
-	queue   chan Event
-	fanDone chan struct{}
-	// drops counts events dropped at slow consumers (nil on bare test
-	// fixtures).
+	mu sync.Mutex
+	// drops counts the events streams skipped because the ring overtook
+	// them (nil on bare test fixtures).
 	drops *metrics.Counter
-	// max caps concurrent subscribers (0 = unlimited); set from the
-	// session's quota at registration.
-	max int
+	// max caps concurrent streams (0 = unlimited), n counts them; max is
+	// set from the session's quota at registration.
+	max, n int
 
-	// ring retains the most recent events in pass order for
-	// Last-Event-ID replay; unmarshaled Event values, so retention costs
-	// no marshaling on the committer path. dropVersion is the version of
-	// the newest event ever evicted — a resume id at or past it is fully
-	// covered by the ring.
-	ring        []Event
-	ringN       int // total events ever published
-	ringCap     int // 0 means eventRingSize (tests shrink it)
+	ring    []Event
+	ringN   int // events ever appended; the position of the next one
+	ringCap int // 0 means eventRingSize (tests shrink it)
+	// dropVersion is the newest version the ring cannot replay past: the
+	// version the session was hosted at, then the version of each evicted
+	// event. A resume id at or past it is covered by the ring.
 	dropVersion uint64
+	// wake is closed by the next publish; nil until a stream waits.
+	wake chan struct{}
 }
 
-const (
-	subscriberBuffer = 16
-	fanoutBuffer     = 64
-	// eventRingSize bounds the replayable tail per session.
-	eventRingSize = 256
-)
+// cursor is one stream's place in the log: the position of the next event
+// it sends, and whether that event must carry resync.
+type cursor struct {
+	pos    int
+	resync bool
+}
 
 func (s *subscribers) cap() int {
 	if s.ringCap > 0 {
@@ -92,11 +69,14 @@ func (s *subscribers) cap() int {
 	return eventRingSize
 }
 
-// record appends ev to the replay ring. Called with mu held, by
-// publish only — so ring order is pass order.
-func (s *subscribers) record(ev Event) {
-	c := s.cap()
-	if len(s.ring) < c {
+// at returns the event at ring position i. Called with mu held.
+func (s *subscribers) at(i int) Event { return s.ring[i%s.cap()] }
+
+// publish appends ev to the ring and wakes every waiting stream.
+func (s *subscribers) publish(ev Event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c := s.cap(); len(s.ring) < c {
 		s.ring = append(s.ring, ev)
 	} else {
 		i := s.ringN % c
@@ -104,194 +84,76 @@ func (s *subscribers) record(ev Event) {
 		s.ring[i] = ev
 	}
 	s.ringN++
-}
-
-// tail returns the ring's events newer than version, in pass order.
-// Called with mu held.
-func (s *subscribers) tail(version uint64) []Event {
-	c := s.cap()
-	n := len(s.ring)
-	var out []Event
-	for i := s.ringN - n; i < s.ringN; i++ {
-		if ev := s.ring[i%c]; ev.Snapshot.Version > version {
-			out = append(out, ev)
-		}
+	if s.wake != nil {
+		close(s.wake)
+		s.wake = nil
 	}
-	return out
 }
 
-// newestSeq returns the engine sequence of the newest ring event, 0 on
-// an empty ring. Called with mu held.
-func (s *subscribers) newestSeq() uint64 {
-	if len(s.ring) == 0 {
-		return 0
-	}
-	return s.ring[(s.ringN-1)%s.cap()].Seq
-}
-
-// subscribe registers a new event consumer; the returned cancel is
-// idempotent and must be called when the consumer goes away. A nil
-// channel is returned after closeAll (session shut down) or when the
-// session's subscriber cap is reached.
-func (s *subscribers) subscribe() (ch chan frame, cancel func()) {
-	ch, _, cancel, _ = s.subscribeFrom(0, false)
-	return ch, cancel
-}
-
-// subscribeFrom registers a consumer resuming after journal version
-// lastID (resume false means a fresh subscription with no replay).
-// Registration and replay capture happen under one lock hold, so the
-// replay plus subsequent live delivery covers every pass exactly once:
-// the subscriber's afterSeq fence skips live events the replay already
-// contains. When the ring no longer covers lastID the whole retained
-// tail is replayed with the first event resync-flagged — the gap is
-// announced, and the embedded snapshots re-anchor the client.
-// A session at its subscriber cap refuses with ErrSubscriberLimit
-// (mapped to 409): an existing consumer must disconnect first.
-func (s *subscribers) subscribeFrom(lastID uint64, resume bool) (ch chan frame, replay []Event, cancel func(), err error) {
+// open registers a stream and returns its cursor. A fresh stream (resume
+// false) starts at the head. A resumed one starts after the newest event
+// at or below lastID, so the replay is exactly the events past it. If the
+// ring does not cover lastID — it is below dropVersion, or above the
+// newest version, which means a deleted and re-created name — the stream
+// starts at the oldest retained event with resync set. A session at its
+// stream cap refuses with ErrSubscriberLimit (mapped to 409): an existing
+// consumer must disconnect first.
+func (s *subscribers) open(lastID uint64, resume bool) (cursor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, nil, func() {}, nil
+	if s.max > 0 && s.n >= s.max {
+		return cursor{}, fmt.Errorf("%w: %d subscribers connected, cap %d", ErrSubscriberLimit, s.n, s.max)
 	}
-	if s.max > 0 && len(s.m) >= s.max {
-		return nil, nil, func() {}, fmt.Errorf("%w: %d subscribers connected, cap %d", ErrSubscriberLimit, len(s.m), s.max)
+	s.n++
+	c := cursor{pos: s.ringN}
+	if !resume {
+		return c, nil
 	}
-	if s.m == nil {
-		s.m = make(map[int]*subscriber)
+	first, head := s.ringN-len(s.ring), s.dropVersion
+	if len(s.ring) > 0 {
+		head = s.at(s.ringN - 1).Snapshot.Version
 	}
-	id := s.next
-	s.next++
-	sub := &subscriber{ch: make(chan frame, subscriberBuffer)}
-	if resume {
-		sub.afterSeq = s.newestSeq()
-		if lastID >= s.dropVersion {
-			replay = s.tail(lastID)
-		} else {
-			// The tail past lastID is partly evicted: replay what is
-			// retained and flag the gap on its first event.
-			replay = s.tail(0)
-			if len(replay) > 0 {
-				head := replay[0]
-				head.Resync = true
-				replay[0] = head
-			} else {
-				sub.dropped = true
-			}
-		}
+	if lastID < s.dropVersion || lastID > head {
+		return cursor{pos: first, resync: true}, nil
 	}
-	s.m[id] = sub
-	return sub.ch, replay, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if c, ok := s.m[id]; ok {
-			delete(s.m, id)
-			close(c.ch)
-		}
-	}, nil
+	for c.pos > first && s.at(c.pos-1).Snapshot.Version > lastID {
+		c.pos--
+	}
+	return c, nil
 }
 
-// publish records ev in the replay ring and hands it to the fanout
-// goroutine without blocking. If even the fanout queue is saturated the
-// event is dropped at every current subscriber — they all get
-// resync-flagged — because the committer must keep acknowledging
-// batches no matter how slow the stream side is. The ring still gets
-// the event, so resumers are unaffected by fanout saturation.
-func (s *subscribers) publish(ev Event) {
+// close unregisters a stream opened by open.
+func (s *subscribers) close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.record(ev)
-	if s.queue == nil {
-		s.queue = make(chan Event, fanoutBuffer)
-		s.fanDone = make(chan struct{})
-		go s.fanout(s.queue)
-	}
-	q := s.queue
+	s.n--
 	s.mu.Unlock()
-	select {
-	case q <- ev:
-	default:
-		s.mu.Lock()
-		n := len(s.m)
-		for _, sub := range s.m {
-			sub.dropped = true
-		}
-		s.mu.Unlock()
-		s.drops.Add(uint64(n))
-	}
 }
 
-func (s *subscribers) fanout(queue chan Event) {
-	defer close(s.fanDone)
-	for ev := range queue {
-		s.deliver(ev)
-	}
-}
-
-// deliver marshals ev (lazily: plain and resync variants only when a
-// subscriber of that kind exists) and offers the bytes to every
-// subscriber buffer. Running under mu makes delivery safe against
-// concurrent cancel/closeAll closing a subscriber channel — the close
-// happens under the same lock.
-func (s *subscribers) deliver(ev Event) {
+// since returns the retained events from c's position on, in pass order,
+// and moves c past them. If the ring has overtaken c, the events it
+// skipped count as drops and the first event returned carries resync.
+// With nothing new it returns the channel the next publish closes.
+func (s *subscribers) since(c *cursor) ([]Event, <-chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || len(s.m) == 0 {
-		return
+	if first := s.ringN - len(s.ring); c.pos < first {
+		s.drops.Add(uint64(first - c.pos))
+		c.pos, c.resync = first, true
 	}
-	var plain, resync []byte
-	for _, sub := range s.m {
-		if ev.Seq <= sub.afterSeq {
-			// Already covered by this subscriber's replay.
-			continue
+	if c.pos == s.ringN {
+		if s.wake == nil {
+			s.wake = make(chan struct{})
 		}
-		var b []byte
-		if sub.dropped {
-			if resync == nil {
-				rev := ev
-				rev.Resync = true
-				resync, _ = json.Marshal(rev)
-			}
-			b = resync
-		} else {
-			if plain == nil {
-				plain, _ = json.Marshal(ev)
-			}
-			b = plain
-		}
-		if b == nil {
-			continue
-		}
-		select {
-		case sub.ch <- frame{version: ev.Snapshot.Version, data: b}:
-			sub.dropped = false
-			sub.afterSeq = ev.Seq
-		default:
-			sub.dropped = true
-			s.drops.Add(1)
-		}
+		return nil, s.wake
 	}
-}
-
-// closeAll terminates every subscription and stops the fanout
-// goroutine; streams end cleanly when the session's worker exits.
-func (s *subscribers) closeAll() {
-	s.mu.Lock()
-	s.closed = true
-	for id, sub := range s.m {
-		delete(s.m, id)
-		close(sub.ch)
+	evs := make([]Event, 0, s.ringN-c.pos)
+	for ; c.pos < s.ringN; c.pos++ {
+		evs = append(evs, s.at(c.pos))
 	}
-	q := s.queue
-	s.queue = nil
-	s.mu.Unlock()
-	if q != nil {
-		close(q)
-		<-s.fanDone
+	if c.resync {
+		evs[0].Resync, c.resync = true, false
 	}
+	return evs, nil
 }
 
 // writeSSE writes one SSE event: the id: line carries the journal
@@ -303,11 +165,11 @@ func writeSSE(w http.ResponseWriter, version uint64, data []byte) {
 
 // handleEvents serves the SSE stream for one session: one "batch" event
 // per engine pass, ending when the client disconnects or the session
-// shuts down. An event with "resync": true means earlier events were
-// dropped for this subscriber; its embedded snapshot is still current.
-// A reconnect carrying Last-Event-ID: <version> first replays the
-// retained event tail past that version — no full resync while the
-// ring covers the gap.
+// shuts down (after the events of its last passes). An event with
+// "resync": true follows a gap in the sequence; its embedded snapshot is
+// still current. A reconnect carrying Last-Event-ID: <version> first
+// replays the retained event tail past that version — no resync while
+// the ring covers the gap.
 func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	h, err := s.reg.Get(req.PathValue("name"))
 	if err != nil {
@@ -326,12 +188,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 			lastID, resume = id, true
 		}
 	}
-	ch, replay, cancel, err := h.subs.subscribeFrom(lastID, resume)
+	cur, err := h.subs.open(lastID, resume)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	defer cancel()
+	defer h.subs.close()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Session-Version", strconv.FormatUint(h.sess.Snapshot().Version, 10))
@@ -339,29 +201,27 @@ func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	// An initial comment line lets clients know the stream is live
 	// before the first pass happens.
 	fmt.Fprintf(w, ": stream open session=%s\n\n", h.name)
-	// Replay marshaling happens here, on the reader's goroutine — the
-	// ring keeps Event values precisely so resumers never put marshal
-	// work on the committer or fanout path.
-	for _, ev := range replay {
-		b, _ := json.Marshal(ev)
-		writeSSE(w, ev.Snapshot.Version, b)
-	}
-	fl.Flush()
-	if ch == nil {
-		return
-	}
-	for {
+	for ended := false; ; {
+		evs, wake := h.subs.since(&cur)
+		for _, ev := range evs {
+			b, _ := json.Marshal(ev)
+			writeSSE(w, ev.Snapshot.Version, b)
+		}
+		fl.Flush()
+		if len(evs) > 0 {
+			continue
+		}
+		if ended {
+			return
+		}
 		select {
-		case fr, ok := <-ch:
-			if !ok {
-				return
-			}
-			writeSSE(w, fr.version, fr.data)
-			fl.Flush()
+		case <-wake:
 		case <-req.Context().Done():
 			return
 		case <-h.done:
-			return
+			// The committer has published its last event: send what is
+			// left, then end.
+			ended = true
 		}
 	}
 }

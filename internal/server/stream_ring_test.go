@@ -6,7 +6,7 @@ import (
 	"cfdclean/internal/metrics"
 )
 
-// Deterministic unit tests for the replay ring's eviction boundary —
+// Deterministic unit tests for the event ring's eviction boundary —
 // the off-by-one surface of Last-Event-ID resume. dropVersion is the
 // version of the NEWEST event ever evicted, so a resume id equal to it
 // is still fully covered (the client saw that event before it was
@@ -22,7 +22,6 @@ func ringEv(seq, version uint64) Event {
 func ringFixture(t *testing.T) *subscribers {
 	t.Helper()
 	s := &subscribers{ringCap: 2}
-	t.Cleanup(s.closeAll)
 	for i := uint64(1); i <= 4; i++ {
 		s.publish(ringEv(i, 10*i))
 	}
@@ -34,14 +33,17 @@ func ringFixture(t *testing.T) *subscribers {
 	return s
 }
 
-func resumeAt(t *testing.T, s *subscribers, lastID uint64) []Event {
+// resumeAt opens a stream resuming after lastID and returns its cursor
+// and what it reads first.
+func resumeAt(t *testing.T, s *subscribers, lastID uint64) (*cursor, []Event) {
 	t.Helper()
-	_, replay, cancel, err := s.subscribeFrom(lastID, true)
+	c, err := s.open(lastID, true)
 	if err != nil {
-		t.Fatalf("subscribeFrom(%d): %v", lastID, err)
+		t.Fatalf("open(%d): %v", lastID, err)
 	}
-	cancel()
-	return replay
+	t.Cleanup(s.close)
+	evs, _ := s.since(&c)
+	return &c, evs
 }
 
 func versions(evs []Event) []uint64 {
@@ -57,7 +59,7 @@ func TestRingResumeAtDropBoundary(t *testing.T) {
 	// lastID == dropVersion: the client saw version 20 before its
 	// eviction, so the retained tail {30,40} IS its missing suffix — a
 	// clean replay, no resync.
-	replay := resumeAt(t, s, 20)
+	_, replay := resumeAt(t, s, 20)
 	if got := versions(replay); len(got) != 2 || got[0] != 30 || got[1] != 40 {
 		t.Fatalf("replay at boundary = %v, want [30 40]", got)
 	}
@@ -73,7 +75,7 @@ func TestRingResumeBelowDropBoundary(t *testing.T) {
 	// lastID one below dropVersion: version 20 was evicted unseen, so
 	// the gap is real — full retained tail, first event resync-flagged.
 	for _, lastID := range []uint64{19, 10, 1} {
-		replay := resumeAt(t, s, lastID)
+		_, replay := resumeAt(t, s, lastID)
 		if got := versions(replay); len(got) != 2 || got[0] != 30 || got[1] != 40 {
 			t.Fatalf("replay at %d = %v, want [30 40]", lastID, got)
 		}
@@ -90,111 +92,102 @@ func TestRingResumeIsExclusiveOfLastSeen(t *testing.T) {
 	s := ringFixture(t)
 	// The tail is strictly newer than lastID: resuming at a retained
 	// version must not replay that version again.
-	if got := versions(resumeAt(t, s, 30)); len(got) != 1 || got[0] != 40 {
-		t.Fatalf("replay at 30 = %v, want [40]", got)
+	if _, replay := resumeAt(t, s, 30); len(replay) != 1 || replay[0].Snapshot.Version != 40 {
+		t.Fatalf("replay at 30 = %v, want [40]", versions(replay))
 	}
 	// Resuming at the newest version replays nothing — and must NOT be
-	// treated as a drop.
-	_, replay, cancel, err := s.subscribeFrom(40, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
+	// treated as a gap: the next pass arrives unflagged.
+	c, replay := resumeAt(t, s, 40)
 	if len(replay) != 0 {
 		t.Fatalf("replay at head = %v, want empty", versions(replay))
 	}
-	s.mu.Lock()
-	var sub *subscriber
-	for _, v := range s.m {
-		sub = v
+	if c.resync {
+		t.Fatal("caught-up resumer must not be marked for resync")
 	}
-	s.mu.Unlock()
-	if sub == nil || sub.dropped {
-		t.Fatal("caught-up resumer must not be marked dropped")
+	s.publish(ringEv(5, 50))
+	if evs, _ := s.since(c); len(evs) != 1 || evs[0].Resync {
+		t.Fatalf("caught-up resumer's next event = %+v, want one unflagged", evs)
 	}
 }
 
+// TestRingResumeEmptyRing: a session just hosted (created, recovered or
+// installed as a replica) at version 7 has published nothing. Its ring
+// covers exactly the passes after 7: a resume at 7 misses nothing, while
+// a resume below 7 (passes before a restart) or above it (a deleted and
+// re-created name) has a gap the next event must announce.
 func TestRingResumeEmptyRing(t *testing.T) {
-	s := &subscribers{ringCap: 2}
-	t.Cleanup(s.closeAll)
-	// Resume against a session that has not published since the ring was
-	// created: nothing to replay, and nothing to resync either —
-	// dropVersion is 0, so any lastID is "covered" vacuously.
-	_, replay, cancel, err := s.subscribeFrom(7, true)
-	if err != nil {
-		t.Fatal(err)
+	s := &subscribers{ringCap: 2, dropVersion: 7}
+	at := map[uint64]*cursor{}
+	for _, lastID := range []uint64{7, 5, 9} {
+		c, replay := resumeAt(t, s, lastID)
+		if len(replay) != 0 {
+			t.Fatalf("empty-ring resume at %d replayed %v", lastID, versions(replay))
+		}
+		at[lastID] = c
 	}
-	cancel()
-	if len(replay) != 0 {
-		t.Fatalf("empty-ring resume replayed %v", versions(replay))
+	s.publish(ringEv(1, 8))
+	for lastID, want := range map[uint64]bool{7: false, 5: true, 9: true} {
+		evs, _ := s.since(at[lastID])
+		if len(evs) != 1 || evs[0].Snapshot.Version != 8 || evs[0].Resync != want {
+			t.Fatalf("resume at %d: first event %+v, want version 8 with resync %v", lastID, evs, want)
+		}
 	}
 }
 
-// TestRingReplayFencesLiveDelivery: the afterSeq fence set at subscribe
-// time must make deliver skip passes the replay already covered, and
-// admit the first genuinely new pass.
+// TestRingReplayFencesLiveDelivery: a resumed stream reads its replay and
+// then the live events from one cursor, so the pass that ended the replay
+// is not sent again and the first genuinely new pass is.
 func TestRingReplayFencesLiveDelivery(t *testing.T) {
 	s := ringFixture(t)
-	ch, replay, cancel, err := s.subscribeFrom(30, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
+	c, replay := resumeAt(t, s, 30)
 	if got := versions(replay); len(got) != 1 || got[0] != 40 {
 		t.Fatalf("replay = %v, want [40]", got)
 	}
-	// Seq 4 (version 40) is in the replay; a late fanout delivery of the
-	// same pass must be suppressed.
-	s.deliver(ringEv(4, 40))
-	select {
-	case fr := <-ch:
-		t.Fatalf("fenced event delivered: version %d", fr.version)
-	default:
+	evs, wake := s.since(c)
+	if len(evs) != 0 {
+		t.Fatalf("replayed event delivered again: %v", versions(evs))
 	}
-	// The next pass flows through.
-	s.deliver(ringEv(5, 50))
+	s.publish(ringEv(5, 50))
 	select {
-	case fr := <-ch:
-		if fr.version != 50 {
-			t.Fatalf("live event version = %d, want 50", fr.version)
-		}
+	case <-wake:
 	default:
-		t.Fatal("live event past the fence was not delivered")
+		t.Fatal("publish did not wake the waiting stream")
+	}
+	if evs, _ := s.since(c); len(evs) != 1 || evs[0].Snapshot.Version != 50 || evs[0].Resync {
+		t.Fatalf("live event past the replay = %+v, want version 50 unflagged", evs)
 	}
 }
 
-// TestRingDropCountersBothSinks: a slow subscriber's dropped events
-// count on the per-session counter and, through it, the registry-wide
-// total alike.
+// TestRingDropCountersBothSinks: the events a slow stream skipped count on
+// the per-session counter and, through it, the registry-wide total alike,
+// once each.
 func TestRingDropCountersBothSinks(t *testing.T) {
 	var global metrics.Counter
 	local := global.Child()
 	s := &subscribers{ringCap: 2, drops: local}
-	t.Cleanup(s.closeAll)
-	ch, _, cancel, err := s.subscribeFrom(0, false)
+	c, err := s.open(0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cancel()
-	// Fill the subscriber buffer without reading, then one more: the
-	// overflow event is dropped and counted once on each sink.
-	for i := uint64(1); i <= subscriberBuffer+1; i++ {
-		s.deliver(ringEv(i, i))
+	defer s.close()
+	// Five passes past a stream that reads none: the ring keeps the last
+	// two, so three were skipped.
+	for i := uint64(1); i <= 5; i++ {
+		s.publish(ringEv(i, i))
 	}
-	if g, l := global.Load(), local.Load(); g != 1 || l != 1 {
-		t.Fatalf("drop counters global=%d local=%d, want 1/1", g, l)
+	evs, _ := s.since(&c)
+	if got := versions(evs); len(got) != 2 || got[0] != 4 || !evs[0].Resync || evs[1].Resync {
+		t.Fatalf("overtaken stream read %+v, want versions [4 5] with only the first flagged", evs)
 	}
-	// The gap is announced: after draining, the next delivered event is
-	// resync-flagged and the counters do not double-count it.
-	for i := 0; i < subscriberBuffer; i++ {
-		<-ch
+	if g, l := global.Load(), local.Load(); g != 3 || l != 3 {
+		t.Fatalf("drop counters global=%d local=%d, want 3/3", g, l)
 	}
-	s.deliver(ringEv(subscriberBuffer+2, subscriberBuffer+2))
-	fr := <-ch
-	if len(fr.data) == 0 {
-		t.Fatal("no data on post-drop event")
+	// Caught up again: the next event is unflagged and counts nothing.
+	s.publish(ringEv(6, 6))
+	if evs, _ := s.since(&c); len(evs) != 1 || evs[0].Resync {
+		t.Fatalf("post-gap event = %+v, want one unflagged", evs)
 	}
-	if g := global.Load(); g != 1 {
-		t.Fatalf("post-drop delivery bumped the counter to %d", g)
+	if g := global.Load(); g != 3 {
+		t.Fatalf("post-gap delivery moved the counter to %d", g)
 	}
 }

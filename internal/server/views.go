@@ -28,10 +28,11 @@ import (
 // dropped by LRU and by TTL. A retained view costs the pre-images of
 // pages the writer has dirtied since the pin (see relation.View), so
 // the cap bounds read amplification on the write path no matter how
-// many clients paginate. TTL expiry is enforced by a timer armed
-// whenever idle views exist — not only on cache touches — so a view
-// abandoned mid-pagination releases its pin one sweep after the TTL
-// even if no reader ever comes back.
+// many clients paginate. That cost grows only when a pass dirties pages,
+// so the TTL is enforced where it can grow: the committer prunes after
+// every pass, and every cache touch prunes too. A view abandoned
+// mid-pagination is released by the first pass after its TTL, even if
+// no reader ever comes back.
 
 const (
 	// maxCachedViews bounds idle (refcount zero) views retained for
@@ -65,10 +66,7 @@ type viewCache struct {
 	sess   *increpair.Session
 	views  map[uint64]*pinnedView
 	closed bool
-	// ttl is viewTTL, overridable by tests; timer runs the idle sweep,
-	// armed (at most one outstanding) whenever idle views remain.
-	ttl   time.Duration
-	timer *time.Timer
+	ttl    time.Duration // viewTTL, overridable by tests
 }
 
 func newViewCache(sess *increpair.Session) *viewCache {
@@ -149,10 +147,16 @@ func (c *viewCache) releaser(pv *pinnedView) func() {
 	}
 }
 
+// prune drops idle views past the TTL; the committer calls it after
+// every pass.
+func (c *viewCache) prune() {
+	c.mu.Lock()
+	c.pruneLocked()
+	c.mu.Unlock()
+}
+
 // pruneLocked drops idle views past the TTL, then the least recently
-// used beyond the cap, and re-arms the sweep timer while any idle view
-// remains — so expiry does not depend on a future cache touch. Views
-// with readers are never touched.
+// used beyond the cap. Views with readers are never touched.
 func (c *viewCache) pruneLocked() {
 	var idle []*pinnedView
 	for v, pv := range c.views {
@@ -172,35 +176,7 @@ func (c *viewCache) pruneLocked() {
 			pv.rv.Release()
 			delete(c.views, pv.rv.Version())
 		}
-		idle = idle[len(idle)-maxCachedViews:]
 	}
-	if len(idle) > 0 {
-		c.armSweepLocked()
-	}
-}
-
-// armSweepLocked schedules one future sweep if none is pending. The
-// interval is the full TTL: a view surviving this prune has at most a
-// TTL to live, so the next sweep catches it within 2x the TTL — a
-// bound, not a deadline, which keeps the timer churn at one reset per
-// sweep instead of one per touch.
-func (c *viewCache) armSweepLocked() {
-	if c.closed || c.timer != nil {
-		return
-	}
-	c.timer = time.AfterFunc(c.ttl, c.sweep)
-}
-
-// sweep is the timer's pass: prune, which re-arms while idle views
-// remain.
-func (c *viewCache) sweep() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.timer = nil
-	if c.closed {
-		return
-	}
-	c.pruneLocked()
 }
 
 // closeAll empties the table on session shutdown. Views still held by
@@ -210,10 +186,6 @@ func (c *viewCache) closeAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
 	for v, pv := range c.views {
 		delete(c.views, v)
 		if pv.refs == 0 {

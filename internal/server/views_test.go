@@ -1,110 +1,60 @@
 package server
 
 import (
-	"strings"
 	"testing"
 	"time"
-
-	"cfdclean/internal/cfd"
-	"cfdclean/internal/increpair"
-	"cfdclean/internal/relation"
 )
 
-func newViewTestSession(t *testing.T) *increpair.Session {
-	t.Helper()
-	sch := relation.MustSchema("orders", "AC", "CT")
-	rel := relation.New(sch)
-	rel.MustInsert(relation.NewTuple(0, "212", "NYC"))
-	parsed, err := cfd.Parse(sch, strings.NewReader(tinyCFDs))
+// TestViewTTLExpiresAtNextPass: an idle cached view is released by the
+// first pass after its TTL — nothing releases it before that pass, and
+// nothing has to come back to read — while a view a reader still holds
+// survives that pass, and closeAll leaves no pin behind.
+func TestViewTTLExpiresAtNextPass(t *testing.T) {
+	s, ts := newTestService(t, Options{})
+	createTiny(t, ts.URL, "s")
+	h, err := s.Registry().Get("s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := increpair.NewSession(rel, cfd.NormalizeAll(parsed), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sess.Close)
-	return sess
-}
+	const ttl = 200 * time.Millisecond
+	h.views.mu.Lock()
+	h.views.ttl = ttl
+	h.views.mu.Unlock()
+	active := func() int { return h.sess.Current().ActiveViews() }
 
-// A view abandoned after its last release must expire by TTL with NO
-// further cache traffic: the sweep timer, not the next reader, releases
-// the pin. Before the timer existed, pruneLocked only ran on cache
-// touches, so an idle service retained the view's COW pre-images
-// forever — viewTTL was only nominally enforced.
-func TestViewTTLSweepsWithoutTraffic(t *testing.T) {
-	sess := newViewTestSession(t)
-	c := newViewCache(sess)
-	c.ttl = 20 * time.Millisecond
-	t.Cleanup(c.closeAll)
-
-	_, release, err := c.acquireCurrent()
+	// An idle view at the first version: a finished listing keeps it
+	// cached for cursor continuation.
+	if resp, body := do(t, "GET", ts.URL+"/v1/sessions/s/violations", nil); resp.StatusCode != 200 {
+		t.Fatalf("violations: %d: %s", resp.StatusCode, body)
+	}
+	// A held view at the next version.
+	applyOne(t, ts.URL, "s", "212", "NYC")
+	_, release, err := h.views.acquireCurrent()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := sess.Current().ActiveViews(); n != 1 {
-		t.Fatalf("ActiveViews = %d while acquired, want 1", n)
+	if n := active(); n != 2 {
+		t.Fatalf("ActiveViews = %d with one idle and one held view, want 2", n)
+	}
+
+	// Past the TTL with no pass: both are still pinned.
+	time.Sleep(3 * ttl)
+	if n := active(); n != 2 {
+		t.Fatalf("ActiveViews = %d past the TTL before any pass, want 2", n)
+	}
+	// The committer prunes after a pass's reply, and passes commit in
+	// order: once the second reply is in, the first pass's prune is done.
+	applyOne(t, ts.URL, "s", "212", "NYC")
+	applyOne(t, ts.URL, "s", "212", "NYC")
+	if n := active(); n != 1 {
+		t.Fatalf("ActiveViews = %d after the first pass past the TTL, want 1 (the held view)", n)
 	}
 	release()
-	// The released view is idle but cached for cursor continuation; it
-	// must still be pinned right now (that retention is the feature).
-	if n := sess.Current().ActiveViews(); n != 1 {
+	if n := active(); n != 1 {
 		t.Fatalf("ActiveViews = %d just after release, want 1 (cached for cursors)", n)
 	}
-
-	// No acquire, no release, no prune from here on: only the sweep
-	// timer can drop the pin.
-	deadline := time.Now().Add(5 * time.Second)
-	for sess.Current().ActiveViews() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("ActiveViews = %d long past the TTL with no further reads: idle view never swept",
-				sess.Current().ActiveViews())
-		}
-		time.Sleep(5 * time.Millisecond)
+	h.views.closeAll()
+	if n := active(); n != 0 {
+		t.Fatalf("ActiveViews = %d after closeAll, want 0", n)
 	}
-
-	c.mu.Lock()
-	cached := len(c.views)
-	c.mu.Unlock()
-	if cached != 0 {
-		t.Fatalf("view table holds %d entries after sweep, want 0", cached)
-	}
-}
-
-// An in-use view must survive every sweep — TTL applies to idle views
-// only — and the timer must shut down with closeAll.
-func TestViewTTLSweepSkipsHeldViews(t *testing.T) {
-	sess := newViewTestSession(t)
-	c := newViewCache(sess)
-	c.ttl = 10 * time.Millisecond
-	t.Cleanup(c.closeAll)
-
-	_, release, err := c.acquireCurrent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Advance the session so a second, idle view at a newer version can
-	// arm the sweep alongside the held one.
-	if _, err := sess.ApplyDelta([]*relation.Tuple{relation.NewTuple(0, "212", "NYC")}); err != nil {
-		t.Fatal(err)
-	}
-	_, release2, err := c.acquireCurrent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	release2()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for sess.Current().ActiveViews() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("ActiveViews = %d: sweep did not drop the idle view (or dropped the held one)",
-				sess.Current().ActiveViews())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	time.Sleep(5 * c.ttl) // more sweeps fire; the held view must survive them
-	if n := sess.Current().ActiveViews(); n != 1 {
-		t.Fatalf("ActiveViews = %d after sweeps with one reader still holding, want 1", n)
-	}
-	release()
 }

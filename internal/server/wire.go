@@ -236,9 +236,10 @@ type ListResponse struct {
 // pass: which session advanced, how many client batches the pass
 // coalesced, the dirty tuples the repair had to touch, and the resulting
 // snapshot. Clients stream these from GET /v1/sessions/{name}/events.
-// Resync is set on the first event a slow subscriber receives after
-// events were dropped for it: the sequence has a gap, but the embedded
-// snapshot is still the session's current authoritative state.
+// Resync is set on the first event after a gap in a stream: the
+// subscriber fell a whole event ring behind, or resumed from a version
+// the ring does not cover. The embedded snapshot is still the session's
+// authoritative state at that event.
 type Event struct {
 	Session   string       `json:"session"`
 	Seq       uint64       `json:"seq"`

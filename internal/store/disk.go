@@ -638,6 +638,11 @@ func Open(dir string, gen uint64, arity int, opts Options) (*Disk, error) {
 	if geom.arity != arity {
 		return nil, fmt.Errorf("%w: manifest arity %d, relation has %d", errCorrupt, geom.arity, arity)
 	}
+	// A row's layout follows from the arity; the iterator reads row[2:]
+	// by it.
+	if want := 2 + 8 + 12*arity; geom.rowWidth != want {
+		return nil, fmt.Errorf("%w: manifest row width %d, arity %d needs %d", errCorrupt, geom.rowWidth, arity, want)
+	}
 	d := newDisk(dir, arity, opts.PageSize)
 	// The persisted geometry wins: row addressing must stay stable.
 	d.rowWidth = geom.rowWidth
@@ -712,41 +717,14 @@ func (d *Disk) openDict(dictLen int) error {
 	if err != nil {
 		return err
 	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	if err := wal.CheckHeader(br, dictMagic, storeVersion); err != nil {
-		f.Close()
-		return err
-	}
-	strs := make([]string, 0, dictLen)
-	buf := make([]byte, 0, 256)
-	for i := 0; i < dictLen; i++ {
-		ln, err := binary.ReadUvarint(br)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("%w: dict.log truncated at entry %d of %d", errCorrupt, i, dictLen)
-		}
-		if cap(buf) < int(ln) {
-			buf = make([]byte, ln)
-		}
-		buf = buf[:ln]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			f.Close()
-			return fmt.Errorf("%w: dict.log truncated at entry %d of %d", errCorrupt, i, dictLen)
-		}
-		strs = append(strs, string(buf))
-	}
-	// The entries end where the file has been read to, less what the
-	// reader holds unconsumed.
-	off, err := f.Seek(0, io.SeekCurrent)
+	strs, off, err := readDict(f, dictLen)
 	if err == nil {
-		off -= int64(br.Buffered())
 		err = f.Truncate(off)
 	}
-	if err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -754,6 +732,61 @@ func (d *Disk) openDict(dictLen int) error {
 	d.dictOff = off
 	d.strs = strs
 	return nil
+}
+
+// readDict reads the header and the first n entries of a dict.log and
+// returns them with the offset they end at. The lengths are unframed
+// bytes off the disk, so each is held to the bytes the file has left.
+func readDict(f *os.File, n int) ([]string, int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	r := &countReader{r: bufio.NewReaderSize(f, 1<<16)}
+	if err := wal.CheckHeader(r, dictMagic, storeVersion); err != nil {
+		return nil, 0, err
+	}
+	// Every entry takes at least its one-byte length.
+	if n < 0 || int64(n) > st.Size()-r.n {
+		return nil, 0, fmt.Errorf("%w: dict.log holds %d bytes of entries, too few for %d", errCorrupt, st.Size()-r.n, n)
+	}
+	strs := make([]string, 0, n)
+	var buf []byte
+	for i := 0; i < n; i++ {
+		ln, err := binary.ReadUvarint(r)
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w: dict.log truncated at entry %d of %d", errCorrupt, i, n)
+		}
+		if left := st.Size() - r.n; ln > uint64(left) {
+			return nil, 0, fmt.Errorf("%w: dict.log entry %d of %d claims %d bytes, %d are left", errCorrupt, i, n, ln, left)
+		}
+		buf = slices.Grow(buf[:0], int(ln))[:ln]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, 0, fmt.Errorf("%w: dict.log truncated at entry %d of %d", errCorrupt, i, n)
+		}
+		strs = append(strs, string(buf))
+	}
+	return strs, r.n, nil
+}
+
+// countReader counts the bytes read through it.
+type countReader struct {
+	r *bufio.Reader
+	n int64
+}
+
+func (c *countReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+func (c *countReader) ReadByte() (byte, error) {
+	b, err := c.r.ReadByte()
+	if err == nil {
+		c.n++
+	}
+	return b, err
 }
 
 // Iterator streams the store's committed rows in physical order as

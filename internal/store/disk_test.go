@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,7 +15,7 @@ import (
 	"cfdclean/internal/wal"
 )
 
-func testRelation(t *testing.T) *relation.Relation {
+func testRelation(t testing.TB) *relation.Relation {
 	t.Helper()
 	s, err := relation.NewSchema("r", "a", "b", "c")
 	if err != nil {
@@ -450,4 +452,68 @@ func TestDiskPrunesOrderFilesAndManifests(t *testing.T) {
 	}
 	reopen(t, dir, 4, rel)
 	reopen(t, dir, 3, prev)
+}
+
+// committedStore writes a one-generation store of two rows to a fresh
+// directory and closes it.
+func committedStore(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	rel := testRelation(t)
+	d, err := Create(dir, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Attach(rel)
+	rel.MustInsert(relation.NewTuple(0, "p", "q", "r"))
+	rel.MustInsert(relation.NewTuple(0, "s", "t", "u"))
+	flushCommit(t, d, rel, 0)
+	d.Close()
+	return dir
+}
+
+// TestOpenRefusesOversizedDictEntry: dict.log's lengths are unframed, so
+// a damaged one can claim more bytes than the file holds. Open reports
+// that as corruption — recovery then skips the tenant — instead of
+// allocating what it claims (1 TiB here), which killed the process.
+func TestOpenRefusesOversizedDictEntry(t *testing.T) {
+	dir := committedStore(t)
+	path := filepath.Join(dir, dictName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := len(dictMagic) + 1
+	_, first := binary.Uvarint(b[hdr:])
+	bad := append(binary.AppendUvarint(slices.Clone(b[:hdr]), 1<<40), b[hdr+first:]...)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, 0, 3, Options{}); !errors.Is(err, errCorrupt) {
+		t.Fatalf("open with a 1 TiB dict entry: %v, want errCorrupt", err)
+	}
+}
+
+// TestOpenRefusesRowWidth: a row's width follows from the arity, and the
+// iterator slices rows by the manifest's width; a manifest whose width
+// disagrees is corrupt.
+func TestOpenRefusesRowWidth(t *testing.T) {
+	dir := committedStore(t)
+	path := filepath.Join(dir, manifestName(0))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geom, table, dictLen, rows, err := decodeManifest(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geom.rowWidth = 1
+	geom.pageBytes = int(geom.rowsPerPage)
+	if err := os.WriteFile(path, encodeManifest(geom, table, dictLen, rows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, 0, 3, Options{}); !errors.Is(err, errCorrupt) {
+		t.Fatalf("open with row width 1 at arity 3: %v, want errCorrupt", err)
+	}
 }
