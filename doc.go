@@ -78,7 +78,9 @@
 //	        ├── BatchRepair (§4): violation-graph components
 //	        │   repaired in place, one after another
 //	        ├── IncRepair / Repair (§5): TUPLERESOLVE per arriving
-//	        │   tuple against maintained state
+//	        │   tuple against maintained state; an arrival whose
+//	        │   first count is clean goes in as its probe stands —
+//	        │   ids kept, buckets joined but not re-derived
 //	        └── Session: the same engine kept alive across ΔD batches
 //	                │
 //	                ├── ReadView: epoch-pinned snapshot (page-level

@@ -1,6 +1,7 @@
 package cfd
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sort"
@@ -300,6 +301,75 @@ func (d *Detector) index(g *groupPlan) *relation.HashIndex {
 		lx.ix = relation.NewCountedHashIndex(d.rel, lx.x, lx.as...)
 	})
 	return lx.ix
+}
+
+// Recount holds every built LHS index to a count from scratch: it must file
+// each tuple of the relation once, under the tuple's own key, and every
+// tally slot of every bucket must equal a count over the bucket's members.
+// It returns the first disagreement. (An index never asked for is not
+// built, and has nothing to hold.)
+func (d *Detector) Recount() error {
+	for li := range d.lhs {
+		lx := &d.lhs[li]
+		if lx.ix == nil {
+			continue
+		}
+		var err error
+		members := 0
+		lx.ix.Buckets(func(b int32, ids []relation.TupleID, counts []relation.BucketCounts) {
+			members += len(ids)
+			if err == nil {
+				err = d.recountBucket(lx, b, ids, counts)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		if members != d.rel.Size() {
+			return fmt.Errorf("cfd: index on %v holds %d tuples of %d", lx.x, members, d.rel.Size())
+		}
+	}
+	return nil
+}
+
+// recountBucket is Recount for bucket b of lx.
+func (d *Detector) recountBucket(lx *lhsIndex, b int32, ids []relation.TupleID, counts []relation.BucketCounts) error {
+	if len(counts) != len(lx.as) {
+		return fmt.Errorf("cfd: index on %v: bucket %v has %d tallies for %d groups", lx.x, ids, len(counts), len(lx.as))
+	}
+	for _, id := range ids {
+		t := d.rel.Tuple(id)
+		if t == nil {
+			return fmt.Errorf("cfd: index on %v holds the missing tuple %d", lx.x, id)
+		}
+		if lx.ix.BucketOf(t.KeyOnIDs(lx.x)) != b {
+			return fmt.Errorf("cfd: index on %v files tuple %d under the wrong key", lx.x, id)
+		}
+	}
+	for j, a := range lx.as {
+		c := &counts[j]
+		want := make(map[relation.ValueID]int)
+		nonNull := 0
+		for _, id := range ids {
+			if vid := d.rel.Tuple(id).IDAt(a); vid != relation.NullID {
+				want[vid]++
+				nonNull++
+			}
+		}
+		if c.NonNull() != nonNull || c.Distinct() != len(want) {
+			return fmt.Errorf("cfd: index on %v bucket %v: the tally of %d says %d non-null, %d distinct; recount %d, %d",
+				lx.x, ids, a, c.NonNull(), c.Distinct(), nonNull, len(want))
+		}
+		for vid, n := range want {
+			if c.Count(vid) != n {
+				return fmt.Errorf("cfd: index on %v bucket %v: tally of %d: Count(%d) = %d, recount %d", lx.x, ids, a, vid, c.Count(vid), n)
+			}
+		}
+		if c.Count(relation.NullID) != 0 || c.Count(relation.InvalidID) != 0 {
+			return fmt.Errorf("cfd: index on %v bucket %v counts members under NullID or InvalidID", lx.x, ids)
+		}
+	}
+	return nil
 }
 
 // SetWorkers sets the parallelism of whole-database scans: n == 1 forces

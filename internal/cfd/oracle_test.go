@@ -54,9 +54,9 @@ func walkVioInGroup(d *Detector, g *groupPlan, t *relation.Tuple) int {
 }
 
 // checkCountedIndexes holds every LHS index of d — one per distinct X,
-// shared by the groups on it — to a from-scratch recount: every tally slot
-// of every bucket against the bucket's members, the buckets against the
-// relation. It holds Detector.VioCounts to Group.VioCount group by group,
+// shared by the groups on it, one slot per group — to a from-scratch
+// recount (Detector.Recount): every tally slot of every bucket against the
+// bucket's members, the buckets against the relation. It holds Detector.VioCounts to Group.VioCount group by group,
 // and both to the walk they replaced, for every stored tuple and for probes
 // of the kinds TUPLERESOLVE sends: a stored tuple's id with another
 // A-value, an X or A constant the dictionary has never seen, a null.
@@ -75,51 +75,12 @@ func checkCountedIndexes(t *testing.T, tag string, d *Detector, rng *rand.Rand) 
 			}
 		}
 		slots += len(lx.groups)
-		members := 0
-		lx.ix.Buckets(func(b int32, ids []relation.TupleID, counts []relation.BucketCounts) {
-			members += len(ids)
-			if len(counts) != len(lx.as) {
-				t.Fatalf("%s: index on %v: bucket %v has %d tallies for %d groups", tag, lx.x, ids, len(counts), len(lx.as))
-			}
-			for _, id := range ids {
-				tu := rel.Tuple(id)
-				if tu == nil {
-					t.Fatalf("%s: index on %v holds the missing tuple %d", tag, lx.x, id)
-				}
-				if lx.ix.BucketOf(tu.KeyOnIDs(lx.x)) != b {
-					t.Fatalf("%s: index on %v files tuple %d under the wrong key", tag, lx.x, id)
-				}
-			}
-			for j, a := range lx.as {
-				c := &counts[j]
-				want := make(map[relation.ValueID]int)
-				nonNull := 0
-				for _, id := range ids {
-					if vid := rel.Tuple(id).IDAt(a); vid != relation.NullID {
-						want[vid]++
-						nonNull++
-					}
-				}
-				if c.NonNull() != nonNull || c.Distinct() != len(want) {
-					t.Fatalf("%s: index on %v bucket %v: the tally of %d says %d non-null, %d distinct; recount %d, %d",
-						tag, lx.x, ids, a, c.NonNull(), c.Distinct(), nonNull, len(want))
-				}
-				for vid, n := range want {
-					if c.Count(vid) != n {
-						t.Fatalf("%s: index on %v bucket %v: tally of %d: Count(%d) = %d, recount %d", tag, lx.x, ids, a, vid, c.Count(vid), n)
-					}
-				}
-				if c.Count(relation.NullID) != 0 || c.Count(relation.InvalidID) != 0 {
-					t.Fatalf("%s: index on %v bucket %v counts members under NullID or InvalidID", tag, lx.x, ids)
-				}
-			}
-		})
-		if members != rel.Size() {
-			t.Fatalf("%s: index on %v holds %d tuples of %d", tag, lx.x, members, rel.Size())
-		}
 	}
 	if slots != len(d.groups) {
 		t.Fatalf("%s: the indexes tally for %d groups of %d", tag, slots, len(d.groups))
+	}
+	if err := d.Recount(); err != nil {
+		t.Fatalf("%s: %v", tag, err)
 	}
 
 	var counts []int

@@ -1,6 +1,7 @@
 package cfd
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -16,7 +17,9 @@ import (
 // update instead of O(|D|) per query. Detect, VioAll, VioTuple and
 // Satisfied are answered from maintained state and are always exactly
 // equal to what a freshly built Detector would return (the equivalence is
-// fuzz-tested in viostore_test.go).
+// fuzz-tested in viostore_test.go). An insert the writer has just counted
+// clean through VioCounts costs less still: the LHS indexes take the tuple
+// in, and no bucket is re-derived.
 //
 // The store is the paper's IncRepair enabler: the detect→fix→re-detect
 // loop of both repair engines runs against one store for the whole run,
@@ -27,7 +30,8 @@ import (
 //
 // VioStore is not safe for concurrent mutation; like the Relation it
 // observes, it assumes one mutator. Read-only queries may run
-// concurrently with each other but not with mutations.
+// concurrently with each other but not with mutations; VioCounts, which
+// keeps its note, is the mutator's.
 type VioStore struct {
 	d   *Detector
 	rel *relation.Relation
@@ -43,6 +47,16 @@ type VioStore struct {
 	// rescans counts the bucket rescans deltas asked for; rescansSkipped
 	// those the bucket's tally answered without walking its members.
 	rescans, rescansSkipped int
+
+	// clean is the tuple VioCounts last found violating nothing (nil when
+	// there is none), with the relation version it was counted at, its ids
+	// then, and fresh, the first id the dictionary had not yet assigned.
+	clean struct {
+		t       *relation.Tuple
+		version uint64
+		ids     []relation.ValueID
+		fresh   relation.ValueID
+	}
 
 	sc          *scanScratch
 	unsubscribe func()
@@ -239,7 +253,8 @@ func (s *VioStore) Relation() *relation.Relation { return s.rel }
 
 // Rescans returns how many bucket rescans the relation's deltas have
 // asked of the store since it was built, and how many of those the bucket's
-// tally answered without a walk over its members.
+// tally answered without a walk over its members. An insert VioCounts
+// counted clean asks for none.
 func (s *VioStore) Rescans() (total, skipped int) { return s.rescans, s.rescansSkipped }
 
 // onDelta is the journal hook: it re-derives the violation state of
@@ -249,6 +264,16 @@ func (s *VioStore) Rescans() (total, skipped int) { return s.rescans, s.rescansS
 // every variable-RHS group on its LHS.
 func (s *VioStore) onDelta(dl relation.Delta) {
 	t, a := dl.T, dl.Attr
+	if s.countedClean(dl) {
+		// t joins its buckets and adds no violation (see VioCounts): the
+		// indexes learn of it, and no bucket or tuple is re-derived.
+		for li := range s.d.lhs {
+			if ix := s.d.lhs[li].ix; ix != nil {
+				ix.Add(t)
+			}
+		}
+		return
+	}
 	var buf, obuf [8]relation.ValueID
 	for li := range s.d.lhs {
 		lx := &s.d.lhs[li]
@@ -293,6 +318,50 @@ func (s *VioStore) onDelta(dl relation.Delta) {
 			s.rescanConstTuple(gi, t)
 		}
 	}
+}
+
+// VioCounts is Detector.VioCounts for the store's writer. When t carries ids
+// and every group counts zero, the store notes t, the relation version and
+// t's ids, and the insert of exactly that tuple at that version (the next
+// delta, with no other in between) re-derives nothing. That is exact: the
+// members of a bucket match the same pattern rows, so a member disagreeing
+// with t on a variable row's A, or a constant row t breaks, would have been
+// counted; t therefore adds no violation and changes no recorded one.
+func (s *VioStore) VioCounts(t *relation.Tuple, out []int) []int {
+	out = s.d.VioCounts(t, out)
+	c := &s.clean
+	c.t = nil
+	if !t.Interned() || slices.ContainsFunc(out, func(n int) bool { return n != 0 }) {
+		return out
+	}
+	c.t, c.version, c.ids = t, s.rel.Version(), c.ids[:0]
+	for a := range t.Vals {
+		c.ids = append(c.ids, t.IDAt(a))
+	}
+	if slices.Contains(c.ids, relation.InvalidID) {
+		c.fresh = relation.ValueID(s.rel.Dict().Len() + 1)
+	}
+	return out
+}
+
+// countedClean reports whether dl inserts the tuple VioCounts noted, at the
+// version it was counted at and with the ids it was counted with. A
+// constant that was unseen then (InvalidID) may have been interned since, by
+// this insert, under an id the dictionary had not assigned at the count.
+// Any delta uses the note up.
+func (s *VioStore) countedClean(dl relation.Delta) bool {
+	c := &s.clean
+	noted := c.t == dl.T && dl.Kind == relation.DeltaInsert
+	c.t = nil
+	if !noted || s.rel.Version() != c.version+1 {
+		return false
+	}
+	for a, id := range c.ids {
+		if now := dl.T.IDAt(a); now != id && (id != relation.InvalidID || now < c.fresh) {
+			return false
+		}
+	}
+	return true
 }
 
 // rescan recomputes, for bucket b of lx — the bucket whose key is xids —

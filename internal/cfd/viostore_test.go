@@ -170,9 +170,10 @@ var fuzzPools = [][]string{
 }
 
 // runVioStoreOps reads data as a mutation sequence over fuzzPools — how
-// many tuples the relation holds before the store is built, then inserts,
-// deletes and cell updates (of X and of A, to values and to null, in clean
-// and dirty buckets alike) until the bytes run out — and asserts after
+// many tuples the relation holds before the store is built, then inserts
+// (most of them counted through VioCounts first), deletes and cell updates
+// (of X and of A, to values and to null, in clean and dirty buckets alike)
+// until the bytes run out — and asserts after
 // every step that the maintained state is bit-identical to a freshly built
 // detector's (Detect, the cursor, VioAll, the totals, Components), that
 // every tally of every shared LHS index equals a recount, and that
@@ -225,12 +226,28 @@ func runVioStoreOps(t *testing.T, data []byte) (rescans, skipped int) {
 		checkCountedIndexes(t, tag, s.d, rng)
 	}
 	check("seeded")
+	var counts []int
 	for step := 0; len(data) > 0; step++ {
 		op := next()
 		ts := rel.Tuples()
 		switch {
 		case op%10 < 3 || len(ts) == 0:
-			rel.MustInsert(row())
+			tu := row()
+			if op%4 != 0 {
+				// As TUPLERESOLVE sends an arrival: probed, counted through the
+				// store — which notes it when clean — and inserted; with a
+				// constant no dictionary has seen, or changed after the count.
+				if op%4 == 2 {
+					tu.Vals[next()%schema.Arity()] = relation.S(fmt.Sprintf("new%d", step))
+				}
+				tu = tu.Probe(rel.Dict())
+				counts = s.VioCounts(tu, counts)
+				if op%4 == 3 {
+					a := next() % schema.Arity()
+					tu.SetAt(a, rel.Dict().Resolve(val(a)))
+				}
+			}
+			rel.MustInsert(tu)
 		case op%10 < 5:
 			rel.Delete(ts[next()%len(ts)].ID)
 		default:

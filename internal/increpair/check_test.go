@@ -1,7 +1,9 @@
 package increpair
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cfdclean/internal/cfd"
@@ -85,6 +87,44 @@ func randomBatch(rng *rand.Rand, cur *relation.Relation) (deletes []relation.Tup
 		inserts = append(inserts, a, b)
 	}
 	return deletes, sets, inserts
+}
+
+// TestCheckRefusesWeightsOutsideUnitRange: the cost model takes w(t,A) in
+// [0,1] (§3.2). Check, and so ApplyOps, refuses an insert weighing NaN, a
+// negative number or more than 1, with an error naming the insert and the
+// attribute, and leaves the session as it was: one NaN accepted would make
+// the session's cost NaN for good.
+func TestCheckRefusesWeightsOutsideUnitRange(t *testing.T) {
+	sess, err := NewSession(cleanPaperData(t), cfd.NormalizeAll(paperCFDs(orderSchema())), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, w := range []float64{math.NaN(), -1, 2} {
+		bad := t5()
+		bad.SetWeight(6, w)
+		batch := []*relation.Tuple{t5(), bad}
+		before := sess.Snapshot()
+		_, cerr := sess.Check(nil, nil, batch)
+		_, _, aerr := sess.ApplyOps(nil, nil, batch)
+		for _, err := range []error{cerr, aerr} {
+			if err == nil || !strings.Contains(err.Error(), "insert 1") || !strings.Contains(err.Error(), "CT") {
+				t.Errorf("weight %v: got %v; want a refusal naming insert 1 and attribute CT", w, err)
+			}
+		}
+		if sess.Snapshot() != before {
+			t.Errorf("weight %v: the refused batch changed the session", w)
+		}
+	}
+	ends := t5()
+	ends.SetWeight(6, 0)
+	ends.SetWeight(7, 1)
+	if _, _, err := sess.ApplyOps(nil, nil, []*relation.Tuple{ends}); err != nil {
+		t.Fatalf("weights 0 and 1: %v", err)
+	}
+	if c := sess.Snapshot().Cost; math.IsNaN(c) || c < 0 {
+		t.Errorf("session cost %v after weights 0 and 1", c)
+	}
 }
 
 // TestCheckPredictsApplyOps: under every §5.2 ordering, over random

@@ -31,7 +31,7 @@ func (b *bothWays) resolveBothWays(t testing.TB, e *engine, in *relation.Tuple) 
 	var fixed uint64
 	full := uint64(1)<<uint(e.arity) - 1
 	for fixed != full {
-		violated := e.countGroups(rt)
+		violated := e.countGroups(rt, false)
 		if len(violated) == 0 {
 			break
 		}

@@ -184,7 +184,9 @@ type IndexStats struct {
 	VioProbes int
 	// BucketRescans counts the LHS buckets the violation store re-derived
 	// under inserts, deletes and updates; BucketRescansSkipped those whose
-	// tally showed no rule could be violated, so no member was visited.
+	// tally showed no rule could be violated, so no member was visited. An
+	// arrival inserted as its first count found it, violating nothing, adds
+	// to neither: its buckets are not re-derived at all.
 	BucketRescans        int
 	BucketRescansSkipped int
 }

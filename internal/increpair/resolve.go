@@ -37,8 +37,8 @@ func (e *engine) tupleResolve(t *relation.Tuple) *relation.Tuple {
 	}
 	var fixed uint64
 	full := uint64(1)<<uint(e.arity) - 1
-	for fixed != full {
-		violated := e.countGroups(rt)
+	for first := true; fixed != full; first = false {
+		violated := e.countGroups(rt, first)
 		// The closure of the violated rules' attributes over shared
 		// embedded-FD groups: attributes outside it can never help (or
 		// hurt) the open violations, because their groups are disjoint
@@ -91,10 +91,17 @@ func (e *engine) probe(g cfd.Group, rt *relation.Tuple) int {
 // distinct LHS once for all the groups on it (Detector.VioCounts). The
 // counts stay in e.cur for the round's bestFix; the attribute masks of the
 // groups with at least one rule violated are returned (in a buffer reused
-// by the next call).
-func (e *engine) countGroups(rt *relation.Tuple) []uint64 {
+// by the next call). An arrival's first count goes through the store, so
+// that one found clean — inserted as it stands — re-derives no bucket
+// (cfd.VioStore.VioCounts).
+func (e *engine) countGroups(rt *relation.Tuple, first bool) []uint64 {
 	e.stats.VioProbes += len(e.groups)
-	e.cur, e.violated = e.det.VioCounts(rt, e.cur), e.violated[:0]
+	if first {
+		e.cur = e.store.VioCounts(rt, e.cur)
+	} else {
+		e.cur = e.det.VioCounts(rt, e.cur)
+	}
+	e.violated = e.violated[:0]
 	for i, n := range e.cur {
 		if n > 0 {
 			e.violated = append(e.violated, e.groups[i].mask)

@@ -204,6 +204,12 @@ func (s *Session) checkLocked(deletes []relation.TupleID, sets []SetOp, inserts 
 		if t.W != nil && len(t.W) != arity {
 			return 0, fmt.Errorf("increpair: insert %d has %d weights, want %d", i, len(t.W), arity)
 		}
+		// The cost model takes w(t,A) in [0,1] (§3.2); written to fail NaN.
+		for a, w := range t.W {
+			if !(0 <= w && w <= 1) {
+				return 0, fmt.Errorf("increpair: insert %d has weight %v on attribute %s, outside [0,1]", i, w, s.e.repr.Schema().Attr(a))
+			}
+		}
 		if t.ID == 0 {
 			hasAuto = true
 			continue
@@ -254,7 +260,8 @@ func (s *Session) checkLocked(deletes []relation.TupleID, sets []SetOp, inserts 
 //
 // The batch is validated by Check before anything mutates: unknown delete or
 // update ids, out-of-range attributes, updates targeting a tuple
-// deleted in the same batch, bad insert arities or weight vectors, and
+// deleted in the same batch, bad insert arities, weight vectors of the
+// wrong length or with a weight outside [0,1] (NaN included), and
 // explicit insert ids that collide (with live tuples, with same-batch
 // updates, or with each other) all fail with the session state
 // untouched. An explicit insert id below the watermark (NextID) may

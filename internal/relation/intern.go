@@ -80,6 +80,28 @@ func (d *Dict) intern(s string) (ValueID, string) {
 	return id, s
 }
 
+// adopt completes a probe's ids (Tuple.Probe against d) for insertion: the
+// constants the probe found unseen are interned in attribute order — so they
+// get the ids interning every value in that order would give them — and
+// then every constant of vals is replaced by d's own copy, under one read
+// lock.
+func (d *Dict) adopt(ids []ValueID, vals []Value) {
+	for a, id := range ids {
+		if id == InvalidID {
+			ids[a], _ = d.intern(vals[a].Str)
+		}
+	}
+	d.mu.RLock()
+	for a, id := range ids {
+		if id == NullID {
+			vals[a] = NullValue
+		} else {
+			vals[a] = Value{Str: d.strs[id]}
+		}
+	}
+	d.mu.RUnlock()
+}
+
 // plainFlags returns the csvPlain flag of every id assigned so far. The
 // entries are never written again, only appended to, so the caller may read
 // them without the lock while the dictionary grows.

@@ -117,7 +117,8 @@ func (r *Relation) Tuple(id TupleID) *Tuple {
 
 // Insert adds t to the relation. If t.ID is zero a fresh id is assigned.
 // The tuple must have the schema's arity and (if present) a weight vector
-// of the same length.
+// of the same length. A probe of this relation's dictionary (Tuple.Probe)
+// is taken as it is, ids included; any other tuple is interned afresh.
 func (r *Relation) Insert(t *Tuple) error {
 	if len(t.Vals) != r.schema.Arity() {
 		return fmt.Errorf("relation %s: tuple has %d values, want %d", r.schema.Name(), len(t.Vals), r.schema.Arity())
@@ -140,22 +141,34 @@ func (r *Relation) Insert(t *Tuple) error {
 	} else {
 		r.tuples = append(r.tuples, t)
 	}
-	// (Re-)intern the tuple's values against this relation's dictionary;
-	// ids from a previous owner are meaningless here. The stored Value is
-	// canonicalized to the dictionary's copy of the string, so a constant
-	// appearing in a million cells pins one backing array, not a million
-	// parser-owned copies.
-	t.ids = make([]ValueID, len(t.Vals))
-	for a, v := range t.Vals {
-		if v.Null {
-			t.Vals[a] = NullValue
-			continue
+	// A probe of this dictionary already holds the id of every constant
+	// the dictionary had seen, and those ids stay valid (a Dict only grows);
+	// adopt interns the rest. Any other tuple is (re-)interned: ids from a
+	// previous owner or another dictionary are meaningless here. Either
+	// way the stored Value is canonicalized to the dictionary's copy of
+	// the string, so a constant appearing in a million cells pins one
+	// backing array, not a million parser-owned copies.
+	if t.probed == r.dict {
+		r.dict.adopt(t.ids, t.Vals)
+		for a, id := range t.ids {
+			if id != NullID {
+				r.adom[a].bump(id, t.Vals[a].Str)
+			}
 		}
-		id, s := r.dict.intern(v.Str)
-		t.ids[a] = id
-		t.Vals[a] = Value{Str: s}
-		r.adom[a].bump(id, s)
+	} else {
+		t.ids = make([]ValueID, len(t.Vals))
+		for a, v := range t.Vals {
+			if v.Null {
+				t.Vals[a] = NullValue
+				continue
+			}
+			id, s := r.dict.intern(v.Str)
+			t.ids[a] = id
+			t.Vals[a] = Value{Str: s}
+			r.adom[a].bump(id, s)
+		}
 	}
+	t.probed = nil
 	r.version++
 	if len(r.subs) > 0 {
 		r.notify(Delta{Kind: DeltaInsert, T: t})

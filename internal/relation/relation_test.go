@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueEqSQLSemantics(t *testing.T) {
@@ -131,6 +132,69 @@ func TestInsertErrors(t *testing.T) {
 	r.MustInsert(tp)
 	if tp.ID <= 7 {
 		t.Errorf("fresh id %d should exceed explicit id 7", tp.ID)
+	}
+}
+
+// TestInsertAdoptsProbeIDs: a probe inserted into the relation whose
+// dictionary it was looked up in keeps its ids slice, gets for its unseen
+// constants the ids interning every value in attribute order would give —
+// here two cells share one — and ends up exactly as a free-standing copy
+// inserted into a clone: ids, canonical values, dictionary and domains.
+func TestInsertAdoptsProbeIDs(t *testing.T) {
+	r := New(MustSchema("r", "a", "b", "c", "d", "e"))
+	r.MustInsert(NewTuple(0, "x", "y", "z", "w", "v"))
+	twin := r.Clone()
+
+	src := NewTuple(0, "y", "new1", "x", "new2", "new1")
+	src.Vals[2] = NullValue
+	p := src.Probe(r.Dict())
+	p.SetAt(0, r.Dict().Resolve(S("w"))) // a candidate, as TUPLERESOLVE sets one
+	free := p.Clone()
+	ids := p.ids
+	r.MustInsert(p)
+	twin.MustInsert(free)
+
+	if &p.ids[0] != &ids[0] {
+		t.Error("Insert replaced the probe's ids slice")
+	}
+	if !slices.Equal(p.ids, free.ids) || !StrictEqVals(p.Vals, free.Vals) {
+		t.Fatalf("adopted %v %v, re-interned %v %v", p.ids, p.Vals, free.ids, free.Vals)
+	}
+	if r.Dict().Len() != twin.Dict().Len() || !slices.Equal(r.Dict().StringsFrom(0, 99), twin.Dict().StringsFrom(0, 99)) {
+		t.Errorf("dictionary %v, re-interning gives %v", r.Dict().StringsFrom(0, 99), twin.Dict().StringsFrom(0, 99))
+	}
+	for a := range p.Vals {
+		if !reflect.DeepEqual(r.ActiveDomain(a), twin.ActiveDomain(a)) {
+			t.Errorf("adom(%d) = %v, re-interning gives %v", a, r.ActiveDomain(a), twin.ActiveDomain(a))
+		}
+		if id := p.IDAt(a); id != NullID && unsafe.StringData(p.Vals[a].Str) != unsafe.StringData(r.Dict().Str(id)) {
+			t.Errorf("attribute %d holds its own copy of %q, not the dictionary's", a, p.Vals[a].Str)
+		}
+	}
+}
+
+// TestProbeFromAnotherDictionaryReinterned: ids are only meaningful in the
+// dictionary they came from. A tuple probed against relation A, or owned by
+// A before, carries B's ids once inserted into B, whose dictionary numbers
+// the same constants differently.
+func TestProbeFromAnotherDictionaryReinterned(t *testing.T) {
+	a := New(MustSchema("r", "p", "q"))
+	a.MustInsert(NewTuple(0, "x", "y"))
+	b := New(MustSchema("r", "p", "q"))
+	b.MustInsert(NewTuple(0, "y", "only-in-b"))
+
+	probed := NewTuple(0, "x", "only-in-b").Probe(a.Dict())
+	owned := NewTuple(0, "y", "x")
+	a.MustInsert(owned)
+	a.Delete(owned.ID)
+	owned.ID = 0
+	for _, tu := range []*Tuple{probed, owned} {
+		b.MustInsert(tu)
+		for i, v := range tu.Vals {
+			if want := b.Dict().LookupValue(v); tu.IDAt(i) != want {
+				t.Errorf("%v: attribute %d has id %d, B's dictionary says %d", tu, i, tu.IDAt(i), want)
+			}
+		}
 	}
 }
 

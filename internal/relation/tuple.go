@@ -24,9 +24,11 @@ type Tuple struct {
 	// it against the relation's Dict and Set keeps it in sync. A nil ids
 	// marks a free-standing tuple (built by NewTuple/Clone); such tuples
 	// take the value-based slow paths. A probe (see Probe) carries ids
-	// without being owned: they are looked up, not interned, and only
-	// SetAt may change its values.
-	ids []ValueID
+	// without being owned: they are looked up in probed, not interned, and
+	// only SetAt may change its values. Insert into the relation owning
+	// probed keeps them.
+	ids    []ValueID
+	probed *Dict
 }
 
 // NewTuple builds a tuple with unit weights from plain strings.
@@ -52,9 +54,12 @@ func (t *Tuple) Clone() *Tuple {
 // questions against the relation owning dict. A constant dict has never
 // seen gets InvalidID: it equals no stored value and matches no pattern
 // constant, which is all there is to know about it. Change a probe's values
-// with SetAt only; Insert re-interns it like any tuple.
+// with SetAt only. Insert into the relation owning dict adopts the probe's
+// ids and interns only its unseen constants; any other relation re-interns
+// it like any tuple.
 func (t *Tuple) Probe(dict *Dict) *Tuple {
 	c := t.Clone()
+	c.probed = dict
 	c.ids = make([]ValueID, len(c.Vals))
 	for a, v := range c.Vals {
 		c.ids[a] = dict.LookupValue(v)
