@@ -140,8 +140,9 @@ func Violations(rel *Relation, sigma []*NormalCFD, limit int) []Violation {
 
 // Detect returns every violation of sigma in rel in the canonical
 // (tuple id, rule, partner id) order. Whole-database detection is
-// partition-parallel: index buckets are sharded by LHS-key hash across
-// workers (0 means runtime.GOMAXPROCS(0), 1 forces the sequential path);
+// partition-parallel: index buckets are dealt to workers by bucket number
+// modulo the worker count (0 means runtime.GOMAXPROCS(0), 1 forces the
+// sequential path, as does a relation of fewer than 4 tuples per worker);
 // the result is bit-identical at every setting.
 func Detect(rel *Relation, sigma []*NormalCFD, workers int) []Violation {
 	d := cfd.NewDetector(rel, sigma)

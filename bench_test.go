@@ -302,7 +302,8 @@ func BenchmarkDetect(b *testing.B) {
 // BenchmarkDetectParallel — partition-parallel whole-database detection
 // versus the sequential path on the same instance. The two sub-benches
 // return bit-identical violation slices (see internal/cfd's determinism
-// test); "par" shards index buckets across runtime.NumCPU() workers.
+// test); "par" deals index buckets by bucket number to
+// runtime.GOMAXPROCS(0) workers.
 func BenchmarkDetectParallel(b *testing.B) {
 	ds := benchData(b, 4*benchSize, 0.05, 0.5)
 	for _, bc := range []struct {

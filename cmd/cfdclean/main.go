@@ -78,7 +78,7 @@ func run(dataPath, cfdPath, mode, outPath, truthPath, ordering string, detect bo
 		rel.Size(), len(parsed), len(sigma))
 
 	if detect {
-		return report(rel, sigma, limit, workers)
+		return report(os.Stdout, rel, sigma, limit, workers)
 	}
 
 	repaired, changes, cost, err := repairWith(rel, sigma, mode, ordering, k, workers)
@@ -116,7 +116,7 @@ func run(dataPath, cfdPath, mode, outPath, truthPath, ordering string, detect bo
 	return cfdclean.WriteCSV(repaired, w)
 }
 
-func report(rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, limit, workers int) error {
+func report(w io.Writer, rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, limit, workers int) error {
 	// One detection pass serves both the listing and the per-tuple
 	// counts; -workers bounds its parallelism.
 	all := cfdclean.Detect(rel, sigma, workers)
@@ -124,20 +124,21 @@ func report(rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, limit, workers 
 	for _, v := range all {
 		violating[v.T] = true
 	}
+	truncated := limit > 0 && len(all) > limit
 	vios := all
-	if limit > 0 && len(vios) > limit {
+	if truncated {
 		vios = vios[:limit]
 	}
-	fmt.Printf("%d tuples violate Σ\n", len(violating))
+	fmt.Fprintf(w, "%d tuples violate Σ\n", len(violating))
 	for _, v := range vios {
 		if v.With == 0 {
-			fmt.Printf("  tuple %d violates %s\n", v.T, v.N.Name)
+			fmt.Fprintf(w, "  tuple %d violates %s\n", v.T, v.N.Name)
 		} else {
-			fmt.Printf("  tuple %d violates %s with tuple %d\n", v.T, v.N.Name, v.With)
+			fmt.Fprintf(w, "  tuple %d violates %s with tuple %d\n", v.T, v.N.Name, v.With)
 		}
 	}
-	if limit > 0 && len(vios) == limit {
-		fmt.Println("  ... (truncated; raise -limit)")
+	if truncated {
+		fmt.Fprintln(w, "  ... (truncated; raise -limit)")
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cfdclean"
@@ -90,6 +92,39 @@ func TestRunDetectMode(t *testing.T) {
 		"batch", "", "", "vio", true, 2, 5, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReportTruncation: the listing says it was truncated only when
+// violations were left out — not when there are exactly -limit of them.
+func TestReportTruncation(t *testing.T) {
+	const limit = 2
+	for _, c := range []struct {
+		rows      string
+		truncated bool
+	}{
+		{"212,PHI\n212,BOS\n", false},        // exactly limit violations
+		{"212,PHI\n212,BOS\n212,LA\n", true}, // limit+1
+	} {
+		rel, err := cfdclean.ReadCSV("data", strings.NewReader("AC,CT\n"+c.rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfds, err := cfdclean.ParseCFDs(rel.Schema(), strings.NewReader("cfd phi1: [AC] -> [CT]\n(212 || NYC)\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := report(&out, rel, cfdclean.Normalize(cfds), limit, 1); err != nil {
+			t.Fatal(err)
+		}
+		listed := strings.Count(out.String(), "  tuple ")
+		if listed != limit {
+			t.Errorf("%q: listed %d violations, want %d:\n%s", c.rows, listed, limit, &out)
+		}
+		if got := strings.Contains(out.String(), "truncated"); got != c.truncated {
+			t.Errorf("%q: truncated %v, want %v:\n%s", c.rows, got, c.truncated, &out)
+		}
 	}
 }
 

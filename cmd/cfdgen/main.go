@@ -11,7 +11,8 @@
 //
 //	clean.csv    the correct database Dopt
 //	dirty.csv    the noisy database D
-//	weights.csv  per-cell confidence weights for D
+//	weights.csv  per-cell confidence weights for D: dirty.csv's header,
+//	             then one row per tuple of dirty.csv, in its order
 //	cfds.txt     Σ in the text format cfdclean parses
 package main
 
@@ -22,6 +23,7 @@ import (
 	"path/filepath"
 
 	"cfdclean"
+	"cfdclean/internal/relation"
 	"cfdclean/workload"
 )
 
@@ -87,7 +89,7 @@ func run(dir string, size int, noise, constShare float64, patterns int, seed int
 		return err
 	}
 	if err := write("weights.csv", func(f *os.File) error {
-		return writeWeights(ds, f)
+		return relation.WriteWeightsCSV(ds.Dirty, f)
 	}); err != nil {
 		return err
 	}
@@ -98,24 +100,5 @@ func run(dir string, size int, noise, constShare float64, patterns int, seed int
 	}
 	fmt.Printf("wrote %d tuples (%d dirty, %d noisy cells), %d pattern rows to %s\n",
 		size, len(ds.DirtyIDs), ds.NoisyCells, ds.PatternRows, dir)
-	return nil
-}
-
-func writeWeights(ds *workload.Dataset, f *os.File) error {
-	// Reuse the relation CSV weight writer through the public API is not
-	// exposed; emit id,attr,weight triples instead.
-	if _, err := fmt.Fprintln(f, "id,attr,weight"); err != nil {
-		return err
-	}
-	s := ds.Schema
-	for _, t := range ds.Dirty.Tuples() {
-		for i := range t.Vals {
-			if w := t.Weight(i); w != 1 {
-				if _, err := fmt.Fprintf(f, "%d,%s,%.4f\n", t.ID, s.Attr(i), w); err != nil {
-					return err
-				}
-			}
-		}
-	}
 	return nil
 }

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"cfdclean"
+	"cfdclean/internal/relation"
+	"cfdclean/workload"
 )
 
 func TestRunWritesAllArtifacts(t *testing.T) {
@@ -51,25 +53,55 @@ func TestRunWritesAllArtifacts(t *testing.T) {
 	}
 }
 
+// TestWeightsFileFormat: weights.csv is what relation.ReadWeightsCSV reads
+// against dirty.csv, and every weight it loads is the generator's, bit for
+// bit.
 func TestWeightsFileFormat(t *testing.T) {
 	dir := t.TempDir()
 	if err := run(dir, 100, 0.1, 0.5, 0, 3); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "weights.csv"))
+	df, err := os.Open(filepath.Join(dir, "dirty.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if lines[0] != "id,attr,weight" {
-		t.Fatalf("header = %q", lines[0])
+	defer df.Close()
+	rel, err := cfdclean.ReadCSV("order", df)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(lines) < 2 {
-		t.Fatal("no weight rows written")
+	wf, err := os.Open(filepath.Join(dir, "weights.csv"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, l := range lines[1:3] {
-		if strings.Count(l, ",") != 2 {
-			t.Fatalf("malformed weight row %q", l)
+	defer wf.Close()
+	if err := relation.ReadWeightsCSV(rel, wf); err != nil {
+		t.Fatal(err)
+	}
+
+	ds, err := workload.Generate(workload.Config{
+		Size: 100, NoiseRate: 0.1, ConstShare: 0.5, Seed: 3, Weights: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := rel.Tuples(), ds.Dirty.Tuples()
+	if len(got) != len(want) {
+		t.Fatalf("read %d tuples, generated %d", len(got), len(want))
+	}
+	fractional := 0
+	for i, tu := range got {
+		for a := range tu.Vals {
+			g, w := tu.Weight(a), want[i].Weight(a)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("tuple %d attribute %d: weight %v, generated %v", i, a, g, w)
+			}
+			if w != 1 {
+				fractional++
+			}
 		}
+	}
+	if fractional == 0 {
+		t.Fatal("every generated weight is 1; the round trip checks nothing")
 	}
 }

@@ -30,8 +30,7 @@
 //	§7    evaluation      internal/gen + workload (the order-relation
 //	                      generator), internal/metrics (precision/
 //	                      recall), cmd/experiments, bench_test.go
-//	§9    future work     extensions.go: internal/discovery (CFD mining)
-//	                      and internal/ind (inclusion dependencies)
+//	§9    future work     not reproduced (CFD mining, INDs)
 //	—     service         internal/server + cmd/cfdserved (HTTP/JSON
 //	                      multi-tenant session host; the §5 online
 //	                      scenario as a long-running system)

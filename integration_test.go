@@ -81,97 +81,6 @@ func TestRepairIdempotent(t *testing.T) {
 	}
 }
 
-// TestDiscoverThenRepair: mine Σ' from clean data, clean the dirty copy
-// with the mined constraints — the end-to-end §9 discovery workflow.
-func TestDiscoverThenRepair(t *testing.T) {
-	ds, err := workload.Generate(workload.Config{Size: 1200, NoiseRate: 0.04, Seed: 15, Weights: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mined, err := cfdclean.Discover(ds.Opt, &cfdclean.DiscoveryOptions{
-		MaxLHS: 1, MinSupport: 4,
-		Attrs: []int{workload.AttrZip, workload.AttrCT, workload.AttrST,
-			workload.AttrCTY, workload.AttrVAT},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mined) == 0 {
-		t.Fatal("nothing mined")
-	}
-	var cfds []*cfdclean.CFD
-	for _, r := range mined {
-		cfds = append(cfds, r.CFD)
-	}
-	sigma := cfdclean.Normalize(cfds)
-	if err := cfdclean.Satisfiable(sigma); err != nil {
-		t.Fatalf("mined Σ unsatisfiable: %v", err)
-	}
-	res, err := cfdclean.BatchRepair(ds.Dirty, sigma, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfdclean.Satisfies(res.Repair, sigma) {
-		t.Fatal("repair violates mined Σ")
-	}
-	q, err := cfdclean.EvaluateQuality(ds.Dirty, res.Repair, ds.Opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mined constraints only cover the geography attributes, so recall
-	// is partial; what they do repair must be mostly right.
-	if q.Changes > 0 && q.Precision < 0.5 {
-		t.Fatalf("mined-constraint repair precision %.2f", q.Precision)
-	}
-}
-
-// TestINDAcrossGeneratedRelations: an IND from the order table's item ids
-// into a catalog built from the item pool; corrupting a child id is
-// repaired back via the nearest-combination rule.
-func TestINDAcrossGeneratedRelations(t *testing.T) {
-	ds, err := workload.Generate(workload.Config{Size: 400, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	catalogSchema := cfdclean.MustSchema("catalog", "sku")
-	catalog := cfdclean.NewRelation(catalogSchema)
-	seen := map[string]bool{}
-	for _, tp := range ds.Opt.Tuples() {
-		id := tp.Vals[workload.AttrID].Str
-		if !seen[id] {
-			seen[id] = true
-			if _, err := catalog.InsertRow(id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	d, err := cfdclean.NewIND("fk", ds.Schema, []string{"id"}, catalogSchema, []string{"sku"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(cfdclean.INDViolations(ds.Opt, catalog, d)); n != 0 {
-		t.Fatalf("clean data has %d IND violations", n)
-	}
-	// Corrupt one child id by a single character.
-	child := ds.Opt.Clone()
-	victim := child.Tuples()[0]
-	orig := victim.Vals[workload.AttrID].Str
-	corrupted := "z" + orig[1:]
-	if _, err := child.Set(victim.ID, workload.AttrID, cfdclean.S(corrupted)); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(cfdclean.INDViolations(child, catalog, d)); n != 1 {
-		t.Fatalf("want 1 violation, got %d", n)
-	}
-	res, err := cfdclean.RepairIND(child, catalog, d, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Child.Tuple(victim.ID).Vals[workload.AttrID].Str; got != orig {
-		t.Fatalf("IND repair chose %q, want %q", got, orig)
-	}
-}
-
 // TestFrameworkAcceptsThenHolds: an accepted repair's true inaccuracy
 // rate respects the ε bound (with the oracle, acceptance is grounded in
 // real comparisons, so this should essentially always hold).

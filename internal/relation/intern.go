@@ -216,12 +216,12 @@ func (d *Dict) Clone() *Dict {
 	}
 }
 
-// Key is a fixed-width composite key over interned value ids, replacing
-// the string composite keys (Tuple.KeyOn / KeyOf) on the hot paths. Keys
-// over up to four attributes pack exactly into the two machine words; the
-// rare wider keys spill the remaining ids into ext, so equality stays
-// exact at every arity (no lossy hashing). Key is comparable and is used
-// directly as a Go map key.
+// Key is a fixed-width composite key over interned value ids: the one
+// encoding of a tuple's projection as a map key. Keys over up to four
+// attributes pack exactly into the two machine words; the rare wider keys
+// spill the remaining ids into ext, so equality stays exact at every arity
+// (no lossy hashing). Key is comparable and is used directly as a Go map
+// key.
 type Key struct {
 	lo, hi uint64
 	ext    string

@@ -326,27 +326,3 @@ func (r *Relation) Clone() *Relation {
 	}
 	return c
 }
-
-// Select returns the tuples satisfying pred, in insertion order.
-func (r *Relation) Select(pred func(*Tuple) bool) []*Tuple {
-	var out []*Tuple
-	for _, t := range r.tuples {
-		if pred(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// GroupBy partitions the tuples by their composite key on attrs. Tuples
-// containing null on any of attrs are grouped under their encoded key as
-// well (null has a distinct encoding); callers that need the paper's
-// pattern-match semantics filter nulls themselves.
-func (r *Relation) GroupBy(attrs []int) map[string][]*Tuple {
-	groups := make(map[string][]*Tuple)
-	for _, t := range r.tuples {
-		k := t.KeyOn(attrs)
-		groups[k] = append(groups[k], t)
-	}
-	return groups
-}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 	"unsafe"
 )
 
@@ -33,31 +32,6 @@ func TestValueStrictEq(t *testing.T) {
 	}
 	if !StrictEq(S("x"), S("x")) || StrictEq(S("x"), S("y")) {
 		t.Error("StrictEq on constants must be string equality")
-	}
-}
-
-func TestValueKeyInjective(t *testing.T) {
-	f := func(a, b string) bool {
-		va, vb := S(a), S(b)
-		if a == b {
-			return va.Key() == vb.Key()
-		}
-		return va.Key() != vb.Key()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if S("N").Key() == NullValue.Key() {
-		t.Error("null key must not collide with constant key")
-	}
-}
-
-func TestKeyOfComposite(t *testing.T) {
-	// Composite keys must not confuse ("ab","c") with ("a","bc").
-	k1 := KeyOf(S("ab"), S("c"))
-	k2 := KeyOf(S("a"), S("bc"))
-	if k1 == k2 {
-		t.Error("composite key must separate fields")
 	}
 }
 
@@ -274,38 +248,8 @@ func TestTupleWeights(t *testing.T) {
 
 func TestTupleProjectKeyNull(t *testing.T) {
 	tp := &Tuple{ID: 1, Vals: []Value{S("a"), NullValue, S("c")}}
-	if got := tp.Project([]int{2, 0}); !StrictEqVals(got, []Value{S("c"), S("a")}) {
-		t.Errorf("Project = %v", got)
-	}
 	if !tp.HasNullOn([]int{0, 1}) || tp.HasNullOn([]int{0, 2}) {
 		t.Error("HasNullOn wrong")
-	}
-	if tp.KeyOn([]int{1}) != KeyOf(NullValue) {
-		t.Error("KeyOn must encode null like KeyOf")
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	r := New(MustSchema("r", "a", "b"))
-	r.MustInsert(NewTuple(0, "x", "1"))
-	r.MustInsert(NewTuple(0, "x", "2"))
-	r.MustInsert(NewTuple(0, "y", "3"))
-	g := r.GroupBy([]int{0})
-	if len(g) != 2 {
-		t.Fatalf("groups = %d", len(g))
-	}
-	if len(g[KeyOf(S("x"))]) != 2 || len(g[KeyOf(S("y"))]) != 1 {
-		t.Error("group contents wrong")
-	}
-}
-
-func TestSelect(t *testing.T) {
-	r := New(MustSchema("r", "a"))
-	r.MustInsert(NewTuple(0, "x"))
-	r.MustInsert(NewTuple(0, "y"))
-	got := r.Select(func(t *Tuple) bool { return t.Vals[0].Str == "y" })
-	if len(got) != 1 || got[0].Vals[0].Str != "y" {
-		t.Errorf("Select = %v", got)
 	}
 }
 

@@ -112,28 +112,6 @@ func (t *Tuple) TotalWeight() float64 {
 	return s
 }
 
-// Project returns the values of t at the given attribute positions.
-func (t *Tuple) Project(attrs []int) []Value {
-	out := make([]Value, len(attrs))
-	for i, a := range attrs {
-		out[i] = t.Vals[a]
-	}
-	return out
-}
-
-// KeyOn encodes the projection of t onto attrs as a composite map key.
-func (t *Tuple) KeyOn(attrs []int) string {
-	n := 0
-	for _, a := range attrs {
-		n += len(t.Vals[a].Str) + 2
-	}
-	b := make([]byte, 0, n)
-	for _, a := range attrs {
-		b = append(b, t.Vals[a].Key()...)
-	}
-	return string(b)
-}
-
 // Interned reports whether t carries value ids in sync with Vals: it is
 // owned by a Relation, or it is a probe.
 func (t *Tuple) Interned() bool { return t.ids != nil }

@@ -75,30 +75,3 @@ func StrictEqVals(a, b []Value) bool {
 	}
 	return true
 }
-
-// Key encodes a value for use in string map keys. Null has a dedicated
-// encoding that cannot collide with constants.
-//
-// This is the legacy composite-key encoding, kept for GroupBy-style
-// APIs whose callers want self-describing string keys. Hot paths (hash
-// indices, detection, equivalence classes, the cost memo) key on interned
-// ValueIDs packed into fixed-width integer Keys instead — see intern.go.
-func (v Value) Key() string {
-	if v.Null {
-		return "\x00N"
-	}
-	return "\x00S" + v.Str
-}
-
-// KeyOf encodes a sequence of values as a composite map key.
-func KeyOf(vals ...Value) string {
-	n := 0
-	for _, v := range vals {
-		n += len(v.Str) + 2
-	}
-	b := make([]byte, 0, n)
-	for _, v := range vals {
-		b = append(b, v.Key()...)
-	}
-	return string(b)
-}
