@@ -158,13 +158,17 @@ func VioCounts(rel *Relation, sigma []*NormalCFD) map[TupleID]int {
 
 // Repairing.
 type (
-	// BatchOptions tunes BatchRepair; the zero value uses the paper's
-	// defaults (DL metric, dependency-graph ordering).
+	// BatchOptions tunes BatchRepair: the cost model, the dependency-graph
+	// ordering (NoDepGraph, the §7.2 ablation) and the initial scan's
+	// Workers. The zero value uses the paper's defaults (DL metric,
+	// dependency-graph ordering). PICKNEXT's bound is fixed: it evaluates
+	// at most 64 live violations per rule group per step (§7.2).
 	BatchOptions = repair.Options
 	// BatchResult reports a completed batch repair.
 	BatchResult = repair.Result
-	// IncOptions tunes IncRepair/Repair; the zero value uses linear
-	// ordering and k = 2.
+	// IncOptions tunes IncRepair/Repair and sessions; the zero value uses
+	// the DL metric, linear ordering, k = 2 and 4 nearest values per
+	// attribute. IncRepair always checks that its d satisfies Σ.
 	IncOptions = increpair.Options
 	// IncResult reports a completed incremental repair.
 	IncResult = increpair.Result

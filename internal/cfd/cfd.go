@@ -59,29 +59,6 @@ func RHSViolates(v relation.Value, c Cell) bool {
 	return !c.Wildcard && v.Str != c.Const
 }
 
-// MatchVals reports vals ≼ cells componentwise.
-func MatchVals(vals []relation.Value, cells []Cell) bool {
-	if len(vals) != len(cells) {
-		return false
-	}
-	for i := range vals {
-		if !MatchValue(vals[i], cells[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// CellLeq reports c1 ≼ c2 on pattern cells themselves (used for tableau
-// containment reasoning): a constant is below the same constant and below
-// '_'; '_' is only below '_'.
-func CellLeq(c1, c2 Cell) bool {
-	if c2.Wildcard {
-		return true
-	}
-	return !c1.Wildcard && c1.Const == c2.Const
-}
-
 // CFD is a conditional functional dependency in its general form
 // (R: X → Y, Tp). LHS and RHS hold attribute positions in the schema;
 // every tableau row has len(LHS)+len(RHS) cells, LHS cells first.
@@ -243,26 +220,6 @@ func NormalizeAll(cfds []*CFD) []*Normal {
 	var out []*Normal
 	for _, φ := range cfds {
 		out = append(out, φ.Normalize()...)
-	}
-	return out
-}
-
-// AttrsOf returns the set of attribute positions mentioned by the normal
-// CFDs (X ∪ {A} over all of them).
-func AttrsOf(sigma []*Normal) []int {
-	seen := make(map[int]bool)
-	var out []int
-	add := func(a int) {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	for _, n := range sigma {
-		for _, a := range n.X {
-			add(a)
-		}
-		add(n.A)
 	}
 	return out
 }

@@ -86,27 +86,6 @@ func TestMatchValue(t *testing.T) {
 	}
 }
 
-func TestMatchValsAndCellLeq(t *testing.T) {
-	vals := []relation.Value{relation.S("Walnut"), relation.S("NYC"), relation.S("NY")}
-	cells := []Cell{W, C("NYC"), C("NY")}
-	if !MatchVals(vals, cells) {
-		t.Error("(Walnut, NYC, NY) must match (_, NYC, NY)")
-	}
-	if MatchVals(vals, []Cell{W, C("PHI"), W}) {
-		t.Error("(Walnut, NYC, NY) must not match (_, PHI, _)")
-	}
-	if MatchVals(vals, cells[:2]) {
-		t.Error("length mismatch must not match")
-	}
-	// Order on cells: constants below themselves and '_'; '_' only below '_'.
-	if !CellLeq(C("a"), W) || !CellLeq(C("a"), C("a")) || !CellLeq(W, W) {
-		t.Error("CellLeq basic order wrong")
-	}
-	if CellLeq(W, C("a")) || CellLeq(C("a"), C("b")) {
-		t.Error("CellLeq must reject these")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	s := orderSchema()
 	if _, err := New("x", s, nil, []string{"CT"}, []Cell{W}); err == nil {
@@ -371,7 +350,7 @@ func TestDetectorLifecycle(t *testing.T) {
 func TestSatisfiable(t *testing.T) {
 	s := orderSchema()
 	// The paper's constraints are satisfiable.
-	w, err := SatisfiableCFDs([]*CFD{phi1(s), phi2(s), phi3(s), phi4(s)})
+	w, err := Satisfiable(NormalizeAll([]*CFD{phi1(s), phi2(s), phi3(s), phi4(s)}))
 	if err != nil {
 		t.Fatalf("paper CFDs must be satisfiable: %v", err)
 	}
@@ -379,17 +358,17 @@ func TestSatisfiable(t *testing.T) {
 	// Two all-wildcard-LHS rules forcing different constants conflict.
 	a := MustNew("a", s, []string{"AC"}, []string{"CT"}, []Cell{W, C("NYC")})
 	b := MustNew("b", s, []string{"AC"}, []string{"CT"}, []Cell{W, C("PHI")})
-	if _, err := SatisfiableCFDs([]*CFD{a, b}); err == nil {
+	if _, err := Satisfiable(NormalizeAll([]*CFD{a, b})); err == nil {
 		t.Error("conflicting wildcard rules must be unsatisfiable")
 	}
 	// Chained forcing: _ -> CT=NYC, and (CT=NYC) -> ST=NY, (CT=NYC) -> ST=PA.
 	c1 := MustNew("c1", s, []string{"CT"}, []string{"ST"}, []Cell{C("NYC"), C("NY")})
 	c2 := MustNew("c2", s, []string{"CT"}, []string{"ST"}, []Cell{C("NYC"), C("PA")})
-	if _, err := SatisfiableCFDs([]*CFD{a, c1, c2}); err == nil {
+	if _, err := Satisfiable(NormalizeAll([]*CFD{a, c1, c2})); err == nil {
 		t.Error("propagated conflict must be detected")
 	}
 	// Without the forcing rule the conflict cannot fire.
-	if _, err := SatisfiableCFDs([]*CFD{c1, c2}); err != nil {
+	if _, err := Satisfiable(NormalizeAll([]*CFD{c1, c2})); err != nil {
 		t.Errorf("dormant conflict must be satisfiable: %v", err)
 	}
 }
@@ -649,21 +628,6 @@ func normalForm(cfds []*CFD) []Normal {
 		out = append(out, m)
 	}
 	return out
-}
-
-func TestAttrsOf(t *testing.T) {
-	s := orderSchema()
-	sigma := NormalizeAll([]*CFD{phi2(s)})
-	attrs := AttrsOf(sigma)
-	want := map[int]bool{s.MustIndex("zip"): true, s.MustIndex("CT"): true, s.MustIndex("ST"): true}
-	if len(attrs) != len(want) {
-		t.Fatalf("AttrsOf = %v", attrs)
-	}
-	for _, a := range attrs {
-		if !want[a] {
-			t.Errorf("unexpected attr %d", a)
-		}
-	}
 }
 
 func TestStringRendering(t *testing.T) {

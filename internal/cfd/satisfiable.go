@@ -75,11 +75,6 @@ func Satisfiable(sigma []*Normal) (witness map[int]string, err error) {
 	return assigned, nil
 }
 
-// SatisfiableCFDs is Satisfiable over general-form CFDs.
-func SatisfiableCFDs(cfds []*CFD) (map[int]string, error) {
-	return Satisfiable(NormalizeAll(cfds))
-}
-
 // WitnessTuple materializes a single-tuple relation satisfying sigma,
 // using the forced constants from Satisfiable and a fresh constant
 // elsewhere. Returns an error if sigma is unsatisfiable. Used in tests

@@ -72,18 +72,13 @@ type Classes struct {
 	assigned int // classes whose target is Const or Null (roots only)
 }
 
-// New creates an empty class manager interning constant targets in dict.
-// A nil dict gets a private dictionary.
-func New(dict *relation.Dict) *Classes {
-	return NewSized(dict, 0)
-}
-
-// NewSized is New with a capacity hint: the node table and key index are
-// pre-sized for about n keys, so a repair whose working-set cardinality
-// is known up front (e.g. the tuples of the largest violation-graph
-// component times the arity) skips the incremental map growth entirely. The hint is advisory and
-// has no effect on behaviour.
-func NewSized(dict *relation.Dict, n int) *Classes {
+// New creates an empty class manager interning constant targets in dict;
+// a nil dict gets a private dictionary. n is a capacity hint: the node
+// table and key index are pre-sized for about n keys, so a repair whose
+// working-set cardinality is known up front (e.g. the tuples of the
+// largest violation-graph component times the arity) skips the
+// incremental map growth entirely. The hint has no effect on behaviour.
+func New(dict *relation.Dict, n int) *Classes {
 	if dict == nil {
 		dict = relation.NewDict()
 	}

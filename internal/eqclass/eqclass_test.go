@@ -10,7 +10,7 @@ import (
 func k(t int64, a int) Key { return Key{T: relation.TupleID(t), A: a} }
 
 func TestSingletonDefaults(t *testing.T) {
-	c := New(nil)
+	c := New(nil, 0)
 	kind, _ := c.Target(k(1, 0))
 	if kind != Unset {
 		t.Errorf("fresh class target = %v, want Unset", kind)
@@ -24,7 +24,7 @@ func TestSingletonDefaults(t *testing.T) {
 }
 
 func TestSetConstUpgrades(t *testing.T) {
-	c := New(nil)
+	c := New(nil, 0)
 	if err := c.SetConst(k(1, 0), "NYC"); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSetConstUpgrades(t *testing.T) {
 }
 
 func TestMergeCombinesTargets(t *testing.T) {
-	c := New(nil)
+	c := New(nil, 0)
 	// unset + unset -> unset
 	if err := c.Merge(k(1, 0), k(2, 0)); err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestMergeCombinesTargets(t *testing.T) {
 }
 
 func TestMergeRejections(t *testing.T) {
-	c := New(nil)
+	c := New(nil, 0)
 	c.SetConst(k(1, 0), "NYC")
 	c.SetConst(k(2, 0), "PHI")
 	if c.CanMerge(k(1, 0), k(2, 0)) {
@@ -111,7 +111,7 @@ func TestMergeRejections(t *testing.T) {
 }
 
 func TestMembers(t *testing.T) {
-	c := New(nil)
+	c := New(nil, 0)
 	c.Merge(k(1, 0), k(2, 0))
 	c.Merge(k(1, 0), k(3, 1))
 	ms := c.Members(k(2, 0))
@@ -133,7 +133,7 @@ func TestMembers(t *testing.T) {
 // unnamed key is a singleton, and asking leaves Keys and NumClasses as
 // they were.
 func TestPeek(t *testing.T) {
-	c := New(nil)
+	c := New(nil, 0)
 	if got := c.Peek(k(9, 0)); got != 1 {
 		t.Errorf("Peek of an unnamed key = %d, want 1", got)
 	}
@@ -154,7 +154,7 @@ func TestPeek(t *testing.T) {
 // merging reduces N (class count) and never reduces H (assigned count);
 // target upgrades increase H.
 func TestTerminationMeasures(t *testing.T) {
-	c := New(nil)
+	c := New(nil, 0)
 	for i := int64(1); i <= 6; i++ {
 		c.Target(k(i, 0)) // register
 	}
@@ -198,7 +198,7 @@ func TestTerminationMeasures(t *testing.T) {
 }
 
 func TestRoots(t *testing.T) {
-	c := New(nil)
+	c := New(nil, 0)
 	c.Merge(k(1, 0), k(2, 0))
 	c.SetConst(k(1, 0), "v")
 	c.Target(k(3, 0))
@@ -230,7 +230,7 @@ func TestKindString(t *testing.T) {
 // classes, SameClass is an equivalence relation.
 func TestUnionFindTransitive(t *testing.T) {
 	f := func(pairs [][2]uint8) bool {
-		c := New(nil)
+		c := New(nil, 0)
 		for _, p := range pairs {
 			c.Merge(k(int64(p[0]), 0), k(int64(p[1]), 0))
 		}
@@ -256,7 +256,7 @@ func TestUnionFindTransitive(t *testing.T) {
 // merge of two distinct classes reduces NumClasses by exactly one.
 func TestMergeReducesN(t *testing.T) {
 	f := func(pairs [][2]uint8) bool {
-		c := New(nil)
+		c := New(nil, 0)
 		seen := make(map[Key]bool)
 		for _, p := range pairs {
 			seen[k(int64(p[0]), 0)] = true

@@ -77,16 +77,6 @@ var (
 		"Fulton", "Monroe", "Carpenter", "Christian", "Reed", "Dickinson",
 		"Tasker", "Morris", "Moore", "Mifflin", "Snyder", "Jackson",
 	}
-	firstNames = []string{
-		"H.", "J.", "K.", "L.", "M.", "N.", "P.", "R.", "S.", "T.",
-		"A.", "B.", "C.", "D.", "E.", "F.", "G.", "W.",
-	}
-	lastNames = []string{
-		"Porter", "Denver", "White", "Avery", "Brook", "Carter", "Dale",
-		"Ellis", "Frost", "Gray", "Hale", "Irwin", "Jones", "Keller",
-		"Lane", "Mason", "Nash", "Owens", "Price", "Quill", "Reyes",
-		"Stone", "Tate", "Usher", "Vale", "Webb", "Young", "Zeller",
-	}
 	itemNouns = []string{
 		"Lamp", "Kettle", "Novel", "Atlas", "Radio", "Teapot", "Globe",
 		"Puzzle", "Blanket", "Clock", "Mirror", "Basket", "Ladder",
@@ -294,11 +284,4 @@ func buildItems(rng *rand.Rand, n int) []item {
 		})
 	}
 	return out
-}
-
-// personName composes a customer-facing item buyer name; it is only used
-// for the name attribute of items in the paper's Fig. 1, which we keep as
-// the item name, so this helper serves the examples.
-func personName(rng *rand.Rand) string {
-	return firstNames[rng.Intn(len(firstNames))] + " " + lastNames[rng.Intn(len(lastNames))]
 }

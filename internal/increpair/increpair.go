@@ -75,9 +75,6 @@ type Options struct {
 	// NearestK is how many similar active-domain values the cost-based
 	// index contributes per attribute (§5.2). Default 4.
 	NearestK int
-	// SkipCleanCheck skips verifying that D |= Σ on entry. The batch-mode
-	// driver sets it (its D is clean by construction).
-	SkipCleanCheck bool
 	// Workers bounds the parallelism of the violation store's initial
 	// scan of D; TUPLERESOLVE runs on the caller's goroutine. 0 means
 	// runtime.GOMAXPROCS(0); 1 forces the sequential scan. The result is
@@ -278,7 +275,7 @@ func (e *engine) insertBatch(delta []*relation.Tuple) (*Result, error) {
 
 // Incremental runs INCREPAIR: repairs each tuple of delta against d ∪
 // (already repaired tuples) and returns the combined repair. d must
-// satisfy sigma (checked unless Options.SkipCleanCheck).
+// satisfy sigma; one that does not is refused with an error.
 func Incremental(d *relation.Relation, delta []*relation.Tuple, sigma []*cfd.Normal, opts *Options) (*Result, error) {
 	o := opts.withDefaults()
 	e, err := newEngine(d.Clone(), sigma, o)
@@ -286,7 +283,7 @@ func Incremental(d *relation.Relation, delta []*relation.Tuple, sigma []*cfd.Nor
 		return nil, err
 	}
 	defer e.close()
-	if !o.SkipCleanCheck && !e.store.Satisfied() {
+	if !e.store.Satisfied() {
 		return nil, fmt.Errorf("increpair: input database does not satisfy sigma; use Repair for dirty databases")
 	}
 	return e.insertBatch(delta)

@@ -9,20 +9,6 @@ import (
 	"unsafe"
 )
 
-func TestValueEqSQLSemantics(t *testing.T) {
-	a, b := S("x"), S("y")
-	if Eq(a, b) {
-		t.Error("distinct constants must not be Eq")
-	}
-	if !Eq(a, S("x")) {
-		t.Error("equal constants must be Eq")
-	}
-	// Paper §3.1 remark 1: = is true if either side is null.
-	if !Eq(a, NullValue) || !Eq(NullValue, b) || !Eq(NullValue, NullValue) {
-		t.Error("null must compare Eq to everything")
-	}
-}
-
 func TestValueStrictEq(t *testing.T) {
 	if StrictEq(S("x"), NullValue) {
 		t.Error("null is not StrictEq to a constant")

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 )
@@ -53,19 +52,9 @@ func AppendDelta(dst []byte, d *Delta) []byte {
 	return dst
 }
 
-// DecodeDelta decodes one Delta from the front of b, returning the delta
-// and the number of bytes consumed. The decoded tuple is free-standing:
-// it carries no interned ids (and OldID is InvalidID) until a Relation
-// adopts it through Insert.
-func DecodeDelta(b []byte) (Delta, int, error) {
-	d := NewDecoder(b, errDelta)
-	dl := d.Delta()
-	return dl, d.pos, d.err
-}
-
-var errDelta = errors.New("relation: delta")
-
-// Delta reads one Delta; see DecodeDelta.
+// Delta reads one Delta. The decoded tuple is free-standing: it carries
+// no interned ids (and OldID is InvalidID) until a Relation adopts it
+// through Insert.
 func (d *Decoder) Delta() Delta {
 	kind := DeltaKind(d.Byte("kind"))
 	if kind > DeltaUpdate {

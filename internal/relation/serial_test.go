@@ -1,13 +1,22 @@
 package relation
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// TestDeltaCodecRoundTrip fuzzes AppendDelta/DecodeDelta: every delta
+// decodeDelta decodes one Delta from the front of b, returning the delta
+// and the number of bytes consumed.
+func decodeDelta(b []byte) (Delta, int, error) {
+	d := NewDecoder(b, errors.New("relation: delta"))
+	dl := d.Delta()
+	return dl, d.pos, d.err
+}
+
+// TestDeltaCodecRoundTrip fuzzes AppendDelta/Decoder.Delta: every delta
 // kind, null and empty values, weight vectors (bit-exact floats), and
 // multi-delta buffers with exact consumed-byte accounting.
 func TestDeltaCodecRoundTrip(t *testing.T) {
@@ -54,7 +63,7 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 		}
 		pos := 0
 		for i, want := range deltas {
-			got, n, err := DecodeDelta(buf[pos:])
+			got, n, err := decodeDelta(buf[pos:])
 			if err != nil {
 				t.Fatalf("trial %d delta %d: %v", trial, i, err)
 			}
@@ -85,7 +94,7 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 			if pos = 0; true {
 				ok := true
 				for range deltas {
-					_, n, err := DecodeDelta(buf[pos:cut])
+					_, n, err := decodeDelta(buf[pos:cut])
 					if err != nil {
 						ok = false
 						break
@@ -99,7 +108,7 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 						boundary := false
 						q := 0
 						for range deltas {
-							_, n, _ := DecodeDelta(buf[q:])
+							_, n, _ := decodeDelta(buf[q:])
 							q += n
 							if q == cut {
 								boundary = true
@@ -125,7 +134,7 @@ func TestDeltaCodecRejectsGarbage(t *testing.T) {
 		"huge-nvals":  {0, 2, 0xff, 0xff, 0xff, 0xff, 0x7f},
 		"bad-val-tag": {0, 2, 1, 9},
 	} {
-		if _, _, err := DecodeDelta(b); err == nil {
+		if _, _, err := decodeDelta(b); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}

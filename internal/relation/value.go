@@ -30,16 +30,6 @@ func S(s string) Value { return Value{Str: s} }
 // an attribute is unknown or cannot be made certain.
 var NullValue = Value{Null: true}
 
-// Eq reports whether two values are equal under the paper's simple SQL
-// semantics (§3.1 remark 1): a = b evaluates to TRUE if either side is
-// null; otherwise it is ordinary string equality.
-func Eq(a, b Value) bool {
-	if a.Null || b.Null {
-		return true
-	}
-	return a.Str == b.Str
-}
-
 // StrictEq reports whether two values are identical: both null, or both
 // the same non-null constant. Used for counting differences (dif) and for
 // equality of stored data, where null does NOT match everything.
@@ -48,19 +38,6 @@ func StrictEq(a, b Value) bool {
 		return a.Null == b.Null
 	}
 	return a.Str == b.Str
-}
-
-// EqVals reports Eq over parallel slices (SQL semantics per position).
-func EqVals(a, b []Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !Eq(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // StrictEqVals reports StrictEq over parallel slices.

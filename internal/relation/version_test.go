@@ -59,9 +59,6 @@ func TestVersionCountsEveryMutation(t *testing.T) {
 	if r.ActiveDomainSize(0) != 1 || !r.Schema().Has("A") || r.Schema().Has("Z") {
 		t.Fatal("accessor sanity check failed")
 	}
-	if !EqVals([]Value{S("a"), NullValue}, []Value{S("a"), S("b")}) {
-		t.Fatal("EqVals must treat null as matching (SQL semantics)")
-	}
 	if StrictEqVals([]Value{S("a"), NullValue}, []Value{S("a"), S("b")}) {
 		t.Fatal("StrictEqVals must not treat null as matching")
 	}

@@ -102,6 +102,12 @@ func (e *engine) mainLoop(limit int) error {
 	}
 }
 
+// pickNextScan caps how many live violations PICKNEXT evaluates per group
+// in one call. The paper's unoptimized PICKNEXT scans every dirty tuple of
+// every CFD and "runs very slow" (§7.2); like the authors we bound the
+// scan and use the CFD dependency graph to focus it.
+const pickNextScan = 64
+
 // pickNext implements procedure PICKNEXT (Fig. 5) with the §7.2
 // dependency-graph optimization: groups are visited in topological order
 // of the CFD dependency graph's condensation, and the cheapest plan of
@@ -112,13 +118,13 @@ func (e *engine) mainLoop(limit int) error {
 // impossible — the conflict would surface later as LHS edits or nulls on
 // clean tuples. Within a stratum the fix of least cost wins, so
 // low-weight (likely dirty) cells are repaired before trusted ones. At
-// most MaxScan live violations per group are evaluated in one call, and
-// stale dirty entries are dropped as they are discovered.
+// most pickNextScan live violations per group are evaluated in one call,
+// and stale dirty entries are dropped as they are discovered.
 //
 // Dirty tuples are visited in ascending id order — never in Go map
-// order — so the violations scanned under the MaxScan cap, and the
-// winner of cost ties, are fixed properties of the engine state, and a
-// repair is a function of its input.
+// order — so the violations scanned under the cap, and the winner of
+// cost ties, are fixed properties of the engine state, and a repair is a
+// function of its input.
 func (e *engine) pickNext() (plan, bool) {
 	var best plan
 	bestOK := false
@@ -168,7 +174,7 @@ func (e *engine) pickNext() (plan, bool) {
 				bestComp = e.comp[gi]
 			}
 			scanned++
-			if e.opts.MaxScan > 0 && scanned >= e.opts.MaxScan {
+			if scanned >= pickNextScan {
 				break
 			}
 		}
@@ -228,10 +234,6 @@ func (e *engine) instantiate() bool {
 			// Unreachable: the class was Unset above and Roots holds no
 			// concurrent mutators; fall back to null to stay safe.
 			e.classes.SetNull(rep)
-		}
-		if e.opts.Trace != nil {
-			e.opts.Trace("instant  t%d.%s := %q class=%d",
-				rep.T, e.rel.Schema().Attr(rep.A), best.Str, len(members))
 		}
 		e.applyTarget(rep)
 		changed = true

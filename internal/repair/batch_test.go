@@ -327,7 +327,7 @@ func TestBatchUnweighted(t *testing.T) {
 func TestBatchNoDepGraph(t *testing.T) {
 	d := paperData(t)
 	sigma := cfd.NormalizeAll(paperCFDs(d.Schema()))
-	res, err := Batch(d, sigma, &Options{NoDepGraph: true, MaxScan: -1})
+	res, err := Batch(d, sigma, &Options{NoDepGraph: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,17 +371,12 @@ func TestBatchNullFallback(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	var o *Options
-	w := o.withDefaults()
-	if w.CostModel == nil || w.MaxScan != 64 {
-		t.Error("nil options must default")
+	if o.withDefaults().CostModel == nil {
+		t.Error("nil options must get the default cost model")
 	}
-	w2 := (&Options{MaxScan: -5}).withDefaults()
-	if w2.MaxScan != 0 {
-		t.Error("negative MaxScan must mean no cap")
-	}
-	w3 := (&Options{MaxScan: 7, CostModel: cost.Default()}).withDefaults()
-	if w3.MaxScan != 7 {
-		t.Error("explicit MaxScan must be kept")
+	m := cost.Default()
+	if (&Options{CostModel: m}).withDefaults().CostModel != m {
+		t.Error("an explicit cost model must be kept")
 	}
 }
 

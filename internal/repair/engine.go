@@ -21,13 +21,6 @@ type Options struct {
 	// CostModel scores candidate value changes; nil means the paper's
 	// default (DL metric, §3.2).
 	CostModel *cost.Model
-	// MaxScan caps how many live violations PICKNEXT evaluates per
-	// iteration within the chosen group's dirty set. The paper's
-	// unoptimized PICKNEXT scans every dirty tuple of every CFD and "runs
-	// very slow" (§7.2); like the authors we bound the scan and use the
-	// CFD dependency graph to focus it. 0 means the default (64);
-	// negative means no cap.
-	MaxScan int
 	// NoDepGraph disables dependency-graph ordering of the embedded-FD
 	// groups (then groups are visited in input order). Exposed for the
 	// ablation benchmarks.
@@ -37,9 +30,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 forces the sequential scan. The result is
 	// identical at every setting.
 	Workers int
-	// Trace, when non-nil, receives a line per executed resolution step;
-	// for debugging and the verbose CLI mode.
-	Trace func(format string, args ...any)
 }
 
 func (o *Options) withDefaults() Options {
@@ -49,12 +39,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.CostModel == nil {
 		out.CostModel = cost.Default()
-	}
-	if out.MaxScan == 0 {
-		out.MaxScan = 64
-	}
-	if out.MaxScan < 0 {
-		out.MaxScan = 0 // explicit "no cap"
 	}
 	return out
 }
@@ -141,7 +125,7 @@ func newEngine(store *cfd.VioStore, orig *relation.Relation, largest int, opts O
 		det:      det,
 		groups:   det.Groups(),
 		scorer:   opts.CostModel.Scratch(),
-		classes:  eqclass.NewSized(work.Dict(), min(largest*arity, 1<<16)),
+		classes:  eqclass.New(work.Dict(), min(largest*arity, 1<<16)),
 		opts:     opts,
 		touching: make([][]int, arity),
 		found:    make(map[foundKey]foundV),
@@ -203,9 +187,6 @@ func (e *engine) setStored(t *relation.Tuple, a int, v relation.Value) {
 	}
 	if relation.StrictEq(old, v) {
 		return
-	}
-	if e.opts.Trace != nil {
-		e.opts.Trace("write    t%d.%s %q -> %q", t.ID, e.rel.Schema().Attr(a), old, v)
 	}
 	// The violation store (and with it the detector's LHS indices) is
 	// maintained by the relation's mutation journal; only the FINDV

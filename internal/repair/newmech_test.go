@@ -139,27 +139,3 @@ func TestLHSEscapeWhenRHSPinned(t *testing.T) {
 		t.Fatalf("tuple still matches both conflicting patterns: %v", t1)
 	}
 }
-
-// TestTraceCallback ensures the Trace hook fires for every mutation kind.
-func TestTraceCallback(t *testing.T) {
-	s := schema2(t)
-	d := relation.New(s)
-	d.MustInsert(relation.NewTuple(1, "k1", "wrong", "x"))
-	d.MustInsert(relation.NewTuple(2, "k2", "a", "x"))
-	d.MustInsert(relation.NewTuple(3, "k2", "b", "x"))
-	phi, err := cfd.New("c", s, []string{"K"}, []string{"A"},
-		[]cfd.Cell{cfd.C("k1"), cfd.C("right")},
-		[]cfd.Cell{cfd.W, cfd.W})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := 0
-	_, err = Batch(d, cfd.NormalizeAll([]*cfd.CFD{phi}),
-		&Options{Trace: func(string, ...any) { lines++ }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines == 0 {
-		t.Fatal("trace hook never fired")
-	}
-}

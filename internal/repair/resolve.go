@@ -32,7 +32,6 @@ type plan struct {
 	k2   eqclass.Key    // merge partner (planMerge only)
 	v    relation.Value // value to assign (planSetConst only)
 	cost float64
-	lhs  bool // true when the plan edits an LHS attribute (cases 1.2/2.2)
 }
 
 // planViolation evaluates how CFD-RESOLVE would fix v and at what cost.
@@ -198,11 +197,10 @@ func (e *engine) planLHS(gi int, t *relation.Tuple, n *cfd.Normal, needConstCell
 			// the incremental engine's costfix does (§5.1): an LHS value
 			// that silences this rule but leaves the tuple fighting
 			// others is no fix, just a shifted conflict.
-			p = plan{kind: planSetConst, k1: kb, v: v,
-				cost: c * float64(1+vio), lhs: true}
+			p = plan{kind: planSetConst, k1: kb, v: v, cost: c * float64(1+vio)}
 		} else {
 			// FINDV found no semantically related value; assign null.
-			p = plan{kind: planSetNull, k1: kb, cost: e.classWeight(kb), lhs: true}
+			p = plan{kind: planSetNull, k1: kb, cost: e.classWeight(kb)}
 		}
 		if best.cost < 0 || p.cost < best.cost {
 			best = p
@@ -220,7 +218,7 @@ func (e *engine) planLHS(gi int, t *relation.Tuple, n *cfd.Normal, needConstCell
 		if kind, _ := e.classes.Target(kb); kind == eqclass.Null {
 			continue
 		}
-		p := plan{kind: planSetNull, k1: kb, cost: e.classWeight(kb), lhs: true}
+		p := plan{kind: planSetNull, k1: kb, cost: e.classWeight(kb)}
 		if best.cost < 0 || p.cost < best.cost {
 			best = p
 		}
@@ -384,21 +382,6 @@ func (e *engine) probeOf(t *relation.Tuple) *relation.Tuple {
 // maintains the dirty sets.
 func (e *engine) execute(p plan) error {
 	e.resolutions++
-	if e.opts.Trace != nil {
-		attr := e.rel.Schema().Attr(p.k1.A)
-		switch p.kind {
-		case planSetConst:
-			e.opts.Trace("setconst t%d.%s := %q cost=%.3f class=%d lhs=%v",
-				p.k1.T, attr, p.v.Str, p.cost, e.classes.Size(p.k1), p.lhs)
-		case planSetNull:
-			e.opts.Trace("setnull  t%d.%s cost=%.3f class=%d lhs=%v",
-				p.k1.T, attr, p.cost, e.classes.Size(p.k1), p.lhs)
-		case planMerge:
-			e.opts.Trace("merge    t%d.%s + t%d.%s cost=%.3f sizes=%d+%d",
-				p.k1.T, attr, p.k2.T, e.rel.Schema().Attr(p.k2.A), p.cost,
-				e.classes.Size(p.k1), e.classes.Size(p.k2))
-		}
-	}
 	switch p.kind {
 	case planSetConst:
 		if err := e.classes.SetConst(p.k1, p.v.Str); err != nil {
@@ -425,10 +408,6 @@ func (e *engine) execute(p plan) error {
 			// otherwise fire first and drag the tuple to the wrong city.
 			if err := e.classes.SetConst(p.k1, v.Str); err != nil {
 				return err
-			}
-			if e.opts.Trace != nil {
-				e.opts.Trace("majority t%d.%s := %q class=%d",
-					p.k1.T, e.rel.Schema().Attr(p.k1.A), v.Str, e.classes.Size(p.k1))
 			}
 			e.applyTarget(p.k1)
 		} else {

@@ -130,28 +130,41 @@ func TestBodyTooLarge(t *testing.T) {
 	_, ts := newTestService(t, Options{MaxBodyBytes: limit})
 	createTiny(t, ts.URL, "s")
 	sess := ts.URL + "/v1/sessions/s"
-	pad := func(body string, n int) []byte {
-		return []byte(body + strings.Repeat(" ", n-len(body)))
+	checkBodyLimit(t, limit, []bodyLimitCase{
+		{sess + "/apply", []byte(limitApply), http.StatusOK},
+		{sess + "/ingest", []byte(limitApply), http.StatusAccepted},
+		{ts.URL + "/v1/sessions", tinyCreate("c", ""), http.StatusCreated},
+	})
+}
+
+const limitApply = `{"inserts":[{"vals":["212","NYC"]}]}`
+
+// bodyLimitCase is one route checkBodyLimit holds to the body limit: body
+// padded to exactly the limit answers ok.
+type bodyLimitCase struct {
+	url  string
+	body []byte
+	ok   int
+}
+
+// checkBodyLimit posts each case's body padded one byte over the limit and
+// an apply body whose value alone is over it, both of which must answer 413
+// with the message a body over the limit always had, then the body padded
+// to exactly the limit, which must answer the case's status.
+func checkBodyLimit(t *testing.T, limit int, cases []bodyLimitCase) {
+	t.Helper()
+	pad := func(body []byte, n int) []byte {
+		return append(bytes.Clone(body), bytes.Repeat([]byte(" "), n-len(body))...)
 	}
 	const tooLarge = "bad request body: http: request body too large"
-	apply := `{"inserts":[{"vals":["212","NYC"]}]}`
-	for _, c := range []struct {
-		url  string
-		body []byte
-		ok   int
-	}{
-		{sess + "/apply", []byte(apply), http.StatusOK},
-		{sess + "/ingest", []byte(apply), http.StatusAccepted},
-		{ts.URL + "/v1/sessions", tinyCreate("c", ""), http.StatusCreated},
-	} {
-		// Over by one byte of padding, and over inside the value itself.
-		long := `{"inserts":[{"vals":["212","` + strings.Repeat("N", limit) + `"]}]}`
-		for _, body := range [][]byte{pad(string(c.body), limit+1), []byte(long)} {
+	long := []byte(`{"inserts":[{"vals":["212","` + strings.Repeat("N", limit) + `"]}]}`)
+	for _, c := range cases {
+		for _, body := range [][]byte{pad(c.body, limit+1), long} {
 			if status, got := postRaw(t, c.url, body); status != http.StatusRequestEntityTooLarge || got != errorBody(tooLarge) {
 				t.Errorf("POST %s, %d bytes: %d %s want 413 %s", c.url, len(body), status, got, errorBody(tooLarge))
 			}
 		}
-		if status, got := postRaw(t, c.url, pad(string(c.body), limit)); status != c.ok {
+		if status, got := postRaw(t, c.url, pad(c.body, limit)); status != c.ok {
 			t.Errorf("POST %s, exactly %d bytes: %d %s, want %d", c.url, limit, status, got, c.ok)
 		}
 	}

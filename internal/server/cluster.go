@@ -144,7 +144,11 @@ func (c *clusterState) transport(peer string) *ship.HTTPTransport {
 // locally, serve locally, or forward to the owner.
 func (s *Server) route(w http.ResponseWriter, req *http.Request) {
 	c := s.reg.cluster
-	name, sub, routable := sessionTarget(s, w, req)
+	name, sub, routable, err := sessionTarget(s, w, req)
+	if err != nil {
+		writeBodyError(w, err)
+		return
+	}
 	if !routable || name == "" || req.Header.Get(ship.ForwardedHeader) != "" {
 		s.mux.ServeHTTP(w, req)
 		return
@@ -179,38 +183,40 @@ func (s *Server) route(w http.ResponseWriter, req *http.Request) {
 // routable=false means the request is not session-scoped (metrics,
 // health, replication traffic) and is always served locally. A create
 // (POST /v1/sessions) is routable by the name inside its body, which is
-// peeked and restored; a false return with name=="" after the peek means
-// the body was unreadable and the mux's 400 path should have it.
-func sessionTarget(s *Server, w http.ResponseWriter, req *http.Request) (name, sub string, routable bool) {
+// peeked through the body limit and restored: a body the peek cannot read
+// whole (over MaxBodyBytes, or cut off) is the error, and a false return
+// after the peek means the body is not JSON with a name, and the mux's 400
+// path should have it.
+func sessionTarget(s *Server, w http.ResponseWriter, req *http.Request) (name, sub string, routable bool, err error) {
 	path := req.URL.Path
 	if path == "/v1/sessions" {
 		if req.Method != http.MethodPost {
-			return "", "", false
+			return "", "", false, nil
 		}
 		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, s.opts.MaxBodyBytes))
-		req.Body = io.NopCloser(bytes.NewReader(body))
 		if err != nil {
-			return "", "", false
+			return "", "", false, err
 		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
 		var peek struct {
 			Name string `json:"name"`
 		}
 		// Unknown fields are fine here — the real decode validates.
 		if json.Unmarshal(body, &peek) != nil {
-			return "", "", false
+			return "", "", false, nil
 		}
-		return peek.Name, "create", true
+		return peek.Name, "create", true, nil
 	}
 	rest, ok := strings.CutPrefix(path, "/v1/sessions/")
 	if !ok {
-		return "", "", false
+		return "", "", false, nil
 	}
 	seg, sub, _ := strings.Cut(rest, "/")
-	name, err := url.PathUnescape(seg)
+	name, err = url.PathUnescape(seg)
 	if err != nil {
-		return "", "", false
+		return "", "", false, nil
 	}
-	return name, sub, true
+	return name, sub, true, nil
 }
 
 // forward proxies the request to owner, marking it so the peer serves it

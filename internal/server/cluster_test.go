@@ -433,6 +433,44 @@ func TestClusterQuotaShipsToFollower(t *testing.T) {
 	}
 }
 
+// TestClusterBodyTooLarge: a clustered node holds bodies to MaxBodyBytes
+// as a single node does (TestBodyTooLarge's cases), creates included:
+// a create is routed by the name its body holds, and a body over the limit
+// is a 413 whichever node it arrives at and whichever node owns the name.
+func TestClusterBodyTooLarge(t *testing.T) {
+	const limit = 256
+	a, b := newClusterPair(t, func(self string, peers []string) Options {
+		o := quorumOpts(self, peers)
+		o.MaxBodyBytes = limit
+		return o
+	})
+	owner, follower := ownerAndFollower(a, b, "s")
+	createTiny(t, owner.url, "s")
+	waitFollower(t, follower, "s")
+	sess := owner.url + "/v1/sessions/s"
+	cases := []bodyLimitCase{
+		{sess + "/apply", []byte(limitApply), http.StatusOK},
+		{sess + "/ingest", []byte(limitApply), http.StatusAccepted},
+	}
+	// Through each node, a create of a name each node owns: two are served
+	// where they arrive, two are forwarded.
+	i := 0
+	ownedBy := func(n *clusterNode) string {
+		for ; ; i++ {
+			if name := fmt.Sprintf("c%d", i); a.srv.reg.cluster.primary(name) == n.addr {
+				i++
+				return name
+			}
+		}
+	}
+	for _, entry := range []*clusterNode{a, b} {
+		for _, owner := range []*clusterNode{a, b} {
+			cases = append(cases, bodyLimitCase{entry.url + "/v1/sessions", tinyCreate(ownedBy(owner), ""), http.StatusCreated})
+		}
+	}
+	checkBodyLimit(t, limit, cases)
+}
+
 // TestClusterRebalance: shrinking the peer list transfers every
 // misplaced session to its new owner — snapshot ship, remote promote,
 // local purge — and the session keeps serving there.

@@ -335,78 +335,6 @@ func Normalized(m Metric, a, b string) float64 {
 	return float64(m.Distance(a, b)) / float64(n)
 }
 
-// JaroWinkler returns the Jaro–Winkler similarity between a and b scaled
-// into a distance in [0,1] (0 = identical). It is provided as an
-// alternative metric (paper §3.2 remark 2, citing [11]); the repair
-// algorithms only require a normalized distance in [0,1].
-func JaroWinkler(a, b string) float64 {
-	sim := jaroWinklerSim(a, b)
-	return 1 - sim
-}
-
-func jaroWinklerSim(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	window := max2(la, lb)/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
-	var matches int
-	for i := 0; i < la; i++ {
-		lo := i - window
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + window + 1
-		if hi > lb {
-			hi = lb
-		}
-		for j := lo; j < hi; j++ {
-			if matchB[j] || ra[i] != rb[j] {
-				continue
-			}
-			matchA[i] = true
-			matchB[j] = true
-			matches++
-			break
-		}
-	}
-	if matches == 0 {
-		return 0
-	}
-	// Count transpositions among matched characters.
-	var transpositions int
-	j := 0
-	for i := 0; i < la; i++ {
-		if !matchA[i] {
-			continue
-		}
-		for !matchB[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			transpositions++
-		}
-		j++
-	}
-	m := float64(matches)
-	jaro := (m/float64(la) + m/float64(lb) + (m-float64(transpositions)/2)/m) / 3
-	// Winkler prefix boost, standard p = 0.1, prefix capped at 4.
-	prefix := 0
-	for prefix < la && prefix < lb && prefix < 4 && ra[prefix] == rb[prefix] {
-		prefix++
-	}
-	return jaro + float64(prefix)*0.1*(1-jaro)
-}
-
 func min3(a, b, c int) int {
 	if b < a {
 		a = b
@@ -415,11 +343,4 @@ func min3(a, b, c int) int {
 		a = c
 	}
 	return a
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

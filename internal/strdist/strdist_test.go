@@ -174,42 +174,6 @@ func TestNormalizedExamples(t *testing.T) {
 	}
 }
 
-func TestJaroWinklerBasics(t *testing.T) {
-	if d := JaroWinkler("abc", "abc"); d != 0 {
-		t.Errorf("JaroWinkler identical = %v, want 0", d)
-	}
-	if d := JaroWinkler("", ""); d != 0 {
-		t.Errorf("JaroWinkler empty = %v, want 0", d)
-	}
-	if d := JaroWinkler("abc", ""); d != 1 {
-		t.Errorf("JaroWinkler vs empty = %v, want 1", d)
-	}
-	// Known value: MARTHA vs MARHTA has Jaro-Winkler similarity 0.9611.
-	d := JaroWinkler("MARTHA", "MARHTA")
-	if d < 0.0388 || d > 0.039 {
-		t.Errorf("JaroWinkler(MARTHA, MARHTA) = %v, want ~0.0389", d)
-	}
-}
-
-func TestJaroWinklerRange(t *testing.T) {
-	f := func(a, b string) bool {
-		d := JaroWinkler(a, b)
-		return d >= 0 && d <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestJaroWinklerSymmetry(t *testing.T) {
-	f := func(a, b string) bool {
-		return abs(JaroWinkler(a, b)-JaroWinkler(b, a)) < 1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMetricFuncAdapter(t *testing.T) {
 	m := Func(func(a, b string) int { return len(a) + len(b) })
 	if got := m.Distance("ab", "c"); got != 3 {
@@ -223,13 +187,6 @@ func TestLevenshteinLongStrings(t *testing.T) {
 	if got := DamerauLevenshtein(a, b); got != 1 {
 		t.Errorf("DL on long strings = %d, want 1", got)
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func BenchmarkDamerauLevenshtein(b *testing.B) {

@@ -27,6 +27,9 @@
 // beyond the caller's cap); it refuses the length before allocating
 // anything and sizes its buffer by the bytes that arrive, so a forged
 // length buys its sender nothing but the refusal.
+// WAL and snapshot records may be as long as the u32 length can state:
+// their readers pass that as the cap, and Log.Append and WriteSnapshot
+// refuse a longer payload rather than frame it with a wrapped length.
 //
 // Six file kinds open with a header, and a reader accepts exactly the
 // version its writer stamps — any other is refused with ErrCorrupt. A
@@ -79,6 +82,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -95,7 +99,22 @@ const frameHeaderLen = 8 // u32 length + u32 crc
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// AppendFrame appends one record holding payload to dst.
+// maxPayload is the longest payload a record's u32 length can state (that
+// an int can hold), and the cap of WAL and snapshot records: a WAL record
+// holds a whole batch, coalesced /ingest bodies included.
+const maxPayload = min(math.MaxUint32, math.MaxInt)
+
+// checkPayload refuses a payload of n bytes that a record cannot frame;
+// the writers of WAL and snapshot records call it before AppendFrame.
+func checkPayload(n int) error {
+	if n > maxPayload {
+		return fmt.Errorf("wal: record payload of %d bytes exceeds the %d a record can state", n, maxPayload)
+	}
+	return nil
+}
+
+// AppendFrame appends one record holding payload to dst; the payload must
+// be at most maxPayload bytes.
 func AppendFrame(dst, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))

@@ -39,7 +39,7 @@ func goldenRecords(f *testing.F) (streams, payloads [][]byte) {
 func FuzzReadFrame(f *testing.F) {
 	streams, payloads := goldenRecords(f)
 	for _, s := range streams {
-		f.Add(s, uint32(maxRecordLen))
+		f.Add(s, uint32(maxPayload))
 	}
 	// The record of a shipped batch frame (behind its kind byte) and a
 	// store manifest's (behind its header).

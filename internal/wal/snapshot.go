@@ -342,8 +342,11 @@ const snapChunkTuples = 4096
 // one header record, then the tuples as bounded chunk records — the
 // whole relation is never materialized as a single buffer.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
-	buf := AppendFrame(AppendHeader(nil, snapMagic, Version), s.appendHeader(nil))
-	if _, err := w.Write(buf); err != nil {
+	header := s.appendHeader(nil)
+	if err := checkPayload(len(header)); err != nil {
+		return err
+	}
+	if _, err := w.Write(AppendFrame(AppendHeader(nil, snapMagic, Version), header)); err != nil {
 		return err
 	}
 	arity := len(s.Attrs)
@@ -353,6 +356,9 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 		chunk = binary.AppendUvarint(chunk[:0], uint64(end-start))
 		for i := start; i < end; i++ {
 			chunk = appendSnapTuple(chunk, arity, &s.Tuples[i])
+		}
+		if err := checkPayload(len(chunk)); err != nil {
+			return err
 		}
 		frame = AppendFrame(frame[:0], chunk)
 		if _, err := w.Write(frame); err != nil {
@@ -369,7 +375,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := CheckHeader(br, snapMagic, Version); err != nil {
 		return nil, err
 	}
-	p, err := ExpectFrame(br, maxRecordLen)
+	p, err := ExpectFrame(br, maxPayload)
 	if err != nil {
 		return nil, err
 	}
@@ -380,7 +386,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	arity := len(s.Attrs)
 	for got := uint64(0); got < ntuples; {
-		p, err := ExpectFrame(br, maxRecordLen)
+		p, err := ExpectFrame(br, maxPayload)
 		if err != nil {
 			return nil, err
 		}

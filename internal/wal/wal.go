@@ -1,7 +1,7 @@
 package wal
 
 import (
-	"bytes"
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -16,10 +16,6 @@ const Version = 3
 const (
 	walMagic  = "CFDWAL"
 	snapMagic = "CFDSNAP"
-
-	// maxRecordLen rejects absurd lengths decoded from a torn or
-	// corrupted frame header before they drive a huge allocation.
-	maxRecordLen = 1 << 28 // 256 MiB
 )
 
 // Log is an append-only WAL file. It is not safe for concurrent use;
@@ -61,22 +57,24 @@ func Create(path string) (*Log, error) {
 // returns the payloads in log order. discarded reports how many bytes
 // of damaged tail were dropped — zero for a cleanly closed log.
 func Open(path string) (l *Log, payloads [][]byte, discarded int64, err error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	r := bytes.NewReader(b)
-	// A bad header is ErrCorrupt — nothing in the file can be trusted.
-	if err := CheckHeader(r, walMagic, Version); err != nil {
-		return nil, nil, 0, err
-	}
-	payloads, n := scanFrames(r)
-	good := int64(len(walMagic)+1) + n
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	discarded = int64(len(b)) - good
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, 0, err
+	}
+	r := bufio.NewReaderSize(f, 1<<16)
+	// A bad header is ErrCorrupt — nothing in the file can be trusted.
+	if err := CheckHeader(r, walMagic, Version); err != nil {
+		f.Close()
+		return nil, nil, 0, err
+	}
+	payloads, n := scanFrames(r)
+	good := int64(len(walMagic)+1) + n
+	discarded = st.Size() - good
 	if discarded > 0 {
 		if err = f.Truncate(good); err == nil {
 			err = f.Sync()
@@ -98,7 +96,7 @@ func Open(path string) (l *Log, payloads [][]byte, discarded int64, err error) {
 // the expected crash artifact, and this is the one place it is tolerated.
 func scanFrames(r io.Reader) (payloads [][]byte, n int64) {
 	for {
-		p, err := ReadFrame(r, maxRecordLen)
+		p, err := ReadFrame(r, maxPayload)
 		if err != nil {
 			return payloads, n
 		}
@@ -109,8 +107,12 @@ func scanFrames(r io.Reader) (payloads [][]byte, n int64) {
 
 // Append writes one record. The bytes reach the file (and the OS page
 // cache) before Append returns; they reach the disk at the next Sync,
-// per the owner's fsync policy.
+// per the owner's fsync policy. A payload longer than a record can state
+// is refused and nothing is written.
 func (l *Log) Append(payload []byte) error {
+	if err := checkPayload(len(payload)); err != nil {
+		return err
+	}
 	if _, err := l.f.Write(AppendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)); err != nil {
 		return err
 	}
