@@ -10,6 +10,13 @@
 // "which attribute values must be equal" from "what value they take"
 // lets the algorithm defer value assignment and avoid poor local
 // decisions (paper Example 4.1).
+//
+// A cell (t, A) is named by a number the caller chooses from a dense range
+// [0, n): BATCHREPAIR numbers it position(t)·arity + A, where position(t)
+// is t's index in the working relation's tuple slice. The working copy is
+// never reordered during a run (the repair only updates cells), so the
+// number stays the cell's for the whole run, and the class manager finds
+// a cell's node by indexing a table of n entries instead of hashing.
 package eqclass
 
 import (
@@ -18,11 +25,9 @@ import (
 	"cfdclean/internal/relation"
 )
 
-// Key identifies one attribute of one tuple: the paper's (t, A) pair.
-type Key struct {
-	T relation.TupleID
-	A int
-}
+// Key identifies one attribute of one tuple, the paper's (t, A) pair, by
+// its cell number in [0, n) for the n the manager was created with.
+type Key int32
 
 // Kind is the state of a class's target value.
 type Kind int
@@ -57,6 +62,7 @@ type class struct {
 	// Storing the id instead of the string makes target comparisons and
 	// merges O(1) integer operations.
 	val     relation.ValueID
+	key     Key   // the cell this node was registered for
 	members []Key // maintained at the root
 }
 
@@ -66,46 +72,44 @@ type class struct {
 // manager was created with (normally the working relation's).
 type Classes struct {
 	dict  *relation.Dict
-	nodes []class
-	index map[Key]int
+	nodes []class // in registration order
+	// index[k] is the node of key k plus one; 0 means k is unregistered.
+	index []int32
 
 	assigned int // classes whose target is Const or Null (roots only)
 }
 
-// New creates an empty class manager interning constant targets in dict;
-// a nil dict gets a private dictionary. n is a capacity hint: the node
-// table and key index are pre-sized for about n keys, so a repair whose
-// working-set cardinality is known up front (e.g. the tuples of the
-// largest violation-graph component times the arity) skips the
-// incremental map growth entirely. The hint has no effect on behaviour.
+// New creates an empty class manager over the keys [0, n), interning
+// constant targets in dict; a nil dict gets a private dictionary. The key
+// index costs four bytes a key.
 func New(dict *relation.Dict, n int) *Classes {
 	if dict == nil {
 		dict = relation.NewDict()
 	}
-	if n < 0 {
-		n = 0
-	}
-	return &Classes{dict: dict, nodes: make([]class, 0, n), index: make(map[Key]int, n)}
+	return &Classes{dict: dict, index: make([]int32, max(n, 0))}
 }
 
 // Reset empties the manager for reuse, keeping its dictionary and the
-// allocated capacity of the node table and key index. BATCHREPAIR runs
-// one equivalence-class universe per violation-graph component; Reset is
-// what lets it reuse one Classes across the components instead of
-// reallocating per component.
+// allocated node table and key index; only the index entries of the keys
+// registered since the last reset are cleared. BATCHREPAIR runs one
+// equivalence-class universe per violation-graph component; Reset is what
+// lets it reuse one Classes across the components instead of reallocating
+// per component.
 func (c *Classes) Reset() {
+	for i := range c.nodes {
+		c.index[c.nodes[i].key] = 0
+	}
 	c.nodes = c.nodes[:0]
-	clear(c.index)
 	c.assigned = 0
 }
 
 func (c *Classes) node(k Key) int {
-	if i, ok := c.index[k]; ok {
-		return i
+	if i := c.index[k]; i != 0 {
+		return int(i) - 1
 	}
 	i := len(c.nodes)
-	c.nodes = append(c.nodes, class{parent: i, size: 1, members: []Key{k}})
-	c.index[k] = i
+	c.nodes = append(c.nodes, class{parent: i, size: 1, key: k, members: []Key{k}})
+	c.index[k] = int32(i + 1)
 	return i
 }
 
@@ -166,11 +170,11 @@ func (c *Classes) Size(k Key) int {
 // NumClasses, the order Roots visits classes in), so a read that must not
 // leave a trace — a cache check — asks Peek.
 func (c *Classes) Peek(k Key) int {
-	i, ok := c.index[k]
-	if !ok {
+	i := c.index[k]
+	if i == 0 {
 		return 1
 	}
-	return c.nodes[c.find(i)].size
+	return c.nodes[c.find(int(i)-1)].size
 }
 
 // SameClass reports whether k1 and k2 are in one class. It registers
@@ -179,9 +183,8 @@ func (c *Classes) SameClass(k1, k2 Key) bool {
 	if k1 == k2 {
 		return true
 	}
-	i1, ok1 := c.index[k1]
-	i2, ok2 := c.index[k2]
-	return ok1 && ok2 && c.find(i1) == c.find(i2)
+	i1, i2 := c.index[k1], c.index[k2]
+	return i1 != 0 && i2 != 0 && c.find(int(i1)-1) == c.find(int(i2)-1)
 }
 
 // SetConst upgrades the target of k's class from '_' to the constant v.
@@ -288,15 +291,9 @@ func (c *Classes) NumAssigned() int { return c.assigned }
 
 // Keys returns every key registered so far, in registration order.
 func (c *Classes) Keys() []Key {
-	out := make([]Key, 0, len(c.index))
+	out := make([]Key, len(c.nodes))
 	for i := range c.nodes {
-		// Registration order == node order; members[0] of a fresh node is
-		// its own key, but after merges member slices move. Track via the
-		// index map instead.
-		_ = i
-	}
-	for k := range c.index {
-		out = append(out, k)
+		out[i] = c.nodes[i].key
 	}
 	return out
 }

@@ -3,14 +3,16 @@ package eqclass
 import (
 	"testing"
 	"testing/quick"
-
-	"cfdclean/internal/relation"
 )
 
-func k(t int64, a int) Key { return Key{T: relation.TupleID(t), A: a} }
+// The tests number cell (t, A) as 2t + A over tuples 0–255 and two
+// attributes, the way BATCHREPAIR numbers position(t)·arity + A.
+const cells = 512
+
+func k(t int64, a int) Key { return Key(2*t + int64(a)) }
 
 func TestSingletonDefaults(t *testing.T) {
-	c := New(nil, 0)
+	c := New(nil, cells)
 	kind, _ := c.Target(k(1, 0))
 	if kind != Unset {
 		t.Errorf("fresh class target = %v, want Unset", kind)
@@ -24,7 +26,7 @@ func TestSingletonDefaults(t *testing.T) {
 }
 
 func TestSetConstUpgrades(t *testing.T) {
-	c := New(nil, 0)
+	c := New(nil, cells)
 	if err := c.SetConst(k(1, 0), "NYC"); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestSetConstUpgrades(t *testing.T) {
 }
 
 func TestMergeCombinesTargets(t *testing.T) {
-	c := New(nil, 0)
+	c := New(nil, cells)
 	// unset + unset -> unset
 	if err := c.Merge(k(1, 0), k(2, 0)); err != nil {
 		t.Fatal(err)
@@ -82,7 +84,7 @@ func TestMergeCombinesTargets(t *testing.T) {
 }
 
 func TestMergeRejections(t *testing.T) {
-	c := New(nil, 0)
+	c := New(nil, cells)
 	c.SetConst(k(1, 0), "NYC")
 	c.SetConst(k(2, 0), "PHI")
 	if c.CanMerge(k(1, 0), k(2, 0)) {
@@ -111,7 +113,7 @@ func TestMergeRejections(t *testing.T) {
 }
 
 func TestMembers(t *testing.T) {
-	c := New(nil, 0)
+	c := New(nil, cells)
 	c.Merge(k(1, 0), k(2, 0))
 	c.Merge(k(1, 0), k(3, 1))
 	ms := c.Members(k(2, 0))
@@ -133,7 +135,7 @@ func TestMembers(t *testing.T) {
 // unnamed key is a singleton, and asking leaves Keys and NumClasses as
 // they were.
 func TestPeek(t *testing.T) {
-	c := New(nil, 0)
+	c := New(nil, cells)
 	if got := c.Peek(k(9, 0)); got != 1 {
 		t.Errorf("Peek of an unnamed key = %d, want 1", got)
 	}
@@ -154,7 +156,7 @@ func TestPeek(t *testing.T) {
 // merging reduces N (class count) and never reduces H (assigned count);
 // target upgrades increase H.
 func TestTerminationMeasures(t *testing.T) {
-	c := New(nil, 0)
+	c := New(nil, cells)
 	for i := int64(1); i <= 6; i++ {
 		c.Target(k(i, 0)) // register
 	}
@@ -198,7 +200,7 @@ func TestTerminationMeasures(t *testing.T) {
 }
 
 func TestRoots(t *testing.T) {
-	c := New(nil, 0)
+	c := New(nil, cells)
 	c.Merge(k(1, 0), k(2, 0))
 	c.SetConst(k(1, 0), "v")
 	c.Target(k(3, 0))
@@ -217,6 +219,72 @@ func TestRoots(t *testing.T) {
 	}
 }
 
+// TestKeysRegistrationOrder: Keys lists every key once, in the order the
+// operations first named them — merges, target upgrades and lookups that
+// register do not reorder it, and Peek and SameClass register nothing.
+func TestKeysRegistrationOrder(t *testing.T) {
+	c := New(nil, cells)
+	var want []Key
+	named := make(map[Key]bool)
+	name := func(keys ...Key) {
+		for _, key := range keys {
+			if !named[key] {
+				named[key] = true
+				want = append(want, key)
+			}
+		}
+	}
+	for i := int64(0); i < 40; i++ {
+		a, b := k((i*37)%97, int(i%2)), k((i*53+11)%89, int((i/2)%2))
+		switch i % 4 {
+		case 0:
+			c.Merge(a, b)
+			name(a, b)
+		case 1:
+			c.SetConst(a, "v")
+			name(a)
+		case 2:
+			c.Size(b)
+			name(b)
+		case 3:
+			c.Peek(a)
+			c.SameClass(a, b)
+		}
+	}
+	got := c.Keys()
+	if len(got) != len(want) {
+		t.Fatalf("Keys has %d keys, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Keys()[%d] = %d, want %d (registration order %v, got %v)", i, got[i], want[i], want, got)
+		}
+	}
+}
+
+// TestResetForgetsRegisteredKeys: after Reset every key is unregistered
+// again and a fresh universe starts, on the same node table and index.
+func TestResetForgetsRegisteredKeys(t *testing.T) {
+	c := New(nil, cells)
+	c.Merge(k(1, 0), k(200, 1))
+	c.SetConst(k(1, 0), "x")
+	c.SetNull(k(3, 1))
+	c.Reset()
+	if n := len(c.Keys()); n != 0 || c.NumClasses() != 0 || c.NumAssigned() != 0 {
+		t.Fatalf("after Reset: %d keys, N=%d, H=%d; want all 0", n, c.NumClasses(), c.NumAssigned())
+	}
+	if c.SameClass(k(1, 0), k(200, 1)) || c.Peek(k(1, 0)) != 1 {
+		t.Error("Reset must forget the merge")
+	}
+	if kind, _ := c.Target(k(3, 1)); kind != Unset {
+		t.Errorf("target after Reset = %v, want Unset", kind)
+	}
+	c.Merge(k(200, 1), k(2, 0))
+	if got := c.Keys(); len(got) != 3 || got[0] != k(3, 1) || got[1] != k(200, 1) || got[2] != k(2, 0) {
+		t.Errorf("Keys after Reset = %v", got)
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if Unset.String() != "_" || Const.String() != "const" || Null.String() != "null" {
 		t.Error("Kind.String wrong")
@@ -230,11 +298,11 @@ func TestKindString(t *testing.T) {
 // classes, SameClass is an equivalence relation.
 func TestUnionFindTransitive(t *testing.T) {
 	f := func(pairs [][2]uint8) bool {
-		c := New(nil, 0)
+		c := New(nil, cells)
 		for _, p := range pairs {
 			c.Merge(k(int64(p[0]), 0), k(int64(p[1]), 0))
 		}
-		// Transitivity spot-check over the registered keys.
+		// Transitivity spot-check over the first keys registered.
 		keys := c.Keys()
 		for i := 0; i < len(keys) && i < 8; i++ {
 			for j := 0; j < len(keys) && j < 8; j++ {
@@ -256,7 +324,7 @@ func TestUnionFindTransitive(t *testing.T) {
 // merge of two distinct classes reduces NumClasses by exactly one.
 func TestMergeReducesN(t *testing.T) {
 	f := func(pairs [][2]uint8) bool {
-		c := New(nil, 0)
+		c := New(nil, cells)
 		seen := make(map[Key]bool)
 		for _, p := range pairs {
 			seen[k(int64(p[0]), 0)] = true

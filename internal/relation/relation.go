@@ -15,7 +15,10 @@ import (
 type Relation struct {
 	schema *Schema
 	tuples []*Tuple
-	byID   map[TupleID]int
+	// slots[id] is the position + 1 of tuple id in tuples (0: absent);
+	// over holds the ids slots does not cover (see cover).
+	slots  []int32
+	over   map[TupleID]int32
 	nextID TupleID
 	dict   *Dict
 
@@ -46,7 +49,6 @@ func New(s *Schema) *Relation {
 	}
 	return &Relation{
 		schema: s,
-		byID:   make(map[TupleID]int),
 		nextID: 1,
 		dict:   NewDict(),
 		adom:   adom,
@@ -102,17 +104,85 @@ func (r *Relation) Dict() *Dict { return r.dict }
 // Size returns the number of tuples.
 func (r *Relation) Size() int { return len(r.tuples) }
 
-// Tuples returns the live tuple slice in insertion order. Callers must not
-// modify attribute values directly; use Set so bookkeeping stays correct.
+// Tuples returns the live tuple slice in physical order: inserts append,
+// and Delete moves the last tuple into the freed slot, so after a delete
+// the order is no longer insertion order. A tuple keeps its position while
+// only Set touches the relation. Callers must not modify the slice or
+// attribute values directly; use Set so bookkeeping stays correct.
 func (r *Relation) Tuples() []*Tuple { return r.tuples }
 
 // Tuple returns the tuple with the given id, or nil.
 func (r *Relation) Tuple(id TupleID) *Tuple {
-	i, ok := r.byID[id]
+	i, ok := r.Position(id)
 	if !ok {
 		return nil
 	}
 	return r.tuples[i]
+}
+
+// Position returns the index of tuple id in Tuples; ok is false when no
+// tuple has that id.
+func (r *Relation) Position(id TupleID) (int, bool) {
+	// A negative id converts to a huge one and misses the table.
+	if uint64(id) < uint64(len(r.slots)) {
+		p := r.slots[id]
+		return int(p) - 1, p != 0
+	}
+	p, ok := r.over[id]
+	return int(p), ok
+}
+
+// setPos records that tuple id sits at position i.
+func (r *Relation) setPos(id TupleID, i int) {
+	if uint64(id) < uint64(len(r.slots)) {
+		r.slots[id] = int32(i + 1)
+		return
+	}
+	if r.over == nil {
+		r.over = make(map[TupleID]int32)
+	}
+	r.over[id] = int32(i)
+}
+
+// clearPos forgets tuple id.
+func (r *Relation) clearPos(id TupleID) {
+	if uint64(id) < uint64(len(r.slots)) {
+		r.slots[id] = 0
+		return
+	}
+	delete(r.over, id)
+}
+
+// cover grows the id table so that it covers id, when that keeps it within
+// 4·(Size()+1) + 4096 entries: four bytes each, so beyond its first 16 KiB
+// the table costs at most 16 bytes a tuple, less than a map entry. An id it
+// cannot cover (≤ 0, or too far past the live tuples) stays in the overflow
+// map, and each growth moves the overflow ids it now covers into the table.
+// The relation's own ids are dense (1, 2, …), so the overflow map only holds
+// explicitly chosen ids — and, in a relation whose deletes keep it far
+// smaller than its id counter (a long sliding window), the newest ids, which
+// then cost a map entry as every id did before the table.
+func (r *Relation) cover(id TupleID) {
+	if id <= 0 || int64(id) < int64(len(r.slots)) {
+		return
+	}
+	limit := 4*(len(r.tuples)+1) + 4096
+	if int64(id) >= int64(limit) {
+		return
+	}
+	n := min(max(int(id)+1, 2*len(r.slots), 64), limit)
+	grown := make([]int32, n)
+	copy(grown, r.slots)
+	r.slots = grown
+	for oid, p := range r.over {
+		if uint64(oid) < uint64(n) {
+			r.slots[oid] = p + 1
+			delete(r.over, oid)
+		}
+	}
+	if len(r.over) == 0 {
+		r.over = nil
+	}
 }
 
 // Insert adds t to the relation. If t.ID is zero a fresh id is assigned.
@@ -129,13 +199,14 @@ func (r *Relation) Insert(t *Tuple) error {
 	if t.ID == 0 {
 		t.ID = r.nextID
 	}
-	if _, dup := r.byID[t.ID]; dup {
+	if _, dup := r.Position(t.ID); dup {
 		return fmt.Errorf("relation %s: duplicate tuple id %d", r.schema.Name(), t.ID)
 	}
 	if t.ID >= r.nextID {
 		r.nextID = t.ID + 1
 	}
-	r.byID[t.ID] = len(r.tuples)
+	r.cover(t.ID)
+	r.setPos(t.ID, len(r.tuples))
 	if r.activeGens.Load() != 0 {
 		r.cowAppend(t)
 	} else {
@@ -195,7 +266,7 @@ func (r *Relation) InsertRow(vals ...string) (*Tuple, error) {
 // Delete removes the tuple with the given id. Deletions never introduce
 // CFD violations (§3.3), so no constraint bookkeeping is required here.
 func (r *Relation) Delete(id TupleID) bool {
-	i, ok := r.byID[id]
+	i, ok := r.Position(id)
 	if !ok {
 		return false
 	}
@@ -210,10 +281,10 @@ func (r *Relation) Delete(id TupleID) bool {
 	} else {
 		last := len(r.tuples) - 1
 		r.tuples[i] = r.tuples[last]
-		r.byID[r.tuples[i].ID] = i
+		r.setPos(r.tuples[i].ID, i)
 		r.tuples = r.tuples[:last]
 	}
-	delete(r.byID, id)
+	r.clearPos(id)
 	r.version++
 	if len(r.subs) > 0 {
 		r.notify(Delta{Kind: DeltaDelete, T: t})
@@ -224,7 +295,7 @@ func (r *Relation) Delete(id TupleID) bool {
 // Set changes attribute a of tuple id to v, updating the active domain.
 // It returns the previous value.
 func (r *Relation) Set(id TupleID, a int, v Value) (Value, error) {
-	i, ok := r.byID[id]
+	i, ok := r.Position(id)
 	if !ok {
 		return Value{}, fmt.Errorf("relation %s: no tuple with id %d", r.schema.Name(), id)
 	}
@@ -302,11 +373,13 @@ func (r *Relation) DomainCount(a int, s string) int {
 // across a relation and its clones — which is also why the copy needs no
 // dictionary lookups: every tuple keeps the ids it has. The clone starts
 // a journal of its own, as if its tuples had just been inserted in order.
+// Every tuple keeps its position, so the id table is copied as it is.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{
 		schema:  r.schema,
 		tuples:  make([]*Tuple, len(r.tuples)),
-		byID:    make(map[TupleID]int, len(r.tuples)),
+		slots:   slices.Clone(r.slots),
+		over:    maps.Clone(r.over),
 		nextID:  1,
 		dict:    r.dict.Clone(),
 		adom:    make([]domain, len(r.adom)),
@@ -319,7 +392,6 @@ func (r *Relation) Clone() *Relation {
 		ct := t.Clone()
 		ct.ids = append([]ValueID(nil), t.ids...)
 		c.tuples[i] = ct
-		c.byID[ct.ID] = i
 		if ct.ID >= c.nextID {
 			c.nextID = ct.ID + 1
 		}

@@ -204,7 +204,7 @@ func (r *Relation) cowDelete(i int) {
 	r.preserveLocked(i / viewPageSize)
 	last := len(r.tuples) - 1
 	r.tuples[i] = r.tuples[last]
-	r.byID[r.tuples[i].ID] = i
+	r.setPos(r.tuples[i].ID, i)
 	r.tuples = r.tuples[:last]
 	r.viewMu.Unlock()
 }

@@ -2,6 +2,7 @@ package repair
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"cfdclean/internal/cfd"
@@ -27,10 +28,19 @@ import (
 // repairs stay in place, so the next component sees them. The components
 // bound PICKNEXT's per-step scan to one component's dirty tuples; the
 // equivalence classes are reset between them.
+//
+// The classes number cell (t, A) as position(t)·arity + A, t's index in
+// the working copy's tuple slice. The working copy is never reordered:
+// the loop only updates cells, never inserts or deletes, so a cell keeps
+// its number for the whole run and a class member reaches its tuple by
+// array index, with no id lookup.
 func Batch(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, error) {
 	o := opts.withDefaults()
 	if _, err := cfd.Satisfiable(sigma); err != nil {
 		return nil, fmt.Errorf("repair: %w", err)
+	}
+	if cells := d.Size() * d.Schema().Arity(); cells > math.MaxInt32 {
+		return nil, fmt.Errorf("repair: %d cells exceed the equivalence classes' range", cells)
 	}
 	work := d.Clone()
 	store := cfd.Compile(work.Dict(), sigma).NewVioStore(work, o.Workers)
@@ -48,7 +58,7 @@ func Batch(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, e
 	store.EachViolation(func(gi int, v cfd.Violation) {
 		seeds[v.T] = appendUnique(seeds[v.T], gi)
 	})
-	e := newEngine(store, d, res.LargestComponent, o)
+	e := newEngine(store, d, o)
 	// Safety bound from the termination argument of Theorem 4.2: the
 	// progress measure is bounded by 3k for k = (tuple, attribute) pairs.
 	limit := 3*e.rel.Size()*e.rel.Schema().Arity() + 1024
@@ -199,11 +209,8 @@ func (e *engine) instantiate() bool {
 		allEqual := true
 		var first relation.Value
 		for i, m := range members {
-			t := e.rel.Tuple(m.T)
-			if t == nil {
-				continue
-			}
-			v := t.At(m.A)
+			t, a := e.cell(m)
+			v := t.At(a)
 			if i == 0 {
 				first = v.Value
 			} else if !relation.StrictEq(first, v.Value) {

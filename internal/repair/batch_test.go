@@ -452,7 +452,7 @@ func TestFindVAllocates(t *testing.T) {
 	}
 	work := ds.Dirty.Clone()
 	o := (*Options)(nil).withDefaults()
-	e := newEngine(cfd.Compile(work.Dict(), ds.Sigma).NewVioStore(work, 0), ds.Dirty, 0, o)
+	e := newEngine(cfd.Compile(work.Dict(), ds.Sigma).NewVioStore(work, 0), ds.Dirty, o)
 	defer e.store.Close()
 	calls := 0
 	e.store.EachViolation(func(gi int, v cfd.Violation) {

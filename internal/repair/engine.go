@@ -74,6 +74,7 @@ type engine struct {
 	groups  []cfd.Group
 	scorer  *cost.Scratch // the run's distance memo over the cost model
 	classes *eqclass.Classes
+	arity   int // numbers the cells: (t, A) is position(t)·arity + A
 	opts    Options
 
 	order []int // group indices in repair order (dependency graph)
@@ -112,10 +113,10 @@ type engine struct {
 // orig. The one violation store serves the whole run: it has scanned once
 // and maintains itself under every write the engine performs, via the
 // relation's mutation journal — no per-round detector rebuilds. The
-// equivalence-class universe is pre-sized for components of up to largest
-// tuples (a component's classes range over its tuples' attributes), capped
-// so a pathological input cannot drive a huge empty allocation.
-func newEngine(store *cfd.VioStore, orig *relation.Relation, largest int, opts Options) *engine {
+// equivalence classes range over every cell of the working copy, numbered
+// by position (see key): the engine only updates cells, never inserts or
+// deletes, so no tuple moves during the run.
+func newEngine(store *cfd.VioStore, orig *relation.Relation, opts Options) *engine {
 	work, det := store.Relation(), store.Detector()
 	arity := work.Schema().Arity()
 	e := &engine{
@@ -125,7 +126,8 @@ func newEngine(store *cfd.VioStore, orig *relation.Relation, largest int, opts O
 		det:      det,
 		groups:   det.Groups(),
 		scorer:   opts.CostModel.Scratch(),
-		classes:  eqclass.New(work.Dict(), min(largest*arity, 1<<16)),
+		classes:  eqclass.New(work.Dict(), work.Size()*arity),
+		arity:    arity,
 		opts:     opts,
 		touching: make([][]int, arity),
 		found:    make(map[foundKey]foundV),
@@ -172,9 +174,16 @@ func (e *engine) resetClasses() {
 	clear(e.found)
 }
 
-// key returns the equivalence-class key of attribute a of tuple t.
-func key(t *relation.Tuple, a int) eqclass.Key {
-	return eqclass.Key{T: t.ID, A: a}
+// key returns the equivalence-class key of attribute a of tuple t: its
+// cell number position(t)·arity + a in the working copy.
+func (e *engine) key(t *relation.Tuple, a int) eqclass.Key {
+	p, _ := e.rel.Position(t.ID)
+	return eqclass.Key(p*e.arity + a)
+}
+
+// cell returns the tuple and attribute that key k numbers.
+func (e *engine) cell(k eqclass.Key) (*relation.Tuple, int) {
+	return e.rel.Tuples()[int(k)/e.arity], int(k) % e.arity
 }
 
 // setStored writes value v into attribute a of tuple t in the working
@@ -206,12 +215,9 @@ func (e *engine) applyTarget(k eqclass.Key) {
 		return
 	}
 	for _, m := range e.classes.Members(k) {
-		t := e.rel.Tuple(m.T)
-		if t == nil {
-			continue
-		}
-		e.setStored(t, m.A, v)
-		e.markDirty(m.T, m.A)
+		t, a := e.cell(m)
+		e.setStored(t, a, v)
+		e.markDirty(t.ID, a)
 	}
 }
 
@@ -267,7 +273,7 @@ func (e *engine) eqOnRHS(t, t2 *relation.Tuple, a int) bool {
 	// class lookup is the dearer test.
 	v, v2 := t.IDAt(a), t2.IDAt(a)
 	return v == v2 || v == relation.NullID || v2 == relation.NullID ||
-		e.classes.SameClass(key(t, a), key(t2, a))
+		e.classes.SameClass(e.key(t, a), e.key(t2, a))
 }
 
 // violation is one live violation found for a tuple within a group.
@@ -336,11 +342,8 @@ func (e *engine) findViolation(gi int, t *relation.Tuple) (violation, bool) {
 func (e *engine) classCost(k eqclass.Key, v relation.IDValue) float64 {
 	var sum float64
 	for _, m := range e.classes.Members(k) {
-		t := e.rel.Tuple(m.T)
-		if t == nil {
-			continue
-		}
-		sum += e.scorer.ChangeFromInterned(e.dict(), t, m.A, t.At(m.A), v)
+		t, a := e.cell(m)
+		sum += e.scorer.ChangeFromInterned(e.dict(), t, a, t.At(a), v)
 	}
 	return sum
 }
@@ -350,11 +353,8 @@ func (e *engine) classCost(k eqclass.Key, v relation.IDValue) float64 {
 func (e *engine) classWeight(k eqclass.Key) float64 {
 	var sum float64
 	for _, m := range e.classes.Members(k) {
-		t := e.rel.Tuple(m.T)
-		if t == nil {
-			continue
-		}
-		sum += t.Weight(m.A)
+		t, a := e.cell(m)
+		sum += t.Weight(a)
 	}
 	return sum
 }

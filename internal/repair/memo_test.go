@@ -25,15 +25,11 @@ func driveBatch(t *testing.T, d *relation.Relation, sigma []*cfd.Normal, check f
 	store := cfd.Compile(work.Dict(), sigma).NewVioStore(work, o.Workers)
 	defer store.Close()
 	comps := store.Components()
-	largest := 0
-	for _, comp := range comps {
-		largest = max(largest, len(comp))
-	}
 	seeds := make(map[relation.TupleID][]int)
 	store.EachViolation(func(gi int, v cfd.Violation) {
 		seeds[v.T] = appendUnique(seeds[v.T], gi)
 	})
-	e := newEngine(store, d, largest, o)
+	e := newEngine(store, d, o)
 	for _, comp := range comps {
 		for _, id := range comp {
 			for _, gi := range seeds[id] {
@@ -84,12 +80,12 @@ func checkMemo(t *testing.T, e *engine) (current int) {
 		if f := e.found[fk]; f.ver == e.rel.Version() && f.size == e.classes.Peek(fk.k) {
 			current++
 		}
-		tp := e.rel.Tuple(fk.k.T)
-		v, vio, c, ok := e.findV(groupOf[question{fk.ix, fk.k.A}], tp, fk.k.A)
-		wv, wvio, wc, wok := e.findVUncached(fk.ix, tp, fk.k.A)
+		tp, b := e.cell(fk.k)
+		v, vio, c, ok := e.findV(groupOf[question{fk.ix, b}], tp, b)
+		wv, wvio, wc, wok := e.findVUncached(fk.ix, tp, b)
 		if v != wv || vio != wvio || c != wc || ok != wok {
 			t.Fatalf("findV(t%d, attr %d) at version %d, |eq| %d: kept (%q, %d, %v, %v), computed (%q, %d, %v, %v)",
-				tp.ID, fk.k.A, e.rel.Version(), e.classes.Peek(fk.k), v, vio, c, ok, wv, wvio, wc, wok)
+				tp.ID, b, e.rel.Version(), e.classes.Peek(fk.k), v, vio, c, ok, wv, wvio, wc, wok)
 		}
 	}
 	return current
@@ -150,15 +146,15 @@ func TestFindVMemoClearedWithClasses(t *testing.T) {
 	work := d.Clone()
 	store := cfd.Compile(work.Dict(), fd.Normalize()).NewVioStore(work, 1)
 	defer store.Close()
-	e := newEngine(store, d, d.Size(), (*Options)(nil).withDefaults())
+	e := newEngine(store, d, (*Options)(nil).withDefaults())
 	ts := work.Tuples()
 	t0, ix := ts[0], e.supportIndex(0, 0)
-	if err := e.classes.Merge(key(t0, 0), key(ts[3], 0)); err != nil {
+	if err := e.classes.Merge(e.key(t0, 0), e.key(ts[3], 0)); err != nil {
 		t.Fatal(err)
 	}
 	_, _, before, _ := e.findV(0, t0, 0)
 	e.resetClasses()
-	if err := e.classes.Merge(key(t0, 0), key(ts[1], 0)); err != nil {
+	if err := e.classes.Merge(e.key(t0, 0), e.key(ts[1], 0)); err != nil {
 		t.Fatal(err)
 	}
 	v, vio, c, ok := e.findV(0, t0, 0)

@@ -48,7 +48,7 @@ func (e *engine) planViolation(v violation) (plan, bool) {
 		// (e.g. a mistyped zip that happens to equal another city's zip):
 		// blindly enforcing the pattern constant would rewrite correct
 		// attributes of the tuple — and of every class member.
-		ka := key(t, n.A)
+		ka := e.key(t, n.A)
 		if kind, _ := e.classes.Target(ka); kind == eqclass.Unset {
 			// Case 1.1: the RHS target is free; fix it to the pattern
 			// constant. §3.1 also allows an LHS edit here, and it is
@@ -74,7 +74,7 @@ func (e *engine) planViolation(v violation) (plan, bool) {
 		return e.planLHS(v.gi, t, n, true)
 	}
 	// Case 2: t violates a variable-RHS rule with partner t'.
-	ka, kb := key(t, n.A), key(v.partner, n.A)
+	ka, kb := e.key(t, n.A), e.key(v.partner, n.A)
 	akind, aval := e.classes.Target(ka)
 	bkind, bval := e.classes.Target(kb)
 	switch {
@@ -187,7 +187,7 @@ func (e *engine) planLHS(gi int, t *relation.Tuple, n *cfd.Normal, needConstCell
 		if needConstCell && n.TpX[i].Wildcard {
 			continue
 		}
-		kb := key(t, a)
+		kb := e.key(t, a)
 		if kind, _ := e.classes.Target(kb); kind != eqclass.Unset {
 			continue
 		}
@@ -214,7 +214,7 @@ func (e *engine) planLHS(gi int, t *relation.Tuple, n *cfd.Normal, needConstCell
 	// class, which would be a no-op — and would mean the tuple no longer
 	// matches the pattern anyway).
 	for _, a := range n.X {
-		kb := key(t, a)
+		kb := e.key(t, a)
 		if kind, _ := e.classes.Target(kb); kind == eqclass.Null {
 			continue
 		}
@@ -269,7 +269,7 @@ func (e *engine) findV(gi int, t *relation.Tuple, b int) (relation.Value, int, f
 	if ix == nil {
 		return relation.Value{}, 0, 0, false
 	}
-	fk := foundKey{ix: ix, k: key(t, b)}
+	fk := foundKey{ix: ix, k: e.key(t, b)}
 	ver, size := e.rel.Version(), e.classes.Peek(fk.k)
 	if f, hit := e.found[fk]; hit && f.ver == ver && f.size == size {
 		return f.v, f.vio, f.cost, f.ok
@@ -344,7 +344,7 @@ func (e *engine) findVUncached(ix *relation.HashIndex, t *relation.Tuple, b int)
 		base -= e.groups[i].VioCount(t)
 	}
 	probe := e.probeOf(t)
-	kb := key(t, b)
+	kb := e.key(t, b)
 	var best relation.Value
 	bestVio, bestN, bestCost := -1, 0, -1.0
 	for _, cd := range cands {
@@ -416,7 +416,8 @@ func (e *engine) execute(p plan) error {
 			// of targ(E) as much as possible"). The tuples' violation
 			// status changed; re-flag them.
 			for _, k := range []eqclass.Key{p.k1, p.k2} {
-				e.markDirty(k.T, k.A)
+				t, a := e.cell(k)
+				e.markDirty(t.ID, a)
 			}
 		}
 	}
@@ -434,11 +435,8 @@ func (e *engine) majorityValue(k eqclass.Key) (relation.Value, bool) {
 	counts := make(map[string]int, 2)
 	total := 0
 	for _, m := range members {
-		t := e.rel.Tuple(m.T)
-		if t == nil {
-			continue
-		}
-		v := t.Vals[m.A]
+		t, a := e.cell(m)
+		v := t.Vals[a]
 		if v.Null {
 			continue
 		}
