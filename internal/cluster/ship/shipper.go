@@ -22,7 +22,9 @@ const shipQueueDepth = 128
 // follower can never be ahead of the primary's own durability); the
 // shipper forwards frames to the follower and heals every refusal —
 // gap, missing replica, lost frames — by reshipping a fresh snapshot
-// captured from the live session.
+// captured from the live session. The bootstrap and these heals are the
+// only images it sends: a pass the primary could not commit ships
+// nothing, and the follower refuses the next batch as a gap.
 //
 // Two delivery modes share one serialized send path: EnqueueBatch is
 // fire-and-forget for ack=leader (a background goroutine drains the
@@ -43,7 +45,7 @@ type Shipper struct {
 	needSnap   bool
 	failStreak int
 
-	queue     chan shipItem
+	queue     chan *wal.Batch
 	quit      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
@@ -63,11 +65,6 @@ func (s *Shipper) noteErr(err error) {
 
 func (s *Shipper) noteOK() {
 	s.lastErr.Store("")
-}
-
-type shipItem struct {
-	batch *wal.Batch
-	snap  *wal.Snapshot
 }
 
 // ShipStats is a point-in-time view of one shipping stream.
@@ -99,7 +96,7 @@ func NewShipper(name string, tr Transport, snapFn func() (*wal.Snapshot, error),
 		c: Counters{totals.Batches.Child(), totals.Snapshots.Child(),
 			totals.Degraded.Child(), totals.Dropped.Child()},
 		needSnap: true,
-		queue:    make(chan shipItem, shipQueueDepth),
+		queue:    make(chan *wal.Batch, shipQueueDepth),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -110,15 +107,14 @@ func NewShipper(name string, tr Transport, snapFn func() (*wal.Snapshot, error),
 func (s *Shipper) loop() {
 	defer close(s.done)
 	// Bootstrap the follower right away instead of waiting for the
-	// first write; an empty item just triggers the pending-snapshot
-	// path.
-	s.send(shipItem{})
+	// first write; a nil batch just triggers the pending-snapshot path.
+	s.send(nil)
 	for {
 		select {
 		case <-s.quit:
 			return
-		case it := <-s.queue:
-			s.send(it)
+		case b := <-s.queue:
+			s.send(b)
 		}
 	}
 }
@@ -128,18 +124,7 @@ func (s *Shipper) loop() {
 // loss into a snapshot resync.
 func (s *Shipper) EnqueueBatch(b *wal.Batch) {
 	select {
-	case s.queue <- shipItem{batch: b}:
-	default:
-		s.c.Dropped.Add(1)
-	}
-}
-
-// EnqueueSnapshot ships a full snapshot asynchronously — the committer
-// uses it when a failed pass already forced a boundary image (the
-// resync path), so the follower jumps with the primary.
-func (s *Shipper) EnqueueSnapshot(snap *wal.Snapshot) {
-	select {
-	case s.queue <- shipItem{snap: snap}:
+	case s.queue <- b:
 	default:
 		s.c.Dropped.Add(1)
 	}
@@ -150,19 +135,16 @@ func (s *Shipper) EnqueueSnapshot(snap *wal.Snapshot) {
 // did not acknowledge — the caller decides whether that degrades or
 // fails the write; replication state heals either way.
 func (s *Shipper) ShipSync(b *wal.Batch) error {
-	return s.send(shipItem{batch: b})
+	return s.send(b)
 }
 
 // send is the single serialized delivery path. It resolves any pending
-// snapshot need first (bootstrap or healing), then the item itself;
+// snapshot need first (bootstrap or healing), then the batch itself;
 // a batch refused for a gap is converted into a fresh snapshot ship,
 // which by construction contains the batch.
-func (s *Shipper) send(it shipItem) error {
+func (s *Shipper) send(b *wal.Batch) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
-	if it.snap != nil {
-		return s.shipSnapLocked(it.snap)
-	}
 	if s.needSnap {
 		if !retryAt(s.failStreak) {
 			// The follower has been refusing deliveries; back off
@@ -179,15 +161,15 @@ func (s *Shipper) send(it shipItem) error {
 		// included.
 		return nil
 	}
-	if it.batch == nil {
+	if b == nil {
 		return nil
 	}
-	err := s.tr.ShipBatch(s.name, it.batch)
+	err := s.tr.ShipBatch(s.name, b)
 	switch {
 	case err == nil:
 		s.failStreak = 0
 		s.c.Batches.Add(1)
-		s.lastShipped.Store(it.batch.Version)
+		s.lastShipped.Store(b.Version)
 		s.noteOK()
 		return nil
 	case errors.Is(err, ErrGap), errors.Is(err, ErrUnknownReplica):

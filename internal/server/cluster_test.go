@@ -433,6 +433,53 @@ func TestClusterQuotaShipsToFollower(t *testing.T) {
 	}
 }
 
+// TestRefusedBatchShipsNothing: on a clustered primary a batch Check
+// refuses ships no frame and no image — the follower's dump and the
+// node's snapshot count stay where they were — and the next accepted
+// batch chains onto the follower as a plain batch. Under ack=leader one
+// FIFO queue carries every frame, so once that batch is counted
+// anything queued before it has been sent.
+func TestRefusedBatchShipsNothing(t *testing.T) {
+	a, b := newClusterPair(t, func(self string, peers []string) Options {
+		return Options{QueueDepth: 16, Peers: peers, Self: self, Ack: AckLeader}
+	})
+	const name = "refusing"
+	owner, follower := ownerAndFollower(a, b, name)
+	createTiny(t, owner.url, name)
+	waitFollower(t, follower, name)
+	shipped := func(n float64) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if promValue(t, owner.url, "cfdserved_ship_batches_total") >= n {
+				return
+			}
+		}
+		t.Fatalf("the follower never acknowledged %g batches", n)
+	}
+	applyDirty(t, owner.url, name, 0)
+	applyDirty(t, owner.url, name, 1)
+	shipped(2)
+	snaps := promValue(t, owner.url, "cfdserved_ship_snapshots_total")
+	before, _ := readState(t, follower.url, name)
+
+	resp, body := do(t, "POST", owner.url+"/v1/sessions/"+name+"/apply", ApplyRequest{Deletes: []int64{99999}})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("bad delete: %d: %s", resp.StatusCode, body)
+	}
+	if after, _ := readState(t, follower.url, name); !bytes.Equal(before, after) {
+		t.Fatalf("the follower changed on a refused batch:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	applyDirty(t, owner.url, name, 2)
+	shipped(3)
+	if n := promValue(t, owner.url, "cfdserved_ship_snapshots_total"); n != snaps {
+		t.Fatalf("cfdserved_ship_snapshots_total %g -> %g: a refused batch shipped an image", snaps, n)
+	}
+	want, _ := readState(t, owner.url, name)
+	if got, _ := readState(t, follower.url, name); !bytes.Equal(want, got) {
+		t.Fatalf("follower diverged from its primary\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
 // TestClusterBodyTooLarge: a clustered node holds bodies to MaxBodyBytes
 // as a single node does (TestBodyTooLarge's cases), creates included:
 // a create is routed by the name its body holds, and a body over the limit

@@ -98,7 +98,7 @@ func (s *Server) declareFamilies() []family {
 		counter("cfdserved_coalesced_total", "Client batches merged into a shared engine pass.", &r.coalesced),
 		counter("cfdserved_rejected_total", "Async ingests refused with a full queue (backpressure 429).", &r.rejected),
 		counter("cfdserved_rate_limited_total", "Writes refused by a tenant quota (429/403).", r.ops.rateLimited),
-		counter("cfdserved_error_batches_total", "Engine passes that returned an error.", r.ops.errorPasses),
+		counter("cfdserved_error_batches_total", "Batches Check refused, plus engine passes that failed.", r.ops.errorBatches),
 		counter("cfdserved_tuples_total", "Tuples inserted.", &r.tuples),
 		counter("cfdserved_sse_dropped_total", "Events dropped at slow SSE subscribers.", r.ops.sseDropped),
 		counter("cfdserved_ship_batches_total", "Batches acknowledged by this node's followers.", r.ship.Batches),
@@ -143,7 +143,7 @@ func (s *Server) declareFamilies() []family {
 		sessionHistogram("cfdserved_session_fsync_lag_seconds", "WAL append to fsync-acknowledged lag per session.", func(in *instruments) *metrics.Histogram { return in.walLag }),
 		sessionHistogram("cfdserved_session_fold_batches", "Client batches folded per engine pass per session.", func(in *instruments) *metrics.Histogram { return in.foldSize }),
 		sessionCounter("cfdserved_session_sse_dropped_total", "Events dropped at this session's slow SSE subscribers.", func(in *instruments) *metrics.Counter { return in.sseDropped }),
-		sessionCounter("cfdserved_session_error_batches_total", "Engine passes that returned an error, per session.", func(in *instruments) *metrics.Counter { return in.errorPasses }),
+		sessionCounter("cfdserved_session_error_batches_total", "Batches Check refused, plus engine passes that failed, per session.", func(in *instruments) *metrics.Counter { return in.errorBatches }),
 		sessionCounter("cfdserved_session_rate_limited_total", "Writes refused by this session's quota.", func(in *instruments) *metrics.Counter { return in.rateLimited }),
 	}
 }

@@ -16,8 +16,10 @@ import (
 // parentFamilies is every HELP and TYPE line of GET /metrics, in document
 // order, as recorded at the commit before the family list replaced the
 // two hand-built renderings, plus the families added since
-// (cfdserved_session_persist_broken): adding, moving, renaming or
-// retyping a family is a change to this list, never a side effect.
+// (cfdserved_session_persist_broken) and the error-batch help reworded
+// once a batch Check refuses stopped running a pass: adding, moving,
+// renaming or retyping a family is a change to this list, never a side
+// effect.
 const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server started.
 # TYPE cfdserved_uptime_seconds gauge
 # HELP cfdserved_sessions Hosted sessions.
@@ -32,7 +34,7 @@ const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server
 # TYPE cfdserved_rejected_total counter
 # HELP cfdserved_rate_limited_total Writes refused by a tenant quota (429/403).
 # TYPE cfdserved_rate_limited_total counter
-# HELP cfdserved_error_batches_total Engine passes that returned an error.
+# HELP cfdserved_error_batches_total Batches Check refused, plus engine passes that failed.
 # TYPE cfdserved_error_batches_total counter
 # HELP cfdserved_tuples_total Tuples inserted.
 # TYPE cfdserved_tuples_total counter
@@ -100,7 +102,7 @@ const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server
 # TYPE cfdserved_session_fold_batches histogram
 # HELP cfdserved_session_sse_dropped_total Events dropped at this session's slow SSE subscribers.
 # TYPE cfdserved_session_sse_dropped_total counter
-# HELP cfdserved_session_error_batches_total Engine passes that returned an error, per session.
+# HELP cfdserved_session_error_batches_total Batches Check refused, plus engine passes that failed, per session.
 # TYPE cfdserved_session_error_batches_total counter
 # HELP cfdserved_session_rate_limited_total Writes refused by this session's quota.
 # TYPE cfdserved_session_rate_limited_total counter`

@@ -49,11 +49,12 @@ import (
 // to the last intact record; committed batches before the damage are
 // never lost.
 //
-// A batch Check refuses has no record. Its pass fails before any
-// mutation, and a pass that fails *partway* (nearly impossible once
-// Check passed) leaves relation state that no WAL record describes.
-// Either way the worker captures that boundary and the committer anchors
-// it, keeping the on-disk image authoritative.
+// A batch Check refuses never reaches a pass and writes nothing: no
+// record, no generation. A pass that fails once Check accepted it — an
+// engine bug, since ApplyOps runs the same validation under the single
+// writer — may leave relation state that no WAL record describes, so the
+// worker captures that boundary and the committer anchors it, keeping
+// the on-disk image authoritative.
 
 // FsyncPolicy selects when WAL appends reach stable storage.
 type FsyncPolicy int
@@ -315,8 +316,8 @@ func (p *persister) markBroken(err error) {
 // inlineSnapshot is the one full-image capture: a quiescent snapshot
 // carrying every tuple inline, the quota mark stamped in. A memory-backed
 // generation is anchored on it and replication always ships it (a slim
-// header carries no rows). Rotation and resync images must be captured
-// by the session worker at the exact batch boundary.
+// header carries no rows). A rotation image must be captured by the
+// session worker at the exact batch boundary.
 func inlineSnapshot(sess *increpair.Session, name string, quota wal.Quota) (*wal.Snapshot, error) {
 	snap, err := sess.PersistSnapshot(name)
 	if err != nil {
@@ -352,10 +353,11 @@ func (p *persister) capture() (c *capture, err error) {
 
 // boundary is the worker's call after every engine pass: it returns a
 // capture when this batch boundary must become a generation — the
-// rotation budget ran out, or the pass failed and may have left state no
-// WAL record describes — and nil otherwise. It cannot be deferred to the
-// committer, which may lag passes behind: a generation's base must equal
-// the last logged record's state. A failed capture breaks the persister.
+// rotation budget ran out, or a pass Check accepted failed and may have
+// left state no WAL record describes — and nil otherwise. It cannot be
+// deferred to the committer, which may lag passes behind: a generation's
+// base must equal the last logged record's state. A failed capture
+// breaks the persister.
 func (p *persister) boundary(failed bool) *capture {
 	if !failed {
 		p.sinceSnap++
@@ -740,7 +742,7 @@ func (s *Server) Recover() (restored int, err error) {
 		// beats the boot-time defaults; inherited quotas re-resolve.
 		quota := s.reg.quota
 		if p.quota.Set {
-			quota = quotaFromWAL(p.quota)
+			quota = p.quota
 		}
 		// A session whose directory carries the follower marker was a
 		// replica when this node went down; re-host it as one, so the

@@ -370,42 +370,6 @@ func TestServerRecoveryReportsMidLogGap(t *testing.T) {
 	}
 }
 
-// TestServerResyncAfterFailedPass: a rejected batch (validation error,
-// 422) makes the persister re-anchor on a fresh snapshot generation, so
-// the on-disk image stays authoritative; a reboot afterwards must land
-// on the live state.
-func TestServerResyncAfterFailedPass(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{DataDir: dir, Fsync: FsyncOff, SnapshotEvery: 1 << 20, QueueDepth: 8}
-	s1 := New(opts)
-	ts1 := httptest.NewServer(s1.Handler())
-	createRecovery(t, ts1.URL, "t")
-	applyRecovery(t, ts1.URL, "t", 1)
-	// Delete of an unknown id: ApplyOps rejects it, the worker resyncs.
-	resp, body := do(t, "POST", ts1.URL+"/v1/sessions/t/apply", ApplyRequest{Deletes: []int64{99999}})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("bad delete: %d: %s", resp.StatusCode, body)
-	}
-	applyRecovery(t, ts1.URL, "t", 2)
-	want, _, _ := sessionState(t, ts1.URL, "t")
-	shutdownService(t, s1, ts1)
-
-	if _, err := os.Stat(filepath.Join(dir, "t", "snap-0000000001.snap")); err != nil {
-		t.Fatalf("failed pass did not rotate to a fresh snapshot generation: %v", err)
-	}
-	s2, ts2 := newTestService(t, opts)
-	if n, err := s2.Recover(); err != nil || n != 1 {
-		t.Fatalf("recover: n=%d err=%v", n, err)
-	}
-	got, snap, _ := sessionState(t, ts2.URL, "t")
-	if !bytes.Equal(want, got) {
-		t.Fatalf("state after resync did not survive the reboot\nwant:\n%s\ngot:\n%s", want, got)
-	}
-	if !snap.Satisfied || snap.Batches != 2 {
-		t.Fatalf("recovered snapshot: %+v", snap)
-	}
-}
-
 // TestServerRemoveDeletesDurableState: DELETE must not resurrect on the
 // next boot; Drain must.
 func TestServerRemoveDeletesDurableState(t *testing.T) {

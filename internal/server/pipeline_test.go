@@ -5,9 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +21,7 @@ import (
 	"cfdclean/internal/increpair"
 	"cfdclean/internal/metrics"
 	"cfdclean/internal/relation"
+	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
 )
 
@@ -119,42 +124,115 @@ func walRecords(t *testing.T, dir, name string, gen uint64) []*wal.Batch {
 	return out
 }
 
-// TestRefusedBatchLeavesNoRecord: a batch Check refuses is never logged
-// — its record would be sent before the pass — yet its failed pass still
-// re-anchors a fresh generation, and the next record chains onto that
-// generation's snapshot.
-func TestRefusedBatchLeavesNoRecord(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{DataDir: dir, Fsync: FsyncBatch, SnapshotEvery: 1 << 20, QueueDepth: 8}
-	s1 := New(opts)
-	ts1 := httptest.NewServer(s1.Handler())
-	createRecovery(t, ts1.URL, "t")
-	applyRecovery(t, ts1.URL, "t", 1)
-	resp, body := do(t, "POST", ts1.URL+"/v1/sessions/t/apply", ApplyRequest{Deletes: []int64{99999}})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("bad delete: %d: %s", resp.StatusCode, body)
-	}
-	applyRecovery(t, ts1.URL, "t", 2)
-	shutdownService(t, s1, ts1)
-
-	if recs := walRecords(t, dir, "t", 0); len(recs) != 1 {
-		t.Fatalf("generation 0 holds %d records, want only the first batch's", len(recs))
-	}
-	snap, err := wal.ReadSnapshotFile(snapPath(filepath.Join(dir, "t"), 1))
+// dirImage reads every file under dir, keyed by its path relative to
+// dir: two images are equal when the directory holds the same names with
+// the same bytes.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	img := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		img[rel] = string(b)
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("the refused batch did not re-anchor: %v", err)
+		t.Fatal(err)
 	}
-	recs := walRecords(t, dir, "t", 1)
-	if len(recs) != 1 || recs[0].PrevVersion != snap.Version || len(recs[0].Ops) != 1 {
-		t.Fatalf("generation 1 records %+v do not chain onto its snapshot at version %d", recs, snap.Version)
+	return img
+}
+
+// promValue reads one unlabelled series from GET /metrics.
+func promValue(t *testing.T, base, name string) float64 {
+	t.Helper()
+	_, body := do(t, "GET", base+"/metrics", nil)
+	return parseProm(t, string(body)).get(t, name).value
+}
+
+// TestRefusedBatchLeavesNoRecord: a batch Check refuses never runs a
+// pass, so it writes nothing. The session directory stays byte-identical
+// (no WAL record, no new generation), no pass is counted, the refusal
+// counts once as an error batch, the next batch's record follows the
+// last one in the same WAL, and a reboot lands on the live dump. The
+// wire decoder answers 400 to every insert Check could refuse, so the
+// refused ingest goes to the registry directly.
+func TestRefusedBatchLeavesNoRecord(t *testing.T) {
+	refusals := []struct {
+		name   string
+		refuse func(t *testing.T, s *Server, base string)
+	}{
+		{"apply", func(t *testing.T, _ *Server, base string) {
+			resp, body := do(t, "POST", base+"/v1/sessions/t/apply", ApplyRequest{Deletes: []int64{99999}})
+			if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "delete of unknown tuple id 99999") {
+				t.Fatalf("bad delete: %d: %s", resp.StatusCode, body)
+			}
+		}},
+		{"ingest", func(t *testing.T, s *Server, _ string) {
+			h, err := s.reg.Get("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.reg.Ingest(h, []*relation.Tuple{{Vals: []relation.Value{relation.S("212")}}}); err != nil {
+				t.Fatalf("ingest of a short tuple refused at the door: %v", err)
+			}
+			if !h.waitQuiesce(t.Context()) {
+				t.Fatal("the pipeline did not drain")
+			}
+		}},
+	}
+	for _, kind := range []store.Kind{store.KindMem, store.KindDisk} {
+		for _, rc := range refusals {
+			t.Run(fmt.Sprintf("%v/%s", kind, rc.name), func(t *testing.T) {
+				dir := t.TempDir()
+				opts := Options{DataDir: dir, Store: kind, Fsync: FsyncBatch, SnapshotEvery: 1 << 20, QueueDepth: 8}
+				s1 := New(opts)
+				ts1 := httptest.NewServer(s1.Handler())
+				createRecovery(t, ts1.URL, "t")
+				applyRecovery(t, ts1.URL, "t", 1)
+				before := dirImage(t, dir)
+				passes := promValue(t, ts1.URL, "cfdserved_passes_total")
+				errs := promValue(t, ts1.URL, "cfdserved_error_batches_total")
+
+				rc.refuse(t, s1, ts1.URL)
+				if after := dirImage(t, dir); !maps.Equal(before, after) {
+					t.Fatalf("the refused batch changed the session directory:\nbefore: %v\nafter:  %v", slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)))
+				}
+				if n := promValue(t, ts1.URL, "cfdserved_passes_total"); n != passes {
+					t.Fatalf("cfdserved_passes_total %g -> %g across a refused batch", passes, n)
+				}
+				if n := promValue(t, ts1.URL, "cfdserved_error_batches_total"); n != errs+1 {
+					t.Fatalf("cfdserved_error_batches_total %g -> %g, want one more", errs, n)
+				}
+
+				applyRecovery(t, ts1.URL, "t", 2)
+				if recs := walRecords(t, dir, "t", 0); len(recs) != 2 || recs[1].PrevVersion != recs[0].Version {
+					t.Fatalf("generation 0 records %+v: want the two accepted batches, chained", recs)
+				}
+				want, _, _ := sessionState(t, ts1.URL, "t")
+				shutdownService(t, s1, ts1)
+				s2, ts2 := newTestService(t, opts)
+				if n, err := s2.Recover(); err != nil || n != 1 {
+					t.Fatalf("recover: n=%d err=%v", n, err)
+				}
+				if got, _, _ := sessionState(t, ts2.URL, "t"); !bytes.Equal(want, got) {
+					t.Fatalf("reboot diverged from the live session\nwant:\n%s\ngot:\n%s", want, got)
+				}
+			})
+		}
 	}
 }
 
 // TestBrokenPersisterRefusesWrites: a durable session whose persister is
 // marked broken answers /apply with 503 and its dump is unchanged; a
 // batch whose record cannot be appended is answered 503, not 200. Either
-// way the session then refuses every write before its pass, while the
-// listing and /metrics say what happened.
+// way the session then refuses every write, /ingest included, at the
+// door, while the listing and /metrics say what happened.
 func TestBrokenPersisterRefusesWrites(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -194,10 +272,20 @@ func TestBrokenPersisterRefusesWrites(t *testing.T) {
 			before, _, _ = sessionState(t, ts.URL, "t")
 			apply(3)
 			apply(4)
+			batches := promValue(t, ts.URL, "cfdserved_batches_total")
+			resp, body := do(t, "POST", ts.URL+"/v1/sessions/t/ingest", ApplyRequest{Inserts: []WireTuple{
+				{Vals: []*string{strp("212"), strp("6669999"), strp("NYC"), strp("NY"), strp("10012")}},
+			}})
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("ingest: %d: %s, want 503", resp.StatusCode, body)
+			}
+			if n := promValue(t, ts.URL, "cfdserved_batches_total"); n != batches {
+				t.Fatalf("cfdserved_batches_total %g -> %g: a refused ingest was accepted", batches, n)
+			}
 			if after, _, _ := sessionState(t, ts.URL, "t"); !bytes.Equal(before, after) {
 				t.Fatalf("a write on a broken session changed the dump:\nbefore:\n%s\nafter:\n%s", before, after)
 			}
-			_, body := do(t, "GET", ts.URL+"/v1/sessions/t", nil)
+			_, body = do(t, "GET", ts.URL+"/v1/sessions/t", nil)
 			if !strings.Contains(string(body), `"persist":"error: `) {
 				t.Fatalf("listing does not name the failure: %s", body)
 			}

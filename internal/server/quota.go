@@ -62,39 +62,18 @@ func (e *RateLimitError) retryAfterSeconds() int {
 	return s
 }
 
-// QuotaConfig is one tenant's effective admission-control settings.
-// Zero values mean unlimited. It doubles as the server-wide default set
-// (Options.Quota) and as the resolved per-session state's shape.
-type QuotaConfig struct {
-	// Explicit marks a per-session override (a create request carried a
-	// quota) as opposed to inherited server defaults. Explicit quotas
-	// are session state: they are recorded in snapshots, survive
-	// recovery and ship to replicas, whereas inherited ones re-resolve
-	// against whatever defaults the restoring server was booted with.
-	Explicit bool `json:"-"`
-	// OpsPerSec bounds accepted write requests (apply + ingest) per
-	// second, with a burst of one second's worth (at least 1).
-	OpsPerSec float64
-	// TuplesPerSec bounds tuples accepted per second across the
-	// session's write requests, with a one-second burst.
-	TuplesPerSec float64
-	// MaxRelationSize caps the session's relation: an insert batch that
-	// would exceed it is rejected with 403.
-	MaxRelationSize int
-	// MaxSubscribers caps concurrent SSE consumers per session; further
-	// subscribes are rejected with 409.
-	MaxSubscribers int
-}
-
 // resolveQuota layers a per-session wire override over the server
 // defaults: zero fields inherit, negative fields mean explicitly
-// unlimited.
-func resolveQuota(def QuotaConfig, wq *WireQuota) QuotaConfig {
+// unlimited. A session's quota is a wal.Quota whose Set marks such an
+// override: it is session state (recorded in snapshots, restored on
+// recovery, shipped to replicas), whereas inherited defaults re-resolve
+// against whatever defaults the restoring server was booted with.
+func resolveQuota(def wal.Quota, wq *WireQuota) wal.Quota {
 	q := def
 	if wq == nil {
 		return q
 	}
-	q.Explicit = true
+	q.Set = true
 	override := func(dst *float64, v float64) {
 		if v < 0 {
 			*dst = 0
@@ -117,11 +96,11 @@ func resolveQuota(def QuotaConfig, wq *WireQuota) QuotaConfig {
 	return q
 }
 
-// wire renders the effective quota for session listings; nil when the
-// session is entirely unlimited so unquota'd services stay byte-stable.
-// Explicitness alone does not render: an explicitly all-unlimited quota
-// looks like no quota on the wire, as before.
-func (q QuotaConfig) wire() *WireQuota {
+// wireQuota renders the effective quota for session listings; nil when
+// the session is entirely unlimited so unquota'd services stay
+// byte-stable. Explicitness alone does not render: an explicitly
+// all-unlimited quota looks like no quota on the wire, as before.
+func wireQuota(q wal.Quota) *WireQuota {
 	if q.OpsPerSec == 0 && q.TuplesPerSec == 0 && q.MaxRelationSize == 0 && q.MaxSubscribers == 0 {
 		return nil
 	}
@@ -133,33 +112,15 @@ func (q QuotaConfig) wire() *WireQuota {
 	}
 }
 
-// walQuota renders a session's quota for a snapshot header. Only
-// explicit overrides are recorded (Set=true, values verbatim — all-zero
-// means explicitly unlimited); inherited defaults write an empty mark so
-// a restoring server re-resolves against its own boot-time defaults.
-func walQuota(q QuotaConfig) wal.Quota {
-	if !q.Explicit {
+// walQuota is a session's quota as its snapshot header records it: an
+// explicit override verbatim (all-zero means explicitly unlimited),
+// inherited defaults as an empty mark, so a restoring server re-resolves
+// them against its own boot-time defaults.
+func walQuota(q wal.Quota) wal.Quota {
+	if !q.Set {
 		return wal.Quota{}
 	}
-	return wal.Quota{
-		Set:             true,
-		OpsPerSec:       q.OpsPerSec,
-		TuplesPerSec:    q.TuplesPerSec,
-		MaxRelationSize: q.MaxRelationSize,
-		MaxSubscribers:  q.MaxSubscribers,
-	}
-}
-
-// quotaFromWAL restores a persisted explicit override. Call only when
-// wq.Set; unset marks mean "inherit the server defaults".
-func quotaFromWAL(wq wal.Quota) QuotaConfig {
-	return QuotaConfig{
-		Explicit:        true,
-		OpsPerSec:       wq.OpsPerSec,
-		TuplesPerSec:    wq.TuplesPerSec,
-		MaxRelationSize: wq.MaxRelationSize,
-		MaxSubscribers:  wq.MaxSubscribers,
-	}
+	return q
 }
 
 // tokenBucket is a standard token-bucket rate limiter: capacity `burst`
@@ -215,12 +176,12 @@ func (b *tokenBucket) refund(n float64) {
 // quotaState is one hosted session's live admission-control state: nil
 // limiter fields mean unlimited.
 type quotaState struct {
-	cfg    QuotaConfig
+	cfg    wal.Quota
 	ops    *tokenBucket
 	tuples *tokenBucket
 }
 
-func newQuotaState(cfg QuotaConfig) *quotaState {
+func newQuotaState(cfg wal.Quota) *quotaState {
 	q := &quotaState{cfg: cfg}
 	if cfg.OpsPerSec > 0 {
 		q.ops = newTokenBucket(cfg.OpsPerSec)

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"cfdclean/internal/wal"
 )
 
 func TestTokenBucket(t *testing.T) {
@@ -59,21 +61,21 @@ func TestTokenBucket(t *testing.T) {
 }
 
 func TestResolveQuota(t *testing.T) {
-	def := QuotaConfig{OpsPerSec: 10, TuplesPerSec: 100, MaxRelationSize: 1000, MaxSubscribers: 4}
+	def := wal.Quota{OpsPerSec: 10, TuplesPerSec: 100, MaxRelationSize: 1000, MaxSubscribers: 4}
 	if got := resolveQuota(def, nil); got != def {
 		t.Fatalf("nil override must inherit: %+v", got)
 	}
 	// Zero fields inherit, positive fields override, negative fields
 	// lift the default.
 	got := resolveQuota(def, &WireQuota{OpsPerSec: 5, TuplesPerSec: -1, MaxSubscribers: -1})
-	want := QuotaConfig{Explicit: true, OpsPerSec: 5, TuplesPerSec: 0, MaxRelationSize: 1000, MaxSubscribers: 0}
+	want := wal.Quota{Set: true, OpsPerSec: 5, TuplesPerSec: 0, MaxRelationSize: 1000, MaxSubscribers: 0}
 	if got != want {
 		t.Fatalf("resolve = %+v, want %+v", got, want)
 	}
-	if (QuotaConfig{}).wire() != nil {
+	if wireQuota(wal.Quota{}) != nil {
 		t.Fatal("fully unlimited quota must not serialize")
 	}
-	if w := want.wire(); w == nil || w.OpsPerSec != 5 || w.MaxRelationSize != 1000 {
+	if w := wireQuota(want); w == nil || w.OpsPerSec != 5 || w.MaxRelationSize != 1000 {
 		t.Fatalf("wire = %+v", w)
 	}
 }
@@ -275,7 +277,7 @@ func TestSubscriberCap(t *testing.T) {
 // TestServerDefaultQuota: Options.Quota applies to every created
 // session, and a per-session override can lift it.
 func TestServerDefaultQuota(t *testing.T) {
-	_, ts := newTestService(t, Options{Quota: QuotaConfig{MaxRelationSize: 2}})
+	_, ts := newTestService(t, Options{Quota: wal.Quota{MaxRelationSize: 2}})
 	base := ts.URL
 	createTiny(t, base, "capped")
 	createWithQuota(t, base, "lifted", &WireQuota{MaxRelationSize: -1})
@@ -308,7 +310,7 @@ func TestServerDefaultQuota(t *testing.T) {
 // TestQuotaRejectionCostsNothing: a batch the tuple bucket rejects must
 // refund its ops token, so a rejected tenant is not double-charged.
 func TestQuotaRejectionCostsNothing(t *testing.T) {
-	q := newQuotaState(QuotaConfig{OpsPerSec: 2, TuplesPerSec: 1})
+	q := newQuotaState(wal.Quota{OpsPerSec: 2, TuplesPerSec: 1})
 	now := time.Unix(2000, 0)
 	// First: 1 op + 1 tuple, admitted.
 	if err := q.admit(0, 1, 0, now); err != nil {
@@ -393,7 +395,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 // started with.
 func TestQuotaSurvivesReboot(t *testing.T) {
 	dir := t.TempDir()
-	s1 := New(Options{DataDir: dir, Quota: QuotaConfig{OpsPerSec: 10}})
+	s1 := New(Options{DataDir: dir, Quota: wal.Quota{OpsPerSec: 10}})
 	ts1 := httptest.NewServer(s1.Handler())
 
 	mk := func(name string, q *WireQuota) {
@@ -412,7 +414,7 @@ func TestQuotaSurvivesReboot(t *testing.T) {
 	shutdownService(t, s1, ts1)
 
 	// Reboot with different defaults.
-	s2 := New(Options{DataDir: dir, Quota: QuotaConfig{OpsPerSec: 20}})
+	s2 := New(Options{DataDir: dir, Quota: wal.Quota{OpsPerSec: 20}})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer shutdownService(t, s2, ts2)
 	if n, err := s2.Recover(); err != nil || n != 2 {

@@ -73,7 +73,7 @@ type Registry struct {
 	// quota is the server-wide default admission-control configuration;
 	// a create request may override it per session (see quota.go). The
 	// zero value is fully unlimited.
-	quota QuotaConfig
+	quota wal.Quota
 
 	// cluster, when non-nil, is this node's replication and routing
 	// state (-peers/-self/-ack; see cluster.go). nil runs single-node,
@@ -117,12 +117,12 @@ func NewRegistry(queueDepth int) *Registry {
 	}
 	r := &Registry{queueDepth: queueDepth}
 	r.ops = instruments{
-		passLat:     metrics.NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5),
-		walLag:      metrics.NewHistogram(0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5),
-		foldSize:    metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64),
-		sseDropped:  new(metrics.Counter),
-		errorPasses: new(metrics.Counter),
-		rateLimited: new(metrics.Counter),
+		passLat:      metrics.NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5),
+		walLag:       metrics.NewHistogram(0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5),
+		foldSize:     metrics.NewHistogram(1, 2, 4, 8, 16, 32, 64),
+		sseDropped:   new(metrics.Counter),
+		errorBatches: new(metrics.Counter),
+		rateLimited:  new(metrics.Counter),
 	}
 	r.ship = ship.Counters{Batches: new(metrics.Counter), Snapshots: new(metrics.Counter),
 		Degraded: new(metrics.Counter), Dropped: new(metrics.Counter)}
@@ -143,17 +143,17 @@ func (r *Registry) shard(name string) *shard {
 // one call on a session's instrument counts in both, and a total never
 // drops when a session goes.
 type instruments struct {
-	passLat     *metrics.Histogram // engine pass duration, seconds
-	walLag      *metrics.Histogram // WAL append→fsync-acknowledged lag, seconds
-	foldSize    *metrics.Histogram // client batches folded per engine pass
-	sseDropped  *metrics.Counter   // events dropped at slow SSE subscribers
-	errorPasses *metrics.Counter   // engine passes that returned an error
-	rateLimited *metrics.Counter   // writes refused by a quota (429/403)
+	passLat      *metrics.Histogram // engine pass duration, seconds
+	walLag       *metrics.Histogram // WAL append→fsync-acknowledged lag, seconds
+	foldSize     *metrics.Histogram // client batches folded per engine pass
+	sseDropped   *metrics.Counter   // events dropped at slow SSE subscribers
+	errorBatches *metrics.Counter   // batches Check refused, plus passes that failed
+	rateLimited  *metrics.Counter   // writes refused by a quota (429/403)
 }
 
 func (in *instruments) child() *instruments {
 	return &instruments{in.passLat.Child(), in.walLag.Child(), in.foldSize.Child(),
-		in.sseDropped.Child(), in.errorPasses.Child(), in.rateLimited.Child()}
+		in.sseDropped.Child(), in.errorBatches.Child(), in.rateLimited.Child()}
 }
 
 // hosted is one session plus its service furniture: the work queue, the
@@ -281,18 +281,18 @@ type commitItem struct {
 	rep      jobReply
 	passDone time.Time // when the engine finished; start of persist stage
 	// noPass marks an item with no engine pass to record — the quiesce
-	// sentinel, a refused or duplicate shipped batch, a write refused by
-	// a broken persister: no WAL record, ship or event, only its reply
-	// riding the pipeline in order.
+	// sentinel, a batch Check refuses, a refused or duplicate shipped
+	// batch, a write refused by a broken persister: no WAL record,
+	// generation, ship or event, only its reply riding the pipeline in
+	// order.
 	noPass bool
-	// rotate / resync are boundary images the WORKER captured at this
-	// exact batch boundary: rotate advances the persister's generation
-	// (a routine rotation, or the re-anchor after a failed pass whose
-	// partial effects no WAL record can describe); resync is the full
-	// inline snapshot the shipper sends a follower after a failed pass —
-	// always inline, since a slim disk-backed header carries no rows.
+	// rotate is a boundary image the WORKER captured at this exact batch
+	// boundary to advance the persister's generation: a routine rotation,
+	// or the re-anchor after a pass that failed once Check had accepted
+	// it, whose partial effects no WAL record can describe. A follower
+	// gets no image for such a pass: it refuses the next batch as a gap,
+	// and the shipper heals that with a fresh one.
 	rotate *capture
-	resync *wal.Snapshot
 }
 
 // Create opens a session under name and starts its worker. The caller
@@ -308,7 +308,7 @@ func (r *Registry) Create(name string, sess *increpair.Session, schema *relation
 // session (a durable registry then anchors generation 0 under a fresh
 // persister) and recovery's persister for a re-hosted one, which must
 // not write a generation 0 over the recovered files.
-func (r *Registry) register(name string, sess *increpair.Session, schema *relation.Schema, p *persister, quota QuotaConfig, role int32) (*hosted, error) {
+func (r *Registry) register(name string, sess *increpair.Session, schema *relation.Schema, p *persister, quota wal.Quota, role int32) (*hosted, error) {
 	if err := validName(name); err != nil {
 		return nil, err
 	}
@@ -454,8 +454,8 @@ func (r *Registry) admit(h *hosted, tuples, deletes int) error {
 // could resolve a different session if the name was deleted and
 // re-created mid-request.
 func (r *Registry) Apply(ctx context.Context, h *hosted, deletes []relation.TupleID, sets []increpair.SetOp, inserts []*relation.Tuple) (jobReply, error) {
-	if h.role.Load() == roleFollower {
-		return jobReply{}, ErrFollower
+	if err := h.writable(); err != nil {
+		return jobReply{}, err
 	}
 	if err := r.admit(h, len(inserts), len(deletes)); err != nil {
 		return jobReply{}, err
@@ -470,6 +470,26 @@ func (r *Registry) Apply(ctx context.Context, h *hosted, deletes []relation.Tupl
 		return jobReply{}, rep.err
 	}
 	return rep, err
+}
+
+// writable refuses a client write at the door, before admission spends a
+// quota token on it: on a replica, and on a session whose persistence
+// has failed.
+func (h *hosted) writable() error {
+	if h.role.Load() == roleFollower {
+		return ErrFollower
+	}
+	return h.notDurable()
+}
+
+// notDurable is ErrNotDurable naming the failure that broke the session's
+// persistence, or nil while it is sound (always for a memory-backed or
+// purged session).
+func (h *hosted) notDurable() error {
+	if err := h.pers.failure(); err != nil && !h.purge.Load() {
+		return fmt.Errorf("%w: %v", ErrNotDurable, err)
+	}
+	return nil
 }
 
 // enqueue puts a synchronous job on the session's queue, waiting out a
@@ -509,8 +529,8 @@ func (h *hosted) await(ctx context.Context, j job) (jobReply, error) {
 // it to 429), which is the service's backpressure signal. Like Apply it
 // takes the resolved session so the batch lands where it was decoded.
 func (r *Registry) Ingest(h *hosted, inserts []*relation.Tuple) error {
-	if h.role.Load() == roleFollower {
-		return ErrFollower
+	if err := h.writable(); err != nil {
+		return err
 	}
 	if err := r.admit(h, len(inserts), 0); err != nil {
 		return err
@@ -666,27 +686,30 @@ func (h *hosted) dispatch(r *Registry, j job) {
 }
 
 // apply runs one engine pass for job j (which may represent several
-// coalesced client batches). It first hands the committer the batch's
-// WAL record, which does not depend on the pass: the ops between the
-// journal version before the pass and the one Check says the pass lands
-// on. The committer appends and syncs it while the pass runs, so a reply
-// waits for the longer of the two rather than their sum. The result goes
-// to the committer after the pass; the reply, ship and event happen
-// there, overlapped with this worker's next pass. Pass order
-// fixes seq and the journal-version order, the commits channel is FIFO,
-// and record N+1 is sent only after result N, so the committer appends
-// record N+1 after it has rotated at boundary N. A shipped batch
-// (j.replay) is the same pass with the shipped record, so shipped
-// batches, a promotion and the first local write after it are totally
-// ordered by the queue.
+// coalesced client batches). A batch Check refuses gets no pass: like a
+// refused replay it is answered through the pipeline with nothing
+// logged, anchored, shipped or published. Otherwise the worker first
+// hands the committer the batch's WAL record, which does not depend on
+// the pass: the ops between the journal version before the pass and the
+// one Check says the pass lands on. The committer appends and syncs it
+// while the pass runs, so a reply waits for the longer of the two rather
+// than their sum. The result goes to the committer after the pass; the
+// reply, ship and event happen there, overlapped with this worker's next
+// pass. Pass order fixes seq and the journal-version order, the commits
+// channel is FIFO, and record N+1 is sent only after result N, so the
+// committer appends record N+1 after it has rotated at boundary N. A
+// shipped batch (j.replay) is the same pass with the shipped record, so
+// shipped batches, a promotion and the first local write after it are
+// totally ordered by the queue.
 func (h *hosted) apply(r *Registry, j job, batches int) {
 	if j.quiesce {
 		h.commits <- commitItem{j: j, noPass: true}
 		return
 	}
 	refuse := func(err error) { h.commits <- commitItem{j: j, noPass: true, rep: jobReply{err: err}} }
-	if err := h.pers.failure(); err != nil && !h.purge.Load() {
-		refuse(fmt.Errorf("%w: %v", ErrNotDurable, err))
+	// A batch queued before the persister broke.
+	if err := h.notDurable(); err != nil {
+		refuse(err)
 		return
 	}
 	var wait time.Duration
@@ -713,15 +736,19 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 			refuse(err)
 			return
 		}
-	} else if landing, err := h.sess.Check(deletes, sets, inserts); err == nil {
+	} else {
+		landing, err := h.sess.Check(deletes, sets, inserts)
+		if err != nil {
+			// ApplyOps would refuse it with this same error, mutating nothing.
+			h.ops.errorBatches.Add(1)
+			refuse(err)
+			return
+		}
 		// Worker-only read of the pre-pass version, so no lock needed.
 		rec = &wal.Batch{PrevVersion: h.sess.Snapshot().Version, Version: landing,
 			Ops: increpair.OpsToDeltas(deletes, sets, inserts)}
 	}
-	// A batch Check refuses has no record; its pass fails below.
-	if rec != nil {
-		h.commits <- commitItem{log: rec}
-	}
+	h.commits <- commitItem{log: rec}
 	start := time.Now()
 	res, deleted, err := h.sess.ApplyOps(deletes, sets, inserts)
 	if j.replay != nil {
@@ -741,7 +768,7 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 		r.passes.Add(1)
 		r.tuples.Add(uint64(len(res.Inserted)))
 	} else {
-		h.ops.errorPasses.Add(1)
+		h.ops.errorBatches.Add(1)
 	}
 	item := commitItem{
 		j: j, batches: batches, passDone: time.Now(),
@@ -752,14 +779,6 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 	// so the capture cannot be deferred downstream.
 	if h.pers != nil && !h.purge.Load() {
 		item.rotate = h.pers.boundary(err != nil)
-	}
-	// The partial effects of a failed pass must reach an attached follower
-	// as a full inline image too (a slim header carries no rows) — for a
-	// memory-only session as well. A capture failure here only degrades
-	// replication: the follower heals by snapshot on the next gap it
-	// refuses.
-	if err != nil && h.shipper.Load() != nil {
-		item.resync, _ = h.captureSnapshot()
 	}
 	h.commits <- item
 }
@@ -809,7 +828,6 @@ func (h *hosted) committer(r *Registry) {
 		// Unconsumed capture — a purge raced in. Release the store's flush
 		// lease so the next boundary can begin one.
 		item.rotate.abort()
-		ref := h.shipper.Load()
 		// Replication, strictly after the local fsync: a follower can
 		// never hold a batch the primary's own disk does not. ack=quorum
 		// ships synchronously — the client's reply waits for the
@@ -817,16 +835,13 @@ func (h *hosted) committer(r *Registry) {
 		// to the background drain. Ship failures degrade (counted in the
 		// shipper's stats), never fail the write: the primary keeps
 		// serving through a dead follower, and the stream heals by
-		// snapshot once the follower is back.
-		if ref != nil {
-			if item.resync != nil {
-				ref.sp.EnqueueSnapshot(item.resync)
-			} else if item.rep.err == nil {
-				if r.cluster != nil && r.cluster.ack == AckQuorum {
-					_ = ref.sp.ShipSync(b)
-				} else {
-					ref.sp.EnqueueBatch(b)
-				}
+		// snapshot once the follower is back. A failed pass ships
+		// nothing; the follower refuses the next batch as a gap.
+		if ref := h.shipper.Load(); ref != nil && item.rep.err == nil {
+			if r.cluster != nil && r.cluster.ack == AckQuorum {
+				_ = ref.sp.ShipSync(b)
+			} else {
+				ref.sp.EnqueueBatch(b)
 			}
 		}
 		item.rep.persist = time.Since(item.passDone)

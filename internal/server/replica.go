@@ -64,7 +64,7 @@ func (r *Registry) InstallReplica(ctx context.Context, name string, snap *wal.Sn
 	// promotion — followers take no writes).
 	quota := r.quota
 	if snap.Quota.Set {
-		quota = quotaFromWAL(snap.Quota)
+		quota = snap.Quota
 	}
 	if _, err := r.register(name, sess, sess.Current().Schema(), nil, quota, roleFollower); err != nil {
 		sess.Close()

@@ -86,6 +86,7 @@ import (
 	"cfdclean/internal/increpair"
 	"cfdclean/internal/relation"
 	"cfdclean/internal/store"
+	"cfdclean/internal/wal"
 )
 
 // Options configures a Server.
@@ -107,7 +108,7 @@ type Options struct {
 	// caps on relation size and SSE subscribers, enforced per session
 	// ahead of the worker queue. The zero value is fully unlimited; a
 	// create request may override per session (CreateRequest.Quota).
-	Quota QuotaConfig
+	Quota wal.Quota
 
 	// DataDir, when non-empty, makes every session durable: each gets
 	// <DataDir>/<name>/ with WAL + snapshot generations (see persist.go),
@@ -375,7 +376,7 @@ func (h *hosted) info() SessionInfo {
 		Snapshot: encodeSnapshot(h.sess.Snapshot()),
 	}
 	if h.quota != nil {
-		si.Quota = h.quota.cfg.wire()
+		si.Quota = wireQuota(h.quota.cfg)
 	}
 	// Store renders only for disk-backed sessions, so memory-backed
 	// listings stay byte-stable.

@@ -57,19 +57,25 @@ func DecodeBatch(p []byte) (*Batch, error) {
 	return b, nil
 }
 
-// Quota is the hosting service's per-session admission policy as
-// recorded in a snapshot, so that an explicitly configured tenant quota
+// Quota is the hosting service's per-session admission policy: its
+// server-wide defaults, a session's effective quota, and the mark a
+// snapshot records, so that an explicitly configured tenant quota
 // survives recovery and ships to replicas instead of resetting to
-// whatever defaults the restoring process was booted with. Set
-// distinguishes "this session was created with an explicit quota"
-// (restore exactly these values — all-zero means explicitly unlimited)
-// from "the session inherited service defaults" (restore whatever the
-// restoring server's defaults are). The engine itself never reads this;
-// it is carried for the server layer.
+// whatever defaults the restoring process was booted with. Zero limits
+// mean unlimited. Set distinguishes "this session was created with an
+// explicit quota" (restore exactly these values — all-zero means
+// explicitly unlimited) from "the session inherited service defaults"
+// (restore whatever the restoring server's defaults are); a snapshot
+// records an inherited quota as the zero Quota. The engine itself never
+// reads this; it is carried for the server layer.
 type Quota struct {
-	Set             bool
-	OpsPerSec       float64
-	TuplesPerSec    float64
+	Set bool
+	// OpsPerSec bounds write requests per second and TuplesPerSec the
+	// tuples they carry, each with a one-second burst (at least 1).
+	OpsPerSec    float64
+	TuplesPerSec float64
+	// MaxRelationSize caps the relation (403 past it); MaxSubscribers
+	// caps concurrent event streams (409 past it).
 	MaxRelationSize int
 	MaxSubscribers  int
 }
