@@ -158,9 +158,9 @@ func VioCounts(rel *Relation, sigma []*NormalCFD) map[TupleID]int {
 
 // Repairing.
 type (
-	// BatchOptions tunes BatchRepair: the cost model, the dependency-graph
-	// ordering (NoDepGraph, the §7.2 ablation) and the initial scan's
-	// Workers. The zero value uses the paper's defaults (DL metric,
+	// BatchOptions tunes BatchRepair: the cost model and the
+	// dependency-graph ordering (NoDepGraph, the §7.2 ablation); Workers
+	// drives nothing. The zero value uses the paper's defaults (DL metric,
 	// dependency-graph ordering). PICKNEXT's bound is fixed: it evaluates
 	// at most 64 live violations per rule group per step (§7.2).
 	BatchOptions = repair.Options
@@ -195,10 +195,9 @@ const (
 // The greedy loop runs on the calling goroutine, once per connected
 // component of the violation graph (tuples sharing no violation), in
 // canonical order; each component's repairs are written into the one
-// working copy and seen by the components after it. BatchOptions.Workers
-// bounds only the parallelism of the initial violation scan (0 means all
-// cores, 1 the sequential scan); the repaired output is identical at
-// every setting.
+// working copy and seen by the components after it. The violation store
+// counts d from its LHS tallies on the same goroutine, so
+// BatchOptions.Workers changes nothing.
 func BatchRepair(d *Relation, sigma []*NormalCFD, opts *BatchOptions) (*BatchResult, error) {
 	return repair.Batch(d, sigma, opts)
 }

@@ -31,7 +31,7 @@ func main() {
 	ordering := flag.String("ordering", "vio", "inc mode tuple order: linear, vio, or weight")
 	k := flag.Int("k", 2, "inc mode attribute-subset size")
 	limit := flag.Int("limit", 20, "max violations to print with -detect (0 = all)")
-	workers := flag.Int("workers", 0, "parallelism of the whole-database violation scan that detection and both repair modes start with (0 = all cores, 1 = sequential; output identical at every setting)")
+	workers := flag.Int("workers", 0, "parallelism of -detect's whole-database violation scan (0 = all cores, 1 = sequential; output identical at every setting); the repair modes run on one goroutine and ignore it")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "cfdclean: unexpected argument %q\n", flag.Arg(0))
@@ -146,8 +146,8 @@ func report(w io.Writer, rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, li
 func repairWith(rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, mode, ordering string, k, workers int) (*cfdclean.Relation, int, float64, error) {
 	switch mode {
 	case "batch":
-		// -workers bounds the violation store's initial scan; the
-		// greedy loop runs on one goroutine, one component at a time.
+		// The greedy loop runs on one goroutine, one component at a
+		// time; -workers changes nothing here.
 		res, err := cfdclean.BatchRepair(rel, sigma, &cfdclean.BatchOptions{Workers: workers})
 		if err != nil {
 			return nil, 0, 0, err

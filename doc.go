@@ -71,15 +71,15 @@
 //	        │                             Version counter)
 //	        │ subscribe                     │
 //	        ▼                               ▼
-//	  VioStore: per-group violation lists, vio(t), vio(D) —
-//	            all delta-maintained
+//	  VioStore: violation counts per dirty bucket and group, vio(D) —
+//	            delta-maintained from the LHS tallies
 //	        │
 //	        ├── BatchRepair (§4): violation-graph components
 //	        │   repaired in place, one after another
 //	        ├── IncRepair / Repair (§5): TUPLERESOLVE per arriving
 //	        │   tuple against maintained state; an arrival whose
 //	        │   first count is clean goes in as its probe stands —
-//	        │   ids kept, buckets joined but not re-derived
+//	        │   ids kept, buckets joined but not recounted
 //	        └── Session: the same engine kept alive across ΔD batches
 //	                │
 //	                ├── ReadView: epoch-pinned snapshot (page-level
@@ -173,8 +173,9 @@
 // rule — concurrency changes wall-clock time, never output:
 //
 //   - Detection shards index buckets across workers and merges in the
-//     canonical (tuple, rule, partner) order. Both repair engines start
-//     with such a scan and then run on the calling goroutine.
+//     canonical (tuple, rule, partner) order. Both repair engines run
+//     on the calling goroutine, their violation store counted from the
+//     LHS tallies.
 //   - A Session is single-writer, many-reader: mutations serialize on
 //     an internal lock while snapshot reads are lock-free against
 //     atomically published state stamped with the journal's NextID

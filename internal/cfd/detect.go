@@ -305,7 +305,8 @@ func (d *Detector) index(g *groupPlan) *relation.HashIndex {
 
 // Recount holds every built LHS index to a count from scratch: it must file
 // each tuple of the relation once, under the tuple's own key, and every
-// tally slot of every bucket must equal a count over the bucket's members.
+// tally slot of every bucket — each value's count and the sum of their
+// squares — must equal a count over the bucket's members.
 // It returns the first disagreement. (An index never asked for is not
 // built, and has nothing to hold.)
 func (d *Detector) Recount() error {
@@ -360,10 +361,15 @@ func (d *Detector) recountBucket(lx *lhsIndex, b int32, ids []relation.TupleID, 
 			return fmt.Errorf("cfd: index on %v bucket %v: the tally of %d says %d non-null, %d distinct; recount %d, %d",
 				lx.x, ids, a, c.NonNull(), c.Distinct(), nonNull, len(want))
 		}
+		sq := 0
 		for vid, n := range want {
 			if c.Count(vid) != n {
 				return fmt.Errorf("cfd: index on %v bucket %v: tally of %d: Count(%d) = %d, recount %d", lx.x, ids, a, vid, c.Count(vid), n)
 			}
+			sq += n * n
+		}
+		if c.SumSquares() != sq {
+			return fmt.Errorf("cfd: index on %v bucket %v: tally of %d: SumSquares = %d, recount %d", lx.x, ids, a, c.SumSquares(), sq)
 		}
 		if c.Count(relation.NullID) != 0 || c.Count(relation.InvalidID) != 0 {
 			return fmt.Errorf("cfd: index on %v bucket %v counts members under NullID or InvalidID", lx.x, ids)
@@ -649,6 +655,26 @@ func (r *groupRow) open(c *relation.BucketCounts) bool {
 	return c.Distinct() > 1
 }
 
+// bucketVios counts the violations of g within a bucket whose members
+// match rows (its bucketRows) and whose tally of g.a is c, as scanBucket
+// would visit them, without touching a member: an open constant row is
+// violated once by each member with another non-null A-value, and a
+// variable row once per ordered pair of members whose non-null A-values
+// differ.
+func (g *groupPlan) bucketVios(rows []*groupRow, c *relation.BucketCounts) int {
+	n := 0
+	for _, r := range rows {
+		switch {
+		case r.slot != g.slot:
+		case r.cons:
+			n += c.NonNull() - c.Count(r.tpaID)
+		default:
+			n += c.NonNull()*c.NonNull() - c.SumSquares()
+		}
+	}
+	return n
+}
+
 // bucketRows returns the pattern rows, of every group on lx, that the
 // members of the bucket keyed xids match: none when the key holds a null.
 func (lx *lhsPlan) bucketRows(xids []relation.ValueID, out []*groupRow) []*groupRow {
@@ -659,24 +685,23 @@ func (lx *lhsPlan) bucketRows(xids []relation.ValueID, out []*groupRow) []*group
 }
 
 // scanBucket visits every violation within one LHS-key bucket of group g:
-// rows is the bucket's bucketRows, ids its members, c its tally of g.a. It
-// reports whether it had to walk the members: the tally alone says whether any
+// ids are its members, c its tally of g.a, and the pattern rows its key
+// matches are read off the first member. The tally alone says whether any
 // matching row can be violated, and in a clean bucket — nearly every bucket
 // of a database under repair — none can, so the scan ends after the pattern
-// match without having touched a tuple. Otherwise all comparisons run on
-// interned ids (bucket tuples are relation-owned), the tally serves as the
-// RHS-value histogram, and the partner labels, shared by every
+// match without having touched another tuple. Otherwise all comparisons run
+// on interned ids (bucket tuples are relation-owned), the tally serves as
+// the RHS-value histogram, and the partner labels, shared by every
 // variable-RHS row of the group, are computed once, in O(bucket).
-func (d *Detector) scanBucket(g *groupPlan, rows []*groupRow, ids []relation.TupleID, c *relation.BucketCounts, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) bool {
-	anyOpen := false
-	for _, r := range rows {
-		if r.slot == g.slot && r.open(c) {
-			anyOpen = true
-			break
-		}
+func (d *Detector) scanBucket(g *groupPlan, ids []relation.TupleID, c *relation.BucketCounts, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
+	if len(ids) == 0 {
+		return
 	}
-	if !anyOpen {
-		return false
+	var buf [8]relation.ValueID
+	var rbuf [16]*groupRow
+	rows := d.prog.lhs[g.lhs].bucketRows(d.rel.Tuple(ids[0]).ProjectIDs(buf[:0], g.x), rbuf[:0])
+	if !slices.ContainsFunc(rows, func(r *groupRow) bool { return r.slot == g.slot && r.open(c) }) {
+		return
 	}
 	a := g.a
 	sc.ts = sc.ts[:0]
@@ -741,19 +766,6 @@ func (d *Detector) scanBucket(g *groupPlan, rows []*groupRow, ids []relation.Tup
 			}
 		}
 	}
-	return true
-}
-
-// scanIndexBucket is scanBucket for a bucket met while iterating an index,
-// where the key's ids have to be read off a member.
-func (d *Detector) scanIndexBucket(g *groupPlan, ids []relation.TupleID, c *relation.BucketCounts, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
-	if len(ids) == 0 {
-		return
-	}
-	var buf [8]relation.ValueID
-	var rbuf [16]*groupRow
-	rows := d.prog.lhs[g.lhs].bucketRows(d.rel.Tuple(ids[0]).ProjectIDs(buf[:0], g.x), rbuf[:0])
-	d.scanBucket(g, rows, ids, c, sc, visit)
 }
 
 // scanConstTuples visits the violations of a constant-RHS-only group over
@@ -793,7 +805,7 @@ func (d *Detector) groupScan(g *groupPlan, visit func(t *relation.Tuple, n *Norm
 	}
 	sc := newScanScratch()
 	d.index(g).Buckets(func(_ int32, ids []relation.TupleID, counts []relation.BucketCounts) {
-		d.scanIndexBucket(g, ids, &counts[g.slot], sc, visit)
+		d.scanBucket(g, ids, &counts[g.slot], sc, visit)
 	})
 }
 
@@ -860,7 +872,7 @@ func (d *Detector) scanAll(visit func(t *relation.Tuple, n *Normal, with relatio
 				if sw.tuples != nil {
 					d.scanConstTuples(sw.g, sw.tuples, emit)
 				} else {
-					d.scanIndexBucket(sw.g, sw.ids, sw.counts, sc, emit)
+					d.scanBucket(sw.g, sw.ids, sw.counts, sc, emit)
 				}
 			}
 			parts[w] = local

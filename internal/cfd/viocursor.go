@@ -1,6 +1,7 @@
 package cfd
 
 import (
+	"slices"
 	"sort"
 
 	"cfdclean/internal/relation"
@@ -43,10 +44,12 @@ func (f VioFilter) Match(v Violation) bool {
 
 // VioCursor streams the maintained violations in the canonical (tuple
 // id, rule rank, partner id) order — the exact sequence Detect returns —
-// without materializing the full list. It walks the dirty-tuple set in
-// sorted id order and gathers each tuple's violations from the per-group
-// state on demand, so a limited read costs O(dirty·log dirty + rows
-// consumed), not O(vio(D)). Groups with no violation are skipped.
+// without materializing the full list. Opening it lists the violating
+// tuples in id order (VioAll: one pass over the violations of the dirty
+// buckets and tuples, O(dirty) memory); each tuple read then re-derives
+// the dirty buckets it sits in and keeps its own violations, at
+// O(members + violations) per such bucket. Groups with no violation are
+// skipped.
 //
 // The cursor reads live maintained state: it must run under the same
 // serialization as other VioStore queries (no concurrent mutation).
@@ -61,12 +64,13 @@ type VioCursor struct {
 	cur    []Violation
 	pos    int
 	buf    []Violation
+	sc     *scanScratch
 }
 
 // Cursor opens a cursor over every maintained violation. See VioCursor
 // for the iteration contract.
 func (s *VioStore) Cursor() *VioCursor {
-	c := &VioCursor{s: s}
+	c := &VioCursor{s: s, sc: newScanScratch()}
 	if s.total == 0 {
 		return c
 	}
@@ -75,11 +79,10 @@ func (s *VioStore) Cursor() *VioCursor {
 			c.groups = append(c.groups, gi)
 		}
 	}
-	c.ids = make([]relation.TupleID, 0, len(s.vio))
-	for id := range s.vio {
+	for id := range s.VioAll() {
 		c.ids = append(c.ids, id)
 	}
-	sort.Slice(c.ids, func(i, j int) bool { return c.ids[i] < c.ids[j] })
+	slices.Sort(c.ids)
 	return c
 }
 
@@ -107,30 +110,30 @@ func (c *VioCursor) Next() (v Violation, ok bool) {
 // canonical order. The backing buffer is reused across tuples.
 func (c *VioCursor) gather(id relation.TupleID) []Violation {
 	buf := c.buf[:0]
-	for _, gi := range c.groups {
-		g := c.s.d.groups[gi]
-		st := &c.s.state[gi]
-		if g.hasVar {
-			// Bucketed state: every violation of t lives in t's own
-			// LHS-key bucket, alongside its bucket-mates' violations.
-			t := c.s.rel.Tuple(id)
-			if t == nil {
-				continue
-			}
-			b := c.s.d.index(g).BucketOf(t.KeyOnIDs(g.x))
-			if !st.dirty.has(b) {
-				continue
-			}
-			for _, v := range st.byBucket[b] {
-				if v.T == id {
-					buf = append(buf, v)
-				}
-			}
-		} else {
-			buf = append(buf, st.byTuple[id]...)
+	d, t := c.s.d, c.s.rel.Tuple(id)
+	keep := func(u *relation.Tuple, n *Normal, with relation.TupleID) {
+		if u == t {
+			buf = append(buf, Violation{T: id, N: n, With: with})
 		}
 	}
-	rank := c.s.d.prog.rank
+	for _, gi := range c.groups {
+		g, st := d.groups[gi], &c.s.state[gi]
+		if !g.hasVar {
+			if st.tuples[id] != 0 {
+				d.scanConstTuples(g, []*relation.Tuple{t}, keep)
+			}
+			continue
+		}
+		// Every violation of t in g lives in t's own LHS-key bucket.
+		ix := d.index(g)
+		b := ix.BucketOf(t.KeyOnIDs(g.x))
+		if st.buckets[b] == 0 {
+			continue
+		}
+		ids, counts := ix.BucketAt(b)
+		d.scanBucket(g, ids, &counts[g.slot], c.sc, keep)
+	}
+	rank := d.prog.rank
 	sort.Slice(buf, func(i, j int) bool {
 		if ra, rb := rank[buf[i].N], rank[buf[j].N]; ra != rb {
 			return ra < rb

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,7 +15,8 @@ import (
 // checkStoreEquivalence asserts the store's maintained state is exactly
 // what a freshly built detector computes over the relation's current
 // contents: the canonical violation list bit for bit (tuples, rules,
-// partners, merge order), the vio(t) map, and the total.
+// partners, merge order), the vio(t) map, the total, the per-tuple counts,
+// the group totals and the components.
 func checkStoreEquivalence(t *testing.T, tag string, s *VioStore, rel *relation.Relation, sigma []*Normal) {
 	t.Helper()
 	fresh := NewDetector(rel, sigma)
@@ -178,8 +180,10 @@ var fuzzPools = [][]string{
 // detector's (Detect, the cursor, VioAll, the totals, Components), that
 // every tally of every shared LHS index equals a recount, and that
 // VioCounts and Group.VioCount agree with the bucket walk they replaced.
-// It returns the store's rescan counters.
-func runVioStoreOps(t *testing.T, data []byte) (rescans, skipped int) {
+// It returns the store's rescan counter and, summed over the checked
+// states and the variable-RHS groups, how many LHS buckets held a
+// violation and how many none.
+func runVioStoreOps(t *testing.T, data []byte) (rescans, dirty, clean int) {
 	t.Helper()
 	schema := orderSchema()
 	sigma := fuzzSigma(schema)
@@ -221,6 +225,13 @@ func runVioStoreOps(t *testing.T, data []byte) (rescans, skipped int) {
 	rng := rand.New(rand.NewSource(seed))
 	check := func(tag string) {
 		t.Helper()
+		for gi, g := range s.d.groups {
+			if g.hasVar {
+				n := len(s.state[gi].buckets)
+				dirty += n
+				clean += s.d.index(g).Len() - n
+			}
+		}
 		checkStoreEquivalence(t, tag, s, rel, sigma)
 		checkCursor(t, tag, s)
 		checkCountedIndexes(t, tag, s.d, rng)
@@ -259,7 +270,7 @@ func runVioStoreOps(t *testing.T, data []byte) (rescans, skipped int) {
 		}
 		check(fmt.Sprintf("step %d", step))
 	}
-	return s.Rescans()
+	return s.Rescans(), dirty, clean
 }
 
 // TestVioStoreFuzzEquivalence drives runVioStoreOps with random mutation
@@ -269,8 +280,8 @@ func TestVioStoreFuzzEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			data := make([]byte, 600)
 			rand.New(rand.NewSource(seed)).Read(data)
-			if total, skipped := runVioStoreOps(t, data); skipped == 0 || skipped == total {
-				t.Errorf("%d bucket rescans, %d skipped: the stream should leave both clean and dirty buckets behind", total, skipped)
+			if rescans, dirty, clean := runVioStoreOps(t, data); rescans == 0 || dirty == 0 || clean == 0 {
+				t.Errorf("%d bucket rescans; %d dirty and %d clean buckets checked: the stream should leave both behind", rescans, dirty, clean)
 			}
 		})
 	}
@@ -292,10 +303,10 @@ func FuzzVioStoreOps(f *testing.F) {
 	})
 }
 
-// TestVioStoreBucketNumberReuse: violation lists are filed under bucket
+// TestVioStoreBucketNumberReuse: violation counts are filed under bucket
 // numbers, and an LHS index hands the number of a bucket that emptied to
 // the next new key. Deleting the last member of a bucket that held a
-// constant-row violation must drop the list with it, so that the tuple
+// constant-row violation must drop the count with it, so that the tuple
 // whose key takes the freed number inherits nothing — not in Detect, not
 // in the cursor, not in vio(t).
 func TestVioStoreBucketNumberReuse(t *testing.T) {
@@ -323,7 +334,7 @@ func TestVioStoreBucketNumberReuse(t *testing.T) {
 	dirtyRow := []string{"a23", "H. Porter", "17.99", "610", "8983490", "Walnut", "PHI", "NY", "19014"}
 	dirty, _ := rel.InsertRow(dirtyRow...)
 	b := ix.BucketOf(dirty.KeyOnIDs(g.x))
-	if !st.dirty.has(b) || len(st.byBucket[b]) != 1 || st.byBucket[b][0].N != rule {
+	if st.buckets[b] != 1 || !slices.Contains(s.Detect(), Violation{T: dirty.ID, N: rule}) {
 		t.Fatalf("the fixture files no violation of %s under bucket %d: %v", rule.Name, b, s.Detect())
 	}
 	rel.Delete(dirty.ID)
@@ -341,7 +352,7 @@ func TestVioStoreBucketNumberReuse(t *testing.T) {
 	// The same through an update that moves the last member out.
 	moved, _ := rel.InsertRow(dirtyRow...)
 	b = ix.BucketOf(moved.KeyOnIDs(g.x))
-	if !st.dirty.has(b) {
+	if st.buckets[b] == 0 {
 		t.Fatalf("no violation filed under bucket %d", b)
 	}
 	if _, err := rel.Set(moved.ID, 3, relation.S("215")); err != nil { // AC: it joins the clean tuple's bucket
@@ -352,7 +363,7 @@ func TestVioStoreBucketNumberReuse(t *testing.T) {
 	if got := ix.BucketOf(other.KeyOnIDs(g.x)); got != b {
 		t.Fatalf("the new key took bucket %d, not the freed %d", got, b)
 	}
-	if st.dirty.has(b) || s.VioCount(other.ID) != 0 {
+	if st.buckets[b] != 0 || s.VioCount(other.ID) != 0 {
 		t.Fatalf("the tuple in the reused bucket inherited violations: %v", s.Detect())
 	}
 	checkStoreEquivalence(t, "after the second reuse", s, rel, sigma)
@@ -442,27 +453,62 @@ func TestVioStoreComponentStateDrains(t *testing.T) {
 	}
 }
 
-// TestVioStoreParallelScan builds a store over enough buckets that the
-// initial scan is split across workers (a worker per scanWorkerBuckets)
-// and checks its state against a freshly built detector's.
-func TestVioStoreParallelScan(t *testing.T) {
+// TestVioStoreMaintenanceFlatInBucketSize: the store keeps a dirty bucket's
+// count, not its violation list, so an Insert, a Set and a Delete of a
+// member allocate as much in a bucket of 10 mutually violating tuples as in
+// one of 1 000, and every answer still equals a fresh detector's after
+// each kind of op. (A store that re-derived the bucket's list on every
+// delta allocated in proportion to it.)
+func TestVioStoreMaintenanceFlatInBucketSize(t *testing.T) {
 	s := relation.MustSchema("r", "k", "v")
-	r := relation.New(s)
-	for i := 0; i < 3*scanWorkerBuckets; i++ {
-		r.MustInsert(relation.NewTuple(0, fmt.Sprint("k", i), "v"))
-		if i%97 == 0 { // a second tuple under the key, disagreeing on v
-			r.MustInsert(relation.NewTuple(0, fmt.Sprint("k", i), "w"))
-		}
-	}
 	fd, err := FD("fd", s, []string{"k"}, []string{"v"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sigma := fd.Normalize()
-	st := NewVioStoreWorkers(r, sigma, 3)
-	defer st.Close()
-	if st.Satisfied() {
-		t.Fatal("fixture has no violations; it exercises nothing")
+	const runs = 50
+	measure := func(size int) [3]float64 {
+		r := relation.New(s)
+		for i := 0; i < size; i++ {
+			v := "v0"
+			if i == 0 {
+				v = "v1" // the member every other one disagrees with
+			}
+			r.MustInsert(relation.NewTuple(0, "k", v))
+		}
+		st := NewVioStore(r, sigma)
+		defer st.Close()
+		if got, want := st.TotalViolations(), 2*(size-1); got != want {
+			t.Fatalf("a bucket of %d holds %d violations, want %d", size, got, want)
+		}
+		var out [3]float64
+		var added []relation.TupleID
+		out[0] = testing.AllocsPerRun(runs, func() {
+			tu := relation.NewTuple(0, "k", "v0")
+			r.MustInsert(tu)
+			added = append(added, tu.ID)
+		})
+		checkStoreEquivalence(t, fmt.Sprintf("size %d after inserts", size), st, r, sigma)
+		vals := []relation.Value{relation.S("v1"), relation.S("v0")}
+		i := 0
+		out[1] = testing.AllocsPerRun(runs, func() {
+			if _, err := r.Set(added[0], 1, vals[i%2]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		checkStoreEquivalence(t, fmt.Sprintf("size %d after sets", size), st, r, sigma)
+		out[2] = testing.AllocsPerRun(runs, func() {
+			r.Delete(added[len(added)-1])
+			added = added[:len(added)-1]
+		})
+		checkStoreEquivalence(t, fmt.Sprintf("size %d after deletes", size), st, r, sigma)
+		return out
 	}
-	checkStoreEquivalence(t, "parallel scan", st, r, sigma)
+	small, large := measure(10), measure(1000)
+	for k, op := range []string{"Insert", "Set", "Delete"} {
+		if small[k] != large[k] {
+			t.Errorf("%s allocates %.0f times in a bucket of 10, %.0f in one of 1 000", op, small[k], large[k])
+		}
+	}
 }

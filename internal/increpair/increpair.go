@@ -75,10 +75,10 @@ type Options struct {
 	// NearestK is how many similar active-domain values the cost-based
 	// index contributes per attribute (§5.2). Default 4.
 	NearestK int
-	// Workers bounds the parallelism of the violation store's initial
-	// scan of D; TUPLERESOLVE runs on the caller's goroutine. 0 means
-	// runtime.GOMAXPROCS(0); 1 forces the sequential scan. The result is
-	// identical at every setting.
+	// Workers drives nothing: the violation store counts D's buckets from
+	// their tallies on the caller's goroutine, as TUPLERESOLVE runs. It is
+	// kept, and recorded in snapshots, until the benchmark stops setting
+	// it; 0 means runtime.GOMAXPROCS(0).
 	Workers int
 }
 
@@ -179,19 +179,18 @@ type IndexStats struct {
 	// VioProbes counts TUPLERESOLVE's per-group vio(t) probes of the LHS
 	// indices (Group.VioCount calls).
 	VioProbes int
-	// BucketRescans counts the LHS buckets the violation store re-derived
-	// under inserts, deletes and updates; BucketRescansSkipped those whose
-	// tally showed no rule could be violated, so no member was visited. An
-	// arrival inserted as its first count found it, violating nothing, adds
-	// to neither: its buckets are not re-derived at all.
-	BucketRescans        int
-	BucketRescansSkipped int
+	// BucketRescans counts the LHS buckets the violation store recounted
+	// from their tallies under inserts, deletes and updates, one per
+	// variable-RHS group; no member is visited. An arrival inserted as its
+	// first count found it, violating nothing, adds none: its buckets are
+	// not recounted at all.
+	BucketRescans int
 }
 
 // indexStats assembles the counters; callers hold the session lock.
 func (e *engine) indexStats() IndexStats {
 	out := e.stats
-	out.BucketRescans, out.BucketRescansSkipped = e.store.Rescans()
+	out.BucketRescans = e.store.Rescans()
 	return out
 }
 
@@ -210,7 +209,7 @@ func newEngine(repr *relation.Relation, sigma []*cfd.Normal, o Options) (*engine
 	if repr.Schema().Arity() > 64 {
 		return nil, fmt.Errorf("increpair: schemas beyond 64 attributes are not supported")
 	}
-	store := cfd.NewVioStoreWorkers(repr, sigma, o.Workers)
+	store := cfd.NewVioStore(repr, sigma)
 	e := &engine{
 		repr:  repr,
 		store: store,
@@ -296,9 +295,9 @@ func Incremental(d *relation.Relation, delta []*relation.Tuple, sigma []*cfd.Nor
 // computable by detection alone and is large at realistic error rates.)
 //
 // One working clone, one violation store: the dirty tuples are read off
-// the store's maintained vio(t) map, their deletion streams through the
-// mutation journal (draining the store to zero), and the same store then
-// serves the re-insertion loop.
+// the store's dirty buckets (VioStore.VioAll), their deletion streams
+// through the mutation journal (draining the store to zero), and the same
+// store then serves the re-insertion loop.
 func Repair(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, error) {
 	o := opts.withDefaults()
 	e, err := newEngine(d.Clone(), sigma, o)
@@ -337,8 +336,8 @@ func (e *engine) extractDirty() []*relation.Tuple {
 // orderDelta applies the §5.2 ordering to the delta batch. The
 // ByViolations pass ranks ΔD with apply/undo probes against the
 // violation store: the delta tuples are inserted into Repr (the journal
-// maintains the store in O(|Δ|)), vio(t) is read off the maintained
-// counts, and the tuples are deleted again, restoring the store — and
+// maintains the store in O(|Δ|)), vio(t) is probed against the
+// maintained indexes, and the tuples are deleted again, restoring the store — and
 // the id sequence — to their prior state. No database clone, no second
 // detector.
 func (e *engine) orderDelta(delta []*relation.Tuple) []*relation.Tuple {

@@ -92,7 +92,7 @@ func (e *engine) probe(g cfd.Group, rt *relation.Tuple) int {
 // counts stay in e.cur for the round's bestFix; the attribute masks of the
 // groups with at least one rule violated are returned (in a buffer reused
 // by the next call). An arrival's first count goes through the store, so
-// that one found clean — inserted as it stands — re-derives no bucket
+// that one found clean — inserted as it stands — recounts no bucket
 // (cfd.VioStore.VioCounts).
 func (e *engine) countGroups(rt *relation.Tuple, first bool) []uint64 {
 	e.stats.VioProbes += len(e.groups)

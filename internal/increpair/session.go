@@ -383,8 +383,10 @@ func (s *Session) Stats() (batches, tuples int, cost float64, changes int) {
 // all) in the canonical (tuple id, rule, partner id) order, plus the
 // maintained vio(D) total — the pair is mutually consistent, unlike
 // combining a listing with a separately loaded Snapshot. It streams the
-// store's lazy cursor, so the lock is held for O(limit + dirty tuples),
-// never O(vio(D)) materialization. After Close the store is detached and
+// store's lazy cursor, so the lock is held for one pass over the
+// violations (ordering the violating tuples, O(dirty tuples) memory) and
+// the re-derivation of the limit's tuples, never for materializing and
+// sorting vio(D) entries. After Close the store is detached and
 // would answer stale; like Dump, the call refuses and returns nil.
 func (s *Session) Violations(limit int) (vs []cfd.Violation, total int) {
 	s.mu.Lock()

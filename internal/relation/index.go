@@ -47,14 +47,16 @@ type HashIndex struct {
 }
 
 // BucketCounts tallies one bucket of a counted index: how many members
-// carry each non-null value of the counted attribute. Under X → A nearly
-// every X-bucket holds a single A-value, so one value lives inline and a
-// clean bucket costs no allocation; any others go to a map.
+// carry each non-null value of the counted attribute, and the sum of the
+// squares of those counts. Under X → A nearly every X-bucket holds a single
+// A-value, so one value lives inline and a clean bucket costs no
+// allocation; any others go to a map.
 type BucketCounts struct {
 	nonNull int32
 	val     ValueID // the inline value; meaningful while n > 0
 	n       int32
 	more    map[ValueID]int32
+	sq      int64
 }
 
 // NonNull returns the number of members whose counted attribute is not null.
@@ -77,10 +79,16 @@ func (c *BucketCounts) Distinct() int {
 	return len(c.more)
 }
 
+// SumSquares returns Σ_v Count(v)² over the non-null values, kept beside
+// the counts at O(1) per member added or removed. NonNull² less it is the
+// number of ordered pairs of members carrying different non-null values.
+func (c *BucketCounts) SumSquares() int { return int(c.sq) }
+
 func (c *BucketCounts) add(v ValueID) {
 	if v == NullID {
 		return
 	}
+	c.sq += 2*int64(c.Count(v)) + 1
 	c.nonNull++
 	switch {
 	case c.n > 0 && c.val == v:
@@ -99,6 +107,7 @@ func (c *BucketCounts) remove(v ValueID) {
 	if v == NullID {
 		return
 	}
+	c.sq -= 2*int64(c.Count(v)) - 1
 	c.nonNull--
 	if c.n > 0 && c.val == v {
 		c.n--

@@ -247,9 +247,10 @@ func allocBytes(f func()) uint64 {
 // key-like index stays under 80 KiB and a 10-key index under 12 KiB. (With
 // two maps pre-sized to |D| the same builds took 116 KiB and 122 KiB.)
 //
-// A counted index adds one 24-byte tally per bucket and counted attribute
-// and nothing per tuple — a bucket's first value lives in the tally itself —
-// so counting a single-valued attribute costs keys × 24 B on top of the
+// A counted index adds one 32-byte tally per bucket and counted attribute
+// (its counts' sum of squares included) and nothing per tuple — a bucket's
+// first value lives in the tally itself — so counting a single-valued
+// attribute costs keys × 32 B on top of the
 // plain build, give or take the allocator's size classes. Only a bucket holding a second
 // value allocates, one small map each: counting d, five values per bucket,
 // the ten buckets may take 256 B apiece.
@@ -258,7 +259,7 @@ func TestHashIndexBuildBudget(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		r.MustInsert(NewTuple(0, fmt.Sprint("a", i), fmt.Sprint("b", i%10), "c", fmt.Sprint("d", i%50)))
 	}
-	const tally = 24
+	const tally = 32
 	for _, tc := range []struct {
 		attrs  []int
 		keys   int
@@ -326,10 +327,15 @@ func TestCountedIndexTallies(t *testing.T) {
 				if c.NonNull() != nonNull || c.Distinct() != len(want) {
 					t.Fatalf("%s: bucket %v attribute %d: tally %d non-null / %d distinct, recount %d / %d", tag, ids, a, c.NonNull(), c.Distinct(), nonNull, len(want))
 				}
+				sq := 0
 				for vid, n := range want {
 					if c.Count(vid) != n {
 						t.Fatalf("%s: bucket %v attribute %d: Count(%d) = %d, recount %d", tag, ids, a, vid, c.Count(vid), n)
 					}
+					sq += n * n
+				}
+				if c.SumSquares() != sq {
+					t.Fatalf("%s: bucket %v attribute %d: SumSquares = %d, recount %d", tag, ids, a, c.SumSquares(), sq)
 				}
 			}
 		})

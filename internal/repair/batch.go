@@ -43,7 +43,7 @@ func Batch(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, e
 		return nil, fmt.Errorf("repair: %d cells exceed the equivalence classes' range", cells)
 	}
 	work := d.Clone()
-	store := cfd.Compile(work.Dict(), sigma).NewVioStore(work, o.Workers)
+	store := cfd.Compile(work.Dict(), sigma).NewVioStore(work)
 	// Detach the store before handing the repaired relation to the
 	// caller, so their later mutations don't pay maintenance.
 	defer store.Close()

@@ -25,10 +25,9 @@ type Options struct {
 	// groups (then groups are visited in input order). Exposed for the
 	// ablation benchmarks.
 	NoDepGraph bool
-	// Workers bounds the parallelism of the violation store's initial
-	// scan of D; the repair loop runs on the caller's goroutine. 0 means
-	// runtime.GOMAXPROCS(0); 1 forces the sequential scan. The result is
-	// identical at every setting.
+	// Workers drives nothing: the violation store counts D's buckets from
+	// their tallies and the repair loop runs on the caller's goroutine. It
+	// is kept until the benchmark stops setting it.
 	Workers int
 }
 
@@ -98,13 +97,14 @@ type engine struct {
 	found map[foundKey]foundV
 
 	// Reusable buffers: pickNext's sorted dirty ids; propagationCost's
-	// partner list; FINDV's trial tuple, context value ids and ranked
-	// candidates.
+	// partner list; FINDV's trial tuple, context value ids, ranked
+	// candidates and per-group vio(t).
 	idScratch  []relation.TupleID
 	partnerBuf []relation.TupleID
 	probe      *relation.Tuple
 	idBuf      []relation.ValueID
 	candBuf    []candidate
+	vioBuf     []int
 
 	resolutions int
 }

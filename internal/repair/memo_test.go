@@ -22,7 +22,7 @@ func driveBatch(t *testing.T, d *relation.Relation, sigma []*cfd.Normal, check f
 	t.Helper()
 	o := (*Options)(nil).withDefaults()
 	work := d.Clone()
-	store := cfd.Compile(work.Dict(), sigma).NewVioStore(work, o.Workers)
+	store := cfd.Compile(work.Dict(), sigma).NewVioStore(work)
 	defer store.Close()
 	comps := store.Components()
 	seeds := make(map[relation.TupleID][]int)
@@ -144,7 +144,7 @@ func TestFindVMemoClearedWithClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	work := d.Clone()
-	store := cfd.Compile(work.Dict(), fd.Normalize()).NewVioStore(work, 1)
+	store := cfd.Compile(work.Dict(), fd.Normalize()).NewVioStore(work)
 	defer store.Close()
 	e := newEngine(store, d, (*Options)(nil).withDefaults())
 	ts := work.Tuples()

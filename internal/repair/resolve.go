@@ -256,7 +256,7 @@ type candidate struct {
 // not changed since it last asked, so the answer is kept (engine.found)
 // and reused while the working relation's version and |eq(t, B)| are both
 // what they were. That reuse is exact: FINDV reads the relation — the
-// support bucket, t's values and the maintained violation counts, none of
+// support bucket, t's values and the LHS indexes' tallies, none of
 // which moves but by an effective write, and every effective write bumps
 // the version — and the members of eq(t, B), whose costs it sums.
 // Within one component a class only grows (by Merge), so an unchanged size
@@ -335,13 +335,17 @@ func (e *engine) findVUncached(ix *relation.HashIndex, t *relation.Tuple, b int)
 	e.candBuf = cands
 
 	// vio(t) under B := v differs from vio(t) only in the groups whose
-	// X ∪ {A} contains B: the store maintains the whole count, so the
-	// other groups' share — the base every candidate adds to — is that
-	// count less what the touching groups contribute today.
+	// X ∪ {A} contains B: the other groups' share — the base every
+	// candidate adds to — is vio(t) group by group, less what the touching
+	// groups contribute today.
 	touching := e.touching[b]
-	base := e.store.VioCount(t.ID)
+	e.vioBuf = e.det.VioCounts(t, e.vioBuf)
+	base := 0
+	for _, n := range e.vioBuf {
+		base += n
+	}
 	for _, i := range touching {
-		base -= e.groups[i].VioCount(t)
+		base -= e.vioBuf[i]
 	}
 	probe := e.probeOf(t)
 	kb := e.key(t, b)

@@ -108,8 +108,8 @@ type WireOptions struct {
 	K int `json:"k,omitempty"`
 	// NearestK is the per-attribute fan-out of the cost-based index.
 	NearestK int `json:"nearest_k,omitempty"`
-	// Workers bounds the parallelism of the violation store's initial
-	// scan of the base; engine passes run on the session's one worker.
+	// Workers is accepted and recorded, and drives nothing: the violation
+	// store counts the base on the session's one worker, as passes run.
 	Workers int `json:"workers,omitempty"`
 }
 
