@@ -68,7 +68,7 @@ func compileByRow(dict *relation.Dict, sigma []*Normal) *Compiled {
 			for _, k := range pos {
 				ids = append(ids, dict.InternStr(n.TpX[perm[k]].Const))
 			}
-			mb.add(relation.KeyOfIDs(ids), row)
+			mb.add(ids, row)
 		}
 	}
 	return c
@@ -83,7 +83,7 @@ func compileByRow(dict *relation.Dict, sigma []*Normal) *Compiled {
 func DiffCompileByRow(dict *relation.Dict, sigma []*Normal) string {
 	gotDict, wantDict := dict.Clone(), dict.Clone()
 	got, want := Compile(gotDict, sigma), compileByRow(wantDict, sigma)
-	if d := diffCompiled(got, want); d != "" {
+	if d := diffCompiled(got, want, gotDict); d != "" {
 		return d
 	}
 	if g, w := gotDict.StringsFrom(0, gotDict.Len()), wantDict.StringsFrom(0, wantDict.Len()); !slices.Equal(g, w) {
@@ -92,7 +92,7 @@ func DiffCompileByRow(dict *relation.Dict, sigma []*Normal) string {
 	return ""
 }
 
-func diffCompiled(got, want *Compiled) string {
+func diffCompiled(got, want *Compiled, gotDict *relation.Dict) string {
 	if !slices.Equal(got.sigma, want.sigma) || !maps.Equal(got.rank, want.rank) || !maps.Equal(got.groupOf, want.groupOf) {
 		return "sigma, rank or groupOf differ"
 	}
@@ -107,12 +107,22 @@ func diffCompiled(got, want *Compiled) string {
 		}
 		for m, wm := range w.masks {
 			gm := g.masks[m]
-			if !slices.Equal(gm.pos, wm.pos) || len(gm.rows) != len(wm.rows) {
-				return fmt.Sprintf("LHS %d mask %d: pos %v with %d keys, want %v with %d", li, m, gm.pos, len(gm.rows), wm.pos, len(wm.rows))
+			if !slices.Equal(gm.pos, wm.pos) || gm.rows.Len() != len(gm.heads) || len(gm.heads) != len(wm.heads) {
+				return fmt.Sprintf("LHS %d mask %d: pos %v with %d keys and %d chains, want %v with %d chains",
+					li, m, gm.pos, gm.rows.Len(), len(gm.heads), wm.pos, len(wm.heads))
 			}
-			for k, wr := range wm.rows {
-				if d := diffChain(gm.rows[k], wr); d != "" {
-					return fmt.Sprintf("LHS %d mask %d key %v: %s", li, m, k, d)
+			for k, wr := range wm.heads {
+				if d := diffChain(gm.heads[k], wr); d != "" {
+					return fmt.Sprintf("LHS %d mask %d chain %d: %s", li, m, k, d)
+				}
+				// The chain must be filed under its head's own constants.
+				perm, ids := sortedPerm(wr.n.X), []relation.ValueID(nil)
+				for _, p := range gm.pos {
+					id, _ := gotDict.LookupStr(wr.n.TpX[perm[p]].Const)
+					ids = append(ids, id)
+				}
+				if at, ok := gm.rows.Get(ids); !ok || int(at) != k {
+					return fmt.Sprintf("LHS %d mask %d: the constants %v of chain %d find chain %d (%v)", li, m, ids, k, at, ok)
 				}
 			}
 			if d := diffChain(gm.wild, wm.wild); d != "" {

@@ -51,8 +51,9 @@ type lhsPlan struct {
 
 	// masks groups the pattern rows of every group on x by which positions
 	// of x carry constants; each mask bucket maps the interned constants at
-	// those positions to rows via a fixed-width integer key. A probe or a
-	// bucket is matched once per mask, for all the groups on x at once.
+	// those positions to rows through a relation.KeyMap (one 64-bit word for
+	// up to two constants). A probe or a bucket is matched once per mask,
+	// for all the groups on x at once.
 	masks []*maskBucket
 }
 
@@ -67,11 +68,13 @@ type lhsIndex struct {
 
 type maskBucket struct {
 	pos []int // positions within x that are constants for these rows
-	// rows maps the constants at pos to the first row carrying them; rows
-	// sharing a key are chained through next, in sigma order. wild is the
-	// one chain of the all-wildcard mask (no pos), which needs no key.
-	rows map[relation.Key]*groupRow
-	wild *groupRow
+	// rows numbers the constants at pos (a one-word key for up to two);
+	// heads[rows.Get(ids)] is the first row carrying them, and rows sharing
+	// them are chained through next, in sigma order. wild is the one chain
+	// of the all-wildcard mask (no pos), which needs no lookup.
+	rows  relation.KeyMap
+	heads []*groupRow
+	wild  *groupRow
 }
 
 // groupRow is one normal CFD as a pattern row of its group.
@@ -91,7 +94,8 @@ type groupRow struct {
 // one hash index per distinct LHS so that both whole-database detection and
 // single-tuple checks are fast. It implements the SQL-based detection
 // technique of [6] over the interned in-memory substrate: every index
-// probe and pattern match compares fixed-width integer keys, never
+// probe and pattern match looks up a projection's interned ids in a
+// relation.KeyMap — one 64-bit word on one or two attributes — never
 // strings. Whole-database scans (Detect, VioAll, TotalViolations) are
 // partition-parallel: index buckets — one bucket per distinct LHS key —
 // are dealt by number across a worker pool, and per-shard results are
@@ -216,7 +220,7 @@ func Compile(dict *relation.Dict, sigma []*Normal) *Compiled {
 		for _, k := range sh.pos {
 			ids = append(ids, dict.InternStr(n.TpX[sh.perm[k]].Const))
 		}
-		sh.mb.add(relation.KeyOfIDs(ids), row)
+		sh.mb.add(ids, row)
 	}
 	return c
 }
@@ -244,19 +248,21 @@ func (lx *lhsPlan) mask(pos []int, n int) *maskBucket {
 			return mb
 		}
 	}
-	mb := &maskBucket{pos: pos, rows: make(map[relation.Key]*groupRow, n)}
+	mb := &maskBucket{pos: pos, rows: relation.NewKeyMap(len(pos), n)}
 	lx.masks = append(lx.masks, mb)
 	return mb
 }
 
-func (mb *maskBucket) add(key relation.Key, r *groupRow) {
+func (mb *maskBucket) add(ids []relation.ValueID, r *groupRow) {
 	r.last = r
-	if head, ok := mb.rows[key]; ok {
+	if i, ok := mb.rows.Get(ids); ok {
+		head := mb.heads[i]
 		head.last.next = r
 		head.last = r
 		return
 	}
-	mb.rows[key] = r
+	mb.rows.Put(ids, int32(len(mb.heads)))
+	mb.heads = append(mb.heads, r)
 	if len(mb.pos) == 0 {
 		mb.wild = r
 	}
@@ -343,7 +349,7 @@ func (d *Detector) recountBucket(lx *lhsIndex, b int32, ids []relation.TupleID, 
 		if t == nil {
 			return fmt.Errorf("cfd: index on %v holds the missing tuple %d", lx.x, id)
 		}
-		if lx.ix.BucketOf(t.KeyOnIDs(lx.x)) != b {
+		if lx.ix.BucketOf(t) != b {
 			return fmt.Errorf("cfd: index on %v files tuple %d under the wrong key", lx.x, id)
 		}
 	}
@@ -419,7 +425,11 @@ func matchRows(masks []*maskBucket, xids []relation.ValueID, out []*groupRow) []
 			if len(sel) < len(mb.pos) {
 				continue
 			}
-			r = mb.rows[relation.KeyOfIDs(sel)]
+			i, ok := mb.rows.Get(sel)
+			if !ok {
+				continue
+			}
+			r = mb.heads[i]
 		}
 		for ; r != nil; r = r.next {
 			out = append(out, r)

@@ -126,7 +126,7 @@ func (c *VioCursor) gather(id relation.TupleID) []Violation {
 		}
 		// Every violation of t in g lives in t's own LHS-key bucket.
 		ix := d.index(g)
-		b := ix.BucketOf(t.KeyOnIDs(g.x))
+		b := ix.BucketOf(t)
 		if st.buckets[b] == 0 {
 			continue
 		}

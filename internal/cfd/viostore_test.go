@@ -138,7 +138,10 @@ func TestVioStoreMatchesDetectorOnPaperData(t *testing.T) {
 // beside a variable one on the same X ([AC] → CT by constants, [AC] → ST by
 // a wildcard row), a group whose A lies in its own X ([CT,ST] → ST), and two
 // X that differ only in the order they are written in (ϕ4's [CT,STR] and
-// [STR,CT], once with ϕ4's own A and once with another).
+// [STR,CT], once with ϕ4's own A and once with another). The paper's Σ has
+// no LHS wider than two attributes; [CT,AC,STR] → zip, with a row of three
+// constants and a wildcard row, keys an LHS index and a mask bucket by
+// three ids.
 func fuzzSigma(s *relation.Schema) []*Normal {
 	return NormalizeAll([]*CFD{
 		phi1(s), phi2(s), phi3(s), phi4(s),
@@ -153,6 +156,9 @@ func fuzzSigma(s *relation.Schema) []*Normal {
 			[]Cell{C("NYC"), W, C("NY")}),
 		MustNew("phi10", s, []string{"STR", "CT"}, []string{"zip", "PR"},
 			[]Cell{C("Walnut"), C("PHI"), C("19014"), W},
+			[]Cell{W, W, W, W}),
+		MustNew("phi11", s, []string{"CT", "AC", "STR"}, []string{"zip"},
+			[]Cell{C("PHI"), C("610"), C("Walnut"), C("19014")},
 			[]Cell{W, W, W, W}),
 	})
 }
@@ -333,7 +339,7 @@ func TestVioStoreBucketNumberReuse(t *testing.T) {
 	// under that bucket's number.
 	dirtyRow := []string{"a23", "H. Porter", "17.99", "610", "8983490", "Walnut", "PHI", "NY", "19014"}
 	dirty, _ := rel.InsertRow(dirtyRow...)
-	b := ix.BucketOf(dirty.KeyOnIDs(g.x))
+	b := ix.BucketOf(dirty)
 	if st.buckets[b] != 1 || !slices.Contains(s.Detect(), Violation{T: dirty.ID, N: rule}) {
 		t.Fatalf("the fixture files no violation of %s under bucket %d: %v", rule.Name, b, s.Detect())
 	}
@@ -341,7 +347,7 @@ func TestVioStoreBucketNumberReuse(t *testing.T) {
 	checkStoreEquivalence(t, "after the delete", s, rel, sigma)
 	// A clean tuple under a key no bucket has: it takes the freed number.
 	fresh, _ := rel.InsertRow("a89", "Snow White", "18.99", "415", "5674322", "Broad", "CHI", "IL", "60614")
-	if got := ix.BucketOf(fresh.KeyOnIDs(g.x)); got != b {
+	if got := ix.BucketOf(fresh); got != b {
 		t.Fatalf("the new key took bucket %d, not the freed %d; the case exercises nothing", got, b)
 	}
 	checkStoreEquivalence(t, "after the reuse", s, rel, sigma)
@@ -351,7 +357,7 @@ func TestVioStoreBucketNumberReuse(t *testing.T) {
 	}
 	// The same through an update that moves the last member out.
 	moved, _ := rel.InsertRow(dirtyRow...)
-	b = ix.BucketOf(moved.KeyOnIDs(g.x))
+	b = ix.BucketOf(moved)
 	if st.buckets[b] == 0 {
 		t.Fatalf("no violation filed under bucket %d", b)
 	}
@@ -360,7 +366,7 @@ func TestVioStoreBucketNumberReuse(t *testing.T) {
 	}
 	checkStoreEquivalence(t, "after the move", s, rel, sigma)
 	other, _ := rel.InsertRow("a77", "J. Denver", "7.94", "312", "8983490", "Canel", "CHI", "IL", "60614")
-	if got := ix.BucketOf(other.KeyOnIDs(g.x)); got != b {
+	if got := ix.BucketOf(other); got != b {
 		t.Fatalf("the new key took bucket %d, not the freed %d", got, b)
 	}
 	if st.buckets[b] != 0 || s.VioCount(other.ID) != 0 {

@@ -22,8 +22,8 @@ var opsPools = [][]string{
 }
 
 // runSessionOps reads data as a session's life over a five-attribute schema:
-// a random Σ (one to three CFDs, each on a one- or two-attribute LHS with up
-// to three pattern rows of constants and wildcards), a base, an ordering,
+// a random Σ (one to three CFDs, each on an LHS of one to three attributes
+// with up to three pattern rows of constants and wildcards), a base, an ordering,
 // and then ApplyOps batches of deletes, cell updates and inserts — most of
 // the inserts copies of live tuples, clean as they come — until the bytes
 // run out. The base rows and half the arrivals come as probes of another
@@ -69,6 +69,9 @@ func runSessionOps(t *testing.T, data []byte) {
 		x := []int{next() % arity}
 		if y := next() % arity; next()%2 == 0 && y != x[0] {
 			x = append(x, y)
+			if z := next() % arity; next()%2 == 0 && !slices.Contains(x, z) {
+				x = append(x, z)
+			}
 		}
 		a := next() % arity
 		for slices.Contains(x, a) {
@@ -213,6 +216,11 @@ func FuzzSessionOpsVsDetect(f *testing.F) {
 		rand.New(rand.NewSource(340 + seed)).Read(b)
 		f.Add(b)
 	}
+	// One CFD [a,b,c] → d with the rows (a0, b0, c0 || d0) and (_, _, _ || _):
+	// a three-id LHS index and mask bucket.
+	wide := append([]byte{0, 0, 1, 0, 2, 0, 3, 1, 1, 1, 1, 1, 0, 0, 0, 0}, make([]byte, 400)...)
+	rand.New(rand.NewSource(345)).Read(wide[16:])
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 800 {
 			t.Skip("long enough")

@@ -2,12 +2,12 @@ package relation
 
 import "slices"
 
-// HashIndex is an equality index over a fixed set of attributes, mapping
-// the fixed-width integer composite key of a tuple's projection (interned
-// value ids) to the tuple ids carrying it. It is the workhorse behind
-// violation detection and the LHS indices of INCREPAIR (§5.2): given a
-// candidate repair t” we look up t”[X] and test whether the indexed
-// A-values agree.
+// HashIndex is an equality index over a fixed set of attributes, mapping a
+// tuple's projection (its interned value ids, keyed by a KeyMap: one 64-bit
+// word on one or two attributes) to the tuple ids carrying it. It is the
+// workhorse behind violation detection and the LHS indices of INCREPAIR
+// (§5.2): given a candidate repair t” we look up t”[X] and test whether
+// the indexed A-values agree.
 //
 // The index is maintained eagerly: callers notify it of inserts, deletes
 // and attribute updates. The Relation does not own indices; repair
@@ -36,7 +36,7 @@ type HashIndex struct {
 	attrs []int
 	// byKey numbers the buckets; lists[b] holds bucket b's members. A
 	// bucket that empties leaves byKey and its number goes to free.
-	byKey map[Key]int32
+	byKey KeyMap
 	lists [][]TupleID
 	free  []int32
 	// counted are the attributes whose values the buckets tally, none for
@@ -142,7 +142,7 @@ func NewCountedHashIndex(r *Relation, attrs []int, counted ...int) *HashIndex {
 	ix := &HashIndex{
 		rel:     r,
 		attrs:   append([]int(nil), attrs...),
-		byKey:   make(map[Key]int32, distinct),
+		byKey:   NewKeyMap(len(attrs), distinct),
 		counted: append([]int(nil), counted...),
 	}
 	// Two passes, one hash per tuple: number the buckets and count their
@@ -154,12 +154,13 @@ func NewCountedHashIndex(r *Relation, attrs []int, counted ...int) *HashIndex {
 	tuples := r.Tuples()
 	bucketOf := make([]int32, len(tuples))
 	counts := make([]int32, 0, distinct)
+	var buf [8]ValueID
 	for i, t := range tuples {
-		k := ix.keyOf(t)
-		b, ok := ix.byKey[k]
+		ids := ix.project(t, buf[:0])
+		b, ok := ix.byKey.Get(ids)
 		if !ok {
 			b = int32(len(counts))
-			ix.byKey[k] = b
+			ix.byKey.Put(ids, b)
 			counts = append(counts, 0)
 		}
 		counts[b]++
@@ -190,23 +191,18 @@ func NewCountedHashIndex(r *Relation, attrs []int, counted ...int) *HashIndex {
 // Attrs returns the indexed attribute positions.
 func (ix *HashIndex) Attrs() []int { return ix.attrs }
 
-// keyOf computes the integer composite key of t's projection. Indexed
-// tuples are always relation-owned and interned; a free-standing tuple
-// (defensive) is keyed through the relation's dictionary.
-func (ix *HashIndex) keyOf(t *Tuple) Key {
-	if t.Interned() {
-		return t.KeyOnIDs(ix.attrs)
-	}
-	var buf [8]ValueID
-	ids := buf[:0]
+// project appends the ids of t's projection onto the indexed attributes to
+// buf. Indexed tuples are relation-owned and interned; a free-standing one
+// (defensive) is projected through the relation's dictionary, as by idOf.
+func (ix *HashIndex) project(t *Tuple, buf []ValueID) []ValueID {
 	for _, a := range ix.attrs {
-		ids = append(ids, ix.rel.dict.Intern(t.Vals[a]))
+		buf = append(buf, ix.idOf(t, a))
 	}
-	return KeyOfIDs(ids)
+	return buf
 }
 
-// idOf returns the id of t's value at attribute a, with keyOf's treatment
-// of a free-standing tuple.
+// idOf returns the id of t's value at attribute a, interning it for a
+// free-standing tuple.
 func (ix *HashIndex) idOf(t *Tuple, a int) ValueID {
 	if t.Interned() {
 		return t.ids[a]
@@ -220,10 +216,10 @@ func (ix *HashIndex) tallies(b int32) []BucketCounts {
 	return ix.counts[int(b)*nc : (int(b)+1)*nc]
 }
 
-// numberOf returns the number of the bucket for k, giving a key met for
-// the first time a freed number or the next new one.
-func (ix *HashIndex) numberOf(k Key) int32 {
-	b, ok := ix.byKey[k]
+// numberOf returns the number of the bucket for the projection ids, giving
+// one met for the first time a freed number or the next new one.
+func (ix *HashIndex) numberOf(ids []ValueID) int32 {
+	b, ok := ix.byKey.Get(ids)
 	if ok {
 		return b
 	}
@@ -234,21 +230,22 @@ func (ix *HashIndex) numberOf(k Key) int32 {
 		ix.lists = append(ix.lists, nil)
 		ix.counts = append(ix.counts, make([]BucketCounts, len(ix.counted))...)
 	}
-	ix.byKey[k] = b
+	ix.byKey.Put(ids, b)
 	return b
 }
 
-// release unfiles bucket b, keyed k, if its last member has gone.
-func (ix *HashIndex) release(k Key, b int32) {
+// release unfiles bucket b, whose projection is ids, once it is empty.
+func (ix *HashIndex) release(ids []ValueID, b int32) {
 	if len(ix.lists[b]) == 0 {
-		delete(ix.byKey, k)
+		ix.byKey.Delete(ids)
 		ix.free = append(ix.free, b)
 	}
 }
 
 // Add indexes tuple t and returns the number of its bucket.
 func (ix *HashIndex) Add(t *Tuple) int32 {
-	b := ix.numberOf(ix.keyOf(t))
+	var buf [8]ValueID
+	b := ix.numberOf(ix.project(t, buf[:0]))
 	ix.lists[b] = append(ix.lists[b], t.ID)
 	tl := ix.tallies(b)
 	for j, a := range ix.counted {
@@ -262,8 +259,9 @@ func (ix *HashIndex) Add(t *Tuple) int32 {
 // now be empty, its number free for the next new key. A tuple the index
 // does not hold is left alone: -1.
 func (ix *HashIndex) Remove(t *Tuple) int32 {
-	k := ix.keyOf(t)
-	b, ok := ix.byKey[k]
+	var buf [8]ValueID
+	ids := ix.project(t, buf[:0])
+	b, ok := ix.byKey.Get(ids)
 	if !ok {
 		return -1
 	}
@@ -276,7 +274,7 @@ func (ix *HashIndex) Remove(t *Tuple) int32 {
 	for j, a := range ix.counted {
 		tl[j].remove(ix.idOf(t, a))
 	}
-	ix.release(k, b)
+	ix.release(ids, b)
 	return b
 }
 
@@ -292,19 +290,15 @@ func (ix *HashIndex) Update(t *Tuple, a int, oldID ValueID) (from, to int32) {
 	if !inKey && !slices.Contains(ix.counted, a) || t.IDAt(a) == oldID {
 		return -1, -1
 	}
-	var buf [8]ValueID
+	var buf, oldBuf [8]ValueID
 	ids := t.ProjectIDs(buf[:0], ix.attrs)
-	newKey := KeyOfIDs(ids)
-	oldKey := newKey
-	if inKey {
-		for i, x := range ix.attrs {
-			if x == a {
-				ids[i] = oldID
-			}
+	oldIDs := append(oldBuf[:0], ids...)
+	for i, x := range ix.attrs {
+		if x == a {
+			oldIDs[i] = oldID
 		}
-		oldKey = KeyOfIDs(ids)
 	}
-	from, ok := ix.byKey[oldKey]
+	from, ok := ix.byKey.Get(oldIDs)
 	if !ok {
 		return -1, -1
 	}
@@ -314,7 +308,7 @@ func (ix *HashIndex) Update(t *Tuple, a int, oldID ValueID) (from, to int32) {
 	}
 	to = from
 	if inKey {
-		to = ix.numberOf(newKey)
+		to = ix.numberOf(ids)
 	}
 	ix.lists[from] = kept
 	ix.lists[to] = append(ix.lists[to], t.ID)
@@ -328,7 +322,7 @@ func (ix *HashIndex) Update(t *Tuple, a int, oldID ValueID) (from, to int32) {
 		left[j].remove(was)
 		entered[j].add(now)
 	}
-	ix.release(oldKey, from)
+	ix.release(oldIDs, from)
 	return from, to
 }
 
@@ -355,14 +349,15 @@ func (ix *HashIndex) Lookup(vals []Value) []TupleID {
 		}
 		ids = append(ids, id)
 	}
-	return ix.LookupKey(KeyOfIDs(ids))
+	return ix.lookup(ids)
 }
 
 // LookupTuple returns the ids of tuples agreeing with t on the indexed
 // attributes, taking the interned fast path when t is relation-owned.
 func (ix *HashIndex) LookupTuple(t *Tuple) []TupleID {
 	if t.Interned() {
-		return ix.LookupKey(t.KeyOnIDs(ix.attrs))
+		var buf [8]ValueID
+		return ix.lookup(t.ProjectIDs(buf[:0], ix.attrs))
 	}
 	var buf [8]Value
 	vals := buf[:0]
@@ -381,21 +376,21 @@ func (ix *HashIndex) LookupIDs(ids []ValueID) []TupleID {
 			return nil
 		}
 	}
-	return ix.LookupKey(KeyOfIDs(ids))
+	return ix.lookup(ids)
 }
 
-// LookupKey returns the ids in the bucket for a precomputed key.
-func (ix *HashIndex) LookupKey(key Key) []TupleID {
-	if b, ok := ix.byKey[key]; ok {
+func (ix *HashIndex) lookup(ids []ValueID) []TupleID {
+	if b, ok := ix.byKey.Get(ids); ok {
 		return ix.lists[b]
 	}
 	return nil
 }
 
-// BucketOf returns the number of the bucket for a precomputed key, -1 when
-// no tuple carries it.
-func (ix *HashIndex) BucketOf(key Key) int32 {
-	if b, ok := ix.byKey[key]; ok {
+// BucketOf returns the number of the bucket of the interned tuple t's
+// projection, -1 when no indexed tuple carries it.
+func (ix *HashIndex) BucketOf(t *Tuple) int32 {
+	var buf [8]ValueID
+	if b, ok := ix.byKey.Get(t.ProjectIDs(buf[:0], ix.attrs)); ok {
 		return b
 	}
 	return -1
@@ -419,7 +414,7 @@ func (ix *HashIndex) CountsIDs(ids []ValueID) []BucketCounts {
 			return nil
 		}
 	}
-	if b, ok := ix.byKey[KeyOfIDs(ids)]; ok {
+	if b, ok := ix.byKey.Get(ids); ok {
 		return ix.tallies(b)
 	}
 	return nil
@@ -436,7 +431,7 @@ func (ix *HashIndex) Buckets(f func(b int32, ids []TupleID, counts []BucketCount
 }
 
 // Len returns the number of distinct keys.
-func (ix *HashIndex) Len() int { return len(ix.byKey) }
+func (ix *HashIndex) Len() int { return ix.byKey.Len() }
 
 func dropID(ids []TupleID, id TupleID) []TupleID {
 	for i, x := range ids {

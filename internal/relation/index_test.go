@@ -181,19 +181,6 @@ func TestHashIndexLookupTupleFreeStanding(t *testing.T) {
 	}
 }
 
-func TestKeyOfIDsWideArity(t *testing.T) {
-	// Keys beyond four attributes spill into ext and must stay exact.
-	a := KeyOfIDs([]ValueID{1, 2, 3, 4, 5, 6})
-	b := KeyOfIDs([]ValueID{1, 2, 3, 4, 5, 7})
-	c := KeyOfIDs([]ValueID{1, 2, 3, 4, 5, 6})
-	if a == b {
-		t.Fatal("distinct wide keys compare equal")
-	}
-	if a != c {
-		t.Fatal("equal wide keys compare unequal")
-	}
-}
-
 func TestDictInternLookup(t *testing.T) {
 	d := NewDict()
 	id1 := d.InternStr("a")
@@ -308,7 +295,7 @@ func TestCountedIndexTallies(t *testing.T) {
 		seen := 0
 		ix.Buckets(func(b int32, ids []TupleID, counts []BucketCounts) {
 			seen += len(ids)
-			if got := ix.BucketOf(r.Tuple(ids[0]).KeyOnIDs([]int{0})); got != b {
+			if got := ix.BucketOf(r.Tuple(ids[0])); got != b {
 				t.Fatalf("%s: bucket %d is filed under the key of bucket %d", tag, b, got)
 			}
 			if len(counts) != len(counted) {
@@ -343,7 +330,7 @@ func TestCountedIndexTallies(t *testing.T) {
 			t.Fatalf("%s: index holds %d of %d tuples", tag, seen, r.Size())
 		}
 	}
-	bucketOf := func(tu *Tuple) int32 { return ix.BucketOf(tu.KeyOnIDs([]int{0})) }
+	bucketOf := ix.BucketOf
 	set := func(id TupleID, a int, v Value) {
 		t.Helper()
 		tu := r.Tuple(id)

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"encoding/binary"
 	"maps"
 	"sync"
 )
@@ -214,46 +213,6 @@ func (d *Dict) Clone() *Dict {
 		strs:  append([]string(nil), d.strs...),
 		plain: append([]bool(nil), d.plain...),
 	}
-}
-
-// Key is a fixed-width composite key over interned value ids: the one
-// encoding of a tuple's projection as a map key. Keys over up to four
-// attributes pack exactly into the two machine words; the rare wider keys
-// spill the remaining ids into ext, so equality stays exact at every arity
-// (no lossy hashing). Key is comparable and is used directly as a Go map
-// key.
-type Key struct {
-	lo, hi uint64
-	ext    string
-}
-
-// KeyOfIDs packs a sequence of interned ids into a Key. The caller is
-// responsible for arity discipline: keys are only comparable within one
-// index or bucket family, which always projects a fixed attribute set.
-func KeyOfIDs(ids []ValueID) Key {
-	var k Key
-	switch len(ids) {
-	case 0:
-	case 1:
-		k.lo = uint64(ids[0])
-	case 2:
-		k.lo = uint64(ids[0]) | uint64(ids[1])<<32
-	case 3:
-		k.lo = uint64(ids[0]) | uint64(ids[1])<<32
-		k.hi = uint64(ids[2])
-	case 4:
-		k.lo = uint64(ids[0]) | uint64(ids[1])<<32
-		k.hi = uint64(ids[2]) | uint64(ids[3])<<32
-	default:
-		k.lo = uint64(ids[0]) | uint64(ids[1])<<32
-		k.hi = uint64(ids[2]) | uint64(ids[3])<<32
-		b := make([]byte, 4*(len(ids)-4))
-		for i, id := range ids[4:] {
-			binary.LittleEndian.PutUint32(b[4*i:], uint32(id))
-		}
-		k.ext = string(b)
-	}
-	return k
 }
 
 // PairKey packs two interned ids into one uint64, for symmetric or ordered

@@ -134,13 +134,6 @@ func (t *Tuple) ProjectIDs(dst []ValueID, attrs []int) []ValueID {
 	return dst
 }
 
-// KeyOnIDs builds the fixed-width integer composite key of t's projection
-// onto attrs. The tuple must be interned.
-func (t *Tuple) KeyOnIDs(attrs []int) Key {
-	var buf [8]ValueID
-	return KeyOfIDs(t.ProjectIDs(buf[:0], attrs))
-}
-
 // HasNullOn reports whether any of the given attributes of t is null.
 func (t *Tuple) HasNullOn(attrs []int) bool {
 	for _, a := range attrs {
