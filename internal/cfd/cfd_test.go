@@ -2,6 +2,7 @@ package cfd
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -239,17 +240,21 @@ func TestCase2Violation(t *testing.T) {
 	if vio2[t5.ID] != 2 || vio2[t1.ID] != 2 {
 		t.Errorf("fd1 violations: t5=%d t1=%d, want 2, 2", vio2[t5.ID], vio2[t1.ID])
 	}
-	// Partners must find each other.
-	var varRule *Normal
-	for _, n := range fd {
-		if !n.ConstantRHS() && n.A == ct {
-			varRule = n
-			break
+	// Each is the other's one partner on CT: their shared bucket lists
+	// both, and its tally of CT counts one member disagreeing with each.
+	for _, g := range d2.Groups() {
+		if g.A() != ct {
+			continue
+		}
+		for _, tu := range []*relation.Tuple{t5, t1} {
+			ids, c := g.Bucket(tu)
+			if disagree := c.NonNull() - c.Count(tu.IDAt(ct)); disagree != 1 || !slices.Equal(ids, []relation.TupleID{t1.ID, t5.ID}) {
+				t.Errorf("t%d's bucket on CT: %v with %d disagreeing, want [t1 t5] with 1", tu.ID, ids, disagree)
+			}
 		}
 	}
-	ps := d2.Partners(t5, varRule, nil)
-	if len(ps) != 1 || ps[0] != t1.ID {
-		t.Errorf("Partners(t5) = %v, want [t1]", ps)
+	if d2.VioTuple(t5) != 2 || d2.VioTuple(t1) != 2 {
+		t.Errorf("VioTuple: t5=%d t1=%d, want 2, 2", d2.VioTuple(t5), d2.VioTuple(t1))
 	}
 }
 

@@ -2,7 +2,6 @@ package cfd
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"testing"
 
@@ -13,11 +12,7 @@ import (
 // working out the group, LHS plan and mask bucket of every run of adjacent
 // same-shape rows, a group found through a string key of its X and A.
 func compileByRow(dict *relation.Dict, sigma []*Normal) *Compiled {
-	c := &Compiled{
-		sigma:   sigma,
-		rank:    make(map[*Normal]int, len(sigma)),
-		groupOf: make(map[*Normal]int, len(sigma)),
-	}
+	c := &Compiled{sigma: sigma}
 	byKey := make(map[string]int)
 	for i := 0; i < len(sigma); {
 		n := sigma[i]
@@ -56,8 +51,6 @@ func compileByRow(dict *relation.Dict, sigma []*Normal) *Compiled {
 		}
 		for ; i < j; i++ {
 			n := sigma[i]
-			c.rank[n] = i
-			c.groupOf[n] = gi
 			row := &groupRow{n: n, slot: g.slot, tpa: n.TpA, cons: n.ConstantRHS()}
 			if row.cons {
 				row.tpaID = dict.InternStr(n.TpA.Const)
@@ -77,8 +70,8 @@ func compileByRow(dict *relation.Dict, sigma []*Normal) *Compiled {
 // DiffCompileByRow compiles sigma with Compile and with compileByRow, each
 // into its own clone of dict, and returns the first difference between the
 // two — the plans, the LHS plans, every mask list in order, every row
-// chain, rank, groupOf and the dictionaries' ids — or "" when there is
-// none. It is exported to the package's external tests, which build §7.1's
+// chain, the rank the first sort builds and the dictionaries' ids — or ""
+// when there is none. It is exported to the package's external tests, which build §7.1's
 // Σ through internal/gen.
 func DiffCompileByRow(dict *relation.Dict, sigma []*Normal) string {
 	gotDict, wantDict := dict.Clone(), dict.Clone()
@@ -93,8 +86,16 @@ func DiffCompileByRow(dict *relation.Dict, sigma []*Normal) string {
 }
 
 func diffCompiled(got, want *Compiled, gotDict *relation.Dict) string {
-	if !slices.Equal(got.sigma, want.sigma) || !maps.Equal(got.rank, want.rank) || !maps.Equal(got.groupOf, want.groupOf) {
-		return "sigma, rank or groupOf differ"
+	if !slices.Equal(got.sigma, want.sigma) {
+		return "sigma differs"
+	}
+	if got.rank != nil {
+		return "Compile built the rank before any sort asked for it"
+	}
+	for i, n := range got.sigma {
+		if got.ranks()[n] != i {
+			return fmt.Sprintf("rule %d ranks %d", i, got.ranks()[n])
+		}
 	}
 	if len(got.plans) != len(want.plans) || len(got.lhs) != len(want.lhs) {
 		return fmt.Sprintf("%d plans on %d LHS, want %d on %d", len(got.plans), len(got.lhs), len(want.plans), len(want.lhs))

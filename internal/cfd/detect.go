@@ -122,9 +122,20 @@ type Compiled struct {
 
 	// rank orders normal CFDs by their position in sigma; it canonicalizes
 	// the violation sort so sequential and parallel detection return
-	// bit-identical slices. groupOf is the plan each rule was filed under.
-	rank    map[*Normal]int
-	groupOf map[*Normal]int
+	// bit-identical slices. The first sort builds it (ranks).
+	rankOnce sync.Once
+	rank     map[*Normal]int
+}
+
+// ranks returns the rank of every rule of Σ, building it on first use.
+func (c *Compiled) ranks() map[*Normal]int {
+	c.rankOnce.Do(func() {
+		c.rank = make(map[*Normal]int, len(c.sigma))
+		for i, n := range c.sigma {
+			c.rank[n] = i
+		}
+	})
+	return c.rank
 }
 
 // rowShape is what the rows of one shape (sameShape) have in common: the
@@ -153,11 +164,7 @@ type rowShape struct {
 // in sigma order, interning in that order, so every plan, chain and
 // dictionary id is the one a row-by-row pass gives.
 func Compile(dict *relation.Dict, sigma []*Normal) *Compiled {
-	c := &Compiled{
-		sigma:   sigma,
-		rank:    make(map[*Normal]int, len(sigma)),
-		groupOf: make(map[*Normal]int, len(sigma)),
-	}
+	c := &Compiled{sigma: sigma}
 	var shapes []rowShape
 	shapeOf := make([]int, len(sigma))
 	for i, n := range sigma {
@@ -206,8 +213,6 @@ func Compile(dict *relation.Dict, sigma []*Normal) *Compiled {
 	for i, n := range sigma {
 		sh := &shapes[shapeOf[i]]
 		g := c.plans[sh.gi]
-		c.rank[n] = i
-		c.groupOf[n] = sh.gi
 		row := &slab[i]
 		*row = groupRow{n: n, slot: g.slot, tpa: n.TpA, cons: n.ConstantRHS()}
 		if row.cons {
@@ -310,9 +315,10 @@ func (d *Detector) index(g *groupPlan) *relation.HashIndex {
 }
 
 // Recount holds every built LHS index to a count from scratch: it must file
-// each tuple of the relation once, under the tuple's own key, and every
-// tally slot of every bucket — each value's count and the sum of their
-// squares — must equal a count over the bucket's members.
+// each tuple of the relation once, under the tuple's own key, list every
+// bucket's members in ascending id order, and every tally slot of every
+// bucket — each value's count and the sum of their squares — must equal a
+// count over the bucket's members.
 // It returns the first disagreement. (An index never asked for is not
 // built, and has nothing to hold.)
 func (d *Detector) Recount() error {
@@ -343,6 +349,9 @@ func (d *Detector) Recount() error {
 func (d *Detector) recountBucket(lx *lhsIndex, b int32, ids []relation.TupleID, counts []relation.BucketCounts) error {
 	if len(counts) != len(lx.as) {
 		return fmt.Errorf("cfd: index on %v: bucket %v has %d tallies for %d groups", lx.x, ids, len(counts), len(lx.as))
+	}
+	if !slices.IsSorted(ids) {
+		return fmt.Errorf("cfd: index on %v lists bucket %v out of id order", lx.x, ids)
 	}
 	for _, id := range ids {
 		t := d.rel.Tuple(id)
@@ -571,7 +580,8 @@ func (d *Detector) aID(g *groupPlan, t *relation.Tuple) relation.ValueID {
 // counted; that is one more lookup, made only when something disagrees.
 func (d *Detector) disagreeing(g *groupPlan, t *relation.Tuple, p *xProbe) int {
 	if !p.looked {
-		p.counts, p.looked = d.index(g).CountsIDs(p.xids), true
+		_, p.counts = d.index(g).LookupIDs(p.xids)
+		p.looked = true
 	}
 	if p.counts == nil {
 		return 0
@@ -635,12 +645,13 @@ func (d *Detector) Violations(limit int) []Violation {
 }
 
 func (d *Detector) sortViolations(vs []Violation) {
+	rank := d.prog.ranks()
 	sort.Slice(vs, func(i, j int) bool {
 		a, b := vs[i], vs[j]
 		if a.T != b.T {
 			return a.T < b.T
 		}
-		if ra, rb := d.prog.rank[a.N], d.prog.rank[b.N]; ra != rb {
+		if ra, rb := rank[a.N], rank[b.N]; ra != rb {
 			return ra < rb
 		}
 		return a.With < b.With
@@ -894,40 +905,6 @@ func (d *Detector) scanAll(visit func(t *relation.Tuple, n *Normal, with relatio
 	}
 }
 
-// Partners returns the ids of tuples with which t violates the variable-RHS
-// normal CFD n, one of the detector's own rules (empty for constant-RHS
-// CFDs or when t does not match). The ids are appended to out[:0]: a
-// caller that asks repeatedly passes one buffer and allocates nothing.
-func (d *Detector) Partners(t *relation.Tuple, n *Normal, out []relation.TupleID) []relation.TupleID {
-	out = out[:0]
-	if n.ConstantRHS() || !n.MatchesLHS(t) || t.Vals[n.A].Null {
-		return out
-	}
-	g := d.groupFor(n)
-	if g == nil {
-		return out
-	}
-	var buf [8]relation.ValueID
-	xids := d.xids(g.x, t, buf[:0])
-	avID := d.aID(g, t)
-	for _, id := range d.index(g).LookupIDs(xids) {
-		if id == t.ID {
-			continue
-		}
-		if vid := d.rel.Tuple(id).IDAt(n.A); vid != relation.NullID && vid != avID {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-func (d *Detector) groupFor(n *Normal) *groupPlan {
-	if gi, ok := d.prog.groupOf[n]; ok {
-		return d.groups[gi]
-	}
-	return nil
-}
-
 // Satisfied reports whether the relation currently satisfies all CFDs.
 func (d *Detector) Satisfied() bool {
 	for _, g := range d.groups {
@@ -1024,10 +1001,16 @@ func (g Group) MatchingRules(t *relation.Tuple) []*Normal {
 	return out
 }
 
-// Bucket returns the ids of tuples agreeing with t on the group's X
-// (via the live index); includes t itself.
-func (g Group) Bucket(t *relation.Tuple) []relation.TupleID {
-	return g.d.index(g.g).LookupTuple(t)
+// Bucket returns the ids of tuples agreeing with t on the group's X (via
+// the live index), in ascending id order and t itself included, with the
+// bucket's tally of A; nil, nil when no stored tuple agrees.
+func (g Group) Bucket(t *relation.Tuple) ([]relation.TupleID, *relation.BucketCounts) {
+	var buf [8]relation.ValueID
+	ids, counts := g.d.index(g.g).LookupIDs(g.d.xids(g.g.x, t, buf[:0]))
+	if ids == nil {
+		return nil, nil
+	}
+	return ids, &counts[g.g.slot]
 }
 
 // VioCount returns vio(t) restricted to this group — the group's

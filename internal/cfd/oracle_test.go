@@ -38,7 +38,8 @@ func walkVioInGroup(d *Detector, g *groupPlan, t *relation.Tuple) int {
 			if !t.Interned() {
 				avID = d.rel.Dict().LookupValue(av)
 			}
-			for _, id := range d.index(g).LookupIDs(xids) {
+			ids, _ := d.index(g).LookupIDs(xids)
+			for _, id := range ids {
 				if id == t.ID {
 					continue
 				}

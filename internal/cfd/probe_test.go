@@ -50,33 +50,28 @@ func TestProbeMatchesFreeStanding(t *testing.T) {
 					t.Fatalf("step %d group %d: rule %d differs", i, gi, j)
 				}
 			}
-			pb, fb := g.Bucket(probe), g.Bucket(free)
-			if len(pb) != len(fb) {
-				t.Fatalf("step %d group %d: bucket of %d for the probe, %d free-standing", i, gi, len(pb), len(fb))
+			pb, pc := g.Bucket(probe)
+			fb, fc := g.Bucket(free)
+			if !slices.Equal(pb, fb) || pc != fc {
+				t.Fatalf("step %d group %d: bucket %v for the probe, %v free-standing", i, gi, pb, fb)
 			}
 		}
 		if got, want := det.VioTuple(probe), det.VioTuple(free); got != want {
 			t.Fatalf("step %d: VioTuple(probe) = %d, free-standing %d", i, got, want)
 		}
-		// Partners compares ids like every other probe: rule by rule it
-		// lists, for the probe and the free-standing copy alike, as many
-		// tuples as vio(t) counts.
-		byRule := 0
-		for _, n := range sigma {
-			if n.ConstantRHS() {
-				if n.MatchesLHS(probe) && RHSViolates(probe.Vals[n.A], n.TpA) {
-					byRule++
-				}
-				continue
+		// The bucket walk compares ids like every other probe: group by
+		// group it counts, for the probe and the free-standing copy alike,
+		// as many violations as vio(t) does.
+		byGroup := 0
+		for gi, g := range det.Groups() {
+			pw, fw := walkVioInGroup(det, g.g, probe), walkVioInGroup(det, g.g, free)
+			if pw != fw {
+				t.Fatalf("step %d group %d: the walk counts %d violations of the probe, %d of the free-standing copy", i, gi, pw, fw)
 			}
-			pp, fp := det.Partners(probe, n, nil), det.Partners(free, n, nil)
-			if !slices.Equal(pp, fp) {
-				t.Fatalf("step %d rule %s: partners of the probe %v, of the free-standing copy %v", i, n.Name, pp, fp)
-			}
-			byRule += len(pp)
+			byGroup += pw
 		}
-		if want := det.VioTuple(probe); byRule != want {
-			t.Fatalf("step %d: the rules list %d violations of %v, VioTuple counts %d", i, byRule, probe, want)
+		if want := det.VioTuple(probe); byGroup != want {
+			t.Fatalf("step %d: the walk counts %d violations of %v, VioTuple %d", i, byGroup, probe, want)
 		}
 	}
 }

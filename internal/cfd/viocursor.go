@@ -133,7 +133,7 @@ func (c *VioCursor) gather(id relation.TupleID) []Violation {
 		ids, counts := ix.BucketAt(b)
 		d.scanBucket(g, ids, &counts[g.slot], c.sc, keep)
 	}
-	rank := d.prog.rank
+	rank := d.prog.ranks()
 	sort.Slice(buf, func(i, j int) bool {
 		if ra, rb := rank[buf[i].N], rank[buf[j].N]; ra != rb {
 			return ra < rb

@@ -333,7 +333,8 @@ func TestVioStoreBucketNumberReuse(t *testing.T) {
 	for _, g := range s.d.groups {
 		s.d.index(g) // the constant-only LHS too, for checkCountedIndexes
 	}
-	g, st := s.d.groupFor(rule), &s.state[s.d.prog.groupOf[rule]]
+	gi := slices.IndexFunc(s.d.groups, func(g *groupPlan) bool { return g.a == rule.A && slices.Equal(g.x, rule.X) })
+	g, st := s.d.groups[gi], &s.state[gi]
 	ix := s.d.index(g)
 	// Alone in its [AC] bucket with the wrong state: the violation is filed
 	// under that bucket's number.

@@ -479,7 +479,8 @@ func (e *engine) candidates(rt *relation.Tuple, a int, out []relation.IDValue) [
 				continue
 			}
 			// Variable RHS: the clean bucket dictates the value.
-			for _, id := range gi.g.Bucket(rt) {
+			ids, _ := gi.g.Bucket(rt)
+			for _, id := range ids {
 				if id == rt.ID {
 					continue
 				}

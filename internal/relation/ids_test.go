@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -171,6 +172,23 @@ func FuzzRelationIDs(f *testing.F) {
 		var used []TupleID
 		nextID, maxSize := TupleID(1), 0
 		var view *View
+		// An index on the one attribute, kept by the relation's journal,
+		// must list every bucket in ascending id order whatever the ids.
+		var ix *HashIndex
+		watch := func() {
+			ix = NewCountedHashIndex(r, []int{0})
+			r.Subscribe(func(dl Delta) {
+				switch dl.Kind {
+				case DeltaInsert:
+					ix.Add(dl.T)
+				case DeltaDelete:
+					ix.Remove(dl.T)
+				case DeltaUpdate:
+					ix.Update(dl.T, dl.Attr, dl.OldID)
+				}
+			})
+		}
+		watch()
 		insert := func(id TupleID, v string) {
 			err := r.Insert(NewTuple(id, v))
 			if id == 0 {
@@ -225,6 +243,7 @@ func FuzzRelationIDs(f *testing.F) {
 					view = nil
 				}
 				r = r.Clone()
+				watch()
 				// The clone's id watermark follows its live tuples alone.
 				nextID = 1
 				for id := range model {
@@ -270,6 +289,16 @@ func FuzzRelationIDs(f *testing.F) {
 			}
 			if limit := 4*(maxSize+1) + 4096; len(r.slots) > limit {
 				t.Fatalf("table of %d entries past %d", len(r.slots), limit)
+			}
+			indexed := 0
+			ix.Buckets(func(_ int32, ids []TupleID, _ []BucketCounts) {
+				indexed += len(ids)
+				if !slices.IsSorted(ids) {
+					t.Fatalf("bucket %v is not in ascending id order", ids)
+				}
+			})
+			if indexed != r.Size() {
+				t.Fatalf("the index holds %d of %d tuples", indexed, r.Size())
 			}
 		}
 		if view != nil {

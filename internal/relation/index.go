@@ -1,6 +1,10 @@
 package relation
 
-import "slices"
+import (
+	"cmp"
+	"iter"
+	"slices"
+)
 
 // HashIndex is an equality index over a fixed set of attributes, mapping a
 // tuple's projection (its interned value ids, keyed by a KeyMap: one 64-bit
@@ -31,6 +35,13 @@ import "slices"
 // member; the number of one that empties is handed to the next new key. The
 // mutators return the numbers they touched, so a caller keeping state per
 // bucket addresses it by number (BucketAt) and hashes no key a second time.
+//
+// A bucket lists its members in ascending id order, so "the smallest id in
+// the bucket that …" is its first qualifying member. An arrival whose id
+// is the bucket's largest appends, as the relation's own ids do; any other
+// change deletes or inserts in place; a build sorts its buckets only when
+// the relation's physical order is not id order (a Delete moves the last
+// tuple into the freed slot).
 type HashIndex struct {
 	rel   *Relation
 	attrs []int
@@ -84,6 +95,21 @@ func (c *BucketCounts) Distinct() int {
 // number of ordered pairs of members carrying different non-null values.
 func (c *BucketCounts) SumSquares() int { return int(c.sq) }
 
+// All iterates over the distinct non-null values with their counts, in no
+// particular order.
+func (c *BucketCounts) All() iter.Seq2[ValueID, int] {
+	return func(yield func(ValueID, int) bool) {
+		if c.n > 0 && !yield(c.val, int(c.n)) {
+			return
+		}
+		for v, n := range c.more {
+			if !yield(v, int(n)) {
+				return
+			}
+		}
+	}
+}
+
 func (c *BucketCounts) add(v ValueID) {
 	if v == NullID {
 		return
@@ -121,11 +147,6 @@ func (c *BucketCounts) remove(v ValueID) {
 	if len(c.more) == 0 {
 		c.more = nil
 	}
-}
-
-// NewHashIndex builds an index on attrs over the current contents of r.
-func NewHashIndex(r *Relation, attrs []int) *HashIndex {
-	return NewCountedHashIndex(r, attrs)
 }
 
 // NewCountedHashIndex builds an index on attrs whose buckets also tally
@@ -183,6 +204,11 @@ func NewCountedHashIndex(r *Relation, attrs []int, counted ...int) *HashIndex {
 		tl := ix.tallies(b)
 		for j, a := range ix.counted {
 			tl[j].add(ix.idOf(t, a))
+		}
+	}
+	if !slices.IsSortedFunc(tuples, func(t, u *Tuple) int { return cmp.Compare(t.ID, u.ID) }) {
+		for _, ids := range ix.lists {
+			slices.Sort(ids)
 		}
 	}
 	return ix
@@ -246,7 +272,7 @@ func (ix *HashIndex) release(ids []ValueID, b int32) {
 func (ix *HashIndex) Add(t *Tuple) int32 {
 	var buf [8]ValueID
 	b := ix.numberOf(ix.project(t, buf[:0]))
-	ix.lists[b] = append(ix.lists[b], t.ID)
+	ix.lists[b] = insertID(ix.lists[b], t.ID)
 	tl := ix.tallies(b)
 	for j, a := range ix.counted {
 		tl[j].add(ix.idOf(t, a))
@@ -265,8 +291,8 @@ func (ix *HashIndex) Remove(t *Tuple) int32 {
 	if !ok {
 		return -1
 	}
-	kept := dropID(ix.lists[b], t.ID)
-	if len(kept) == len(ix.lists[b]) {
+	kept, ok := dropID(ix.lists[b], t.ID)
+	if !ok {
 		return -1
 	}
 	ix.lists[b] = kept
@@ -302,16 +328,15 @@ func (ix *HashIndex) Update(t *Tuple, a int, oldID ValueID) (from, to int32) {
 	if !ok {
 		return -1, -1
 	}
-	kept := dropID(ix.lists[from], t.ID)
-	if len(kept) == len(ix.lists[from]) {
+	if _, held := slices.BinarySearch(ix.lists[from], t.ID); !held {
 		return -1, -1
 	}
 	to = from
 	if inKey {
 		to = ix.numberOf(ids)
+		ix.lists[from], _ = dropID(ix.lists[from], t.ID)
+		ix.lists[to] = insertID(ix.lists[to], t.ID)
 	}
-	ix.lists[from] = kept
-	ix.lists[to] = append(ix.lists[to], t.ID)
 	left, entered := ix.tallies(from), ix.tallies(to)
 	for j, c := range ix.counted {
 		now := t.ids[c]
@@ -336,54 +361,17 @@ func (ix *HashIndex) Touches(a int) bool {
 	return false
 }
 
-// Lookup returns the ids of tuples whose projection onto the indexed
-// attributes equals vals. Values absent from the relation's dictionary
-// can match no indexed tuple, so the lookup short-circuits to nil.
-func (ix *HashIndex) Lookup(vals []Value) []TupleID {
-	var buf [8]ValueID
-	ids := buf[:0]
-	for _, v := range vals {
-		id := ix.rel.dict.LookupValue(v)
-		if id == InvalidID {
-			return nil
-		}
-		ids = append(ids, id)
+// LookupIDs returns the members and the tallies (as BucketAt) of the bucket
+// whose key is the given interned ids; nil, nil when there is none — an
+// InvalidID component matches nothing.
+func (ix *HashIndex) LookupIDs(ids []ValueID) ([]TupleID, []BucketCounts) {
+	if slices.Contains(ids, InvalidID) {
+		return nil, nil
 	}
-	return ix.lookup(ids)
-}
-
-// LookupTuple returns the ids of tuples agreeing with t on the indexed
-// attributes, taking the interned fast path when t is relation-owned.
-func (ix *HashIndex) LookupTuple(t *Tuple) []TupleID {
-	if t.Interned() {
-		var buf [8]ValueID
-		return ix.lookup(t.ProjectIDs(buf[:0], ix.attrs))
-	}
-	var buf [8]Value
-	vals := buf[:0]
-	for _, a := range ix.attrs {
-		vals = append(vals, t.Vals[a])
-	}
-	return ix.Lookup(vals)
-}
-
-// LookupIDs returns the ids of tuples whose projection onto the indexed
-// attributes equals the given interned ids; InvalidID components match
-// nothing.
-func (ix *HashIndex) LookupIDs(ids []ValueID) []TupleID {
-	for _, id := range ids {
-		if id == InvalidID {
-			return nil
-		}
-	}
-	return ix.lookup(ids)
-}
-
-func (ix *HashIndex) lookup(ids []ValueID) []TupleID {
 	if b, ok := ix.byKey.Get(ids); ok {
-		return ix.lists[b]
+		return ix.BucketAt(b)
 	}
-	return nil
+	return nil, nil
 }
 
 // BucketOf returns the number of the bucket of the interned tuple t's
@@ -404,22 +392,6 @@ func (ix *HashIndex) BucketAt(b int32) ([]TupleID, []BucketCounts) {
 	return ix.lists[b], ix.tallies(b)
 }
 
-// CountsIDs returns the tallies of the bucket whose key is the given
-// interned ids, nil when there is none (an InvalidID component matches
-// nothing) or the index is plain. They are valid until the index next
-// changes.
-func (ix *HashIndex) CountsIDs(ids []ValueID) []BucketCounts {
-	for _, id := range ids {
-		if id == InvalidID {
-			return nil
-		}
-	}
-	if b, ok := ix.byKey.Get(ids); ok {
-		return ix.tallies(b)
-	}
-	return nil
-}
-
 // Buckets iterates over all buckets in order of their numbers: number,
 // members and tallies (as BucketAt). The callback must not mutate the index.
 func (ix *HashIndex) Buckets(f func(b int32, ids []TupleID, counts []BucketCounts)) {
@@ -433,12 +405,21 @@ func (ix *HashIndex) Buckets(f func(b int32, ids []TupleID, counts []BucketCount
 // Len returns the number of distinct keys.
 func (ix *HashIndex) Len() int { return ix.byKey.Len() }
 
-func dropID(ids []TupleID, id TupleID) []TupleID {
-	for i, x := range ids {
-		if x == id {
-			ids[i] = ids[len(ids)-1]
-			return ids[:len(ids)-1]
-		}
+// insertID files id into the ascending list ids.
+func insertID(ids []TupleID, id TupleID) []TupleID {
+	if n := len(ids); n == 0 || ids[n-1] < id {
+		return append(ids, id)
 	}
-	return ids
+	i, _ := slices.BinarySearch(ids, id)
+	return slices.Insert(ids, i, id)
+}
+
+// dropID removes id from the ascending list ids, reporting whether it was
+// there.
+func dropID(ids []TupleID, id TupleID) ([]TupleID, bool) {
+	i, ok := slices.BinarySearch(ids, id)
+	if !ok {
+		return ids, false
+	}
+	return slices.Delete(ids, i, i+1), true
 }

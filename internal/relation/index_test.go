@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -12,17 +13,28 @@ func idxRel(t *testing.T) *Relation {
 	return r
 }
 
+// lookup returns the members of ix's bucket for the values vals, looked up
+// in the relation's dictionary: nil when one of them is not there.
+func lookup(ix *HashIndex, vals ...Value) []TupleID {
+	var ids []ValueID
+	for _, v := range vals {
+		ids = append(ids, ix.rel.dict.LookupValue(v))
+	}
+	members, _ := ix.LookupIDs(ids)
+	return members
+}
+
 func TestHashIndexAddLookup(t *testing.T) {
 	r := idxRel(t)
 	t1, _ := r.InsertRow("x", "1", "p")
 	t2, _ := r.InsertRow("x", "1", "q")
 	t3, _ := r.InsertRow("y", "2", "p")
-	ix := NewHashIndex(r, []int{0, 1})
-	got := ix.Lookup([]Value{S("x"), S("1")})
+	ix := NewCountedHashIndex(r, []int{0, 1})
+	got := lookup(ix, S("x"), S("1"))
 	if len(got) != 2 || got[0] != t1.ID || got[1] != t2.ID {
 		t.Fatalf("Lookup(x,1) = %v, want [%d %d]", got, t1.ID, t2.ID)
 	}
-	if got := ix.Lookup([]Value{S("y"), S("2")}); len(got) != 1 || got[0] != t3.ID {
+	if got := lookup(ix, S("y"), S("2")); len(got) != 1 || got[0] != t3.ID {
 		t.Fatalf("Lookup(y,2) = %v, want [%d]", got, t3.ID)
 	}
 	if ix.Len() != 2 {
@@ -33,11 +45,11 @@ func TestHashIndexAddLookup(t *testing.T) {
 func TestHashIndexLookupUnknownValue(t *testing.T) {
 	r := idxRel(t)
 	r.MustInsert(NewTuple(0, "x", "1", "p"))
-	ix := NewHashIndex(r, []int{0})
+	ix := NewCountedHashIndex(r, []int{0})
 	// "zzz" was never interned: the probe must short-circuit to nil
 	// without touching (or growing) the dictionary.
 	before := r.Dict().Len()
-	if got := ix.Lookup([]Value{S("zzz")}); got != nil {
+	if got := lookup(ix, S("zzz")); got != nil {
 		t.Fatalf("Lookup(zzz) = %v, want nil", got)
 	}
 	if r.Dict().Len() != before {
@@ -48,14 +60,14 @@ func TestHashIndexLookupUnknownValue(t *testing.T) {
 func TestHashIndexUpdateSameKey(t *testing.T) {
 	r := idxRel(t)
 	tp, _ := r.InsertRow("x", "1", "p")
-	ix := NewHashIndex(r, []int{0})
+	ix := NewCountedHashIndex(r, []int{0})
 	// Change an un-indexed attribute: key on attr 0 is unchanged.
 	old := tp.IDAt(2)
 	if _, err := r.Set(tp.ID, 2, S("q")); err != nil {
 		t.Fatal(err)
 	}
 	ix.Update(tp, 2, old)
-	got := ix.Lookup([]Value{S("x")})
+	got := lookup(ix, S("x"))
 	if len(got) != 1 || got[0] != tp.ID {
 		t.Fatalf("after same-key update, Lookup(x) = %v, want [%d] exactly once", got, tp.ID)
 	}
@@ -64,16 +76,16 @@ func TestHashIndexUpdateSameKey(t *testing.T) {
 func TestHashIndexUpdateMovesBucket(t *testing.T) {
 	r := idxRel(t)
 	tp, _ := r.InsertRow("x", "1", "p")
-	ix := NewHashIndex(r, []int{0})
+	ix := NewCountedHashIndex(r, []int{0})
 	old := tp.IDAt(0)
 	if _, err := r.Set(tp.ID, 0, S("y")); err != nil {
 		t.Fatal(err)
 	}
 	ix.Update(tp, 0, old)
-	if got := ix.Lookup([]Value{S("x")}); len(got) != 0 {
+	if got := lookup(ix, S("x")); len(got) != 0 {
 		t.Fatalf("old bucket still holds %v", got)
 	}
-	got := ix.Lookup([]Value{S("y")})
+	got := lookup(ix, S("y"))
 	if len(got) != 1 || got[0] != tp.ID {
 		t.Fatalf("new bucket = %v, want [%d]", got, tp.ID)
 	}
@@ -85,10 +97,10 @@ func TestHashIndexUpdateMovesBucket(t *testing.T) {
 func TestHashIndexUpdateUnchangedValue(t *testing.T) {
 	r := idxRel(t)
 	tp, _ := r.InsertRow("x", "1", "p")
-	ix := NewHashIndex(r, []int{0})
+	ix := NewCountedHashIndex(r, []int{0})
 	// The old id equals the current one: nothing moved, nothing is added.
 	ix.Update(tp, 0, tp.IDAt(0))
-	got := ix.Lookup([]Value{S("x")})
+	got := lookup(ix, S("x"))
 	if len(got) != 1 || got[0] != tp.ID {
 		t.Fatalf("after unchanged-value update, Lookup(x) = %v, want [%d] exactly once", got, tp.ID)
 	}
@@ -98,14 +110,14 @@ func TestHashIndexRemove(t *testing.T) {
 	r := idxRel(t)
 	t1, _ := r.InsertRow("x", "1", "p")
 	t2, _ := r.InsertRow("x", "1", "q")
-	ix := NewHashIndex(r, []int{0})
+	ix := NewCountedHashIndex(r, []int{0})
 	ix.Remove(t1)
-	got := ix.Lookup([]Value{S("x")})
+	got := lookup(ix, S("x"))
 	if len(got) != 1 || got[0] != t2.ID {
 		t.Fatalf("after remove, Lookup(x) = %v, want [%d]", got, t2.ID)
 	}
 	ix.Remove(t2)
-	if got := ix.Lookup([]Value{S("x")}); len(got) != 0 {
+	if got := lookup(ix, S("x")); len(got) != 0 {
 		t.Fatalf("after removing all, Lookup(x) = %v", got)
 	}
 	if ix.Len() != 0 {
@@ -116,10 +128,10 @@ func TestHashIndexRemove(t *testing.T) {
 func TestHashIndexRemoveUnindexed(t *testing.T) {
 	r := idxRel(t)
 	t1, _ := r.InsertRow("x", "1", "p")
-	ix := NewHashIndex(r, []int{0})
+	ix := NewCountedHashIndex(r, []int{0})
 	ix.Remove(NewTuple(9999, "x", "1", "p")) // never indexed: must be a no-op
 	ix.Remove(NewTuple(9998, "z", "1", "p")) // nor is its key
-	got := ix.Lookup([]Value{S("x")})
+	got := lookup(ix, S("x"))
 	if len(got) != 1 || got[0] != t1.ID {
 		t.Fatalf("remove of unindexed id disturbed the index: %v", got)
 	}
@@ -142,10 +154,10 @@ func TestHashIndexUpdateUnindexed(t *testing.T) {
 			t.Fatalf("Update of an unindexed tuple on attribute %d touched buckets %d, %d", a, from, to)
 		}
 	}
-	if got := ix.Lookup([]Value{S("x")}); len(got) != 1 || got[0] != t1.ID {
+	if got := lookup(ix, S("x")); len(got) != 1 || got[0] != t1.ID {
 		t.Fatalf("Update filed an unindexed tuple: Lookup(x) = %v, want [%d]", got, t1.ID)
 	}
-	if c := ix.CountsIDs([]ValueID{t1.IDAt(0)}); c[0].NonNull() != 1 || c[1].NonNull() != 1 {
+	if _, c := ix.LookupIDs([]ValueID{t1.IDAt(0)}); c[0].NonNull() != 1 || c[1].NonNull() != 1 {
 		t.Fatalf("bucket x tallies %d and %d members, want 1 and 1", c[0].NonNull(), c[1].NonNull())
 	}
 	if ix.Len() != 1 {
@@ -158,26 +170,12 @@ func TestHashIndexNullKeys(t *testing.T) {
 	tn := &Tuple{Vals: []Value{NullValue, S("1"), S("p")}}
 	r.MustInsert(tn)
 	tx, _ := r.InsertRow("x", "1", "p")
-	ix := NewHashIndex(r, []int{0})
-	if got := ix.Lookup([]Value{NullValue}); len(got) != 1 || got[0] != tn.ID {
+	ix := NewCountedHashIndex(r, []int{0})
+	if got := lookup(ix, NullValue); len(got) != 1 || got[0] != tn.ID {
 		t.Fatalf("Lookup(null) = %v, want [%d]", got, tn.ID)
 	}
-	if got := ix.Lookup([]Value{S("x")}); len(got) != 1 || got[0] != tx.ID {
+	if got := lookup(ix, S("x")); len(got) != 1 || got[0] != tx.ID {
 		t.Fatalf("Lookup(x) = %v, want [%d]", got, tx.ID)
-	}
-}
-
-func TestHashIndexLookupTupleFreeStanding(t *testing.T) {
-	r := idxRel(t)
-	t1, _ := r.InsertRow("x", "1", "p")
-	ix := NewHashIndex(r, []int{0, 1})
-	probe := NewTuple(0, "x", "1", "anything")
-	if probe.Interned() {
-		t.Fatal("free-standing tuple must not be interned")
-	}
-	got := ix.LookupTuple(probe)
-	if len(got) != 1 || got[0] != t1.ID {
-		t.Fatalf("LookupTuple(probe) = %v, want [%d]", got, t1.ID)
 	}
 }
 
@@ -256,12 +254,12 @@ func TestHashIndexBuildBudget(t *testing.T) {
 		{[]int{1}, 10, 12 << 10},
 	} {
 		var ix *HashIndex
-		plain := allocBytes(func() { ix = NewHashIndex(r, tc.attrs) })
+		plain := allocBytes(func() { ix = NewCountedHashIndex(r, tc.attrs) })
 		if ix.Len() != tc.keys {
 			t.Fatalf("index on %v has %d keys, want %d", tc.attrs, ix.Len(), tc.keys)
 		}
 		if plain > tc.budget {
-			t.Errorf("NewHashIndex on %v allocates %d B, budget %d B", tc.attrs, plain, tc.budget)
+			t.Errorf("a plain index on %v allocates %d B, budget %d B", tc.attrs, plain, tc.budget)
 		}
 		clean := allocBytes(func() { ix = NewCountedHashIndex(r, tc.attrs, 2) })
 		// (The measurement is a mean over runs with the test's own garbage
@@ -295,6 +293,9 @@ func TestCountedIndexTallies(t *testing.T) {
 		seen := 0
 		ix.Buckets(func(b int32, ids []TupleID, counts []BucketCounts) {
 			seen += len(ids)
+			if !slices.IsSorted(ids) {
+				t.Fatalf("%s: bucket %d lists %v, not in ascending id order", tag, b, ids)
+			}
 			if got := ix.BucketOf(r.Tuple(ids[0])); got != b {
 				t.Fatalf("%s: bucket %d is filed under the key of bucket %d", tag, b, got)
 			}
@@ -358,10 +359,10 @@ func TestCountedIndexTallies(t *testing.T) {
 		ids = append(ids, tu.ID)
 	}
 	check("built by Add")
-	if c := ix.CountsIDs([]ValueID{r.Dict().InternStr("x")}); c == nil || c[0].NonNull() != 3 || c[0].Distinct() != 2 || c[1].Distinct() != 2 {
+	if _, c := ix.LookupIDs([]ValueID{r.Dict().InternStr("x")}); c == nil || c[0].NonNull() != 3 || c[0].Distinct() != 2 || c[1].Distinct() != 2 {
 		t.Fatalf("bucket x: %+v, want 3 non-null over 2 values of v, 2 of w", c)
 	}
-	if c := ix.CountsIDs([]ValueID{InvalidID}); c != nil {
+	if ids, c := ix.LookupIDs([]ValueID{InvalidID}); ids != nil || c != nil {
 		t.Fatal("an InvalidID key has no bucket")
 	}
 	set(ids[2], 1, S("1")) // a counted attribute alone: x becomes clean on v
@@ -394,7 +395,23 @@ func TestCountedIndexTallies(t *testing.T) {
 	if rebuilt := NewCountedHashIndex(r, []int{0}, counted...); rebuilt.Len() != ix.Len() {
 		t.Fatalf("maintained index has %d buckets, a rebuilt one %d", ix.Len(), rebuilt.Len())
 	}
-	if _, c := NewHashIndex(r, []int{0}).BucketAt(0); c != nil {
+	// A delete moves the last tuple into the freed slot; a build over that
+	// physical order still lists every bucket in id order.
+	for _, row := range [][]string{{"z", "5", "p", "-"}, {"z", "6", "q", "-"}} {
+		tu := NewTuple(0, row...)
+		r.MustInsert(tu)
+		ix.Add(tu)
+	}
+	gone := r.Tuple(ids[3])
+	r.Delete(gone.ID)
+	ix.Remove(gone)
+	check("after a delete that moves a tuple")
+	if ts := r.Tuples(); slices.IsSortedFunc(ts, func(a, b *Tuple) int { return int(a.ID - b.ID) }) {
+		t.Fatal("the relation is still in id order; the rebuild exercises nothing")
+	}
+	ix = NewCountedHashIndex(r, []int{0}, counted...)
+	check("rebuilt over a physical order that is not id order")
+	if _, c := NewCountedHashIndex(r, []int{0}).BucketAt(0); c != nil {
 		t.Fatal("a plain index has no tallies")
 	}
 }

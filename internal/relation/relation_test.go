@@ -245,8 +245,8 @@ func TestHashIndexLifecycle(t *testing.T) {
 	t2 := NewTuple(0, "x", "2")
 	r.MustInsert(t1)
 	r.MustInsert(t2)
-	ix := NewHashIndex(r, []int{0})
-	if ids := ix.Lookup([]Value{S("x")}); len(ids) != 2 {
+	ix := NewCountedHashIndex(r, []int{0})
+	if ids := lookup(ix, S("x")); len(ids) != 2 {
 		t.Fatalf("Lookup(x) = %v", ids)
 	}
 	// Update t1.a -> y.
@@ -255,19 +255,19 @@ func TestHashIndexLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.Update(t1, 0, old)
-	if ids := ix.Lookup([]Value{S("x")}); len(ids) != 1 || ids[0] != t2.ID {
+	if ids := lookup(ix, S("x")); len(ids) != 1 || ids[0] != t2.ID {
 		t.Errorf("Lookup(x) after update = %v", ids)
 	}
-	if ids := ix.Lookup([]Value{S("y")}); len(ids) != 1 || ids[0] != t1.ID {
+	if ids := lookup(ix, S("y")); len(ids) != 1 || ids[0] != t1.ID {
 		t.Errorf("Lookup(y) after update = %v", ids)
 	}
 	// No-op update keeps a single entry.
 	ix.Update(t1, 0, t1.IDAt(0))
-	if ids := ix.Lookup([]Value{S("y")}); len(ids) != 1 {
+	if ids := lookup(ix, S("y")); len(ids) != 1 {
 		t.Errorf("Lookup(y) after no-op update = %v", ids)
 	}
 	ix.Remove(t2)
-	if ids := ix.Lookup([]Value{S("x")}); len(ids) != 0 {
+	if ids := lookup(ix, S("x")); len(ids) != 0 {
 		t.Errorf("Lookup(x) after remove = %v", ids)
 	}
 	if ix.Len() != 1 {
@@ -282,7 +282,7 @@ func TestHashIndexBuckets(t *testing.T) {
 	r := New(MustSchema("r", "a"))
 	r.MustInsert(NewTuple(0, "x"))
 	r.MustInsert(NewTuple(0, "y"))
-	ix := NewHashIndex(r, []int{0})
+	ix := NewCountedHashIndex(r, []int{0})
 	n := 0
 	ix.Buckets(func(_ int32, ids []TupleID, _ []BucketCounts) { n += len(ids) })
 	if n != 2 {

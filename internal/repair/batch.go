@@ -3,7 +3,7 @@ package repair
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/cost"
@@ -52,22 +52,12 @@ func Batch(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, e
 	for _, comp := range comps {
 		res.LargestComponent = max(res.LargestComponent, len(comp))
 	}
-	// Each violating tuple is seeded into the dirty sets of the groups it
-	// violates under in the input.
-	seeds := make(map[relation.TupleID][]int)
-	store.EachViolation(func(gi int, v cfd.Violation) {
-		seeds[v.T] = appendUnique(seeds[v.T], gi)
-	})
 	e := newEngine(store, d, o)
 	// Safety bound from the termination argument of Theorem 4.2: the
 	// progress measure is bounded by 3k for k = (tuple, attribute) pairs.
 	limit := 3*e.rel.Size()*e.rel.Schema().Arity() + 1024
 	for _, comp := range comps {
-		for _, id := range comp {
-			for _, gi := range seeds[id] {
-				e.dirty[gi][id] = true
-			}
-		}
+		e.seed(comp)
 		for {
 			if err := e.mainLoop(limit); err != nil {
 				return nil, err
@@ -82,7 +72,7 @@ func Batch(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, e
 	if !store.Satisfied() {
 		return nil, fmt.Errorf("repair: internal: %d violations left after the last component", store.TotalViolations())
 	}
-	res.Resolutions = e.resolutions
+	res.Resolutions, res.work = e.resolutions, e.work
 	repaired := e.rel
 	c, err := o.CostModel.Repair(repaired, d)
 	if err != nil {
@@ -131,14 +121,16 @@ const pickNextScan = 64
 // most pickNextScan live violations per group are evaluated in one call,
 // and stale dirty entries are dropped as they are discovered.
 //
-// Dirty tuples are visited in ascending id order — never in Go map
-// order — so the violations scanned under the cap, and the winner of
-// cost ties, are fixed properties of the engine state, and a repair is a
+// A dirty set is a bitset over id rank, walked from its lowest member, so
+// dirty tuples are visited in ascending id order with no collection and
+// no sort: the violations scanned under the cap, and the winner of cost
+// ties, are fixed properties of the engine state, and a repair is a
 // function of its input.
 func (e *engine) pickNext() (plan, bool) {
 	var best plan
 	bestOK := false
 	bestComp := 0
+	tuples := e.rel.Tuples()
 	for _, gi := range e.order {
 		if bestOK && e.comp[gi] > bestComp {
 			break // strictly later stratum; the current best stands
@@ -151,41 +143,31 @@ func (e *engine) pickNext() (plan, bool) {
 			continue
 		}
 		set := e.dirty[gi]
-		if len(set) == 0 {
-			continue
+		for e.low[gi] < len(set) && set[e.low[gi]] == 0 {
+			e.low[gi]++
 		}
-		ids := e.idScratch[:0]
-		for id := range set {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		e.idScratch = ids
 		scanned := 0
-		for _, id := range ids {
-			t := e.rel.Tuple(id)
-			if t == nil {
-				delete(set, id)
-				continue
-			}
-			v, live := e.findViolation(gi, t)
-			if !live {
-				delete(set, id)
-				continue
-			}
-			p, ok := e.planViolation(v)
-			if !ok {
-				// Unreachable for satisfiable Σ (see planViolation);
-				// drop defensively rather than loop forever.
-				delete(set, id)
-				continue
-			}
-			if !bestOK || p.cost < best.cost {
-				best, bestOK = p, true
-				bestComp = e.comp[gi]
-			}
-			scanned++
-			if scanned >= pickNextScan {
-				break
+		for w := e.low[gi]; w < len(set) && scanned < pickNextScan; w++ {
+			for word := set[w]; word != 0 && scanned < pickNextScan; word &= word - 1 {
+				r := bits.TrailingZeros64(word)
+				t := tuples[e.byRank[w*64+r]]
+				e.work.visits++
+				v, live := e.findViolation(gi, t)
+				var p plan
+				if live {
+					p, live = e.planViolation(v)
+					// planViolation fails only for an unsatisfiable Σ;
+					// drop the entry defensively rather than loop forever.
+				}
+				if !live {
+					set[w] &^= 1 << r
+					continue
+				}
+				if !bestOK || p.cost < best.cost {
+					best, bestOK = p, true
+					bestComp = e.comp[gi]
+				}
+				scanned++
 			}
 		}
 	}

@@ -475,3 +475,38 @@ func TestFindVAllocates(t *testing.T) {
 		t.Fatal("no violation offered FINDV a candidate; the fixture exercises nothing")
 	}
 }
+
+// TestBatchWorkGrowth bounds how BATCHREPAIR's work per resolution grows
+// with the database, by count, not by clock: on §7.1's generator (seed 1,
+// 600 pattern rows) from 2 500 to 10 000 tuples, the dirty tuples PICKNEXT
+// visits per resolution may grow at most 1.5× and the tally values FINDV
+// reads per resolution at most 3×. The bucket members the partner search
+// walks are reported, not bounded: the walk past members that carry t's
+// own value is the part of the loop still superlinear.
+func TestBatchWorkGrowth(t *testing.T) {
+	type per struct{ visits, reads float64 }
+	run := func(n int) per {
+		ds, err := gen.New(gen.Config{Size: n, NoiseRate: 0.05, ConstShare: 0.5, PatternRows: 600, Weights: true, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Batch(ds.Dirty, ds.Sigma, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, r := res.work, float64(res.Resolutions)
+		t.Logf("%d tuples: %d resolutions; per resolution %.1f visits, %.1f FINDV tally reads; %d partner-walk members",
+			n, res.Resolutions, float64(w.visits)/r, float64(w.findVReads)/r, w.walked)
+		return per{float64(w.visits) / r, float64(w.findVReads) / r}
+	}
+	small, large := run(2500), run(10000)
+	if small.visits == 0 || small.reads == 0 {
+		t.Fatal("the small run counted no work; the test exercises nothing")
+	}
+	if g := large.visits / small.visits; g > 1.5 {
+		t.Errorf("PICKNEXT's visits per resolution grew %.2f× from 2 500 to 10 000 tuples, bound 1.5×", g)
+	}
+	if g := large.reads / small.reads; g > 3 {
+		t.Errorf("FINDV's tally reads per resolution grew %.2f× from 2 500 to 10 000 tuples, bound 3×", g)
+	}
+}

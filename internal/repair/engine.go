@@ -7,6 +7,7 @@
 package repair
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -60,6 +61,15 @@ type Result struct {
 	// violation graph and LargestComponent the tuple count of the biggest.
 	Components       int
 	LargestComponent int
+
+	work workCounts
+}
+
+// workCounts counts what one run did, as a function of its input alone:
+// the dirty tuples PICKNEXT visited, the tally values FINDV read and the
+// bucket members the partner search walked.
+type workCounts struct {
+	visits, findVReads, walked int
 }
 
 // engine is the mutable state of one BATCHREPAIR run: one working copy,
@@ -83,30 +93,37 @@ type engine struct {
 	touching [][]int
 
 	// dirty[i] is the union of Dirty_Tuples(φ) over the rules φ in
-	// groups[i]: tuples possibly violating some rule of the group.
-	dirty []map[relation.TupleID]bool
+	// groups[i]: tuples possibly violating some rule of the group, as a
+	// bitset over id rank — bit r is the tuple of the r-th smallest id, at
+	// position byRank[r] of the working copy (rankOf is the inverse) — so
+	// it is walked in ascending id order with no sort. low[i] is the first
+	// word of dirty[i] that may be non-zero.
+	dirty  [][]uint64
+	low    []int
+	byRank []int32
+	rankOf []int32
+	// seeds lists, per tuple violating in the input, the groups it
+	// violates under (see seed).
+	seeds map[relation.TupleID][]int
 
 	// support[i][b] is the FINDV support index (§4.2) of groups[i] for
-	// LHS attribute b, on X ∪ {A} \ {B}; built lazily. Groups with the
-	// same attribute set share one index; indexes lists each once, for
-	// setStored to maintain.
+	// LHS attribute b: on X ∪ {A} \ {B}, tallying B; built lazily. Groups
+	// with the same attribute set share one index per B; indexes lists
+	// each once, for setStored to maintain.
 	support [][]*relation.HashIndex
 	indexes []*relation.HashIndex
 
 	// found keeps FINDV's answers (see findV); cleared with the classes.
 	found map[foundKey]foundV
 
-	// Reusable buffers: pickNext's sorted dirty ids; propagationCost's
-	// partner list; FINDV's trial tuple, context value ids, ranked
-	// candidates and per-group vio(t).
-	idScratch  []relation.TupleID
-	partnerBuf []relation.TupleID
-	probe      *relation.Tuple
-	idBuf      []relation.ValueID
-	candBuf    []candidate
-	vioBuf     []int
+	// Reusable buffers: FINDV's trial tuple, ranked candidates and
+	// per-group vio(t).
+	probe   *relation.Tuple
+	candBuf []candidate
+	vioBuf  []int
 
 	resolutions int
+	work        workCounts
 }
 
 // newEngine builds an engine over the store's relation, a private copy of
@@ -114,8 +131,9 @@ type engine struct {
 // and maintains itself under every write the engine performs, via the
 // relation's mutation journal — no per-round detector rebuilds. The
 // equivalence classes range over every cell of the working copy, numbered
-// by position (see key): the engine only updates cells, never inserts or
-// deletes, so no tuple moves during the run.
+// by position (see key), and the dirty sets over every tuple, numbered by
+// id rank: the engine only updates cells, never inserts or deletes, so no
+// tuple moves and no rank changes during the run.
 func newEngine(store *cfd.VioStore, orig *relation.Relation, opts Options) *engine {
 	work, det := store.Relation(), store.Detector()
 	arity := work.Schema().Arity()
@@ -130,11 +148,24 @@ func newEngine(store *cfd.VioStore, orig *relation.Relation, opts Options) *engi
 		arity:    arity,
 		opts:     opts,
 		touching: make([][]int, arity),
+		seeds:    make(map[relation.TupleID][]int),
 		found:    make(map[foundKey]foundV),
+	}
+	store.EachViolation(func(gi int, v cfd.Violation) {
+		e.seeds[v.T] = appendUnique(e.seeds[v.T], gi)
+	})
+	ts := work.Tuples()
+	e.byRank, e.rankOf = make([]int32, len(ts)), make([]int32, len(ts))
+	for p := range e.byRank {
+		e.byRank[p] = int32(p)
+	}
+	slices.SortFunc(e.byRank, func(p, q int32) int { return cmp.Compare(ts[p].ID, ts[q].ID) })
+	for r, p := range e.byRank {
+		e.rankOf[p] = int32(r)
 	}
 	n := len(e.groups)
 	e.order, e.comp = make([]int, n), make([]int, n)
-	e.dirty = make([]map[relation.TupleID]bool, n)
+	e.dirty, e.low = make([][]uint64, n), make([]int, n)
 	e.support = make([][]*relation.HashIndex, n)
 	reps := make([]*cfd.Normal, n)
 	for i, g := range e.groups {
@@ -144,7 +175,7 @@ func newEngine(store *cfd.VioStore, orig *relation.Relation, opts Options) *engi
 			e.touching[a] = appendUnique(e.touching[a], i)
 		}
 		e.touching[g.A()] = appendUnique(e.touching[g.A()], i)
-		e.dirty[i] = make(map[relation.TupleID]bool)
+		e.dirty[i] = make([]uint64, (len(ts)+63)/64)
 		e.support[i] = make([]*relation.HashIndex, arity)
 	}
 	if !opts.NoDepGraph {
@@ -217,23 +248,42 @@ func (e *engine) applyTarget(k eqclass.Key) {
 	for _, m := range e.classes.Members(k) {
 		t, a := e.cell(m)
 		e.setStored(t, a, v)
-		e.markDirty(t.ID, a)
+		e.markDirty(m)
 	}
 }
 
-// markDirty flags tuple id as possibly violating every group whose
-// attributes include a.
-func (e *engine) markDirty(id relation.TupleID, a int) {
-	for _, i := range e.touching[a] {
-		e.dirty[i][id] = true
+// seed marks the tuples of one component of the input's violation graph
+// dirty in the groups they violate under in the input (Fig. 4 line 4).
+func (e *engine) seed(comp []relation.TupleID) {
+	for _, id := range comp {
+		p, _ := e.rel.Position(id)
+		for _, gi := range e.seeds[id] {
+			e.setDirty(gi, p)
+		}
 	}
+}
+
+// markDirty flags the tuple of cell k as possibly violating every group
+// whose attributes include the cell's attribute.
+func (e *engine) markDirty(k eqclass.Key) {
+	p, a := int(k)/e.arity, int(k)%e.arity
+	for _, gi := range e.touching[a] {
+		e.setDirty(gi, p)
+	}
+}
+
+// setDirty adds the tuple at position p to group gi's dirty set.
+func (e *engine) setDirty(gi, p int) {
+	r := int(e.rankOf[p])
+	e.dirty[gi][r/64] |= 1 << (r % 64)
+	e.low[gi] = min(e.low[gi], r/64)
 }
 
 // supportIndex returns (building if needed) the FINDV index of group gi
-// for LHS attribute b: the group's X ∪ {A} without b, or nil when that
-// leaves nothing. The index is built on the *sorted* attribute positions,
-// so groups sharing an attribute set share the index whatever order their
-// rules list it in.
+// for LHS attribute b: on the group's X ∪ {A} without b, tallying b, or
+// nil when that leaves nothing. The index is built on the *sorted*
+// attribute positions, so groups sharing an attribute set share the index
+// for b whatever order their rules list it in.
 func (e *engine) supportIndex(gi, b int) *relation.HashIndex {
 	if ix := e.support[gi][b]; ix != nil {
 		return ix
@@ -252,15 +302,16 @@ func (e *engine) supportIndex(gi, b int) *relation.HashIndex {
 		return nil
 	}
 	slices.Sort(attrs)
-	at := slices.IndexFunc(e.indexes, func(ix *relation.HashIndex) bool {
-		return slices.Equal(ix.Attrs(), attrs)
-	})
-	if at < 0 {
-		at = len(e.indexes)
-		e.indexes = append(e.indexes, relation.NewHashIndex(e.rel, attrs))
+	for _, s := range e.support {
+		if ix := s[b]; ix != nil && slices.Equal(ix.Attrs(), attrs) {
+			e.support[gi][b] = ix
+			return ix
+		}
 	}
-	e.support[gi][b] = e.indexes[at]
-	return e.indexes[at]
+	ix := relation.NewCountedHashIndex(e.rel, attrs, b)
+	e.indexes = append(e.indexes, ix)
+	e.support[gi][b] = ix
+	return ix
 }
 
 // eqOnRHS reports whether t and t2 agree on attribute a for violation
@@ -289,12 +340,9 @@ func (e *engine) dict() *relation.Dict { return e.rel.Dict() }
 
 // findViolation returns the first live violation of tuple t within group
 // gi, or ok=false if t currently satisfies every rule of the group.
-// Rules are visited in the group's (deterministic) order; within a rule
-// the canonical partner is the disagreeing tuple of smallest id, not the
-// first one the index bucket happens to list — bucket-internal order is
-// perturbed by the remove-and-swap index maintenance of earlier writes
-// and undos, and determinism-by-construction forbids it leaking into the
-// chosen plan.
+// Rules are visited in the group's (deterministic) order; every
+// variable-RHS rule of the group shares t's bucket, so they share its
+// partner (see partner).
 func (e *engine) findViolation(gi int, t *relation.Tuple) (violation, bool) {
 	g := e.groups[gi]
 	rules := g.MatchingRules(t)
@@ -302,7 +350,8 @@ func (e *engine) findViolation(gi int, t *relation.Tuple) (violation, bool) {
 		return violation{}, false
 	}
 	a := g.A()
-	var bucket []relation.TupleID
+	searched := false
+	var partner *relation.Tuple
 	for _, n := range rules {
 		if n.ConstantRHS() {
 			if cfd.RHSViolates(t.Vals[a], n.TpA) {
@@ -313,27 +362,39 @@ func (e *engine) findViolation(gi int, t *relation.Tuple) (violation, bool) {
 		if t.Vals[a].Null {
 			continue // null agrees with everything (case 2.3)
 		}
-		if bucket == nil {
-			bucket = g.Bucket(t)
-		}
-		var partner *relation.Tuple
-		for _, id := range bucket {
-			if id == t.ID {
-				continue
-			}
-			t2 := e.rel.Tuple(id)
-			if t2 == nil {
-				continue
-			}
-			if !e.eqOnRHS(t, t2, a) && (partner == nil || t2.ID < partner.ID) {
-				partner = t2
-			}
+		if !searched {
+			partner, searched = e.partner(g, t), true
 		}
 		if partner != nil {
 			return violation{gi: gi, t: t, rule: n, partner: partner}, true
 		}
 	}
 	return violation{}, false
+}
+
+// partner returns the canonical partner of t, whose A-value is not null,
+// in group g: the disagreeing tuple of smallest id. The bucket's tally of
+// A answers first whether any stored A-value differs from t's; when none
+// does there is no partner, since class identity only ever adds equality.
+// Otherwise the bucket lists its members in ascending id order, so the
+// first one eqOnRHS separates from t is the smallest — never an artefact
+// of the order earlier writes left behind.
+func (e *engine) partner(g cfd.Group, t *relation.Tuple) *relation.Tuple {
+	ids, c := g.Bucket(t)
+	a := g.A()
+	if c.NonNull() == c.Count(t.IDAt(a)) {
+		return nil
+	}
+	for _, id := range ids {
+		e.work.walked++
+		if id == t.ID {
+			continue
+		}
+		if t2 := e.rel.Tuple(id); !e.eqOnRHS(t, t2, a) {
+			return t2
+		}
+	}
+	return nil
 }
 
 // classCost returns the paper's Cost(t, B, v): the weighted cost of

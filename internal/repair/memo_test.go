@@ -2,8 +2,11 @@ package repair
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -25,17 +28,9 @@ func driveBatch(t *testing.T, d *relation.Relation, sigma []*cfd.Normal, check f
 	store := cfd.Compile(work.Dict(), sigma).NewVioStore(work)
 	defer store.Close()
 	comps := store.Components()
-	seeds := make(map[relation.TupleID][]int)
-	store.EachViolation(func(gi int, v cfd.Violation) {
-		seeds[v.T] = appendUnique(seeds[v.T], gi)
-	})
 	e := newEngine(store, d, o)
 	for _, comp := range comps {
-		for _, id := range comp {
-			for _, gi := range seeds[id] {
-				e.dirty[gi][id] = true
-			}
-		}
+		e.seed(comp)
 		for {
 			for {
 				p, ok := e.pickNext()
@@ -91,16 +86,121 @@ func checkMemo(t *testing.T, e *engine) (current int) {
 	return current
 }
 
+// findVWalk is FINDV's body as it stood before the support index tallied
+// B: the candidates are gathered by walking t's bucket, one Relation.Tuple
+// lookup per member, and their support counted by sorting their ids. It is
+// the reference findVUncached is held to.
+func findVWalk(e *engine, ix *relation.HashIndex, t *relation.Tuple, b int) (relation.Value, int, float64, bool) {
+	curID := t.IDAt(b)
+	var ids []relation.ValueID
+	var buf [8]relation.ValueID
+	members, _ := ix.LookupIDs(t.ProjectIDs(buf[:0], ix.Attrs()))
+	for _, id := range members {
+		if v := e.rel.Tuple(id).IDAt(b); id != t.ID && v != relation.NullID && v != curID {
+			ids = append(ids, v)
+		}
+	}
+	slices.Sort(ids)
+	var cands []candidate
+	for i, id := range ids {
+		if i > 0 && ids[i-1] == id {
+			cands[len(cands)-1].n++
+		} else {
+			cands = append(cands, candidate{v: relation.IDValue{Value: e.dict().Value(id), ID: id}, n: 1})
+		}
+	}
+	return e.bestCandidate(t, b, cands)
+}
+
+// findViolationWalk is findViolation as it stood before buckets kept id
+// order: for every variable-RHS rule it walks t's whole bucket for the
+// disagreeing member of smallest id. It is the reference findViolation is
+// held to.
+func findViolationWalk(e *engine, gi int, t *relation.Tuple) (violation, bool) {
+	g := e.groups[gi]
+	a := g.A()
+	for _, n := range g.MatchingRules(t) {
+		if n.ConstantRHS() {
+			if cfd.RHSViolates(t.Vals[a], n.TpA) {
+				return violation{gi: gi, t: t, rule: n}, true
+			}
+			continue
+		}
+		if t.Vals[a].Null {
+			continue
+		}
+		ids, _ := g.Bucket(t)
+		var partner *relation.Tuple
+		for _, id := range ids {
+			if t2 := e.rel.Tuple(id); id != t.ID && !e.eqOnRHS(t, t2, a) && (partner == nil || t2.ID < partner.ID) {
+				partner = t2
+			}
+		}
+		if partner != nil {
+			return violation{gi: gi, t: t, rule: n, partner: partner}, true
+		}
+	}
+	return violation{}, false
+}
+
+// checkWalks holds, at the engine's current state, FINDV's body to its walk
+// for every question the memo holds, and findViolation to its walk for
+// every tuple of every dirty set — the questions PICKNEXT asks. It also
+// requires that no dirty set holds a member below its low word.
+func checkWalks(t *testing.T, e *engine) {
+	t.Helper()
+	for fk := range e.found {
+		tp, b := e.cell(fk.k)
+		v, vio, c, ok := e.findVUncached(fk.ix, tp, b)
+		wv, wvio, wc, wok := findVWalk(e, fk.ix, tp, b)
+		if v != wv || vio != wvio || c != wc || ok != wok {
+			t.Fatalf("findV(t%d, attr %d) from the tally (%q, %d, %v, %v), by the walk (%q, %d, %v, %v)",
+				tp.ID, b, v, vio, c, ok, wv, wvio, wc, wok)
+		}
+	}
+	tuples := e.rel.Tuples()
+	for gi, set := range e.dirty {
+		for w, word := range set {
+			if word != 0 && w < e.low[gi] {
+				t.Fatalf("group %d holds dirty tuples in word %d, below its low word %d", gi, w, e.low[gi])
+			}
+			for ; word != 0; word &= word - 1 {
+				tp := tuples[e.byRank[w*64+bits.TrailingZeros64(word)]]
+				v, ok := e.findViolation(gi, tp)
+				wv, wok := findViolationWalk(e, gi, tp)
+				if v != wv || ok != wok {
+					t.Fatalf("group %d, t%d: findViolation says %s, the walk %s", gi, tp.ID, describe(v, ok), describe(wv, wok))
+				}
+			}
+		}
+	}
+}
+
+// describe names a findViolation answer by rule and partner id.
+func describe(v violation, ok bool) string {
+	switch {
+	case !ok:
+		return "no violation"
+	case v.partner == nil:
+		return fmt.Sprintf("%s alone", v.rule.Name)
+	}
+	return fmt.Sprintf("%s with t%d", v.rule.Name, v.partner.ID)
+}
+
 // TestFindVMemoExact is the memo's differential test: on generated §7.1
 // databases at the benchmark's settings and on random instances, the
 // greedy loop is driven by hand and, after every step, every answer the
-// memo would give is held to FINDV's body recomputed from scratch. The
-// driven run must also repair exactly as Batch does, so the checks did not
-// steer it.
+// memo would give is held to FINDV's body recomputed from scratch, and
+// FINDV's body and findViolation to the walks they replaced (checkWalks).
+// The driven run must also repair exactly as Batch does, so the checks did
+// not steer it.
 func TestFindVMemoExact(t *testing.T) {
 	current := 0
 	run := func(t *testing.T, d *relation.Relation, sigma []*cfd.Normal) {
-		got := driveBatch(t, d, sigma, func(e *engine) { current += checkMemo(t, e) })
+		got := driveBatch(t, d, sigma, func(e *engine) {
+			current += checkMemo(t, e)
+			checkWalks(t, e)
+		})
 		res, err := Batch(d, sigma, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -127,6 +227,74 @@ func TestFindVMemoExact(t *testing.T) {
 	if current == 0 {
 		t.Fatal("no step left a memo answer current; the test exercises nothing")
 	}
+}
+
+// byteSource is a rand.Source64 that draws from the fuzzer's bytes, eight
+// at a time, and once they run out continues as splitmix64 from a hash of
+// them, so every input draws a valid instance.
+type byteSource struct {
+	data []byte
+	x    uint64
+}
+
+func newByteSource(data []byte) *byteSource {
+	h := fnv.New64a()
+	h.Write(data)
+	return &byteSource{data: data, x: h.Sum64()}
+}
+
+func (s *byteSource) Uint64() uint64 {
+	if len(s.data) >= 8 {
+		v := binary.LittleEndian.Uint64(s.data)
+		s.data = s.data[8:]
+		return v
+	}
+	s.x += 0x9e3779b97f4a7c15
+	z := s.x
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+func (s *byteSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzBatchRepairVsWalk drives BATCHREPAIR over a random instance drawn from
+// the fuzzer's bytes — with a few of its tuples deleted first, so that its
+// physical order is not id order — and after every step holds the memo to
+// FINDV's body (checkMemo) and FINDV's body and findViolation to their
+// walks (checkWalks). The repair must satisfy Σ under a fresh Detector,
+// leave the input as it was, and equal Batch's.
+func FuzzBatchRepairVsWalk(f *testing.F) {
+	for _, seed := range []string{"", "\x00\x01\x02\x03\x04\x05\x06\x07", "batchrepair-walk", "\xff\xff\xff\xff\xff\xff\xff\x7f"} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rng := rand.New(newByteSource(data))
+		d, sigma := randInstance(t, rng)
+		for range rng.Intn(4) {
+			d.Delete(d.Tuples()[rng.Intn(d.Size())].ID)
+		}
+		before := serialize(t, d)
+		got := driveBatch(t, d, sigma, func(e *engine) {
+			checkMemo(t, e)
+			checkWalks(t, e)
+		})
+		if !cfd.NewDetector(got, sigma).Satisfied() {
+			t.Fatal("the driven repair violates Σ")
+		}
+		res, err := Batch(d, sigma, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(serialize(t, d), before) {
+			t.Fatal("the repair changed its input")
+		}
+		if !bytes.Equal(serialize(t, got), serialize(t, res.Repair)) {
+			t.Fatal("the driven loop repaired differently from Batch")
+		}
+	})
 }
 
 // TestFindVMemoClearedWithClasses: a class size means nothing across the

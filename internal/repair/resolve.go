@@ -116,9 +116,9 @@ func (e *engine) planViolation(v violation) (plan, bool) {
 		// can pollute a large clean class.
 		switch {
 		case akind == eqclass.Const:
-			p.cost = e.propagationCost(t, v.partner, n, kb, aval)
+			p.cost = e.propagationCost(v.gi, t, kb, aval)
 		case bkind == eqclass.Const:
-			p.cost = e.propagationCost(v.partner, t, n, ka, bval)
+			p.cost = e.propagationCost(v.gi, v.partner, ka, bval)
 		default:
 			va, vb := t.At(n.A), v.partner.At(n.A)
 			ca := e.classCost(ka, va) + e.classCost(kb, va)
@@ -152,19 +152,21 @@ func (e *engine) planViolation(v violation) (plan, bool) {
 }
 
 // propagationCost estimates the true cost of merging a constant-carrying
-// class (tuple c, value cval) with the unset class of one disagreeing
-// partner. Costing just the one pair systematically undercounts: the
-// same constant will be pushed into every other partner of c's group one
-// merge at a time, so the decision to start propagating must carry the
-// whole bill. The estimate is the pairwise class cost scaled by the
-// number of partners currently disagreeing with c. When the constant is
-// right (one noisy partner) the scale factor is 1 and nothing changes;
-// when the constant is wrong (it disagrees with a whole clean group) the
-// scaled cost lets PICKNEXT prefer any plan that separates c instead.
-func (e *engine) propagationCost(c, partner *relation.Tuple, n *cfd.Normal, kb eqclass.Key, cval string) float64 {
+// class (tuple c, value cval) with the unset class kb of one disagreeing
+// partner in group gi. Costing just the one pair systematically
+// undercounts: the same constant will be pushed into every other partner
+// of c's group one merge at a time, so the decision to start propagating
+// must carry the whole bill. The estimate is the pairwise class cost
+// scaled by the number of partners currently disagreeing with c — the
+// members of c's bucket whose stored A-value is neither null nor c's,
+// read off the bucket's tally. When the constant is right (one noisy
+// partner) the scale factor is 1 and nothing changes; when the constant
+// is wrong (it disagrees with a whole clean group) the scaled cost lets
+// PICKNEXT prefer any plan that separates c instead.
+func (e *engine) propagationCost(gi int, c *relation.Tuple, kb eqclass.Key, cval string) float64 {
 	pair := e.classCost(kb, e.dict().Resolve(relation.S(cval)))
-	e.partnerBuf = e.det.Partners(c, n, e.partnerBuf)
-	disagree := len(e.partnerBuf)
+	_, tally := e.groups[gi].Bucket(c)
+	disagree := tally.NonNull() - tally.Count(c.IDAt(e.groups[gi].A()))
 	if disagree > 1 {
 		return pair * float64(disagree)
 	}
@@ -236,9 +238,11 @@ type candidate struct {
 // findV implements procedure FINDV (§4.2) for an LHS attribute B of a
 // rule of group gi: gather the set S of tuples agreeing with t on
 // X ∪ {A} \ {B} — the tuples sharing t's "semantic context" — and pick
-// from their B-values the candidate v ≠ t[B]. It returns v, the
-// violations t would retain under it, and Cost(t, B, v); ok is false when
-// no such value exists (the caller then assigns null).
+// from their B-values the candidate v ≠ t[B]. S is t's bucket in the
+// support index, whose tally of B holds every candidate with its support,
+// so S itself is never walked. It returns v, the violations t would
+// retain under it, and Cost(t, B, v); ok is false when no such value
+// exists (the caller then assigns null).
 //
 // Candidates are ranked by the violations t would incur with B := v (the
 // value must fit every rule covering B, not just the one being resolved —
@@ -256,7 +260,7 @@ type candidate struct {
 // not changed since it last asked, so the answer is kept (engine.found)
 // and reused while the working relation's version and |eq(t, B)| are both
 // what they were. That reuse is exact: FINDV reads the relation — the
-// support bucket, t's values and the LHS indexes' tallies, none of
+// support bucket's tally, t's values and the LHS indexes' tallies, none of
 // which moves but by an effective write, and every effective write bumps
 // the version — and the members of eq(t, B), whose costs it sums.
 // Within one component a class only grows (by Merge), so an unchanged size
@@ -298,41 +302,33 @@ type foundV struct {
 	ok   bool
 }
 
-// findVUncached is FINDV's body over support index ix. Everything runs on
-// interned ids and the engine's reusable buffers: a warm call allocates
-// nothing.
+// findVUncached is FINDV's body over support index ix. The candidates and
+// their support are the values of t's bucket's tally of B, less t's own
+// value (the tally counts no null): no member is walked and no id sorted,
+// only the distinct values, by string. Everything runs on interned ids and
+// the engine's reusable buffers: a warm call allocates nothing.
 func (e *engine) findVUncached(ix *relation.HashIndex, t *relation.Tuple, b int) (relation.Value, int, float64, bool) {
 	curID := t.IDAt(b)
-	ids := e.idBuf[:0]
-	for _, id := range ix.LookupTuple(t) {
-		if id == t.ID {
-			continue
-		}
-		t2 := e.rel.Tuple(id)
-		if t2 == nil {
-			continue
-		}
-		// Null is no value, and the value must differ from the current.
-		if v := t2.IDAt(b); v != relation.NullID && v != curID {
-			ids = append(ids, v)
-		}
-	}
-	e.idBuf = ids
-	if len(ids) == 0 {
-		return relation.Value{}, 0, 0, false
-	}
-	slices.Sort(ids)
+	_, tally := ix.BucketAt(ix.BucketOf(t))
 	dict := e.dict()
 	cands := e.candBuf[:0]
-	for i, id := range ids {
-		if i > 0 && ids[i-1] == id {
-			cands[len(cands)-1].n++
-		} else {
-			cands = append(cands, candidate{v: relation.IDValue{Value: dict.Value(id), ID: id}, n: 1})
+	for id, n := range tally[0].All() {
+		e.work.findVReads++
+		if id != curID {
+			cands = append(cands, candidate{v: relation.IDValue{Value: dict.Value(id), ID: id}, n: n})
 		}
 	}
-	slices.SortFunc(cands, func(x, y candidate) int { return strings.Compare(x.v.Str, y.v.Str) })
 	e.candBuf = cands
+	return e.bestCandidate(t, b, cands)
+}
+
+// bestCandidate ranks FINDV's candidates for B := v, sorting them by value
+// first (see findV); ok is false when there are none.
+func (e *engine) bestCandidate(t *relation.Tuple, b int, cands []candidate) (relation.Value, int, float64, bool) {
+	if len(cands) == 0 {
+		return relation.Value{}, 0, 0, false
+	}
+	slices.SortFunc(cands, func(x, y candidate) int { return strings.Compare(x.v.Str, y.v.Str) })
 
 	// vio(t) under B := v differs from vio(t) only in the groups whose
 	// X ∪ {A} contains B: the other groups' share — the base every
@@ -419,10 +415,8 @@ func (e *engine) execute(p plan) error {
 			// deferred to instantiation (§4.1 — "we defer the assignment
 			// of targ(E) as much as possible"). The tuples' violation
 			// status changed; re-flag them.
-			for _, k := range []eqclass.Key{p.k1, p.k2} {
-				t, a := e.cell(k)
-				e.markDirty(t.ID, a)
-			}
+			e.markDirty(p.k1)
+			e.markDirty(p.k2)
 		}
 	}
 	return nil
