@@ -133,27 +133,26 @@ func Satisfies(rel *Relation, sigma []*NormalCFD) bool {
 }
 
 // Violations returns up to limit violations of sigma in rel (limit <= 0
-// means all), in the canonical (tuple id, rule, partner id) order.
+// means all): a prefix of Detect's.
 func Violations(rel *Relation, sigma []*NormalCFD, limit int) []Violation {
-	return cfd.NewDetector(rel, sigma).Violations(limit)
+	vs := Detect(rel, sigma, 0)
+	if limit > 0 && len(vs) > limit {
+		vs = vs[:limit]
+	}
+	return vs
 }
 
-// Detect returns every violation of sigma in rel in the canonical
-// (tuple id, rule, partner id) order. Whole-database detection is
-// partition-parallel: index buckets are dealt to workers by bucket number
-// modulo the worker count (0 means runtime.GOMAXPROCS(0), 1 forces the
-// sequential path, as does a relation of fewer than 4 tuples per worker);
-// the result is bit-identical at every setting.
+// Detect returns every violation of sigma in rel in the canonical (tuple
+// id, rule, partner id) order, listed by a violation store built on the
+// calling goroutine and closed. workers drives nothing.
 func Detect(rel *Relation, sigma []*NormalCFD, workers int) []Violation {
-	d := cfd.NewDetector(rel, sigma)
-	d.SetWorkers(workers)
-	return d.Detect()
+	return cfd.OneShot(rel, sigma, (*cfd.VioStore).Detect)
 }
 
 // VioCounts returns vio(t) for every tuple with at least one violation
 // (§3.1).
 func VioCounts(rel *Relation, sigma []*NormalCFD) map[TupleID]int {
-	return cfd.NewDetector(rel, sigma).VioAll()
+	return cfd.OneShot(rel, sigma, (*cfd.VioStore).VioAll)
 }
 
 // Repairing.

@@ -2,6 +2,7 @@ package cfdclean_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,6 +64,21 @@ func TestPaperExampleDetection(t *testing.T) {
 	}
 	if vio[1] != 0 || vio[2] != 0 {
 		t.Fatalf("clean tuples flagged: %v", vio)
+	}
+	// Detect's workers argument drives nothing: every setting lists the
+	// same violations, which are the ones VioCounts counted.
+	all := cfdclean.Detect(d, sigma, 0)
+	listed := make(map[cfdclean.TupleID]int)
+	for _, v := range all {
+		listed[v.T]++
+	}
+	if !reflect.DeepEqual(listed, vio) {
+		t.Fatalf("Detect lists %v violations per tuple, VioCounts counts %v", listed, vio)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		if got := cfdclean.Detect(d, sigma, workers); !reflect.DeepEqual(got, all) {
+			t.Fatalf("Detect with workers %d = %v, with 0 = %v", workers, got, all)
+		}
 	}
 }
 

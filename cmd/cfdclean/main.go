@@ -4,7 +4,6 @@
 //
 //	cfdclean -data dirty.csv -cfds cfds.txt [-mode batch|inc] [-o repaired.csv]
 //	         [-detect] [-truth clean.csv] [-ordering linear|vio|weight] [-k N]
-//	         [-workers N]
 //
 // With -detect the tool only reports violations. Otherwise it computes a
 // repair with BATCHREPAIR (mode batch, the default) or INCREPAIR's §5.3
@@ -31,7 +30,6 @@ func main() {
 	ordering := flag.String("ordering", "vio", "inc mode tuple order: linear, vio, or weight")
 	k := flag.Int("k", 2, "inc mode attribute-subset size")
 	limit := flag.Int("limit", 20, "max violations to print with -detect (0 = all)")
-	workers := flag.Int("workers", 0, "parallelism of -detect's whole-database violation scan (0 = all cores, 1 = sequential; output identical at every setting); the repair modes run on one goroutine and ignore it")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "cfdclean: unexpected argument %q\n", flag.Arg(0))
@@ -44,13 +42,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*data, *cfds, *mode, *out, *truth, *ordering, *detect, *k, *limit, *workers); err != nil {
+	if err := run(*data, *cfds, *mode, *out, *truth, *ordering, *detect, *k, *limit); err != nil {
 		fmt.Fprintf(os.Stderr, "cfdclean: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataPath, cfdPath, mode, outPath, truthPath, ordering string, detect bool, k, limit, workers int) error {
+func run(dataPath, cfdPath, mode, outPath, truthPath, ordering string, detect bool, k, limit int) error {
 	f, err := os.Open(dataPath)
 	if err != nil {
 		return err
@@ -78,10 +76,10 @@ func run(dataPath, cfdPath, mode, outPath, truthPath, ordering string, detect bo
 		rel.Size(), len(parsed), len(sigma))
 
 	if detect {
-		return report(os.Stdout, rel, sigma, limit, workers)
+		return report(os.Stdout, rel, sigma, limit)
 	}
 
-	repaired, changes, cost, err := repairWith(rel, sigma, mode, ordering, k, workers)
+	repaired, changes, cost, err := repairWith(rel, sigma, mode, ordering, k)
 	if err != nil {
 		return err
 	}
@@ -116,10 +114,10 @@ func run(dataPath, cfdPath, mode, outPath, truthPath, ordering string, detect bo
 	return cfdclean.WriteCSV(repaired, w)
 }
 
-func report(w io.Writer, rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, limit, workers int) error {
+func report(w io.Writer, rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, limit int) error {
 	// One detection pass serves both the listing and the per-tuple
-	// counts; -workers bounds its parallelism.
-	all := cfdclean.Detect(rel, sigma, workers)
+	// counts.
+	all := cfdclean.Detect(rel, sigma, 0)
 	violating := make(map[cfdclean.TupleID]bool, len(all))
 	for _, v := range all {
 		violating[v.T] = true
@@ -143,12 +141,10 @@ func report(w io.Writer, rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, li
 	return nil
 }
 
-func repairWith(rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, mode, ordering string, k, workers int) (*cfdclean.Relation, int, float64, error) {
+func repairWith(rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, mode, ordering string, k int) (*cfdclean.Relation, int, float64, error) {
 	switch mode {
 	case "batch":
-		// The greedy loop runs on one goroutine, one component at a
-		// time; -workers changes nothing here.
-		res, err := cfdclean.BatchRepair(rel, sigma, &cfdclean.BatchOptions{Workers: workers})
+		res, err := cfdclean.BatchRepair(rel, sigma, nil)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -167,7 +163,7 @@ func repairWith(rel *cfdclean.Relation, sigma []*cfdclean.NormalCFD, mode, order
 		default:
 			return nil, 0, 0, fmt.Errorf("unknown ordering %q", ordering)
 		}
-		res, err := cfdclean.Repair(rel, sigma, &cfdclean.IncOptions{Ordering: ord, K: k, Workers: workers})
+		res, err := cfdclean.Repair(rel, sigma, &cfdclean.IncOptions{Ordering: ord, K: k})
 		if err != nil {
 			return nil, 0, 0, err
 		}

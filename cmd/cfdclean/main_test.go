@@ -50,7 +50,7 @@ func TestRunBatchMode(t *testing.T) {
 	dir := writeFixture(t)
 	out := filepath.Join(dir, "repaired.csv")
 	err := run(filepath.Join(dir, "dirty.csv"), filepath.Join(dir, "cfds.txt"),
-		"batch", out, filepath.Join(dir, "clean.csv"), "vio", false, 2, 0, 0)
+		"batch", out, filepath.Join(dir, "clean.csv"), "vio", false, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRunIncModeOrderings(t *testing.T) {
 	for _, ord := range []string{"linear", "vio", "weight"} {
 		out := filepath.Join(dir, "repaired-"+ord+".csv")
 		err := run(filepath.Join(dir, "dirty.csv"), filepath.Join(dir, "cfds.txt"),
-			"inc", out, "", ord, false, 2, 0, 0)
+			"inc", out, "", ord, false, 2, 0)
 		if err != nil {
 			t.Fatalf("ordering %s: %v", ord, err)
 		}
@@ -89,7 +89,7 @@ func TestRunIncModeOrderings(t *testing.T) {
 func TestRunDetectMode(t *testing.T) {
 	dir := writeFixture(t)
 	err := run(filepath.Join(dir, "dirty.csv"), filepath.Join(dir, "cfds.txt"),
-		"batch", "", "", "vio", true, 2, 5, 0)
+		"batch", "", "", "vio", true, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestReportTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer
-		if err := report(&out, rel, cfdclean.Normalize(cfds), limit, 1); err != nil {
+		if err := report(&out, rel, cfdclean.Normalize(cfds), limit); err != nil {
 			t.Fatal(err)
 		}
 		listed := strings.Count(out.String(), "  tuple ")
@@ -131,15 +131,15 @@ func TestReportTruncation(t *testing.T) {
 func TestRunRejectsBadInputs(t *testing.T) {
 	dir := writeFixture(t)
 	if err := run(filepath.Join(dir, "missing.csv"), filepath.Join(dir, "cfds.txt"),
-		"batch", "", "", "vio", false, 2, 0, 0); err == nil {
+		"batch", "", "", "vio", false, 2, 0); err == nil {
 		t.Fatal("missing data file accepted")
 	}
 	if err := run(filepath.Join(dir, "dirty.csv"), filepath.Join(dir, "cfds.txt"),
-		"nope", "", "", "vio", false, 2, 0, 0); err == nil {
+		"nope", "", "", "vio", false, 2, 0); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 	if err := run(filepath.Join(dir, "dirty.csv"), filepath.Join(dir, "cfds.txt"),
-		"inc", "", "", "sideways", false, 2, 0, 0); err == nil {
+		"inc", "", "", "sideways", false, 2, 0); err == nil {
 		t.Fatal("unknown ordering accepted")
 	}
 	// Malformed CFD file: errors, not panics.
@@ -148,26 +148,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := run(filepath.Join(dir, "dirty.csv"), bad,
-		"batch", "", "", "vio", false, 2, 0, 0); err == nil {
+		"batch", "", "", "vio", false, 2, 0); err == nil {
 		t.Fatal("malformed CFD file accepted")
-	}
-}
-
-func TestRunDetectWorkersPlumbed(t *testing.T) {
-	dir := writeFixture(t)
-	// The -workers flag reaches Detector.SetWorkers; output is identical
-	// at every setting, so both paths must simply succeed.
-	for _, workers := range []int{1, 4} {
-		err := run(filepath.Join(dir, "dirty.csv"), filepath.Join(dir, "cfds.txt"),
-			"batch", "", "", "vio", true, 2, 5, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-	}
-	// And the inc-mode repair accepts the same plumbing.
-	out := filepath.Join(dir, "repaired-workers.csv")
-	if err := run(filepath.Join(dir, "dirty.csv"), filepath.Join(dir, "cfds.txt"),
-		"inc", out, "", "vio", false, 2, 0, 1); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -169,32 +169,30 @@
 //
 // # Concurrency contracts
 //
-// Parallelism appears at two independent layers, each with the same
-// rule — concurrency changes wall-clock time, never output:
+// Detection and both repair engines run on the calling goroutine: the
+// violation store, counted from the LHS tallies, is the one whole-database
+// scan. Concurrency lives in sessions and the server, where it changes
+// wall-clock time, never output.
 //
-//   - Detection shards index buckets across workers and merges in the
-//     canonical (tuple, rule, partner) order. Both repair engines run
-//     on the calling goroutine, their violation store counted from the
-//     LHS tallies.
-//   - A Session is single-writer, many-reader: mutations serialize on
-//     an internal lock while snapshot reads are lock-free against
-//     atomically published state stamped with the journal's NextID
-//     watermark and mutation Version. Bulk reads go further: ReadView
-//     pins a refcounted epoch under a brief lock hand-off, after which
-//     dumps and violation listings iterate copy-on-write pages with no
-//     lock at all — the writer pays one page copy per dirtied page per
-//     pinned epoch, readers pay nothing. The server builds on this with a
-//     per-session pipeline — request decode in the handler goroutine,
-//     one worker goroutine running engine passes (single-writer by
-//     construction), one committer goroutine doing WAL encode, append
-//     and fsync while the worker runs that batch's pass (Session.Check
-//     fixes the record before the pass), post-durability
-//     acknowledgement and an append to the session's event ring, which
-//     each SSE stream reads on its own goroutine —
-//     plus a sharded session registry, bounded queues with
-//     backpressure, and graceful drain. Reply content is fixed at the
-//     pass boundary, so overlapping pass N+1 with pass N's commit
-//     changes no bytes on the wire.
+// A Session is single-writer, many-reader: mutations serialize on
+// an internal lock while snapshot reads are lock-free against
+// atomically published state stamped with the journal's NextID
+// watermark and mutation Version. Bulk reads go further: ReadView
+// pins a refcounted epoch under a brief lock hand-off, after which
+// dumps and violation listings iterate copy-on-write pages with no
+// lock at all — the writer pays one page copy per dirtied page per
+// pinned epoch, readers pay nothing. The server builds on this with a
+// per-session pipeline — request decode in the handler goroutine,
+// one worker goroutine running engine passes (single-writer by
+// construction), one committer goroutine doing WAL encode, append
+// and fsync while the worker runs that batch's pass (Session.Check
+// fixes the record before the pass), post-durability
+// acknowledgement and an append to the session's event ring, which
+// each SSE stream reads on its own goroutine —
+// plus a sharded session registry, bounded queues with
+// backpressure, and graceful drain. Reply content is fixed at the
+// pass boundary, so overlapping pass N+1 with pass N's commit
+// changes no bytes on the wire.
 //
 // # Determinism
 //

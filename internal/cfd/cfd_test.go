@@ -155,7 +155,8 @@ func TestPaperViolations(t *testing.T) {
 		t.Error("Fig. 1 data must satisfy phi3, phi4")
 	}
 	sigma := NormalizeAll([]*CFD{phi1(s), phi2(s)})
-	d := NewDetector(r, sigma)
+	d := NewVioStore(r, sigma)
+	defer d.Close()
 	if d.Satisfied() {
 		t.Fatal("Fig. 1 data must violate phi1, phi2")
 	}
@@ -222,7 +223,8 @@ func TestCase2Violation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sigma := NormalizeAll([]*CFD{phi1(s)})
-	d := NewDetector(r, sigma)
+	d := NewVioStore(r, sigma)
+	defer d.Close()
 	// t5 agrees with t1 on (AC,PN)=(215,8983490), matches pattern row 3
 	// (215,_), but CT,ST differ -> case-2 style violations... note the 215
 	// row has constant RHS for CT and ST, so t5 violates those directly,
@@ -233,7 +235,8 @@ func TestCase2Violation(t *testing.T) {
 	}
 	// Pure variable-RHS check via the embedded FD.
 	fd := NormalizeAll([]*CFD{phi1(s).EmbeddedFD()})
-	d2 := NewDetector(r, fd)
+	d2 := NewVioStore(r, fd)
+	defer d2.Close()
 	vio2 := d2.VioAll()
 	// t5 and t1 disagree on CT and ST -> 2 violations each.
 	t1 := r.Tuples()[0]
@@ -242,7 +245,7 @@ func TestCase2Violation(t *testing.T) {
 	}
 	// Each is the other's one partner on CT: their shared bucket lists
 	// both, and its tally of CT counts one member disagreeing with each.
-	for _, g := range d2.Groups() {
+	for _, g := range d2.Detector().Groups() {
 		if g.A() != ct {
 			continue
 		}
@@ -287,8 +290,7 @@ func TestNullLHSNeverMatches(t *testing.T) {
 	r.MustInsert(tp)
 	φ := MustNew("c", s, []string{"a"}, []string{"b"},
 		[]Cell{W, C("y")})
-	d := NewDetector(r, φ.Normalize())
-	if !d.Satisfied() {
+	if !Satisfies(r, φ.Normalize()) {
 		t.Error("tuple with null LHS must not violate any CFD")
 	}
 }
@@ -322,7 +324,8 @@ func TestSingleTupleViolatesConstantCFD(t *testing.T) {
 	r.MustInsert(relation.NewTuple(0, "10012", "PHI"))
 	φ := MustNew("c", s, []string{"zip"}, []string{"CT"},
 		[]Cell{C("10012"), C("NYC")})
-	d := NewDetector(r, φ.Normalize())
+	d := NewVioStore(r, φ.Normalize())
+	defer d.Close()
 	if d.Satisfied() {
 		t.Error("single tuple must be able to violate a constant CFD")
 	}
@@ -331,6 +334,12 @@ func TestSingleTupleViolatesConstantCFD(t *testing.T) {
 	}
 }
 
+// TestDetectorLifecycle: a store sees every insert, Set and Delete of its
+// relation, and after each its whole-database answers — Detect, VioAll,
+// TotalViolations, Satisfied — agree with its detector's vio(t) of every
+// tuple. (A detector nothing maintained once answered Satisfied, 0 and no
+// violation after a violating insert while VioTuple of the new tuple said
+// 1.)
 func TestDetectorLifecycle(t *testing.T) {
 	s := relation.MustSchema("r", "a", "b")
 	r := relation.New(s)
@@ -338,18 +347,36 @@ func TestDetectorLifecycle(t *testing.T) {
 	r.MustInsert(t1)
 	fd, _ := FD("fd", s, []string{"a"}, []string{"b"})
 	d := NewVioStore(r, fd.Normalize())
-	if !d.Satisfied() {
-		t.Fatal("one tuple cannot violate an FD")
+	defer d.Close()
+	agree := func(step string, want int) {
+		t.Helper()
+		sum, vioAll := 0, d.VioAll()
+		for _, tu := range r.Tuples() {
+			n := d.Detector().VioTuple(tu)
+			sum += n
+			if vioAll[tu.ID] != n {
+				t.Fatalf("%s: VioAll[t%d] = %d, VioTuple says %d", step, tu.ID, vioAll[tu.ID], n)
+			}
+		}
+		if sum != want || d.TotalViolations() != sum || len(d.Detect()) != sum || d.Satisfied() != (sum == 0) {
+			t.Fatalf("%s: VioTuple sums to %d (want %d); TotalViolations %d, %d detected, Satisfied %v",
+				step, sum, want, d.TotalViolations(), len(d.Detect()), d.Satisfied())
+		}
 	}
+	agree("one tuple", 0)
 	t2 := relation.NewTuple(0, "k", "v2")
 	r.MustInsert(t2)
-	if d.Satisfied() {
-		t.Fatal("detector must see the inserted tuple")
+	agree("violating insert", 2)
+	if _, err := r.Set(t2.ID, 1, relation.S("v1")); err != nil {
+		t.Fatal(err)
 	}
+	agree("repairing set", 0)
+	if _, err := r.Set(t1.ID, 1, relation.S("v3")); err != nil {
+		t.Fatal(err)
+	}
+	agree("violating set", 2)
 	r.Delete(t2.ID)
-	if !d.Satisfied() {
-		t.Fatal("detector must see the deletion")
-	}
+	agree("delete", 0)
 }
 
 func TestSatisfiable(t *testing.T) {

@@ -2,7 +2,6 @@ package cfd
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -90,24 +89,21 @@ type groupRow struct {
 	next, last *groupRow
 }
 
-// Detector performs CFD violation detection over a relation, maintaining
-// one hash index per distinct LHS so that both whole-database detection and
-// single-tuple checks are fast. It implements the SQL-based detection
+// Detector is the per-tuple half of CFD violation detection over a
+// relation: the compiled Σ, one lazily built hash index per distinct LHS,
+// and the probes that answer vio(t) for one tuple (VioTuple, VioCounts,
+// Group) in a bucket lookup per LHS. It implements the SQL-based detection
 // technique of [6] over the interned in-memory substrate: every index
 // probe and pattern match looks up a projection's interned ids in a
 // relation.KeyMap — one 64-bit word on one or two attributes — never
-// strings. Whole-database scans (Detect, VioAll, TotalViolations) are
-// partition-parallel: index buckets — one bucket per distinct LHS key —
-// are dealt by number across a worker pool, and per-shard results are
-// merged deterministically.
+// strings. A Detector exists only inside the VioStore that keeps its
+// indexes up to date; the store is the one whole-database detector, and
+// every detection runs on the caller's goroutine.
 type Detector struct {
 	rel    *relation.Relation
 	prog   *Compiled
 	groups []*groupPlan // prog.plans
 	lhs    []lhsIndex   // parallel to prog.lhs
-
-	// workers is the detection parallelism; <= 1 means sequential.
-	workers int
 }
 
 // Compiled is Σ compiled against a dictionary: the embedded-FD groups with
@@ -121,8 +117,9 @@ type Compiled struct {
 	lhs   []*lhsPlan
 
 	// rank orders normal CFDs by their position in sigma; it canonicalizes
-	// the violation sort so sequential and parallel detection return
-	// bit-identical slices. The first sort builds it (ranks).
+	// the violation sort, so a listing does not depend on the order in
+	// which the store visits its dirty buckets. The first sort builds it
+	// (ranks).
 	rankOnce sync.Once
 	rank     map[*Normal]int
 }
@@ -273,17 +270,17 @@ func (mb *maskBucket) add(ids []relation.ValueID, r *groupRow) {
 	}
 }
 
-// NewDetector returns a detector for the compiled Σ over rel, indexing
+// newDetector returns a detector for the compiled Σ over rel, indexing
 // rel's current contents on demand. rel's dictionary must be the one c
 // was compiled against or a clone of it made afterwards (clones preserve
-// ids), so that the compiled constants mean the same values.
-func (c *Compiled) NewDetector(rel *relation.Relation) *Detector {
+// ids), so that the compiled constants mean the same values. Only a
+// VioStore calls it: nothing else would keep the indexes up to date.
+func (c *Compiled) newDetector(rel *relation.Relation) *Detector {
 	d := &Detector{
-		rel:     rel,
-		prog:    c,
-		groups:  c.plans,
-		lhs:     make([]lhsIndex, len(c.lhs)),
-		workers: runtime.GOMAXPROCS(0),
+		rel:    rel,
+		prog:   c,
+		groups: c.plans,
+		lhs:    make([]lhsIndex, len(c.lhs)),
 	}
 	for i, p := range c.lhs {
 		d.lhs[i].lhsPlan = p
@@ -291,21 +288,13 @@ func (c *Compiled) NewDetector(rel *relation.Relation) *Detector {
 	return d
 }
 
-// NewDetector builds a detector for sigma over rel, indexing the current
-// contents of rel. Pattern constants are interned into rel's dictionary
-// here, before any parallel scan starts; scans themselves never intern.
-func NewDetector(rel *relation.Relation, sigma []*Normal) *Detector {
-	return Compile(rel.Dict(), sigma).NewDetector(rel)
-}
-
 // index returns the live index on g's LHS — the one every group on that
 // LHS shares, tallying the RHS attribute of each — building it on first
 // use. Groups with only constant-RHS rows never need bucket partitioning
-// for whole-database scans (each tuple is checked against the pattern
-// constants alone), so one-shot detection builds no index for an LHS that
-// carries only such groups. Laziness is sound under mutation too: an
-// unbuilt index needs no maintenance — the eventual build reads the
-// relation's current state.
+// to be counted (each tuple is checked against the pattern constants
+// alone), so the store builds no index for an LHS that carries only such
+// groups. Laziness is sound under mutation too: an unbuilt index needs no
+// maintenance — the eventual build reads the relation's current state.
 func (d *Detector) index(g *groupPlan) *relation.HashIndex {
 	lx := &d.lhs[g.lhs]
 	lx.once.Do(func() {
@@ -391,17 +380,6 @@ func (d *Detector) recountBucket(lx *lhsIndex, b int32, ids []relation.TupleID, 
 		}
 	}
 	return nil
-}
-
-// SetWorkers sets the parallelism of whole-database scans: n == 1 forces
-// the sequential path, n > 1 sets the worker count, and n <= 0 resets to
-// runtime.GOMAXPROCS(0). The violation output is identical at every
-// setting.
-func (d *Detector) SetWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	d.workers = n
 }
 
 func sortedPerm(xs []int) []int {
@@ -601,49 +579,6 @@ func (d *Detector) disagreeing(g *groupPlan, t *relation.Tuple, p *xProbe) int {
 	return n
 }
 
-// VioAll returns vio(t) for every tuple with at least one violation.
-// It makes one partition-parallel pass per embedded-FD group using the
-// live indices.
-func (d *Detector) VioAll() map[relation.TupleID]int {
-	out := make(map[relation.TupleID]int)
-	d.scanAll(func(t *relation.Tuple, n *Normal, with relation.TupleID) {
-		out[t.ID]++
-	}, func(part []Violation) {
-		for _, v := range part {
-			out[v.T]++
-		}
-	})
-	return out
-}
-
-// Detect returns every violation of sigma in the relation, sorted by
-// (tuple id, rule rank, partner id). Detection deals the LHS index
-// buckets — one bucket per distinct LHS key — across the configured
-// worker pool; the canonical sort makes the output bit-identical to the
-// sequential path.
-func (d *Detector) Detect() []Violation {
-	var out []Violation
-	d.scanAll(func(t *relation.Tuple, n *Normal, with relation.TupleID) {
-		out = append(out, Violation{T: t.ID, N: n, With: with})
-	}, func(part []Violation) {
-		out = append(out, part...)
-	})
-	d.sortViolations(out)
-	return out
-}
-
-// Violations returns up to limit violations (limit <= 0 means all), in
-// the canonical (tuple id, rule rank, partner id) order. The canonical
-// order requires full detection even for small limits; use Satisfied for
-// a cheap consistency probe.
-func (d *Detector) Violations(limit int) []Violation {
-	out := d.Detect()
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out
-}
-
 func (d *Detector) sortViolations(vs []Violation) {
 	rank := d.prog.ranks()
 	sort.Slice(vs, func(i, j int) bool {
@@ -657,14 +592,6 @@ func (d *Detector) sortViolations(vs []Violation) {
 		return a.With < b.With
 	})
 }
-
-// scanScratch holds per-scan reusable buffers: one per worker, so bucket
-// scans allocate nothing on the steady path.
-type scanScratch struct {
-	ts []*relation.Tuple
-}
-
-func newScanScratch() *scanScratch { return &scanScratch{} }
 
 // open reports whether some member of a bucket with tally c violates row
 // r: a constant row as soon as one non-null A-value is not its constant, a
@@ -713,21 +640,23 @@ func (lx *lhsPlan) bucketRows(xids []relation.ValueID, out []*groupRow) []*group
 // match without having touched another tuple. Otherwise all comparisons run
 // on interned ids (bucket tuples are relation-owned), the tally serves as
 // the RHS-value histogram, and the partner labels, shared by every
-// variable-RHS row of the group, are computed once, in O(bucket).
-func (d *Detector) scanBucket(g *groupPlan, ids []relation.TupleID, c *relation.BucketCounts, sc *scanScratch, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
+// variable-RHS row of the group, are computed once, in O(bucket). The
+// members are looked up into ts[:0], which is returned for the caller to
+// pass to the next bucket.
+func (d *Detector) scanBucket(g *groupPlan, ids []relation.TupleID, c *relation.BucketCounts, ts []*relation.Tuple, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) []*relation.Tuple {
 	if len(ids) == 0 {
-		return
+		return ts
 	}
 	var buf [8]relation.ValueID
 	var rbuf [16]*groupRow
 	rows := d.prog.lhs[g.lhs].bucketRows(d.rel.Tuple(ids[0]).ProjectIDs(buf[:0], g.x), rbuf[:0])
 	if !slices.ContainsFunc(rows, func(r *groupRow) bool { return r.slot == g.slot && r.open(c) }) {
-		return
+		return ts
 	}
 	a := g.a
-	sc.ts = sc.ts[:0]
+	ts = ts[:0]
 	for _, id := range ids {
-		sc.ts = append(sc.ts, d.rel.Tuple(id))
+		ts = append(ts, d.rel.Tuple(id))
 	}
 	// Lazily prepared state for variable-RHS rows.
 	prepared := false
@@ -743,7 +672,7 @@ func (d *Detector) scanBucket(g *groupPlan, ids []relation.TupleID, c *relation.
 			continue
 		}
 		if r.cons {
-			for _, t := range sc.ts {
+			for _, t := range ts {
 				vid := t.IDAt(a)
 				if vid != relation.NullID && vid != r.tpaID {
 					visit(t, r.n, 0)
@@ -753,13 +682,13 @@ func (d *Detector) scanBucket(g *groupPlan, ids []relation.TupleID, c *relation.
 		}
 		if !prepared {
 			prepared = true
-			for _, t := range sc.ts {
+			for _, t := range ts {
 				vid := t.IDAt(a)
 				if vid != relation.NullID && (s1 == 0 || t.ID < s1) {
 					s1, v1 = t.ID, vid
 				}
 			}
-			for _, t := range sc.ts {
+			for _, t := range ts {
 				vid := t.IDAt(a)
 				if vid == relation.NullID || vid == v1 {
 					continue
@@ -769,7 +698,7 @@ func (d *Detector) scanBucket(g *groupPlan, ids []relation.TupleID, c *relation.
 				}
 			}
 		}
-		for _, t := range sc.ts {
+		for _, t := range ts {
 			vid := t.IDAt(a)
 			if vid == relation.NullID {
 				continue
@@ -787,6 +716,7 @@ func (d *Detector) scanBucket(g *groupPlan, ids []relation.TupleID, c *relation.
 			}
 		}
 	}
+	return ts
 }
 
 // scanConstTuples visits the violations of a constant-RHS-only group over
@@ -815,124 +745,6 @@ func (d *Detector) scanConstTuples(g *groupPlan, tuples []*relation.Tuple, visit
 			}
 		}
 	}
-}
-
-// groupScan visits every violation in group g exactly once per the
-// paper's counting, sequentially.
-func (d *Detector) groupScan(g *groupPlan, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
-	if !g.hasVar {
-		d.scanConstTuples(g, d.rel.Tuples(), visit)
-		return
-	}
-	sc := newScanScratch()
-	d.index(g).Buckets(func(_ int32, ids []relation.TupleID, counts []relation.BucketCounts) {
-		d.scanBucket(g, ids, &counts[g.slot], sc, visit)
-	})
-}
-
-// shardedWork is one unit of parallel scan work: either one LHS-key
-// bucket of a variable-RHS group, or a chunk of tuples of a constant-only
-// group.
-type shardedWork struct {
-	g      *groupPlan
-	ids    []relation.TupleID     // bucket work (variable-RHS groups) ...
-	counts *relation.BucketCounts // ... and the bucket's tally of g.a
-	tuples []*relation.Tuple      // chunk work (constant-only groups)
-}
-
-// scanAll drives a whole-database scan. The sequential path calls visit
-// for every violation; the parallel path deals variable-RHS groups'
-// index buckets by number and constant-only groups' tuples by chunk
-// across workers, each worker collects its shard's violations, and
-// merge consumes one per-shard list at a time on the caller's goroutine.
-// The partition is a partition of the violation multiset, so every merge
-// order yields the same final set; callers that need a canonical sequence
-// sort afterwards.
-func (d *Detector) scanAll(visit func(t *relation.Tuple, n *Normal, with relation.TupleID), merge func(part []Violation)) {
-	nw := d.workers
-	if nw > 1 && d.rel.Size() < 4*nw {
-		nw = 1
-	}
-	if nw <= 1 {
-		for _, g := range d.groups {
-			d.groupScan(g, visit)
-		}
-		return
-	}
-	shards := make([][]shardedWork, nw)
-	tuples := d.rel.Tuples()
-	for _, g := range d.groups {
-		if !g.hasVar {
-			chunk := (len(tuples) + nw - 1) / nw
-			for w := 0; w < nw && w*chunk < len(tuples); w++ {
-				end := (w + 1) * chunk
-				if end > len(tuples) {
-					end = len(tuples)
-				}
-				shards[w] = append(shards[w], shardedWork{g: g, tuples: tuples[w*chunk : end]})
-			}
-			continue
-		}
-		d.index(g).Buckets(func(b int32, ids []relation.TupleID, counts []relation.BucketCounts) {
-			w := int(b) % nw
-			shards[w] = append(shards[w], shardedWork{g: g, ids: ids, counts: &counts[g.slot]})
-		})
-	}
-	parts := make([][]Violation, nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var local []Violation
-			sc := newScanScratch()
-			emit := func(t *relation.Tuple, n *Normal, with relation.TupleID) {
-				local = append(local, Violation{T: t.ID, N: n, With: with})
-			}
-			for _, sw := range shards[w] {
-				if sw.tuples != nil {
-					d.scanConstTuples(sw.g, sw.tuples, emit)
-				} else {
-					d.scanBucket(sw.g, sw.ids, sw.counts, sc, emit)
-				}
-			}
-			parts[w] = local
-		}(w)
-	}
-	wg.Wait()
-	for _, part := range parts {
-		merge(part)
-	}
-}
-
-// Satisfied reports whether the relation currently satisfies all CFDs.
-func (d *Detector) Satisfied() bool {
-	for _, g := range d.groups {
-		sat := true
-		d.groupScan(g, func(*relation.Tuple, *Normal, relation.TupleID) { sat = false })
-		if !sat {
-			return false
-		}
-	}
-	return true
-}
-
-// TotalViolations returns the sum of vio(t) over all tuples — the paper's
-// vio(C) for C = D (§3.1).
-func (d *Detector) TotalViolations() int {
-	total := 0
-	d.scanAll(func(*relation.Tuple, *Normal, relation.TupleID) {
-		total++
-	}, func(part []Violation) {
-		total += len(part)
-	})
-	return total
-}
-
-// Satisfies reports whether rel |= sigma, without building indices
-// incrementally; convenience for tests and one-shot checks.
-func Satisfies(rel *relation.Relation, sigma []*Normal) bool {
-	return NewDetector(rel, sigma).Satisfied()
 }
 
 // Group is a public handle on one embedded-FD group of the detector:

@@ -54,6 +54,38 @@ func walkVioInGroup(d *Detector, g *groupPlan, t *relation.Tuple) int {
 	return total
 }
 
+// referenceScan visits every violation of D by walking every bucket of
+// every variable-RHS group's LHS index and every tuple of every
+// constant-only group: the whole-database scan the violation store
+// replaced, which looks at clean buckets too and counts nothing from a
+// tally. It is kept as the reference the store's maintained counts and
+// listings are held to.
+func referenceScan(d *Detector, visit func(t *relation.Tuple, n *Normal, with relation.TupleID)) {
+	var ts []*relation.Tuple
+	for _, g := range d.groups {
+		if !g.hasVar {
+			d.scanConstTuples(g, d.rel.Tuples(), visit)
+			continue
+		}
+		d.index(g).Buckets(func(_ int32, ids []relation.TupleID, counts []relation.BucketCounts) {
+			ts = d.scanBucket(g, ids, &counts[g.slot], ts, visit)
+		})
+	}
+}
+
+// referenceDetect returns a detector of its own over rel's current
+// contents, and the violations referenceScan finds with it in the
+// canonical (tuple id, rule rank, partner id) order.
+func referenceDetect(rel *relation.Relation, sigma []*Normal) (*Detector, []Violation) {
+	d := Compile(rel.Dict(), sigma).newDetector(rel)
+	var out []Violation
+	referenceScan(d, func(t *relation.Tuple, n *Normal, with relation.TupleID) {
+		out = append(out, Violation{T: t.ID, N: n, With: with})
+	})
+	d.sortViolations(out)
+	return d, out
+}
+
 // checkCountedIndexes holds every LHS index of d — one per distinct X,
 // shared by the groups on it, one slot per group — to a from-scratch
 // recount (Detector.Recount): every tally slot of every bucket against the

@@ -17,7 +17,9 @@ func TestProbeMatchesFreeStanding(t *testing.T) {
 	r := paperData(t)
 	s := r.Schema()
 	sigma := NormalizeAll([]*CFD{phi1(s), phi2(s), phi3(s), phi4(s)})
-	det := NewDetector(r, sigma)
+	store := NewVioStore(r, sigma)
+	defer store.Close()
+	det := store.Detector()
 	pools := make([][]relation.Value, s.Arity())
 	for a := range pools {
 		for _, v := range r.ActiveDomain(a) {
@@ -91,7 +93,9 @@ func TestVioCountProbeDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := r.Schema()
-	det := NewDetector(r, NormalizeAll([]*CFD{phi1(s), phi2(s), phi3(s), phi4(s)}))
+	store := NewVioStore(r, NormalizeAll([]*CFD{phi1(s), phi2(s), phi3(s), phi4(s)}))
+	defer store.Close()
+	det := store.Detector()
 	// t5 of Example 5.1: matches constant rows of ϕ1 and ϕ2 and shares
 	// its id with the stored a23 tuples (variable rows of ϕ3).
 	t5 := relation.NewTuple(0, "a23", "H. Porter", "17.99", "215", "8983490", "Walnut", "NYC", "PA", "10012").Probe(r.Dict())

@@ -64,13 +64,13 @@ type VioCursor struct {
 	cur    []Violation
 	pos    int
 	buf    []Violation
-	sc     *scanScratch
+	ts     []*relation.Tuple
 }
 
 // Cursor opens a cursor over every maintained violation. See VioCursor
 // for the iteration contract.
 func (s *VioStore) Cursor() *VioCursor {
-	c := &VioCursor{s: s, sc: newScanScratch()}
+	c := &VioCursor{s: s}
 	if s.total == 0 {
 		return c
 	}
@@ -131,7 +131,7 @@ func (c *VioCursor) gather(id relation.TupleID) []Violation {
 			continue
 		}
 		ids, counts := ix.BucketAt(b)
-		d.scanBucket(g, ids, &counts[g.slot], c.sc, keep)
+		c.ts = d.scanBucket(g, ids, &counts[g.slot], c.ts, keep)
 	}
 	rank := d.prog.ranks()
 	sort.Slice(buf, func(i, j int) bool {

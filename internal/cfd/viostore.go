@@ -8,21 +8,23 @@ import (
 )
 
 // VioStore is a stateful, delta-maintained violation store: detection
-// turned from a scan into an index. It owns a Detector over a relation,
-// counts the violations once at construction, then subscribes to the
-// relation's mutation journal and keeps the counts up to date — per
-// violating LHS bucket (or, in a constant-only group, per violating
-// tuple), per group, and the global vio(D) — paying O(rows matching the
-// affected buckets) per insert, delete or update, with no member walked:
-// in a variable-RHS group a bucket's violations follow from its tally
-// (groupPlan.bucketVios). TotalViolations, GroupTotal and Satisfied are
-// O(1); VioCount and VioTuple answer vio(t) through the detector's
-// probes; Detect, EachViolation, VioAll, Cursor and Components re-derive
-// the violations of the dirty buckets and tuples alone. Every answer is
-// exactly what a freshly built Detector returns (the equivalence is
-// fuzz-tested in viostore_test.go). An insert the writer has just counted
-// clean through VioCounts costs less still: the LHS indexes take the tuple
-// in, and no bucket is recounted.
+// turned from a scan into an index, and the one whole-database detector
+// (a one-shot question builds a store, reads it and closes it: OneShot).
+// It owns a Detector over a relation, counts the violations once at
+// construction, then subscribes to the relation's mutation journal and
+// keeps the counts up to date — per violating LHS bucket (or, in a
+// constant-only group, per violating tuple), per group, and the global
+// vio(D) — paying O(rows matching the affected buckets) per insert,
+// delete or update, with no member walked: in a variable-RHS group a
+// bucket's violations follow from its tally (groupPlan.bucketVios).
+// TotalViolations, GroupTotal and Satisfied are O(1); VioCount and
+// VioTuple answer vio(t) through the detector's probes; Detect,
+// EachViolation, VioAll, Cursor and Components re-derive the violations
+// of the dirty buckets and tuples alone. Every answer is exactly what a
+// scan of every bucket of the current relation returns (the equivalence
+// is fuzz-tested in viostore_test.go against such a scan). An insert the
+// writer has just counted clean through VioCounts costs less still: the
+// LHS indexes take the tuple in, and no bucket is recounted.
 //
 // The store is the paper's IncRepair enabler: the detect→fix→re-detect
 // loop of both repair engines runs against one store for the whole run,
@@ -84,9 +86,11 @@ func NewVioStore(rel *relation.Relation, sigma []*Normal) *VioStore {
 }
 
 // NewVioStore is NewVioStore over an already compiled Σ; rel's dictionary
-// must satisfy the condition Compiled.NewDetector states.
+// must be the one c was compiled against or a clone of it made afterwards
+// (clones preserve ids), so that the compiled constants mean the same
+// values.
 func (c *Compiled) NewVioStore(rel *relation.Relation) *VioStore {
-	d := c.NewDetector(rel)
+	d := c.newDetector(rel)
 	s := &VioStore{
 		d:     d,
 		rel:   rel,
@@ -141,7 +145,7 @@ func (s *VioStore) Close() {
 }
 
 // Detector returns the underlying detector (shared indices, group
-// handles, scratch-tuple probes).
+// handles, scratch-tuple probes), whose indexes the store maintains.
 func (s *VioStore) Detector() *Detector { return s.d }
 
 // Relation returns the observed relation.
@@ -321,7 +325,7 @@ func containsAttr(xs []int, a int) bool {
 // tuples of a constant-only one through scanConstTuples — O(members of the
 // dirty buckets + dirty tuples + vio(D)). Visit order is unspecified.
 func (s *VioStore) scan(visit func(gi int, t *relation.Tuple, n *Normal, with relation.TupleID)) {
-	sc := newScanScratch()
+	var ts []*relation.Tuple
 	var one [1]*relation.Tuple
 	for gi, g := range s.d.groups {
 		st := &s.state[gi]
@@ -333,7 +337,7 @@ func (s *VioStore) scan(visit func(gi int, t *relation.Tuple, n *Normal, with re
 			ix := s.d.index(g)
 			for b := range st.buckets {
 				ids, counts := ix.BucketAt(b)
-				s.d.scanBucket(g, ids, &counts[g.slot], sc, emit)
+				ts = s.d.scanBucket(g, ids, &counts[g.slot], ts, emit)
 			}
 			continue
 		}
@@ -346,8 +350,7 @@ func (s *VioStore) scan(visit func(gi int, t *relation.Tuple, n *Normal, with re
 
 // Detect returns every current violation in the canonical (tuple id,
 // rule rank, partner id) order, re-derived from the dirty buckets and
-// tuples alone. The result is bit-identical to Detector.Detect on the same
-// relation contents.
+// tuples alone.
 func (s *VioStore) Detect() []Violation {
 	out := make([]Violation, 0, s.total)
 	s.scan(func(_ int, t *relation.Tuple, n *Normal, with relation.TupleID) {
@@ -400,6 +403,19 @@ func (s *VioStore) GroupTotal(gi int) int { return s.state[gi].total }
 
 // Satisfied reports rel |= sigma from the maintained total, in O(1).
 func (s *VioStore) Satisfied() bool { return s.total == 0 }
+
+// OneShot builds a violation store for sigma over rel, returns what read
+// answers from it and closes it: a whole-database question asked once.
+func OneShot[T any](rel *relation.Relation, sigma []*Normal, read func(*VioStore) T) T {
+	s := NewVioStore(rel, sigma)
+	defer s.Close()
+	return read(s)
+}
+
+// Satisfies reports whether rel |= sigma.
+func Satisfies(rel *relation.Relation, sigma []*Normal) bool {
+	return OneShot(rel, sigma, (*VioStore).Satisfied)
+}
 
 // Components returns the connected components of the violation graph:
 // tuples are nodes, and an edge joins two tuples that co-occur in a

@@ -13,51 +13,100 @@ import (
 )
 
 // checkStoreEquivalence asserts the store's maintained state is exactly
-// what a freshly built detector computes over the relation's current
-// contents: the canonical violation list bit for bit (tuples, rules,
-// partners, merge order), the vio(t) map, the total, the per-tuple counts,
-// the group totals and the components.
+// what the every-bucket reference scan computes over the relation's current
+// contents (diffStore).
 func checkStoreEquivalence(t *testing.T, tag string, s *VioStore, rel *relation.Relation, sigma []*Normal) {
 	t.Helper()
-	fresh := NewDetector(rel, sigma)
-	wantVios := fresh.Detect()
+	if d := diffStore(s, rel, sigma); d != "" {
+		t.Fatalf("%s: %s", tag, d)
+	}
+}
+
+// DiffStoreVsReference builds a violation store over rel and holds it to
+// the every-bucket reference scan (diffStore). It returns "" when they
+// agree, else the first difference.
+func DiffStoreVsReference(rel *relation.Relation, sigma []*Normal) string {
+	s := NewVioStore(rel, sigma)
+	defer s.Close()
+	return diffStore(s, rel, sigma)
+}
+
+// diffStore compares the store with referenceDetect over rel's current
+// contents: the canonical violation list bit for bit (tuples, rules,
+// partners), the vio(t) map, the total and Satisfied, the per-tuple counts,
+// the group totals and the components; and, by walks of the buckets, each
+// partner and the vio(t) map (walkVioInGroup summed over every group,
+// tuple by tuple). It returns the first difference, or "".
+func diffStore(s *VioStore, rel *relation.Relation, sigma []*Normal) string {
+	fresh, wantVios := referenceDetect(rel, sigma)
 	gotVios := s.Detect()
 	if !(len(gotVios) == 0 && len(wantVios) == 0) && !reflect.DeepEqual(gotVios, wantVios) {
-		t.Fatalf("%s: store Detect diverged: got %d violations, want %d\ngot:  %v\nwant: %v",
-			tag, len(gotVios), len(wantVios), gotVios, wantVios)
+		return fmt.Sprintf("store Detect diverged: got %d violations, want %d\ngot:  %v\nwant: %v",
+			len(gotVios), len(wantVios), gotVios, wantVios)
 	}
-	wantAll := fresh.VioAll()
+	// Each variable-RHS violation names as partner the smallest-id member of
+	// t's bucket whose non-null A-value differs from t's (a walk, not the
+	// partner labels both listings share).
+	wantAll := make(map[relation.TupleID]int)
+	for _, v := range wantVios {
+		wantAll[v.T]++
+		if v.With == 0 {
+			continue
+		}
+		x := slices.Sorted(slices.Values(v.N.X))
+		gi := slices.IndexFunc(fresh.groups, func(g *groupPlan) bool { return g.a == v.N.A && slices.Equal(g.x, x) })
+		t := rel.Tuple(v.T)
+		ids, _ := Group{d: fresh, g: fresh.groups[gi]}.Bucket(t)
+		partner := relation.TupleID(0)
+		for _, id := range ids {
+			if vid := rel.Tuple(id).IDAt(v.N.A); vid != relation.NullID && vid != t.IDAt(v.N.A) {
+				partner = id
+				break
+			}
+		}
+		if v.With != partner {
+			return fmt.Sprintf("t%d violates %s with t%d; the bucket walk names t%d", v.T, v.N.Name, v.With, partner)
+		}
+	}
 	gotAll := s.VioAll()
 	if !reflect.DeepEqual(gotAll, wantAll) {
-		t.Fatalf("%s: store VioAll diverged:\ngot:  %v\nwant: %v", tag, gotAll, wantAll)
+		return fmt.Sprintf("store VioAll diverged:\ngot:  %v\nwant: %v", gotAll, wantAll)
 	}
-	if got, want := s.TotalViolations(), fresh.TotalViolations(); got != want {
-		t.Fatalf("%s: store total %d, fresh total %d", tag, got, want)
+	if got, want := s.TotalViolations(), len(wantVios); got != want {
+		return fmt.Sprintf("store total %d, reference total %d", got, want)
 	}
-	if got, want := s.Satisfied(), fresh.Satisfied(); got != want {
-		t.Fatalf("%s: store Satisfied %v, fresh %v", tag, got, want)
+	if got, want := s.Satisfied(), len(wantVios) == 0; got != want {
+		return fmt.Sprintf("store Satisfied %v, reference %v", got, want)
 	}
-	// Per-tuple counts through the owned-tuple fast path.
 	for _, tt := range rel.Tuples() {
+		walk := 0
+		for _, g := range fresh.groups {
+			walk += walkVioInGroup(fresh, g, tt)
+		}
+		if gotAll[tt.ID] != walk {
+			return fmt.Sprintf("VioAll[t%d] = %d, the bucket walk says %d", tt.ID, gotAll[tt.ID], walk)
+		}
+		// Per-tuple counts through the owned-tuple fast path.
 		if got, want := s.VioTuple(tt), fresh.VioTuple(tt); got != want {
-			t.Fatalf("%s: VioTuple(t%d) = %d, fresh %d", tag, tt.ID, got, want)
+			return fmt.Sprintf("VioTuple(t%d) = %d, fresh %d", tt.ID, got, want)
 		}
 	}
 	// Group totals must cover the whole multiset.
 	sum := 0
-	for gi := range fresh.Groups() {
+	for gi := range fresh.groups {
 		sum += s.GroupTotal(gi)
 	}
 	if sum != s.TotalViolations() {
-		t.Fatalf("%s: group totals sum %d != total %d", tag, sum, s.TotalViolations())
+		return fmt.Sprintf("group totals sum %d != total %d", sum, s.TotalViolations())
 	}
 	// The store's violation-graph components must equal the partition a
-	// scratch union-find derives from the fresh violation list.
+	// scratch union-find derives from the reference violation list.
 	if got, want := s.Components(), referenceComponents(wantVios); !reflect.DeepEqual(got, want) {
 		if len(got) != 0 || len(want) != 0 {
-			t.Fatalf("%s: components diverged:\ngot:  %v\nwant: %v", tag, got, want)
+			return fmt.Sprintf("components diverged:\ngot:  %v\nwant: %v", got, want)
 		}
 	}
+	return ""
 }
 
 // referenceComponents computes the violation-graph partition from a
@@ -182,8 +231,8 @@ var fuzzPools = [][]string{
 // (most of them counted through VioCounts first), deletes and cell updates
 // (of X and of A, to values and to null, in clean and dirty buckets alike)
 // until the bytes run out — and asserts after
-// every step that the maintained state is bit-identical to a freshly built
-// detector's (Detect, the cursor, VioAll, the totals, Components), that
+// every step that the maintained state is bit-identical to the every-bucket
+// reference scan's (Detect, the cursor, VioAll, the totals, Components), that
 // every tally of every shared LHS index equals a recount, and that
 // VioCounts and Group.VioCount agree with the bucket walk they replaced.
 // It returns the store's rescan counter and, summed over the checked
@@ -463,7 +512,7 @@ func TestVioStoreComponentStateDrains(t *testing.T) {
 // TestVioStoreMaintenanceFlatInBucketSize: the store keeps a dirty bucket's
 // count, not its violation list, so an Insert, a Set and a Delete of a
 // member allocate as much in a bucket of 10 mutually violating tuples as in
-// one of 1 000, and every answer still equals a fresh detector's after
+// one of 1 000, and every answer still equals the reference scan's after
 // each kind of op. (A store that re-derived the bucket's list on every
 // delta allocated in proportion to it.)
 func TestVioStoreMaintenanceFlatInBucketSize(t *testing.T) {

@@ -68,7 +68,8 @@ func TestNoiseRateRealized(t *testing.T) {
 
 func TestDirtyTuplesViolate(t *testing.T) {
 	ds := mustNew(t, Config{Size: 800, NoiseRate: 0.08, Seed: 5})
-	det := cfd.NewDetector(ds.Dirty, ds.Sigma)
+	det := cfd.NewVioStore(ds.Dirty, ds.Sigma)
+	defer det.Close()
 	if det.Satisfied() {
 		t.Fatal("dirty database satisfies Σ")
 	}
@@ -90,7 +91,8 @@ func TestConstShareExtremes(t *testing.T) {
 	// With ConstShare=1 every dirty tuple violates a constant rule; the
 	// number of single-tuple violations must dominate.
 	ds := mustNew(t, Config{Size: 500, NoiseRate: 0.1, ConstShare: 1, Seed: 11})
-	det := cfd.NewDetector(ds.Dirty, ds.Sigma)
+	det := cfd.NewVioStore(ds.Dirty, ds.Sigma)
+	defer det.Close()
 	vio := det.VioAll()
 	n := 0
 	for _, id := range ds.DirtyIDs {

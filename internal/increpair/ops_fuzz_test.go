@@ -30,8 +30,8 @@ var opsPools = [][]string{
 // relation's dictionary, which numbers the same constants differently.
 //
 // After every batch it holds the session to checks independent of the
-// maintained state: the store's violations equal a fresh cfd.Detect over
-// Current(), every tally of every live LHS index equals a recount
+// maintained state: the store's violations equal those of a violation
+// store freshly built over Current(), every tally of every live LHS index equals a recount
 // (Detector.Recount), and every stored tuple's ids equal dictionary lookups
 // of its values. Then it sends the batch's arrivals once more, unrepaired,
 // the way the ByViolations ranking does — each counted through the store and
@@ -123,9 +123,11 @@ func runSessionOps(t *testing.T, data []byte) {
 	check := func(tag string) {
 		t.Helper()
 		cur := sess.Current()
-		got, want := e.store.Detect(), cfd.NewDetector(cur, sigma).Detect()
+		fresh := cfd.NewVioStore(cur, sigma)
+		got, want := e.store.Detect(), fresh.Detect()
+		fresh.Close()
 		if (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: the store holds %v, a fresh Detect finds %v", tag, got, want)
+			t.Fatalf("%s: the store holds %v, a freshly built store finds %v", tag, got, want)
 		}
 		if err := e.det.Recount(); err != nil {
 			t.Fatalf("%s: %v", tag, err)

@@ -1,5 +1,7 @@
 package relation
 
+import "slices"
+
 // The mutation journal turns a Relation into a stream of typed deltas.
 // Inserts, deletes and Set calls notify every subscriber synchronously,
 // after the relation's own bookkeeping (tuple table, interned ids, active
@@ -38,9 +40,11 @@ type Delta struct {
 }
 
 // Subscribe registers fn to observe every subsequent mutation of the
-// relation and returns a function that removes the subscription.
-// Subscribers are notified synchronously in subscription order, after the
-// relation's own state is updated; fn must not mutate the relation.
+// relation and returns a function that removes the subscription — and the
+// relation's last reference to fn, so that what fn holds can be collected
+// while the relation lives on. Subscribers are notified synchronously in
+// subscription order, after the relation's own state is updated; fn must
+// not mutate the relation.
 func (r *Relation) Subscribe(fn func(Delta)) (unsubscribe func()) {
 	id := r.nextSub
 	r.nextSub++
@@ -48,7 +52,7 @@ func (r *Relation) Subscribe(fn func(Delta)) (unsubscribe func()) {
 	return func() {
 		for i, s := range r.subs {
 			if s.id == id {
-				r.subs = append(r.subs[:i], r.subs[i+1:]...)
+				r.subs = slices.Delete(r.subs, i, i+1) // zeroes the vacated slot
 				return
 			}
 		}

@@ -2,7 +2,9 @@ package relation
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 )
 
 func TestJournalEmitsTypedDeltas(t *testing.T) {
@@ -73,6 +75,30 @@ func TestJournalMultipleSubscribersInOrder(t *testing.T) {
 	if want := []string{"second"}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("after unsubscribe: %v, want %v", order, want)
 	}
+}
+
+// TestUnsubscribeReleasesSubscriber: once unsubscribed, what a subscriber
+// holds is garbage even while the relation lives on, as a one-shot
+// violation store's indexes must be after Close.
+func TestUnsubscribeReleasesSubscriber(t *testing.T) {
+	r := New(MustSchema("r", "A"))
+	keep := r.Subscribe(func(Delta) {})
+	defer keep()
+	var unsub func()
+	w := func() weak.Pointer[[1 << 16]byte] {
+		held := new([1 << 16]byte)
+		unsub = r.Subscribe(func(Delta) { held[0]++ })
+		return weak.Make(held)
+	}()
+	if _, err := r.InsertRow("v"); err != nil {
+		t.Fatal(err)
+	}
+	unsub()
+	runtime.GC()
+	if w.Value() != nil {
+		t.Fatal("the relation still references an unsubscribed subscriber")
+	}
+	runtime.KeepAlive(r)
 }
 
 func TestRestoreNextID(t *testing.T) {

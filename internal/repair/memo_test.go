@@ -281,7 +281,7 @@ func FuzzBatchRepairVsWalk(f *testing.F) {
 			checkMemo(t, e)
 			checkWalks(t, e)
 		})
-		if !cfd.NewDetector(got, sigma).Satisfied() {
+		if !cfd.Satisfies(got, sigma) {
 			t.Fatal("the driven repair violates Σ")
 		}
 		res, err := Batch(d, sigma, nil)

@@ -163,7 +163,7 @@ func Evaluate(repr, orig *relation.Relation, sigma []*cfd.Normal, user User, opt
 		rng = rand.New(rand.NewSource(99))
 	}
 	// Stratify by the original tuples' violation counts.
-	vio := cfd.NewDetector(orig, sigma).VioAll()
+	vio := cfd.OneShot(orig, sigma, (*cfd.VioStore).VioAll)
 	m := len(o.Xi)
 	stratumOf := func(id relation.TupleID) int {
 		v := vio[id]
