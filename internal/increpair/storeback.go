@@ -69,7 +69,7 @@ func (s *Session) PersistBoundary(name string) (*wal.Snapshot, *store.Flush, err
 		return nil, nil, err
 	}
 	snap.StoreKind = wal.StorePaged
-	fl := s.st.BeginFlush(s.e.repr.Pin(), s.e.repr.Size())
+	fl := s.st.BeginFlush(s.e.repr.Pin())
 	return snap, fl, nil
 }
 

@@ -32,6 +32,12 @@ const (
 type Delta struct {
 	Kind DeltaKind
 	T    *Tuple
+	// Pos is the position the mutation wrote: the new tuple's slot for an
+	// insert, the tuple's slot for an update, and for a delete the vacated
+	// slot, which now holds the row moved there from the end (or, when the
+	// last row was deleted, lies at the new Size()). It is not part of the
+	// wire encoding (AppendDelta), so a decoded Delta's Pos is zero.
+	Pos int
 	// Attr, Old and OldID are meaningful for DeltaUpdate only: the changed
 	// attribute position, its previous value, and the previous interned id.
 	Attr  int

@@ -242,7 +242,7 @@ func (r *Relation) Insert(t *Tuple) error {
 	t.probed = nil
 	r.version++
 	if len(r.subs) > 0 {
-		r.notify(Delta{Kind: DeltaInsert, T: t})
+		r.notify(Delta{Kind: DeltaInsert, T: t, Pos: len(r.tuples) - 1})
 	}
 	return nil
 }
@@ -287,7 +287,7 @@ func (r *Relation) Delete(id TupleID) bool {
 	r.clearPos(id)
 	r.version++
 	if len(r.subs) > 0 {
-		r.notify(Delta{Kind: DeltaDelete, T: t})
+		r.notify(Delta{Kind: DeltaDelete, T: t, Pos: i})
 	}
 	return true
 }
@@ -326,7 +326,7 @@ func (r *Relation) Set(id TupleID, a int, v Value) (Value, error) {
 	}
 	r.version++
 	if len(r.subs) > 0 {
-		r.notify(Delta{Kind: DeltaUpdate, T: t, Attr: a, Old: old, OldID: oldID})
+		r.notify(Delta{Kind: DeltaUpdate, T: t, Pos: i, Attr: a, Old: old, OldID: oldID})
 	}
 	return old, nil
 }

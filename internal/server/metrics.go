@@ -136,7 +136,6 @@ func (s *Server) declareFamilies() []family {
 		storeGauge("cfdserved_session_store_gen", "Committed page-store manifest generation per disk-backed session.", func(st *store.Stats) float64 { return float64(st.Gen) }),
 		storeGauge("cfdserved_session_store_pages", "Committed pages in the session's page store.", func(st *store.Stats) float64 { return float64(st.Pages) }),
 		storeGauge("cfdserved_session_store_dirty_pages", "Dirty pages awaiting the session's next store flush.", func(st *store.Stats) float64 { return float64(st.DirtyPages) }),
-		storeGauge("cfdserved_session_store_cached_pages", "Pages the last recovery scan left cached in the session's page store.", func(st *store.Stats) float64 { return float64(st.CachedPages) }),
 		storeGauge("cfdserved_session_store_dict_entries", "Persisted intern-dictionary entries in the session's page store.", func(st *store.Stats) float64 { return float64(st.DictEntries) }),
 		storeGauge("cfdserved_session_store_disk_bytes", "On-disk footprint of the session's page store.", func(st *store.Stats) float64 { return float64(st.DiskBytes) }),
 		sessionHistogram("cfdserved_session_pass_duration_seconds", "Engine pass duration per session.", func(in *instruments) *metrics.Histogram { return in.passLat }),

@@ -88,8 +88,6 @@ const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server
 # TYPE cfdserved_session_store_pages gauge
 # HELP cfdserved_session_store_dirty_pages Dirty pages awaiting the session's next store flush.
 # TYPE cfdserved_session_store_dirty_pages gauge
-# HELP cfdserved_session_store_cached_pages Pages the last recovery scan left cached in the session's page store.
-# TYPE cfdserved_session_store_cached_pages gauge
 # HELP cfdserved_session_store_dict_entries Persisted intern-dictionary entries in the session's page store.
 # TYPE cfdserved_session_store_dict_entries gauge
 # HELP cfdserved_session_store_disk_bytes On-disk footprint of the session's page store.

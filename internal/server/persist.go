@@ -524,7 +524,7 @@ func (p *persister) status() string {
 // dictionary preloaded so every ValueID reproduces exactly), and
 // re-attach the store so the WAL replay that follows marks its pages
 // dirty again. No relation-sized snapshot record is ever decoded —
-// recovery reads the order file once and only the pages it names.
+// recovery reads each page of the row count once, in order.
 func restorePaged(dir, name string, snap *wal.Snapshot) (*increpair.Session, error) {
 	st, err := store.Open(filepath.Join(dir, storeDirName), snap.StoreGen, len(snap.Attrs), store.Options{})
 	if err != nil {
@@ -536,7 +536,6 @@ func restorePaged(dir, name string, snap *wal.Snapshot) (*increpair.Session, err
 		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)
 	}
 	sess, err := increpair.RestoreFromSnapshotSource(snap, src, 0, st.Strings())
-	src.Close()
 	if err != nil {
 		st.Close()
 		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)

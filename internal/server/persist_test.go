@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -24,6 +25,7 @@ import (
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/increpair"
 	"cfdclean/internal/relation"
+	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
 )
 
@@ -568,6 +570,49 @@ func TestFinishPersistSupersededKeepsData(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesVersion1Store: a page store from the format that
+// filed rows by tuple id (its files stamped version 1) fails every
+// snapshot generation that names it. Recovery skips the tenant, names it
+// and the version, and leaves every file as it found it.
+func TestRecoveryRefusesVersion1Store(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{DataDir: dir, Fsync: FsyncOff, QueueDepth: 8, Store: store.KindDisk, SnapshotEvery: 2}
+	s1 := New(opts)
+	ts1 := httptest.NewServer(s1.Handler())
+	createRecovery(t, ts1.URL, "old")
+	for i := 0; i < 5; i++ {
+		applyRecovery(t, ts1.URL, "old", i)
+	}
+	shutdownService(t, s1, ts1)
+
+	storeDir := filepath.Join(dir, "old", storeDirName)
+	ents, err := os.ReadDir(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		path := filepath.Join(storeDir, e.Name())
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len("CFDSTOR")] = 1 // every store magic is seven bytes
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirImage(t, dir)
+
+	s2, _ := newTestService(t, opts)
+	n, err := s2.Recover()
+	if n != 0 || err == nil || !strings.Contains(err.Error(), "old") || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("recovered %d sessions, error %v; want none, naming the tenant and version 1", n, err)
+	}
+	if !maps.Equal(dirImage(t, dir), before) {
+		t.Fatal("recovery changed the files of the tenant it refused")
+	}
+}
+
 func TestParseGenName(t *testing.T) {
 	for name, want := range map[string]struct {
 		gen  uint64
@@ -577,7 +622,7 @@ func TestParseGenName(t *testing.T) {
 		"snap-0000000007.snap":     {7, "snap", true},
 		"wal-0000000123.log":       {123, "wal", true},
 		"pages-0000000002.dat":     {2, "pages", true},
-		"order-0000000002.dat":     {2, "order", true},
+		"order-0000000002.dat":     {0, "", false},
 		"manifest-0000000002.mft":  {2, "manifest", true},
 		"snap-0000000007.snap.tmp": {0, "", false},
 		"wal-x.log":                {0, "", false},

@@ -386,7 +386,6 @@ func (h *hosted) info() SessionInfo {
 			Gen:         st.Gen,
 			Pages:       st.Pages,
 			DirtyPages:  st.DirtyPages,
-			CachedPages: st.CachedPages,
 			Tuples:      st.Tuples,
 			DictEntries: st.DictEntries,
 			DiskBytes:   st.DiskBytes,

@@ -213,15 +213,13 @@ type SessionInfo struct {
 
 // WireStore reports a session's disk-backed tuple store in listings:
 // the committed manifest generation, page counts (committed / marked
-// dirty for the next flush / left cached by the last recovery scan), row
-// and dictionary sizes at the last flush, and the store's total on-disk
-// footprint.
+// dirty for the next flush), row and dictionary sizes at the last flush,
+// and the store's total on-disk footprint.
 type WireStore struct {
 	Kind        string `json:"kind"`
 	Gen         uint64 `json:"gen"`
 	Pages       int    `json:"pages"`
 	DirtyPages  int    `json:"dirty_pages"`
-	CachedPages int    `json:"cached_pages"`
 	Tuples      int    `json:"tuples"`
 	DictEntries int    `json:"dict_entries"`
 	DiskBytes   int64  `json:"disk_bytes"`

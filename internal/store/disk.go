@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,8 +21,7 @@ import (
 // On-disk layout of one Disk store directory:
 //
 //	pages-<gen>.dat    page records written by flush <gen>
-//	order-<gen>.dat    physical row order at flush <gen>
-//	manifest-<gen>.mft page table + geometry at flush <gen>
+//	manifest-<gen>.mft page table, geometry and row count at flush <gen>
 //	dict.log           append-only intern dictionary (shared by all gens)
 //
 // Headers, records, file names and the two file writes are internal/wal's
@@ -41,10 +39,15 @@ import (
 // consistent fallback, which is exactly what snapshot-generation pruning
 // (keep the newest two) requires.
 //
-// Rows are fixed-width and addressed by TupleID:
+// Rows are fixed-width and filed at their position in the relation's
+// physical order:
 //
-//	row  = used(u8) wflag(u8) id(i64 LE) valueID(u32 LE)×arity weight(f64 LE)×arity
-//	page(id) = id / rowsPerPage,  slot(id) = id % rowsPerPage
+//	row  = wflag(u8) id(i64 LE) valueID(u32 LE)×arity weight(f64 LE)×arity
+//	page(pos) = pos / rowsPerPage,  slot(pos) = pos % rowsPerPage
+//
+// so pages 0 … ⌈rows/rowsPerPage⌉−1 hold the relation in order, every
+// slot below the manifest's row count holds a row, and no reader looks at
+// a slot past it.
 //
 // Values are the relation Dict's dense uint32 ids; dict.log persists the
 // dictionary as length-prefixed strings in intern order, so ordinal i
@@ -52,16 +55,10 @@ import (
 // before the pages that reference it.
 
 const (
-	storeVersion  = 1
+	storeVersion  = 2
 	pageMagic     = "CFDPAGE"
-	orderMagic    = "CFDORDR"
 	manifestMagic = "CFDSTOR"
 	dictMagic     = "CFDDICT"
-
-	// orderChunkIDs bounds the row ids per order-file record, and
-	// maxOrderRecord the bytes a reader accepts for one.
-	orderChunkIDs  = 1 << 16
-	maxOrderRecord = 1 << 24
 )
 
 // ErrClosed reports use of a closed store.
@@ -73,7 +70,6 @@ var ErrClosed = errors.New("store: closed")
 var errCorrupt = errors.New("store: corrupt")
 
 func pagesName(gen uint64) string    { return wal.GenName("pages", gen) }
-func orderName(gen uint64) string    { return wal.GenName("order", gen) }
 func manifestName(gen uint64) string { return wal.GenName("manifest", gen) }
 
 const dictName = "dict.log"
@@ -85,12 +81,12 @@ type pageLoc struct {
 }
 
 // Disk is the disk-backed tuple store for one session. It subscribes to
-// the live relation's mutation journal and remembers which pages were
-// touched since the last flush — their numbers, not their contents;
-// BeginFlush/Commit encode those pages from the relation as pinned at a
-// snapshot-rotation boundary into a new file generation. All methods are
-// safe for the session pipeline's concurrency: the worker marks pages
-// through observe while the committer commits a prior flush.
+// the live relation's mutation journal and remembers which pages the
+// positions written since the last flush fall on — their numbers, not
+// their contents; BeginFlush/Commit encode those pages from the relation
+// as pinned at a snapshot-rotation boundary into a new file generation.
+// All methods are safe for the session pipeline's concurrency: the worker
+// marks pages through observe while the committer commits a prior flush.
 type Disk struct {
 	dir         string
 	arity       int
@@ -124,7 +120,6 @@ type Disk struct {
 
 	dirty   map[uint64]struct{} // pages touched since the last BeginFlush
 	pending []*Flush            // unresolved flushes, oldest first
-	cache   *pageLRU            // pages a recovery scan has read
 	files   map[uint64]*os.File // read handles, keyed by generation
 
 	err    error
@@ -160,29 +155,33 @@ func Create(dir string, arity int, opts Options) (*Disk, error) {
 	return d, nil
 }
 
+// rowWidth is the width of one row at the given arity.
+func rowWidth(arity int) int { return 1 + 8 + 12*arity }
+
+// pagesFor is the number of pages rows rows fill.
+func (d *Disk) pagesFor(rows int) uint64 {
+	return (uint64(rows) + d.rowsPerPage - 1) / d.rowsPerPage
+}
+
 func newDisk(dir string, arity, pageSize int) *Disk {
-	rowWidth := 2 + 8 + 4*arity + 8*arity
-	rpp := pageSize / rowWidth
-	if rpp < 1 {
-		rpp = 1
-	}
+	w := rowWidth(arity)
+	rpp := max(pageSize/w, 1)
 	return &Disk{
 		dir:         dir,
 		arity:       arity,
-		rowWidth:    rowWidth,
+		rowWidth:    w,
 		rowsPerPage: uint64(rpp),
-		pageBytes:   rpp * rowWidth,
+		pageBytes:   rpp * w,
 		table:       make(map[uint64]pageLoc),
 		dirty:       make(map[uint64]struct{}),
-		cache:       newPageLRU(cachePages),
 		files:       make(map[uint64]*os.File),
 	}
 }
 
 // Attach subscribes the store to rel's mutation journal: every mutation
-// from the next one on marks its row's page dirty. Must be called from
-// the relation's writer serialization context (increpair.Session holds
-// its lock).
+// from the next one on marks the page of the position it wrote dirty.
+// Must be called from the relation's writer serialization context
+// (increpair.Session holds its lock).
 func (d *Disk) Attach(rel *relation.Relation) {
 	d.mu.Lock()
 	d.dict = rel.Dict()
@@ -190,32 +189,30 @@ func (d *Disk) Attach(rel *relation.Relation) {
 	d.unsub = rel.Subscribe(d.observe)
 }
 
-// SeedAll marks the page of every current row of rel dirty — the
+// SeedAll marks the pages of positions 0 … Size()−1 of rel dirty — the
 // bootstrap for a freshly created store under a live relation. Must be
 // called from the writer context, after Attach.
 func (d *Disk) SeedAll(rel *relation.Relation) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, t := range rel.Tuples() {
-		d.dirty[uint64(t.ID)/d.rowsPerPage] = struct{}{}
+	for no := range d.pagesFor(rel.Size()) {
+		d.dirty[no] = struct{}{}
 	}
 }
 
-// observe marks the page of the inserted, updated or deleted row. What
-// the page holds is read from the pinned view when a flush commits.
+// observe marks the page of the position the mutation wrote. What the
+// page holds is read from the pinned view when a flush commits; a delete
+// also shortens the relation, which the flush's row count records.
 func (d *Disk) observe(dl relation.Delta) {
 	d.mu.Lock()
-	d.dirty[uint64(dl.T.ID)/d.rowsPerPage] = struct{}{}
+	d.dirty[uint64(dl.Pos)/d.rowsPerPage] = struct{}{}
 	d.mu.Unlock()
 }
 
-// encodeRow writes t's fixed-width row into its slot of page.
-func (d *Disk) encodeRow(page []byte, t *relation.Tuple) {
-	off := int(uint64(t.ID)%d.rowsPerPage) * d.rowWidth
-	row := page[off : off+d.rowWidth]
-	row[0] = 1
-	binary.LittleEndian.PutUint64(row[2:], uint64(t.ID))
-	p := 10
+// encodeRow writes t into row, which is zero.
+func (d *Disk) encodeRow(row []byte, t *relation.Tuple) {
+	binary.LittleEndian.PutUint64(row[1:], uint64(t.ID))
+	p := 9
 	for a := 0; a < d.arity; a++ {
 		binary.LittleEndian.PutUint32(row[p:], uint32(t.IDAt(a)))
 		p += 4
@@ -223,7 +220,7 @@ func (d *Disk) encodeRow(page []byte, t *relation.Tuple) {
 	if t.W == nil {
 		return // wflag and the weight cells stay zero
 	}
-	row[1] = 1
+	row[0] = 1
 	for a := 0; a < d.arity; a++ {
 		binary.LittleEndian.PutUint64(row[p:], math.Float64bits(t.W[a]))
 		p += 8
@@ -239,19 +236,18 @@ type Flush struct {
 	pages   map[uint64]struct{}
 	view    *relation.View
 	dictLen int
-	rows    int
 	done    bool
 }
 
-// BeginFlush captures the dirty page set, the relation's rows and
-// physical order (the pinned view) and the dictionary watermark at a
-// quiescent boundary. Must be called from the writer context. The
-// returned Flush must be resolved with exactly one Commit or Abort, in
-// FIFO order relative to other flushes of the same store.
-func (d *Disk) BeginFlush(v *relation.View, rows int) *Flush {
+// BeginFlush captures the dirty page set, the relation's rows in physical
+// order (the pinned view) and the dictionary watermark at a quiescent
+// boundary. Must be called from the writer context. The returned Flush
+// must be resolved with exactly one Commit or Abort, in FIFO order
+// relative to other flushes of the same store.
+func (d *Disk) BeginFlush(v *relation.View) *Flush {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	f := &Flush{d: d, pages: d.dirty, view: v, rows: rows}
+	f := &Flush{d: d, pages: d.dirty, view: v}
 	if d.dict != nil {
 		f.dictLen = d.dict.Len()
 	}
@@ -286,9 +282,9 @@ func (f *Flush) Abort() {
 }
 
 // Commit durably writes the flush as generation gen: dictionary delta
-// first (fsync), then the row order and the dirty pages' images, both
-// from one walk of the pinned view (fsync), then the manifest (tmp +
-// rename + dirsync) as the atomic commit point. On success the store's
+// first (fsync), then the images of the dirty pages below the row count,
+// encoded from the pinned view (fsync), then the manifest (tmp + rename +
+// dirsync) as the atomic commit point. On success the store's
 // committed state advances and files no manifest of the two newest
 // generations references are pruned. On failure the flush is aborted and
 // the error is latched — the caller (the persister) marks the session's
@@ -340,31 +336,38 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int) error {
 		d.mu.Unlock()
 	}
 
-	// 2. Physical row order and the dirty pages' images, from one walk
-	// of the pinned view.
-	pages, err := d.walkView(gen, f)
+	// 2. The dirty pages' images. A page at or past the row count holds
+	// no row any more: it is neither written nor kept in the table.
+	rows := f.view.Len()
+	live := d.pagesFor(rows)
+	d.mu.Lock() // an Abort ahead of f in the FIFO may have added pages
+	nos := make([]uint64, 0, len(f.pages))
+	for no := range f.pages {
+		if no < live {
+			nos = append(nos, no)
+		}
+	}
+	d.mu.Unlock()
+	slices.Sort(nos)
+	locs, err := d.writePages(gen, f.view, nos)
 	if err != nil {
 		return err
-	}
-	locs := make(map[uint64]pageLoc, len(pages))
-	if len(pages) > 0 {
-		if err := d.writePages(gen, pages, locs); err != nil {
-			return err
-		}
 	}
 
 	// 3. Manifest: the commit point.
 	d.mu.Lock()
-	newTable := make(map[uint64]pageLoc, len(d.table)+len(locs))
+	newTable := make(map[uint64]pageLoc, live)
 	for no, loc := range d.table {
-		newTable[no] = loc
+		if no < live {
+			newTable[no] = loc
+		}
 	}
 	oldGen, oldTable, hadManifest := d.gen, d.table, d.hasManifest
 	d.mu.Unlock()
 	for no, loc := range locs {
 		newTable[no] = loc
 	}
-	if err := d.writeManifest(gen, newTable, f.dictLen, f.rows); err != nil {
+	if err := d.writeManifest(gen, newTable, f.dictLen, rows); err != nil {
 		return err
 	}
 
@@ -374,7 +377,7 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int) error {
 		d.prevGen, d.prevRefs, d.hasPrev = oldGen, tableRefs(oldTable, oldGen), true
 	}
 	d.gen, d.table, d.hasManifest = gen, newTable, true
-	d.tupleCount = f.rows
+	d.tupleCount = rows
 	d.dictNext = f.dictLen
 	if i := slices.Index(d.pending, f); i >= 0 {
 		d.pending = slices.Delete(d.pending, i, i+1)
@@ -402,16 +405,31 @@ func tableRefs(table map[uint64]pageLoc, gen uint64) map[uint64]bool {
 	return refs
 }
 
-func (d *Disk) writePages(gen uint64, pages map[uint64][]byte, locs map[uint64]pageLoc) error {
-	return wal.WriteFileSynced(filepath.Join(d.dir, pagesName(gen)), func(w io.Writer) error {
+// writePages encodes pages nos (ascending) from positions
+// [no·rowsPerPage, min((no+1)·rowsPerPage, rows)) of v into
+// pages-<gen>.dat and returns where each image landed. Slots past the row
+// count stay zero. No dirty page, no file.
+func (d *Disk) writePages(gen uint64, v *relation.View, nos []uint64) (map[uint64]pageLoc, error) {
+	locs := make(map[uint64]pageLoc, len(nos))
+	if len(nos) == 0 {
+		return locs, nil
+	}
+	rows := uint64(v.Len())
+	return locs, wal.WriteFileSynced(filepath.Join(d.dir, pagesName(gen)), func(w io.Writer) error {
 		hdr := wal.AppendHeader(nil, pageMagic, storeVersion)
 		if _, err := w.Write(hdr); err != nil {
 			return err
 		}
 		off := int64(len(hdr))
+		page := make([]byte, d.pageBytes)
 		var rec []byte
-		for _, no := range slices.Sorted(maps.Keys(pages)) {
-			rec = wal.AppendFrame(binary.LittleEndian.AppendUint64(rec[:0], no), pages[no])
+		for _, no := range nos {
+			clear(page)
+			lo := no * d.rowsPerPage
+			for pos := lo; pos < min(lo+d.rowsPerPage, rows); pos++ {
+				d.encodeRow(page[int(pos-lo)*d.rowWidth:][:d.rowWidth], v.Tuple(int(pos)))
+			}
+			rec = wal.AppendFrame(binary.LittleEndian.AppendUint64(rec[:0], no), page)
 			if _, err := w.Write(rec); err != nil {
 				return err
 			}
@@ -420,72 +438,6 @@ func (d *Disk) writePages(gen uint64, pages map[uint64][]byte, locs map[uint64]p
 		}
 		return nil
 	})
-}
-
-// walkView walks f's pinned view once: every row's id goes to
-// order-<gen>.dat, and every row on a page of f's dirty set is encoded
-// into that page's zero-initialised image. A dirty page no surviving row
-// lands on (its rows were all deleted) stays the all-zero image of empty
-// slots.
-func (d *Disk) walkView(gen uint64, f *Flush) (map[uint64][]byte, error) {
-	d.mu.Lock() // an Abort ahead of f in the FIFO may have added pages
-	pages := make(map[uint64][]byte, len(f.pages))
-	for no := range f.pages {
-		pages[no] = nil
-	}
-	d.mu.Unlock()
-	for no := range pages {
-		pages[no] = make([]byte, d.pageBytes)
-	}
-
-	err := wal.WriteFileSynced(filepath.Join(d.dir, orderName(gen)), func(w io.Writer) error {
-		if _, err := w.Write(wal.AppendHeader(nil, orderMagic, storeVersion)); err != nil {
-			return err
-		}
-		var chunk, frame []byte
-		var total, n int
-		var prev int64
-		// Rows mostly arrive in id order: look a page up when it changes.
-		pageNo, page := ^uint64(0), []byte(nil)
-		body := make([]byte, 0, orderChunkIDs*2)
-		flushChunk := func() error {
-			if n == 0 {
-				return nil
-			}
-			chunk = binary.AppendUvarint(chunk[:0], uint64(n))
-			chunk = append(chunk, body...)
-			frame = wal.AppendFrame(frame[:0], chunk)
-			body, n = body[:0], 0
-			_, err := w.Write(frame)
-			return err
-		}
-		for cur := f.view.Rows(); ; {
-			t := cur.Next()
-			if t == nil {
-				break
-			}
-			if no := uint64(t.ID) / d.rowsPerPage; no != pageNo {
-				pageNo, page = no, pages[no] // nil: the page is clean
-			}
-			if page != nil {
-				d.encodeRow(page, t)
-			}
-			body = binary.AppendVarint(body, int64(t.ID)-prev)
-			prev = int64(t.ID)
-			n++
-			total++
-			if n == orderChunkIDs {
-				if err := flushChunk(); err != nil {
-					return err
-				}
-			}
-		}
-		if total != f.rows {
-			return fmt.Errorf("store: order stream saw %d rows, boundary captured %d", total, f.rows)
-		}
-		return flushChunk()
-	})
-	return pages, err
 }
 
 func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows int) error {
@@ -518,8 +470,8 @@ func encodeManifest(geom manifestGeom, table map[uint64]pageLoc, dictLen, rows i
 
 // pruneLocked removes the page files of generations not in keep (those
 // no page of the two newest manifests lives in), closing any cached read
-// handle first, and the order file and manifest of every generation but
-// the current one and the previous one, which is the fallback recovery
+// handle first, and the manifest of every generation but the current one
+// and the previous one, which is the fallback recovery
 // opens when the current snapshot is damaged. Best-effort: a leftover
 // file is garbage collected at the next commit.
 func (d *Disk) pruneLocked(keep map[uint64]bool) {
@@ -536,7 +488,7 @@ func (d *Disk) pruneLocked(keep map[uint64]bool) {
 				f.Close()
 				delete(d.files, gen)
 			}
-		case "order", "manifest":
+		case "manifest":
 			stale = gen != d.gen && !(d.hasPrev && gen == d.prevGen)
 		}
 		if stale {
@@ -579,7 +531,6 @@ func (d *Disk) Stats() Stats {
 		Gen:         d.gen,
 		Pages:       len(d.table),
 		DirtyPages:  dirtyPages,
-		CachedPages: d.cache.len(),
 		Tuples:      d.tupleCount,
 		DictEntries: d.dictNext,
 	}
@@ -623,8 +574,9 @@ func (d *Disk) Close() {
 // dictionary prefix the manifest covers and truncating any orphan tail
 // dict.log carries past it (a crash between dict append and manifest
 // commit leaves entries no manifest references; a fresh append would
-// otherwise land them at wrong ordinals). Pages open lazily as rows are
-// read — this is what makes recovery ~O(dirty) instead of O(relation).
+// otherwise land them at wrong ordinals). A store of another format
+// version is refused (wal.ErrCorrupt). Pages are read by Source, every
+// page of the row count once, in order.
 func Open(dir string, gen uint64, arity int, opts Options) (*Disk, error) {
 	opts = opts.withDefaults()
 	b, err := os.ReadFile(filepath.Join(dir, manifestName(gen)))
@@ -638,9 +590,9 @@ func Open(dir string, gen uint64, arity int, opts Options) (*Disk, error) {
 	if geom.arity != arity {
 		return nil, fmt.Errorf("%w: manifest arity %d, relation has %d", errCorrupt, geom.arity, arity)
 	}
-	// A row's layout follows from the arity; the iterator reads row[2:]
-	// by it.
-	if want := 2 + 8 + 12*arity; geom.rowWidth != want {
+	// A row's layout follows from the arity; the iterator reads rows by
+	// it.
+	if want := rowWidth(arity); geom.rowWidth != want {
 		return nil, fmt.Errorf("%w: manifest row width %d, arity %d needs %d", errCorrupt, geom.rowWidth, arity, want)
 	}
 	d := newDisk(dir, arity, opts.PageSize)
@@ -791,38 +743,27 @@ func (c *countReader) ReadByte() (byte, error) {
 
 // Iterator streams the store's committed rows in physical order as
 // snapshot tuples — the recovery-time replacement for a snapshot file's
-// inline tuple records. It holds one page buffer and reads page files
-// lazily; Close releases the order-file handle (Next does so on
-// exhaustion or error as well).
+// inline tuple records. It reads pages 0 … ⌈rows/rowsPerPage⌉−1 of the
+// generation it was opened on, each once and in order, and holds one page
+// image.
 type Iterator struct {
-	d         *Disk
-	f         *os.File
-	br        *bufio.Reader
-	remaining int
-	chunk     []byte
-	inChunk   uint64
-	prev      int64
-	pageNo    uint64
-	page      []byte
-	hasPage   bool
-	err       error
+	d     *Disk
+	table map[uint64]pageLoc
+	strs  []string
+	rows  int
+	pos   int
+	page  []byte
+	err   error
 }
 
 // Source opens an iterator over the last committed generation's rows.
 func (d *Disk) Source() (*Iterator, error) {
 	d.mu.Lock()
-	gen, rows := d.gen, d.tupleCount
-	d.mu.Unlock()
-	f, err := os.Open(filepath.Join(d.dir, orderName(gen)))
-	if err != nil {
-		return nil, err
+	defer d.mu.Unlock()
+	if d.closed {
+		return nil, ErrClosed
 	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	if err := wal.CheckHeader(br, orderMagic, storeVersion); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Iterator{d: d, f: f, br: br, remaining: rows}, nil
+	return &Iterator{d: d, table: d.table, strs: d.strs, rows: d.tupleCount}, nil
 }
 
 // Strings returns the persisted dictionary in intern order. Restoring
@@ -835,58 +776,38 @@ func (d *Disk) Strings() []string {
 	return d.strs
 }
 
-// Next returns the next row. ok is false at clean exhaustion; a damaged
-// order record, page or row returns an error (the caller falls back to
-// an older snapshot generation, like any torn snapshot).
+// Next returns the next row. ok is false at clean exhaustion; a missing
+// or damaged page or row returns an error (the caller falls back to an
+// older snapshot generation, like any torn snapshot).
 func (it *Iterator) Next() (wal.SnapTuple, bool, error) {
 	if it.err != nil {
 		return wal.SnapTuple{}, false, it.err
 	}
-	if it.remaining == 0 {
-		it.Close()
+	if it.pos == it.rows {
 		return wal.SnapTuple{}, false, nil
 	}
-	if it.inChunk == 0 {
-		if err := it.readChunk(); err != nil {
-			return wal.SnapTuple{}, false, it.fail(err)
+	d := it.d
+	no, slot := uint64(it.pos)/d.rowsPerPage, uint64(it.pos)%d.rowsPerPage
+	if slot == 0 {
+		loc, ok := it.table[no]
+		if !ok {
+			it.err = fmt.Errorf("%w: page %d of %d rows is missing", errCorrupt, no, it.rows)
+			return wal.SnapTuple{}, false, it.err
+		}
+		d.mu.Lock()
+		it.page, it.err = d.readPageLocked(no, loc)
+		d.mu.Unlock()
+		if it.err != nil {
+			return wal.SnapTuple{}, false, it.err
 		}
 	}
-	delta, n := binary.Varint(it.chunk)
-	if n <= 0 {
-		return wal.SnapTuple{}, false, it.fail(fmt.Errorf("%w: order chunk truncated", errCorrupt))
-	}
-	it.chunk = it.chunk[n:]
-	it.inChunk--
-	it.remaining--
-	id := it.prev + delta
-	it.prev = id
-	if id <= 0 {
-		return wal.SnapTuple{}, false, it.fail(fmt.Errorf("%w: order stream yields row id %d", errCorrupt, id))
-	}
-	t, err := it.row(relation.TupleID(id))
+	t, err := it.row(it.page[int(slot)*d.rowWidth:][:d.rowWidth])
 	if err != nil {
-		return wal.SnapTuple{}, false, it.fail(err)
+		it.err = err
+		return wal.SnapTuple{}, false, err
 	}
+	it.pos++
 	return t, true, nil
-}
-
-func (it *Iterator) fail(err error) error {
-	it.err = err
-	it.Close()
-	return err
-}
-
-func (it *Iterator) readChunk() error {
-	p, err := wal.ExpectFrame(it.br, maxOrderRecord)
-	if err != nil {
-		return fmt.Errorf("order file: %w", err)
-	}
-	n, sz := binary.Uvarint(p)
-	if sz <= 0 || n == 0 {
-		return fmt.Errorf("%w: order record with bad row count", errCorrupt)
-	}
-	it.chunk, it.inChunk = p[sz:], n
-	return nil
 }
 
 // readPageLocked reads and verifies one committed page image. A
@@ -920,39 +841,15 @@ func (d *Disk) readPageLocked(no uint64, loc pageLoc) ([]byte, error) {
 	return b, nil
 }
 
-func (it *Iterator) row(id relation.TupleID) (wal.SnapTuple, error) {
+// row decodes row, the slot of the iterator's position.
+func (it *Iterator) row(row []byte) (wal.SnapTuple, error) {
 	d := it.d
-	no := uint64(id) / d.rowsPerPage
-	if !it.hasPage || it.pageNo != no {
-		d.mu.Lock()
-		loc, ok := d.table[no]
-		if !ok {
-			d.mu.Unlock()
-			return wal.SnapTuple{}, fmt.Errorf("%w: row %d points at missing page %d", errCorrupt, id, no)
-		}
-		b, ok := d.cache.get(loc)
-		if !ok {
-			var err error
-			b, err = d.readPageLocked(no, loc)
-			if err != nil {
-				d.mu.Unlock()
-				return wal.SnapTuple{}, err
-			}
-			d.cache.put(loc, b)
-		}
-		d.mu.Unlock()
-		it.page, it.pageNo, it.hasPage = b, no, true
-	}
-	off := int(uint64(id)%d.rowsPerPage) * d.rowWidth
-	row := it.page[off : off+d.rowWidth]
-	if row[0] != 1 {
-		return wal.SnapTuple{}, fmt.Errorf("%w: row %d slot is empty", errCorrupt, id)
-	}
-	if got := relation.TupleID(binary.LittleEndian.Uint64(row[2:])); got != id {
-		return wal.SnapTuple{}, fmt.Errorf("%w: row slot for %d holds id %d", errCorrupt, id, got)
+	id := relation.TupleID(binary.LittleEndian.Uint64(row[1:]))
+	if id <= 0 || row[0] > 1 {
+		return wal.SnapTuple{}, fmt.Errorf("%w: position %d holds id %d, weight flag %d", errCorrupt, it.pos, id, row[0])
 	}
 	t := wal.SnapTuple{ID: id, Vals: make([]relation.Value, d.arity)}
-	p := 10
+	p := 9
 	for a := 0; a < d.arity; a++ {
 		vid := binary.LittleEndian.Uint32(row[p:])
 		p += 4
@@ -960,12 +857,12 @@ func (it *Iterator) row(id relation.TupleID) (wal.SnapTuple, error) {
 			t.Vals[a] = relation.NullValue
 			continue
 		}
-		if int(vid) > len(d.strs) {
-			return wal.SnapTuple{}, fmt.Errorf("%w: row %d references value id %d beyond dictionary (%d entries)", errCorrupt, id, vid, len(d.strs))
+		if int(vid) > len(it.strs) {
+			return wal.SnapTuple{}, fmt.Errorf("%w: position %d references value id %d beyond dictionary (%d entries)", errCorrupt, it.pos, vid, len(it.strs))
 		}
-		t.Vals[a] = relation.Value{Str: d.strs[vid-1]}
+		t.Vals[a] = relation.Value{Str: it.strs[vid-1]}
 	}
-	if row[1] == 1 {
+	if row[0] == 1 {
 		t.W = make([]float64, d.arity)
 		for a := 0; a < d.arity; a++ {
 			t.W[a] = math.Float64frombits(binary.LittleEndian.Uint64(row[p:]))
@@ -975,52 +872,6 @@ func (it *Iterator) row(id relation.TupleID) (wal.SnapTuple, error) {
 	return t, nil
 }
 
-// Close releases the iterator's order-file handle. Idempotent.
-func (it *Iterator) Close() {
-	if it.f != nil {
-		it.f.Close()
-		it.f = nil
-	}
-}
-
-// cachePages bounds the LRU of pages a recovery scan has read: rows
-// stream in physical order, which revisits a page wherever deletes and
-// re-inserts interleaved ids (256 × 16 KiB ≈ 4 MiB).
-const cachePages = 256
-
-// pageLRU is a minimal LRU over committed page images, keyed by where the
-// image lives: page files are immutable, so an entry never goes stale.
-type pageLRU struct {
-	cap int
-	m   map[pageLoc]*list.Element
-	l   *list.List
-}
-
-type lruEntry struct {
-	loc pageLoc
-	b   []byte
-}
-
-func newPageLRU(cap int) *pageLRU {
-	return &pageLRU{cap: cap, m: make(map[pageLoc]*list.Element), l: list.New()}
-}
-
-func (c *pageLRU) get(loc pageLoc) ([]byte, bool) {
-	e, ok := c.m[loc]
-	if !ok {
-		return nil, false
-	}
-	c.l.MoveToFront(e)
-	return e.Value.(*lruEntry).b, true
-}
-
-func (c *pageLRU) put(loc pageLoc, b []byte) {
-	c.m[loc] = c.l.PushFront(&lruEntry{loc: loc, b: b})
-	for c.l.Len() > c.cap {
-		e := c.l.Back()
-		c.l.Remove(e)
-		delete(c.m, e.Value.(*lruEntry).loc)
-	}
-}
-
-func (c *pageLRU) len() int { return c.l.Len() }
+// Close releases nothing: the iterator holds no handle of its own (the
+// store owns its page files). It stays for the callers that defer it.
+func (it *Iterator) Close() {}

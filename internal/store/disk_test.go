@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -69,7 +70,7 @@ func expect(t *testing.T, rel *relation.Relation, got []wal.SnapTuple) {
 
 func flushCommit(t *testing.T, d *Disk, rel *relation.Relation, gen uint64) {
 	t.Helper()
-	f := d.BeginFlush(rel.Pin(), rel.Size())
+	f := d.BeginFlush(rel.Pin())
 	if err := f.Commit(gen); err != nil {
 		t.Fatalf("commit gen %d: %v", gen, err)
 	}
@@ -111,7 +112,6 @@ func TestDiskRoundTrip(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer d2.Close()
-	d2.cache.cap = 4 // fewer than the store's pages: the scan evicts
 	it, err := d2.Source()
 	if err != nil {
 		t.Fatalf("source: %v", err)
@@ -184,7 +184,7 @@ func TestDiskAbortRemerges(t *testing.T) {
 	}
 	d.Attach(rel)
 	rel.MustInsert(relation.NewTuple(0, "a", "b", "c"))
-	f := d.BeginFlush(rel.Pin(), rel.Size())
+	f := d.BeginFlush(rel.Pin())
 	// Newer write to the same page supersedes the aborted copy.
 	if _, err := rel.Set(1, 2, relation.S("c2")); err != nil {
 		t.Fatal(err)
@@ -235,10 +235,9 @@ func TestDiskStats(t *testing.T) {
 // reopen opens generation gen of dir beside whatever store is live on it
 // (every dictionary entry the manifest counts is already in dict.log, so
 // the orphan-tail truncation is a no-op) and holds it to want: the rows
-// in want's physical order, and every slot of every committed page either
-// one of want's rows or all zero. It returns how many committed pages
-// hold no row at all.
-func reopen(t *testing.T, dir string, gen uint64, want *relation.Relation) (emptyPages int) {
+// in want's physical order, and a page table of exactly the pages below
+// the row count.
+func reopen(t *testing.T, dir string, gen uint64, want *relation.Relation) {
 	t.Helper()
 	d, err := Open(dir, gen, 3, Options{})
 	if err != nil {
@@ -250,25 +249,15 @@ func reopen(t *testing.T, dir string, gen uint64, want *relation.Relation) (empt
 		t.Fatalf("source gen %d: %v", gen, err)
 	}
 	expect(t, want, drain(t, it))
-	for no, loc := range d.table {
-		page, err := d.readPageLocked(no, loc)
-		if err != nil {
-			t.Fatalf("gen %d page %d: %v", gen, no, err)
-		}
-		used := 0
-		for slot := uint64(0); slot < d.rowsPerPage; slot++ {
-			row := page[int(slot)*d.rowWidth:][:d.rowWidth]
-			if want.Tuple(relation.TupleID(no*d.rowsPerPage+slot)) != nil {
-				used++ // decoded and compared by expect above
-			} else if !bytes.Equal(row, make([]byte, d.rowWidth)) {
-				t.Fatalf("gen %d page %d slot %d: no such row at the boundary, slot holds %x", gen, no, slot, row)
-			}
-		}
-		if used == 0 {
-			emptyPages++
+	live := d.pagesFor(want.Size())
+	for no := range d.table {
+		if no >= live {
+			t.Fatalf("gen %d: page %d committed, %d rows fill %d pages", gen, no, want.Size(), live)
 		}
 	}
-	return emptyPages
+	if uint64(len(d.table)) != live {
+		t.Fatalf("gen %d: %d pages committed, %d rows fill %d", gen, len(d.table), want.Size(), live)
+	}
 }
 
 // An aborted flush's pages belong to the flush behind it, not to the
@@ -302,10 +291,10 @@ func TestAbortBehindALaterFlush(t *testing.T) {
 			}
 
 			set(1, "first page")
-			a := d.BeginFlush(rel.Pin(), rel.Size())
+			a := d.BeginFlush(rel.Pin())
 			set(300, "last page")
 			atB := rel.Clone()
-			b := d.BeginFlush(rel.Pin(), rel.Size())
+			b := d.BeginFlush(rel.Pin())
 			set(third, "after both boundaries")
 			a.Abort()
 			if err := b.Commit(1); err != nil {
@@ -323,16 +312,12 @@ func TestAbortBehindALaterFlush(t *testing.T) {
 // resolved in FIFO order by a random Commit or Abort: every committed
 // generation reopens to the relation as it stood at its BeginFlush.
 func TestFlushSchedulesReopenToTheirBoundary(t *testing.T) {
-	emptyPages := 0
 	for seed := int64(1); seed <= 6; seed++ {
-		emptyPages += runSchedule(t, t.TempDir(), seed)
-	}
-	if emptyPages == 0 {
-		t.Fatalf("no schedule committed a page whose rows were all deleted; the empty-image path went untested")
+		runSchedule(t, t.TempDir(), seed)
 	}
 }
 
-func runSchedule(t *testing.T, dir string, seed int64) (emptyPages int) {
+func runSchedule(t *testing.T, dir string, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	rel := testRelation(t)
@@ -360,7 +345,7 @@ func runSchedule(t *testing.T, dir string, seed int64) (emptyPages int) {
 		if err := p.f.Commit(p.gen); err != nil {
 			t.Fatalf("seed %d: commit gen %d: %v", seed, p.gen, err)
 		}
-		emptyPages += reopen(t, dir, p.gen, p.want)
+		reopen(t, dir, p.gen, p.want)
 	}
 	randomID := func() relation.TupleID { return rel.Tuples()[rng.Intn(rel.Size())].ID }
 	val := func() string { return strconv.Itoa(rng.Intn(40)) }
@@ -384,16 +369,16 @@ func runSchedule(t *testing.T, dir string, seed int64) (emptyPages int) {
 		case op < 92:
 			rel.Delete(randomID())
 		case op < 94:
-			// Empty one whole page, so that it flushes as all-zero slots.
-			no := uint64(randomID()) / d.rowsPerPage
-			for slot := uint64(0); slot < d.rowsPerPage; slot++ {
-				rel.Delete(relation.TupleID(no*d.rowsPerPage + slot))
+			// Delete a page's worth of rows, so that the row count drops
+			// past a page boundary and the next commit drops a page.
+			for i := uint64(0); i < d.rowsPerPage && rel.Size() > 0; i++ {
+				rel.Delete(randomID())
 			}
 		default:
 			if len(pending) == 2 || (len(pending) == 1 && rng.Intn(2) == 0) {
 				resolve()
 			}
-			pending = append(pending, inFlight{d.BeginFlush(rel.Pin(), rel.Size()), nextGen, rel.Clone()})
+			pending = append(pending, inFlight{d.BeginFlush(rel.Pin()), nextGen, rel.Clone()})
 			nextGen++
 		}
 	}
@@ -403,12 +388,12 @@ func runSchedule(t *testing.T, dir string, seed int64) (emptyPages int) {
 	if rel.ActiveViews() != 0 {
 		t.Fatalf("seed %d: %d pinned views leaked", seed, rel.ActiveViews())
 	}
-	return emptyPages
 }
 
 // Page files live for as long as a page of the two newest manifests is
-// in them; order files and manifests only for the current generation and
-// the one before it, whatever pages the older rotations still hold.
+// in them; manifests only for the current generation and the one before
+// it, whatever pages the older rotations still hold. No order file is
+// written.
 func TestDiskPrunesOrderFilesAndManifests(t *testing.T) {
 	dir := t.TempDir()
 	rel := testRelation(t)
@@ -441,8 +426,8 @@ func TestDiskPrunesOrderFilesAndManifests(t *testing.T) {
 		}
 		return m
 	}
-	if got, want := names("order-*"), []string{orderName(3), orderName(4)}; !slices.Equal(got, want) {
-		t.Errorf("order files %v, want %v", got, want)
+	if got := names("order-*"); len(got) != 0 {
+		t.Errorf("order files %v, want none", got)
 	}
 	if got, want := names("manifest-*"), []string{manifestName(3), manifestName(4)}; !slices.Equal(got, want) {
 		t.Errorf("manifests %v, want %v", got, want)
@@ -515,5 +500,149 @@ func TestOpenRefusesRowWidth(t *testing.T) {
 	}
 	if _, err := Open(dir, 0, 3, Options{}); !errors.Is(err, errCorrupt) {
 		t.Fatalf("open with row width 1 at arity 3: %v, want errCorrupt", err)
+	}
+}
+
+// Ten rotations of a sliding window: each deletes the oldest tenth of
+// 20 000 rows and inserts as many. A delete moves the last row into the
+// vacated position, so the rows keep filling the low pages and the page
+// table never outgrows ⌈rows/rowsPerPage⌉; every generation reopens to
+// the relation.
+func TestChurnKeepsPageTableToRowCount(t *testing.T) {
+	const rows, window = 20000, 2000
+	dir := t.TempDir()
+	rel := testRelation(t)
+	d, err := Create(dir, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Attach(rel)
+	insert := func(i int) {
+		if _, err := rel.InsertRow(strconv.Itoa(i%97), strconv.Itoa(i%13), strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < rows; i++ {
+		insert(i)
+	}
+	oldest := relation.TupleID(1)
+	for gen := uint64(0); gen <= 10; gen++ {
+		if gen > 0 {
+			for i := 0; i < window; i++ {
+				if !rel.Delete(oldest) {
+					t.Fatalf("no tuple %d to delete", oldest)
+				}
+				oldest++
+				insert(int(gen)*window + rows + i)
+			}
+		}
+		flushCommit(t, d, rel, gen)
+		s := d.Stats()
+		if want := int(d.pagesFor(rel.Size())); s.Pages != want {
+			t.Fatalf("rotation %d: %d pages committed, %d rows fill %d", gen, s.Pages, rel.Size(), want)
+		}
+		t.Logf("rotation %2d: %d pages, %.1f B/row", gen, s.Pages, float64(s.DiskBytes)/float64(s.Tuples))
+		reopen(t, dir, gen, rel)
+	}
+}
+
+// One Set on a 100 000-row relation dirties one page, and the flush
+// writes that page and the manifest: no order file, one page record.
+func TestFlushOfOneDirtyPageWritesOnePage(t *testing.T) {
+	dir := t.TempDir()
+	rel := testRelation(t)
+	d, err := Create(dir, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Attach(rel)
+	for i := 0; i < 100000; i++ {
+		if _, err := rel.InsertRow("a", "b", strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushCommit(t, d, rel, 0)
+	if _, err := rel.Set(54321, 0, relation.S("changed")); err != nil {
+		t.Fatal(err)
+	}
+	flushCommit(t, d, rel, 1)
+	if m, _ := filepath.Glob(filepath.Join(dir, "order-*")); len(m) != 0 {
+		t.Fatalf("flush wrote %v", m)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, pagesName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(b)
+	if err := wal.CheckHeader(r, pageMagic, storeVersion); err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for r.Len() > 0 {
+		if _, err := r.Seek(8, io.SeekCurrent); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wal.ExpectFrame(r, d.pageBytes); err != nil {
+			t.Fatalf("record %d: %v", records, err)
+		}
+		records++
+	}
+	if records != 1 {
+		t.Fatalf("the flush of one dirty page wrote %d page records", records)
+	}
+	reopen(t, dir, 1, rel)
+}
+
+// TestOpenRefusesVersion1: store files of the format that filed rows by
+// tuple id beside an order file are refused as corrupt, not misread.
+func TestOpenRefusesVersion1(t *testing.T) {
+	dir := committedStore(t)
+	path := filepath.Join(dir, manifestName(0))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(manifestMagic)] = 1
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, 0, 3, Options{}); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("open of a version-1 manifest: %v, want wal.ErrCorrupt", err)
+	}
+}
+
+// BenchmarkFlushOneDirtyPage times one Set and the flush that commits its
+// page, at three relation sizes: a flush's cost follows its dirty pages,
+// not the relation.
+func BenchmarkFlushOneDirtyPage(b *testing.B) {
+	for _, n := range []int{10000, 100000, 400000} {
+		b.Run(strconv.Itoa(n/1000)+"k", func(b *testing.B) {
+			rel := testRelation(b)
+			d, err := Create(b.TempDir(), 3, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			d.Attach(rel)
+			for i := 0; i < n; i++ {
+				if _, err := rel.InsertRow("a", "b", strconv.Itoa(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := d.BeginFlush(rel.Pin()).Commit(0); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rel.Set(relation.TupleID(n/2), 0, relation.S(strconv.Itoa(i%2))); err != nil {
+					b.Fatal(err)
+				}
+				if err := d.BeginFlush(rel.Pin()).Commit(uint64(i + 1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

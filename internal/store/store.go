@@ -9,13 +9,13 @@
 //
 // The disk backend does not move the working set out of RAM — the repair
 // engine needs the whole relation resident either way. What it removes is
-// the relation-sized snapshot record at the durability boundary: a
-// rotation walks the relation as pinned at the boundary once, writes the
-// physical row order (O(|D|) small varints) and the images of the pages
-// dirtied since the last rotation (the snapshot file shrinks to a slim
-// header pointing at a page-file generation), and recovery streams rows
-// back from the page files, reading only the pages the order file names,
-// through a small LRU. See internal/server for the wiring.
+// the relation-sized snapshot record at the durability boundary. Rows are
+// filed at their position in the relation's physical order, so a rotation
+// writes only the images of the pages whose positions were written since
+// the last rotation, encoded from the relation as pinned at the boundary
+// (the snapshot file shrinks to a slim header pointing at a page-file
+// generation), and recovery streams the rows back by reading the pages
+// of the row count once, in order. See internal/server for the wiring.
 package store
 
 import "fmt"
@@ -88,12 +88,13 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	// Gen is the last committed manifest generation.
 	Gen uint64
-	// Pages counts pages in the committed page table; DirtyPages the
-	// pages marked for the next flush (including flushes in flight);
-	// CachedPages the page images the last recovery scan left in its
-	// LRU — zero for a store that was never read back.
-	Pages       int
-	DirtyPages  int
+	// Pages counts pages in the committed page table, ⌈Tuples /
+	// rows per page⌉; DirtyPages the pages marked for the next flush
+	// (including flushes in flight).
+	Pages      int
+	DirtyPages int
+	// CachedPages is always 0: the store caches no page. It stays
+	// because the benchmark harness reads it.
 	CachedPages int
 	// Tuples is the row count at the last committed flush and
 	// DictEntries the persisted intern-dictionary size.

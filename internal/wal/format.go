@@ -31,7 +31,7 @@
 // their readers pass that as the cap, and Log.Append and WriteSnapshot
 // refuse a longer payload rather than frame it with a wrapped length.
 //
-// Six file kinds open with a header, and a reader accepts exactly the
+// Five file kinds open with a header, and a reader accepts exactly the
 // version its writer stamps — any other is refused with ErrCorrupt. A
 // codec change that breaks old files must bump the version
 // (TestFormatsByteIdentical and the golden fixture under
@@ -39,22 +39,20 @@
 //
 //	wal-<gen>.log       "CFDWAL"  3  record*  (Batch payloads)
 //	snap-<gen>.snap     "CFDSNAP" 3  header-record chunk-record*
-//	pages-<gen>.dat     "CFDPAGE" 1  (pageNo(u64 LE) record)*
-//	order-<gen>.dat     "CFDORDR" 1  record*
-//	manifest-<gen>.mft  "CFDSTOR" 1  record
-//	dict.log            "CFDDICT" 1  (length(uvarint) bytes)*, unframed
+//	pages-<gen>.dat     "CFDPAGE" 2  (pageNo(u64 LE) record)*
+//	manifest-<gen>.mft  "CFDSTOR" 2  record
+//	dict.log            "CFDDICT" 2  (length(uvarint) bytes)*, unframed
 //
 // <gen> is ten decimal digits (GenName). A snapshot file streams a
 // header record (everything through the tuple count) followed by bounded
 // tuple-chunk records, so snapshots of any size are written and read
 // without a relation-sized allocation; Batch and Snapshot (snapshot.go)
-// define those payloads, internal/store the page, order and manifest
-// payloads. A shipped frame is kind(u8) record (internal/cluster/ship).
+// define those payloads, internal/store the page and manifest payloads. A shipped frame is kind(u8) record (internal/cluster/ship).
 //
 // Snapshot files, manifests and the follower-role marker are commit
 // points, replaced atomically (WriteFileAtomic: temporary sibling, fsync,
 // rename, directory fsync): a crash leaves the old file or the new one.
-// Page and order files are written once and fsynced (WriteFileSynced)
+// Page files are written once and fsynced (WriteFileSynced)
 // before the manifest that names them commits; until then nothing refers
 // to them. The WAL and dict.log are appended in place: Create fsyncs the
 // new log and its directory entry before the first append, Sync fsyncs
@@ -240,7 +238,7 @@ func SyncDir(dir string) error {
 }
 
 // genExt maps each generation-numbered file kind to its extension.
-var genExt = map[string]string{"snap": ".snap", "wal": ".log", "pages": ".dat", "order": ".dat", "manifest": ".mft"}
+var genExt = map[string]string{"snap": ".snap", "wal": ".log", "pages": ".dat", "manifest": ".mft"}
 
 // GenName names the file of the given kind at generation gen:
 // <kind>-<ten digits><extension>.
