@@ -9,7 +9,6 @@
 //	cfdserved [-addr :8344] [-queue 32] [-drain 10s] [-pprof ADDR]
 //	          [-data-dir DIR] [-fsync batch|interval|off]
 //	          [-fsync-interval 100ms] [-snap-every 64]
-//	          [-store mem|disk]
 //	          [-max-read-limit 1000]
 //	          [-quota-ops 0] [-quota-tuples 0]
 //	          [-quota-max-size 0] [-quota-max-subscribers 0]
@@ -17,21 +16,18 @@
 //	          [-ack leader|quorum]
 //
 // With -data-dir the service is durable: every session writes a
-// CRC-checked write-ahead log plus periodic full-state snapshots under
-// DIR/<session>/, and on boot the service recovers every persisted
-// session — newest valid snapshot, then WAL replay — before accepting
+// CRC-checked write-ahead log under DIR/<session>/ and, every -snap-every
+// batches, a snapshot through its page store in DIR/<session>/store/:
+// generation-numbered page files behind a slim snapshot header, so a
+// rotation writes only the pages written since the last one. On boot the
+// service recovers every persisted session — newest valid snapshot, its
+// pages streamed back in order, then WAL replay — before accepting
 // traffic, discarding any torn record tail a crash (kill -9 included)
 // left behind. -fsync picks the durability/latency trade: "batch"
 // syncs before every acknowledgement, "interval" syncs on a timer,
-// "off" leaves flushing to the OS.
-//
-// -store picks the node's tuple storage backend for durable sessions:
-// "mem" (the default) writes full inline snapshots, "disk" spills
-// tuples into generation-numbered page files under DIR/<session>/store/
-// with a slim snapshot header, so rotation writes only dirty pages and
-// recovery opens pages lazily instead of decoding the whole relation.
-// Recovered sessions keep the backend their snapshot was written with —
-// restarting with -store disk does not convert existing tenants.
+// "off" leaves flushing to the OS. -store is accepted for old command
+// lines: "disk" (with -data-dir) is the only value, and it changes
+// nothing.
 //
 // With -peers (a static comma-separated node list including this node's
 // -self address) the service runs clustered: session names hash
@@ -120,7 +116,6 @@ import (
 	"time"
 
 	"cfdclean/internal/server"
-	"cfdclean/internal/store"
 )
 
 func main() {
@@ -153,7 +148,7 @@ func parseFlags(args []string) (addr, pprofAddr string, opts server.Options, err
 	fsyncMode := fs.String("fsync", "batch", "WAL fsync policy: batch (sync before every ack), interval, or off")
 	fs.DurationVar(&opts.FsyncInterval, "fsync-interval", 100*time.Millisecond, "sync timer for -fsync interval")
 	fs.IntVar(&opts.SnapshotEvery, "snap-every", 64, "rotate to a fresh snapshot after this many logged batches")
-	storeKind := fs.String("store", "", "tuple storage backend for this node's durable sessions: mem (inline snapshots) or disk (page-file spill store; requires -data-dir)")
+	storeKind := fs.String("store", "", "accepted for old command lines: disk, the only snapshot format, needs -data-dir; no effect")
 	fs.IntVar(&opts.MaxReadLimit, "max-read-limit", 1000, "cap on ?limit= for paginated violation reads")
 	fs.StringVar(&pprofAddr, "pprof", "", "serve net/http/pprof on this extra address (empty: off)")
 	fs.Float64Var(&opts.Quota.OpsPerSec, "quota-ops", 0, "per-session write ops/sec quota, 429 past it (0: unlimited)")
@@ -180,11 +175,11 @@ func parseFlags(args []string) (addr, pprofAddr string, opts server.Options, err
 		err = fmt.Errorf("-ack: %w", err)
 		return
 	}
-	if opts.Store, err = store.ParseKind(*storeKind); err != nil {
-		err = fmt.Errorf("-store: %w", err)
+	switch {
+	case *storeKind != "" && *storeKind != "disk":
+		err = fmt.Errorf("-store: unknown value %q (disk is the only snapshot format)", *storeKind)
 		return
-	}
-	if opts.Store == store.KindDisk && opts.DataDir == "" {
+	case *storeKind == "disk" && opts.DataDir == "":
 		err = errors.New("-store disk requires -data-dir (the page files live under it)")
 		return
 	}

@@ -96,7 +96,10 @@ func TestParseFlags(t *testing.T) {
 		want string // substring of the error; "" means the line is valid
 	}{
 		{"-addr :9000 -data-dir d -store disk -peers a:1,b:2 -self b:2 -ack quorum", ""},
+		{"-data-dir d -store disk", ""},
 		{"-store disk", "-data-dir"},
+		{"-data-dir d -store mem", "-store"},
+		{"-store mem", "-store"},
 		{"-peers a:1,b:2", "-self"},
 		{"-peers a:1,b:2 -self c:3", `-self "c:3"`},
 		{"-fsync never", "-fsync"},

@@ -35,8 +35,9 @@
 //	                      multi-tenant session host; the §5 online
 //	                      scenario as a long-running system)
 //	—     durability      internal/wal (CRC-checked write-ahead log +
-//	                      full-state snapshots; crash recovery replays
-//	                      the journal's Delta stream through ApplyOps)
+//	                      snapshot headers) and internal/store (the
+//	                      rows, in page files); crash recovery replays
+//	                      the journal's Delta stream through ApplyOps
 //
 // One documented substitution. §5.2 arranges adom(Repr, A) in a tree built
 // by hierarchical agglomerative clustering and descends it to range over
@@ -119,25 +120,23 @@
 //	                           under -data-dir/        goroutine, resync
 //	                           <session>/              when overtaken
 //	                                │
-//	                                ├── -store disk: internal/store
-//	                                │   subscribes to the same journal
-//	                                │   and notes which pages it dirties;
-//	                                │   rotation walks the pinned relation
-//	                                │   once, writes the row order and only
-//	                                │   those pages into generation-numbered
+//	                                ├── internal/store: subscribes to the
+//	                                │   same journal and notes which pages
+//	                                │   it dirties; rotation encodes only
+//	                                │   those pages from the pinned
+//	                                │   relation into generation-numbered
 //	                                │   page files (fixed-width interned
-//	                                │   rows, persistent dict) and the
-//	                                │   snapshot shrinks to a slim header
-//	                                │   naming StoreGen — O(dirty) page
-//	                                │   bytes per rotation + an O(|D|) walk
+//	                                │   rows filed by position, persistent
+//	                                │   dict), and the snapshot is a slim
+//	                                │   header naming StoreGen — O(dirty)
+//	                                │   page bytes per rotation
 //	                                │ on boot
 //	                                ▼
-//	                           RestoreSession + ReplayBatch: newest
-//	                           valid snapshot, then WAL replay through
-//	                           the same ApplyOps path (torn tails
-//	                           discarded; byte-identical recovery);
-//	                           paged snapshots stream rows back from
-//	                           the store, opening pages lazily
+//	                           RestoreFromSnapshotSource + ReplayBatch:
+//	                           newest valid snapshot, its pages streamed
+//	                           back once and in order, then WAL replay
+//	                           through the same ApplyOps path (torn
+//	                           tails discarded; byte-identical recovery)
 //	                ▼
 //	        cmd/cfdserved (HTTP/JSON service, -data-dir durability)
 //

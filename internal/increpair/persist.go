@@ -90,10 +90,9 @@ func (s *Session) Persist(name string, w io.Writer) error {
 }
 
 // PersistSnapshot builds the session's full-state snapshot without
-// serializing it — the hosting service uses it with
-// wal.WriteSnapshotFile for atomic on-disk rotation, while Persist
-// serves stream targets. Like Persist it captures a quiescent point
-// under the session lock.
+// serializing it — the hosting service ships it to replicas, while
+// Persist serves stream targets. Like Persist it captures a quiescent
+// point under the session lock.
 func (s *Session) PersistSnapshot(name string) (*wal.Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -104,8 +103,8 @@ func (s *Session) PersistSnapshot(name string) (*wal.Snapshot, error) {
 }
 
 // walSnapshotLocked builds the session's snapshot header; withTuples
-// additionally copies every tuple inline (the memory-backend format).
-// A store-backed boundary passes false — its rows live in the page
+// additionally copies every tuple inline (the format Persist writes and
+// replication ships). A store-backed boundary passes false — its rows live in the page
 // files, and the slim header only references their generation.
 func (s *Session) walSnapshotLocked(name string, withTuples bool) (*wal.Snapshot, error) {
 	if s.sigmaText == "" {

@@ -70,9 +70,9 @@ type Session struct {
 	// snapshot rotation. Guarded by mu.
 	sigmaText string
 
-	// st is the attached disk store, nil for memory-backed sessions (see
-	// AttachStore). The session does not own its lifecycle — the hosting
-	// persister creates, opens and closes it. Guarded by mu.
+	// st is the attached page store, nil until a durable host attaches
+	// one (see AttachStore). The session does not own its lifecycle — the
+	// hosting persister creates, opens and closes it. Guarded by mu.
 	st *store.Disk
 }
 

@@ -9,11 +9,11 @@ import (
 	"cfdclean/internal/wal"
 )
 
-// Disk-store integration: a session whose relation is snapshotted
-// incrementally into a page store (internal/store). The engine itself is
-// untouched — it operates on the in-memory relation either way, and the
-// store holds no row in memory — but the durability boundary changes
-// shape: PersistBoundary captures a slim snapshot header plus a page
+// Page-store integration: a session whose relation is snapshotted
+// incrementally into a page store (internal/store), as every durable
+// session of the service is. The engine itself is untouched — it
+// operates on the in-memory relation either way, and the store holds no
+// row in memory — but the durability boundary changes shape: PersistBoundary captures a slim snapshot header plus a page
 // flush (the dirty page numbers and the pinned relation) instead of
 // re-encoding every tuple into one record, and RestoreFromSnapshotSource
 // streams rows back from the store's page files instead of a snapshot
@@ -96,8 +96,8 @@ func (s *sliceSource) Next() (wal.SnapTuple, bool, error) {
 }
 
 // RestoreFromSnapshotSource is RestoreFromSnapshot with the rows
-// supplied by src instead of snap.Tuples — the disk-backed recovery
-// path, where snap is a slim header and src streams the page store.
+// supplied by src instead of snap.Tuples — the paged recovery path,
+// where snap is a slim header and src streams the page store.
 // preloadDict, when non-nil, is interned into the fresh relation's
 // dictionary in order before any row is inserted: a relation Dict
 // assigns dense ids in intern order, so preloading the store's

@@ -3,10 +3,10 @@ package server
 // What every anchor must leave behind. There is one way a session's
 // state becomes a generation on disk (persister.capture + anchor), used
 // by session create, routine rotation, the re-anchor after a failed pass
-// and recovery's re-anchor; this battery drives each of the four on both
-// backends and asserts the same postconditions on the session directory,
-// then boots a second server on a copy of it — what kill -9 would leave —
-// and requires a byte-identical dump. No request reaches the failed-pass
+// and recovery's re-anchor; this battery drives each of the four,
+// asserts the same postconditions on the session directory, then boots
+// a second server on a copy of it — what kill -9 would leave — and
+// requires a byte-identical dump. No request reaches the failed-pass
 // re-anchor (Check refuses what ApplyOps would fail on), so that
 // scenario runs the worker's and the committer's halves of it directly,
 // between two batches, while the session is quiescent.
@@ -18,13 +18,14 @@ import (
 	"path/filepath"
 	"testing"
 
-	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
 )
 
 // requireAnchored asserts the postconditions of an anchor at generation
-// gen in the session directory dir.
-func requireAnchored(t *testing.T, dir string, gen uint64, kind store.Kind) {
+// gen in the session directory dir: a snap/wal pair at gen, nothing
+// newer, at most two generations kept, and the snapshot a slim header
+// naming the store manifest written at the same generation.
+func requireAnchored(t *testing.T, dir string, gen uint64) {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -54,15 +55,6 @@ func requireAnchored(t *testing.T, dir string, gen uint64, kind store.Kind) {
 		t.Fatal(err)
 	}
 	manifest := filepath.Join(dir, storeDirName, fmt.Sprintf("manifest-%010d.mft", gen))
-	if kind != store.KindDisk {
-		if snap.StoreKind != wal.StoreInline {
-			t.Fatalf("memory-backed snapshot has store kind %d", snap.StoreKind)
-		}
-		if _, err := os.Stat(filepath.Join(dir, storeDirName)); !os.IsNotExist(err) {
-			t.Fatalf("memory-backed session has a store directory (%v)", err)
-		}
-		return
-	}
 	if snap.StoreKind != wal.StorePaged || snap.StoreGen != gen || len(snap.Tuples) != 0 {
 		t.Fatalf("snapshot %d: store kind %d gen %d with %d inline tuples; want a slim header at store generation %d",
 			gen, snap.StoreKind, snap.StoreGen, len(snap.Tuples), gen)
@@ -117,36 +109,34 @@ func TestEveryAnchorLeavesARecoverableGeneration(t *testing.T) {
 			return ts2.URL
 		}, 2},
 	}
-	for _, kind := range []store.Kind{store.KindMem, store.KindDisk} {
-		for _, sc := range scenarios {
-			t.Run(fmt.Sprintf("%v/%s", kind, sc.name), func(t *testing.T) {
-				opts := Options{DataDir: t.TempDir(), Store: kind, Fsync: FsyncOff, SnapshotEvery: sc.snapEvery, QueueDepth: 8}
-				s, ts := newTestService(t, opts)
-				createRecovery(t, ts.URL, name)
-				live := sc.drive(t, opts, s, ts.URL)
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			opts := Options{DataDir: t.TempDir(), Fsync: FsyncOff, SnapshotEvery: sc.snapEvery, QueueDepth: 8}
+			s, ts := newTestService(t, opts)
+			createRecovery(t, ts.URL, name)
+			live := sc.drive(t, opts, s, ts.URL)
 
-				requireAnchored(t, filepath.Join(opts.DataDir, name), sc.wantGen, kind)
-				if _, body := do(t, "GET", live+"/v1/sessions/"+name, nil); !bytes.Contains(body, []byte(`"persist":"ok"`)) {
-					t.Fatalf("session is not persisting after the anchor: %s", body)
-				}
+			requireAnchored(t, filepath.Join(opts.DataDir, name), sc.wantGen)
+			if _, body := do(t, "GET", live+"/v1/sessions/"+name, nil); !bytes.Contains(body, []byte(`"persist":"ok"`)) {
+				t.Fatalf("session is not persisting after the anchor: %s", body)
+			}
 
-				// A second server on a copy of the directory, taken while the
-				// first is still live: recovered ≡ never-crashed.
-				want, wantSnap, wantVios := sessionState(t, live, name)
-				crashed := opts
-				crashed.DataDir = t.TempDir()
-				if err := os.CopyFS(crashed.DataDir, os.DirFS(opts.DataDir)); err != nil {
-					t.Fatal(err)
-				}
-				s2, ts2 := newTestService(t, crashed)
-				if n, err := s2.Recover(); err != nil || n != 1 {
-					t.Fatalf("recover from the anchored directory: n=%d err=%v", n, err)
-				}
-				got, gotSnap, gotVios := sessionState(t, ts2.URL, name)
-				if !bytes.Equal(want, got) || wantSnap != gotSnap || wantVios != gotVios {
-					t.Fatalf("restart diverged from the live session\nwant:\n%s%+v\ngot:\n%s%+v", want, wantSnap, got, gotSnap)
-				}
-			})
-		}
+			// A second server on a copy of the directory, taken while the
+			// first is still live: recovered ≡ never-crashed.
+			want, wantSnap, wantVios := sessionState(t, live, name)
+			crashed := opts
+			crashed.DataDir = t.TempDir()
+			if err := os.CopyFS(crashed.DataDir, os.DirFS(opts.DataDir)); err != nil {
+				t.Fatal(err)
+			}
+			s2, ts2 := newTestService(t, crashed)
+			if n, err := s2.Recover(); err != nil || n != 1 {
+				t.Fatalf("recover from the anchored directory: n=%d err=%v", n, err)
+			}
+			got, gotSnap, gotVios := sessionState(t, ts2.URL, name)
+			if !bytes.Equal(want, got) || wantSnap != gotSnap || wantVios != gotVios {
+				t.Fatalf("restart diverged from the live session\nwant:\n%s%+v\ngot:\n%s%+v", want, wantSnap, got, gotSnap)
+			}
+		})
 	}
 }

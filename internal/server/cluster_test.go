@@ -25,7 +25,6 @@ import (
 
 	"cfdclean/internal/cluster/ship"
 	"cfdclean/internal/relation"
-	"cfdclean/internal/store"
 )
 
 type clusterNode struct {
@@ -796,8 +795,8 @@ func TestClusterRebalanceDrainsCoalesceLinger(t *testing.T) {
 
 // TestClusterDiskFollower: the follower runs the primary's write path —
 // its own worker replays every shipped batch and its own committer logs,
-// rotates and publishes it — so a disk-backed follower must do everything
-// a disk-backed primary does while following: rotate page-store
+// rotates and publishes it — so a durable follower must do everything
+// a durable primary does while following: rotate page-store
 // generations, restart still a follower from a slim snapshot, and after
 // the primary is killed be promoted into a session whose dump, violations
 // and stats are byte-identical to the primary's at the same version, with
@@ -809,7 +808,7 @@ func TestClusterDiskFollower(t *testing.T) {
 			dirs[self] = t.TempDir()
 		}
 		return Options{QueueDepth: 16, Peers: peers, Self: self, Ack: AckQuorum,
-			DataDir: dirs[self], Store: store.KindDisk, SnapshotEvery: 2, Fsync: FsyncOff}
+			DataDir: dirs[self], SnapshotEvery: 2, Fsync: FsyncOff}
 	}
 	a, b := newClusterPair(t, diskOpts)
 	const name = "spilled"
@@ -823,7 +822,7 @@ func TestClusterDiskFollower(t *testing.T) {
 		applyDirty(t, owner.url, name, i)
 	}
 	for _, n := range []*clusterNode{owner, follower} {
-		requireAnchored(t, filepath.Join(dirs[n.addr], name), 2, store.KindDisk)
+		requireAnchored(t, filepath.Join(dirs[n.addr], name), 2)
 	}
 
 	// Both metrics endpoints report the replication counters.
@@ -836,15 +835,15 @@ func TestClusterDiskFollower(t *testing.T) {
 		t.Fatalf("follower replica_applied_total = %g, want 5", v)
 	}
 
-	// Restart the follower: it comes back a follower, disk-backed, from
-	// the slim snapshot and the page store, and keeps following.
+	// Restart the follower: it comes back a follower from the slim
+	// snapshot and the page store, and keeps following.
 	s2 := follower.restart(t, diskOpts(follower.addr, []string{a.addr, b.addr}))
 	h, err := s2.reg.Get(name)
 	if err != nil {
 		t.Fatalf("restarted node lost the session: %v", err)
 	}
 	if h.roleString() != "follower" || h.pers.storeStats() == nil {
-		t.Fatalf("restarted as %s, store %v; want a disk-backed follower", h.roleString(), h.pers.storeStats())
+		t.Fatalf("restarted as %s, store %v; want a follower with a page store", h.roleString(), h.pers.storeStats())
 	}
 	events, closeSSE := openSSE(t, follower.url+"/v1/sessions/"+name+"/events", "")
 	defer closeSSE()

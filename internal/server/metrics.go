@@ -64,8 +64,8 @@ func sessionGauge(name, help string, read func(h *hosted) float64) family {
 		value: func(h *hosted) (float64, bool) { return read(h), true }}
 }
 
-// storeGauge is a per-session gauge of the page store: disk-backed
-// sessions have a series, memory-backed ones none.
+// storeGauge is a per-session gauge of the page store: durable sessions
+// have a series, memory-only ones none.
 func storeGauge(name, help string, read func(st *store.Stats) float64) family {
 	return family{name: name, typ: "gauge", help: help, perSession: true,
 		value: func(h *hosted) (float64, bool) {
@@ -133,7 +133,7 @@ func (s *Server) declareFamilies() []family {
 			}
 			return 0
 		}),
-		storeGauge("cfdserved_session_store_gen", "Committed page-store manifest generation per disk-backed session.", func(st *store.Stats) float64 { return float64(st.Gen) }),
+		storeGauge("cfdserved_session_store_gen", "Committed page-store manifest generation per durable session.", func(st *store.Stats) float64 { return float64(st.Gen) }),
 		storeGauge("cfdserved_session_store_pages", "Committed pages in the session's page store.", func(st *store.Stats) float64 { return float64(st.Pages) }),
 		storeGauge("cfdserved_session_store_dirty_pages", "Dirty pages awaiting the session's next store flush.", func(st *store.Stats) float64 { return float64(st.DirtyPages) }),
 		storeGauge("cfdserved_session_store_dict_entries", "Persisted intern-dictionary entries in the session's page store.", func(st *store.Stats) float64 { return float64(st.DictEntries) }),

@@ -9,8 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"cfdclean/internal/store"
 )
 
 // parentFamilies is every HELP and TYPE line of GET /metrics, in document
@@ -82,7 +80,7 @@ const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server
 # TYPE cfdserved_session_relation_size gauge
 # HELP cfdserved_session_persist_broken 1 when the session's persistence has failed and it refuses writes (read-only), else 0.
 # TYPE cfdserved_session_persist_broken gauge
-# HELP cfdserved_session_store_gen Committed page-store manifest generation per disk-backed session.
+# HELP cfdserved_session_store_gen Committed page-store manifest generation per durable session.
 # TYPE cfdserved_session_store_gen gauge
 # HELP cfdserved_session_store_pages Committed pages in the session's page store.
 # TYPE cfdserved_session_store_pages gauge
@@ -121,9 +119,9 @@ func getMetricsJSON(t *testing.T, base string) map[string]any {
 
 // TestMetricFamiliesPinned holds the exposition's headers to the
 // recorded list, on a node with no session (every family still has its
-// headers) and on one hosting a disk-backed session.
+// headers) and on one hosting a durable session.
 func TestMetricFamiliesPinned(t *testing.T) {
-	for _, opts := range []Options{{}, {DataDir: t.TempDir(), Store: store.KindDisk}} {
+	for _, opts := range []Options{{}, {DataDir: t.TempDir()}} {
 		_, ts := newTestService(t, opts)
 		if opts.DataDir != "" {
 			createTiny(t, ts.URL, "alpha")
@@ -136,7 +134,7 @@ func TestMetricFamiliesPinned(t *testing.T) {
 			}
 		}
 		if got := strings.Join(headers, "\n"); got != parentFamilies {
-			t.Fatalf("family headers moved (store %v):\ngot:\n%s\nwant:\n%s", opts.Store, got, parentFamilies)
+			t.Fatalf("family headers moved (data dir %q):\ngot:\n%s\nwant:\n%s", opts.DataDir, got, parentFamilies)
 		}
 	}
 }
@@ -185,11 +183,11 @@ func flattenMetricsJSON(m map[string]any) map[string]float64 {
 // GET /metrics has the same value under the same key in GET /v1/metrics
 // and the JSON has no series the exposition lacks — uptime excepted, the
 // one value that moves between two reads. It runs on a memory node and
-// on a disk-store node (where the store gauges have series), each with a
+// on a durable node (where the store gauges have series), each with a
 // plain and a quoted session name.
 func TestMetricsRenderingsAgree(t *testing.T) {
 	const quoted = `q"uote`
-	for _, opts := range []Options{{}, {DataDir: t.TempDir(), Store: store.KindDisk, SnapshotEvery: 2}} {
+	for _, opts := range []Options{{}, {DataDir: t.TempDir(), SnapshotEvery: 2}} {
 		_, ts := newTestService(t, opts)
 		createTiny(t, ts.URL, "alpha")
 		createTiny(t, ts.URL, quoted)
@@ -219,20 +217,20 @@ func TestMetricsRenderingsAgree(t *testing.T) {
 		delete(js, uptime)
 		for k, v := range prom {
 			if jv, ok := js[k]; !ok || jv != v {
-				t.Errorf("store %v: %s is %v in /metrics, %v (present %v) in /v1/metrics", opts.Store, k, v, jv, ok)
+				t.Errorf("data dir %q: %s is %v in /metrics, %v (present %v) in /v1/metrics", opts.DataDir, k, v, jv, ok)
 			}
 		}
 		for k := range js {
 			if _, ok := prom[k]; !ok {
-				t.Errorf("store %v: %s only in /v1/metrics", opts.Store, k)
+				t.Errorf("data dir %q: %s only in /v1/metrics", opts.DataDir, k)
 			}
 		}
 		if js[seriesKey("cfdserved_passes_total", "", "")] != 4 || js[seriesKey("cfdserved_session_pass_duration_seconds_count", quoted, "")] != 1 {
-			t.Errorf("store %v: the traffic is not in the counters", opts.Store)
+			t.Errorf("data dir %q: the traffic is not in the counters", opts.DataDir)
 		}
-		_, disk := js[seriesKey("cfdserved_session_store_gen", quoted, "")]
-		if disk != (opts.Store == store.KindDisk) {
-			t.Errorf("store %v: store gauge series present = %v", opts.Store, disk)
+		_, durable := js[seriesKey("cfdserved_session_store_gen", quoted, "")]
+		if durable != (opts.DataDir != "") {
+			t.Errorf("data dir %q: store gauge series present = %v", opts.DataDir, durable)
 		}
 	}
 }

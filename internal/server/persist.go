@@ -17,10 +17,13 @@ import (
 
 // Durable sessions. When Options.DataDir is set, every hosted session
 // owns a directory <data-dir>/<name>/ holding generation-numbered
-// snapshot/WAL pairs:
+// snapshot/WAL pairs beside its page store:
 //
-//	snap-<gen>.snap   full-state session snapshot (atomic tmp+rename)
+//	snap-<gen>.snap   slim snapshot header naming store generation <gen>
+//	                  (atomic tmp+rename)
 //	wal-<gen>.log     batches accepted after that snapshot
+//	store/            the page store (internal/store): the rows of every
+//	                  generation a snapshot still names
 //
 // The session's committer goroutine — the pipeline stage downstream of
 // the single-writer engine worker — appends one WAL record per engine
@@ -35,11 +38,11 @@ import (
 // is not acknowledged, and the session refuses every later write.
 //
 // A session's state becomes a generation in one way (capture, anchor):
-// snapshot gen, an empty WAL gen, generations older than the previous
-// one deleted — the previous pair is kept as a fallback in case the
-// newest snapshot is damaged. Create anchors generation 0, every
-// SnapshotEvery batches the committer anchors gen+1, and recovery
-// re-anchors when it finds no appendable tip WAL. Recovery
+// store manifest gen, snapshot gen, an empty WAL gen, generations older
+// than the previous one deleted — the previous pair is kept as a
+// fallback in case the newest snapshot is damaged. Create anchors
+// generation 0, every SnapshotEvery batches the committer anchors gen+1,
+// and recovery re-anchors when it finds no appendable tip WAL. Recovery
 // (Server.Recover) walks the session directories, restores the newest
 // readable snapshot, and replays the WAL records after it through the
 // ordinary ApplyOps path; the journal-version cursor carried by every
@@ -101,7 +104,7 @@ func (p FsyncPolicy) String() string {
 
 // storeDirName is the page store's subdirectory inside a session's data
 // directory. It never collides with the generation files (snap-*/wal-*)
-// and is pruned with the directory on destroy.
+// and is removed with the directory on destroy.
 const storeDirName = "store"
 
 // roleMarkerName is the follower-role marker inside a session's
@@ -174,21 +177,20 @@ type persister struct {
 	synced   uint64 // last version known to be on stable storage
 	broken   error  // first unrecoverable persistence failure; sticky
 
-	// st is the session's disk page store, nil for memory-backed
-	// sessions. The persister owns its lifecycle: created or reopened
-	// alongside the snapshot/WAL pair, closed on close(), removed with
-	// the directory on destroy().
+	// st is the session's page store, attached to sess. The persister
+	// owns its lifecycle: created or reopened alongside the snapshot/WAL
+	// pair, closed on close(), removed with the directory on destroy().
 	st *store.Disk
 
 	tick chan struct{} // closed to stop the interval-sync goroutine
 }
 
 // newPersister sets up durability for a freshly created session: its
-// directory is (re)created empty and generation 0 is anchored on the
+// directory is (re)created empty, the session gets a page store seeded
+// from the live relation, and generation 0 is anchored on the
 // post-initial-cleaning state. Any stale directory content under the
 // same name — left by a session that could not be recovered — is
-// replaced. On a -store disk node the session gets a page store seeded
-// from the live relation.
+// replaced.
 func newPersister(cfg *Options, name string, sess *increpair.Session, quota wal.Quota) (*persister, error) {
 	dir := filepath.Join(cfg.DataDir, name)
 	if err := os.RemoveAll(dir); err != nil {
@@ -197,24 +199,32 @@ func newPersister(cfg *Options, name string, sess *increpair.Session, quota wal.
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	p := &persister{cfg: cfg, dir: dir, name: name, sess: sess, quota: quota}
-	if cfg.Store == store.KindDisk {
-		st, err := store.Create(filepath.Join(dir, storeDirName), sess.Current().Schema().Arity(), store.Options{})
-		if err != nil {
-			return nil, err
-		}
-		p.st = st
-		if err := sess.AttachStore(st, true); err != nil {
-			p.close()
-			return nil, err
-		}
+	st, err := createStore(dir, sess)
+	if err != nil {
+		return nil, err
 	}
+	p := &persister{cfg: cfg, dir: dir, name: name, sess: sess, quota: quota, st: st}
 	if err := p.anchorNow(0); err != nil {
 		p.close()
 		return nil, err
 	}
 	p.startTicker()
 	return p, nil
+}
+
+// createStore gives sess a fresh page store under dir, its pages seeded
+// from the live relation. store.Create empties the store directory
+// first, so a store a crash left half-written is never reused.
+func createStore(dir string, sess *increpair.Session) (*store.Disk, error) {
+	st, err := store.Create(filepath.Join(dir, storeDirName), sess.Current().Schema().Arity(), store.Options{})
+	if err != nil {
+		return nil, err
+	}
+	if err := sess.AttachStore(st, true); err != nil {
+		st.Close()
+		return nil, err
+	}
+	return st, nil
 }
 
 func (p *persister) startTicker() {
@@ -293,7 +303,7 @@ func (p *persister) syncedVersion() uint64 {
 }
 
 // failure returns the persistence failure that broke p, or nil — always
-// nil for a memory-backed session (p == nil).
+// nil for a memory-only session (p == nil).
 func (p *persister) failure() error {
 	if p == nil {
 		return nil
@@ -313,42 +323,25 @@ func (p *persister) markBroken(err error) {
 	p.mu.Unlock()
 }
 
-// inlineSnapshot is the one full-image capture: a quiescent snapshot
-// carrying every tuple inline, the quota mark stamped in. A memory-backed
-// generation is anchored on it and replication always ships it (a slim
-// header carries no rows). A rotation image must be captured by the
-// session worker at the exact batch boundary.
-func inlineSnapshot(sess *increpair.Session, name string, quota wal.Quota) (*wal.Snapshot, error) {
-	snap, err := sess.PersistSnapshot(name)
-	if err != nil {
-		return nil, err
-	}
-	snap.Quota = quota
-	return snap, nil
-}
-
 // capture is a session's state at one batch boundary, ready to become a
-// generation on disk: for a memory-backed session the full inline
-// snapshot, for a disk-backed one a slim header plus the store flush
-// holding the dirty pages. Exactly one of anchor/abort must consume it.
+// generation on disk: a slim snapshot header plus the store flush holding
+// the dirty pages. Exactly one of anchor/abort must consume it. A
+// rotation's capture must be taken by the session worker at the exact
+// batch boundary.
 type capture struct {
 	snap  *wal.Snapshot
 	flush *store.Flush
 }
 
-// capture images the session at its current batch boundary in the shape
-// its backend anchors — decided here and nowhere else, from whether a
-// page store is attached.
-func (p *persister) capture() (c *capture, err error) {
-	c = &capture{}
-	if p.st == nil {
-		c.snap, err = inlineSnapshot(p.sess, p.name, p.quota)
-		return c, err
+// capture images the session at its current batch boundary, the quota
+// mark stamped into the header.
+func (p *persister) capture() (*capture, error) {
+	snap, flush, err := p.sess.PersistBoundary(p.name)
+	if err != nil {
+		return nil, err
 	}
-	if c.snap, c.flush, err = p.sess.PersistBoundary(p.name); err == nil {
-		c.snap.Quota = p.quota
-	}
-	return c, err
+	snap.Quota = p.quota
+	return &capture{snap: snap, flush: flush}, nil
 }
 
 // boundary is the worker's call after every engine pass: it returns a
@@ -378,7 +371,7 @@ func (p *persister) boundary(failed bool) *capture {
 // failed, the persister broke): the flush's pinned view and pages are
 // handed back so the next boundary carries them.
 func (c *capture) abort() {
-	if c != nil && c.flush != nil {
+	if c != nil {
 		c.flush.Abort()
 	}
 }
@@ -394,12 +387,10 @@ func (c *capture) abort() {
 // Generations older than the previous one are pruned last; the previous
 // pair stays as a fallback.
 func (p *persister) anchor(gen uint64, c *capture) error {
-	if c.flush != nil {
-		if err := c.flush.Commit(gen); err != nil {
-			return err
-		}
-		c.snap.StoreGen = gen
+	if err := c.flush.Commit(gen); err != nil {
+		return err
 	}
+	c.snap.StoreGen = gen
 	if err := wal.WriteSnapshotFile(snapPath(p.dir, gen), c.snap); err != nil {
 		return err
 	}
@@ -477,10 +468,7 @@ func (p *persister) close() {
 		}
 		p.log = nil
 	}
-	if p.st != nil {
-		p.st.Close()
-		p.st = nil
-	}
+	p.st.Close()
 }
 
 // destroy ends persistence and deletes the session's directory — the
@@ -491,19 +479,13 @@ func (p *persister) destroy() {
 	os.RemoveAll(p.dir)
 }
 
-// storeStats reports the page store's stats, or nil for memory-backed
-// (or closed) sessions; session listings and /metrics render it.
+// storeStats reports the page store's stats, or nil for a memory-only
+// session (p == nil); session listings and /metrics render it.
 func (p *persister) storeStats() *store.Stats {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	st := p.st
-	p.mu.Unlock()
-	if st == nil {
-		return nil
-	}
-	s := st.Stats()
+	s := p.st.Stats()
 	return &s
 }
 
@@ -518,10 +500,10 @@ func (p *persister) status() string {
 	return "ok"
 }
 
-// restorePaged rebuilds a disk-backed session from a slim snapshot
-// header: open the page store at the referenced generation, stream its
-// rows in the persisted physical order (with the persisted intern
-// dictionary preloaded so every ValueID reproduces exactly), and
+// restorePaged rebuilds a session from a slim snapshot header: open the
+// page store at the referenced generation, stream its rows in the
+// persisted physical order (with the persisted intern dictionary
+// preloaded so every ValueID reproduces exactly), and
 // re-attach the store so the WAL replay that follows marks its pages
 // dirty again. No relation-sized snapshot record is ever decoded —
 // recovery reads each page of the row count once, in order.
@@ -550,7 +532,11 @@ func restorePaged(dir, name string, snap *wal.Snapshot) (*increpair.Session, err
 
 // recoverSession rebuilds one session from its directory: newest
 // readable snapshot generation first, then WAL replay across that and
-// any later generations. It returns a persister positioned to continue
+// any later generations. A generation written inline, by a node from
+// before the page store was the only snapshot writer, is restored from
+// its own tuples; the session then gets a fresh page store and is
+// re-anchored at the next generation, so the inline format is read once
+// and never written. It returns a persister positioned to continue
 // appending, holding the restored session and the quota mark read from
 // the chosen snapshot (Set only for explicit per-session overrides).
 // warn, when non-nil, reports acknowledged records that could NOT be
@@ -598,10 +584,10 @@ func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 		}
 		var s *increpair.Session
 		if snap.StoreKind == wal.StorePaged {
-			// Slim header: the rows live in the page store at the
-			// referenced generation. Any store damage fails THIS
-			// generation only — the loop falls back to the previous
-			// snapshot, exactly as for a corrupt snapshot file.
+			// The rows live in the page store at the referenced
+			// generation. Any store damage fails THIS generation only —
+			// the loop falls back to the previous snapshot, exactly as
+			// for a corrupt snapshot file.
 			s, err = restorePaged(dir, name, snap)
 		} else {
 			s, err = increpair.RestoreFromSnapshot(snap, 0)
@@ -677,8 +663,22 @@ func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 		}
 	}
 
+	st := sess.Store()
+	if st == nil {
+		// Restored inline: convert. Whatever store/ an interrupted
+		// earlier conversion left is replaced, and the tip WAL is
+		// closed — the next generation's WAL takes the appends.
+		if tip != nil {
+			tip.Close()
+			tip = nil
+		}
+		if st, err = createStore(dir, sess); err != nil {
+			sess.Close()
+			return nil, nil, err
+		}
+	}
 	v := sess.Snapshot().Version
-	p = &persister{cfg: cfg, dir: dir, name: name, sess: sess, quota: quota, st: sess.Store(), appended: v, synced: v}
+	p = &persister{cfg: cfg, dir: dir, name: name, sess: sess, quota: quota, st: st, appended: v, synced: v}
 	if tip != nil {
 		// Count the replayed records against the rotation budget: a
 		// server that crash-loops just under SnapshotEvery fresh
@@ -686,8 +686,9 @@ func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 		// every boot's replay) would grow without bound.
 		p.gen, p.log, p.sinceSnap = walGens[len(walGens)-1], tip, replayed
 	} else {
-		// No appendable tip (damage, or the newest WAL is missing): anchor
-		// the recovered state as a fresh generation.
+		// No appendable tip (damage, the newest WAL is missing, or an
+		// inline generation converted): anchor the recovered state as a
+		// fresh generation.
 		next := snapGens[0] + 1
 		if len(walGens) > 0 && walGens[len(walGens)-1] >= snapGens[0] {
 			next = walGens[len(walGens)-1] + 1

@@ -25,7 +25,6 @@ import (
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/increpair"
 	"cfdclean/internal/relation"
-	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
 )
 
@@ -242,22 +241,9 @@ func TestServerRecoveryCorruptTail(t *testing.T) {
 	}
 	shutdownService(t, s1, ts1)
 
-	// Snapshot the pristine on-disk state; every corruption case runs
-	// against its own copy so post-recovery writes cannot leak between
-	// cases.
-	pristine := map[string][]byte{}
-	ents, err := os.ReadDir(filepath.Join(dir, "t"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		b, err := os.ReadFile(filepath.Join(dir, "t", e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pristine[e.Name()] = b
-	}
-
+	// The stopped server's directory is the pristine state; every
+	// corruption case runs against its own copy (page store included) so
+	// post-recovery writes cannot leak between cases.
 	for _, tc := range []struct {
 		name      string
 		mutate    func([]byte) []byte
@@ -274,16 +260,16 @@ func TestServerRecoveryCorruptTail(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			caseDir := t.TempDir()
-			if err := os.MkdirAll(filepath.Join(caseDir, "t"), 0o755); err != nil {
+			if err := os.CopyFS(caseDir, os.DirFS(dir)); err != nil {
 				t.Fatal(err)
 			}
-			for name, b := range pristine {
-				if name == "wal-0000000000.log" {
-					b = tc.mutate(b)
-				}
-				if err := os.WriteFile(filepath.Join(caseDir, "t", name), b, 0o644); err != nil {
-					t.Fatal(err)
-				}
+			walFile := walPath(filepath.Join(caseDir, "t"), 0)
+			b, err := os.ReadFile(walFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(walFile, tc.mutate(b), 0o644); err != nil {
+				t.Fatal(err)
 			}
 			caseOpts := opts
 			caseOpts.DataDir = caseDir
@@ -576,7 +562,7 @@ func TestFinishPersistSupersededKeepsData(t *testing.T) {
 // and the version, and leaves every file as it found it.
 func TestRecoveryRefusesVersion1Store(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Fsync: FsyncOff, QueueDepth: 8, Store: store.KindDisk, SnapshotEvery: 2}
+	opts := Options{DataDir: dir, Fsync: FsyncOff, QueueDepth: 8, SnapshotEvery: 2}
 	s1 := New(opts)
 	ts1 := httptest.NewServer(s1.Handler())
 	createRecovery(t, ts1.URL, "old")

@@ -21,7 +21,6 @@ import (
 	"cfdclean/internal/increpair"
 	"cfdclean/internal/metrics"
 	"cfdclean/internal/relation"
-	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
 )
 
@@ -186,45 +185,43 @@ func TestRefusedBatchLeavesNoRecord(t *testing.T) {
 			}
 		}},
 	}
-	for _, kind := range []store.Kind{store.KindMem, store.KindDisk} {
-		for _, rc := range refusals {
-			t.Run(fmt.Sprintf("%v/%s", kind, rc.name), func(t *testing.T) {
-				dir := t.TempDir()
-				opts := Options{DataDir: dir, Store: kind, Fsync: FsyncBatch, SnapshotEvery: 1 << 20, QueueDepth: 8}
-				s1 := New(opts)
-				ts1 := httptest.NewServer(s1.Handler())
-				createRecovery(t, ts1.URL, "t")
-				applyRecovery(t, ts1.URL, "t", 1)
-				before := dirImage(t, dir)
-				passes := promValue(t, ts1.URL, "cfdserved_passes_total")
-				errs := promValue(t, ts1.URL, "cfdserved_error_batches_total")
+	for _, rc := range refusals {
+		t.Run(rc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{DataDir: dir, Fsync: FsyncBatch, SnapshotEvery: 1 << 20, QueueDepth: 8}
+			s1 := New(opts)
+			ts1 := httptest.NewServer(s1.Handler())
+			createRecovery(t, ts1.URL, "t")
+			applyRecovery(t, ts1.URL, "t", 1)
+			before := dirImage(t, dir)
+			passes := promValue(t, ts1.URL, "cfdserved_passes_total")
+			errs := promValue(t, ts1.URL, "cfdserved_error_batches_total")
 
-				rc.refuse(t, s1, ts1.URL)
-				if after := dirImage(t, dir); !maps.Equal(before, after) {
-					t.Fatalf("the refused batch changed the session directory:\nbefore: %v\nafter:  %v", slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)))
-				}
-				if n := promValue(t, ts1.URL, "cfdserved_passes_total"); n != passes {
-					t.Fatalf("cfdserved_passes_total %g -> %g across a refused batch", passes, n)
-				}
-				if n := promValue(t, ts1.URL, "cfdserved_error_batches_total"); n != errs+1 {
-					t.Fatalf("cfdserved_error_batches_total %g -> %g, want one more", errs, n)
-				}
+			rc.refuse(t, s1, ts1.URL)
+			if after := dirImage(t, dir); !maps.Equal(before, after) {
+				t.Fatalf("the refused batch changed the session directory:\nbefore: %v\nafter:  %v", slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)))
+			}
+			if n := promValue(t, ts1.URL, "cfdserved_passes_total"); n != passes {
+				t.Fatalf("cfdserved_passes_total %g -> %g across a refused batch", passes, n)
+			}
+			if n := promValue(t, ts1.URL, "cfdserved_error_batches_total"); n != errs+1 {
+				t.Fatalf("cfdserved_error_batches_total %g -> %g, want one more", errs, n)
+			}
 
-				applyRecovery(t, ts1.URL, "t", 2)
-				if recs := walRecords(t, dir, "t", 0); len(recs) != 2 || recs[1].PrevVersion != recs[0].Version {
-					t.Fatalf("generation 0 records %+v: want the two accepted batches, chained", recs)
-				}
-				want, _, _ := sessionState(t, ts1.URL, "t")
-				shutdownService(t, s1, ts1)
-				s2, ts2 := newTestService(t, opts)
-				if n, err := s2.Recover(); err != nil || n != 1 {
-					t.Fatalf("recover: n=%d err=%v", n, err)
-				}
-				if got, _, _ := sessionState(t, ts2.URL, "t"); !bytes.Equal(want, got) {
-					t.Fatalf("reboot diverged from the live session\nwant:\n%s\ngot:\n%s", want, got)
-				}
-			})
-		}
+			applyRecovery(t, ts1.URL, "t", 2)
+			if recs := walRecords(t, dir, "t", 0); len(recs) != 2 || recs[1].PrevVersion != recs[0].Version {
+				t.Fatalf("generation 0 records %+v: want the two accepted batches, chained", recs)
+			}
+			want, _, _ := sessionState(t, ts1.URL, "t")
+			shutdownService(t, s1, ts1)
+			s2, ts2 := newTestService(t, opts)
+			if n, err := s2.Recover(); err != nil || n != 1 {
+				t.Fatalf("recover: n=%d err=%v", n, err)
+			}
+			if got, _, _ := sessionState(t, ts2.URL, "t"); !bytes.Equal(want, got) {
+				t.Fatalf("reboot diverged from the live session\nwant:\n%s\ngot:\n%s", want, got)
+			}
+		})
 	}
 }
 

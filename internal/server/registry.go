@@ -378,10 +378,16 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 	return h, nil
 }
 
-// captureSnapshot is the session's full inline image, which is what
-// replication ships (see inlineSnapshot for the caller discipline).
+// captureSnapshot is the session's full inline image, the quota mark
+// stamped in: what replication ships, since a slim header carries no
+// rows.
 func (h *hosted) captureSnapshot() (*wal.Snapshot, error) {
-	return inlineSnapshot(h.sess, h.name, walQuota(h.quota.cfg))
+	snap, err := h.sess.PersistSnapshot(h.name)
+	if err != nil {
+		return nil, err
+	}
+	snap.Quota = walQuota(h.quota.cfg)
+	return snap, nil
 }
 
 // startShipper hooks the session's committer to a follower on target.
@@ -483,7 +489,7 @@ func (h *hosted) writable() error {
 }
 
 // notDurable is ErrNotDurable naming the failure that broke the session's
-// persistence, or nil while it is sound (always for a memory-backed or
+// persistence, or nil while it is sound (always for a memory-only or
 // purged session).
 func (h *hosted) notDurable() error {
 	if err := h.pers.failure(); err != nil && !h.purge.Load() {
@@ -868,7 +874,7 @@ func (h *hosted) committer(r *Registry) {
 }
 
 // logRecord is the committer's work on a log item: append b to the WAL
-// and, under -fsync batch, sync it. A memory-backed or purged session
+// and, under -fsync batch, sync it. A memory-only or purged session
 // logs nothing. An error has broken the persister.
 func (h *hosted) logRecord(b *wal.Batch) error {
 	if h.pers == nil || h.purge.Load() {

@@ -85,7 +85,6 @@ import (
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/increpair"
 	"cfdclean/internal/relation"
-	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
 )
 
@@ -111,9 +110,10 @@ type Options struct {
 	Quota wal.Quota
 
 	// DataDir, when non-empty, makes every session durable: each gets
-	// <DataDir>/<name>/ with WAL + snapshot generations (see persist.go),
-	// and Server.Recover re-hosts persisted sessions on boot. Empty
-	// keeps the service purely in memory.
+	// <DataDir>/<name>/ with WAL + snapshot generations and a page store
+	// the snapshots are written through (see persist.go and
+	// internal/store), and Server.Recover re-hosts persisted sessions on
+	// boot. Empty keeps the service purely in memory.
 	DataDir string
 	// Fsync selects when WAL appends reach stable storage (per batch,
 	// on an interval, or never explicitly). Default FsyncBatch.
@@ -124,13 +124,6 @@ type Options struct {
 	// many logged batches, bounding replay time and WAL growth.
 	// Default 64.
 	SnapshotEvery int
-
-	// Store selects the node's tuple storage backend for durable
-	// sessions: store.KindMem (the default) keeps full inline snapshots,
-	// store.KindDisk spills tuples into generation-numbered page files
-	// with a slim snapshot header (see internal/store). Ignored without
-	// DataDir.
-	Store store.Kind
 
 	// Peers is the cluster's static node list (host:port each); Self is
 	// this node's own entry in it. With both set the server runs
@@ -378,8 +371,8 @@ func (h *hosted) info() SessionInfo {
 	if h.quota != nil {
 		si.Quota = wireQuota(h.quota.cfg)
 	}
-	// Store renders only for disk-backed sessions, so memory-backed
-	// listings stay byte-stable.
+	// Store renders only for durable sessions, so memory-only listings
+	// stay byte-stable.
 	if st := h.pers.storeStats(); st != nil {
 		si.Store = &WireStore{
 			Kind:        "disk",

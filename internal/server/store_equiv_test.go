@@ -1,15 +1,15 @@
 package server
 
-// The disk-vs-memory equivalence battery (PR 10's acceptance gate): a
-// session spilled to the page store must be indistinguishable from a
-// memory-backed one through every read surface — CSV dumps, violation
+// The durable-vs-memory equivalence battery: a durable session, whose
+// snapshots go through the page store, must be indistinguishable from a
+// memory-only one through every read surface — CSV dumps, violation
 // listings and stats fingerprints compare with bytes.Equal, not
-// semantically — at every supported worker count, and a disk-backed
-// tenant killed at any batch boundary must recover byte-identical and
-// keep serving. The storage backend is an implementation detail of the
-// durability boundary; the moment it becomes observable in a response
-// body, determinism-by-construction is broken. The backend is a node
-// property (Options.Store), so "disk vs mem" is two nodes' defaults.
+// semantically — at every supported worker count, and a durable tenant
+// killed at any batch boundary must recover byte-identical and keep
+// serving. Durability is an implementation detail of the service; the
+// moment it becomes observable in a response body,
+// determinism-by-construction is broken. It is a node property
+// (Options.DataDir), so "durable vs memory-only" is two nodes.
 
 import (
 	"bytes"
@@ -23,12 +23,9 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"cfdclean/internal/store"
 )
 
-// createStored opens a session with the given engine options on a node
-// whose storage backend is whatever its Options.Store says.
+// createStored opens a session with the given engine options.
 func createStored(t *testing.T, base, name string, wo *WireOptions) {
 	t.Helper()
 	resp, body := do(t, "POST", base+"/v1/sessions", CreateRequest{
@@ -55,8 +52,8 @@ func statsFingerprint(t *testing.T, base, name string) []byte {
 
 // TestDiskMemEquivalenceAcrossWorkers drives the identical batch
 // sequence — repaired and clean inserts, deletes, sets — through a
-// memory-backed and a disk-backed service at workers 0/1/2/4 and
-// requires byte-identical dumps, violation listings and stats.
+// durable and a memory-only service at workers 0/1/2/4 and requires
+// byte-identical dumps, violation listings and stats.
 func TestDiskMemEquivalenceAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -64,10 +61,9 @@ func TestDiskMemEquivalenceAcrossWorkers(t *testing.T) {
 			// Same session name on two servers, so response bodies that
 			// embed the name still compare byte-for-byte.
 			const name = "t"
-			opts := Options{Fsync: FsyncOff, SnapshotEvery: 3, QueueDepth: 8}
-			optsMem, optsDisk := opts, opts
-			optsMem.DataDir = t.TempDir()
-			optsDisk.DataDir, optsDisk.Store = t.TempDir(), store.KindDisk
+			optsMem := Options{Fsync: FsyncOff, SnapshotEvery: 3, QueueDepth: 8}
+			optsDisk := optsMem
+			optsDisk.DataDir = t.TempDir()
 			_, tsMem := newTestService(t, optsMem)
 			_, tsDisk := newTestService(t, optsDisk)
 
@@ -94,21 +90,21 @@ func TestDiskMemEquivalenceAcrossWorkers(t *testing.T) {
 			memDump, memSnap, memVios := sessionState(t, tsMem.URL, name)
 			diskDump, diskSnap, diskVios := sessionState(t, tsDisk.URL, name)
 			if !bytes.Equal(memDump, diskDump) {
-				t.Fatalf("dump diverged across backends:\nmem:\n%s\ndisk:\n%s", memDump, diskDump)
+				t.Fatalf("dump diverged:\nmemory-only:\n%s\ndurable:\n%s", memDump, diskDump)
 			}
 			if memSnap != diskSnap {
-				t.Fatalf("snapshot diverged across backends:\nmem  %+v\ndisk %+v", memSnap, diskSnap)
+				t.Fatalf("snapshot diverged:\nmemory-only %+v\ndurable     %+v", memSnap, diskSnap)
 			}
 			if memVios != diskVios {
-				t.Fatalf("violations diverged across backends:\nmem  %s\ndisk %s", memVios, diskVios)
+				t.Fatalf("violations diverged:\nmemory-only %s\ndurable     %s", memVios, diskVios)
 			}
 			if !bytes.Equal(statsFingerprint(t, tsMem.URL, name), statsFingerprint(t, tsDisk.URL, name)) {
-				t.Fatal("stats fingerprints diverged across backends")
+				t.Fatal("stats fingerprints diverged")
 			}
 
-			// The backend IS observable in the one place it should be:
-			// the disk session's listing carries store stats, the
-			// memory session's stays byte-stable without them.
+			// Durability IS observable in the one place it should be:
+			// the durable session's listing carries store stats, the
+			// memory-only session's stays byte-stable without them.
 			var memInfo, diskInfo SessionInfo
 			_, body := do(t, "GET", tsMem.URL+"/v1/sessions/"+name, nil)
 			if err := json.Unmarshal(body, &memInfo); err != nil {
@@ -119,10 +115,10 @@ func TestDiskMemEquivalenceAcrossWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if memInfo.Store != nil {
-				t.Fatalf("memory-backed listing reports store stats: %+v", memInfo.Store)
+				t.Fatalf("memory-only listing reports store stats: %+v", memInfo.Store)
 			}
 			if diskInfo.Store == nil {
-				t.Fatal("disk-backed listing reports no store stats")
+				t.Fatal("durable listing reports no store stats")
 			}
 			if diskInfo.Store.Kind != "disk" || diskInfo.Store.Gen == 0 || diskInfo.Store.Tuples == 0 {
 				t.Fatalf("disk store stats never advanced: %+v", diskInfo.Store)
@@ -131,7 +127,7 @@ func TestDiskMemEquivalenceAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDiskRecoveryKillAtEveryBoundary kills a disk-backed tenant (no
+// TestDiskRecoveryKillAtEveryBoundary kills a durable tenant (no
 // drain, no graceful close — the in-process equivalent of kill -9)
 // after every batch boundary from 0 through 7 and requires recovery to
 // reproduce the exact pre-kill state and keep serving. FsyncBatch makes
@@ -143,7 +139,7 @@ func TestDiskRecoveryKillAtEveryBoundary(t *testing.T) {
 	for k := 0; k <= total; k++ {
 		t.Run(fmt.Sprintf("boundary=%d", k), func(t *testing.T) {
 			dir := t.TempDir()
-			opts := Options{DataDir: dir, Store: store.KindDisk, Fsync: FsyncBatch, SnapshotEvery: 2, QueueDepth: 8}
+			opts := Options{DataDir: dir, Fsync: FsyncBatch, SnapshotEvery: 2, QueueDepth: 8}
 
 			// First life: never drained, never shut down — its goroutines
 			// are simply abandoned, exactly what SIGKILL leaves behind
@@ -172,7 +168,7 @@ func TestDiskRecoveryKillAtEveryBoundary(t *testing.T) {
 				t.Fatalf("boundary %d: violations diverged after kill:\nwant %s\ngot  %s", k, wantVios, gotVios)
 			}
 
-			// The recovered tenant is a working disk-backed session, not a
+			// The recovered tenant is a working durable session, not a
 			// read-only relic: it takes writes, persists them, and survives
 			// a second (graceful) bounce.
 			applyRecovery(t, ts2.URL, name, 100+k)
@@ -197,12 +193,12 @@ func TestDiskRecoveryKillAtEveryBoundary(t *testing.T) {
 }
 
 // TestDiskStoreFilesOnDisk sanity-checks the physical layout: a
-// disk-backed tenant owns a store/ subdirectory with a manifest and
+// durable tenant owns a store/ subdirectory with a manifest and
 // page files, its snapshots are slim (no inline tuple payload), and
 // removal deletes all of it.
 func TestDiskStoreFilesOnDisk(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Store: store.KindDisk, Fsync: FsyncOff, SnapshotEvery: 2, QueueDepth: 8}
+	opts := Options{DataDir: dir, Fsync: FsyncOff, SnapshotEvery: 2, QueueDepth: 8}
 	s, ts := newTestService(t, opts)
 	createStored(t, ts.URL, "phys", nil)
 	for i := 0; i < 5; i++ {
@@ -212,7 +208,7 @@ func TestDiskStoreFilesOnDisk(t *testing.T) {
 	storeDir := filepath.Join(dir, "phys", "store")
 	ents, err := os.ReadDir(storeDir)
 	if err != nil {
-		t.Fatalf("disk-backed tenant has no store dir: %v", err)
+		t.Fatalf("durable tenant has no store dir: %v", err)
 	}
 	var manifests, pages int
 	for _, e := range ents {

@@ -205,13 +205,13 @@ type SessionInfo struct {
 	// clustered nodes; single-node listings stay byte-stable.
 	Role        string `json:"role,omitempty"`
 	Replication string `json:"replication,omitempty"`
-	// Store reports the disk-backed page store's state; absent for
-	// memory-backed sessions, so their listings stay byte-stable.
+	// Store reports a durable session's page store; absent for
+	// memory-only sessions, so their listings stay byte-stable.
 	Store    *WireStore   `json:"store,omitempty"`
 	Snapshot WireSnapshot `json:"snapshot"`
 }
 
-// WireStore reports a session's disk-backed tuple store in listings:
+// WireStore reports a durable session's page store in listings:
 // the committed manifest generation, page counts (committed / marked
 // dirty for the next flush), row and dictionary sizes at the last flush,
 // and the store's total on-disk footprint.

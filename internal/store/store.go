@@ -1,56 +1,21 @@
-// Package store is the pluggable tuple-storage layer behind a streaming
-// session's relation. The default backend is the relation's own in-memory
-// tuple array — zero overhead, exactly the pre-store behavior. The disk
-// backend (Disk) is an incremental snapshot of that relation: fixed-width
-// interned rows in generation-numbered page files and a persistent intern
-// dictionary keyed by the relation Dict's dense ValueIDs. It subscribes to
-// the relation's mutation journal only to learn which pages a mutation
-// touched; it keeps no copy of a row in memory.
+// Package store is the page store a durable session's snapshots are
+// written through: fixed-width interned rows in generation-numbered page
+// files and a persistent intern dictionary keyed by the relation Dict's
+// dense ValueIDs. It subscribes to the relation's mutation journal only
+// to learn which pages a mutation touched; it keeps no copy of a row in
+// memory.
 //
-// The disk backend does not move the working set out of RAM — the repair
-// engine needs the whole relation resident either way. What it removes is
-// the relation-sized snapshot record at the durability boundary. Rows are
-// filed at their position in the relation's physical order, so a rotation
-// writes only the images of the pages whose positions were written since
-// the last rotation, encoded from the relation as pinned at the boundary
-// (the snapshot file shrinks to a slim header pointing at a page-file
-// generation), and recovery streams the rows back by reading the pages
-// of the row count once, in order. See internal/server for the wiring.
+// The store does not move the working set out of RAM — the repair
+// engine needs the whole relation resident. What it removes is the
+// relation-sized snapshot record at the durability boundary. Rows are
+// filed at their position in the relation's physical order, so a
+// rotation writes only the images of the pages whose positions were
+// written since the last rotation, encoded from the relation as pinned
+// at the boundary (the snapshot file shrinks to a slim header pointing
+// at a page-file generation), and recovery streams the rows back by
+// reading the pages of the row count once, in order. See internal/server
+// for the wiring.
 package store
-
-import "fmt"
-
-// Kind selects a session's tuple-storage backend.
-type Kind int
-
-const (
-	// KindMem (the zero value) keeps rows only in the relation's
-	// in-memory array; snapshots carry the full relation inline.
-	KindMem Kind = iota
-	// KindDisk runs the page store; snapshots are slim headers
-	// referencing a page-file generation.
-	KindDisk
-)
-
-// ParseKind parses the -store flag's backend names; the empty string is
-// the default, mem.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "", "mem":
-		return KindMem, nil
-	case "disk":
-		return KindDisk, nil
-	}
-	return KindMem, fmt.Errorf("store: unknown backend %q (want mem or disk)", s)
-}
-
-// String renders the flag spelling.
-func (k Kind) String() string {
-	if k == KindDisk {
-		return "disk"
-	}
-	return "mem"
-}
 
 // Page size bounds. A page holds rowsPerPage = PageSize/rowWidth rows;
 // wide schemas whose single row exceeds PageSize degrade to one row per
