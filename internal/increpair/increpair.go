@@ -150,10 +150,15 @@ type engine struct {
 	off      []int32
 	one      []int32
 
-	// dl and hits are the scratch of nearest: the prepared DL probe and
-	// the best values found so far, its result.
-	dl   strdist.Probe
-	hits []nearHit
+	// dl, byBound and hits are the scratch of nearest: the prepared DL
+	// probe, the domain values filed by their profile's bound (one list
+	// per bound 1 … maxRadius; those at 0 are measured at once, so
+	// byBound[0] stays empty) and the best values found so far, its
+	// result; profiles is the profile of every value id nearest has met.
+	dl       strdist.Probe
+	byBound  [maxRadius + 1][]relation.IDValue
+	hits     []nearHit
+	profiles []strdist.Profile
 
 	// stats backs Session.IndexStats.
 	stats IndexStats
@@ -164,13 +169,18 @@ type engine struct {
 // vio(t) — cumulative since the session opened. They ride beside the
 // session's state: no snapshot, listing or log carries them.
 type IndexStats struct {
-	// Nearest counts the similarity queries, each one scan of an active
+	// Nearest counts the similarity queries, each one pass over an active
 	// domain.
 	Nearest int
-	// Visited counts the domain values measured against a query: the sum of
-	// |adom(a)| over the Nearest queries, so it repeats exactly from run to
-	// run.
+	// Visited counts the domain values a query's profile bound was
+	// checked against: the sum of |adom(a)| over the Nearest queries, so it
+	// repeats exactly from run to run.
 	Visited int
+	// Measured counts the kernel calls the queries made: one per value
+	// whose bound still let it into the result as it stood — below the
+	// k-th best distance, or equal to it with a value that sorts first —
+	// so at most Visited.
+	Measured int
 	// Rounds counts the rounds of TUPLERESOLVE's greedy cover over dirty
 	// arrivals, FreePins those decided from the attribute masks alone, with
 	// no candidate looked up and no subset enumerated.

@@ -2,7 +2,6 @@ package increpair
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -321,6 +320,12 @@ func FuzzNearestVsOracle(f *testing.F) {
 	f.Add("Köln\nKölnn\nMünchen\n\xff\xfe", "Klön", uint8(1), uint8(2))
 	f.Add("\xfe\n\xff\n\xfd", "\xff", uint8(1), uint8(0))
 	f.Add(strings.Repeat("ab", 40)+"\n"+strings.Repeat("ab", 39), strings.Repeat("ba", 40), uint8(3), uint8(0))
+	// The profile bound's edges: classes that fold together ('0' and 'p'),
+	// counts past its cap of two, the empty string on either side.
+	f.Add("p\n0\nq\n00\npp", "0", uint8(2), uint8(0))
+	f.Add("abbb\naaab\naabb\nab\naaaabbbb", "aaab", uint8(3), uint8(0))
+	f.Add("\na\nab\nabc", "", uint8(4), uint8(0))
+	f.Add("\na\nab\nabc", "abc", uint8(4), uint8(3))
 	f.Fuzz(func(t *testing.T, dom, q string, k8, drop uint8) {
 		if len(dom) > 2048 || len(q) > 128 {
 			t.Skip()
@@ -372,20 +377,55 @@ func benchWords(n int) []string {
 	return words
 }
 
-// BenchmarkNearest is one similarity query at three domain
-// sizes: the categorical attributes, the key-like ones of a test fixture,
-// and the largest domain of the benchmark workloads.
+// permutedWords returns n distinct orderings of one multiset of letters:
+// every word has the same character profile.
+func permutedWords(n int) []string {
+	rng := rand.New(rand.NewSource(3))
+	b := []byte("aabbccddeef")
+	seen := make(map[string]bool, n)
+	words := make([]string, 0, n)
+	for len(words) < n {
+		rng.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+		if w := string(b); !seen[w] {
+			seen[w] = true
+			words = append(words, w)
+		}
+	}
+	return words
+}
+
+// BenchmarkNearest is one similarity query at three domain sizes — the
+// categorical attributes, the key-like ones of a test fixture, and the
+// largest domain of the benchmark workloads — and the worst case at the
+// largest: every value and every query a permutation of one multiset, so
+// the profile bound rules nothing out and filing by it is pure overhead.
+// measured/query is the kernel calls a query made.
 func BenchmarkNearest(b *testing.B) {
-	for _, n := range []int{64, 2000, 5000} {
-		b.Run(fmt.Sprintf("adom=%d", n), func(b *testing.B) {
-			words := benchWords(n)
-			e := domainEngine(b, 4, words)
+	for _, bc := range []struct {
+		name  string
+		words []string
+		query func(rng *rand.Rand, w string) string
+	}{
+		{"adom=64", benchWords(64), mangle},
+		{"adom=2000", benchWords(2000), mangle},
+		{"adom=5000", benchWords(5000), mangle},
+		{"adversarial", permutedWords(5000), func(rng *rand.Rand, w string) string {
+			p := []byte(w)
+			rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+			return string(p)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			n := len(bc.words)
+			e := domainEngine(b, 4, bc.words)
 			rng := rand.New(rand.NewSource(4))
+			from := e.stats.Measured
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.nearest(0, mangle(rng, words[i%n]))
+				e.nearest(0, bc.query(rng, bc.words[i%n]))
 			}
+			b.ReportMetric(float64(e.stats.Measured-from)/float64(b.N), "measured/query")
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/cost"
 	"cfdclean/internal/relation"
+	"cfdclean/internal/strdist"
 )
 
 // tupleResolve implements procedure TUPLERESOLVE (Fig. 7): greedily cover
@@ -511,38 +512,90 @@ type nearHit struct {
 }
 
 // nearest is the cost-based index of §5.2: the up to NearestK values of
-// adom(Repr, a) within maxRadius of v, by increasing (DL distance, value).
-// It measures v against every value of the live domain — the exact top-k, a
-// function of the relation alone — with the kernel cut off at the worst
-// distance that can still enter the result, which lives in the engine's
-// buffer until the next call.
+// adom(Repr, a) within maxRadius of v, by increasing (DL distance, value),
+// the exact top-k — a function of the relation alone — in the engine's
+// buffer until the next call. A first pass takes the bag distance of every
+// live value's character profile from v's, a lower bound on their DL
+// distance: it measures the values at bound 0 as it meets them and files
+// the others by bound, dropping those beyond maxRadius. The second pass
+// measures the files in increasing bound and stops at the first whose
+// bound is past the worst distance that can still enter the result: no
+// value left there can enter.
 func (e *engine) nearest(a int, v string) []nearHit {
 	e.stats.Nearest++
 	e.stats.Visited += e.repr.ActiveDomainSize(a)
-	k := e.opts.NearestK
 	e.dl.Reset(v)
-	hits, worst := e.hits[:0], maxRadius
+	e.hits = e.hits[:0]
+	worst := maxRadius
+	q := strdist.ProfileOf(v)
+	for b := range e.byBound {
+		e.byBound[b] = e.byBound[b][:0]
+	}
 	e.repr.EachDomainValue(a, func(id relation.ValueID, s string) {
-		d := e.dl.DistanceBounded(s, worst)
-		if d > worst {
-			return
+		var p strdist.Profile
+		if int(id) < len(e.profiles) {
+			p = e.profiles[id]
 		}
-		i := len(hits)
-		for i > 0 && (hits[i-1].d > d || (hits[i-1].d == d && hits[i-1].v.Str > s)) {
-			i--
+		if p == (strdist.Profile{}) {
+			p = e.learnProfile(id, s)
 		}
-		if i == k {
-			return
-		}
-		if len(hits) < k {
-			hits = append(hits, nearHit{})
-		}
-		copy(hits[i+1:], hits[i:])
-		hits[i] = nearHit{relation.IDValue{Value: relation.S(s), ID: id}, d}
-		if len(hits) == k {
-			worst = hits[k-1].d
+		switch b := strdist.LowerBound(q, p); {
+		case b == 0:
+			worst = e.offer(relation.IDValue{Value: relation.S(s), ID: id}, 0, worst)
+		case b <= maxRadius:
+			e.byBound[b] = append(e.byBound[b], relation.IDValue{Value: relation.S(s), ID: id})
 		}
 	})
+	for b := 1; b <= worst; b++ {
+		for _, c := range e.byBound[b] {
+			worst = e.offer(c, b, worst)
+		}
+	}
+	return e.hits
+}
+
+// offer measures domain value c, whose profile bound is b, with the
+// kernel cut off at worst, enters it into the best values found so far if
+// it belongs there, and returns the worst distance that can still enter.
+func (e *engine) offer(c relation.IDValue, b, worst int) int {
+	hits, k := e.hits, e.opts.NearestK
+	if b == worst && len(hits) == k && c.Str > hits[k-1].v.Str {
+		return worst // it could only tie the last hit, and ties go by value
+	}
+	e.stats.Measured++
+	d := e.dl.DistanceBounded(c.Str, worst)
+	if d > worst {
+		return worst
+	}
+	i := len(hits)
+	for i > 0 && (hits[i-1].d > d || (hits[i-1].d == d && hits[i-1].v.Str > c.Str)) {
+		i--
+	}
+	if i == k {
+		return worst
+	}
+	if len(hits) < k {
+		hits = append(hits, nearHit{})
+	}
+	copy(hits[i+1:], hits[i:])
+	hits[i] = nearHit{c, d}
 	e.hits = hits
-	return hits
+	if len(hits) == k {
+		return hits[k-1].d
+	}
+	return worst
+}
+
+// learnProfile fills the profile table's slot for value id, the string
+// s: a value id names one string for the relation's lifetime, so the
+// profile is worked out the first time the engine meets it. A zero slot is
+// one not yet learned, or the zero profile of a value with a byte ≥ 0x80 or
+// of the empty string, which is worked out again at every meeting —
+// ProfileOf stops at the first such byte.
+func (e *engine) learnProfile(id relation.ValueID, s string) strdist.Profile {
+	if int(id) >= len(e.profiles) {
+		e.profiles = append(e.profiles, make([]strdist.Profile, int(id)+1-len(e.profiles))...)
+	}
+	e.profiles[id] = strdist.ProfileOf(s)
+	return e.profiles[id]
 }

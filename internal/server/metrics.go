@@ -144,6 +144,9 @@ func (s *Server) declareFamilies() []family {
 		sessionCounter("cfdserved_session_sse_dropped_total", "Events dropped at this session's slow SSE subscribers.", func(in *instruments) *metrics.Counter { return in.sseDropped }),
 		sessionCounter("cfdserved_session_error_batches_total", "Batches Check refused, plus engine passes that failed, per session.", func(in *instruments) *metrics.Counter { return in.errorBatches }),
 		sessionCounter("cfdserved_session_rate_limited_total", "Writes refused by this session's quota.", func(in *instruments) *metrics.Counter { return in.rateLimited }),
+		sessionCounter("cfdserved_session_nearest_queries_total", "Similarity queries the engine's passes made over an active domain, per session.", func(in *instruments) *metrics.Counter { return in.nearest }),
+		sessionCounter("cfdserved_session_nearest_visited_total", "Active-domain values the similarity queries visited, per session.", func(in *instruments) *metrics.Counter { return in.nearVisited }),
+		sessionCounter("cfdserved_session_nearest_measured_total", "Visited values the similarity queries measured with the DL kernel, per session.", func(in *instruments) *metrics.Counter { return in.nearMeasured }),
 	}
 }
 

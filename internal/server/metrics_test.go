@@ -14,7 +14,8 @@ import (
 // parentFamilies is every HELP and TYPE line of GET /metrics, in document
 // order, as recorded at the commit before the family list replaced the
 // two hand-built renderings, plus the families added since
-// (cfdserved_session_persist_broken) and the error-batch help reworded
+// (cfdserved_session_persist_broken, the three similarity-search
+// counters cfdserved_session_nearest_*) and the error-batch help reworded
 // once a batch Check refuses stopped running a pass: adding, moving,
 // renaming or retyping a family is a change to this list, never a side
 // effect.
@@ -101,7 +102,13 @@ const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server
 # HELP cfdserved_session_error_batches_total Batches Check refused, plus engine passes that failed, per session.
 # TYPE cfdserved_session_error_batches_total counter
 # HELP cfdserved_session_rate_limited_total Writes refused by this session's quota.
-# TYPE cfdserved_session_rate_limited_total counter`
+# TYPE cfdserved_session_rate_limited_total counter
+# HELP cfdserved_session_nearest_queries_total Similarity queries the engine's passes made over an active domain, per session.
+# TYPE cfdserved_session_nearest_queries_total counter
+# HELP cfdserved_session_nearest_visited_total Active-domain values the similarity queries visited, per session.
+# TYPE cfdserved_session_nearest_visited_total counter
+# HELP cfdserved_session_nearest_measured_total Visited values the similarity queries measured with the DL kernel, per session.
+# TYPE cfdserved_session_nearest_measured_total counter`
 
 // getMetricsJSON fetches GET /v1/metrics as a generic JSON object.
 func getMetricsJSON(t *testing.T, base string) map[string]any {

@@ -232,7 +232,7 @@ func (d *promDoc) checkHistogram(t *testing.T, name string, kv ...string) (count
 // (escaped — session names may legally contain double quotes), and the
 // counters agree with the traffic the test just generated.
 func TestPrometheusExposition(t *testing.T) {
-	_, ts := newTestService(t, Options{})
+	srv, ts := newTestService(t, Options{})
 	base := ts.URL
 	const quoted = `q"uote` // legal name; breaks naive label rendering
 	createTiny(t, base, "alpha")
@@ -371,6 +371,35 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	if v := doc.get(t, "cfdserved_session_relation_size", "session", "alpha").value; v != 4 {
 		t.Fatalf("alpha relation size = %g, want 4 (base + 3 inserts)", v)
+	}
+	// The similarity-search counters are the session's own IndexStats,
+	// which the worker adds pass by pass: alpha's dirty arrivals asked
+	// queries, the quoted session none.
+	h, err := srv.reg.Get("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := h.sess.IndexStats()
+	if ix.Nearest == 0 || ix.Measured > ix.Visited {
+		t.Fatalf("alpha's index counters %+v: want some queries, measured ≤ visited", ix)
+	}
+	for _, c := range []struct {
+		name string
+		want int
+	}{
+		{"cfdserved_session_nearest_queries_total", ix.Nearest},
+		{"cfdserved_session_nearest_visited_total", ix.Visited},
+		{"cfdserved_session_nearest_measured_total", ix.Measured},
+	} {
+		if doc.types[c.name] != "counter" {
+			t.Fatalf("%s: type %q, want counter", c.name, doc.types[c.name])
+		}
+		if v := doc.get(t, c.name, "session", "alpha").value; v != float64(c.want) {
+			t.Fatalf("%s{alpha} = %g, the session counted %d", c.name, v, c.want)
+		}
+		if v := doc.get(t, c.name, "session", quoted).value; v != 0 {
+			t.Fatalf("%s{quoted} = %g, want 0", c.name, v)
+		}
 	}
 
 	// The raw document must contain the escaped form of the quoted name.

@@ -123,6 +123,9 @@ func NewRegistry(queueDepth int) *Registry {
 		sseDropped:   new(metrics.Counter),
 		errorBatches: new(metrics.Counter),
 		rateLimited:  new(metrics.Counter),
+		nearest:      new(metrics.Counter),
+		nearVisited:  new(metrics.Counter),
+		nearMeasured: new(metrics.Counter),
 	}
 	r.ship = ship.Counters{Batches: new(metrics.Counter), Snapshots: new(metrics.Counter),
 		Degraded: new(metrics.Counter), Dropped: new(metrics.Counter)}
@@ -149,11 +152,24 @@ type instruments struct {
 	sseDropped   *metrics.Counter   // events dropped at slow SSE subscribers
 	errorBatches *metrics.Counter   // batches Check refused, plus passes that failed
 	rateLimited  *metrics.Counter   // writes refused by a quota (429/403)
+	// The engine's similarity search (increpair.IndexStats): queries, the
+	// domain values they visited, and the ones they measured with the DL
+	// kernel.
+	nearest, nearVisited, nearMeasured *metrics.Counter
 }
 
 func (in *instruments) child() *instruments {
 	return &instruments{in.passLat.Child(), in.walLag.Child(), in.foldSize.Child(),
-		in.sseDropped.Child(), in.errorBatches.Child(), in.rateLimited.Child()}
+		in.sseDropped.Child(), in.errorBatches.Child(), in.rateLimited.Child(),
+		in.nearest.Child(), in.nearVisited.Child(), in.nearMeasured.Child()}
+}
+
+// countSearch adds the similarity-search work of one engine pass, the
+// difference of the session's counters across it.
+func (in *instruments) countSearch(before, after increpair.IndexStats) {
+	in.nearest.Add(uint64(after.Nearest - before.Nearest))
+	in.nearVisited.Add(uint64(after.Visited - before.Visited))
+	in.nearMeasured.Add(uint64(after.Measured - before.Measured))
 }
 
 // hosted is one session plus its service furniture: the work queue, the
@@ -755,6 +771,7 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 			Ops: increpair.OpsToDeltas(deletes, sets, inserts)}
 	}
 	h.commits <- commitItem{log: rec}
+	searched := h.sess.IndexStats()
 	start := time.Now()
 	res, deleted, err := h.sess.ApplyOps(deletes, sets, inserts)
 	if j.replay != nil {
@@ -768,6 +785,7 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 	engine := time.Since(start)
 	h.ops.passLat.Observe(engine.Seconds())
 	h.ops.foldSize.Observe(float64(batches))
+	h.ops.countSearch(searched, h.sess.IndexStats())
 	var seq uint64
 	if err == nil {
 		seq = h.seq.Add(1)
