@@ -1,18 +1,19 @@
 package ship_test
 
 // The failover equivalence battery: a live "primary" session is driven
-// with random mutation batches while every batch is shipped as a framed
-// replication stream; the battery then kills the stream at every batch
-// boundary and at sampled mid-frame byte offsets — exactly how a
-// primary crash appears to its follower — and requires the promoted
-// replica to be *byte-identical* to the never-crashed oracle at the
-// same watermark: equal CSV dumps (bytes.Equal), equal violation
-// listings and totals, equal published snapshots, across replay worker
-// counts 0/1/2/4. Runs under -race in CI.
+// with random mutation batches while its snapshot stream and every batch
+// frame are recorded as a replication stream; the battery then kills the
+// stream at every batch boundary and at sampled byte offsets inside the
+// snapshot and the frames — exactly how a primary crash appears to its
+// follower — and requires the promoted replica to be *byte-identical* to
+// the never-crashed oracle at the same watermark: equal CSV dumps
+// (bytes.Equal), equal violation listings and totals, equal published
+// snapshots, across replay worker counts 0/1/2/4. Runs under -race in CI.
 
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -161,12 +162,13 @@ func requireEqual(t testing.TB, ctx string, want, got fingerprint) {
 }
 
 // shipRecording is one primary run rendered as its replication stream:
-// the bootstrap snapshot frame, one batch frame per accepted batch, the
+// the bootstrap snapshot stream, one batch frame per accepted batch, the
 // decoded batches, and the oracle fingerprint after every batch (fps[0]
 // is the bootstrap state).
 type shipRecording struct {
 	name    string
-	frames  [][]byte // frames[0] is the snapshot frame
+	snap    []byte // what wal.WriteSnapshot writes
+	frames  [][]byte
 	batches []*wal.Batch
 	fps     []fingerprint
 }
@@ -189,7 +191,11 @@ func recordStream(t testing.TB, name string, seed int64, nBatches int, dirty boo
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.frames = append(rec.frames, ship.EncodeSnapshotFrame(snap))
+	var stream bytes.Buffer
+	if err := wal.WriteSnapshot(&stream, snap); err != nil {
+		t.Fatal(err)
+	}
+	rec.snap = stream.Bytes()
 	rec.fps = append(rec.fps, capture(t, sess))
 
 	for b := 0; b < nBatches; b++ {
@@ -210,22 +216,56 @@ func recordStream(t testing.TB, name string, seed int64, nBatches int, dirty boo
 	return rec
 }
 
-// replayPrefix bootstraps a fresh replica and feeds the first k+1 frames
-// (snapshot + k batches), returning its fingerprint.
+// replay is a follower receiving stream: the snapshot stream's first
+// snapLen bytes go to the install endpoint and the rest, batch frames, to
+// the batch endpoint. It returns how many messages it applied (the
+// snapshot counts as one). A snapshot cut short installs nothing; a torn
+// frame leaves the replica at the last intact one and is reported.
+func replay(r *ship.Replica, snapLen int, stream []byte) (applied int, err error) {
+	snapLen = min(snapLen, len(stream))
+	snap, err := wal.ReadSnapshot(bytes.NewReader(stream[:snapLen]))
+	if err != nil {
+		return 0, err
+	}
+	if err := r.InstallSnapshot(snap); err != nil {
+		return 0, err
+	}
+	frames := bytes.NewReader(stream[snapLen:])
+	for applied = 1; ; applied++ {
+		b, err := ship.ReadBatchFrame(frames)
+		if err == io.EOF {
+			return applied, nil
+		}
+		if err != nil {
+			return applied, err
+		}
+		if _, err := r.ApplyBatch(b); err != nil {
+			return applied, err
+		}
+	}
+}
+
+// stream concatenates the recording's snapshot and its first k frames.
+func (rec *shipRecording) stream(k int) []byte {
+	out := append([]byte(nil), rec.snap...)
+	for _, f := range rec.frames[:k] {
+		out = append(out, f...)
+	}
+	return out
+}
+
+// replayPrefix bootstraps a fresh replica from the snapshot and the first
+// k batch frames, returning its fingerprint.
 func replayPrefix(t testing.TB, rec *shipRecording, k, workers int) fingerprint {
 	t.Helper()
 	r := ship.NewReplica(rec.name, workers)
 	defer r.Close()
-	var stream bytes.Buffer
-	for _, f := range rec.frames[:k+1] {
-		stream.Write(f)
-	}
-	frames, err := r.ReplayStream(bytes.NewReader(stream.Bytes()))
+	applied, err := replay(r, len(rec.snap), rec.stream(k))
 	if err != nil {
 		t.Fatalf("prefix %d: %v", k, err)
 	}
-	if frames != k+1 {
-		t.Fatalf("prefix %d: applied %d frames, want %d", k, frames, k+1)
+	if applied != k+1 {
+		t.Fatalf("prefix %d: applied %d messages, want %d", k, applied, k+1)
 	}
 	return capture(t, r.Session())
 }
@@ -255,16 +295,17 @@ func TestFailoverEquivalenceAtEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestFailoverKillMidFrame cuts the concatenated stream at every frame
-// boundary and a deterministic sample of mid-frame offsets — a primary
-// dying mid-send. The replica must land exactly on the last intact
-// frame, torn bytes never half-applied, and report the tear.
+// TestFailoverKillMidFrame cuts the stream — the snapshot's bytes, then
+// the batch frames — at every message boundary and a deterministic sample
+// of offsets inside messages: a primary dying mid-send. A cut inside the
+// snapshot installs nothing; a cut inside the frames leaves the replica
+// exactly on the last intact frame, torn bytes never half-applied, and
+// the tear reported.
 func TestFailoverKillMidFrame(t *testing.T) {
 	rec := recordStream(t, "tenant-cut", 47, 6, false)
-	var whole []byte
-	boundaries := []int{0}
+	whole := rec.stream(len(rec.frames))
+	boundaries := []int{0, len(rec.snap)}
 	for _, f := range rec.frames {
-		whole = append(whole, f...)
 		boundaries = append(boundaries, boundaries[len(boundaries)-1]+len(f))
 	}
 	intactAt := func(cut int) int {
@@ -285,25 +326,21 @@ func TestFailoverKillMidFrame(t *testing.T) {
 	}
 	for cut := range cuts {
 		r := ship.NewReplica("tenant-cut", 2)
-		frames, err := r.ReplayStream(bytes.NewReader(whole[:cut]))
+		applied, err := replay(r, len(rec.snap), whole[:cut])
 		intact := intactAt(cut)
-		atBoundary := boundaries[intact] == cut
-		if atBoundary && err != nil {
-			t.Fatalf("cut %d (boundary): %v", cut, err)
-		}
-		if !atBoundary && err == nil {
-			t.Fatalf("cut %d: torn frame not reported", cut)
-		}
-		if frames != intact {
-			t.Fatalf("cut %d: %d frames applied, want %d", cut, frames, intact)
+		if applied != intact {
+			t.Fatalf("cut %d: %d messages applied, want %d", cut, applied, intact)
 		}
 		if intact == 0 {
-			if r.Session() != nil {
-				t.Fatalf("cut %d: replica bootstrapped from a torn snapshot frame", cut)
+			if err == nil || r.Session() != nil {
+				t.Fatalf("cut %d: a snapshot cut short installed (err %v)", cut, err)
 			}
 		} else {
+			if atBoundary := boundaries[intact] == cut; atBoundary != (err == nil) {
+				t.Fatalf("cut %d: at a boundary %v, err %v", cut, atBoundary, err)
+			}
 			got := capture(t, r.Session())
-			requireEqual(t, fmt.Sprintf("cut %d (frame %d)", cut, intact), rec.fps[intact-1], got)
+			requireEqual(t, fmt.Sprintf("cut %d (message %d)", cut, intact), rec.fps[intact-1], got)
 		}
 		r.Close()
 	}
@@ -316,7 +353,11 @@ func TestPromotedReplicaKeepsWorking(t *testing.T) {
 	rec := recordStream(t, "tenant-promote", 53, 5, false)
 
 	// Oracle: a never-crashed session at the final boundary.
-	oracle, err := increpair.RestoreFromSnapshot(mustDecodeSnapshot(t, rec.frames[0]), 1)
+	snap, err := wal.ReadSnapshot(bytes.NewReader(rec.snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := increpair.RestoreFromSnapshot(snap, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +372,7 @@ func TestPromotedReplicaKeepsWorking(t *testing.T) {
 	// used as a primary from here on.
 	r := ship.NewReplica("tenant-promote", 4)
 	defer r.Close()
-	var stream bytes.Buffer
-	for _, f := range rec.frames {
-		stream.Write(f)
-	}
-	if _, err := r.ReplayStream(bytes.NewReader(stream.Bytes())); err != nil {
+	if _, err := replay(r, len(rec.snap), rec.stream(len(rec.frames))); err != nil {
 		t.Fatal(err)
 	}
 	promoted := r.Session()
@@ -355,17 +392,4 @@ func TestPromotedReplicaKeepsWorking(t *testing.T) {
 		}
 		requireEqual(t, fmt.Sprintf("post-promotion batch %d", b), capture(t, oracle), capture(t, promoted))
 	}
-}
-
-func mustDecodeSnapshot(t testing.TB, frame []byte) *wal.Snapshot {
-	t.Helper()
-	kind, payload, err := ship.ReadFrame(bytes.NewReader(frame))
-	if err != nil || kind != ship.KindSnapshot {
-		t.Fatalf("snapshot frame: kind=%d err=%v", kind, err)
-	}
-	snap, err := wal.DecodeSnapshot(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
 }

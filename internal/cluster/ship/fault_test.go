@@ -14,14 +14,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cfdclean/internal/cluster/ship"
 	"cfdclean/internal/increpair"
-	"cfdclean/internal/relation"
 	"cfdclean/internal/wal"
 )
 
@@ -64,7 +61,7 @@ func (f *faultConn) deliver(name string, b *wal.Batch) error {
 // follower's frame codec must reject it before any state changes.
 func (f *faultConn) deliverTorn(name string, b *wal.Batch) error {
 	frame := ship.EncodeBatchFrame(b)
-	_, _, err := ship.ReadFrame(bytes.NewReader(frame[:len(frame)-3]))
+	_, err := ship.ReadBatchFrame(bytes.NewReader(frame[:len(frame)-3]))
 	f.observe(name)
 	if err == nil {
 		return fmt.Errorf("torn frame decoded cleanly")
@@ -364,98 +361,4 @@ func sampleSnapshot(t testing.TB, name string) (*wal.Snapshot, error) {
 	}
 	defer sess.Close()
 	return sess.PersistSnapshot(name)
-}
-
-// countingTransport records deliveries; every send succeeds. It stands
-// in for a healthy follower in tests that assert a frame is refused
-// BEFORE it reaches the wire.
-type countingTransport struct {
-	snaps   atomic.Int64
-	batches atomic.Int64
-}
-
-func (c *countingTransport) ShipSnapshot(string, *wal.Snapshot) error {
-	c.snaps.Add(1)
-	return nil
-}
-
-func (c *countingTransport) ShipBatch(string, *wal.Batch) error {
-	c.batches.Add(1)
-	return nil
-}
-
-// oversizedSnapshot builds a snapshot whose encoded frame exceeds
-// MaxFrameLen without allocating anywhere near that much: the tuples
-// share one 16 MiB string, so EncodedSize counts it once per value
-// while memory holds it once.
-func oversizedSnapshot() *wal.Snapshot {
-	big := relation.Value{Str: strings.Repeat("x", 16<<20)}
-	snap := &wal.Snapshot{
-		Name:    "huge",
-		Relname: "r",
-		Attrs:   []string{"A"},
-		CFDs:    "cfd phi1: [A] -> [A]\n(_ || _)\n",
-		NextID:  32,
-		Version: 1,
-	}
-	for id := 1; snap.EncodedSize() <= ship.MaxFrameLen; id++ {
-		snap.Tuples = append(snap.Tuples, wal.SnapTuple{
-			ID:   relation.TupleID(id),
-			Vals: []relation.Value{big},
-		})
-	}
-	return snap
-}
-
-// TestShipperRefusesOversizedSnapshot: a session grown past the frame
-// cap can never bootstrap or resync a follower — encoding and sending
-// the image would fail on every attempt while burning a relation-sized
-// allocation each time. The shipper must detect the condition from the
-// pre-computed size, keep the frame off the wire entirely, and report
-// it loudly and persistently through ShipStats.LastError instead of
-// retrying forever in silence.
-func TestShipperRefusesOversizedSnapshot(t *testing.T) {
-	tr := &countingTransport{}
-	snap := oversizedSnapshot()
-	var captures atomic.Int64
-	sp := ship.NewShipper("huge", tr, func() (*wal.Snapshot, error) {
-		captures.Add(1)
-		return snap, nil
-	}, ship.Counters{})
-	defer sp.Close()
-
-	// The background bootstrap is the first attempt; wait for its
-	// verdict to land in the stats surface.
-	deadline := time.Now().Add(5 * time.Second)
-	for sp.Stats().LastError == "" {
-		if time.Now().After(deadline) {
-			t.Fatal("oversized snapshot produced no LastError — the failure is silent")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st := sp.Stats()
-	if !strings.Contains(st.LastError, "frame cap") {
-		t.Fatalf("LastError = %q, want the frame-cap diagnosis", st.LastError)
-	}
-	if st.Snapshots != 0 || tr.snaps.Load() != 0 {
-		t.Fatalf("oversized snapshot reached the transport (%d shipped, %d delivered)", st.Snapshots, tr.snaps.Load())
-	}
-
-	// Committed batches keep flowing on the primary; none may reach the
-	// follower (it has no base image), none may clear the error, and the
-	// backoff must bound how many full captures the condition costs.
-	const sends = 64
-	for i := 0; i < sends; i++ {
-		_ = sp.ShipSync(&wal.Batch{PrevVersion: uint64(i), Version: uint64(i + 1)})
-	}
-	st = sp.Stats()
-	if !strings.Contains(st.LastError, "frame cap") {
-		t.Fatalf("LastError = %q after %d sends, want the sticky frame-cap diagnosis", st.LastError, sends)
-	}
-	if tr.batches.Load() != 0 || tr.snaps.Load() != 0 {
-		t.Fatalf("frames reached the un-bootstrapped follower: %d batches, %d snapshots", tr.batches.Load(), tr.snaps.Load())
-	}
-	if n := captures.Load(); n >= sends/2 {
-		t.Fatalf("oversized session cost %d snapshot captures over %d sends — no backoff", n, sends)
-	}
 }

@@ -1,8 +1,12 @@
 package ship_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,9 +26,10 @@ import (
 // fixed scenario (a seeded relation holding a null and a weighted tuple;
 // three batches with a delete, a cell update and a re-insert; two store
 // flushes) writes a WAL, a snapshot file, the store's page and manifest
-// files and dict.log, and encodes one ship batch frame and one ship
-// snapshot frame. A digest that moves means
-// a format changed: bump the format's version, then re-record.
+// files and dict.log, and encodes one ship batch frame. A digest that
+// moves means a format changed: bump the format's version, then
+// re-record. A shipped snapshot has no digest of its own: the body
+// HTTPTransport sends must equal the snapshot file's bytes.
 func TestFormatsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	sch, err := relation.NewSchema("r", "a", "b", "c")
@@ -112,8 +117,25 @@ func TestFormatsByteIdentical(t *testing.T) {
 	for _, tp := range rel.Tuples() {
 		snap.Tuples = append(snap.Tuples, wal.SnapTuple{ID: tp.ID, Vals: tp.Vals, W: tp.W})
 	}
-	if err := wal.WriteSnapshotFile(filepath.Join(dir, "snap-0000000000.snap"), snap); err != nil {
+	snapPath := filepath.Join(dir, "snap-0000000000.snap")
+	if err := wal.WriteSnapshotFile(snapPath, snap); err != nil {
 		t.Fatal(err)
+	}
+	file, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shipped []byte
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		shipped, _ = io.ReadAll(req.Body)
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer peer.Close()
+	if err := (&ship.HTTPTransport{Base: peer.URL}).ShipSnapshot("formats", snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shipped, file) {
+		t.Errorf("shipped snapshot (%d bytes) differs from the snapshot file (%d bytes)", len(shipped), len(file))
 	}
 
 	// digest hashes the named files' names and contents, in name order.
@@ -136,22 +158,20 @@ func TestFormatsByteIdentical(t *testing.T) {
 		return fmt.Sprintf("%x", h.Sum(nil))
 	}
 	got := map[string]string{
-		"wal":           digest("wal-*.log"),
-		"snapshot":      digest("snap-*.snap"),
-		"pages":         digest("store/pages-*.dat"),
-		"manifest":      digest("store/manifest-*.mft"),
-		"dict":          digest("store/dict.log"),
-		"ship batch":    fmt.Sprintf("%x", sha256.Sum256(ship.EncodeBatchFrame(batches[2]))),
-		"ship snapshot": fmt.Sprintf("%x", sha256.Sum256(ship.EncodeSnapshotFrame(snap))),
+		"wal":        digest("wal-*.log"),
+		"snapshot":   digest("snap-*.snap"),
+		"pages":      digest("store/pages-*.dat"),
+		"manifest":   digest("store/manifest-*.mft"),
+		"dict":       digest("store/dict.log"),
+		"ship batch": fmt.Sprintf("%x", sha256.Sum256(ship.EncodeBatchFrame(batches[2]))),
 	}
 	want := map[string]string{
-		"wal":           "b9c5f39119fed1b0581ef191c3fe2d7dd3fb3bb90e81c40cdb2ed80b8447fda1",
-		"snapshot":      "09f5e634ec89f239fffd4defbfb7bf89a22ba307032a34d512ae5c81b26f7da3",
-		"pages":         "4a42f247e37f20d82efb1b561d00afda6bb42aded5f146fb8fa3a9b671591466",
-		"manifest":      "303b18d90235edf540869593fa10f89c970ad70911cd6a0670f13845ff6bda5c",
-		"dict":          "88a9450faa541b8c77a37217c42915d4fc16f9538d9bd9f4fd693cbb6e6b8c83",
-		"ship batch":    "57c5c7359036944dabfa13886993f51bf8956d8654ef27b44ef18e2446bbeb8b",
-		"ship snapshot": "e910bbada58d899cf49192f576dec912091f52e62ea2b9e9bc4ef59a5fe9d06b",
+		"wal":        "b9c5f39119fed1b0581ef191c3fe2d7dd3fb3bb90e81c40cdb2ed80b8447fda1",
+		"snapshot":   "09f5e634ec89f239fffd4defbfb7bf89a22ba307032a34d512ae5c81b26f7da3",
+		"pages":      "4a42f247e37f20d82efb1b561d00afda6bb42aded5f146fb8fa3a9b671591466",
+		"manifest":   "303b18d90235edf540869593fa10f89c970ad70911cd6a0670f13845ff6bda5c",
+		"dict":       "88a9450faa541b8c77a37217c42915d4fc16f9538d9bd9f4fd693cbb6e6b8c83",
+		"ship batch": "57c5c7359036944dabfa13886993f51bf8956d8654ef27b44ef18e2446bbeb8b",
 	}
 	for kind, g := range got {
 		if g != want[kind] {

@@ -12,44 +12,48 @@ import (
 	"cfdclean/internal/wal"
 )
 
-// HTTPTransport delivers frames to a peer cfdserved node over its
-// replication endpoints:
+// HTTPTransport delivers to a peer cfdserved node over its replication
+// endpoints:
 //
-//	PUT  /v1/replica/{name}        one snapshot frame (install/replace)
+//	PUT  /v1/replica/{name}        a snapshot stream (install/replace)
 //	POST /v1/replica/{name}/batch  one batch frame
 //
 // The peer answers 404 when it hosts no replica for the session
 // (bootstrap needed), 409 when the batch cannot chain (resync needed)
 // and 421 when it hosts the session as a primary (stop); those map to
 // the package's sentinel errors so the Shipper's healing logic is
-// transport-independent.
+// transport-independent. A snapshot the peer cannot read — another
+// format version, a body cut short or over the install bound — is a 400
+// or 413, an ordinary delivery failure.
 type HTTPTransport struct {
 	// Base is the peer's base URL, e.g. "http://10.0.0.2:8344".
 	Base string
-	// Client is the HTTP client to use; nil gets a dedicated client
-	// with a conservative timeout.
-	Client *http.Client
 }
 
-var defaultShipClient = &http.Client{Timeout: 2 * time.Minute}
-
-func (t *HTTPTransport) client() *http.Client {
-	if t.Client != nil {
-		return t.Client
-	}
-	return defaultShipClient
-}
+// peerClient carries every node-to-node call; its timeout bounds a
+// snapshot stream too.
+var peerClient = &http.Client{Timeout: 2 * time.Minute}
 
 func (t *HTTPTransport) replicaURL(name, suffix string) string {
 	return t.Base + "/v1/replica/" + url.PathEscape(name) + suffix
 }
 
-// ShipSnapshot implements Transport.
+// ShipSnapshot implements Transport. The body is wal.WriteSnapshot's
+// stream, written into the request as it is sent, so the image is never
+// held as one buffer.
 func (t *HTTPTransport) ShipSnapshot(name string, snap *wal.Snapshot) error {
-	req, err := http.NewRequest(http.MethodPut, t.replicaURL(name, ""), bytes.NewReader(EncodeSnapshotFrame(snap)))
+	req, err := http.NewRequest(http.MethodPut, t.replicaURL(name, ""), nil)
 	if err != nil {
 		return err
 	}
+	// The client closes every body it takes, which ends that body's
+	// writer; a retry on a stale pooled connection takes a fresh one.
+	req.GetBody = func() (io.ReadCloser, error) {
+		pr, pw := io.Pipe()
+		go func() { pw.CloseWithError(wal.WriteSnapshot(pw, snap)) }()
+		return pr, nil
+	}
+	req.Body, _ = req.GetBody()
 	req.Header.Set("Content-Type", "application/octet-stream")
 	return t.do(req)
 }
@@ -78,7 +82,7 @@ func (t *HTTPTransport) Promote(name string) error {
 }
 
 func (t *HTTPTransport) do(req *http.Request) error {
-	resp, err := t.client().Do(req)
+	resp, err := peerClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -104,10 +108,10 @@ func (t *HTTPTransport) do(req *http.Request) error {
 // again (the loop guard of the thin-proxy scheme).
 const ForwardedHeader = "X-CFD-Forwarded"
 
-// LocalTransport delivers frames to in-process Replicas — the test
-// harness's wire, and the reference for what a Transport must do. It
-// round-trips every message through the frame codec so the bytes on
-// this "wire" are exactly the bytes HTTP ships.
+// LocalTransport delivers to in-process Replicas — the test harness's
+// wire, and the reference for what a Transport must do. It round-trips
+// every message through its codec so the bytes on this "wire" are
+// exactly the bytes HTTP ships.
 type LocalTransport struct {
 	mu       sync.Mutex
 	workers  int
@@ -127,10 +131,14 @@ func (t *LocalTransport) Replica(name string) *Replica {
 	return t.replicas[name]
 }
 
-// ShipSnapshot implements Transport: decode through the frame codec and
-// install, creating the replica on first contact.
+// ShipSnapshot implements Transport: write and read back the snapshot
+// stream and install it, creating the replica on first contact.
 func (t *LocalTransport) ShipSnapshot(name string, snap *wal.Snapshot) error {
-	kind, payload, err := ReadFrame(bytes.NewReader(EncodeSnapshotFrame(snap)))
+	var stream bytes.Buffer
+	if err := wal.WriteSnapshot(&stream, snap); err != nil {
+		return err
+	}
+	got, err := wal.ReadSnapshot(&stream)
 	if err != nil {
 		return err
 	}
@@ -141,7 +149,7 @@ func (t *LocalTransport) ShipSnapshot(name string, snap *wal.Snapshot) error {
 		t.replicas[name] = r
 	}
 	t.mu.Unlock()
-	return r.Feed(kind, payload)
+	return r.InstallSnapshot(got)
 }
 
 // ShipBatch implements Transport.
@@ -152,11 +160,12 @@ func (t *LocalTransport) ShipBatch(name string, b *wal.Batch) error {
 	if r == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownReplica, name)
 	}
-	kind, payload, err := ReadFrame(bytes.NewReader(EncodeBatchFrame(b)))
+	got, err := ReadBatchFrame(bytes.NewReader(EncodeBatchFrame(b)))
 	if err != nil {
 		return err
 	}
-	return r.Feed(kind, payload)
+	_, err = r.ApplyBatch(got)
+	return err
 }
 
 // Close releases every replica.

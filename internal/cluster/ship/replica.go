@@ -3,7 +3,6 @@ package ship
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"cfdclean/internal/increpair"
@@ -82,48 +81,6 @@ func (r *Replica) ApplyBatch(b *wal.Batch) (applied bool, err error) {
 		r.skipped++
 	}
 	return applied, nil
-}
-
-// Feed decodes and dispatches one received frame.
-func (r *Replica) Feed(kind byte, payload []byte) error {
-	switch kind {
-	case KindSnapshot:
-		snap, err := wal.DecodeSnapshot(payload)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrFrame, err)
-		}
-		return r.InstallSnapshot(snap)
-	case KindBatch:
-		b, err := wal.DecodeBatch(payload)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrFrame, err)
-		}
-		_, err = r.ApplyBatch(b)
-		return err
-	default:
-		return fmt.Errorf("%w: unknown kind %d", ErrFrame, kind)
-	}
-}
-
-// ReplayStream feeds frames from rd until the stream ends. A clean EOF
-// returns (frames, nil); a torn or corrupt frame — how a primary crash
-// mid-send appears to the follower — returns the count of fully applied
-// frames alongside the error, with the replica left at the last good
-// frame, exactly like WAL tail truncation.
-func (r *Replica) ReplayStream(rd io.Reader) (frames int, err error) {
-	for {
-		kind, payload, err := ReadFrame(rd)
-		if err == io.EOF {
-			return frames, nil
-		}
-		if err != nil {
-			return frames, err
-		}
-		if err := r.Feed(kind, payload); err != nil {
-			return frames, err
-		}
-		frames++
-	}
 }
 
 // Session exposes the replica's live session for reads and for

@@ -11,14 +11,17 @@
 //
 // # Wire format
 //
-// Every shipped message is one frame: a kind byte, then one record of
-// the on-disk WAL's own framing (internal/wal's package comment is the
+// A snapshot travels as the bytes wal.WriteSnapshot writes for a
+// snapshot file — magic and format version, a header record, tuple
+// chunk records — so a follower refuses an image from a build of another
+// format version by name, and neither end holds the image as one buffer.
+// A batch travels as one frame: a kind byte, then one record of the
+// on-disk WAL's own framing (internal/wal's package comment is the
 // format reference), so a truncated or corrupted frame is detected before
 // it can reach the replica's engine.
 //
 //	frame   = kind(u8) record
-//	kind    = 1 (snapshot, wal.Snapshot payload)
-//	        | 2 (batch,    wal.Batch payload)
+//	kind    = 2 (batch, wal.Batch payload)
 //
 // # Healing model
 //
@@ -44,26 +47,21 @@ import (
 	"cfdclean/internal/wal"
 )
 
-// Frame kinds.
-const (
-	KindSnapshot byte = 1
-	KindBatch    byte = 2
-)
+// KindBatch is the kind byte of a batch frame, the only kind there is.
+const KindBatch byte = 2
 
-const (
-	frameHeaderLen = 9 // kind(u8) + length(u32) + crc(u32)
-	// MaxFrameLen rejects absurd lengths decoded from a corrupted
-	// header before they drive a huge allocation. It is exported so the
-	// HTTP endpoints that receive frames can bound request bodies to
-	// exactly what the codec accepts — capping them lower (e.g. at a
-	// generic API body limit) would strand sessions whose snapshot
-	// outgrew the cap with no way to ever bootstrap a follower.
-	MaxFrameLen = 1 << 28 // 256 MiB
-)
+// MaxFrameLen rejects absurd lengths decoded from a corrupted frame
+// header before they drive a huge allocation. It is exported so the HTTP
+// endpoints that receive replication bodies can bound them by what the
+// codec accepts — capping them lower (e.g. at a generic API body limit)
+// would strand sessions whose snapshot outgrew the cap with no way to
+// ever bootstrap a follower.
+const MaxFrameLen = 1 << 28 // 256 MiB
 
 var (
-	// ErrFrame reports a structurally damaged frame: unknown kind,
-	// implausible length, short read, or checksum mismatch.
+	// ErrFrame reports a damaged batch frame: unknown kind, implausible
+	// length, short read, checksum mismatch, or a payload that does not
+	// decode.
 	ErrFrame = errors.New("ship: bad frame")
 	// ErrGap reports that the follower cannot chain a batch onto its
 	// current journal version — frames are missing. The shipper heals
@@ -80,10 +78,10 @@ var (
 	ErrRoleConflict = errors.New("ship: target hosts the session as primary")
 )
 
-// Transport delivers frames for one session to its follower. ShipBatch
-// returns ErrGap (resync needed), ErrUnknownReplica (bootstrap needed)
-// or ErrRoleConflict (stop) as sentinel-wrapped errors; any other error
-// is a delivery failure the shipper absorbs and heals later.
+// Transport delivers one session's images and batches to its follower.
+// ShipBatch returns ErrGap (resync needed), ErrUnknownReplica (bootstrap
+// needed) or ErrRoleConflict (stop) as sentinel-wrapped errors; any other
+// error is a delivery failure the shipper absorbs and heals later.
 type Transport interface {
 	// ShipSnapshot installs a full session image on the follower,
 	// replacing whatever replica state it held.
@@ -92,35 +90,36 @@ type Transport interface {
 	ShipBatch(name string, b *wal.Batch) error
 }
 
-// EncodeSnapshotFrame frames a full snapshot.
-func EncodeSnapshotFrame(snap *wal.Snapshot) []byte {
-	return wal.AppendFrame([]byte{KindSnapshot}, snap.Encode())
-}
-
 // EncodeBatchFrame frames one committed batch.
 func EncodeBatchFrame(b *wal.Batch) []byte {
 	return wal.AppendFrame([]byte{KindBatch}, b.Encode())
 }
 
-// ReadFrame reads and verifies one frame from r. A clean end of stream
-// before any header byte returns io.EOF; a stream that ends inside a
-// frame (the shipped analogue of a torn WAL tail) or fails its checksum
-// returns an ErrFrame-wrapped error. The length a header claims is held
-// to MaxFrameLen before anything is allocated, and what is allocated
-// follows the bytes that arrive (wal.ReadFrame).
-func ReadFrame(r io.Reader) (kind byte, payload []byte, err error) {
+// ReadBatchFrame reads, verifies and decodes one batch frame from r. A
+// clean end of stream before any header byte returns io.EOF; a stream
+// that ends inside a frame (the shipped analogue of a torn WAL tail),
+// fails its checksum or does not decode returns an ErrFrame-wrapped
+// error. The length a header claims is held to MaxFrameLen before
+// anything is allocated, and what is allocated follows the bytes that
+// arrive (wal.ReadFrame).
+func ReadBatchFrame(r io.Reader) (*wal.Batch, error) {
 	var k [1]byte
 	if _, err := io.ReadFull(r, k[:]); err != nil {
 		if err == io.EOF {
-			return 0, nil, io.EOF
+			return nil, io.EOF
 		}
-		return 0, nil, fmt.Errorf("%w: %v", ErrFrame, err)
+		return nil, fmt.Errorf("%w: %w", ErrFrame, err)
 	}
-	if kind = k[0]; kind != KindSnapshot && kind != KindBatch {
-		return 0, nil, fmt.Errorf("%w: unknown kind %d", ErrFrame, kind)
+	if k[0] != KindBatch {
+		return nil, fmt.Errorf("%w: unknown kind %d", ErrFrame, k[0])
 	}
-	if payload, err = wal.ReadFrame(r, MaxFrameLen); err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrFrame, err)
+	payload, err := wal.ReadFrame(r, MaxFrameLen)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrFrame, err)
 	}
-	return kind, payload, nil
+	b, err := wal.DecodeBatch(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrFrame, err)
+	}
+	return b, nil
 }

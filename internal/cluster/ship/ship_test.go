@@ -33,41 +33,21 @@ func sampleBatch(v uint64) *wal.Batch {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	snap, err := sampleSnapshot(t, "frames")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var stream bytes.Buffer
-	stream.Write(ship.EncodeSnapshotFrame(snap))
 	stream.Write(ship.EncodeBatchFrame(sampleBatch(1)))
 	stream.Write(ship.EncodeBatchFrame(sampleBatch(2)))
 
 	rd := bytes.NewReader(stream.Bytes())
-	kind, payload, err := ship.ReadFrame(rd)
-	if err != nil || kind != ship.KindSnapshot {
-		t.Fatalf("snapshot frame: kind=%d err=%v", kind, err)
-	}
-	got, err := wal.DecodeSnapshot(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != snap.Name || got.Version != snap.Version {
-		t.Fatalf("snapshot round-trip: got %s@%d want %s@%d", got.Name, got.Version, snap.Name, snap.Version)
-	}
 	for want := uint64(1); want <= 2; want++ {
-		kind, payload, err = ship.ReadFrame(rd)
-		if err != nil || kind != ship.KindBatch {
-			t.Fatalf("batch frame: kind=%d err=%v", kind, err)
-		}
-		b, err := wal.DecodeBatch(payload)
+		b, err := ship.ReadBatchFrame(rd)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("batch frame: %v", err)
 		}
 		if b.Version != want || b.PrevVersion != want-1 || len(b.Ops) != 1 {
 			t.Fatalf("batch round-trip: %+v", b)
 		}
 	}
-	if _, _, err := ship.ReadFrame(rd); !errors.Is(err, io.EOF) {
+	if _, err := ship.ReadBatchFrame(rd); !errors.Is(err, io.EOF) {
 		t.Fatalf("clean end of stream: %v", err)
 	}
 }
@@ -83,7 +63,7 @@ func TestFrameRejectsDamage(t *testing.T) {
 		"absurd length": absurdLength(frame),
 	}
 	for name, dam := range cases {
-		if _, _, err := ship.ReadFrame(bytes.NewReader(dam)); !errors.Is(err, ship.ErrFrame) {
+		if _, err := ship.ReadBatchFrame(bytes.NewReader(dam)); !errors.Is(err, ship.ErrFrame) {
 			t.Errorf("%s: want ErrFrame, got %v", name, err)
 		}
 	}
@@ -215,21 +195,21 @@ func TestReplicaRejectsStaleAndGappedBatches(t *testing.T) {
 }
 
 // TestReadFrameAllocatesWhatArrives: the length in a frame header comes
-// off the network (PUT /v1/replica/{name}), so it may bound the read but
-// must not size the buffer — a header claiming MaxFrameLen with nothing
-// behind it is refused having allocated next to nothing.
+// off the network (POST /v1/replica/{name}/batch), so it may bound the
+// read but must not size the buffer — a header claiming MaxFrameLen with
+// nothing behind it is refused having allocated next to nothing.
 func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 	hdr := make([]byte, 9)
-	hdr[0] = ship.KindSnapshot
+	hdr[0] = ship.KindBatch
 	binary.LittleEndian.PutUint32(hdr[1:], ship.MaxFrameLen)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := ship.ReadFrame(bytes.NewReader(hdr))
+	_, err := ship.ReadBatchFrame(bytes.NewReader(hdr))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ship.ErrFrame) {
 		t.Fatalf("want ErrFrame, got %v", err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
-		t.Fatalf("a 9-byte header made ReadFrame allocate %d bytes", got)
+		t.Fatalf("a 9-byte header made ReadBatchFrame allocate %d bytes", got)
 	}
 }

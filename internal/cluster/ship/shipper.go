@@ -2,7 +2,6 @@ package ship
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -198,33 +197,15 @@ func (s *Shipper) send(b *wal.Batch) error {
 	}
 }
 
+// resyncLocked captures a fresh image and ships it. A failure of either
+// step leaves the stream owing a snapshot, retried on the backoff
+// schedule.
 func (s *Shipper) resyncLocked() error {
 	snap, err := s.snapFn()
+	if err == nil {
+		err = s.tr.ShipSnapshot(s.name, snap)
+	}
 	if err != nil {
-		s.failStreak++
-		s.c.Degraded.Add(1)
-		s.noteErr(err)
-		return err
-	}
-	return s.shipSnapLocked(snap)
-}
-
-func (s *Shipper) shipSnapLocked(snap *wal.Snapshot) error {
-	// A snapshot whose frame cannot fit under MaxFrameLen will fail on
-	// every attempt until the session shrinks — encoding and sending it
-	// anyway would burn a relation-sized allocation per retry and bury
-	// the cause in generic delivery errors. Detect it from the exact
-	// pre-computed size, fail loudly through LastError, and let the
-	// failure streak's exponential backoff bound the recheck cadence.
-	if size := snap.EncodedSize(); size+frameHeaderLen > MaxFrameLen {
-		s.needSnap = true
-		s.failStreak++
-		s.c.Degraded.Add(1)
-		err := fmt.Errorf("ship: session %s snapshot (%d bytes) exceeds the %d-byte frame cap; the follower cannot be bootstrapped or resynced until the session shrinks", s.name, size, MaxFrameLen)
-		s.noteErr(err)
-		return err
-	}
-	if err := s.tr.ShipSnapshot(s.name, snap); err != nil {
 		s.needSnap = true
 		s.failStreak++
 		s.c.Degraded.Add(1)

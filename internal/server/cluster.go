@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"time"
 
 	"cfdclean/internal/cluster/ship"
 	"cfdclean/internal/wal"
@@ -81,10 +80,9 @@ type clusterState struct {
 	mu   sync.RWMutex
 	ring *ship.Ring
 
-	// shipClient bounds node-to-node replication calls; proxyClient has
-	// no timeout of its own (forwarded requests inherit the client's
-	// context, and SSE subscriptions are deliberately long-lived).
-	shipClient  *http.Client
+	// proxyClient has no timeout of its own (forwarded requests inherit
+	// the client's context, and SSE subscriptions are deliberately
+	// long-lived); replication calls go through ship's own client.
 	proxyClient *http.Client
 }
 
@@ -93,7 +91,6 @@ func newClusterState(peers []string, self string, ack AckMode) *clusterState {
 		self:        self,
 		ack:         ack,
 		ring:        ship.NewRing(peers),
-		shipClient:  &http.Client{Timeout: 2 * time.Minute},
 		proxyClient: &http.Client{},
 	}
 }
@@ -137,7 +134,7 @@ func (c *clusterState) baseURL(peer string) string {
 
 // transport builds the shipping transport toward one peer.
 func (c *clusterState) transport(peer string) *ship.HTTPTransport {
-	return &ship.HTTPTransport{Base: c.baseURL(peer), Client: c.shipClient}
+	return &ship.HTTPTransport{Base: c.baseURL(peer)}
 }
 
 // route is the cluster-mode entry point wrapped around the mux: decide
@@ -291,7 +288,8 @@ func writeMisdirected(w http.ResponseWriter, primary string) {
 // codec itself accepts (payload + frame header), not by MaxBodyBytes:
 // the generic API cap is sized for client JSON, and applying it here
 // would make any session whose snapshot outgrew it permanently unable
-// to bootstrap or heal a follower.
+// to bootstrap or heal a follower. An installed snapshot stream is held
+// to the same bound.
 const replicaBodyLimit = ship.MaxFrameLen + 64
 
 // replicaName gates the three /v1/replica/* handlers and returns the
@@ -314,20 +312,15 @@ func (s *Server) replicaName(w http.ResponseWriter, req *http.Request) (name str
 
 var errNotClustered = errors.New("node is not clustered (start with -peers)")
 
-// handleReplicaInstall receives a snapshot frame: PUT /v1/replica/{name}.
+// handleReplicaInstall receives a snapshot stream: PUT /v1/replica/{name}.
 func (s *Server) handleReplicaInstall(w http.ResponseWriter, req *http.Request) {
 	name, ok := s.replicaName(w, req)
 	if !ok {
 		return
 	}
-	kind, payload, err := ship.ReadFrame(http.MaxBytesReader(w, req.Body, replicaBodyLimit))
-	if err != nil || kind != ship.KindSnapshot {
-		writeStatus(w, http.StatusBadRequest, fmt.Sprintf("bad snapshot frame: kind=%d err=%v", kind, err))
-		return
-	}
-	snap, err := wal.DecodeSnapshot(payload)
+	snap, err := wal.ReadSnapshot(http.MaxBytesReader(w, req.Body, replicaBodyLimit))
 	if err != nil {
-		writeStatus(w, http.StatusBadRequest, fmt.Sprintf("bad snapshot payload: %v", err))
+		writeBodyError(w, err)
 		return
 	}
 	if err := s.reg.InstallReplica(req.Context(), name, snap); err != nil {
@@ -343,14 +336,9 @@ func (s *Server) handleReplicaBatch(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	kind, payload, err := ship.ReadFrame(http.MaxBytesReader(w, req.Body, replicaBodyLimit))
-	if err != nil || kind != ship.KindBatch {
-		writeStatus(w, http.StatusBadRequest, fmt.Sprintf("bad batch frame: kind=%d err=%v", kind, err))
-		return
-	}
-	b, err := wal.DecodeBatch(payload)
+	b, err := ship.ReadBatchFrame(http.MaxBytesReader(w, req.Body, replicaBodyLimit))
 	if err != nil {
-		writeStatus(w, http.StatusBadRequest, fmt.Sprintf("bad batch payload: %v", err))
+		writeBodyError(w, err)
 		return
 	}
 	if err := s.reg.ReplicateBatch(req.Context(), name, b); err != nil {
@@ -501,6 +489,8 @@ func writeReplicationError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errReplicaConflict):
 		writeStatus(w, http.StatusMisdirectedRequest, err.Error())
+	case errors.Is(err, errReplicaMisnamed):
+		writeStatus(w, http.StatusBadRequest, err.Error())
 	case errors.Is(err, ErrNotFound):
 		writeStatus(w, http.StatusNotFound, err.Error())
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrNotDurable):

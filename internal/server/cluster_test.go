@@ -12,10 +12,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -23,8 +25,8 @@ import (
 	"testing"
 	"time"
 
-	"cfdclean/internal/cluster/ship"
 	"cfdclean/internal/relation"
+	"cfdclean/internal/wal"
 )
 
 type clusterNode struct {
@@ -882,12 +884,17 @@ func TestClusterDiskFollower(t *testing.T) {
 // PUT /v1/replica/%2e%2e names "..". Every name a create would refuse
 // must be refused there too — 400, before a session directory is made
 // or removed — and a node without peers serves no replication at all.
+// An image that names another session than the URL is a 400 too, not
+// the 409 that would make the shipper resync with the same image.
 func TestReplicaRefusesUnsafeNames(t *testing.T) {
 	snap, err := newTinyHosted(t, NewRegistry(1), 1).sess.PersistSnapshot("tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := ship.EncodeSnapshotFrame(snap)
+	var stream bytes.Buffer
+	if err := wal.WriteSnapshot(&stream, snap); err != nil {
+		t.Fatal(err)
+	}
 	names := []string{"%2e%2e", "..%2Fx", "a%2Fb", ".hidden", "a%5Cb", "a:b", strings.Repeat("n", 129)}
 
 	for _, clustered := range []bool{true, false} {
@@ -916,25 +923,113 @@ func TestReplicaRefusesUnsafeNames(t *testing.T) {
 				t.Fatalf("clustered=%v %s: beside the data dir %v, inside it %v", clustered, what, beside, inside)
 			}
 		}
-		for _, name := range names {
-			req, err := http.NewRequest("PUT", ts.URL+"/v1/replica/"+name, bytes.NewReader(frame))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
+		put := func(name string) string {
+			t.Helper()
+			resp, body := putReplica(t, ts.URL, name, stream.Bytes())
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("clustered=%v PUT /v1/replica/%s: %d %s, want 400", clustered, name, resp.StatusCode, body)
 			}
 			requireUntouched("PUT /v1/replica/" + name)
+			return string(body)
 		}
-		if err := s.reg.InstallReplica(context.Background(), "..", snap); err == nil {
-			t.Errorf("clustered=%v: InstallReplica(\"..\") in-process succeeded", clustered)
+		for _, name := range names {
+			put(name)
+		}
+		if body := put("other"); clustered && !strings.Contains(body, `names \"tiny\"`) {
+			t.Errorf("PUT /v1/replica/other of an image of tiny: %s, want the name refused", body)
+		}
+		dotdot := *snap
+		dotdot.Name = ".."
+		if err := s.reg.InstallReplica(context.Background(), "..", &dotdot); err == nil || errors.Is(err, errReplicaMisnamed) {
+			t.Errorf("clustered=%v: InstallReplica(\"..\") in-process: %v, want the unsafe name refused", clustered, err)
 		}
 		requireUntouched(`InstallReplica("..")`)
+	}
+}
+
+// putReplica sends body to PUT /v1/replica/{name}.
+func putReplica(t *testing.T, base, name string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest("PUT", base+"/v1/replica/"+name, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, _ := io.ReadAll(resp.Body)
+	return resp, out
+}
+
+// TestClusterBootstrapsFromSnapshotStream: a follower is bootstrapped
+// over loopback HTTP from the snapshot file's own stream — for 4 100
+// tuples, a header record and two chunk records — and serves the
+// primary's dump byte for byte. A stream the follower cannot read
+// installs nothing: a version byte of another build is a 400 naming the
+// version, and a body cut inside a chunk record is a 400.
+func TestClusterBootstrapsFromSnapshotStream(t *testing.T) {
+	a, b := newClusterPair(t, quorumOpts)
+	const name = "big"
+	owner, follower := ownerAndFollower(a, b, name)
+	cr := CreateRequest{Name: name, Schema: &WireSchema{Name: "orders", Attrs: []string{"AC", "CT"}}, CFDs: tinyCFDs}
+	for i := 0; i < 4100; i++ {
+		cr.Base = append(cr.Base, WireTuple{Vals: []*string{strp(strconv.Itoa(1000 + i)), strp("C" + strconv.Itoa(i))}})
+	}
+	if resp, body := do(t, "POST", owner.url+"/v1/sessions", cr); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: %d: %s", resp.StatusCode, body)
+	}
+	waitFollower(t, follower, name)
+	wantDump, wantSnap, wantVios := sessionState(t, owner.url, name)
+	gotDump, gotSnap, gotVios := sessionState(t, follower.url, name)
+	if !bytes.Equal(wantDump, gotDump) || wantSnap != gotSnap || wantVios != gotVios {
+		t.Fatalf("bootstrapped follower differs from its primary\nwant %+v\ngot  %+v", wantSnap, gotSnap)
+	}
+	if n := bytes.Count(gotDump, []byte("\n")); n != 4101 {
+		t.Fatalf("follower dump has %d lines, want 4101", n)
+	}
+
+	h, err := owner.srv.reg.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := h.captureSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Name = "fresh"
+	var stream bytes.Buffer
+	if err := wal.WriteSnapshot(&stream, snap); err != nil {
+		t.Fatal(err)
+	}
+	good := stream.Bytes()
+	otherVersion := append([]byte(nil), good...)
+	otherVersion[len("CFDSNAP")] = wal.Version + 1
+	for _, c := range []struct {
+		what, want string
+		body       []byte
+	}{
+		{"another version", fmt.Sprintf("format version %d", wal.Version+1), otherVersion},
+		{"cut inside a chunk", "record torn", good[:len(good)/2]},
+	} {
+		resp, body := putReplica(t, follower.url, "fresh", c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+			t.Errorf("%s: %d %s, want 400 naming %q", c.what, resp.StatusCode, body, c.want)
+		}
+		if _, err := follower.srv.reg.Get("fresh"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: installed a replica (%v)", c.what, err)
+		}
+	}
+	// Past the install bound the handler answers 413: the reader's
+	// *http.MaxBytesError survives ReadSnapshot (shown under a bound the
+	// stream exceeds, not by sending 256 MiB).
+	rec := httptest.NewRecorder()
+	_, err = wal.ReadSnapshot(http.MaxBytesReader(rec, io.NopCloser(bytes.NewReader(good)), int64(len(good)/2)))
+	if writeBodyError(rec, err); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("stream over the bound: %d %s, want 413", rec.Code, rec.Body)
+	}
+	if resp, body := putReplica(t, follower.url, "fresh", good); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("intact stream: %d %s", resp.StatusCode, body)
 	}
 }

@@ -31,6 +31,9 @@ var (
 	// replica's journal version — mapped to 409, which the primary heals
 	// by reshipping a snapshot.
 	errReplicaGap = errors.New("server: replica gap")
+	// errReplicaMisnamed reports a shipped image that names another
+	// session — mapped to 400: a resync would ship the same image again.
+	errReplicaMisnamed = errors.New("server: snapshot names another session")
 )
 
 // InstallReplica installs (or replaces) a follower session from a
@@ -38,10 +41,14 @@ var (
 // the healing move after any gap. An existing follower under the name is
 // removed, files and all, once the image has proven restorable, and
 // rebuilt from it; a primary under the name refuses with
-// errReplicaConflict.
+// errReplicaConflict, and an image naming another session, as recovery
+// does, with errReplicaMisnamed.
 func (r *Registry) InstallReplica(ctx context.Context, name string, snap *wal.Snapshot) error {
 	if r.draining.Load() {
 		return ErrDraining
+	}
+	if snap.Name != "" && snap.Name != name {
+		return fmt.Errorf("%w: install %s: image names %q", errReplicaMisnamed, name, snap.Name)
 	}
 	r.installMu.Lock()
 	defer r.installMu.Unlock()

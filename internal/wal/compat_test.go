@@ -94,10 +94,9 @@ func TestOtherFormatVersionsAreRefused(t *testing.T) {
 // (prefix) record and one tuple chunk record, and the test frames them
 // with valid checksums, so the bytes reach the prefix and chunk decoders
 // rather than dying at the CRC. Whatever ReadSnapshot accepts,
-// WriteSnapshot writes to a file that reads back to the same snapshot;
-// whatever DecodeSnapshot accepts as a wire payload, Encode (whose length
-// EncodedSize predicts) writes back to the same snapshot. Snapshots are
-// compared by their encodings, since a cost or a weight may be NaN.
+// WriteSnapshot writes to a stream that reads back to the same snapshot.
+// Snapshots are compared by their encodings, since a cost or a weight
+// may be NaN.
 func FuzzDecodeSnapshot(f *testing.F) {
 	rec := record(f, 77, increpair.Linear, 1, 3, true)
 	r := bytes.NewReader(rec.snap0[len("CFDSNAP")+1:])
@@ -112,11 +111,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	for _, ver := range append([]byte{wal.Version}, otherVersions...) {
 		f.Add(ver, prefix, chunk)
 	}
-	snap, err := wal.ReadSnapshot(bytes.NewReader(rec.snap0))
+	// An empty relation's file is its header record alone.
+	var empty bytes.Buffer
+	if err := wal.WriteSnapshot(&empty, &wal.Snapshot{Name: "empty", Relname: "r", Attrs: []string{"a"}}); err != nil {
+		f.Fatal(err)
+	}
+	header, err := wal.ReadFrame(bytes.NewReader(empty.Bytes()[len("CFDSNAP")+1:]), 1<<30)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(byte(wal.Version), snap.Encode(), []byte(nil))
+	f.Add(byte(wal.Version), header, []byte(nil))
 	f.Fuzz(func(t *testing.T, ver byte, prefix, chunk []byte) {
 		file := wal.AppendFrame(wal.AppendHeader(nil, "CFDSNAP", ver), prefix)
 		if len(chunk) > 0 {
@@ -136,19 +140,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			}
 			if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
 				t.Fatal("rewritten snapshot file reads back to another snapshot")
-			}
-		}
-		if s, err := wal.DecodeSnapshot(prefix); err == nil {
-			enc := s.Encode()
-			if len(enc) != s.EncodedSize() {
-				t.Fatalf("EncodedSize %d, Encode wrote %d bytes", s.EncodedSize(), len(enc))
-			}
-			s2, err := wal.DecodeSnapshot(enc)
-			if err != nil {
-				t.Fatalf("re-encoded snapshot payload does not decode: %v", err)
-			}
-			if !bytes.Equal(enc, s2.Encode()) {
-				t.Fatal("re-encoded snapshot payload decodes to another snapshot")
 			}
 		}
 	})

@@ -47,7 +47,13 @@
 // header record (everything through the tuple count) followed by bounded
 // tuple-chunk records, so snapshots of any size are written and read
 // without a relation-sized allocation; Batch and Snapshot (snapshot.go)
-// define those payloads, internal/store the page and manifest payloads. A shipped frame is kind(u8) record (internal/cluster/ship).
+// define those payloads, internal/store the page and manifest payloads.
+// Replication (internal/cluster/ship) adds no snapshot layout: a shipped
+// snapshot is the snap stream above, magic and version included, and a
+// shipped frame carries one batch:
+//
+//	shipped snapshot    "CFDSNAP" 3  header-record chunk-record*
+//	shipped frame       kind(u8)=2 record  (a Batch payload)
 //
 // Snapshot files, manifests and the follower-role marker are commit
 // points, replaced atomically (WriteFileAtomic: temporary sibling, fsync,
@@ -121,7 +127,9 @@ func AppendFrame(dst, payload []byte) []byte {
 
 // ReadFrame reads and verifies one record from r and returns its
 // payload, which is at most max bytes. io.EOF means r ended cleanly at a
-// record boundary; every other failure wraps ErrCorrupt. Whether a
+// record boundary; every other failure wraps ErrCorrupt, and a failed
+// read also wraps the reader's error (an HTTP body over its limit stays
+// an *http.MaxBytesError under the ErrCorrupt). Whether a
 // missing or torn record is tolerable is the caller's decision — only
 // the WAL scan (Open) says yes.
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
@@ -130,7 +138,7 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
-		return nil, fmt.Errorf("%w: record header torn: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: record header torn: %w", ErrCorrupt, err)
 	}
 	n, crc := int64(binary.LittleEndian.Uint32(h[:4])), binary.LittleEndian.Uint32(h[4:])
 	if n > int64(max) {
@@ -146,8 +154,11 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 		}
 		m, err := io.ReadFull(r, p[got:])
 		got += int64(m)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised these bytes
+		}
 		if err != nil {
-			return nil, fmt.Errorf("%w: record torn at %d of %d payload bytes: %v", ErrCorrupt, got, n, err)
+			return nil, fmt.Errorf("%w: record torn at %d of %d payload bytes: %w", ErrCorrupt, got, n, err)
 		}
 	}
 	if crc32.Checksum(p, castagnoli) != crc {

@@ -150,9 +150,8 @@ const (
 	StorePaged  byte = 1
 )
 
-// appendHeader renders every snapshot field through the tuple count —
-// the prefix shared by the wire payload (Encode) and the file's header
-// record.
+// appendHeader renders every snapshot field through the tuple count:
+// the payload of a snapshot stream's header record.
 func (s *Snapshot) appendHeader(out []byte) []byte {
 	out = appendString(out, s.Name)
 	out = appendString(out, s.Relname)
@@ -202,72 +201,6 @@ func appendSnapTuple(out []byte, arity int, t *SnapTuple) []byte {
 		out = append(out, 0)
 	}
 	return out
-}
-
-// Encode renders the snapshot as one contiguous payload — header fields
-// followed by the tuples inline. This is the replication-wire layout;
-// snapshot files chunk the tuples into separate records instead (see
-// WriteSnapshot).
-func (s *Snapshot) Encode() []byte {
-	out := s.appendHeader(make([]byte, 0, s.EncodedSize()))
-	arity := len(s.Attrs)
-	for i := range s.Tuples {
-		out = appendSnapTuple(out, arity, &s.Tuples[i])
-	}
-	return out
-}
-
-// EncodedSize returns len(s.Encode()) without building the buffer, so
-// the shipper can refuse an over-cap snapshot before allocating and
-// framing hundreds of megabytes.
-func (s *Snapshot) EncodedSize() int {
-	n := stringLen(s.Name) + stringLen(s.Relname) + uvarintLen(uint64(len(s.Attrs)))
-	for _, a := range s.Attrs {
-		n += stringLen(a)
-	}
-	n += stringLen(s.CFDs)
-	n += 1 // ordering
-	n += uvarintLen(uint64(s.K)) + uvarintLen(uint64(s.NearestK)) + uvarintLen(uint64(s.Workers))
-	n += uvarintLen(uint64(s.Batches)) + uvarintLen(uint64(s.Inserted)) + uvarintLen(uint64(s.Deleted)) + uvarintLen(uint64(s.Changes))
-	n += 8 // cost
-	n += varintLen(int64(s.NextID)) + uvarintLen(s.Version)
-	n += 1 + 8 + 8 + varintLen(int64(s.Quota.MaxRelationSize)) + varintLen(int64(s.Quota.MaxSubscribers))
-	n += 1 + uvarintLen(s.StoreGen) // store kind + gen
-	n += uvarintLen(uint64(len(s.Tuples)))
-	arity := len(s.Attrs)
-	for i := range s.Tuples {
-		t := &s.Tuples[i]
-		n += varintLen(int64(t.ID))
-		for a := 0; a < arity; a++ {
-			if t.Vals[a].Null {
-				n++
-			} else {
-				n += 1 + stringLen(t.Vals[a].Str)
-			}
-		}
-		n++ // weight flag
-		if t.W != nil {
-			n += 8 * len(t.W)
-		}
-	}
-	return n
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-func varintLen(v int64) int {
-	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
-}
-
-func stringLen(s string) int {
-	return uvarintLen(uint64(len(s))) + len(s)
 }
 
 // decodeSnapshotPrefix parses the snapshot header fields (through the
@@ -324,21 +257,6 @@ func decodeSnapTuple(d *relation.Decoder, arity int) SnapTuple {
 	return t
 }
 
-// DecodeSnapshot parses a contiguous snapshot payload (header fields with
-// the tuples inline) — the replication-wire layout Encode produces.
-func DecodeSnapshot(p []byte) (*Snapshot, error) {
-	d := relation.NewDecoder(p, ErrCorrupt)
-	s, ntuples := decodeSnapshotPrefix(d)
-	arity := len(s.Attrs)
-	for i := uint64(0); i < ntuples && d.Err() == nil; i++ {
-		s.Tuples = append(s.Tuples, decodeSnapTuple(d, arity))
-	}
-	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	return s, nil
-}
-
 // snapChunkTuples bounds the tuples per chunk record in a snapshot
 // file: large enough to amortize framing, small enough that writer and
 // reader never hold more than one modest buffer.
@@ -346,7 +264,9 @@ const snapChunkTuples = 4096
 
 // WriteSnapshot writes the framed snapshot to w: magic and version,
 // one header record, then the tuples as bounded chunk records — the
-// whole relation is never materialized as a single buffer.
+// whole relation is never materialized as a single buffer. It is the one
+// snapshot encoding: snapshot files and the images replication ships to
+// a follower are these bytes.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	header := s.appendHeader(nil)
 	if err := checkPayload(len(header)); err != nil {
@@ -375,7 +295,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 }
 
 // ReadSnapshot reads and verifies a framed snapshot from r, record by
-// record. Snapshots are atomic, so any damage rejects the whole file.
+// record. Snapshots are atomic, so any damage rejects the whole stream.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if err := CheckHeader(br, snapMagic, Version); err != nil {

@@ -226,24 +226,16 @@ func sampleSnapshot() *wal.Snapshot {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := sampleSnapshot()
-	got, err := wal.DecodeSnapshot(s.Encode())
+	var buf bytes.Buffer
+	if err := wal.WriteSnapshot(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	got, err := wal.ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(s, got) {
 		t.Fatalf("snapshot round trip:\n got %+v\nwant %+v", got, s)
-	}
-
-	var buf bytes.Buffer
-	if err := wal.WriteSnapshot(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err = wal.ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s, got) {
-		t.Fatal("framed snapshot round trip mismatch")
 	}
 }
 
@@ -292,22 +284,26 @@ func TestSnapshotFile(t *testing.T) {
 	}
 }
 
-// TestSnapshotTruncationSafety decodes every strict prefix of a valid
-// snapshot payload; all of them must error rather than yield a snapshot
-// (the decoder's field-by-field truncation handling).
+// TestSnapshotTruncationSafety reads every strict prefix and every
+// single-byte flip of a snapshot stream — what a follower receives — and
+// each must be refused with ErrCorrupt rather than yield a snapshot.
 func TestSnapshotTruncationSafety(t *testing.T) {
-	payload := sampleSnapshot().Encode()
-	for cut := 0; cut < len(payload); cut++ {
-		if _, err := wal.DecodeSnapshot(payload[:cut]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded cleanly", cut, len(payload))
+	var buf bytes.Buffer
+	if err := wal.WriteSnapshot(&buf, sampleSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	for cut := 0; cut < len(stream); cut++ {
+		if _, err := wal.ReadSnapshot(bytes.NewReader(stream[:cut])); !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("prefix of %d/%d bytes: err = %v, want ErrCorrupt", cut, len(stream), err)
 		}
 	}
-	// Bit flips in the payload must either error or decode to a
-	// *different* snapshot — never crash the decoder.
-	for off := 0; off < len(payload); off++ {
-		mut := append([]byte(nil), payload...)
+	for off := range stream {
+		mut := append([]byte(nil), stream...)
 		mut[off] ^= 0xff
-		wal.DecodeSnapshot(mut) // must not panic
+		if _, err := wal.ReadSnapshot(bytes.NewReader(mut)); !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("byte %d flipped: err = %v, want ErrCorrupt", off, err)
+		}
 	}
 }
 
