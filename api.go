@@ -103,12 +103,16 @@ func NewFD(name string, s *Schema, lhs, rhs []string) (*CFD, error) {
 }
 
 // ParseCFDs reads CFDs in the package's text format (see internal/cfd's
-// Parse documentation and the examples directory).
+// Parse documentation and the examples directory). A constant is kept
+// byte for byte, invalid UTF-8 included, as ReadCSV keeps a data value.
 func ParseCFDs(s *Schema, r io.Reader) ([]*CFD, error) {
 	return cfd.Parse(s, r)
 }
 
-// FormatCFDs writes CFDs in the same text format ParseCFDs reads.
+// FormatCFDs writes CFDs in the same text format ParseCFDs reads, each
+// constant byte for byte. A name or constant holding a line break cannot
+// be written, and FormatCFDs returns an error for it before writing
+// anything.
 func FormatCFDs(w io.Writer, cfds []*CFD) error {
 	return cfd.Format(w, cfds)
 }

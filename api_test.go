@@ -299,3 +299,30 @@ func TestStreamingSessionEndToEnd(t *testing.T) {
 		t.Fatalf("stats (%d, %d, %v) inconsistent with stream", batches, tuples, cost)
 	}
 }
+
+// TestParseKeepsConstantBytes: a constant that is not valid UTF-8 is kept
+// byte for byte, as ReadCSV keeps the data value, so the rule matches the
+// tuples holding it and the conflict between them is found.
+func TestParseKeepsConstantBytes(t *testing.T) {
+	rel, err := cfdclean.ReadCSV("r", strings.NewReader("a,b\ncaf\xe9,x\ncaf\xe9,y\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfds, err := cfdclean.ParseCFDs(rel.Schema(), strings.NewReader("cfd c: [a] -> [b]\n(caf\xe9 || x)\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cfds[0].Tableau[0][0].Const; got != "caf\xe9" {
+		t.Fatalf("parsed constant %q, want %q", got, "caf\xe9")
+	}
+	if cfdclean.Satisfies(rel, cfdclean.Normalize(cfds)) {
+		t.Fatal("the tuple (caf\\xe9, y) violates (caf\\xe9 || x), but Satisfies answers true")
+	}
+	var buf bytes.Buffer
+	if err := cfdclean.FormatCFDs(&buf, cfds); err != nil {
+		t.Fatal(err)
+	}
+	if want := "cfd c: [a] -> [b]\n(caf\xe9 || x)\n\n"; buf.String() != want {
+		t.Fatalf("FormatCFDs wrote %q, want %q", buf.String(), want)
+	}
+}

@@ -10,6 +10,7 @@ package cfd
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cfdclean/internal/relation"
@@ -196,30 +197,37 @@ func (n *Normal) String() string {
 // (pattern row, RHS attribute) pair. If an attribute appears in both X
 // and Y, its LHS and RHS pattern cells are kept separate (tp[AL], tp[AR]).
 func (φ *CFD) Normalize() []*Normal {
-	var out []*Normal
-	for ri, row := range φ.Tableau {
-		lhsCells := row[:len(φ.LHS)]
-		for yi, a := range φ.RHS {
-			n := &Normal{
-				Name:   fmt.Sprintf("%s#%d.%s", φ.Name, ri, φ.Schema.Attr(a)),
-				Schema: φ.Schema,
-				X:      append([]int(nil), φ.LHS...),
-				A:      a,
-				TpX:    append([]Cell(nil), lhsCells...),
-				TpA:    row[len(φ.LHS)+yi],
-				Source: φ,
-			}
-			out = append(out, n)
-		}
-	}
-	return out
+	return NormalizeAll([]*CFD{φ})
 }
 
-// NormalizeAll normalizes a set of general CFDs.
+// NormalizeAll normalizes a set of general CFDs. Each Normal is its own
+// allocation with its own copies of X and tp[X]; its name, "φ#row.A", is
+// built once.
 func NormalizeAll(cfds []*CFD) []*Normal {
-	var out []*Normal
+	n := 0
 	for _, φ := range cfds {
-		out = append(out, φ.Normalize()...)
+		n += len(φ.Tableau) * len(φ.RHS)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Normal, 0, n)
+	for _, φ := range cfds {
+		for ri, row := range φ.Tableau {
+			lhsCells := row[:len(φ.LHS)]
+			num := strconv.Itoa(ri)
+			for yi, a := range φ.RHS {
+				out = append(out, &Normal{
+					Name:   φ.Name + "#" + num + "." + φ.Schema.Attr(a),
+					Schema: φ.Schema,
+					X:      append([]int(nil), φ.LHS...),
+					A:      a,
+					TpX:    append([]Cell(nil), lhsCells...),
+					TpA:    row[len(φ.LHS)+yi],
+					Source: φ,
+				})
+			}
+		}
 	}
 	return out
 }

@@ -651,6 +651,57 @@ func FuzzParseCFDs(f *testing.F) {
 	})
 }
 
+// FuzzFormatParseCFDs starts from code, not from text: a Σ built from
+// fuzzed constant bytes reads back from the text Format writes for it to
+// the same normal form, names included. FuzzParseCFDs cannot see a
+// constant Parse would not keep, since its Σ comes out of Parse. Line
+// breaks are dropped (Format refuses them), and so are single quotes: the
+// row syntax has no escape for a quote, so a constant holding one can
+// read back differently (TestFormatParseSeparatorAndLineBreaks and
+// FuzzParseCFDs cover the quoted forms Parse itself produces).
+func FuzzFormatParseCFDs(f *testing.F) {
+	s := relation.MustSchema("r", "a", "b", "c", "d")
+	for _, seed := range []struct {
+		x, y, z string
+		wild    uint8
+	}{
+		{"caf\xe9", "x", "y", 0},
+		{"New York, NY", "_", " pad ", 1},
+		{"a||b", "(x)", "", 2},
+		{"\xff\xfe|", "\u00a0nbsp", "#", 4},
+		{"", "c", "|", 7},
+	} {
+		f.Add(seed.x, seed.y, seed.z, seed.wild)
+	}
+	refused := strings.NewReplacer("\n", "", "\r", "", "'", "") // byte-wise: invalid UTF-8 stays
+	f.Fuzz(func(t *testing.T, x, y, z string, wild uint8) {
+		x, y, z = refused.Replace(x), refused.Replace(y), refused.Replace(z)
+		cell := func(bit uint8, c string) Cell {
+			if wild&bit != 0 {
+				return W
+			}
+			return C(c)
+		}
+		sigma := []*CFD{
+			MustNew("x", s, []string{"a", "b"}, []string{"c", "d"},
+				[]Cell{cell(1, x), cell(2, y), cell(4, z), C(x)},
+				[]Cell{C(z), C(x), C(y), cell(8, y)}),
+			MustNew("y", s, []string{"d"}, []string{"a"}, []Cell{C(y + z), cell(16, x)}),
+		}
+		var buf strings.Builder
+		if err := Format(&buf, sigma); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Parse(s, strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatalf("Parse of\n%s: %v", buf.String(), err)
+		}
+		if got, want := normalForm(again), normalForm(sigma); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip through\n%q\nchanged Σ:\ngot  %q\nwant %q", buf.String(), got, want)
+		}
+	})
+}
+
 // normalForm is Σ's normal form without the pointers to schema and source.
 func normalForm(cfds []*CFD) []Normal {
 	var out []Normal

@@ -1,6 +1,8 @@
 package cfd_test
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"cfdclean/internal/cfd"
@@ -52,4 +54,40 @@ func BenchmarkCompile(b *testing.B) {
 	for b.Loop() {
 		cfd.Compile(dict, ds.Sigma)
 	}
+}
+
+// BenchmarkSigmaCodec times the Σ text codec on §7.1's Σ: Parse of the
+// text Format writes for it, NormalizeAll of its CFDs, and Format itself.
+// Together they are how a user loads Σ (cfdclean.ParseCFDs + Normalize)
+// and how a durable session writes it.
+func BenchmarkSigmaCodec(b *testing.B) {
+	ds := sigma71(b, 1)
+	var text bytes.Buffer
+	if err := cfd.Format(&text, ds.CFDs); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Parse", func(b *testing.B) {
+		b.SetBytes(int64(text.Len()))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := cfd.Parse(ds.Schema, bytes.NewReader(text.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Normalize", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			cfd.NormalizeAll(ds.CFDs)
+		}
+	})
+	b.Run("Format", func(b *testing.B) {
+		b.SetBytes(int64(text.Len()))
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := cfd.Format(io.Discard, ds.CFDs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

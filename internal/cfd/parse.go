@@ -2,6 +2,7 @@ package cfd
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -23,7 +24,8 @@ import (
 // `_` is the wildcard; constants containing commas, parens, `_`, `||` or
 // spaces can be single-quoted ('New York'). A standard FD is a CFD whose
 // tableau is the single all-wildcard row. Lines end at "\n" or "\r\n"; a
-// carriage return anywhere else is refused.
+// carriage return anywhere else is refused. A constant is kept byte for
+// byte, invalid UTF-8 included, as ReadCSV keeps a data value.
 func Parse(s *relation.Schema, r io.Reader) ([]*CFD, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -48,10 +50,12 @@ func Parse(s *relation.Schema, r io.Reader) ([]*CFD, error) {
 	}
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		b := bytes.TrimSpace(sc.Bytes())
+		if len(b) == 0 || b[0] == '#' {
 			continue
 		}
+		// One string per line; a row's constants are slices of it.
+		text := string(b)
 		switch {
 		case strings.ContainsRune(text, '\r'):
 			return nil, fmt.Errorf("cfd: line %d: carriage return inside a line", line)
@@ -171,20 +175,20 @@ func parseRow(text string, line, nl, nr int) ([]Cell, error) {
 }
 
 // splitRow parses the two sides of a row's inner text split at the `||`
-// at index at.
+// at index at into one slice of cells, LHS cells first.
 func splitRow(inner string, at, line, nl, nr int) ([]Cell, error) {
-	l, err := parseCells(inner[:at], line)
+	row, err := appendCells(make([]Cell, 0, nl+nr), inner[:at], line)
 	if err != nil {
 		return nil, err
 	}
-	r, err := parseCells(inner[at+2:], line)
-	if err != nil {
+	l := len(row)
+	if row, err = appendCells(row, inner[at+2:], line); err != nil {
 		return nil, err
 	}
-	if len(l) != nl || len(r) != nr {
-		return nil, fmt.Errorf("cfd: line %d: pattern row has %d||%d cells, want %d||%d", line, len(l), len(r), nl, nr)
+	if l != nl || len(row)-l != nr {
+		return nil, fmt.Errorf("cfd: line %d: pattern row has %d||%d cells, want %d||%d", line, l, len(row)-l, nl, nr)
 	}
-	return append(l, r...), nil
+	return row, nil
 }
 
 // unquotedSeparator returns the index of the first `||` of s outside
@@ -202,45 +206,43 @@ func unquotedSeparator(s string) int {
 	return -1
 }
 
-func parseCells(s string, line int) ([]Cell, error) {
-	var out []Cell
-	for _, f := range splitQuoted(s) {
-		f = strings.TrimSpace(f)
+// appendCells appends the cells of one side of a row to row: s is split
+// at the commas outside single quotes, and each constant is a slice of s.
+func appendCells(row []Cell, s string, line int) ([]Cell, error) {
+	quoted, start := false, 0
+	for i := 0; i < len(s); i++ {
 		switch {
-		case f == "_":
-			out = append(out, W)
-		case len(f) >= 2 && f[0] == '\'' && f[len(f)-1] == '\'':
-			out = append(out, C(f[1:len(f)-1]))
-		case f == "":
-			return nil, fmt.Errorf("cfd: line %d: empty pattern cell", line)
-		case strings.ContainsAny(f, "'"):
-			return nil, fmt.Errorf("cfd: line %d: unbalanced quote in cell %q", line, f)
-		default:
-			out = append(out, C(f))
+		case s[i] == '\'':
+			quoted = !quoted
+		case s[i] == ',' && !quoted:
+			c, err := parseCell(s[start:i], line)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, c)
+			start = i + 1
 		}
 	}
-	return out, nil
+	c, err := parseCell(s[start:], line)
+	if err != nil {
+		return nil, err
+	}
+	return append(row, c), nil
 }
 
-// splitQuoted splits on commas not inside single quotes.
-func splitQuoted(s string) []string {
-	var out []string
-	var b strings.Builder
-	quoted := false
-	for _, r := range s {
-		switch {
-		case r == '\'':
-			quoted = !quoted
-			b.WriteRune(r)
-		case r == ',' && !quoted:
-			out = append(out, b.String())
-			b.Reset()
-		default:
-			b.WriteRune(r)
-		}
+func parseCell(f string, line int) (Cell, error) {
+	f = strings.TrimSpace(f)
+	switch {
+	case f == "_":
+		return W, nil
+	case len(f) >= 2 && f[0] == '\'' && f[len(f)-1] == '\'':
+		return C(f[1 : len(f)-1]), nil
+	case f == "":
+		return Cell{}, fmt.Errorf("cfd: line %d: empty pattern cell", line)
+	case strings.ContainsRune(f, '\''):
+		return Cell{}, fmt.Errorf("cfd: line %d: unbalanced quote in cell %q", line, f)
 	}
-	out = append(out, b.String())
-	return out
+	return C(f), nil
 }
 
 // Format renders CFDs in the syntax accepted by Parse. The syntax is one
@@ -262,35 +264,37 @@ func Format(w io.Writer, cfds []*CFD) error {
 	}
 	bw := bufio.NewWriter(w)
 	for _, φ := range cfds {
-		l := make([]string, len(φ.LHS))
-		for i, a := range φ.LHS {
-			l[i] = φ.Schema.Attr(a)
-		}
-		r := make([]string, len(φ.RHS))
-		for i, a := range φ.RHS {
-			r[i] = φ.Schema.Attr(a)
-		}
-		fmt.Fprintf(bw, "cfd %s: [%s] -> [%s]\n", φ.Name, strings.Join(l, ", "), strings.Join(r, ", "))
+		bw.WriteString("cfd ")
+		bw.WriteString(φ.String())
+		bw.WriteByte('\n')
 		for _, row := range φ.Tableau {
-			cells := make([]string, len(row))
-			for i, c := range row {
-				cells[i] = formatCell(c)
-			}
-			fmt.Fprintf(bw, "(%s || %s)\n",
-				strings.Join(cells[:len(φ.LHS)], ", "),
-				strings.Join(cells[len(φ.LHS):], ", "))
+			bw.WriteByte('(')
+			writeCells(bw, row[:len(φ.LHS)])
+			bw.WriteString(" || ")
+			writeCells(bw, row[len(φ.LHS):])
+			bw.WriteString(")\n")
 		}
-		fmt.Fprintln(bw)
+		bw.WriteByte('\n')
 	}
 	return bw.Flush()
 }
 
-func formatCell(c Cell) string {
-	if c.Wildcard {
-		return "_"
+// writeCells writes cells comma-separated, quoting a constant that would
+// not read back as itself unquoted.
+func writeCells(bw *bufio.Writer, cells []Cell) {
+	for i, c := range cells {
+		if i > 0 {
+			bw.WriteString(", ")
+		}
+		switch {
+		case c.Wildcard:
+			bw.WriteByte('_')
+		case c.Const == "_" || strings.ContainsAny(c.Const, ",()'|") || strings.TrimSpace(c.Const) != c.Const || c.Const == "":
+			bw.WriteByte('\'')
+			bw.WriteString(c.Const)
+			bw.WriteByte('\'')
+		default:
+			bw.WriteString(c.Const)
+		}
 	}
-	if c.Const == "_" || strings.ContainsAny(c.Const, ",()'|") || strings.TrimSpace(c.Const) != c.Const || c.Const == "" {
-		return "'" + c.Const + "'"
-	}
-	return c.Const
 }

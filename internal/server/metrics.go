@@ -147,6 +147,10 @@ func (s *Server) declareFamilies() []family {
 		sessionCounter("cfdserved_session_nearest_queries_total", "Similarity queries the engine's passes made over an active domain, per session.", func(in *instruments) *metrics.Counter { return in.nearest }),
 		sessionCounter("cfdserved_session_nearest_visited_total", "Active-domain values the similarity queries visited, per session.", func(in *instruments) *metrics.Counter { return in.nearVisited }),
 		sessionCounter("cfdserved_session_nearest_measured_total", "Visited values the similarity queries measured with the DL kernel, per session.", func(in *instruments) *metrics.Counter { return in.nearMeasured }),
+		sessionCounter("cfdserved_session_resolve_rounds_total", "Greedy rounds TUPLERESOLVE ran over dirty arrivals, per session.", func(in *instruments) *metrics.Counter { return in.rounds }),
+		sessionCounter("cfdserved_session_resolve_free_pins_total", "TUPLERESOLVE rounds decided from the attribute masks alone, per session.", func(in *instruments) *metrics.Counter { return in.freePins }),
+		sessionCounter("cfdserved_session_vio_probes_total", "TUPLERESOLVE's per-group vio(t) probes of the LHS indexes, per session.", func(in *instruments) *metrics.Counter { return in.vioProbes }),
+		sessionCounter("cfdserved_session_bucket_rescans_total", "LHS buckets the violation store recounted from their tallies, per session.", func(in *instruments) *metrics.Counter { return in.rescans }),
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // order, as recorded at the commit before the family list replaced the
 // two hand-built renderings, plus the families added since
 // (cfdserved_session_persist_broken, the three similarity-search
-// counters cfdserved_session_nearest_*) and the error-batch help reworded
+// counters cfdserved_session_nearest_*, and the four other IndexStats
+// counters) and the error-batch help reworded
 // once a batch Check refuses stopped running a pass: adding, moving,
 // renaming or retyping a family is a change to this list, never a side
 // effect.
@@ -108,7 +109,15 @@ const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server
 # HELP cfdserved_session_nearest_visited_total Active-domain values the similarity queries visited, per session.
 # TYPE cfdserved_session_nearest_visited_total counter
 # HELP cfdserved_session_nearest_measured_total Visited values the similarity queries measured with the DL kernel, per session.
-# TYPE cfdserved_session_nearest_measured_total counter`
+# TYPE cfdserved_session_nearest_measured_total counter
+# HELP cfdserved_session_resolve_rounds_total Greedy rounds TUPLERESOLVE ran over dirty arrivals, per session.
+# TYPE cfdserved_session_resolve_rounds_total counter
+# HELP cfdserved_session_resolve_free_pins_total TUPLERESOLVE rounds decided from the attribute masks alone, per session.
+# TYPE cfdserved_session_resolve_free_pins_total counter
+# HELP cfdserved_session_vio_probes_total TUPLERESOLVE's per-group vio(t) probes of the LHS indexes, per session.
+# TYPE cfdserved_session_vio_probes_total counter
+# HELP cfdserved_session_bucket_rescans_total LHS buckets the violation store recounted from their tallies, per session.
+# TYPE cfdserved_session_bucket_rescans_total counter`
 
 // getMetricsJSON fetches GET /v1/metrics as a generic JSON object.
 func getMetricsJSON(t *testing.T, base string) map[string]any {

@@ -372,16 +372,16 @@ func TestPrometheusExposition(t *testing.T) {
 	if v := doc.get(t, "cfdserved_session_relation_size", "session", "alpha").value; v != 4 {
 		t.Fatalf("alpha relation size = %g, want 4 (base + 3 inserts)", v)
 	}
-	// The similarity-search counters are the session's own IndexStats,
-	// which the worker adds pass by pass: alpha's dirty arrivals asked
-	// queries, the quoted session none.
+	// The engine counters are the session's own IndexStats, which the
+	// worker adds pass by pass: alpha's dirty arrivals asked queries and
+	// ran rounds, the quoted session none.
 	h, err := srv.reg.Get("alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix := h.sess.IndexStats()
-	if ix.Nearest == 0 || ix.Measured > ix.Visited {
-		t.Fatalf("alpha's index counters %+v: want some queries, measured ≤ visited", ix)
+	if ix.Nearest == 0 || ix.Measured > ix.Visited || ix.Rounds == 0 || ix.FreePins > ix.Rounds {
+		t.Fatalf("alpha's index counters %+v: want some queries and rounds, measured ≤ visited, free pins ≤ rounds", ix)
 	}
 	for _, c := range []struct {
 		name string
@@ -390,6 +390,10 @@ func TestPrometheusExposition(t *testing.T) {
 		{"cfdserved_session_nearest_queries_total", ix.Nearest},
 		{"cfdserved_session_nearest_visited_total", ix.Visited},
 		{"cfdserved_session_nearest_measured_total", ix.Measured},
+		{"cfdserved_session_resolve_rounds_total", ix.Rounds},
+		{"cfdserved_session_resolve_free_pins_total", ix.FreePins},
+		{"cfdserved_session_vio_probes_total", ix.VioProbes},
+		{"cfdserved_session_bucket_rescans_total", ix.BucketRescans},
 	} {
 		if doc.types[c.name] != "counter" {
 			t.Fatalf("%s: type %q, want counter", c.name, doc.types[c.name])

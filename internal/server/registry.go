@@ -126,6 +126,10 @@ func NewRegistry(queueDepth int) *Registry {
 		nearest:      new(metrics.Counter),
 		nearVisited:  new(metrics.Counter),
 		nearMeasured: new(metrics.Counter),
+		rounds:       new(metrics.Counter),
+		freePins:     new(metrics.Counter),
+		vioProbes:    new(metrics.Counter),
+		rescans:      new(metrics.Counter),
 	}
 	r.ship = ship.Counters{Batches: new(metrics.Counter), Snapshots: new(metrics.Counter),
 		Degraded: new(metrics.Counter), Dropped: new(metrics.Counter)}
@@ -156,20 +160,29 @@ type instruments struct {
 	// domain values they visited, and the ones they measured with the DL
 	// kernel.
 	nearest, nearVisited, nearMeasured *metrics.Counter
+	// TUPLERESOLVE's greedy rounds and those decided from the attribute
+	// masks alone, its vio(t) probes, and the violation store's bucket
+	// recounts.
+	rounds, freePins, vioProbes, rescans *metrics.Counter
 }
 
 func (in *instruments) child() *instruments {
 	return &instruments{in.passLat.Child(), in.walLag.Child(), in.foldSize.Child(),
 		in.sseDropped.Child(), in.errorBatches.Child(), in.rateLimited.Child(),
-		in.nearest.Child(), in.nearVisited.Child(), in.nearMeasured.Child()}
+		in.nearest.Child(), in.nearVisited.Child(), in.nearMeasured.Child(),
+		in.rounds.Child(), in.freePins.Child(), in.vioProbes.Child(), in.rescans.Child()}
 }
 
-// countSearch adds the similarity-search work of one engine pass, the
-// difference of the session's counters across it.
+// countSearch adds the search work of one engine pass, the difference of
+// the session's IndexStats across it.
 func (in *instruments) countSearch(before, after increpair.IndexStats) {
 	in.nearest.Add(uint64(after.Nearest - before.Nearest))
 	in.nearVisited.Add(uint64(after.Visited - before.Visited))
 	in.nearMeasured.Add(uint64(after.Measured - before.Measured))
+	in.rounds.Add(uint64(after.Rounds - before.Rounds))
+	in.freePins.Add(uint64(after.FreePins - before.FreePins))
+	in.vioProbes.Add(uint64(after.VioProbes - before.VioProbes))
+	in.rescans.Add(uint64(after.BucketRescans - before.BucketRescans))
 }
 
 // hosted is one session plus its service furniture: the work queue, the
