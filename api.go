@@ -110,9 +110,11 @@ func ParseCFDs(s *Schema, r io.Reader) ([]*CFD, error) {
 }
 
 // FormatCFDs writes CFDs in the same text format ParseCFDs reads, each
-// constant byte for byte. A name or constant holding a line break cannot
-// be written, and FormatCFDs returns an error for it before writing
-// anything.
+// constant byte for byte. What ParseCFDs would not read back as written
+// cannot be written — a name or constant holding a line break, a line
+// longer than ParseCFDs reads, a constant holding a single quote whose
+// row would read back as other cells — and FormatCFDs returns an error
+// for it before writing anything.
 func FormatCFDs(w io.Writer, cfds []*CFD) error {
 	return cfd.Format(w, cfds)
 }

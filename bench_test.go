@@ -1,7 +1,7 @@
 package cfdclean_test
 
 // Benchmarks regenerating the paper's evaluation (one per figure, §7.2)
-// plus ablations for the design choices DESIGN.md calls out. Figure
+// plus ablations that switch one design choice off at a time. Figure
 // benches run a representative point of the figure's sweep at bench
 // scale; `go run ./cmd/experiments` regenerates the full sweeps and
 // EXPERIMENTS.md records the paper-vs-measured series.
@@ -217,7 +217,7 @@ func BenchmarkFig15ConstantShareTime(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §7) ---
+// --- Ablations: one design choice on versus off ---
 
 // BenchmarkAblationDepGraph — the §7.2 dependency-graph ordering of
 // PICKNEXT on versus off.

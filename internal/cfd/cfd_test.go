@@ -3,6 +3,7 @@ package cfd
 import (
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -618,6 +619,112 @@ func TestFormatParseSeparatorAndLineBreaks(t *testing.T) {
 	}
 }
 
+// TestFormatQuotes: the row syntax has no escape for `'`, so Format
+// refuses a constant holding one exactly when its row would read back as
+// other cells — naming the rule and the constant, and writing nothing —
+// and writes the quotes that do read back as written.
+func TestFormatQuotes(t *testing.T) {
+	s := relation.MustSchema("r", "a", "b")
+	for _, tc := range []struct {
+		lhs, rhs string
+		refused  bool
+	}{
+		{"x'||'y", "z,", true}, // would read back as x || y' || 'z,
+		{"it's, ok", "c", true},
+		{"it's", "O'Neil's", false},
+		{"a", "'", false},
+		{"a'b'c", "c", false},
+		{"'", "x'y", false},
+		{"x'y", "a'||'b", false},
+	} {
+		φ := MustNew("q", s, []string{"a"}, []string{"b"}, []Cell{C(tc.lhs), C(tc.rhs)})
+		var buf strings.Builder
+		err := Format(&buf, []*CFD{φ})
+		if tc.refused {
+			bad := tc.lhs
+			if !strings.Contains(bad, "'") {
+				bad = tc.rhs
+			}
+			if err == nil || buf.Len() != 0 || !strings.Contains(err.Error(), "q: the constant "+strconv.Quote(bad)) {
+				t.Errorf("Format(%q || %q) = %v, wrote %q; want an error naming the rule and the constant, nothing written", tc.lhs, tc.rhs, err, buf.String())
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Format(%q || %q): %v", tc.lhs, tc.rhs, err)
+			continue
+		}
+		again, err := Parse(s, strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", buf.String(), err)
+		}
+		if row := again[0].Tableau[0]; row[0] != C(tc.lhs) || row[1] != C(tc.rhs) {
+			t.Errorf("%q || %q read back from %q as %q || %q", tc.lhs, tc.rhs, buf.String(), row[0].Const, row[1].Const)
+		}
+	}
+
+	// Where more than one constant holds a quote, the error names the
+	// first cell that reads back as another, or the row where its text
+	// does not parse; a constant with an odd number of quotes reads back
+	// only as the last cell of its side.
+	s3 := relation.MustSchema("r", "a", "b", "c")
+	for _, tc := range []struct{ a, b, c, named string }{
+		{"a'b'c", "x'||'y", "z,", `q: the constant "x'||'y"`}, // reads back as a'b'c, x || y' || 'z,
+		{"ok's", "x'||'y", "z,", `q: the row ('ok's', 'x'||'y' || 'z,')`},
+		{"it's", "a", "c", `q: the constant "it's"`},
+		{"a", "it's", "O'Neil's", ""},
+	} {
+		φ := MustNew("q", s3, []string{"a", "b"}, []string{"c"}, []Cell{C(tc.a), C(tc.b), C(tc.c)})
+		var buf strings.Builder
+		err := Format(&buf, []*CFD{φ})
+		switch {
+		case tc.named == "" && err != nil:
+			t.Errorf("Format(%q, %q || %q): %v", tc.a, tc.b, tc.c, err)
+		case tc.named != "" && (err == nil || buf.Len() != 0 || !strings.Contains(err.Error(), tc.named)):
+			t.Errorf("Format(%q, %q || %q) = %v, wrote %q; want an error naming %s, nothing written", tc.a, tc.b, tc.c, err, buf.String(), tc.named)
+		}
+	}
+}
+
+// TestFormatLineLength: Parse reads lines of up to maxLine bytes, "\n"
+// included, so Format writes a row or header that long and refuses one a
+// byte longer, writing nothing.
+func TestFormatLineLength(t *testing.T) {
+	s := relation.MustSchema("r", "a", "b")
+	row := func(n int) *CFD { // its line, "(" + n bytes + " || z)\n", is n+8 bytes
+		return MustNew("x", s, []string{"a"}, []string{"b"}, []Cell{C(strings.Repeat("y", n)), C("z")})
+	}
+	named := func(n int) *CFD { // its header line, "cfd " + name + ": [a] -> [b]\n", is n+17 bytes
+		return MustNew(strings.Repeat("n", n), s, []string{"a"}, []string{"b"}, []Cell{W, W})
+	}
+	for _, tc := range []struct {
+		φ       *CFD
+		refused bool
+	}{
+		{row(maxLine - 8), false}, {row(maxLine - 7), true},
+		{named(maxLine - 17), false}, {named(maxLine - 16), true},
+	} {
+		var buf strings.Builder
+		err := Format(&buf, []*CFD{tc.φ})
+		if tc.refused {
+			if err == nil || buf.Len() != 0 {
+				t.Errorf("%d-byte text: Format = %v, wrote %d bytes; want an error and nothing written", len(tc.φ.Name)+len(tc.φ.Tableau[0][0].Const), err, buf.Len())
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Parse(s, strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatalf("Parse of what Format wrote: %v", err)
+		}
+		if got, want := normalForm(again), normalForm([]*CFD{tc.φ}); !reflect.DeepEqual(got, want) {
+			t.Fatal("a line of the longest length Parse reads did not round-trip")
+		}
+	}
+}
+
 // FuzzParseCFDs: whatever Parse accepts, Format writes, and Parse reads
 // the written text back to the same normal-form Σ.
 func FuzzParseCFDs(f *testing.F) {
@@ -652,13 +759,12 @@ func FuzzParseCFDs(f *testing.F) {
 }
 
 // FuzzFormatParseCFDs starts from code, not from text: a Σ built from
-// fuzzed constant bytes reads back from the text Format writes for it to
-// the same normal form, names included. FuzzParseCFDs cannot see a
-// constant Parse would not keep, since its Σ comes out of Parse. Line
-// breaks are dropped (Format refuses them), and so are single quotes: the
-// row syntax has no escape for a quote, so a constant holding one can
-// read back differently (TestFormatParseSeparatorAndLineBreaks and
-// FuzzParseCFDs cover the quoted forms Parse itself produces).
+// fuzzed constant bytes either is refused by Format, which then writes
+// nothing, or reads back from the text Format writes for it to the same
+// normal form, names included. FuzzParseCFDs cannot see a constant Parse
+// would not keep, since its Σ comes out of Parse. Line breaks are dropped
+// (Format refuses them, TestFormatParseSeparatorAndLineBreaks); single
+// quotes stay, and Format may refuse only a Σ with a constant holding one.
 func FuzzFormatParseCFDs(f *testing.F) {
 	s := relation.MustSchema("r", "a", "b", "c", "d")
 	for _, seed := range []struct {
@@ -670,10 +776,12 @@ func FuzzFormatParseCFDs(f *testing.F) {
 		{"a||b", "(x)", "", 2},
 		{"\xff\xfe|", "\u00a0nbsp", "#", 4},
 		{"", "c", "|", 7},
+		{"x'||'y", "z,", "it's", 0},
+		{"O'Neil's", "a'b'c", "'", 2},
 	} {
 		f.Add(seed.x, seed.y, seed.z, seed.wild)
 	}
-	refused := strings.NewReplacer("\n", "", "\r", "", "'", "") // byte-wise: invalid UTF-8 stays
+	refused := strings.NewReplacer("\n", "", "\r", "") // byte-wise: invalid UTF-8 stays
 	f.Fuzz(func(t *testing.T, x, y, z string, wild uint8) {
 		x, y, z = refused.Replace(x), refused.Replace(y), refused.Replace(z)
 		cell := func(bit uint8, c string) Cell {
@@ -690,7 +798,10 @@ func FuzzFormatParseCFDs(f *testing.F) {
 		}
 		var buf strings.Builder
 		if err := Format(&buf, sigma); err != nil {
-			t.Fatal(err)
+			if !strings.Contains(x+y+z, "'") || buf.Len() != 0 {
+				t.Fatalf("Format of %q, %q, %q: %v, wrote %q", x, y, z, err, buf.String())
+			}
+			return
 		}
 		again, err := Parse(s, strings.NewReader(buf.String()))
 		if err != nil {

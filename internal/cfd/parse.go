@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"cfdclean/internal/relation"
@@ -28,7 +29,7 @@ import (
 // byte, invalid UTF-8 included, as ReadCSV keeps a data value.
 func Parse(s *relation.Schema, r io.Reader) ([]*CFD, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 
 	var out []*CFD
 	var cur *header
@@ -92,6 +93,10 @@ func Parse(s *relation.Schema, r io.Reader) ([]*CFD, error) {
 	}
 	return out, nil
 }
+
+// maxLine bounds the lines Parse reads: a line and its "\n" must fit in
+// maxLine bytes.
+const maxLine = 1 << 20
 
 type header struct {
 	name     string
@@ -246,55 +251,118 @@ func parseCell(f string, line int) (Cell, error) {
 }
 
 // Format renders CFDs in the syntax accepted by Parse. The syntax is one
-// line per header or row, so a name or constant holding a line break
-// ("\n" or "\r") cannot be written, and Format returns an error for it
-// before writing anything.
+// line per header or row, at most maxLine bytes long, and has no escape
+// for a single quote, so Format refuses what Parse would not read back as
+// written: a name or constant holding a line break ("\n" or "\r"), a line
+// longer than Parse reads, and a row holding `'` that reads back as other
+// cells (`x'||'y` beside `z,` would). A row holding a quote is checked by
+// parsing its text back: `O'Neil's` reads back as written, and so does
+// `it's` as the last cell of its side. The text is rendered whole before
+// it is written, so on an error Format writes nothing.
 func Format(w io.Writer, cfds []*CFD) error {
+	n := 0 // a size hint; the text may outgrow it
+	for _, φ := range cfds {
+		n += len("cfd : [] -> []\n\n") + len(φ.Name) + 16*len(φ.LHS) + 16*len(φ.RHS)
+		for _, row := range φ.Tableau {
+			n += len("( || )\n")
+			for _, c := range row {
+				n += len(c.Const) + len("'', ")
+			}
+		}
+	}
+	b := make([]byte, 0, n)
 	for _, φ := range cfds {
 		if strings.ContainsAny(φ.Name, "\r\n") {
 			return fmt.Errorf("cfd: %q: a name holding a line break cannot be formatted", φ.Name)
 		}
+		start := len(b)
+		b = append(b, "cfd "...)
+		b = append(b, φ.String()...)
+		if b = append(b, '\n'); len(b)-start > maxLine {
+			return fmt.Errorf("cfd: %.40q: the header is longer than a line Parse reads and cannot be formatted", φ.Name)
+		}
 		for _, row := range φ.Tableau {
+			quotes := 0 // the constants holding `'`
 			for _, c := range row {
 				if strings.ContainsAny(c.Const, "\r\n") {
 					return fmt.Errorf("cfd: %s: the constant %q holds a line break and cannot be formatted", φ.Name, c.Const)
 				}
+				if strings.IndexByte(c.Const, '\'') >= 0 {
+					quotes++
+				}
 			}
+			start := len(b)
+			b = appendRow(b, row, len(φ.LHS))
+			if len(b)+1-start > maxLine {
+				return fmt.Errorf("cfd: %s: a row of %d bytes is longer than a line Parse reads and cannot be formatted", φ.Name, len(b)-start)
+			}
+			if quotes > 0 {
+				if err := checkQuotes(φ, row, string(b[start:]), quotes); err != nil {
+					return err
+				}
+			}
+			b = append(b, '\n')
 		}
+		b = append(b, '\n')
 	}
-	bw := bufio.NewWriter(w)
-	for _, φ := range cfds {
-		bw.WriteString("cfd ")
-		bw.WriteString(φ.String())
-		bw.WriteByte('\n')
-		for _, row := range φ.Tableau {
-			bw.WriteByte('(')
-			writeCells(bw, row[:len(φ.LHS)])
-			bw.WriteString(" || ")
-			writeCells(bw, row[len(φ.LHS):])
-			bw.WriteString(")\n")
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
-// writeCells writes cells comma-separated, quoting a constant that would
-// not read back as itself unquoted.
-func writeCells(bw *bufio.Writer, cells []Cell) {
+// appendRow appends row as Format writes it, `(lhs || rhs)`, and returns
+// the extended slice; its first nl cells are the LHS.
+func appendRow(b []byte, row []Cell, nl int) []byte {
+	b = append(b, '(')
+	b = appendFormatted(b, row[:nl])
+	b = append(b, " || "...)
+	b = appendFormatted(b, row[nl:])
+	return append(b, ')')
+}
+
+// appendFormatted appends cells comma-separated, quoting a constant that
+// would not read back as itself unquoted.
+func appendFormatted(b []byte, cells []Cell) []byte {
 	for i, c := range cells {
 		if i > 0 {
-			bw.WriteString(", ")
+			b = append(b, ", "...)
 		}
 		switch {
 		case c.Wildcard:
-			bw.WriteByte('_')
+			b = append(b, '_')
 		case c.Const == "_" || strings.ContainsAny(c.Const, ",()'|") || strings.TrimSpace(c.Const) != c.Const || c.Const == "":
-			bw.WriteByte('\'')
-			bw.WriteString(c.Const)
-			bw.WriteByte('\'')
+			b = append(b, '\'')
+			b = append(b, c.Const...)
+			b = append(b, '\'')
 		default:
-			bw.WriteString(c.Const)
+			b = append(b, c.Const...)
 		}
 	}
+	return b
+}
+
+// checkQuotes refuses a row of φ that Parse would not read back as
+// written from text, the row as appendRow writes it; quotes of its
+// constants hold `'`. The error names the first cell that reads back as
+// another, or, when the text does not parse, the one constant holding a
+// quote; failing both, it names the row.
+func checkQuotes(φ *CFD, row []Cell, text string, quotes int) error {
+	back, err := parseRow(text, 0, len(φ.LHS), len(φ.RHS))
+	at := -1
+	if err == nil {
+		if slices.Equal(back, row) {
+			return nil
+		}
+		for i := range row {
+			if back[i] != row[i] {
+				at = i
+				break
+			}
+		}
+	} else if quotes == 1 {
+		at = slices.IndexFunc(row, func(c Cell) bool { return strings.IndexByte(c.Const, '\'') >= 0 })
+	}
+	if at < 0 || row[at].Wildcard {
+		return fmt.Errorf("cfd: %s: the row %s holds quotes that would not read back as written, and cannot be formatted", φ.Name, text)
+	}
+	return fmt.Errorf("cfd: %s: the constant %q would not read back as written (its row holds a quote), and cannot be formatted", φ.Name, row[at].Const)
 }

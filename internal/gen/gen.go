@@ -5,7 +5,7 @@
 // used by the cost model.
 //
 // The paper scraped real data from AMAZON and other websites; this
-// package is the documented substitution (DESIGN.md §2): a deterministic
+// package is the substitution (README's `cfdgen` section): a deterministic
 // generator producing data with the same structural properties — a clean
 // Dopt consistent with Σ, a dirty D in which every dirty tuple violates
 // at least one CFD, noise that is either a DL-close typo (edit distance

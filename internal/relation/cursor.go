@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"sync"
 	"unicode"
 	"unicode/utf8"
@@ -103,6 +104,7 @@ type csvWriter struct {
 // csvBlocks recycles blocks — storage only, no byte is read across dumps.
 // A served session is dumped some 200 times a second, and a fresh block
 // for each was +1.5 MB of peak RSS (EXPERIMENTS.md "PR 18").
+// csvReader takes its blocks from here too, under the same rule.
 var csvBlocks = sync.Pool{New: func() any { return new([csvBlockSize]byte) }}
 
 // newCSVWriter returns a codec on w with the schema's header row encoded.
@@ -152,6 +154,27 @@ func (e *csvWriter) row(t *Tuple) error {
 			b = append(b, ',')
 		}
 		b = append(b, s...)
+	}
+	e.buf = append(b, '\n')
+	return e.err
+}
+
+// weights encodes t's weights as one row, each at full precision ('g',
+// -1). A number in that form never needs quotes, so each is appended as
+// it is.
+func (e *csvWriter) weights(t *Tuple) error {
+	const maxFloat = len("-2.2250738585072014e-308") // the longest 'g', -1 form
+	b := e.buf
+	for i := range t.Vals {
+		if len(b)+maxFloat+2 > cap(b) { // the weight, the comma and the row's newline
+			e.buf = b
+			e.makeRoom(maxFloat + 2)
+			b = e.buf
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, t.Weight(i), 'g', -1, 64)
 	}
 	e.buf = append(b, '\n')
 	return e.err

@@ -101,6 +101,30 @@ func (d *Dict) adopt(ids []ValueID, vals []Value) {
 	d.mu.RUnlock()
 }
 
+// probeFields returns a probe of d (see Tuple.Probe) holding the CSV
+// fields rec, NullLiteral as null. A field is looked up by its bytes under
+// one read lock for the row: one d has seen takes d's own copy and costs
+// no string; only an unseen one is copied out, with InvalidID for adopt to
+// intern.
+func (d *Dict) probeFields(rec [][]byte) *Tuple {
+	vals := make([]Value, len(rec))
+	ids := make([]ValueID, len(rec))
+	d.mu.RLock()
+	for a, f := range rec {
+		if string(f) == NullLiteral {
+			vals[a] = NullValue
+			continue
+		}
+		if id, ok := d.byStr[string(f)]; ok {
+			vals[a], ids[a] = Value{Str: d.strs[id]}, id
+		} else {
+			vals[a], ids[a] = Value{Str: string(f)}, InvalidID
+		}
+	}
+	d.mu.RUnlock()
+	return &Tuple{Vals: vals, ids: ids, probed: d}
+}
+
 // plainFlags returns the csvPlain flag of every id assigned so far. The
 // entries are never written again, only appended to, so the caller may read
 // them without the lock while the dictionary grows.

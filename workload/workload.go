@@ -1,9 +1,9 @@
 // Package workload synthesizes the paper's experimental workload (§7.1):
 // an extended order relation with correlated values, a set Σ of seven
 // CFDs with large pattern tableaus, controlled noise at rate ρ, and the
-// weight protocol of the cost model. It is the documented substitution
-// for the paper's data scraped from AMAZON and other websites (see
-// DESIGN.md §2) and drives both the examples and the benchmark harness.
+// weight protocol of the cost model. It stands in for the paper's data
+// scraped from AMAZON and other websites (README's `cfdgen` section says
+// how) and drives both the examples and the benchmark harness.
 //
 // # Reproducibility
 //
@@ -12,9 +12,10 @@
 // randomness flows from Seed, and interned value ids are assigned in
 // insertion order, so dictionaries, active domains and hash indices come
 // out identical run to run. Repairs over a generated dataset are equally
-// deterministic — same seed, same repair cost, same repaired database —
-// at every detection/INCREPAIR worker count, because the parallel paths
-// merge their shards in a canonical order (see repro_test.go).
+// deterministic — same seed, same repair cost, same repaired database (see
+// repro_test.go). Detection and both repair engines run on the caller's
+// goroutine; the Workers options they still accept drive nothing, so no
+// worker count can move a result.
 package workload
 
 import (
