@@ -150,7 +150,8 @@ func Violations(rel *Relation, sigma []*NormalCFD, limit int) []Violation {
 
 // Detect returns every violation of sigma in rel in the canonical (tuple
 // id, rule, partner id) order, listed by a violation store built on the
-// calling goroutine and closed. workers drives nothing.
+// calling goroutine and closed. workers drives nothing; the benchmark
+// compiles against it until ROADMAP item 1(i)(b).
 func Detect(rel *Relation, sigma []*NormalCFD, workers int) []Violation {
 	return cfd.OneShot(rel, sigma, (*cfd.VioStore).Detect)
 }
@@ -258,13 +259,11 @@ func NewSession(d *Relation, sigma []*NormalCFD, opts *IncOptions) (*Session, er
 // order included), journal marks and cumulative counters, with the
 // violation store rebuilt by one deterministic detection pass. The
 // restored session's Dump, Violations and Stats are byte-identical to
-// the persisted session's at the snapshot point. workers > 0 overrides
-// the persisted worker count of the detection pass (output is identical
-// at every setting); 0 keeps it. Batches logged after the snapshot are reapplied
-// with Session.ReplayBatch — cmd/cfdserved does exactly this on boot
-// when run with -data-dir.
-func RestoreSession(r io.Reader, workers int) (*Session, error) {
-	return increpair.RestoreSession(r, workers)
+// the persisted session's at the snapshot point. Batches logged after the
+// snapshot are reapplied with Session.ReplayBatch — cmd/cfdserved does
+// exactly this on boot when run with -data-dir.
+func RestoreSession(r io.Reader) (*Session, error) {
+	return increpair.RestoreSession(r)
 }
 
 // Framework (Fig. 3) and accuracy.

@@ -2,128 +2,313 @@ package cfdclean
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// uncalledAllowed names the package-level functions under internal/ that no
-// non-test code names but that stay, each with its reason.
+// uncalledAllowed names the declarations under internal/ that no non-test
+// code names but that stay, each with its reason: a package-level function,
+// var or const as "pkg.Name", a method as "pkg.Type.Method".
 var uncalledAllowed = map[string]string{
-	"cfd.WitnessTuple":    "the certificate the Satisfiable tests check",
-	"strdist.Levenshtein": "the reference the Damerau–Levenshtein kernel tests compare with",
-	"metrics.Accuracy":    "ground-truth inaccuracy, kept for ROADMAP item 6",
+	"cfd.WitnessTuple":     "the certificate the Satisfiable tests check",
+	"strdist.Levenshtein":  "the reference the Damerau–Levenshtein kernel tests compare with",
+	"metrics.Accuracy":     "ground-truth inaccuracy, kept for ROADMAP item 6",
+	"cfd.Detector.Recount": "the audit of the counted LHS indexes that ROADMAP item 10(d) will call",
+	"relation.KeyMap.Len":  "the key count the cfd compile tests hold a key map to; a test file cannot export it to another package",
+}
+
+// moduleLoader type-checks the repository's non-test Go files, package by
+// package, from source: an import of cfdclean/… is the directory under the
+// repository root (bench/ is the module cfdclean/bench beside it), any
+// other import comes from the standard library's export data. One Info
+// records every package's uses.
+type moduleLoader struct {
+	fset  *token.FileSet
+	std   types.Importer
+	info  *types.Info
+	pkgs  map[string]*types.Package // by import path; nil while being checked
+	files map[string][]*ast.File
+}
+
+func (l *moduleLoader) Import(path string) (*types.Package, error) {
+	if path != "cfdclean" && !strings.HasPrefix(path, "cfdclean/") {
+		return l.std.Import(path)
+	}
+	return l.load(path)
+}
+
+func (l *moduleLoader) load(path string) (*types.Package, error) {
+	if p, seen := l.pkgs[path]; seen {
+		if p == nil {
+			return nil, &types.Error{Msg: "import cycle through " + path}
+		}
+		return p, nil
+	}
+	dir := "."
+	if rel, ok := strings.CutPrefix(path, "cfdclean/"); ok {
+		dir = filepath.FromSlash(rel)
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	l.pkgs[path] = nil
+	pkg, err := (&types.Config{Importer: l}).Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path], l.files[path] = pkg, files
+	return pkg, nil
 }
 
 // TestInternalFuncsHaveCallers keeps the engine packages to what the program
-// uses: every package-level function in a non-test file under internal/ must
-// be named by non-test Go code of the repository (bench/, cmd/ and examples/
-// count) outside its own declaration. A name counts inside its package as a
-// bare identifier and outside it as a selector on the package's import; a
-// method or field of the same name does not count.
+// uses: every package-level function, var and const and every method
+// declared in a non-test file under internal/ must be named by non-test Go
+// code of the repository (bench/, cmd/ and examples/ count) outside its own
+// declaration. Names are resolved by the type checker, so a method counts
+// only where a value of its own type (or one embedding it) selects it. Two
+// kinds of method are exempt: one that lets its type satisfy a named
+// interface of the program or the standard library, since such calls go
+// through the interface; and an exported method of the library's surface — a type api.go aliases, or a
+// type such a method hands out, transitively.
 func TestInternalFuncsHaveCallers(t *testing.T) {
-	type decl struct{ dir, pkg, name string }
-	var decls []decl
-	named := map[string]bool{} // "dir.name" for bare and qualified uses
-
+	fset := token.NewFileSet()
+	l := &moduleLoader{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		imp := "cfdclean"
+		if path != "." {
+			imp += "/" + filepath.ToSlash(path)
+		}
+		_, err = l.load(imp)
+		if _, none := err.(*build.NoGoError); none {
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		imports := map[string]string{} // local name → directory under the module root
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			rel, ok := strings.CutPrefix(p, "cfdclean/")
-			if !ok {
-				continue
-			}
-			name := rel[strings.LastIndex(rel, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = rel
-		}
-		for _, dl := range f.Decls {
-			self := "" // a function's recursive calls do not count
-			if fn, ok := dl.(*ast.FuncDecl); ok && fn.Recv == nil {
-				self = fn.Name.Name
-				if strings.HasPrefix(dir, "internal/") && self != "init" {
-					decls = append(decls, decl{dir, f.Name.Name, self})
-				}
-			}
-			// Names being declared — functions, methods, fields, parameters —
-			// and struct literal keys are not uses.
-			declared := map[*ast.Ident]bool{}
-			var visit func(ast.Node) bool
-			visit = func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncDecl:
-					declared[n.Name] = true
-				case *ast.Field:
-					for _, id := range n.Names {
-						declared[id] = true
-					}
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok {
-						declared[id] = true
-					}
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); ok {
-						if rel, ok := imports[x.Name]; ok {
-							named[rel+"."+n.Sel.Name] = true
-						}
-					}
-					ast.Inspect(n.X, visit)
-					return false
-				case *ast.Ident:
-					if !declared[n] && n.Name != self {
-						named[dir+"."+n.Name] = true
-					}
-				}
-				return true
-			}
-			ast.Inspect(dl, visit)
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// uses holds, for every object named anywhere, where it was named.
+	uses := map[types.Object][]token.Pos{}
+	for id, obj := range l.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		uses[obj] = append(uses[obj], id.Pos())
+	}
+
+	exempt := implicitMethods(l)
+	for obj := range surfaceMethods(l) {
+		exempt[obj] = true
+	}
+
 	var uncalled []string
-	for _, d := range decls {
-		key := d.pkg + "." + d.name
+	check := func(key string, obj types.Object, decl ast.Node) {
+		used := false
+		for _, p := range uses[obj] {
+			used = used || p < decl.Pos() || p >= decl.End()
+		}
 		_, allowed := uncalledAllowed[key]
 		switch {
-		case named[d.dir+"."+d.name] && allowed:
+		case used && allowed:
 			t.Errorf("%s has a caller now; drop it from uncalledAllowed", key)
-		case !named[d.dir+"."+d.name] && !allowed:
+		case !used && !allowed:
 			uncalled = append(uncalled, key)
+		}
+	}
+	for path, files := range l.files {
+		if !strings.HasPrefix(path, "cfdclean/internal/") {
+			continue
+		}
+		for _, f := range files {
+			for _, dl := range f.Decls {
+				switch dl := dl.(type) {
+				case *ast.FuncDecl:
+					obj := l.info.Defs[dl.Name].(*types.Func)
+					recv := obj.Type().(*types.Signature).Recv()
+					switch {
+					case recv == nil && dl.Name.Name != "init":
+						check(f.Name.Name+"."+dl.Name.Name, obj, dl)
+					case recv != nil && !exempt[obj]:
+						check(f.Name.Name+"."+recvName(recv)+"."+dl.Name.Name, obj, dl)
+					}
+				case *ast.GenDecl:
+					if dl.Tok != token.VAR && dl.Tok != token.CONST {
+						continue
+					}
+					for _, spec := range dl.Specs {
+						for _, id := range spec.(*ast.ValueSpec).Names {
+							if id.Name != "_" {
+								check(f.Name.Name+"."+id.Name, l.info.Defs[id], spec)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 	sort.Strings(uncalled)
 	if len(uncalled) > 0 {
-		t.Errorf("package-level functions under internal/ that no non-test code names "+
+		t.Errorf("declarations under internal/ that no non-test code names "+
 			"(delete them, move them to a _test.go file, or allow them with a reason): %s",
 			strings.Join(uncalled, ", "))
 	}
+}
+
+// recvName is the name of a method's receiver type, pointer or not.
+func recvName(recv *types.Var) string {
+	typ := recv.Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	return typ.(*types.Named).Obj().Name()
+}
+
+// implicitMethods returns the methods declared under internal/ through
+// which their type satisfies a named interface of any loaded or imported
+// package (the universe's error included).
+func implicitMethods(l *moduleLoader) map[types.Object]bool {
+	byName := map[string][]*types.Interface{} // interfaces by each method they hold
+	addScope := func(s *types.Scope) {
+		for _, name := range s.Names() {
+			tn, ok := s.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					byName[it.Method(i).Name()] = append(byName[it.Method(i).Name()], it)
+				}
+			}
+		}
+	}
+	addScope(types.Universe)
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		addScope(p.Scope())
+		for _, q := range p.Imports() {
+			walk(q)
+		}
+	}
+	for _, p := range l.pkgs {
+		walk(p)
+	}
+
+	out := map[types.Object]bool{}
+	for path, p := range l.pkgs {
+		if !strings.HasPrefix(path, "cfdclean/internal/") {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				for _, it := range byName[m.Name()] {
+					if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
+						out[m] = true
+						break
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// surfaceMethods returns the exported methods of the library's surface:
+// the types api.go aliases, and every type under internal/ an exported
+// method of a surface type returns (through pointers, slices, maps and
+// channels), transitively.
+func surfaceMethods(l *moduleLoader) map[types.Object]bool {
+	var queue []*types.Named
+	seen := map[*types.Named]bool{}
+	add := func(typ types.Type) {
+		for {
+			switch u := types.Unalias(typ).(type) {
+			case *types.Pointer:
+				typ = u.Elem()
+				continue
+			case *types.Slice:
+				typ = u.Elem()
+				continue
+			case *types.Map:
+				typ = u.Elem()
+				continue
+			case *types.Chan:
+				typ = u.Elem()
+				continue
+			case *types.Named:
+				if p := u.Obj().Pkg(); p != nil && strings.HasPrefix(p.Path(), "cfdclean/internal/") && !seen[u.Origin()] {
+					seen[u.Origin()] = true
+					queue = append(queue, u.Origin())
+				}
+			}
+			return
+		}
+	}
+	root := l.pkgs["cfdclean"]
+	for _, name := range root.Scope().Names() {
+		tn, ok := root.Scope().Lookup(name).(*types.TypeName)
+		if ok && tn.IsAlias() && filepath.Base(l.fset.Position(tn.Pos()).Filename) == "api.go" {
+			add(tn.Type())
+		}
+	}
+	out := map[types.Object]bool{}
+	for len(queue) > 0 {
+		named := queue[0]
+		queue = queue[1:]
+		for i := 0; i < named.NumMethods(); i++ {
+			m := named.Method(i)
+			if !m.Exported() {
+				continue
+			}
+			out[m] = true
+			res := m.Type().(*types.Signature).Results()
+			for j := 0; j < res.Len(); j++ {
+				add(res.At(j).Type())
+			}
+		}
+	}
+	return out
 }

@@ -93,11 +93,12 @@
 //	                │   only for pages it dirties while a view is pinned)
 //	                │         │
 //	                │         ▼
-//	                │   RowCursor / VioCursor: lazy iterators in pinned
-//	                │   physical / canonical (tuple, rule, partner) order
-//	                │   — streamed CSV dumps and filtered, paginated
-//	                │   violation listings, O(page) allocation,
-//	                │   no writer lock held during serialization
+//	                │   RowCursor over the pinned rows, plus the violation
+//	                │   listing captured at pin time (the store's Detect,
+//	                │   empty between batches) — streamed CSV dumps and
+//	                │   filtered, paginated violation listings, O(page)
+//	                │   allocation, no writer lock held during
+//	                │   serialization
 //	                ▼
 //	        internal/server: named sessions, each a pipeline whose
 //	        only serialized stage is the engine pass itself
@@ -201,11 +202,10 @@
 // # Determinism
 //
 // Given the same inputs and options, every entry point produces
-// byte-identical output at every worker count — repairs, serialized
-// CSV, and the service's wire responses (the server is verified
-// byte-identical to in-process calls under -race). Randomized workloads
-// are reproducible from their seed; see workload's package
-// documentation.
+// byte-identical output — repairs, serialized CSV, and the service's
+// wire responses (the server is verified byte-identical to in-process
+// calls under -race). Randomized workloads are reproducible from their
+// seed; see workload's package documentation.
 //
 // The quality of a repair against known ground truth is measured by
 // EvaluateQuality (precision/recall over attribute-level differences,

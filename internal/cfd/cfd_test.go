@@ -176,7 +176,7 @@ func TestPaperViolations(t *testing.T) {
 	if vio[t1.ID] != 0 {
 		t.Errorf("vio(t1) = %d, want 0", vio[t1.ID])
 	}
-	if got := d.VioTuple(t3); got != 4 {
+	if got := d.Detector().VioTuple(t3); got != 4 {
 		t.Errorf("VioTuple(t3) = %d, want 4", got)
 	}
 	if d.TotalViolations() != 8 {
@@ -257,8 +257,8 @@ func TestCase2Violation(t *testing.T) {
 			}
 		}
 	}
-	if d2.VioTuple(t5) != 2 || d2.VioTuple(t1) != 2 {
-		t.Errorf("VioTuple: t5=%d t1=%d, want 2, 2", d2.VioTuple(t5), d2.VioTuple(t1))
+	if d2.Detector().VioTuple(t5) != 2 || d2.Detector().VioTuple(t1) != 2 {
+		t.Errorf("VioTuple: t5=%d t1=%d, want 2, 2", d2.Detector().VioTuple(t5), d2.Detector().VioTuple(t1))
 	}
 }
 
@@ -874,3 +874,11 @@ func TestDistinctLHSAlwaysSatisfiesFD(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Rank returns the position of sigma[i] in Order; lower ranks should be
+// repaired first.
+func (g *DepGraph) Rank(i int) int { return g.rank[i] }
+
+// Succ returns the sigma positions whose LHS reads the attribute written
+// by sigma[i].
+func (g *DepGraph) Succ(i int) []int { return g.adj[i] }

@@ -51,18 +51,10 @@ func NewDepGraph(sigma []*Normal) *DepGraph {
 // order of the SCC condensation, sources first.
 func (g *DepGraph) Order() []int { return g.order }
 
-// Rank returns the position of sigma[i] in Order; lower ranks should be
-// repaired first.
-func (g *DepGraph) Rank(i int) int { return g.rank[i] }
-
 // Comp returns the stratum of sigma[i]: the index of its strongly
 // connected component in topological order. Rules sharing a cycle share a
 // stratum; violations of lower strata should be resolved first.
 func (g *DepGraph) Comp(i int) int { return g.comp[i] }
-
-// Succ returns the sigma positions whose LHS reads the attribute written
-// by sigma[i].
-func (g *DepGraph) Succ(i int) []int { return g.adj[i] }
 
 // sccOrder runs Tarjan's algorithm; Tarjan emits SCCs in reverse
 // topological order, so reversing the component list and flattening

@@ -467,9 +467,6 @@ type xProbe struct {
 	looked bool
 }
 
-// Relation returns the relation the detector is attached to.
-func (d *Detector) Relation() *relation.Relation { return d.rel }
-
 // Sigma returns the normal CFDs under detection.
 func (d *Detector) Sigma() []*Normal { return d.prog.sigma }
 

@@ -17,10 +17,10 @@ import (
 // vio(D) — paying O(rows matching the affected buckets) per insert,
 // delete or update, with no member walked: in a variable-RHS group a
 // bucket's violations follow from its tally (groupPlan.bucketVios).
-// TotalViolations, GroupTotal and Satisfied are O(1); VioCount and
-// VioTuple answer vio(t) through the detector's probes; Detect,
-// EachViolation, VioAll, Cursor and Components re-derive the violations
-// of the dirty buckets and tuples alone. Every answer is exactly what a
+// TotalViolations, GroupTotal and Satisfied are O(1); VioCount answers
+// vio(t) through the detector's probes; Detect, EachViolation, VioAll and
+// Components re-derive the violations of the dirty buckets and tuples
+// alone, through scan, the one code that walks violations. Every answer is exactly what a
 // scan of every bucket of the current relation returns (the equivalence
 // is fuzz-tested in viostore_test.go against such a scan). An insert the
 // writer has just counted clean through VioCounts costs less still: the
@@ -320,6 +320,41 @@ func containsAttr(xs []int, a int) bool {
 	return false
 }
 
+// VioFilter selects violations from a listing (see Match). Zero bounds
+// are open; Rule "" matches every rule; Attr < 0 matches every attribute
+// (use AnyVio for the match-everything filter — the zero value pins
+// attribute 0, which is almost never what a caller wants).
+type VioFilter struct {
+	// Rule, when non-empty, keeps only violations of the normal CFD with
+	// this name.
+	Rule string
+	// Attr, when >= 0, keeps only violations of rules whose embedded FD
+	// mentions this attribute position (in X or as the RHS A).
+	Attr int
+	// MinID/MaxID, when non-zero, bound the violating tuple id T.
+	MinID, MaxID relation.TupleID
+}
+
+// AnyVio returns the filter that matches every violation.
+func AnyVio() VioFilter { return VioFilter{Attr: -1} }
+
+// Match reports whether v passes the filter.
+func (f VioFilter) Match(v Violation) bool {
+	if f.MinID != 0 && v.T < f.MinID {
+		return false
+	}
+	if f.MaxID != 0 && v.T > f.MaxID {
+		return false
+	}
+	if f.Rule != "" && v.N.Name != f.Rule {
+		return false
+	}
+	if f.Attr >= 0 && !containsAttr(v.N.X, f.Attr) && v.N.A != f.Attr {
+		return false
+	}
+	return true
+}
+
 // scan visits every violation held, with the index of its group: the
 // dirty buckets of a variable-RHS group through scanBucket, the violating
 // tuples of a constant-only one through scanConstTuples — O(members of the
@@ -387,10 +422,6 @@ func (s *VioStore) VioCount(id relation.TupleID) int {
 	}
 	return s.d.VioTuple(t)
 }
-
-// VioTuple returns vio(t) for a stored tuple or a free-standing probe
-// alike, through the detector's probes.
-func (s *VioStore) VioTuple(t *relation.Tuple) int { return s.d.VioTuple(t) }
 
 // TotalViolations returns the maintained vio(D) in O(1).
 func (s *VioStore) TotalViolations() int { return s.total }

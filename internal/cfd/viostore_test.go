@@ -87,7 +87,7 @@ func diffStore(s *VioStore, rel *relation.Relation, sigma []*Normal) string {
 			return fmt.Sprintf("VioAll[t%d] = %d, the bucket walk says %d", tt.ID, gotAll[tt.ID], walk)
 		}
 		// Per-tuple counts through the owned-tuple fast path.
-		if got, want := s.VioTuple(tt), fresh.VioTuple(tt); got != want {
+		if got, want := s.d.VioTuple(tt), fresh.VioTuple(tt); got != want {
 			return fmt.Sprintf("VioTuple(t%d) = %d, fresh %d", tt.ID, got, want)
 		}
 	}
@@ -284,11 +284,11 @@ func runVioStoreOps(t *testing.T, data []byte) (rescans, dirty, clean int) {
 			if g.hasVar {
 				n := len(s.state[gi].buckets)
 				dirty += n
-				clean += s.d.index(g).Len() - n
+				clean -= n
+				s.d.index(g).Buckets(func(int32, []relation.TupleID, []relation.BucketCounts) { clean++ })
 			}
 		}
 		checkStoreEquivalence(t, tag, s, rel, sigma)
-		checkCursor(t, tag, s)
 		checkCountedIndexes(t, tag, s.d, rng)
 	}
 	check("seeded")
@@ -401,7 +401,6 @@ func TestVioStoreBucketNumberReuse(t *testing.T) {
 		t.Fatalf("the new key took bucket %d, not the freed %d; the case exercises nothing", got, b)
 	}
 	checkStoreEquivalence(t, "after the reuse", s, rel, sigma)
-	checkCursor(t, "after the reuse", s)
 	if n := s.VioCount(fresh.ID) + s.VioCount(clean.ID) + s.TotalViolations(); n != 0 {
 		t.Fatalf("the tuple in the reused bucket inherited violations: %v", s.Detect())
 	}
@@ -423,7 +422,6 @@ func TestVioStoreBucketNumberReuse(t *testing.T) {
 		t.Fatalf("the tuple in the reused bucket inherited violations: %v", s.Detect())
 	}
 	checkStoreEquivalence(t, "after the second reuse", s, rel, sigma)
-	checkCursor(t, "after the second reuse", s)
 	checkCountedIndexes(t, "after the second reuse", s.d, rand.New(rand.NewSource(1)))
 }
 

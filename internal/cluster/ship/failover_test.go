@@ -8,7 +8,7 @@ package ship_test
 // follower — and requires the promoted replica to be *byte-identical* to
 // the never-crashed oracle at the same watermark: equal CSV dumps
 // (bytes.Equal), equal violation listings and totals, equal published
-// snapshots, across replay worker counts 0/1/2/4. Runs under -race in CI.
+// snapshots. Runs under -race in CI.
 
 import (
 	"bytes"
@@ -136,16 +136,21 @@ type fingerprint struct {
 
 func capture(t testing.TB, sess *increpair.Session) fingerprint {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := sess.Dump(&buf); err != nil {
+	view, err := sess.ReadView()
+	if err != nil {
 		t.Fatal(err)
 	}
-	vs, total := sess.Violations(0)
+	defer view.Release()
+	var buf bytes.Buffer
+	if err := view.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	vs, _ := view.Violations(cfd.AnyVio(), 0, 0)
 	var vb strings.Builder
 	for _, v := range vs {
 		fmt.Fprintf(&vb, "%d/%s/%d;", v.T, v.N.Name, v.With)
 	}
-	return fingerprint{dump: buf.Bytes(), snap: sess.Snapshot(), vios: vb.String(), total: total}
+	return fingerprint{dump: buf.Bytes(), snap: view.Snapshot(), vios: vb.String(), total: view.TotalViolations()}
 }
 
 func requireEqual(t testing.TB, ctx string, want, got fingerprint) {
@@ -180,7 +185,7 @@ func recordStream(t testing.TB, name string, seed int64, nBatches int, dirty boo
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sess, err := increpair.NewSession(batteryBase(t, dirty), batteryCFDs(t, batterySchema()),
-		&increpair.Options{Ordering: increpair.Linear, Workers: 1})
+		&increpair.Options{Ordering: increpair.Linear})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +261,9 @@ func (rec *shipRecording) stream(k int) []byte {
 
 // replayPrefix bootstraps a fresh replica from the snapshot and the first
 // k batch frames, returning its fingerprint.
-func replayPrefix(t testing.TB, rec *shipRecording, k, workers int) fingerprint {
+func replayPrefix(t testing.TB, rec *shipRecording, k int) fingerprint {
 	t.Helper()
-	r := ship.NewReplica(rec.name, workers)
+	r := ship.NewReplica(rec.name)
 	defer r.Close()
 	applied, err := replay(r, len(rec.snap), rec.stream(k))
 	if err != nil {
@@ -273,7 +278,7 @@ func replayPrefix(t testing.TB, rec *shipRecording, k, workers int) fingerprint 
 // TestFailoverEquivalenceAtEveryBoundary is the core tentpole property:
 // kill the primary after ANY batch boundary, promote the follower, and
 // the promoted state is bit-for-bit the oracle's state at that boundary
-// — for every replay worker count and across independent tenants.
+// — across independent tenants.
 func TestFailoverEquivalenceAtEveryBoundary(t *testing.T) {
 	for _, tenant := range []struct {
 		name  string
@@ -285,11 +290,9 @@ func TestFailoverEquivalenceAtEveryBoundary(t *testing.T) {
 	} {
 		t.Run(tenant.name, func(t *testing.T) {
 			rec := recordStream(t, tenant.name, tenant.seed, 8, tenant.dirty)
-			for _, workers := range []int{0, 1, 2, 4} {
-				for k := 0; k <= len(rec.batches); k++ {
-					got := replayPrefix(t, rec, k, workers)
-					requireEqual(t, fmt.Sprintf("workers=%d boundary=%d", workers, k), rec.fps[k], got)
-				}
+			for k := 0; k <= len(rec.batches); k++ {
+				got := replayPrefix(t, rec, k)
+				requireEqual(t, fmt.Sprintf("boundary=%d", k), rec.fps[k], got)
 			}
 		})
 	}
@@ -325,7 +328,7 @@ func TestFailoverKillMidFrame(t *testing.T) {
 		cuts[c] = true
 	}
 	for cut := range cuts {
-		r := ship.NewReplica("tenant-cut", 2)
+		r := ship.NewReplica("tenant-cut")
 		applied, err := replay(r, len(rec.snap), whole[:cut])
 		intact := intactAt(cut)
 		if applied != intact {
@@ -357,7 +360,7 @@ func TestPromotedReplicaKeepsWorking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := increpair.RestoreFromSnapshot(snap, 1)
+	oracle, err := increpair.RestoreFromSnapshot(snap, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +373,7 @@ func TestPromotedReplicaKeepsWorking(t *testing.T) {
 
 	// Follower: the full stream, then "promote" — its session is simply
 	// used as a primary from here on.
-	r := ship.NewReplica("tenant-promote", 4)
+	r := ship.NewReplica("tenant-promote")
 	defer r.Close()
 	if _, err := replay(r, len(rec.snap), rec.stream(len(rec.frames))); err != nil {
 		t.Fatal(err)

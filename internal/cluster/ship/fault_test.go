@@ -116,7 +116,7 @@ func TestFaultInjection(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			const name = "faulty"
 			live, err := increpair.NewSession(batteryBase(t, true), batteryCFDs(t, batterySchema()),
-				&increpair.Options{Ordering: increpair.Linear, Workers: 1})
+				&increpair.Options{Ordering: increpair.Linear})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,7 +271,7 @@ func (b *blackholeTransport) ShipBatch(name string, batch *wal.Batch) error {
 func TestShipperBlackholedFollowerBatchBackoff(t *testing.T) {
 	const name = "darkened"
 	live, err := increpair.NewSession(batteryBase(t, true), batteryCFDs(t, batterySchema()),
-		&increpair.Options{Ordering: increpair.Linear, Workers: 1})
+		&increpair.Options{Ordering: increpair.Linear})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestShipperBlackholedFollowerBatchBackoff(t *testing.T) {
 func sampleSnapshot(t testing.TB, name string) (*wal.Snapshot, error) {
 	t.Helper()
 	sess, err := increpair.NewSession(batteryBase(t, false), batteryCFDs(t, batterySchema()),
-		&increpair.Options{Ordering: increpair.Linear, Workers: 0})
+		&increpair.Options{Ordering: increpair.Linear})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,11 @@ import (
 // fixed scenario (a seeded relation holding a null and a weighted tuple;
 // three batches with a delete, a cell update and a re-insert; two store
 // flushes) writes a WAL, a snapshot file, the store's page and manifest
-// files and dict.log, and encodes one ship batch frame. A digest that
-// moves means a format changed: bump the format's version, then
-// re-record. A shipped snapshot has no digest of its own: the body
+// files and dict.log, and encodes one ship batch frame. (The re-inserted
+// tuple once weighed 2, which Insert now refuses; with 0.75 in its place
+// the WAL, snapshot, page and batch digests were re-recorded from the
+// unchanged encoders.) A digest that moves means a format changed: bump
+// the format's version, then re-record. A shipped snapshot has no digest of its own: the body
 // HTTPTransport sends must equal the snapshot file's bytes.
 func TestFormatsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
@@ -95,7 +97,7 @@ func TestFormatsByteIdentical(t *testing.T) {
 	batch(func() {
 		again := relation.NewTuple(0, "a", "b2", "c")
 		again.SetWeight(0, 0.5)
-		again.SetWeight(2, 2)
+		again.SetWeight(2, 0.75)
 		rel.MustInsert(again)
 		if _, err := rel.InsertRow("new", "row", "!"); err != nil {
 			t.Fatal(err)
@@ -166,12 +168,12 @@ func TestFormatsByteIdentical(t *testing.T) {
 		"ship batch": fmt.Sprintf("%x", sha256.Sum256(ship.EncodeBatchFrame(batches[2]))),
 	}
 	want := map[string]string{
-		"wal":        "b9c5f39119fed1b0581ef191c3fe2d7dd3fb3bb90e81c40cdb2ed80b8447fda1",
-		"snapshot":   "09f5e634ec89f239fffd4defbfb7bf89a22ba307032a34d512ae5c81b26f7da3",
-		"pages":      "4a42f247e37f20d82efb1b561d00afda6bb42aded5f146fb8fa3a9b671591466",
+		"wal":        "85f653d0a39b52497ca5d3f8d1aa8e2d13d6f12b3b60514c08055dc4e14587f5",
+		"snapshot":   "a6821a6bb977449ae2a0be085b4550ef0d686e801677b5dc1ee9a8a0d2ae984a",
+		"pages":      "13c5a5c3120620d7fa0b31101f9844b9b5fa2ec62e428a1c40b9b457d6710307",
 		"manifest":   "303b18d90235edf540869593fa10f89c970ad70911cd6a0670f13845ff6bda5c",
 		"dict":       "88a9450faa541b8c77a37217c42915d4fc16f9538d9bd9f4fd693cbb6e6b8c83",
-		"ship batch": "57c5c7359036944dabfa13886993f51bf8956d8654ef27b44ef18e2446bbeb8b",
+		"ship batch": "a34aefc6a3c97de79f8eb179b74ee0f0d5ae71bd7f2db989b581337ea06539a8",
 	}
 	for kind, g := range got {
 		if g != want[kind] {

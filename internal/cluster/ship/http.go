@@ -2,6 +2,7 @@ package ship
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,8 +16,9 @@ import (
 // HTTPTransport delivers to a peer cfdserved node over its replication
 // endpoints:
 //
-//	PUT  /v1/replica/{name}        a snapshot stream (install/replace)
-//	POST /v1/replica/{name}/batch  one batch frame
+//	PUT    /v1/replica/{name}        a snapshot stream (install/replace)
+//	POST   /v1/replica/{name}/batch  one batch frame
+//	DELETE /v1/replica/{name}        drop the replica
 //
 // The peer answers 404 when it hosts no replica for the session
 // (bootstrap needed), 409 when the batch cannot chain (resync needed)
@@ -81,6 +83,20 @@ func (t *HTTPTransport) Promote(name string) error {
 	return t.do(req)
 }
 
+// Drop asks the peer to delete its replica of name — what a primary
+// sends the follower it stops shipping to when the session is deleted or
+// the follower moves. A peer that holds no replica has nothing to drop.
+func (t *HTTPTransport) Drop(name string) error {
+	req, err := http.NewRequest(http.MethodDelete, t.replicaURL(name, ""), nil)
+	if err != nil {
+		return err
+	}
+	if err := t.do(req); err != nil && !errors.Is(err, ErrUnknownReplica) {
+		return err
+	}
+	return nil
+}
+
 func (t *HTTPTransport) do(req *http.Request) error {
 	resp, err := peerClient.Do(req)
 	if err != nil {
@@ -114,14 +130,14 @@ const ForwardedHeader = "X-CFD-Forwarded"
 // exactly the bytes HTTP ships.
 type LocalTransport struct {
 	mu       sync.Mutex
-	workers  int
 	replicas map[string]*Replica
 }
 
-// NewLocalTransport creates an empty in-process follower node whose
-// replicas replay at the given worker count.
+// NewLocalTransport creates an empty in-process follower node. workers
+// drives nothing; the benchmark compiles against it until ROADMAP item
+// 1(i)(b)'s renames.
 func NewLocalTransport(workers int) *LocalTransport {
-	return &LocalTransport{workers: workers, replicas: make(map[string]*Replica)}
+	return &LocalTransport{replicas: make(map[string]*Replica)}
 }
 
 // Replica returns the follower's replica for name, if any.
@@ -145,7 +161,7 @@ func (t *LocalTransport) ShipSnapshot(name string, snap *wal.Snapshot) error {
 	t.mu.Lock()
 	r := t.replicas[name]
 	if r == nil {
-		r = NewReplica(name, t.workers)
+		r = NewReplica(name)
 		t.replicas[name] = r
 	}
 	t.mu.Unlock()

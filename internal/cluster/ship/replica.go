@@ -22,29 +22,25 @@ import (
 // only a snapshot install may move the session non-incrementally, and a
 // snapshot is by construction a quiescent primary state.
 type Replica struct {
-	mu      sync.Mutex
-	name    string
-	workers int
-	sess    *increpair.Session
+	mu   sync.Mutex
+	name string
+	sess *increpair.Session
 
 	applied  uint64
 	skipped  uint64
 	installs uint64
 }
 
-// NewReplica creates an empty replica for the named session. workers
-// bounds the replay engine's intra-batch parallelism (output is
-// byte-identical at any setting; 0 keeps each snapshot's recorded
-// value).
-func NewReplica(name string, workers int) *Replica {
-	return &Replica{name: name, workers: workers}
+// NewReplica creates an empty replica for the named session.
+func NewReplica(name string) *Replica {
+	return &Replica{name: name}
 }
 
 // InstallSnapshot replaces the replica's state with a full primary
 // image — the bootstrap for a follower joining mid-stream and the
 // healing move after any gap.
 func (r *Replica) InstallSnapshot(snap *wal.Snapshot) error {
-	sess, err := increpair.RestoreFromSnapshot(snap, r.workers)
+	sess, err := increpair.RestoreFromSnapshot(snap, 0)
 	if err != nil {
 		return fmt.Errorf("ship: replica %s: install: %w", r.name, err)
 	}
@@ -83,14 +79,6 @@ func (r *Replica) ApplyBatch(b *wal.Batch) (applied bool, err error) {
 	return applied, nil
 }
 
-// Session exposes the replica's live session for reads and for
-// promotion; nil before the first snapshot install.
-func (r *Replica) Session() *increpair.Session {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sess
-}
-
 // Version is the replica's journal version cursor (0 before bootstrap).
 func (r *Replica) Version() uint64 {
 	r.mu.Lock()
@@ -99,13 +87,6 @@ func (r *Replica) Version() uint64 {
 		return 0
 	}
 	return r.sess.Snapshot().Version
-}
-
-// Stats reports how the replica got to its current state.
-func (r *Replica) Stats() (applied, skipped, installs uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.applied, r.skipped, r.installs
 }
 
 // Close releases the replica's session.

@@ -59,9 +59,6 @@ func NewRing(peers []string) *Ring {
 // Peers returns the ring's member list (sorted, deduplicated).
 func (r *Ring) Peers() []string { return r.peers }
 
-// Size is the number of distinct peers.
-func (r *Ring) Size() int { return len(r.peers) }
-
 // Primary returns the peer owning name, or "" on an empty ring.
 func (r *Ring) Primary(name string) string {
 	if len(r.points) == 0 {

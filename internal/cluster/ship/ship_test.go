@@ -149,7 +149,7 @@ func TestReplicaRejectsStaleAndGappedBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := ship.NewReplica("cursor", 1)
+	r := ship.NewReplica("cursor")
 	defer r.Close()
 	if err := r.InstallSnapshot(snap); err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestReplicaRejectsStaleAndGappedBatches(t *testing.T) {
 
 	// Versions are journal versions, which advance per-op: a twin
 	// session (the stand-in for the primary) produces the real bracket.
-	twin, err := increpair.RestoreFromSnapshot(snap, 1)
+	twin, err := increpair.RestoreFromSnapshot(snap, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

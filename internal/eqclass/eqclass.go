@@ -159,12 +159,6 @@ func (c *Classes) Members(k Key) []Key {
 	return c.nodes[r].members
 }
 
-// Size returns |eq(k)|.
-func (c *Classes) Size(k Key) int {
-	r := c.find(c.node(k))
-	return c.nodes[r].size
-}
-
 // Peek is Size without registering k: a key that no operation has named
 // yet is alone in its class, so it gives 1. Registration is visible (Keys,
 // NumClasses, the order Roots visits classes in), so a read that must not
@@ -270,32 +264,6 @@ func (c *Classes) Merge(k1, k2 Key) error {
 	n2.members = nil
 	n2.parent = r1
 	return nil
-}
-
-// NumClasses returns the current number of distinct classes among the keys
-// seen so far — the paper's N, which never increases.
-func (c *Classes) NumClasses() int {
-	roots := 0
-	for i := range c.nodes {
-		if c.nodes[i].parent == i {
-			roots++
-		}
-	}
-	return roots
-}
-
-// NumAssigned returns the number of classes whose target is a constant or
-// null — the paper's H, which never decreases. Together with NumClasses
-// it witnesses the termination argument of Theorem 4.2.
-func (c *Classes) NumAssigned() int { return c.assigned }
-
-// Keys returns every key registered so far, in registration order.
-func (c *Classes) Keys() []Key {
-	out := make([]Key, len(c.nodes))
-	for i := range c.nodes {
-		out[i] = c.nodes[i].key
-	}
-	return out
 }
 
 // Roots invokes f once per class with any representative key and the

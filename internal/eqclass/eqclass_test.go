@@ -353,3 +353,35 @@ func TestMergeReducesN(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Size returns |eq(k)|.
+func (c *Classes) Size(k Key) int {
+	r := c.find(c.node(k))
+	return c.nodes[r].size
+}
+
+// NumClasses returns the current number of distinct classes among the keys
+// seen so far — the paper's N, which never increases.
+func (c *Classes) NumClasses() int {
+	roots := 0
+	for i := range c.nodes {
+		if c.nodes[i].parent == i {
+			roots++
+		}
+	}
+	return roots
+}
+
+// NumAssigned returns the number of classes whose target is a constant or
+// null — the paper's H, which never decreases. Together with NumClasses
+// it witnesses the termination argument of Theorem 4.2.
+func (c *Classes) NumAssigned() int { return c.assigned }
+
+// Keys returns every key registered so far, in registration order.
+func (c *Classes) Keys() []Key {
+	out := make([]Key, len(c.nodes))
+	for i := range c.nodes {
+		out[i] = c.nodes[i].key
+	}
+	return out
+}

@@ -102,7 +102,8 @@ func TestCheckRefusesWeightsOutsideUnitRange(t *testing.T) {
 	defer sess.Close()
 	for _, w := range []float64{math.NaN(), -1, 2} {
 		bad := t5()
-		bad.SetWeight(6, w)
+		bad.SetWeight(0, 1)
+		bad.W[6] = w // SetWeight refuses such a weight
 		batch := []*relation.Tuple{t5(), bad}
 		before := sess.Snapshot()
 		_, cerr := sess.Check(nil, nil, batch)

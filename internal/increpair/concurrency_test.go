@@ -71,7 +71,10 @@ func TestSessionConcurrentApplyAndRead(t *testing.T) {
 				return
 			default:
 			}
-			_, _ = sess.Violations(0)
+			if v, err := sess.ReadView(); err == nil {
+				_, _ = v.Violations(cfd.AnyVio(), 0, 0)
+				v.Release()
+			}
 		}
 	}()
 
@@ -291,8 +294,8 @@ func TestSessionDumpMatchesWriteCSV(t *testing.T) {
 	if err := sess.Dump(&a); err != errClosed {
 		t.Fatalf("Dump after close: got %v, want errClosed", err)
 	}
-	if vs, total := sess.Violations(0); vs != nil || total != 0 {
-		t.Fatalf("Violations after close must refuse, got %d entries", len(vs))
+	if _, err := sess.ReadView(); err != errClosed {
+		t.Fatalf("ReadView after close: got %v, want errClosed", err)
 	}
 }
 

@@ -88,51 +88,56 @@ func (b *bothWays) resolveBothWays(t testing.TB, e *engine, in *relation.Tuple) 
 func paperEngine(t testing.TB, k int) *engine {
 	t.Helper()
 	d := cleanPaperData(t)
-	e, err := newEngine(d, cfd.NormalizeAll(paperCFDs(d.Schema())), (&Options{K: k, Workers: 1}).withDefaults())
+	e, err := newEngine(d, cfd.NormalizeAll(paperCFDs(d.Schema())), (&Options{K: k}).withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
+// setRawWeight stores w as attribute a's weight even outside [0, 1], which
+// SetWeight refuses: TUPLERESOLVE is held to its enumeration on any weight.
+func setRawWeight(tu *relation.Tuple, a int, w float64) {
+	tu.SetWeight(a, 1)
+	tu.W[a] = w
+}
+
 // TestFreePinMatchesEnumeration holds the closed-form rounds of TUPLERESOLVE
-// to the code they replace: generated churn streams at K 1 to 3 and one or two
-// workers, every arrival resolved round by round both ways against the
-// relation it is about to enter, then the cases a stream may never produce.
+// to the code they replace: generated churn streams at K 1 to 3, every
+// arrival resolved round by round both ways against the relation it is
+// about to enter, then the cases a stream may never produce.
 func TestFreePinMatchesEnumeration(t *testing.T) {
 	for _, k := range []int{1, 2, 3} {
-		for _, workers := range []int{1, 2} {
-			c := newGenChurn(t, 760, int64(20+k))
-			sess := c.open(t, 500, &Options{K: k, Workers: workers})
-			var tally bothWays
-			for c.next < len(c.ds.Dirty.Tuples()) {
-				dels, ops, ins := c.batch(sess, 20, 6, 2)
-				if _, _, err := sess.ApplyOps(dels, ops, nil); err != nil {
+		c := newGenChurn(t, 760, int64(20+k))
+		sess := c.open(t, 500, &Options{K: k})
+		var tally bothWays
+		for c.next < len(c.ds.Dirty.Tuples()) {
+			dels, ops, ins := c.batch(sess, 20, 6, 2)
+			if _, _, err := sess.ApplyOps(dels, ops, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i, tu := range ins {
+				switch i % 4 {
+				case 1: // the weight protocol's range, all of it positive
+					for a := range tu.Vals {
+						tu.SetWeight(a, 1-c.rng.Float64())
+					}
+				case 2: // one value the user places no confidence in
+					tu.SetWeight(c.rng.Intn(len(tu.Vals)), 0)
+				}
+				tally.resolveBothWays(t, sess.e, tu)
+				if _, _, err := sess.ApplyOps(nil, nil, []*relation.Tuple{tu}); err != nil {
 					t.Fatal(err)
 				}
-				for i, tu := range ins {
-					switch i % 4 {
-					case 1: // the weight protocol's range, all of it positive
-						for a := range tu.Vals {
-							tu.SetWeight(a, 1-c.rng.Float64())
-						}
-					case 2: // one value the user places no confidence in
-						tu.SetWeight(c.rng.Intn(len(tu.Vals)), 0)
-					}
-					tally.resolveBothWays(t, sess.e, tu)
-					if _, _, err := sess.ApplyOps(nil, nil, []*relation.Tuple{tu}); err != nil {
-						t.Fatal(err)
-					}
-				}
 			}
-			if !sess.Satisfied() {
-				t.Fatal("session violates Σ")
-			}
-			sess.Close()
-			t.Logf("K=%d workers=%d: %+v", k, workers, tally)
-			if tally.pinned < 20 || tally.repaired < 20 || tally.unasked == 0 {
-				t.Errorf("K=%d workers=%d: %+v; the stream exercises too little", k, workers, tally)
-			}
+		}
+		if !sess.Satisfied() {
+			t.Fatal("session violates Σ")
+		}
+		sess.Close()
+		t.Logf("K=%d: %+v", k, tally)
+		if tally.pinned < 20 || tally.repaired < 20 || tally.unasked == 0 {
+			t.Errorf("K=%d: %+v; the stream exercises too little", k, tally)
 		}
 	}
 
@@ -159,8 +164,8 @@ func TestFreePinMatchesEnumeration(t *testing.T) {
 		{"an unseen constant stays", 2, func(tu *relation.Tuple) { tu.Vals[pn] = relation.S("5550000") }, bothWays{2, 1, 0}, nulled},
 		{"W spelled out, all 1", 2, func(tu *relation.Tuple) { tu.SetWeight(0, 1) }, bothWays{2, 1, 0}, nulled},
 		{"an open weight of 0", 2, func(tu *relation.Tuple) { tu.SetWeight(ac, 0) }, bothWays{0, 0, 1}, map[int]string{ac: "212"}},
-		{"an open weight of -1", 2, func(tu *relation.Tuple) { tu.SetWeight(st, -1) }, bothWays{1, 1, 1}, map[int]string{ct: "PHI", st: "PA", zip: "19014"}},
-		{"an open weight of NaN", 2, func(tu *relation.Tuple) { tu.SetWeight(ac, math.NaN()) }, bothWays{0, 1, 2}, nulled},
+		{"an open weight of -1", 2, func(tu *relation.Tuple) { setRawWeight(tu, st, -1) }, bothWays{1, 1, 1}, map[int]string{ct: "PHI", st: "PA", zip: "19014"}},
+		{"an open weight of NaN", 2, func(tu *relation.Tuple) { setRawWeight(tu, ac, math.NaN()) }, bothWays{0, 1, 2}, nulled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := paperEngine(t, tc.k)
@@ -202,7 +207,7 @@ func TestFreePinMatchesEnumeration(t *testing.T) {
 		}
 		fds = append(fds, fd)
 	}
-	e, err := newEngine(d, cfd.NormalizeAll(fds), (&Options{K: 1, Workers: 1}).withDefaults())
+	e, err := newEngine(d, cfd.NormalizeAll(fds), (&Options{K: 1}).withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}

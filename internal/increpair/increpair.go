@@ -26,7 +26,6 @@ package increpair
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"cfdclean/internal/cfd"
@@ -75,11 +74,6 @@ type Options struct {
 	// NearestK is how many similar active-domain values the cost-based
 	// index contributes per attribute (§5.2). Default 4.
 	NearestK int
-	// Workers drives nothing: the violation store counts D's buckets from
-	// their tallies on the caller's goroutine, as TUPLERESOLVE runs. It is
-	// kept, and recorded in snapshots, until the benchmark stops setting
-	// it; 0 means runtime.GOMAXPROCS(0).
-	Workers int
 }
 
 func (o *Options) withDefaults() Options {
@@ -95,9 +89,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.NearestK <= 0 {
 		out.NearestK = 4
-	}
-	if out.Workers <= 0 {
-		out.Workers = runtime.GOMAXPROCS(0)
 	}
 	return out
 }
@@ -155,7 +146,7 @@ type engine struct {
 	// per bound 1 … maxRadius; those at 0 are measured at once, so
 	// byBound[0] stays empty) and the best values found so far, its
 	// result; profiles is the profile of every value id nearest has met.
-	dl       strdist.Probe
+	dl       strdist.DLProbe
 	byBound  [maxRadius + 1][]relation.IDValue
 	hits     []nearHit
 	profiles []strdist.Profile
@@ -228,7 +219,6 @@ func newEngine(repr *relation.Relation, sigma []*cfd.Normal, o Options) (*engine
 		opts:  o,
 		rs:    resolveScratch{sc: o.CostModel.Scratch()},
 		arity: repr.Schema().Arity(),
-		dl:    strdist.DL.(strdist.ProbeMetric).NewProbe(),
 	}
 	for _, g := range e.det.Groups() {
 		var m uint64

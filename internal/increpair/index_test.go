@@ -1,7 +1,6 @@
 package increpair
 
 import (
-	"bytes"
 	"io"
 	"math/rand"
 	"runtime"
@@ -188,7 +187,7 @@ func domainEngine(t testing.TB, k int, dom []string) *engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := newEngine(r, cfd.NormalizeAll([]*cfd.CFD{fd}), (&Options{NearestK: k, Workers: 1}).withDefaults())
+	e, err := newEngine(r, cfd.NormalizeAll([]*cfd.CFD{fd}), (&Options{NearestK: k}).withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +435,7 @@ func BenchmarkNearest(b *testing.B) {
 func dirtyArrivals(t testing.TB) (*Session, []*relation.Tuple) {
 	t.Helper()
 	c := newGenChurn(t, 900, 5)
-	sess := c.open(t, 600, &Options{Workers: 1})
+	sess := c.open(t, 600, nil)
 	var dirty []*relation.Tuple
 	for _, tu := range c.ds.Dirty.Tuples()[600:] {
 		p := tu.Clone()
@@ -505,45 +504,6 @@ func BenchmarkWriteCSV(b *testing.B) {
 	}
 }
 
-// TestSessionWorkersIdentical: the interned probe is cloned per worker and
-// the candidates are shared read-only; every worker count must walk the
-// same repairs, batch by batch and byte for byte. (Run under -race in CI.)
-func TestSessionWorkersIdentical(t *testing.T) {
-	var ref []byte
-	var refCost float64
-	for _, w := range []int{1, 2, 4} {
-		c := newGenChurn(t, 900, 5)
-		sess := c.open(t, 500, &Options{Workers: w})
-		var cost float64
-		for i := 0; i < 12; i++ {
-			dels, ops, ins := c.batch(sess, 30, 10, 3)
-			res, _, err := sess.ApplyOps(dels, ops, ins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cost += res.Cost
-		}
-		var dump bytes.Buffer
-		if err := sess.Dump(&dump); err != nil {
-			t.Fatal(err)
-		}
-		if !cfd.Satisfies(sess.Current(), c.ds.Sigma) {
-			t.Fatalf("workers=%d: result violates Σ", w)
-		}
-		sess.Close()
-		if cost == 0 {
-			t.Fatal("the stream needed no repair; the fixture exercises nothing")
-		}
-		if ref == nil {
-			ref, refCost = dump.Bytes(), cost
-			continue
-		}
-		if cost != refCost || !bytes.Equal(dump.Bytes(), ref) {
-			t.Fatalf("workers=%d: cost %v and dump differ from workers=1 (cost %v)", w, cost, refCost)
-		}
-	}
-}
-
 // TestTupleResolveAllocBudget pins what one TUPLERESOLVE of a dirty arrival
 // allocates once the engine is warm. The greedy rounds reuse the engine's
 // buffers — violated masks, attribute subsets, candidates per attribute,
@@ -578,7 +538,7 @@ func TestTupleResolveAllocBudget(t *testing.T) {
 func cleanArrivalAllocs(t testing.TB) float64 {
 	t.Helper()
 	c := newGenChurn(t, 900, 5)
-	sess := c.open(t, 600, &Options{Workers: 1})
+	sess := c.open(t, 600, nil)
 	defer sess.Close()
 	var arrivals []*relation.Tuple
 	for _, tu := range c.ds.Opt.Tuples()[600:] {
@@ -684,7 +644,7 @@ func BenchmarkCleanArrival(b *testing.B) {
 		for _, tu := range opt[:base] {
 			d.MustInsert(tu.Clone())
 		}
-		sess, err := NewSession(d, ds.Sigma, &Options{Workers: 1})
+		sess, err := NewSession(d, ds.Sigma, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

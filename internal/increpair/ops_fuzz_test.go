@@ -113,7 +113,7 @@ func runSessionOps(t *testing.T, data []byte) {
 	for n := next() % 12; n > 0; n-- {
 		base.MustInsert(row().Probe(pool.Dict()))
 	}
-	sess, err := NewSession(base, sigma, &Options{Ordering: Ordering(next() % 3), Workers: 1})
+	sess, err := NewSession(base, sigma, &Options{Ordering: Ordering(next() % 3)})
 	if err != nil {
 		t.Fatal(err)
 	}

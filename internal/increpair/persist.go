@@ -19,8 +19,8 @@ import (
 // a pure function of the relation contents and is rebuilt by one
 // deterministic detection pass; and every replayed batch runs the same
 // deterministic engine pass the live session ran, so the restored
-// session's Dump, Violations and Stats equal the original's at the same
-// watermark — at any worker count (see internal/wal/recovery_test.go).
+// session's Dump, violation listing and Stats equal the original's at the
+// same watermark (see internal/wal/recovery_test.go).
 
 // OpsToDeltas encodes one ApplyOps input batch as relation Deltas — the
 // WAL's op triple convention:
@@ -124,7 +124,6 @@ func (s *Session) walSnapshotLocked(name string, withTuples bool) (*wal.Snapshot
 		Ordering: uint8(s.e.opts.Ordering),
 		K:        s.e.opts.K,
 		NearestK: s.e.opts.NearestK,
-		Workers:  s.e.opts.Workers,
 		Batches:  s.batches,
 		Inserted: s.applied,
 		Deleted:  s.deleted,
@@ -212,30 +211,27 @@ func sigmaEqual(a, b []*cfd.Normal) bool {
 // original at the snapshot point. Batches logged after the snapshot are
 // reapplied with ReplayBatch.
 //
-// workers > 0 overrides the persisted worker count of that detection pass
-// (the output is identical at every setting); 0 keeps the persisted value.
-// The determinism-relevant options — ordering, K, NearestK — always come
-// from the snapshot, since replay must re-run the exact passes that were
-// logged.
-func RestoreSession(r io.Reader, workers int) (*Session, error) {
+// The options — ordering, K, NearestK — all come from the snapshot, since
+// replay must re-run the exact passes that were logged.
+func RestoreSession(r io.Reader) (*Session, error) {
 	snap, err := wal.ReadSnapshot(r)
 	if err != nil {
 		return nil, err
 	}
-	return RestoreFromSnapshot(snap, workers)
+	return RestoreFromSnapshotSource(snap, &sliceSource{ts: snap.Tuples}, nil)
 }
 
 // RestoreFromSnapshot is RestoreSession over an already-decoded
-// snapshot; the server's recovery path uses it after choosing the
-// newest valid snapshot generation itself.
+// snapshot. workers drives nothing; the benchmark compiles against it
+// until ROADMAP item 1(i)(b) folds the restore entry points into one.
 func RestoreFromSnapshot(snap *wal.Snapshot, workers int) (*Session, error) {
-	return RestoreFromSnapshotSource(snap, &sliceSource{ts: snap.Tuples}, workers, nil)
+	return RestoreFromSnapshotSource(snap, &sliceSource{ts: snap.Tuples}, nil)
 }
 
 // restoreTail finishes a restore once the relation is rebuilt: journal
 // marks, constraint re-parse, one deterministic detection pass via
 // newEngine, and the persisted session counters.
-func restoreTail(snap *wal.Snapshot, sch *relation.Schema, rel *relation.Relation, workers int) (*Session, error) {
+func restoreTail(snap *wal.Snapshot, sch *relation.Schema, rel *relation.Relation) (*Session, error) {
 	if snap.NextID < rel.NextID() {
 		return nil, fmt.Errorf("increpair: restore: snapshot watermark %d below the rebuilt relation's %d", snap.NextID, rel.NextID())
 	}
@@ -249,10 +245,6 @@ func restoreTail(snap *wal.Snapshot, sch *relation.Schema, rel *relation.Relatio
 		Ordering: Ordering(snap.Ordering),
 		K:        snap.K,
 		NearestK: snap.NearestK,
-		Workers:  snap.Workers,
-	}
-	if workers > 0 {
-		o.Workers = workers
 	}
 	o = (&o).withDefaults()
 	e, err := newEngine(rel, cfd.NormalizeAll(parsed), o)

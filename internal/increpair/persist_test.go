@@ -33,28 +33,37 @@ func persistedSession(t *testing.T, opts *Options) (*Session, []byte) {
 }
 
 // TestPersistRestoreOptions: the determinism-relevant engine options
-// ride the snapshot; the worker count is overridable at restore.
+// ride the snapshot; the retired Workers field is written as 0 and a
+// non-zero one is ignored on read.
 func TestPersistRestoreOptions(t *testing.T) {
-	sess, snap := persistedSession(t, &Options{Ordering: ByWeight, K: 1, NearestK: 3, Workers: 2})
+	sess, snap := persistedSession(t, &Options{Ordering: ByWeight, K: 1, NearestK: 3})
 	defer sess.Close()
 
-	restored, err := RestoreSession(bytes.NewReader(snap), 0)
+	restored, err := RestoreSession(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
 	o := restored.e.opts
-	if o.Ordering != ByWeight || o.K != 1 || o.NearestK != 3 || o.Workers != 2 {
+	if o.Ordering != ByWeight || o.K != 1 || o.NearestK != 3 {
 		t.Fatalf("persisted options lost: %+v", o)
 	}
 
-	over, err := RestoreSession(bytes.NewReader(snap), 4)
+	decoded, err := wal.ReadSnapshot(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer over.Close()
-	if over.e.opts.Workers != 4 || over.e.opts.Ordering != ByWeight {
-		t.Fatalf("worker override broke options: %+v", over.e.opts)
+	if decoded.Workers != 0 {
+		t.Fatalf("snapshot records workers %d, want 0", decoded.Workers)
+	}
+	decoded.Workers = 4
+	old, err := RestoreFromSnapshot(decoded, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if p := old.e.opts; p.Ordering != o.Ordering || p.K != o.K || p.NearestK != o.NearestK {
+		t.Fatalf("a recorded worker count changed the options: %+v, want %+v", p, o)
 	}
 
 	// Initial() is a creation-time artifact and does not survive
@@ -149,7 +158,7 @@ func TestRestoreRejectsDamage(t *testing.T) {
 	}
 
 	// Truncated snapshot stream.
-	if _, err := RestoreSession(bytes.NewReader(snapBytes[:len(snapBytes)/2]), 0); err == nil {
+	if _, err := RestoreSession(bytes.NewReader(snapBytes[:len(snapBytes)/2])); err == nil {
 		t.Fatal("restore of a torn snapshot succeeded")
 	}
 }
@@ -181,7 +190,7 @@ func TestDeltasToOpsRejectsGarbage(t *testing.T) {
 func TestReplayBatchDivergence(t *testing.T) {
 	sess, snapBytes := persistedSession(t, nil)
 	defer sess.Close()
-	restored, err := RestoreSession(bytes.NewReader(snapBytes), 0)
+	restored, err := RestoreSession(bytes.NewReader(snapBytes))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,12 @@ import (
 
 // ReadView is a pinned, consistent read-only view of a Session at one
 // journal version — the unit of the streaming read path. It is captured
-// under the session lock in O(vio(D)) (zero in the steady state, where
-// the INCREPAIR invariant drains violations after every batch) plus one
-// relation pin, and from then on every read streams without touching the
-// writer's lock: the relation view is snapshot-isolated by page-level
+// under the session lock as one relation pin plus, when the store holds
+// violations, the store's Detect listing: one scan of the dirty buckets'
+// members and a sort of the vio(D) entries — nothing in the steady
+// state, where the INCREPAIR invariant drains violations after every
+// batch. From then on every read streams without touching the writer's
+// lock: the relation view is snapshot-isolated by page-level
 // copy-on-write (see relation.View), and the violation listing was
 // captured at pin time.
 //
@@ -31,7 +33,7 @@ type ReadView struct {
 
 // ReadView pins the session's current state. The lock is held only for
 // the pin handoff: a relation slice-header capture plus the violation
-// capture (empty between batches). Fails after Close.
+// listing's capture (Detect; skipped between batches). Fails after Close.
 func (s *Session) ReadView() (*ReadView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -40,11 +42,7 @@ func (s *Session) ReadView() (*ReadView, error) {
 	}
 	v := &ReadView{rel: s.e.repr.Pin(), snap: *s.snap.Load()}
 	if !s.e.store.Satisfied() {
-		v.vios = make([]cfd.Violation, 0, s.e.store.TotalViolations())
-		c := s.e.store.Cursor()
-		for vi, ok := c.Next(); ok; vi, ok = c.Next() {
-			v.vios = append(v.vios, vi)
-		}
+		v.vios = s.e.store.Detect()
 	}
 	return v, nil
 }

@@ -40,9 +40,11 @@ var errClosed = errors.New("increpair: session is closed")
 //     watermark and mutation Version. Readers load the pointer and
 //     never contend with a writer, observe a half-applied batch, or
 //     block behind a long engine pass.
-//   - Structure reads (Violations, Dump) need the live relation and
-//     violation store, so they briefly take the writer lock; they are
-//     consistent but not wait-free.
+//   - Structure reads go through a ReadView (Dump is one): the writer
+//     lock is held only to pin the relation and, when the store is
+//     unsatisfied, to capture its violation listing (one Detect: the
+//     dirty buckets' members plus a sort of vio(D) entries; nothing
+//     between batches). The view then reads without the lock.
 //   - Current returns the live relation without locking; it is safe
 //     only when the caller can rule out concurrent mutations (after
 //     Close, or in single-goroutine use).
@@ -377,37 +379,6 @@ func (s *Session) Satisfied() bool { return s.snap.Load().Satisfied }
 func (s *Session) Stats() (batches, tuples int, cost float64, changes int) {
 	sn := s.snap.Load()
 	return sn.Batches, sn.Inserted, sn.Cost, sn.Changes
-}
-
-// Violations returns up to limit current violations (limit <= 0 means
-// all) in the canonical (tuple id, rule, partner id) order, plus the
-// maintained vio(D) total — the pair is mutually consistent, unlike
-// combining a listing with a separately loaded Snapshot. It streams the
-// store's lazy cursor, so the lock is held for one pass over the
-// violations (ordering the violating tuples, O(dirty tuples) memory) and
-// the re-derivation of the limit's tuples, never for materializing and
-// sorting vio(D) entries. After Close the store is detached and
-// would answer stale; like Dump, the call refuses and returns nil.
-func (s *Session) Violations(limit int) (vs []cfd.Violation, total int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, 0
-	}
-	total = s.e.store.TotalViolations()
-	if total == 0 {
-		return nil, 0
-	}
-	n := total
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	vs = make([]cfd.Violation, 0, n)
-	c := s.e.store.Cursor()
-	for v, ok := c.Next(); ok && len(vs) < n; v, ok = c.Next() {
-		vs = append(vs, v)
-	}
-	return vs, total
 }
 
 // Dump writes the session's current relation as CSV from a pinned

@@ -103,7 +103,7 @@ func (s *sliceSource) Next() (wal.SnapTuple, bool, error) {
 // assigns dense ids in intern order, so preloading the store's
 // persisted dictionary reproduces the persisted ValueIDs exactly and
 // the reopened store's rows stay valid against the restored relation.
-func RestoreFromSnapshotSource(snap *wal.Snapshot, src TupleSource, workers int, preloadDict []string) (*Session, error) {
+func RestoreFromSnapshotSource(snap *wal.Snapshot, src TupleSource, preloadDict []string) (*Session, error) {
 	if snap.Ordering > uint8(ByWeight) {
 		return nil, fmt.Errorf("increpair: restore: unknown ordering %d", snap.Ordering)
 	}
@@ -130,5 +130,5 @@ func RestoreFromSnapshotSource(snap *wal.Snapshot, src TupleSource, workers int,
 			return nil, fmt.Errorf("increpair: restore: %w", err)
 		}
 	}
-	return restoreTail(snap, sch, rel, workers)
+	return restoreTail(snap, sch, rel)
 }

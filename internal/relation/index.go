@@ -402,9 +402,6 @@ func (ix *HashIndex) Buckets(f func(b int32, ids []TupleID, counts []BucketCount
 	}
 }
 
-// Len returns the number of distinct keys.
-func (ix *HashIndex) Len() int { return ix.byKey.Len() }
-
 // insertID files id into the ascending list ids.
 func insertID(ids []TupleID, id TupleID) []TupleID {
 	if n := len(ids); n == 0 || ids[n-1] < id {

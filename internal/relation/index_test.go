@@ -415,3 +415,6 @@ func TestCountedIndexTallies(t *testing.T) {
 		t.Fatal("a plain index has no tallies")
 	}
 }
+
+// Len returns the number of distinct keys.
+func (ix *HashIndex) Len() int { return ix.byKey.Len() }

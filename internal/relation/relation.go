@@ -187,14 +187,20 @@ func (r *Relation) cover(id TupleID) {
 
 // Insert adds t to the relation. If t.ID is zero a fresh id is assigned.
 // The tuple must have the schema's arity and (if present) a weight vector
-// of the same length. A probe of this relation's dictionary (Tuple.Probe)
-// is taken as it is, ids included; any other tuple is interned afresh.
+// of the same length with every weight in [0, 1] (§3.2). A probe of this
+// relation's dictionary (Tuple.Probe) is taken as it is, ids included;
+// any other tuple is interned afresh.
 func (r *Relation) Insert(t *Tuple) error {
 	if len(t.Vals) != r.schema.Arity() {
 		return fmt.Errorf("relation %s: tuple has %d values, want %d", r.schema.Name(), len(t.Vals), r.schema.Arity())
 	}
 	if t.W != nil && len(t.W) != len(t.Vals) {
 		return fmt.Errorf("relation %s: tuple has %d weights, want %d", r.schema.Name(), len(t.W), len(t.Vals))
+	}
+	for a, w := range t.W {
+		if !(0 <= w && w <= 1) { // written so that NaN fails it too
+			return fmt.Errorf("relation %s: attribute %s: weight %v outside [0,1]", r.schema.Name(), r.schema.Attr(a), w)
+		}
 	}
 	if t.ID == 0 {
 		t.ID = r.nextID

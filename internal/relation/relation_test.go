@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -92,6 +93,51 @@ func TestInsertErrors(t *testing.T) {
 	r.MustInsert(tp)
 	if tp.ID <= 7 {
 		t.Errorf("fresh id %d should exceed explicit id 7", tp.ID)
+	}
+}
+
+// TestInsertRefusesWeightsOutsideUnit: §3.2's weights lie in [0, 1]. Insert
+// refuses a vector holding any other value (NaN included) before it
+// changes anything, naming the relation and the attribute, and SetWeight
+// panics on one; the bounds themselves are weights.
+func TestInsertRefusesWeightsOutsideUnit(t *testing.T) {
+	for _, c := range []struct {
+		w    []float64
+		attr string // "" when the vector is accepted
+	}{
+		{[]float64{1.5, 0}, "a"},
+		{[]float64{0, -3}, "b"},
+		{[]float64{math.NaN(), 1}, "a"},
+		{[]float64{0.5, math.Inf(1)}, "b"},
+		{[]float64{-0.0001, 2}, "a"},
+		{[]float64{0, 1}, ""},
+		{[]float64{1, 0.25}, ""},
+	} {
+		r := New(MustSchema("r", "a", "b"))
+		v0 := r.Version()
+		err := r.Insert(&Tuple{Vals: []Value{S("x"), S("y")}, W: c.w})
+		if c.attr == "" {
+			if err != nil || r.Size() != 1 {
+				t.Errorf("W = %v: %v, size %d", c.w, err, r.Size())
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "relation r: attribute "+c.attr+":") {
+			t.Errorf("W = %v: got %v, want an error naming relation r and attribute %s", c.w, err, c.attr)
+		}
+		if r.Size() != 0 || r.NextID() != 1 || r.Version() != v0 || r.Dict().Len() != 0 {
+			t.Errorf("W = %v: the refused insert changed the relation", c.w)
+		}
+	}
+	for _, w := range []float64{-3, 1.01, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetWeight(0, %v) did not panic", w)
+				}
+			}()
+			NewTuple(1, "a", "b").SetWeight(0, w)
+		}()
 	}
 }
 

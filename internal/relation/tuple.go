@@ -88,8 +88,12 @@ func (t *Tuple) Weight(i int) float64 {
 }
 
 // SetWeight records the confidence weight of attribute i, materializing a
-// unit-weight vector on first use.
+// unit-weight vector on first use. It panics on a weight outside [0, 1]
+// (§3.2), NaN included.
 func (t *Tuple) SetWeight(i int, w float64) {
+	if !(0 <= w && w <= 1) {
+		panic(fmt.Sprintf("relation: weight %v outside [0,1]", w))
+	}
 	if t.W == nil {
 		t.W = make([]float64, len(t.Vals))
 		for j := range t.W {

@@ -27,8 +27,8 @@ type Options struct {
 	// ablation benchmarks.
 	NoDepGraph bool
 	// Workers drives nothing: the violation store counts D's buckets from
-	// their tallies and the repair loop runs on the caller's goroutine. It
-	// is kept until the benchmark stops setting it.
+	// their tallies and the repair loop runs on the caller's goroutine. The
+	// benchmark compiles against it until ROADMAP item 1(i)(b).
 	Workers int
 }
 

@@ -436,7 +436,7 @@ func (s *Server) handlePeers(w http.ResponseWriter, req *http.Request) {
 				cur = ref.target
 			}
 			if cur != desired {
-				h.stopShipper()
+				h.dropReplica(s.reg, h.stopShipper())
 				if desired != "" {
 					h.startShipper(s.reg, desired)
 				}

@@ -574,6 +574,73 @@ func TestClusterRebalance(t *testing.T) {
 	}
 }
 
+// hostsLocally reports whether n's registry holds name, in any role.
+func hostsLocally(n *clusterNode, name string) bool {
+	_, err := n.srv.reg.Get(name)
+	return err == nil
+}
+
+// TestClusterDeleteDropsFollowerCopy: deleting a replicated session on its
+// owner drops the follower's copy before the DELETE answers, so the
+// follower neither hosts nor serves the deleted rows. A follower that
+// cannot be reached costs a degraded delivery, not the delete.
+func TestClusterDeleteDropsFollowerCopy(t *testing.T) {
+	a, b := newClusterPair(t, quorumOpts)
+	const name = "orphan"
+	owner, follower := ownerAndFollower(a, b, name)
+	createTiny(t, owner.url, name)
+	waitFollower(t, follower, name)
+	applyDirty(t, owner.url, name, 0)
+	if resp, body := do(t, "DELETE", owner.url+"/v1/sessions/"+name, nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: %d: %s", resp.StatusCode, body)
+	}
+	if hostsLocally(follower, name) {
+		t.Fatal("the follower still hosts the deleted session")
+	}
+	if resp, body := getBody(t, follower.url+"/v1/sessions/"+name+"/dump"); resp.StatusCode == http.StatusOK {
+		t.Fatalf("the follower still serves the deleted rows:\n%s", body)
+	}
+
+	// The same delete with the follower gone: the owner counts the drop
+	// it could not deliver and the delete succeeds.
+	createTiny(t, owner.url, name)
+	waitFollower(t, follower, name)
+	follower.kill()
+	degraded := owner.srv.reg.ship.Degraded.Load()
+	if resp, body := do(t, "DELETE", owner.url+"/v1/sessions/"+name, nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete with the follower down: %d: %s", resp.StatusCode, body)
+	}
+	if got := owner.srv.reg.ship.Degraded.Load(); got <= degraded {
+		t.Fatalf("the undelivered drop was not counted: degraded %d → %d", degraded, got)
+	}
+}
+
+// TestClusterPeersDropsMovedFollowerCopy: a re-ring that moves a session's
+// follower away drops the old follower's copy, while the owner keeps
+// serving the session.
+func TestClusterPeersDropsMovedFollowerCopy(t *testing.T) {
+	a, b := newClusterPair(t, quorumOpts)
+	const name = "stranded"
+	owner, follower := ownerAndFollower(a, b, name)
+	createTiny(t, owner.url, name)
+	waitFollower(t, follower, name)
+
+	// A ring of the owner alone has no follower for the session.
+	resp, body := do(t, "PUT", owner.url+"/v1/cluster/peers", PeersRequest{Peers: []string{owner.addr}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("peers: %d: %s", resp.StatusCode, body)
+	}
+	if hostsLocally(follower, name) {
+		t.Fatal("the old follower still hosts the session")
+	}
+	if !hostsLocally(owner, name) {
+		t.Fatal("the owner lost the session")
+	}
+	if ar := applyDirty(t, owner.url, name, 0); ar.Seq == 0 {
+		t.Fatal("the owner refused writes")
+	}
+}
+
 // TestClusterCountersMonotone: a node's counters never go backwards
 // when a shipping stream stops — with its deleted session, or on a
 // re-ring that leaves the session no follower. Every _total series the

@@ -150,8 +150,8 @@ func datasetWire(t *testing.T, size int, seed int64) (baseCSV, cfds string, ds *
 
 // TestServerByteIdenticalToInProcess drives the same batch sequence —
 // streamed inserts plus a final mixed deletes/sets/inserts batch —
-// through the HTTP service and the in-process API at several worker
-// counts and orderings, requiring byte-identical responses and dumps.
+// through the HTTP service and the in-process API under both orderings,
+// requiring byte-identical responses and dumps.
 func TestServerByteIdenticalToInProcess(t *testing.T) {
 	baseCSV, cfds, ds := datasetWire(t, 240, 42)
 	batches := wireBatches(ds, 3)
@@ -159,18 +159,12 @@ func TestServerByteIdenticalToInProcess(t *testing.T) {
 		t.Fatal("fixture produced too few batches")
 	}
 
-	for _, tc := range []struct {
-		workers  int
-		ordering string
-	}{
-		{1, "linear"}, {2, "linear"}, {4, "linear"}, {0, "linear"},
-		{1, "vio"}, {2, "vio"}, {4, "vio"},
-	} {
-		t.Run(fmt.Sprintf("workers=%d/%s", tc.workers, tc.ordering), func(t *testing.T) {
+	for _, ordering := range []string{"linear", "vio"} {
+		t.Run(ordering, func(t *testing.T) {
 			_, ts := newTestService(t, Options{})
 			base := ts.URL
 			name := "equiv"
-			wo := &WireOptions{Ordering: tc.ordering, Workers: tc.workers}
+			wo := &WireOptions{Ordering: ordering}
 
 			resp, body := do(t, "POST", base+"/v1/sessions", CreateRequest{
 				Name: name, CFDs: cfds, BaseCSV: baseCSV, Options: wo,
@@ -270,9 +264,9 @@ func TestServerGoldenFixtureInitialClean(t *testing.T) {
 }
 
 // TestServerConcurrentSessionsByteIdentical hosts many sessions driven
-// concurrently — different tenants, different seeds, mixed worker
-// counts — and requires every session's full response stream and final
-// dump to byte-match an in-process replay. Run under -race in CI, this
+// concurrently — different tenants, different seeds — and requires
+// every session's full response stream and final dump to byte-match an
+// in-process replay. Run under -race in CI, this
 // is the multi-tenant isolation proof: tenants sharing the service
 // cannot perturb each other's repairs.
 func TestServerConcurrentSessionsByteIdentical(t *testing.T) {
@@ -289,7 +283,6 @@ func TestServerConcurrentSessionsByteIdentical(t *testing.T) {
 		bodies  [][]byte
 		dump    []byte
 	}
-	workerChoice := []int{1, 2, 4, 0}
 	tens := make([]*tenant, tenants)
 	for i := range tens {
 		baseCSV, cfds, ds := datasetWire(t, 120, int64(100+i))
@@ -297,7 +290,7 @@ func TestServerConcurrentSessionsByteIdentical(t *testing.T) {
 			name:    fmt.Sprintf("tenant-%d", i),
 			baseCSV: baseCSV,
 			cfds:    cfds,
-			wo:      &WireOptions{Ordering: "linear", Workers: workerChoice[i%len(workerChoice)]},
+			wo:      &WireOptions{Ordering: "linear"},
 			batches: wireBatches(ds, 2),
 		}
 	}

@@ -293,15 +293,6 @@ func (p *persister) syncNow() error {
 	return nil
 }
 
-// syncedVersion reports the newest journal version known to be on
-// stable storage — what the fsync-before-ack test asserts against: under
-// the per-batch policy no acknowledged version may exceed it.
-func (p *persister) syncedVersion() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.synced
-}
-
 // failure returns the persistence failure that broke p, or nil — always
 // nil for a memory-only session (p == nil).
 func (p *persister) failure() error {
@@ -517,7 +508,7 @@ func restorePaged(dir, name string, snap *wal.Snapshot) (*increpair.Session, err
 		st.Close()
 		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)
 	}
-	sess, err := increpair.RestoreFromSnapshotSource(snap, src, 0, st.Strings())
+	sess, err := increpair.RestoreFromSnapshotSource(snap, src, st.Strings())
 	if err != nil {
 		st.Close()
 		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)

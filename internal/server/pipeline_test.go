@@ -365,3 +365,12 @@ func TestPublishAsync(t *testing.T) {
 		t.Fatalf("ring holds %d events, want %d", n, eventRingSize)
 	}
 }
+
+// syncedVersion reports the newest journal version known to be on
+// stable storage — what the fsync-before-ack test asserts against: under
+// the per-batch policy no acknowledged version may exceed it.
+func (p *persister) syncedVersion() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.synced
+}

@@ -425,10 +425,26 @@ func (h *hosted) startShipper(r *Registry, target string) {
 	h.shipper.Store(&sessionShipper{sp: sp, target: target})
 }
 
-// stopShipper tears the current shipping stream down, if any.
-func (h *hosted) stopShipper() {
-	if ref := h.shipper.Swap(nil); ref != nil {
-		ref.sp.Close()
+// stopShipper tears the current shipping stream down, if any, and
+// returns the peer it shipped to ("" when there was none).
+func (h *hosted) stopShipper() string {
+	ref := h.shipper.Swap(nil)
+	if ref == nil {
+		return ""
+	}
+	ref.sp.Close()
+	return ref.target
+}
+
+// dropReplica asks peer, a follower h no longer ships to, to delete its
+// replica of h's session. It is best effort: a failed drop counts as a
+// degraded delivery and leaves the stale copy there.
+func (h *hosted) dropReplica(r *Registry, peer string) {
+	if peer == "" {
+		return
+	}
+	if err := r.cluster.transport(peer).Drop(h.name); err != nil {
+		r.ship.Degraded.Add(1)
 	}
 }
 
@@ -662,8 +678,15 @@ func (h *hosted) run(r *Registry) {
 	defer h.views.closeAll()
 	defer h.finishPersist(r)
 	// The shipper stops only after the committer has drained: the last
-	// commits may still ship synchronously under ack=quorum.
-	defer h.stopShipper()
+	// commits may still ship synchronously under ack=quorum. A deleted
+	// session's follower then drops its copy. (A transfer stops the
+	// shipper before it removes the session, so the copy it promoted
+	// stays.)
+	defer func() {
+		if target := h.stopShipper(); h.purge.Load() {
+			h.dropReplica(r, target)
+		}
+	}()
 	defer func() {
 		close(h.commits)
 		<-h.committerDone

@@ -216,9 +216,6 @@ func (s *Server) Handler() http.Handler {
 	return s.mux
 }
 
-// Registry exposes the session registry (tests talk to it directly).
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Shutdown drains the registry gracefully: refuses new work, finishes
 // queued batches, closes every session. If ctx carries no deadline a
 // DrainTimeout one is applied.

@@ -263,6 +263,14 @@ func TestServiceCreateValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"store\"`) {
 		t.Errorf("create with a store field: got %d: %s", resp.StatusCode, body)
 	}
+	// The retired "workers" option is refused the same way.
+	resp, body = do(t, "POST", base+"/v1/sessions", map[string]any{
+		"name": "x", "cfds": tinyCFDs, "options": map[string]any{"workers": 2},
+		"schema": WireSchema{Name: "r", Attrs: []string{"AC", "CT"}},
+	})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"workers\"`) {
+		t.Errorf("create with a workers option: got %d: %s", resp.StatusCode, body)
+	}
 
 	createTiny(t, base, "dup")
 	resp, body = do(t, "POST", base+"/v1/sessions", CreateRequest{
@@ -664,3 +672,6 @@ func TestRemoveWaitsForQueue(t *testing.T) {
 		t.Fatalf("remove dropped queued work: %+v", sn)
 	}
 }
+
+// Registry exposes the session registry (tests talk to it directly).
+func (s *Server) Registry() *Registry { return s.reg }

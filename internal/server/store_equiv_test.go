@@ -4,7 +4,7 @@ package server
 // snapshots go through the page store, must be indistinguishable from a
 // memory-only one through every read surface — CSV dumps, violation
 // listings and stats fingerprints compare with bytes.Equal, not
-// semantically — at every supported worker count, and a durable tenant
+// semantically — and a durable tenant
 // killed at any batch boundary must recover byte-identical and keep
 // serving. Durability is an implementation detail of the service; the
 // moment it becomes observable in a response body,
@@ -52,78 +52,80 @@ func statsFingerprint(t *testing.T, base, name string) []byte {
 
 // TestDiskMemEquivalenceAcrossWorkers drives the identical batch
 // sequence — repaired and clean inserts, deletes, sets — through a
-// durable and a memory-only service at workers 0/1/2/4 and requires
-// byte-identical dumps, violation listings and stats.
+// durable and a memory-only service and requires byte-identical dumps,
+// violation listings and stats. The engine runs every session on its one
+// worker, so the default configuration (workers=0) is the only one left
+// of the worker counts this test once swept.
 func TestDiskMemEquivalenceAcrossWorkers(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			wo := &WireOptions{Ordering: "linear", Workers: workers}
-			// Same session name on two servers, so response bodies that
-			// embed the name still compare byte-for-byte.
-			const name = "t"
-			optsMem := Options{Fsync: FsyncOff, SnapshotEvery: 3, QueueDepth: 8}
-			optsDisk := optsMem
-			optsDisk.DataDir = t.TempDir()
-			_, tsMem := newTestService(t, optsMem)
-			_, tsDisk := newTestService(t, optsDisk)
+	t.Run("workers=0", testDiskMemEquivalence)
+}
 
-			createStored(t, tsMem.URL, name, wo)
-			createStored(t, tsDisk.URL, name, wo)
+func testDiskMemEquivalence(t *testing.T) {
+	wo := &WireOptions{Ordering: "linear"}
+	// Same session name on two servers, so response bodies that
+	// embed the name still compare byte-for-byte.
+	const name = "t"
+	optsMem := Options{Fsync: FsyncOff, SnapshotEvery: 3, QueueDepth: 8}
+	optsDisk := optsMem
+	optsDisk.DataDir = t.TempDir()
+	_, tsMem := newTestService(t, optsMem)
+	_, tsDisk := newTestService(t, optsDisk)
 
-			drive := func(base string) {
-				for i := 0; i < 8; i++ { // crosses SnapshotEvery=3 rotations
-					applyRecovery(t, base, name, i)
-				}
-				// One mixed batch: delete the first streamed tuple, dirty
-				// one surviving cell.
-				resp, body := do(t, "POST", base+"/v1/sessions/"+name+"/apply", ApplyRequest{
-					Deletes: []int64{5},
-					Sets:    []WireSet{{ID: 6, Attr: "CT", Value: strp("PHI")}},
-				})
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("mixed apply: %d: %s", resp.StatusCode, body)
-				}
-			}
-			drive(tsMem.URL)
-			drive(tsDisk.URL)
+	createStored(t, tsMem.URL, name, wo)
+	createStored(t, tsDisk.URL, name, wo)
 
-			memDump, memSnap, memVios := sessionState(t, tsMem.URL, name)
-			diskDump, diskSnap, diskVios := sessionState(t, tsDisk.URL, name)
-			if !bytes.Equal(memDump, diskDump) {
-				t.Fatalf("dump diverged:\nmemory-only:\n%s\ndurable:\n%s", memDump, diskDump)
-			}
-			if memSnap != diskSnap {
-				t.Fatalf("snapshot diverged:\nmemory-only %+v\ndurable     %+v", memSnap, diskSnap)
-			}
-			if memVios != diskVios {
-				t.Fatalf("violations diverged:\nmemory-only %s\ndurable     %s", memVios, diskVios)
-			}
-			if !bytes.Equal(statsFingerprint(t, tsMem.URL, name), statsFingerprint(t, tsDisk.URL, name)) {
-				t.Fatal("stats fingerprints diverged")
-			}
-
-			// Durability IS observable in the one place it should be:
-			// the durable session's listing carries store stats, the
-			// memory-only session's stays byte-stable without them.
-			var memInfo, diskInfo SessionInfo
-			_, body := do(t, "GET", tsMem.URL+"/v1/sessions/"+name, nil)
-			if err := json.Unmarshal(body, &memInfo); err != nil {
-				t.Fatal(err)
-			}
-			_, body = do(t, "GET", tsDisk.URL+"/v1/sessions/"+name, nil)
-			if err := json.Unmarshal(body, &diskInfo); err != nil {
-				t.Fatal(err)
-			}
-			if memInfo.Store != nil {
-				t.Fatalf("memory-only listing reports store stats: %+v", memInfo.Store)
-			}
-			if diskInfo.Store == nil {
-				t.Fatal("durable listing reports no store stats")
-			}
-			if diskInfo.Store.Kind != "disk" || diskInfo.Store.Gen == 0 || diskInfo.Store.Tuples == 0 {
-				t.Fatalf("disk store stats never advanced: %+v", diskInfo.Store)
-			}
+	drive := func(base string) {
+		for i := 0; i < 8; i++ { // crosses SnapshotEvery=3 rotations
+			applyRecovery(t, base, name, i)
+		}
+		// One mixed batch: delete the first streamed tuple, dirty
+		// one surviving cell.
+		resp, body := do(t, "POST", base+"/v1/sessions/"+name+"/apply", ApplyRequest{
+			Deletes: []int64{5},
+			Sets:    []WireSet{{ID: 6, Attr: "CT", Value: strp("PHI")}},
 		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("mixed apply: %d: %s", resp.StatusCode, body)
+		}
+	}
+	drive(tsMem.URL)
+	drive(tsDisk.URL)
+
+	memDump, memSnap, memVios := sessionState(t, tsMem.URL, name)
+	diskDump, diskSnap, diskVios := sessionState(t, tsDisk.URL, name)
+	if !bytes.Equal(memDump, diskDump) {
+		t.Fatalf("dump diverged:\nmemory-only:\n%s\ndurable:\n%s", memDump, diskDump)
+	}
+	if memSnap != diskSnap {
+		t.Fatalf("snapshot diverged:\nmemory-only %+v\ndurable     %+v", memSnap, diskSnap)
+	}
+	if memVios != diskVios {
+		t.Fatalf("violations diverged:\nmemory-only %s\ndurable     %s", memVios, diskVios)
+	}
+	if !bytes.Equal(statsFingerprint(t, tsMem.URL, name), statsFingerprint(t, tsDisk.URL, name)) {
+		t.Fatal("stats fingerprints diverged")
+	}
+
+	// Durability IS observable in the one place it should be:
+	// the durable session's listing carries store stats, the
+	// memory-only session's stays byte-stable without them.
+	var memInfo, diskInfo SessionInfo
+	_, body := do(t, "GET", tsMem.URL+"/v1/sessions/"+name, nil)
+	if err := json.Unmarshal(body, &memInfo); err != nil {
+		t.Fatal(err)
+	}
+	_, body = do(t, "GET", tsDisk.URL+"/v1/sessions/"+name, nil)
+	if err := json.Unmarshal(body, &diskInfo); err != nil {
+		t.Fatal(err)
+	}
+	if memInfo.Store != nil {
+		t.Fatalf("memory-only listing reports store stats: %+v", memInfo.Store)
+	}
+	if diskInfo.Store == nil {
+		t.Fatal("durable listing reports no store stats")
+	}
+	if diskInfo.Store.Kind != "disk" || diskInfo.Store.Gen == 0 || diskInfo.Store.Tuples == 0 {
+		t.Fatalf("disk store stats never advanced: %+v", diskInfo.Store)
 	}
 }
 
@@ -146,7 +148,7 @@ func TestDiskRecoveryKillAtEveryBoundary(t *testing.T) {
 			// minus the page cache (shared here, as on a real crash).
 			s1 := New(opts)
 			ts1 := httptest.NewServer(s1.Handler())
-			createStored(t, ts1.URL, name, &WireOptions{Ordering: "linear", Workers: 2})
+			createStored(t, ts1.URL, name, &WireOptions{Ordering: "linear"})
 			for i := 0; i < k; i++ {
 				applyRecovery(t, ts1.URL, name, i)
 			}

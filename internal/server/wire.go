@@ -100,7 +100,7 @@ type WireSchema struct {
 }
 
 // WireOptions tunes the session's INCREPAIR engine; zero values take
-// the engine defaults (k = 2, linear ordering, all cores).
+// the engine defaults (k = 2, linear ordering, 4 nearest values).
 type WireOptions struct {
 	// Ordering is the ΔD processing order: "linear", "vio" or "weight".
 	Ordering string `json:"ordering,omitempty"`
@@ -108,9 +108,6 @@ type WireOptions struct {
 	K int `json:"k,omitempty"`
 	// NearestK is the per-attribute fan-out of the cost-based index.
 	NearestK int `json:"nearest_k,omitempty"`
-	// Workers is accepted and recorded, and drives nothing: the violation
-	// store counts the base on the session's one worker, as passes run.
-	Workers int `json:"workers,omitempty"`
 }
 
 // CreateResponse acknowledges a created session. Initial summarizes the
@@ -449,6 +446,5 @@ func decodeOptions(wo *WireOptions) (*increpair.Options, error) {
 	}
 	o.K = wo.K
 	o.NearestK = wo.NearestK
-	o.Workers = wo.Workers
 	return o, nil
 }

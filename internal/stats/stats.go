@@ -129,6 +129,3 @@ func (r *Reservoir[T]) Add(item T) {
 
 // Items returns the current sample (shared slice; do not modify).
 func (r *Reservoir[T]) Items() []T { return r.items }
-
-// Seen returns how many items have been offered.
-func (r *Reservoir[T]) Seen() int { return r.seen }

@@ -227,3 +227,6 @@ func TestReservoirUniformity(t *testing.T) {
 		}
 	}
 }
+
+// Seen returns how many items have been offered.
+func (r *Reservoir[T]) Seen() int { return r.seen }

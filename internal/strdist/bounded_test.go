@@ -35,8 +35,7 @@ func TestDamerauLevenshteinBounded(t *testing.T) {
 	}
 }
 
-// The DL metric's DistanceBounded must prune identically, and the
-// generic Func fallback must ignore the bound.
+// The DL metric's DistanceBounded must prune identically.
 func TestDistanceBoundedMetric(t *testing.T) {
 	bm, ok := DL.(BoundedMetric)
 	if !ok {
@@ -47,9 +46,5 @@ func TestDistanceBoundedMetric(t *testing.T) {
 	}
 	if got := bm.DistanceBounded("kitten", "sitting", 5); got != 3 {
 		t.Errorf("DL bounded = %d, want 3", got)
-	}
-	f := Func(Levenshtein)
-	if got := f.DistanceBounded("kitten", "sitting", 0); got != 3 {
-		t.Errorf("Func fallback = %d, want full distance 3", got)
 	}
 }

@@ -122,7 +122,7 @@ var corpus = []struct {
 // from DL's bounded form at every cutoff from 1 up, called directly and
 // through a prepared probe.
 func TestMetricsSeparateDistinctStrings(t *testing.T) {
-	p := DL.(ProbeMetric).NewProbe()
+	p := new(DLProbe)
 	for _, c := range corpus {
 		for _, pair := range [][2]string{{c.a, c.b}, {c.b, c.a}, {c.a, c.a}, {c.b, c.b}} {
 			a, b := pair[0], pair[1]
@@ -166,7 +166,7 @@ func FuzzDamerauLevenshteinBounded(f *testing.F) {
 // and exactly max+1 otherwise, in either argument order, called directly
 // or through a prepared probe (whose masks must survive being reset from
 // one string to another).
-func checkBits(t *testing.T, p Probe, a, b string, max int) {
+func checkBits(t *testing.T, p *DLProbe, a, b string, max int) {
 	t.Helper()
 	want := dlRunes(a, b, max)
 	if got := DamerauLevenshteinBounded(a, b, max); got != want {
@@ -190,7 +190,7 @@ func checkBits(t *testing.T, p Probe, a, b string, max int) {
 // and on unrelated strings, ASCII and not.
 func TestOSABitsVsRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	p := DL.(ProbeMetric).NewProbe()
+	p := new(DLProbe)
 	for _, la := range []int{0, 1, 2, 63, 64, 65} {
 		for _, lb := range []int{0, 1, 2, 63, 64, 65} {
 			for i := 0; i < 6; i++ {
@@ -233,7 +233,7 @@ func FuzzOSABitsVsRows(f *testing.F) {
 	for _, c := range corpus {
 		f.Add(c.a, c.b)
 	}
-	p := DL.(ProbeMetric).NewProbe()
+	p := new(DLProbe)
 	f.Fuzz(func(t *testing.T, a, b string) {
 		if len(a) > 100 || len(b) > 100 {
 			t.Skip() // every max is tried, and the DP is quadratic
@@ -268,7 +268,7 @@ func TestDLKernelsDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { Normalized(DL, a, b) }); n != 0 {
 		t.Errorf("Normalized: %v allocs per call, want 0", n)
 	}
-	p := DL.(ProbeMetric).NewProbe()
+	p := new(DLProbe)
 	if n := testing.AllocsPerRun(100, func() {
 		p.Reset(a)
 		p.DistanceBounded(b, 3)

@@ -29,9 +29,9 @@ type Func func(a, b string) int
 func (f Func) Distance(a, b string) int { return f(a, b) }
 
 // DL is the package-default Damerau–Levenshtein metric. It implements
-// BoundedMetric and ProbeMetric: a bit-vector program with a cutoff for
-// ASCII strings that fit a machine word, a pruned dynamic program for the
-// rest.
+// BoundedMetric: a bit-vector program with a cutoff for ASCII strings
+// that fit a machine word, a pruned dynamic program for the rest. DLProbe
+// measures one string against many under it.
 var DL Metric = dlMetric{}
 
 // Levenshtein returns the classic edit distance between a and b:
@@ -89,38 +89,12 @@ type BoundedMetric interface {
 	DistanceBounded(a, b string, max int) int
 }
 
-// DistanceBounded makes every Func a BoundedMetric without a cutoff: it
-// calls f(a, b) and ignores max.
-func (f Func) DistanceBounded(a, b string, max int) int {
-	return f(a, b)
-}
-
-// ProbeMetric is an optional extension of BoundedMetric for a search that
-// measures one string against many (a query against every value of an
-// active domain): whatever depends on that string alone is worked out
-// once, by Probe.Reset, instead of once per pair.
-type ProbeMetric interface {
-	BoundedMetric
-	// NewProbe returns a probe of this metric; Reset it before use.
-	NewProbe() Probe
-}
-
-// Probe measures distances from one string under the metric it came from.
-// A probe is one goroutine's scratch.
-type Probe interface {
-	// Reset makes a the string distances are measured from.
-	Reset(a string)
-	// DistanceBounded is the metric's DistanceBounded(a, b, max).
-	DistanceBounded(b string, max int) int
-}
-
 type dlMetric struct{}
 
 func (dlMetric) Distance(a, b string) int { return DamerauLevenshtein(a, b) }
 func (dlMetric) DistanceBounded(a, b string, max int) int {
 	return DamerauLevenshteinBounded(a, b, max)
 }
-func (dlMetric) NewProbe() Probe { return new(dlProbe) }
 
 // bitsLen is the longest pattern the bit-vector kernel takes: one bit of
 // a machine word per byte.
@@ -151,15 +125,19 @@ func (pm *masks) clear(a string) {
 	}
 }
 
-// dlProbe is DL's Probe: the ASCII check of a and its match vectors are
-// made once per Reset, so a distance costs one pass over b.
-type dlProbe struct {
+// DLProbe measures DL distances from one string, for a search that
+// measures one string against many (a query against every value of an
+// active domain): the ASCII check of the string and its match vectors are
+// made once per Reset, so a distance costs one pass over b. The zero value
+// is ready for Reset; a probe is one goroutine's scratch.
+type DLProbe struct {
 	a    string
 	bits bool // a is ASCII, at most bitsLen bytes, and pm holds its vectors
 	pm   masks
 }
 
-func (p *dlProbe) Reset(a string) {
+// Reset makes a the string distances are measured from.
+func (p *DLProbe) Reset(a string) {
 	if p.bits {
 		p.pm.clear(p.a)
 	}
@@ -167,7 +145,9 @@ func (p *dlProbe) Reset(a string) {
 	p.bits = len(a) <= bitsLen && p.pm.set(a)
 }
 
-func (p *dlProbe) DistanceBounded(b string, max int) int {
+// DistanceBounded is DL's DistanceBounded(a, b, max) from the string of
+// the last Reset.
+func (p *DLProbe) DistanceBounded(b string, max int) int {
 	if p.bits && max >= 0 {
 		if d, ok := osaBits(&p.pm, len(p.a), b, max); ok {
 			return d

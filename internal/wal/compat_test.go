@@ -26,7 +26,7 @@ import (
 var otherVersions = []byte{1, 2, 99}
 
 func TestOtherFormatVersionsAreRefused(t *testing.T) {
-	rec := record(t, 77, increpair.Linear, 1, 3, true)
+	rec := record(t, 77, increpair.Linear, 3, true)
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "wal-0000000000.log")
 	l, err := wal.Create(walPath)
@@ -98,7 +98,7 @@ func TestOtherFormatVersionsAreRefused(t *testing.T) {
 // Snapshots are compared by their encodings, since a cost or a weight
 // may be NaN.
 func FuzzDecodeSnapshot(f *testing.F) {
-	rec := record(f, 77, increpair.Linear, 1, 3, true)
+	rec := record(f, 77, increpair.Linear, 3, true)
 	r := bytes.NewReader(rec.snap0[len("CFDSNAP")+1:])
 	prefix, err := wal.ReadFrame(r, 1<<30)
 	if err != nil {

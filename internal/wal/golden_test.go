@@ -48,7 +48,7 @@ type goldenMeta struct {
 // pins: dirty base (so the snapshot embeds an initial cleaning), six
 // random mixed batches, seed 101.
 func goldenRecording(t *testing.T) *recording {
-	return record(t, 101, increpair.Linear, 1, 6, true)
+	return record(t, 101, increpair.Linear, 6, true)
 }
 
 func TestGoldenWALReplay(t *testing.T) {
@@ -131,17 +131,15 @@ func TestGoldenWALReplay(t *testing.T) {
 		t.Fatalf("committed wal.log decodes to %d records, fixture recorded %d", len(payloads), meta.Records)
 	}
 
-	for _, workers := range []int{1, 4} {
-		got := restoreAndReplay(t, snap, payloads, workers)
-		if !bytes.Equal(got.dump, expected) {
-			t.Fatalf("workers=%d: replayed dump diverges from the committed expectation\nwant:\n%s\ngot:\n%s", workers, expected, got.dump)
-		}
-		if got.snap.Batches != meta.Batches || got.snap.Inserted != meta.Inserted ||
-			got.snap.Deleted != meta.Deleted || got.snap.Changes != meta.Changes ||
-			got.snap.Cost != meta.Cost || int64(got.snap.Watermark) != meta.Watermark ||
-			got.snap.Version != meta.Version || got.snap.Violations != meta.Violations {
-			t.Fatalf("workers=%d: replayed state diverges from expected.json: %+v vs %+v", workers, got.snap, meta)
-		}
+	got := restoreAndReplay(t, snap, payloads)
+	if !bytes.Equal(got.dump, expected) {
+		t.Fatalf("replayed dump diverges from the committed expectation\nwant:\n%s\ngot:\n%s", expected, got.dump)
+	}
+	if got.snap.Batches != meta.Batches || got.snap.Inserted != meta.Inserted ||
+		got.snap.Deleted != meta.Deleted || got.snap.Changes != meta.Changes ||
+		got.snap.Cost != meta.Cost || int64(got.snap.Watermark) != meta.Watermark ||
+		got.snap.Version != meta.Version || got.snap.Violations != meta.Violations {
+		t.Fatalf("replayed state diverges from expected.json: %+v vs %+v", got.snap, meta)
 	}
 
 	// The golden run must itself be reproducible: re-recording the same

@@ -136,16 +136,21 @@ type fingerprint struct {
 
 func capture(t testing.TB, sess *increpair.Session) fingerprint {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := sess.Dump(&buf); err != nil {
+	view, err := sess.ReadView()
+	if err != nil {
 		t.Fatal(err)
 	}
-	vs, total := sess.Violations(0)
+	defer view.Release()
+	var buf bytes.Buffer
+	if err := view.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	vs, _ := view.Violations(cfd.AnyVio(), 0, 0)
 	var vb strings.Builder
 	for _, v := range vs {
 		fmt.Fprintf(&vb, "%d/%s/%d;", v.T, v.N.Name, v.With)
 	}
-	return fingerprint{dump: buf.Bytes(), snap: sess.Snapshot(), vios: vb.String(), total: total}
+	return fingerprint{dump: buf.Bytes(), snap: view.Snapshot(), vios: vb.String(), total: view.TotalViolations()}
 }
 
 func requireEqual(t testing.TB, ctx string, want, got fingerprint) {
@@ -175,11 +180,11 @@ type recording struct {
 // record drives a live session through nBatches random batches exactly
 // like the server's single-writer worker would, logging each accepted
 // batch with its journal-version bracket.
-func record(t testing.TB, seed int64, ordering increpair.Ordering, workers, nBatches int, dirtyBase bool) *recording {
+func record(t testing.TB, seed int64, ordering increpair.Ordering, nBatches int, dirtyBase bool) *recording {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sess, err := increpair.NewSession(batteryBase(t, dirtyBase), batteryCFDs(t, batterySchema()),
-		&increpair.Options{Ordering: ordering, Workers: workers})
+		&increpair.Options{Ordering: ordering})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +224,9 @@ func record(t testing.TB, seed int64, ordering increpair.Ordering, workers, nBat
 
 // restoreAndReplay rebuilds a session from a snapshot and replays the
 // given WAL payloads, returning its fingerprint.
-func restoreAndReplay(t testing.TB, snap []byte, payloads [][]byte, workers int) fingerprint {
+func restoreAndReplay(t testing.TB, snap []byte, payloads [][]byte) fingerprint {
 	t.Helper()
-	sess, err := increpair.RestoreSession(bytes.NewReader(snap), workers)
+	sess, err := increpair.RestoreSession(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +246,7 @@ func restoreAndReplay(t testing.TB, snap []byte, payloads [][]byte, workers int)
 // TestRecoveryEquivalence is the core property: for every batch prefix,
 // restoring the initial snapshot and replaying the logged records
 // reproduces the live session bit for bit — dumps, violations, stats,
-// snapshots — at every restore worker count, for clean and dirty bases
-// and both batch orderings.
+// snapshots — for clean and dirty bases and both batch orderings.
 func TestRecoveryEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -255,12 +259,10 @@ func TestRecoveryEquivalence(t *testing.T) {
 		{"vio-clean", 3, increpair.ByViolations, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := record(t, tc.seed, tc.ordering, 1, 8, tc.dirty)
-			for _, workers := range []int{0, 1, 2, 4} {
-				for k := 0; k <= len(rec.payloads); k++ {
-					got := restoreAndReplay(t, rec.snap0, rec.payloads[:k], workers)
-					requireEqual(t, fmt.Sprintf("workers=%d prefix=%d", workers, k), rec.fps[k], got)
-				}
+			rec := record(t, tc.seed, tc.ordering, 8, tc.dirty)
+			for k := 0; k <= len(rec.payloads); k++ {
+				got := restoreAndReplay(t, rec.snap0, rec.payloads[:k])
+				requireEqual(t, fmt.Sprintf("prefix=%d", k), rec.fps[k], got)
 			}
 		})
 	}
@@ -272,11 +274,9 @@ func TestRecoveryEquivalence(t *testing.T) {
 // the exact situation after a crash between snapshot rotation and WAL
 // truncation.
 func TestRecoverySkipsContainedRecords(t *testing.T) {
-	rec := record(t, 17, increpair.Linear, 1, 8, false)
-	for _, workers := range []int{1, 4} {
-		got := restoreAndReplay(t, rec.snapMid, rec.payloads, workers)
-		requireEqual(t, fmt.Sprintf("mid-snapshot workers=%d", workers), rec.fps[len(rec.fps)-1], got)
-	}
+	rec := record(t, 17, increpair.Linear, 8, false)
+	got := restoreAndReplay(t, rec.snapMid, rec.payloads)
+	requireEqual(t, "mid-snapshot", rec.fps[len(rec.fps)-1], got)
 }
 
 // TestRecoveryKillAtArbitraryOffsets writes the recording to a real WAL
@@ -285,7 +285,7 @@ func TestRecoverySkipsContainedRecords(t *testing.T) {
 // of the last intact batch — committed batches before the cut are never
 // lost, the torn tail is never half-applied.
 func TestRecoveryKillAtArbitraryOffsets(t *testing.T) {
-	rec := record(t, 23, increpair.Linear, 1, 6, false)
+	rec := record(t, 23, increpair.Linear, 6, false)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal-0000000000.log")
 	l, err := wal.Create(path)
@@ -339,7 +339,7 @@ func TestRecoveryKillAtArbitraryOffsets(t *testing.T) {
 		if len(payloads) != k {
 			t.Fatalf("cut %d: %d intact records, want %d", cut, len(payloads), k)
 		}
-		got := restoreAndReplay(t, rec.snap0, payloads, 2)
+		got := restoreAndReplay(t, rec.snap0, payloads)
 		requireEqual(t, fmt.Sprintf("kill at %d (batch %d)", cut, k), rec.fps[k], got)
 	}
 }
@@ -348,7 +348,7 @@ func TestRecoveryKillAtArbitraryOffsets(t *testing.T) {
 // and frame headers both — and requires the damaged suffix to be
 // discarded cleanly while every batch before it survives.
 func TestRecoveryCorruptTail(t *testing.T) {
-	rec := record(t, 29, increpair.Linear, 1, 5, false)
+	rec := record(t, 29, increpair.Linear, 5, false)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
 	l, err := wal.Create(path)
@@ -390,7 +390,7 @@ func TestRecoveryCorruptTail(t *testing.T) {
 			if len(payloads) == recI && discarded == 0 {
 				t.Fatalf("corrupt rec %d+%d: no bytes discarded", recI, delta)
 			}
-			got := restoreAndReplay(t, rec.snap0, payloads, 1)
+			got := restoreAndReplay(t, rec.snap0, payloads)
 			requireEqual(t, fmt.Sprintf("corrupt rec %d+%d", recI, delta), rec.fps[len(payloads)], got)
 		}
 	}
@@ -400,8 +400,8 @@ func TestRecoveryCorruptTail(t *testing.T) {
 // session's cursor must be rejected, not applied — a hole in the log
 // means the recovered state cannot be trusted.
 func TestReplayDetectsGaps(t *testing.T) {
-	rec := record(t, 31, increpair.Linear, 1, 4, false)
-	sess, err := increpair.RestoreSession(bytes.NewReader(rec.snap0), 1)
+	rec := record(t, 31, increpair.Linear, 4, false)
+	sess, err := increpair.RestoreSession(bytes.NewReader(rec.snap0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +431,8 @@ func TestReplayDetectsGaps(t *testing.T) {
 // the restored session accepts further batches, and those batches
 // produce the same results the never-crashed session produces.
 func TestRestoredSessionKeepsWorking(t *testing.T) {
-	rec := record(t, 37, increpair.Linear, 1, 4, false)
-	live, err := increpair.RestoreSession(bytes.NewReader(rec.snap0), 1)
+	rec := record(t, 37, increpair.Linear, 4, false)
+	live, err := increpair.RestoreSession(bytes.NewReader(rec.snap0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestRestoredSessionKeepsWorking(t *testing.T) {
 	}
 	// Same post-recovery traffic against the recovered session and a
 	// twin restored the same way must agree fingerprint for fingerprint.
-	twin, err := increpair.RestoreSession(bytes.NewReader(rec.snap0), 4)
+	twin, err := increpair.RestoreSession(bytes.NewReader(rec.snap0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 // replay pushes them through the same ApplyOps path the live session
 // ran, and the engine's determinism-by-construction guarantees the
 // replayed pass rebuilds relation, violation store and counters
-// bit-identically at any worker count.
+// bit-identically.
 type Batch struct {
 	PrevVersion uint64
 	Version     uint64
@@ -113,7 +113,9 @@ type Snapshot struct {
 	Ordering uint8
 	K        int
 	NearestK int
-	Workers  int
+	// Workers is a retired setting kept in the format: written as 0,
+	// decoded and ignored.
+	Workers int
 
 	// Cumulative session counters (see increpair.Snapshot).
 	Batches  int
@@ -130,8 +132,8 @@ type Snapshot struct {
 	// (zero value when the session inherits service defaults).
 	Quota Quota
 
-	// StoreKind records where the relation rows live. StoreInline (the
-	// zero value) means Tuples carries them; StorePaged means the session
+	// StoreKind records where the relation rows live. The zero value
+	// means Tuples carries them; StorePaged means the session
 	// runs the disk-backed page store (internal/store) and the rows live
 	// in its page files at generation StoreGen — Tuples is then empty and
 	// the snapshot is a slim header, which is what makes recovery ~O(dirty)
@@ -139,16 +141,13 @@ type Snapshot struct {
 	StoreKind byte
 	StoreGen  uint64
 
-	// Tuples is the relation content in physical row order (StoreInline
+	// Tuples is the relation content in physical row order (StoreKind 0
 	// only).
 	Tuples []SnapTuple
 }
 
-// StoreKind values.
-const (
-	StoreInline byte = 0
-	StorePaged  byte = 1
-)
+// StorePaged is the StoreKind of a slim header over the page store.
+const StorePaged byte = 1
 
 // appendHeader renders every snapshot field through the tuple count:
 // the payload of a snapshot stream's header record.

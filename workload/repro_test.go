@@ -48,8 +48,7 @@ func TestGenerateReproducible(t *testing.T) {
 
 // TestRepairReproducible asserts that a workload run is reproducible end
 // to end: the same seed yields the same repair cost, change count and
-// repaired database — and that the parallel candidate evaluation of
-// INCREPAIR does not perturb the result at any worker count.
+// repaired database.
 func TestRepairReproducible(t *testing.T) {
 	cfg := workload.Config{Size: 250, NoiseRate: 0.08, ConstShare: 0.5, Seed: 7}
 	type outcome struct {
@@ -57,7 +56,7 @@ func TestRepairReproducible(t *testing.T) {
 		changes int
 		csv     []byte
 	}
-	run := func(workers int) outcome {
+	run := func() outcome {
 		t.Helper()
 		ds, err := workload.Generate(cfg)
 		if err != nil {
@@ -65,7 +64,6 @@ func TestRepairReproducible(t *testing.T) {
 		}
 		res, err := increpair.Repair(ds.Dirty, ds.Sigma, &increpair.Options{
 			Ordering: increpair.ByViolations,
-			Workers:  workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -76,20 +74,18 @@ func TestRepairReproducible(t *testing.T) {
 		}
 		return outcome{cost: res.Cost, changes: res.Changes, csv: buf.Bytes()}
 	}
-	base := run(1)
+	base := run()
 	if base.changes == 0 {
 		t.Fatal("repair changed nothing; test is vacuous")
 	}
-	for _, workers := range []int{1, 2, 8} {
-		got := run(workers)
-		if got.cost != base.cost {
-			t.Fatalf("workers=%d: repair cost %v, want %v", workers, got.cost, base.cost)
-		}
-		if got.changes != base.changes {
-			t.Fatalf("workers=%d: %d changes, want %d", workers, got.changes, base.changes)
-		}
-		if !bytes.Equal(got.csv, base.csv) {
-			t.Fatalf("workers=%d: repaired database differs from the workers=1 run", workers)
-		}
+	got := run()
+	if got.cost != base.cost {
+		t.Fatalf("repair cost %v, want %v", got.cost, base.cost)
+	}
+	if got.changes != base.changes {
+		t.Fatalf("%d changes, want %d", got.changes, base.changes)
+	}
+	if !bytes.Equal(got.csv, base.csv) {
+		t.Fatal("repaired database differs from the first run")
 	}
 }

@@ -14,8 +14,7 @@
 // out identical run to run. Repairs over a generated dataset are equally
 // deterministic — same seed, same repair cost, same repaired database (see
 // repro_test.go). Detection and both repair engines run on the caller's
-// goroutine; the Workers options they still accept drive nothing, so no
-// worker count can move a result.
+// goroutine.
 package workload
 
 import (
