@@ -3,6 +3,7 @@ package cfd
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cfdclean/internal/relation"
@@ -160,7 +161,7 @@ func TestVioFilterZeroValuePinsAttrZero(t *testing.T) {
 	defer s.Close()
 	dropped := 0
 	for _, v := range s.Detect() {
-		mentions := containsAttr(v.N.X, 0) || v.N.A == 0
+		mentions := slices.Contains(v.N.X, 0) || v.N.A == 0
 		if (VioFilter{}).Match(v) != mentions {
 			t.Fatalf("zero-value filter on a violation of %s (attrs %v->%d): %v", v.N.Name, v.N.X, v.N.A, !mentions)
 		}

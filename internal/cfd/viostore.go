@@ -1,8 +1,8 @@
 package cfd
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"cfdclean/internal/relation"
 )
@@ -18,9 +18,9 @@ import (
 // delete or update, with no member walked: in a variable-RHS group a
 // bucket's violations follow from its tally (groupPlan.bucketVios).
 // TotalViolations, GroupTotal and Satisfied are O(1); VioCount answers
-// vio(t) through the detector's probes; Detect, EachViolation, VioAll and
-// Components re-derive the violations of the dirty buckets and tuples
-// alone, through scan, the one code that walks violations. Every answer is exactly what a
+// vio(t) through the detector's probes; Detect, VioAll and Partition
+// re-derive the violations of the dirty buckets and tuples alone, through
+// scan, the one code that walks violations. Every answer is exactly what a
 // scan of every bucket of the current relation returns (the equivalence
 // is fuzz-tested in viostore_test.go against such a scan). An insert the
 // writer has just counted clean through VioCounts costs less still: the
@@ -214,7 +214,7 @@ func (s *VioStore) onDelta(dl relation.Delta) {
 		case g.hasVar:
 		case dl.Kind == relation.DeltaDelete:
 			s.dropConstTuple(gi, t.ID)
-		case dl.Kind == relation.DeltaInsert || g.a == a || containsAttr(g.x, a):
+		case dl.Kind == relation.DeltaInsert || g.a == a || slices.Contains(g.x, a):
 			s.countConstTuple(gi, t)
 		}
 	}
@@ -311,15 +311,6 @@ func (s *VioStore) dropConstTuple(gi int, id relation.TupleID) {
 	delete(st.tuples, id)
 }
 
-func containsAttr(xs []int, a int) bool {
-	for _, x := range xs {
-		if x == a {
-			return true
-		}
-	}
-	return false
-}
-
 // VioFilter selects violations from a listing (see Match). Zero bounds
 // are open; Rule "" matches every rule; Attr < 0 matches every attribute
 // (use AnyVio for the match-everything filter — the zero value pins
@@ -349,7 +340,7 @@ func (f VioFilter) Match(v Violation) bool {
 	if f.Rule != "" && v.N.Name != f.Rule {
 		return false
 	}
-	if f.Attr >= 0 && !containsAttr(v.N.X, f.Attr) && v.N.A != f.Attr {
+	if f.Attr >= 0 && !slices.Contains(v.N.X, f.Attr) && v.N.A != f.Attr {
 		return false
 	}
 	return true
@@ -393,15 +384,6 @@ func (s *VioStore) Detect() []Violation {
 	})
 	s.d.sortViolations(out)
 	return out
-}
-
-// EachViolation visits every current violation together with the index
-// of its embedded-FD group (per Detector.Groups order). Visit order is
-// unspecified.
-func (s *VioStore) EachViolation(f func(gi int, v Violation)) {
-	s.scan(func(gi int, t *relation.Tuple, n *Normal, with relation.TupleID) {
-		f(gi, Violation{T: t.ID, N: n, With: with})
-	})
 }
 
 // VioAll returns vio(t) for every tuple with at least one violation,
@@ -450,45 +432,61 @@ func Satisfies(rel *relation.Relation, sigma []*Normal) bool {
 
 // Components returns the connected components of the violation graph:
 // tuples are nodes, and an edge joins two tuples that co-occur in a
-// violation (the With partner of a variable-RHS violation). Tuples whose
-// only violations are single-tuple (constant-RHS) ones form singleton
-// components. Each component is sorted ascending by tuple id and the
-// components are ordered by their smallest member, so the result is a
-// canonical, deterministic partition of the currently violating tuples.
-//
-// Two tuples in different components share no violation: BATCHREPAIR
-// runs its greedy loop one component at a time. Each call builds a
-// union-find over the violations scan re-derives, in O(vio(D)·α); the
-// store keeps no connectivity state between calls.
+// violation (the With partner of a variable-RHS violation); a tuple whose
+// only violations are single-tuple (constant-RHS) ones is a singleton.
+// Each component is sorted by tuple id and the components by their
+// smallest member: a canonical partition of the violating tuples. Two
+// components share no violation, so BATCHREPAIR runs its greedy loop one
+// component at a time (Partition).
 func (s *VioStore) Components() [][]relation.TupleID {
-	parent := make(map[relation.TupleID]relation.TupleID)
-	find := func(id relation.TupleID) relation.TupleID {
-		if _, ok := parent[id]; !ok {
-			parent[id] = id
+	comps, _ := s.Partition()
+	return comps
+}
+
+// Partition answers, from one scan, what BATCHREPAIR starts from: the
+// components (see Components), and groups[p], the groups (per
+// Detector.Groups order) the tuple at position p violates under, nil
+// where it violates nothing. The components come from a union-find over
+// positions, in O(vio(D)·α + v log v + n) for v violating tuples of n;
+// the store keeps no connectivity state between calls.
+func (s *VioStore) Partition() (comps [][]relation.TupleID, groups [][]int) {
+	ts := s.rel.Tuples()
+	groups = make([][]int, len(ts))
+	parent := make([]int32, len(ts)) // position + 1 of p's parent; 0: not met
+	find := func(p int32) int32 {
+		for parent[p] != 0 && parent[p] != p+1 {
+			parent[p] = parent[parent[p]-1] // path halving
+			p = parent[p] - 1
 		}
-		for parent[id] != id {
-			parent[id] = parent[parent[id]] // path halving
-			id = parent[id]
-		}
-		return id
+		parent[p] = p + 1
+		return p
 	}
-	s.scan(func(_ int, t *relation.Tuple, _ *Normal, with relation.TupleID) {
-		a := find(t.ID)
-		if with != 0 {
-			b := find(with)
-			parent[max(a, b)] = min(a, b)
+	var nodes []int32 // the violating tuples: every partner is one too
+	s.scan(func(gi int, t *relation.Tuple, _ *Normal, with relation.TupleID) {
+		p, _ := s.rel.Position(t.ID)
+		if groups[p] == nil {
+			nodes = append(nodes, int32(p))
+		}
+		if !slices.Contains(groups[p], gi) {
+			groups[p] = append(groups[p], gi)
+		}
+		if a := find(int32(p)); with != 0 {
+			q, _ := s.rel.Position(with)
+			b := find(int32(q))
+			parent[max(a, b)] = min(a, b) + 1
 		}
 	})
-	byRoot := make(map[relation.TupleID][]relation.TupleID)
-	for id := range parent {
-		root := find(id)
-		byRoot[root] = append(byRoot[root], id)
+	// In ascending id order, each component's members come out sorted and
+	// the components in the order of their smallest members.
+	slices.SortFunc(nodes, func(p, q int32) int { return cmp.Compare(ts[p].ID, ts[q].ID) })
+	at := make([]int32, len(ts)) // at[root]: the root's component + 1
+	for _, p := range nodes {
+		r := find(p)
+		if at[r] == 0 {
+			comps = append(comps, nil)
+			at[r] = int32(len(comps))
+		}
+		comps[at[r]-1] = append(comps[at[r]-1], ts[p].ID)
 	}
-	out := make([][]relation.TupleID, 0, len(byRoot))
-	for _, members := range byRoot {
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		out = append(out, members)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	return comps, groups
 }

@@ -146,3 +146,124 @@ func TestDomainBumpDropAllocs(t *testing.T) {
 	}
 	checkDomains(t, r, recount(r), nil)
 }
+
+// FuzzDomainVsRecount drives byte-chosen inserts, deletes, Sets and clones
+// over a 3-attribute schema whose attributes draw from one shared 8-value
+// pool, so values are placed under one attribute and spill into others all
+// the time; after every step every domain read of every relation, the
+// original and its latest clone, equals a recount from its tuples.
+//
+// Each op is one byte: its low two bits pick insert (three value bytes
+// follow), delete (a tuple byte), Set (tuple, attribute and value bytes) or
+// clone, and the rest picks the relation written, once a clone exists. A
+// value byte picks a pool value, or null when it is 8 mod 9.
+func FuzzDomainVsRecount(f *testing.F) {
+	// The home table's tricky move: v0 is placed under a and spills into
+	// b; it leaves a while b still holds it, and returns to a. Then it
+	// leaves b and comes back to it, and a clone takes writes on both
+	// sides.
+	f.Add([]byte{0, 0, 0, 1, 2, 0, 0, 2, 2, 0, 0, 0, 2, 0, 1, 3, 2, 0, 1, 0})
+	f.Add([]byte{0, 0, 0, 1, 0, 1, 0, 2, 3, 2, 0, 0, 3, 6, 1, 1, 1, 4, 0, 5, 0, 0, 6, 0, 0, 0, 1})
+	f.Add([]byte{0, 1, 2, 3, 0, 3, 2, 1, 0, 8, 8, 8, 3, 5, 1, 1, 4, 2, 6, 1, 0, 2, 2, 0, 7})
+	pool := []string{"v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		value := func(b byte) Value {
+			if b%9 == 8 {
+				return NullValue
+			}
+			return S(pool[b%9])
+		}
+		rels := []*Relation{New(MustSchema("r", "a", "b", "c"))}
+		for len(data) > 0 {
+			op := data[0]
+			r := rels[int(op>>2)%len(rels)]
+			arg := func(n int) []byte {
+				if len(data) < 1+n {
+					data = nil
+					return nil
+				}
+				b := data[1 : 1+n]
+				data = data[1+n:]
+				return b
+			}
+			pickTuple := func(b byte) (TupleID, bool) {
+				if r.Size() == 0 {
+					return 0, false
+				}
+				return r.Tuples()[int(b)%r.Size()].ID, true
+			}
+			switch op & 3 {
+			case 0:
+				if b := arg(3); b != nil {
+					r.MustInsert(&Tuple{Vals: []Value{value(b[0]), value(b[1]), value(b[2])}})
+				}
+			case 1:
+				if b := arg(1); b != nil {
+					if id, ok := pickTuple(b[0]); ok {
+						r.Delete(id)
+					}
+				}
+			case 2:
+				if b := arg(3); b != nil {
+					if id, ok := pickTuple(b[0]); ok {
+						if _, err := r.Set(id, int(b[1])%3, value(b[2])); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			case 3:
+				arg(0)
+				rels = []*Relation{rels[0], r.Clone()}
+			}
+			for _, r := range rels {
+				checkDomains(t, r, recount(r), pool)
+			}
+		}
+	})
+}
+
+// TestCloneAllocs pins what the active domains cost New and Clone in
+// allocations: New makes no per-attribute structure, and Clone of an
+// n-tuple relation allocates a fixed number of times (one domain slice per
+// attribute among them) plus three times per tuple (the tuple, its values
+// and its ids), at every arity.
+func TestCloneAllocs(t *testing.T) {
+	const newAllocs, cloneFixed, perTuple = 6, 12, 3
+	for _, arity := range []int{1, 13} {
+		attrs := make([]string, arity)
+		for a := range attrs {
+			attrs[a] = fmt.Sprintf("a%d", a)
+		}
+		s := MustSchema("r", attrs...)
+		var sink *Relation
+		if n := testing.AllocsPerRun(100, func() { sink = New(s) }); n != newAllocs || sink == nil {
+			t.Errorf("arity %d: New allocates %v times, want %d", arity, n, newAllocs)
+		}
+		// Five values per attribute, each attribute its own: the domains are
+		// the same size whatever the tuple count, and the dictionary holds
+		// the values of 13 attributes at every arity.
+		build := func(n int) *Relation {
+			r := New(s)
+			for i := range 13 * 5 {
+				r.Dict().InternStr(fmt.Sprintf("%d-%d", i/5, i%5))
+			}
+			for i := range n {
+				vals := make([]string, arity)
+				for a := range vals {
+					vals[a] = fmt.Sprintf("%d-%d", a, i%5)
+				}
+				r.MustInsert(NewTuple(0, vals...))
+			}
+			return r
+		}
+		small, large := build(50), build(150)
+		a50 := testing.AllocsPerRun(20, func() { sink = small.Clone() })
+		a150 := testing.AllocsPerRun(20, func() { sink = large.Clone() })
+		if per := (a150 - a50) / 100; per != perTuple {
+			t.Errorf("arity %d: Clone allocates %v times per tuple, want %d", arity, per, perTuple)
+		}
+		if fixed := a50 - 50*perTuple; fixed != float64(cloneFixed+arity) {
+			t.Errorf("arity %d: Clone allocates %v times besides its tuples, want %d", arity, fixed, cloneFixed+arity)
+		}
+	}
+}

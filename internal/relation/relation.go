@@ -12,6 +12,15 @@ import (
 // Relation is an in-memory instance of a single-relation schema. It owns
 // its tuples; mutations go through the Relation so that active-domain and
 // index bookkeeping stays consistent.
+//
+// The active domains are placed by value id: home[id] names an attribute
+// whose domain holds value id and where the value lies in it, so finding a
+// value in its domain is one array read. A value that is already placed
+// under one attribute when another takes it goes into the other
+// attribute's spill map (see domain). Ids are dense and come from the
+// relation's own dictionary only (New makes one, Clone clones it), so the
+// table covers at most every id that dictionary handed out, at 8 bytes an
+// id; the dictionary never shrinks, and neither does the table.
 type Relation struct {
 	schema *Schema
 	tuples []*Tuple
@@ -22,8 +31,10 @@ type Relation struct {
 	nextID TupleID
 	dict   *Dict
 
-	// adom[a] is the live domain of attribute a, maintained incrementally.
+	// adom[a] is the live domain of attribute a, maintained incrementally;
+	// home places its values (see domain).
 	adom []domain
+	home []placement
 
 	// subs are the mutation-journal subscribers (see journal.go); notified
 	// synchronously after each insert, delete and update. version counts
@@ -43,26 +54,27 @@ type Relation struct {
 
 // New creates an empty relation instance of schema s.
 func New(s *Schema) *Relation {
-	adom := make([]domain, s.Arity())
-	for i := range adom {
-		adom[i].pos = make(map[ValueID]int32)
-	}
 	return &Relation{
 		schema: s,
 		nextID: 1,
 		dict:   NewDict(),
-		adom:   adom,
+		adom:   make([]domain, s.Arity()),
 	}
 }
 
 // domain is the active domain of one attribute: every non-null constant
 // some tuple currently carries, with the number of tuples carrying it. The
 // values lie densely in a slice, so walking them (EachDomainValue) is a
-// scan; pos finds a value's place, and the value whose last occurrence
-// goes is overwritten by the last one.
+// scan, and the value whose last occurrence goes is overwritten by the
+// last one. A value's place is found through the relation's home table
+// when this attribute holds the value's home placement, and through spill
+// otherwise: spill stays nil until the attribute takes a value another
+// attribute had placed first, which happens only where columns share a
+// vocabulary. A value that leaves its home attribute frees the home entry,
+// and whichever attribute takes the value next claims it.
 type domain struct {
-	vals []domainValue
-	pos  map[ValueID]int32 // pos[vals[i].id] == i
+	vals  []domainValue
+	spill map[ValueID]int32 // spill[vals[i].id] == i, for values homed elsewhere
 }
 
 type domainValue struct {
@@ -71,27 +83,73 @@ type domainValue struct {
 	n   int32 // tuples carrying it, ≥ 1
 }
 
-func (d *domain) bump(id ValueID, str string) {
-	if i, ok := d.pos[id]; ok {
+// placement is one home-table entry: attribute attr − 1 holds the value at
+// index i of its domain; attr 0 means the value is placed nowhere.
+type placement struct {
+	attr int32
+	i    int32
+}
+
+// place returns the index of value id in adom[a].vals.
+func (r *Relation) place(a int, id ValueID) (int32, bool) {
+	if int(id) < len(r.home) && r.home[id].attr == int32(a)+1 {
+		return r.home[id].i, true
+	}
+	i, ok := r.adom[a].spill[id]
+	return i, ok
+}
+
+// bump counts one more tuple carrying value id (string str) in attribute
+// a. A value new to a takes its home entry when no attribute holds it, and
+// a place in a's spill map otherwise.
+func (r *Relation) bump(a int, id ValueID, str string) {
+	d := &r.adom[a]
+	if i, ok := r.place(a, id); ok {
 		d.vals[i].n++
 		return
 	}
-	d.pos[id] = int32(len(d.vals))
+	i := int32(len(d.vals))
 	d.vals = append(d.vals, domainValue{str: str, id: id, n: 1})
+	if n := int(id) + 1; n > len(r.home) {
+		// Past len the table was never written, so what Grow exposes is zero.
+		r.home = slices.Grow(r.home, n-len(r.home))[:n]
+	}
+	if r.home[id].attr == 0 {
+		r.home[id] = placement{attr: int32(a) + 1, i: i}
+		return
+	}
+	if d.spill == nil {
+		d.spill = make(map[ValueID]int32)
+	}
+	d.spill[id] = i
 }
 
-func (d *domain) drop(id ValueID) {
-	i := d.pos[id]
+// drop counts one tuple fewer carrying value id in attribute a. When that
+// was the value's last occurrence, the last value of the domain moves into
+// its place, and the value's placement goes.
+func (r *Relation) drop(a int, id ValueID) {
+	d := &r.adom[a]
+	i, _ := r.place(a, id)
 	if d.vals[i].n > 1 {
 		d.vals[i].n--
 		return
 	}
-	last := len(d.vals) - 1
-	d.vals[i] = d.vals[last]
-	d.pos[d.vals[i].id] = i
-	d.vals[last] = domainValue{}
-	d.vals = d.vals[:last]
-	delete(d.pos, id)
+	if last := int32(len(d.vals)) - 1; i < last {
+		moved := d.vals[last].id
+		d.vals[i] = d.vals[last]
+		if r.home[moved].attr == int32(a)+1 {
+			r.home[moved].i = i
+		} else {
+			d.spill[moved] = i
+		}
+	}
+	d.vals[len(d.vals)-1] = domainValue{}
+	d.vals = d.vals[:len(d.vals)-1]
+	if r.home[id].attr == int32(a)+1 {
+		r.home[id] = placement{}
+	} else {
+		delete(d.spill, id)
+	}
 }
 
 // Schema returns the relation's schema.
@@ -229,7 +287,7 @@ func (r *Relation) Insert(t *Tuple) error {
 		r.dict.adopt(t.ids, t.Vals)
 		for a, id := range t.ids {
 			if id != NullID {
-				r.adom[a].bump(id, t.Vals[a].Str)
+				r.bump(a, id, t.Vals[a].Str)
 			}
 		}
 	} else {
@@ -242,7 +300,7 @@ func (r *Relation) Insert(t *Tuple) error {
 			id, s := r.dict.intern(v.Str)
 			t.ids[a] = id
 			t.Vals[a] = Value{Str: s}
-			r.adom[a].bump(id, s)
+			r.bump(a, id, s)
 		}
 	}
 	t.probed = nil
@@ -279,7 +337,7 @@ func (r *Relation) Delete(id TupleID) bool {
 	t := r.tuples[i]
 	for a, id := range t.ids {
 		if id != NullID {
-			r.adom[a].drop(id)
+			r.drop(a, id)
 		}
 	}
 	if r.activeGens.Load() != 0 {
@@ -312,7 +370,7 @@ func (r *Relation) Set(id TupleID, a int, v Value) (Value, error) {
 	}
 	oldID := t.ids[a]
 	if oldID != NullID {
-		r.adom[a].drop(oldID)
+		r.drop(a, oldID)
 	}
 	vid := NullID
 	if v.Null {
@@ -320,7 +378,7 @@ func (r *Relation) Set(id TupleID, a int, v Value) (Value, error) {
 	} else {
 		// Canonicalize to the dictionary's backing string (see Insert).
 		vid, v.Str = r.dict.intern(v.Str)
-		r.adom[a].bump(vid, v.Str)
+		r.bump(a, vid, v.Str)
 	}
 	if r.activeGens.Load() != 0 {
 		// Tuples reachable from pinned views are immutable: update via
@@ -368,7 +426,7 @@ func (r *Relation) DomainCount(a int, s string) int {
 	if !ok {
 		return 0
 	}
-	if i, ok := r.adom[a].pos[id]; ok {
+	if i, ok := r.place(a, id); ok {
 		return int(r.adom[a].vals[i].n)
 	}
 	return 0
@@ -379,7 +437,8 @@ func (r *Relation) DomainCount(a int, s string) int {
 // across a relation and its clones — which is also why the copy needs no
 // dictionary lookups: every tuple keeps the ids it has. The clone starts
 // a journal of its own, as if its tuples had just been inserted in order.
-// Every tuple keeps its position, so the id table is copied as it is.
+// Every tuple keeps its position and every value its id, so the id table
+// and the domains' home table are copied as they are: one slice each.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{
 		schema:  r.schema,
@@ -389,10 +448,11 @@ func (r *Relation) Clone() *Relation {
 		nextID:  1,
 		dict:    r.dict.Clone(),
 		adom:    make([]domain, len(r.adom)),
+		home:    slices.Clone(r.home),
 		version: uint64(len(r.tuples)),
 	}
 	for a, d := range r.adom {
-		c.adom[a] = domain{vals: slices.Clone(d.vals), pos: maps.Clone(d.pos)}
+		c.adom[a] = domain{vals: slices.Clone(d.vals), spill: maps.Clone(d.spill)}
 	}
 	for i, t := range r.tuples {
 		ct := t.Clone()

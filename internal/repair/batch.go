@@ -23,7 +23,7 @@ import (
 // violations and re-enter the loop (Theorem 4.2 guarantees termination).
 //
 // The loop runs once per connected component of the input's violation
-// graph (cfd.VioStore.Components: tuples sharing no violation), in
+// graph (cfd.VioStore.Partition: tuples sharing no violation), in
 // canonical order, on one engine and one working copy: a component's
 // repairs stay in place, so the next component sees them. The components
 // bound PICKNEXT's per-step scan to one component's dirty tuples; the
@@ -47,7 +47,7 @@ func Batch(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, e
 	// Detach the store before handing the repaired relation to the
 	// caller, so their later mutations don't pay maintenance.
 	defer store.Close()
-	comps := store.Components()
+	comps, groups := store.Partition()
 	res := &Result{Components: len(comps)}
 	for _, comp := range comps {
 		res.LargestComponent = max(res.LargestComponent, len(comp))
@@ -57,7 +57,7 @@ func Batch(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, e
 	// progress measure is bounded by 3k for k = (tuple, attribute) pairs.
 	limit := 3*e.rel.Size()*e.rel.Schema().Arity() + 1024
 	for _, comp := range comps {
-		e.seed(comp)
+		e.seed(comp, groups)
 		for {
 			if err := e.mainLoop(limit); err != nil {
 				return nil, err

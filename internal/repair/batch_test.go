@@ -455,22 +455,25 @@ func TestFindVAllocates(t *testing.T) {
 	e := newEngine(cfd.Compile(work.Dict(), ds.Sigma).NewVioStore(work), ds.Dirty, o)
 	defer e.store.Close()
 	calls := 0
-	e.store.EachViolation(func(gi int, v cfd.Violation) {
-		tp := work.Tuple(v.T)
-		for _, b := range e.groups[gi].X() {
-			if _, _, _, ok := e.findV(gi, tp, b); !ok {
-				continue
-			}
-			calls++
-			ix := e.supportIndex(gi, b)
-			if n := testing.AllocsPerRun(10, func() { e.findVUncached(ix, tp, b) }); n != 0 {
-				t.Errorf("findVUncached(group %d, t%d, attr %d) allocates %v times per call", gi, tp.ID, b, n)
-			}
-			if n := testing.AllocsPerRun(10, func() { e.findV(gi, tp, b) }); n != 0 {
-				t.Errorf("findV(group %d, t%d, attr %d), answered from the memo, allocates %v times per call", gi, tp.ID, b, n)
+	_, groups := e.store.Partition()
+	for p, gis := range groups {
+		tp := work.Tuples()[p]
+		for _, gi := range gis {
+			for _, b := range e.groups[gi].X() {
+				if _, _, _, ok := e.findV(gi, tp, b); !ok {
+					continue
+				}
+				calls++
+				ix := e.supportIndex(gi, b)
+				if n := testing.AllocsPerRun(10, func() { e.findVUncached(ix, tp, b) }); n != 0 {
+					t.Errorf("findVUncached(group %d, t%d, attr %d) allocates %v times per call", gi, tp.ID, b, n)
+				}
+				if n := testing.AllocsPerRun(10, func() { e.findV(gi, tp, b) }); n != 0 {
+					t.Errorf("findV(group %d, t%d, attr %d), answered from the memo, allocates %v times per call", gi, tp.ID, b, n)
+				}
 			}
 		}
-	})
+	}
 	if calls == 0 {
 		t.Fatal("no violation offered FINDV a candidate; the fixture exercises nothing")
 	}

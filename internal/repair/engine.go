@@ -102,9 +102,6 @@ type engine struct {
 	low    []int
 	byRank []int32
 	rankOf []int32
-	// seeds lists, per tuple violating in the input, the groups it
-	// violates under (see seed).
-	seeds map[relation.TupleID][]int
 
 	// support[i][b] is the FINDV support index (§4.2) of groups[i] for
 	// LHS attribute b: on X ∪ {A} \ {B}, tallying B; built lazily. Groups
@@ -148,12 +145,8 @@ func newEngine(store *cfd.VioStore, orig *relation.Relation, opts Options) *engi
 		arity:    arity,
 		opts:     opts,
 		touching: make([][]int, arity),
-		seeds:    make(map[relation.TupleID][]int),
 		found:    make(map[foundKey]foundV),
 	}
-	store.EachViolation(func(gi int, v cfd.Violation) {
-		e.seeds[v.T] = appendUnique(e.seeds[v.T], gi)
-	})
 	ts := work.Tuples()
 	e.byRank, e.rankOf = make([]int32, len(ts)), make([]int32, len(ts))
 	for p := range e.byRank {
@@ -253,11 +246,12 @@ func (e *engine) applyTarget(k eqclass.Key) {
 }
 
 // seed marks the tuples of one component of the input's violation graph
-// dirty in the groups they violate under in the input (Fig. 4 line 4).
-func (e *engine) seed(comp []relation.TupleID) {
+// dirty in the groups they violate under in the input (Fig. 4 line 4):
+// groups[p] lists those of the tuple at position p (VioStore.Partition).
+func (e *engine) seed(comp []relation.TupleID, groups [][]int) {
 	for _, id := range comp {
 		p, _ := e.rel.Position(id)
-		for _, gi := range e.seeds[id] {
+		for _, gi := range groups[p] {
 			e.setDirty(gi, p)
 		}
 	}

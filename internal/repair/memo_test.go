@@ -27,10 +27,10 @@ func driveBatch(t *testing.T, d *relation.Relation, sigma []*cfd.Normal, check f
 	work := d.Clone()
 	store := cfd.Compile(work.Dict(), sigma).NewVioStore(work)
 	defer store.Close()
-	comps := store.Components()
+	comps, groups := store.Partition()
 	e := newEngine(store, d, o)
 	for _, comp := range comps {
-		e.seed(comp)
+		e.seed(comp, groups)
 		for {
 			for {
 				p, ok := e.pickNext()
