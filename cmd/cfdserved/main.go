@@ -7,11 +7,8 @@
 // Usage:
 //
 //	cfdserved [-addr :8344] [-queue 32] [-drain 10s] [-pprof ADDR]
-//	          [-data-dir DIR] [-fsync batch|interval|off]
-//	          [-fsync-interval 100ms] [-snap-every 64]
+//	          [-data-dir DIR] [-fsync batch|off] [-snap-every 64]
 //	          [-max-read-limit 1000]
-//	          [-quota-ops 0] [-quota-tuples 0]
-//	          [-quota-max-size 0] [-quota-max-subscribers 0]
 //	          [-peers HOST:PORT,HOST:PORT,...] [-self HOST:PORT]
 //	          [-ack leader|quorum]
 //
@@ -24,10 +21,9 @@
 // pages streamed back in order, then WAL replay — before accepting
 // traffic, discarding any torn record tail a crash (kill -9 included)
 // left behind. -fsync picks the durability/latency trade: "batch"
-// syncs before every acknowledgement, "interval" syncs on a timer,
-// "off" leaves flushing to the OS. -store is accepted for old command
-// lines: "disk" (with -data-dir) is the only value, and it changes
-// nothing.
+// syncs before every acknowledgement, "off" leaves flushing to the OS.
+// -store is accepted for old command lines: "disk" (with -data-dir) is
+// the only value, and it changes nothing.
 //
 // With -peers (a static comma-separated node list including this node's
 // -self address) the service runs clustered: session names hash
@@ -42,13 +38,14 @@
 // placement; PUT /v1/cluster/peers swaps the node list and transfers
 // sessions to their new owners (snapshot ship + remote promote).
 //
-// The -quota-* flags set server-wide default per-session admission
-// limits, enforced ahead of each session's work queue: -quota-ops and
-// -quota-tuples are token-bucket rates (writes rejected with 429 and a
-// Retry-After computed from the bucket's refill time), -quota-max-size
-// caps relation size (403), -quota-max-subscribers caps concurrent SSE
-// consumers (409). Zero means unlimited; a create request may override
-// per session via its "quota" field.
+// A create request's "quota" field sets the session's admission limits,
+// enforced ahead of its work queue: ops_per_sec and tuples_per_sec are
+// token-bucket rates (writes rejected with 429 and a Retry-After
+// computed from the bucket's refill time), max_relation_size caps
+// relation size (403), max_subscribers caps concurrent SSE consumers
+// (409). Zero means unlimited and a negative limit is a 400. The quota
+// is session state: it survives a restart and follows the session to a
+// replica.
 //
 // Endpoints (all JSON unless noted):
 //
@@ -145,16 +142,11 @@ func parseFlags(args []string) (addr, pprofAddr string, opts server.Options, err
 	fs.IntVar(&opts.QueueDepth, "queue", 32, "per-session work queue depth (full queue: apply blocks, ingest gets 429)")
 	fs.DurationVar(&opts.DrainTimeout, "drain", 10*time.Second, "graceful shutdown budget for queued work")
 	fs.StringVar(&opts.DataDir, "data-dir", "", "durability root: per-session WAL + snapshots, recovered on boot (empty: in-memory)")
-	fsyncMode := fs.String("fsync", "batch", "WAL fsync policy: batch (sync before every ack), interval, or off")
-	fs.DurationVar(&opts.FsyncInterval, "fsync-interval", 100*time.Millisecond, "sync timer for -fsync interval")
+	fsyncMode := fs.String("fsync", "batch", "WAL fsync policy: batch (sync before every ack) or off")
 	fs.IntVar(&opts.SnapshotEvery, "snap-every", 64, "rotate to a fresh snapshot after this many logged batches")
 	storeKind := fs.String("store", "", "accepted for old command lines: disk, the only snapshot format, needs -data-dir; no effect")
 	fs.IntVar(&opts.MaxReadLimit, "max-read-limit", 1000, "cap on ?limit= for paginated violation reads")
 	fs.StringVar(&pprofAddr, "pprof", "", "serve net/http/pprof on this extra address (empty: off)")
-	fs.Float64Var(&opts.Quota.OpsPerSec, "quota-ops", 0, "per-session write ops/sec quota, 429 past it (0: unlimited)")
-	fs.Float64Var(&opts.Quota.TuplesPerSec, "quota-tuples", 0, "per-session tuples/sec quota, 429 past it (0: unlimited)")
-	fs.IntVar(&opts.Quota.MaxRelationSize, "quota-max-size", 0, "per-session relation size cap, 403 past it (0: unlimited)")
-	fs.IntVar(&opts.Quota.MaxSubscribers, "quota-max-subscribers", 0, "per-session SSE subscriber cap, 409 past it (0: unlimited)")
 	peers := fs.String("peers", "", "cluster: comma-separated static node list, host:port each (empty: single-node)")
 	fs.StringVar(&opts.Self, "self", "", "cluster: this node's own entry in -peers")
 	ackMode := fs.String("ack", "leader", "cluster: write acknowledgement scope: leader (local fsync) or quorum (follower ack too)")

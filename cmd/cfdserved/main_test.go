@@ -110,6 +110,14 @@ func TestParseFlags(t *testing.T) {
 		{"-slo-p99 1", "flag provided but not defined: -slo-p99"},
 		{"-coalesce-delay 1ms", "flag provided but not defined: -coalesce-delay"},
 		{"-coalesce-tuples 8", "flag provided but not defined: -coalesce-tuples"},
+		{"-addr 127.0.0.1:0 -data-dir d -fsync batch -store disk -snap-every 64", ""}, // bench/serve.go's line
+		{"-fsync off", ""},
+		{"-fsync interval", "-fsync"},
+		{"-fsync-interval 1s", "flag provided but not defined: -fsync-interval"},
+		{"-quota-ops 2", "flag provided but not defined: -quota-ops"},
+		{"-quota-tuples 2", "flag provided but not defined: -quota-tuples"},
+		{"-quota-max-size 2", "flag provided but not defined: -quota-max-size"},
+		{"-quota-max-subscribers 2", "flag provided but not defined: -quota-max-subscribers"},
 	} {
 		_, _, _, err := parseFlags(strings.Fields(tc.args))
 		switch {
@@ -120,11 +128,11 @@ func TestParseFlags(t *testing.T) {
 		}
 	}
 
-	addr, pprofAddr, opts, err := parseFlags(strings.Fields("-pprof :6060 -queue 8 -quota-ops 2 -peers a:1,b:2 -self a:1"))
+	addr, pprofAddr, opts, err := parseFlags(strings.Fields("-pprof :6060 -queue 8 -peers a:1,b:2 -self a:1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if addr != ":8344" || pprofAddr != ":6060" || opts.QueueDepth != 8 || opts.Quota.OpsPerSec != 2 ||
+	if addr != ":8344" || pprofAddr != ":6060" || opts.QueueDepth != 8 ||
 		opts.SnapshotEvery != 64 || !slices.Equal(opts.Peers, []string{"a:1", "b:2"}) || opts.Self != "a:1" {
 		t.Errorf("parsed %q %q %+v", addr, pprofAddr, opts)
 	}
@@ -169,7 +177,7 @@ func TestParseFlags(t *testing.T) {
 		}
 	}
 	slices.Sort(defined)
-	if len(defined) != 17 || !slices.Equal(listed, defined) {
+	if len(defined) != 12 || !slices.Equal(listed, defined) {
 		t.Errorf("README lists %v\nbinary defines %d: %v", listed, len(defined), defined)
 	}
 }

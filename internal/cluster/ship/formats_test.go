@@ -114,7 +114,7 @@ func TestFormatsByteIdentical(t *testing.T) {
 		Ordering: 1, K: 2, NearestK: 3, Workers: 4,
 		Batches: 3, Inserted: 304, Deleted: 2, Changes: 5, Cost: 1.5,
 		NextID: rel.NextID(), Version: rel.Version(),
-		Quota: wal.Quota{Set: true, OpsPerSec: 10, TuplesPerSec: 100.5, MaxRelationSize: 1000, MaxSubscribers: 4},
+		Quota: wal.Quota{OpsPerSec: 10, TuplesPerSec: 100.5, MaxRelationSize: 1000, MaxSubscribers: 4},
 	}
 	for _, tp := range rel.Tuples() {
 		snap.Tuples = append(snap.Tuples, wal.SnapTuple{ID: tp.ID, Vals: tp.Vals, W: tp.W})

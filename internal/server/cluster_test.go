@@ -398,9 +398,9 @@ func TestClusterFollowerReadPlane(t *testing.T) {
 	}
 }
 
-// TestClusterQuotaShipsToFollower: an explicit per-session quota is
-// session state — it must ride the snapshot to the replica and still
-// govern after promotion.
+// TestClusterQuotaShipsToFollower: a session's quota is session state —
+// it must ride the snapshot to the replica and still govern after
+// promotion.
 func TestClusterQuotaShipsToFollower(t *testing.T) {
 	a, b := newClusterPair(t, quorumOpts)
 	const name = "limited"

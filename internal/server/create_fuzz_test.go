@@ -39,7 +39,7 @@ func FuzzCreateRequest(f *testing.F) {
 	f.Add([]byte(`{
   "name": "bursty", "base_csv": "AC,CT\n212,NYC\n",
   "cfds": "cfd phi1: [AC] -> [CT]\n(212 || NYC)\n",
-  "quota": {"ops_per_sec": 5, "tuples_per_sec": -1}
+  "quota": {"ops_per_sec": 5, "max_subscribers": 4}
 }`))
 
 	s := New(Options{MaxBodyBytes: 4 << 10})

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"cfdclean/internal/increpair"
 	"cfdclean/internal/store"
@@ -67,10 +66,6 @@ const (
 	// sees the reply: an acknowledged batch survives power loss. The
 	// safest and slowest policy.
 	FsyncBatch FsyncPolicy = iota
-	// FsyncInterval syncs on a timer (Options.FsyncInterval): a crash
-	// loses at most the last interval's batches, all of which were
-	// acknowledged. The usual production trade.
-	FsyncInterval
 	// FsyncOff never syncs explicitly; the OS flushes on its own
 	// schedule. A process kill loses nothing (the page cache survives);
 	// power loss may lose recent batches.
@@ -82,20 +77,16 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch s {
 	case "batch":
 		return FsyncBatch, nil
-	case "interval":
-		return FsyncInterval, nil
 	case "off":
 		return FsyncOff, nil
 	}
-	return 0, fmt.Errorf("unknown fsync policy %q (want batch, interval or off)", s)
+	return 0, fmt.Errorf("unknown fsync policy %q (want batch or off)", s)
 }
 
 func (p FsyncPolicy) String() string {
 	switch p {
 	case FsyncBatch:
 		return "batch"
-	case FsyncInterval:
-		return "interval"
 	case FsyncOff:
 		return "off"
 	}
@@ -154,15 +145,15 @@ func walPath(dir string, gen uint64) string  { return filepath.Join(dir, wal.Gen
 // asks it after every pass whether the boundary must become a generation
 // (boundary); everything that touches the files runs on the session's
 // committer goroutine (see hosted.committer). The mutex fences the
-// committer's appends against the interval-fsync ticker.
+// committer's log and failure state against the worker (markBroken) and
+// the readers of failure (listings, /metrics, the write path's refusal).
 type persister struct {
 	cfg  *Options // the server's options; DataDir is set
 	dir  string
 	name string
-	// sess is the session this sidecar records; quota its quota mark
-	// (wal.Quota{} for inherited defaults), stamped into every snapshot
-	// header so an explicit override survives recovery and ships to
-	// replicas. Both are fixed for the persister's life.
+	// sess is the session this sidecar records; quota its quota,
+	// stamped into every snapshot header so it survives recovery. Both
+	// are fixed for the persister's life.
 	sess  *increpair.Session
 	quota wal.Quota
 	// sinceSnap is the rotation budget: successful passes since the last
@@ -181,8 +172,6 @@ type persister struct {
 	// owns its lifecycle: created or reopened alongside the snapshot/WAL
 	// pair, closed on close(), removed with the directory on destroy().
 	st *store.Disk
-
-	tick chan struct{} // closed to stop the interval-sync goroutine
 }
 
 // newPersister sets up durability for a freshly created session: its
@@ -208,7 +197,6 @@ func newPersister(cfg *Options, name string, sess *increpair.Session, quota wal.
 		p.close()
 		return nil, err
 	}
-	p.startTicker()
 	return p, nil
 }
 
@@ -227,28 +215,6 @@ func createStore(dir string, sess *increpair.Session) (*store.Disk, error) {
 	return st, nil
 }
 
-func (p *persister) startTicker() {
-	if p.cfg.Fsync != FsyncInterval {
-		return
-	}
-	// The goroutine watches a local copy of the stop channel: close()
-	// nils the field afterwards, and re-reading it here would race.
-	stop := make(chan struct{})
-	p.tick = stop
-	go func() {
-		t := time.NewTicker(p.cfg.FsyncInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				p.syncNow() // a failure is sticky in p.broken
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
 // appendBatch logs one batch: delta-encode, CRC-frame and append, without
 // syncing. Called by the session's committer, which is how the encode and
 // the append run concurrently with the worker's pass of that same batch —
@@ -258,7 +224,7 @@ func (p *persister) startTicker() {
 // (TUPLERESOLVE clones arriving tuples), so reading them here races
 // nothing.
 func (p *persister) appendBatch(b *wal.Batch) error {
-	payload := b.Encode() // off-lock: overlaps the ticker
+	payload := b.Encode() // off-lock
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.broken != nil {
@@ -273,9 +239,8 @@ func (p *persister) appendBatch(b *wal.Batch) error {
 }
 
 // syncNow flushes the log to stable storage — the one sync step, called
-// by the committer after each append under -fsync batch and by the
-// interval ticker: on success everything appended so far is known
-// durable.
+// by the committer after each append under -fsync batch: on success
+// everything appended so far is known durable.
 func (p *persister) syncNow() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -325,7 +290,7 @@ type capture struct {
 }
 
 // capture images the session at its current batch boundary, the quota
-// mark stamped into the header.
+// stamped into the header.
 func (p *persister) capture() (*capture, error) {
 	snap, flush, err := p.sess.PersistBoundary(p.name)
 	if err != nil {
@@ -447,10 +412,6 @@ func pruneGenerations(dir string, max uint64) {
 // close ends persistence gracefully (drain/shutdown): sync, close, keep
 // the data for the next boot.
 func (p *persister) close() {
-	if p.tick != nil {
-		close(p.tick)
-		p.tick = nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.log != nil {
@@ -528,8 +489,8 @@ func restorePaged(dir, name string, snap *wal.Snapshot) (*increpair.Session, err
 // its own tuples; the session then gets a fresh page store and is
 // re-anchored at the next generation, so the inline format is read once
 // and never written. It returns a persister positioned to continue
-// appending, holding the restored session and the quota mark read from
-// the chosen snapshot (Set only for explicit per-session overrides).
+// appending, holding the restored session and the quota read from the
+// chosen snapshot.
 // warn, when non-nil, reports acknowledged records that could NOT be
 // replayed — payload corruption mid-log or a gap between generations —
 // after which the session still serves, re-anchored on the recovered
@@ -690,7 +651,6 @@ func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 			return nil, nil, err
 		}
 	}
-	p.startTicker()
 	return p, warn, nil
 }
 
@@ -729,12 +689,6 @@ func (s *Server) Recover() (restored int, err error) {
 		if warn != nil {
 			errs = append(errs, warn)
 		}
-		// An explicit per-session override persisted in the snapshot
-		// beats the boot-time defaults; inherited quotas re-resolve.
-		quota := s.reg.quota
-		if p.quota.Set {
-			quota = p.quota
-		}
 		// A session whose directory carries the follower marker was a
 		// replica when this node went down; re-host it as one, so the
 		// true primary's shipping stream resumes (healing any missed
@@ -746,7 +700,7 @@ func (s *Server) Recover() (restored int, err error) {
 		if s.reg.cluster != nil && readRoleMarker(filepath.Join(cfg.DataDir, name)) {
 			role = roleFollower
 		}
-		if _, cerr := s.reg.register(name, p.sess, p.sess.Current().Schema(), p, quota, role); cerr != nil {
+		if _, cerr := s.reg.register(name, p.sess, p.sess.Current().Schema(), p, p.quota, role); cerr != nil {
 			p.close()
 			p.sess.Close()
 			errs = append(errs, fmt.Errorf("server: recover %s: %w", name, cerr))

@@ -433,18 +433,15 @@ func TestServerRecoverySkipsCorruptTenant(t *testing.T) {
 	}
 }
 
-// TestServerFsyncPolicies drives a batch through each policy (the
-// interval ticker included) and checks the flag parser.
+// TestServerFsyncPolicies drives a batch through each policy and checks
+// the flag parser.
 func TestServerFsyncPolicies(t *testing.T) {
-	for _, pol := range []FsyncPolicy{FsyncBatch, FsyncInterval, FsyncOff} {
+	for _, pol := range []FsyncPolicy{FsyncBatch, FsyncOff} {
 		dir := t.TempDir()
-		s1 := New(Options{DataDir: dir, Fsync: pol, FsyncInterval: 5 * time.Millisecond, QueueDepth: 4})
+		s1 := New(Options{DataDir: dir, Fsync: pol, QueueDepth: 4})
 		ts1 := httptest.NewServer(s1.Handler())
 		createRecovery(t, ts1.URL, "p")
 		applyRecovery(t, ts1.URL, "p", 1)
-		if pol == FsyncInterval {
-			time.Sleep(30 * time.Millisecond) // let the ticker sync at least once
-		}
 		want, _, _ := sessionState(t, ts1.URL, "p")
 		shutdownService(t, s1, ts1)
 
@@ -458,7 +455,7 @@ func TestServerFsyncPolicies(t *testing.T) {
 		}
 	}
 
-	for in, want := range map[string]FsyncPolicy{"batch": FsyncBatch, "interval": FsyncInterval, "off": FsyncOff} {
+	for in, want := range map[string]FsyncPolicy{"batch": FsyncBatch, "off": FsyncOff} {
 		got, err := ParseFsyncPolicy(in)
 		if err != nil || got != want {
 			t.Fatalf("ParseFsyncPolicy(%q) = %v, %v", in, got, err)
@@ -510,7 +507,7 @@ func TestFinishPersistSupersededKeepsData(t *testing.T) {
 		return sess
 	}
 	reg := NewRegistry(4)
-	reg.persist = &Options{DataDir: t.TempDir(), Fsync: FsyncOff, FsyncInterval: time.Second, SnapshotEvery: 64}
+	reg.persist = &Options{DataDir: t.TempDir(), Fsync: FsyncOff, SnapshotEvery: 64}
 	dataDir := filepath.Join(reg.persist.DataDir, "x")
 
 	// Not superseded: purge removes the directory.
@@ -536,7 +533,7 @@ func TestFinishPersistSupersededKeepsData(t *testing.T) {
 	hOld := &hosted{name: "x", sess: s2, pers: pOld}
 	hOld.purge.Store(true)
 	s3 := newSess()
-	hNew, err := reg.Create("x", s3, s3.Current().Schema(), nil)
+	hNew, err := reg.Create("x", s3, s3.Current().Schema(), wal.Quota{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestFsyncBeforeAck(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if hs[i], err = reg.Create(fmt.Sprintf("g%d", i), sess, sch, nil); err != nil {
+				if hs[i], err = reg.Create(fmt.Sprintf("g%d", i), sess, sch, wal.Quota{}); err != nil {
 					t.Fatal(err)
 				}
 			}

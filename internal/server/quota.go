@@ -15,10 +15,10 @@ import (
 // on relation size and SSE subscriber count. Limits are enforced in the
 // registry BEFORE a batch reaches the worker queue, so one tenant's
 // burst is rejected at its own front door instead of occupying queue
-// slots (and engine passes) the other tenants need. Server-wide
-// defaults come from Options (the -quota-* flags); a create request may
-// override them per session — stricter or looser — with -1 meaning
-// explicitly unlimited.
+// slots (and engine passes) the other tenants need. A session's quota
+// is what its create request set, zero meaning unlimited; it is session
+// state, recorded in every snapshot, restored on recovery and shipped to
+// replicas.
 //
 // A rate-limited request is answered 429 with a Retry-After header
 // computed from the bucket's actual refill time (integer seconds,
@@ -62,65 +62,38 @@ func (e *RateLimitError) retryAfterSeconds() int {
 	return s
 }
 
-// resolveQuota layers a per-session wire override over the server
-// defaults: zero fields inherit, negative fields mean explicitly
-// unlimited. A session's quota is a wal.Quota whose Set marks such an
-// override: it is session state (recorded in snapshots, restored on
-// recovery, shipped to replicas), whereas inherited defaults re-resolve
-// against whatever defaults the restoring server was booted with.
-func resolveQuota(def wal.Quota, wq *WireQuota) wal.Quota {
-	q := def
+// sessionQuota is a create request's quota as the session keeps it: the
+// limits as sent, zero (or no quota at all) meaning unlimited. A
+// negative limit is refused, naming its field.
+func sessionQuota(wq *WireQuota) (wal.Quota, error) {
 	if wq == nil {
-		return q
+		return wal.Quota{}, nil
 	}
-	q.Set = true
-	override := func(dst *float64, v float64) {
-		if v < 0 {
-			*dst = 0
-		} else if v > 0 {
-			*dst = v
-		}
+	neg := ""
+	switch {
+	case wq.OpsPerSec < 0:
+		neg = "ops_per_sec"
+	case wq.TuplesPerSec < 0:
+		neg = "tuples_per_sec"
+	case wq.MaxRelationSize < 0:
+		neg = "max_relation_size"
+	case wq.MaxSubscribers < 0:
+		neg = "max_subscribers"
 	}
-	override(&q.OpsPerSec, wq.OpsPerSec)
-	override(&q.TuplesPerSec, wq.TuplesPerSec)
-	if wq.MaxRelationSize < 0 {
-		q.MaxRelationSize = 0
-	} else if wq.MaxRelationSize > 0 {
-		q.MaxRelationSize = wq.MaxRelationSize
+	if neg != "" {
+		return wal.Quota{}, fmt.Errorf("quota.%s must not be negative (0 means unlimited)", neg)
 	}
-	if wq.MaxSubscribers < 0 {
-		q.MaxSubscribers = 0
-	} else if wq.MaxSubscribers > 0 {
-		q.MaxSubscribers = wq.MaxSubscribers
-	}
-	return q
+	return wal.Quota(*wq), nil
 }
 
-// wireQuota renders the effective quota for session listings; nil when
-// the session is entirely unlimited so unquota'd services stay
-// byte-stable. Explicitness alone does not render: an explicitly
-// all-unlimited quota looks like no quota on the wire, as before.
+// wireQuota renders a session's quota for listings; nil when the session
+// is entirely unlimited, so unquota'd services stay byte-stable.
 func wireQuota(q wal.Quota) *WireQuota {
-	if q.OpsPerSec == 0 && q.TuplesPerSec == 0 && q.MaxRelationSize == 0 && q.MaxSubscribers == 0 {
+	if q == (wal.Quota{}) {
 		return nil
 	}
-	return &WireQuota{
-		OpsPerSec:       q.OpsPerSec,
-		TuplesPerSec:    q.TuplesPerSec,
-		MaxRelationSize: q.MaxRelationSize,
-		MaxSubscribers:  q.MaxSubscribers,
-	}
-}
-
-// walQuota is a session's quota as its snapshot header records it: an
-// explicit override verbatim (all-zero means explicitly unlimited),
-// inherited defaults as an empty mark, so a restoring server re-resolves
-// them against its own boot-time defaults.
-func walQuota(q wal.Quota) wal.Quota {
-	if !q.Set {
-		return wal.Quota{}
-	}
-	return q
+	w := WireQuota(q)
+	return &w
 }
 
 // tokenBucket is a standard token-bucket rate limiter: capacity `burst`
@@ -143,8 +116,7 @@ func newTokenBucket(rate float64) *tokenBucket {
 }
 
 // take withdraws n tokens if available; otherwise it reports how long
-// until the bucket will hold n (requests larger than the burst are
-// charged over multiple refill windows rather than rejected forever).
+// until the bucket will hold n, or be full when n exceeds the burst.
 func (b *tokenBucket) take(n float64, now time.Time) (ok bool, wait time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -152,17 +124,16 @@ func (b *tokenBucket) take(n float64, now time.Time) (ok bool, wait time.Duratio
 		b.tokens = math.Min(b.burst, b.tokens+now.Sub(b.last).Seconds()*b.rate)
 	}
 	b.last = now
-	if b.tokens >= n {
+	// A request beyond the burst would never fit the bucket: it waits for
+	// a full one and is then charged in full, the deficit carried into
+	// future windows.
+	need := math.Min(n, b.burst)
+	if b.tokens >= need {
 		b.tokens -= n
 		return true, 0
 	}
-	// A request beyond the burst would never fit a full bucket; letting
-	// the deficit go negative charges it across future windows instead.
-	if n > b.burst {
-		b.tokens -= n
-		return true, 0
-	}
-	return false, time.Duration((n - b.tokens) / b.rate * float64(time.Second))
+	// Rounded up, so the advertised wait always suffices.
+	return false, time.Duration(math.Ceil((need - b.tokens) / b.rate * float64(time.Second)))
 }
 
 // refund returns tokens withdrawn for a request that was ultimately not

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,6 +51,23 @@ func TestTokenBucket(t *testing.T) {
 	if ok, wait := big.take(1, t0); ok || wait < 9*time.Second {
 		t.Fatalf("deficit must carry: ok=%v wait=%v", ok, wait)
 	}
+	// A second over-burst request waits for a full bucket, however deep
+	// the deficit the first left, and is admitted after that wait — also
+	// at a rate whose wait is no whole number of nanoseconds.
+	for _, rate := range []float64{100, 3} {
+		tb := newTokenBucket(rate)
+		n := rate + 1
+		if ok, _ := tb.take(n, t0); !ok {
+			t.Fatalf("rate %v: over-burst request into a full bucket must be admitted", rate)
+		}
+		ok, wait := tb.take(n, t0)
+		if want := time.Duration((rate + 1) / rate * float64(time.Second)); ok || wait < want {
+			t.Fatalf("rate %v: second over-burst take: ok=%v wait=%v, want refused until the bucket refills (%v)", rate, ok, wait, want)
+		}
+		if ok, _ := tb.take(n, t0.Add(wait)); !ok {
+			t.Fatalf("rate %v: over-burst request must be admitted after its advertised wait %v", rate, wait)
+		}
+	}
 
 	// refund restores tokens for a request that was not admitted.
 	rb := newTokenBucket(4)
@@ -60,28 +78,53 @@ func TestTokenBucket(t *testing.T) {
 	}
 }
 
-func TestResolveQuota(t *testing.T) {
-	def := wal.Quota{OpsPerSec: 10, TuplesPerSec: 100, MaxRelationSize: 1000, MaxSubscribers: 4}
-	if got := resolveQuota(def, nil); got != def {
-		t.Fatalf("nil override must inherit: %+v", got)
+// TestSessionQuota: a create request's quota is kept as sent, and a
+// fully unlimited one lists as no quota.
+func TestSessionQuota(t *testing.T) {
+	if q, err := sessionQuota(nil); err != nil || q != (wal.Quota{}) {
+		t.Fatalf("no quota: %+v, %v", q, err)
 	}
-	// Zero fields inherit, positive fields override, negative fields
-	// lift the default.
-	got := resolveQuota(def, &WireQuota{OpsPerSec: 5, TuplesPerSec: -1, MaxSubscribers: -1})
-	want := wal.Quota{Set: true, OpsPerSec: 5, TuplesPerSec: 0, MaxRelationSize: 1000, MaxSubscribers: 0}
-	if got != want {
-		t.Fatalf("resolve = %+v, want %+v", got, want)
+	wq := &WireQuota{OpsPerSec: 5, MaxRelationSize: 1000}
+	q, err := sessionQuota(wq)
+	if want := (wal.Quota{OpsPerSec: 5, MaxRelationSize: 1000}); err != nil || q != want {
+		t.Fatalf("quota = %+v, %v, want %+v", q, err, want)
+	}
+	if w := wireQuota(q); w == nil || *w != *wq {
+		t.Fatalf("wire = %+v, want %+v", w, wq)
 	}
 	if wireQuota(wal.Quota{}) != nil {
 		t.Fatal("fully unlimited quota must not serialize")
 	}
-	if w := wireQuota(want); w == nil || w.OpsPerSec != 5 || w.MaxRelationSize != 1000 {
-		t.Fatalf("wire = %+v", w)
+}
+
+// TestCreateRefusesNegativeQuota: a negative limit is not a way to say
+// "unlimited" (zero is): the create is a 400 naming the field, and no
+// session is hosted.
+func TestCreateRefusesNegativeQuota(t *testing.T) {
+	_, ts := newTestService(t, Options{})
+	for field, q := range map[string]*WireQuota{
+		"ops_per_sec":       {OpsPerSec: -1},
+		"tuples_per_sec":    {TuplesPerSec: -1},
+		"max_relation_size": {MaxRelationSize: -1},
+		"max_subscribers":   {MaxSubscribers: -1},
+	} {
+		resp, body := do(t, "POST", ts.URL+"/v1/sessions", CreateRequest{
+			Name:   "neg",
+			Schema: &WireSchema{Name: "orders", Attrs: []string{"AC", "CT"}},
+			CFDs:   tinyCFDs,
+			Quota:  q,
+		})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "quota."+field) {
+			t.Fatalf("negative %s: %d: %s", field, resp.StatusCode, body)
+		}
+	}
+	if resp, _ := do(t, "GET", ts.URL+"/v1/sessions/neg", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("refused create hosted a session: %d", resp.StatusCode)
 	}
 }
 
 // createWithQuota creates a session named name over the tiny schema
-// with a per-session quota override.
+// with a per-session quota.
 func createWithQuota(t *testing.T, base, name string, q *WireQuota) {
 	t.Helper()
 	resp, body := do(t, "POST", base+"/v1/sessions", CreateRequest{
@@ -274,39 +317,6 @@ func TestSubscriberCap(t *testing.T) {
 	}
 }
 
-// TestServerDefaultQuota: Options.Quota applies to every created
-// session, and a per-session override can lift it.
-func TestServerDefaultQuota(t *testing.T) {
-	_, ts := newTestService(t, Options{Quota: wal.Quota{MaxRelationSize: 2}})
-	base := ts.URL
-	createTiny(t, base, "capped")
-	createWithQuota(t, base, "lifted", &WireQuota{MaxRelationSize: -1})
-
-	ins := ApplyRequest{Inserts: []WireTuple{
-		{Vals: []*string{strp("212"), strp("NYC")}},
-		{Vals: []*string{strp("212"), strp("NYC")}},
-	}}
-	resp, body := do(t, "POST", base+"/v1/sessions/capped/apply", ins)
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("default cap: %d, want 403: %s", resp.StatusCode, body)
-	}
-	if resp, body := do(t, "POST", base+"/v1/sessions/lifted/apply", ins); resp.StatusCode != http.StatusOK {
-		t.Fatalf("lifted cap: %d: %s", resp.StatusCode, body)
-	}
-	// The lifted session is fully unlimited, so no quota is listed.
-	resp, body = do(t, "GET", base+"/v1/sessions/lifted", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("get: %d", resp.StatusCode)
-	}
-	var si SessionInfo
-	if err := json.Unmarshal(body, &si); err != nil {
-		t.Fatal(err)
-	}
-	if si.Quota != nil {
-		t.Fatalf("lifted session must list no quota: %s", body)
-	}
-}
-
 // TestQuotaRejectionCostsNothing: a batch the tuple bucket rejects must
 // refund its ops token, so a rejected tenant is not double-charged.
 func TestQuotaRejectionCostsNothing(t *testing.T) {
@@ -388,14 +398,12 @@ func TestRetryAfterSeconds(t *testing.T) {
 	_ = fmt.Sprintf("%v", ErrRelationFull)
 }
 
-// TestQuotaSurvivesReboot: an explicit per-session quota override is
-// durable session state — it rides the snapshot header and comes back
-// on recovery — while a session that merely inherited the server
-// defaults re-resolves against whatever defaults the NEW process was
-// started with.
+// TestQuotaSurvivesReboot: a session's quota is durable session state —
+// it rides the snapshot header and comes back on recovery — and a
+// session created without one still has none after the reboot.
 func TestQuotaSurvivesReboot(t *testing.T) {
 	dir := t.TempDir()
-	s1 := New(Options{DataDir: dir, Quota: wal.Quota{OpsPerSec: 10}})
+	s1 := New(Options{DataDir: dir})
 	ts1 := httptest.NewServer(s1.Handler())
 
 	mk := func(name string, q *WireQuota) {
@@ -413,8 +421,7 @@ func TestQuotaSurvivesReboot(t *testing.T) {
 	mk("plain", nil)
 	shutdownService(t, s1, ts1)
 
-	// Reboot with different defaults.
-	s2 := New(Options{DataDir: dir, Quota: wal.Quota{OpsPerSec: 20}})
+	s2 := New(Options{DataDir: dir})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer shutdownService(t, s2, ts2)
 	if n, err := s2.Recover(); err != nil || n != 2 {
@@ -433,11 +440,10 @@ func TestQuotaSurvivesReboot(t *testing.T) {
 		return si
 	}
 	capped := get("capped")
-	if capped.Quota == nil || capped.Quota.OpsPerSec != 555 || capped.Quota.MaxSubscribers != 7 {
-		t.Fatalf("explicit quota lost across reboot: %+v", capped.Quota)
+	if capped.Quota == nil || *capped.Quota != (WireQuota{OpsPerSec: 555, MaxSubscribers: 7}) {
+		t.Fatalf("quota lost across reboot: %+v", capped.Quota)
 	}
-	plain := get("plain")
-	if plain.Quota == nil || plain.Quota.OpsPerSec != 20 {
-		t.Fatalf("inherited quota should re-resolve to the new default: %+v", plain.Quota)
+	if plain := get("plain"); plain.Quota != nil {
+		t.Fatalf("a session created without a quota has one after reboot: %+v", plain.Quota)
 	}
 }

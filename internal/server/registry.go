@@ -70,11 +70,6 @@ type Registry struct {
 	// see persist.go). nil hosts sessions purely in memory.
 	persist *Options
 
-	// quota is the server-wide default admission-control configuration;
-	// a create request may override it per session (see quota.go). The
-	// zero value is fully unlimited.
-	quota wal.Quota
-
 	// cluster, when non-nil, is this node's replication and routing
 	// state (-peers/-self/-ack; see cluster.go). nil runs single-node,
 	// exactly as before PR 9.
@@ -326,11 +321,10 @@ type commitItem struct {
 
 // Create opens a session under name and starts its worker. The caller
 // supplies a ready increpair.Session (built from the decoded create
-// request) and the schema used for wire encoding and attribute lookup;
-// wq, when non-nil, overrides the registry's default quota per field
-// (see resolveQuota).
-func (r *Registry) Create(name string, sess *increpair.Session, schema *relation.Schema, wq *WireQuota) (*hosted, error) {
-	return r.register(name, sess, schema, nil, resolveQuota(r.quota, wq), rolePrimary)
+// request), the schema used for wire encoding and attribute lookup, and
+// the session's quota (see sessionQuota).
+func (r *Registry) Create(name string, sess *increpair.Session, schema *relation.Schema, quota wal.Quota) (*hosted, error) {
+	return r.register(name, sess, schema, nil, quota, rolePrimary)
 }
 
 // register hosts sess under name in the given role. p is nil for a new
@@ -359,7 +353,7 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 		// racing create of the same name from touching the same
 		// directory. Creates are rare; the lock is per-shard.
 		var err error
-		if p, err = newPersister(r.persist, name, sess, walQuota(quota)); err != nil {
+		if p, err = newPersister(r.persist, name, sess, quota); err != nil {
 			return nil, fmt.Errorf("server: persist %s: %w", name, err)
 		}
 	}
@@ -407,7 +401,7 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 	return h, nil
 }
 
-// captureSnapshot is the session's full inline image, the quota mark
+// captureSnapshot is the session's full inline image, its quota
 // stamped in: what replication ships, since a slim header carries no
 // rows.
 func (h *hosted) captureSnapshot() (*wal.Snapshot, error) {
@@ -415,7 +409,7 @@ func (h *hosted) captureSnapshot() (*wal.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap.Quota = walQuota(h.quota.cfg)
+	snap.Quota = h.quota.cfg
 	return snap, nil
 }
 

@@ -66,14 +66,9 @@ func (r *Registry) InstallReplica(ctx context.Context, name string, snap *wal.Sn
 			return err
 		}
 	}
-	// An explicit quota override travels in the snapshot header; without
-	// one the replica runs this node's defaults (it only matters after
+	// The quota travels in the snapshot header (it only matters after
 	// promotion — followers take no writes).
-	quota := r.quota
-	if snap.Quota.Set {
-		quota = snap.Quota
-	}
-	if _, err := r.register(name, sess, sess.Current().Schema(), nil, quota, roleFollower); err != nil {
+	if _, err := r.register(name, sess, sess.Current().Schema(), nil, snap.Quota, roleFollower); err != nil {
 		sess.Close()
 		return err
 	}

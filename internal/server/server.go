@@ -43,8 +43,8 @@
 // else runs per session: SSE streams read the event ring on their own
 // request goroutines (see stream.go), and idle cached views expire when
 // the committer prunes after a pass (see views.go). A hosted session's
-// only goroutines are its worker, its committer, on clustered nodes its
-// shipper, and under -fsync interval its persister's sync ticker.
+// only goroutines are its worker, its committer and, on clustered
+// nodes, its shipper.
 //
 // Two write paths feed the queue. POST .../apply is synchronous: the
 // handler enqueues and waits for the pass's reply (a full queue makes it
@@ -85,7 +85,6 @@ import (
 	"cfdclean/internal/cfd"
 	"cfdclean/internal/increpair"
 	"cfdclean/internal/relation"
-	"cfdclean/internal/wal"
 )
 
 // Options configures a Server.
@@ -102,24 +101,15 @@ type Options struct {
 	// reports the limit actually applied). Default 1000.
 	MaxReadLimit int
 
-	// Quota is the server-wide default admission-control configuration
-	// (the -quota-* flags): token-bucket rate limits on writes plus hard
-	// caps on relation size and SSE subscribers, enforced per session
-	// ahead of the worker queue. The zero value is fully unlimited; a
-	// create request may override per session (CreateRequest.Quota).
-	Quota wal.Quota
-
 	// DataDir, when non-empty, makes every session durable: each gets
 	// <DataDir>/<name>/ with WAL + snapshot generations and a page store
 	// the snapshots are written through (see persist.go and
 	// internal/store), and Server.Recover re-hosts persisted sessions on
 	// boot. Empty keeps the service purely in memory.
 	DataDir string
-	// Fsync selects when WAL appends reach stable storage (per batch,
-	// on an interval, or never explicitly). Default FsyncBatch.
+	// Fsync selects when WAL appends reach stable storage (per batch or
+	// never explicitly). Default FsyncBatch.
 	Fsync FsyncPolicy
-	// FsyncInterval is the FsyncInterval policy's timer. Default 100ms.
-	FsyncInterval time.Duration
 	// SnapshotEvery rotates to a fresh snapshot generation after this
 	// many logged batches, bounding replay time and WAL growth.
 	// Default 64.
@@ -152,9 +142,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxReadLimit <= 0 {
 		o.MaxReadLimit = 1000
 	}
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 100 * time.Millisecond
-	}
 	if o.SnapshotEvery <= 0 {
 		o.SnapshotEvery = 64
 	}
@@ -175,7 +162,6 @@ type Server struct {
 func New(opts Options) *Server {
 	s := &Server{opts: opts.withDefaults(), started: time.Now()}
 	s.reg = NewRegistry(s.opts.QueueDepth)
-	s.reg.quota = s.opts.Quota
 	if s.opts.DataDir != "" {
 		s.reg.persist = &s.opts
 	}
@@ -249,6 +235,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		writeStatus(w, http.StatusBadRequest, "cfds must hold at least one constraint (text format, see ParseCFDs)")
 		return
 	}
+	quota, err := sessionQuota(cr.Quota)
+	if err != nil {
+		writeStatus(w, http.StatusBadRequest, err.Error())
+		return
+	}
 
 	// Assemble the base relation: full CSV, or schema + rows.
 	var rel *relation.Relation
@@ -258,7 +249,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		if cr.Schema != nil && cr.Schema.Name != "" {
 			name = cr.Schema.Name
 		}
-		var err error
 		rel, err = relation.ReadCSV(name, strings.NewReader(cr.BaseCSV))
 		if err != nil {
 			writeStatus(w, http.StatusBadRequest, fmt.Sprintf("base_csv: %v", err))
@@ -304,7 +294,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		writeStatus(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	h, err := s.reg.Create(cr.Name, sess, rel.Schema(), cr.Quota)
+	h, err := s.reg.Create(cr.Name, sess, rel.Schema(), quota)
 	if err != nil {
 		sess.Close()
 		writeError(w, err)

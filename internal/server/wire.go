@@ -74,16 +74,14 @@ type CreateRequest struct {
 	BaseCSV string       `json:"base_csv,omitempty"`
 	Base    []WireTuple  `json:"base,omitempty"`
 	Options *WireOptions `json:"options,omitempty"`
-	// Quota overrides the server's default admission-control limits for
-	// this session: zero fields inherit the -quota-* defaults, negative
-	// fields mean explicitly unlimited.
+	// Quota sets this session's admission-control limits, taken as sent:
+	// absent or zero fields are unlimited, a negative field is a 400.
 	Quota *WireQuota `json:"quota,omitempty"`
 }
 
 // WireQuota is a session's admission-control configuration on the wire:
-// token-bucket rates plus hard caps. In a create request, zero fields
-// inherit the server defaults and negative fields lift them; in session
-// listings it reports the effective limits (absent when fully
+// token-bucket rates plus hard caps, zero meaning unlimited. A create
+// request sets it and session listings report it (absent when fully
 // unlimited). A rate-limited write is answered 429 with Retry-After;
 // the size cap maps to 403 and the subscriber cap to 409.
 type WireQuota struct {

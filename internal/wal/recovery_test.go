@@ -7,8 +7,8 @@ package wal_test
 // records, and replays — asserting that the recovered session is
 // *byte-identical* to the live session at the same watermark: equal CSV
 // dumps (bytes.Equal), equal violation listings and totals, equal
-// cumulative Stats and equal published Snapshots, across restore worker
-// counts 0/1/2/4 and both batch orderings. Runs under -race in CI.
+// cumulative Stats and equal published Snapshots. Each case restores
+// once, under both batch orderings. Runs under -race in CI.
 
 import (
 	"bytes"

@@ -57,19 +57,12 @@ func DecodeBatch(p []byte) (*Batch, error) {
 	return b, nil
 }
 
-// Quota is the hosting service's per-session admission policy: its
-// server-wide defaults, a session's effective quota, and the mark a
-// snapshot records, so that an explicitly configured tenant quota
-// survives recovery and ships to replicas instead of resetting to
-// whatever defaults the restoring process was booted with. Zero limits
-// mean unlimited. Set distinguishes "this session was created with an
-// explicit quota" (restore exactly these values — all-zero means
-// explicitly unlimited) from "the session inherited service defaults"
-// (restore whatever the restoring server's defaults are); a snapshot
-// records an inherited quota as the zero Quota. The engine itself never
-// reads this; it is carried for the server layer.
+// Quota is the hosting service's per-session admission policy, the
+// limits the session's create request set. Zero limits mean unlimited.
+// A snapshot records it, so a tenant's quota survives recovery and ships
+// to replicas as set. The engine itself never reads this; it is carried
+// for the server layer.
 type Quota struct {
-	Set bool
 	// OpsPerSec bounds write requests per second and TuplesPerSec the
 	// tuples they carry, each with a one-second burst (at least 1).
 	OpsPerSec    float64
@@ -129,7 +122,7 @@ type Snapshot struct {
 	Version uint64
 
 	// Quota is the hosting service's admission policy for the session
-	// (zero value when the session inherits service defaults).
+	// (zero value: unlimited).
 	Quota Quota
 
 	// StoreKind records where the relation rows live. The zero value
@@ -170,7 +163,8 @@ func (s *Snapshot) appendHeader(out []byte) []byte {
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.Cost))
 	out = binary.AppendVarint(out, int64(s.NextID))
 	out = binary.AppendUvarint(out, s.Version)
-	if s.Quota.Set {
+	// The flag byte says whether any limit is set; readers ignore it.
+	if s.Quota != (Quota{}) {
 		out = append(out, 1)
 	} else {
 		out = append(out, 0)
@@ -227,11 +221,7 @@ func decodeSnapshotPrefix(d *relation.Decoder) (*Snapshot, uint64) {
 	s.Cost = math.Float64frombits(d.U64("cost"))
 	s.NextID = relation.TupleID(d.Varint("next id"))
 	s.Version = d.Uvarint("version")
-	switch d.Byte("quota flag") {
-	case 0:
-	case 1:
-		s.Quota.Set = true
-	default:
+	if d.Byte("quota flag") > 1 {
 		d.Failf("bad quota flag")
 	}
 	s.Quota.OpsPerSec = math.Float64frombits(d.U64("quota ops/sec"))
