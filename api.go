@@ -258,10 +258,17 @@ func NewSession(d *Relation, sigma []*NormalCFD, opts *IncOptions) (*Session, er
 // by Session.Persist: same schema, CFD set, tuples (ids and physical
 // order included), journal marks and cumulative counters, with the
 // violation store rebuilt by one deterministic detection pass. The
-// restored session's Dump, Violations and Stats are byte-identical to
-// the persisted session's at the snapshot point. Batches logged after the
-// snapshot are reapplied with Session.ReplayBatch — cmd/cfdserved does
-// exactly this on boot when run with -data-dir.
+// restored session's Dump, violation listing and Stats are byte-identical
+// to the persisted session's at the snapshot point. Batches logged after
+// the snapshot are reapplied with Session.ReplayBatch — cmd/cfdserved
+// replays its WAL the same way on boot when run with -data-dir.
+//
+// Persist writes from the live relation through one reused chunk buffer,
+// and RestoreSession reads and inserts one chunk record at a time, so
+// beside the session itself each holds one chunk's bytes whatever the
+// relation's size. A damaged stream is refused whole (an error and no
+// session), and so is a page-store header, whose rows are not in the
+// stream.
 func RestoreSession(r io.Reader) (*Session, error) {
 	return increpair.RestoreSession(r)
 }

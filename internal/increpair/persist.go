@@ -73,26 +73,33 @@ func DeltasToOps(ops []relation.Delta) (deletes []relation.TupleID, sets []SetOp
 // Persist writes the session's full state as a framed snapshot: schema,
 // CFD set, engine options, cumulative counters, journal marks and every
 // tuple in physical row order. name is recorded for the hosting service
-// ("" outside it). Persist takes the session lock, so the image is a
-// quiescent point — never a half-applied batch — and is safe to call
-// concurrently with readers and writers.
+// ("" outside it). Persist holds the session lock while it writes, so the
+// image is a quiescent point — never a half-applied batch — and is safe
+// to call concurrently with readers and writers. The rows go from the
+// live relation straight into the writer's one chunk buffer
+// (wal.WriteSnapshotRows): nothing can change a tuple while the lock is
+// held, so no value or weight is copied, and Persist holds one chunk's
+// bytes whatever the relation's size.
 func (s *Session) Persist(name string, w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errClosed
 	}
-	snap, err := s.walSnapshotLocked(name, true)
+	snap, err := s.walSnapshotLocked(name, false)
 	if err != nil {
 		return err
 	}
-	return wal.WriteSnapshot(w, snap)
+	ts := s.e.repr.Tuples()
+	return wal.WriteSnapshotRows(w, snap, len(ts), func(i int) wal.SnapTuple {
+		return wal.SnapTuple{ID: ts[i].ID, Vals: ts[i].Vals, W: ts[i].W}
+	})
 }
 
 // PersistSnapshot builds the session's full-state snapshot without
-// serializing it — the hosting service ships it to replicas, while
-// Persist serves stream targets. Like Persist it captures a quiescent
-// point under the session lock.
+// serializing it, every tuple copied into its Tuples — the hosting
+// service ships it to replicas, while Persist serves stream targets. Like
+// Persist it captures a quiescent point under the session lock.
 func (s *Session) PersistSnapshot(name string) (*wal.Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -103,9 +110,10 @@ func (s *Session) PersistSnapshot(name string) (*wal.Snapshot, error) {
 }
 
 // walSnapshotLocked builds the session's snapshot header; withTuples
-// additionally copies every tuple inline (the format Persist writes and
-// replication ships). A store-backed boundary passes false — its rows live in the page
-// files, and the slim header only references their generation.
+// additionally copies every tuple inline (the image replication ships).
+// Persist passes false and streams the rows itself; so does a
+// store-backed boundary, whose rows live in the page files and whose slim
+// header only references their generation.
 func (s *Session) walSnapshotLocked(name string, withTuples bool) (*wal.Snapshot, error) {
 	if s.sigmaText == "" {
 		text, err := formatSigma(s.e.det.Sigma())
@@ -211,21 +219,38 @@ func sigmaEqual(a, b []*cfd.Normal) bool {
 // original at the snapshot point. Batches logged after the snapshot are
 // reapplied with ReplayBatch.
 //
+// The rows are read one chunk record at a time (wal.SnapshotReader) and
+// inserted as they are decoded, so beside the session it builds
+// RestoreSession holds one chunk's bytes whatever the relation's size. A
+// damaged stream is refused whole: an error and no session. So is a
+// page-store header (wal.StorePaged), whose rows are not in the stream.
+//
 // The options — ordering, K, NearestK — all come from the snapshot, since
 // replay must re-run the exact passes that were logged.
 func RestoreSession(r io.Reader) (*Session, error) {
-	snap, err := wal.ReadSnapshot(r)
+	snap, rows, err := wal.NewSnapshotReader(r)
 	if err != nil {
 		return nil, err
 	}
-	return RestoreFromSnapshotSource(snap, &sliceSource{ts: snap.Tuples}, nil)
+	return restoreInline(snap, rows)
 }
 
 // RestoreFromSnapshot is RestoreSession over an already-decoded
 // snapshot. workers drives nothing; the benchmark compiles against it
 // until ROADMAP item 1(i)(b) folds the restore entry points into one.
 func RestoreFromSnapshot(snap *wal.Snapshot, workers int) (*Session, error) {
-	return RestoreFromSnapshotSource(snap, &sliceSource{ts: snap.Tuples}, nil)
+	return restoreInline(snap, &sliceSource{ts: snap.Tuples})
+}
+
+// restoreInline restores a snapshot whose rows src reads from the
+// snapshot itself. A page-store header is refused: its rows live in the
+// page files it names, and restoring it here would yield an empty
+// relation at the header's version.
+func restoreInline(snap *wal.Snapshot, src TupleSource) (*Session, error) {
+	if snap.StoreKind != 0 {
+		return nil, fmt.Errorf("increpair: restore: snapshot of store kind %d (paged, store generation %d) holds no rows; it restores only through its page store", snap.StoreKind, snap.StoreGen)
+	}
+	return RestoreFromSnapshotSource(snap, src, nil)
 }
 
 // restoreTail finishes a restore once the relation is rebuilt: journal

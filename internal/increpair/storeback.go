@@ -76,7 +76,8 @@ func (s *Session) PersistBoundary(name string) (*wal.Snapshot, *store.Flush, err
 // TupleSource streams snapshot rows in physical order. Next returns
 // ok=false at clean exhaustion; an error poisons the restore (the
 // caller falls back to an older generation). store.Iterator implements
-// it over page files; sliceSource adapts a snapshot's inline tuples.
+// it over page files, wal.SnapshotReader over a snapshot stream's chunk
+// records, and sliceSource adapts a decoded snapshot's inline tuples.
 type TupleSource interface {
 	Next() (wal.SnapTuple, bool, error)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Deterministic binary (de)serialization of journal Deltas — the codec
@@ -97,6 +98,20 @@ func AppendValue(dst []byte, v Value) []byte {
 	dst = append(dst, 1)
 	dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
 	return append(dst, v.Str...)
+}
+
+// ValueLen is len(AppendValue(nil, v)), computed without encoding: what a
+// writer that sizes its buffer before it fills it reserves for v.
+func ValueLen(v Value) int {
+	if v.Null {
+		return 1
+	}
+	return 1 + UvarintLen(uint64(len(v.Str))) + len(v.Str)
+}
+
+// UvarintLen is the length of x's unsigned varint encoding.
+func UvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
 }
 
 // Decoder is the one cursor every payload decoder in the durability

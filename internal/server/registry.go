@@ -57,8 +57,9 @@ const registryShards = 16
 // the ONLY stage serialized per session — feeding a committer goroutine.
 // For each batch the worker hands the committer the batch's WAL record
 // before it runs the pass, and the pass's result after; the committer
-// delta-encodes, appends and fsyncs the record while the pass runs, then
-// acknowledges the client and publishes the pass event. HTTP handlers
+// delta-encodes, appends and fsyncs the record — while the pass runs,
+// when a scheduler slot is free for it (see apply) — then acknowledges
+// the client and publishes the pass event. HTTP handlers
 // never run an engine pass themselves; they decode and enqueue, then
 // either wait for the committer's reply (apply) or return immediately
 // (ingest).
@@ -744,8 +745,15 @@ func (h *hosted) dispatch(r *Registry, j job) {
 // hands the committer the batch's WAL record, which does not depend on
 // the pass: the ops between the journal version before the pass and the
 // one Check says the pass lands on. The committer appends and syncs it
-// while the pass runs, so a reply waits for the longer of the two rather
-// than their sum. The result goes to the committer after the pass; the
+// while the pass runs only when a Go scheduler slot (a GOMAXPROCS
+// processor) is free for it; then a reply waits for the longer of the
+// two rather than their sum. When the pass holds one processor and
+// handlers serving reads hold the rest, the committer starts when one
+// frees, often as the pass ends, and the reply waits for about the sum:
+// on serve_mixed at GOMAXPROCS=2 the append began a median 1.1 ms into
+// a 1.2–1.4 ms pass (EXPERIMENTS.md "PR 56"). Appending on the worker
+// instead measured slower there, so the hand-off stays. The result goes
+// to the committer after the pass; the
 // reply, ship and event happen there, overlapped with this worker's next
 // pass. Pass order fixes seq and the journal-version order, the commits
 // channel is FIFO, and record N+1 is sent only after result N, so the

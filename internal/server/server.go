@@ -16,8 +16,9 @@
 //	worker:  fold coalescable batches,    (the session's single writer)
 //	         Check, send the record,
 //	         run the engine pass
-//	committer: delta-encode, WAL append,  (overlaps the record's pass)
-//	         fsync; then reply, event     (overlaps the next pass)
+//	committer: delta-encode, WAL append,  (overlaps the record's pass
+//	         fsync;                       when a processor is free)
+//	         then reply, event            (overlaps the next pass)
 //	         └─ shipper: frame + forward  (after the local fsync)
 //	              └────────────────────────▶ follower: ReplicateBatch
 //

@@ -109,7 +109,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 const maxPayload = min(math.MaxUint32, math.MaxInt)
 
 // checkPayload refuses a payload of n bytes that a record cannot frame;
-// the writers of WAL and snapshot records call it before AppendFrame.
+// the writers of WAL and snapshot records call it before they frame one.
 func checkPayload(n int) error {
 	if n > maxPayload {
 		return fmt.Errorf("wal: record payload of %d bytes exceeds the %d a record can state", n, maxPayload)
@@ -120,9 +120,26 @@ func checkPayload(n int) error {
 // AppendFrame appends one record holding payload to dst; the payload must
 // be at most maxPayload bytes.
 func AppendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+	dst, at := beginFrame(dst)
+	dst = append(dst, payload...)
+	sealFrame(dst, at)
+	return dst
+}
+
+// beginFrame reserves a record header at the end of dst, at offset at, so
+// that a writer can append the payload in place behind it and sealFrame
+// the record afterwards: a record is never built apart and copied in.
+func beginFrame(dst []byte) (out []byte, at int) {
+	return append(dst, make([]byte, frameHeaderLen)...), len(dst)
+}
+
+// sealFrame fills in the header beginFrame reserved at offset at with the
+// length and checksum of everything appended behind it, which must be at
+// most maxPayload bytes.
+func sealFrame(frame []byte, at int) {
+	payload := frame[at+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[at+4:], crc32.Checksum(payload, castagnoli))
 }
 
 // ReadFrame reads and verifies one record from r and returns its
@@ -133,6 +150,13 @@ func AppendFrame(dst, payload []byte) []byte {
 // missing or torn record is tolerable is the caller's decision — only
 // the WAL scan (Open) says yes.
 func ReadFrame(r io.Reader, max int) ([]byte, error) {
+	return readFrame(r, nil, max)
+}
+
+// readFrame is ReadFrame into buf's storage, so that a reader of many
+// records can reuse one buffer: a payload that fits in cap(buf) costs no
+// allocation, and a longer one grows a new buffer as ReadFrame does.
+func readFrame(r io.Reader, buf []byte, limit int) ([]byte, error) {
 	var h [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
 		if err == io.EOF {
@@ -141,17 +165,34 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: record header torn: %w", ErrCorrupt, err)
 	}
 	n, crc := int64(binary.LittleEndian.Uint32(h[:4])), binary.LittleEndian.Uint32(h[4:])
-	if n > int64(max) {
-		return nil, fmt.Errorf("%w: record of implausible length %d (at most %d here)", ErrCorrupt, n, max)
+	if n > int64(limit) {
+		return nil, fmt.Errorf("%w: record of implausible length %d (at most %d here)", ErrCorrupt, n, limit)
 	}
 	// The length came off a disk or a network: it bounds the read, but the
-	// buffer follows the bytes that arrive — once full it at most doubles
-	// — so a header claiming max with nothing behind it allocates 16 KiB.
-	p := make([]byte, min(n, 16<<10))
+	// buffer follows the bytes that arrive. Once full it grows to n, or to
+	// n/8, n/64, … — the largest of them at most eight times the bytes in
+	// hand — so a header claiming limit with nothing behind it allocates
+	// 16 KiB, and a long payload costs little more than its own length.
+	// A reused buffer the payload outgrows is replaced with an eighth to
+	// spare, so that the reader's next, slightly longer record fits too.
+	p := buf[:0]
 	for got := int64(0); got < n; {
-		if got == int64(len(p)) {
-			p = append(p, make([]byte, min(n-got, got))...)
+		if got == int64(cap(p)) {
+			size := min(n, 16<<10)
+			if got > 0 {
+				size = n
+				for size > 8*got {
+					size = (size + 7) / 8
+				}
+			}
+			if size == n && buf != nil {
+				size += n / 8
+			}
+			grown := make([]byte, got, size)
+			copy(grown, p)
+			p = grown
 		}
+		p = p[:min(n, int64(cap(p)))]
 		m, err := io.ReadFull(r, p[got:])
 		got += int64(m)
 		if err == io.EOF {
@@ -171,7 +212,12 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 // stream that ends cleanly instead is as damaged as one that ends inside
 // the record.
 func ExpectFrame(r io.Reader, max int) ([]byte, error) {
-	p, err := ReadFrame(r, max)
+	return expectFrame(r, nil, max)
+}
+
+// expectFrame is ExpectFrame into buf's storage (see readFrame).
+func expectFrame(r io.Reader, buf []byte, limit int) ([]byte, error) {
+	p, err := readFrame(r, buf, limit)
 	if err == io.EOF {
 		err = fmt.Errorf("%w: stream ends where a record is owed", ErrCorrupt)
 	}

@@ -142,9 +142,9 @@ type Snapshot struct {
 // StorePaged is the StoreKind of a slim header over the page store.
 const StorePaged byte = 1
 
-// appendHeader renders every snapshot field through the tuple count:
-// the payload of a snapshot stream's header record.
-func (s *Snapshot) appendHeader(out []byte) []byte {
+// appendHeader renders every snapshot field and n, the tuple count: the
+// payload of a snapshot stream's header record.
+func (s *Snapshot) appendHeader(out []byte, n int) []byte {
 	out = appendString(out, s.Name)
 	out = appendString(out, s.Relname)
 	out = binary.AppendUvarint(out, uint64(len(s.Attrs)))
@@ -175,7 +175,7 @@ func (s *Snapshot) appendHeader(out []byte) []byte {
 	out = binary.AppendVarint(out, int64(s.Quota.MaxSubscribers))
 	out = append(out, s.StoreKind)
 	out = binary.AppendUvarint(out, s.StoreGen)
-	out = binary.AppendUvarint(out, uint64(len(s.Tuples)))
+	out = binary.AppendUvarint(out, uint64(n))
 	return out
 }
 
@@ -194,6 +194,20 @@ func appendSnapTuple(out []byte, arity int, t *SnapTuple) []byte {
 		out = append(out, 0)
 	}
 	return out
+}
+
+// snapTupleLen is len(appendSnapTuple(nil, arity, t)), computed without
+// encoding.
+func snapTupleLen(arity int, t *SnapTuple) int {
+	id := uint64(t.ID) << 1 // the zig-zag form AppendVarint writes
+	if t.ID < 0 {
+		id = ^id
+	}
+	n := relation.UvarintLen(id) + 1 + 8*len(t.W)
+	for a := 0; a < arity; a++ {
+		n += relation.ValueLen(t.Vals[a])
+	}
+	return n
 }
 
 // decodeSnapshotPrefix parses the snapshot header fields (through the
@@ -239,89 +253,186 @@ func decodeSnapshotPrefix(d *relation.Decoder) (*Snapshot, uint64) {
 // decodeSnapTuple parses one tuple row.
 func decodeSnapTuple(d *relation.Decoder, arity int) SnapTuple {
 	t := SnapTuple{ID: relation.TupleID(d.Varint("tuple id"))}
+	if arity > 0 {
+		t.Vals = make([]relation.Value, arity)
+	}
 	for a := 0; a < arity && d.Err() == nil; a++ {
-		t.Vals = append(t.Vals, d.Value("tuple value"))
+		t.Vals[a] = d.Value("tuple value")
 	}
 	t.W = d.Weights(arity)
 	return t
 }
 
 // snapChunkTuples bounds the tuples per chunk record in a snapshot
-// file: large enough to amortize framing, small enough that writer and
-// reader never hold more than one modest buffer.
+// stream: large enough to amortize framing, small enough that the writer
+// (WriteSnapshotRows) and the reader (SnapshotReader), each holding one
+// chunk at a time, never hold more than one modest buffer.
 const snapChunkTuples = 4096
 
-// WriteSnapshot writes the framed snapshot to w: magic and version,
-// one header record, then the tuples as bounded chunk records — the
-// whole relation is never materialized as a single buffer. It is the one
-// snapshot encoding: snapshot files and the images replication ships to
-// a follower are these bytes.
-func WriteSnapshot(w io.Writer, s *Snapshot) error {
-	header := s.appendHeader(nil)
-	if err := checkPayload(len(header)); err != nil {
+// WriteSnapshotRows writes a snapshot stream to w: magic and version, a
+// header record holding s's fields and the tuple count n, then the n rows
+// row(0) … row(n-1) returns, as chunk records of up to snapChunkTuples
+// rows (s.Tuples is not read). Each chunk is encoded straight into one
+// frame buffer, reused from chunk to chunk and sized before the chunk is
+// filled, so the writer holds one chunk's bytes whatever n is and
+// copies no row: row may return a live tuple's own slices, which must not
+// change until WriteSnapshotRows returns.
+func WriteSnapshotRows(w io.Writer, s *Snapshot, n int, row func(i int) SnapTuple) error {
+	buf, at := beginFrame(AppendHeader(nil, snapMagic, Version))
+	buf = s.appendHeader(buf, n)
+	if err := checkPayload(len(buf) - at - frameHeaderLen); err != nil {
 		return err
 	}
-	if _, err := w.Write(AppendFrame(AppendHeader(nil, snapMagic, Version), header)); err != nil {
+	sealFrame(buf, at)
+	if _, err := w.Write(buf); err != nil {
 		return err
 	}
 	arity := len(s.Attrs)
-	var chunk, frame []byte
-	for start := 0; start < len(s.Tuples); start += snapChunkTuples {
-		end := min(start+snapChunkTuples, len(s.Tuples))
-		chunk = binary.AppendUvarint(chunk[:0], uint64(end-start))
+	for start := 0; start < n; start += snapChunkTuples {
+		end := min(start+snapChunkTuples, n)
+		size := frameHeaderLen + relation.UvarintLen(uint64(end-start))
 		for i := start; i < end; i++ {
-			chunk = appendSnapTuple(chunk, arity, &s.Tuples[i])
+			t := row(i)
+			size += snapTupleLen(arity, &t)
 		}
-		if err := checkPayload(len(chunk)); err != nil {
+		if cap(buf) < size {
+			buf = make([]byte, 0, size+size/8) // room for a slightly longer next chunk
+		}
+		buf, _ = beginFrame(buf[:0])
+		buf = binary.AppendUvarint(buf, uint64(end-start))
+		for i := start; i < end; i++ {
+			t := row(i)
+			buf = appendSnapTuple(buf, arity, &t)
+		}
+		if err := checkPayload(len(buf) - frameHeaderLen); err != nil {
 			return err
 		}
-		frame = AppendFrame(frame[:0], chunk)
-		if _, err := w.Write(frame); err != nil {
+		sealFrame(buf, 0)
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ReadSnapshot reads and verifies a framed snapshot from r, record by
-// record. Snapshots are atomic, so any damage rejects the whole stream.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
+// WriteSnapshot writes s and its inline tuples as a snapshot stream
+// (WriteSnapshotRows). It is the one snapshot encoding: snapshot files
+// and the images replication ships to a follower are these bytes.
+func WriteSnapshot(w io.Writer, s *Snapshot) error {
+	return WriteSnapshotRows(w, s, len(s.Tuples), func(i int) SnapTuple { return s.Tuples[i] })
+}
+
+// SnapshotReader yields the rows of a snapshot stream in order, one chunk
+// record at a time: it holds the current chunk's payload, in one buffer
+// reused from chunk to chunk, and none of the rows it has returned, so
+// reading a snapshot costs one chunk's bytes whatever the relation's
+// size. Snapshots are atomic: the caller must drop everything it built
+// from the rows when Next fails.
+type SnapshotReader struct {
+	br    *bufio.Reader
+	arity int
+	rows  uint64 // tuples the header record promised
+	got   uint64 // rows in the chunks read so far
+	at    uint64 // row number of the current chunk's first row
+	left  uint64 // rows of the current chunk not yet returned
+	d     *relation.Decoder
+	buf   []byte
+	err   error // the first failure, returned by every later Next
+}
+
+// NewSnapshotReader reads and verifies a snapshot stream's magic, version
+// and header record from r. The returned snapshot holds every header
+// field and no Tuples; the reader yields the rows.
+func NewSnapshotReader(r io.Reader) (*Snapshot, *SnapshotReader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if err := CheckHeader(br, snapMagic, Version); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p, err := ExpectFrame(br, maxPayload)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	d := relation.NewDecoder(p, ErrCorrupt)
-	s, ntuples := decodeSnapshotPrefix(d)
+	s, n := decodeSnapshotPrefix(d)
 	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("snapshot header record: %w", err)
+		return nil, nil, fmt.Errorf("snapshot header record: %w", err)
 	}
-	arity := len(s.Attrs)
-	for got := uint64(0); got < ntuples; {
-		p, err := ExpectFrame(br, maxPayload)
+	return s, &SnapshotReader{br: br, arity: len(s.Attrs), rows: n, buf: p[:0]}, nil
+}
+
+// Next returns the next row; ok is false, with no error, once every row
+// the header promised has been returned and the stream ends behind the
+// last chunk. It makes every check of the stream as it reaches it — each
+// chunk's frame and checksum, its row count against the header's, the
+// rows' encoding, no byte past the last chunk — and an error (wrapping
+// ErrCorrupt for damage) is returned again by every later call.
+func (sr *SnapshotReader) Next() (SnapTuple, bool, error) {
+	if sr.err != nil {
+		return SnapTuple{}, false, sr.err
+	}
+	if sr.left == 0 {
+		if sr.got == sr.rows {
+			if _, err := sr.br.ReadByte(); err != io.EOF {
+				sr.err = fmt.Errorf("%w: snapshot stream trailed by garbage", ErrCorrupt)
+				return SnapTuple{}, false, sr.err
+			}
+			return SnapTuple{}, false, nil
+		}
+		if sr.err = sr.nextChunk(); sr.err != nil {
+			return SnapTuple{}, false, sr.err
+		}
+	}
+	t := decodeSnapTuple(sr.d, sr.arity)
+	sr.left--
+	err := sr.d.Err()
+	if sr.left == 0 {
+		err = sr.d.Done()
+	}
+	if err != nil {
+		sr.err = fmt.Errorf("snapshot chunk at row %d: %w", sr.at, err)
+		return SnapTuple{}, false, sr.err
+	}
+	return t, true, nil
+}
+
+// nextChunk reads the next chunk record into the reader's buffer and its
+// row count.
+func (sr *SnapshotReader) nextChunk() error {
+	p, err := expectFrame(sr.br, sr.buf, maxPayload)
+	if err != nil {
+		return err
+	}
+	sr.buf = p
+	sr.d = relation.NewDecoder(p, ErrCorrupt)
+	n := sr.d.Uvarint("chunk tuple count")
+	if n == 0 || sr.got+n > sr.rows {
+		sr.d.Failf("chunk of %d tuples at row %d of %d", n, sr.got, sr.rows)
+	}
+	if err := sr.d.Err(); err != nil {
+		return fmt.Errorf("snapshot chunk at row %d: %w", sr.got, err)
+	}
+	sr.at, sr.got, sr.left = sr.got, sr.got+n, n
+	return nil
+}
+
+// ReadSnapshot reads and verifies a snapshot stream from r into one
+// Snapshot, its rows in Tuples (SnapshotReader). Any damage rejects the
+// whole stream.
+func ReadSnapshot(r io.Reader) (*Snapshot, error) {
+	s, rows, err := NewSnapshotReader(r)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		t, ok, err := rows.Next()
 		if err != nil {
 			return nil, err
 		}
-		d := relation.NewDecoder(p, ErrCorrupt)
-		n := d.Uvarint("chunk tuple count")
-		if n == 0 || got+n > ntuples {
-			d.Failf("chunk of %d tuples at row %d of %d", n, got, ntuples)
+		if !ok {
+			return s, nil
 		}
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			s.Tuples = append(s.Tuples, decodeSnapTuple(d, arity))
-		}
-		if err := d.Done(); err != nil {
-			return nil, fmt.Errorf("snapshot chunk at row %d: %w", got, err)
-		}
-		got += n
+		s.Tuples = append(s.Tuples, t)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: snapshot stream trailed by garbage", ErrCorrupt)
-	}
-	return s, nil
 }
 
 func appendString(dst []byte, s string) []byte {
