@@ -263,12 +263,14 @@ func NewSession(d *Relation, sigma []*NormalCFD, opts *IncOptions) (*Session, er
 // the snapshot are reapplied with Session.ReplayBatch — cmd/cfdserved
 // replays its WAL the same way on boot when run with -data-dir.
 //
-// Persist writes from the live relation through one reused chunk buffer,
-// and RestoreSession reads and inserts one chunk record at a time, so
-// beside the session itself each holds one chunk's bytes whatever the
-// relation's size. A damaged stream is refused whole (an error and no
-// session), and so is a page-store header, whose rows are not in the
-// stream.
+// Persist holds the session lock only to pin a view of the relation, and
+// writes the rows from the view through one reused chunk buffer while
+// batches go on; RestoreSession reads and inserts one chunk record at a
+// time. Beside the session itself each holds one chunk's bytes whatever
+// the relation's size (Persist also keeps the copy-on-write pre-images of
+// the pages batches write while it runs, at most the relation's). A
+// damaged stream is refused whole (an error and no session), and so is a
+// page-store header, whose rows are not in the stream.
 func RestoreSession(r io.Reader) (*Session, error) {
 	return increpair.RestoreSession(r)
 }

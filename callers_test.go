@@ -9,20 +9,31 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // uncalledAllowed names the declarations under internal/ that no non-test
-// code names but that stay, each with its reason: a package-level function,
-// var or const as "pkg.Name", a method as "pkg.Type.Method".
+// code names, or reads, but that stay, each with its reason: a
+// package-level function, var or const as "pkg.Name", a method or a
+// struct field as "pkg.Type.Name".
 var uncalledAllowed = map[string]string{
 	"cfd.WitnessTuple":     "the certificate the Satisfiable tests check",
 	"strdist.Levenshtein":  "the reference the Damerau–Levenshtein kernel tests compare with",
 	"metrics.Accuracy":     "ground-truth inaccuracy, kept for ROADMAP item 6",
 	"cfd.Detector.Recount": "the audit of the counted LHS indexes that ROADMAP item 10(d) will call",
 	"relation.KeyMap.Len":  "the key count the cfd compile tests hold a key map to; a test file cannot export it to another package",
+
+	"server.persister.synced":      "the fsync watermark TestFsyncBeforeAck holds every acknowledgement to",
+	"repair.workCounts.visits":     "PICKNEXT's visits, one of the per-resolution counts TestBatchWorkGrowth bounds",
+	"repair.workCounts.findVReads": "FINDV's tally reads, one of the per-resolution counts TestBatchWorkGrowth bounds",
+	"repair.workCounts.walked":     "the partner search's walk, which TestBatchWorkGrowth logs beside the two it bounds",
+	"ship.Replica.applied":         "the batches a replica applied, which the fault battery checks",
+	"ship.Replica.skipped":         "the duplicate batches a replica skipped, which the fault battery checks",
+	"ship.Replica.installs":        "the snapshot installs of a replica, which the fault battery checks",
+	"ship.ShipStats.Dropped":       "the frames a shipper dropped under backoff, which the fault battery checks",
 }
 
 // moduleLoader type-checks the repository's non-test Go files, package by
@@ -81,18 +92,27 @@ func (l *moduleLoader) load(path string) (*types.Package, error) {
 // uses: every package-level function, var and const and every method
 // declared in a non-test file under internal/ must be named by non-test Go
 // code of the repository (bench/, cmd/ and examples/ count) outside its own
-// declaration. Names are resolved by the type checker, so a method counts
-// only where a value of its own type (or one embedding it) selects it. Two
-// kinds of method are exempt: one that lets its type satisfy a named
-// interface of the program or the standard library, since such calls go
-// through the interface; and an exported method of the library's surface — a type api.go aliases, or a
-// type such a method hands out, transitively.
+// declaration, and every field of a struct type declared there must be
+// read by it (fieldReads says what counts as a read). Names are resolved
+// by the type checker, so a method counts only where a value of its own
+// type (or one embedding it) selects it. Two kinds of method are exempt:
+// one that lets its type satisfy a named interface of the program or the
+// standard library, since such calls go through the interface; and an
+// exported method of the library's surface — a type api.go aliases, or a
+// type such a method hands out or such a type's exported field holds,
+// transitively. The fields of surface types are exempt too, as are those
+// encoding/json reads by their json tag.
 func TestInternalFuncsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	l := &moduleLoader{
-		fset:  fset,
-		std:   importer.ForCompiler(fset, "source", nil),
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
 	}
@@ -127,11 +147,13 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 	}
 
 	exempt := implicitMethods(l)
-	for obj := range surfaceMethods(l) {
+	surface, surfaceTypes := surfaceMethods(l)
+	for obj := range surface {
 		exempt[obj] = true
 	}
+	read := fieldReads(l)
 
-	var uncalled []string
+	var uncalled, unread []string
 	check := func(key string, obj types.Object, decl ast.Node) {
 		used := false
 		for _, p := range uses[obj] {
@@ -145,12 +167,39 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 			uncalled = append(uncalled, key)
 		}
 	}
+	checkField := func(key string, used bool) {
+		_, allowed := uncalledAllowed[key]
+		switch {
+		case used && allowed:
+			t.Errorf("%s has a reader now; drop it from uncalledAllowed", key)
+		case !used && !allowed:
+			unread = append(unread, key)
+		}
+	}
 	for path, files := range l.files {
 		if !strings.HasPrefix(path, "cfdclean/internal/") {
 			continue
 		}
 		for _, f := range files {
 			for _, dl := range f.Decls {
+				if gd, ok := dl.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+					for _, spec := range gd.Specs {
+						tn := l.info.Defs[spec.(*ast.TypeSpec).Name].(*types.TypeName)
+						named, ok := tn.Type().(*types.Named)
+						if !ok || surfaceTypes[named] {
+							continue
+						}
+						st, ok := named.Underlying().(*types.Struct)
+						for i := 0; ok && i < st.NumFields(); i++ {
+							// encoding/json reads a field with a json
+							// key of its own
+							json, _ := reflect.StructTag(st.Tag(i)).Lookup("json")
+							if fld := st.Field(i); fld.Name() != "_" {
+								checkField(f.Name.Name+"."+tn.Name()+"."+fld.Name(), read[fld] || json != "" && json != "-")
+							}
+						}
+					}
+				}
 				switch dl := dl.(type) {
 				case *ast.FuncDecl:
 					obj := l.info.Defs[dl.Name].(*types.Func)
@@ -182,6 +231,94 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 			"(delete them, move them to a _test.go file, or allow them with a reason): %s",
 			strings.Join(uncalled, ", "))
 	}
+	sort.Strings(unread)
+	if len(unread) > 0 {
+		t.Errorf("struct fields under internal/ that no non-test code reads "+
+			"(delete them, or allow them with a reason): %s",
+			strings.Join(unread, ", "))
+	}
+}
+
+// fieldReads returns the struct fields the loaded non-test code reads. A
+// field named anywhere but as the target of an assignment or an
+// increment, or as the key of a composite literal, is read; so is an
+// embedded field a selector passes through to a promoted field or method,
+// and every field of a struct type compared with == or != or used as a
+// map key, since the comparison reads them all.
+func fieldReads(l *moduleLoader) map[*types.Var]bool {
+	written := map[*ast.Ident]bool{}
+	read := map[*types.Var]bool{}
+	var readAll func(typ types.Type)
+	readAll = func(typ types.Type) {
+		st, ok := typ.Underlying().(*types.Struct)
+		for i := 0; ok && i < st.NumFields(); i++ {
+			if !read[st.Field(i)] {
+				read[st.Field(i)] = true
+				readAll(st.Field(i).Type())
+			}
+		}
+	}
+	target := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+				continue
+			case *ast.IndexExpr:
+				e = x.X
+				continue
+			case *ast.SelectorExpr:
+				written[x.Sel] = true
+			}
+			return
+		}
+	}
+	for _, files := range l.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						target(e)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								written[id] = true
+							}
+						}
+					}
+				case *ast.MapType:
+					readAll(l.info.Types[n.Key].Type)
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(l.info.Types[n.X].Type)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for id, obj := range l.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+			read[v.Origin()] = true
+		}
+	}
+	for _, sel := range l.info.Selections {
+		typ := sel.Recv()
+		for _, i := range sel.Index()[:len(sel.Index())-1] {
+			if p, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			fld := typ.Underlying().(*types.Struct).Field(i)
+			read[fld.Origin()] = true
+			typ = fld.Type()
+		}
+	}
+	return read
 }
 
 // recvName is the name of a method's receiver type, pointer or not.
@@ -256,11 +393,11 @@ func implicitMethods(l *moduleLoader) map[types.Object]bool {
 	return out
 }
 
-// surfaceMethods returns the exported methods of the library's surface:
-// the types api.go aliases, and every type under internal/ an exported
-// method of a surface type returns (through pointers, slices, maps and
-// channels), transitively.
-func surfaceMethods(l *moduleLoader) map[types.Object]bool {
+// surfaceMethods returns the exported methods of the library's surface,
+// and its types: the types api.go aliases, and every type under internal/
+// an exported method or field of a surface type returns or holds (through
+// pointers, slices, maps and channels), transitively.
+func surfaceMethods(l *moduleLoader) (map[types.Object]bool, map[*types.Named]bool) {
 	var queue []*types.Named
 	seen := map[*types.Named]bool{}
 	add := func(typ types.Type) {
@@ -298,6 +435,12 @@ func surfaceMethods(l *moduleLoader) map[types.Object]bool {
 	for len(queue) > 0 {
 		named := queue[0]
 		queue = queue[1:]
+		st, ok := named.Underlying().(*types.Struct)
+		for i := 0; ok && i < st.NumFields(); i++ {
+			if st.Field(i).Exported() {
+				add(st.Field(i).Type())
+			}
+		}
 		for i := 0; i < named.NumMethods(); i++ {
 			m := named.Method(i)
 			if !m.Exported() {
@@ -310,5 +453,5 @@ func surfaceMethods(l *moduleLoader) map[types.Object]bool {
 			}
 		}
 	}
-	return out
+	return out, seen
 }

@@ -437,12 +437,6 @@ func TestDepGraph(t *testing.T) {
 		}
 		seen[i] = true
 	}
-	// Each rule's rank is consistent with the order.
-	for pos, i := range g.Order() {
-		if g.Rank(i) != pos {
-			t.Errorf("Rank(%d) = %d, want %d", i, g.Rank(i), pos)
-		}
-	}
 	// phi2#0.CT (zip->CT) must have an edge to some rule with CT in LHS
 	// (phi4 rows: CT,STR -> zip).
 	var phi2CT, phi4zip int = -1, -1
@@ -874,10 +868,6 @@ func TestDistinctLHSAlwaysSatisfiesFD(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Rank returns the position of sigma[i] in Order; lower ranks should be
-// repaired first.
-func (g *DepGraph) Rank(i int) int { return g.rank[i] }
 
 // Succ returns the sigma positions whose LHS reads the attribute written
 // by sigma[i].

@@ -13,16 +13,14 @@ package cfd
 // running example, zip → CT and CT,STR → zip) land in one strongly
 // connected component and compete on cost within it.
 type DepGraph struct {
-	sigma []*Normal
 	adj   [][]int // adjacency by sigma position
 	order []int   // sigma positions in repair-friendly order
-	rank  []int   // rank[i] = position of sigma[i] in order
 	comp  []int   // comp[i] = SCC stratum of sigma[i], 0 = sources
 }
 
 // NewDepGraph builds the dependency graph for sigma.
 func NewDepGraph(sigma []*Normal) *DepGraph {
-	g := &DepGraph{sigma: sigma, adj: make([][]int, len(sigma))}
+	g := &DepGraph{adj: make([][]int, len(sigma))}
 	// readers[a] lists the rules with attribute a in their LHS.
 	readers := make(map[int][]int)
 	for j, n := range sigma {
@@ -40,10 +38,6 @@ func NewDepGraph(sigma []*Normal) *DepGraph {
 		}
 	}
 	g.order, g.comp = g.sccOrder()
-	g.rank = make([]int, len(sigma))
-	for pos, i := range g.order {
-		g.rank[i] = pos
-	}
 	return g
 }
 

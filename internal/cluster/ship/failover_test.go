@@ -228,11 +228,7 @@ func recordStream(t testing.TB, name string, seed int64, nBatches int, dirty boo
 // frame leaves the replica at the last intact one and is reported.
 func replay(r *ship.Replica, snapLen int, stream []byte) (applied int, err error) {
 	snapLen = min(snapLen, len(stream))
-	snap, err := wal.ReadSnapshot(bytes.NewReader(stream[:snapLen]))
-	if err != nil {
-		return 0, err
-	}
-	if err := r.InstallSnapshot(snap); err != nil {
+	if err := r.Install(bytes.NewReader(stream[:snapLen])); err != nil {
 		return 0, err
 	}
 	frames := bytes.NewReader(stream[snapLen:])
@@ -356,11 +352,7 @@ func TestPromotedReplicaKeepsWorking(t *testing.T) {
 	rec := recordStream(t, "tenant-promote", 53, 5, false)
 
 	// Oracle: a never-crashed session at the final boundary.
-	snap, err := wal.ReadSnapshot(bytes.NewReader(rec.snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := increpair.RestoreFromSnapshot(snap, 0)
+	oracle, err := increpair.RestoreSession(bytes.NewReader(rec.snap))
 	if err != nil {
 		t.Fatal(err)
 	}

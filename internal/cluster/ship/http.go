@@ -147,15 +147,11 @@ func (t *LocalTransport) Replica(name string) *Replica {
 	return t.replicas[name]
 }
 
-// ShipSnapshot implements Transport: write and read back the snapshot
-// stream and install it, creating the replica on first contact.
+// ShipSnapshot implements Transport: write the snapshot stream and
+// install the replica from it, creating the replica on first contact.
 func (t *LocalTransport) ShipSnapshot(name string, snap *wal.Snapshot) error {
 	var stream bytes.Buffer
 	if err := wal.WriteSnapshot(&stream, snap); err != nil {
-		return err
-	}
-	got, err := wal.ReadSnapshot(&stream)
-	if err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -165,7 +161,7 @@ func (t *LocalTransport) ShipSnapshot(name string, snap *wal.Snapshot) error {
 		t.replicas[name] = r
 	}
 	t.mu.Unlock()
-	return r.InstallSnapshot(got)
+	return r.Install(&stream)
 }
 
 // ShipBatch implements Transport.

@@ -3,6 +3,7 @@ package ship
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"cfdclean/internal/increpair"
@@ -36,11 +37,12 @@ func NewReplica(name string) *Replica {
 	return &Replica{name: name}
 }
 
-// InstallSnapshot replaces the replica's state with a full primary
-// image — the bootstrap for a follower joining mid-stream and the
-// healing move after any gap.
-func (r *Replica) InstallSnapshot(snap *wal.Snapshot) error {
-	sess, err := increpair.RestoreFromSnapshot(snap, 0)
+// Install replaces the replica's state with the primary image a snapshot
+// stream holds, restored as it is read (increpair.RestoreSession) — the
+// bootstrap for a follower joining mid-stream and the healing move after
+// any gap. A stream that does not restore leaves the replica as it was.
+func (r *Replica) Install(img io.Reader) error {
+	sess, err := increpair.RestoreSession(img)
 	if err != nil {
 		return fmt.Errorf("ship: replica %s: install: %w", r.name, err)
 	}

@@ -151,7 +151,11 @@ func TestReplicaRejectsStaleAndGappedBatches(t *testing.T) {
 	}
 	r := ship.NewReplica("cursor")
 	defer r.Close()
-	if err := r.InstallSnapshot(snap); err != nil {
+	var img bytes.Buffer
+	if err := wal.WriteSnapshot(&img, snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Install(&img); err != nil {
 		t.Fatal(err)
 	}
 	base := r.Version()

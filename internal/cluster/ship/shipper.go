@@ -68,15 +68,15 @@ func (s *Shipper) noteOK() {
 
 // ShipStats is a point-in-time view of one shipping stream.
 type ShipStats struct {
-	Batches     uint64 // batches acknowledged by the follower
-	Snapshots   uint64 // snapshot installs (bootstrap + resyncs)
 	Degraded    uint64 // delivery failures absorbed
 	Dropped     uint64 // frames dropped on a full backlog or backoff
 	LastShipped uint64 // journal version the follower has acknowledged
 	LastError   string // most recent delivery failure; "" when healthy
 }
 
-// Counters are a shipping stream's delivery counts (see ShipStats).
+// Counters are a shipping stream's delivery counts: batches the follower
+// acknowledged, snapshot installs (bootstrap and resyncs), delivery
+// failures absorbed and frames dropped.
 type Counters struct {
 	Batches, Snapshots, Degraded, Dropped *metrics.Counter
 }
@@ -233,8 +233,6 @@ func retryAt(streak int) bool {
 func (s *Shipper) Stats() ShipStats {
 	le, _ := s.lastErr.Load().(string)
 	return ShipStats{
-		Batches:     s.c.Batches.Load(),
-		Snapshots:   s.c.Snapshots.Load(),
 		Degraded:    s.c.Degraded.Load(),
 		Dropped:     s.c.Dropped.Load(),
 		LastShipped: s.lastShipped.Load(),

@@ -75,8 +75,6 @@ type Classes struct {
 	nodes []class // in registration order
 	// index[k] is the node of key k plus one; 0 means k is unregistered.
 	index []int32
-
-	assigned int // classes whose target is Const or Null (roots only)
 }
 
 // New creates an empty class manager over the keys [0, n), interning
@@ -100,7 +98,6 @@ func (c *Classes) Reset() {
 		c.index[c.nodes[i].key] = 0
 	}
 	c.nodes = c.nodes[:0]
-	c.assigned = 0
 }
 
 func (c *Classes) node(k Key) int {
@@ -191,7 +188,6 @@ func (c *Classes) SetConst(k Key, v string) error {
 	case Unset:
 		c.nodes[r].kind = Const
 		c.nodes[r].val = id
-		c.assigned++
 		return nil
 	case Const:
 		if c.nodes[r].val == id {
@@ -207,9 +203,6 @@ func (c *Classes) SetConst(k Key, v string) error {
 // null is the top of the upgrade order.
 func (c *Classes) SetNull(k Key) {
 	r := c.find(c.node(k))
-	if c.nodes[r].kind == Unset {
-		c.assigned++
-	}
 	c.nodes[r].kind = Null
 	c.nodes[r].val = relation.NullID
 }
@@ -252,11 +245,9 @@ func (c *Classes) Merge(k1, k2 Key) error {
 		r1, r2 = r2, r1
 	}
 	n1, n2 := &c.nodes[r1], &c.nodes[r2]
-	// Combine targets.
-	switch {
-	case n1.kind == Const && n2.kind == Const:
-		c.assigned-- // two assigned classes become one
-	case n2.kind == Const:
+	// Combine targets: both constants are equal (CanMerge), so n1 keeps
+	// its own, or takes n2's.
+	if n2.kind == Const {
 		n1.kind, n1.val = Const, n2.val
 	}
 	n1.size += n2.size

@@ -372,10 +372,18 @@ func (c *Classes) NumClasses() int {
 	return roots
 }
 
-// NumAssigned returns the number of classes whose target is a constant or
-// null — the paper's H, which never decreases. Together with NumClasses
-// it witnesses the termination argument of Theorem 4.2.
-func (c *Classes) NumAssigned() int { return c.assigned }
+// NumAssigned counts the classes whose target is a constant or null —
+// the paper's H — through Roots, as TestRoots does. Together with
+// NumClasses it witnesses the termination argument of Theorem 4.2.
+func (c *Classes) NumAssigned() int {
+	h := 0
+	c.Roots(func(_ Key, kind Kind, _ string, _ []Key) {
+		if kind != Unset {
+			h++
+		}
+	})
+	return h
+}
 
 // Keys returns every key registered so far, in registration order.
 func (c *Classes) Keys() []Key {

@@ -145,7 +145,6 @@ type Dataset struct {
 	PatternRows int
 
 	cfg Config
-	g   *geo
 }
 
 // New generates a dataset.
@@ -187,7 +186,6 @@ func New(cfg Config) (*Dataset, error) {
 		Schema: schema,
 		Opt:    opt,
 		cfg:    c,
-		g:      g,
 	}
 	ds.CFDs = buildSigma(schema, g)
 	ds.Sigma = cfd.NormalizeAll(ds.CFDs)

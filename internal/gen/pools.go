@@ -42,7 +42,8 @@ type geo struct {
 	countries []country
 	cities    []city
 	// zipCity[z] and acCity[a] locate the owning city, for tableau
-	// construction and noise targeting.
+	// construction and noise targeting; a key is a zip or area code
+	// already drawn.
 	zipCity map[string]int
 	acCity  map[string]int
 }
@@ -165,32 +166,28 @@ func buildGeo(rng *rand.Rand, d dims) *geo {
 
 	// Zips: 5-digit strings, unique, assigned round-robin with jitter so
 	// every city owns at least one zip.
-	zipSeen := make(map[string]bool)
 	for i := 0; i < d.nZips; i++ {
 		var z string
 		for {
 			z = fmt.Sprintf("%05d", 10000+rng.Intn(89999))
-			if !zipSeen[z] {
+			if _, seen := g.zipCity[z]; !seen {
 				break
 			}
 		}
-		zipSeen[z] = true
 		ci := i % len(g.cities)
 		g.cities[ci].zips = append(g.cities[ci].zips, z)
 		g.zipCity[z] = ci
 	}
 
 	// Area codes: 3-digit strings starting with 2-9, unique per city.
-	acSeen := make(map[string]bool)
 	for i := 0; i < d.nACs; i++ {
 		var a string
 		for {
 			a = fmt.Sprintf("%d%02d", 2+rng.Intn(8), rng.Intn(100))
-			if !acSeen[a] {
+			if _, seen := g.acCity[a]; !seen {
 				break
 			}
 		}
-		acSeen[a] = true
 		ci := i % len(g.cities)
 		g.cities[ci].acs = append(g.cities[ci].acs, a)
 		g.acCity[a] = ci

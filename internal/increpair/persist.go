@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"cfdclean/internal/cfd"
@@ -73,52 +74,70 @@ func DeltasToOps(ops []relation.Delta) (deletes []relation.TupleID, sets []SetOp
 // Persist writes the session's full state as a framed snapshot: schema,
 // CFD set, engine options, cumulative counters, journal marks and every
 // tuple in physical row order. name is recorded for the hosting service
-// ("" outside it). Persist holds the session lock while it writes, so the
-// image is a quiescent point — never a half-applied batch — and is safe
-// to call concurrently with readers and writers. The rows go from the
-// live relation straight into the writer's one chunk buffer
-// (wal.WriteSnapshotRows): nothing can change a tuple while the lock is
-// held, so no value or weight is copied, and Persist holds one chunk's
-// bytes whatever the relation's size.
+// ("" outside it). The image is one quiescent point — never a
+// half-applied batch — but Persist holds the session lock only to build
+// the header and pin a view of the relation (captureLocked), so a slow w
+// stalls no batch. The rows go from the view's tuples straight into the
+// writer's one chunk buffer (wal.WriteSnapshotRows): a pinned tuple never
+// changes, so no value or weight is copied, and Persist holds one chunk's
+// bytes whatever the relation's size, beside the copy-on-write pre-images
+// of the pages batches write while it runs.
 func (s *Session) Persist(name string, w io.Writer) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errClosed
-	}
-	snap, err := s.walSnapshotLocked(name, false)
+	snap, v, err := s.captureLocked(name)
+	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	ts := s.e.repr.Tuples()
-	return wal.WriteSnapshotRows(w, snap, len(ts), func(i int) wal.SnapTuple {
-		return wal.SnapTuple{ID: ts[i].ID, Vals: ts[i].Vals, W: ts[i].W}
+	defer v.Release()
+	// WriteSnapshotRows reads each chunk twice, to size it and encode it.
+	rows, next := v.Rows(), 0
+	return wal.WriteSnapshotRows(w, snap, v.Len(), func(i int) wal.SnapTuple {
+		if i != next {
+			rows.Seek(i)
+		}
+		next = i + 1
+		t := rows.Next()
+		return wal.SnapTuple{ID: t.ID, Vals: t.Vals, W: t.W}
 	})
 }
 
 // PersistSnapshot builds the session's full-state snapshot without
 // serializing it, every tuple copied into its Tuples — the hosting
 // service ships it to replicas, while Persist serves stream targets. Like
-// Persist it captures a quiescent point under the session lock.
+// Persist it images one quiescent point, and copies the rows from the
+// pinned view after the session lock is released.
 func (s *Session) PersistSnapshot(name string) (*wal.Snapshot, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errClosed
+	snap, v, err := s.captureLocked(name)
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	return s.walSnapshotLocked(name, true)
+	defer v.Release()
+	snap.Tuples = make([]wal.SnapTuple, v.Len())
+	rows := v.Rows()
+	for i := range snap.Tuples {
+		t := rows.Next()
+		snap.Tuples[i] = wal.SnapTuple{ID: t.ID, Vals: slices.Clone(t.Vals), W: slices.Clone(t.W)}
+	}
+	return snap, nil
 }
 
-// walSnapshotLocked builds the session's snapshot header; withTuples
-// additionally copies every tuple inline (the image replication ships).
-// Persist passes false and streams the rows itself; so does a
-// store-backed boundary, whose rows live in the page files and whose slim
-// header only references their generation.
-func (s *Session) walSnapshotLocked(name string, withTuples bool) (*wal.Snapshot, error) {
+// captureLocked is the one image of a session, taken under the session
+// lock the caller holds: it builds the snapshot header and pins a view of
+// the relation at the header's version, and nothing else (PersistBoundary
+// also begins its store flush of the view before it lets go). What costs
+// O(|D|) — writing or copying the rows — reads the view after the lock is
+// released. The caller must Release the view.
+func (s *Session) captureLocked(name string) (*wal.Snapshot, *relation.View, error) {
+	if s.closed {
+		return nil, nil, errClosed
+	}
 	if s.sigmaText == "" {
 		text, err := formatSigma(s.e.det.Sigma())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		s.sigmaText = text
 	}
@@ -140,16 +159,7 @@ func (s *Session) walSnapshotLocked(name string, withTuples bool) (*wal.Snapshot
 		NextID:   repr.NextID(),
 		Version:  repr.Version(),
 	}
-	if withTuples {
-		for _, t := range repr.Tuples() {
-			st := wal.SnapTuple{ID: t.ID, Vals: append([]relation.Value(nil), t.Vals...)}
-			if t.W != nil {
-				st.W = append([]float64(nil), t.W...)
-			}
-			snap.Tuples = append(snap.Tuples, st)
-		}
-	}
-	return snap, nil
+	return snap, repr.Pin(), nil
 }
 
 // formatSigma renders the session's constraint set in the cfd.Parse text
@@ -221,9 +231,10 @@ func sigmaEqual(a, b []*cfd.Normal) bool {
 //
 // The rows are read one chunk record at a time (wal.SnapshotReader) and
 // inserted as they are decoded, so beside the session it builds
-// RestoreSession holds one chunk's bytes whatever the relation's size. A
-// damaged stream is refused whole: an error and no session. So is a
-// page-store header (wal.StorePaged), whose rows are not in the stream.
+// RestoreSession holds one chunk's bytes whatever the relation's size, as
+// every restore of a snapshot stream does. A damaged stream is refused
+// whole: an error and no session. So is a page-store header
+// (wal.StorePaged), whose rows are not in the stream.
 //
 // The options — ordering, K, NearestK — all come from the snapshot, since
 // replay must re-run the exact passes that were logged.
@@ -236,8 +247,8 @@ func RestoreSession(r io.Reader) (*Session, error) {
 }
 
 // RestoreFromSnapshot is RestoreSession over an already-decoded
-// snapshot. workers drives nothing; the benchmark compiles against it
-// until ROADMAP item 1(i)(b) folds the restore entry points into one.
+// snapshot, which only the benchmark holds. workers drives nothing; it
+// stays until ROADMAP item 1(i)(b) folds the restore entry points.
 func RestoreFromSnapshot(snap *wal.Snapshot, workers int) (*Session, error) {
 	return restoreInline(snap, &sliceSource{ts: snap.Tuples})
 }

@@ -49,7 +49,7 @@ func TestPersistRestoreOptions(t *testing.T) {
 		t.Fatalf("persisted options lost: %+v", o)
 	}
 
-	decoded, err := wal.ReadSnapshot(bytes.NewReader(snap))
+	decoded, rows, err := wal.NewSnapshotReader(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPersistRestoreOptions(t *testing.T) {
 		t.Fatalf("snapshot records workers %d, want 0", decoded.Workers)
 	}
 	decoded.Workers = 4
-	old, err := RestoreFromSnapshot(decoded, 0)
+	old, err := RestoreFromSnapshotSource(decoded, rows, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,9 @@ func TestPersistRequiresSourceCFDs(t *testing.T) {
 // TestRestoreRejectsDamage: structurally valid frames with semantically
 // broken payload fields fail cleanly.
 func TestRestoreRejectsDamage(t *testing.T) {
-	_, snapBytes := persistedSession(t, nil)
-	snap, err := wal.ReadSnapshot(bytes.NewReader(snapBytes))
+	sess, snapBytes := persistedSession(t, nil)
+	defer sess.Close()
+	snap, err := sess.PersistSnapshot("unit")
 	if err != nil {
 		t.Fatal(err)
 	}

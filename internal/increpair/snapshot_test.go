@@ -6,7 +6,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"cfdclean/internal/relation"
 	"cfdclean/internal/store"
@@ -251,22 +254,21 @@ func TestSnapshotCostsOneChunk(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		snap, err := sess.PersistSnapshot("s")
+		if err != nil {
+			t.Fatal(err)
+		}
 		sess.Close()
 		if ends := frameEnds(t, img); n == 20000 {
 			chunk = ends[1] - ends[0]
 		}
 
 		var back *Session
-		var err error
 		streamed := allocated(func() { back, err = RestoreSession(bytes.NewReader(img)) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		back.Close()
-		snap, err := wal.ReadSnapshot(bytes.NewReader(img))
-		if err != nil {
-			t.Fatal(err)
-		}
 		rows := &freshRows{ts: snap.Tuples}
 		snap.Tuples = nil
 		inMemory := allocated(func() { back, err = RestoreFromSnapshotSource(snap, rows, nil) })
@@ -318,5 +320,152 @@ func BenchmarkRestoreSession(b *testing.B) {
 			b.Fatal(err)
 		}
 		back.Close()
+	}
+}
+
+// pinnedDump returns the session's dump read through a ReadView, and the
+// view's version.
+func pinnedDump(t testing.TB, sess *Session) ([]byte, uint64) {
+	t.Helper()
+	v, err := sess.ReadView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Release()
+	var b bytes.Buffer
+	if err := v.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes(), v.Version()
+}
+
+// requireImageOf fails t unless back, restored from an image, is the
+// session at version with dump want, and sess has since moved on.
+func requireImageOf(t *testing.T, sess, back *Session, want []byte, version uint64) {
+	t.Helper()
+	defer back.Close()
+	var got, now bytes.Buffer
+	if err := back.Dump(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Dump(&now); err != nil {
+		t.Fatal(err)
+	}
+	if v := back.Snapshot().Version; v != version || !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("the image restores to version %d and %d dump bytes, want the pinned version %d and its %d bytes", v, got.Len(), version, len(want))
+	}
+	if sess.Snapshot().Version == version || bytes.Equal(now.Bytes(), want) {
+		t.Fatal("the batch did not change the session; the test shows nothing")
+	}
+}
+
+// gateWriter buffers what is written to it; its first Write closes
+// started and then waits for release to be closed.
+type gateWriter struct {
+	started, release chan struct{}
+	once             sync.Once
+	buf              bytes.Buffer
+}
+
+func (g *gateWriter) Write(p []byte) (int, error) {
+	g.once.Do(func() {
+		close(g.started)
+		<-g.release
+	})
+	return g.buf.Write(p)
+}
+
+// TestPersistDoesNotBlockWriters: Persist holds the session lock only to
+// pin its image, so a batch finishes while Persist's writer is blocked,
+// and the stream, once released, restores the session at the pin's
+// version, not the batch's.
+func TestPersistDoesNotBlockWriters(t *testing.T) {
+	c := newGenChurn(t, 5200, 11)
+	sess := snapshotSession(t, c, 5000, true)
+	defer sess.Close()
+	persisted(t, sess) // formats Σ
+	want, version := pinnedDump(t, sess)
+	dels, sets, ins := c.batch(sess, 60, 150, 120)
+
+	w := &gateWriter{started: make(chan struct{}), release: make(chan struct{})}
+	persistErr := make(chan error, 1)
+	go func() { persistErr <- sess.Persist("s", w) }()
+	<-w.started
+	applied := make(chan error, 1)
+	go func() {
+		_, _, err := sess.ApplyOps(dels, sets, ins)
+		applied <- err
+	}()
+	select {
+	case err := <-applied:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(w.release)
+		<-applied
+		t.Fatal("ApplyOps waited for Persist's blocked writer")
+	}
+	close(w.release)
+	if err := <-persistErr; err != nil {
+		t.Fatal(err)
+	}
+	back, err := RestoreSession(&w.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireImageOf(t, sess, back, want, version)
+}
+
+// TestPersistSnapshotDoesNotBlockWriters: PersistSnapshot copies the rows
+// from its pinned view after the session lock is released, so a batch
+// started once the view is pinned finishes while the copy of a
+// 20 000-tuple session runs, and the copy holds the session at the pin's
+// version, not the batch's. A batch that happens to finish after the
+// copy shows nothing, so the test tries up to five times.
+func TestPersistSnapshotDoesNotBlockWriters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens a 20 000-tuple session")
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the batch overlaps the copy only on a second processor")
+	}
+	c := newGenChurn(t, 20200, 11)
+	sess := snapshotSession(t, c, 20000, false)
+	defer sess.Close()
+	persisted(t, sess) // formats Σ
+	for attempt := 0; ; attempt++ {
+		want, version := pinnedDump(t, sess)
+		dels, sets, ins := c.batch(sess, 10, 10, 10)
+		var copying atomic.Bool
+		copying.Store(true)
+		overlapped := make(chan bool, 1)
+		go func() {
+			for sess.e.repr.ActiveViews() == 0 && copying.Load() {
+				runtime.Gosched()
+			}
+			if _, _, err := sess.ApplyOps(dels, sets, ins); err != nil {
+				t.Error(err)
+			}
+			overlapped <- copying.Load()
+		}()
+		snap, err := sess.PersistSnapshot("s")
+		copying.Store(false)
+		during := <-overlapped
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := RestoreFromSnapshot(snap, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireImageOf(t, sess, back, want, version)
+		if during {
+			t.Logf("a batch finished during the copy at attempt %d", attempt+1)
+			return
+		}
+		if attempt == 4 {
+			t.Fatal("in five attempts no batch finished while PersistSnapshot copied its rows")
+		}
 	}
 }

@@ -13,9 +13,10 @@ import (
 // incrementally into a page store (internal/store), as every durable
 // session of the service is. The engine itself is untouched — it
 // operates on the in-memory relation either way, and the store holds no
-// row in memory — but the durability boundary changes shape: PersistBoundary captures a slim snapshot header plus a page
-// flush (the dirty page numbers and the pinned relation) instead of
-// re-encoding every tuple into one record, and RestoreFromSnapshotSource
+// row in memory — but the durability boundary changes shape:
+// PersistBoundary captures a slim snapshot header plus a page flush (the
+// dirty page numbers and the pinned relation) instead of re-encoding
+// every tuple into one record, and RestoreFromSnapshotSource
 // streams rows back from the store's page files instead of a snapshot
 // record.
 
@@ -52,25 +53,23 @@ func (s *Session) Store() *store.Disk {
 // store-backed rotation: a slim snapshot header (StoreKind=StorePaged,
 // no inline tuples — the caller stamps StoreGen once it assigns the
 // generation) and a Flush holding the dirty page numbers, the dictionary
-// watermark and the pinned relation. Both are taken under the session
-// lock, so they describe the same quiescent point; the caller must
-// resolve the flush with exactly one Commit or Abort.
+// watermark and the view the header was captured with (captureLocked).
+// The flush begins under the same hold of the session lock, so both
+// describe one quiescent point; the caller must resolve the flush with
+// exactly one Commit or Abort.
 func (s *Session) PersistBoundary(name string) (*wal.Snapshot, *store.Flush, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, nil, errClosed
-	}
-	if s.st == nil {
-		return nil, nil, errors.New("increpair: no store attached")
-	}
-	snap, err := s.walSnapshotLocked(name, false)
+	snap, v, err := s.captureLocked(name)
 	if err != nil {
 		return nil, nil, err
 	}
+	if s.st == nil {
+		v.Release()
+		return nil, nil, errors.New("increpair: no store attached")
+	}
 	snap.StoreKind = wal.StorePaged
-	fl := s.st.BeginFlush(s.e.repr.Pin())
-	return snap, fl, nil
+	return snap, s.st.BeginFlush(v), nil
 }
 
 // TupleSource streams snapshot rows in physical order. Next returns

@@ -45,6 +45,14 @@ func (c *RowCursor) Next() *Tuple {
 	return t
 }
 
+// Seek positions the cursor at view row i (0 ≤ i < Len): the next Next
+// returns it, and the rows after it follow in order.
+func (c *RowCursor) Seek(i int) {
+	p := i / viewPageSize
+	c.buf = c.buf[:c.v.page(p, c.buf[:cap(c.buf)])]
+	c.p, c.pos = p+1, i-p*viewPageSize
+}
+
 // csvBlockSize is how much encoded CSV accumulates before it is handed to
 // the underlying writer in one Write.
 const csvBlockSize = 64 << 10

@@ -134,7 +134,7 @@ func TestRowCursorSeesEveryRowOnce(t *testing.T) {
 	v := r.Pin()
 	defer v.Release()
 
-	want := r.Tuples()
+	want := append([]*Tuple(nil), r.Tuples()...)
 	cur := v.Rows()
 	for i, w := range want {
 		if got := cur.Next(); got == nil || got.ID != w.ID {
@@ -143,6 +143,23 @@ func TestRowCursorSeesEveryRowOnce(t *testing.T) {
 	}
 	if extra := cur.Next(); extra != nil {
 		t.Fatalf("cursor returned a row past the %d rows: %v", len(want), extra)
+	}
+
+	// Seek restarts the same rows at any row, also on a page a writer has
+	// dirtied since the pin (read from its pre-image).
+	if _, err := r.Set(want[viewPageSize+1].ID, 0, S("changed")); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int{n - 2, 0, 5, viewPageSize - 1, viewPageSize, viewPageSize + 1, 5} {
+		cur.Seek(at)
+		for i := at; i < len(want); i++ {
+			if got := cur.Next(); got != want[i] {
+				t.Fatalf("seek to %d, row %d: got %v, want %v", at, i, got, want[i])
+			}
+		}
+		if extra := cur.Next(); extra != nil {
+			t.Fatalf("seek to %d: a row past the %d rows: %v", at, len(want), extra)
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ func Batch(d *relation.Relation, sigma []*cfd.Normal, opts *Options) (*Result, e
 	for _, comp := range comps {
 		res.LargestComponent = max(res.LargestComponent, len(comp))
 	}
-	e := newEngine(store, d, o)
+	e := newEngine(store, o)
 	// Safety bound from the termination argument of Theorem 4.2: the
 	// progress measure is bounded by 3k for k = (tuple, attribute) pairs.
 	limit := 3*e.rel.Size()*e.rel.Schema().Arity() + 1024

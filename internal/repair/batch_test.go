@@ -452,7 +452,7 @@ func TestFindVAllocates(t *testing.T) {
 	}
 	work := ds.Dirty.Clone()
 	o := (*Options)(nil).withDefaults()
-	e := newEngine(cfd.Compile(work.Dict(), ds.Sigma).NewVioStore(work), ds.Dirty, o)
+	e := newEngine(cfd.Compile(work.Dict(), ds.Sigma).NewVioStore(work), o)
 	defer e.store.Close()
 	calls := 0
 	_, groups := e.store.Partition()

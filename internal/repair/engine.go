@@ -77,14 +77,12 @@ type workCounts struct {
 // and support indices of the greedy loop.
 type engine struct {
 	rel     *relation.Relation // working copy; stored values track targets
-	orig    *relation.Relation // input database (for cost accounting)
 	store   *cfd.VioStore      // delta-maintained violation state over the working copy
 	det     *cfd.Detector      // the store's mask/index machinery
 	groups  []cfd.Group
 	scorer  *cost.Scratch // the run's distance memo over the cost model
 	classes *eqclass.Classes
 	arity   int // numbers the cells: (t, A) is position(t)·arity + A
-	opts    Options
 
 	order []int // group indices in repair order (dependency graph)
 	comp  []int // comp[i] = dependency stratum of groups[i]
@@ -124,26 +122,24 @@ type engine struct {
 }
 
 // newEngine builds an engine over the store's relation, a private copy of
-// orig. The one violation store serves the whole run: it has scanned once
+// the input database. The one violation store serves the whole run: it has scanned once
 // and maintains itself under every write the engine performs, via the
 // relation's mutation journal — no per-round detector rebuilds. The
 // equivalence classes range over every cell of the working copy, numbered
 // by position (see key), and the dirty sets over every tuple, numbered by
 // id rank: the engine only updates cells, never inserts or deletes, so no
 // tuple moves and no rank changes during the run.
-func newEngine(store *cfd.VioStore, orig *relation.Relation, opts Options) *engine {
+func newEngine(store *cfd.VioStore, opts Options) *engine {
 	work, det := store.Relation(), store.Detector()
 	arity := work.Schema().Arity()
 	e := &engine{
 		rel:      work,
-		orig:     orig,
 		store:    store,
 		det:      det,
 		groups:   det.Groups(),
 		scorer:   opts.CostModel.Scratch(),
 		classes:  eqclass.New(work.Dict(), work.Size()*arity),
 		arity:    arity,
-		opts:     opts,
 		touching: make([][]int, arity),
 		found:    make(map[foundKey]foundV),
 	}

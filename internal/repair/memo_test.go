@@ -28,7 +28,7 @@ func driveBatch(t *testing.T, d *relation.Relation, sigma []*cfd.Normal, check f
 	store := cfd.Compile(work.Dict(), sigma).NewVioStore(work)
 	defer store.Close()
 	comps, groups := store.Partition()
-	e := newEngine(store, d, o)
+	e := newEngine(store, o)
 	for _, comp := range comps {
 		e.seed(comp, groups)
 		for {
@@ -314,7 +314,7 @@ func TestFindVMemoClearedWithClasses(t *testing.T) {
 	work := d.Clone()
 	store := cfd.Compile(work.Dict(), fd.Normalize()).NewVioStore(work)
 	defer store.Close()
-	e := newEngine(store, d, (*Options)(nil).withDefaults())
+	e := newEngine(store, (*Options)(nil).withDefaults())
 	ts := work.Tuples()
 	t0, ix := ts[0], e.supportIndex(0, 0)
 	if err := e.classes.Merge(e.key(t0, 0), e.key(ts[3], 0)); err != nil {

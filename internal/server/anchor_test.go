@@ -50,14 +50,23 @@ func requireAnchored(t *testing.T, dir string, gen uint64) {
 	if len(snaps) > 2 || len(wals) > 2 {
 		t.Fatalf("more than two generations kept: snaps %v, wals %v", snaps, wals)
 	}
-	snap, err := wal.ReadSnapshotFile(snapPath(dir, gen))
+	f, err := os.Open(snapPath(dir, gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	snap, rows, err := wal.NewSnapshotReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, inline, err := rows.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
 	manifest := filepath.Join(dir, storeDirName, fmt.Sprintf("manifest-%010d.mft", gen))
-	if snap.StoreKind != wal.StorePaged || snap.StoreGen != gen || len(snap.Tuples) != 0 {
-		t.Fatalf("snapshot %d: store kind %d gen %d with %d inline tuples; want a slim header at store generation %d",
-			gen, snap.StoreKind, snap.StoreGen, len(snap.Tuples), gen)
+	if snap.StoreKind != wal.StorePaged || snap.StoreGen != gen || inline {
+		t.Fatalf("snapshot %d: store kind %d gen %d, inline rows %v; want a slim header at store generation %d",
+			gen, snap.StoreKind, snap.StoreGen, inline, gen)
 	}
 	if _, err := os.Stat(manifest); err != nil {
 		t.Fatalf("no store manifest at the snapshot's generation: %v", err)

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"cfdclean/internal/cluster/ship"
-	"cfdclean/internal/wal"
 )
 
 // Clustering: a static peer list, consistent hashing of session names
@@ -313,17 +312,13 @@ func (s *Server) replicaName(w http.ResponseWriter, req *http.Request) (name str
 var errNotClustered = errors.New("node is not clustered (start with -peers)")
 
 // handleReplicaInstall receives a snapshot stream: PUT /v1/replica/{name}.
+// InstallReplica reads the body as it arrives, under the install bound.
 func (s *Server) handleReplicaInstall(w http.ResponseWriter, req *http.Request) {
 	name, ok := s.replicaName(w, req)
 	if !ok {
 		return
 	}
-	snap, err := wal.ReadSnapshot(http.MaxBytesReader(w, req.Body, replicaBodyLimit))
-	if err != nil {
-		writeBodyError(w, err)
-		return
-	}
-	if err := s.reg.InstallReplica(req.Context(), name, snap); err != nil {
+	if err := s.reg.InstallReplica(req.Context(), name, http.MaxBytesReader(w, req.Body, replicaBodyLimit)); err != nil {
 		writeReplicationError(w, err)
 		return
 	}
@@ -483,14 +478,16 @@ func (s *Server) transferSession(ctx context.Context, h *hosted, owner string) e
 }
 
 // writeReplicationError maps replication-path errors: role conflicts to
-// 421 (the shipper's stop signal), gaps and other replay failures to 409
-// (the shipper's resync signal), unknown sessions to 404 (bootstrap).
+// 421 (the shipper's stop signal), an image the node cannot take to 400
+// or 413 (a delivery failure: reshipping it would fail alike), gaps and
+// other replay failures to 409 (the shipper's resync signal), unknown
+// sessions to 404 (bootstrap).
 func writeReplicationError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errReplicaConflict):
 		writeStatus(w, http.StatusMisdirectedRequest, err.Error())
-	case errors.Is(err, errReplicaMisnamed):
-		writeStatus(w, http.StatusBadRequest, err.Error())
+	case errors.Is(err, errReplicaImage):
+		writeBodyError(w, err)
 	case errors.Is(err, ErrNotFound):
 		writeStatus(w, http.StatusNotFound, err.Error())
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrNotDurable):

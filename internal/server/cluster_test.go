@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -1007,7 +1008,11 @@ func TestReplicaRefusesUnsafeNames(t *testing.T) {
 		}
 		dotdot := *snap
 		dotdot.Name = ".."
-		if err := s.reg.InstallReplica(context.Background(), "..", &dotdot); err == nil || errors.Is(err, errReplicaMisnamed) {
+		var img bytes.Buffer
+		if err := wal.WriteSnapshot(&img, &dotdot); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.reg.InstallReplica(context.Background(), "..", &img); err == nil || errors.Is(err, errReplicaImage) {
 			t.Errorf("clustered=%v: InstallReplica(\"..\") in-process: %v, want the unsafe name refused", clustered, err)
 		}
 		requireUntouched(`InstallReplica("..")`)
@@ -1033,9 +1038,15 @@ func putReplica(t *testing.T, base, name string, body []byte) (*http.Response, [
 // TestClusterBootstrapsFromSnapshotStream: a follower is bootstrapped
 // over loopback HTTP from the snapshot file's own stream — for 4 100
 // tuples, a header record and two chunk records — and serves the
-// primary's dump byte for byte. A stream the follower cannot read
-// installs nothing: a version byte of another build is a 400 naming the
-// version, and a body cut inside a chunk record is a 400.
+// primary's dump byte for byte. PUT /v1/replica/{name} restores the rows
+// as they arrive, and an image it cannot take installs nothing and is
+// never answered 409 (the shipper would reship it forever): a version
+// byte of another build, a body cut inside a chunk record, a header
+// naming another session and a page-store header are 400s — the last
+// two with garbage rows behind them, since the header is refused before
+// any row is read — a body over the install bound a 413, and a name the
+// node holds as a primary a 421, also before any row. A second
+// session's install completes while the first one's body is held.
 func TestClusterBootstrapsFromSnapshotStream(t *testing.T) {
 	a, b := newClusterPair(t, quorumOpts)
 	const name = "big"
@@ -1065,38 +1076,141 @@ func TestClusterBootstrapsFromSnapshotStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap.Name = "fresh"
-	var stream bytes.Buffer
-	if err := wal.WriteSnapshot(&stream, snap); err != nil {
+	image := func(name string, storeKind byte) []byte {
+		t.Helper()
+		c := *snap
+		c.Name, c.StoreKind = name, storeKind
+		var b bytes.Buffer
+		if err := wal.WriteSnapshot(&b, &c); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	good := image("fresh", 0)
+	rest := bytes.NewReader(good[len("CFDSNAP")+1:])
+	if _, err := wal.ReadFrame(rest, len(good)); err != nil {
 		t.Fatal(err)
 	}
-	good := stream.Bytes()
+	header := len(good) - rest.Len() // where the header record ends
+	garbageRows := func(img []byte) []byte {
+		return append(img[:header:header], bytes.Repeat([]byte{0xa5}, 5000)...)
+	}
 	otherVersion := append([]byte(nil), good...)
 	otherVersion[len("CFDSNAP")] = wal.Version + 1
+	// A front that holds PUT bodies to a bound of half the image, in
+	// front of the follower's own handler: past it, the install answers
+	// 413 (shown without sending 256 MiB).
+	short := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		req.Body = http.MaxBytesReader(w, req.Body, int64(len(good)/2))
+		follower.srv.Handler().ServeHTTP(w, req)
+	}))
+	defer short.Close()
 	for _, c := range []struct {
-		what, want string
-		body       []byte
+		what, base, name string
+		body             []byte
+		status           int
+		want             string
 	}{
-		{"another version", fmt.Sprintf("format version %d", wal.Version+1), otherVersion},
-		{"cut inside a chunk", "record torn", good[:len(good)/2]},
+		{"another version", follower.url, "fresh", otherVersion, http.StatusBadRequest, fmt.Sprintf("format version %d", wal.Version+1)},
+		{"cut inside a chunk", follower.url, "fresh", good[:len(good)/2], http.StatusBadRequest, "record torn"},
+		{"over the install bound", short.URL, "fresh", good, http.StatusRequestEntityTooLarge, "request body too large"},
+		{"naming another session", follower.url, "fresh", garbageRows(image("other", 0)), http.StatusBadRequest, `names \"other\"`},
+		{"a page-store header", follower.url, "fresh", garbageRows(image("fresh", wal.StorePaged)), http.StatusBadRequest, "store kind 1"},
+		{"a page-store header, rows intact", follower.url, "fresh", image("fresh", wal.StorePaged), http.StatusBadRequest, "store kind 1"},
+		{"a primary's name", owner.url, name, garbageRows(image(name, 0)), http.StatusMisdirectedRequest, "primary"},
 	} {
-		resp, body := putReplica(t, follower.url, "fresh", c.body)
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
-			t.Errorf("%s: %d %s, want 400 naming %q", c.what, resp.StatusCode, body, c.want)
+		resp, body := putReplica(t, c.base, c.name, c.body)
+		if resp.StatusCode != c.status || !strings.Contains(string(body), c.want) {
+			t.Errorf("%s: %d %s, want %d naming %q", c.what, resp.StatusCode, body, c.status, c.want)
 		}
 		if _, err := follower.srv.reg.Get("fresh"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("%s: installed a replica (%v)", c.what, err)
 		}
+		if h, err := owner.srv.reg.Get(name); err != nil || h.role.Load() != rolePrimary {
+			t.Fatalf("%s: the owner no longer hosts %s as its primary (%v)", c.what, name, err)
+		}
 	}
-	// Past the install bound the handler answers 413: the reader's
-	// *http.MaxBytesError survives ReadSnapshot (shown under a bound the
-	// stream exceeds, not by sending 256 MiB).
-	rec := httptest.NewRecorder()
-	_, err = wal.ReadSnapshot(http.MaxBytesReader(rec, io.NopCloser(bytes.NewReader(good)), int64(len(good)/2)))
-	if writeBodyError(rec, err); rec.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("stream over the bound: %d %s, want 413", rec.Code, rec.Body)
+
+	// One install's body is held inside its first chunk, so its restore
+	// is under way; another session's install completes meanwhile, and
+	// then the first one does too.
+	reached, release := make(chan struct{}), make(chan struct{})
+	gated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		gate := &gateReader{r: req.Body, left: (header + len(good)) / 2, reached: reached, release: release}
+		req.Body = struct {
+			io.Reader
+			io.Closer
+		}{gate, req.Body}
+		follower.srv.Handler().ServeHTTP(w, req)
+	}))
+	defer gated.Close()
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // before gated.Close, which waits for the held request
+	done := make(chan int, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(mustRequest("PUT", gated.URL+"/v1/replica/fresh", good))
+		if err != nil {
+			done <- 0
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	select {
+	case <-reached:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the held install never read past the middle of its body")
 	}
-	if resp, body := putReplica(t, follower.url, "fresh", good); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("intact stream: %d %s", resp.StatusCode, body)
+	resp, err := (&http.Client{Timeout: 10 * time.Second}).Do(mustRequest("PUT", follower.url+"/v1/replica/second", image("second", 0)))
+	if err != nil {
+		t.Fatalf("install beside a held body: %v", err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("install beside a held body: %d", resp.StatusCode)
+	}
+	select {
+	case status := <-done:
+		t.Fatalf("the held install ended (%d) before its body did", status)
+	default:
+	}
+	unblock()
+	if status := <-done; status != http.StatusNoContent {
+		t.Fatalf("the held install, once its body arrived: %d", status)
+	}
+	for _, n := range []string{"fresh", "second"} {
+		if h, err := follower.srv.reg.Get(n); err != nil || h.role.Load() != roleFollower {
+			t.Fatalf("%s is not hosted as a follower (%v)", n, err)
+		}
+	}
+}
+
+// gateReader passes the first left bytes of r; the read that would go
+// past them closes reached and waits for release.
+type gateReader struct {
+	r                io.Reader
+	left             int
+	reached, release chan struct{}
+}
+
+func (g *gateReader) Read(p []byte) (int, error) {
+	if g.left == 0 {
+		if g.reached != nil {
+			close(g.reached)
+			g.reached = nil
+			<-g.release
+		}
+		return g.r.Read(p)
+	}
+	n, err := g.r.Read(p[:min(len(p), g.left)])
+	g.left -= n
+	return n, err
+}
+
+func mustRequest(method, url string, body []byte) *http.Request {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		panic(err)
+	}
+	return req
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -482,6 +483,38 @@ func restorePaged(dir, name string, snap *wal.Snapshot) (*increpair.Session, err
 	return sess, nil
 }
 
+// restoreGeneration restores snapshot generation g of the session in
+// dir, reading the file record by record: an inline generation's rows go
+// into the session as they decode, and a page-store header, which must
+// end the file, restores from the page store (restorePaged).
+func restoreGeneration(dir, name string, g uint64) (*increpair.Session, wal.Quota, error) {
+	f, err := os.Open(snapPath(dir, g))
+	if err != nil {
+		return nil, wal.Quota{}, err
+	}
+	defer f.Close()
+	file := filepath.Base(f.Name())
+	snap, rows, err := wal.NewSnapshotReader(f)
+	if err != nil {
+		return nil, wal.Quota{}, fmt.Errorf("snapshot %s: %w", file, err)
+	}
+	if snap.Name != "" && snap.Name != name {
+		return nil, wal.Quota{}, fmt.Errorf("server: recover %s: snapshot names session %q", name, snap.Name)
+	}
+	if snap.StoreKind == wal.StorePaged {
+		if _, more, err := rows.Next(); more || err != nil {
+			return nil, wal.Quota{}, fmt.Errorf("snapshot %s: rows behind a page-store header: %w", file, cmp.Or(err, wal.ErrCorrupt))
+		}
+		sess, err := restorePaged(dir, name, snap)
+		return sess, snap.Quota, err
+	}
+	sess, err := increpair.RestoreFromSnapshotSource(snap, rows, nil)
+	if err != nil {
+		return nil, wal.Quota{}, fmt.Errorf("snapshot %s: %w", file, err)
+	}
+	return sess, snap.Quota, nil
+}
+
 // recoverSession rebuilds one session from its directory: newest
 // readable snapshot generation first, then WAL replay across that and
 // any later generations. A generation written inline, by a node from
@@ -525,30 +558,14 @@ func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 		lastErr error
 	)
 	for _, g := range snapGens {
-		snap, err := wal.ReadSnapshotFile(snapPath(dir, g))
+		s, q, err := restoreGeneration(dir, name, g)
 		if err != nil {
+			// Any damage fails THIS generation only: the loop falls back
+			// to the previous snapshot.
 			lastErr = err
 			continue
 		}
-		if snap.Name != "" && snap.Name != name {
-			lastErr = fmt.Errorf("server: recover %s: snapshot names session %q", name, snap.Name)
-			continue
-		}
-		var s *increpair.Session
-		if snap.StoreKind == wal.StorePaged {
-			// The rows live in the page store at the referenced
-			// generation. Any store damage fails THIS generation only —
-			// the loop falls back to the previous snapshot, exactly as
-			// for a corrupt snapshot file.
-			s, err = restorePaged(dir, name, snap)
-		} else {
-			s, err = increpair.RestoreFromSnapshot(snap, 0)
-		}
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		sess, baseGen, quota = s, g, snap.Quota
+		sess, baseGen, quota = s, g, q
 		break
 	}
 	if sess == nil {

@@ -390,7 +390,9 @@ func TestServerRemoveDeletesDurableState(t *testing.T) {
 }
 
 // TestServerRecoverySkipsCorruptTenant: one tenant's files are beyond
-// repair; the others must still come up, and the error must say so.
+// repair; the others must still come up, and the error must say so. A
+// page-store header must end its file: one trailed by a byte is refused
+// like a destroyed snapshot.
 func TestServerRecoverySkipsCorruptTenant(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{DataDir: dir, Fsync: FsyncOff, QueueDepth: 8}
@@ -398,7 +400,16 @@ func TestServerRecoverySkipsCorruptTenant(t *testing.T) {
 	ts1 := httptest.NewServer(s1.Handler())
 	createRecovery(t, ts1.URL, "healthy")
 	applyRecovery(t, ts1.URL, "healthy", 1)
+	createRecovery(t, ts1.URL, "trailed")
 	shutdownService(t, s1, ts1)
+	trailed, err := os.OpenFile(filepath.Join(dir, "trailed", "snap-0000000000.snap"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trailed.Write([]byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	trailed.Close()
 
 	// A tenant directory with a destroyed snapshot and one with no
 	// snapshot at all.
@@ -419,7 +430,8 @@ func TestServerRecoverySkipsCorruptTenant(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("recovered %d sessions, want 1", n)
 	}
-	if err == nil || !strings.Contains(err.Error(), "broken") || !strings.Contains(err.Error(), "empty") {
+	if err == nil || !strings.Contains(err.Error(), "broken") || !strings.Contains(err.Error(), "empty") ||
+		!strings.Contains(err.Error(), "trailed: no usable snapshot") {
 		t.Fatalf("recovery error does not name the corrupt tenants: %v", err)
 	}
 	if resp, _ := do(t, "GET", ts2.URL+"/v1/sessions/healthy", nil); resp.StatusCode != http.StatusOK {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"cfdclean/internal/increpair"
@@ -31,40 +32,49 @@ var (
 	// replica's journal version — mapped to 409, which the primary heals
 	// by reshipping a snapshot.
 	errReplicaGap = errors.New("server: replica gap")
-	// errReplicaMisnamed reports a shipped image that names another
-	// session — mapped to 400: a resync would ship the same image again.
-	errReplicaMisnamed = errors.New("server: snapshot names another session")
+	// errReplicaImage reports a shipped image this node cannot take —
+	// mapped to 400 (413 past the install bound), never to 409: a resync
+	// would ship the same image again.
+	errReplicaImage = errors.New("server: unusable snapshot image")
 )
 
 // InstallReplica installs (or replaces) a follower session from a
-// shipped snapshot — the bootstrap for a follower joining mid-stream and
-// the healing move after any gap. An existing follower under the name is
-// removed, files and all, once the image has proven restorable, and
-// rebuilt from it; a primary under the name refuses with
-// errReplicaConflict, and an image naming another session, as recovery
-// does, with errReplicaMisnamed.
-func (r *Registry) InstallReplica(ctx context.Context, name string, snap *wal.Snapshot) error {
+// shipped snapshot stream — the bootstrap for a follower joining
+// mid-stream and the healing move after any gap. An image naming another
+// session or a page-store header (errReplicaImage) and a name this node
+// holds as a primary (errReplicaConflict) are refused from the header,
+// before any row is read. The rows are restored as they arrive, outside
+// installMu, so a slow body holds up no other install; under it an
+// existing follower under the name is removed, files and all, and the
+// restored session registered in its place.
+func (r *Registry) InstallReplica(ctx context.Context, name string, img io.Reader) error {
 	if r.draining.Load() {
 		return ErrDraining
 	}
-	if snap.Name != "" && snap.Name != name {
-		return fmt.Errorf("%w: install %s: image names %q", errReplicaMisnamed, name, snap.Name)
+	snap, rows, err := wal.NewSnapshotReader(img)
+	switch {
+	case err != nil:
+		return fmt.Errorf("%w: install %s: %w", errReplicaImage, name, err)
+	case snap.Name != "" && snap.Name != name:
+		return fmt.Errorf("%w: install %s: image names %q", errReplicaImage, name, snap.Name)
+	case snap.StoreKind != 0:
+		return fmt.Errorf("%w: install %s: a page-store header (store kind %d) holds no rows", errReplicaImage, name, snap.StoreKind)
+	case r.isPrimary(name):
+		return errReplicaConflict
+	}
+	sess, err := increpair.RestoreFromSnapshotSource(snap, rows, nil)
+	if err != nil {
+		return fmt.Errorf("%w: install %s: %w", errReplicaImage, name, err)
 	}
 	r.installMu.Lock()
 	defer r.installMu.Unlock()
-	h, err := r.Get(name)
-	if err == nil && h.role.Load() != roleFollower {
+	if r.isPrimary(name) {
+		sess.Close()
 		return errReplicaConflict
 	}
-	sess, rerr := increpair.RestoreFromSnapshot(snap, 0)
-	if rerr != nil {
-		return fmt.Errorf("server: install replica %s: %w", name, rerr)
-	}
-	if err == nil {
-		if err := r.Remove(ctx, name); err != nil && !errors.Is(err, ErrNotFound) {
-			sess.Close()
-			return err
-		}
+	if err := r.Remove(ctx, name); err != nil && !errors.Is(err, ErrNotFound) {
+		sess.Close()
+		return err
 	}
 	// The quota travels in the snapshot header (it only matters after
 	// promotion — followers take no writes).
@@ -73,6 +83,12 @@ func (r *Registry) InstallReplica(ctx context.Context, name string, snap *wal.Sn
 		return err
 	}
 	return nil
+}
+
+// isPrimary reports whether this node hosts name as a primary.
+func (r *Registry) isPrimary(name string) bool {
+	h, err := r.Get(name)
+	return err == nil && h.role.Load() != roleFollower
 }
 
 // ReplicateBatch hands one shipped batch to the follower session's own

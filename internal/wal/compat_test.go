@@ -2,7 +2,8 @@ package wal_test
 
 // Format versions: this build writes and reads version 3 only. A data
 // directory written by any other version — older or from the future —
-// is refused loudly, by both file readers, with an error that wraps
+// is refused loudly, by the snapshot stream's reader and the WAL's, with
+// an error that wraps
 // ErrCorrupt and names the version found and the one supported. The
 // files themselves are otherwise intact current-format files with only
 // the header's version byte changed, so the version check is the one
@@ -50,7 +51,7 @@ func TestOtherFormatVersionsAreRefused(t *testing.T) {
 
 	// Unmodified, both files read back: what is refused below is the
 	// version byte and nothing else.
-	if _, err := wal.ReadSnapshot(bytes.NewReader(rec.snap0)); err != nil {
+	if _, err := readByChunks(rec.snap0); err != nil {
 		t.Fatalf("current-version snapshot: %v", err)
 	}
 	if _, payloads, _, err := wal.Open(walPath); err != nil || len(payloads) != len(rec.payloads) {
@@ -70,13 +71,9 @@ func TestOtherFormatVersionsAreRefused(t *testing.T) {
 					t.Fatalf("%s refusal does not name the versions: %v", kind, err)
 				}
 			}
-			snapPath := filepath.Join(t.TempDir(), "snap-0000000000.snap")
 			snap := append([]byte(nil), rec.snap0...)
 			snap[len("CFDSNAP")] = ver
-			if err := os.WriteFile(snapPath, snap, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err := wal.ReadSnapshotFile(snapPath)
+			_, _, err := wal.NewSnapshotReader(bytes.NewReader(snap))
 			check("snapshot", err)
 
 			log := append([]byte(nil), walBytes...)
@@ -96,12 +93,11 @@ func TestOtherFormatVersionsAreRefused(t *testing.T) {
 // (prefix) record and up to two tuple chunk records, and the test frames
 // them with valid checksums, so the bytes reach the prefix and chunk
 // decoders rather than dying at the CRC. On the file and on every prefix
-// of it cut at a record boundary, the chunk reader (SnapshotReader),
-// ReadSnapshot and the whole-stream reader it replaced
-// (ReadSnapshotWhole) agree: the same rows or the same refusal, word for
-// word; a cut file is refused whenever the whole one is accepted.
-// Whatever ReadSnapshot accepts, WriteSnapshot writes to a stream that
-// reads back to the same snapshot. Snapshots are compared by their
+// of it cut at a record boundary, the chunk reader (SnapshotReader) and
+// the whole-stream reader it replaced (ReadSnapshotWhole) agree: the
+// same rows or the same refusal, word for word; a cut file is refused
+// whenever the whole one is accepted. Whatever the chunk reader accepts,
+// WriteSnapshot writes to a stream that reads back to the same snapshot. Snapshots are compared by their
 // encodings, since a cost or a weight may be NaN.
 func FuzzDecodeSnapshot(f *testing.F) {
 	rec := record(f, 77, increpair.Linear, 3, true)
@@ -160,7 +156,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if err := wal.WriteSnapshot(&w1, s); err != nil {
 				t.Fatal(err)
 			}
-			s2, err := wal.ReadSnapshot(bytes.NewReader(w1.Bytes()))
+			s2, err := readByChunks(w1.Bytes())
 			if err != nil {
 				t.Fatalf("rewritten snapshot file does not read: %v", err)
 			}
@@ -196,30 +192,24 @@ func snapshotRecords(tb testing.TB, s *wal.Snapshot) (header []byte, chunks [][]
 	return header, chunks
 }
 
-// agreeingReaders reads b with the chunk reader, ReadSnapshot and
-// ReadSnapshotWhole, fails t unless all three return the same snapshot or
-// the same error, and returns what they returned.
+// agreeingReaders reads b with the chunk reader and ReadSnapshotWhole,
+// fails t unless both return the same snapshot or the same error, and
+// returns what they returned.
 func agreeingReaders(t *testing.T, b []byte) (*wal.Snapshot, error) {
 	t.Helper()
 	want, wantErr := wal.ReadSnapshotWhole(bytes.NewReader(b))
-	got, err := wal.ReadSnapshot(bytes.NewReader(b))
-	streamed, serr := readByChunks(b)
-	for _, c := range []struct {
-		name string
-		s    *wal.Snapshot
-		err  error
-	}{{"ReadSnapshot", got, err}, {"SnapshotReader", streamed, serr}} {
-		if fmt.Sprint(c.err) != fmt.Sprint(wantErr) {
-			t.Fatalf("%s: error %v, the whole-stream reader's %v", c.name, c.err, wantErr)
-		}
-		if wantErr == nil && !bytes.Equal(encodeSnapshot(t, c.s), encodeSnapshot(t, want)) {
-			t.Fatalf("%s: another snapshot than the whole-stream reader's", c.name)
-		}
+	got, err := readByChunks(b)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("SnapshotReader: error %v, the whole-stream reader's %v", err, wantErr)
+	}
+	if wantErr == nil && !bytes.Equal(encodeSnapshot(t, got), encodeSnapshot(t, want)) {
+		t.Fatal("SnapshotReader: another snapshot than the whole-stream reader's")
 	}
 	return want, wantErr
 }
 
-// readByChunks reads b through SnapshotReader, row by row.
+// readByChunks reads b through SnapshotReader, row by row, into one
+// Snapshot: the whole-stream read the tests of this package compare.
 func readByChunks(b []byte) (*wal.Snapshot, error) {
 	s, rows, err := wal.NewSnapshotReader(bytes.NewReader(b))
 	if err != nil {

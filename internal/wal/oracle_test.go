@@ -19,8 +19,8 @@ var ReadSnapshotWhole = readSnapshotWhole
 // readSnapshotWhole is the snapshot reader as it was before rows were
 // read one chunk at a time: every chunk record read with ReadFrame into a
 // buffer of its own and decoded in full before the next one is read.
-// FuzzDecodeSnapshot holds SnapshotReader and ReadSnapshot to it — the
-// same rows and the same refusals, word for word.
+// FuzzDecodeSnapshot holds SnapshotReader to it — the same rows and the
+// same refusals, word for word.
 func readSnapshotWhole(r io.Reader) (*Snapshot, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if err := CheckHeader(br, snapMagic, Version); err != nil {

@@ -415,26 +415,6 @@ func (sr *SnapshotReader) nextChunk() error {
 	return nil
 }
 
-// ReadSnapshot reads and verifies a snapshot stream from r into one
-// Snapshot, its rows in Tuples (SnapshotReader). Any damage rejects the
-// whole stream.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	s, rows, err := NewSnapshotReader(r)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t, ok, err := rows.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return s, nil
-		}
-		s.Tuples = append(s.Tuples, t)
-	}
-}
-
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -148,21 +147,4 @@ func (l *Log) Close() error {
 // snapshot under the final name.
 func WriteSnapshotFile(path string, s *Snapshot) error {
 	return WriteFileAtomic(path, func(w io.Writer) error { return WriteSnapshot(w, s) })
-}
-
-// ReadSnapshotFile reads and verifies a snapshot file written by
-// WriteSnapshotFile, streaming record by record. Any damage — header,
-// checksum, payload, torn chunk stream — returns an error wrapping
-// ErrCorrupt so callers can fall back to an older generation.
-func ReadSnapshotFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := ReadSnapshot(f)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %s: %w", filepath.Base(path), err)
-	}
-	return s, nil
 }

@@ -230,7 +230,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := wal.WriteSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := wal.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	got, err := readByChunks(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,15 +253,14 @@ func TestSnapshotFile(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("snapshot write left %d entries (tmp not cleaned?)", len(ents))
 	}
-	got, err := wal.ReadSnapshotFile(p)
+	whole, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s, got) {
-		t.Fatal("snapshot file round trip mismatch")
+	if got, err := readByChunks(whole); err != nil || !reflect.DeepEqual(s, got) {
+		t.Fatalf("snapshot file round trip mismatch (err %v)", err)
 	}
 
-	whole, _ := os.ReadFile(p)
 	for _, tc := range []struct {
 		name string
 		mut  func([]byte) []byte
@@ -274,11 +273,7 @@ func TestSnapshotFile(t *testing.T) {
 		}},
 		{"trailing", func(b []byte) []byte { return append(append([]byte(nil), b...), 'x') }},
 	} {
-		bad := filepath.Join(dir, tc.name)
-		if err := os.WriteFile(bad, tc.mut(whole), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := wal.ReadSnapshotFile(bad); !errors.Is(err, wal.ErrCorrupt) {
+		if _, err := readByChunks(tc.mut(whole)); !errors.Is(err, wal.ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", tc.name, err)
 		}
 	}
@@ -294,14 +289,14 @@ func TestSnapshotTruncationSafety(t *testing.T) {
 	}
 	stream := buf.Bytes()
 	for cut := 0; cut < len(stream); cut++ {
-		if _, err := wal.ReadSnapshot(bytes.NewReader(stream[:cut])); !errors.Is(err, wal.ErrCorrupt) {
+		if _, err := readByChunks(stream[:cut]); !errors.Is(err, wal.ErrCorrupt) {
 			t.Fatalf("prefix of %d/%d bytes: err = %v, want ErrCorrupt", cut, len(stream), err)
 		}
 	}
 	for off := range stream {
 		mut := append([]byte(nil), stream...)
 		mut[off] ^= 0xff
-		if _, err := wal.ReadSnapshot(bytes.NewReader(mut)); !errors.Is(err, wal.ErrCorrupt) {
+		if _, err := readByChunks(mut); !errors.Is(err, wal.ErrCorrupt) {
 			t.Fatalf("byte %d flipped: err = %v, want ErrCorrupt", off, err)
 		}
 	}
