@@ -17,8 +17,8 @@ import (
 
 // uncalledAllowed names the declarations under internal/ that no non-test
 // code names, or reads, but that stay, each with its reason: a
-// package-level function, var or const as "pkg.Name", a method or a
-// struct field as "pkg.Type.Name".
+// package-level function, var, const or exported type as "pkg.Name", a
+// method or a struct field as "pkg.Type.Name".
 var uncalledAllowed = map[string]string{
 	"cfd.WitnessTuple":     "the certificate the Satisfiable tests check",
 	"strdist.Levenshtein":  "the reference the Damerau–Levenshtein kernel tests compare with",
@@ -88,20 +88,21 @@ func (l *moduleLoader) load(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// TestInternalFuncsHaveCallers keeps the engine packages to what the program
-// uses: every package-level function, var and const and every method
-// declared in a non-test file under internal/ must be named by non-test Go
-// code of the repository (bench/, cmd/ and examples/ count) outside its own
-// declaration, and every field of a struct type declared there must be
-// read by it (fieldReads says what counts as a read). Names are resolved
-// by the type checker, so a method counts only where a value of its own
-// type (or one embedding it) selects it. Two kinds of method are exempt:
-// one that lets its type satisfy a named interface of the program or the
-// standard library, since such calls go through the interface; and an
-// exported method of the library's surface — a type api.go aliases, or a
-// type such a method hands out or such a type's exported field holds,
-// transitively. The fields of surface types are exempt too, as are those
-// encoding/json reads by their json tag.
+// TestInternalFuncsHaveCallers keeps the engine packages to what the
+// program uses: every package-level function, var and const, every
+// exported type and every method declared in a non-test file under
+// internal/ must be named by non-test Go code of the repository (bench/,
+// cmd/ and examples/ count) outside its own declaration, and every field
+// of a struct type declared there must be read by it (fieldReads says what
+// counts as a read). Names are resolved by the type checker, so a method
+// counts only where a value of its own type (or one embedding it) selects
+// it. Two kinds of method are exempt: one that lets its type satisfy a
+// named interface of the program or the standard library, since such calls
+// go through the interface; and an exported method of the library's
+// surface — a type api.go aliases, or a type such a method hands out or
+// such a type's exported field holds, transitively. Surface types and
+// their fields are exempt too, as are the fields encoding/json reads by
+// their json tag.
 func TestInternalFuncsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	l := &moduleLoader{
@@ -188,6 +189,9 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 						named, ok := tn.Type().(*types.Named)
 						if !ok || surfaceTypes[named] {
 							continue
+						}
+						if tn.Exported() {
+							check(f.Name.Name+"."+tn.Name(), tn, spec)
 						}
 						st, ok := named.Underlying().(*types.Struct)
 						for i := 0; ok && i < st.NumFields(); i++ {

@@ -448,13 +448,15 @@ func (s *Server) handlePeers(w http.ResponseWriter, req *http.Request) {
 }
 
 // transferSession hands one local primary over to its new ring owner:
-// stop accepting writes, drain the pipeline, ship a final snapshot (the
-// WAL-tail equivalent — the image contains every committed batch),
-// promote the remote copy, and remove the local session. Any remote
-// failure rolls the local role back so the session keeps serving here.
+// demote it (a write racing the transfer is refused with 421, never
+// acknowledged and lost), drain the pipeline with one sentinel, ship a
+// final snapshot (the WAL-tail equivalent — the image contains every
+// acknowledged batch), promote the remote copy, and remove the local
+// session. Any remote failure rolls the local role back so the session
+// keeps serving here.
 func (s *Server) transferSession(ctx context.Context, h *hosted, owner string) error {
 	h.stopShipper()
-	h.role.Store(roleFollower) // refuses new writes from this instant
+	h.demote()
 	handOver := func() error {
 		if !h.waitQuiesce(ctx) {
 			return fmt.Errorf("pipeline did not quiesce")

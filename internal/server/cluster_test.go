@@ -863,6 +863,120 @@ func TestClusterRebalanceDrainsCoalesceLinger(t *testing.T) {
 	}
 }
 
+// TestClusterRebalanceKeepsAcknowledgedWrites: a peer-list change moves
+// a session while synchronous and async writers keep posting to its old
+// owner. A write racing the transfer may be refused (421 from the
+// demoted session or from the new owner's not yet promoted copy, 429 on
+// a full queue), but every insert answered 200 or 202 — before the move
+// on the old owner, after it through the proxy to the new one — must be
+// in the new owner's dump.
+func TestClusterRebalanceKeepsAcknowledgedWrites(t *testing.T) {
+	a, b := newClusterPair(t, func(self string, peers []string) Options {
+		return Options{QueueDepth: 4, Peers: peers, Self: self, Ack: AckLeader}
+	})
+	const name = "moving"
+	owner, other := ownerAndFollower(a, b, name)
+	createTiny(t, owner.url, name)
+	waitFollower(t, other, name)
+
+	var (
+		mu    sync.Mutex
+		acked []string
+		stop  = make(chan struct{})
+		wg    sync.WaitGroup
+	)
+	post := func(op, ac string) (int, error) {
+		body, err := json.Marshal(ApplyRequest{Inserts: []WireTuple{{Vals: []*string{strp(ac), strp("SFO")}}}})
+		if err != nil {
+			return 0, err
+		}
+		resp, err := http.Post(owner.url+"/v1/sessions/"+name+"/"+op, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	errs := make(chan error, 4)
+	for w, op := range []string{"apply", "apply", "ingest", "ingest"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ac := fmt.Sprintf("w%d-%d", w, i)
+				code, err := post(op, ac)
+				switch {
+				case err != nil:
+					errs <- err
+					return
+				case code == http.StatusOK || code == http.StatusAccepted:
+					mu.Lock()
+					acked = append(acked, ac)
+					mu.Unlock()
+				case code != http.StatusMisdirectedRequest && code != http.StatusServiceUnavailable && code != http.StatusTooManyRequests:
+					errs <- fmt.Errorf("%s %s: status %d", op, ac, code)
+					return
+				}
+			}
+		}()
+	}
+	ackedAtLeast := func(n int) {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			mu.Lock()
+			got := len(acked)
+			mu.Unlock()
+			if got >= n {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d writes acknowledged, want %d", got, n)
+			}
+		}
+	}
+	ackedAtLeast(20)
+	resp, body := do(t, "PUT", owner.url+"/v1/cluster/peers", PeersRequest{Peers: []string{other.addr}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("peers: %d: %s", resp.StatusCode, body)
+	}
+	var pr PeersResponse
+	if err := json.Unmarshal(body, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.Errors) > 0 || len(pr.Moved) != 1 {
+		t.Fatalf("transfer: moved %v, errors %v", pr.Moved, pr.Errors)
+	}
+	mu.Lock()
+	moved := len(acked)
+	mu.Unlock()
+	ackedAtLeast(moved + 20)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	h, err := other.srv.reg.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.waitQuiesce(t.Context()) {
+		t.Fatal("the new owner's pipeline did not drain")
+	}
+	dump, _ := readState(t, other.url, name)
+	for _, ac := range acked {
+		if !bytes.Contains(dump, []byte("\n"+ac+",SFO\n")) {
+			t.Fatalf("acknowledged insert %s is not in the new owner's dump (%d acknowledged)", ac, len(acked))
+		}
+	}
+}
+
 // TestClusterDiskFollower: the follower runs the primary's write path —
 // its own worker replays every shipped batch and its own committer logs,
 // rotates and publishes it — so a durable follower must do everything

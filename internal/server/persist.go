@@ -324,9 +324,10 @@ func (p *persister) boundary(failed bool) *capture {
 	return c
 }
 
-// abort releases an unconsumed capture (purge raced in, the WAL append
-// failed, the persister broke): the flush's pinned view and pages are
-// handed back so the next boundary carries them.
+// abort releases a capture the committer cannot anchor because the
+// persister broke (a failed WAL append or sync, an earlier failed
+// rotation): the flush's pinned view and pages are handed back so the
+// next boundary carries them.
 func (c *capture) abort() {
 	if c != nil {
 		c.flush.Abort()
@@ -461,7 +462,7 @@ func (p *persister) status() string {
 // dirty again. No relation-sized snapshot record is ever decoded —
 // recovery reads each page of the row count once, in order.
 func restorePaged(dir, name string, snap *wal.Snapshot) (*increpair.Session, error) {
-	st, err := store.Open(filepath.Join(dir, storeDirName), snap.StoreGen, len(snap.Attrs), store.Options{})
+	st, err := store.Open(filepath.Join(dir, storeDirName), snap.StoreGen, len(snap.Attrs))
 	if err != nil {
 		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)
 	}

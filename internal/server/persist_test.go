@@ -12,12 +12,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -496,72 +498,125 @@ func TestDottedSessionNameRejected(t *testing.T) {
 	}
 }
 
-// TestFinishPersistSupersededKeepsData exercises the purge guard
-// directly: a Remove can return on context expiry with the name freed
-// while the old worker is still draining, and a client can re-create
-// the session in that window. The old worker's cleanup must notice it
-// was superseded and leave the new tenant's directory alone — and must
-// still delete the directory when it was not superseded.
-func TestFinishPersistSupersededKeepsData(t *testing.T) {
-	newSess := func() *increpair.Session {
-		rel, err := relation.ReadCSV("d", strings.NewReader(recoveryBase))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parsed, err := cfd.Parse(rel.Schema(), strings.NewReader(recoveryCFDs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := increpair.NewSession(rel, cfd.NormalizeAll(parsed), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
+// newRecoverySession builds a session over the recovery fixture, closed
+// when the test ends.
+func newRecoverySession(t *testing.T) *increpair.Session {
+	t.Helper()
+	rel, err := relation.ReadCSV("d", strings.NewReader(recoveryBase))
+	if err != nil {
+		t.Fatal(err)
 	}
+	parsed, err := cfd.Parse(rel.Schema(), strings.NewReader(recoveryCFDs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := increpair.NewSession(rel, cfd.NormalizeAll(parsed), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sess.Close)
+	return sess
+}
+
+// TestFinishPersistSupersededKeepsData: the exiting worker of a removed
+// session deletes its directory, directly and through Remove. (A session
+// superseded under its name while its worker drains can no longer arise:
+// the name is freed by that worker, after the deletion; see
+// TestRemoveHoldsNameUntilWorkerExits.)
+func TestFinishPersistSupersededKeepsData(t *testing.T) {
 	reg := NewRegistry(4)
 	reg.persist = &Options{DataDir: t.TempDir(), Fsync: FsyncOff, SnapshotEvery: 64}
 	dataDir := filepath.Join(reg.persist.DataDir, "x")
 
-	// Not superseded: purge removes the directory.
-	s1 := newSess()
+	s1 := newRecoverySession(t)
 	p1, err := newPersister(reg.persist, "x", s1, wal.Quota{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1 := &hosted{name: "x", sess: s1, pers: p1}
-	h1.purge.Store(true)
+	h1 := &hosted{name: "x", sess: s1, pers: p1, purge: true}
 	h1.finishPersist(reg)
 	if _, err := os.Stat(dataDir); !os.IsNotExist(err) {
-		t.Fatalf("unsuperseded purge left the directory: %v", err)
+		t.Fatalf("purge left the directory: %v", err)
 	}
 
-	// Superseded: a new hosted session owns the name (and a rebuilt
-	// directory); the stale worker's purge must keep its hands off.
-	s2 := newSess()
-	pOld, err := newPersister(reg.persist, "x", s2, wal.Quota{})
-	if err != nil {
+	s2 := newRecoverySession(t)
+	if _, err := reg.Create("x", s2, s2.Current().Schema(), wal.Quota{}); err != nil {
 		t.Fatal(err)
 	}
-	hOld := &hosted{name: "x", sess: s2, pers: pOld}
-	hOld.purge.Store(true)
-	s3 := newSess()
-	hNew, err := reg.Create("x", s3, s3.Current().Schema(), wal.Quota{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hOld.finishPersist(reg)
-	if _, err := os.Stat(filepath.Join(dataDir, "snap-0000000000.snap")); err != nil {
-		t.Fatalf("stale purge destroyed the new session's data: %v", err)
-	}
-	// And the new session still works + cleans up through Remove.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := reg.Remove(ctx, "x"); err != nil {
 		t.Fatal(err)
 	}
-	<-hNew.done
 	if _, err := os.Stat(dataDir); !os.IsNotExist(err) {
-		t.Fatalf("real Remove left the directory: %v", err)
+		t.Fatalf("Remove left the directory: %v", err)
+	}
+}
+
+// TestRemoveHoldsNameUntilWorkerExits: Remove only asks the worker to
+// quit. While the worker has not exited — held here at its final fence,
+// the write side of sendMu — a Remove that runs out of time returns the
+// context's error, the name still resolves to the old session (a second
+// Remove is ErrDraining), a create of it is ErrExists and the old
+// directory is untouched. The exiting worker deletes the directory and
+// frees the name, and the next tenant of it starts from a fresh one.
+func TestRemoveHoldsNameUntilWorkerExits(t *testing.T) {
+	reg := NewRegistry(4)
+	reg.persist = &Options{DataDir: t.TempDir(), Fsync: FsyncOff, SnapshotEvery: 64}
+	dataDir := filepath.Join(reg.persist.DataDir, "x")
+	t.Cleanup(func() { reg.Drain(context.Background()) })
+
+	s1 := newRecoverySession(t)
+	h, err := reg.Create("x", s1, s1.Current().Schema(), wal.Quota{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Apply(t.Context(), h, nil, nil, []*relation.Tuple{relation.NewTuple(0, "908", "MH", "Edi", "WI", "07974")}); err != nil {
+		t.Fatal(err)
+	}
+	h.sendMu.RLock() // the exiting worker waits for the write side
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := reg.Remove(ctx, "x"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Remove of a session whose worker is held: %v, want the context's error", err)
+	}
+	if got, err := reg.Get("x"); err != nil || got != h {
+		t.Fatalf("the name no longer resolves to the draining session: %v", err)
+	}
+	if err := reg.Remove(t.Context(), "x"); !errors.Is(err, ErrDraining) {
+		t.Fatalf("second Remove: %v, want ErrDraining", err)
+	}
+	s2 := newRecoverySession(t)
+	if _, err := reg.Create("x", s2, s2.Current().Schema(), wal.Quota{}); !errors.Is(err, ErrExists) {
+		t.Fatalf("create while the old worker drains: %v, want ErrExists", err)
+	}
+	if _, err := os.Stat(walPath(dataDir, 0)); err != nil {
+		t.Fatalf("the draining session's directory was touched: %v", err)
+	}
+
+	h.sendMu.RUnlock()
+	<-h.done
+	if _, err := os.Stat(dataDir); !os.IsNotExist(err) {
+		t.Fatalf("the exiting worker left the directory: %v", err)
+	}
+	if _, err := reg.Get("x"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the exiting worker did not free the name: %v", err)
+	}
+	if _, err := reg.Create("x", s2, s2.Current().Schema(), wal.Quota{}); err != nil {
+		t.Fatalf("create after the worker exited: %v", err)
+	}
+	// Fresh: the files a create in an empty directory writes, and a WAL
+	// without the old tenant's record.
+	s3 := newRecoverySession(t)
+	if _, err := reg.Create("y", s3, s3.Current().Schema(), wal.Quota{}); err != nil {
+		t.Fatal(err)
+	}
+	got, want := dirImage(t, dataDir), dirImage(t, filepath.Join(reg.persist.DataDir, "y"))
+	if !slices.Equal(slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want))) {
+		t.Fatalf("the new tenant's directory holds %v, a fresh one %v", slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+	}
+	if w := filepath.Base(walPath(dataDir, 0)); got[w] != want[w] {
+		t.Fatalf("the new tenant's %s is not empty", w)
 	}
 }
 

@@ -55,11 +55,13 @@ const registryShards = 16
 // a two-stage pipeline: a bounded work queue drained by a dedicated
 // worker goroutine — the session's single writer by construction, and
 // the ONLY stage serialized per session — feeding a committer goroutine.
-// For each batch the worker hands the committer the batch's WAL record
-// before it runs the pass, and the pass's result after; the committer
-// delta-encodes, appends and fsyncs the record — while the pass runs,
-// when a scheduler slot is free for it (see apply) — then acknowledges
-// the client and publishes the pass event. HTTP handlers
+// For each job the worker hands the committer one commit item, carrying
+// the batch's WAL record, before it runs the pass, and completes it with
+// the pass's result after; the committer delta-encodes, appends and
+// fsyncs the record — while the pass runs, when a scheduler slot is free
+// for it (see apply) — then acknowledges the client and publishes the
+// pass event. A session changes state only through this pipeline (see
+// demote, waitQuiesce and finishPersist). HTTP handlers
 // never run an engine pass themselves; they decode and enqueue, then
 // either wait for the committer's reply (apply) or return immediately
 // (ingest).
@@ -197,31 +199,33 @@ type hosted struct {
 
 	// pers is the session's durability sidecar (nil when the registry
 	// runs in memory); purge tells the exiting worker to delete the
-	// session's on-disk data instead of keeping it for the next boot —
-	// set by Remove, never by Drain.
+	// session's on-disk data instead of keeping it for the next boot. Set
+	// by Remove, never by Drain, and only before quit closes, so the
+	// worker reads it after the last job.
 	pers  *persister
-	purge atomic.Bool
+	purge bool
 
 	queue chan job
-	// commits carries each batch's record and then its finished pass, in
-	// pass order, from the worker to the committer: the downstream
-	// pipeline stage that encodes, logs, syncs, replies and publishes.
-	// Closed by the exiting worker after the final drain; committerDone
-	// is closed by the exiting committer.
-	commits       chan commitItem
+	// commits carries one item per job, in queue order, from the worker to
+	// the committer: the downstream pipeline stage that encodes, logs,
+	// syncs, replies and publishes. Closed by the exiting worker after the
+	// final drain; committerDone is closed by the exiting committer.
+	commits       chan *commitItem
 	committerDone chan struct{}
 	// quit is closed to ask the worker to drain and exit; done is closed
-	// by the worker after the queue is drained and the session closed.
+	// by the worker after the queue is drained, the name freed and the
+	// session closed.
 	quit     chan struct{}
 	done     chan struct{}
 	quitOnce sync.Once
-	// sendMu fences async enqueues against the worker's final drain: an
-	// ingest holds the read side across its check-quit-then-send window,
-	// and the exiting worker takes the write side (after quit is closed)
-	// before its last sweep of the queue. Every 202-accepted batch is
-	// therefore either swept or never accepted — no silent drops.
-	// Synchronous applies don't need the fence: they wait on a reply and
-	// detect an unprocessed job via done.
+	// sendMu fences async enqueues against the worker's final drain and
+	// against a demotion: an ingest holds the read side across its
+	// check-quit-and-role-then-send window, and the exiting worker (after
+	// quit is closed) and demote take the write side. Every 202-accepted
+	// batch is therefore either swept or never accepted, and queued ahead
+	// of any sentinel sent after a demotion. Synchronous applies don't
+	// need the fence: they wait on a reply, detect an unprocessed job via
+	// done, and are refused by the worker on a follower.
 	sendMu sync.RWMutex
 
 	seq  atomic.Uint64 // engine passes completed on this session
@@ -247,10 +251,12 @@ type sessionShipper struct {
 	target string
 }
 
-// job is one unit of queued work. Async insert-only jobs (reply == nil,
-// coalescable) may be merged with queued neighbours into a single
-// engine pass; synchronous jobs always get a pass of their own so their
-// reply is byte-identical to the equivalent in-process ApplyOps call.
+// job is one unit of queued work, and becomes one commit item. Async
+// insert-only jobs (reply == nil, coalescable) may be merged with queued
+// neighbours into a single engine pass; synchronous jobs always get a
+// pass of their own so their reply is byte-identical to the equivalent
+// in-process ApplyOps call. A synchronous client batch the worker takes
+// while the session is a follower is refused with ErrFollower.
 type job struct {
 	deletes     []relation.TupleID
 	sets        []increpair.SetOp
@@ -264,8 +270,7 @@ type job struct {
 	// the queue and the commits channel like any batch, and its reply
 	// therefore PROVES every job enqueued before it has been applied and
 	// committed — including one the worker has dequeued and not yet handed
-	// to the committer, which no amount of len(queue) polling can see.
-	// Rebalance transfers use it as the positive quiescence signal.
+	// to the committer (see waitQuiesce).
 	quiesce bool
 	// enqueued is when the job entered the queue (zero for tests that
 	// drive dispatch directly); the reply reports the queue wait.
@@ -291,26 +296,25 @@ type jobReply struct {
 	persist time.Duration // pass end → durable and acknowledged
 }
 
-// commitItem travels from the worker to the committer. It is either a
-// log item, carrying only the batch's record and sent before the pass
-// runs, or a result item, carrying the finished pass. The record's ops
-// are safe to read downstream while the worker runs the pass: the engine
-// never mutates them (TUPLERESOLVE clones arriving tuples before
-// insertion), and res/snap are immutable after the pass.
+// commitItem is one job's passage from the worker to the committer, sent
+// before the job's pass (see apply). A job that runs no pass — the quiesce
+// sentinel, a batch Check refuses, a refused or duplicate shipped batch,
+// a write refused on a follower or by a broken persister — has no record:
+// no WAL append, generation, ship or event, only its reply riding the
+// pipeline in order. The record's ops are safe to read downstream while
+// the worker runs the pass: the engine never mutates them (TUPLERESOLVE
+// clones arriving tuples before insertion), and res/snap are immutable
+// after the pass.
 type commitItem struct {
-	// log is the batch's WAL record: its ops between the journal version
-	// before the pass and the one Check says the pass lands on.
-	log      *wal.Batch
-	j        job
+	// log is the batch's WAL record; nil when the job runs no pass.
+	log *wal.Batch
+	j   job
+	// passed is closed by the worker once the fields below are set; the
+	// committer reads none of them before.
+	passed   chan struct{}
 	batches  int // client batches folded into the pass
 	rep      jobReply
 	passDone time.Time // when the engine finished; start of persist stage
-	// noPass marks an item with no engine pass to record — the quiesce
-	// sentinel, a batch Check refuses, a refused or duplicate shipped
-	// batch, a write refused by a broken persister: no WAL record,
-	// generation, ship or event, only its reply riding the pipeline in
-	// order.
-	noPass bool
 	// rotate is a boundary image the WORKER captured at this exact batch
 	// boundary to advance the persister's generation: a routine rotation,
 	// or the re-anchor after a pass that failed once Check had accepted
@@ -367,7 +371,7 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 		ops:           r.ops.child(),
 		pers:          p,
 		queue:         make(chan job, r.queueDepth),
-		commits:       make(chan commitItem, 2*r.queueDepth), // a log and a result item per pass
+		commits:       make(chan *commitItem, r.queueDepth), // one item per job the queue holds
 		committerDone: make(chan struct{}),
 		quit:          make(chan struct{}),
 		done:          make(chan struct{}),
@@ -498,7 +502,9 @@ func (r *Registry) admit(h *hosted, tuples, deletes int) error {
 // returned. Taking the resolved session — not a name — matters: the
 // caller decoded the batch against h's schema, and a name lookup here
 // could resolve a different session if the name was deleted and
-// re-created mid-request.
+// re-created mid-request. A batch the worker refuses for the session's
+// state — a follower since a demotion, a broken persister — is returned
+// as the error, like the same refusal at the door.
 func (r *Registry) Apply(ctx context.Context, h *hosted, deletes []relation.TupleID, sets []increpair.SetOp, inserts []*relation.Tuple) (jobReply, error) {
 	if err := h.writable(); err != nil {
 		return jobReply{}, err
@@ -512,7 +518,7 @@ func (r *Registry) Apply(ctx context.Context, h *hosted, deletes []relation.Tupl
 	}
 	r.batches.Add(1)
 	rep, err := h.await(ctx, j)
-	if err == nil && errors.Is(rep.err, ErrNotDurable) {
+	if err == nil && (errors.Is(rep.err, ErrNotDurable) || errors.Is(rep.err, ErrFollower)) {
 		return jobReply{}, rep.err
 	}
 	return rep, err
@@ -529,10 +535,10 @@ func (h *hosted) writable() error {
 }
 
 // notDurable is ErrNotDurable naming the failure that broke the session's
-// persistence, or nil while it is sound (always for a memory-only or
-// purged session).
+// persistence, or nil while it is sound (always for a memory-only
+// session).
 func (h *hosted) notDurable() error {
-	if err := h.pers.failure(); err != nil && !h.purge.Load() {
+	if err := h.pers.failure(); err != nil {
 		return fmt.Errorf("%w: %v", ErrNotDurable, err)
 	}
 	return nil
@@ -582,14 +588,18 @@ func (r *Registry) Ingest(h *hosted, inserts []*relation.Tuple) error {
 		return err
 	}
 	j := job{inserts: inserts, coalescable: true, enqueued: time.Now()}
-	// Both the quit check and the send happen under the fence, so the
-	// worker's final drain cannot slip between them (see hosted.sendMu).
+	// The quit and role checks and the send happen under the fence, so
+	// neither the worker's final drain nor a demotion can slip between
+	// them (see hosted.sendMu).
 	h.sendMu.RLock()
 	defer h.sendMu.RUnlock()
 	select {
 	case <-h.quit:
 		return ErrDraining
 	default:
+	}
+	if h.role.Load() == roleFollower {
+		return ErrFollower
 	}
 	select {
 	case h.queue <- j:
@@ -601,26 +611,24 @@ func (r *Registry) Ingest(h *hosted, inserts []*relation.Tuple) error {
 	}
 }
 
-// Remove drains and closes one session, waiting up to ctx for its queue
-// to run dry, and deletes it from the table.
+// Remove asks one session's worker to drain its queue, delete its
+// on-disk data (a deleted session must not resurrect on the next boot)
+// and exit, waiting up to ctx. The name stays taken — a create of it is
+// ErrExists, work sent to it ErrDraining — until the exiting worker frees
+// it (finishPersist). A session already shutting down is ErrDraining.
 func (r *Registry) Remove(ctx context.Context, name string) error {
-	sh := r.shard(name)
-	sh.mu.Lock()
-	h := sh.m[name]
-	if h == nil {
-		sh.mu.Unlock()
-		return ErrNotFound
+	h, err := r.Get(name)
+	if err != nil {
+		return err
 	}
-	// A deleted session must not resurrect on the next boot: the
-	// exiting worker removes its on-disk data after the final drain.
-	// purge is set BEFORE the name is freed (still under the shard
-	// lock), so a create that wins the freed name happens-after the
-	// flag is visible — the draining worker's persister checks it and
-	// stops writing into a directory the new tenant now owns.
-	h.purge.Store(true)
-	delete(sh.m, name)
-	sh.mu.Unlock()
-	h.quitOnce.Do(func() { close(h.quit) })
+	removing := false
+	h.quitOnce.Do(func() {
+		h.purge, removing = true, true
+		close(h.quit)
+	})
+	if !removing {
+		return ErrDraining
+	}
 	select {
 	case <-h.done:
 		return nil
@@ -631,20 +639,11 @@ func (r *Registry) Remove(ctx context.Context, name string) error {
 
 // Drain shuts the whole registry down gracefully: new creates and new
 // work are refused, every session worker finishes its queued batches,
-// closes its session, and Drain returns when all workers have exited
-// (or ctx expires first).
+// closes its session and frees its name, and Drain returns when all
+// workers have exited (or ctx expires first).
 func (r *Registry) Drain(ctx context.Context) error {
 	r.draining.Store(true)
-	var hs []*hosted
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for n, h := range sh.m {
-			hs = append(hs, h)
-			delete(sh.m, n)
-		}
-		sh.mu.Unlock()
-	}
+	hs := r.List()
 	for _, h := range hs {
 		h.quitOnce.Do(func() { close(h.quit) })
 	}
@@ -665,8 +664,9 @@ func (r *Registry) Drain(ctx context.Context) error {
 // drains the queue before closing the session — no accepted batch is
 // dropped. Deferred teardown runs innermost-first: the committer drains
 // every pending commit (replies, WAL records, events) before
-// persistence is finalized, the session closes, and done is closed,
-// which ends every event stream once it has sent the last events.
+// persistence is finalized and the name freed, the session closes, and
+// done is closed, which ends every event stream once it has sent the
+// last events.
 func (h *hosted) run(r *Registry) {
 	defer close(h.done)
 	defer h.sess.Close()
@@ -678,7 +678,7 @@ func (h *hosted) run(r *Registry) {
 	// shipper before it removes the session, so the copy it promoted
 	// stays.)
 	defer func() {
-		if target := h.stopShipper(); h.purge.Load() {
+		if target := h.stopShipper(); h.purge {
 			h.dropReplica(r, target)
 		}
 	}()
@@ -738,51 +738,42 @@ func (h *hosted) dispatch(r *Registry, j job) {
 	h.apply(r, j, 1)
 }
 
-// apply runs one engine pass for job j (which may represent several
-// coalesced client batches). A batch Check refuses gets no pass: like a
-// refused replay it is answered through the pipeline with nothing
-// logged, anchored, shipped or published. Otherwise the worker first
-// hands the committer the batch's WAL record, which does not depend on
-// the pass: the ops between the journal version before the pass and the
-// one Check says the pass lands on. The committer appends and syncs it
-// while the pass runs only when a Go scheduler slot (a GOMAXPROCS
-// processor) is free for it; then a reply waits for the longer of the
-// two rather than their sum. When the pass holds one processor and
-// handlers serving reads hold the rest, the committer starts when one
-// frees, often as the pass ends, and the reply waits for about the sum:
-// on serve_mixed at GOMAXPROCS=2 the append began a median 1.1 ms into
-// a 1.2–1.4 ms pass (EXPERIMENTS.md "PR 56"). Appending on the worker
-// instead measured slower there, so the hand-off stays. The result goes
-// to the committer after the pass; the
-// reply, ship and event happen there, overlapped with this worker's next
+// apply runs job j (which may represent several coalesced client batches)
+// and hands it to the committer as one commit item, sent before the pass
+// with the batch's WAL record, which does not depend on the pass: the ops
+// between the journal version before the pass and the one Check says the
+// pass lands on. A job that runs no pass goes with its reply and no
+// record. The committer appends and syncs the record while the pass runs
+// only when a Go scheduler slot (a GOMAXPROCS processor) is free for it;
+// then a reply waits for the longer of the two, not their sum. When the
+// pass holds one processor and handlers serving reads hold the rest, the
+// committer starts when one frees, often as the pass ends, and the reply
+// waits for about the sum: on serve_mixed at GOMAXPROCS=2 the append
+// began a median 1.1 ms into a 1.2–1.4 ms pass (EXPERIMENTS.md "PR 56").
+// Appending on the worker instead measured slower there, so the hand-off
+// stays. The pass's outcome completes the item (passed); the reply, ship
+// and event happen in the committer, overlapped with this worker's next
 // pass. Pass order fixes seq and the journal-version order, the commits
-// channel is FIFO, and record N+1 is sent only after result N, so the
-// committer appends record N+1 after it has rotated at boundary N. A
-// shipped batch (j.replay) is the same pass with the shipped record, so
-// shipped batches, a promotion and the first local write after it are
-// totally ordered by the queue.
+// channel is FIFO, and the committer finishes item N — rotation at
+// boundary N included — before it appends record N+1. A shipped batch
+// (j.replay) is the same pass with the shipped record, so shipped
+// batches, a promotion and the first local write after it are totally
+// ordered by the queue.
 func (h *hosted) apply(r *Registry, j job, batches int) {
-	if j.quiesce {
-		h.commits <- commitItem{j: j, noPass: true}
-		return
-	}
-	refuse := func(err error) { h.commits <- commitItem{j: j, noPass: true, rep: jobReply{err: err}} }
-	// A batch queued before the persister broke.
-	if err := h.notDurable(); err != nil {
-		refuse(err)
-		return
-	}
+	item := &commitItem{j: j, batches: batches, passed: make(chan struct{})}
+	defer close(item.passed)
 	var wait time.Duration
 	if !j.enqueued.IsZero() {
 		wait = time.Since(j.enqueued)
 	}
 	deletes, sets, inserts, rec := j.deletes, j.sets, j.inserts, j.replay
-	if rec != nil {
-		var (
-			applies bool
-			err     error
-		)
-		if h.role.Load() != roleFollower {
+	err := h.notDurable() // a batch queued before the persister broke
+	switch follower := h.role.Load() == roleFollower; {
+	case j.quiesce || err != nil:
+		rec = nil
+	case rec != nil:
+		var applies bool
+		if !follower {
 			// Promoted (or never a replica) since the frame was accepted:
 			// the primary's stream must stop, not resync.
 			err = errReplicaConflict
@@ -791,24 +782,32 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 			// the primary reships a full image that replaces this session.
 			err = fmt.Errorf("%w: %v", errReplicaGap, err)
 		}
-		if err != nil || !applies {
-			// Refused, or a duplicate the cursor already covers.
-			refuse(err)
-			return
+		if !applies {
+			rec = nil // refused, or a duplicate the cursor already covers
 		}
-	} else {
-		landing, err := h.sess.Check(deletes, sets, inserts)
-		if err != nil {
+	case follower && j.reply != nil:
+		// A client batch that passed the door before a demotion: applied,
+		// it would be acknowledged behind the transfer's sentinel and lost
+		// with the local copy. (An async batch on a follower was queued
+		// before the demotion, ahead of the sentinel: Ingest re-checks the
+		// role under the fence.)
+		err = ErrFollower
+	default:
+		var landing uint64
+		if landing, err = h.sess.Check(deletes, sets, inserts); err != nil {
 			// ApplyOps would refuse it with this same error, mutating nothing.
 			h.ops.errorBatches.Add(1)
-			refuse(err)
-			return
+			break
 		}
 		// Worker-only read of the pre-pass version, so no lock needed.
 		rec = &wal.Batch{PrevVersion: h.sess.Snapshot().Version, Version: landing,
 			Ops: increpair.OpsToDeltas(deletes, sets, inserts)}
 	}
-	h.commits <- commitItem{log: rec}
+	item.log, item.rep.err = rec, err
+	h.commits <- item
+	if rec == nil {
+		return
+	}
 	searched := h.sess.IndexStats()
 	start := time.Now()
 	res, deleted, err := h.sess.ApplyOps(deletes, sets, inserts)
@@ -832,47 +831,36 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 	} else {
 		h.ops.errorBatches.Add(1)
 	}
-	item := commitItem{
-		j: j, batches: batches, passDone: time.Now(),
-		rep: jobReply{res: res, deleted: deleted, seq: seq, snap: snap, err: err, wait: wait, engine: engine},
-	}
+	item.passDone = time.Now()
+	item.rep = jobReply{res: res, deleted: deleted, seq: seq, snap: snap, err: err, wait: wait, engine: engine}
 	// A rotation boundary must be captured at THIS batch boundary; by the
 	// time the committer handles the item the worker may be passes ahead,
 	// so the capture cannot be deferred downstream.
-	if h.pers != nil && !h.purge.Load() {
+	if h.pers != nil {
 		item.rotate = h.pers.boundary(err != nil)
 	}
-	h.commits <- item
 }
 
-// committer is the pipeline stage downstream of the session worker. On a
-// log item it appends the batch's WAL record and, under -fsync batch,
-// syncs it, while the worker runs the batch's pass. On the result item
-// that follows it rotates at a boundary the worker captured, ships,
-// sends the client reply and publishes the pass event. The reply happens
-// strictly after the record is durable, so fsync-before-ack holds per
-// batch, and a batch whose record could not be made durable is answered
-// with ErrNotDurable and shipped nowhere. A follower's replayed passes
-// are committed the same way.
-//
-// A purged session (Remove in progress) stops persisting immediately:
-// its directory is doomed — and may already belong to a re-created
-// session of the same name — so drained batches apply in memory only
-// and their waiting clients are still answered.
+// committer is the pipeline stage downstream of the session worker, one
+// commit item at a time. It appends the item's WAL record and, under
+// -fsync batch, syncs it, while the worker runs the batch's pass; then it
+// waits for the pass (passed), rotates at a boundary the worker captured,
+// ships, sends the client reply and publishes the pass event. The reply
+// happens strictly after the record is durable, so fsync-before-ack holds
+// per batch, and a batch whose record could not be made durable is
+// answered with ErrNotDurable and shipped nowhere. An item with no record
+// is only answered. A follower's replayed passes are committed the same
+// way. A session being removed still persists what it drains: the name,
+// and so the directory, stays its own until its worker exits.
 func (h *hosted) committer(r *Registry) {
 	defer close(h.committerDone)
-	// b is the record of the pass whose result comes next, and logErr
-	// what logging it returned.
-	var (
-		b      *wal.Batch
-		logErr error
-	)
 	for item := range h.commits {
+		var logErr error
 		if item.log != nil {
-			b, logErr = item.log, h.logRecord(item.log)
-			continue
+			logErr = h.logRecord(item.log)
 		}
-		if item.noPass {
+		<-item.passed
+		if item.log == nil {
 			// Everything before it in the pipeline is applied AND
 			// committed; answer and move on.
 			if item.j.reply != nil {
@@ -883,13 +871,9 @@ func (h *hosted) committer(r *Registry) {
 		if logErr != nil && item.rep.err == nil {
 			item.rep.err = fmt.Errorf("%w: %v", ErrNotDurable, logErr)
 		}
-		if item.rotate != nil && !h.purge.Load() {
+		if item.rotate != nil {
 			h.pers.rotate(item.rotate)
-			item.rotate = nil
 		}
-		// Unconsumed capture — a purge raced in. Release the store's flush
-		// lease so the next boundary can begin one.
-		item.rotate.abort()
 		// Replication, strictly after the local fsync: a follower can
 		// never hold a batch the primary's own disk does not. ack=quorum
 		// ships synchronously — the client's reply waits for the
@@ -901,9 +885,9 @@ func (h *hosted) committer(r *Registry) {
 		// nothing; the follower refuses the next batch as a gap.
 		if ref := h.shipper.Load(); ref != nil && item.rep.err == nil {
 			if r.cluster != nil && r.cluster.ack == AckQuorum {
-				_ = ref.sp.ShipSync(b)
+				_ = ref.sp.ShipSync(item.log)
 			} else {
-				ref.sp.EnqueueBatch(b)
+				ref.sp.EnqueueBatch(item.log)
 			}
 		}
 		item.rep.persist = time.Since(item.passDone)
@@ -929,11 +913,11 @@ func (h *hosted) committer(r *Registry) {
 	}
 }
 
-// logRecord is the committer's work on a log item: append b to the WAL
-// and, under -fsync batch, sync it. A memory-only or purged session
-// logs nothing. An error has broken the persister.
+// logRecord is the committer's work on an item's record: append b to the
+// WAL and, under -fsync batch, sync it. A memory-only session logs
+// nothing. An error has broken the persister.
 func (h *hosted) logRecord(b *wal.Batch) error {
-	if h.pers == nil || h.purge.Load() {
+	if h.pers == nil {
 		return nil
 	}
 	if err := h.pers.appendBatch(b); err != nil || h.pers.cfg.Fsync != FsyncBatch {
@@ -947,32 +931,21 @@ func (h *hosted) logRecord(b *wal.Batch) error {
 	return nil
 }
 
-// finishPersist ends the session's durability on worker exit: purge
-// (Remove) deletes the on-disk data, drain keeps it for the next boot.
-// The deletion happens under the name's shard lock and only if this
-// hosted session still owns the name: Remove frees the name before the
-// worker finishes draining (it may wait out a context and return
-// early), so a client can have re-created the session by now — and the
-// new tenant's freshly written directory must not be swept away by the
-// old worker.
+// finishPersist ends the session's durability on worker exit — a Remove
+// (purge) deletes the on-disk data, a Drain keeps it for the next boot —
+// and then frees the name under its shard lock. Until here the name, and
+// so the directory, is this session's alone: a create of it is refused,
+// so no new tenant's files can be swept away by the old worker.
 func (h *hosted) finishPersist(r *Registry) {
-	if h.pers == nil {
-		return
-	}
-	if !h.purge.Load() {
+	switch {
+	case h.pers == nil:
+	case h.purge:
+		h.pers.destroy()
+	default:
 		h.pers.close()
-		return
 	}
 	sh := r.shard(h.name)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cur := sh.m[h.name]; cur != nil && cur != h {
-		// Superseded: a new session took the name, and newPersister
-		// rebuilt the directory from scratch under this same lock.
-		// Close our handles; the files they point to were already
-		// unlinked by that rebuild.
-		h.pers.close()
-		return
-	}
-	h.pers.destroy()
+	delete(sh.m, h.name)
+	sh.mu.Unlock()
 }

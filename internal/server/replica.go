@@ -120,10 +120,12 @@ func (r *Registry) ReplicateBatch(ctx context.Context, name string, b *wal.Batch
 
 // Promote flips a follower session to primary: writes are accepted from
 // the next request on, and the session's WAL — kept in lockstep while
-// following — continues as its own. A shipped batch in the pipeline when
-// the role flips either was replayed before it or is refused after it,
-// never half of each, and Promote returns behind all of them (the
-// quiesce sentinel). Idempotent: promoting a primary is a no-op.
+// following — continues as its own. The worker reads the role when it
+// takes each job, so a shipped batch in the pipeline when the role flips
+// either was replayed before it or is refused after it (and a client
+// batch refused before it is not applied after), never half of each, and
+// Promote returns behind all of them (one quiesce sentinel). Idempotent:
+// promoting a primary is a no-op.
 // Re-establishing replication toward a new follower is the ring's
 // business: after a failover promotion the old primary is presumed dead,
 // and a two-node cluster has no third peer to ship to, so a shipper is
@@ -174,40 +176,34 @@ func (r *Registry) DropReplica(ctx context.Context, name string) error {
 	return r.Remove(ctx, name)
 }
 
-// waitQuiesce blocks until h's pipeline is provably empty — every job
-// accepted before the call is applied AND committed — or ten seconds (or
-// ctx) run out. Rebalance uses it after flipping a primary to follower:
-// new writes are already refused, so once the pipeline drains the
-// session is quiescent and the transfer snapshot captured next misses
-// nothing acknowledged. Promote uses it to order itself behind in-flight
-// shipped batches.
-//
-// Quiescence is positive, not inferred: a quiesce sentinel job rides
-// the FIFO queue and the FIFO commits channel, so its reply proves the
-// drain. Polling len(queue)+len(commits) cannot — a 202-accepted ingest
-// the worker has dequeued and is still folding or repairing is in
-// neither channel, and a snapshot captured across it would silently lose
-// the batch when the local session is purged after transfer. A straggler
-// write that slipped past the role flip re-arms the loop: the sentinel
-// is resent until both channels are empty at acknowledgement time.
+// demote makes h a follower for a rebalance transfer. The role flips
+// under sendMu's write side, the fence Ingest holds across its role check
+// and its send, so every async batch is either queued before the flip or
+// refused with ErrFollower; a synchronous client batch the worker takes
+// after the flip is refused there. A sentinel sent after demote
+// (waitQuiesce) therefore has behind it no job that can be acknowledged.
+func (h *hosted) demote() {
+	h.sendMu.Lock()
+	h.role.Store(roleFollower)
+	h.sendMu.Unlock()
+}
+
+// waitQuiesce sends one quiesce sentinel through h's pipeline and waits
+// for its reply, or until ten seconds (or ctx) run out. The queue and the
+// commits channel are FIFO, so the reply proves every job accepted before
+// it applied AND committed — including one the worker had dequeued and
+// was still folding or repairing, which no look at the channels' lengths
+// can see. A transfer calls it after demote: nothing behind the sentinel
+// can be acknowledged, so the image captured next misses nothing
+// acknowledged. Promote calls it to order itself behind in-flight shipped
+// batches.
 func (h *hosted) waitQuiesce(ctx context.Context) bool {
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	for {
-		j := job{quiesce: true, reply: make(chan jobReply, 1)}
-		if h.enqueue(ctx, j) != nil {
-			return false
-		}
-		if _, err := h.await(ctx, j); err != nil {
-			return false
-		}
-		if len(h.queue) == 0 && len(h.commits) == 0 {
-			return true
-		}
-		select {
-		case <-ctx.Done():
-			return false
-		case <-time.After(2 * time.Millisecond):
-		}
+	j := job{quiesce: true, reply: make(chan jobReply, 1)}
+	if h.enqueue(ctx, j) != nil {
+		return false
 	}
+	_, err := h.await(ctx, j)
+	return err == nil
 }

@@ -784,9 +784,10 @@ func writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrBacklog):
 		writeStatus(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrFollower):
-		// Reached only when the routing layer is bypassed (direct or
-		// forwarded requests); routed writes get the 421 with X-Primary
-		// from writeMisdirected.
+		// Reached when the routing layer is bypassed (direct or
+		// forwarded requests) or a write raced a demotion past it;
+		// other routed writes get the 421 with X-Primary from
+		// writeMisdirected.
 		writeStatus(w, http.StatusMisdirectedRequest, err.Error())
 	default:
 		writeStatus(w, http.StatusBadRequest, err.Error())

@@ -577,8 +577,7 @@ func (d *Disk) Close() {
 // otherwise land them at wrong ordinals). A store of another format
 // version is refused (wal.ErrCorrupt). Pages are read by Source, every
 // page of the row count once, in order.
-func Open(dir string, gen uint64, arity int, opts Options) (*Disk, error) {
-	opts = opts.withDefaults()
+func Open(dir string, gen uint64, arity int) (*Disk, error) {
 	b, err := os.ReadFile(filepath.Join(dir, manifestName(gen)))
 	if err != nil {
 		return nil, err
@@ -595,9 +594,9 @@ func Open(dir string, gen uint64, arity int, opts Options) (*Disk, error) {
 	if want := rowWidth(arity); geom.rowWidth != want {
 		return nil, fmt.Errorf("%w: manifest row width %d, arity %d needs %d", errCorrupt, geom.rowWidth, arity, want)
 	}
-	d := newDisk(dir, arity, opts.PageSize)
-	// The persisted geometry wins: row addressing must stay stable.
-	d.rowWidth = geom.rowWidth
+	// The persisted geometry is the store's: row addressing must stay
+	// stable for its lifetime, so no page size is taken at Open.
+	d := newDisk(dir, arity, geom.pageBytes)
 	d.rowsPerPage = geom.rowsPerPage
 	d.pageBytes = geom.pageBytes
 	d.gen, d.hasManifest = gen, true

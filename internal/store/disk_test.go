@@ -107,7 +107,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	flushCommit(t, d, rel, 1)
 	d.Close()
 
-	d2, err := Open(dir, 1, 3, Options{PageSize: MinPageSize})
+	d2, err := Open(dir, 1, 3)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	expect(t, rel, drain(t, it))
 
 	// The previous generation must remain a readable fallback.
-	d1, err := Open(dir, 0, 3, Options{})
+	d1, err := Open(dir, 0, 3)
 	if err != nil {
 		t.Fatalf("open previous gen: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestDiskDictOrphanTailTruncated(t *testing.T) {
 	f.Close()
 	before, _ := os.Stat(path)
 
-	d2, err := Open(dir, 0, 3, Options{})
+	d2, err := Open(dir, 0, 3)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestDiskAbortRemerges(t *testing.T) {
 	flushCommit(t, d, rel, 0)
 	d.Close()
 
-	d2, err := Open(dir, 0, 3, Options{})
+	d2, err := Open(dir, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestDiskStats(t *testing.T) {
 // the row count.
 func reopen(t *testing.T, dir string, gen uint64, want *relation.Relation) {
 	t.Helper()
-	d, err := Open(dir, gen, 3, Options{})
+	d, err := Open(dir, gen, 3)
 	if err != nil {
 		t.Fatalf("open gen %d: %v", gen, err)
 	}
@@ -474,7 +474,7 @@ func TestOpenRefusesOversizedDictEntry(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 0, 3, Options{}); !errors.Is(err, errCorrupt) {
+	if _, err := Open(dir, 0, 3); !errors.Is(err, errCorrupt) {
 		t.Fatalf("open with a 1 TiB dict entry: %v, want errCorrupt", err)
 	}
 }
@@ -498,7 +498,7 @@ func TestOpenRefusesRowWidth(t *testing.T) {
 	if err := os.WriteFile(path, encodeManifest(geom, table, dictLen, rows), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 0, 3, Options{}); !errors.Is(err, errCorrupt) {
+	if _, err := Open(dir, 0, 3); !errors.Is(err, errCorrupt) {
 		t.Fatalf("open with row width 1 at arity 3: %v, want errCorrupt", err)
 	}
 }
@@ -608,7 +608,7 @@ func TestOpenRefusesVersion1(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 0, 3, Options{}); !errors.Is(err, wal.ErrCorrupt) {
+	if _, err := Open(dir, 0, 3); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("open of a version-1 manifest: %v, want wal.ErrCorrupt", err)
 	}
 }

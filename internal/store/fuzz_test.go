@@ -237,7 +237,7 @@ func FuzzStoreSource(f *testing.F) {
 				t.Fatalf("error does not wrap corrupt: %v", err)
 			}
 		}
-		d, err := Open(dir, 1, 3, Options{})
+		d, err := Open(dir, 1, 3)
 		if err != nil {
 			corrupt(err)
 			return

@@ -29,8 +29,8 @@ const (
 // Options tunes a Disk store.
 type Options struct {
 	// PageSize is the page size in bytes, clamped to
-	// [MinPageSize, MaxPageSize]; zero means DefaultPageSize. It only
-	// matters at Create: an existing store's geometry is read from its
+	// [MinPageSize, MaxPageSize]; zero means DefaultPageSize. Only Create
+	// takes Options: Open reads an existing store's geometry from its
 	// manifest, since row addressing must stay stable for its lifetime.
 	PageSize int
 }
