@@ -35,8 +35,9 @@
 // the primary's address in X-Primary. -ack picks the durability scope
 // of an acknowledgement: "leader" (default) answers after the local
 // fsync, "quorum" waits for the follower too. GET /v1/cluster shows
-// placement; PUT /v1/cluster/peers swaps the node list and transfers
-// sessions to their new owners (snapshot ship + remote promote).
+// placement. The peer list is fixed for the process's life: membership
+// changes by a restart with a new -peers list, each node re-hosting its
+// sessions in the role its -data-dir records; no session moves.
 //
 // A create request's "quota" field sets the session's admission limits,
 // enforced ahead of its work queue: ops_per_sec and tuples_per_sec are
@@ -63,7 +64,6 @@
 //	GET    /v1/sessions/{name}/events      SSE stream of applied batches
 //	POST   /v1/sessions/{name}/promote     promote a replica to primary
 //	GET    /v1/cluster                     placement + replication state
-//	PUT    /v1/cluster/peers               swap peer list, rebalance
 //	PUT    /v1/replica/{name}              replication: snapshot install
 //	POST   /v1/replica/{name}/batch        replication: one shipped batch
 //	DELETE /v1/replica/{name}              replication: drop a replica

@@ -70,22 +70,9 @@ func (t *HTTPTransport) ShipBatch(name string, b *wal.Batch) error {
 	return t.do(req)
 }
 
-// Promote asks the peer to promote its replica of name to primary —
-// the receiving half of a session transfer during rebalance.
-func (t *HTTPTransport) Promote(name string) error {
-	req, err := http.NewRequest(http.MethodPost, t.Base+"/v1/sessions/"+url.PathEscape(name)+"/promote", nil)
-	if err != nil {
-		return err
-	}
-	// Mark the request as intra-cluster so the peer's router serves it
-	// locally instead of forwarding it back along the ring.
-	req.Header.Set(ForwardedHeader, "1")
-	return t.do(req)
-}
-
 // Drop asks the peer to delete its replica of name — what a primary
-// sends the follower it stops shipping to when the session is deleted or
-// the follower moves. A peer that holds no replica has nothing to drop.
+// sends its follower when the session is deleted. A peer that holds no
+// replica has nothing to drop.
 func (t *HTTPTransport) Drop(name string) error {
 	req, err := http.NewRequest(http.MethodDelete, t.replicaURL(name, ""), nil)
 	if err != nil {
@@ -119,9 +106,9 @@ func (t *HTTPTransport) do(req *http.Request) error {
 }
 
 // ForwardedHeader marks a request that already crossed the cluster
-// once — either forwarded by a peer's router or issued node-to-node —
-// so the receiving router serves it locally instead of forwarding
-// again (the loop guard of the thin-proxy scheme).
+// once, forwarded by a peer's router, so the receiving router serves it
+// locally instead of forwarding again (the loop guard of the thin-proxy
+// scheme).
 const ForwardedHeader = "X-CFD-Forwarded"
 
 // LocalTransport delivers to in-process Replicas — the test harness's

@@ -15,8 +15,8 @@ const ringVnodes = 64
 // hash onto a circle of peer points; the primary for a name is the peer
 // owning the first point at or after the name's hash, and the follower
 // is the next *distinct* peer clockwise — so adding or removing one
-// peer moves only the sessions adjacent to its points, which is what
-// makes node join/leave a bounded rebalance instead of a full reshuffle.
+// peer re-places only the names adjacent to its points, and a node
+// restarted with a new -peers list routes most names as before.
 type Ring struct {
 	peers  []string
 	points []ringPoint

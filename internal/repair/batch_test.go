@@ -2,6 +2,7 @@ package repair
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -511,5 +512,41 @@ func TestBatchWorkGrowth(t *testing.T) {
 	}
 	if g := large.reads / small.reads; g > 3 {
 		t.Errorf("FINDV's tally reads per resolution grew %.2f× from 2 500 to 10 000 tuples, bound 3×", g)
+	}
+}
+
+// TestBatchCostIsTheModelsSum: Result.Cost is what the cost model sums
+// over the repair, cost(Repr, D) of §3.2, within 1e-9 relative, on
+// generated databases with and without weights.
+func TestBatchCostIsTheModelsSum(t *testing.T) {
+	sizes := []int{500, 2500}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, size := range sizes {
+		for _, weighted := range []bool{false, true} {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("n%d/w%t/seed%d", size, weighted, seed), func(t *testing.T) {
+					ds, err := gen.New(gen.Config{Size: size, NoiseRate: 0.05, Seed: seed, Weights: weighted})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := Batch(ds.Dirty, ds.Sigma, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Changes == 0 {
+						t.Fatal("the repair changed nothing on a dirty database")
+					}
+					got, err := cost.Default().Repair(res.Repair, ds.Dirty)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(got-res.Cost) > 1e-9*math.Max(math.Abs(got), math.Abs(res.Cost)) {
+						t.Fatalf("Result.Cost %v, the cost model sums the repair to %v", res.Cost, got)
+					}
+				})
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 
 	"cfdclean/internal/cluster/ship"
 )
@@ -29,7 +27,9 @@ import (
 // node as owner, but the promoted node now hosts the session as a
 // primary and serves it regardless of what the ring says. Clients (and
 // peers following 421 redirects) find it either directly or via the
-// X-Primary address a follower hands out.
+// X-Primary address a follower hands out. The same rule serves a
+// session on a node restarted with a new -peers list, wherever the new
+// ring places its name: sessions stay where they are hosted.
 
 // AckMode selects what a write waits for before the client is answered.
 type AckMode int
@@ -70,13 +70,12 @@ func (m AckMode) String() string {
 }
 
 // clusterState is one node's view of the cluster: its own address, the
-// ack mode, and the consistent-hash ring over the peer list (swappable
-// at runtime via PUT /v1/cluster/peers).
+// ack mode, and the consistent-hash ring over the -peers list, built at
+// boot and fixed for the node's life. Membership changes by a restart
+// with a new list; no session moves between nodes.
 type clusterState struct {
 	self string
 	ack  AckMode
-
-	mu   sync.RWMutex
 	ring *ship.Ring
 
 	// proxyClient has no timeout of its own (forwarded requests inherit
@@ -94,28 +93,16 @@ func newClusterState(peers []string, self string, ack AckMode) *clusterState {
 	}
 }
 
-func (c *clusterState) getRing() *ship.Ring {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring
-}
-
-func (c *clusterState) setPeers(peers []string) {
-	c.mu.Lock()
-	c.ring = ship.NewRing(peers)
-	c.mu.Unlock()
-}
-
 // primary returns the ring owner for a session name.
 func (c *clusterState) primary(name string) string {
-	return c.getRing().Primary(name)
+	return c.ring.Primary(name)
 }
 
 // shipTarget returns the peer this node ships name's batches to when it
 // is the session's primary: the ring follower, unless that is self (or
 // the ring is too small to have one).
 func (c *clusterState) shipTarget(name string) string {
-	f := c.getRing().Follower(name)
+	f := c.ring.Follower(name)
 	if f == c.self {
 		return ""
 	}
@@ -378,7 +365,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, req *http.Request) {
 	if c != nil {
 		info.Self = c.self
 		info.Ack = c.ack.String()
-		info.Peers = c.getRing().Peers()
+		info.Peers = c.ring.Peers()
 	}
 	for _, h := range s.reg.List() {
 		cs := ClusterSession{Name: h.name, Role: h.roleString(), Version: h.sess.Snapshot().Version}
@@ -394,89 +381,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, req *http.Request) {
 		info.Sessions = append(info.Sessions, cs)
 	}
 	writeJSON(w, http.StatusOK, info)
-}
-
-// handlePeers swaps the peer list and rebalances: PUT /v1/cluster/peers.
-// For every local primary whose new ring owner is another node, the
-// session is transferred: quiesce, snapshot, ship, promote the remote
-// copy, then drop the local one. Transfer failures leave the session
-// serving locally (reported per session in the response).
-func (s *Server) handlePeers(w http.ResponseWriter, req *http.Request) {
-	c := s.reg.cluster
-	if c == nil {
-		writeStatus(w, http.StatusBadRequest, errNotClustered.Error())
-		return
-	}
-	var pr PeersRequest
-	if !decodeBody(w, req, s.opts.MaxBodyBytes, &pr) {
-		return
-	}
-	if len(pr.Peers) == 0 {
-		writeStatus(w, http.StatusBadRequest, "peers must be non-empty")
-		return
-	}
-	c.setPeers(pr.Peers)
-	resp := PeersResponse{Peers: c.getRing().Peers()}
-	for _, h := range s.reg.List() {
-		if h.role.Load() != rolePrimary {
-			continue
-		}
-		owner := c.primary(h.name)
-		if owner == c.self || owner == "" {
-			// Still ours: just make sure the shipping stream points at
-			// the new ring follower.
-			desired := c.shipTarget(h.name)
-			cur := ""
-			if ref := h.shipper.Load(); ref != nil {
-				cur = ref.target
-			}
-			if cur != desired {
-				h.dropReplica(s.reg, h.stopShipper())
-				if desired != "" {
-					h.startShipper(s.reg, desired)
-				}
-			}
-			continue
-		}
-		if err := s.transferSession(req.Context(), h, owner); err != nil {
-			resp.Errors = append(resp.Errors, fmt.Sprintf("%s -> %s: %v", h.name, owner, err))
-			continue
-		}
-		resp.Moved = append(resp.Moved, h.name)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// transferSession hands one local primary over to its new ring owner:
-// demote it (a write racing the transfer is refused with 421, never
-// acknowledged and lost), drain the pipeline with one sentinel, ship a
-// final snapshot (the WAL-tail equivalent — the image contains every
-// acknowledged batch), promote the remote copy, and remove the local
-// session. Any remote failure rolls the local role back so the session
-// keeps serving here.
-func (s *Server) transferSession(ctx context.Context, h *hosted, owner string) error {
-	h.stopShipper()
-	h.demote()
-	handOver := func() error {
-		if !h.waitQuiesce(ctx) {
-			return fmt.Errorf("pipeline did not quiesce")
-		}
-		snap, err := h.captureSnapshot()
-		if err != nil {
-			return err
-		}
-		tr := s.reg.cluster.transport(owner)
-		if err := tr.ShipSnapshot(h.name, snap); err != nil {
-			return err
-		}
-		return tr.Promote(h.name)
-	}
-	if err := handOver(); err != nil {
-		h.role.Store(rolePrimary)
-		return err
-	}
-	// The remote copy is primary now; drop ours (purges local state).
-	return s.reg.Remove(ctx, h.name)
 }
 
 // writeReplicationError maps replication-path errors: role conflicts to

@@ -4,8 +4,8 @@ package server
 // — routing through the thin proxy, WAL shipping under ack=quorum,
 // write fencing on the follower (421 + X-Primary), kill-the-primary
 // failover with byte-identical promoted state, the read plane served
-// from a replica across a mid-read promotion, quota shipping, and the
-// peer-list rebalance that moves a session wholesale to its new owner.
+// from a replica across a mid-read promotion, quota shipping, and a
+// survivor restarted without peers after a failover.
 
 import (
 	"bufio"
@@ -26,7 +26,6 @@ import (
 	"testing"
 	"time"
 
-	"cfdclean/internal/relation"
 	"cfdclean/internal/wal"
 )
 
@@ -520,61 +519,6 @@ func TestClusterBodyTooLarge(t *testing.T) {
 	checkBodyLimit(t, limit, cases)
 }
 
-// TestClusterRebalance: shrinking the peer list transfers every
-// misplaced session to its new owner — snapshot ship, remote promote,
-// local purge — and the session keeps serving there.
-func TestClusterRebalance(t *testing.T) {
-	a, b := newClusterPair(t, quorumOpts)
-	const name = "mover"
-	owner, other := ownerAndFollower(a, b, name)
-	createTiny(t, owner.url, name)
-	waitFollower(t, other, name)
-	applyDirty(t, owner.url, name, 0)
-	wantDump, _ := readState(t, owner.url, name)
-
-	// Tell the owner the cluster is now just the other node.
-	resp, body := do(t, "PUT", owner.url+"/v1/cluster/peers", PeersRequest{Peers: []string{other.addr}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("peers: %d: %s", resp.StatusCode, body)
-	}
-	var prr PeersResponse
-	if err := json.Unmarshal(body, &prr); err != nil {
-		t.Fatal(err)
-	}
-	if len(prr.Errors) != 0 {
-		t.Fatalf("rebalance errors: %v", prr.Errors)
-	}
-	found := false
-	for _, m := range prr.Moved {
-		if m == name {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("session not moved: %+v", prr)
-	}
-
-	// The new owner serves the session as primary with identical bytes;
-	// the old owner no longer hosts it.
-	gotDump, _ := readState(t, other.url, name)
-	if !bytes.Equal(wantDump, gotDump) {
-		t.Fatalf("transferred dump differs:\nwant:\n%s\ngot:\n%s", wantDump, gotDump)
-	}
-	if ar := applyDirty(t, other.url, name, 1); ar.Seq == 0 {
-		t.Fatal("transferred session refused writes")
-	}
-	_, body = getBody(t, owner.url+"/v1/cluster")
-	var ci ClusterInfo
-	if err := json.Unmarshal(body, &ci); err != nil {
-		t.Fatal(err)
-	}
-	for _, cs := range ci.Sessions {
-		if cs.Name == name {
-			t.Fatalf("old owner still hosts %q as %s", name, cs.Role)
-		}
-	}
-}
-
 // hostsLocally reports whether n's registry holds name, in any role.
 func hostsLocally(n *clusterNode, name string) bool {
 	_, err := n.srv.reg.Get(name)
@@ -616,38 +560,11 @@ func TestClusterDeleteDropsFollowerCopy(t *testing.T) {
 	}
 }
 
-// TestClusterPeersDropsMovedFollowerCopy: a re-ring that moves a session's
-// follower away drops the old follower's copy, while the owner keeps
-// serving the session.
-func TestClusterPeersDropsMovedFollowerCopy(t *testing.T) {
-	a, b := newClusterPair(t, quorumOpts)
-	const name = "stranded"
-	owner, follower := ownerAndFollower(a, b, name)
-	createTiny(t, owner.url, name)
-	waitFollower(t, follower, name)
-
-	// A ring of the owner alone has no follower for the session.
-	resp, body := do(t, "PUT", owner.url+"/v1/cluster/peers", PeersRequest{Peers: []string{owner.addr}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("peers: %d: %s", resp.StatusCode, body)
-	}
-	if hostsLocally(follower, name) {
-		t.Fatal("the old follower still hosts the session")
-	}
-	if !hostsLocally(owner, name) {
-		t.Fatal("the owner lost the session")
-	}
-	if ar := applyDirty(t, owner.url, name, 0); ar.Seq == 0 {
-		t.Fatal("the owner refused writes")
-	}
-}
-
 // TestClusterCountersMonotone: a node's counters never go backwards
-// when a shipping stream stops — with its deleted session, or on a
-// re-ring that leaves the session no follower. Every _total series the
-// owner exported before is at least as large after (a deleted session's
-// own series are gone, not lowered); the ship totals above all, which
-// rate() would read as a reset.
+// when a shipping stream stops with its deleted session. Every _total
+// series the owner exported before is at least as large after (a
+// deleted session's own series are gone, not lowered); the ship totals
+// above all, which rate() would read as a reset.
 func TestClusterCountersMonotone(t *testing.T) {
 	totals := func(t *testing.T, base string) map[string]float64 {
 		t.Helper()
@@ -660,43 +577,29 @@ func TestClusterCountersMonotone(t *testing.T) {
 		}
 		return out
 	}
-	for _, stop := range []struct {
-		name string
-		do   func(t *testing.T, owner *clusterNode, name string)
-	}{
-		{"delete", func(t *testing.T, owner *clusterNode, name string) {
-			if resp, body := do(t, "DELETE", owner.url+"/v1/sessions/"+name, nil); resp.StatusCode != http.StatusNoContent {
-				t.Fatalf("delete: %d: %s", resp.StatusCode, body)
+	t.Run("delete", func(t *testing.T) {
+		a, b := newClusterPair(t, quorumOpts)
+		const name = "counted"
+		owner, other := ownerAndFollower(a, b, name)
+		createTiny(t, owner.url, name)
+		waitFollower(t, other, name)
+		for i := 0; i < 3; i++ {
+			applyDirty(t, owner.url, name, i)
+		}
+		before := totals(t, owner.url)
+		if n := before["cfdserved_ship_batches_total|"]; n < 3 {
+			t.Fatalf("cfdserved_ship_batches_total = %g after 3 quorum applies, want >= 3", n)
+		}
+		if resp, body := do(t, "DELETE", owner.url+"/v1/sessions/"+name, nil); resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("delete: %d: %s", resp.StatusCode, body)
+		}
+		after := totals(t, owner.url)
+		for k, v := range before {
+			if now, ok := after[k]; (ok || !strings.Contains(k, "_session_")) && now < v {
+				t.Errorf("%s went backwards: %g -> %g", k, v, now)
 			}
-		}},
-		{"re-ring", func(t *testing.T, owner *clusterNode, name string) {
-			if resp, body := do(t, "PUT", owner.url+"/v1/cluster/peers", PeersRequest{Peers: []string{owner.addr}}); resp.StatusCode != http.StatusOK {
-				t.Fatalf("peers: %d: %s", resp.StatusCode, body)
-			}
-		}},
-	} {
-		t.Run(stop.name, func(t *testing.T) {
-			a, b := newClusterPair(t, quorumOpts)
-			const name = "counted"
-			owner, other := ownerAndFollower(a, b, name)
-			createTiny(t, owner.url, name)
-			waitFollower(t, other, name)
-			for i := 0; i < 3; i++ {
-				applyDirty(t, owner.url, name, i)
-			}
-			before := totals(t, owner.url)
-			if n := before["cfdserved_ship_batches_total|"]; n < 3 {
-				t.Fatalf("cfdserved_ship_batches_total = %g after 3 quorum applies, want >= 3", n)
-			}
-			stop.do(t, owner, name)
-			after := totals(t, owner.url)
-			for k, v := range before {
-				if now, ok := after[k]; (ok || !strings.Contains(k, "_session_")) && now < v {
-					t.Errorf("%s went backwards: %g -> %g", k, v, now)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestClusterFollowerRestartStaysFollower: the split-brain regression.
@@ -789,191 +692,79 @@ func TestClusterFollowerRestartStaysFollower(t *testing.T) {
 	}
 }
 
-// TestClusterRebalanceDrainsCoalesceLinger: accepted (202) ingests the
-// pipeline has not committed yet — one waiting in the queue, one the
-// worker holds between the two channels, invisible to any len() poll,
-// one in the commits channel — when a rebalance transfer starts. The
-// positive quiesce sentinel must carry them all through the pipeline
-// before the transfer snapshot is captured; with inferred quiescence a
-// batch would apply locally after the snapshot shipped and vanish when
-// the local session is purged. (The name dates from the coalesce linger,
-// a knob deleted in PR 22, which parked a batch in the same blind spot.)
-func TestClusterRebalanceDrainsCoalesceLinger(t *testing.T) {
-	a, b := newClusterPair(t, func(self string, peers []string) Options {
-		return Options{QueueDepth: 1, Peers: peers, Self: self, Ack: AckLeader}
-	})
-	const name = "lingering"
-	owner, other := ownerAndFollower(a, b, name)
-	createTiny(t, owner.url, name)
-	h, err := owner.srv.reg.Get(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Stall the committer on a pass whose reply nobody takes yet, then
-	// accept three ingests behind it, each once the worker has taken the
-	// one before: the first fills the commits channel, the worker blocks
-	// handing over the second, the third stays queued.
-	stalled := make(chan jobReply)
-	h.queue <- job{inserts: []*relation.Tuple{relation.NewTuple(0, "212", "NYC")}, reply: stalled}
-	for _, ac := range []string{"646", "718", "917"} {
-		for deadline := time.Now().Add(10 * time.Second); len(h.queue) > 0; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatal("worker never took the queued job")
-			}
+// TestClusterSurvivorRestartsSingleNode: the failover runbook's last
+// step. The owner of two sessions is lost, one is promoted on the
+// survivor, and the survivor is restarted without peers on its own data
+// directory. Both sessions must come back as primaries — the promoted
+// one by its cleared marker, the follower copy because a node without
+// peers ignores the marker and clears it — with the bytes they held
+// before the restart, and take writes; a new name is created locally.
+func TestClusterSurvivorRestartsSingleNode(t *testing.T) {
+	dirs := map[string]string{}
+	durable := func(self string, peers []string) Options {
+		if dirs[self] == "" {
+			dirs[self] = t.TempDir()
 		}
-		resp, body := do(t, "POST", owner.url+"/v1/sessions/"+name+"/ingest", ApplyRequest{
-			Inserts: []WireTuple{{Vals: []*string{strp(ac), strp("SFO")}}},
-		})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("ingest %s: %d: %s", ac, resp.StatusCode, body)
+		return Options{QueueDepth: 16, Peers: peers, Self: self, Ack: AckQuorum, DataDir: dirs[self]}
+	}
+	a, b := newClusterPair(t, durable)
+	const x = "x"
+	owner, survivor := ownerAndFollower(a, b, x)
+	// y: a second name the ring gives the same owner, so the survivor
+	// holds it as a follower through the restart.
+	y := ""
+	for i := 0; y == ""; i++ {
+		if n := fmt.Sprintf("y%d", i); owner.srv.reg.cluster.primary(n) == owner.addr {
+			y = n
+		}
+	}
+	for _, name := range []string{x, y} {
+		createTiny(t, owner.url, name)
+		waitFollower(t, survivor, name)
+		for i := 0; i < 3; i++ {
+			applyDirty(t, owner.url, name, i)
 		}
 	}
 
-	// Shrink the ring to the other node while the batches are parked,
-	// and let the pipeline go once the transfer has fenced writes off and
-	// is waiting on it: the session must transfer WITH the accepted
-	// batches.
-	go func() {
-		for deadline := time.Now().Add(10 * time.Second); h.role.Load() != roleFollower && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-		<-stalled
-	}()
-	resp, body := do(t, "PUT", owner.url+"/v1/cluster/peers", PeersRequest{Peers: []string{other.addr}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("peers: %d: %s", resp.StatusCode, body)
-	}
-	var pr PeersResponse
-	if err := json.Unmarshal(body, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if len(pr.Errors) > 0 {
-		t.Fatalf("transfer errors: %v", pr.Errors)
-	}
-	if len(pr.Moved) != 1 || pr.Moved[0] != name {
-		t.Fatalf("moved = %v, want [%s]", pr.Moved, name)
+	// Membership is the boot-time list: no route changes it.
+	if resp, body := do(t, "PUT", survivor.url+"/v1/cluster/peers", map[string][]string{"peers": {survivor.addr}}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("PUT /v1/cluster/peers: %d (want 404): %s", resp.StatusCode, body)
 	}
 
-	dump, _ := readState(t, other.url, name)
-	for _, row := range []string{"646,SFO", "718,SFO", "917,SFO"} {
-		if !strings.Contains(string(dump), row) {
-			t.Fatalf("transferred session lost the accepted ingest %s:\n%s", row, dump)
-		}
+	owner.kill()
+	if resp, body := do(t, "POST", survivor.url+"/v1/sessions/"+x+"/promote", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("promote: %d: %s", resp.StatusCode, body)
 	}
-}
+	want := map[string][]byte{}
+	for _, name := range []string{x, y} {
+		want[name], _ = readState(t, survivor.url, name)
+	}
 
-// TestClusterRebalanceKeepsAcknowledgedWrites: a peer-list change moves
-// a session while synchronous and async writers keep posting to its old
-// owner. A write racing the transfer may be refused (421 from the
-// demoted session or from the new owner's not yet promoted copy, 429 on
-// a full queue), but every insert answered 200 or 202 — before the move
-// on the old owner, after it through the proxy to the new one — must be
-// in the new owner's dump.
-func TestClusterRebalanceKeepsAcknowledgedWrites(t *testing.T) {
-	a, b := newClusterPair(t, func(self string, peers []string) Options {
-		return Options{QueueDepth: 4, Peers: peers, Self: self, Ack: AckLeader}
-	})
-	const name = "moving"
-	owner, other := ownerAndFollower(a, b, name)
-	createTiny(t, owner.url, name)
-	waitFollower(t, other, name)
-
-	var (
-		mu    sync.Mutex
-		acked []string
-		stop  = make(chan struct{})
-		wg    sync.WaitGroup
-	)
-	post := func(op, ac string) (int, error) {
-		body, err := json.Marshal(ApplyRequest{Inserts: []WireTuple{{Vals: []*string{strp(ac), strp("SFO")}}}})
+	s2 := survivor.restart(t, Options{QueueDepth: 16, DataDir: dirs[survivor.addr]})
+	for i, name := range []string{x, y} {
+		h, err := s2.reg.Get(name)
 		if err != nil {
-			return 0, err
+			t.Fatalf("the restarted survivor lost %s: %v", name, err)
 		}
-		resp, err := http.Post(owner.url+"/v1/sessions/"+name+"/"+op, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return 0, err
+		if h.role.Load() != rolePrimary {
+			t.Fatalf("%s recovered as %s, want primary", name, h.roleString())
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, nil
-	}
-	errs := make(chan error, 4)
-	for w, op := range []string{"apply", "apply", "ingest", "ingest"} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				ac := fmt.Sprintf("w%d-%d", w, i)
-				code, err := post(op, ac)
-				switch {
-				case err != nil:
-					errs <- err
-					return
-				case code == http.StatusOK || code == http.StatusAccepted:
-					mu.Lock()
-					acked = append(acked, ac)
-					mu.Unlock()
-				case code != http.StatusMisdirectedRequest && code != http.StatusServiceUnavailable && code != http.StatusTooManyRequests:
-					errs <- fmt.Errorf("%s %s: status %d", op, ac, code)
-					return
-				}
-			}
-		}()
-	}
-	ackedAtLeast := func(n int) {
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			mu.Lock()
-			got := len(acked)
-			mu.Unlock()
-			if got >= n {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("only %d writes acknowledged, want %d", got, n)
-			}
+		if readRoleMarker(filepath.Join(dirs[survivor.addr], name)) {
+			t.Fatalf("%s still carries the follower marker", name)
+		}
+		if got, _ := readState(t, survivor.url, name); !bytes.Equal(got, want[name]) {
+			t.Fatalf("%s dump moved across the restart:\nwant:\n%s\ngot:\n%s", name, want[name], got)
+		}
+		if ar := applyDirty(t, survivor.url, name, 10+i); len(ar.Inserted) != 2 {
+			t.Fatalf("%s write after the restart inserted %d tuples, want 2", name, len(ar.Inserted))
+		}
+		if got, _ := readState(t, survivor.url, name); bytes.Count(got, []byte("\n")) != bytes.Count(want[name], []byte("\n"))+2 {
+			t.Fatalf("%s write after the restart is not in the dump:\n%s", name, got)
 		}
 	}
-	ackedAtLeast(20)
-	resp, body := do(t, "PUT", owner.url+"/v1/cluster/peers", PeersRequest{Peers: []string{other.addr}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("peers: %d: %s", resp.StatusCode, body)
-	}
-	var pr PeersResponse
-	if err := json.Unmarshal(body, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if len(pr.Errors) > 0 || len(pr.Moved) != 1 {
-		t.Fatalf("transfer: moved %v, errors %v", pr.Moved, pr.Errors)
-	}
-	mu.Lock()
-	moved := len(acked)
-	mu.Unlock()
-	ackedAtLeast(moved + 20)
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	h, err := other.srv.reg.Get(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !h.waitQuiesce(t.Context()) {
-		t.Fatal("the new owner's pipeline did not drain")
-	}
-	dump, _ := readState(t, other.url, name)
-	for _, ac := range acked {
-		if !bytes.Contains(dump, []byte("\n"+ac+",SFO\n")) {
-			t.Fatalf("acknowledged insert %s is not in the new owner's dump (%d acknowledged)", ac, len(acked))
-		}
+	createTiny(t, survivor.url, "fresh")
+	if !hostsLocally(survivor, "fresh") {
+		t.Fatal("a create on the restarted survivor was not served locally")
 	}
 }
 

@@ -101,10 +101,9 @@ const storeDirName = "store"
 
 // roleMarkerName is the follower-role marker inside a session's
 // directory: present means the durable state belongs to a replica,
-// absent means primary. The marker records the STEADY-STATE role only —
-// transient flips (the quiesce window of a rebalance transfer) never
-// touch it — so a restarted node re-hosts each session in the role it
-// was really serving. Without it a rebooted follower would come back as
+// absent means primary. register writes it and Promote removes it, so a
+// restarted node re-hosts each session in the role it was really
+// serving. Without it a rebooted follower would come back as
 // a primary: the true primary's shipper then hits 421 and stops
 // (split-brain guard), while the stale copy silently serves — the
 // split brain the marker exists to prevent.

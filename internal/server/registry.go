@@ -40,8 +40,9 @@ var (
 )
 
 // A hosted session's replication role. Both run the same pipeline: a
-// primary's worker applies client batches; a follower's refuses them and
-// replays the batches its primary ships (ReplicateBatch) until promoted.
+// primary's worker applies client batches; a follower's replays the
+// batches its primary ships (ReplicateBatch) until promoted. register
+// sets the role and Promote's follower → primary swap is its only change.
 const (
 	rolePrimary int32 = iota
 	roleFollower
@@ -61,7 +62,7 @@ const registryShards = 16
 // fsyncs the record — while the pass runs, when a scheduler slot is free
 // for it (see apply) — then acknowledges the client and publishes the
 // pass event. A session changes state only through this pipeline (see
-// demote, waitQuiesce and finishPersist). HTTP handlers
+// waitQuiesce and finishPersist). HTTP handlers
 // never run an engine pass themselves; they decode and enqueue, then
 // either wait for the committer's reply (apply) or return immediately
 // (ingest).
@@ -218,14 +219,12 @@ type hosted struct {
 	quit     chan struct{}
 	done     chan struct{}
 	quitOnce sync.Once
-	// sendMu fences async enqueues against the worker's final drain and
-	// against a demotion: an ingest holds the read side across its
-	// check-quit-and-role-then-send window, and the exiting worker (after
-	// quit is closed) and demote take the write side. Every 202-accepted
-	// batch is therefore either swept or never accepted, and queued ahead
-	// of any sentinel sent after a demotion. Synchronous applies don't
-	// need the fence: they wait on a reply, detect an unprocessed job via
-	// done, and are refused by the worker on a follower.
+	// sendMu fences async enqueues against the worker's final drain: an
+	// ingest holds the read side across its check-quit-then-send window,
+	// and the exiting worker (after quit is closed) takes the write side.
+	// Every 202-accepted batch is therefore either swept or never
+	// accepted. Synchronous applies don't need the fence: they wait on a
+	// reply and detect an unprocessed job via done.
 	sendMu sync.RWMutex
 
 	seq  atomic.Uint64 // engine passes completed on this session
@@ -241,7 +240,7 @@ type hosted struct {
 	clustered bool
 	// shipper, when set, streams this primary's committed batches to its
 	// follower. Swapped atomically so the committer reads it without a
-	// lock; the target rides along for listings and rebalance decisions.
+	// lock; the target rides along for listings.
 	shipper atomic.Pointer[sessionShipper]
 }
 
@@ -255,8 +254,7 @@ type sessionShipper struct {
 // insert-only jobs (reply == nil, coalescable) may be merged with queued
 // neighbours into a single engine pass; synchronous jobs always get a
 // pass of their own so their reply is byte-identical to the equivalent
-// in-process ApplyOps call. A synchronous client batch the worker takes
-// while the session is a follower is refused with ErrFollower.
+// in-process ApplyOps call.
 type job struct {
 	deletes     []relation.TupleID
 	sets        []increpair.SetOp
@@ -299,7 +297,7 @@ type jobReply struct {
 // commitItem is one job's passage from the worker to the committer, sent
 // before the job's pass (see apply). A job that runs no pass — the quiesce
 // sentinel, a batch Check refuses, a refused or duplicate shipped batch,
-// a write refused on a follower or by a broken persister — has no record:
+// a write refused by a broken persister — has no record:
 // no WAL append, generation, ship or event, only its reply riding the
 // pipeline in order. The record's ops are safe to read downstream while
 // the worker runs the pass: the engine never mutates them (TUPLERESOLVE
@@ -502,9 +500,9 @@ func (r *Registry) admit(h *hosted, tuples, deletes int) error {
 // returned. Taking the resolved session — not a name — matters: the
 // caller decoded the batch against h's schema, and a name lookup here
 // could resolve a different session if the name was deleted and
-// re-created mid-request. A batch the worker refuses for the session's
-// state — a follower since a demotion, a broken persister — is returned
-// as the error, like the same refusal at the door.
+// re-created mid-request. A batch the worker refuses because the
+// session's persister broke is returned as the error, like the same
+// refusal at the door.
 func (r *Registry) Apply(ctx context.Context, h *hosted, deletes []relation.TupleID, sets []increpair.SetOp, inserts []*relation.Tuple) (jobReply, error) {
 	if err := h.writable(); err != nil {
 		return jobReply{}, err
@@ -518,7 +516,7 @@ func (r *Registry) Apply(ctx context.Context, h *hosted, deletes []relation.Tupl
 	}
 	r.batches.Add(1)
 	rep, err := h.await(ctx, j)
-	if err == nil && (errors.Is(rep.err, ErrNotDurable) || errors.Is(rep.err, ErrFollower)) {
+	if err == nil && errors.Is(rep.err, ErrNotDurable) {
 		return jobReply{}, rep.err
 	}
 	return rep, err
@@ -588,18 +586,14 @@ func (r *Registry) Ingest(h *hosted, inserts []*relation.Tuple) error {
 		return err
 	}
 	j := job{inserts: inserts, coalescable: true, enqueued: time.Now()}
-	// The quit and role checks and the send happen under the fence, so
-	// neither the worker's final drain nor a demotion can slip between
-	// them (see hosted.sendMu).
+	// The quit check and the send happen under the fence, so the worker's
+	// final drain cannot slip between them (see hosted.sendMu).
 	h.sendMu.RLock()
 	defer h.sendMu.RUnlock()
 	select {
 	case <-h.quit:
 		return ErrDraining
 	default:
-	}
-	if h.role.Load() == roleFollower {
-		return ErrFollower
 	}
 	select {
 	case h.queue <- j:
@@ -674,9 +668,7 @@ func (h *hosted) run(r *Registry) {
 	defer h.finishPersist(r)
 	// The shipper stops only after the committer has drained: the last
 	// commits may still ship synchronously under ack=quorum. A deleted
-	// session's follower then drops its copy. (A transfer stops the
-	// shipper before it removes the session, so the copy it promoted
-	// stays.)
+	// session's follower then drops its copy.
 	defer func() {
 		if target := h.stopShipper(); h.purge {
 			h.dropReplica(r, target)
@@ -768,12 +760,12 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 	}
 	deletes, sets, inserts, rec := j.deletes, j.sets, j.inserts, j.replay
 	err := h.notDurable() // a batch queued before the persister broke
-	switch follower := h.role.Load() == roleFollower; {
+	switch {
 	case j.quiesce || err != nil:
 		rec = nil
 	case rec != nil:
 		var applies bool
-		if !follower {
+		if h.role.Load() != roleFollower {
 			// Promoted (or never a replica) since the frame was accepted:
 			// the primary's stream must stop, not resync.
 			err = errReplicaConflict
@@ -785,13 +777,6 @@ func (h *hosted) apply(r *Registry, j job, batches int) {
 		if !applies {
 			rec = nil // refused, or a duplicate the cursor already covers
 		}
-	case follower && j.reply != nil:
-		// A client batch that passed the door before a demotion: applied,
-		// it would be acknowledged behind the transfer's sentinel and lost
-		// with the local copy. (An async batch on a follower was queued
-		// before the demotion, ahead of the sentinel: Ingest re-checks the
-		// role under the fence.)
-		err = ErrFollower
 	default:
 		var landing uint64
 		if landing, err = h.sess.Check(deletes, sets, inserts); err != nil {

@@ -121,16 +121,12 @@ func (r *Registry) ReplicateBatch(ctx context.Context, name string, b *wal.Batch
 // Promote flips a follower session to primary: writes are accepted from
 // the next request on, and the session's WAL — kept in lockstep while
 // following — continues as its own. The worker reads the role when it
-// takes each job, so a shipped batch in the pipeline when the role flips
-// either was replayed before it or is refused after it (and a client
-// batch refused before it is not applied after), never half of each, and
-// Promote returns behind all of them (one quiesce sentinel). Idempotent:
-// promoting a primary is a no-op.
-// Re-establishing replication toward a new follower is the ring's
-// business: after a failover promotion the old primary is presumed dead,
-// and a two-node cluster has no third peer to ship to, so a shipper is
-// started only when the updated peer list (PUT /v1/cluster/peers) or the
-// ring already names this node the session's owner with a live follower.
+// takes each shipped batch, so one in the pipeline when the role flips
+// either was replayed before it or is refused after it, never half of
+// each, and Promote returns behind all of them (one quiesce sentinel).
+// Idempotent: promoting a primary is a no-op. Promotion is a failover:
+// the old primary is presumed dead, and a two-node cluster has no third
+// peer to ship to, so the promoted session ships to no one.
 func (r *Registry) Promote(ctx context.Context, name string) (*hosted, error) {
 	h, err := r.Get(name)
 	if err != nil {
@@ -138,7 +134,7 @@ func (r *Registry) Promote(ctx context.Context, name string) (*hosted, error) {
 	}
 	if h.role.CompareAndSwap(roleFollower, rolePrimary) {
 		// The durable role flips with the live one: a promoted session
-		// restarting must come back a primary, not re-demote itself.
+		// restarting must come back a primary, not a follower again.
 		if h.pers != nil {
 			if err := writeRoleMarker(h.pers.dir, false); err != nil {
 				h.pers.markBroken(err)
@@ -147,24 +143,13 @@ func (r *Registry) Promote(ctx context.Context, name string) (*hosted, error) {
 		if !h.waitQuiesce(ctx) {
 			return nil, fmt.Errorf("%w: promote %s: pipeline did not quiesce", ErrDraining, name)
 		}
-		if c := r.cluster; c != nil {
-			// Ship onward only when the ring says this node owns the
-			// session (a rebalance transfer): the target is then the
-			// ring follower, which is neither self nor a dead peer.
-			if c.primary(name) == c.self {
-				if target := c.shipTarget(name); target != "" {
-					h.startShipper(r, target)
-				}
-			}
-		}
 	}
 	return h, nil
 }
 
 // DropReplica removes a follower session from this node — the cleanup
-// path when the primary deletes the session or a rebalance moves its
-// replica elsewhere. Refuses for primaries: deleting live state needs
-// the ordinary DELETE, routed to the owner.
+// path when the primary deletes the session. Refuses for primaries:
+// deleting live state needs the ordinary DELETE, routed to the owner.
 func (r *Registry) DropReplica(ctx context.Context, name string) error {
 	h, err := r.Get(name)
 	if err != nil {
@@ -176,26 +161,12 @@ func (r *Registry) DropReplica(ctx context.Context, name string) error {
 	return r.Remove(ctx, name)
 }
 
-// demote makes h a follower for a rebalance transfer. The role flips
-// under sendMu's write side, the fence Ingest holds across its role check
-// and its send, so every async batch is either queued before the flip or
-// refused with ErrFollower; a synchronous client batch the worker takes
-// after the flip is refused there. A sentinel sent after demote
-// (waitQuiesce) therefore has behind it no job that can be acknowledged.
-func (h *hosted) demote() {
-	h.sendMu.Lock()
-	h.role.Store(roleFollower)
-	h.sendMu.Unlock()
-}
-
 // waitQuiesce sends one quiesce sentinel through h's pipeline and waits
 // for its reply, or until ten seconds (or ctx) run out. The queue and the
 // commits channel are FIFO, so the reply proves every job accepted before
 // it applied AND committed — including one the worker had dequeued and
 // was still folding or repairing, which no look at the channels' lengths
-// can see. A transfer calls it after demote: nothing behind the sentinel
-// can be acknowledged, so the image captured next misses nothing
-// acknowledged. Promote calls it to order itself behind in-flight shipped
+// can see. Promote calls it to order itself behind in-flight shipped
 // batches.
 func (h *hosted) waitQuiesce(ctx context.Context) bool {
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)

@@ -188,7 +188,6 @@ func New(opts Options) *Server {
 	m.HandleFunc("POST /v1/replica/{name}/batch", s.handleReplicaBatch)
 	m.HandleFunc("DELETE /v1/replica/{name}", s.handleReplicaDrop)
 	m.HandleFunc("GET /v1/cluster", s.handleCluster)
-	m.HandleFunc("PUT /v1/cluster/peers", s.handlePeers)
 	s.mux = m
 	return s
 }
@@ -649,8 +648,8 @@ func (s *Server) handleDump(w http.ResponseWriter, req *http.Request) {
 	s.reg.dumpNanos.Add(uint64(time.Since(start)))
 }
 
-// decodeBody decodes a create or peers body with encoding/json, streamed
-// through the size limit.
+// decodeBody decodes a create body with encoding/json, streamed through
+// the size limit.
 func decodeBody(w http.ResponseWriter, req *http.Request, max int64, into any) bool {
 	if err := decodeJSON(http.MaxBytesReader(w, req.Body, max), into); err != nil {
 		writeBodyError(w, err)
@@ -785,9 +784,8 @@ func writeError(w http.ResponseWriter, err error) {
 		writeStatus(w, http.StatusTooManyRequests, err.Error())
 	case errors.Is(err, ErrFollower):
 		// Reached when the routing layer is bypassed (direct or
-		// forwarded requests) or a write raced a demotion past it;
-		// other routed writes get the 421 with X-Primary from
-		// writeMisdirected.
+		// forwarded requests); routed writes get the 421 with X-Primary
+		// from writeMisdirected.
 		writeStatus(w, http.StatusMisdirectedRequest, err.Error())
 	default:
 		writeStatus(w, http.StatusBadRequest, err.Error())

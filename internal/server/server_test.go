@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -325,36 +324,6 @@ func TestCoalescing(t *testing.T) {
 	}
 	if got := h.seq.Load(); got != 3 {
 		t.Fatalf("async+sync run took %d total passes, want 3", got)
-	}
-}
-
-// TestDemotedSessionRefusesStraggler: a demotion is fenced against the
-// pipeline. A synchronous client batch the worker takes after demote —
-// one that passed the door while the session was still a primary — is
-// refused with ErrFollower and moves nothing, an ingest after the flip is
-// refused, and an async batch queued before the flip is still applied.
-func TestDemotedSessionRefusesStraggler(t *testing.T) {
-	r := NewRegistry(4)
-	h := newTinyHosted(t, r, 4)
-	one := func() []*relation.Tuple { return []*relation.Tuple{relation.NewTuple(0, "212", "NYC")} }
-	h.queue <- job{inserts: one(), coalescable: true} // accepted before the flip
-	h.demote()
-
-	v := h.sess.Snapshot().Version
-	reply := make(chan jobReply, 1)
-	h.dispatch(r, job{inserts: one(), reply: reply})
-	if rep := <-reply; !errors.Is(rep.err, ErrFollower) {
-		t.Fatalf("a synchronous batch on a demoted session: %v, want ErrFollower", rep.err)
-	}
-	if got := h.sess.Snapshot().Version; got != v {
-		t.Fatalf("the refused batch moved the version %d -> %d", v, got)
-	}
-	if err := r.Ingest(h, one()); !errors.Is(err, ErrFollower) {
-		t.Fatalf("ingest after the flip: %v, want ErrFollower", err)
-	}
-	h.dispatch(r, <-h.queue)
-	if got := h.sess.Snapshot().Version; got == v {
-		t.Fatal("the async batch queued before the flip was not applied")
 	}
 }
 

@@ -291,20 +291,6 @@ type ClusterSession struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// PeersRequest swaps the cluster's peer list (PUT /v1/cluster/peers).
-type PeersRequest struct {
-	Peers []string `json:"peers"`
-}
-
-// PeersResponse reports the rebalance a peer-list change triggered:
-// sessions transferred to their new owners, and per-session transfer
-// failures (those sessions keep serving on this node).
-type PeersResponse struct {
-	Peers  []string `json:"peers"`
-	Moved  []string `json:"moved,omitempty"`
-	Errors []string `json:"errors,omitempty"`
-}
-
 func encodeValue(v relation.Value) *string {
 	if v.Null {
 		return nil
