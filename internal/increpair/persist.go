@@ -78,10 +78,12 @@ func DeltasToOps(ops []relation.Delta) (deletes []relation.TupleID, sets []SetOp
 // half-applied batch — but Persist holds the session lock only to build
 // the header and pin a view of the relation (captureLocked), so a slow w
 // stalls no batch. The rows go from the view's tuples straight into the
-// writer's one chunk buffer (wal.WriteSnapshotRows): a pinned tuple never
-// changes, so no value or weight is copied, and Persist holds one chunk's
-// bytes whatever the relation's size, beside the copy-on-write pre-images
-// of the pages batches write while it runs.
+// writer's one chunk buffer (wal.WriteSnapshotRows), under the ids the
+// relation's dictionary gave their values: each live constant is written
+// once, and no dead one. A pinned tuple never changes, so no value or
+// weight is copied, and Persist holds one chunk's bytes and one id per
+// dictionary entry whatever the relation's size, beside the
+// copy-on-write pre-images of the pages batches write while it runs.
 func (s *Session) Persist(name string, w io.Writer) error {
 	s.mu.Lock()
 	snap, v, err := s.captureLocked(name)
@@ -90,15 +92,19 @@ func (s *Session) Persist(name string, w io.Writer) error {
 		return err
 	}
 	defer v.Release()
-	// WriteSnapshotRows reads each chunk twice, to size it and encode it.
+	// WriteSnapshotRows reads each chunk twice, in order.
 	rows, next := v.Rows(), 0
-	return wal.WriteSnapshotRows(w, snap, v.Len(), func(i int) wal.SnapTuple {
+	ids := make([]relation.ValueID, len(snap.Attrs))
+	return wal.WriteSnapshotRows(w, snap, v.Len(), v.DictLen()+1, func(i int) wal.SnapTuple {
 		if i != next {
 			rows.Seek(i)
 		}
 		next = i + 1
 		t := rows.Next()
-		return wal.SnapTuple{ID: t.ID, Vals: t.Vals, W: t.W}
+		for a := range ids {
+			ids[a] = t.IDAt(a)
+		}
+		return wal.SnapTuple{ID: t.ID, Vals: t.Vals, W: t.W, IDs: ids}
 	})
 }
 
@@ -230,11 +236,13 @@ func sigmaEqual(a, b []*cfd.Normal) bool {
 // reapplied with ReplayBatch.
 //
 // The rows are read one chunk record at a time (wal.SnapshotReader) and
-// inserted as they are decoded, so beside the session it builds
-// RestoreSession holds one chunk's bytes whatever the relation's size, as
-// every restore of a snapshot stream does. A damaged stream is refused
-// whole: an error and no session. So is a page-store header
-// (wal.StorePaged), whose rows are not in the stream.
+// inserted by id as they are decoded, into a relation built over the
+// reader's dictionary, so beside the session it builds RestoreSession
+// holds one chunk's bytes whatever the relation's size and copies each
+// constant once, into the dictionary, as every restore of a snapshot
+// stream does. A damaged stream is refused whole: an error and no
+// session. So is a page-store header (wal.StorePaged), whose rows are
+// not in the stream.
 //
 // The options — ordering, K, NearestK — all come from the snapshot, since
 // replay must re-run the exact passes that were logged.
@@ -243,25 +251,26 @@ func RestoreSession(r io.Reader) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return restoreInline(snap, rows)
+	return restoreInline(snap, rows, rows.Dict())
 }
 
 // RestoreFromSnapshot is RestoreSession over an already-decoded
 // snapshot, which only the benchmark holds. workers drives nothing; it
 // stays until ROADMAP item 1(i)(b) folds the restore entry points.
 func RestoreFromSnapshot(snap *wal.Snapshot, workers int) (*Session, error) {
-	return restoreInline(snap, &sliceSource{ts: snap.Tuples})
+	return restoreInline(snap, &sliceSource{ts: snap.Tuples}, nil)
 }
 
 // restoreInline restores a snapshot whose rows src reads from the
-// snapshot itself. A page-store header is refused: its rows live in the
-// page files it names, and restoring it here would yield an empty
-// relation at the header's version.
-func restoreInline(snap *wal.Snapshot, src TupleSource) (*Session, error) {
+// snapshot itself, under ids in dict (nil for rows without ids). A
+// page-store header is refused: its rows live in the page files it names,
+// and restoring it here would yield an empty relation at the header's
+// version.
+func restoreInline(snap *wal.Snapshot, src TupleSource, dict *relation.Dict) (*Session, error) {
 	if snap.StoreKind != 0 {
 		return nil, fmt.Errorf("increpair: restore: snapshot of store kind %d (paged, store generation %d) holds no rows; it restores only through its page store", snap.StoreKind, snap.StoreGen)
 	}
-	return RestoreFromSnapshotSource(snap, src, nil)
+	return RestoreFromSnapshotSource(snap, src, dict)
 }
 
 // restoreTail finishes a restore once the relation is rebuilt: journal

@@ -2,6 +2,8 @@ package increpair
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"path/filepath"
 	"runtime"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cfdclean/internal/cfd"
 	"cfdclean/internal/relation"
 	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
@@ -291,11 +294,11 @@ func TestSnapshotCostsOneChunk(t *testing.T) {
 
 // BenchmarkPersist is increpair.snapshot_ms's in-package cell: Persist
 // of an 11 000-tuple generated session to io.Discard, after the first
-// Persist has formatted Σ.
+// Persist has formatted Σ. It reports the image's bytes per tuple.
 func BenchmarkPersist(b *testing.B) {
 	sess := snapshotSession(b, newGenChurn(b, 11200, 11), 11000, true)
 	defer sess.Close()
-	persisted(b, sess)
+	img := persisted(b, sess)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -303,6 +306,7 @@ func BenchmarkPersist(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(img))/float64(sess.Snapshot().Size), "B/tuple")
 }
 
 // BenchmarkRestoreSession is increpair.restore_ms's in-package cell:
@@ -321,6 +325,140 @@ func BenchmarkRestoreSession(b *testing.B) {
 		}
 		back.Close()
 	}
+}
+
+// TestPersistRoundTripAtChunkBoundaries: Persist → RestoreSession →
+// Persist writes the same bytes, and the restored session dumps the same
+// rows and lists the same violations, at 4 095, 4 096, 4 097 and 8 193
+// rows — either side of the first chunk's end, and one row into a third
+// chunk. The rows hold nulls, "" beside them, constants that are not
+// valid UTF-8, and weighted and unweighted tuples. The churned sessions
+// first run deletes and cell updates that orphan values. Every session's
+// dictionary holds values no tuple carries (Σ's pattern constants, what
+// the initial cleaning and the churn replaced); an image holds each
+// distinct live constant once and no dead one, so its strings number
+// exactly the live constants.
+func TestPersistRoundTripAtChunkBoundaries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens 8 193-tuple sessions")
+	}
+	c := newGenChurn(t, 8600, 11)
+	for _, n := range []int{4095, 4096, 4097, 8193} {
+		for _, churned := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%d rows, churned %v", n, churned), func(t *testing.T) {
+				base := n
+				if churned {
+					base += 150
+				}
+				d := relation.New(c.ds.Schema)
+				for i, tu := range c.ds.Opt.Tuples()[:base] {
+					tu = tu.Clone()
+					switch i % 5 {
+					case 1:
+						tu.Vals[i%len(tu.Vals)] = relation.S("")
+					case 2:
+						tu.Vals[i%len(tu.Vals)] = relation.NullValue
+					case 3:
+						tu.Vals[i%len(tu.Vals)] = relation.S("\xff\xfe" + tu.Vals[i%len(tu.Vals)].Str)
+					}
+					if i%3 == 0 {
+						tu.SetWeight(i%len(tu.Vals), 0.25)
+					}
+					d.MustInsert(tu)
+				}
+				sess, err := NewSession(d, c.ds.Sigma, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.Close()
+				if churned {
+					c.next = base
+					dels, sets, _ := c.batch(sess, 0, 150, 120)
+					live := sess.Current().Tuples()
+					sets = append(sets,
+						SetOp{ID: live[0].ID, Attr: 1, Value: relation.NullValue},
+						SetOp{ID: live[1].ID, Attr: 1, Value: relation.S("")},
+						SetOp{ID: live[2].ID, Attr: 1, Value: relation.S("\xc3\x28")})
+					if _, _, err := sess.ApplyOps(dels, sets, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := sess.Snapshot().Size; got != n {
+					t.Fatalf("the session holds %d tuples, want %d", got, n)
+				}
+				img := persisted(t, sess)
+				back, err := RestoreSession(bytes.NewReader(img))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer back.Close()
+				if again := persisted(t, back); !bytes.Equal(img, again) {
+					t.Fatalf("the restored session persists to %d other bytes than the %d it was restored from", len(again), len(img))
+				}
+				for what, f := range map[string]func(*Session) string{"dump": dumpOf, "violations": violationsOf} {
+					if want, got := f(sess), f(back); want != got {
+						t.Fatalf("the restored session's %s differs:\n%s\nwant:\n%s", what, got, want)
+					}
+				}
+				live := map[string]bool{}
+				for _, tu := range sess.Current().Tuples() {
+					for _, v := range tu.Vals {
+						if !v.Null {
+							live[v.Str] = true
+						}
+					}
+				}
+				if strs, dict := imageStrings(t, img), sess.Current().Dict().Len(); strs != len(live) || dict == len(live) {
+					t.Fatalf("the image writes %d strings; the session carries %d distinct constants, its dictionary %d", strs, len(live), dict)
+				}
+			})
+		}
+	}
+}
+
+// imageStrings returns the number of strings the chunk records of a
+// snapshot image carry.
+func imageStrings(t *testing.T, img []byte) int {
+	t.Helper()
+	r := bytes.NewReader(img[len("CFDSNAP")+1:])
+	if _, err := wal.ReadFrame(r, len(img)); err != nil { // the header record
+		t.Fatal(err)
+	}
+	n := 0
+	for {
+		p, err := wal.ReadFrame(r, len(img))
+		if err == io.EOF {
+			return n
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		_, k := binary.Uvarint(p) // the chunk's row count
+		strs, _ := binary.Uvarint(p[k:])
+		n += int(strs)
+	}
+}
+
+func dumpOf(s *Session) string {
+	var b bytes.Buffer
+	if err := s.Dump(&b); err != nil {
+		return err.Error()
+	}
+	return b.String()
+}
+
+func violationsOf(s *Session) string {
+	v, err := s.ReadView()
+	if err != nil {
+		return err.Error()
+	}
+	defer v.Release()
+	vs, _ := v.Violations(cfd.AnyVio(), 0, 0)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d:", v.TotalViolations())
+	for _, x := range vs {
+		fmt.Fprintf(&b, " %d/%s/%d", x.T, x.N.Name, x.With)
+	}
+	return b.String()
 }
 
 // pinnedDump returns the session's dump read through a ReadView, and the

@@ -76,7 +76,9 @@ func (s *Session) PersistBoundary(name string) (*wal.Snapshot, *store.Flush, err
 // ok=false at clean exhaustion; an error poisons the restore (the
 // caller falls back to an older generation). store.Iterator implements
 // it over page files, wal.SnapshotReader over a snapshot stream's chunk
-// records, and sliceSource adapts a decoded snapshot's inline tuples.
+// records — both hand back the ids of their rows' values — and
+// sliceSource adapts a decoded snapshot's inline tuples, which carry
+// none.
 type TupleSource interface {
 	Next() (wal.SnapTuple, bool, error)
 }
@@ -96,14 +98,16 @@ func (s *sliceSource) Next() (wal.SnapTuple, bool, error) {
 }
 
 // RestoreFromSnapshotSource is RestoreFromSnapshot with the rows
-// supplied by src instead of snap.Tuples — the paged recovery path,
-// where snap is a slim header and src streams the page store.
-// preloadDict, when non-nil, is interned into the fresh relation's
-// dictionary in order before any row is inserted: a relation Dict
-// assigns dense ids in intern order, so preloading the store's
-// persisted dictionary reproduces the persisted ValueIDs exactly and
-// the reopened store's rows stay valid against the restored relation.
-func RestoreFromSnapshotSource(snap *wal.Snapshot, src TupleSource, preloadDict []string) (*Session, error) {
+// supplied by src instead of snap.Tuples. dict is the dictionary src's
+// row ids refer to, and the restored relation takes it as its own: a
+// snapshot stream's (wal.SnapshotReader.Dict), or the page store's
+// persisted one (store.Disk.Dict), which reproduces the ValueIDs the
+// store's rows were written under, so that the reopened store stays
+// valid against the restored relation. Every row is inserted by id:
+// Insert adopts the ids as they are. A nil dict stands for rows that
+// carry no ids (rows already in memory): their IDs are not read, and
+// their constants are interned here first, in row order.
+func RestoreFromSnapshotSource(snap *wal.Snapshot, src TupleSource, dict *relation.Dict) (*Session, error) {
 	if snap.Ordering > uint8(ByWeight) {
 		return nil, fmt.Errorf("increpair: restore: unknown ordering %d", snap.Ordering)
 	}
@@ -111,10 +115,11 @@ func RestoreFromSnapshotSource(snap *wal.Snapshot, src TupleSource, preloadDict 
 	if err != nil {
 		return nil, fmt.Errorf("increpair: restore: %w", err)
 	}
-	rel := relation.New(sch)
-	for _, v := range preloadDict {
-		rel.Dict().InternStr(v)
+	byID := dict != nil
+	if !byID {
+		dict = relation.NewDict()
 	}
+	rel := relation.NewWithDict(sch, dict)
 	for i := 0; ; i++ {
 		st, ok, err := src.Next()
 		if err != nil {
@@ -126,7 +131,13 @@ func RestoreFromSnapshotSource(snap *wal.Snapshot, src TupleSource, preloadDict 
 		if st.ID == 0 {
 			return nil, fmt.Errorf("increpair: restore: snapshot tuple %d has no id", i)
 		}
-		if err := rel.Insert(&relation.Tuple{ID: st.ID, Vals: st.Vals, W: st.W}); err != nil {
+		if !byID {
+			st.IDs = make([]relation.ValueID, len(st.Vals))
+			for a, v := range st.Vals {
+				st.IDs[a] = dict.Intern(v)
+			}
+		}
+		if err := rel.Insert(dict.ProbeOf(st.ID, st.Vals, st.IDs, st.W)); err != nil {
 			return nil, fmt.Errorf("increpair: restore: %w", err)
 		}
 	}

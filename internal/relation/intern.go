@@ -90,6 +90,13 @@ func (d *Dict) adopt(ids []ValueID, vals []Value) {
 			ids[a], _ = d.intern(vals[a].Str)
 		}
 	}
+	d.Fill(vals, ids)
+}
+
+// Fill sets vals[a] to the value ids[a] names — d's own copy of the
+// constant, or null for NullID — under one read lock. Every id must be
+// one d has assigned.
+func (d *Dict) Fill(vals []Value, ids []ValueID) {
 	d.mu.RLock()
 	for a, id := range ids {
 		if id == NullID {

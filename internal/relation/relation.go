@@ -54,10 +54,19 @@ type Relation struct {
 
 // New creates an empty relation instance of schema s.
 func New(s *Schema) *Relation {
+	return NewWithDict(s, NewDict())
+}
+
+// NewWithDict creates an empty relation instance of schema s that takes
+// dict as its interning dictionary: a restore whose rows carry ids in a
+// dictionary built before the relation (a snapshot image's strings, a
+// page store's persisted dictionary) inserts them under those ids. No
+// other relation may hold dict.
+func NewWithDict(s *Schema, dict *Dict) *Relation {
 	return &Relation{
 		schema: s,
 		nextID: 1,
-		dict:   NewDict(),
+		dict:   dict,
 		adom:   make([]domain, s.Arity()),
 	}
 }

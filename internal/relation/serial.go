@@ -87,10 +87,13 @@ func (d *Decoder) Delta() Delta {
 }
 
 // AppendValue appends the canonical binary encoding of one Value:
-// 0x00 for null, or 0x01 + uvarint length + bytes for a constant. It
-// is the single value codec shared by the Delta encoding here and the
-// snapshot encoding in internal/wal — the two on-disk formats must
-// never fork at the value level — and Decoder.Value is its inverse.
+// 0x00 for null, or 0x01 + uvarint length + bytes for a constant, and
+// Decoder.Value is its inverse. Only the Delta encoding (WAL batch
+// records) spells values out this way. A snapshot image (internal/wal)
+// writes each distinct constant once and its cells as ids; what the two
+// formats still share is the string form behind the tag (uvarint length
+// + bytes, Decoder.Str), the weight block (Decoder.Weights), the
+// varints, and the Decoder that reads them.
 func AppendValue(dst []byte, v Value) []byte {
 	if v.Null {
 		return append(dst, 0)
@@ -98,15 +101,6 @@ func AppendValue(dst []byte, v Value) []byte {
 	dst = append(dst, 1)
 	dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
 	return append(dst, v.Str...)
-}
-
-// ValueLen is len(AppendValue(nil, v)), computed without encoding: what a
-// writer that sizes its buffer before it fills it reserves for v.
-func ValueLen(v Value) int {
-	if v.Null {
-		return 1
-	}
-	return 1 + UvarintLen(uint64(len(v.Str))) + len(v.Str)
 }
 
 // UvarintLen is the length of x's unsigned varint encoding.
@@ -185,7 +179,9 @@ func (d *Decoder) U64(what string) uint64 {
 	return 0
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. Only the shortest encoding of a value
+// is accepted (AppendUvarint writes no other), so that every payload a
+// decoder accepts re-encodes to its own bytes.
 func (d *Decoder) Uvarint(what string) uint64 {
 	if d.err != nil {
 		return 0
@@ -193,6 +189,10 @@ func (d *Decoder) Uvarint(what string) uint64 {
 	v, n := binary.Uvarint(d.b[d.pos:])
 	if n <= 0 {
 		d.Failf("truncated at %s", what)
+		return 0
+	}
+	if n > 1 && d.b[d.pos+n-1] == 0 {
+		d.Failf("overlong varint at %s", what)
 		return 0
 	}
 	d.pos += n

@@ -67,6 +67,15 @@ func (t *Tuple) Probe(dict *Dict) *Tuple {
 	return c
 }
 
+// ProbeOf returns a probe of d (see Tuple.Probe) holding vals, whose ids
+// in d are ids — a row a decoder has already resolved against d, so that
+// Insert into the relation owning d adopts the ids without looking a
+// constant up. Every id must be one d has assigned. The probe keeps the
+// three slices.
+func (d *Dict) ProbeOf(id TupleID, vals []Value, ids []ValueID, w []float64) *Tuple {
+	return &Tuple{ID: id, Vals: vals, W: w, ids: ids, probed: d}
+}
+
 // At returns attribute a with its id; t must carry ids.
 func (t *Tuple) At(a int) IDValue { return IDValue{Value: t.Vals[a], ID: t.ids[a]} }
 

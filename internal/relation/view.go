@@ -54,6 +54,7 @@ type View struct {
 	gen      *viewGen
 	version  uint64
 	nextID   TupleID
+	dictLen  int
 	released bool
 }
 
@@ -80,7 +81,7 @@ func (r *Relation) Pin() *View {
 		r.activeGens.Store(int32(len(r.gens)))
 	}
 	r.viewMu.Unlock()
-	return &View{rel: r, gen: g, version: r.version, nextID: r.nextID}
+	return &View{rel: r, gen: g, version: r.version, nextID: r.nextID, dictLen: r.dict.Len()}
 }
 
 // Release drops the view's pin. The last release of a generation frees
@@ -116,6 +117,10 @@ func (v *View) Version() uint64 { return v.version }
 
 // NextID returns the relation's id watermark at pin time.
 func (v *View) NextID() TupleID { return v.nextID }
+
+// DictLen returns the number of constants the relation's dictionary held
+// at pin time: every value id a view tuple carries is at most DictLen.
+func (v *View) DictLen() int { return v.dictLen }
 
 // Schema returns the relation's schema (immutable, so shared).
 func (v *View) Schema() *Schema { return v.rel.schema }

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"cfdclean/internal/increpair"
+	"cfdclean/internal/relation"
 	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
 )
@@ -466,11 +467,15 @@ func restorePaged(dir, name string, snap *wal.Snapshot) (*increpair.Session, err
 		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)
 	}
 	src, err := st.Source()
+	var dict *relation.Dict
+	if err == nil {
+		dict, err = st.Dict()
+	}
 	if err != nil {
 		st.Close()
 		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)
 	}
-	sess, err := increpair.RestoreFromSnapshotSource(snap, src, st.Strings())
+	sess, err := increpair.RestoreFromSnapshotSource(snap, src, dict)
 	if err != nil {
 		st.Close()
 		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)
@@ -508,7 +513,7 @@ func restoreGeneration(dir, name string, g uint64) (*increpair.Session, wal.Quot
 		sess, err := restorePaged(dir, name, snap)
 		return sess, snap.Quota, err
 	}
-	sess, err := increpair.RestoreFromSnapshotSource(snap, rows, nil)
+	sess, err := increpair.RestoreFromSnapshotSource(snap, rows, rows.Dict())
 	if err != nil {
 		return nil, wal.Quota{}, fmt.Errorf("snapshot %s: %w", file, err)
 	}

@@ -62,7 +62,7 @@ func (r *Registry) InstallReplica(ctx context.Context, name string, img io.Reade
 	case r.isPrimary(name):
 		return errReplicaConflict
 	}
-	sess, err := increpair.RestoreFromSnapshotSource(snap, rows, nil)
+	sess, err := increpair.RestoreFromSnapshotSource(snap, rows, rows.Dict())
 	if err != nil {
 		return fmt.Errorf("%w: install %s: %w", errReplicaImage, name, err)
 	}

@@ -744,7 +744,8 @@ func (c *countReader) ReadByte() (byte, error) {
 // snapshot tuples — the recovery-time replacement for a snapshot file's
 // inline tuple records. It reads pages 0 … ⌈rows/rowsPerPage⌉−1 of the
 // generation it was opened on, each once and in order, and holds one page
-// image.
+// image. Each row hands back the value ids it was written under (its
+// IDs), which the dictionary Dict returns resolves.
 type Iterator struct {
 	d     *Disk
 	table map[uint64]pageLoc
@@ -765,14 +766,22 @@ func (d *Disk) Source() (*Iterator, error) {
 	return &Iterator{d: d, table: d.table, strs: d.strs, rows: d.tupleCount}, nil
 }
 
-// Strings returns the persisted dictionary in intern order. Restoring
-// interns these into the fresh relation's dictionary first, which
-// reproduces the persisted ValueIDs exactly (a Dict assigns dense ids
-// in intern order and only grows).
-func (d *Disk) Strings() []string {
+// Dict returns a fresh dictionary holding the persisted constants in
+// intern order, which reproduces the persisted ValueIDs exactly (a Dict
+// assigns dense ids in intern order and only grows): the ids the
+// iterator's rows carry name its entries, so a restore builds its
+// relation over it and inserts the rows by id. A dict.log that holds a
+// constant twice would shift every id behind it, and is refused.
+func (d *Disk) Dict() (*relation.Dict, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.strs
+	dict := relation.NewDict()
+	for i, s := range d.strs {
+		if dict.InternStr(s) != relation.ValueID(i+1) {
+			return nil, fmt.Errorf("%w: dict.log entry %d repeats an earlier entry", errCorrupt, i)
+		}
+	}
+	return dict, nil
 }
 
 // Next returns the next row. ok is false at clean exhaustion; a missing
@@ -847,7 +856,7 @@ func (it *Iterator) row(row []byte) (wal.SnapTuple, error) {
 	if id <= 0 || row[0] > 1 {
 		return wal.SnapTuple{}, fmt.Errorf("%w: position %d holds id %d, weight flag %d", errCorrupt, it.pos, id, row[0])
 	}
-	t := wal.SnapTuple{ID: id, Vals: make([]relation.Value, d.arity)}
+	t := wal.SnapTuple{ID: id, Vals: make([]relation.Value, d.arity), IDs: make([]relation.ValueID, d.arity)}
 	p := 9
 	for a := 0; a < d.arity; a++ {
 		vid := binary.LittleEndian.Uint32(row[p:])
@@ -859,7 +868,7 @@ func (it *Iterator) row(row []byte) (wal.SnapTuple, error) {
 		if int(vid) > len(it.strs) {
 			return wal.SnapTuple{}, fmt.Errorf("%w: position %d references value id %d beyond dictionary (%d entries)", errCorrupt, it.pos, vid, len(it.strs))
 		}
-		t.Vals[a] = relation.Value{Str: it.strs[vid-1]}
+		t.Vals[a], t.IDs[a] = relation.Value{Str: it.strs[vid-1]}, relation.ValueID(vid)
 	}
 	if row[0] == 1 {
 		t.W = make([]float64, d.arity)

@@ -57,6 +57,11 @@ func expect(t *testing.T, rel *relation.Relation, got []wal.SnapTuple) {
 		if !relation.StrictEqVals(g.Vals, w.Vals) {
 			t.Fatalf("row %d: vals %v, want %v", i, g.Vals, w.Vals)
 		}
+		for a := range g.IDs {
+			if g.IDs[a] != w.IDAt(a) {
+				t.Fatalf("row %d attr %d: value id %d, the relation's %d", i, a, g.IDs[a], w.IDAt(a))
+			}
+		}
 		if (g.W == nil) != (w.W == nil) {
 			t.Fatalf("row %d: weight presence %v, want %v", i, g.W != nil, w.W != nil)
 		}
@@ -73,6 +78,47 @@ func flushCommit(t *testing.T, d *Disk, rel *relation.Relation, gen uint64) {
 	f := d.BeginFlush(rel.Pin())
 	if err := f.Commit(gen); err != nil {
 		t.Fatalf("commit gen %d: %v", gen, err)
+	}
+}
+
+// TestDictRefusesRepeatedEntry: a dict.log holding one constant twice
+// would give every entry behind the second copy another id than the
+// rows were written under, so Dict refuses it as corrupt.
+func TestDictRefusesRepeatedEntry(t *testing.T) {
+	dir := t.TempDir()
+	rel := testRelation(t)
+	d, err := Create(dir, 3, Options{PageSize: MinPageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Attach(rel)
+	if _, err := rel.InsertRow("v1", "v2", "v3"); err != nil {
+		t.Fatal(err)
+	}
+	flushCommit(t, d, rel, 0)
+	d.Close()
+	if d, err := Open(dir, 0, 3); err != nil {
+		t.Fatal(err)
+	} else if _, err := d.Dict(); err != nil {
+		t.Fatalf("the written dict.log: %v", err)
+	} else {
+		d.Close()
+	}
+	path := filepath.Join(dir, dictName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.Replace(b, []byte("v2"), []byte("v1"), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err = Open(dir, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.Dict(); !errors.Is(err, errCorrupt) {
+		t.Fatalf("a dict.log holding v1 twice: %v, want a corrupt error", err)
 	}
 }
 

@@ -147,8 +147,8 @@ func FuzzOpenDict(f *testing.F) {
 // pages file (the seeds: a torn record, a version-1 header); otherwise they overwrite the start of the newest page image,
 // which the test frames with a valid checksum so the rows reach the
 // decoder. Open and Source then end in rows or in an error that wraps
-// corrupt, and never panic or yield an id ≤ 0 or a value that is not in
-// the dictionary.
+// corrupt, and never panic or yield an id ≤ 0, a value that is not in
+// the dictionary, or one under another id than the dictionary's.
 func FuzzStoreSource(f *testing.F) {
 	dir := f.TempDir()
 	rel := testRelation(f)
@@ -243,9 +243,9 @@ func FuzzStoreSource(f *testing.F) {
 			return
 		}
 		defer d.Close()
-		dict := map[string]bool{}
-		for _, s := range d.Strings() {
-			dict[s] = true
+		dict, err := d.Dict()
+		if err != nil {
+			t.Fatalf("the seed's dict.log: %v", err)
 		}
 		it, err := d.Source()
 		if err != nil {
@@ -267,9 +267,9 @@ func FuzzStoreSource(f *testing.F) {
 			if st.ID <= 0 {
 				t.Fatalf("row %d has id %d", got, st.ID)
 			}
-			for _, v := range st.Vals {
-				if !v.Null && !dict[v.Str] {
-					t.Fatalf("row %d holds %q, which is not in the dictionary", got, v.Str)
+			for a, v := range st.Vals {
+				if id := dict.LookupValue(v); id == relation.InvalidID || id != st.IDs[a] {
+					t.Fatalf("row %d holds %q under id %d, which the dictionary gives id %d", got, v.Str, st.IDs[a], id)
 				}
 			}
 		}

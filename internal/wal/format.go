@@ -37,8 +37,8 @@
 // (TestFormatsByteIdentical and the golden fixture under
 // testdata/golden/wal-session fail loudly when this is forgotten).
 //
-//	wal-<gen>.log       "CFDWAL"  3  record*  (Batch payloads)
-//	snap-<gen>.snap     "CFDSNAP" 3  header-record chunk-record*
+//	wal-<gen>.log       "CFDWAL"  4  record*  (Batch payloads)
+//	snap-<gen>.snap     "CFDSNAP" 4  header-record chunk-record*
 //	pages-<gen>.dat     "CFDPAGE" 2  (pageNo(u64 LE) record)*
 //	manifest-<gen>.mft  "CFDSTOR" 2  record
 //	dict.log            "CFDDICT" 2  (length(uvarint) bytes)*, unframed
@@ -48,11 +48,27 @@
 // tuple-chunk records, so snapshots of any size are written and read
 // without a relation-sized allocation; Batch and Snapshot (snapshot.go)
 // define those payloads, internal/store the page and manifest payloads.
+// A chunk record carries the constants its rows use for the first time
+// in the image, then its rows, whose cells are ids into every constant
+// written so far:
+//
+//	chunk  = nrows(uvarint) nstrs(uvarint) string* row*
+//	string = len(uvarint) byte*   (image entry k is the k-th string)
+//	row    = iddelta(varint) cell*arity wflag(u8) weight*
+//	cell   = 0 (null) | k+1 (image entry k), uvarint
+//
+// iddelta is the row's tuple id minus the previous row's (0 before the
+// first row), zig-zag encoded; weight is float64 bits (u64 LE), arity of
+// them iff wflag is 1. The form is canonical and the reader refuses any
+// other: every chunk but the last holds 4 096 rows, no string appears
+// twice, every string is first used by a row of its own chunk and
+// numbered in first-use order, no tuple id is 0, and no varint is longer
+// than it must be.
 // Replication (internal/cluster/ship) adds no snapshot layout: a shipped
 // snapshot is the snap stream above, magic and version included, and a
 // shipped frame carries one batch:
 //
-//	shipped snapshot    "CFDSNAP" 3  header-record chunk-record*
+//	shipped snapshot    "CFDSNAP" 4  header-record chunk-record*
 //	shipped frame       kind(u8)=2 record  (a Batch payload)
 //
 // Snapshot files, manifests and the follower-role marker are commit

@@ -78,10 +78,18 @@ type Quota struct {
 // assignment both matter for byte-identical recovery (Delete compacts by
 // swapping, so physical order diverges from id order as soon as anything
 // is deleted).
+//
+// IDs, when set, holds the id of each value in a dictionary the row's
+// producer and consumer share (NullID for null): a row SnapshotReader
+// returns carries the ids of its own dictionary (SnapshotReader.Dict), a
+// row the page store's reader returns those of the store's, and a row
+// WriteSnapshotRows reads the caller's. A row built in memory leaves it
+// nil.
 type SnapTuple struct {
 	ID   relation.TupleID
 	Vals []relation.Value
 	W    []float64
+	IDs  []relation.ValueID
 }
 
 // Snapshot is a full-state image of one streaming session at a quiescent
@@ -179,11 +187,52 @@ func (s *Snapshot) appendHeader(out []byte, n int) []byte {
 	return out
 }
 
-// appendSnapTuple renders one tuple row.
-func appendSnapTuple(out []byte, arity int, t *SnapTuple) []byte {
-	out = binary.AppendVarint(out, int64(t.ID))
+// imageIDs numbers the distinct constants of a snapshot image in the
+// order its rows first use them: img[v] is 1 + the image entry of the
+// caller's value id v, 0 while v has not been written. One dense slice
+// over the caller's ids, so numbering a cell is one array read.
+type imageIDs struct {
+	img     []uint32
+	entries uint32
+}
+
+// number gives every constant of t the image has not written yet the next
+// entry, in attribute order, and returns the bytes those entries take.
+func (m *imageIDs) number(arity int, t *SnapTuple) int {
+	n := 0
 	for a := 0; a < arity; a++ {
-		out = relation.AppendValue(out, t.Vals[a])
+		if v := t.IDs[a]; v != relation.NullID && m.img[v] == 0 {
+			m.entries++
+			m.img[v] = m.entries
+			str := t.Vals[a].Str
+			n += relation.UvarintLen(uint64(len(str))) + len(str)
+		}
+	}
+	return n
+}
+
+// appendFresh appends the constants of t that number gave entries from
+// *next on, in entry order, advancing *next past them: called on a
+// chunk's rows in order, it writes the constants the chunk numbered, in
+// the order it numbered them.
+func (m *imageIDs) appendFresh(out []byte, arity int, t *SnapTuple, next *uint32) []byte {
+	for a := 0; a < arity; a++ {
+		if v := t.IDs[a]; v != relation.NullID && m.img[v] == *next {
+			out = appendString(out, t.Vals[a].Str)
+			*next++
+		}
+	}
+	return out
+}
+
+// appendSnapRow renders one numbered row behind the row whose tuple id
+// was prev: the zig-zag delta of its tuple id, one uvarint per cell (0
+// for null, 1 + its image entry for a constant), the weight flag and the
+// weights.
+func (m *imageIDs) appendSnapRow(out []byte, arity int, prev relation.TupleID, t *SnapTuple) []byte {
+	out = binary.AppendVarint(out, int64(t.ID-prev))
+	for a := 0; a < arity; a++ {
+		out = binary.AppendUvarint(out, uint64(m.img[t.IDs[a]]))
 	}
 	if t.W != nil {
 		out = append(out, 1)
@@ -196,16 +245,16 @@ func appendSnapTuple(out []byte, arity int, t *SnapTuple) []byte {
 	return out
 }
 
-// snapTupleLen is len(appendSnapTuple(nil, arity, t)), computed without
-// encoding.
-func snapTupleLen(arity int, t *SnapTuple) int {
-	id := uint64(t.ID) << 1 // the zig-zag form AppendVarint writes
-	if t.ID < 0 {
-		id = ^id
+// snapRowLen is len(m.appendSnapRow(nil, arity, prev, t)), computed
+// without encoding.
+func (m *imageIDs) snapRowLen(arity int, prev relation.TupleID, t *SnapTuple) int {
+	d := uint64(t.ID-prev) << 1 // the zig-zag form AppendVarint writes
+	if t.ID-prev < 0 {
+		d = ^d
 	}
-	n := relation.UvarintLen(id) + 1 + 8*len(t.W)
+	n := relation.UvarintLen(d) + 1 + 8*len(t.W)
 	for a := 0; a < arity; a++ {
-		n += relation.ValueLen(t.Vals[a])
+		n += relation.UvarintLen(uint64(m.img[t.IDs[a]]))
 	}
 	return n
 }
@@ -250,19 +299,6 @@ func decodeSnapshotPrefix(d *relation.Decoder) (*Snapshot, uint64) {
 	return s, d.Uvarint("tuple count")
 }
 
-// decodeSnapTuple parses one tuple row.
-func decodeSnapTuple(d *relation.Decoder, arity int) SnapTuple {
-	t := SnapTuple{ID: relation.TupleID(d.Varint("tuple id"))}
-	if arity > 0 {
-		t.Vals = make([]relation.Value, arity)
-	}
-	for a := 0; a < arity && d.Err() == nil; a++ {
-		t.Vals[a] = d.Value("tuple value")
-	}
-	t.W = d.Weights(arity)
-	return t
-}
-
 // snapChunkTuples bounds the tuples per chunk record in a snapshot
 // stream: large enough to amortize framing, small enough that the writer
 // (WriteSnapshotRows) and the reader (SnapshotReader), each holding one
@@ -272,12 +308,19 @@ const snapChunkTuples = 4096
 // WriteSnapshotRows writes a snapshot stream to w: magic and version, a
 // header record holding s's fields and the tuple count n, then the n rows
 // row(0) … row(n-1) returns, as chunk records of up to snapChunkTuples
-// rows (s.Tuples is not read). Each chunk is encoded straight into one
-// frame buffer, reused from chunk to chunk and sized before the chunk is
-// filled, so the writer holds one chunk's bytes whatever n is and
-// copies no row: row may return a live tuple's own slices, which must not
-// change until WriteSnapshotRows returns.
-func WriteSnapshotRows(w io.Writer, s *Snapshot, n int, row func(i int) SnapTuple) error {
+// rows (s.Tuples is not read). Every row must carry IDs, each below
+// idLimit: the writer numbers the constants by those ids through one
+// dense slice of idLimit entries, so that each distinct constant is
+// written once, in the chunk whose rows first use it, and every cell is
+// an id. A chunk is encoded straight into one frame buffer, reused from
+// chunk to chunk and sized before the chunk is filled, so the writer
+// holds that slice and one chunk's bytes whatever n is, and copies no
+// row. It reads a chunk's rows twice, in order — to number its new
+// constants and size the record, then to write them and the rows — so
+// row must return the same row for the same i: it may return a live
+// tuple's own slices, which must not change until WriteSnapshotRows
+// returns, and an IDs slice of its own it overwrites at the next call.
+func WriteSnapshotRows(w io.Writer, s *Snapshot, n, idLimit int, row func(i int) SnapTuple) error {
 	buf, at := beginFrame(AppendHeader(nil, snapMagic, Version))
 	buf = s.appendHeader(buf, n)
 	if err := checkPayload(len(buf) - at - frameHeaderLen); err != nil {
@@ -288,23 +331,41 @@ func WriteSnapshotRows(w io.Writer, s *Snapshot, n int, row func(i int) SnapTupl
 		return err
 	}
 	arity := len(s.Attrs)
+	m := &imageIDs{img: make([]uint32, idLimit)}
+	var prev relation.TupleID
 	for start := 0; start < n; start += snapChunkTuples {
 		end := min(start+snapChunkTuples, n)
-		size := frameHeaderLen + relation.UvarintLen(uint64(end-start))
+		// The first pass numbers the chunk's new constants and sizes the
+		// record. The second writes those constants and the rows side by
+		// side, each into its own region of the buffer.
+		first := m.entries + 1
+		strBytes, rowBytes, p := 0, 0, prev
 		for i := start; i < end; i++ {
 			t := row(i)
-			size += snapTupleLen(arity, &t)
+			strBytes += m.number(arity, &t)
+			rowBytes += m.snapRowLen(arity, p, &t)
+			p = t.ID
 		}
+		fresh := uint64(m.entries + 1 - first)
+		head := frameHeaderLen + relation.UvarintLen(uint64(end-start)) + relation.UvarintLen(fresh)
+		size := head + strBytes + rowBytes
 		if cap(buf) < size {
 			buf = make([]byte, 0, size+size/8) // room for a slightly longer next chunk
 		}
-		buf, _ = beginFrame(buf[:0])
-		buf = binary.AppendUvarint(buf, uint64(end-start))
-		for i := start; i < end; i++ {
+		buf = buf[:size]
+		binary.AppendUvarint(binary.AppendUvarint(buf[frameHeaderLen:frameHeaderLen], uint64(end-start)), fresh)
+		strs := buf[head : head : head+strBytes]
+		rows := buf[head+strBytes : head+strBytes : size]
+		for i, next := start, first; i < end; i++ {
 			t := row(i)
-			buf = appendSnapTuple(buf, arity, &t)
+			strs = m.appendFresh(strs, arity, &t, &next)
+			rows = m.appendSnapRow(rows, arity, prev, &t)
+			prev = t.ID
 		}
-		if err := checkPayload(len(buf) - frameHeaderLen); err != nil {
+		if len(strs) != strBytes || len(rows) != rowBytes {
+			panic("wal: a snapshot chunk was sized wrong")
+		}
+		if err := checkPayload(size - frameHeaderLen); err != nil {
 			return err
 		}
 		sealFrame(buf, 0)
@@ -316,18 +377,45 @@ func WriteSnapshotRows(w io.Writer, s *Snapshot, n int, row func(i int) SnapTupl
 }
 
 // WriteSnapshot writes s and its inline tuples as a snapshot stream
-// (WriteSnapshotRows). It is the one snapshot encoding: snapshot files
-// and the images replication ships to a follower are these bytes.
+// (WriteSnapshotRows), numbering their constants itself, in first-use
+// order; the tuples' IDs are not read. It is the one snapshot encoding:
+// snapshot files and the images replication ships to a follower are
+// these bytes.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
-	return WriteSnapshotRows(w, s, len(s.Tuples), func(i int) SnapTuple { return s.Tuples[i] })
+	arity := len(s.Attrs)
+	num := make(map[string]relation.ValueID)
+	ids := make([]relation.ValueID, arity*len(s.Tuples))
+	for i, t := range s.Tuples {
+		for a, v := range t.Vals[:arity] {
+			if v.Null {
+				continue
+			}
+			id, ok := num[v.Str]
+			if !ok {
+				id = relation.ValueID(len(num) + 1)
+				num[v.Str] = id
+			}
+			ids[i*arity+a] = id
+		}
+	}
+	return WriteSnapshotRows(w, s, len(s.Tuples), len(num)+1, func(i int) SnapTuple {
+		t := s.Tuples[i]
+		t.IDs = ids[i*arity : (i+1)*arity]
+		return t
+	})
 }
 
 // SnapshotReader yields the rows of a snapshot stream in order, one chunk
 // record at a time: it holds the current chunk's payload, in one buffer
 // reused from chunk to chunk, and none of the rows it has returned, so
 // reading a snapshot costs one chunk's bytes whatever the relation's
-// size. Snapshots are atomic: the caller must drop everything it built
-// from the rows when Next fails.
+// size. Each chunk's new constants go into the reader's dictionary as the
+// chunk arrives, image entry k as ValueID k+1, and every row comes back
+// with its IDs in that dictionary and its values the dictionary's own
+// strings: a restore builds its relation over the dictionary
+// (relation.NewWithDict) and inserts the rows by id. Snapshots are
+// atomic: the caller must drop everything it built from the rows when
+// Next fails.
 type SnapshotReader struct {
 	br    *bufio.Reader
 	arity int
@@ -337,7 +425,12 @@ type SnapshotReader struct {
 	left  uint64 // rows of the current chunk not yet returned
 	d     *relation.Decoder
 	buf   []byte
-	err   error // the first failure, returned by every later Next
+	dict  *relation.Dict
+	// The current chunk's entries run up to (not including) entries; a
+	// row may name an entry below used, or first use entry used.
+	used, entries uint64
+	prev          relation.TupleID // the last row's tuple id
+	err           error            // the first failure, returned by every later Next
 }
 
 // NewSnapshotReader reads and verifies a snapshot stream's magic, version
@@ -357,14 +450,20 @@ func NewSnapshotReader(r io.Reader) (*Snapshot, *SnapshotReader, error) {
 	if err := d.Done(); err != nil {
 		return nil, nil, fmt.Errorf("snapshot header record: %w", err)
 	}
-	return s, &SnapshotReader{br: br, arity: len(s.Attrs), rows: n, buf: p[:0]}, nil
+	return s, &SnapshotReader{br: br, arity: len(s.Attrs), rows: n, buf: p[:0], dict: relation.NewDict()}, nil
 }
+
+// Dict returns the dictionary the rows' IDs refer to. It holds the
+// constants of the chunks read so far, in the order the image first uses
+// them.
+func (sr *SnapshotReader) Dict() *relation.Dict { return sr.dict }
 
 // Next returns the next row; ok is false, with no error, once every row
 // the header promised has been returned and the stream ends behind the
 // last chunk. It makes every check of the stream as it reaches it — each
 // chunk's frame and checksum, its row count against the header's, the
-// rows' encoding, no byte past the last chunk — and an error (wrapping
+// encoding of its constants and rows in the image's one canonical form
+// (format.go), no byte past the last chunk — and an error (wrapping
 // ErrCorrupt for damage) is returned again by every later call.
 func (sr *SnapshotReader) Next() (SnapTuple, bool, error) {
 	if sr.err != nil {
@@ -382,10 +481,13 @@ func (sr *SnapshotReader) Next() (SnapTuple, bool, error) {
 			return SnapTuple{}, false, sr.err
 		}
 	}
-	t := decodeSnapTuple(sr.d, sr.arity)
+	t := sr.row()
 	sr.left--
 	err := sr.d.Err()
 	if sr.left == 0 {
+		if sr.used != sr.entries {
+			sr.d.Failf("image entry %d is used by no row of the chunk that writes it", sr.used)
+		}
 		err = sr.d.Done()
 	}
 	if err != nil {
@@ -395,20 +497,64 @@ func (sr *SnapshotReader) Next() (SnapTuple, bool, error) {
 	return t, true, nil
 }
 
-// nextChunk reads the next chunk record into the reader's buffer and its
-// row count.
+// row decodes the next row of the current chunk.
+func (sr *SnapshotReader) row() SnapTuple {
+	d := sr.d
+	t := SnapTuple{ID: sr.prev + relation.TupleID(d.Varint("tuple id"))}
+	if t.ID == 0 && d.Err() == nil {
+		d.Failf("tuple id 0")
+	}
+	sr.prev = t.ID
+	if sr.arity > 0 {
+		t.IDs = make([]relation.ValueID, sr.arity)
+		t.Vals = make([]relation.Value, sr.arity)
+	}
+	for a := 0; a < sr.arity && d.Err() == nil; a++ {
+		c := d.Uvarint("cell")
+		if c == 0 {
+			continue
+		}
+		switch k := c - 1; {
+		case k >= sr.entries:
+			d.Failf("cell names image entry %d, past the %d read so far", k, sr.entries)
+		case k == sr.used:
+			sr.used++
+		case k > sr.used:
+			d.Failf("cell names image entry %d before entry %d is first used", k, sr.used)
+		}
+		t.IDs[a] = relation.ValueID(c)
+	}
+	t.W = d.Weights(sr.arity)
+	if d.Err() == nil {
+		sr.dict.Fill(t.Vals, t.IDs)
+	}
+	return t
+}
+
+// nextChunk reads the next chunk record into the reader's buffer, its row
+// count, and its constants into the reader's dictionary.
 func (sr *SnapshotReader) nextChunk() error {
 	p, err := expectFrame(sr.br, sr.buf, maxPayload)
 	if err != nil {
 		return err
 	}
 	sr.buf = p
-	sr.d = relation.NewDecoder(p, ErrCorrupt)
-	n := sr.d.Uvarint("chunk tuple count")
-	if n == 0 || sr.got+n > sr.rows {
-		sr.d.Failf("chunk of %d tuples at row %d of %d", n, sr.got, sr.rows)
+	d := relation.NewDecoder(p, ErrCorrupt)
+	sr.d = d
+	// Every chunk but the last holds snapChunkTuples rows.
+	n := d.Uvarint("chunk tuple count")
+	if n != min(snapChunkTuples, sr.rows-sr.got) {
+		d.Failf("chunk of %d tuples at row %d of %d", n, sr.got, sr.rows)
 	}
-	if err := sr.d.Err(); err != nil {
+	strs := d.Uvarint("chunk string count")
+	for k := uint64(0); k < strs && d.Err() == nil; k++ {
+		str := d.Str("image string")
+		if d.Err() == nil && sr.dict.InternStr(str) != relation.ValueID(sr.entries+1) {
+			d.Failf("image entry %d repeats an earlier entry", sr.entries)
+		}
+		sr.entries++
+	}
+	if err := d.Err(); err != nil {
 		return fmt.Errorf("snapshot chunk at row %d: %w", sr.got, err)
 	}
 	sr.at, sr.got, sr.left = sr.got, sr.got+n, n

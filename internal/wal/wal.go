@@ -9,8 +9,10 @@ import (
 
 // Version is the on-disk format version byte shared by WAL and snapshot
 // files, and the only one written or read. Bump it on any incompatible
-// codec change.
-const Version = 3
+// codec change. Version 4 writes a snapshot's rows as ids into the
+// constants each chunk carries (snapshot.go); a version-3 file, whose
+// cells spelled every constant out, is refused like any other.
+const Version = 4
 
 const (
 	walMagic  = "CFDWAL"
