@@ -42,13 +42,6 @@ func (s *Session) AttachStore(st *store.Disk, seed bool) error {
 	return nil
 }
 
-// Store returns the attached disk store, or nil.
-func (s *Session) Store() *store.Disk {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.st
-}
-
 // PersistBoundary captures the session's durability boundary for a
 // store-backed rotation: a slim snapshot header (StoreKind=StorePaged,
 // no inline tuples — the caller stamps StoreGen once it assigns the

@@ -203,8 +203,10 @@ func sessionTarget(s *Server, w http.ResponseWriter, req *http.Request) (name, s
 }
 
 // forward proxies the request to owner, marking it so the peer serves it
-// locally. Streaming responses (SSE, dumps) flush through; declared
-// trailers (X-Dump-Complete) are copied after the body.
+// locally. Streaming responses (SSE, dumps) flush through; the owner's
+// trailers (X-Dump-Complete) follow the body, and a body cut short — the
+// owner aborted, or the client went away — aborts the client's
+// connection, as handleDump does, so it never reads as a clean end.
 func (s *Server) forward(w http.ResponseWriter, req *http.Request, owner string) {
 	c := s.reg.cluster
 	out, err := http.NewRequestWithContext(req.Context(), req.Method,
@@ -228,31 +230,39 @@ func (s *Server) forward(w http.ResponseWriter, req *http.Request, owner string)
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	copyFlush(w, resp.Body)
+	if copyFlush(w, resp.Body) != nil {
+		panic(http.ErrAbortHandler)
+	}
+	// The client moved the owner's declared trailers into resp.Trailer;
+	// announced only after WriteHeader, they go out under the prefix.
 	for k, vs := range resp.Trailer {
 		for _, v := range vs {
-			hdr.Add(k, v)
+			hdr.Add(http.TrailerPrefix+k, v)
 		}
 	}
 }
 
 // copyFlush streams src to w, flushing after every read so proxied SSE
-// events and dump chunks reach the client as they arrive.
-func copyFlush(w http.ResponseWriter, src io.Reader) {
+// events and dump chunks reach the client as they arrive. It returns nil
+// at src's end and the first read or write error otherwise.
+func copyFlush(w http.ResponseWriter, src io.Reader) error {
 	fl, _ := w.(http.Flusher)
 	buf := make([]byte, 32<<10)
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
 			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
+				return werr
 			}
 			if fl != nil {
 				fl.Flush()
 			}
 		}
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
-			return
+			return err
 		}
 	}
 }

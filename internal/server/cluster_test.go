@@ -20,6 +20,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -45,30 +46,40 @@ func (n *clusterNode) kill() { n.hs.Close() }
 // configured with the other as a peer.
 func newClusterPair(t *testing.T, mk func(self string, peers []string) Options) (*clusterNode, *clusterNode) {
 	t.Helper()
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	ns := newCluster(t, mk, 2)
+	return ns[0], ns[1]
+}
+
+// newCluster boots n Servers on real loopback listeners, each configured
+// with the n addresses plus others as its peers.
+func newCluster(t *testing.T, mk func(self string, peers []string) Options, n int, others ...string) []*clusterNode {
+	t.Helper()
+	lns := make([]net.Listener, n)
+	peers := slices.Clone(others)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+		peers = append(peers, ln.Addr().String())
 	}
-	ln2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := []string{ln1.Addr().String(), ln2.Addr().String()}
-	node := func(ln net.Listener) *clusterNode {
+	nodes := make([]*clusterNode, n)
+	for i, ln := range lns {
 		self := ln.Addr().String()
 		s := New(mk(self, peers))
 		hs := &http.Server{Handler: s.Handler()}
 		go hs.Serve(ln)
-		n := &clusterNode{srv: s, hs: hs, addr: self, url: "http://" + self}
+		node := &clusterNode{srv: s, hs: hs, addr: self, url: "http://" + self}
 		t.Cleanup(func() {
-			n.hs.Close()
+			node.hs.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			s.Shutdown(ctx)
 		})
-		return n
+		nodes[i] = node
 	}
-	return node(ln1), node(ln2)
+	return nodes
 }
 
 // restart stops the node gracefully and boots a fresh Server on its data
@@ -396,6 +407,74 @@ func TestClusterFollowerReadPlane(t *testing.T) {
 	if id2 <= id1 {
 		t.Fatalf("event id not monotone across promotion: %d then %d", id1, id2)
 	}
+}
+
+// TestClusterProxyKeepsDumpContract: a dump read through a node that
+// neither owns nor follows the session keeps the contract of one read
+// from the owner. A complete dump arrives with the same bytes and the
+// X-Dump-Complete trailer; a dump the owner aborts mid-body reaches the
+// client as a failed read, never as a clean end of body.
+func TestClusterProxyKeepsDumpContract(t *testing.T) {
+	t.Run("complete", func(t *testing.T) {
+		ns := newCluster(t, quorumOpts, 3)
+		const name = "px"
+		ring := ns[0].srv.reg.cluster.ring
+		var owner, other *clusterNode
+		for _, n := range ns {
+			switch n.addr {
+			case ring.Primary(name):
+				owner = n
+			case ring.Follower(name): // hosts a replica: serves its own dump
+			default:
+				other = n
+			}
+		}
+		createRecovery(t, owner.url, name)
+		applyRecovery(t, owner.url, name, 1)
+		dump := func(n *clusterNode) ([]byte, string) {
+			t.Helper()
+			resp, err := http.Get(n.url + "/v1/sessions/" + name + "/dump")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("dump from %s: %d, %v", n.addr, resp.StatusCode, err)
+			}
+			return body, resp.Trailer.Get("X-Dump-Complete")
+		}
+		want, wantDone := dump(owner)
+		got, gotDone := dump(other)
+		if wantDone != "true" || gotDone != wantDone || !bytes.Equal(want, got) {
+			t.Fatalf("through the proxy: trailer %q, body\n%s\nfrom the owner: trailer %q, body\n%s", gotDone, got, wantDone, want)
+		}
+	})
+	t.Run("aborted", func(t *testing.T) {
+		owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			w.Header().Set("Trailer", "X-Dump-Complete")
+			io.WriteString(w, "AC,PN,CT,ST,zip\n212,8983490,NYC,NY,10012\n")
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		}))
+		defer owner.Close()
+		proxy := newCluster(t, quorumOpts, 1, owner.Listener.Addr().String())[0]
+		name := ""
+		for i := 0; name == ""; i++ {
+			if n := fmt.Sprintf("s%d", i); proxy.srv.reg.cluster.primary(n) != proxy.addr {
+				name = n
+			}
+		}
+		resp, err := http.Get(proxy.url + "/v1/sessions/" + name + "/dump")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err == nil {
+			t.Fatalf("a dump the owner aborted read cleanly through the proxy (trailer %q):\n%s", resp.Trailer.Get("X-Dump-Complete"), body)
+		}
+	})
 }
 
 // TestClusterQuotaShipsToFollower: a session's quota is session state —

@@ -45,13 +45,15 @@ import (
 // generation 0, every SnapshotEvery batches the committer anchors gen+1,
 // and recovery re-anchors when it finds no appendable tip WAL. Recovery
 // (Server.Recover) walks the session directories, restores the newest
-// readable snapshot, and replays the WAL records after it through the
-// ordinary ApplyOps path; the journal-version cursor carried by every
-// record (wal.Batch) makes the replay idempotent across generations and
-// detects gaps. A torn or corrupted WAL tail — the expected artifact of
-// kill -9 — is detected by CRC, discarded, and the file truncated back
-// to the last intact record; committed batches before the damage are
-// never lost.
+// readable generation from the page store (a snapshot file holding
+// anything but a page-store header naming the session, an inline image
+// included, is damaged), and replays the WAL records after it through
+// the ordinary ApplyOps path; the journal-version cursor carried by
+// every record (wal.Batch) makes the replay idempotent across
+// generations and detects gaps. A torn or corrupted WAL tail — the
+// expected artifact of kill -9 — is detected by CRC, discarded, and the
+// file truncated back to the last intact record; committed batches
+// before the damage are never lost.
 //
 // A batch Check refuses never reaches a pass and writes nothing: no
 // record, no generation. A pass that fails once Check accepted it — an
@@ -189,22 +191,6 @@ func newPersister(cfg *Options, name string, sess *increpair.Session, quota wal.
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	st, err := createStore(dir, sess)
-	if err != nil {
-		return nil, err
-	}
-	p := &persister{cfg: cfg, dir: dir, name: name, sess: sess, quota: quota, st: st}
-	if err := p.anchorNow(0); err != nil {
-		p.close()
-		return nil, err
-	}
-	return p, nil
-}
-
-// createStore gives sess a fresh page store under dir, its pages seeded
-// from the live relation. store.Create empties the store directory
-// first, so a store a crash left half-written is never reused.
-func createStore(dir string, sess *increpair.Session) (*store.Disk, error) {
 	st, err := store.Create(filepath.Join(dir, storeDirName), sess.Current().Schema().Arity(), store.Options{})
 	if err != nil {
 		return nil, err
@@ -213,7 +199,12 @@ func createStore(dir string, sess *increpair.Session) (*store.Disk, error) {
 		st.Close()
 		return nil, err
 	}
-	return st, nil
+	p := &persister{cfg: cfg, dir: dir, name: name, sess: sess, quota: quota, st: st}
+	if err := p.anchorNow(0); err != nil {
+		p.close()
+		return nil, err
+	}
+	return p, nil
 }
 
 // appendBatch logs one batch: delta-encode, CRC-frame and append, without
@@ -454,79 +445,60 @@ func (p *persister) status() string {
 	return "ok"
 }
 
-// restorePaged rebuilds a session from a slim snapshot header: open the
-// page store at the referenced generation, stream its rows in the
-// persisted physical order (with the persisted intern dictionary
-// preloaded so every ValueID reproduces exactly), and
-// re-attach the store so the WAL replay that follows marks its pages
-// dirty again. No relation-sized snapshot record is ever decoded —
-// recovery reads each page of the row count once, in order.
-func restorePaged(dir, name string, snap *wal.Snapshot) (*increpair.Session, error) {
+// restoreGeneration restores snapshot generation g of the session in
+// dir. The file must hold a page-store header that names this session
+// and nothing behind it: the rows come from the page store at the
+// header's generation, inserted by id under the store's persisted
+// dictionary so every ValueID reproduces exactly, and the store is
+// re-attached so the WAL replay that follows marks its pages dirty
+// again. Any other file — an inline image among them — is a damaged
+// generation. The returned persister holds the session, its store and
+// the header's quota; the caller positions it on a log.
+func restoreGeneration(cfg *Options, dir, name string, g uint64) (*persister, error) {
+	f, err := os.Open(snapPath(dir, g))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	file := filepath.Base(f.Name())
+	snap, rows, err := wal.NewSnapshotReader(f)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot %s: %w", file, err)
+	}
+	if snap.StoreKind != wal.StorePaged || snap.Name != name {
+		return nil, fmt.Errorf("snapshot %s: %w: not a page-store header of session %q", file, wal.ErrCorrupt, name)
+	}
+	if _, more, err := rows.Next(); more || err != nil {
+		return nil, fmt.Errorf("snapshot %s: rows behind a page-store header: %w", file, cmp.Or(err, wal.ErrCorrupt))
+	}
 	st, err := store.Open(filepath.Join(dir, storeDirName), snap.StoreGen, len(snap.Attrs))
 	if err != nil {
-		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)
+		return nil, fmt.Errorf("snapshot %s: store gen %d: %w", file, snap.StoreGen, err)
 	}
 	src, err := st.Source()
 	var dict *relation.Dict
 	if err == nil {
 		dict, err = st.Dict()
 	}
-	if err != nil {
-		st.Close()
-		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)
+	var sess *increpair.Session
+	if err == nil {
+		sess, err = increpair.RestoreFromSnapshotSource(snap, src, dict)
 	}
-	sess, err := increpair.RestoreFromSnapshotSource(snap, src, dict)
 	if err != nil {
 		st.Close()
-		return nil, fmt.Errorf("server: recover %s: store gen %d: %w", name, snap.StoreGen, err)
+		return nil, fmt.Errorf("snapshot %s: store gen %d: %w", file, snap.StoreGen, err)
 	}
 	if err := sess.AttachStore(st, false); err != nil {
 		sess.Close()
 		st.Close()
 		return nil, err
 	}
-	return sess, nil
-}
-
-// restoreGeneration restores snapshot generation g of the session in
-// dir, reading the file record by record: an inline generation's rows go
-// into the session as they decode, and a page-store header, which must
-// end the file, restores from the page store (restorePaged).
-func restoreGeneration(dir, name string, g uint64) (*increpair.Session, wal.Quota, error) {
-	f, err := os.Open(snapPath(dir, g))
-	if err != nil {
-		return nil, wal.Quota{}, err
-	}
-	defer f.Close()
-	file := filepath.Base(f.Name())
-	snap, rows, err := wal.NewSnapshotReader(f)
-	if err != nil {
-		return nil, wal.Quota{}, fmt.Errorf("snapshot %s: %w", file, err)
-	}
-	if snap.Name != "" && snap.Name != name {
-		return nil, wal.Quota{}, fmt.Errorf("server: recover %s: snapshot names session %q", name, snap.Name)
-	}
-	if snap.StoreKind == wal.StorePaged {
-		if _, more, err := rows.Next(); more || err != nil {
-			return nil, wal.Quota{}, fmt.Errorf("snapshot %s: rows behind a page-store header: %w", file, cmp.Or(err, wal.ErrCorrupt))
-		}
-		sess, err := restorePaged(dir, name, snap)
-		return sess, snap.Quota, err
-	}
-	sess, err := increpair.RestoreFromSnapshotSource(snap, rows, rows.Dict())
-	if err != nil {
-		return nil, wal.Quota{}, fmt.Errorf("snapshot %s: %w", file, err)
-	}
-	return sess, snap.Quota, nil
+	return &persister{cfg: cfg, dir: dir, name: name, sess: sess, quota: snap.Quota, st: st}, nil
 }
 
 // recoverSession rebuilds one session from its directory: newest
 // readable snapshot generation first, then WAL replay across that and
-// any later generations. A generation written inline, by a node from
-// before the page store was the only snapshot writer, is restored from
-// its own tuples; the session then gets a fresh page store and is
-// re-anchored at the next generation, so the inline format is read once
-// and never written. It returns a persister positioned to continue
+// any later generations. It returns a persister positioned to continue
 // appending, holding the restored session and the quota read from the
 // chosen snapshot.
 // warn, when non-nil, reports acknowledged records that could NOT be
@@ -556,26 +528,19 @@ func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 	sort.Slice(snapGens, func(i, j int) bool { return snapGens[i] > snapGens[j] })
 	sort.Slice(walGens, func(i, j int) bool { return walGens[i] < walGens[j] })
 
-	var (
-		sess    *increpair.Session
-		baseGen uint64
-		quota   wal.Quota
-		lastErr error
-	)
+	var baseGen uint64
 	for _, g := range snapGens {
-		s, q, err := restoreGeneration(dir, name, g)
-		if err != nil {
-			// Any damage fails THIS generation only: the loop falls back
-			// to the previous snapshot.
-			lastErr = err
-			continue
+		// Any damage fails THIS generation only: the loop falls back to
+		// the previous snapshot.
+		if p, err = restoreGeneration(cfg, dir, name, g); err == nil {
+			baseGen = g
+			break
 		}
-		sess, baseGen, quota = s, g, q
-		break
 	}
-	if sess == nil {
-		return nil, nil, fmt.Errorf("server: recover %s: no usable snapshot: %w", name, lastErr)
+	if p == nil {
+		return nil, nil, fmt.Errorf("server: recover %s: no usable snapshot: %w", name, err)
 	}
+	sess := p.sess
 
 	// Replay the logs from the restored generation forward. The version
 	// cursor skips records already contained in the snapshot, so replay
@@ -637,22 +602,8 @@ func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 		}
 	}
 
-	st := sess.Store()
-	if st == nil {
-		// Restored inline: convert. Whatever store/ an interrupted
-		// earlier conversion left is replaced, and the tip WAL is
-		// closed — the next generation's WAL takes the appends.
-		if tip != nil {
-			tip.Close()
-			tip = nil
-		}
-		if st, err = createStore(dir, sess); err != nil {
-			sess.Close()
-			return nil, nil, err
-		}
-	}
 	v := sess.Snapshot().Version
-	p = &persister{cfg: cfg, dir: dir, name: name, sess: sess, quota: quota, st: st, appended: v, synced: v}
+	p.appended, p.synced = v, v
 	if tip != nil {
 		// Count the replayed records against the rotation budget: a
 		// server that crash-loops just under SnapshotEvery fresh
@@ -660,9 +611,8 @@ func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 		// every boot's replay) would grow without bound.
 		p.gen, p.log, p.sinceSnap = walGens[len(walGens)-1], tip, replayed
 	} else {
-		// No appendable tip (damage, the newest WAL is missing, or an
-		// inline generation converted): anchor the recovered state as a
-		// fresh generation.
+		// No appendable tip (damage, or the newest WAL is missing):
+		// anchor the recovered state as a fresh generation.
 		next := snapGens[0] + 1
 		if len(walGens) > 0 && walGens[len(walGens)-1] >= snapGens[0] {
 			next = walGens[len(walGens)-1] + 1

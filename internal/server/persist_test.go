@@ -663,6 +663,92 @@ func TestRecoveryRefusesVersion1Store(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesInlineGeneration: recovery restores page-store
+// generations only. An inline image — well formed, naming the session,
+// what a build before the page store wrote — is a damaged generation.
+// Over a readable paged generation it is passed over, and the session
+// comes back from the page store and its WAL byte-identical to the one
+// that never stopped (the image, taken before the batches, would have
+// lost them). As a directory's only generation it leaves the session
+// unrecoverable and its files as they were, while a sibling recovers.
+func TestRecoveryRefusesInlineGeneration(t *testing.T) {
+	const name = "m"
+	opts := Options{DataDir: t.TempDir(), Fsync: FsyncOff, SnapshotEvery: 1 << 20, QueueDepth: 8}
+	s1 := New(opts)
+	ts1 := httptest.NewServer(s1.Handler())
+	createRecovery(t, ts1.URL, name)
+	createRecovery(t, ts1.URL, "sib")
+	h, err := s1.reg.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, err := h.sess.PersistSnapshot(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline.Quota = h.pers.quota
+	for i := 0; i < 5; i++ {
+		applyRecovery(t, ts1.URL, name, i)
+		applyRecovery(t, ts1.URL, "sib", i)
+	}
+	want, wantSnap, wantVios := sessionState(t, ts1.URL, name)
+	sibWant, _, _ := sessionState(t, ts1.URL, "sib")
+	shutdownService(t, s1, ts1)
+
+	// boot recovers a service from a copy of the stopped one's data dir,
+	// after plant changed the session's directory in it.
+	boot := func(t *testing.T, plant func(dir string)) (base, dir string, n int, err error) {
+		o := opts
+		o.DataDir = t.TempDir()
+		if err := os.CopyFS(o.DataDir, os.DirFS(opts.DataDir)); err != nil {
+			t.Fatal(err)
+		}
+		dir = filepath.Join(o.DataDir, name)
+		plant(dir)
+		s, ts := newTestService(t, o)
+		n, err = s.Recover()
+		return ts.URL, dir, n, err
+	}
+	t.Run("over a paged generation", func(t *testing.T) {
+		base, _, n, err := boot(t, func(dir string) {
+			if err := wal.WriteSnapshotFile(snapPath(dir, 1), inline); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err != nil || n != 2 {
+			t.Fatalf("recovered %d sessions, error %v; want both, no error", n, err)
+		}
+		got, gotSnap, gotVios := sessionState(t, base, name)
+		if !bytes.Equal(want, got) || wantSnap != gotSnap || wantVios != gotVios {
+			t.Fatalf("recovered session diverged from the live one\nwant:\n%s%+v\n%s\ngot:\n%s%+v\n%s", want, wantSnap, wantVios, got, gotSnap, gotVios)
+		}
+	})
+	t.Run("as the only generation", func(t *testing.T) {
+		var before map[string]string
+		base, dir, n, err := boot(t, func(dir string) {
+			if err := wal.WriteSnapshotFile(snapPath(dir, 0), inline); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.RemoveAll(filepath.Join(dir, storeDirName)); err != nil {
+				t.Fatal(err)
+			}
+			before = dirImage(t, dir)
+		})
+		if n != 1 || err == nil || !strings.Contains(err.Error(), "recover "+name+": no usable snapshot") {
+			t.Fatalf("recovered %d sessions, error %v; want the sibling only, the error naming %q", n, err, name)
+		}
+		if !maps.Equal(dirImage(t, dir), before) {
+			t.Fatal("recovery changed the files of the session it refused")
+		}
+		if resp, _ := do(t, "GET", base+"/v1/sessions/"+name, nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("the refused session answers %d, want 404", resp.StatusCode)
+		}
+		if got, _, _ := sessionState(t, base, "sib"); !bytes.Equal(sibWant, got) {
+			t.Fatalf("the sibling diverged\nwant:\n%s\ngot:\n%s", sibWant, got)
+		}
+	})
+}
+
 func TestParseGenName(t *testing.T) {
 	for name, want := range map[string]struct {
 		gen  uint64

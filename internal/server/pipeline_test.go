@@ -294,6 +294,33 @@ func TestBrokenPersisterRefusesWrites(t *testing.T) {
 	}
 }
 
+// TestBrokenPersisterAbortsCapture: a boundary the worker captured for a
+// rotation the committer cannot anchor — the batch's append failed and
+// broke the persister — is aborted, not dropped. The batch is answered
+// 503 (ErrNotDurable); the view the capture pinned is released, and the
+// pages its flush held are handed back to the store as dirty.
+func TestBrokenPersisterAbortsCapture(t *testing.T) {
+	s, ts := newTestService(t, Options{DataDir: t.TempDir(), Fsync: FsyncBatch, QueueDepth: 8, SnapshotEvery: 1})
+	createRecovery(t, ts.URL, "t")
+	h, err := s.reg.Get("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.pers.mu.Lock()
+	h.pers.log.Close() // the next append fails
+	h.pers.mu.Unlock()
+	_, err = s.reg.Apply(t.Context(), h, nil, nil, []*relation.Tuple{relation.NewTuple(0, "212", "6660001", "NYC", "NY", "10012")})
+	if !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("apply on a closed log: %v, want ErrNotDurable", err)
+	}
+	if n := h.sess.Current().ActiveViews(); n != 0 {
+		t.Fatalf("%d views still pinned after the rotation was aborted", n)
+	}
+	if st := h.pers.st.Stats(); st.DirtyPages == 0 {
+		t.Fatalf("the aborted flush's pages were not handed back: %+v", st)
+	}
+}
+
 // TestSubscriberDropResync: a stream that stops reading is overtaken once
 // more than a ring's worth of passes land. It then reads the retained
 // tail, whose first event carries resync: true, the events it skipped

@@ -506,20 +506,6 @@ func (d *Disk) fail(err error) {
 	d.mu.Unlock()
 }
 
-// Err returns the latched error, if any.
-func (d *Disk) Err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.err
-}
-
-// Gen returns the last committed manifest generation.
-func (d *Disk) Gen() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.gen
-}
-
 // Stats summarizes the store for listings and metrics.
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()
