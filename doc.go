@@ -131,9 +131,11 @@
 //	                                │   it dirties; rotation encodes only
 //	                                │   those pages from the pinned
 //	                                │   relation into generation-numbered
-//	                                │   page files (fixed-width interned
-//	                                │   rows filed by position, persistent
-//	                                │   dict), and the snapshot is a slim
+//	                                │   page files (rows filed by position
+//	                                │   in the image's row form: id cells
+//	                                │   as uvarints, weights only where a
+//	                                │   tuple has them; persistent dict),
+//	                                │   and the snapshot is a slim
 //	                                │   header naming StoreGen — O(dirty)
 //	                                │   page bytes per rotation
 //	                                │ on boot

@@ -22,7 +22,8 @@ import (
 // TestFormatsByteIdentical pins every durable and shipped byte format to
 // a digest: the WAL, snapshot and ship digests were recorded at commit
 // 45dead9, the last one where each file kind framed its own records, and
-// the store's at its format version 2, which files rows by position. One
+// the store's at its format version 3, which writes a page's rows in the
+// snapshot image's row form. One
 // fixed scenario (a seeded relation holding a null and a weighted tuple;
 // three batches with a delete, a cell update and a re-insert; two store
 // flushes) writes a WAL, a snapshot file, the store's page and manifest
@@ -32,7 +33,10 @@ import (
 // unchanged encoders. Format version 4 writes a snapshot's cells as ids
 // into the strings each chunk carries: the snapshot digest was
 // re-recorded, and the WAL's, whose bytes differ from version 3's in the
-// header's version byte alone.) A digest that moves means a format changed: bump
+// header's version byte alone. Store format version 3 moved the pages
+// digest with the row form, and the manifest's and dict.log's with the
+// version byte and the manifest's geometry; they were re-recorded.) A
+// digest that moves means a format changed: bump
 // the format's version, then re-record. A shipped snapshot has no digest of its own: the body
 // HTTPTransport sends must equal the snapshot file's bytes.
 func TestFormatsByteIdentical(t *testing.T) {
@@ -59,7 +63,7 @@ func TestFormatsByteIdentical(t *testing.T) {
 	weighted.SetWeight(1, 0.25)
 	rel.MustInsert(weighted)
 	rel.MustInsert(&relation.Tuple{Vals: []relation.Value{relation.S("a"), relation.NullValue, relation.S("c")}})
-	for i := 0; i < 300; i++ { // four pages of 91 rows
+	for i := 0; i < 300; i++ { // four pages of 81 rows
 		if _, err := rel.InsertRow("k"+strconv.Itoa(i%7), "v", "w"+strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -173,9 +177,9 @@ func TestFormatsByteIdentical(t *testing.T) {
 	want := map[string]string{
 		"wal":        "1cccfe7054102fb222256d186619580a38455864c3c2e231a186add867c3bd1f",
 		"snapshot":   "8390cfaad77070cf61887a1a0fa9fcc2c6a578fb90f0eddc3a3a1cac3b6b2271",
-		"pages":      "13c5a5c3120620d7fa0b31101f9844b9b5fa2ec62e428a1c40b9b457d6710307",
-		"manifest":   "303b18d90235edf540869593fa10f89c970ad70911cd6a0670f13845ff6bda5c",
-		"dict":       "88a9450faa541b8c77a37217c42915d4fc16f9538d9bd9f4fd693cbb6e6b8c83",
+		"pages":      "ab4aff9d9738ff77f3d443964184aff22b56218840538b2192095ebff01302a1",
+		"manifest":   "7044c75ee467fa6574367aa60273251073a8d6377ea7517fd8f5e8e009d791d0",
+		"dict":       "34fab004acd2bc8927d42bd1ab09a2e99e433f4b5251781cec0fc8f9d68d17a5",
 		"ship batch": "a34aefc6a3c97de79f8eb179b74ee0f0d5ae71bd7f2db989b581337ea06539a8",
 	}
 	for kind, g := range got {

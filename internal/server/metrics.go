@@ -137,7 +137,11 @@ func (s *Server) declareFamilies() []family {
 		storeGauge("cfdserved_session_store_pages", "Committed pages in the session's page store.", func(st *store.Stats) float64 { return float64(st.Pages) }),
 		storeGauge("cfdserved_session_store_dirty_pages", "Dirty pages awaiting the session's next store flush.", func(st *store.Stats) float64 { return float64(st.DirtyPages) }),
 		storeGauge("cfdserved_session_store_dict_entries", "Persisted intern-dictionary entries in the session's page store.", func(st *store.Stats) float64 { return float64(st.DictEntries) }),
-		storeGauge("cfdserved_session_store_disk_bytes", "On-disk footprint of the session's page store.", func(st *store.Stats) float64 { return float64(st.DiskBytes) }),
+		{name: "cfdserved_session_disk_bytes", typ: "gauge", help: "On-disk footprint of the durable session's directory: snapshot headers, WAL generations and page store.", perSession: true,
+			value: func(h *hosted) (float64, bool) {
+				n, ok := h.pers.diskBytes()
+				return float64(n), ok
+			}},
 		sessionHistogram("cfdserved_session_pass_duration_seconds", "Engine pass duration per session.", func(in *instruments) *metrics.Histogram { return in.passLat }),
 		sessionHistogram("cfdserved_session_fsync_lag_seconds", "WAL append to fsync-acknowledged lag per session.", func(in *instruments) *metrics.Histogram { return in.walLag }),
 		sessionHistogram("cfdserved_session_fold_batches", "Client batches folded per engine pass per session.", func(in *instruments) *metrics.Histogram { return in.foldSize }),

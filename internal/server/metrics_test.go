@@ -3,8 +3,10 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -16,8 +18,10 @@ import (
 // two hand-built renderings, plus the families added since
 // (cfdserved_session_persist_broken, the three similarity-search
 // counters cfdserved_session_nearest_*, and the four other IndexStats
-// counters) and the error-batch help reworded
-// once a batch Check refuses stopped running a pass: adding, moving,
+// counters), the error-batch help reworded once a batch Check refuses
+// stopped running a pass, and cfdserved_session_store_disk_bytes
+// replaced in place by cfdserved_session_disk_bytes, which sums the
+// session's whole directory rather than its page store: adding, moving,
 // renaming or retyping a family is a change to this list, never a side
 // effect.
 const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server started.
@@ -90,8 +94,8 @@ const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server
 # TYPE cfdserved_session_store_dirty_pages gauge
 # HELP cfdserved_session_store_dict_entries Persisted intern-dictionary entries in the session's page store.
 # TYPE cfdserved_session_store_dict_entries gauge
-# HELP cfdserved_session_store_disk_bytes On-disk footprint of the session's page store.
-# TYPE cfdserved_session_store_disk_bytes gauge
+# HELP cfdserved_session_disk_bytes On-disk footprint of the durable session's directory: snapshot headers, WAL generations and page store.
+# TYPE cfdserved_session_disk_bytes gauge
 # HELP cfdserved_session_pass_duration_seconds Engine pass duration per session.
 # TYPE cfdserved_session_pass_duration_seconds histogram
 # HELP cfdserved_session_fsync_lag_seconds WAL append to fsync-acknowledged lag per session.
@@ -248,6 +252,39 @@ func TestMetricsRenderingsAgree(t *testing.T) {
 		if durable != (opts.DataDir != "") {
 			t.Errorf("data dir %q: store gauge series present = %v", opts.DataDir, durable)
 		}
+	}
+}
+
+// TestSessionDiskBytesGauge: cfdserved_session_disk_bytes is the whole
+// session directory — snapshot headers, WAL generations and page store —
+// not the store alone: once a rotation has committed, it equals the sum
+// of the directory's file sizes, which exceeds the store's share.
+func TestSessionDiskBytesGauge(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestService(t, Options{DataDir: dir, SnapshotEvery: 2})
+	createTiny(t, ts.URL, "alpha")
+	for i := 0; i < 3; i++ {
+		applyOne(t, ts.URL, "alpha", "212", fmt.Sprintf("X%d", i))
+	}
+	sum := func(dir string) (n float64) {
+		filepath.WalkDir(dir, func(_ string, e fs.DirEntry, err error) error {
+			if err == nil && !e.IsDir() {
+				if info, err := e.Info(); err == nil {
+					n += float64(info.Size())
+				}
+			}
+			return nil
+		})
+		return n
+	}
+	var gauge, files float64
+	waitFor(t, "a rotation, and the gauge to equal the directory's bytes", func() bool {
+		js := flattenMetricsJSON(getMetricsJSON(t, ts.URL))
+		gauge, files = js[seriesKey("cfdserved_session_disk_bytes", "alpha", "")], sum(filepath.Join(dir, "alpha"))
+		return js[seriesKey("cfdserved_session_store_gen", "alpha", "")] >= 1 && gauge == files
+	})
+	if store := sum(filepath.Join(dir, "alpha", storeDirName)); gauge <= store {
+		t.Fatalf("the gauge reads %v bytes, the store alone holds %v", gauge, store)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -432,6 +433,25 @@ func (p *persister) storeStats() *store.Stats {
 	}
 	s := p.st.Stats()
 	return &s
+}
+
+// diskBytes sums the sizes of the files in the session's directory —
+// snapshot headers, WAL generations and the page store — or reports
+// false for a memory-only session (p == nil).
+func (p *persister) diskBytes() (int64, bool) {
+	if p == nil {
+		return 0, false
+	}
+	var n int64
+	filepath.WalkDir(p.dir, func(_ string, e fs.DirEntry, err error) error {
+		if err == nil && !e.IsDir() {
+			if info, err := e.Info(); err == nil {
+				n += info.Size()
+			}
+		}
+		return nil
+	})
+	return n, true
 }
 
 // status renders the persistence state for session listings.

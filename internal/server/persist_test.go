@@ -620,46 +620,50 @@ func TestRemoveHoldsNameUntilWorkerExits(t *testing.T) {
 	}
 }
 
-// TestRecoveryRefusesVersion1Store: a page store from the format that
-// filed rows by tuple id (its files stamped version 1) fails every
-// snapshot generation that names it. Recovery skips the tenant, names it
-// and the version, and leaves every file as it found it.
+// TestRecoveryRefusesVersion1Store: a page store from an earlier format
+// — version 1 filed rows by tuple id, version 2 wrote fixed-width rows —
+// fails every snapshot generation that names it. Recovery skips the
+// tenant, names it and the version, and leaves every file as it found it.
 func TestRecoveryRefusesVersion1Store(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{DataDir: dir, Fsync: FsyncOff, QueueDepth: 8, SnapshotEvery: 2}
-	s1 := New(opts)
-	ts1 := httptest.NewServer(s1.Handler())
-	createRecovery(t, ts1.URL, "old")
-	for i := 0; i < 5; i++ {
-		applyRecovery(t, ts1.URL, "old", i)
-	}
-	shutdownService(t, s1, ts1)
+	for _, ver := range []byte{1, 2} {
+		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{DataDir: dir, Fsync: FsyncOff, QueueDepth: 8, SnapshotEvery: 2}
+			s1 := New(opts)
+			ts1 := httptest.NewServer(s1.Handler())
+			createRecovery(t, ts1.URL, "old")
+			for i := 0; i < 5; i++ {
+				applyRecovery(t, ts1.URL, "old", i)
+			}
+			shutdownService(t, s1, ts1)
 
-	storeDir := filepath.Join(dir, "old", storeDirName)
-	ents, err := os.ReadDir(storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		path := filepath.Join(storeDir, e.Name())
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b[len("CFDSTOR")] = 1 // every store magic is seven bytes
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := dirImage(t, dir)
+			storeDir := filepath.Join(dir, "old", storeDirName)
+			ents, err := os.ReadDir(storeDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				path := filepath.Join(storeDir, e.Name())
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b[len("CFDSTOR")] = ver // every store magic is seven bytes
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirImage(t, dir)
 
-	s2, _ := newTestService(t, opts)
-	n, err := s2.Recover()
-	if n != 0 || err == nil || !strings.Contains(err.Error(), "old") || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("recovered %d sessions, error %v; want none, naming the tenant and version 1", n, err)
-	}
-	if !maps.Equal(dirImage(t, dir), before) {
-		t.Fatal("recovery changed the files of the tenant it refused")
+			s2, _ := newTestService(t, opts)
+			n, err := s2.Recover()
+			if n != 0 || err == nil || !strings.Contains(err.Error(), "old") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", ver)) {
+				t.Fatalf("recovered %d sessions, error %v; want none, naming the tenant and version %d", n, err, ver)
+			}
+			if !maps.Equal(dirImage(t, dir), before) {
+				t.Fatal("recovery changed the files of the tenant it refused")
+			}
+		})
 	}
 }
 

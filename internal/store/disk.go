@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -24,9 +23,9 @@ import (
 //	manifest-<gen>.mft page table, geometry and row count at flush <gen>
 //	dict.log           append-only intern dictionary (shared by all gens)
 //
-// Headers, records, file names and the two file writes are internal/wal's
-// (its package comment is the format reference); what is the store's own
-// is a page record's prefix and the payloads:
+// Headers, records, file names, the two file writes and the row form are
+// internal/wal's (its package comment is the format reference); what is
+// the store's own is a page record's prefix and the manifest payload:
 //
 //	page record  = pageNo(u64 LE) record(page image)
 //
@@ -39,23 +38,23 @@ import (
 // consistent fallback, which is exactly what snapshot-generation pruning
 // (keep the newest two) requires.
 //
-// Rows are fixed-width and filed at their position in the relation's
-// physical order:
+// Rows are filed at their position in the relation's physical order,
 //
-//	row  = wflag(u8) id(i64 LE) valueID(u32 LE)×arity weight(f64 LE)×arity
-//	page(pos) = pos / rowsPerPage,  slot(pos) = pos % rowsPerPage
+//	page(pos) = pos / rowsPerPage
 //
-// so pages 0 … ⌈rows/rowsPerPage⌉−1 hold the relation in order, every
-// slot below the manifest's row count holds a row, and no reader looks at
-// a slot past it.
+// so pages 0 … ⌈rows/rowsPerPage⌉−1 hold the relation in order. A page
+// image is the page's rows below the manifest's row count in the
+// snapshot image's row form (wal.AppendRow), its cells the relation
+// Dict's dense value ids, and is decoded row by row. rowsPerPage is as
+// many rows of the longest form as the page size holds (at least one), and
+// a page record is at most that many of them long.
 //
-// Values are the relation Dict's dense uint32 ids; dict.log persists the
-// dictionary as length-prefixed strings in intern order, so ordinal i
-// reproduces ValueID i+1 on reload. The dictionary delta is fsynced
-// before the pages that reference it.
+// dict.log persists the dictionary as length-prefixed strings in intern
+// order, so ordinal i reproduces ValueID i+1 on reload. The dictionary
+// delta is fsynced before the pages that reference it.
 
 const (
-	storeVersion  = 2
+	storeVersion  = 3
 	pageMagic     = "CFDPAGE"
 	manifestMagic = "CFDSTOR"
 	dictMagic     = "CFDDICT"
@@ -90,9 +89,9 @@ type pageLoc struct {
 type Disk struct {
 	dir         string
 	arity       int
-	rowWidth    int
+	pageSize    int
 	rowsPerPage uint64
-	pageBytes   int
+	pageCap     int // the longest page record's payload
 
 	mu    sync.Mutex
 	dict  *relation.Dict
@@ -155,8 +154,9 @@ func Create(dir string, arity int, opts Options) (*Disk, error) {
 	return d, nil
 }
 
-// rowWidth is the width of one row at the given arity.
-func rowWidth(arity int) int { return 1 + 8 + 12*arity }
+// maxRowLen is the longest row at the given arity: a ten-byte tuple-id
+// delta, a five-byte cell and an eight-byte weight per attribute, the flag.
+func maxRowLen(arity int) int { return binary.MaxVarintLen64 + 13*arity + 1 }
 
 // pagesFor is the number of pages rows rows fill.
 func (d *Disk) pagesFor(rows int) uint64 {
@@ -164,14 +164,14 @@ func (d *Disk) pagesFor(rows int) uint64 {
 }
 
 func newDisk(dir string, arity, pageSize int) *Disk {
-	w := rowWidth(arity)
+	w := maxRowLen(arity)
 	rpp := max(pageSize/w, 1)
 	return &Disk{
 		dir:         dir,
 		arity:       arity,
-		rowWidth:    w,
+		pageSize:    pageSize,
 		rowsPerPage: uint64(rpp),
-		pageBytes:   rpp * w,
+		pageCap:     rpp * w,
 		table:       make(map[uint64]pageLoc),
 		dirty:       make(map[uint64]struct{}),
 		files:       make(map[uint64]*os.File),
@@ -207,24 +207,6 @@ func (d *Disk) observe(dl relation.Delta) {
 	d.mu.Lock()
 	d.dirty[uint64(dl.Pos)/d.rowsPerPage] = struct{}{}
 	d.mu.Unlock()
-}
-
-// encodeRow writes t into row, which is zero.
-func (d *Disk) encodeRow(row []byte, t *relation.Tuple) {
-	binary.LittleEndian.PutUint64(row[1:], uint64(t.ID))
-	p := 9
-	for a := 0; a < d.arity; a++ {
-		binary.LittleEndian.PutUint32(row[p:], uint32(t.IDAt(a)))
-		p += 4
-	}
-	if t.W == nil {
-		return // wflag and the weight cells stay zero
-	}
-	row[0] = 1
-	for a := 0; a < d.arity; a++ {
-		binary.LittleEndian.PutUint64(row[p:], math.Float64bits(t.W[a]))
-		p += 8
-	}
 }
 
 // Flush is the set of dirty pages captured at one snapshot-rotation
@@ -341,11 +323,16 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int) error {
 	rows := f.view.Len()
 	live := d.pagesFor(rows)
 	d.mu.Lock() // an Abort ahead of f in the FIFO may have added pages
-	nos := make([]uint64, 0, len(f.pages))
+	nos := make([]uint64, 0, len(f.pages)+1)
 	for no := range f.pages {
 		if no < live {
 			nos = append(nos, no)
 		}
+	}
+	// An image holds exactly its page's rows below the row count: a delete
+	// shortens the last page unwritten, so a fallen count rewrites it.
+	if _, dirty := f.pages[live-1]; rows < d.tupleCount && live > 0 && !dirty {
+		nos = append(nos, live-1)
 	}
 	d.mu.Unlock()
 	slices.Sort(nos)
@@ -407,8 +394,8 @@ func tableRefs(table map[uint64]pageLoc, gen uint64) map[uint64]bool {
 
 // writePages encodes pages nos (ascending) from positions
 // [no·rowsPerPage, min((no+1)·rowsPerPage, rows)) of v into
-// pages-<gen>.dat and returns where each image landed. Slots past the row
-// count stay zero. No dirty page, no file.
+// pages-<gen>.dat and returns where each image landed. No dirty page, no
+// file.
 func (d *Disk) writePages(gen uint64, v *relation.View, nos []uint64) (map[uint64]pageLoc, error) {
 	locs := make(map[uint64]pageLoc, len(nos))
 	if len(nos) == 0 {
@@ -421,13 +408,19 @@ func (d *Disk) writePages(gen uint64, v *relation.View, nos []uint64) (map[uint6
 			return err
 		}
 		off := int64(len(hdr))
-		page := make([]byte, d.pageBytes)
-		var rec []byte
+		ids := make([]relation.ValueID, d.arity)
+		var page, rec []byte
 		for _, no := range nos {
-			clear(page)
+			page = page[:0]
+			var prev relation.TupleID
 			lo := no * d.rowsPerPage
 			for pos := lo; pos < min(lo+d.rowsPerPage, rows); pos++ {
-				d.encodeRow(page[int(pos-lo)*d.rowWidth:][:d.rowWidth], v.Tuple(int(pos)))
+				t := v.Tuple(int(pos))
+				for a := range ids {
+					ids[a] = t.IDAt(a)
+				}
+				page = wal.AppendRow(page, prev, &wal.SnapTuple{ID: t.ID, W: t.W, IDs: ids}, nil)
+				prev = t.ID
 			}
 			rec = wal.AppendFrame(binary.LittleEndian.AppendUint64(rec[:0], no), page)
 			if _, err := w.Write(rec); err != nil {
@@ -441,7 +434,7 @@ func (d *Disk) writePages(gen uint64, v *relation.View, nos []uint64) (map[uint6
 }
 
 func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows int) error {
-	b := encodeManifest(manifestGeom{d.arity, d.rowWidth, d.rowsPerPage, d.pageBytes}, table, dictLen, rows)
+	b := encodeManifest(manifestGeom{d.arity, d.pageSize}, table, dictLen, rows)
 	return wal.WriteFileAtomic(filepath.Join(d.dir, manifestName(gen)), func(w io.Writer) error {
 		_, err := w.Write(b)
 		return err
@@ -453,9 +446,7 @@ func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows
 // length, the row count and the page table in page order.
 func encodeManifest(geom manifestGeom, table map[uint64]pageLoc, dictLen, rows int) []byte {
 	payload := binary.AppendUvarint(nil, uint64(geom.arity))
-	payload = binary.AppendUvarint(payload, uint64(geom.rowWidth))
-	payload = binary.AppendUvarint(payload, geom.rowsPerPage)
-	payload = binary.AppendUvarint(payload, uint64(geom.pageBytes))
+	payload = binary.AppendUvarint(payload, uint64(geom.pageSize))
 	payload = binary.AppendUvarint(payload, uint64(dictLen))
 	payload = binary.AppendUvarint(payload, uint64(rows))
 	payload = binary.AppendUvarint(payload, uint64(len(table)))
@@ -575,16 +566,9 @@ func Open(dir string, gen uint64, arity int) (*Disk, error) {
 	if geom.arity != arity {
 		return nil, fmt.Errorf("%w: manifest arity %d, relation has %d", errCorrupt, geom.arity, arity)
 	}
-	// A row's layout follows from the arity; the iterator reads rows by
-	// it.
-	if want := rowWidth(arity); geom.rowWidth != want {
-		return nil, fmt.Errorf("%w: manifest row width %d, arity %d needs %d", errCorrupt, geom.rowWidth, arity, want)
-	}
-	// The persisted geometry is the store's: row addressing must stay
+	// The persisted page size is the store's: row addressing must stay
 	// stable for its lifetime, so no page size is taken at Open.
-	d := newDisk(dir, arity, geom.pageBytes)
-	d.rowsPerPage = geom.rowsPerPage
-	d.pageBytes = geom.pageBytes
+	d := newDisk(dir, arity, geom.pageSize)
 	d.gen, d.hasManifest = gen, true
 	d.table = table
 	d.tupleCount = rows
@@ -605,11 +589,11 @@ func Open(dir string, gen uint64, arity int) (*Disk, error) {
 	return d, nil
 }
 
+// manifestGeom is a store's geometry: rows per page and the page cap
+// follow from the arity and the page size.
 type manifestGeom struct {
-	arity       int
-	rowWidth    int
-	rowsPerPage uint64
-	pageBytes   int
+	arity    int
+	pageSize int
 }
 
 func decodeManifest(b []byte) (geom manifestGeom, table map[uint64]pageLoc, dictLen, rows int, err error) {
@@ -626,15 +610,14 @@ func decodeManifest(b []byte) (geom manifestGeom, table map[uint64]pageLoc, dict
 	}
 	d := relation.NewDecoder(payload, errCorrupt)
 	geom.arity = int(d.Uvarint("arity"))
-	geom.rowWidth = int(d.Uvarint("row width"))
-	geom.rowsPerPage = d.Uvarint("rows per page")
-	geom.pageBytes = int(d.Uvarint("page bytes"))
+	if ps := d.Uvarint("page size"); ps < MinPageSize || ps > MaxPageSize {
+		d.Failf("page size %d outside [%d, %d]", ps, MinPageSize, MaxPageSize)
+	} else {
+		geom.pageSize = int(ps)
+	}
 	dictLen = int(d.Uvarint("dictionary length"))
 	rows = int(d.Uvarint("row count"))
 	n := d.Uvarint("page count")
-	if geom.rowsPerPage == 0 || geom.rowWidth <= 0 || geom.pageBytes != int(geom.rowsPerPage)*geom.rowWidth {
-		d.Failf("geometry inconsistent")
-	}
 	// A page table entry is at least three bytes.
 	table = make(map[uint64]pageLoc, min(n, uint64(len(payload))/3))
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
@@ -729,16 +712,19 @@ func (c *countReader) ReadByte() (byte, error) {
 // Iterator streams the store's committed rows in physical order as
 // snapshot tuples — the recovery-time replacement for a snapshot file's
 // inline tuple records. It reads pages 0 … ⌈rows/rowsPerPage⌉−1 of the
-// generation it was opened on, each once and in order, and holds one page
-// image. Each row hands back the value ids it was written under (its
-// IDs), which the dictionary Dict returns resolves.
+// generation it was opened on, each once and in order, holds one page
+// image and decodes its rows in order. Each row hands back the value ids
+// it was written under (its IDs), which the dictionary Dict returns
+// resolves.
 type Iterator struct {
 	d     *Disk
 	table map[uint64]pageLoc
 	strs  []string
 	rows  int
 	pos   int
-	page  []byte
+	page  *relation.Decoder // the current page image
+	left  int               // its rows not yet returned
+	prev  relation.TupleID  // the tuple id of its last row returned
 	err   error
 }
 
@@ -772,41 +758,56 @@ func (d *Disk) Dict() (*relation.Dict, error) {
 
 // Next returns the next row. ok is false at clean exhaustion; a missing
 // or damaged page or row returns an error (the caller falls back to an
-// older snapshot generation, like any torn snapshot).
+// older snapshot generation, like any torn snapshot). A page image must
+// hold its rows below the row count in the row form and nothing behind
+// them, and every cell must name a dict.log entry.
 func (it *Iterator) Next() (wal.SnapTuple, bool, error) {
-	if it.err != nil {
+	if it.err != nil || it.pos == it.rows {
 		return wal.SnapTuple{}, false, it.err
 	}
-	if it.pos == it.rows {
-		return wal.SnapTuple{}, false, nil
-	}
 	d := it.d
-	no, slot := uint64(it.pos)/d.rowsPerPage, uint64(it.pos)%d.rowsPerPage
-	if slot == 0 {
-		loc, ok := it.table[no]
-		if !ok {
-			it.err = fmt.Errorf("%w: page %d of %d rows is missing", errCorrupt, no, it.rows)
-			return wal.SnapTuple{}, false, it.err
+	if it.left == 0 {
+		b, err := d.readPage(it.table, uint64(it.pos)/d.rowsPerPage)
+		if err != nil {
+			it.err = err
+			return wal.SnapTuple{}, false, err
 		}
-		d.mu.Lock()
-		it.page, it.err = d.readPageLocked(no, loc)
-		d.mu.Unlock()
-		if it.err != nil {
-			return wal.SnapTuple{}, false, it.err
+		it.page, it.left, it.prev = relation.NewDecoder(b, errCorrupt), min(int(d.rowsPerPage), it.rows-it.pos), 0
+	}
+	t := wal.DecodeRow(it.page, d.arity, it.prev)
+	it.prev = t.ID
+	for a, c := range t.IDs {
+		switch {
+		case c == relation.NullID:
+			t.Vals[a] = relation.NullValue
+		case int(c) > len(it.strs):
+			it.page.Failf("value id %d beyond the dictionary's %d entries", c, len(it.strs))
+		default:
+			t.Vals[a] = relation.Value{Str: it.strs[c-1]}
 		}
 	}
-	t, err := it.row(it.page[int(slot)*d.rowWidth:][:d.rowWidth])
+	it.left--
+	err := it.page.Err()
+	if it.left == 0 {
+		err = it.page.Done()
+	}
 	if err != nil {
-		it.err = err
-		return wal.SnapTuple{}, false, err
+		it.err = fmt.Errorf("page %d, position %d: %w", uint64(it.pos)/d.rowsPerPage, it.pos, err)
+		return wal.SnapTuple{}, false, it.err
 	}
 	it.pos++
 	return t, true, nil
 }
 
-// readPageLocked reads and verifies one committed page image. A
+// readPage reads and verifies page no's committed image in table. A
 // generation's page file has its header checked when it is first opened.
-func (d *Disk) readPageLocked(no uint64, loc pageLoc) ([]byte, error) {
+func (d *Disk) readPage(table map[uint64]pageLoc, no uint64) ([]byte, error) {
+	loc, ok := table[no]
+	if !ok {
+		return nil, fmt.Errorf("%w: page %d is missing", errCorrupt, no)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	f, ok := d.files[loc.gen]
 	if !ok {
 		var err error
@@ -820,50 +821,19 @@ func (d *Disk) readPageLocked(no uint64, loc pageLoc) ([]byte, error) {
 		}
 		d.files[loc.gen] = f
 	}
-	r := io.NewSectionReader(f, loc.off, 8+8+int64(d.pageBytes))
+	r := io.NewSectionReader(f, loc.off, 8+8+int64(d.pageCap))
 	var prefix [8]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return nil, fmt.Errorf("%w: page %d record prefix: %v", errCorrupt, no, err)
 	}
-	b, err := wal.ExpectFrame(r, d.pageBytes)
+	b, err := wal.ExpectFrame(r, d.pageCap)
 	if err != nil {
 		return nil, fmt.Errorf("page %d: %w", no, err)
 	}
-	if gotNo := binary.LittleEndian.Uint64(prefix[:]); gotNo != no || len(b) != d.pageBytes {
-		return nil, fmt.Errorf("%w: page %d record mismatch (no=%d len=%d)", errCorrupt, no, gotNo, len(b))
+	if gotNo := binary.LittleEndian.Uint64(prefix[:]); gotNo != no {
+		return nil, fmt.Errorf("%w: page %d record holds page %d", errCorrupt, no, gotNo)
 	}
 	return b, nil
-}
-
-// row decodes row, the slot of the iterator's position.
-func (it *Iterator) row(row []byte) (wal.SnapTuple, error) {
-	d := it.d
-	id := relation.TupleID(binary.LittleEndian.Uint64(row[1:]))
-	if id <= 0 || row[0] > 1 {
-		return wal.SnapTuple{}, fmt.Errorf("%w: position %d holds id %d, weight flag %d", errCorrupt, it.pos, id, row[0])
-	}
-	t := wal.SnapTuple{ID: id, Vals: make([]relation.Value, d.arity), IDs: make([]relation.ValueID, d.arity)}
-	p := 9
-	for a := 0; a < d.arity; a++ {
-		vid := binary.LittleEndian.Uint32(row[p:])
-		p += 4
-		if vid == 0 {
-			t.Vals[a] = relation.NullValue
-			continue
-		}
-		if int(vid) > len(it.strs) {
-			return wal.SnapTuple{}, fmt.Errorf("%w: position %d references value id %d beyond dictionary (%d entries)", errCorrupt, it.pos, vid, len(it.strs))
-		}
-		t.Vals[a], t.IDs[a] = relation.Value{Str: it.strs[vid-1]}, relation.ValueID(vid)
-	}
-	if row[0] == 1 {
-		t.W = make([]float64, d.arity)
-		for a := 0; a < d.arity; a++ {
-			t.W[a] = math.Float64frombits(binary.LittleEndian.Uint64(row[p:]))
-			p += 8
-		}
-	}
-	return t, nil
 }
 
 // Close releases nothing: the iterator holds no handle of its own (the

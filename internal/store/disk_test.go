@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"cfdclean/internal/relation"
@@ -525,27 +528,31 @@ func TestOpenRefusesOversizedDictEntry(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesRowWidth: a row's width follows from the arity, and the
-// iterator slices rows by the manifest's width; a manifest whose width
-// disagrees is corrupt.
-func TestOpenRefusesRowWidth(t *testing.T) {
-	dir := committedStore(t)
-	path := filepath.Join(dir, manifestName(0))
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	geom, table, dictLen, rows, err := decodeManifest(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	geom.rowWidth = 1
-	geom.pageBytes = int(geom.rowsPerPage)
-	if err := os.WriteFile(path, encodeManifest(geom, table, dictLen, rows), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, 0, 3); !errors.Is(err, errCorrupt) {
-		t.Fatalf("open with row width 1 at arity 3: %v, want errCorrupt", err)
+// TestOpenRefusesGeometry: rows per page and the page cap follow from
+// the arity and the manifest's page size, and the iterator addresses rows
+// by them; a page size no Options could have set, or a relation of
+// another arity, is corrupt.
+func TestOpenRefusesGeometry(t *testing.T) {
+	for _, c := range []struct {
+		pageSize, arity int
+	}{{MinPageSize - 1, 3}, {MaxPageSize + 1, 3}, {DefaultPageSize, 4}} {
+		dir := committedStore(t)
+		path := filepath.Join(dir, manifestName(0))
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		geom, table, dictLen, rows, err := decodeManifest(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		geom.pageSize = c.pageSize
+		if err := os.WriteFile(path, encodeManifest(geom, table, dictLen, rows), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, 0, c.arity); !errors.Is(err, errCorrupt) {
+			t.Fatalf("open with page size %d at arity %d: %v, want errCorrupt", c.pageSize, c.arity, err)
+		}
 	}
 }
 
@@ -630,7 +637,7 @@ func TestFlushOfOneDirtyPageWritesOnePage(t *testing.T) {
 		if _, err := r.Seek(8, io.SeekCurrent); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := wal.ExpectFrame(r, d.pageBytes); err != nil {
+		if _, err := wal.ExpectFrame(r, d.pageCap); err != nil {
 			t.Fatalf("record %d: %v", records, err)
 		}
 		records++
@@ -641,27 +648,103 @@ func TestFlushOfOneDirtyPageWritesOnePage(t *testing.T) {
 	reopen(t, dir, 1, rel)
 }
 
-// TestOpenRefusesVersion1: store files of the format that filed rows by
-// tuple id beside an order file are refused as corrupt, not misread.
+// TestOpenRefusesVersion1: store files of the formats before this one
+// are refused as corrupt, not misread, with an error naming the version:
+// version 1 filed rows by tuple id beside an order file, version 2 wrote
+// fixed-width rows.
 func TestOpenRefusesVersion1(t *testing.T) {
-	dir := committedStore(t)
-	path := filepath.Join(dir, manifestName(0))
-	b, err := os.ReadFile(path)
+	for _, ver := range []byte{1, 2} {
+		dir := committedStore(t)
+		path := filepath.Join(dir, manifestName(0))
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(manifestMagic)] = ver
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open(dir, 0, 3)
+		if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", ver)) {
+			t.Fatalf("open of a version-%d manifest: %v, want wal.ErrCorrupt naming the version", ver, err)
+		}
+	}
+}
+
+// TestPageBytes pins a page image's bytes: an unweighted arity-3 row whose
+// ids take a byte each is 1 + 3 + 1 bytes — the tuple-id delta, the
+// cells, the weight flag — and a weighted one 24 bytes more, a null's
+// cell is 0, and the page's first row's delta is from 0.
+func TestPageBytes(t *testing.T) {
+	dir := t.TempDir()
+	rel := testRelation(t)
+	d, err := Create(dir, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(manifestMagic)] = 1
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	defer d.Close()
+	d.Attach(rel)
+	rel.MustInsert(relation.NewTuple(0, "x", "y", "z"))
+	weighted := &relation.Tuple{Vals: []relation.Value{relation.S("x"), relation.NullValue, relation.S("w")}}
+	weighted.SetWeight(1, 0.25)
+	rel.MustInsert(weighted)
+	flushCommit(t, d, rel, 0)
+
+	want := []byte{2, 1, 2, 3, 0, 2, 1, 0, 4, 1}
+	for _, w := range []float64{1, 0.25, 1} {
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(w))
+	}
+	b, err := os.ReadFile(filepath.Join(dir, pagesName(0)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 0, 3); !errors.Is(err, wal.ErrCorrupt) {
-		t.Fatalf("open of a version-1 manifest: %v, want wal.ErrCorrupt", err)
+	r := bytes.NewReader(b)
+	if err := wal.CheckHeader(r, pageMagic, storeVersion); err != nil {
+		t.Fatal(err)
 	}
+	var no [8]byte
+	if _, err := io.ReadFull(r, no[:]); err != nil || binary.LittleEndian.Uint64(no[:]) != 0 {
+		t.Fatalf("the first record is page %x: %v", no, err)
+	}
+	page, err := wal.ExpectFrame(r, d.pageCap)
+	if err != nil || r.Len() != 0 {
+		t.Fatalf("page record: %v, %d bytes behind it", err, r.Len())
+	}
+	if len(want) != 5+29 || !bytes.Equal(page, want) {
+		t.Fatalf("page image\n%x, want\n%x", page, want)
+	}
+}
+
+// A delete moves the last row into the freed position and shortens the
+// last page without writing a position on it; the flush rewrites that
+// page too, since an image holds exactly its rows below the row count.
+func TestDeleteRewritesTheShortenedLastPage(t *testing.T) {
+	dir := t.TempDir()
+	rel := testRelation(t)
+	d, err := Create(dir, 3, Options{PageSize: MinPageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Attach(rel)
+	for i := 0; i < int(d.rowsPerPage)+5; i++ {
+		if _, err := rel.InsertRow("a", "b", strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushCommit(t, d, rel, 0)
+	rel.Delete(1)
+	flushCommit(t, d, rel, 1)
+	if loc := d.table[1]; loc.gen != 1 {
+		t.Fatalf("the shortened last page lives in generation %d", loc.gen)
+	}
+	reopen(t, dir, 1, rel)
 }
 
 // BenchmarkFlushOneDirtyPage times one Set and the flush that commits its
 // page, at three relation sizes: a flush's cost follows its dirty pages,
-// not the relation.
+// not the relation. B/row is the pages file that flush writes over the
+// rows its page holds.
 func BenchmarkFlushOneDirtyPage(b *testing.B) {
 	for _, n := range []int{10000, 100000, 400000} {
 		b.Run(strconv.Itoa(n/1000)+"k", func(b *testing.B) {
@@ -688,6 +771,10 @@ func BenchmarkFlushOneDirtyPage(b *testing.B) {
 				if err := d.BeginFlush(rel.Pin()).Commit(uint64(i + 1)); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.StopTimer()
+			if st, err := os.Stat(filepath.Join(d.dir, pagesName(uint64(b.N)))); err == nil {
+				b.ReportMetric(float64(st.Size())/float64(d.rowsPerPage), "B/row")
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"maps"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -28,10 +27,8 @@ import (
 // manifest with this build's store version and with each version of the
 // wal package's refusal table (compat_test.go).
 func FuzzDecodeManifest(f *testing.F) {
-	arity := 3
-	width := rowWidth(arity)
-	seed := encodeManifest(manifestGeom{arity, width, 64, 64 * width},
-		map[uint64]pageLoc{0: {0, 8}, 1: {1, 8}, 7: {1, 8 + 8 + 64*int64(width)}}, 12, 300)
+	seed := encodeManifest(manifestGeom{3, DefaultPageSize},
+		map[uint64]pageLoc{0: {0, 8}, 1: {1, 8}, 7: {1, 8 + 8 + 8 + 500}}, 12, 300)
 	if _, _, _, _, err := decodeManifest(seed); err != nil {
 		f.Fatal(err)
 	}
@@ -142,13 +139,17 @@ func FuzzOpenDict(f *testing.F) {
 
 // FuzzStoreSource holds the page reader — what recovery streams a
 // relation back through — to its contract. The seed store holds nulls,
-// weights and a delete; the fuzzer rewrites its newest pages file and the
-// row count of its newest manifest. With raw set the bytes are the whole
-// pages file (the seeds: a torn record, a version-1 header); otherwise they overwrite the start of the newest page image,
-// which the test frames with a valid checksum so the rows reach the
-// decoder. Open and Source then end in rows or in an error that wraps
-// corrupt, and never panic or yield an id ≤ 0, a value that is not in
-// the dictionary, or one under another id than the dictionary's.
+// weights, a delete that shortened its last page and a Set; the fuzzer
+// rewrites its newest pages file and the row count of its newest
+// manifest. With raw set the bytes are the whole pages file (the seeds: a
+// torn record, a version-2 header); otherwise they are page 0's image,
+// which the test frames with a valid checksum behind the file's records
+// and points the page table at, so the rows reach the decoder. Open and
+// Source then end in rows or in an error that wraps corrupt, and never
+// panic or yield an id of 0, a value that is not in the dictionary, or
+// one under another id than the dictionary's. A page has one form: when
+// every row streams, each page image re-encodes from its rows byte for
+// byte.
 func FuzzStoreSource(f *testing.F) {
 	dir := f.TempDir()
 	rel := testRelation(f)
@@ -177,6 +178,7 @@ func FuzzStoreSource(f *testing.F) {
 	if err := d.BeginFlush(rel.Pin()).Commit(1); err != nil {
 		f.Fatal(err)
 	}
+	rpp, pageCap := int(d.rowsPerPage), d.pageCap
 	d.Close()
 	files := map[string][]byte{}
 	for _, name := range []string{dictName, pagesName(0), pagesName(1), manifestName(0), manifestName(1)} {
@@ -188,44 +190,52 @@ func FuzzStoreSource(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// The newest pages file holds the pages the delete and the Set wrote;
-	// the page at the smallest offset is the one the fuzzer overwrites.
-	var no uint64
-	var off int64 = math.MaxInt64
-	for n, loc := range table {
-		if loc.gen == 1 && loc.off < off {
-			no, off = n, loc.off
-		}
-	}
+	// The delete and the Set wrote page 0 into the newest pages file.
 	newest := files[pagesName(1)]
-	image := newest[off+8+8:][:geom.pageBytes]
-	f.Add(uint16(rows), false, image[:3*geom.rowWidth])
-	f.Add(uint16(rows+1), false, []byte{})
-	f.Add(uint16(geom.rowsPerPage+1), false, []byte{})
-	f.Add(uint16(rows), false, []byte{2})                                     // weight flag 2
-	f.Add(uint16(rows), false, make([]byte, geom.rowWidth))                   // id 0
-	f.Add(uint16(rows), false, []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}) // value id past the dictionary
+	if table[0].gen != 1 {
+		f.Fatalf("page 0 lives in generation %d", table[0].gen)
+	}
+	image, err := wal.ReadFrame(bytes.NewReader(newest[table[0].off+8:]), pageCap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint16(rows), false, image)
+	f.Add(uint16(rows+1), false, image)              // the last page holds a row too few
+	f.Add(uint16(rpp+1), false, image)               // and here one too many: bytes after its last row
+	f.Add(uint16(rows), false, image[:len(image)-2]) // page 0 cut mid-row
+	// One-row pages: id 1, cells 1 2 3, no weights — then changes of
+	// it, each refused but id −1, which the image's reader accepts too.
+	row := []byte{2, 1, 2, 3, 0}
+	f.Add(uint16(1), false, row)
+	f.Add(uint16(1), false, []byte{0x82, 0, 1, 2, 3, 0})          // an overlong tuple-id delta
+	f.Add(uint16(1), false, []byte{2, 1, 2, 3, 2})                // weight flag 2
+	f.Add(uint16(1), false, []byte{0, 1, 2, 3, 0})                // an id delta that reaches 0
+	f.Add(uint16(1), false, []byte{1, 1, 2, 3, 0})                // and one below it: id −1
+	f.Add(uint16(1), false, []byte{2, 1, 0xff, 0xff, 0x03, 3, 0}) // a cell past dict.log
+	f.Add(uint16(1), false, append(slices.Clone(row), 0))         // a byte after the page's last row
+	f.Add(uint16(1), false, make([]byte, pageCap+1))              // a record past the page cap
 	// Whole files stay short: the fuzzer minimizes what it finds by
 	// re-running the target byte by byte.
 	hdr := len(pageMagic) + 1
 	f.Add(uint16(rows), true, newest[:hdr+8+8+64])
-	f.Add(uint16(rows), true, wal.AppendHeader(nil, pageMagic, 1))
+	f.Add(uint16(rows), true, wal.AppendHeader(nil, pageMagic, 2))
 
 	f.Fuzz(func(t *testing.T, n uint16, raw bool, b []byte) {
 		dir := t.TempDir()
+		pages := map[uint64][]byte{0: files[pagesName(0)], 1: newest}
+		tbl := maps.Clone(table)
+		if raw {
+			pages[1] = b
+		} else {
+			tbl[0] = pageLoc{gen: 1, off: int64(len(newest))}
+			pages[1] = wal.AppendFrame(binary.LittleEndian.AppendUint64(slices.Clone(newest), 0), b)
+		}
 		for name, data := range files {
 			switch name {
 			case manifestName(1):
-				data = encodeManifest(geom, table, dictLen, int(n))
+				data = encodeManifest(geom, tbl, dictLen, int(n))
 			case pagesName(1):
-				if raw {
-					data = b
-					break
-				}
-				page := slices.Clone(image)
-				copy(page, b)
-				data = slices.Clone(newest)
-				copy(data[off:], wal.AppendFrame(binary.LittleEndian.AppendUint64(nil, no), page))
+				data = pages[1]
 			}
 			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				t.Fatal(err)
@@ -252,25 +262,42 @@ func FuzzStoreSource(f *testing.F) {
 			corrupt(err)
 			return
 		}
-		for got := 0; ; got++ {
+		var got []wal.SnapTuple
+		for {
 			st, ok, err := it.Next()
 			if err != nil {
 				corrupt(err)
 				return
 			}
 			if !ok {
-				if got != int(n) {
-					t.Fatalf("streamed %d rows of %d", got, n)
-				}
-				return
+				break
 			}
-			if st.ID <= 0 {
-				t.Fatalf("row %d has id %d", got, st.ID)
+			if st.ID == 0 {
+				t.Fatalf("row %d has id 0", len(got))
 			}
 			for a, v := range st.Vals {
 				if id := dict.LookupValue(v); id == relation.InvalidID || id != st.IDs[a] {
-					t.Fatalf("row %d holds %q under id %d, which the dictionary gives id %d", got, v.Str, st.IDs[a], id)
+					t.Fatalf("row %d holds %q under id %d, which the dictionary gives id %d", len(got), v.Str, st.IDs[a], id)
 				}
+			}
+			got = append(got, st)
+		}
+		if len(got) != int(n) {
+			t.Fatalf("streamed %d rows of %d", len(got), n)
+		}
+		for lo := 0; lo < len(got); lo += rpp {
+			loc := tbl[uint64(lo/rpp)]
+			image, err := wal.ReadFrame(bytes.NewReader(pages[loc.gen][loc.off+8:]), pageCap)
+			if err != nil {
+				t.Fatalf("page %d streamed, but its record: %v", lo/rpp, err)
+			}
+			var enc []byte
+			var prev relation.TupleID
+			for _, st := range got[lo:min(lo+rpp, len(got))] {
+				enc, prev = wal.AppendRow(enc, prev, &st, nil), st.ID
+			}
+			if !bytes.Equal(enc, image) {
+				t.Fatalf("page %d's rows re-encode to other bytes:\n%x\n%x", lo/rpp, enc, image)
 			}
 		}
 	})

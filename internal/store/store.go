@@ -1,7 +1,7 @@
 // Package store is the page store a durable session's snapshots are
-// written through: fixed-width interned rows in generation-numbered page
-// files and a persistent intern dictionary keyed by the relation Dict's
-// dense ValueIDs. It subscribes to the relation's mutation journal only
+// written through: the relation's rows, in the snapshot image's row form
+// over the relation Dict's dense ValueIDs, in generation-numbered page
+// files, and a persistent intern dictionary of those ids. It subscribes to the relation's mutation journal only
 // to learn which pages a mutation touched; it keeps no copy of a row in
 // memory.
 //
@@ -17,9 +17,9 @@
 // for the wiring.
 package store
 
-// Page size bounds. A page holds rowsPerPage = PageSize/rowWidth rows;
-// wide schemas whose single row exceeds PageSize degrade to one row per
-// page rather than failing.
+// Page size bounds. A page holds as many rows as PageSize has room for
+// at their longest (see disk.go); wide schemas whose longest row exceeds
+// PageSize degrade to one row per page rather than failing.
 const (
 	MinPageSize     = 4 << 10
 	MaxPageSize     = 64 << 10

@@ -39,31 +39,34 @@
 //
 //	wal-<gen>.log       "CFDWAL"  4  record*  (Batch payloads)
 //	snap-<gen>.snap     "CFDSNAP" 4  header-record chunk-record*
-//	pages-<gen>.dat     "CFDPAGE" 2  (pageNo(u64 LE) record)*
-//	manifest-<gen>.mft  "CFDSTOR" 2  record
-//	dict.log            "CFDDICT" 2  (length(uvarint) bytes)*, unframed
+//	pages-<gen>.dat     "CFDPAGE" 3  (pageNo(u64 LE) record)*
+//	manifest-<gen>.mft  "CFDSTOR" 3  record
+//	dict.log            "CFDDICT" 3  (length(uvarint) bytes)*, unframed
 //
 // <gen> is ten decimal digits (GenName). A snapshot file streams a
 // header record (everything through the tuple count) followed by bounded
 // tuple-chunk records, so snapshots of any size are written and read
 // without a relation-sized allocation; Batch and Snapshot (snapshot.go)
-// define those payloads, internal/store the page and manifest payloads.
-// A chunk record carries the constants its rows use for the first time
-// in the image, then its rows, whose cells are ids into every constant
-// written so far:
+// define those payloads, internal/store the manifest payload.
 //
+// Both images of a relation, a snapshot's chunk records and the page
+// store's page records, hold rows in one form (AppendRow, DecodeRow):
+//
+//	row    = iddelta(varint) cell*arity wflag(u8) weight*
 //	chunk  = nrows(uvarint) nstrs(uvarint) string* row*
 //	string = len(uvarint) byte*   (image entry k is the k-th string)
-//	row    = iddelta(varint) cell*arity wflag(u8) weight*
-//	cell   = 0 (null) | k+1 (image entry k), uvarint
+//	page   = row*                 (its positions below the row count)
 //
-// iddelta is the row's tuple id minus the previous row's (0 before the
-// first row), zig-zag encoded; weight is float64 bits (u64 LE), arity of
-// them iff wflag is 1. The form is canonical and the reader refuses any
-// other: every chunk but the last holds 4 096 rows, no string appears
-// twice, every string is first used by a row of its own chunk and
-// numbered in first-use order, no tuple id is 0, and no varint is longer
-// than it must be.
+// iddelta is the tuple id minus the previous row's in the image (in the
+// page), zig-zag encoded, 0 before the first; weight is float64 bits
+// (u64 LE), arity of them iff wflag is 1. A cell is a uvarint, 0 for
+// null: in a chunk, k+1 names image entry k, a string of this chunk or an
+// earlier one; in a page, i+1 names dict.log entry i, the relation Dict's
+// value id i+1. Each form is canonical and its reader refuses any other:
+// no tuple id is 0, no varint is longer than it must be, every chunk but
+// the last holds 4 096 rows, no string appears twice, every string is
+// first used by a row of its own chunk and numbered in first-use order,
+// and a page holds its rows and no byte behind them.
 // Replication (internal/cluster/ship) adds no snapshot layout: a shipped
 // snapshot is the snap stream above, magic and version included, and a
 // shipped frame carries one batch:
@@ -107,6 +110,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"cfdclean/internal/relation"
 )
 
 // ErrCorrupt reports structural damage: a bad magic or version, a torn
@@ -257,6 +262,72 @@ func CheckHeader(r io.Reader, magic string, version byte) error {
 		return fmt.Errorf("%w: %s format version %d, this build reads and writes only version %d", ErrCorrupt, magic, ver, version)
 	}
 	return nil
+}
+
+// AppendRow appends t as a row behind the row whose tuple id was prev:
+// the zig-zag delta of its tuple id, a uvarint cell per value id in
+// t.IDs, the weight flag and the weights. The cell of id v is cells[v],
+// or v itself when cells is nil; either way NullID's is 0.
+func AppendRow(out []byte, prev relation.TupleID, t *SnapTuple, cells []uint32) []byte {
+	out = binary.AppendVarint(out, int64(t.ID-prev))
+	for _, v := range t.IDs {
+		c := uint32(v)
+		if cells != nil {
+			c = cells[v]
+		}
+		out = binary.AppendUvarint(out, uint64(c))
+	}
+	if t.W == nil {
+		return append(out, 0)
+	}
+	out = append(out, 1)
+	for _, w := range t.W {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(w))
+	}
+	return out
+}
+
+// rowLen is len(AppendRow(nil, prev, t, cells)), computed without
+// encoding.
+func rowLen(prev relation.TupleID, t *SnapTuple, cells []uint32) int {
+	d := uint64(t.ID-prev) << 1 // the zig-zag form AppendVarint writes
+	if t.ID-prev < 0 {
+		d = ^d
+	}
+	n := relation.UvarintLen(d) + 1 + 8*len(t.W)
+	for _, v := range t.IDs {
+		c := uint32(v)
+		if cells != nil {
+			c = cells[v]
+		}
+		n += relation.UvarintLen(uint64(c))
+	}
+	return n
+}
+
+// DecodeRow reads the row AppendRow wrote behind the row whose tuple id
+// was prev. The row's IDs are its cells as written, NullID for null, and
+// its Vals are allocated but not filled: what a cell names is the
+// caller's to check and resolve. A tuple id of 0 and a cell no value id
+// can hold are refused here.
+func DecodeRow(d *relation.Decoder, arity int, prev relation.TupleID) SnapTuple {
+	t := SnapTuple{ID: prev + relation.TupleID(d.Varint("tuple id"))}
+	if t.ID == 0 && d.Err() == nil {
+		d.Failf("tuple id 0")
+	}
+	if arity > 0 {
+		t.IDs = make([]relation.ValueID, arity)
+		t.Vals = make([]relation.Value, arity)
+	}
+	for a := 0; a < arity && d.Err() == nil; a++ {
+		c := d.Uvarint("cell")
+		if c > math.MaxUint32 {
+			d.Failf("cell %d past every value id", c)
+		}
+		t.IDs[a] = relation.ValueID(c)
+	}
+	t.W = d.Weights(arity)
+	return t
 }
 
 // WriteFileSynced creates (or truncates) path, fills it through a

@@ -225,40 +225,6 @@ func (m *imageIDs) appendFresh(out []byte, arity int, t *SnapTuple, next *uint32
 	return out
 }
 
-// appendSnapRow renders one numbered row behind the row whose tuple id
-// was prev: the zig-zag delta of its tuple id, one uvarint per cell (0
-// for null, 1 + its image entry for a constant), the weight flag and the
-// weights.
-func (m *imageIDs) appendSnapRow(out []byte, arity int, prev relation.TupleID, t *SnapTuple) []byte {
-	out = binary.AppendVarint(out, int64(t.ID-prev))
-	for a := 0; a < arity; a++ {
-		out = binary.AppendUvarint(out, uint64(m.img[t.IDs[a]]))
-	}
-	if t.W != nil {
-		out = append(out, 1)
-		for _, w := range t.W {
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(w))
-		}
-	} else {
-		out = append(out, 0)
-	}
-	return out
-}
-
-// snapRowLen is len(m.appendSnapRow(nil, arity, prev, t)), computed
-// without encoding.
-func (m *imageIDs) snapRowLen(arity int, prev relation.TupleID, t *SnapTuple) int {
-	d := uint64(t.ID-prev) << 1 // the zig-zag form AppendVarint writes
-	if t.ID-prev < 0 {
-		d = ^d
-	}
-	n := relation.UvarintLen(d) + 1 + 8*len(t.W)
-	for a := 0; a < arity; a++ {
-		n += relation.UvarintLen(uint64(m.img[t.IDs[a]]))
-	}
-	return n
-}
-
 // decodeSnapshotPrefix parses the snapshot header fields (through the
 // tuple count) from d.
 func decodeSnapshotPrefix(d *relation.Decoder) (*Snapshot, uint64) {
@@ -343,7 +309,7 @@ func WriteSnapshotRows(w io.Writer, s *Snapshot, n, idLimit int, row func(i int)
 		for i := start; i < end; i++ {
 			t := row(i)
 			strBytes += m.number(arity, &t)
-			rowBytes += m.snapRowLen(arity, p, &t)
+			rowBytes += rowLen(p, &t, m.img)
 			p = t.ID
 		}
 		fresh := uint64(m.entries + 1 - first)
@@ -359,7 +325,7 @@ func WriteSnapshotRows(w io.Writer, s *Snapshot, n, idLimit int, row func(i int)
 		for i, next := start, first; i < end; i++ {
 			t := row(i)
 			strs = m.appendFresh(strs, arity, &t, &next)
-			rows = m.appendSnapRow(rows, arity, prev, &t)
+			rows = AppendRow(rows, prev, &t, m.img)
 			prev = t.ID
 		}
 		if len(strs) != strBytes || len(rows) != rowBytes {
@@ -497,24 +463,18 @@ func (sr *SnapshotReader) Next() (SnapTuple, bool, error) {
 	return t, true, nil
 }
 
-// row decodes the next row of the current chunk.
+// row decodes the next row of the current chunk. Each cell must name an
+// image entry read so far, and the first cell naming an entry no row has
+// used must name the next one in first-use order.
 func (sr *SnapshotReader) row() SnapTuple {
 	d := sr.d
-	t := SnapTuple{ID: sr.prev + relation.TupleID(d.Varint("tuple id"))}
-	if t.ID == 0 && d.Err() == nil {
-		d.Failf("tuple id 0")
-	}
+	t := DecodeRow(d, sr.arity, sr.prev)
 	sr.prev = t.ID
-	if sr.arity > 0 {
-		t.IDs = make([]relation.ValueID, sr.arity)
-		t.Vals = make([]relation.Value, sr.arity)
-	}
-	for a := 0; a < sr.arity && d.Err() == nil; a++ {
-		c := d.Uvarint("cell")
-		if c == 0 {
+	for _, c := range t.IDs {
+		if c == relation.NullID || d.Err() != nil {
 			continue
 		}
-		switch k := c - 1; {
+		switch k := uint64(c) - 1; {
 		case k >= sr.entries:
 			d.Failf("cell names image entry %d, past the %d read so far", k, sr.entries)
 		case k == sr.used:
@@ -522,9 +482,7 @@ func (sr *SnapshotReader) row() SnapTuple {
 		case k > sr.used:
 			d.Failf("cell names image entry %d before entry %d is first used", k, sr.used)
 		}
-		t.IDs[a] = relation.ValueID(c)
 	}
-	t.W = d.Weights(sr.arity)
 	if d.Err() == nil {
 		sr.dict.Fill(t.Vals, t.IDs)
 	}

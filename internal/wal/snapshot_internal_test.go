@@ -9,20 +9,28 @@ import (
 	"cfdclean/internal/relation"
 )
 
-// TestSnapTupleLen: the writer sizes each chunk buffer by snapRowLen
-// before it encodes the chunk, so the length must be the encoding's —
-// tuple-id deltas of every varint width and sign, nulls, cells whose
-// image entries take one to five bytes, weights on and off.
+// TestSnapTupleLen: the writer sizes each chunk buffer by rowLen before
+// it encodes the chunk, so the length must be AppendRow's — tuple-id
+// deltas of every varint width and sign, nulls, cells of one to five
+// bytes, whether an image's entries (cells) or the ids themselves (nil),
+// weights on and off.
 func TestSnapTupleLen(t *testing.T) {
-	m := &imageIDs{img: []uint32{0, 1, 127, 128, 1<<14 - 1, 1 << 14, math.MaxUint32}}
-	ids := []relation.ValueID{0, 1, 2, 3, 4, 5, 6}
-	vals := make([]relation.Value, len(ids))
-	for _, prev := range []relation.TupleID{0, 5, -7, math.MaxInt64, math.MinInt64} {
-		for _, id := range []relation.TupleID{1, -1, 63, 64, -65, 1 << 20, math.MaxInt64, math.MinInt64} {
-			for _, w := range [][]float64{nil, make([]float64, len(ids))} {
-				st := SnapTuple{ID: id, Vals: vals, W: w, IDs: ids}
-				if got, want := m.snapRowLen(len(ids), prev, &st), len(m.appendSnapRow(nil, len(ids), prev, &st)); got != want {
-					t.Errorf("id %d after %d, weights %v: snapRowLen %d, encoding %d bytes", id, prev, w != nil, got, want)
+	img := []uint32{0, 1, 127, 128, 1<<14 - 1, 1 << 14, math.MaxUint32}
+	for _, c := range []struct {
+		cells []uint32
+		ids   []relation.ValueID
+	}{
+		{img, []relation.ValueID{0, 1, 2, 3, 4, 5, 6}},
+		{nil, []relation.ValueID{0, 1, 127, 128, 1 << 14, 1 << 28, math.MaxUint32}},
+	} {
+		vals := make([]relation.Value, len(c.ids))
+		for _, prev := range []relation.TupleID{0, 5, -7, math.MaxInt64, math.MinInt64} {
+			for _, id := range []relation.TupleID{1, -1, 63, 64, -65, 1 << 20, math.MaxInt64, math.MinInt64} {
+				for _, w := range [][]float64{nil, make([]float64, len(c.ids))} {
+					st := SnapTuple{ID: id, Vals: vals, W: w, IDs: c.ids}
+					if got, want := rowLen(prev, &st, c.cells), len(AppendRow(nil, prev, &st, c.cells)); got != want {
+						t.Errorf("id %d after %d, image %v, weights %v: rowLen %d, encoding %d bytes", id, prev, c.cells != nil, w != nil, got, want)
+					}
 				}
 			}
 		}
