@@ -150,8 +150,10 @@
 //
 //	          read plane (off the pipeline entirely): GET /dump and
 //	          GET /violations pin a ReadView from a small per-session
-//	          version-keyed cache and stream from its cursors — chunked
-//	          CSV with a completion trailer, opaque (version, offset)
+//	          version-keyed cache and stream from it — chunked CSV with
+//	          a completion trailer, each 1 024-row page written from the
+//	          relation's CSV page cache unless a write has touched it
+//	          since it was last encoded, opaque (version, offset)
 //	          pagination cursors (410 Gone once the pinned version ages
 //	          out), X-Session-Version on every response; SSE reconnects
 //	          replay the journal tail from Last-Event-ID; the committer

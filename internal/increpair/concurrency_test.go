@@ -3,11 +3,14 @@ package increpair
 import (
 	"io"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"cfdclean/internal/cfd"
+	"cfdclean/internal/gen"
 	"cfdclean/internal/relation"
 )
 
@@ -299,12 +302,15 @@ func TestSessionDumpMatchesWriteCSV(t *testing.T) {
 	}
 }
 
-// TestWriteCSVAllocs: a read-out allocates its cursor and a few headers (the
-// block comes from a pool) — the same handful at 1 000 rows and at 20 000.
-// Twenty runs each: the race detector makes the pool drop a quarter of what
-// it is given, and AllocsPerRun truncates the average.
+// TestWriteCSVAllocs: a read-out allocates a few headers (the block comes
+// from a pool, and a pinned view's unchanged pages from the relation's
+// page cache) — the same handful at 1 000 rows and at 20 000. A dump taken
+// after one row of the first page changed encodes that page alone, and
+// allocates alike at both sizes too. Twenty runs each: the race detector
+// makes the pool drop a quarter of what it is given, and AllocsPerRun
+// truncates the average.
 func TestWriteCSVAllocs(t *testing.T) {
-	allocs := func(rows int) (writeCSV, dump float64) {
+	allocs := func(rows int) (writeCSV, dump, changed float64) {
 		c := newGenChurn(t, rows, 7)
 		sess := c.open(t, rows, nil)
 		defer sess.Close()
@@ -319,13 +325,33 @@ func TestWriteCSVAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		return writeCSV, dump
+		// TT is in no rule of Σ, so the change leaves the session clean.
+		id := cur.Tuples()[0].ID
+		var ms runtime.MemStats
+		var n uint64
+		for i := range 20 {
+			if _, err := cur.Set(id, gen.ATT, relation.S(strconv.Itoa(i))); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			if err := sess.Dump(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			n += ms.Mallocs - before
+		}
+		return writeCSV, dump, float64(n / 20)
 	}
-	w1, d1 := allocs(1000)
-	w20, d20 := allocs(20000)
+	w1, d1, c1 := allocs(1000)
+	w20, d20, c20 := allocs(20000)
 	if w1 != w20 || d1 != d20 || w1 > 2 || d1 > 6 {
 		t.Errorf("allocations WriteCSV %v → %v, Session.Dump %v → %v at 1 000 → 20 000 rows; want equal and at most 2 and 6", w1, w20, d1, d20)
 	}
+	if c1 != c20 {
+		t.Errorf("a dump after one changed row allocates %v → %v at 1 000 → 20 000 rows; want equal", c1, c20)
+	}
+	t.Logf("allocations: WriteCSV %v, Session.Dump %v, Session.Dump after one changed row %v", w1, d1, c1)
 }
 
 // stringsBuilder avoids importing strings/bytes just for a writer.

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -476,8 +477,10 @@ func BenchmarkTupleResolveDirty(b *testing.B) {
 
 // BenchmarkWriteCSV is the read-out path on the benchmark's relation size:
 // 11 000 generated rows (a fifth of them with repaired or noisy cells) to
-// io.Discard, through relation.WriteCSV and through Session.Dump's pinned
-// view.
+// io.Discard, through relation.WriteCSV (which caches nothing), through
+// Session.Dump's pinned view of an unchanged session (every page from the
+// cache), and through Session.Dump after one row of the first page changed
+// (that page encoded, the other ten from the cache).
 func BenchmarkWriteCSV(b *testing.B) {
 	c := newGenChurn(b, 11000, 7)
 	sess, err := NewSession(c.ds.Dirty.Clone(), c.ds.Sigma, nil)
@@ -485,12 +488,21 @@ func BenchmarkWriteCSV(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer sess.Close()
+	cur := sess.Current()
+	first, tt := cur.Tuples()[0].ID, 0
 	for _, bc := range []struct {
 		name  string
 		write func() error
 	}{
 		{"WriteCSV", func() error { return relation.WriteCSV(c.ds.Dirty, io.Discard) }},
 		{"Session.Dump", func() error { return sess.Dump(io.Discard) }},
+		{"Session.Dump/one-dirty-page", func() error {
+			tt++ // TT is in no rule of Σ: the session stays clean
+			if _, err := cur.Set(first, gen.ATT, relation.S(strconv.Itoa(tt))); err != nil {
+				return err
+			}
+			return sess.Dump(io.Discard)
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

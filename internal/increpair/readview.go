@@ -70,8 +70,15 @@ func (v *ReadView) Schema() *relation.Schema { return v.rel.Schema() }
 func (v *ReadView) Rows() *relation.RowCursor { return v.rel.Rows() }
 
 // WriteCSV streams the view as CSV — byte-identical to Session.Dump at
-// the same version, with peak buffering of one page.
+// the same version — through the relation's CSV page cache
+// (relation.View.WriteCSV).
 func (v *ReadView) WriteCSV(w io.Writer) error { return v.rel.WriteCSV(w) }
+
+// WriteCSVPages is WriteCSV, and counts the pages it wrote from the cache
+// and those it encoded.
+func (v *ReadView) WriteCSVPages(w io.Writer) (cached, encoded int, err error) {
+	return v.rel.WriteCSVPages(w)
+}
 
 // TotalViolations returns vio(D) at the pinned version.
 func (v *ReadView) TotalViolations() int { return v.snap.Violations }

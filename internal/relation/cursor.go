@@ -99,17 +99,20 @@ func csvPlain(s string) bool {
 // A csvWriter is the one CSV row codec behind every read-out (WriteCSV,
 // View.WriteCSV and through them Session.Dump and the server's dump): it
 // appends rows straight into a byte block and writes each full block at
-// once. No encoded byte outlives its dump. The caller closes it after the
-// last row; the first write error is sticky and stops every later write.
+// once, or encodes a view page whole for the relation's page cache (page).
+// The caller closes it after the last row; the first write error is sticky
+// and stops every later write.
 type csvWriter struct {
 	w     io.Writer
 	plain []bool              // the dictionary's csvPlain flags, indexed by ValueID
 	blk   *[csvBlockSize]byte // buf's first backing array, csvBlocks' to have back
 	buf   []byte
+	hold  bool // page is encoding: a full block grows instead of going out
 	err   error
 }
 
-// csvBlocks recycles blocks — storage only, no byte is read across dumps.
+// csvBlocks recycles blocks — storage only, no byte is read across dumps
+// (what a later dump reuses is a page copied out of its block).
 // A served session is dumped some 200 times a second, and a fresh block
 // for each was +1.5 MB of peak RSS (EXPERIMENTS.md "PR 18").
 // csvReader takes its blocks from here too, under the same rule.
@@ -121,7 +124,7 @@ var csvBlocks = sync.Pool{New: func() any { return new([csvBlockSize]byte) }}
 func newCSVWriter(w io.Writer, s *Schema, d *Dict) *csvWriter {
 	blk := csvBlocks.Get().(*[csvBlockSize]byte)
 	e := &csvWriter{w: w, plain: d.plainFlags(), blk: blk, buf: blk[:0]}
-	e.record(s.Attrs())
+	e.record(s.attrs)
 	return e
 }
 
@@ -189,10 +192,29 @@ func (e *csvWriter) weights(t *Tuple) error {
 }
 
 // makeRoom flushes the block so that n more bytes fit; only a field larger
-// than the block grows it.
+// than the block grows it. A page held whole doubles the block instead, so
+// a page of 1 024 rows grows it at most a few times.
 func (e *csvWriter) makeRoom(n int) {
-	e.flush()
+	if e.hold {
+		n = max(n, cap(e.buf))
+	} else {
+		e.flush()
+	}
 	e.buf = slices.Grow(e.buf, n)
+}
+
+// page encodes rows into the empty block and returns a copy of their bytes
+// of exactly their size; the block is empty again after it, and nothing
+// has gone to the writer.
+func (e *csvWriter) page(rows []*Tuple) []byte {
+	e.hold = true
+	for _, t := range rows {
+		e.row(t)
+	}
+	e.hold = false
+	b := slices.Clone(e.buf)
+	e.buf = e.buf[:0]
+	return b
 }
 
 // field appends s, after a comma if asked, quoted unless csvPlain lets it go
@@ -227,17 +249,22 @@ func (e *csvWriter) field(s string, comma bool) {
 
 // flush hands the block to the writer and empties it.
 func (e *csvWriter) flush() error {
-	if e.err == nil && len(e.buf) > 0 {
-		n, err := e.w.Write(e.buf)
-		if err == nil && n < len(e.buf) {
+	e.send(e.buf)
+	e.buf = e.buf[:0]
+	return e.err
+}
+
+// send hands b to the writer in one Write, unless an earlier one failed.
+func (e *csvWriter) send(b []byte) {
+	if e.err == nil && len(b) > 0 {
+		n, err := e.w.Write(b)
+		if err == nil && n < len(b) {
 			err = io.ErrShortWrite
 		}
 		if err != nil {
 			e.err = fmt.Errorf("relation: writing CSV: %w", err)
 		}
 	}
-	e.buf = e.buf[:0]
-	return e.err
 }
 
 // close flushes the last block and gives it back; the codec is dead after
@@ -249,17 +276,85 @@ func (e *csvWriter) close() error {
 	return err
 }
 
+// csvPage is one entry of a relation's CSV page cache: the encoded rows of
+// a view page whose stamp was stamp. An entry is never changed after it is
+// stored; an entry of a stamp no older replaces it.
+type csvPage struct {
+	stamp uint64
+	b     []byte
+}
+
+// cachedPage returns the cached bytes of page p if they were encoded at
+// stamp, and nil otherwise (an empty entry holds nil).
+func (r *Relation) cachedPage(p int, stamp uint64) []byte {
+	r.csvMu.Lock()
+	defer r.csvMu.Unlock()
+	if p < len(r.csvPages) && r.csvPages[p].stamp == stamp {
+		return r.csvPages[p].b
+	}
+	return nil
+}
+
+// cachePage stores b as page p's bytes at stamp, unless the cache holds a
+// newer stamp of the page.
+func (r *Relation) cachePage(p int, stamp uint64, b []byte) {
+	r.csvMu.Lock()
+	defer r.csvMu.Unlock()
+	for p >= len(r.csvPages) {
+		r.csvPages = append(r.csvPages, csvPage{})
+	}
+	if r.csvPages[p].stamp <= stamp {
+		r.csvPages[p] = csvPage{stamp: stamp, b: b}
+	}
+}
+
+// dropCachedPages forgets the cached pages from page n on.
+func (r *Relation) dropCachedPages(n int) {
+	r.csvMu.Lock()
+	defer r.csvMu.Unlock()
+	if n < len(r.csvPages) {
+		clear(r.csvPages[n:])
+		r.csvPages = r.csvPages[:n]
+	}
+}
+
 // WriteCSV streams the pinned view as CSV with a header row —
-// byte-identical to relation.WriteCSV at the same version. Peak
-// buffering is one page of row pointers plus the codec's one block,
-// independent of the relation size.
+// byte-identical to relation.WriteCSV at the same version. A page goes out
+// in one Write: from the relation's page cache when the cached copy was
+// encoded at the page's stamp (no write has touched the page since), and
+// otherwise encoded into a slice of its exact size, which is then cached.
+// The cache keeps one entry a page and drops the pages past the view's
+// end, so it holds at most one CSV image of the relation; a dump's own
+// buffering is one page of row pointers and the codec's block.
 func (v *View) WriteCSV(w io.Writer) error {
-	enc := newCSVWriter(w, v.Schema(), v.rel.dict)
-	cur := v.Rows()
-	for t := cur.Next(); t != nil; t = cur.Next() {
-		if err := enc.row(t); err != nil {
-			return err
+	_, _, err := v.WriteCSVPages(w)
+	return err
+}
+
+// WriteCSVPages is WriteCSV, and counts the pages it wrote from the cache
+// and those it encoded.
+func (v *View) WriteCSVPages(w io.Writer) (cached, encoded int, err error) {
+	r := v.rel
+	enc := newCSVWriter(w, v.Schema(), r.dict)
+	enc.flush() // the header
+	var rows []*Tuple
+	for p, stamp := range v.gen.stamps {
+		b := r.cachedPage(p, stamp)
+		if b != nil {
+			cached++
+		} else {
+			if rows == nil {
+				rows = make([]*Tuple, viewPageSize)
+			}
+			b = enc.page(rows[:v.page(p, rows)])
+			r.cachePage(p, stamp, b)
+			encoded++
+		}
+		enc.send(b)
+		if enc.err != nil {
+			return cached, encoded, enc.err
 		}
 	}
-	return enc.close()
+	r.dropCachedPages(len(v.gen.stamps))
+	return cached, encoded, enc.close()
 }

@@ -105,10 +105,18 @@ func (r *Relation) Version() uint64 { return r.version }
 // indistinguishable from the original at the snapshot point, so replayed
 // WAL batches assign the same ids and land on the same Version cursor.
 // nextID only moves forward (an id below a live tuple's would corrupt
-// the relation); version is overwritten as given.
+// the relation); version is overwritten as given. A version moved back
+// would meet page stamps it already handed out, so then every page's
+// stamp starts over at 0 and the CSV page cache is emptied.
 func (r *Relation) RestoreJournalMarks(nextID TupleID, version uint64) {
 	if nextID > r.nextID {
 		r.nextID = nextID
+	}
+	if version < r.version {
+		clear(r.stamps)
+		r.csvMu.Lock()
+		r.csvPages = nil
+		r.csvMu.Unlock()
 	}
 	r.version = version
 }

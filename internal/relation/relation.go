@@ -50,6 +50,14 @@ type Relation struct {
 	viewMu     sync.RWMutex
 	gens       []*viewGen
 	activeGens atomic.Int32
+
+	// stamps[p] is the version of the last write into view page p; only
+	// the writer and Pin read it. csvPages caches each page's encoded CSV
+	// under the stamp it was encoded at (see View.WriteCSV); csvMu guards
+	// it, since concurrent dumps share it.
+	stamps   []uint64
+	csvMu    sync.Mutex
+	csvPages []csvPage
 }
 
 // New creates an empty relation instance of schema s.
@@ -314,6 +322,7 @@ func (r *Relation) Insert(t *Tuple) error {
 	}
 	t.probed = nil
 	r.version++
+	r.stamp(len(r.tuples) - 1)
 	if len(r.subs) > 0 {
 		r.notify(Delta{Kind: DeltaInsert, T: t, Pos: len(r.tuples) - 1})
 	}
@@ -359,6 +368,8 @@ func (r *Relation) Delete(id TupleID) bool {
 	}
 	r.clearPos(id)
 	r.version++
+	r.stamp(i)
+	r.stamp(len(r.tuples)) // the old last slot, now cut off
 	if len(r.subs) > 0 {
 		r.notify(Delta{Kind: DeltaDelete, T: t, Pos: i})
 	}
@@ -398,10 +409,20 @@ func (r *Relation) Set(id TupleID, a int, v Value) (Value, error) {
 		t.ids[a] = vid
 	}
 	r.version++
+	r.stamp(i)
 	if len(r.subs) > 0 {
 		r.notify(Delta{Kind: DeltaUpdate, T: t, Pos: i, Attr: a, Old: old, OldID: oldID})
 	}
 	return old, nil
+}
+
+// stamp records that slot i's page was written at the current version.
+func (r *Relation) stamp(i int) {
+	p := i / viewPageSize
+	for p >= len(r.stamps) {
+		r.stamps = append(r.stamps, 0)
+	}
+	r.stamps[p] = r.version
 }
 
 // ActiveDomain returns the sorted distinct non-null constants currently
@@ -447,7 +468,8 @@ func (r *Relation) DomainCount(a int, s string) int {
 // dictionary lookups: every tuple keeps the ids it has. The clone starts
 // a journal of its own, as if its tuples had just been inserted in order.
 // Every tuple keeps its position and every value its id, so the id table
-// and the domains' home table are copied as they are: one slice each.
+// and the domains' home table are copied as they are: one slice each. The
+// clone's CSV page cache starts empty.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{
 		schema:  r.schema,

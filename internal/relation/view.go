@@ -44,6 +44,7 @@ type viewGen struct {
 	arr     []*Tuple         // slice header frozen at pin time
 	n       int              // row count at pin time (== len(arr))
 	pages   map[int][]*Tuple // page index -> pre-image, saved before first dirty write
+	stamps  []uint64         // the relation's page stamps at pin time, one a page
 }
 
 // View is a consistent read-only snapshot of the relation at one journal
@@ -76,7 +77,9 @@ func (r *Relation) Pin() *View {
 			arr:     r.tuples[:len(r.tuples):len(r.tuples)],
 			n:       len(r.tuples),
 			pages:   make(map[int][]*Tuple),
+			stamps:  make([]uint64, (len(r.tuples)+viewPageSize-1)/viewPageSize),
 		}
+		copy(g.stamps, r.stamps)
 		r.gens = append(r.gens, g)
 		r.activeGens.Store(int32(len(r.gens)))
 	}

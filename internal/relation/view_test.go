@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -167,7 +168,11 @@ func TestViewFuzzAgainstBufferedDump(t *testing.T) {
 	// Randomized mutation sequences with views pinned at arbitrary
 	// points: every view must replay byte-identically to the buffered
 	// dump captured at its pin instant, regardless of what the writer
-	// does afterwards.
+	// does afterwards, each time it is dumped. After every step a fresh
+	// view must dump what the uncached WriteCSV writes: the page cache may
+	// serve a page only while no write has touched it. The schedule grows,
+	// shrinks below one page and regrows, runs stretches with no view
+	// pinned (the writer's lock-free path), and goes on in a clone.
 	rng := rand.New(rand.NewSource(7))
 	r := New(MustSchema("r", "A", "B"))
 	var live []TupleID
@@ -176,7 +181,7 @@ func TestViewFuzzAgainstBufferedDump(t *testing.T) {
 		r.MustInsert(tu)
 		live = append(live, tu.ID)
 	}
-	for i := 0; i < 2500; i++ {
+	for i := 0; i < 1500; i++ {
 		insert()
 	}
 	type pinned struct {
@@ -184,11 +189,32 @@ func TestViewFuzzAgainstBufferedDump(t *testing.T) {
 		want []byte
 	}
 	var pins []pinned
-	for step := 0; step < 4000; step++ {
+	releaseAll := func() {
+		for _, p := range pins {
+			p.v.Release()
+		}
+		pins = nil
+	}
+	var cached, encoded, lockFree int
+	for step := 0; step < 6000; step++ {
+		inserts, deletes := 4, 7 // out of 10: balanced
+		switch {
+		case step >= 1500 && step < 3000:
+			inserts, deletes = 1, 8 // shrink below one page
+		case step >= 4000:
+			inserts, deletes = 6, 8 // regrow
+		}
+		if step == 3500 {
+			releaseAll()
+			r = r.Clone() // ids and order kept; the cache starts empty
+		}
+		if len(pins) == 0 {
+			lockFree++
+		}
 		switch op := rng.Intn(10); {
-		case op < 4:
+		case op < inserts:
 			insert()
-		case op < 7 && len(live) > 0:
+		case op < deletes && len(live) > 0:
 			k := rng.Intn(len(live))
 			r.Delete(live[k])
 			live[k] = live[len(live)-1]
@@ -199,14 +225,30 @@ func TestViewFuzzAgainstBufferedDump(t *testing.T) {
 				t.Fatal(err)
 			}
 		default:
-			if len(pins) < 6 {
+			switch k := rng.Intn(len(pins) + 1); {
+			case len(pins) < 6 && rng.Intn(2) == 0:
 				pins = append(pins, pinned{v: r.Pin(), want: dumpLive(t, r)})
-			} else {
-				k := rng.Intn(len(pins))
+			case rng.Intn(4) == 0:
+				releaseAll()
+			case k < len(pins):
+				if got := dumpView(t, pins[k].v); !bytes.Equal(got, pins[k].want) {
+					t.Fatalf("step %d: pin at version %d drifted from its buffered dump", step, pins[k].v.Version())
+				}
 				pins[k].v.Release()
 				pins[k] = pins[len(pins)-1]
 				pins = pins[:len(pins)-1]
 			}
+		}
+		v := r.Pin()
+		var got bytes.Buffer
+		c, e, err := v.WriteCSVPages(&got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Release()
+		cached, encoded = cached+c, encoded+e
+		if !bytes.Equal(got.Bytes(), dumpLive(t, r)) {
+			t.Fatalf("step %d: a fresh view at version %d dumps other bytes than WriteCSV", step, r.Version())
 		}
 	}
 	for i, p := range pins {
@@ -217,6 +259,40 @@ func TestViewFuzzAgainstBufferedDump(t *testing.T) {
 	}
 	if n := r.ActiveViews(); n != 0 {
 		t.Fatalf("ActiveViews = %d at end, want 0", n)
+	}
+	t.Logf("%d pages from the cache, %d encoded, %d steps on the lock-free path", cached, encoded, lockFree)
+	if cached == 0 || lockFree < 500 {
+		t.Fatalf("%d cached pages and %d lock-free steps: the schedule no longer exercises the cache", cached, lockFree)
+	}
+}
+
+// TestViewCacheAfterRewoundVersion: RestoreJournalMarks may move the
+// version back; a write then lands on a version whose stamp a cached page
+// already carries, and the cache must not take the page for unchanged.
+func TestViewCacheAfterRewoundVersion(t *testing.T) {
+	r := New(MustSchema("r", "A"))
+	for i := 0; i < 10; i++ {
+		r.MustInsert(NewTuple(0, fmt.Sprintf("v%d", i)))
+	}
+	dump := func() {
+		v := r.Pin()
+		dumpView(t, v)
+		v.Release()
+	}
+	dump() // caches page 0 at stamp 10
+	r.RestoreJournalMarks(r.NextID(), 5)
+	// The same page again, before any write at the rewound version; then
+	// five writes stamp page 0 with 6, …, 10.
+	dump()
+	for i := 0; i < 5; i++ {
+		if _, err := r.Set(1, 0, S(fmt.Sprintf("w%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := r.Pin()
+	defer v.Release()
+	if got, want := dumpView(t, v), dumpLive(t, r); !bytes.Equal(got, want) {
+		t.Fatalf("dump after a rewound version:\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -275,20 +351,25 @@ func TestViewConcurrentReadersUnderWriter(t *testing.T) {
 		}
 	}()
 
+	// Each view is dumped twice: the readers share the relation's page
+	// cache, so pages come from it as well as from the encoder.
+	var cached atomic.Int64
 	for g := 0; g < 4; g++ {
 		readerWG.Add(1)
 		go func() {
 			defer readerWG.Done()
 			for rep := 0; rep < 8; rep++ {
 				v, want := pin()
-				got := make([]byte, 0, len(want))
-				var b bytes.Buffer
-				if err := v.WriteCSV(&b); err != nil {
-					t.Error(err)
-				}
-				got = append(got, b.Bytes()...)
-				if !bytes.Equal(got, want) {
-					t.Errorf("reader %d rep %d: streamed view != buffered dump at pin time", g, rep)
+				for range 2 {
+					var b bytes.Buffer
+					c, _, err := v.WriteCSVPages(&b)
+					if err != nil {
+						t.Error(err)
+					}
+					cached.Add(int64(c))
+					if !bytes.Equal(b.Bytes(), want) {
+						t.Errorf("reader %d rep %d: streamed view != buffered dump at pin time", g, rep)
+					}
 				}
 				v.Release()
 			}
@@ -299,5 +380,8 @@ func TestViewConcurrentReadersUnderWriter(t *testing.T) {
 	writerWG.Wait()
 	if n := r.ActiveViews(); n != 0 {
 		t.Fatalf("ActiveViews = %d at end, want 0", n)
+	}
+	if cached.Load() == 0 {
+		t.Fatal("no dump took a page from the cache")
 	}
 }

@@ -370,14 +370,15 @@ func (s *Server) handlePromote(w http.ResponseWriter, req *http.Request) {
 
 // handleCluster reports the node's cluster view: GET /v1/cluster.
 func (s *Server) handleCluster(w http.ResponseWriter, req *http.Request) {
-	info := ClusterInfo{}
+	hs := s.reg.List()
+	info := ClusterInfo{Sessions: make([]ClusterSession, 0, len(hs))} // [] on an empty node, not null
 	c := s.reg.cluster
 	if c != nil {
 		info.Self = c.self
 		info.Ack = c.ack.String()
 		info.Peers = c.ring.Peers()
 	}
-	for _, h := range s.reg.List() {
+	for _, h := range hs {
 		cs := ClusterSession{Name: h.name, Role: h.roleString(), Version: h.sess.Snapshot().Version}
 		if c != nil {
 			cs.Owner = c.primary(h.name)

@@ -152,6 +152,27 @@ func waitFollower(t *testing.T, n *clusterNode, name string) {
 	t.Fatalf("follower for %q never appeared on %s", name, n.addr)
 }
 
+// TestClusterEmptyNodeListsNoSessions: a node that hosts no session, in a
+// cluster or alone, answers GET /v1/cluster with "sessions": [], not null,
+// as GET /v1/sessions does.
+func TestClusterEmptyNodeListsNoSessions(t *testing.T) {
+	a, _ := newClusterPair(t, quorumOpts)
+	_, single := newTestService(t, Options{})
+	for _, url := range []string{a.url, single.URL} {
+		resp, body := do(t, "GET", url+"/v1/cluster", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s/v1/cluster: %d: %s", url, resp.StatusCode, body)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(fields["sessions"]); got != "[]" {
+			t.Fatalf("GET %s/v1/cluster on an empty node: sessions %s, want []; body %s", url, got, body)
+		}
+	}
+}
+
 func getBody(t *testing.T, url string) (*http.Response, []byte) {
 	t.Helper()
 	return do(t, "GET", url, nil)

@@ -111,6 +111,10 @@ func (s *Server) declareFamilies() []family {
 		counter("cfdserved_dump_rows_total", "Rows streamed by finished CSV dumps.", &r.dumpRows),
 		counter("cfdserved_dump_bytes_total", "CSV bytes written by finished dumps.", &r.dumpBytes),
 		seconds("cfdserved_dump_seconds_total", "Handler seconds spent in finished dumps.", &r.dumpNanos),
+		// A page is 1 024 rows; cached/(cached+encoded) is the share of a
+		// dump the relation's CSV page cache served.
+		counter("cfdserved_dump_pages_cached_total", "Row pages finished dumps wrote from the CSV page cache.", &r.dumpPagesCached),
+		counter("cfdserved_dump_pages_encoded_total", "Row pages finished dumps encoded afresh.", &r.dumpPagesEncoded),
 		// seconds/bodies is the decode share of the benchmark's
 		// server.codec_ms, and the encode seconds are the server's share of
 		// the rest; stdlib/bodies is the share of traffic outside the

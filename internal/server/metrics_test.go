@@ -60,6 +60,10 @@ const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server
 # TYPE cfdserved_dump_bytes_total counter
 # HELP cfdserved_dump_seconds_total Handler seconds spent in finished dumps.
 # TYPE cfdserved_dump_seconds_total counter
+# HELP cfdserved_dump_pages_cached_total Row pages finished dumps wrote from the CSV page cache.
+# TYPE cfdserved_dump_pages_cached_total counter
+# HELP cfdserved_dump_pages_encoded_total Row pages finished dumps encoded afresh.
+# TYPE cfdserved_dump_pages_encoded_total counter
 # HELP cfdserved_apply_bodies_total Apply and ingest request bodies read.
 # TYPE cfdserved_apply_bodies_total counter
 # HELP cfdserved_apply_bodies_stdlib_total Apply and ingest bodies the hand-written decoder declined and encoding/json decoded.

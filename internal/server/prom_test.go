@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net/http"
@@ -225,6 +226,46 @@ func (d *promDoc) checkHistogram(t *testing.T, name string, kv ...string) (count
 	return cnt.value
 }
 
+// TestDumpPagesCounted: a second dump at one version writes its page from
+// the cache, byte for byte the first; a write makes the next dump encode
+// the page again.
+func TestDumpPagesCounted(t *testing.T) {
+	_, ts := newTestService(t, Options{})
+	base := ts.URL
+	createTiny(t, base, "alpha")
+	dump := func() []byte {
+		resp, body := do(t, "GET", base+"/v1/sessions/alpha/dump", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("dump: %d: %s", resp.StatusCode, body)
+		}
+		return body
+	}
+	pages := func() (cached, encoded float64) {
+		_, body := do(t, "GET", base+"/metrics", nil)
+		doc := parseProm(t, string(body))
+		return doc.get(t, "cfdserved_dump_pages_cached_total").value, doc.get(t, "cfdserved_dump_pages_encoded_total").value
+	}
+	first, second := dump(), dump()
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two dumps at one version differ:\n%q\n%q", first, second)
+	}
+	if c, e := pages(); c != 1 || e != 1 {
+		t.Fatalf("after two dumps: %g pages cached, %g encoded; want 1 and 1", c, e)
+	}
+	resp, body := do(t, "POST", base+"/v1/sessions/alpha/apply", ApplyRequest{
+		Inserts: []WireTuple{{Vals: []*string{strp("212"), strp("NYC")}}},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("apply: %d: %s", resp.StatusCode, body)
+	}
+	if third := dump(); bytes.Count(third, []byte("\n")) != bytes.Count(first, []byte("\n"))+1 {
+		t.Fatalf("dump after an insert:\n%q\nwant one row more than\n%q", third, first)
+	}
+	if c, e := pages(); c != 1 || e != 2 {
+		t.Fatalf("after a write and a third dump: %g pages cached, %g encoded; want 1 and 2", c, e)
+	}
+}
+
 // TestPrometheusExposition is the acceptance test for GET /metrics: the
 // document parses as exposition format 0.0.4, every family has HELP and
 // TYPE and is written consecutively, histograms are cumulative with an
@@ -315,6 +356,10 @@ func TestPrometheusExposition(t *testing.T) {
 	secs := doc.get(t, "cfdserved_dump_seconds_total").value
 	if rows != 4 || size != float64(len(dump)) || secs <= 0 || doc.types["cfdserved_dump_seconds_total"] != "counter" {
 		t.Fatalf("dump counters: %g rows, %g bytes, %g s; want 4 rows, %d bytes, > 0 s", rows, size, secs, len(dump))
+	}
+	// Its one page, encoded: no dump before it filled the cache.
+	if c, e := doc.get(t, "cfdserved_dump_pages_cached_total").value, doc.get(t, "cfdserved_dump_pages_encoded_total").value; c != 0 || e != 1 {
+		t.Fatalf("dump page counters: %g cached, %g encoded; want 0 and 1", c, e)
 	}
 	// The five apply bodies: two went to encoding/json, all were timed.
 	bodies := doc.get(t, "cfdserved_apply_bodies_total").value

@@ -94,6 +94,7 @@ type Registry struct {
 	// Service-wide counters; metrics.go declares what each one exports.
 	passes, batches, coalesced, rejected, tuples                     metrics.Counter
 	dumpRows, dumpBytes, dumpNanos                                   metrics.Counter
+	dumpPagesCached, dumpPagesEncoded                                metrics.Counter
 	applyBodies, applyBodiesStdlib, applyBodyBytes, applyDecodeNanos metrics.Counter
 	applyReplyBytes, applyEncodeNanos                                metrics.Counter
 

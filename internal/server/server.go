@@ -609,13 +609,15 @@ func (cw *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// handleDump streams the session as CSV from a pinned snapshot view:
-// no full-relation buffering, peak memory one cursor page and one codec
-// block regardless of relation size. Completion is signaled out-of-band
-// — the body has no length up front — by the X-Dump-Complete trailer; a
-// mid-stream failure aborts the connection instead of ending the chunked
-// body cleanly, so `curl -f` (and any client checking the trailer) can
-// tell a truncated export from a finished one.
+// handleDump streams the session as CSV from a pinned snapshot view, one
+// write a page of rows: a page no write has touched since an earlier dump
+// comes from the relation's CSV page cache, any other is encoded (and
+// cached) as the dump reaches it, and nothing else is buffered.
+// Completion is signaled out-of-band — the body has no length up front —
+// by the X-Dump-Complete trailer; a mid-stream failure aborts the
+// connection instead of ending the chunked body cleanly, so `curl -f` (and
+// any client checking the trailer) can tell a truncated export from a
+// finished one.
 func (s *Server) handleDump(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	h, err := s.reg.Get(req.PathValue("name"))
@@ -637,7 +639,8 @@ func (s *Server) handleDump(w http.ResponseWriter, req *http.Request) {
 	hdr.Set("Trailer", "X-Dump-Complete")
 	w.WriteHeader(http.StatusOK)
 	cw := &countWriter{w: w}
-	if err := rv.WriteCSV(cw); err != nil {
+	cached, encoded, err := rv.WriteCSVPages(cw)
+	if err != nil {
 		// Headers are out; a clean EOF here would masquerade as a
 		// successful export. Abort the connection mid-chunk instead.
 		panic(http.ErrAbortHandler)
@@ -646,6 +649,8 @@ func (s *Server) handleDump(w http.ResponseWriter, req *http.Request) {
 	s.reg.dumpRows.Add(uint64(rv.Len()))
 	s.reg.dumpBytes.Add(uint64(cw.n))
 	s.reg.dumpNanos.Add(uint64(time.Since(start)))
+	s.reg.dumpPagesCached.Add(uint64(cached))
+	s.reg.dumpPagesEncoded.Add(uint64(encoded))
 }
 
 // decodeBody decodes a create body with encoding/json, streamed through

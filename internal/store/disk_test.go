@@ -396,17 +396,27 @@ func runSchedule(t *testing.T, dir string, seed int64) {
 		}
 		reopen(t, dir, p.gen, p.want)
 	}
+	flush := func() {
+		if len(pending) == 2 || (len(pending) == 1 && rng.Intn(2) == 0) {
+			resolve()
+		}
+		pending = append(pending, inFlight{d.BeginFlush(rel.Pin()), nextGen, rel.Clone()})
+		nextGen++
+	}
 	randomID := func() relation.TupleID { return rel.Tuples()[rng.Intn(rel.Size())].ID }
 	val := func() string { return strconv.Itoa(rng.Intn(40)) }
+	insert := func() {
+		tu := relation.NewTuple(0, val(), val(), val())
+		if rng.Intn(4) == 0 {
+			tu.SetWeight(rng.Intn(3), rng.Float64())
+		}
+		rel.MustInsert(tu)
+	}
 
 	for step := 0; step < 1500; step++ {
 		switch op := rng.Intn(100); {
 		case op < 45 || rel.Size() == 0:
-			tu := relation.NewTuple(0, val(), val(), val())
-			if rng.Intn(4) == 0 {
-				tu.SetWeight(rng.Intn(3), rng.Float64())
-			}
-			rel.MustInsert(tu)
+			insert()
 		case op < 70:
 			v := relation.S(val())
 			if rng.Intn(8) == 0 {
@@ -423,12 +433,20 @@ func runSchedule(t *testing.T, dir string, seed int64) {
 			for i := uint64(0); i < d.rowsPerPage && rel.Size() > 0; i++ {
 				rel.Delete(randomID())
 			}
-		default:
-			if len(pending) == 2 || (len(pending) == 1 && rng.Intn(2) == 0) {
-				resolve()
+		case op < 97:
+			// Grow past one page if need be and flush; then delete a row
+			// of a page before the last and flush again, inserting
+			// nothing: the second flush finds the last page one row
+			// shorter but not dirty, and must rewrite it.
+			for rel.Size() <= int(d.rowsPerPage) {
+				insert()
 			}
-			pending = append(pending, inFlight{d.BeginFlush(rel.Pin()), nextGen, rel.Clone()})
-			nextGen++
+			flush()
+			last := (rel.Size() - 1) / int(d.rowsPerPage) * int(d.rowsPerPage)
+			rel.Delete(rel.Tuples()[rng.Intn(last)].ID)
+			flush()
+		default:
+			flush()
 		}
 	}
 	for len(pending) > 0 {
