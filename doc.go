@@ -126,17 +126,18 @@
 //	                           under -data-dir/        goroutine, resync
 //	                           <session>/              when overtaken
 //	                                │
-//	                                ├── internal/store: subscribes to the
-//	                                │   same journal and notes which pages
-//	                                │   it dirties; rotation encodes only
-//	                                │   those pages from the pinned
-//	                                │   relation into generation-numbered
-//	                                │   page files (rows filed by position
+//	                                ├── internal/store: a store page is
+//	                                │   the relation's 1 024-row view
+//	                                │   page; rotation encodes only the
+//	                                │   pages the pinned view stamped
+//	                                │   after the last committed flush
+//	                                │   into generation-numbered page
+//	                                │   files (rows filed by position
 //	                                │   in the image's row form: id cells
 //	                                │   as uvarints, weights only where a
 //	                                │   tuple has them; persistent dict),
 //	                                │   and the snapshot is a slim
-//	                                │   header naming StoreGen — O(dirty)
+//	                                │   header naming StoreGen — O(written)
 //	                                │   page bytes per rotation
 //	                                │ on boot
 //	                                ▼

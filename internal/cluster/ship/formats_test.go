@@ -22,8 +22,8 @@ import (
 // TestFormatsByteIdentical pins every durable and shipped byte format to
 // a digest: the WAL, snapshot and ship digests were recorded at commit
 // 45dead9, the last one where each file kind framed its own records, and
-// the store's at its format version 3, which writes a page's rows in the
-// snapshot image's row form. One
+// the store's at its format version 4, whose page is the relation's view
+// page of 1 024 rows in the snapshot image's row form. One
 // fixed scenario (a seeded relation holding a null and a weighted tuple;
 // three batches with a delete, a cell update and a re-insert; two store
 // flushes) writes a WAL, a snapshot file, the store's page and manifest
@@ -35,7 +35,9 @@ import (
 // re-recorded, and the WAL's, whose bytes differ from version 3's in the
 // header's version byte alone. Store format version 3 moved the pages
 // digest with the row form, and the manifest's and dict.log's with the
-// version byte and the manifest's geometry; they were re-recorded.) A
+// version byte and the manifest's geometry; they were re-recorded. Store
+// format version 4 moved all three: its one page holds what version 3's
+// four did, and its manifest names no page size.) A
 // digest that moves means a format changed: bump
 // the format's version, then re-record. A shipped snapshot has no digest of its own: the body
 // HTTPTransport sends must equal the snapshot file's bytes.
@@ -46,12 +48,12 @@ func TestFormatsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := relation.New(sch)
-	st, err := store.Create(filepath.Join(dir, "store"), sch.Arity(), store.Options{PageSize: store.MinPageSize})
+	st, err := store.Create(filepath.Join(dir, "store"), sch.Arity(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.Attach(rel)
+	st.Attach(rel, true)
 	flush := func(gen uint64) {
 		t.Helper()
 		if err := st.BeginFlush(rel.Pin()).Commit(gen); err != nil {
@@ -63,7 +65,7 @@ func TestFormatsByteIdentical(t *testing.T) {
 	weighted.SetWeight(1, 0.25)
 	rel.MustInsert(weighted)
 	rel.MustInsert(&relation.Tuple{Vals: []relation.Value{relation.S("a"), relation.NullValue, relation.S("c")}})
-	for i := 0; i < 300; i++ { // four pages of 81 rows
+	for i := 0; i < 300; i++ { // one page
 		if _, err := rel.InsertRow("k"+strconv.Itoa(i%7), "v", "w"+strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -177,9 +179,9 @@ func TestFormatsByteIdentical(t *testing.T) {
 	want := map[string]string{
 		"wal":        "1cccfe7054102fb222256d186619580a38455864c3c2e231a186add867c3bd1f",
 		"snapshot":   "8390cfaad77070cf61887a1a0fa9fcc2c6a578fb90f0eddc3a3a1cac3b6b2271",
-		"pages":      "ab4aff9d9738ff77f3d443964184aff22b56218840538b2192095ebff01302a1",
-		"manifest":   "7044c75ee467fa6574367aa60273251073a8d6377ea7517fd8f5e8e009d791d0",
-		"dict":       "34fab004acd2bc8927d42bd1ab09a2e99e433f4b5251781cec0fc8f9d68d17a5",
+		"pages":      "c4f27d09680c2f1d0b4ce56e33168a1d34e2aad3c182b2382f118a366c78bc1d",
+		"manifest":   "164a5a814588d0e60ae70ebf956d425694a4bca9995fdf24b8cdd5468ee0532c",
+		"dict":       "08da90864c0f1fea6fb6c04029eb3f8b9f098aa5c37d7639efc5d4d872240500",
 		"ship batch": "a34aefc6a3c97de79f8eb179b74ee0f0d5ae71bd7f2db989b581337ea06539a8",
 	}
 	for kind, g := range got {

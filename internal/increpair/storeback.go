@@ -15,16 +15,18 @@ import (
 // operates on the in-memory relation either way, and the store holds no
 // row in memory — but the durability boundary changes shape:
 // PersistBoundary captures a slim snapshot header plus a page flush (the
-// dirty page numbers and the pinned relation) instead of re-encoding
+// pinned relation, whose stamped pages it writes) instead of re-encoding
 // every tuple into one record, and RestoreFromSnapshotSource
 // streams rows back from the store's page files instead of a snapshot
 // record.
 
-// AttachStore subscribes st to the session's live relation, so every
-// mutation from now on marks its row's page dirty in the store. With seed
-// set, the pages of the relation's current rows are marked first (the
-// bootstrap for a brand-new store; a store reopened by crash recovery
-// already holds them). A session can hold at most one store.
+// AttachStore binds st to the session's live relation, whose page stamps
+// then tell each flush which pages to write. Without seed the store takes
+// the relation as it stands for its committed state — a store reopened by
+// crash recovery holds it — so its next flush writes the pages stamped
+// after the relation's current version. With seed (the bootstrap for a brand-new
+// store) its first flush writes every page. A session can hold at most one
+// store.
 func (s *Session) AttachStore(st *store.Disk, seed bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -34,10 +36,7 @@ func (s *Session) AttachStore(st *store.Disk, seed bool) error {
 	if s.st != nil {
 		return errors.New("increpair: session already has a store attached")
 	}
-	st.Attach(s.e.repr)
-	if seed {
-		st.SeedAll(s.e.repr)
-	}
+	st.Attach(s.e.repr, seed)
 	s.st = st
 	return nil
 }
@@ -45,8 +44,9 @@ func (s *Session) AttachStore(st *store.Disk, seed bool) error {
 // PersistBoundary captures the session's durability boundary for a
 // store-backed rotation: a slim snapshot header (StoreKind=StorePaged,
 // no inline tuples — the caller stamps StoreGen once it assigns the
-// generation) and a Flush holding the dirty page numbers, the dictionary
-// watermark and the view the header was captured with (captureLocked).
+// generation) and a Flush holding the view the header was captured with
+// (captureLocked), whose page stamps, rows and dictionary watermark the
+// flush commits.
 // The flush begins under the same hold of the session lock, so both
 // describe one quiescent point; the caller must resolve the flush with
 // exactly one Commit or Abort.

@@ -11,7 +11,7 @@ import (
 )
 
 // RowCursor iterates a pinned View in physical (pin-time) order, one page
-// of row pointers at a time: each refill copies up to viewPageSize
+// of row pointers at a time: each refill copies up to PageRows
 // pointers under the view's read lock, then rows are served from the
 // private buffer with no lock held.
 type RowCursor struct {
@@ -24,7 +24,7 @@ type RowCursor struct {
 // Rows returns a cursor over all rows of the view. Rows come back in
 // physical order (ids are not sorted — deletions compact the array).
 func (v *View) Rows() *RowCursor {
-	return &RowCursor{v: v, buf: make([]*Tuple, 0, viewPageSize)}
+	return &RowCursor{v: v, buf: make([]*Tuple, 0, PageRows)}
 }
 
 // Next returns the next row, or nil when the cursor is exhausted. The
@@ -32,7 +32,7 @@ func (v *View) Rows() *RowCursor {
 // modified.
 func (c *RowCursor) Next() *Tuple {
 	for c.pos == len(c.buf) {
-		n := c.v.page(c.p, c.buf[:cap(c.buf)])
+		n := c.v.Page(c.p, c.buf[:cap(c.buf)])
 		if n == 0 {
 			return nil
 		}
@@ -48,9 +48,9 @@ func (c *RowCursor) Next() *Tuple {
 // Seek positions the cursor at view row i (0 ≤ i < Len): the next Next
 // returns it, and the rows after it follow in order.
 func (c *RowCursor) Seek(i int) {
-	p := i / viewPageSize
-	c.buf = c.buf[:c.v.page(p, c.buf[:cap(c.buf)])]
-	c.p, c.pos = p+1, i-p*viewPageSize
+	p := i / PageRows
+	c.buf = c.buf[:c.v.Page(p, c.buf[:cap(c.buf)])]
+	c.p, c.pos = p+1, i-p*PageRows
 }
 
 // csvBlockSize is how much encoded CSV accumulates before it is handed to
@@ -344,9 +344,9 @@ func (v *View) WriteCSVPages(w io.Writer) (cached, encoded int, err error) {
 			cached++
 		} else {
 			if rows == nil {
-				rows = make([]*Tuple, viewPageSize)
+				rows = make([]*Tuple, PageRows)
 			}
-			b = enc.page(rows[:v.page(p, rows)])
+			b = enc.page(rows[:v.Page(p, rows)])
 			r.cachePage(p, stamp, b)
 			encoded++
 		}

@@ -52,9 +52,10 @@ type Relation struct {
 	activeGens atomic.Int32
 
 	// stamps[p] is the version of the last write into view page p; only
-	// the writer and Pin read it. csvPages caches each page's encoded CSV
-	// under the stamp it was encoded at (see View.WriteCSV); csvMu guards
-	// it, since concurrent dumps share it.
+	// the writer and Pin read it (a view's copy, View.Stamps, tells the
+	// page store which pages a flush writes). csvPages caches each page's
+	// encoded CSV under the stamp it was encoded at (see View.WriteCSV);
+	// csvMu guards it, since concurrent dumps share it.
 	stamps   []uint64
 	csvMu    sync.Mutex
 	csvPages []csvPage
@@ -324,7 +325,7 @@ func (r *Relation) Insert(t *Tuple) error {
 	r.version++
 	r.stamp(len(r.tuples) - 1)
 	if len(r.subs) > 0 {
-		r.notify(Delta{Kind: DeltaInsert, T: t, Pos: len(r.tuples) - 1})
+		r.notify(Delta{Kind: DeltaInsert, T: t})
 	}
 	return nil
 }
@@ -371,7 +372,7 @@ func (r *Relation) Delete(id TupleID) bool {
 	r.stamp(i)
 	r.stamp(len(r.tuples)) // the old last slot, now cut off
 	if len(r.subs) > 0 {
-		r.notify(Delta{Kind: DeltaDelete, T: t, Pos: i})
+		r.notify(Delta{Kind: DeltaDelete, T: t})
 	}
 	return true
 }
@@ -411,14 +412,14 @@ func (r *Relation) Set(id TupleID, a int, v Value) (Value, error) {
 	r.version++
 	r.stamp(i)
 	if len(r.subs) > 0 {
-		r.notify(Delta{Kind: DeltaUpdate, T: t, Pos: i, Attr: a, Old: old, OldID: oldID})
+		r.notify(Delta{Kind: DeltaUpdate, T: t, Attr: a, Old: old, OldID: oldID})
 	}
 	return old, nil
 }
 
 // stamp records that slot i's page was written at the current version.
 func (r *Relation) stamp(i int) {
-	p := i / viewPageSize
+	p := i / PageRows
 	for p >= len(r.stamps) {
 		r.stamps = append(r.stamps, 0)
 	}

@@ -29,11 +29,12 @@ package relation
 // only for the duration of a page copy-out, and Release may be called
 // from any goroutine (it is idempotent per View).
 
-// viewPageSize is the COW granularity in tuples. 1024 rows ≈ 8 KiB of
-// pointers per preserved page: big enough that a dump's lock hold per
-// refill stays a pointer memcpy, small enough that a writer dirtying one
-// row copies O(page), not O(relation).
-const viewPageSize = 1024
+// PageRows is the rows of a view page: the COW granularity, the unit of
+// the page stamps and the CSV page cache, and a page of the page store
+// (internal/store). 1024 rows ≈ 8 KiB of pointers per preserved page: big
+// enough that a dump's lock hold per refill stays a pointer memcpy, small
+// enough that a writer dirtying one row copies O(page), not O(relation).
+const PageRows = 1024
 
 // viewGen is one pinned generation: every View taken at the same relation
 // version shares a generation (refcounted), so concurrent dumps at one
@@ -77,7 +78,7 @@ func (r *Relation) Pin() *View {
 			arr:     r.tuples[:len(r.tuples):len(r.tuples)],
 			n:       len(r.tuples),
 			pages:   make(map[int][]*Tuple),
-			stamps:  make([]uint64, (len(r.tuples)+viewPageSize-1)/viewPageSize),
+			stamps:  make([]uint64, (len(r.tuples)+PageRows-1)/PageRows),
 		}
 		copy(g.stamps, r.stamps)
 		r.gens = append(r.gens, g)
@@ -128,10 +129,17 @@ func (v *View) DictLen() int { return v.dictLen }
 // Schema returns the relation's schema (immutable, so shared).
 func (v *View) Schema() *Schema { return v.rel.schema }
 
-// page copies view rows of page p into dst and returns the count. The
-// read lock is held only for the pointer memcpy.
-func (v *View) page(p int, dst []*Tuple) int {
-	lo := p * viewPageSize
+// Stamps returns the relation's page stamps at pin time, one a page:
+// stamp p is the version of the last write into page p, and a page no
+// write has stamped since the stamps were last cleared reads 0. The slice
+// is shared by every view of the generation and must not be modified.
+func (v *View) Stamps() []uint64 { return v.gen.stamps }
+
+// Page copies view rows of page p (positions p·PageRows on, at most
+// PageRows of them) into dst and returns the count. The read lock is held
+// only for the pointer memcpy.
+func (v *View) Page(p int, dst []*Tuple) int {
+	lo := p * PageRows
 	if lo >= v.gen.n {
 		return 0
 	}
@@ -141,7 +149,7 @@ func (v *View) page(p int, dst []*Tuple) int {
 	if pg, ok := v.gen.pages[p]; ok {
 		n = copy(dst, pg)
 	} else {
-		hi := min(lo+viewPageSize, v.gen.n)
+		hi := min(lo+PageRows, v.gen.n)
 		n = copy(dst, v.gen.arr[lo:hi])
 	}
 	r.viewMu.RUnlock()
@@ -152,12 +160,12 @@ func (v *View) page(p int, dst []*Tuple) int {
 // tests and spot reads; iteration should use Rows, which amortizes the
 // lock over a page.
 func (v *View) Tuple(i int) *Tuple {
-	p := i / viewPageSize
+	p := i / PageRows
 	r := v.rel
 	r.viewMu.RLock()
 	defer r.viewMu.RUnlock()
 	if pg, ok := v.gen.pages[p]; ok {
-		return pg[i-p*viewPageSize]
+		return pg[i-p*PageRows]
 	}
 	return v.gen.arr[i]
 }
@@ -179,7 +187,7 @@ func (r *Relation) ActiveViews() int {
 // deletes) were only ever truncated, never overwritten, so the pinned
 // array still holds their pin-time content too.
 func (r *Relation) preserveLocked(p int) {
-	lo := p * viewPageSize
+	lo := p * PageRows
 	for _, g := range r.gens {
 		if lo >= g.n {
 			continue // page entirely beyond this generation's range
@@ -187,7 +195,7 @@ func (r *Relation) preserveLocked(p int) {
 		if _, ok := g.pages[p]; ok {
 			continue // already preserved for this generation
 		}
-		hi := min(lo+viewPageSize, g.n)
+		hi := min(lo+PageRows, g.n)
 		pg := make([]*Tuple, hi-lo)
 		copy(pg, g.arr[lo:hi])
 		g.pages[p] = pg
@@ -199,7 +207,7 @@ func (r *Relation) preserveLocked(p int) {
 // its page is preserved first.
 func (r *Relation) cowAppend(t *Tuple) {
 	r.viewMu.Lock()
-	r.preserveLocked(len(r.tuples) / viewPageSize)
+	r.preserveLocked(len(r.tuples) / PageRows)
 	r.tuples = append(r.tuples, t)
 	r.viewMu.Unlock()
 }
@@ -209,7 +217,7 @@ func (r *Relation) cowAppend(t *Tuple) {
 // never overwritten), so one page preserve suffices.
 func (r *Relation) cowDelete(i int) {
 	r.viewMu.Lock()
-	r.preserveLocked(i / viewPageSize)
+	r.preserveLocked(i / PageRows)
 	last := len(r.tuples) - 1
 	r.tuples[i] = r.tuples[last]
 	r.setPos(r.tuples[i].ID, i)
@@ -234,7 +242,7 @@ func (r *Relation) cowSet(i, a int, v Value, vid ValueID) *Tuple {
 	c.Vals[a] = v
 	c.ids[a] = vid
 	r.viewMu.Lock()
-	r.preserveLocked(i / viewPageSize)
+	r.preserveLocked(i / PageRows)
 	r.tuples[i] = c
 	r.viewMu.Unlock()
 	return c

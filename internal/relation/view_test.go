@@ -70,7 +70,7 @@ func TestViewSurvivesTruncateThenRegrow(t *testing.T) {
 	// pinned length, then appends regrow it over slots the view can
 	// still read through its pinned array.
 	r := New(MustSchema("r", "A"))
-	n := 3 * viewPageSize
+	n := 3 * PageRows
 	for i := 0; i < n; i++ {
 		r.MustInsert(NewTuple(0, fmt.Sprintf("v%d", i)))
 	}
@@ -127,7 +127,7 @@ func TestViewsShareGenerationPerVersion(t *testing.T) {
 // every row of the view once, in physical order.
 func TestRowCursorSeesEveryRowOnce(t *testing.T) {
 	r := New(MustSchema("r", "A"))
-	const n = 2*viewPageSize + 3
+	const n = 2*PageRows + 3
 	for i := 0; i < n; i++ {
 		r.MustInsert(NewTuple(0, fmt.Sprintf("v%d", i)))
 	}
@@ -148,10 +148,10 @@ func TestRowCursorSeesEveryRowOnce(t *testing.T) {
 
 	// Seek restarts the same rows at any row, also on a page a writer has
 	// dirtied since the pin (read from its pre-image).
-	if _, err := r.Set(want[viewPageSize+1].ID, 0, S("changed")); err != nil {
+	if _, err := r.Set(want[PageRows+1].ID, 0, S("changed")); err != nil {
 		t.Fatal(err)
 	}
-	for _, at := range []int{n - 2, 0, 5, viewPageSize - 1, viewPageSize, viewPageSize + 1, 5} {
+	for _, at := range []int{n - 2, 0, 5, PageRows - 1, PageRows, PageRows + 1, 5} {
 		cur.Seek(at)
 		for i := at; i < len(want); i++ {
 			if got := cur.Next(); got != want[i] {
@@ -303,7 +303,7 @@ func TestViewConcurrentReadersUnderWriter(t *testing.T) {
 	// protocol.
 	r := New(MustSchema("r", "A", "B"))
 	var mu sync.Mutex // the "session mutex": orders mutations and pins
-	for i := 0; i < 4*viewPageSize; i++ {
+	for i := 0; i < 4*PageRows; i++ {
 		r.MustInsert(NewTuple(0, "base", fmt.Sprintf("b%d", i)))
 	}
 

@@ -139,7 +139,7 @@ func (s *Server) declareFamilies() []family {
 		}),
 		storeGauge("cfdserved_session_store_gen", "Committed page-store manifest generation per durable session.", func(st *store.Stats) float64 { return float64(st.Gen) }),
 		storeGauge("cfdserved_session_store_pages", "Committed pages in the session's page store.", func(st *store.Stats) float64 { return float64(st.Pages) }),
-		storeGauge("cfdserved_session_store_dirty_pages", "Dirty pages awaiting the session's next store flush.", func(st *store.Stats) float64 { return float64(st.DirtyPages) }),
+		storeGauge("cfdserved_session_store_flush_pages", "Pages the session's last committed store flush wrote.", func(st *store.Stats) float64 { return float64(st.FlushPages) }),
 		storeGauge("cfdserved_session_store_dict_entries", "Persisted intern-dictionary entries in the session's page store.", func(st *store.Stats) float64 { return float64(st.DictEntries) }),
 		{name: "cfdserved_session_disk_bytes", typ: "gauge", help: "On-disk footprint of the durable session's directory: snapshot headers, WAL generations and page store.", perSession: true,
 			value: func(h *hosted) (float64, bool) {

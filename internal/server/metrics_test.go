@@ -94,8 +94,8 @@ const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server
 # TYPE cfdserved_session_store_gen gauge
 # HELP cfdserved_session_store_pages Committed pages in the session's page store.
 # TYPE cfdserved_session_store_pages gauge
-# HELP cfdserved_session_store_dirty_pages Dirty pages awaiting the session's next store flush.
-# TYPE cfdserved_session_store_dirty_pages gauge
+# HELP cfdserved_session_store_flush_pages Pages the session's last committed store flush wrote.
+# TYPE cfdserved_session_store_flush_pages gauge
 # HELP cfdserved_session_store_dict_entries Persisted intern-dictionary entries in the session's page store.
 # TYPE cfdserved_session_store_dict_entries gauge
 # HELP cfdserved_session_disk_bytes On-disk footprint of the durable session's directory: snapshot headers, WAL generations and page store.

@@ -274,7 +274,7 @@ func (p *persister) markBroken(err error) {
 
 // capture is a session's state at one batch boundary, ready to become a
 // generation on disk: a slim snapshot header plus the store flush holding
-// the dirty pages. Exactly one of anchor/abort must consume it. A
+// the pinned relation. Exactly one of anchor/abort must consume it. A
 // rotation's capture must be taken by the session worker at the exact
 // batch boundary.
 type capture struct {
@@ -318,8 +318,8 @@ func (p *persister) boundary(failed bool) *capture {
 
 // abort releases a capture the committer cannot anchor because the
 // persister broke (a failed WAL append or sync, an earlier failed
-// rotation): the flush's pinned view and pages are handed back so the
-// next boundary carries them.
+// rotation): the flush's pinned view is released, and the store's
+// committed version stays, so the next flush to commit writes its pages.
 func (c *capture) abort() {
 	if c != nil {
 		c.flush.Abort()
@@ -470,8 +470,8 @@ func (p *persister) status() string {
 // and nothing behind it: the rows come from the page store at the
 // header's generation, inserted by id under the store's persisted
 // dictionary so every ValueID reproduces exactly, and the store is
-// re-attached so the WAL replay that follows marks its pages dirty
-// again. Any other file — an inline image among them — is a damaged
+// re-attached at the restored relation's version, so the next flush
+// writes the pages the WAL replay that follows stamps. Any other file — an inline image among them — is a damaged
 // generation. The returned persister holds the session, its store and
 // the header's quota; the caller positions it on a log.
 func restoreGeneration(cfg *Options, dir, name string, g uint64) (*persister, error) {

@@ -621,11 +621,12 @@ func TestRemoveHoldsNameUntilWorkerExits(t *testing.T) {
 }
 
 // TestRecoveryRefusesVersion1Store: a page store from an earlier format
-// — version 1 filed rows by tuple id, version 2 wrote fixed-width rows —
-// fails every snapshot generation that names it. Recovery skips the
-// tenant, names it and the version, and leaves every file as it found it.
+// — version 1 filed rows by tuple id, version 2 wrote fixed-width rows,
+// version 3 pages of a size its manifest named — fails every snapshot
+// generation that names it. Recovery skips the tenant, names it and the
+// version, and leaves every file as it found it.
 func TestRecoveryRefusesVersion1Store(t *testing.T) {
-	for _, ver := range []byte{1, 2} {
+	for _, ver := range []byte{1, 2, 3} {
 		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
 			dir := t.TempDir()
 			opts := Options{DataDir: dir, Fsync: FsyncOff, QueueDepth: 8, SnapshotEvery: 2}
@@ -664,6 +665,67 @@ func TestRecoveryRefusesVersion1Store(t *testing.T) {
 				t.Fatal("recovery changed the files of the tenant it refused")
 			}
 		})
+	}
+}
+
+// TestRecoveredStoreWritesNoPageUntilAWrite: restoreGeneration attaches
+// the reopened store at the restored relation's version, so anchoring the
+// recovered state again with no write in between commits a generation of
+// zero pages, and that generation restores to the same dump.
+func TestRecoveredStoreWritesNoPageUntilAWrite(t *testing.T) {
+	opts := Options{DataDir: t.TempDir(), Fsync: FsyncOff, QueueDepth: 8, SnapshotEvery: 1}
+	s1 := New(opts)
+	ts1 := httptest.NewServer(s1.Handler())
+	createRecovery(t, ts1.URL, "r")
+	for i := 0; i < 3; i++ {
+		applyRecovery(t, ts1.URL, "r", i)
+	}
+	want, _, _ := sessionState(t, ts1.URL, "r")
+	h, err := s1.reg.Get("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.pers.mu.Lock()
+	gen := h.pers.gen
+	h.pers.mu.Unlock()
+	shutdownService(t, s1, ts1)
+
+	dir := filepath.Join(opts.DataDir, "r")
+	dump := func(p *persister) []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := p.sess.Dump(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	p, err := restoreGeneration(&opts, dir, "r", gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dump(p); !bytes.Equal(got, want) {
+		t.Fatalf("generation %d restores to\n%s\nwant\n%s", gen, got, want)
+	}
+	pages := p.st.Stats().Pages
+	if err := p.anchorNow(gen + 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.st.Stats(); st.Gen != gen+1 || st.FlushPages != 0 || st.Pages != pages {
+		t.Fatalf("anchoring a recovered session with no write: %+v, want generation %d, no page written, %d pages", st, gen+1, pages)
+	}
+	if got := dump(p); !bytes.Equal(got, want) {
+		t.Fatalf("the dump moved across the anchor:\n%s", got)
+	}
+	p.sess.Close()
+	p.close()
+	p, err = restoreGeneration(&opts, dir, "r", gen+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.close()
+	defer p.sess.Close()
+	if got := dump(p); !bytes.Equal(got, want) {
+		t.Fatalf("generation %d restores to\n%s\nwant\n%s", gen+1, got, want)
 	}
 }
 

@@ -365,7 +365,7 @@ func (h *hosted) info() SessionInfo {
 			Kind:        "disk",
 			Gen:         st.Gen,
 			Pages:       st.Pages,
-			DirtyPages:  st.DirtyPages,
+			FlushPages:  st.FlushPages,
 			Tuples:      st.Tuples,
 			DictEntries: st.DictEntries,
 			DiskBytes:   st.DiskBytes,

@@ -207,14 +207,14 @@ type SessionInfo struct {
 }
 
 // WireStore reports a durable session's page store in listings:
-// the committed manifest generation, page counts (committed / marked
-// dirty for the next flush), row and dictionary sizes at the last flush,
+// the committed manifest generation, page counts (committed / written by
+// the last committed flush), row and dictionary sizes at the last flush,
 // and the store's total on-disk footprint.
 type WireStore struct {
 	Kind        string `json:"kind"`
 	Gen         uint64 `json:"gen"`
 	Pages       int    `json:"pages"`
-	DirtyPages  int    `json:"dirty_pages"`
+	FlushPages  int    `json:"flush_pages"`
 	Tuples      int    `json:"tuples"`
 	DictEntries int    `json:"dict_entries"`
 	DiskBytes   int64  `json:"disk_bytes"`

@@ -20,7 +20,7 @@ import (
 // On-disk layout of one Disk store directory:
 //
 //	pages-<gen>.dat    page records written by flush <gen>
-//	manifest-<gen>.mft page table, geometry and row count at flush <gen>
+//	manifest-<gen>.mft page table, arity and row count at flush <gen>
 //	dict.log           append-only intern dictionary (shared by all gens)
 //
 // Headers, records, file names, the two file writes and the row form are
@@ -38,23 +38,23 @@ import (
 // consistent fallback, which is exactly what snapshot-generation pruning
 // (keep the newest two) requires.
 //
-// Rows are filed at their position in the relation's physical order,
+// Rows are filed at their position in the relation's physical order, a
+// store page being the relation's view page,
 //
-//	page(pos) = pos / rowsPerPage
+//	page(pos) = pos / relation.PageRows
 //
-// so pages 0 … ⌈rows/rowsPerPage⌉−1 hold the relation in order. A page
+// so pages 0 … ⌈rows/PageRows⌉−1 hold the relation in order. A page
 // image is the page's rows below the manifest's row count in the
 // snapshot image's row form (wal.AppendRow), its cells the relation
-// Dict's dense value ids, and is decoded row by row. rowsPerPage is as
-// many rows of the longest form as the page size holds (at least one), and
-// a page record is at most that many of them long.
+// Dict's dense value ids, and is decoded row by row; a page record is at
+// most PageRows rows of the longest form long.
 //
 // dict.log persists the dictionary as length-prefixed strings in intern
 // order, so ordinal i reproduces ValueID i+1 on reload. The dictionary
 // delta is fsynced before the pages that reference it.
 
 const (
-	storeVersion  = 3
+	storeVersion  = 4
 	pageMagic     = "CFDPAGE"
 	manifestMagic = "CFDSTOR"
 	dictMagic     = "CFDDICT"
@@ -79,23 +79,19 @@ type pageLoc struct {
 	off int64 // record start within pages-<gen>.dat
 }
 
-// Disk is the disk-backed tuple store for one session. It subscribes to
-// the live relation's mutation journal and remembers which pages the
-// positions written since the last flush fall on — their numbers, not
-// their contents; BeginFlush/Commit encode those pages from the relation
-// as pinned at a snapshot-rotation boundary into a new file generation.
-// All methods are safe for the session pipeline's concurrency: the worker
-// marks pages through observe while the committer commits a prior flush.
+// Disk is the disk-backed tuple store for one session. It holds the
+// committed page table and the relation version those pages hold;
+// BeginFlush/Commit encode the pages the relation stamped after that
+// version from the relation as pinned at a snapshot-rotation boundary
+// into a new file generation. All methods are safe for the session
+// pipeline's concurrency: the worker begins a flush while the committer
+// commits a prior one.
 type Disk struct {
-	dir         string
-	arity       int
-	pageSize    int
-	rowsPerPage uint64
-	pageCap     int // the longest page record's payload
+	dir   string
+	arity int
 
-	mu    sync.Mutex
-	dict  *relation.Dict
-	unsub func()
+	mu   sync.Mutex
+	dict *relation.Dict
 
 	// dictNext counts non-null dictionary ordinals already persisted;
 	// dictOff is the append offset in dict.log.
@@ -112,14 +108,19 @@ type Disk struct {
 	prevGen     uint64
 	prevRefs    map[uint64]bool
 	hasPrev     bool
+	// version is the relation version the committed pages hold, known
+	// once based: a flush writes the pages stamped after it, and every
+	// page while the store is not based. flushPages counts the pages the
+	// last committed flush wrote.
+	version    uint64
+	based      bool
+	flushPages int
 
 	// strs resolves persisted ValueIDs on the read path (ordinal i ->
 	// ValueID i+1); populated by Open, extended on dict flush.
 	strs []string
 
-	dirty   map[uint64]struct{} // pages touched since the last BeginFlush
-	pending []*Flush            // unresolved flushes, oldest first
-	files   map[uint64]*os.File // read handles, keyed by generation
+	files map[uint64]*os.File // read handles, keyed by generation
 
 	err    error
 	closed bool
@@ -127,15 +128,14 @@ type Disk struct {
 
 // Create initializes an empty store directory for a relation of the
 // given arity. Any previous contents are removed.
-func Create(dir string, arity int, opts Options) (*Disk, error) {
-	opts = opts.withDefaults()
+func Create(dir string, arity int, _ Options) (*Disk, error) {
 	if err := os.RemoveAll(dir); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	d := newDisk(dir, arity, opts.PageSize)
+	d := newDisk(dir, arity)
 	f, err := os.OpenFile(filepath.Join(dir, dictName), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
@@ -154,123 +154,76 @@ func Create(dir string, arity int, opts Options) (*Disk, error) {
 	return d, nil
 }
 
-// maxRowLen is the longest row at the given arity: a ten-byte tuple-id
-// delta, a five-byte cell and an eight-byte weight per attribute, the flag.
-func maxRowLen(arity int) int { return binary.MaxVarintLen64 + 13*arity + 1 }
+// pageCap is the longest page record's payload at the given arity:
+// PageRows rows of the longest form, a ten-byte tuple-id delta, a
+// five-byte cell and an eight-byte weight per attribute, and the flag.
+func pageCap(arity int) int { return relation.PageRows * (binary.MaxVarintLen64 + 13*arity + 1) }
 
 // pagesFor is the number of pages rows rows fill.
-func (d *Disk) pagesFor(rows int) uint64 {
-	return (uint64(rows) + d.rowsPerPage - 1) / d.rowsPerPage
+func pagesFor(rows int) uint64 {
+	return uint64((rows + relation.PageRows - 1) / relation.PageRows)
 }
 
-func newDisk(dir string, arity, pageSize int) *Disk {
-	w := maxRowLen(arity)
-	rpp := max(pageSize/w, 1)
+func newDisk(dir string, arity int) *Disk {
 	return &Disk{
-		dir:         dir,
-		arity:       arity,
-		pageSize:    pageSize,
-		rowsPerPage: uint64(rpp),
-		pageCap:     rpp * w,
-		table:       make(map[uint64]pageLoc),
-		dirty:       make(map[uint64]struct{}),
-		files:       make(map[uint64]*os.File),
+		dir:   dir,
+		arity: arity,
+		table: make(map[uint64]pageLoc),
+		files: make(map[uint64]*os.File),
 	}
 }
 
-// Attach subscribes the store to rel's mutation journal: every mutation
-// from the next one on marks the page of the position it wrote dirty.
-// Must be called from the relation's writer serialization context
-// (increpair.Session holds its lock).
-func (d *Disk) Attach(rel *relation.Relation) {
+// Attach binds the store to rel, whose dictionary its flushes persist.
+// Without seed the store takes rel as it stands for its committed state
+// — a store reopened by crash recovery holds the relation restored from
+// it — so the next flush writes the pages written after this call. With
+// seed the store is not based and its next flush writes every page (the
+// bootstrap for a fresh store under a live relation). rel's version must
+// not move back while the store is attached.
+func (d *Disk) Attach(rel *relation.Relation, seed bool) {
 	d.mu.Lock()
 	d.dict = rel.Dict()
-	d.mu.Unlock()
-	d.unsub = rel.Subscribe(d.observe)
-}
-
-// SeedAll marks the pages of positions 0 … Size()−1 of rel dirty — the
-// bootstrap for a freshly created store under a live relation. Must be
-// called from the writer context, after Attach.
-func (d *Disk) SeedAll(rel *relation.Relation) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for no := range d.pagesFor(rel.Size()) {
-		d.dirty[no] = struct{}{}
-	}
-}
-
-// observe marks the page of the position the mutation wrote. What the
-// page holds is read from the pinned view when a flush commits; a delete
-// also shortens the relation, which the flush's row count records.
-func (d *Disk) observe(dl relation.Delta) {
-	d.mu.Lock()
-	d.dirty[uint64(dl.Pos)/d.rowsPerPage] = struct{}{}
+	d.version, d.based = rel.Version(), !seed
 	d.mu.Unlock()
 }
 
-// Flush is the set of dirty pages captured at one snapshot-rotation
-// boundary together with the relation as pinned there, between
-// BeginFlush (worker, at the boundary) and Commit or Abort (committer,
-// in commit order).
+// Flush is the relation as pinned at one snapshot-rotation boundary,
+// between BeginFlush (worker, at the boundary) and Commit or Abort
+// (committer, in commit order).
 type Flush struct {
-	d       *Disk
-	pages   map[uint64]struct{}
-	view    *relation.View
-	dictLen int
-	done    bool
+	d    *Disk
+	view *relation.View
+	done bool
 }
 
-// BeginFlush captures the dirty page set, the relation's rows in physical
-// order (the pinned view) and the dictionary watermark at a quiescent
-// boundary. Must be called from the writer context. The returned Flush
-// must be resolved with exactly one Commit or Abort, in FIFO order
-// relative to other flushes of the same store.
+// BeginFlush takes the relation as pinned at a quiescent boundary — its
+// rows in physical order, its page stamps and its dictionary watermark.
+// The returned Flush must be resolved with exactly one Commit or Abort,
+// in FIFO order relative to other flushes of the same store.
 func (d *Disk) BeginFlush(v *relation.View) *Flush {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	f := &Flush{d: d, pages: d.dirty, view: v}
-	if d.dict != nil {
-		f.dictLen = d.dict.Len()
-	}
-	d.dirty = make(map[uint64]struct{})
-	d.pending = append(d.pending, f)
-	return f
+	return &Flush{d: d, view: v}
 }
 
-// Abort releases the flush without committing. Its pages are still
-// newer than their committed images, so their numbers pass to the next
-// unresolved flush — whose later view holds them as of its own boundary
-// — or, when there is none, back to the dirty set.
+// Abort releases the flush without committing. The committed version
+// does not move, so the next flush to commit writes this one's pages too.
 func (f *Flush) Abort() {
 	if f.done {
 		return
 	}
 	f.done = true
-	d := f.d
-	d.mu.Lock()
-	if i := slices.Index(d.pending, f); i >= 0 {
-		d.pending = slices.Delete(d.pending, i, i+1)
-		heir := d.dirty
-		if i < len(d.pending) {
-			heir = d.pending[i].pages
-		}
-		for no := range f.pages {
-			heir[no] = struct{}{}
-		}
-	}
-	d.mu.Unlock()
 	f.view.Release()
 }
 
 // Commit durably writes the flush as generation gen: dictionary delta
-// first (fsync), then the images of the dirty pages below the row count,
-// encoded from the pinned view (fsync), then the manifest (tmp + rename +
-// dirsync) as the atomic commit point. On success the store's
-// committed state advances and files no manifest of the two newest
-// generations references are pruned. On failure the flush is aborted and
-// the error is latched — the caller (the persister) marks the session's
-// durability broken, exactly as for a failed snapshot write.
+// first (fsync), then the images of the pages below the row count that
+// the view stamped after the committed version (every page when the
+// store is not based), encoded from the pinned view (fsync), then the
+// manifest (tmp + rename + dirsync) as the atomic commit point. On
+// success the store's committed state advances to the view's version
+// and files no manifest of the two newest generations references are
+// pruned. On failure the flush is aborted and the error is latched — the
+// caller (the persister) marks the session's durability broken, exactly
+// as for a failed snapshot write.
 func (f *Flush) Commit(gen uint64) error {
 	d := f.d
 	d.mu.Lock()
@@ -285,11 +238,16 @@ func (f *Flush) Commit(gen uint64) error {
 		f.Abort()
 		return err
 	}
-	dictStart := d.dictNext
+	dictStart, version, based := d.dictNext, d.version, d.based
 	d.mu.Unlock()
 
-	err := d.commitFiles(f, gen, dictStart)
-	if err != nil {
+	var nos []uint64
+	for p, stamp := range f.view.Stamps() {
+		if !based || stamp > version {
+			nos = append(nos, uint64(p))
+		}
+	}
+	if err := d.commitFiles(f, gen, dictStart, nos); err != nil {
 		d.fail(err)
 		f.Abort()
 		return err
@@ -297,9 +255,10 @@ func (f *Flush) Commit(gen uint64) error {
 	return nil
 }
 
-func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int) error {
+func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int, nos []uint64) error {
 	// 1. Dictionary delta, fsynced before any page referencing it.
-	delta := d.dict.StringsFrom(dictStart, f.dictLen)
+	dictLen := f.view.DictLen()
+	delta := d.dict.StringsFrom(dictStart, dictLen)
 	if len(delta) > 0 {
 		var buf []byte
 		for _, s := range delta {
@@ -318,30 +277,16 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int) error {
 		d.mu.Unlock()
 	}
 
-	// 2. The dirty pages' images. A page at or past the row count holds
-	// no row any more: it is neither written nor kept in the table.
-	rows := f.view.Len()
-	live := d.pagesFor(rows)
-	d.mu.Lock() // an Abort ahead of f in the FIFO may have added pages
-	nos := make([]uint64, 0, len(f.pages)+1)
-	for no := range f.pages {
-		if no < live {
-			nos = append(nos, no)
-		}
-	}
-	// An image holds exactly its page's rows below the row count: a delete
-	// shortens the last page unwritten, so a fallen count rewrites it.
-	if _, dirty := f.pages[live-1]; rows < d.tupleCount && live > 0 && !dirty {
-		nos = append(nos, live-1)
-	}
-	d.mu.Unlock()
-	slices.Sort(nos)
+	// 2. The stamped pages' images.
 	locs, err := d.writePages(gen, f.view, nos)
 	if err != nil {
 		return err
 	}
 
-	// 3. Manifest: the commit point.
+	// 3. Manifest: the commit point. A page at or past the row count
+	// holds no row any more and leaves the table.
+	rows := f.view.Len()
+	live := pagesFor(rows)
 	d.mu.Lock()
 	newTable := make(map[uint64]pageLoc, live)
 	for no, loc := range d.table {
@@ -354,7 +299,7 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int) error {
 	for no, loc := range locs {
 		newTable[no] = loc
 	}
-	if err := d.writeManifest(gen, newTable, f.dictLen, rows); err != nil {
+	if err := d.writeManifest(gen, newTable, dictLen, rows); err != nil {
 		return err
 	}
 
@@ -365,10 +310,8 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int) error {
 	}
 	d.gen, d.table, d.hasManifest = gen, newTable, true
 	d.tupleCount = rows
-	d.dictNext = f.dictLen
-	if i := slices.Index(d.pending, f); i >= 0 {
-		d.pending = slices.Delete(d.pending, i, i+1)
-	}
+	d.dictNext = dictLen
+	d.version, d.based, d.flushPages = f.view.Version(), true, len(nos)
 	keep := tableRefs(newTable, gen)
 	if d.hasPrev {
 		for g := range d.prevRefs {
@@ -392,16 +335,13 @@ func tableRefs(table map[uint64]pageLoc, gen uint64) map[uint64]bool {
 	return refs
 }
 
-// writePages encodes pages nos (ascending) from positions
-// [no·rowsPerPage, min((no+1)·rowsPerPage, rows)) of v into
-// pages-<gen>.dat and returns where each image landed. No dirty page, no
-// file.
+// writePages encodes pages nos (ascending) of v into pages-<gen>.dat and
+// returns where each image landed. No page, no file.
 func (d *Disk) writePages(gen uint64, v *relation.View, nos []uint64) (map[uint64]pageLoc, error) {
 	locs := make(map[uint64]pageLoc, len(nos))
 	if len(nos) == 0 {
 		return locs, nil
 	}
-	rows := uint64(v.Len())
 	return locs, wal.WriteFileSynced(filepath.Join(d.dir, pagesName(gen)), func(w io.Writer) error {
 		hdr := wal.AppendHeader(nil, pageMagic, storeVersion)
 		if _, err := w.Write(hdr); err != nil {
@@ -409,13 +349,12 @@ func (d *Disk) writePages(gen uint64, v *relation.View, nos []uint64) (map[uint6
 		}
 		off := int64(len(hdr))
 		ids := make([]relation.ValueID, d.arity)
+		rows := make([]*relation.Tuple, relation.PageRows)
 		var page, rec []byte
 		for _, no := range nos {
 			page = page[:0]
 			var prev relation.TupleID
-			lo := no * d.rowsPerPage
-			for pos := lo; pos < min(lo+d.rowsPerPage, rows); pos++ {
-				t := v.Tuple(int(pos))
+			for _, t := range rows[:v.Page(int(no), rows)] {
 				for a := range ids {
 					ids[a] = t.IDAt(a)
 				}
@@ -434,7 +373,7 @@ func (d *Disk) writePages(gen uint64, v *relation.View, nos []uint64) (map[uint6
 }
 
 func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows int) error {
-	b := encodeManifest(manifestGeom{d.arity, d.pageSize}, table, dictLen, rows)
+	b := encodeManifest(d.arity, table, dictLen, rows)
 	return wal.WriteFileAtomic(filepath.Join(d.dir, manifestName(gen)), func(w io.Writer) error {
 		_, err := w.Write(b)
 		return err
@@ -442,11 +381,10 @@ func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows
 }
 
 // encodeManifest renders a manifest file, the inverse of decodeManifest:
-// the header, then one record holding the geometry, the dictionary
-// length, the row count and the page table in page order.
-func encodeManifest(geom manifestGeom, table map[uint64]pageLoc, dictLen, rows int) []byte {
-	payload := binary.AppendUvarint(nil, uint64(geom.arity))
-	payload = binary.AppendUvarint(payload, uint64(geom.pageSize))
+// the header, then one record holding the arity, the dictionary length,
+// the row count and the page table in page order.
+func encodeManifest(arity int, table map[uint64]pageLoc, dictLen, rows int) []byte {
+	payload := binary.AppendUvarint(nil, uint64(arity))
 	payload = binary.AppendUvarint(payload, uint64(dictLen))
 	payload = binary.AppendUvarint(payload, uint64(rows))
 	payload = binary.AppendUvarint(payload, uint64(len(table)))
@@ -500,14 +438,10 @@ func (d *Disk) fail(err error) {
 // Stats summarizes the store for listings and metrics.
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()
-	dirtyPages := len(d.dirty)
-	for _, f := range d.pending {
-		dirtyPages += len(f.pages)
-	}
 	s := Stats{
 		Gen:         d.gen,
 		Pages:       len(d.table),
-		DirtyPages:  dirtyPages,
+		FlushPages:  d.flushPages,
 		Tuples:      d.tupleCount,
 		DictEntries: d.dictNext,
 	}
@@ -522,15 +456,10 @@ func (d *Disk) Stats() Stats {
 	return s
 }
 
-// Close detaches from the relation's journal and closes every file.
-// Idempotent. It does not remove the directory; the owner decides
-// whether the store outlives the process (crash recovery reopens it) or
-// dies with the session (Destroy).
+// Close closes every file. Idempotent. It does not remove the directory;
+// the owner decides whether the store outlives the process (crash
+// recovery reopens it) or dies with the session (Destroy).
 func (d *Disk) Close() {
-	if d.unsub != nil {
-		d.unsub()
-		d.unsub = nil
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -559,16 +488,14 @@ func Open(dir string, gen uint64, arity int) (*Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-	geom, table, dictLen, rows, err := decodeManifest(b)
+	mArity, table, dictLen, rows, err := decodeManifest(b)
 	if err != nil {
 		return nil, err
 	}
-	if geom.arity != arity {
-		return nil, fmt.Errorf("%w: manifest arity %d, relation has %d", errCorrupt, geom.arity, arity)
+	if mArity != arity {
+		return nil, fmt.Errorf("%w: manifest arity %d, relation has %d", errCorrupt, mArity, arity)
 	}
-	// The persisted page size is the store's: row addressing must stay
-	// stable for its lifetime, so no page size is taken at Open.
-	d := newDisk(dir, arity, geom.pageSize)
+	d := newDisk(dir, arity)
 	d.gen, d.hasManifest = gen, true
 	d.table = table
 	d.tupleCount = rows
@@ -589,32 +516,20 @@ func Open(dir string, gen uint64, arity int) (*Disk, error) {
 	return d, nil
 }
 
-// manifestGeom is a store's geometry: rows per page and the page cap
-// follow from the arity and the page size.
-type manifestGeom struct {
-	arity    int
-	pageSize int
-}
-
-func decodeManifest(b []byte) (geom manifestGeom, table map[uint64]pageLoc, dictLen, rows int, err error) {
+func decodeManifest(b []byte) (arity int, table map[uint64]pageLoc, dictLen, rows int, err error) {
 	r := bytes.NewReader(b)
 	if err = wal.CheckHeader(r, manifestMagic, storeVersion); err != nil {
-		return geom, nil, 0, 0, err
+		return 0, nil, 0, 0, err
 	}
 	payload, err := wal.ExpectFrame(r, len(b))
 	if err != nil {
-		return geom, nil, 0, 0, fmt.Errorf("manifest: %w", err)
+		return 0, nil, 0, 0, fmt.Errorf("manifest: %w", err)
 	}
 	if r.Len() != 0 {
-		return geom, nil, 0, 0, fmt.Errorf("%w: manifest record trailed by %d bytes", errCorrupt, r.Len())
+		return 0, nil, 0, 0, fmt.Errorf("%w: manifest record trailed by %d bytes", errCorrupt, r.Len())
 	}
 	d := relation.NewDecoder(payload, errCorrupt)
-	geom.arity = int(d.Uvarint("arity"))
-	if ps := d.Uvarint("page size"); ps < MinPageSize || ps > MaxPageSize {
-		d.Failf("page size %d outside [%d, %d]", ps, MinPageSize, MaxPageSize)
-	} else {
-		geom.pageSize = int(ps)
-	}
+	arity = int(d.Uvarint("arity"))
 	dictLen = int(d.Uvarint("dictionary length"))
 	rows = int(d.Uvarint("row count"))
 	n := d.Uvarint("page count")
@@ -625,9 +540,9 @@ func decodeManifest(b []byte) (geom manifestGeom, table map[uint64]pageLoc, dict
 		table[no] = pageLoc{gen: d.Uvarint("page generation"), off: int64(d.Uvarint("page offset"))}
 	}
 	if err := d.Done(); err != nil {
-		return geom, nil, 0, 0, fmt.Errorf("manifest: %w", err)
+		return 0, nil, 0, 0, fmt.Errorf("manifest: %w", err)
 	}
-	return geom, table, dictLen, rows, nil
+	return arity, table, dictLen, rows, nil
 }
 
 // openDict reads exactly dictLen entries from dict.log, truncates any
@@ -711,7 +626,7 @@ func (c *countReader) ReadByte() (byte, error) {
 
 // Iterator streams the store's committed rows in physical order as
 // snapshot tuples — the recovery-time replacement for a snapshot file's
-// inline tuple records. It reads pages 0 … ⌈rows/rowsPerPage⌉−1 of the
+// inline tuple records. It reads pages 0 … ⌈rows/PageRows⌉−1 of the
 // generation it was opened on, each once and in order, holds one page
 // image and decodes its rows in order. Each row hands back the value ids
 // it was written under (its IDs), which the dictionary Dict returns
@@ -767,12 +682,12 @@ func (it *Iterator) Next() (wal.SnapTuple, bool, error) {
 	}
 	d := it.d
 	if it.left == 0 {
-		b, err := d.readPage(it.table, uint64(it.pos)/d.rowsPerPage)
+		b, err := d.readPage(it.table, uint64(it.pos/relation.PageRows))
 		if err != nil {
 			it.err = err
 			return wal.SnapTuple{}, false, err
 		}
-		it.page, it.left, it.prev = relation.NewDecoder(b, errCorrupt), min(int(d.rowsPerPage), it.rows-it.pos), 0
+		it.page, it.left, it.prev = relation.NewDecoder(b, errCorrupt), min(relation.PageRows, it.rows-it.pos), 0
 	}
 	t := wal.DecodeRow(it.page, d.arity, it.prev)
 	it.prev = t.ID
@@ -792,7 +707,7 @@ func (it *Iterator) Next() (wal.SnapTuple, bool, error) {
 		err = it.page.Done()
 	}
 	if err != nil {
-		it.err = fmt.Errorf("page %d, position %d: %w", uint64(it.pos)/d.rowsPerPage, it.pos, err)
+		it.err = fmt.Errorf("page %d, position %d: %w", it.pos/relation.PageRows, it.pos, err)
 		return wal.SnapTuple{}, false, it.err
 	}
 	it.pos++
@@ -821,12 +736,13 @@ func (d *Disk) readPage(table map[uint64]pageLoc, no uint64) ([]byte, error) {
 		}
 		d.files[loc.gen] = f
 	}
-	r := io.NewSectionReader(f, loc.off, 8+8+int64(d.pageCap))
+	limit := pageCap(d.arity)
+	r := io.NewSectionReader(f, loc.off, 8+8+int64(limit))
 	var prefix [8]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return nil, fmt.Errorf("%w: page %d record prefix: %v", errCorrupt, no, err)
 	}
-	b, err := wal.ExpectFrame(r, d.pageCap)
+	b, err := wal.ExpectFrame(r, limit)
 	if err != nil {
 		return nil, fmt.Errorf("page %d: %w", no, err)
 	}

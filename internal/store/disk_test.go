@@ -90,11 +90,11 @@ func flushCommit(t *testing.T, d *Disk, rel *relation.Relation, gen uint64) {
 func TestDictRefusesRepeatedEntry(t *testing.T) {
 	dir := t.TempDir()
 	rel := testRelation(t)
-	d, err := Create(dir, 3, Options{PageSize: MinPageSize})
+	d, err := Create(dir, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Attach(rel)
+	d.Attach(rel, true)
 	if _, err := rel.InsertRow("v1", "v2", "v3"); err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestDictRefusesRepeatedEntry(t *testing.T) {
 func TestDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	rel := testRelation(t)
-	d, err := Create(dir, 3, Options{PageSize: MinPageSize})
+	d, err := Create(dir, 3, Options{})
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	d.Attach(rel)
+	d.Attach(rel, true)
 
 	wt := relation.NewTuple(0, "x", "y", "z")
 	wt.SetWeight(1, 0.25)
@@ -189,7 +189,7 @@ func TestDiskDictOrphanTailTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Attach(rel)
+	d.Attach(rel, true)
 	rel.MustInsert(relation.NewTuple(0, "p", "q", "r"))
 	flushCommit(t, d, rel, 0)
 	d.Close()
@@ -224,6 +224,9 @@ func TestDiskDictOrphanTailTruncated(t *testing.T) {
 	d2.Close()
 }
 
+// An abort leaves the committed version where it was, so the flush after
+// it writes the aborted flush's pages: here a page written before the
+// aborted boundary and not since.
 func TestDiskAbortRemerges(t *testing.T) {
 	dir := t.TempDir()
 	rel := testRelation(t)
@@ -231,54 +234,94 @@ func TestDiskAbortRemerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Attach(rel)
-	rel.MustInsert(relation.NewTuple(0, "a", "b", "c"))
-	f := d.BeginFlush(rel.Pin())
-	// Newer write to the same page supersedes the aborted copy.
+	d.Attach(rel, true)
+	for i := 0; i < 2*relation.PageRows; i++ {
+		if _, err := rel.InsertRow("a", "b", strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushCommit(t, d, rel, 0)
 	if _, err := rel.Set(1, 2, relation.S("c2")); err != nil {
+		t.Fatal(err)
+	}
+	f := d.BeginFlush(rel.Pin())
+	if _, err := rel.Set(relation.PageRows+1, 2, relation.S("c3")); err != nil {
 		t.Fatal(err)
 	}
 	f.Abort()
 	if rel.ActiveViews() != 0 {
 		t.Fatalf("abort leaked the pinned view")
 	}
-	flushCommit(t, d, rel, 0)
+	if s := d.Stats(); s.Gen != 0 || s.FlushPages != 2 {
+		t.Fatalf("an abort moved the committed state: %+v", s)
+	}
+	flushCommit(t, d, rel, 1)
+	if s := d.Stats(); s.FlushPages != 2 || d.table[0].gen != 1 || d.table[1].gen != 1 {
+		t.Fatalf("the flush after an abort wrote %d pages, page 0 in generation %d: %+v", s.FlushPages, d.table[0].gen, s)
+	}
 	d.Close()
 
-	d2, err := Open(dir, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	it, err := d2.Source()
-	if err != nil {
-		t.Fatal(err)
-	}
-	expect(t, rel, drain(t, it))
+	reopen(t, dir, 1, rel)
 }
 
 func TestDiskStats(t *testing.T) {
 	dir := t.TempDir()
 	rel := testRelation(t)
-	d, err := Create(dir, 3, Options{PageSize: MinPageSize})
+	d, err := Create(dir, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.Attach(rel)
+	d.Attach(rel, true)
 	for i := 0; i < 1000; i++ {
 		if _, err := rel.InsertRow("a", "b", "c"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s := d.Stats(); s.DirtyPages == 0 {
-		t.Fatalf("expected dirty pages before flush, got %+v", s)
+	if s := d.Stats(); s.FlushPages != 0 || s.Pages != 0 {
+		t.Fatalf("stats before the first flush: %+v", s)
 	}
 	flushCommit(t, d, rel, 0)
 	s := d.Stats()
-	if s.DirtyPages != 0 || s.Pages == 0 || s.Tuples != 1000 || s.DictEntries != 3 || s.DiskBytes == 0 {
+	if s.FlushPages != 1 || s.Pages != 1 || s.Tuples != 1000 || s.DictEntries != 3 || s.DiskBytes == 0 {
 		t.Fatalf("unexpected stats after flush: %+v", s)
 	}
+	flushCommit(t, d, rel, 1)
+	if s := d.Stats(); s.Gen != 1 || s.FlushPages != 0 || s.Pages != 1 {
+		t.Fatalf("a flush with no write between commits: %+v", s)
+	}
+}
+
+// A fresh store writes every page of its first flush, whatever the stamps
+// read: RestoreJournalMarks, moving the version back, clears every stamp
+// to 0, as a follower's install and a newly created session's relation
+// may have them, and a store taking "newer than version 0" for its first
+// flush would write no page.
+func TestFreshStoreWritesEveryPage(t *testing.T) {
+	dir := t.TempDir()
+	rel := testRelation(t)
+	for i := 0; i < 2*relation.PageRows+1; i++ {
+		if _, err := rel.InsertRow("a", "b", strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rel.RestoreJournalMarks(rel.NextID(), 1)
+	v := rel.Pin()
+	if !slices.Equal(v.Stamps(), []uint64{0, 0, 0}) {
+		t.Fatalf("stamps %v after the version moved back, want three zeros", v.Stamps())
+	}
+	v.Release()
+	d, err := Create(dir, 3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.Attach(rel, true)
+	flushCommit(t, d, rel, 0)
+	if s := d.Stats(); s.FlushPages != 3 || s.Pages != 3 {
+		t.Fatalf("the first flush over zeroed stamps: %+v, want all three pages written", s)
+	}
+	reopen(t, dir, 0, rel)
 }
 
 // reopen opens generation gen of dir beside whatever store is live on it
@@ -298,7 +341,7 @@ func reopen(t *testing.T, dir string, gen uint64, want *relation.Relation) {
 		t.Fatalf("source gen %d: %v", gen, err)
 	}
 	expect(t, want, drain(t, it))
-	live := d.pagesFor(want.Size())
+	live := pagesFor(want.Size())
 	for no := range d.table {
 		if no >= live {
 			t.Fatalf("gen %d: page %d committed, %d rows fill %d pages", gen, no, want.Size(), live)
@@ -309,24 +352,24 @@ func reopen(t *testing.T, dir string, gen uint64, want *relation.Relation) {
 	}
 }
 
-// An aborted flush's pages belong to the flush behind it, not to the
-// dirty set: that flush commits next, and its generation must carry them
-// — also when a write after both boundaries has touched the same page
-// again (before PR 20 the store held page images, took the re-dirtied
-// image to supersede the aborted one, and committed the later generation
-// without the page).
+// An aborted flush's pages are written by the flush behind it, which
+// commits next against the same committed version — also when a write
+// after both boundaries has touched the same page again (before PR 20 the
+// store held page images, took the re-dirtied image to supersede the
+// aborted one, and committed the later generation without the page).
 func TestAbortBehindALaterFlush(t *testing.T) {
-	for name, third := range map[string]relation.TupleID{"third write elsewhere": 150, "third write on the aborted page": 2} {
+	const rows = 2*relation.PageRows + 300
+	for name, third := range map[string]relation.TupleID{"third write elsewhere": relation.PageRows + 150, "third write on the aborted page": 2} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			rel := testRelation(t)
-			d, err := Create(dir, 3, Options{PageSize: MinPageSize})
+			d, err := Create(dir, 3, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			d.Attach(rel)
-			for i := 0; i < 300; i++ {
+			d.Attach(rel, true)
+			for i := 0; i < rows; i++ {
 				if _, err := rel.InsertRow("a", "b", strconv.Itoa(i)); err != nil {
 					t.Fatal(err)
 				}
@@ -341,13 +384,16 @@ func TestAbortBehindALaterFlush(t *testing.T) {
 
 			set(1, "first page")
 			a := d.BeginFlush(rel.Pin())
-			set(300, "last page")
+			set(rows, "last page")
 			atB := rel.Clone()
 			b := d.BeginFlush(rel.Pin())
 			set(third, "after both boundaries")
 			a.Abort()
 			if err := b.Commit(1); err != nil {
 				t.Fatalf("commit behind an abort: %v", err)
+			}
+			if s := d.Stats(); s.FlushPages != 2 || d.table[0].gen != 1 || d.table[1].gen != 0 {
+				t.Fatalf("the flush behind an abort wrote %d pages, page 0 in generation %d: %+v", s.FlushPages, d.table[0].gen, s)
 			}
 			reopen(t, dir, 1, atB)
 
@@ -357,9 +403,13 @@ func TestAbortBehindALaterFlush(t *testing.T) {
 	}
 }
 
-// Random insert/Set/Delete schedules with one or two flushes in flight,
-// resolved in FIFO order by a random Commit or Abort: every committed
-// generation reopens to the relation as it stood at its BeginFlush.
+// Random insert/Set/Delete schedules over three to six store pages, with
+// one or two flushes in flight, resolved in FIFO order by a random Commit
+// or Abort: every committed generation reopens to the relation as it
+// stood at its BeginFlush. Between two boundaries most writes fall on one
+// page, a new one each time, so the flushes in flight hold different
+// pages; inserts append to the last page, deletes shorten it and bulk
+// deletes drop it, so an aborted flush holds pages of each kind.
 func TestFlushSchedulesReopenToTheirBoundary(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		runSchedule(t, t.TempDir(), seed)
@@ -370,12 +420,13 @@ func runSchedule(t *testing.T, dir string, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	rel := testRelation(t)
-	d, err := Create(dir, 3, Options{PageSize: MinPageSize})
+	d, err := Create(dir, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.Attach(rel)
+	d.Attach(rel, true)
+	rpp := relation.PageRows
 
 	type inFlight struct {
 		f    *Flush
@@ -384,16 +435,20 @@ func runSchedule(t *testing.T, dir string, seed int64) {
 	}
 	var pending []inFlight
 	var nextGen uint64
+	var commits, aborts int
+	hot := 0 // the page most writes fall on until the next boundary
 	resolve := func() {
 		p := pending[0]
 		pending = pending[1:]
 		if rng.Intn(3) == 0 {
 			p.f.Abort()
+			aborts++
 			return
 		}
 		if err := p.f.Commit(p.gen); err != nil {
 			t.Fatalf("seed %d: commit gen %d: %v", seed, p.gen, err)
 		}
+		commits++
 		reopen(t, dir, p.gen, p.want)
 	}
 	flush := func() {
@@ -402,8 +457,17 @@ func runSchedule(t *testing.T, dir string, seed int64) {
 		}
 		pending = append(pending, inFlight{d.BeginFlush(rel.Pin()), nextGen, rel.Clone()})
 		nextGen++
+		hot = rng.Intn((rel.Size() + rpp - 1) / rpp)
 	}
-	randomID := func() relation.TupleID { return rel.Tuples()[rng.Intn(rel.Size())].ID }
+	// randomID picks a row of the hot page three times in four, and any
+	// row otherwise.
+	randomID := func() relation.TupleID {
+		ts := rel.Tuples()
+		if lo := hot * rpp; lo < len(ts) && rng.Intn(4) != 0 {
+			return ts[lo+rng.Intn(min(rpp, len(ts)-lo))].ID
+		}
+		return ts[rng.Intn(len(ts))].ID
+	}
 	val := func() string { return strconv.Itoa(rng.Intn(40)) }
 	insert := func() {
 		tu := relation.NewTuple(0, val(), val(), val())
@@ -412,12 +476,15 @@ func runSchedule(t *testing.T, dir string, seed int64) {
 		}
 		rel.MustInsert(tu)
 	}
+	for rel.Size() < 3*rpp+rng.Intn(rpp) {
+		insert()
+	}
 
 	for step := 0; step < 1500; step++ {
 		switch op := rng.Intn(100); {
-		case op < 45 || rel.Size() == 0:
+		case op < 36 && rel.Size() < 6*rpp || rel.Size() <= 2*rpp:
 			insert()
-		case op < 70:
+		case op < 62:
 			v := relation.S(val())
 			if rng.Intn(8) == 0 {
 				v = relation.NullValue
@@ -425,24 +492,25 @@ func runSchedule(t *testing.T, dir string, seed int64) {
 			if _, err := rel.Set(randomID(), rng.Intn(3), v); err != nil {
 				t.Fatal(err)
 			}
-		case op < 92:
-			rel.Delete(randomID())
 		case op < 94:
+			rel.Delete(randomID())
+		case op < 95 && rel.Size() < 5*rpp:
+			// Insert a page's worth of rows: the next commit adds a page.
+			for range rpp {
+				insert()
+			}
+		case op < 96 && rel.Size() > 3*rpp:
 			// Delete a page's worth of rows, so that the row count drops
 			// past a page boundary and the next commit drops a page.
-			for i := uint64(0); i < d.rowsPerPage && rel.Size() > 0; i++ {
+			for range rpp {
 				rel.Delete(randomID())
 			}
 		case op < 97:
-			// Grow past one page if need be and flush; then delete a row
-			// of a page before the last and flush again, inserting
-			// nothing: the second flush finds the last page one row
-			// shorter but not dirty, and must rewrite it.
-			for rel.Size() <= int(d.rowsPerPage) {
-				insert()
-			}
+			// Flush; then delete a row of a page before the last and
+			// flush again, inserting nothing: the second flush finds the
+			// last page one row shorter.
 			flush()
-			last := (rel.Size() - 1) / int(d.rowsPerPage) * int(d.rowsPerPage)
+			last := (rel.Size() - 1) / rpp * rpp
 			rel.Delete(rel.Tuples()[rng.Intn(last)].ID)
 			flush()
 		default:
@@ -455,6 +523,9 @@ func runSchedule(t *testing.T, dir string, seed int64) {
 	if rel.ActiveViews() != 0 {
 		t.Fatalf("seed %d: %d pinned views leaked", seed, rel.ActiveViews())
 	}
+	if commits == 0 || aborts == 0 {
+		t.Fatalf("seed %d: %d commits and %d aborts, want both", seed, commits, aborts)
+	}
 }
 
 // Page files live for as long as a page of the two newest manifests is
@@ -464,18 +535,18 @@ func runSchedule(t *testing.T, dir string, seed int64) {
 func TestDiskPrunesOrderFilesAndManifests(t *testing.T) {
 	dir := t.TempDir()
 	rel := testRelation(t)
-	d, err := Create(dir, 3, Options{PageSize: MinPageSize})
+	d, err := Create(dir, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.Attach(rel)
+	d.Attach(rel, true)
 	var prev *relation.Relation
 	for gen := uint64(0); gen < 5; gen++ {
 		// Insert-only: every rotation's page file keeps a page that is
 		// never dirtied again.
 		prev = rel.Clone()
-		for i := 0; i < 200; i++ {
+		for i := 0; i < relation.PageRows; i++ {
 			if _, err := rel.InsertRow("a", "b", strconv.Itoa(i)); err != nil {
 				t.Fatal(err)
 			}
@@ -516,7 +587,7 @@ func committedStore(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Attach(rel)
+	d.Attach(rel, true)
 	rel.MustInsert(relation.NewTuple(0, "p", "q", "r"))
 	rel.MustInsert(relation.NewTuple(0, "s", "t", "u"))
 	flushCommit(t, d, rel, 0)
@@ -546,38 +617,19 @@ func TestOpenRefusesOversizedDictEntry(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesGeometry: rows per page and the page cap follow from
-// the arity and the manifest's page size, and the iterator addresses rows
-// by them; a page size no Options could have set, or a relation of
-// another arity, is corrupt.
+// TestOpenRefusesGeometry: the iterator decodes rows of the manifest's
+// arity, so a store opened for a relation of another arity is corrupt.
 func TestOpenRefusesGeometry(t *testing.T) {
-	for _, c := range []struct {
-		pageSize, arity int
-	}{{MinPageSize - 1, 3}, {MaxPageSize + 1, 3}, {DefaultPageSize, 4}} {
-		dir := committedStore(t)
-		path := filepath.Join(dir, manifestName(0))
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		geom, table, dictLen, rows, err := decodeManifest(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		geom.pageSize = c.pageSize
-		if err := os.WriteFile(path, encodeManifest(geom, table, dictLen, rows), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Open(dir, 0, c.arity); !errors.Is(err, errCorrupt) {
-			t.Fatalf("open with page size %d at arity %d: %v, want errCorrupt", c.pageSize, c.arity, err)
-		}
+	dir := committedStore(t)
+	if _, err := Open(dir, 0, 4); !errors.Is(err, errCorrupt) {
+		t.Fatalf("open of an arity-3 store at arity 4: %v, want errCorrupt", err)
 	}
 }
 
 // Ten rotations of a sliding window: each deletes the oldest tenth of
 // 20 000 rows and inserts as many. A delete moves the last row into the
 // vacated position, so the rows keep filling the low pages and the page
-// table never outgrows ⌈rows/rowsPerPage⌉; every generation reopens to
+// table never outgrows ⌈rows/PageRows⌉; every generation reopens to
 // the relation.
 func TestChurnKeepsPageTableToRowCount(t *testing.T) {
 	const rows, window = 20000, 2000
@@ -588,7 +640,7 @@ func TestChurnKeepsPageTableToRowCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.Attach(rel)
+	d.Attach(rel, true)
 	insert := func(i int) {
 		if _, err := rel.InsertRow(strconv.Itoa(i%97), strconv.Itoa(i%13), strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
@@ -610,7 +662,7 @@ func TestChurnKeepsPageTableToRowCount(t *testing.T) {
 		}
 		flushCommit(t, d, rel, gen)
 		s := d.Stats()
-		if want := int(d.pagesFor(rel.Size())); s.Pages != want {
+		if want := int(pagesFor(rel.Size())); s.Pages != want {
 			t.Fatalf("rotation %d: %d pages committed, %d rows fill %d", gen, s.Pages, rel.Size(), want)
 		}
 		t.Logf("rotation %2d: %d pages, %.1f B/row", gen, s.Pages, float64(s.DiskBytes)/float64(s.Tuples))
@@ -628,7 +680,7 @@ func TestFlushOfOneDirtyPageWritesOnePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.Attach(rel)
+	d.Attach(rel, true)
 	for i := 0; i < 100000; i++ {
 		if _, err := rel.InsertRow("a", "b", strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
@@ -655,7 +707,7 @@ func TestFlushOfOneDirtyPageWritesOnePage(t *testing.T) {
 		if _, err := r.Seek(8, io.SeekCurrent); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := wal.ExpectFrame(r, d.pageCap); err != nil {
+		if _, err := wal.ExpectFrame(r, pageCap(3)); err != nil {
 			t.Fatalf("record %d: %v", records, err)
 		}
 		records++
@@ -669,9 +721,9 @@ func TestFlushOfOneDirtyPageWritesOnePage(t *testing.T) {
 // TestOpenRefusesVersion1: store files of the formats before this one
 // are refused as corrupt, not misread, with an error naming the version:
 // version 1 filed rows by tuple id beside an order file, version 2 wrote
-// fixed-width rows.
+// fixed-width rows, version 3 pages of a size its manifest named.
 func TestOpenRefusesVersion1(t *testing.T) {
-	for _, ver := range []byte{1, 2} {
+	for _, ver := range []byte{1, 2, 3} {
 		dir := committedStore(t)
 		path := filepath.Join(dir, manifestName(0))
 		b, err := os.ReadFile(path)
@@ -701,7 +753,7 @@ func TestPageBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.Attach(rel)
+	d.Attach(rel, true)
 	rel.MustInsert(relation.NewTuple(0, "x", "y", "z"))
 	weighted := &relation.Tuple{Vals: []relation.Value{relation.S("x"), relation.NullValue, relation.S("w")}}
 	weighted.SetWeight(1, 0.25)
@@ -724,7 +776,7 @@ func TestPageBytes(t *testing.T) {
 	if _, err := io.ReadFull(r, no[:]); err != nil || binary.LittleEndian.Uint64(no[:]) != 0 {
 		t.Fatalf("the first record is page %x: %v", no, err)
 	}
-	page, err := wal.ExpectFrame(r, d.pageCap)
+	page, err := wal.ExpectFrame(r, pageCap(3))
 	if err != nil || r.Len() != 0 {
 		t.Fatalf("page record: %v, %d bytes behind it", err, r.Len())
 	}
@@ -734,18 +786,18 @@ func TestPageBytes(t *testing.T) {
 }
 
 // A delete moves the last row into the freed position and shortens the
-// last page without writing a position on it; the flush rewrites that
-// page too, since an image holds exactly its rows below the row count.
+// last page; the relation stamps that page too, so the flush rewrites it
+// and its image holds exactly its rows below the row count.
 func TestDeleteRewritesTheShortenedLastPage(t *testing.T) {
 	dir := t.TempDir()
 	rel := testRelation(t)
-	d, err := Create(dir, 3, Options{PageSize: MinPageSize})
+	d, err := Create(dir, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.Attach(rel)
-	for i := 0; i < int(d.rowsPerPage)+5; i++ {
+	d.Attach(rel, true)
+	for i := 0; i < relation.PageRows+5; i++ {
 		if _, err := rel.InsertRow("a", "b", strconv.Itoa(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -772,7 +824,7 @@ func BenchmarkFlushOneDirtyPage(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer d.Close()
-			d.Attach(rel)
+			d.Attach(rel, true)
 			for i := 0; i < n; i++ {
 				if _, err := rel.InsertRow("a", "b", strconv.Itoa(i)); err != nil {
 					b.Fatal(err)
@@ -792,7 +844,7 @@ func BenchmarkFlushOneDirtyPage(b *testing.B) {
 			}
 			b.StopTimer()
 			if st, err := os.Stat(filepath.Join(d.dir, pagesName(uint64(b.N)))); err == nil {
-				b.ReportMetric(float64(st.Size())/float64(d.rowsPerPage), "B/row")
+				b.ReportMetric(float64(st.Size())/float64(relation.PageRows), "B/row")
 			}
 		})
 	}

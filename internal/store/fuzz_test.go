@@ -22,38 +22,37 @@ import (
 // them with a valid checksum so the bytes reach the decoder behind the
 // frame; the payload is also decoded raw, as a whole file. decodeManifest
 // never panics, and whatever it accepts encodes to a manifest that
-// decodes to the same geometry, page table, dictionary length and row
-// count, and encodes again to the same bytes. The seeds stamp a real
+// decodes to the same arity, page table, dictionary length and row count,
+// and encodes again to the same bytes. The seeds stamp a real
 // manifest with this build's store version and with each version of the
 // wal package's refusal table (compat_test.go).
 func FuzzDecodeManifest(f *testing.F) {
-	seed := encodeManifest(manifestGeom{3, DefaultPageSize},
-		map[uint64]pageLoc{0: {0, 8}, 1: {1, 8}, 7: {1, 8 + 8 + 8 + 500}}, 12, 300)
+	seed := encodeManifest(3, map[uint64]pageLoc{0: {0, 8}, 1: {1, 8}, 7: {1, 8 + 8 + 8 + 500}}, 12, 7*1024+300)
 	if _, _, _, _, err := decodeManifest(seed); err != nil {
 		f.Fatal(err)
 	}
 	_, payload, _ := bytes.Cut(seed, []byte(manifestMagic))
 	payload = payload[1+8:] // version byte, record length and checksum
-	for _, ver := range []byte{storeVersion, 1, 2, 99} {
+	for _, ver := range []byte{storeVersion, 1, 2, 3, 99} {
 		f.Add(ver, payload)
 	}
 	f.Add(byte(storeVersion), seed)
 	f.Fuzz(func(t *testing.T, ver byte, payload []byte) {
 		decodeManifest(payload)
 		b := wal.AppendFrame(wal.AppendHeader(nil, manifestMagic, ver), payload)
-		geom, table, dictLen, rows, err := decodeManifest(b)
+		arity, table, dictLen, rows, err := decodeManifest(b)
 		if err != nil {
 			return
 		}
-		enc := encodeManifest(geom, table, dictLen, rows)
-		geom2, table2, dictLen2, rows2, err := decodeManifest(enc)
+		enc := encodeManifest(arity, table, dictLen, rows)
+		arity2, table2, dictLen2, rows2, err := decodeManifest(enc)
 		if err != nil {
 			t.Fatalf("re-encoded manifest does not decode: %v", err)
 		}
-		if geom2 != geom || !maps.Equal(table2, table) || dictLen2 != dictLen || rows2 != rows {
-			t.Fatalf("manifest changed across a round trip: %+v %d %d → %+v %d %d", geom, dictLen, rows, geom2, dictLen2, rows2)
+		if arity2 != arity || !maps.Equal(table2, table) || dictLen2 != dictLen || rows2 != rows {
+			t.Fatalf("manifest changed across a round trip: %d %d %d → %d %d %d", arity, dictLen, rows, arity2, dictLen2, rows2)
 		}
-		if !bytes.Equal(encodeManifest(geom2, table2, dictLen2, rows2), enc) {
+		if !bytes.Equal(encodeManifest(arity2, table2, dictLen2, rows2), enc) {
 			t.Fatal("manifest encoding is not a fixed point")
 		}
 	})
@@ -76,7 +75,7 @@ func FuzzOpenDict(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	d.Attach(rel)
+	d.Attach(rel, true)
 	for _, vals := range [][]string{{"212", "NYC", ""}, {"Ünïcödé", strings.Repeat("x", 300), "a,b"}} {
 		rel.MustInsert(relation.NewTuple(0, vals...))
 	}
@@ -104,7 +103,7 @@ func FuzzOpenDict(f *testing.F) {
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		d := newDisk(dir, 3, MinPageSize)
+		d := newDisk(dir, 3)
 		if err := d.openDict(int(n)); err != nil {
 			return
 		}
@@ -129,7 +128,7 @@ func FuzzOpenDict(f *testing.F) {
 		if len(rest) != 0 {
 			t.Fatalf("%d bytes kept past the %d entries", len(rest), n)
 		}
-		again := newDisk(dir, 3, MinPageSize)
+		again := newDisk(dir, 3)
 		if err := again.openDict(int(n)); err != nil || !slices.Equal(again.strs, strs) {
 			t.Fatalf("reopening the truncated dict.log: %v", err)
 		}
@@ -138,11 +137,11 @@ func FuzzOpenDict(f *testing.F) {
 }
 
 // FuzzStoreSource holds the page reader — what recovery streams a
-// relation back through — to its contract. The seed store holds nulls,
-// weights, a delete that shortened its last page and a Set; the fuzzer
-// rewrites its newest pages file and the row count of its newest
-// manifest. With raw set the bytes are the whole pages file (the seeds: a
-// torn record, a version-2 header); otherwise they are page 0's image,
+// relation back through — to its contract. The seed store holds two
+// pages with nulls and weights, a delete that shortened its last page and
+// a Set; the fuzzer rewrites its newest pages file and the row count of
+// its newest manifest. With raw set the bytes are the whole pages file
+// (the seeds: a torn record, a version-3 header); otherwise they are page 0's image,
 // which the test frames with a valid checksum behind the file's records
 // and points the page table at, so the rows reach the decoder. Open and
 // Source then end in rows or in an error that wraps corrupt, and never
@@ -153,13 +152,13 @@ func FuzzOpenDict(f *testing.F) {
 func FuzzStoreSource(f *testing.F) {
 	dir := f.TempDir()
 	rel := testRelation(f)
-	d, err := Create(dir, 3, Options{PageSize: MinPageSize})
+	d, err := Create(dir, 3, Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
-	d.Attach(rel)
-	for i := range 100 {
-		tu := relation.NewTuple(0, "a"+strconv.Itoa(i%7), "b", strconv.Itoa(i))
+	d.Attach(rel, true)
+	for i := range relation.PageRows + 100 {
+		tu := relation.NewTuple(0, "a"+strconv.Itoa(i%7), "b", strconv.Itoa(i%300))
 		if i%5 == 0 {
 			tu.Vals[1] = relation.NullValue
 		}
@@ -178,7 +177,7 @@ func FuzzStoreSource(f *testing.F) {
 	if err := d.BeginFlush(rel.Pin()).Commit(1); err != nil {
 		f.Fatal(err)
 	}
-	rpp, pageCap := int(d.rowsPerPage), d.pageCap
+	rpp, limit := relation.PageRows, pageCap(3)
 	d.Close()
 	files := map[string][]byte{}
 	for _, name := range []string{dictName, pagesName(0), pagesName(1), manifestName(0), manifestName(1)} {
@@ -186,22 +185,22 @@ func FuzzStoreSource(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	geom, table, dictLen, rows, err := decodeManifest(files[manifestName(1)])
+	arity, table, dictLen, rows, err := decodeManifest(files[manifestName(1)])
 	if err != nil {
 		f.Fatal(err)
 	}
-	// The delete and the Set wrote page 0 into the newest pages file.
+	// The delete and the Set wrote both pages into the newest pages file.
 	newest := files[pagesName(1)]
-	if table[0].gen != 1 {
-		f.Fatalf("page 0 lives in generation %d", table[0].gen)
+	if table[0].gen != 1 || table[1].gen != 1 {
+		f.Fatalf("pages 0 and 1 live in generations %d and %d", table[0].gen, table[1].gen)
 	}
-	image, err := wal.ReadFrame(bytes.NewReader(newest[table[0].off+8:]), pageCap)
+	image, err := wal.ReadFrame(bytes.NewReader(newest[table[0].off+8:]), limit)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(uint16(rows), false, image)
 	f.Add(uint16(rows+1), false, image)              // the last page holds a row too few
-	f.Add(uint16(rpp+1), false, image)               // and here one too many: bytes after its last row
+	f.Add(uint16(rpp-1), false, image)               // and here one too many: bytes after its last row
 	f.Add(uint16(rows), false, image[:len(image)-2]) // page 0 cut mid-row
 	// One-row pages: id 1, cells 1 2 3, no weights — then changes of
 	// it, each refused but id −1, which the image's reader accepts too.
@@ -213,12 +212,12 @@ func FuzzStoreSource(f *testing.F) {
 	f.Add(uint16(1), false, []byte{1, 1, 2, 3, 0})                // and one below it: id −1
 	f.Add(uint16(1), false, []byte{2, 1, 0xff, 0xff, 0x03, 3, 0}) // a cell past dict.log
 	f.Add(uint16(1), false, append(slices.Clone(row), 0))         // a byte after the page's last row
-	f.Add(uint16(1), false, make([]byte, pageCap+1))              // a record past the page cap
+	f.Add(uint16(1), false, make([]byte, limit+1))                // a record past the page cap
 	// Whole files stay short: the fuzzer minimizes what it finds by
 	// re-running the target byte by byte.
 	hdr := len(pageMagic) + 1
 	f.Add(uint16(rows), true, newest[:hdr+8+8+64])
-	f.Add(uint16(rows), true, wal.AppendHeader(nil, pageMagic, 2))
+	f.Add(uint16(rows), true, wal.AppendHeader(nil, pageMagic, 3))
 
 	f.Fuzz(func(t *testing.T, n uint16, raw bool, b []byte) {
 		dir := t.TempDir()
@@ -233,7 +232,7 @@ func FuzzStoreSource(f *testing.F) {
 		for name, data := range files {
 			switch name {
 			case manifestName(1):
-				data = encodeManifest(geom, tbl, dictLen, int(n))
+				data = encodeManifest(arity, tbl, dictLen, int(n))
 			case pagesName(1):
 				data = pages[1]
 			}
@@ -287,7 +286,7 @@ func FuzzStoreSource(f *testing.F) {
 		}
 		for lo := 0; lo < len(got); lo += rpp {
 			loc := tbl[uint64(lo/rpp)]
-			image, err := wal.ReadFrame(bytes.NewReader(pages[loc.gen][loc.off+8:]), pageCap)
+			image, err := wal.ReadFrame(bytes.NewReader(pages[loc.gen][loc.off+8:]), limit)
 			if err != nil {
 				t.Fatalf("page %d streamed, but its record: %v", lo/rpp, err)
 			}

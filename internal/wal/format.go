@@ -39,9 +39,9 @@
 //
 //	wal-<gen>.log       "CFDWAL"  4  record*  (Batch payloads)
 //	snap-<gen>.snap     "CFDSNAP" 4  header-record chunk-record*
-//	pages-<gen>.dat     "CFDPAGE" 3  (pageNo(u64 LE) record)*
-//	manifest-<gen>.mft  "CFDSTOR" 3  record
-//	dict.log            "CFDDICT" 3  (length(uvarint) bytes)*, unframed
+//	pages-<gen>.dat     "CFDPAGE" 4  (pageNo(u64 LE) record)*
+//	manifest-<gen>.mft  "CFDSTOR" 4  record
+//	dict.log            "CFDDICT" 4  (length(uvarint) bytes)*, unframed
 //
 // <gen> is ten decimal digits (GenName). A snapshot file streams a
 // header record (everything through the tuple count) followed by bounded
@@ -55,7 +55,8 @@
 //	row    = iddelta(varint) cell*arity wflag(u8) weight*
 //	chunk  = nrows(uvarint) nstrs(uvarint) string* row*
 //	string = len(uvarint) byte*   (image entry k is the k-th string)
-//	page   = row*                 (its positions below the row count)
+//	page   = row*                 (its positions below the row count, at
+//	                               most relation.PageRows of them)
 //
 // iddelta is the tuple id minus the previous row's in the image (in the
 // page), zig-zag encoded, 0 before the first; weight is float64 bits
