@@ -14,11 +14,12 @@
 //
 // With -data-dir the service is durable: every session writes a
 // CRC-checked write-ahead log under DIR/<session>/ and, every -snap-every
-// batches, a snapshot through its page store in DIR/<session>/store/:
-// generation-numbered page files behind a slim snapshot header, so a
-// rotation writes only the pages written since the last one. On boot the
-// service recovers every persisted session — newest valid snapshot, its
-// pages streamed back in order, then WAL replay — before accepting
+// batches, a generation through its page store in DIR/<session>/store/:
+// generation-numbered page files and one manifest holding the session
+// header beside the page table, so a rotation writes only the pages
+// written since the last one. On boot the service recovers every
+// persisted session — newest valid manifest, its pages streamed back in
+// order, then WAL replay — before accepting
 // traffic, discarding any torn record tail a crash (kill -9 included)
 // left behind. -fsync picks the durability/latency trade: "batch"
 // syncs before every acknowledgement, "off" leaves flushing to the OS.
@@ -220,10 +221,17 @@ func serve(addr, pprofAddr string, opts server.Options, stop <-chan os.Signal, r
 	svc := server.New(opts)
 	if opts.DataDir != "" {
 		n, err := svc.Recover()
-		if err != nil {
-			// Unrecoverable tenants are skipped, not fatal: their data
-			// stays on disk for inspection while everyone else serves.
-			log.Printf("cfdserved: recovery incomplete: %v", err)
+		// Unrecoverable tenants are skipped, not fatal: their data stays
+		// on disk for inspection while everyone else serves. Recover joins
+		// one error per tenant; each gets a line of its own.
+		errs := []error{err}
+		if j, ok := err.(interface{ Unwrap() []error }); ok {
+			errs = j.Unwrap()
+		}
+		for _, err := range errs {
+			if err != nil {
+				log.Printf("cfdserved: recovery incomplete: %v", err)
+			}
 		}
 		log.Printf("cfdserved: recovered %d session(s) from %s (fsync %v, snapshot every %d batches)",
 			n, opts.DataDir, opts.Fsync, opts.SnapshotEvery)

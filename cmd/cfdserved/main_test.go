@@ -5,10 +5,13 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"log"
 	"net/http"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -179,5 +182,76 @@ func TestParseFlags(t *testing.T) {
 	slices.Sort(defined)
 	if len(defined) != 12 || !slices.Equal(listed, defined) {
 		t.Errorf("README lists %v\nbinary defines %d: %v", listed, len(defined), defined)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer the service's goroutines may log into
+// while the test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestRecoveryLogsEachRefusedTenant boots the service on a data dir
+// holding two tenants it cannot recover and requires each of them on a
+// "recovery incomplete" line of its own, so that a grep for one tenant
+// finds it whatever its place in the directory order.
+func TestRecoveryLogsEachRefusedTenant(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"refused-a", "refused-b"} {
+		if err := os.MkdirAll(filepath.Join(dir, name, "store"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name, "store", "manifest-0000000000.mft"), []byte("CFDSTOR\x04"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var logs lockedBuffer
+	log.SetOutput(&logs)
+	defer log.SetOutput(os.Stderr)
+
+	stop := make(chan os.Signal, 1)
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- serve("127.0.0.1:0", "", server.Options{DataDir: dir, QueueDepth: 8, DrainTimeout: 10 * time.Second}, stop, ready)
+	}()
+	select {
+	case <-ready:
+	case err := <-done:
+		t.Fatalf("serve exited early: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve never became ready")
+	}
+	stop <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatalf("serve exit: %v", err)
+	}
+
+	for _, name := range []string{"refused-a", "refused-b"} {
+		found := false
+		for _, line := range strings.Split(logs.String(), "\n") {
+			if strings.Contains(line, name) {
+				found = true
+				if !strings.Contains(line, "cfdserved: recovery incomplete: ") || !strings.Contains(line, "version 4") {
+					t.Errorf("tenant %s is logged on a line without the prefix or the version: %q", name, line)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("tenant %s is not logged:\n%s", name, logs.String())
+		}
 	}
 }

@@ -35,9 +35,11 @@
 //	                      multi-tenant session host; the §5 online
 //	                      scenario as a long-running system)
 //	—     durability      internal/wal (CRC-checked write-ahead log +
-//	                      snapshot headers) and internal/store (the
-//	                      rows, in page files); crash recovery replays
-//	                      the journal's Delta stream through ApplyOps
+//	                      the session header) and internal/store (the
+//	                      rows, in page files, and each generation's
+//	                      manifest holding that header); crash
+//	                      recovery replays the journal's Delta stream
+//	                      through ApplyOps
 //
 // One documented substitution. §5.2 arranges adom(Repr, A) in a tree built
 // by hierarchical agglomerative clustering and descends it to range over
@@ -121,8 +123,8 @@
 //	                ▼              ▼                        ▼
 //	          response codec   internal/wal            event ring (256
 //	                           length-prefixed CRC'd   passes); each SSE
-//	                           batch records +         stream reads it by
-//	                           rotating snapshots      cursor on its own
+//	                           batch records,          stream reads it by
+//	                           one log a generation,   cursor on its own
 //	                           under -data-dir/        goroutine, resync
 //	                           <session>/              when overtaken
 //	                                │
@@ -136,13 +138,15 @@
 //	                                │   in the image's row form: id cells
 //	                                │   as uvarints, weights only where a
 //	                                │   tuple has them; persistent dict),
-//	                                │   and the snapshot is a slim
-//	                                │   header naming StoreGen — O(written)
-//	                                │   page bytes per rotation
+//	                                │   and one manifest that is the
+//	                                │   whole generation: the session
+//	                                │   header (Σ, schema, counters,
+//	                                │   quota) beside the page table —
+//	                                │   O(written) page bytes per rotation
 //	                                │ on boot
 //	                                ▼
 //	                           RestoreFromSnapshotSource + ReplayBatch:
-//	                           newest valid snapshot, its pages streamed
+//	                           newest valid manifest, its pages streamed
 //	                           back once and in order, then WAL replay
 //	                           through the same ApplyOps path (torn
 //	                           tails discarded; byte-identical recovery)

@@ -22,8 +22,9 @@ import (
 // TestFormatsByteIdentical pins every durable and shipped byte format to
 // a digest: the WAL, snapshot and ship digests were recorded at commit
 // 45dead9, the last one where each file kind framed its own records, and
-// the store's at its format version 4, whose page is the relation's view
-// page of 1 024 rows in the snapshot image's row form. One
+// the store's at its format version 5, whose page is the relation's view
+// page of 1 024 rows in the snapshot image's row form and whose manifest
+// holds the session header. One
 // fixed scenario (a seeded relation holding a null and a weighted tuple;
 // three batches with a delete, a cell update and a re-insert; two store
 // flushes) writes a WAL, a snapshot file, the store's page and manifest
@@ -37,7 +38,14 @@ import (
 // digest with the row form, and the manifest's and dict.log's with the
 // version byte and the manifest's geometry; they were re-recorded. Store
 // format version 4 moved all three: its one page holds what version 3's
-// four did, and its manifest names no page size.) A
+// four did, and its manifest names no page size. Format version 5 — wal
+// and store alike — moved every digest but the ship batch's: the WAL's,
+// the pages' and dict.log's in their header's version byte alone (each
+// file stamped back to version 4 hashes to the version-4 digest); the
+// snapshot's with the header record's four dropped bytes (a workers
+// count, a quota flag, the store kind and its generation); and the
+// manifest's with the session header it now holds in place of the
+// arity.) A
 // digest that moves means a format changed: bump
 // the format's version, then re-record. A shipped snapshot has no digest of its own: the body
 // HTTPTransport sends must equal the snapshot file's bytes.
@@ -54,9 +62,21 @@ func TestFormatsByteIdentical(t *testing.T) {
 	}
 	defer st.Close()
 	st.Attach(rel, true)
+	// header is the session header at the relation's current marks: what
+	// a flush's manifest records and what the snapshot file opens with.
+	header := func() *wal.Snapshot {
+		return &wal.Snapshot{
+			Name: "formats", Relname: sch.Name(), Attrs: sch.Attrs(),
+			CFDs:     "cfd phi: [a] -> [b]\n(_ || _)\n",
+			Ordering: 1, K: 2, NearestK: 3,
+			Batches: 3, Inserted: 304, Deleted: 2, Changes: 5, Cost: 1.5,
+			NextID: rel.NextID(), Version: rel.Version(),
+			Quota: wal.Quota{OpsPerSec: 10, TuplesPerSec: 100.5, MaxRelationSize: 1000, MaxSubscribers: 4},
+		}
+	}
 	flush := func(gen uint64) {
 		t.Helper()
-		if err := st.BeginFlush(rel.Pin()).Commit(gen); err != nil {
+		if err := st.BeginFlush(header(), rel.Pin()).Commit(gen); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,22 +137,15 @@ func TestFormatsByteIdentical(t *testing.T) {
 	}
 	flush(1)
 
-	snap := &wal.Snapshot{
-		Name: "formats", Relname: sch.Name(), Attrs: sch.Attrs(),
-		CFDs:     "cfd phi: [a] -> [b]\n(_ || _)\n",
-		Ordering: 1, K: 2, NearestK: 3, Workers: 4,
-		Batches: 3, Inserted: 304, Deleted: 2, Changes: 5, Cost: 1.5,
-		NextID: rel.NextID(), Version: rel.Version(),
-		Quota: wal.Quota{OpsPerSec: 10, TuplesPerSec: 100.5, MaxRelationSize: 1000, MaxSubscribers: 4},
-	}
+	snap := header()
 	for _, tp := range rel.Tuples() {
 		snap.Tuples = append(snap.Tuples, wal.SnapTuple{ID: tp.ID, Vals: tp.Vals, W: tp.W})
 	}
-	snapPath := filepath.Join(dir, "snap-0000000000.snap")
-	if err := wal.WriteSnapshotFile(snapPath, snap); err != nil {
+	imagePath := filepath.Join(dir, "snap-0000000000.snap")
+	if err := wal.WriteSnapshotFile(imagePath, snap); err != nil {
 		t.Fatal(err)
 	}
-	file, err := os.ReadFile(snapPath)
+	file, err := os.ReadFile(imagePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +190,11 @@ func TestFormatsByteIdentical(t *testing.T) {
 		"ship batch": fmt.Sprintf("%x", sha256.Sum256(ship.EncodeBatchFrame(batches[2]))),
 	}
 	want := map[string]string{
-		"wal":        "1cccfe7054102fb222256d186619580a38455864c3c2e231a186add867c3bd1f",
-		"snapshot":   "8390cfaad77070cf61887a1a0fa9fcc2c6a578fb90f0eddc3a3a1cac3b6b2271",
-		"pages":      "c4f27d09680c2f1d0b4ce56e33168a1d34e2aad3c182b2382f118a366c78bc1d",
-		"manifest":   "164a5a814588d0e60ae70ebf956d425694a4bca9995fdf24b8cdd5468ee0532c",
-		"dict":       "08da90864c0f1fea6fb6c04029eb3f8b9f098aa5c37d7639efc5d4d872240500",
+		"wal":        "45378b505ede5e58198cd27a63bcd175069b8e5f575818f3e7a84a394da25a91",
+		"snapshot":   "7e17cf47d76608c5691b8254b8cbb0ec08b634768677d9f786e40b04a77fa4e0",
+		"pages":      "a0f541a4f0e219d5127b4b8d350841561bcc8cd794fa5851558a039908f8c9aa",
+		"manifest":   "9a4b5017c2f0dbaa7e8acd829aa6771967175b704e709f5dc352e3a17b2a61c5",
+		"dict":       "3ebc2ab54d615acf4cd8191f539c3c5b110958a4517e1a19704c89e52ec302f8",
 		"ship batch": "a34aefc6a3c97de79f8eb179b74ee0f0d5ae71bd7f2db989b581337ea06539a8",
 	}
 	for kind, g := range got {

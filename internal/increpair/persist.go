@@ -241,8 +241,7 @@ func sigmaEqual(a, b []*cfd.Normal) bool {
 // holds one chunk's bytes whatever the relation's size and copies each
 // constant once, into the dictionary, as every restore of a snapshot
 // stream does. A damaged stream is refused whole: an error and no
-// session. So is a page-store header (wal.StorePaged), whose rows are
-// not in the stream.
+// session.
 //
 // The options — ordering, K, NearestK — all come from the snapshot, since
 // replay must re-run the exact passes that were logged.
@@ -251,26 +250,14 @@ func RestoreSession(r io.Reader) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return restoreInline(snap, rows, rows.Dict())
+	return RestoreFromSnapshotSource(snap, rows, rows.Dict())
 }
 
 // RestoreFromSnapshot is RestoreSession over an already-decoded
 // snapshot, which only the benchmark holds. workers drives nothing; it
 // stays until ROADMAP item 1(i)(b) folds the restore entry points.
 func RestoreFromSnapshot(snap *wal.Snapshot, workers int) (*Session, error) {
-	return restoreInline(snap, &sliceSource{ts: snap.Tuples}, nil)
-}
-
-// restoreInline restores a snapshot whose rows src reads from the
-// snapshot itself, under ids in dict (nil for rows without ids). A
-// page-store header is refused: its rows live in the page files it names,
-// and restoring it here would yield an empty relation at the header's
-// version.
-func restoreInline(snap *wal.Snapshot, src TupleSource, dict *relation.Dict) (*Session, error) {
-	if snap.StoreKind != 0 {
-		return nil, fmt.Errorf("increpair: restore: snapshot of store kind %d (paged, store generation %d) holds no rows; it restores only through its page store", snap.StoreKind, snap.StoreGen)
-	}
-	return RestoreFromSnapshotSource(snap, src, dict)
+	return RestoreFromSnapshotSource(snap, &sliceSource{ts: snap.Tuples}, nil)
 }
 
 // restoreTail finishes a restore once the relation is rebuilt: journal

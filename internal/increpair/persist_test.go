@@ -33,8 +33,8 @@ func persistedSession(t *testing.T, opts *Options) (*Session, []byte) {
 }
 
 // TestPersistRestoreOptions: the determinism-relevant engine options
-// ride the snapshot; the retired Workers field is written as 0 and a
-// non-zero one is ignored on read.
+// ride the snapshot, and a restore from the stream reader's rows keeps
+// them.
 func TestPersistRestoreOptions(t *testing.T) {
 	sess, snap := persistedSession(t, &Options{Ordering: ByWeight, K: 1, NearestK: 3})
 	defer sess.Close()
@@ -53,17 +53,13 @@ func TestPersistRestoreOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decoded.Workers != 0 {
-		t.Fatalf("snapshot records workers %d, want 0", decoded.Workers)
-	}
-	decoded.Workers = 4
-	old, err := RestoreFromSnapshotSource(decoded, rows, nil)
+	old, err := RestoreFromSnapshotSource(decoded, rows, rows.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer old.Close()
 	if p := old.e.opts; p.Ordering != o.Ordering || p.K != o.K || p.NearestK != o.NearestK {
-		t.Fatalf("a recorded worker count changed the options: %+v, want %+v", p, o)
+		t.Fatalf("a restore from the reader's rows changed the options: %+v, want %+v", p, o)
 	}
 
 	// Initial() is a creation-time artifact and does not survive

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -160,11 +161,11 @@ func TestRestoreRefusesDamagedStream(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesPagedHeader: the slim header of a store-backed
-// session (StorePaged) carries no rows; restoring it from the stream
-// alone would yield an empty relation at the header's version, so both
-// inline restores refuse it, naming the store kind.
-func TestRestoreRefusesPagedHeader(t *testing.T) {
+// TestBoundaryHeaderIsTheImageHeader: the header PersistBoundary
+// captures, which a page-store manifest records and recovery restores
+// from, holds the fields the session's stream image opens with: the
+// manifest and the image describe one session the same way.
+func TestBoundaryHeaderIsTheImageHeader(t *testing.T) {
 	sess := snapshotSession(t, newGenChurn(t, 200, 11), 16, false)
 	defer sess.Close()
 	st, err := store.Create(filepath.Join(t.TempDir(), "store"), len(sess.Current().Schema().Attrs()), store.Options{})
@@ -181,20 +182,15 @@ func TestRestoreRefusesPagedHeader(t *testing.T) {
 	}
 	fl.Abort()
 	var img bytes.Buffer
-	if err := wal.WriteSnapshot(&img, snap); err != nil {
+	if err := sess.Persist("s", &img); err != nil {
 		t.Fatal(err)
 	}
-	for name, restore := range map[string]func() (*Session, error){
-		"RestoreSession":      func() (*Session, error) { return RestoreSession(bytes.NewReader(img.Bytes())) },
-		"RestoreFromSnapshot": func() (*Session, error) { return RestoreFromSnapshot(snap, 0) },
-	} {
-		back, err := restore()
-		if err == nil {
-			t.Errorf("%s: restored the paged header of a 16-tuple session as %d tuples at version %d", name, back.Snapshot().Size, back.Snapshot().Version)
-			back.Close()
-		} else if !strings.Contains(err.Error(), "store kind 1") {
-			t.Errorf("%s: the refusal does not name the store kind: %v", name, err)
-		}
+	want, _, err := wal.NewSnapshotReader(&img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, want) || len(snap.Tuples) != 0 {
+		t.Fatalf("PersistBoundary's header\n%+v\nthe image's\n%+v", snap, want)
 	}
 }
 

@@ -14,11 +14,11 @@ import (
 // session of the service is. The engine itself is untouched — it
 // operates on the in-memory relation either way, and the store holds no
 // row in memory — but the durability boundary changes shape:
-// PersistBoundary captures a slim snapshot header plus a page flush (the
-// pinned relation, whose stamped pages it writes) instead of re-encoding
-// every tuple into one record, and RestoreFromSnapshotSource
-// streams rows back from the store's page files instead of a snapshot
-// record.
+// PersistBoundary captures the session header plus a page flush (the
+// pinned relation, whose stamped pages it writes, and the header its
+// manifest records) instead of re-encoding every tuple into one record,
+// and RestoreFromSnapshotSource streams rows back from the store's page
+// files instead of a snapshot record.
 
 // AttachStore binds st to the session's live relation, whose page stamps
 // then tell each flush which pages to write. Without seed the store takes
@@ -42,11 +42,11 @@ func (s *Session) AttachStore(st *store.Disk, seed bool) error {
 }
 
 // PersistBoundary captures the session's durability boundary for a
-// store-backed rotation: a slim snapshot header (StoreKind=StorePaged,
-// no inline tuples — the caller stamps StoreGen once it assigns the
-// generation) and a Flush holding the view the header was captured with
-// (captureLocked), whose page stamps, rows and dictionary watermark the
-// flush commits.
+// store-backed rotation: the session header (no tuples) and a Flush
+// holding it and the view it was captured with (captureLocked), whose
+// page stamps, rows and dictionary watermark the flush commits. The
+// flush's manifest records the header as it stands at Commit, so the
+// caller may stamp its own fields (the service's quota) into it first.
 // The flush begins under the same hold of the session lock, so both
 // describe one quiescent point; the caller must resolve the flush with
 // exactly one Commit or Abort.
@@ -61,8 +61,7 @@ func (s *Session) PersistBoundary(name string) (*wal.Snapshot, *store.Flush, err
 		v.Release()
 		return nil, nil, errors.New("increpair: no store attached")
 	}
-	snap.StoreKind = wal.StorePaged
-	return snap, s.st.BeginFlush(v), nil
+	return snap, s.st.BeginFlush(snap, v), nil
 }
 
 // TupleSource streams snapshot rows in physical order. Next returns

@@ -13,63 +13,52 @@ package server
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"cfdclean/internal/store"
 	"cfdclean/internal/wal"
 )
 
 // requireAnchored asserts the postconditions of an anchor at generation
-// gen in the session directory dir: a snap/wal pair at gen, nothing
-// newer, at most two generations kept, and the snapshot a slim header
-// naming the store manifest written at the same generation.
-func requireAnchored(t *testing.T, dir string, gen uint64) {
+// gen in the directory dir of session name: a generation is a WAL and a
+// store manifest, both at gen, nothing newer, at most two generations
+// kept, no other file beside them but a follower's role marker, and the
+// manifest's header naming the session.
+func requireAnchored(t *testing.T, dir, name string, gen uint64) {
 	t.Helper()
+	storeDir := filepath.Join(dir, storeDirName)
+	wals, err := genFiles(dir, "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifests, err := genFiles(storeDir, "manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wals) == 0 || wals[len(wals)-1] != gen || len(manifests) == 0 || manifests[len(manifests)-1] != gen {
+		t.Fatalf("the newest generation is not a wal/manifest pair at %d: wals %v, manifests %v", gen, wals, manifests)
+	}
+	if len(wals) > 2 || len(manifests) > 2 {
+		t.Fatalf("more than two generations kept: wals %v, manifests %v", wals, manifests)
+	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, wals := map[uint64]bool{}, map[uint64]bool{}
 	for _, e := range ents {
-		if k, g, ok := wal.ParseGenName(e.Name()); ok && k == "snap" {
-			snaps[g] = true
-		} else if ok {
-			wals[g] = true
+		if kind, _, _ := wal.ParseGenName(e.Name()); kind != "wal" && e.Name() != storeDirName && e.Name() != roleMarkerName {
+			t.Fatalf("the session directory holds %s beside its generations", e.Name())
 		}
 	}
-	if !snaps[gen] || !wals[gen] {
-		t.Fatalf("no snap/wal pair at generation %d: snaps %v, wals %v", gen, snaps, wals)
-	}
-	for g := range snaps {
-		if g > gen {
-			t.Fatalf("snapshot generation %d is newer than the anchor %d", g, gen)
-		}
-	}
-	if len(snaps) > 2 || len(wals) > 2 {
-		t.Fatalf("more than two generations kept: snaps %v, wals %v", snaps, wals)
-	}
-	f, err := os.Open(snapPath(dir, gen))
+	st, snap, err := store.Open(storeDir, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	snap, rows, err := wal.NewSnapshotReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, inline, err := rows.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifest := filepath.Join(dir, storeDirName, fmt.Sprintf("manifest-%010d.mft", gen))
-	if snap.StoreKind != wal.StorePaged || snap.StoreGen != gen || inline {
-		t.Fatalf("snapshot %d: store kind %d gen %d, inline rows %v; want a slim header at store generation %d",
-			gen, snap.StoreKind, snap.StoreGen, inline, gen)
-	}
-	if _, err := os.Stat(manifest); err != nil {
-		t.Fatalf("no store manifest at the snapshot's generation: %v", err)
+	st.Close()
+	if snap.Name != name {
+		t.Fatalf("manifest %d names session %q, want %q", gen, snap.Name, name)
 	}
 }
 
@@ -125,7 +114,7 @@ func TestEveryAnchorLeavesARecoverableGeneration(t *testing.T) {
 			createRecovery(t, ts.URL, name)
 			live := sc.drive(t, opts, s, ts.URL)
 
-			requireAnchored(t, filepath.Join(opts.DataDir, name), sc.wantGen)
+			requireAnchored(t, filepath.Join(opts.DataDir, name), name, sc.wantGen)
 			if _, body := do(t, "GET", live+"/v1/sessions/"+name, nil); !bytes.Contains(body, []byte(`"persist":"ok"`)) {
 				t.Fatalf("session is not persisting after the anchor: %s", body)
 			}

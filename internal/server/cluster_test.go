@@ -897,7 +897,7 @@ func TestClusterDiskFollower(t *testing.T) {
 		applyDirty(t, owner.url, name, i)
 	}
 	for _, n := range []*clusterNode{owner, follower} {
-		requireAnchored(t, filepath.Join(dirs[n.addr], name), 2)
+		requireAnchored(t, filepath.Join(dirs[n.addr], name), name, 2)
 	}
 
 	// Both metrics endpoints report the replication counters.
@@ -1046,10 +1046,9 @@ func putReplica(t *testing.T, base, name string, body []byte) (*http.Response, [
 // primary's dump byte for byte. PUT /v1/replica/{name} restores the rows
 // as they arrive, and an image it cannot take installs nothing and is
 // never answered 409 (the shipper would reship it forever): a version
-// byte of another build, a body cut inside a chunk record, a header
-// naming another session and a page-store header are 400s — the last
-// two with garbage rows behind them, since the header is refused before
-// any row is read — a body over the install bound a 413, and a name the
+// byte of another build, a body cut inside a chunk record and a header
+// naming another session are 400s — the last with garbage rows behind
+// it, since the header is refused before any row is read — a body over the install bound a 413, and a name the
 // node holds as a primary a 421, also before any row. A second
 // session's install completes while the first one's body is held.
 func TestClusterBootstrapsFromSnapshotStream(t *testing.T) {
@@ -1081,17 +1080,17 @@ func TestClusterBootstrapsFromSnapshotStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	image := func(name string, storeKind byte) []byte {
+	image := func(name string) []byte {
 		t.Helper()
 		c := *snap
-		c.Name, c.StoreKind = name, storeKind
+		c.Name = name
 		var b bytes.Buffer
 		if err := wal.WriteSnapshot(&b, &c); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
 	}
-	good := image("fresh", 0)
+	good := image("fresh")
 	rest := bytes.NewReader(good[len("CFDSNAP")+1:])
 	if _, err := wal.ReadFrame(rest, len(good)); err != nil {
 		t.Fatal(err)
@@ -1119,10 +1118,8 @@ func TestClusterBootstrapsFromSnapshotStream(t *testing.T) {
 		{"another version", follower.url, "fresh", otherVersion, http.StatusBadRequest, fmt.Sprintf("format version %d", wal.Version+1)},
 		{"cut inside a chunk", follower.url, "fresh", good[:len(good)/2], http.StatusBadRequest, "record torn"},
 		{"over the install bound", short.URL, "fresh", good, http.StatusRequestEntityTooLarge, "request body too large"},
-		{"naming another session", follower.url, "fresh", garbageRows(image("other", 0)), http.StatusBadRequest, `names \"other\"`},
-		{"a page-store header", follower.url, "fresh", garbageRows(image("fresh", wal.StorePaged)), http.StatusBadRequest, "store kind 1"},
-		{"a page-store header, rows intact", follower.url, "fresh", image("fresh", wal.StorePaged), http.StatusBadRequest, "store kind 1"},
-		{"a primary's name", owner.url, name, garbageRows(image(name, 0)), http.StatusMisdirectedRequest, "primary"},
+		{"naming another session", follower.url, "fresh", garbageRows(image("other")), http.StatusBadRequest, `names \"other\"`},
+		{"a primary's name", owner.url, name, garbageRows(image(name)), http.StatusMisdirectedRequest, "primary"},
 	} {
 		resp, body := putReplica(t, c.base, c.name, c.body)
 		if resp.StatusCode != c.status || !strings.Contains(string(body), c.want) {
@@ -1166,7 +1163,7 @@ func TestClusterBootstrapsFromSnapshotStream(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the held install never read past the middle of its body")
 	}
-	resp, err := (&http.Client{Timeout: 10 * time.Second}).Do(mustRequest("PUT", follower.url+"/v1/replica/second", image("second", 0)))
+	resp, err := (&http.Client{Timeout: 10 * time.Second}).Do(mustRequest("PUT", follower.url+"/v1/replica/second", image("second")))
 	if err != nil {
 		t.Fatalf("install beside a held body: %v", err)
 	}

@@ -1,14 +1,13 @@
 package server
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 
 	"cfdclean/internal/increpair"
@@ -18,14 +17,14 @@ import (
 )
 
 // Durable sessions. When Options.DataDir is set, every hosted session
-// owns a directory <data-dir>/<name>/ holding generation-numbered
-// snapshot/WAL pairs beside its page store:
+// owns a directory <data-dir>/<name>/ holding generation-numbered WAL
+// files beside its page store:
 //
-//	snap-<gen>.snap   slim snapshot header naming store generation <gen>
-//	                  (atomic tmp+rename)
-//	wal-<gen>.log     batches accepted after that snapshot
-//	store/            the page store (internal/store): the rows of every
-//	                  generation a snapshot still names
+//	wal-<gen>.log     batches accepted after generation <gen>
+//	store/            the page store (internal/store); its
+//	                  manifest-<gen>.mft is generation <gen>: the session
+//	                  header (Σ, schema, counters, quota) and the page
+//	                  table, committed atomically (tmp+rename)
 //
 // The session's committer goroutine — the pipeline stage downstream of
 // the single-writer engine worker — appends one WAL record per engine
@@ -40,16 +39,16 @@ import (
 // is not acknowledged, and the session refuses every later write.
 //
 // A session's state becomes a generation in one way (capture, anchor):
-// store manifest gen, snapshot gen, an empty WAL gen, generations older
-// than the previous one deleted — the previous pair is kept as a
-// fallback in case the newest snapshot is damaged. Create anchors
-// generation 0, every SnapshotEvery batches the committer anchors gen+1,
-// and recovery re-anchors when it finds no appendable tip WAL. Recovery
+// store manifest gen, an empty WAL gen, generations older than the
+// previous one deleted — the previous pair is kept as a fallback in case
+// the newest manifest is damaged. Create anchors generation 0, every
+// SnapshotEvery batches the committer anchors gen+1, and recovery
+// re-anchors when it finds no appendable tip WAL. Recovery
 // (Server.Recover) walks the session directories, restores the newest
-// readable generation from the page store (a snapshot file holding
-// anything but a page-store header naming the session, an inline image
-// included, is damaged), and replays the WAL records after it through
-// the ordinary ApplyOps path; the journal-version cursor carried by
+// readable manifest generation from the page store (a manifest whose
+// header names another session is damaged), and replays the WAL records
+// after it through the ordinary ApplyOps path; the journal-version
+// cursor carried by
 // every record (wal.Batch) makes the replay idempotent across
 // generations and detects gaps. A torn or corrupted WAL tail — the
 // expected artifact of kill -9 — is detected by CRC, discarded, and the
@@ -99,8 +98,8 @@ func (p FsyncPolicy) String() string {
 }
 
 // storeDirName is the page store's subdirectory inside a session's data
-// directory. It never collides with the generation files (snap-*/wal-*)
-// and is removed with the directory on destroy.
+// directory. It never collides with the WAL files (wal-*) and is removed
+// with the directory on destroy.
 const storeDirName = "store"
 
 // roleMarkerName is the follower-role marker inside a session's
@@ -142,8 +141,7 @@ func readRoleMarker(dir string) bool {
 	return err == nil
 }
 
-func snapPath(dir string, gen uint64) string { return filepath.Join(dir, wal.GenName("snap", gen)) }
-func walPath(dir string, gen uint64) string  { return filepath.Join(dir, wal.GenName("wal", gen)) }
+func walPath(dir string, gen uint64) string { return filepath.Join(dir, wal.GenName("wal", gen)) }
 
 // persister is one session's durability sidecar. The session's worker
 // asks it after every pass whether the boundary must become a generation
@@ -156,7 +154,7 @@ type persister struct {
 	dir  string
 	name string
 	// sess is the session this sidecar records; quota its quota,
-	// stamped into every snapshot header so it survives recovery. Both
+	// stamped into every manifest's header so it survives recovery. Both
 	// are fixed for the persister's life.
 	sess  *increpair.Session
 	quota wal.Quota
@@ -173,8 +171,8 @@ type persister struct {
 	broken   error  // first unrecoverable persistence failure; sticky
 
 	// st is the session's page store, attached to sess. The persister
-	// owns its lifecycle: created or reopened alongside the snapshot/WAL
-	// pair, closed on close(), removed with the directory on destroy().
+	// owns its lifecycle: created or reopened alongside the WAL, closed on
+	// close(), removed with the directory on destroy().
 	st *store.Disk
 }
 
@@ -273,8 +271,8 @@ func (p *persister) markBroken(err error) {
 }
 
 // capture is a session's state at one batch boundary, ready to become a
-// generation on disk: a slim snapshot header plus the store flush holding
-// the pinned relation. Exactly one of anchor/abort must consume it. A
+// generation on disk: the session header plus the store flush holding it
+// and the pinned relation. Exactly one of anchor/abort must consume it. A
 // rotation's capture must be taken by the session worker at the exact
 // batch boundary.
 type capture struct {
@@ -329,19 +327,14 @@ func (c *capture) abort() {
 // anchor makes c generation gen on disk — the one way a session's state
 // becomes a generation: at create (gen 0), routine rotation, the
 // re-anchor after a failed pass and recovery's re-anchor alike. The
-// store's flush commits first, so manifest gen is durable before the
-// slim snapshot that references it (a crash between the two leaves a
-// readable previous generation, never a snapshot pointing at missing
-// pages); then the snapshot file, then the empty WAL, whose directory
-// entry wal.Create syncs before a batch can be acknowledged into it.
-// Generations older than the previous one are pruned last; the previous
-// pair stays as a fallback.
+// store's flush commits manifest gen, header and page table in one
+// atomic record; then the empty WAL, whose directory entry wal.Create
+// syncs before a batch can be acknowledged into it (a crash between the
+// two leaves generation gen with no WAL, which recovery restores and
+// re-anchors). Generations older than the previous one are pruned last;
+// the previous pair stays as a fallback.
 func (p *persister) anchor(gen uint64, c *capture) error {
 	if err := c.flush.Commit(gen); err != nil {
-		return err
-	}
-	c.snap.StoreGen = gen
-	if err := wal.WriteSnapshotFile(snapPath(p.dir, gen), c.snap); err != nil {
 		return err
 	}
 	log, err := wal.Create(walPath(p.dir, gen))
@@ -351,7 +344,7 @@ func (p *persister) anchor(gen uint64, c *capture) error {
 	p.mu.Lock()
 	old := p.log
 	p.log, p.gen = log, gen
-	p.appended, p.synced = c.snap.Version, c.snap.Version // the snapshot write fsynced file and directory
+	p.appended, p.synced = c.snap.Version, c.snap.Version // the manifest commit fsynced file and directory
 	p.mu.Unlock()
 	if gen >= 2 {
 		pruneGenerations(p.dir, gen-2)
@@ -389,8 +382,8 @@ func (p *persister) rotate(c *capture) {
 	}
 }
 
-// pruneGenerations removes snapshot and WAL files of generations <= max
-// (the .tmp sibling of a snapshot write in flight is no generation file).
+// pruneGenerations removes the WAL files of generations <= max (the store
+// prunes its own manifests and pages).
 func pruneGenerations(dir string, max uint64) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -436,7 +429,7 @@ func (p *persister) storeStats() *store.Stats {
 }
 
 // diskBytes sums the sizes of the files in the session's directory —
-// snapshot headers, WAL generations and the page store — or reports
+// WAL generations and the page store — or reports
 // false for a memory-only session (p == nil).
 func (p *persister) diskBytes() (int64, bool) {
 	if p == nil {
@@ -465,35 +458,22 @@ func (p *persister) status() string {
 	return "ok"
 }
 
-// restoreGeneration restores snapshot generation g of the session in
-// dir. The file must hold a page-store header that names this session
-// and nothing behind it: the rows come from the page store at the
-// header's generation, inserted by id under the store's persisted
+// restoreGeneration restores generation g of the session in dir: the
+// page store's manifest g, whose header must name this session. The rows
+// come from the store's pages, inserted by id under its persisted
 // dictionary so every ValueID reproduces exactly, and the store is
 // re-attached at the restored relation's version, so the next flush
-// writes the pages the WAL replay that follows stamps. Any other file — an inline image among them — is a damaged
-// generation. The returned persister holds the session, its store and
-// the header's quota; the caller positions it on a log.
+// writes the pages the WAL replay that follows stamps. The returned
+// persister holds the session, its store and the header's quota; the
+// caller positions it on a log.
 func restoreGeneration(cfg *Options, dir, name string, g uint64) (*persister, error) {
-	f, err := os.Open(snapPath(dir, g))
+	st, snap, err := store.Open(filepath.Join(dir, storeDirName), g)
+	if err == nil && snap.Name != name {
+		st.Close()
+		err = fmt.Errorf("%w: the header names session %q", wal.ErrCorrupt, snap.Name)
+	}
 	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	file := filepath.Base(f.Name())
-	snap, rows, err := wal.NewSnapshotReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %s: %w", file, err)
-	}
-	if snap.StoreKind != wal.StorePaged || snap.Name != name {
-		return nil, fmt.Errorf("snapshot %s: %w: not a page-store header of session %q", file, wal.ErrCorrupt, name)
-	}
-	if _, more, err := rows.Next(); more || err != nil {
-		return nil, fmt.Errorf("snapshot %s: rows behind a page-store header: %w", file, cmp.Or(err, wal.ErrCorrupt))
-	}
-	st, err := store.Open(filepath.Join(dir, storeDirName), snap.StoreGen, len(snap.Attrs))
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %s: store gen %d: %w", file, snap.StoreGen, err)
+		return nil, fmt.Errorf("manifest %d: %w", g, err)
 	}
 	src, err := st.Source()
 	var dict *relation.Dict
@@ -504,23 +484,37 @@ func restoreGeneration(cfg *Options, dir, name string, g uint64) (*persister, er
 	if err == nil {
 		sess, err = increpair.RestoreFromSnapshotSource(snap, src, dict)
 	}
+	if err == nil {
+		if err = sess.AttachStore(st, false); err != nil {
+			sess.Close()
+		}
+	}
 	if err != nil {
 		st.Close()
-		return nil, fmt.Errorf("snapshot %s: store gen %d: %w", file, snap.StoreGen, err)
-	}
-	if err := sess.AttachStore(st, false); err != nil {
-		sess.Close()
-		st.Close()
-		return nil, err
+		return nil, fmt.Errorf("manifest %d: %w", g, err)
 	}
 	return &persister{cfg: cfg, dir: dir, name: name, sess: sess, quota: snap.Quota, st: st}, nil
 }
 
+// genFiles lists the generations of the files of one kind in dir,
+// ascending.
+func genFiles(dir, kind string) ([]uint64, error) {
+	ents, err := os.ReadDir(dir)
+	var gens []uint64
+	for _, e := range ents {
+		if k, gen, _ := wal.ParseGenName(e.Name()); k == kind {
+			gens = append(gens, gen)
+		}
+	}
+	slices.Sort(gens)
+	return gens, err
+}
+
 // recoverSession rebuilds one session from its directory: newest
-// readable snapshot generation first, then WAL replay across that and
+// readable manifest generation first, then WAL replay across that and
 // any later generations. It returns a persister positioned to continue
 // appending, holding the restored session and the quota read from the
-// chosen snapshot.
+// chosen manifest.
 // warn, when non-nil, reports acknowledged records that could NOT be
 // replayed — payload corruption mid-log or a gap between generations —
 // after which the session still serves, re-anchored on the recovered
@@ -529,42 +523,32 @@ func restoreGeneration(cfg *Options, dir, name string, g uint64) (*persister, er
 // so nothing acknowledged is behind them.)
 func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 	dir := filepath.Join(cfg.DataDir, name)
-	ents, err := os.ReadDir(dir)
+	walGens, err := genFiles(dir, "wal")
 	if err != nil {
 		return nil, nil, err
 	}
-	var snapGens, walGens []uint64
-	for _, e := range ents {
-		switch kind, gen, _ := wal.ParseGenName(e.Name()); kind {
-		case "snap":
-			snapGens = append(snapGens, gen)
-		case "wal":
-			walGens = append(walGens, gen)
-		}
+	gens, _ := genFiles(filepath.Join(dir, storeDirName), "manifest")
+	if len(gens) == 0 {
+		return nil, nil, fmt.Errorf("server: recover %s: no manifest found", name)
 	}
-	if len(snapGens) == 0 {
-		return nil, nil, fmt.Errorf("server: recover %s: no snapshot found", name)
-	}
-	sort.Slice(snapGens, func(i, j int) bool { return snapGens[i] > snapGens[j] })
-	sort.Slice(walGens, func(i, j int) bool { return walGens[i] < walGens[j] })
 
 	var baseGen uint64
-	for _, g := range snapGens {
+	for _, g := range slices.Backward(gens) {
 		// Any damage fails THIS generation only: the loop falls back to
-		// the previous snapshot.
+		// the previous manifest.
 		if p, err = restoreGeneration(cfg, dir, name, g); err == nil {
 			baseGen = g
 			break
 		}
 	}
 	if p == nil {
-		return nil, nil, fmt.Errorf("server: recover %s: no usable snapshot: %w", name, err)
+		return nil, nil, fmt.Errorf("server: recover %s: no usable generation: %w", name, err)
 	}
 	sess := p.sess
 
 	// Replay the logs from the restored generation forward. The version
-	// cursor skips records already contained in the snapshot, so replay
-	// is correct even when the chosen snapshot is newer than a log's
+	// cursor skips records already contained in the generation, so replay
+	// is correct even when the chosen manifest is newer than a log's
 	// records (or older, after a fallback to the previous generation).
 	var (
 		tip      *wal.Log // open log of the newest generation, append-ready
@@ -633,9 +617,9 @@ func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 	} else {
 		// No appendable tip (damage, or the newest WAL is missing):
 		// anchor the recovered state as a fresh generation.
-		next := snapGens[0] + 1
-		if len(walGens) > 0 && walGens[len(walGens)-1] >= snapGens[0] {
-			next = walGens[len(walGens)-1] + 1
+		next := gens[len(gens)-1] + 1
+		if len(walGens) > 0 {
+			next = max(next, walGens[len(walGens)-1]+1)
 		}
 		if err := p.anchorNow(next); err != nil {
 			sess.Close()

@@ -11,6 +11,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -162,21 +163,15 @@ func TestServerRecoveryRoundTrip(t *testing.T) {
 	}
 	shutdownService(t, s1, ts1)
 
-	// Rotation must have pruned old generations: at most 2 snapshot
+	// Rotation must have pruned old generations: at most 2 manifest
 	// generations (current + fallback) per session remain.
 	for _, n := range names {
-		ents, err := os.ReadDir(filepath.Join(dir, n))
+		gens, err := genFiles(filepath.Join(dir, n, storeDirName), "manifest")
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps := 0
-		for _, e := range ents {
-			if strings.HasSuffix(e.Name(), ".snap") {
-				snaps++
-			}
-		}
-		if snaps == 0 || snaps > 2 {
-			t.Fatalf("%s: %d snapshot generations on disk", n, snaps)
+		if len(gens) == 0 || len(gens) > 2 {
+			t.Fatalf("%s: manifest generations %v on disk", n, gens)
 		}
 	}
 
@@ -393,8 +388,8 @@ func TestServerRemoveDeletesDurableState(t *testing.T) {
 
 // TestServerRecoverySkipsCorruptTenant: one tenant's files are beyond
 // repair; the others must still come up, and the error must say so. A
-// page-store header must end its file: one trailed by a byte is refused
-// like a destroyed snapshot.
+// manifest's record must end its file: one trailed by a byte is refused
+// like a destroyed manifest.
 func TestServerRecoverySkipsCorruptTenant(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{DataDir: dir, Fsync: FsyncOff, QueueDepth: 8}
@@ -404,7 +399,7 @@ func TestServerRecoverySkipsCorruptTenant(t *testing.T) {
 	applyRecovery(t, ts1.URL, "healthy", 1)
 	createRecovery(t, ts1.URL, "trailed")
 	shutdownService(t, s1, ts1)
-	trailed, err := os.OpenFile(filepath.Join(dir, "trailed", "snap-0000000000.snap"), os.O_APPEND|os.O_WRONLY, 0)
+	trailed, err := os.OpenFile(filepath.Join(dir, "trailed", storeDirName, "manifest-0000000000.mft"), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,13 +408,13 @@ func TestServerRecoverySkipsCorruptTenant(t *testing.T) {
 	}
 	trailed.Close()
 
-	// A tenant directory with a destroyed snapshot and one with no
-	// snapshot at all.
+	// A tenant directory with a destroyed manifest and one with no
+	// generation at all.
 	badDir := filepath.Join(dir, "broken")
-	if err := os.MkdirAll(badDir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(badDir, storeDirName), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(badDir, "snap-0000000000.snap"), []byte("not a snapshot"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(badDir, storeDirName, "manifest-0000000000.mft"), []byte("not a manifest"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	emptyDir := filepath.Join(dir, "empty")
@@ -433,7 +428,7 @@ func TestServerRecoverySkipsCorruptTenant(t *testing.T) {
 		t.Fatalf("recovered %d sessions, want 1", n)
 	}
 	if err == nil || !strings.Contains(err.Error(), "broken") || !strings.Contains(err.Error(), "empty") ||
-		!strings.Contains(err.Error(), "trailed: no usable snapshot") {
+		!strings.Contains(err.Error(), "trailed: no usable generation") {
 		t.Fatalf("recovery error does not name the corrupt tenants: %v", err)
 	}
 	if resp, _ := do(t, "GET", ts2.URL+"/v1/sessions/healthy", nil); resp.StatusCode != http.StatusOK {
@@ -622,11 +617,12 @@ func TestRemoveHoldsNameUntilWorkerExits(t *testing.T) {
 
 // TestRecoveryRefusesVersion1Store: a page store from an earlier format
 // — version 1 filed rows by tuple id, version 2 wrote fixed-width rows,
-// version 3 pages of a size its manifest named — fails every snapshot
-// generation that names it. Recovery skips the tenant, names it and the
-// version, and leaves every file as it found it.
+// version 3 pages of a size its manifest named, version 4 manifests
+// without the session header — fails every generation. Recovery skips
+// the tenant, names it and the version, and leaves every file as it
+// found it.
 func TestRecoveryRefusesVersion1Store(t *testing.T) {
-	for _, ver := range []byte{1, 2, 3} {
+	for _, ver := range []byte{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
 			dir := t.TempDir()
 			opts := Options{DataDir: dir, Fsync: FsyncOff, QueueDepth: 8, SnapshotEvery: 2}
@@ -730,13 +726,14 @@ func TestRecoveredStoreWritesNoPageUntilAWrite(t *testing.T) {
 }
 
 // TestRecoveryRefusesInlineGeneration: recovery restores page-store
-// generations only. An inline image — well formed, naming the session,
-// what a build before the page store wrote — is a damaged generation.
-// Over a readable paged generation it is passed over, and the session
-// comes back from the page store and its WAL byte-identical to the one
-// that never stopped (the image, taken before the batches, would have
-// lost them). As a directory's only generation it leaves the session
-// unrecoverable and its files as they were, while a sibling recovers.
+// generations only, and a generation is a manifest. An inline snapshot
+// file — well formed, naming the session, what a build before the page
+// store wrote — is no generation. Beside readable manifests it is passed
+// over, and the session comes back from the page store and its WAL
+// byte-identical to the one that never stopped (the image, taken before
+// the batches, would have lost them). As a directory's only file it
+// leaves the session unrecoverable and its files as they were, while a
+// sibling recovers.
 func TestRecoveryRefusesInlineGeneration(t *testing.T) {
 	const name = "m"
 	opts := Options{DataDir: t.TempDir(), Fsync: FsyncOff, SnapshotEvery: 1 << 20, QueueDepth: 8}
@@ -775,12 +772,14 @@ func TestRecoveryRefusesInlineGeneration(t *testing.T) {
 		n, err = s.Recover()
 		return ts.URL, dir, n, err
 	}
+	inlineFile := func(dir string, gen uint64) {
+		t.Helper()
+		if err := wal.WriteSnapshotFile(filepath.Join(dir, fmt.Sprintf("snap-%010d.snap", gen)), inline); err != nil {
+			t.Fatal(err)
+		}
+	}
 	t.Run("over a paged generation", func(t *testing.T) {
-		base, _, n, err := boot(t, func(dir string) {
-			if err := wal.WriteSnapshotFile(snapPath(dir, 1), inline); err != nil {
-				t.Fatal(err)
-			}
-		})
+		base, _, n, err := boot(t, func(dir string) { inlineFile(dir, 1) })
 		if err != nil || n != 2 {
 			t.Fatalf("recovered %d sessions, error %v; want both, no error", n, err)
 		}
@@ -792,15 +791,13 @@ func TestRecoveryRefusesInlineGeneration(t *testing.T) {
 	t.Run("as the only generation", func(t *testing.T) {
 		var before map[string]string
 		base, dir, n, err := boot(t, func(dir string) {
-			if err := wal.WriteSnapshotFile(snapPath(dir, 0), inline); err != nil {
-				t.Fatal(err)
-			}
+			inlineFile(dir, 0)
 			if err := os.RemoveAll(filepath.Join(dir, storeDirName)); err != nil {
 				t.Fatal(err)
 			}
 			before = dirImage(t, dir)
 		})
-		if n != 1 || err == nil || !strings.Contains(err.Error(), "recover "+name+": no usable snapshot") {
+		if n != 1 || err == nil || !strings.Contains(err.Error(), "recover "+name+": no manifest found") {
 			t.Fatalf("recovered %d sessions, error %v; want the sibling only, the error naming %q", n, err, name)
 		}
 		if !maps.Equal(dirImage(t, dir), before) {
@@ -821,7 +818,7 @@ func TestParseGenName(t *testing.T) {
 		kind string
 		ok   bool
 	}{
-		"snap-0000000007.snap":     {7, "snap", true},
+		"snap-0000000007.snap":     {0, "", false},
 		"wal-0000000123.log":       {123, "wal", true},
 		"pages-0000000002.dat":     {2, "pages", true},
 		"order-0000000002.dat":     {0, "", false},
@@ -864,5 +861,81 @@ func TestRoleMarkerWrites(t *testing.T) {
 	}
 	if err := writeRoleMarker(filepath.Join(dir, "gone"), true); err == nil {
 		t.Fatal("marker write into a missing directory reported no error")
+	}
+}
+
+// dirSums returns the sha256 of every file under dir, keyed by its path
+// relative to dir.
+func dirSums(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	sums := map[string]string{}
+	for path, b := range dirImage(t, dir) {
+		sums[path] = fmt.Sprintf("%x", sha256.Sum256([]byte(b)))
+	}
+	return sums
+}
+
+// TestRecoveryRefusesCopiedSession: a session directory copied under
+// another name holds manifests whose header names the session it was
+// copied from. Recovery refuses every one of them — restoring the copy
+// would serve one tenant's state under another's name — names the
+// session the header holds, and leaves the copy's files as they were,
+// while the original recovers byte-identical.
+func TestRecoveryRefusesCopiedSession(t *testing.T) {
+	opts := Options{DataDir: t.TempDir(), Fsync: FsyncOff, SnapshotEvery: 2, QueueDepth: 8}
+	s1 := New(opts)
+	ts1 := httptest.NewServer(s1.Handler())
+	createRecovery(t, ts1.URL, "orig")
+	for i := 0; i < 3; i++ {
+		applyRecovery(t, ts1.URL, "orig", i)
+	}
+	want, _, _ := sessionState(t, ts1.URL, "orig")
+	shutdownService(t, s1, ts1)
+	copyDir := filepath.Join(opts.DataDir, "copy")
+	if err := os.CopyFS(copyDir, os.DirFS(filepath.Join(opts.DataDir, "orig"))); err != nil {
+		t.Fatal(err)
+	}
+	before := dirSums(t, copyDir)
+
+	s2, ts2 := newTestService(t, opts)
+	n, err := s2.Recover()
+	if n != 1 || err == nil || !strings.Contains(err.Error(), "recover copy: no usable generation") ||
+		!strings.Contains(err.Error(), `names session "orig"`) {
+		t.Fatalf("recovered %d sessions, error %v; want the original only, the copy refused for naming %q", n, err, "orig")
+	}
+	if got, _, _ := sessionState(t, ts2.URL, "orig"); !bytes.Equal(got, want) {
+		t.Fatalf("the original diverged\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	if resp, _ := do(t, "GET", ts2.URL+"/v1/sessions/copy", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("the copy answers %d, want 404", resp.StatusCode)
+	}
+	if !maps.Equal(dirSums(t, copyDir), before) {
+		t.Fatal("recovery changed the files of the copy it refused")
+	}
+}
+
+// TestRecoveryRefusesPreviousFormatDataDir: testdata/golden/datadir-v4
+// holds a data directory the build before format 5 wrote — store and WAL
+// files of version 4, and a snap-*.snap header beside each generation's
+// manifest (a session created, three batches at -snap-every 2). Recovery
+// refuses it at boot, naming the tenant and the version, and leaves every
+// file byte-identical by sha256.
+func TestRecoveryRefusesPreviousFormatDataDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("../../testdata/golden/datadir-v4")); err != nil {
+		t.Fatal(err)
+	}
+	before := dirSums(t, dir)
+	if len(before) != 9 {
+		t.Fatalf("the fixture holds %d files, want 9: %v", len(before), slices.Sorted(maps.Keys(before)))
+	}
+	s, _ := newTestService(t, Options{DataDir: dir, Fsync: FsyncOff, QueueDepth: 8})
+	n, err := s.Recover()
+	if n != 0 || err == nil || !strings.Contains(err.Error(), "recover old: no usable generation") ||
+		!strings.Contains(err.Error(), "format version 4") {
+		t.Fatalf("recovered %d sessions, error %v; want none, naming the tenant and version 4", n, err)
+	}
+	if !maps.Equal(dirSums(t, dir), before) {
+		t.Fatal("recovery changed the files of the data directory it refused")
 	}
 }

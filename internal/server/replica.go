@@ -41,9 +41,9 @@ var (
 // InstallReplica installs (or replaces) a follower session from a
 // shipped snapshot stream — the bootstrap for a follower joining
 // mid-stream and the healing move after any gap. An image naming another
-// session or a page-store header (errReplicaImage) and a name this node
-// holds as a primary (errReplicaConflict) are refused from the header,
-// before any row is read. The rows are restored as they arrive, outside
+// session (errReplicaImage) and a name this node holds as a primary
+// (errReplicaConflict) are refused from the header, before any row is
+// read. The rows are restored as they arrive, outside
 // installMu, so a slow body holds up no other install; under it an
 // existing follower under the name is removed, files and all, and the
 // restored session registered in its place.
@@ -57,8 +57,6 @@ func (r *Registry) InstallReplica(ctx context.Context, name string, img io.Reade
 		return fmt.Errorf("%w: install %s: %w", errReplicaImage, name, err)
 	case snap.Name != "" && snap.Name != name:
 		return fmt.Errorf("%w: install %s: image names %q", errReplicaImage, name, snap.Name)
-	case snap.StoreKind != 0:
-		return fmt.Errorf("%w: install %s: a page-store header (store kind %d) holds no rows", errReplicaImage, name, snap.StoreKind)
 	case r.isPrimary(name):
 		return errReplicaConflict
 	}

@@ -20,6 +20,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -194,16 +195,105 @@ func TestDiskRecoveryKillAtEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestDiskStoreFilesOnDisk sanity-checks the physical layout: a
-// durable tenant owns a store/ subdirectory with a manifest and
-// page files, its snapshots are slim (no inline tuple payload), and
-// removal deletes all of it.
+// TestDiskRecoveryKillAtEveryAnchorStep crashes a rotation between the
+// steps of its anchor and requires recovery to land byte-identical on the
+// last acknowledged batch. The anchor's steps are the store commit
+// (dict.log append, the page file, the manifest — the commit point that
+// holds the session header beside the page table) and the fresh WAL. A
+// directory planted where a step's file must go fails that step, which
+// breaks the first life's persister after the batch was acknowledged;
+// recovery then runs on a copy of the directory with the blocker gone,
+// the state a kill -9 between the step and the one before it leaves. A
+// crash after the manifest commit recovers from the new manifest alone:
+// with every WAL removed as well, the state is still all there.
+func TestDiskRecoveryKillAtEveryAnchorStep(t *testing.T) {
+	const name = "crashy"
+	for _, step := range []struct {
+		name, blocker string
+		committed     bool // whether manifest 1 is on disk after the crash
+	}{
+		{"before the page file", "store/pages-0000000001.dat", false},
+		{"before the manifest", "store/manifest-0000000001.mft.tmp", false},
+		{"between the manifest and the wal", "wal-0000000001.log", true},
+	} {
+		t.Run(step.name, func(t *testing.T) {
+			opts := Options{DataDir: t.TempDir(), Fsync: FsyncBatch, SnapshotEvery: 2, QueueDepth: 8}
+			s1 := New(opts)
+			ts1 := httptest.NewServer(s1.Handler())
+			createStored(t, ts1.URL, name, &WireOptions{Ordering: "linear"})
+			applyRecovery(t, ts1.URL, name, 0)
+			dir := filepath.Join(opts.DataDir, name)
+			if err := os.Mkdir(filepath.Join(dir, step.blocker), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			applyRecovery(t, ts1.URL, name, 1) // acknowledged; its rotation to generation 1 fails
+			want, wantSnap, wantVios := sessionState(t, ts1.URL, name)
+			if _, body := do(t, "GET", ts1.URL+"/v1/sessions/"+name, nil); !bytes.Contains(body, []byte(`"persist":"error: `)) {
+				t.Fatalf("the blocked rotation did not break the persister: %s", body)
+			}
+			ts1.Close() // kill
+
+			boot := func(t *testing.T, strip func(dir string)) string {
+				t.Helper()
+				crashed := opts
+				crashed.DataDir = t.TempDir()
+				if err := os.CopyFS(crashed.DataDir, os.DirFS(opts.DataDir)); err != nil {
+					t.Fatal(err)
+				}
+				cdir := filepath.Join(crashed.DataDir, name)
+				if err := os.RemoveAll(filepath.Join(cdir, step.blocker)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := os.Stat(filepath.Join(cdir, storeDirName, "manifest-0000000001.mft")); (err == nil) != step.committed {
+					t.Fatalf("manifest 1 on disk: %v, want %v", err == nil, step.committed)
+				}
+				strip(cdir)
+				s2, ts2 := newTestService(t, crashed)
+				if n, err := s2.Recover(); err != nil || n != 1 {
+					t.Fatalf("recover: n=%d err=%v", n, err)
+				}
+				got, gotSnap, gotVios := sessionState(t, ts2.URL, name)
+				if !bytes.Equal(got, want) || gotSnap != wantSnap || gotVios != wantVios {
+					t.Fatalf("recovery diverged from the acknowledged state\nwant:\n%s%+v\ngot:\n%s%+v", want, wantSnap, got, gotSnap)
+				}
+				applyRecovery(t, ts2.URL, name, 2)
+				if _, body := do(t, "GET", ts2.URL+"/v1/sessions/"+name, nil); !bytes.Contains(body, []byte(`"persist":"ok"`)) {
+					t.Fatalf("the recovered session is not persisting: %s", body)
+				}
+				return cdir
+			}
+			cdir := boot(t, func(string) {})
+			if step.committed {
+				// Manifest 1 restored with no WAL behind it: recovery
+				// anchored generation 2.
+				requireAnchored(t, cdir, name, 2)
+				boot(t, func(cdir string) {
+					wals, err := genFiles(cdir, "wal")
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, g := range wals {
+						if err := os.Remove(walPath(cdir, g)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestDiskStoreFilesOnDisk sanity-checks the physical layout: after a
+// create and two rotations a durable tenant's generations are WAL files
+// beside a store/ subdirectory of manifests and page files, each
+// generation one wal-<gen>.log and one store/manifest-<gen>.mft, with no
+// snapshot file among them, and removal deletes all of it.
 func TestDiskStoreFilesOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{DataDir: dir, Fsync: FsyncOff, SnapshotEvery: 2, QueueDepth: 8}
 	s, ts := newTestService(t, opts)
 	createStored(t, ts.URL, "phys", nil)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 5; i++ { // rotates after batches 2 and 4
 		applyRecovery(t, ts.URL, "phys", i)
 	}
 
@@ -212,36 +302,30 @@ func TestDiskStoreFilesOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatalf("durable tenant has no store dir: %v", err)
 	}
-	var manifests, pages int
+	var pages int
 	for _, e := range ents {
-		switch {
-		case strings.HasPrefix(e.Name(), "manifest-"):
-			manifests++
-		case strings.HasPrefix(e.Name(), "pages-"):
+		if strings.HasPrefix(e.Name(), "pages-") {
 			pages++
 		}
 	}
-	if manifests == 0 || pages == 0 {
-		t.Fatalf("store dir holds %d manifests, %d page files; want both > 0 (entries: %v)", manifests, pages, ents)
+	manifests, err := genFiles(storeDir, "manifest")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Slim snapshots: with 9+ tuples resident, the snapshot file must
-	// stay far below what inline tuple encoding would need — the page
-	// store holds the rows.
+	wals, err := genFiles(filepath.Join(dir, "phys"), "wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pages == 0 || !slices.Equal(manifests, []uint64{1, 2}) || !slices.Equal(wals, manifests) {
+		t.Fatalf("store dir holds %d page files and manifests %v, the session dir wals %v; want both generations 1 and 2 as wal/manifest pairs (entries: %v)", pages, manifests, wals, ents)
+	}
 	sents, err := os.ReadDir(filepath.Join(dir, "phys"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range sents {
-		if !strings.HasSuffix(e.Name(), ".snap") {
-			continue
-		}
-		fi, err := e.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.Size() > 4096 {
-			t.Fatalf("snapshot %s is %d bytes — the tuple payload leaked inline", e.Name(), fi.Size())
+		if strings.HasPrefix(e.Name(), "snap-") {
+			t.Fatalf("the session directory holds a snapshot file, %s", e.Name())
 		}
 	}
 

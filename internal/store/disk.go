@@ -20,23 +20,28 @@ import (
 // On-disk layout of one Disk store directory:
 //
 //	pages-<gen>.dat    page records written by flush <gen>
-//	manifest-<gen>.mft page table, arity and row count at flush <gen>
+//	manifest-<gen>.mft session header, row count and page table at flush <gen>
 //	dict.log           append-only intern dictionary (shared by all gens)
 //
-// Headers, records, file names, the two file writes and the row form are
-// internal/wal's (its package comment is the format reference); what is
-// the store's own is a page record's prefix and the manifest payload:
+// Headers, records, file names, the two file writes, the row form and the
+// session header are internal/wal's (its package comment is the format
+// reference); what is the store's own is a page record's prefix and the
+// rest of the manifest payload:
 //
-//	page record  = pageNo(u64 LE) record(page image)
+//	page record      = pageNo(u64 LE) record(page image)
+//	manifest payload = session-header(row count) dictLen(uvarint)
+//	                   npages(uvarint) (pageNo gen offset)*, all uvarint
 //
 // A page file holds full page images and is written once per flush, then
 // never modified — a later flush that re-dirties a page writes the page's
 // new image into its own generation's file and repoints the page table.
-// The manifest is the atomic commit point (wal.WriteFileAtomic): it names,
-// for every page, the generation file and offset holding its newest image.
+// The manifest is the atomic commit point (wal.WriteFileAtomic) and the
+// whole generation: it holds the session header the flush was begun with
+// (wal.AppendSnapshotHeader, its tuple count the row count) and names, for
+// every page, the generation file and offset holding its newest image.
 // Because old page files are immutable, the previous manifest remains a
-// consistent fallback, which is exactly what snapshot-generation pruning
-// (keep the newest two) requires.
+// consistent fallback, which is exactly what generation pruning (keep
+// the newest two) requires.
 //
 // Rows are filed at their position in the relation's physical order, a
 // store page being the relation's view page,
@@ -54,7 +59,7 @@ import (
 // delta is fsynced before the pages that reference it.
 
 const (
-	storeVersion  = 4
+	storeVersion  = 5
 	pageMagic     = "CFDPAGE"
 	manifestMagic = "CFDSTOR"
 	dictMagic     = "CFDDICT"
@@ -187,21 +192,25 @@ func (d *Disk) Attach(rel *relation.Relation, seed bool) {
 	d.mu.Unlock()
 }
 
-// Flush is the relation as pinned at one snapshot-rotation boundary,
+// Flush is the session as captured at one snapshot-rotation boundary,
 // between BeginFlush (worker, at the boundary) and Commit or Abort
 // (committer, in commit order).
 type Flush struct {
 	d    *Disk
+	snap *wal.Snapshot
 	view *relation.View
 	done bool
 }
 
-// BeginFlush takes the relation as pinned at a quiescent boundary — its
-// rows in physical order, its page stamps and its dictionary watermark.
-// The returned Flush must be resolved with exactly one Commit or Abort,
-// in FIFO order relative to other flushes of the same store.
-func (d *Disk) BeginFlush(v *relation.View) *Flush {
-	return &Flush{d: d, view: v}
+// BeginFlush takes the session as captured at a quiescent boundary: its
+// header, which the manifest records as it stands at Commit (so the
+// caller may still stamp fields such as the quota into it), and the
+// relation as pinned there — its rows in physical order, its page stamps
+// and its dictionary watermark. The returned Flush must be resolved with
+// exactly one Commit or Abort, in FIFO order relative to other flushes of
+// the same store.
+func (d *Disk) BeginFlush(snap *wal.Snapshot, v *relation.View) *Flush {
+	return &Flush{d: d, snap: snap, view: v}
 }
 
 // Abort releases the flush without committing. The committed version
@@ -218,7 +227,8 @@ func (f *Flush) Abort() {
 // first (fsync), then the images of the pages below the row count that
 // the view stamped after the committed version (every page when the
 // store is not based), encoded from the pinned view (fsync), then the
-// manifest (tmp + rename + dirsync) as the atomic commit point. On
+// manifest holding the flush's header and the page table (tmp + rename +
+// dirsync) as the atomic commit point. On
 // success the store's committed state advances to the view's version
 // and files no manifest of the two newest generations references are
 // pruned. On failure the flush is aborted and the error is latched — the
@@ -256,7 +266,9 @@ func (f *Flush) Commit(gen uint64) error {
 }
 
 func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int, nos []uint64) error {
-	// 1. Dictionary delta, fsynced before any page referencing it.
+	// 1. Dictionary delta, fsynced before any page referencing it. It
+	// lands behind the entries the last manifest counts and ends the
+	// file, cutting any tail a crash left there (Open writes nothing).
 	dictLen := f.view.DictLen()
 	delta := d.dict.StringsFrom(dictStart, dictLen)
 	if len(delta) > 0 {
@@ -266,6 +278,9 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int, nos []uint64) er
 			buf = append(buf, s...)
 		}
 		if _, err := d.dictFile.WriteAt(buf, d.dictOff); err != nil {
+			return err
+		}
+		if err := d.dictFile.Truncate(d.dictOff + int64(len(buf))); err != nil {
 			return err
 		}
 		if err := d.dictFile.Sync(); err != nil {
@@ -299,7 +314,7 @@ func (d *Disk) commitFiles(f *Flush, gen uint64, dictStart int, nos []uint64) er
 	for no, loc := range locs {
 		newTable[no] = loc
 	}
-	if err := d.writeManifest(gen, newTable, dictLen, rows); err != nil {
+	if err := d.writeManifest(gen, f.snap, newTable, dictLen, rows); err != nil {
 		return err
 	}
 
@@ -372,8 +387,8 @@ func (d *Disk) writePages(gen uint64, v *relation.View, nos []uint64) (map[uint6
 	})
 }
 
-func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows int) error {
-	b := encodeManifest(d.arity, table, dictLen, rows)
+func (d *Disk) writeManifest(gen uint64, snap *wal.Snapshot, table map[uint64]pageLoc, dictLen, rows int) error {
+	b := encodeManifest(snap, table, dictLen, rows)
 	return wal.WriteFileAtomic(filepath.Join(d.dir, manifestName(gen)), func(w io.Writer) error {
 		_, err := w.Write(b)
 		return err
@@ -381,12 +396,11 @@ func (d *Disk) writeManifest(gen uint64, table map[uint64]pageLoc, dictLen, rows
 }
 
 // encodeManifest renders a manifest file, the inverse of decodeManifest:
-// the header, then one record holding the arity, the dictionary length,
-// the row count and the page table in page order.
-func encodeManifest(arity int, table map[uint64]pageLoc, dictLen, rows int) []byte {
-	payload := binary.AppendUvarint(nil, uint64(arity))
+// the file header, then one record holding the session header with the
+// row count, the dictionary length and the page table in page order.
+func encodeManifest(snap *wal.Snapshot, table map[uint64]pageLoc, dictLen, rows int) []byte {
+	payload := wal.AppendSnapshotHeader(nil, snap, rows)
 	payload = binary.AppendUvarint(payload, uint64(dictLen))
-	payload = binary.AppendUvarint(payload, uint64(rows))
 	payload = binary.AppendUvarint(payload, uint64(len(table)))
 	for _, no := range slices.Sorted(maps.Keys(table)) {
 		loc := table[no]
@@ -401,7 +415,7 @@ func encodeManifest(arity int, table map[uint64]pageLoc, dictLen, rows int) []by
 // no page of the two newest manifests lives in), closing any cached read
 // handle first, and the manifest of every generation but the current one
 // and the previous one, which is the fallback recovery
-// opens when the current snapshot is damaged. Best-effort: a leftover
+// opens when the current generation is damaged. Best-effort: a leftover
 // file is garbage collected at the next commit.
 func (d *Disk) pruneLocked(keep map[uint64]bool) {
 	ents, err := os.ReadDir(d.dir)
@@ -476,36 +490,36 @@ func (d *Disk) Close() {
 	}
 }
 
-// Open loads the store at manifest generation gen, reading the
-// dictionary prefix the manifest covers and truncating any orphan tail
-// dict.log carries past it (a crash between dict append and manifest
-// commit leaves entries no manifest references; a fresh append would
-// otherwise land them at wrong ordinals). A store of another format
-// version is refused (wal.ErrCorrupt). Pages are read by Source, every
-// page of the row count once, in order.
-func Open(dir string, gen uint64, arity int) (*Disk, error) {
+// Open loads the store at manifest generation gen and returns the
+// session header the manifest holds, reading the dictionary prefix the
+// manifest covers. It writes nothing, so a caller that refuses the
+// header, or falls back to an older generation, leaves the files as they
+// were: an orphan tail dict.log carries past the prefix (a crash between
+// dict append and manifest commit leaves entries no manifest references)
+// is overwritten or cut by the next commit's dictionary append, which
+// lands at the prefix's end. The header's attributes give the rows'
+// arity. A store of another format version is refused (wal.ErrCorrupt).
+// Pages are read by Source, every page of the row count once, in order.
+func Open(dir string, gen uint64) (*Disk, *wal.Snapshot, error) {
 	b, err := os.ReadFile(filepath.Join(dir, manifestName(gen)))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	mArity, table, dictLen, rows, err := decodeManifest(b)
+	snap, table, dictLen, rows, err := decodeManifest(b)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if mArity != arity {
-		return nil, fmt.Errorf("%w: manifest arity %d, relation has %d", errCorrupt, mArity, arity)
-	}
-	d := newDisk(dir, arity)
+	d := newDisk(dir, len(snap.Attrs))
 	d.gen, d.hasManifest = gen, true
 	d.table = table
 	d.tupleCount = rows
 	d.dictNext = dictLen
 
 	if err := d.openDict(dictLen); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The previous manifest's references guard pruning: the persister
-	// keeps two snapshot generations, so their page files must survive.
+	// keeps two generations, so their page files must survive.
 	if gen > 0 {
 		if pb, err := os.ReadFile(filepath.Join(dir, manifestName(gen-1))); err == nil {
 			if _, pt, _, _, err := decodeManifest(pb); err == nil {
@@ -513,52 +527,46 @@ func Open(dir string, gen uint64, arity int) (*Disk, error) {
 			}
 		}
 	}
-	return d, nil
+	return d, snap, nil
 }
 
-func decodeManifest(b []byte) (arity int, table map[uint64]pageLoc, dictLen, rows int, err error) {
+func decodeManifest(b []byte) (snap *wal.Snapshot, table map[uint64]pageLoc, dictLen, rows int, err error) {
 	r := bytes.NewReader(b)
 	if err = wal.CheckHeader(r, manifestMagic, storeVersion); err != nil {
-		return 0, nil, 0, 0, err
+		return nil, nil, 0, 0, err
 	}
 	payload, err := wal.ExpectFrame(r, len(b))
 	if err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("manifest: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("manifest: %w", err)
 	}
 	if r.Len() != 0 {
-		return 0, nil, 0, 0, fmt.Errorf("%w: manifest record trailed by %d bytes", errCorrupt, r.Len())
+		return nil, nil, 0, 0, fmt.Errorf("%w: manifest record trailed by %d bytes", errCorrupt, r.Len())
 	}
 	d := relation.NewDecoder(payload, errCorrupt)
-	arity = int(d.Uvarint("arity"))
+	snap, n := wal.DecodeSnapshotHeader(d)
+	rows = int(n)
 	dictLen = int(d.Uvarint("dictionary length"))
-	rows = int(d.Uvarint("row count"))
-	n := d.Uvarint("page count")
+	np := d.Uvarint("page count")
 	// A page table entry is at least three bytes.
-	table = make(map[uint64]pageLoc, min(n, uint64(len(payload))/3))
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	table = make(map[uint64]pageLoc, min(np, uint64(len(payload))/3))
+	for i := uint64(0); i < np && d.Err() == nil; i++ {
 		no := d.Uvarint("page number")
 		table[no] = pageLoc{gen: d.Uvarint("page generation"), off: int64(d.Uvarint("page offset"))}
 	}
 	if err := d.Done(); err != nil {
-		return 0, nil, 0, 0, fmt.Errorf("manifest: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("manifest: %w", err)
 	}
-	return arity, table, dictLen, rows, nil
+	return snap, table, dictLen, rows, nil
 }
 
-// openDict reads exactly dictLen entries from dict.log, truncates any
-// orphan tail, and positions the append cursor.
+// openDict reads exactly dictLen entries from dict.log and positions the
+// append cursor behind them.
 func (d *Disk) openDict(dictLen int) error {
 	f, err := os.OpenFile(filepath.Join(d.dir, dictName), os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
 	strs, off, err := readDict(f, dictLen)
-	if err == nil {
-		err = f.Truncate(off)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
 	if err != nil {
 		f.Close()
 		return err

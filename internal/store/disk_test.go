@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -76,9 +77,22 @@ func expect(t *testing.T, rel *relation.Relation, got []wal.SnapTuple) {
 	}
 }
 
+// header is the session header a test flush records: a session name,
+// rel's schema, a Σ text, counters and a quota.
+func header(rel *relation.Relation) *wal.Snapshot {
+	sch := rel.Schema()
+	return &wal.Snapshot{
+		Name: "tenant", Relname: sch.Name(), Attrs: sch.Attrs(),
+		CFDs:     "cfd phi: [a] -> [b]\n(_ || _)\n",
+		Ordering: 1, K: 2, NearestK: 3, Batches: 4, Inserted: 5, Deleted: 1, Changes: 2, Cost: 1.5,
+		NextID: rel.NextID(), Version: rel.Version(),
+		Quota: wal.Quota{OpsPerSec: 10, TuplesPerSec: 100.5, MaxRelationSize: 1000, MaxSubscribers: 4},
+	}
+}
+
 func flushCommit(t *testing.T, d *Disk, rel *relation.Relation, gen uint64) {
 	t.Helper()
-	f := d.BeginFlush(rel.Pin())
+	f := d.BeginFlush(header(rel), rel.Pin())
 	if err := f.Commit(gen); err != nil {
 		t.Fatalf("commit gen %d: %v", gen, err)
 	}
@@ -100,7 +114,7 @@ func TestDictRefusesRepeatedEntry(t *testing.T) {
 	}
 	flushCommit(t, d, rel, 0)
 	d.Close()
-	if d, err := Open(dir, 0, 3); err != nil {
+	if d, _, err := Open(dir, 0); err != nil {
 		t.Fatal(err)
 	} else if _, err := d.Dict(); err != nil {
 		t.Fatalf("the written dict.log: %v", err)
@@ -115,7 +129,7 @@ func TestDictRefusesRepeatedEntry(t *testing.T) {
 	if err := os.WriteFile(path, bytes.Replace(b, []byte("v2"), []byte("v1"), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err = Open(dir, 0, 3)
+	d, _, err = Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +170,14 @@ func TestDiskRoundTrip(t *testing.T) {
 	flushCommit(t, d, rel, 1)
 	d.Close()
 
-	d2, err := Open(dir, 1, 3)
+	d2, snap, err := Open(dir, 1)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	defer d2.Close()
+	if want := header(rel); !reflect.DeepEqual(snap, want) {
+		t.Fatalf("the manifest's header reads back as\n%+v\nwant\n%+v", snap, want)
+	}
 	it, err := d2.Source()
 	if err != nil {
 		t.Fatalf("source: %v", err)
@@ -168,7 +185,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	expect(t, rel, drain(t, it))
 
 	// The previous generation must remain a readable fallback.
-	d1, err := Open(dir, 0, 3)
+	d1, _, err := Open(dir, 0)
 	if err != nil {
 		t.Fatalf("open previous gen: %v", err)
 	}
@@ -182,6 +199,11 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiskDictOrphanTailTruncated: a crash between dict append and
+// manifest commit leaves orphan entries past the manifest's dictLen.
+// Open leaves them in place (it writes nothing), and the next commit's
+// dictionary append lands at the right ordinals and cuts what it did not
+// overwrite.
 func TestDiskDictOrphanTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	rel := testRelation(t)
@@ -194,34 +216,52 @@ func TestDiskDictOrphanTailTruncated(t *testing.T) {
 	flushCommit(t, d, rel, 0)
 	d.Close()
 
-	// A crash between dict append and manifest commit leaves orphan
-	// entries past the manifest's dictLen; reopening must truncate them
-	// so later appends land at the right ordinals.
 	path := filepath.Join(dir, "dict.log")
+	committed, _ := os.Stat(path)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{3, 'z', 'z', 'z'}); err != nil {
+	if _, err := f.Write([]byte{30, 'z', 'z', 'z'}); err != nil { // a length longer than what follows
 		t.Fatal(err)
 	}
 	f.Close()
 	before, _ := os.Stat(path)
 
-	d2, err := Open(dir, 0, 3)
+	d2, _, err := Open(dir, 0)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	after, _ := os.Stat(path)
-	if after.Size() >= before.Size() {
-		t.Fatalf("orphan dict tail not truncated: %d -> %d bytes", before.Size(), after.Size())
+	defer d2.Close()
+	if after, _ := os.Stat(path); after.Size() != before.Size() {
+		t.Fatalf("open changed dict.log: %d -> %d bytes", before.Size(), after.Size())
 	}
 	it, err := d2.Source()
 	if err != nil {
 		t.Fatal(err)
 	}
 	expect(t, rel, drain(t, it))
-	d2.Close()
+
+	// The next commit appends one new constant, "s", at the committed end.
+	d2.Attach(rel, false)
+	rel.MustInsert(relation.NewTuple(0, "p", "q", "s"))
+	flushCommit(t, d2, rel, 1)
+	if after, _ := os.Stat(path); after.Size() != committed.Size()+2 {
+		t.Fatalf("dict.log after the next commit is %d bytes, want the %d committed plus \"s\"'s 2", after.Size(), committed.Size())
+	}
+	d3, _, err := Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
+	if _, err := d3.Dict(); err != nil {
+		t.Fatal(err)
+	}
+	it, err = d3.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect(t, rel, drain(t, it))
 }
 
 // An abort leaves the committed version where it was, so the flush after
@@ -244,7 +284,7 @@ func TestDiskAbortRemerges(t *testing.T) {
 	if _, err := rel.Set(1, 2, relation.S("c2")); err != nil {
 		t.Fatal(err)
 	}
-	f := d.BeginFlush(rel.Pin())
+	f := d.BeginFlush(header(rel), rel.Pin())
 	if _, err := rel.Set(relation.PageRows+1, 2, relation.S("c3")); err != nil {
 		t.Fatal(err)
 	}
@@ -325,13 +365,12 @@ func TestFreshStoreWritesEveryPage(t *testing.T) {
 }
 
 // reopen opens generation gen of dir beside whatever store is live on it
-// (every dictionary entry the manifest counts is already in dict.log, so
-// the orphan-tail truncation is a no-op) and holds it to want: the rows
+// (Open writes nothing) and holds it to want: the rows
 // in want's physical order, and a page table of exactly the pages below
 // the row count.
 func reopen(t *testing.T, dir string, gen uint64, want *relation.Relation) {
 	t.Helper()
-	d, err := Open(dir, gen, 3)
+	d, _, err := Open(dir, gen)
 	if err != nil {
 		t.Fatalf("open gen %d: %v", gen, err)
 	}
@@ -383,10 +422,10 @@ func TestAbortBehindALaterFlush(t *testing.T) {
 			}
 
 			set(1, "first page")
-			a := d.BeginFlush(rel.Pin())
+			a := d.BeginFlush(header(rel), rel.Pin())
 			set(rows, "last page")
 			atB := rel.Clone()
-			b := d.BeginFlush(rel.Pin())
+			b := d.BeginFlush(header(rel), rel.Pin())
 			set(third, "after both boundaries")
 			a.Abort()
 			if err := b.Commit(1); err != nil {
@@ -455,7 +494,7 @@ func runSchedule(t *testing.T, dir string, seed int64) {
 		if len(pending) == 2 || (len(pending) == 1 && rng.Intn(2) == 0) {
 			resolve()
 		}
-		pending = append(pending, inFlight{d.BeginFlush(rel.Pin()), nextGen, rel.Clone()})
+		pending = append(pending, inFlight{d.BeginFlush(header(rel), rel.Pin()), nextGen, rel.Clone()})
 		nextGen++
 		hot = rng.Intn((rel.Size() + rpp - 1) / rpp)
 	}
@@ -612,17 +651,41 @@ func TestOpenRefusesOversizedDictEntry(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 0, 3); !errors.Is(err, errCorrupt) {
+	if _, _, err := Open(dir, 0); !errors.Is(err, errCorrupt) {
 		t.Fatalf("open with a 1 TiB dict entry: %v, want errCorrupt", err)
 	}
 }
 
-// TestOpenRefusesGeometry: the iterator decodes rows of the manifest's
-// arity, so a store opened for a relation of another arity is corrupt.
+// TestOpenRefusesGeometry: the iterator decodes rows of the arity the
+// manifest's header states, so a manifest whose header names another
+// attribute count than its pages were written at streams no row: its
+// first page is corrupt.
 func TestOpenRefusesGeometry(t *testing.T) {
 	dir := committedStore(t)
-	if _, err := Open(dir, 0, 4); !errors.Is(err, errCorrupt) {
-		t.Fatalf("open of an arity-3 store at arity 4: %v, want errCorrupt", err)
+	path := filepath.Join(dir, manifestName(0))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, table, dictLen, rows, err := decodeManifest(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Attrs = append(snap.Attrs, "d")
+	if err := os.WriteFile(path, encodeManifest(snap, table, dictLen, rows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	it, err := d.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := it.Next(); !errors.Is(err, errCorrupt) {
+		t.Fatalf("arity-3 pages read at arity 4: %v, want errCorrupt", err)
 	}
 }
 
@@ -721,9 +784,10 @@ func TestFlushOfOneDirtyPageWritesOnePage(t *testing.T) {
 // TestOpenRefusesVersion1: store files of the formats before this one
 // are refused as corrupt, not misread, with an error naming the version:
 // version 1 filed rows by tuple id beside an order file, version 2 wrote
-// fixed-width rows, version 3 pages of a size its manifest named.
+// fixed-width rows, version 3 pages of a size its manifest named, and
+// version 4's manifest held no session header.
 func TestOpenRefusesVersion1(t *testing.T) {
-	for _, ver := range []byte{1, 2, 3} {
+	for _, ver := range []byte{1, 2, 3, 4} {
 		dir := committedStore(t)
 		path := filepath.Join(dir, manifestName(0))
 		b, err := os.ReadFile(path)
@@ -734,7 +798,7 @@ func TestOpenRefusesVersion1(t *testing.T) {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err = Open(dir, 0, 3)
+		_, _, err = Open(dir, 0)
 		if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("format version %d", ver)) {
 			t.Fatalf("open of a version-%d manifest: %v, want wal.ErrCorrupt naming the version", ver, err)
 		}
@@ -830,7 +894,7 @@ func BenchmarkFlushOneDirtyPage(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if err := d.BeginFlush(rel.Pin()).Commit(0); err != nil {
+			if err := d.BeginFlush(header(rel), rel.Pin()).Commit(0); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -838,7 +902,7 @@ func BenchmarkFlushOneDirtyPage(b *testing.B) {
 				if _, err := rel.Set(relation.TupleID(n/2), 0, relation.S(strconv.Itoa(i%2))); err != nil {
 					b.Fatal(err)
 				}
-				if err := d.BeginFlush(rel.Pin()).Commit(uint64(i + 1)); err != nil {
+				if err := d.BeginFlush(header(rel), rel.Pin()).Commit(uint64(i + 1)); err != nil {
 					b.Fatal(err)
 				}
 			}

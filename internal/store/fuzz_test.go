@@ -21,38 +21,45 @@ import (
 // the header's version byte and the record's payload, and the test frames
 // them with a valid checksum so the bytes reach the decoder behind the
 // frame; the payload is also decoded raw, as a whole file. decodeManifest
-// never panics, and whatever it accepts encodes to a manifest that
-// decodes to the same arity, page table, dictionary length and row count,
-// and encodes again to the same bytes. The seeds stamp a real
-// manifest with this build's store version and with each version of the
-// wal package's refusal table (compat_test.go).
+// never panics, refuses every version but this build's, and whatever it
+// accepts encodes to a manifest that decodes to the same page table,
+// dictionary length and row count, and encodes again to the same bytes,
+// session header included. The seeds are a manifest whose header holds a
+// session name, attributes, a Σ text and a quota, stamped with this
+// build's store version and with each version of the wal package's
+// refusal table (compat_test.go), version 4, whose manifests held no
+// session header, among them.
 func FuzzDecodeManifest(f *testing.F) {
-	seed := encodeManifest(3, map[uint64]pageLoc{0: {0, 8}, 1: {1, 8}, 7: {1, 8 + 8 + 8 + 500}}, 12, 7*1024+300)
+	snap := header(testRelation(f))
+	seed := encodeManifest(snap, map[uint64]pageLoc{0: {0, 8}, 1: {1, 8}, 7: {1, 8 + 8 + 8 + 500}}, 12, 7*1024+300)
 	if _, _, _, _, err := decodeManifest(seed); err != nil {
 		f.Fatal(err)
 	}
 	_, payload, _ := bytes.Cut(seed, []byte(manifestMagic))
 	payload = payload[1+8:] // version byte, record length and checksum
-	for _, ver := range []byte{storeVersion, 1, 2, 3, 99} {
+	for _, ver := range []byte{storeVersion, 1, 2, 3, 4, 99} {
 		f.Add(ver, payload)
 	}
 	f.Add(byte(storeVersion), seed)
 	f.Fuzz(func(t *testing.T, ver byte, payload []byte) {
 		decodeManifest(payload)
 		b := wal.AppendFrame(wal.AppendHeader(nil, manifestMagic, ver), payload)
-		arity, table, dictLen, rows, err := decodeManifest(b)
+		snap, table, dictLen, rows, err := decodeManifest(b)
 		if err != nil {
 			return
 		}
-		enc := encodeManifest(arity, table, dictLen, rows)
-		arity2, table2, dictLen2, rows2, err := decodeManifest(enc)
+		if ver != storeVersion {
+			t.Fatalf("a manifest of store version %d is accepted", ver)
+		}
+		enc := encodeManifest(snap, table, dictLen, rows)
+		snap2, table2, dictLen2, rows2, err := decodeManifest(enc)
 		if err != nil {
 			t.Fatalf("re-encoded manifest does not decode: %v", err)
 		}
-		if arity2 != arity || !maps.Equal(table2, table) || dictLen2 != dictLen || rows2 != rows {
-			t.Fatalf("manifest changed across a round trip: %d %d %d → %d %d %d", arity, dictLen, rows, arity2, dictLen2, rows2)
+		if !maps.Equal(table2, table) || dictLen2 != dictLen || rows2 != rows {
+			t.Fatalf("manifest changed across a round trip: %d %d → %d %d", dictLen, rows, dictLen2, rows2)
 		}
-		if !bytes.Equal(encodeManifest(arity2, table2, dictLen2, rows2), enc) {
+		if !bytes.Equal(encodeManifest(snap2, table2, dictLen2, rows2), enc) {
 			t.Fatal("manifest encoding is not a fixed point")
 		}
 	})
@@ -63,8 +70,8 @@ func FuzzDecodeManifest(f *testing.F) {
 // the entries behind a valid header and the entry count a manifest would
 // claim. openDict never panics and never sizes an allocation by a length
 // the file cannot hold; whatever it accepts is exactly n entries, the
-// file is truncated to exactly where they end, and opening the truncated
-// file again reads the same entries.
+// file is left as it was, the append offset is exactly where the entries
+// end, and opening the file cut there reads the same entries.
 // The seeds are a real store's dict.log, with the count it was committed
 // at, one past it, and its first length raised to 1 TiB, and a length
 // spelled in more bytes than it needs.
@@ -79,7 +86,7 @@ func FuzzOpenDict(f *testing.F) {
 	for _, vals := range [][]string{{"212", "NYC", ""}, {"Ünïcödé", strings.Repeat("x", 300), "a,b"}} {
 		rel.MustInsert(relation.NewTuple(0, vals...))
 	}
-	if err := d.BeginFlush(rel.Pin()).Commit(0); err != nil {
+	if err := d.BeginFlush(header(rel), rel.Pin()).Commit(0); err != nil {
 		f.Fatal(err)
 	}
 	n := d.Stats().DictEntries
@@ -113,11 +120,13 @@ func FuzzOpenDict(f *testing.F) {
 			t.Fatalf("accepted %d entries, want %d", len(strs), n)
 		}
 		got, err := os.ReadFile(path)
-		if err != nil || int64(len(got)) != d.dictOff || !bytes.Equal(got, file[:len(got)]) {
-			t.Fatalf("dict.log after open is %d bytes, append offset %d: not a prefix ending there (%v)", len(got), d.dictOff, err)
+		if err != nil || !bytes.Equal(got, file) || d.dictOff > int64(len(file)) {
+			t.Fatalf("dict.log after open is %d bytes of the %d written, append offset %d (%v)", len(got), len(file), d.dictOff, err)
 		}
-		// What is kept is exactly the n entries, decoded independently.
-		rest := got[hdr:]
+		// What the offset keeps is exactly the n entries, decoded
+		// independently.
+		kept := got[:d.dictOff]
+		rest := kept[hdr:]
 		for i, want := range strs {
 			ln, k := binary.Uvarint(rest)
 			if k <= 0 || uint64(len(rest)-k) < ln || string(rest[k:k+int(ln)]) != want {
@@ -128,9 +137,12 @@ func FuzzOpenDict(f *testing.F) {
 		if len(rest) != 0 {
 			t.Fatalf("%d bytes kept past the %d entries", len(rest), n)
 		}
+		if err := os.WriteFile(path, kept, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		again := newDisk(dir, 3)
 		if err := again.openDict(int(n)); err != nil || !slices.Equal(again.strs, strs) {
-			t.Fatalf("reopening the truncated dict.log: %v", err)
+			t.Fatalf("reopening the dict.log cut at the append offset: %v", err)
 		}
 		again.Close()
 	})
@@ -139,8 +151,10 @@ func FuzzOpenDict(f *testing.F) {
 // FuzzStoreSource holds the page reader — what recovery streams a
 // relation back through — to its contract. The seed store holds two
 // pages with nulls and weights, a delete that shortened its last page and
-// a Set; the fuzzer rewrites its newest pages file and the row count of
-// its newest manifest. With raw set the bytes are the whole pages file
+// a Set, and its manifests carry a session header (a session name,
+// attributes, a Σ text and a quota) that a copy stamped store version 4
+// must not open with; the fuzzer rewrites its newest pages file and the
+// row count of its newest manifest, header kept. With raw set the bytes are the whole pages file
 // (the seeds: a torn record, a version-3 header); otherwise they are page 0's image,
 // which the test frames with a valid checksum behind the file's records
 // and points the page table at, so the rows reach the decoder. Open and
@@ -167,14 +181,14 @@ func FuzzStoreSource(f *testing.F) {
 		}
 		rel.MustInsert(tu)
 	}
-	if err := d.BeginFlush(rel.Pin()).Commit(0); err != nil {
+	if err := d.BeginFlush(header(rel), rel.Pin()).Commit(0); err != nil {
 		f.Fatal(err)
 	}
 	rel.Delete(3)
 	if _, err := rel.Set(50, 0, relation.S("set")); err != nil {
 		f.Fatal(err)
 	}
-	if err := d.BeginFlush(rel.Pin()).Commit(1); err != nil {
+	if err := d.BeginFlush(header(rel), rel.Pin()).Commit(1); err != nil {
 		f.Fatal(err)
 	}
 	rpp, limit := relation.PageRows, pageCap(3)
@@ -185,9 +199,22 @@ func FuzzStoreSource(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	arity, table, dictLen, rows, err := decodeManifest(files[manifestName(1)])
+	snap, table, dictLen, rows, err := decodeManifest(files[manifestName(1)])
 	if err != nil {
 		f.Fatal(err)
+	}
+	old := f.TempDir()
+	for name, data := range files {
+		if name == manifestName(1) {
+			data = slices.Clone(data)
+			data[len(manifestMagic)] = 4
+		}
+		if err := os.WriteFile(filepath.Join(old, name), data, 0o644); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, _, err := Open(old, 1); !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), "version 4") {
+		f.Fatalf("a version-4 manifest opens: %v", err)
 	}
 	// The delete and the Set wrote both pages into the newest pages file.
 	newest := files[pagesName(1)]
@@ -232,7 +259,7 @@ func FuzzStoreSource(f *testing.F) {
 		for name, data := range files {
 			switch name {
 			case manifestName(1):
-				data = encodeManifest(arity, tbl, dictLen, int(n))
+				data = encodeManifest(snap, tbl, dictLen, int(n))
 			case pagesName(1):
 				data = pages[1]
 			}
@@ -246,7 +273,7 @@ func FuzzStoreSource(f *testing.F) {
 				t.Fatalf("error does not wrap corrupt: %v", err)
 			}
 		}
-		d, err := Open(dir, 1, 3)
+		d, _, err := Open(dir, 1)
 		if err != nil {
 			corrupt(err)
 			return

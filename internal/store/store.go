@@ -1,9 +1,10 @@
-// Package store is the page store a durable session's snapshots are
+// Package store is the page store a durable session's generations are
 // written through: the relation's rows, in the snapshot image's row form
 // over the relation Dict's dense ValueIDs, in generation-numbered page
-// files, and a persistent intern dictionary of those ids. A store page is
-// the relation's view page (relation.PageRows rows); the store keeps no
-// copy of a row in memory and no set of dirty pages.
+// files, a persistent intern dictionary of those ids, and one manifest
+// per generation holding the session header beside the page table. A
+// store page is the relation's view page (relation.PageRows rows); the
+// store keeps no copy of a row in memory and no set of dirty pages.
 //
 // The store does not move the working set out of RAM — the repair
 // engine needs the whole relation resident. What it removes is the
@@ -11,10 +12,9 @@
 // filed at their position in the relation's physical order, so a
 // rotation writes only the images of the pages the relation stamped
 // after the last committed flush, encoded from the relation as pinned
-// at the boundary (the snapshot file shrinks to a slim header pointing
-// at a page-file generation), and recovery streams the rows back by
-// reading the pages of the row count once, in order. See internal/server
-// for the wiring.
+// at the boundary, and one manifest; recovery reads the session header
+// from the manifest and streams the rows back by reading the pages of
+// the row count once, in order. See internal/server for the wiring.
 package store
 
 // Options tunes a Disk store. It has no field: a page is the relation's

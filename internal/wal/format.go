@@ -4,9 +4,8 @@
 // relation journal (internal/relation) already exposes every accepted
 // batch as a totally-ordered stream of typed Deltas; this package
 // serializes that stream so a session can be reconstructed after a crash
-// by loading the newest valid snapshot and replaying the batches logged
-// after it (see increpair.RestoreSession and internal/server's
-// persister).
+// by loading the newest valid generation and replaying the batches logged
+// after it (see internal/server's persister).
 //
 // # Formats
 //
@@ -31,23 +30,27 @@
 // their readers pass that as the cap, and Log.Append and WriteSnapshot
 // refuse a longer payload rather than frame it with a wrapped length.
 //
-// Five file kinds open with a header, and a reader accepts exactly the
-// version its writer stamps — any other is refused with ErrCorrupt. A
-// codec change that breaks old files must bump the version
-// (TestFormatsByteIdentical and the golden fixture under
-// testdata/golden/wal-session fail loudly when this is forgotten).
+// Four file kinds and the snapshot stream open with a header, and a
+// reader accepts exactly the version its writer stamps — any other is
+// refused with ErrCorrupt. A codec change that breaks old files must
+// bump the version (TestFormatsByteIdentical and the golden fixture
+// under testdata/golden/wal-session fail loudly when this is forgotten).
 //
-//	wal-<gen>.log       "CFDWAL"  4  record*  (Batch payloads)
-//	snap-<gen>.snap     "CFDSNAP" 4  header-record chunk-record*
-//	pages-<gen>.dat     "CFDPAGE" 4  (pageNo(u64 LE) record)*
-//	manifest-<gen>.mft  "CFDSTOR" 4  record
-//	dict.log            "CFDDICT" 4  (length(uvarint) bytes)*, unframed
+//	wal-<gen>.log       "CFDWAL"  5  record*  (Batch payloads)
+//	pages-<gen>.dat     "CFDPAGE" 5  (pageNo(u64 LE) record)*
+//	manifest-<gen>.mft  "CFDSTOR" 5  record   (session header, page table)
+//	dict.log            "CFDDICT" 5  (length(uvarint) bytes)*, unframed
+//	snapshot stream     "CFDSNAP" 5  header-record chunk-record*
 //
-// <gen> is ten decimal digits (GenName). A snapshot file streams a
-// header record (everything through the tuple count) followed by bounded
-// tuple-chunk records, so snapshots of any size are written and read
-// without a relation-sized allocation; Batch and Snapshot (snapshot.go)
-// define those payloads, internal/store the manifest payload.
+// <gen> is ten decimal digits (GenName). A generation of a durable
+// session is its manifest and its WAL: the manifest's one record holds
+// the session header (AppendSnapshotHeader: Σ, the schema, the engine
+// options, the counters, the journal marks and the quota, its tuple
+// count the row count) followed by the page table (internal/store), and
+// the WAL the batches accepted after it. A snapshot stream streams the
+// same header record followed by bounded tuple-chunk records, so
+// snapshots of any size are written and read without a relation-sized
+// allocation; Batch and Snapshot (snapshot.go) define those payloads.
 //
 // Both images of a relation, a snapshot's chunk records and the page
 // store's page records, hold rows in one form (AppendRow, DecodeRow):
@@ -69,22 +72,22 @@
 // first used by a row of its own chunk and numbered in first-use order,
 // and a page holds its rows and no byte behind them.
 // Replication (internal/cluster/ship) adds no snapshot layout: a shipped
-// snapshot is the snap stream above, magic and version included, and a
-// shipped frame carries one batch:
+// snapshot is the snapshot stream above, magic and version included, and
+// a shipped frame carries one batch:
 //
-//	shipped snapshot    "CFDSNAP" 4  header-record chunk-record*
+//	shipped snapshot    "CFDSNAP" 5  header-record chunk-record*
 //	shipped frame       kind(u8)=2 record  (a Batch payload)
 //
-// Snapshot files, manifests and the follower-role marker are commit
-// points, replaced atomically (WriteFileAtomic: temporary sibling, fsync,
-// rename, directory fsync): a crash leaves the old file or the new one.
+// Manifests and the follower-role marker are commit points, replaced
+// atomically (WriteFileAtomic: temporary sibling, fsync, rename,
+// directory fsync): a crash leaves the old file or the new one.
 // Page files are written once and fsynced (WriteFileSynced)
 // before the manifest that names them commits; until then nothing refers
 // to them. The WAL and dict.log are appended in place: Create fsyncs the
 // new log and its directory entry before the first append, Sync fsyncs
 // appended records, and dict.log's appends are fsynced before the pages
-// that reference them, any tail no manifest covers being truncated when
-// the store is opened.
+// that reference them, each landing behind the entries the last manifest
+// covers and cutting any tail a crash left there.
 //
 // # Crash semantics
 //
@@ -383,7 +386,7 @@ func SyncDir(dir string) error {
 }
 
 // genExt maps each generation-numbered file kind to its extension.
-var genExt = map[string]string{"snap": ".snap", "wal": ".log", "pages": ".dat", "manifest": ".mft"}
+var genExt = map[string]string{"wal": ".log", "pages": ".dat", "manifest": ".mft"}
 
 // GenName names the file of the given kind at generation gen:
 // <kind>-<ten digits><extension>.

@@ -114,9 +114,6 @@ type Snapshot struct {
 	Ordering uint8
 	K        int
 	NearestK int
-	// Workers is a retired setting kept in the format: written as 0,
-	// decoded and ignored.
-	Workers int
 
 	// Cumulative session counters (see increpair.Snapshot).
 	Batches  int
@@ -133,26 +130,17 @@ type Snapshot struct {
 	// (zero value: unlimited).
 	Quota Quota
 
-	// StoreKind records where the relation rows live. The zero value
-	// means Tuples carries them; StorePaged means the session
-	// runs the disk-backed page store (internal/store) and the rows live
-	// in its page files at generation StoreGen — Tuples is then empty and
-	// the snapshot is a slim header, which is what makes recovery ~O(dirty)
-	// instead of O(relation).
-	StoreKind byte
-	StoreGen  uint64
-
-	// Tuples is the relation content in physical row order (StoreKind 0
-	// only).
+	// Tuples is the relation content in physical row order, for a
+	// snapshot built in memory; a stream's reader and the page store
+	// hand the rows back one at a time instead.
 	Tuples []SnapTuple
 }
 
-// StorePaged is the StoreKind of a slim header over the page store.
-const StorePaged byte = 1
-
-// appendHeader renders every snapshot field and n, the tuple count: the
-// payload of a snapshot stream's header record.
-func (s *Snapshot) appendHeader(out []byte, n int) []byte {
+// AppendSnapshotHeader renders every field of s but its Tuples, then n,
+// the tuple count: the payload of a snapshot stream's header record, and
+// the head of the page store's manifest record, whose tuple count is its
+// row count.
+func AppendSnapshotHeader(out []byte, s *Snapshot, n int) []byte {
 	out = appendString(out, s.Name)
 	out = appendString(out, s.Relname)
 	out = binary.AppendUvarint(out, uint64(len(s.Attrs)))
@@ -163,7 +151,6 @@ func (s *Snapshot) appendHeader(out []byte, n int) []byte {
 	out = append(out, s.Ordering)
 	out = binary.AppendUvarint(out, uint64(s.K))
 	out = binary.AppendUvarint(out, uint64(s.NearestK))
-	out = binary.AppendUvarint(out, uint64(s.Workers))
 	out = binary.AppendUvarint(out, uint64(s.Batches))
 	out = binary.AppendUvarint(out, uint64(s.Inserted))
 	out = binary.AppendUvarint(out, uint64(s.Deleted))
@@ -171,18 +158,10 @@ func (s *Snapshot) appendHeader(out []byte, n int) []byte {
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.Cost))
 	out = binary.AppendVarint(out, int64(s.NextID))
 	out = binary.AppendUvarint(out, s.Version)
-	// The flag byte says whether any limit is set; readers ignore it.
-	if s.Quota != (Quota{}) {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.Quota.OpsPerSec))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.Quota.TuplesPerSec))
 	out = binary.AppendVarint(out, int64(s.Quota.MaxRelationSize))
 	out = binary.AppendVarint(out, int64(s.Quota.MaxSubscribers))
-	out = append(out, s.StoreKind)
-	out = binary.AppendUvarint(out, s.StoreGen)
 	out = binary.AppendUvarint(out, uint64(n))
 	return out
 }
@@ -225,9 +204,9 @@ func (m *imageIDs) appendFresh(out []byte, arity int, t *SnapTuple, next *uint32
 	return out
 }
 
-// decodeSnapshotPrefix parses the snapshot header fields (through the
-// tuple count) from d.
-func decodeSnapshotPrefix(d *relation.Decoder) (*Snapshot, uint64) {
+// DecodeSnapshotHeader parses what AppendSnapshotHeader wrote from d: the
+// snapshot's fields and the tuple count.
+func DecodeSnapshotHeader(d *relation.Decoder) (*Snapshot, uint64) {
 	s := &Snapshot{}
 	s.Name = d.Str("name")
 	s.Relname = d.Str("relation name")
@@ -242,7 +221,6 @@ func decodeSnapshotPrefix(d *relation.Decoder) (*Snapshot, uint64) {
 	s.Ordering = d.Byte("ordering")
 	s.K = int(d.Uvarint("k"))
 	s.NearestK = int(d.Uvarint("nearest_k"))
-	s.Workers = int(d.Uvarint("workers"))
 	s.Batches = int(d.Uvarint("batches"))
 	s.Inserted = int(d.Uvarint("inserted"))
 	s.Deleted = int(d.Uvarint("deleted"))
@@ -250,18 +228,10 @@ func decodeSnapshotPrefix(d *relation.Decoder) (*Snapshot, uint64) {
 	s.Cost = math.Float64frombits(d.U64("cost"))
 	s.NextID = relation.TupleID(d.Varint("next id"))
 	s.Version = d.Uvarint("version")
-	if d.Byte("quota flag") > 1 {
-		d.Failf("bad quota flag")
-	}
 	s.Quota.OpsPerSec = math.Float64frombits(d.U64("quota ops/sec"))
 	s.Quota.TuplesPerSec = math.Float64frombits(d.U64("quota tuples/sec"))
 	s.Quota.MaxRelationSize = int(d.Varint("quota max relation size"))
 	s.Quota.MaxSubscribers = int(d.Varint("quota max subscribers"))
-	s.StoreKind = d.Byte("store kind")
-	if s.StoreKind > StorePaged {
-		d.Failf("unknown store kind %d", s.StoreKind)
-	}
-	s.StoreGen = d.Uvarint("store generation")
 	return s, d.Uvarint("tuple count")
 }
 
@@ -288,7 +258,7 @@ const snapChunkTuples = 4096
 // returns, and an IDs slice of its own it overwrites at the next call.
 func WriteSnapshotRows(w io.Writer, s *Snapshot, n, idLimit int, row func(i int) SnapTuple) error {
 	buf, at := beginFrame(AppendHeader(nil, snapMagic, Version))
-	buf = s.appendHeader(buf, n)
+	buf = AppendSnapshotHeader(buf, s, n)
 	if err := checkPayload(len(buf) - at - frameHeaderLen); err != nil {
 		return err
 	}
@@ -412,7 +382,7 @@ func NewSnapshotReader(r io.Reader) (*Snapshot, *SnapshotReader, error) {
 		return nil, nil, err
 	}
 	d := relation.NewDecoder(p, ErrCorrupt)
-	s, n := decodeSnapshotPrefix(d)
+	s, n := DecodeSnapshotHeader(d)
 	if err := d.Done(); err != nil {
 		return nil, nil, fmt.Errorf("snapshot header record: %w", err)
 	}

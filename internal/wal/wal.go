@@ -7,12 +7,14 @@ import (
 	"path/filepath"
 )
 
-// Version is the on-disk format version byte shared by WAL and snapshot
-// files, and the only one written or read. Bump it on any incompatible
-// codec change. Version 4 writes a snapshot's rows as ids into the
-// constants each chunk carries (snapshot.go); a version-3 file, whose
-// cells spelled every constant out, is refused like any other.
-const Version = 4
+// Version is the on-disk format version byte shared by WAL files and
+// snapshot streams, and the only one written or read. Bump it on any
+// incompatible codec change. Version 5 drops three header fields no
+// reader used (a retired workers count, a quota flag byte and the store
+// kind with its generation); version 4 wrote a snapshot's rows as ids
+// into the constants each chunk carries (snapshot.go). A file of any
+// other version is refused.
+const Version = 5
 
 const (
 	walMagic  = "CFDWAL"
@@ -144,9 +146,11 @@ func (l *Log) Close() error {
 	return cerr
 }
 
-// WriteSnapshotFile atomically writes a snapshot file (see
+// WriteSnapshotFile atomically writes a snapshot stream to a file (see
 // WriteFileAtomic): a crash mid-write can never leave a half-written
-// snapshot under the final name.
+// snapshot under the final name. The service keeps no snapshot file (a
+// generation is the page store's manifest); the benchmark harness times
+// this write.
 func WriteSnapshotFile(path string, s *Snapshot) error {
 	return WriteFileAtomic(path, func(w io.Writer) error { return WriteSnapshot(w, s) })
 }

@@ -208,7 +208,6 @@ func sampleSnapshot() *wal.Snapshot {
 		Ordering: 1,
 		K:        2,
 		NearestK: 4,
-		Workers:  3,
 		Batches:  11,
 		Inserted: 42,
 		Deleted:  5,
@@ -216,6 +215,7 @@ func sampleSnapshot() *wal.Snapshot {
 		Cost:     3.25,
 		NextID:   77,
 		Version:  191,
+		Quota:    wal.Quota{OpsPerSec: 2.5, MaxSubscribers: 3},
 		Tuples: []wal.SnapTuple{
 			{ID: 3, Vals: []relation.Value{relation.S("a23"), relation.NullValue, relation.S("NYC")}},
 			{ID: 1, Vals: []relation.Value{relation.S(""), relation.S("quote'y,va|l"), relation.NullValue},
