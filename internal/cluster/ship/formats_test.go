@@ -45,7 +45,11 @@ import (
 // snapshot's with the header record's four dropped bytes (a workers
 // count, a quota flag, the store kind and its generation); and the
 // manifest's with the session header it now holds in place of the
-// arity.) A
+// arity. WAL format version 6 moved the WAL's and the ship batch's, and
+// no other: a WAL record, and a shipped frame's, lists the strings it is
+// the first of its scope to use and writes every value as a cell naming
+// one — the scope is the WAL file, whose header now carries version 6,
+// and a frame's one record, whose kind byte is now 3.) A
 // digest that moves means a format changed: bump
 // the format's version, then re-record. A shipped snapshot has no digest of its own: the body
 // HTTPTransport sends must equal the snapshot file's bytes.
@@ -106,7 +110,7 @@ func TestFormatsByteIdentical(t *testing.T) {
 		ops = nil
 		mutate()
 		b.Version, b.Ops = rel.Version(), ops
-		if err := log.Append(b.Encode()); err != nil {
+		if _, err := log.AppendBatch(b); err != nil {
 			t.Fatal(err)
 		}
 		batches = append(batches, b)
@@ -190,12 +194,12 @@ func TestFormatsByteIdentical(t *testing.T) {
 		"ship batch": fmt.Sprintf("%x", sha256.Sum256(ship.EncodeBatchFrame(batches[2]))),
 	}
 	want := map[string]string{
-		"wal":        "45378b505ede5e58198cd27a63bcd175069b8e5f575818f3e7a84a394da25a91",
+		"wal":        "1d4f04596a14cc5fccd736e2fff2f0a739c84dc7616d0f0378f3eab5d00a2e32",
 		"snapshot":   "7e17cf47d76608c5691b8254b8cbb0ec08b634768677d9f786e40b04a77fa4e0",
 		"pages":      "a0f541a4f0e219d5127b4b8d350841561bcc8cd794fa5851558a039908f8c9aa",
 		"manifest":   "9a4b5017c2f0dbaa7e8acd829aa6771967175b704e709f5dc352e3a17b2a61c5",
 		"dict":       "3ebc2ab54d615acf4cd8191f539c3c5b110958a4517e1a19704c89e52ec302f8",
-		"ship batch": "a34aefc6a3c97de79f8eb179b74ee0f0d5ae71bd7f2db989b581337ea06539a8",
+		"ship batch": "d8634e432505c01995b2fcdf8630b8664c189bac80702932e775a8f691181e79",
 	}
 	for kind, g := range got {
 		if g != want[kind] {

@@ -49,7 +49,10 @@ import (
 )
 
 // KindBatch is the kind byte of a batch frame, the only kind there is.
-const KindBatch byte = 2
+// Kind 3 frames a record whose string table is its own (wal.Batch.Encode);
+// kind 2 spelled every value inline, and a peer still sending it is
+// refused by its kind.
+const KindBatch byte = 3
 
 // MaxFrameLen rejects absurd lengths decoded from a corrupted frame
 // header before they drive a huge allocation. It is exported so the HTTP

@@ -7,101 +7,26 @@ import (
 	"math/bits"
 )
 
-// Deterministic binary (de)serialization of journal Deltas — the codec
-// underneath the write-ahead log (internal/wal). The encoding is a pure
-// function of the Delta's visible fields (Kind, T.ID, T.Vals, T.W, Attr,
-// Old): no map iteration, no pointers, no interned ids, so the same
-// logical delta always serializes to the same bytes regardless of the
-// relation (and dictionary) it originated from. Interned ids are *not*
-// serialized — they are private to one Relation's dictionary and are
-// reassigned when a decoded tuple is inserted somewhere; a decoded Delta
-// therefore carries a free-standing tuple (Interned() == false) and
-// OldID == InvalidID.
+// The cursor and primitives every binary payload of the durability stack
+// is read through (internal/wal, internal/store). The layouts themselves
+// live with their writers — internal/wal's package comment is the
+// reference — and share these pieces:
 //
-// Layout (all integers little-endian or uvarint/varint as noted):
+//	uvarint / varint   encoding/binary's, the shortest form only (a
+//	                   signed varint zig-zag encoded)
+//	string             len(uvarint) byte*              (Decoder.Str)
+//	weights            wflag(u8) weight*               (Decoder.Weights)
+//	weight             float64 bits (u64 little-endian), exactly arity
+//	                   of them iff wflag == 1
+//	cell               uvarint: 0 for null, k+1 for entry k of a string
+//	                   table (an image's, a WAL file's, a shipped
+//	                   record's, or dict.log's: a Dict's value id)
 //
-//	delta   = kind(u8) id(varint) nvals(uvarint) value* wflag(u8) weight*
-//	          attr(uvarint) old(value)
-//	value   = 0x00                   (null)
-//	        | 0x01 len(uvarint) byte*  (constant)
-//	weight  = float64 bits (u64 little-endian), present iff wflag == 1,
-//	          exactly nvals of them
-//
-// Weights round-trip bit-exactly (float64 bit patterns, not decimal
-// text), which the recovery path needs: a restored tuple must score
-// identically under the cost model.
-
-// AppendDelta appends the canonical binary encoding of d to dst and
-// returns the extended slice.
-func AppendDelta(dst []byte, d *Delta) []byte {
-	dst = append(dst, byte(d.Kind))
-	dst = binary.AppendVarint(dst, int64(d.T.ID))
-	dst = binary.AppendUvarint(dst, uint64(len(d.T.Vals)))
-	for _, v := range d.T.Vals {
-		dst = AppendValue(dst, v)
-	}
-	if d.T.W != nil {
-		dst = append(dst, 1)
-		for _, w := range d.T.W {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w))
-		}
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = binary.AppendUvarint(dst, uint64(d.Attr))
-	dst = AppendValue(dst, d.Old)
-	return dst
-}
-
-// Delta reads one Delta. The decoded tuple is free-standing: it carries
-// no interned ids (and OldID is InvalidID) until a Relation adopts it
-// through Insert.
-func (d *Decoder) Delta() Delta {
-	kind := DeltaKind(d.Byte("kind"))
-	if kind > DeltaUpdate {
-		d.Failf("unknown delta kind %d", kind)
-	}
-	t := &Tuple{ID: TupleID(d.Varint("tuple id"))}
-	nvals := d.Uvarint("value count")
-	// The arity cap mirrors the engine's 64-attribute schema limit and
-	// stops a corrupted count from driving a huge allocation.
-	if nvals > 1<<16 {
-		d.Failf("implausible value count %d", nvals)
-	}
-	if d.err != nil {
-		return Delta{}
-	}
-	if nvals > 0 {
-		t.Vals = make([]Value, nvals)
-		for i := range t.Vals {
-			t.Vals[i] = d.Value("value")
-		}
-	}
-	t.W = d.Weights(int(nvals))
-	attr := d.Uvarint("attribute")
-	old := d.Value("old value")
-	if d.err != nil {
-		return Delta{}
-	}
-	return Delta{Kind: kind, T: t, Attr: int(attr), Old: old, OldID: InvalidID}
-}
-
-// AppendValue appends the canonical binary encoding of one Value:
-// 0x00 for null, or 0x01 + uvarint length + bytes for a constant, and
-// Decoder.Value is its inverse. Only the Delta encoding (WAL batch
-// records) spells values out this way. A snapshot image (internal/wal)
-// writes each distinct constant once and its cells as ids; what the two
-// formats still share is the string form behind the tag (uvarint length
-// + bytes, Decoder.Str), the weight block (Decoder.Weights), the
-// varints, and the Decoder that reads them.
-func AppendValue(dst []byte, v Value) []byte {
-	if v.Null {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
-	return append(dst, v.Str...)
-}
+// No value is spelled out inline: every payload that carries values
+// writes each distinct string once, in its table, and its cells as
+// uvarints. Weights round-trip bit-exactly (float64 bit patterns, not
+// decimal text), which the recovery path needs: a restored tuple must
+// score identically under the cost model.
 
 // UvarintLen is the length of x's unsigned varint encoding.
 func UvarintLen(x uint64) int {
@@ -109,8 +34,8 @@ func UvarintLen(x uint64) int {
 }
 
 // Decoder is the one cursor every payload decoder in the durability
-// stack reads through — deltas and values here, batches and snapshots in
-// internal/wal, manifests in internal/store. It latches the first error,
+// stack reads through — batches and snapshots in internal/wal, manifests
+// in internal/store. It latches the first error,
 // so field-by-field parsing reads linearly without per-field error
 // plumbing: after a failure every read returns a zero value, and Done
 // reports what went wrong. Every error wraps the sentinel the decoder
@@ -208,19 +133,6 @@ func (d *Decoder) Varint(what string) int64 {
 // Str reads a uvarint-length-prefixed string.
 func (d *Decoder) Str(what string) string {
 	return string(d.take(d.Uvarint(what), what))
-}
-
-// Value reads one Value; inverse of AppendValue.
-func (d *Decoder) Value(what string) Value {
-	switch tag := d.Byte(what); tag {
-	case 0:
-		return NullValue
-	case 1:
-		return S(d.Str(what))
-	default:
-		d.Failf("bad value tag %d at %s", tag, what)
-		return Value{}
-	}
 }
 
 // Weights reads a tuple's weight block: a flag byte, then — when the

@@ -265,14 +265,18 @@ func (s *byteSource) Seed(int64) {}
 // physical order is not id order — and after every step holds the memo to
 // FINDV's body (checkMemo) and FINDV's body and findViolation to their
 // walks (checkWalks). The repair must satisfy Σ under a fresh Detector,
-// leave the input as it was, and equal Batch's.
+// leave the input as it was, and equal Batch's. An instance holds 8 to 24
+// tuples, a third of randInstance's: the checks after every step make an
+// exec cost about the square of the size, and at 20 to 60 tuples the
+// minimization of each early interesting input (100 execs in CI) used up
+// the target's two seconds.
 func FuzzBatchRepairVsWalk(f *testing.F) {
 	for _, seed := range []string{"", "\x00\x01\x02\x03\x04\x05\x06\x07", "batchrepair-walk", "\xff\xff\xff\xff\xff\xff\xff\x7f"} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rng := rand.New(newByteSource(data))
-		d, sigma := randInstance(t, rng)
+		d, sigma := drawInstance(t, rng, 8, 17)
 		for range rng.Intn(4) {
 			d.Delete(d.Tuples()[rng.Intn(d.Size())].ID)
 		}

@@ -27,6 +27,12 @@ import (
 // (small pools keep violations frequent).
 func randInstance(t *testing.T, rng *rand.Rand) (*relation.Relation, []*cfd.Normal) {
 	t.Helper()
+	return drawInstance(t, rng, 20, 41)
+}
+
+// drawInstance is randInstance with lo + rng.Intn(spread) tuples.
+func drawInstance(t *testing.T, rng *rand.Rand, lo, spread int) (*relation.Relation, []*cfd.Normal) {
+	t.Helper()
 	arity := 4 + rng.Intn(3)
 	attrs := make([]string, arity)
 	for i := range attrs {
@@ -87,7 +93,7 @@ func randInstance(t *testing.T, rng *rand.Rand) (*relation.Relation, []*cfd.Norm
 	}
 
 	d := relation.New(schema)
-	size := 20 + rng.Intn(41)
+	size := lo + rng.Intn(spread)
 	for i := 0; i < size; i++ {
 		vals := make([]relation.Value, arity)
 		for a := range vals {

@@ -100,6 +100,8 @@ func (s *Server) declareFamilies() []family {
 		counter("cfdserved_rate_limited_total", "Writes refused by a tenant quota (429/403).", r.ops.rateLimited),
 		counter("cfdserved_error_batches_total", "Batches Check refused, plus engine passes that failed.", r.ops.errorBatches),
 		counter("cfdserved_tuples_total", "Tuples inserted.", &r.tuples),
+		// rate(wal bytes)/rate(tuples) is the WAL's bytes per logged tuple.
+		counter("cfdserved_wal_bytes_total", "Bytes appended to WAL files, record headers included.", &r.walBytes),
 		counter("cfdserved_sse_dropped_total", "Events dropped at slow SSE subscribers.", r.ops.sseDropped),
 		counter("cfdserved_ship_batches_total", "Batches acknowledged by this node's followers.", r.ship.Batches),
 		counter("cfdserved_ship_snapshots_total", "Snapshot installs shipped (bootstrap and resyncs).", r.ship.Snapshots),
@@ -141,7 +143,7 @@ func (s *Server) declareFamilies() []family {
 		storeGauge("cfdserved_session_store_pages", "Committed pages in the session's page store.", func(st *store.Stats) float64 { return float64(st.Pages) }),
 		storeGauge("cfdserved_session_store_flush_pages", "Pages the session's last committed store flush wrote.", func(st *store.Stats) float64 { return float64(st.FlushPages) }),
 		storeGauge("cfdserved_session_store_dict_entries", "Persisted intern-dictionary entries in the session's page store.", func(st *store.Stats) float64 { return float64(st.DictEntries) }),
-		{name: "cfdserved_session_disk_bytes", typ: "gauge", help: "On-disk footprint of the durable session's directory: snapshot headers, WAL generations and page store.", perSession: true,
+		{name: "cfdserved_session_disk_bytes", typ: "gauge", help: "On-disk footprint of the durable session's directory: WAL generations and page store.", perSession: true,
 			value: func(h *hosted) (float64, bool) {
 				n, ok := h.pers.diskBytes()
 				return float64(n), ok

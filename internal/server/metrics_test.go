@@ -21,7 +21,9 @@ import (
 // counters), the error-batch help reworded once a batch Check refuses
 // stopped running a pass, and cfdserved_session_store_disk_bytes
 // replaced in place by cfdserved_session_disk_bytes, which sums the
-// session's whole directory rather than its page store: adding, moving,
+// session's whole directory rather than its page store, its help since
+// naming no snapshot header (that file kind is gone), and
+// cfdserved_wal_bytes_total added behind cfdserved_tuples_total: adding, moving,
 // renaming or retyping a family is a change to this list, never a side
 // effect.
 const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server started.
@@ -42,6 +44,8 @@ const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server
 # TYPE cfdserved_error_batches_total counter
 # HELP cfdserved_tuples_total Tuples inserted.
 # TYPE cfdserved_tuples_total counter
+# HELP cfdserved_wal_bytes_total Bytes appended to WAL files, record headers included.
+# TYPE cfdserved_wal_bytes_total counter
 # HELP cfdserved_sse_dropped_total Events dropped at slow SSE subscribers.
 # TYPE cfdserved_sse_dropped_total counter
 # HELP cfdserved_ship_batches_total Batches acknowledged by this node's followers.
@@ -98,7 +102,7 @@ const parentFamilies = `# HELP cfdserved_uptime_seconds Seconds since the server
 # TYPE cfdserved_session_store_flush_pages gauge
 # HELP cfdserved_session_store_dict_entries Persisted intern-dictionary entries in the session's page store.
 # TYPE cfdserved_session_store_dict_entries gauge
-# HELP cfdserved_session_disk_bytes On-disk footprint of the durable session's directory: snapshot headers, WAL generations and page store.
+# HELP cfdserved_session_disk_bytes On-disk footprint of the durable session's directory: WAL generations and page store.
 # TYPE cfdserved_session_disk_bytes gauge
 # HELP cfdserved_session_pass_duration_seconds Engine pass duration per session.
 # TYPE cfdserved_session_pass_duration_seconds histogram
@@ -260,7 +264,7 @@ func TestMetricsRenderingsAgree(t *testing.T) {
 }
 
 // TestSessionDiskBytesGauge: cfdserved_session_disk_bytes is the whole
-// session directory — snapshot headers, WAL generations and page store —
+// session directory — WAL generations and page store —
 // not the store alone: once a rotation has committed, it equals the sum
 // of the directory's file sizes, which exceeds the store's share.
 func TestSessionDiskBytesGauge(t *testing.T) {
@@ -289,6 +293,34 @@ func TestSessionDiskBytesGauge(t *testing.T) {
 	})
 	if store := sum(filepath.Join(dir, "alpha", storeDirName)); gauge <= store {
 		t.Fatalf("the gauge reads %v bytes, the store alone holds %v", gauge, store)
+	}
+}
+
+// TestWALBytesCounter: cfdserved_wal_bytes_total is every byte the
+// committer appended to a WAL, record headers included — after five
+// applies across a rotation, the two WAL files' sizes less their
+// seven-byte file headers.
+func TestWALBytesCounter(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestService(t, Options{DataDir: dir, SnapshotEvery: 3})
+	createTiny(t, ts.URL, "alpha")
+	for i := 0; i < 5; i++ {
+		applyOne(t, ts.URL, "alpha", "212", fmt.Sprintf("X%d", i%2))
+	}
+	var want float64
+	for gen := uint64(0); gen < 2; gen++ {
+		info, err := os.Stat(walPath(filepath.Join(dir, "alpha"), gen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += float64(info.Size() - int64(len("CFDWAL")+1))
+	}
+	if _, err := os.Stat(walPath(filepath.Join(dir, "alpha"), 2)); err == nil {
+		t.Fatal("a second rotation ran")
+	}
+	js := flattenMetricsJSON(getMetricsJSON(t, ts.URL))
+	if got := js[seriesKey("cfdserved_wal_bytes_total", "", "")]; got != want || got == 0 {
+		t.Fatalf("cfdserved_wal_bytes_total reads %v, the WAL files hold %v record bytes", got, want)
 	}
 }
 

@@ -206,27 +206,34 @@ func newPersister(cfg *Options, name string, sess *increpair.Session, quota wal.
 	return p, nil
 }
 
-// appendBatch logs one batch: delta-encode, CRC-frame and append, without
-// syncing. Called by the session's committer, which is how the encode and
-// the append run concurrently with the worker's pass of that same batch —
-// the WAL is off the single-writer hot path while record order still
-// equals pass order (the commit channel is FIFO). The ops slices are the
+// appendBatch logs one batch — encode in the WAL file's string table,
+// CRC-frame and append, without syncing — and returns the bytes
+// appended. Called by the session's committer, which is how the encode
+// and the append run concurrently with the worker's pass of that same
+// batch — the WAL is off the single-writer hot path while record order
+// still equals pass order (the commit channel is FIFO). The committer
+// alone appends to and rotates the log (close runs after it exits), so
+// the encode and the write run off the lock. The ops slices are the
 // batch's original decoded inputs, which the engine never mutates
 // (TUPLERESOLVE clones arriving tuples), so reading them here races
 // nothing.
-func (p *persister) appendBatch(b *wal.Batch) error {
-	payload := b.Encode() // off-lock
+func (p *persister) appendBatch(b *wal.Batch) (int, error) {
+	p.mu.Lock()
+	log, err := p.log, p.broken
+	p.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	n, err := log.AppendBatch(b)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.broken != nil {
-		return p.broken
-	}
-	if err := p.log.Append(payload); err != nil {
+	if err != nil && p.broken == nil {
 		p.broken = err
-		return err
 	}
-	p.appended = b.Version
-	return nil
+	if p.broken == nil {
+		p.appended = b.Version
+	}
+	return n, p.broken
 }
 
 // syncNow flushes the log to stable storage — the one sync step, called
@@ -560,8 +567,16 @@ func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 			continue
 		}
 		last := i == len(walGens)-1
-		log, payloads, discarded, err := wal.Open(walPath(dir, g))
-		if err != nil {
+		log, batches, discarded, err := wal.Open(walPath(dir, g))
+		if errors.Is(err, wal.ErrVersion) {
+			// A WAL of another build holds acknowledged batches this
+			// build cannot read: refuse the tenant, files untouched,
+			// rather than re-anchor over them.
+			sess.Close()
+			p.close()
+			return nil, nil, fmt.Errorf("server: recover %s: wal generation %d: %w", name, g, err)
+		}
+		if batches == nil { // the header is refused: not one record reads
 			damaged = true
 			warn = fmt.Errorf("server: recover %s: wal generation %d unreadable (%w); later records discarded", name, g, err)
 			break
@@ -574,28 +589,27 @@ func recoverSession(cfg *Options, name string) (p *persister, warn, err error) {
 				warn = fmt.Errorf("server: recover %s: wal generation %d has a damaged tail (%d bytes) with later generations present; those are discarded", name, g, discarded)
 			}
 		}
-		replayFailed := false
-		replayed = 0
-		for ri, payload := range payloads {
-			b, derr := wal.DecodeBatch(payload)
-			if derr == nil {
-				var applied bool
-				if applied, derr = sess.ReplayBatch(b); derr == nil {
-					if applied {
-						replayed++
-					}
-					continue
-				}
+		// A record that does not decode in the file's table ends the
+		// batches Open returns, and err names it.
+		ri, rerr := 0, err
+		for replayed = 0; ri < len(batches); ri++ {
+			applied, e := sess.ReplayBatch(batches[ri])
+			if e != nil {
+				rerr = e
+				break
 			}
+			if applied {
+				replayed++
+			}
+		}
+		if rerr != nil {
 			// Payload-level damage: everything from here on is
 			// untrusted, in this and any later generation — and unlike
 			// a torn tail these records WERE acknowledged, so say so.
-			replayFailed = true
-			warn = fmt.Errorf("server: recover %s: wal generation %d record %d does not replay (%w); this and later acknowledged records are discarded", name, g, ri, derr)
-			break
-		}
-		if replayFailed {
-			log.Close()
+			warn = fmt.Errorf("server: recover %s: wal generation %d record %d does not replay (%w); this and later acknowledged records are discarded", name, g, ri, rerr)
+			if log != nil {
+				log.Close()
+			}
 			damaged = true
 			break
 		}

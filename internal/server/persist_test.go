@@ -939,3 +939,73 @@ func TestRecoveryRefusesPreviousFormatDataDir(t *testing.T) {
 		t.Fatal("recovery changed the files of the data directory it refused")
 	}
 }
+
+// TestRecoveryRefusesOtherWALVersion: a WAL whose magic matches but whose
+// version byte is another build's holds acknowledged batches this build
+// cannot read. Recovery refuses the tenant — naming it and the version —
+// and leaves every file as it was, rather than restore the manifest,
+// drop the batches behind it and re-anchor over the directory.
+func TestRecoveryRefusesOtherWALVersion(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{DataDir: dir, Fsync: FsyncOff, SnapshotEvery: 1 << 20, QueueDepth: 8}
+	s1 := New(opts)
+	ts1 := httptest.NewServer(s1.Handler())
+	createRecovery(t, ts1.URL, "t")
+	for i := 0; i < 5; i++ {
+		applyRecovery(t, ts1.URL, "t", i)
+	}
+	shutdownService(t, s1, ts1)
+	walFile := walPath(filepath.Join(dir, "t"), 0)
+	b, err := os.ReadFile(walFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len("CFDWAL")] = 4
+	if err := os.WriteFile(walFile, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirSums(t, dir)
+
+	s2, ts2 := newTestService(t, opts)
+	n, err := s2.Recover()
+	if n != 0 || err == nil || !strings.Contains(err.Error(), "recover t: wal generation 0") ||
+		!strings.Contains(err.Error(), "format version 4") {
+		t.Fatalf("recovered %d sessions, error %v; want none, naming the tenant and version 4", n, err)
+	}
+	if resp, _ := do(t, "GET", ts2.URL+"/v1/sessions/t", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("the refused tenant answers %d, want 404", resp.StatusCode)
+	}
+	if !maps.Equal(dirSums(t, dir), before) {
+		t.Fatal("recovery changed the files of the tenant it refused")
+	}
+}
+
+// TestRecoveryRefusesPreviousWALFormatDataDir: testdata/golden/datadir-v5
+// holds a data directory the build before WAL format 6 wrote — a session
+// created, three batches at -snap-every 2, so that manifests 0 and 1 and
+// their WALs exist and the tip WAL holds an acknowledged batch. Its store
+// files are of this build's store version; its WALs are version 5.
+// Recovery refuses the tenant at boot by the WAL's version, naming it,
+// and leaves every file byte-identical by sha256.
+func TestRecoveryRefusesPreviousWALFormatDataDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS("../../testdata/golden/datadir-v5")); err != nil {
+		t.Fatal(err)
+	}
+	before := dirSums(t, dir)
+	if len(before) != 7 {
+		t.Fatalf("the fixture holds %d files, want 7: %v", len(before), slices.Sorted(maps.Keys(before)))
+	}
+	if tip, err := os.Stat(walPath(filepath.Join(dir, "old"), 1)); err != nil || tip.Size() <= int64(len("CFDWAL")+1) {
+		t.Fatalf("the fixture's tip WAL holds no batch (%v)", err)
+	}
+	s, _ := newTestService(t, Options{DataDir: dir, Fsync: FsyncOff, QueueDepth: 8})
+	n, err := s.Recover()
+	if n != 0 || err == nil || !strings.Contains(err.Error(), "recover old: wal generation 1") ||
+		!strings.Contains(err.Error(), "CFDWAL format version 5") {
+		t.Fatalf("recovered %d sessions, error %v; want none, naming the tenant and WAL version 5", n, err)
+	}
+	if !maps.Equal(dirSums(t, dir), before) {
+		t.Fatal("recovery changed the files of the data directory it refused")
+	}
+}

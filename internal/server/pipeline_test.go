@@ -109,18 +109,12 @@ func TestFsyncBeforeAck(t *testing.T) {
 // walRecords reads every record of one WAL generation of a session.
 func walRecords(t *testing.T, dir, name string, gen uint64) []*wal.Batch {
 	t.Helper()
-	l, payloads, _, err := wal.Open(walPath(filepath.Join(dir, name), gen))
+	l, batches, _, err := wal.Open(walPath(filepath.Join(dir, name), gen))
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	out := make([]*wal.Batch, len(payloads))
-	for i, p := range payloads {
-		if out[i], err = wal.DecodeBatch(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
+	return batches
 }
 
 // dirImage reads every file under dir, keyed by its path relative to

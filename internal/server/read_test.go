@@ -735,6 +735,13 @@ func TestSSESlowSubscriberResyncs(t *testing.T) {
 	// stream back.
 	events := make(chan sseEvent, 2*eventRingSize)
 	go readSSE(pr, events)
+	// A stream opened without Last-Event-ID starts at the live tail: the
+	// first pass must land after the handler has subscribed.
+	waitFor(t, "the stream to subscribe", func() bool {
+		h.subs.mu.Lock()
+		defer h.subs.mu.Unlock()
+		return h.subs.n == 1
+	})
 
 	applyOne(t, ts.URL, "s", "212", "NYC")
 	if ev := collectSSE(t, events, 1)[0].ev; ev.Seq != 1 || ev.Resync {

@@ -92,7 +92,7 @@ type Registry struct {
 	draining atomic.Bool
 
 	// Service-wide counters; metrics.go declares what each one exports.
-	passes, batches, coalesced, rejected, tuples                     metrics.Counter
+	passes, batches, coalesced, rejected, tuples, walBytes           metrics.Counter
 	dumpRows, dumpBytes, dumpNanos                                   metrics.Counter
 	dumpPagesCached, dumpPagesEncoded                                metrics.Counter
 	applyBodies, applyBodiesStdlib, applyBodyBytes, applyDecodeNanos metrics.Counter
@@ -843,7 +843,7 @@ func (h *hosted) committer(r *Registry) {
 	for item := range h.commits {
 		var logErr error
 		if item.log != nil {
-			logErr = h.logRecord(item.log)
+			logErr = h.logRecord(r, item.log)
 		}
 		<-item.passed
 		if item.log == nil {
@@ -900,13 +900,15 @@ func (h *hosted) committer(r *Registry) {
 }
 
 // logRecord is the committer's work on an item's record: append b to the
-// WAL and, under -fsync batch, sync it. A memory-only session logs
-// nothing. An error has broken the persister.
-func (h *hosted) logRecord(b *wal.Batch) error {
+// WAL, counting the bytes, and, under -fsync batch, sync it. A
+// memory-only session logs nothing. An error has broken the persister.
+func (h *hosted) logRecord(r *Registry, b *wal.Batch) error {
 	if h.pers == nil {
 		return nil
 	}
-	if err := h.pers.appendBatch(b); err != nil || h.pers.cfg.Fsync != FsyncBatch {
+	n, err := h.pers.appendBatch(b)
+	r.walBytes.Add(uint64(n))
+	if err != nil || h.pers.cfg.Fsync != FsyncBatch {
 		return err
 	}
 	appended := time.Now()

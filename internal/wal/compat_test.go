@@ -1,10 +1,11 @@
 package wal_test
 
-// Format versions: this build writes and reads version 5 only. A data
-// directory written by any other version — older or from the future —
-// is refused loudly, by the snapshot stream's reader and the WAL's, with
-// an error that wraps
-// ErrCorrupt and names the version found and the one supported. The
+// Format versions: this build writes and reads snapshot streams of
+// version 5 and WAL files of version 6 only. A data directory written by
+// any other version — older or from the future — is refused loudly, by
+// the snapshot stream's reader and the WAL's, with an error that wraps
+// ErrVersion (and so ErrCorrupt) and names the version found and the one
+// supported. The
 // files themselves are otherwise intact current-format files with only
 // the header's version byte changed, so the version check is the one
 // thing that can refuse them.
@@ -27,26 +28,19 @@ import (
 	"cfdclean/internal/wal"
 )
 
-// otherVersions is the refusal table: format versions no file this build
-// reads may carry — older ones and one from the future.
-var otherVersions = []byte{1, 2, 3, 4, 99}
+// otherVersions is the refusal table: snapshot format versions no stream
+// this build reads may carry — older ones and one from the future — and
+// otherWALVersions the WAL's.
+var (
+	otherVersions    = []byte{1, 2, 3, 4, 99}
+	otherWALVersions = []byte{1, 2, 3, 4, 5, 99}
+)
 
 func TestOtherFormatVersionsAreRefused(t *testing.T) {
 	rec := record(t, 77, increpair.Linear, 3, true)
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "wal-0000000000.log")
-	l, err := wal.Create(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range rec.payloads {
-		if err := l.Append(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeLog(t, walPath, rec.batches)
 	walBytes, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -57,36 +51,42 @@ func TestOtherFormatVersionsAreRefused(t *testing.T) {
 	if _, err := readByChunks(rec.snap0); err != nil {
 		t.Fatalf("current-version snapshot: %v", err)
 	}
-	if _, payloads, _, err := wal.Open(walPath); err != nil || len(payloads) != len(rec.payloads) {
-		t.Fatalf("current-version wal: %d records, err %v", len(payloads), err)
+	if _, batches, _, err := wal.Open(walPath); err != nil || len(batches) != len(rec.batches) {
+		t.Fatalf("current-version wal: %d records, err %v", len(batches), err)
 	}
 
+	check := func(t *testing.T, kind string, ver, want byte, err error) {
+		t.Helper()
+		if !errors.Is(err, wal.ErrVersion) || !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("%s stamped version %d: got %v, want ErrVersion", kind, ver, err)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, fmt.Sprintf("format version %d", ver)) ||
+			!strings.Contains(msg, fmt.Sprintf("only version %d", want)) {
+			t.Fatalf("%s refusal does not name the versions: %v", kind, err)
+		}
+	}
 	for _, ver := range otherVersions {
 		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
-			check := func(kind string, err error) {
-				t.Helper()
-				if !errors.Is(err, wal.ErrCorrupt) {
-					t.Fatalf("%s stamped version %d: got %v, want ErrCorrupt", kind, ver, err)
-				}
-				msg := err.Error()
-				if !strings.Contains(msg, fmt.Sprintf("format version %d", ver)) ||
-					!strings.Contains(msg, fmt.Sprintf("only version %d", wal.Version)) {
-					t.Fatalf("%s refusal does not name the versions: %v", kind, err)
-				}
-			}
 			snap := append([]byte(nil), rec.snap0...)
 			snap[len("CFDSNAP")] = ver
 			_, _, err := wal.NewSnapshotReader(bytes.NewReader(snap))
-			check("snapshot", err)
-
+			check(t, "snapshot", ver, wal.Version, err)
+		})
+	}
+	for _, ver := range otherWALVersions {
+		t.Run(fmt.Sprintf("wal-v%d", ver), func(t *testing.T) {
 			log := append([]byte(nil), walBytes...)
 			log[len("CFDWAL")] = ver
 			logPath := filepath.Join(t.TempDir(), "wal-0000000000.log")
 			if err := os.WriteFile(logPath, log, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, _, _, err = wal.Open(logPath)
-			check("wal", err)
+			_, _, _, err := wal.Open(logPath)
+			check(t, "wal", ver, wal.WALVersion, err)
+			if after, _ := os.ReadFile(logPath); !bytes.Equal(after, log) {
+				t.Fatal("the refused WAL was changed")
+			}
 		})
 	}
 }

@@ -32,11 +32,13 @@
 //
 // Four file kinds and the snapshot stream open with a header, and a
 // reader accepts exactly the version its writer stamps — any other is
-// refused with ErrCorrupt. A codec change that breaks old files must
-// bump the version (TestFormatsByteIdentical and the golden fixture
-// under testdata/golden/wal-session fail loudly when this is forgotten).
+// refused with ErrVersion (which wraps ErrCorrupt). A codec change that
+// breaks old files must bump the version (TestFormatsByteIdentical and
+// the golden fixture under testdata/golden/wal-session fail loudly when
+// this is forgotten). WAL files carry a version of their own
+// (WALVersion); the others share Version and the store's version.
 //
-//	wal-<gen>.log       "CFDWAL"  5  record*  (Batch payloads)
+//	wal-<gen>.log       "CFDWAL"  6  record*  (batch payloads)
 //	pages-<gen>.dat     "CFDPAGE" 5  (pageNo(u64 LE) record)*
 //	manifest-<gen>.mft  "CFDSTOR" 5  record   (session header, page table)
 //	dict.log            "CFDDICT" 5  (length(uvarint) bytes)*, unframed
@@ -50,7 +52,8 @@
 // the WAL the batches accepted after it. A snapshot stream streams the
 // same header record followed by bounded tuple-chunk records, so
 // snapshots of any size are written and read without a relation-sized
-// allocation; Batch and Snapshot (snapshot.go) define those payloads.
+// allocation; Batch (batch.go) and Snapshot (snapshot.go) define those
+// payloads.
 //
 // Both images of a relation, a snapshot's chunk records and the page
 // store's page records, hold rows in one form (AppendRow, DecodeRow):
@@ -71,12 +74,37 @@
 // the last holds 4 096 rows, no string appears twice, every string is
 // first used by a row of its own chunk and numbered in first-use order,
 // and a page holds its rows and no byte behind them.
+//
+// A batch record (Batch, batch.go) holds one accepted batch's input ops
+// between the journal versions before and after its pass:
+//
+//	batch  = prev(u64 LE) version(u64 LE) nstrs(uvarint) string*
+//	         nops(uvarint) op*
+//	op     = kind(u8) id(varint) nvals(uvarint) cell*nvals wflag(u8)
+//	         weight* attr(uvarint) old(cell)
+//
+// kind is relation.DeltaKind; an insert's cells are its values, a set's
+// old cell is the value it sets (increpair.OpsToDeltas), and weight is
+// float64 bits, nvals of them iff wflag is 1. A cell is 0 for null or
+// k+1 for entry k of the record's scope: its string table, which a
+// record extends by the strings it is the first of the scope to use, in
+// the order its cells (an op's values, then its old cell, op by op) first
+// name them. In a WAL file the scope is the file — the table grows record
+// by record, and Open rebuilds it from the intact prefix — and in a
+// shipped frame the record alone (Batch.Encode, DecodeBatch), so a frame
+// stands by itself and a fresh WAL's first record is its bytes. The
+// reader refuses a string its scope holds already, a cell naming an
+// entry past the table or before an earlier declared one is used, and a
+// declared string no cell of its record uses. Image chunks, pages, WAL
+// records and shipped frames share this one cell form and differ only in
+// the table's scope: the image, dict.log, the WAL file, the frame.
+//
 // Replication (internal/cluster/ship) adds no snapshot layout: a shipped
 // snapshot is the snapshot stream above, magic and version included, and
 // a shipped frame carries one batch:
 //
 //	shipped snapshot    "CFDSNAP" 5  header-record chunk-record*
-//	shipped frame       kind(u8)=2 record  (a Batch payload)
+//	shipped frame       kind(u8)=3 record  (a batch payload, its own scope)
 //
 // Manifests and the follower-role marker are commit points, replaced
 // atomically (WriteFileAtomic: temporary sibling, fsync, rename,
@@ -95,7 +123,9 @@
 // payload shorter than its declared length, or a payload whose checksum
 // no longer matches. Open detects all three, reports how many intact
 // records precede the damage, and truncates the file back to the last
-// intact record boundary so the log is append-clean again. Damage is
+// intact record boundary so the log is append-clean again; the string
+// table it rebuilds from those records is the one later appends extend,
+// so a string whose declaring record the crash tore is declared again. Damage is
 // only ever accepted at the tail — a bad record invalidates everything
 // after it, because record boundaries downstream of a torn write cannot
 // be trusted — and only in the WAL: every other file is complete before
@@ -123,6 +153,12 @@ import (
 // corruption inside Open is handled (discarded) and NOT returned as an
 // error; ErrCorrupt surfaces where no valid prefix can be salvaged.
 var ErrCorrupt = errors.New("wal: corrupt")
+
+// ErrVersion reports a file whose magic names its kind but whose version
+// byte is not the one this build reads: a file of another build rather
+// than damage, which recovery refuses instead of discarding. It wraps
+// ErrCorrupt and reads as it.
+var ErrVersion = fmt.Errorf("%w", ErrCorrupt)
 
 const frameHeaderLen = 8 // u32 length + u32 crc
 
@@ -256,14 +292,15 @@ func AppendHeader(dst []byte, magic string, version byte) []byte {
 }
 
 // CheckHeader reads a file header from r and verifies it: the magic must
-// match, and a version other than version is refused by name.
+// match, and a version other than version is refused by name, with
+// ErrVersion.
 func CheckHeader(r io.Reader, magic string, version byte) error {
 	h := make([]byte, len(magic)+1)
 	if _, err := io.ReadFull(r, h); err != nil || string(h[:len(magic)]) != magic {
 		return fmt.Errorf("%w: bad %s header", ErrCorrupt, magic)
 	}
 	if ver := h[len(magic)]; ver != version {
-		return fmt.Errorf("%w: %s format version %d, this build reads and writes only version %d", ErrCorrupt, magic, ver, version)
+		return fmt.Errorf("%w: %s format version %d, this build reads and writes only version %d", ErrVersion, magic, ver, version)
 	}
 	return nil
 }

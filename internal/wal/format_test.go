@@ -35,7 +35,7 @@ func TestLogKeepsLongRecord(t *testing.T) {
 	long = nil
 	runtime.GC()
 
-	l, got, discarded, err := Open(path)
+	l, got, discarded, err := openFrames(path)
 	if err != nil {
 		t.Fatal(err)
 	}

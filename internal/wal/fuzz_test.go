@@ -15,13 +15,16 @@ import (
 // fixture files, and the payloads of the WAL's.
 func goldenRecords(f *testing.F) (streams, payloads [][]byte) {
 	f.Helper()
-	for _, fx := range []struct{ file, magic string }{{"wal.log", walMagic}, {"snapshot.snap", snapMagic}} {
+	for _, fx := range []struct {
+		file, magic string
+		version     byte
+	}{{"wal.log", walMagic, WALVersion}, {"snapshot.snap", snapMagic, Version}} {
 		b, err := os.ReadFile("../../testdata/golden/wal-session/" + fx.file)
 		if err != nil {
 			f.Fatal(err)
 		}
 		r := bytes.NewReader(b)
-		if err := CheckHeader(r, fx.magic, Version); err != nil {
+		if err := CheckHeader(r, fx.magic, fx.version); err != nil {
 			f.Fatal(err)
 		}
 		stream := b[len(b)-r.Len():]
@@ -44,8 +47,9 @@ func FuzzReadFrame(f *testing.F) {
 	for _, s := range streams {
 		f.Add(s, uint32(maxPayload))
 	}
-	// The record of a shipped batch frame (behind its kind byte) and a
-	// store manifest's (behind its header).
+	// The record of a shipped batch frame (behind its kind byte): the
+	// golden WAL's first record, which a fresh WAL's table makes the
+	// batch's frame payload; and a store manifest's (behind its header).
 	f.Add(AppendFrame(nil, payloads[0]), uint32(1<<28))
 	manifest := []byte{3, 0x80, 0x80, 1, 12, 0xac, 2, 1, 0, 0, 8}
 	f.Add(AppendFrame(nil, manifest), uint32(len(manifest)))
@@ -81,27 +85,69 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBatch: the batch decoder never panics, and whatever it
-// accepts is canonical after one re-encoding — Encode of the decoded
-// batch decodes again and encodes to the same bytes. Bytes are compared,
-// not structs: a weight may be NaN.
+// FuzzDecodeBatch holds the batch reader to its contract in a shipped
+// frame's scope, where a record's string table is its own: it never
+// panics, and whatever it accepts is canonical — Encode of the decoded
+// batch is the payload, byte for byte. Bytes are compared, not structs:
+// a weight may be NaN. The seeds: the golden WAL's batches as frames,
+// then every refusal of TestBatchRejectsGarbage.
 func FuzzDecodeBatch(f *testing.F) {
 	_, payloads := goldenRecords(f)
+	var tab strTable
 	for _, p := range payloads {
-		f.Add(p)
+		b, err := decodeBatch(p, &tab)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Encode())
+	}
+	for _, c := range nonCanonicalBatches(f) {
+		f.Add(c.batch)
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		b, err := DecodeBatch(p)
 		if err != nil {
 			return
 		}
-		enc := b.Encode()
-		b2, err := DecodeBatch(enc)
-		if err != nil {
-			t.Fatalf("re-encoded batch does not decode: %v", err)
+		if enc := b.Encode(); !bytes.Equal(enc, p) {
+			t.Fatalf("an accepted frame re-encodes to other bytes:\n%x\n%x", p, enc)
 		}
-		if enc2 := b2.Encode(); !bytes.Equal(enc, enc2) {
-			t.Fatalf("encoding is not a fixed point:\n%x\n%x", enc, enc2)
+	})
+}
+
+// FuzzDecodeWALRecords holds it to the same contract in a WAL file's
+// scope, where the table grows record by record: the records of a file
+// (up to three here) that decode in order through one table re-encode,
+// record by record through a fresh writer's table, to the same bytes,
+// and a refused record leaves the table as it was. The seeds: the golden
+// WAL's first three records, in order and with the second spliced out,
+// and each refusal of TestBatchRejectsGarbage behind the record its scope
+// holds.
+func FuzzDecodeWALRecords(f *testing.F) {
+	_, payloads := goldenRecords(f)
+	f.Add(payloads[0], payloads[1], payloads[2])
+	f.Add(payloads[0], payloads[2], payloads[1]) // record 1 spliced out
+	for _, c := range nonCanonicalBatches(f) {
+		if c.before == nil {
+			f.Add(c.batch, []byte(nil), []byte(nil))
+		} else {
+			f.Add(c.before, c.batch, []byte(nil))
+		}
+	}
+	f.Fuzz(func(t *testing.T, p0, p1, p2 []byte) {
+		var read, written strTable
+		for i, p := range [][]byte{p0, p1, p2} {
+			entries := len(read.strs)
+			b, err := decodeBatch(p, &read)
+			if err != nil {
+				if len(read.strs) != entries || len(read.ids) != entries {
+					t.Fatalf("refused record %d left %d entries, had %d", i, len(read.strs), entries)
+				}
+				return
+			}
+			if enc := encodeBatch(b, &written); !bytes.Equal(enc, p) {
+				t.Fatalf("accepted record %d re-encodes to other bytes:\n%x\n%x", i, p, enc)
+			}
 		}
 	})
 }

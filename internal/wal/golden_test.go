@@ -6,8 +6,9 @@ package wal_test
 // writer and today's reader agree; this test proves today's reader
 // still understands *yesterday's files*. Any codec change that breaks
 // previously written logs fails here loudly; the escape hatch is an
-// explicit format break — bump wal.Version (the version byte both file
-// headers carry) so old files are rejected as unreadable rather than
+// explicit format break — bump wal.Version or wal.WALVersion (the
+// version byte the snapshot's header or the WAL's carries) so old files
+// are rejected as unreadable rather than
 // silently misread, and regenerate the fixture with
 //
 //	go test ./internal/wal -run TestGoldenWALReplay -update
@@ -32,16 +33,17 @@ const goldenDir = "../../testdata/golden/wal-session"
 
 // goldenMeta pins the replayed session's non-CSV state.
 type goldenMeta struct {
-	FormatVersion int     `json:"format_version"`
-	Batches       int     `json:"batches"`
-	Inserted      int     `json:"inserted"`
-	Deleted       int     `json:"deleted"`
-	Changes       int     `json:"changes"`
-	Cost          float64 `json:"cost"`
-	Watermark     int64   `json:"watermark"`
-	Version       uint64  `json:"version"`
-	Violations    int     `json:"violations"`
-	Records       int     `json:"records"`
+	FormatVersion    int     `json:"format_version"`
+	WALFormatVersion int     `json:"wal_format_version"`
+	Batches          int     `json:"batches"`
+	Inserted         int     `json:"inserted"`
+	Deleted          int     `json:"deleted"`
+	Changes          int     `json:"changes"`
+	Cost             float64 `json:"cost"`
+	Watermark        int64   `json:"watermark"`
+	Version          uint64  `json:"version"`
+	Violations       int     `json:"violations"`
+	Records          int     `json:"records"`
 }
 
 // goldenRecording regenerates the deterministic session the fixture
@@ -60,33 +62,23 @@ func TestGoldenWALReplay(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(goldenDir, "snapshot.snap"), rec.snap0, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := wal.Create(filepath.Join(goldenDir, "wal.log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range rec.payloads {
-			if err := l.Append(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writeLog(t, filepath.Join(goldenDir, "wal.log"), rec.batches)
 		final := rec.fps[len(rec.fps)-1]
 		if err := os.WriteFile(filepath.Join(goldenDir, "expected.csv"), final.dump, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		meta := goldenMeta{
-			FormatVersion: wal.Version,
-			Batches:       final.snap.Batches,
-			Inserted:      final.snap.Inserted,
-			Deleted:       final.snap.Deleted,
-			Changes:       final.snap.Changes,
-			Cost:          final.snap.Cost,
-			Watermark:     int64(final.snap.Watermark),
-			Version:       final.snap.Version,
-			Violations:    final.snap.Violations,
-			Records:       len(rec.payloads),
+			FormatVersion:    wal.Version,
+			WALFormatVersion: wal.WALVersion,
+			Batches:          final.snap.Batches,
+			Inserted:         final.snap.Inserted,
+			Deleted:          final.snap.Deleted,
+			Changes:          final.snap.Changes,
+			Cost:             final.snap.Cost,
+			Watermark:        int64(final.snap.Watermark),
+			Version:          final.snap.Version,
+			Violations:       final.snap.Violations,
+			Records:          len(rec.batches),
 		}
 		mb, err := json.MarshalIndent(meta, "", "  ")
 		if err != nil {
@@ -111,15 +103,16 @@ func TestGoldenWALReplay(t *testing.T) {
 	if err := json.Unmarshal(mb, &meta); err != nil {
 		t.Fatal(err)
 	}
-	if meta.FormatVersion != wal.Version {
-		t.Fatalf("fixture was recorded at format version %d, reader is at %d: regenerate the fixture alongside the version bump", meta.FormatVersion, wal.Version)
+	if meta.FormatVersion != wal.Version || meta.WALFormatVersion != wal.WALVersion {
+		t.Fatalf("fixture was recorded at format versions %d (snapshot) and %d (wal), reader is at %d and %d: regenerate the fixture alongside the version bump",
+			meta.FormatVersion, meta.WALFormatVersion, wal.Version, wal.WALVersion)
 	}
 	expected, err := os.ReadFile(filepath.Join(goldenDir, "expected.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	l, payloads, discarded, err := wal.Open(filepath.Join(goldenDir, "wal.log"))
+	l, batches, discarded, err := wal.Open(filepath.Join(goldenDir, "wal.log"))
 	if err != nil {
 		t.Fatalf("committed wal.log no longer opens: %v", err)
 	}
@@ -127,11 +120,11 @@ func TestGoldenWALReplay(t *testing.T) {
 	if discarded != 0 {
 		t.Fatalf("committed wal.log reports %d damaged bytes", discarded)
 	}
-	if len(payloads) != meta.Records {
-		t.Fatalf("committed wal.log decodes to %d records, fixture recorded %d", len(payloads), meta.Records)
+	if len(batches) != meta.Records {
+		t.Fatalf("committed wal.log decodes to %d records, fixture recorded %d", len(batches), meta.Records)
 	}
 
-	got := restoreAndReplay(t, snap, payloads)
+	got := restoreAndReplay(t, snap, batches)
 	if !bytes.Equal(got.dump, expected) {
 		t.Fatalf("replayed dump diverges from the committed expectation\nwant:\n%s\ngot:\n%s", expected, got.dump)
 	}
@@ -150,9 +143,13 @@ func TestGoldenWALReplay(t *testing.T) {
 	if !bytes.Equal(rec.snap0, snap) {
 		t.Fatal("re-recorded snapshot bytes differ from the committed fixture (writer changed)")
 	}
-	for i, p := range rec.payloads {
-		if !bytes.Equal(p, payloads[i]) {
-			t.Fatalf("re-recorded WAL record %d differs from the committed fixture (writer changed)", i)
-		}
+	committed, err := os.ReadFile(filepath.Join(goldenDir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := filepath.Join(t.TempDir(), "wal.log")
+	writeLog(t, again, rec.batches)
+	if rewritten, err := os.ReadFile(again); err != nil || !bytes.Equal(rewritten, committed) {
+		t.Fatalf("re-recorded wal.log differs from the committed fixture (writer changed; err %v)", err)
 	}
 }

@@ -167,14 +167,39 @@ func requireEqual(t testing.TB, ctx string, want, got fingerprint) {
 }
 
 // recording is one live run's durable artifacts: the initial snapshot,
-// a mid-run snapshot, the encoded WAL records, and the fingerprint
-// after every batch (fps[0] is the pre-batch initial state).
+// a mid-run snapshot, the logged batches, each one's self-contained
+// encoding (a shipped frame's payload), and the fingerprint after every
+// batch (fps[0] is the pre-batch initial state).
 type recording struct {
 	snap0    []byte
 	snapMid  []byte
 	midIndex int
+	batches  []*wal.Batch
 	payloads [][]byte
 	fps      []fingerprint
+}
+
+// writeLog writes the batches to a fresh WAL at path, as the persister
+// appends them, and returns the file length after each record
+// (boundaries[i] with i records intact; boundaries[0] is the header's).
+func writeLog(t testing.TB, path string, batches []*wal.Batch) (boundaries []int) {
+	t.Helper()
+	l, err := wal.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundaries = []int{len("CFDWAL") + 1}
+	for _, b := range batches {
+		n, err := l.AppendBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boundaries = append(boundaries, boundaries[len(boundaries)-1]+n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return boundaries
 }
 
 // record drives a live session through nBatches random batches exactly
@@ -204,11 +229,12 @@ func record(t testing.TB, seed int64, ordering increpair.Ordering, nBatches int,
 		if _, _, err := sess.ApplyOps(deletes, sets, inserts); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}
-		batch := wal.Batch{
+		batch := &wal.Batch{
 			PrevVersion: prev,
 			Version:     sess.Snapshot().Version,
 			Ops:         increpair.OpsToDeltas(deletes, sets, inserts),
 		}
+		rec.batches = append(rec.batches, batch)
 		rec.payloads = append(rec.payloads, batch.Encode())
 		rec.fps = append(rec.fps, capture(t, sess))
 		if b+1 == rec.midIndex {
@@ -223,21 +249,17 @@ func record(t testing.TB, seed int64, ordering increpair.Ordering, nBatches int,
 }
 
 // restoreAndReplay rebuilds a session from a snapshot and replays the
-// given WAL payloads, returning its fingerprint.
-func restoreAndReplay(t testing.TB, snap []byte, payloads [][]byte) fingerprint {
+// given WAL batches, returning its fingerprint.
+func restoreAndReplay(t testing.TB, snap []byte, batches []*wal.Batch) fingerprint {
 	t.Helper()
 	sess, err := increpair.RestoreSession(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	for i, p := range payloads {
-		b, err := wal.DecodeBatch(p)
-		if err != nil {
-			t.Fatalf("payload %d: %v", i, err)
-		}
+	for i, b := range batches {
 		if _, err := sess.ReplayBatch(b); err != nil {
-			t.Fatalf("payload %d: %v", i, err)
+			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
 	return capture(t, sess)
@@ -260,8 +282,8 @@ func TestRecoveryEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := record(t, tc.seed, tc.ordering, 8, tc.dirty)
-			for k := 0; k <= len(rec.payloads); k++ {
-				got := restoreAndReplay(t, rec.snap0, rec.payloads[:k])
+			for k := 0; k <= len(rec.batches); k++ {
+				got := restoreAndReplay(t, rec.snap0, rec.batches[:k])
 				requireEqual(t, fmt.Sprintf("prefix=%d", k), rec.fps[k], got)
 			}
 		})
@@ -275,7 +297,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 // truncation.
 func TestRecoverySkipsContainedRecords(t *testing.T) {
 	rec := record(t, 17, increpair.Linear, 8, false)
-	got := restoreAndReplay(t, rec.snapMid, rec.payloads)
+	got := restoreAndReplay(t, rec.snapMid, rec.batches)
 	requireEqual(t, "mid-snapshot", rec.fps[len(rec.fps)-1], got)
 }
 
@@ -288,20 +310,7 @@ func TestRecoveryKillAtArbitraryOffsets(t *testing.T) {
 	rec := record(t, 23, increpair.Linear, 6, false)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal-0000000000.log")
-	l, err := wal.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boundaries := []int{7}
-	for _, p := range rec.payloads {
-		if err := l.Append(p); err != nil {
-			t.Fatal(err)
-		}
-		boundaries = append(boundaries, boundaries[len(boundaries)-1]+8+len(p))
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	boundaries := writeLog(t, path, rec.batches)
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -330,16 +339,16 @@ func TestRecoveryKillAtArbitraryOffsets(t *testing.T) {
 		if err := os.WriteFile(p, whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, payloads, _, err := wal.Open(p)
+		l, batches, _, err := wal.Open(p)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		l.Close()
 		k := intactAt(cut)
-		if len(payloads) != k {
-			t.Fatalf("cut %d: %d intact records, want %d", cut, len(payloads), k)
+		if len(batches) != k {
+			t.Fatalf("cut %d: %d intact records, want %d", cut, len(batches), k)
 		}
-		got := restoreAndReplay(t, rec.snap0, payloads)
+		got := restoreAndReplay(t, rec.snap0, batches)
 		requireEqual(t, fmt.Sprintf("kill at %d (batch %d)", cut, k), rec.fps[k], got)
 	}
 }
@@ -351,23 +360,10 @@ func TestRecoveryCorruptTail(t *testing.T) {
 	rec := record(t, 29, increpair.Linear, 5, false)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
-	l, err := wal.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offsets := []int{7}
-	for _, p := range rec.payloads {
-		if err := l.Append(p); err != nil {
-			t.Fatal(err)
-		}
-		offsets = append(offsets, offsets[len(offsets)-1]+8+len(p))
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	offsets := writeLog(t, path, rec.batches)
 	whole, _ := os.ReadFile(path)
 
-	for recI := 0; recI < len(rec.payloads); recI++ {
+	for recI := 0; recI < len(rec.batches); recI++ {
 		for _, delta := range []int{0, 4, 8, 12} { // length, crc, payload bytes
 			off := offsets[recI] + delta
 			if off >= offsets[recI+1] {
@@ -379,19 +375,19 @@ func TestRecoveryCorruptTail(t *testing.T) {
 			if err := os.WriteFile(p, corrupted, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			l, payloads, discarded, err := wal.Open(p)
+			l, batches, discarded, err := wal.Open(p)
 			if err != nil {
 				t.Fatalf("corrupt rec %d+%d: %v", recI, delta, err)
 			}
 			l.Close()
-			if len(payloads) > recI {
-				t.Fatalf("corrupt rec %d+%d: %d records survived damage at record %d", recI, delta, len(payloads), recI)
+			if len(batches) > recI {
+				t.Fatalf("corrupt rec %d+%d: %d records survived damage at record %d", recI, delta, len(batches), recI)
 			}
-			if len(payloads) == recI && discarded == 0 {
+			if len(batches) == recI && discarded == 0 {
 				t.Fatalf("corrupt rec %d+%d: no bytes discarded", recI, delta)
 			}
-			got := restoreAndReplay(t, rec.snap0, payloads)
-			requireEqual(t, fmt.Sprintf("corrupt rec %d+%d", recI, delta), rec.fps[len(payloads)], got)
+			got := restoreAndReplay(t, rec.snap0, batches)
+			requireEqual(t, fmt.Sprintf("corrupt rec %d+%d", recI, delta), rec.fps[len(batches)], got)
 		}
 	}
 }

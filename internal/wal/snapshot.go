@@ -10,53 +10,6 @@ import (
 	"cfdclean/internal/relation"
 )
 
-// Batch is one WAL record: a mutation batch a session accepted, with the
-// journal Version cursor bracketing it. PrevVersion is the relation's
-// mutation counter before the batch's engine pass and Version the counter
-// after it — together they totally order records and make replay
-// idempotent: a record whose Version is at or below the restored
-// session's counter is already contained in the snapshot and is skipped,
-// and a record whose PrevVersion does not meet the session's counter
-// reveals a gap (a missing or out-of-order log) instead of silently
-// corrupting state.
-//
-// Ops encodes the batch *inputs* (not the engine's output mutations),
-// as relation Deltas under the conventions of increpair.OpsToDeltas:
-// replay pushes them through the same ApplyOps path the live session
-// ran, and the engine's determinism-by-construction guarantees the
-// replayed pass rebuilds relation, violation store and counters
-// bit-identically.
-type Batch struct {
-	PrevVersion uint64
-	Version     uint64
-	Ops         []relation.Delta
-}
-
-// Encode renders the batch as a WAL record payload.
-func (b *Batch) Encode() []byte {
-	out := binary.LittleEndian.AppendUint64(nil, b.PrevVersion)
-	out = binary.LittleEndian.AppendUint64(out, b.Version)
-	out = binary.AppendUvarint(out, uint64(len(b.Ops)))
-	for i := range b.Ops {
-		out = relation.AppendDelta(out, &b.Ops[i])
-	}
-	return out
-}
-
-// DecodeBatch parses a WAL record payload.
-func DecodeBatch(p []byte) (*Batch, error) {
-	d := relation.NewDecoder(p, ErrCorrupt)
-	b := &Batch{PrevVersion: d.U64("batch prev version"), Version: d.U64("batch version")}
-	nops := d.Uvarint("batch op count")
-	for i := uint64(0); i < nops && d.Err() == nil; i++ {
-		b.Ops = append(b.Ops, d.Delta())
-	}
-	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("batch record: %w", err)
-	}
-	return b, nil
-}
-
 // Quota is the hosting service's per-session admission policy, the
 // limits the session's create request set. Zero limits mean unlimited.
 // A snapshot records it, so a tenant's quota survives recovery and ships
@@ -319,22 +272,14 @@ func WriteSnapshotRows(w io.Writer, s *Snapshot, n, idLimit int, row func(i int)
 // these bytes.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	arity := len(s.Attrs)
-	num := make(map[string]relation.ValueID)
+	var num strTable
 	ids := make([]relation.ValueID, arity*len(s.Tuples))
 	for i, t := range s.Tuples {
 		for a, v := range t.Vals[:arity] {
-			if v.Null {
-				continue
-			}
-			id, ok := num[v.Str]
-			if !ok {
-				id = relation.ValueID(len(num) + 1)
-				num[v.Str] = id
-			}
-			ids[i*arity+a] = id
+			ids[i*arity+a] = relation.ValueID(num.cell(v))
 		}
 	}
-	return WriteSnapshotRows(w, s, len(s.Tuples), len(num)+1, func(i int) SnapTuple {
+	return WriteSnapshotRows(w, s, len(s.Tuples), len(num.strs)+1, func(i int) SnapTuple {
 		t := s.Tuples[i]
 		t.IDs = ids[i*arity : (i+1)*arity]
 		return t

@@ -2,32 +2,39 @@ package wal
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 )
 
-// Version is the on-disk format version byte shared by WAL files and
-// snapshot streams, and the only one written or read. Bump it on any
-// incompatible codec change. Version 5 drops three header fields no
-// reader used (a retired workers count, a quota flag byte and the store
-// kind with its generation); version 4 wrote a snapshot's rows as ids
-// into the constants each chunk carries (snapshot.go). A file of any
-// other version is refused.
+// Version is the format version byte of snapshot streams, and the only
+// one written or read. Bump it on any incompatible codec change. Version
+// 5 drops three header fields no reader used (a retired workers count, a
+// quota flag byte and the store kind with its generation); version 4
+// wrote a snapshot's rows as ids into the constants each chunk carries
+// (snapshot.go). A stream of any other version is refused.
 const Version = 5
+
+// WALVersion is the format version byte of WAL files, and the only one
+// written or read. Version 6 numbers a record's strings in the file's
+// table (batch.go); version 5, which wrote every value inline, and every
+// other version are refused with ErrVersion.
+const WALVersion = 6
 
 const (
 	walMagic  = "CFDWAL"
 	snapMagic = "CFDSNAP"
 )
 
-// Log is an append-only WAL file. It is not safe for concurrent use;
-// the server gives each session's single-writer worker exclusive
-// ownership of its log, which is the same discipline the session's
-// relation already requires.
+// Log is an append-only WAL file and its string table: every string its
+// batch records declared, which the log holds until it is closed — one
+// generation's distinct values. It is not safe for concurrent use; the
+// server gives each session's committer exclusive ownership of its log.
 type Log struct {
 	f     *os.File
-	dirty bool // appended since last Sync
+	tab   strTable // the strings the file's batch records declared
+	dirty bool     // appended since last Sync
 }
 
 // Create makes a new empty log at path (truncating any existing file)
@@ -41,7 +48,7 @@ func Create(path string) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err = f.Write(AppendHeader(nil, walMagic, Version)); err == nil {
+	if _, err = f.Write(AppendHeader(nil, walMagic, WALVersion)); err == nil {
 		err = f.Sync()
 	}
 	if err == nil {
@@ -55,11 +62,34 @@ func Create(path string) (*Log, error) {
 }
 
 // Open reads an existing log: it validates the header, decodes every
-// intact record, discards a torn or corrupted tail (truncating the file
-// back to the last intact boundary so appends continue cleanly), and
-// returns the payloads in log order. discarded reports how many bytes
-// of damaged tail were dropped — zero for a cleanly closed log.
-func Open(path string) (l *Log, payloads [][]byte, discarded int64, err error) {
+// intact record as a batch in the file's scope (rebuilding the file's
+// string table, so that AppendBatch continues its numbering), discards a
+// torn or corrupted tail (truncating the file back to the last intact
+// boundary so appends continue cleanly), and returns the batches in log
+// order. discarded reports how many bytes of damaged tail were dropped —
+// zero for a cleanly closed log. A header of another version is refused
+// with ErrVersion and the file left as it is. A record that verifies but
+// does not decode ends what can be read: Open returns no Log, the
+// batches before that record (a non-nil slice) and an error naming it.
+func Open(path string) (l *Log, batches []*Batch, discarded int64, err error) {
+	l, payloads, discarded, err := openFrames(path)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	batches = make([]*Batch, 0, len(payloads))
+	for i, p := range payloads {
+		b, err := decodeBatch(p, &l.tab)
+		if err != nil {
+			l.f.Close()
+			return nil, batches, 0, fmt.Errorf("record %d: %w", i, err)
+		}
+		batches = append(batches, b)
+	}
+	return l, batches, discarded, nil
+}
+
+// openFrames is Open below the batch codec: the intact records' payloads.
+func openFrames(path string) (l *Log, payloads [][]byte, discarded int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, 0, err
@@ -71,7 +101,7 @@ func Open(path string) (l *Log, payloads [][]byte, discarded int64, err error) {
 	}
 	r := bufio.NewReaderSize(f, 1<<16)
 	// A bad header is ErrCorrupt — nothing in the file can be trusted.
-	if err := CheckHeader(r, walMagic, Version); err != nil {
+	if err := CheckHeader(r, walMagic, WALVersion); err != nil {
 		f.Close()
 		return nil, nil, 0, err
 	}
@@ -108,7 +138,9 @@ func scanFrames(r io.Reader) (payloads [][]byte, n int64) {
 	}
 }
 
-// Append writes one record. The bytes reach the file (and the OS page
+// Append writes one raw record; AppendBatch writes a batch through it,
+// and a log that Open is to read again holds AppendBatch's records only.
+// The bytes reach the file (and the OS page
 // cache) before Append returns; they reach the disk at the next Sync,
 // per the owner's fsync policy. A payload longer than a record can state
 // is refused and nothing is written.
@@ -121,6 +153,21 @@ func (l *Log) Append(payload []byte) error {
 	}
 	l.dirty = true
 	return nil
+}
+
+// AppendBatch appends b as the log's next record, in the file's scope:
+// the record declares only the strings no earlier record of the file
+// did, and every cell names an entry of the file's table. It returns the
+// bytes appended, the record's header included. A record that is not
+// written leaves the table as it was.
+func (l *Log) AppendBatch(b *Batch) (int, error) {
+	base := len(l.tab.strs)
+	payload := encodeBatch(b, &l.tab)
+	if err := l.Append(payload); err != nil {
+		l.tab.truncate(base)
+		return 0, err
+	}
+	return frameHeaderLen + len(payload), nil
 }
 
 // Sync flushes appended records to stable storage (fsync). It is a

@@ -18,6 +18,9 @@ func tmpLog(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "wal-0000000000.log")
 }
 
+// TestLogRoundTrip: the record layer under the batch codec — records
+// appended, reopened (OpenFrames: raw payloads), appended after the
+// reopen — reads back record for record.
 func TestLogRoundTrip(t *testing.T) {
 	path := tmpLog(t)
 	l, err := wal.Create(path)
@@ -34,7 +37,7 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, got, discarded, err := wal.Open(path)
+	l2, got, discarded, err := wal.OpenFrames(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +60,7 @@ func TestLogRoundTrip(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, got, _, err = wal.Open(path)
+	_, got, _, err = wal.OpenFrames(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,7 @@ func TestLogTornTail(t *testing.T) {
 		if err := os.WriteFile(p, whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, got, discarded, err := wal.Open(p)
+		l, got, discarded, err := wal.OpenFrames(p)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -129,7 +132,7 @@ func TestLogTornTail(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, got, _, err = wal.Open(p)
+		_, got, _, err = wal.OpenFrames(p)
 		if err != nil || len(got) != want+1 {
 			t.Fatalf("cut %d: reopen after heal: %d records, err %v", cut, len(got), err)
 		}
@@ -165,7 +168,7 @@ func TestLogCorruptRecord(t *testing.T) {
 		if err := os.WriteFile(p, corrupted, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, got, discarded, err := wal.Open(p)
+		l, got, discarded, err := wal.OpenFrames(p)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
