@@ -143,13 +143,23 @@
 //	                                │   header (Σ, schema, counters,
 //	                                │   quota) beside the page table —
 //	                                │   O(written) page bytes per rotation
+//	                                ├── follower image (bootstrap and
+//	                                │   resync): PersistSnapshot encodes
+//	                                │   the pinned view into the stream's
+//	                                │   chunk records and holds only
+//	                                │   those; the header is rendered
+//	                                │   from its fields (quota stamped
+//	                                │   in) as the image is sent, and the
+//	                                │   follower restores chunk by chunk
 //	                                │ on boot
 //	                                ▼
 //	                           RestoreFromSnapshotSource + ReplayBatch:
 //	                           newest valid manifest, its pages streamed
-//	                           back once and in order, then WAL replay
-//	                           through the same ApplyOps path (torn
-//	                           tails discarded; byte-identical recovery)
+//	                           back once and in order as id rows (each
+//	                           tuple's values filled from the persisted
+//	                           dictionary), then WAL replay through the
+//	                           same ApplyOps path (torn tails discarded;
+//	                           byte-identical recovery)
 //	                ▼
 //	        cmd/cfdserved (HTTP/JSON service, -data-dir durability)
 //

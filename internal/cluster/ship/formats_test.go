@@ -142,8 +142,14 @@ func TestFormatsByteIdentical(t *testing.T) {
 	flush(1)
 
 	snap := header()
-	for _, tp := range rel.Tuples() {
-		snap.Tuples = append(snap.Tuples, wal.SnapTuple{ID: tp.ID, Vals: tp.Vals, W: tp.W})
+	tuples, ids := rel.Tuples(), make([]relation.ValueID, sch.Arity())
+	if err := snap.EncodeRows(len(tuples), rel.Dict(), func(i int) wal.SnapTuple {
+		for a := range ids {
+			ids[a] = tuples[i].IDAt(a)
+		}
+		return wal.SnapTuple{ID: tuples[i].ID, W: tuples[i].W, IDs: ids}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	imagePath := filepath.Join(dir, "snap-0000000000.snap")
 	if err := wal.WriteSnapshotFile(imagePath, snap); err != nil {

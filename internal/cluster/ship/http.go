@@ -40,22 +40,22 @@ func (t *HTTPTransport) replicaURL(name, suffix string) string {
 	return t.Base + "/v1/replica/" + url.PathEscape(name) + suffix
 }
 
-// ShipSnapshot implements Transport. The body is wal.WriteSnapshot's
-// stream, written into the request as it is sent, so the image is never
-// held as one buffer.
+// ShipSnapshot implements Transport. The body is the snapshot's stream
+// (wal.Snapshot.Stream), read in place from the image it holds.
 func (t *HTTPTransport) ShipSnapshot(name string, snap *wal.Snapshot) error {
-	req, err := http.NewRequest(http.MethodPut, t.replicaURL(name, ""), nil)
+	body, n, err := snap.Stream()
 	if err != nil {
 		return err
 	}
-	// The client closes every body it takes, which ends that body's
-	// writer; a retry on a stale pooled connection takes a fresh one.
-	req.GetBody = func() (io.ReadCloser, error) {
-		pr, pw := io.Pipe()
-		go func() { pw.CloseWithError(wal.WriteSnapshot(pw, snap)) }()
-		return pr, nil
+	req, err := http.NewRequest(http.MethodPut, t.replicaURL(name, ""), body)
+	if err != nil {
+		return err
 	}
-	req.Body, _ = req.GetBody()
+	// A retry on a stale pooled connection reads the stream afresh.
+	req.ContentLength, req.GetBody = n, func() (io.ReadCloser, error) {
+		body, _, err := snap.Stream()
+		return io.NopCloser(body), err
+	}
 	req.Header.Set("Content-Type", "application/octet-stream")
 	return t.do(req)
 }
@@ -134,11 +134,11 @@ func (t *LocalTransport) Replica(name string) *Replica {
 	return t.replicas[name]
 }
 
-// ShipSnapshot implements Transport: write the snapshot stream and
-// install the replica from it, creating the replica on first contact.
+// ShipSnapshot implements Transport: install the replica from the
+// snapshot's stream, creating the replica on first contact.
 func (t *LocalTransport) ShipSnapshot(name string, snap *wal.Snapshot) error {
-	var stream bytes.Buffer
-	if err := wal.WriteSnapshot(&stream, snap); err != nil {
+	stream, _, err := snap.Stream()
+	if err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -148,7 +148,7 @@ func (t *LocalTransport) ShipSnapshot(name string, snap *wal.Snapshot) error {
 		t.replicas[name] = r
 	}
 	t.mu.Unlock()
-	return r.Install(&stream)
+	return r.Install(stream)
 }
 
 // ShipBatch implements Transport.

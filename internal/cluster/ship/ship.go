@@ -14,8 +14,8 @@
 // A snapshot travels as the bytes wal.WriteSnapshot writes for a
 // snapshot file — magic and format version, a header record, tuple
 // chunk records — so a follower refuses an image from a build of another
-// format version by name, and neither end holds the image as one buffer:
-// the follower restores the rows as each chunk record decodes.
+// format version by name. The sender holds the encoded image; the
+// follower holds one chunk, restoring the rows as each record decodes.
 // A batch travels as one frame: a kind byte, then one record of the
 // on-disk WAL's own framing (internal/wal's package comment is the
 // format reference), so a truncated or corrupted frame is detected before

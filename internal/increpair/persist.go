@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 
 	"cfdclean/internal/cfd"
@@ -79,23 +78,43 @@ func DeltasToOps(ops []relation.Delta) (deletes []relation.TupleID, sets []SetOp
 // the header and pin a view of the relation (captureLocked), so a slow w
 // stalls no batch. The rows go from the view's tuples straight into the
 // writer's one chunk buffer (wal.WriteSnapshotRows), under the ids the
-// relation's dictionary gave their values: each live constant is written
-// once, and no dead one. A pinned tuple never changes, so no value or
-// weight is copied, and Persist holds one chunk's bytes and one id per
-// dictionary entry whatever the relation's size, beside the
-// copy-on-write pre-images of the pages batches write while it runs.
+// relation's dictionary gave their values, each constant's bytes read
+// from the dictionary by id: each live constant is written once, and no
+// dead one. A pinned tuple never changes, so no value or weight is
+// copied, and Persist holds one chunk's bytes and one id per dictionary
+// entry whatever the relation's size, beside the copy-on-write
+// pre-images of the pages batches write while it runs.
 func (s *Session) Persist(name string, w io.Writer) error {
+	_, err := s.image(name, w)
+	return err
+}
+
+// PersistSnapshot is Persist with the chunk records kept in the returned
+// snapshot (wal.Snapshot.EncodeRows) instead of written: what the hosting
+// service ships to replicas, which may stamp header fields such as the
+// quota in before wal.WriteSnapshot or Stream renders the header. It
+// holds the encoded image and nothing else of the rows.
+func (s *Session) PersistSnapshot(name string) (*wal.Snapshot, error) {
+	return s.image(name, nil)
+}
+
+// image captures the session (captureLocked) and, once the session lock
+// is released, encodes the view's rows as wal.SnapTuple ids under the
+// relation's dictionary: written to w (wal.WriteSnapshotRows), or kept
+// in the returned snapshot when w is nil (wal.Snapshot.EncodeRows).
+func (s *Session) image(name string, w io.Writer) (*wal.Snapshot, error) {
 	s.mu.Lock()
 	snap, v, err := s.captureLocked(name)
+	dict := s.e.repr.Dict()
 	s.mu.Unlock()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer v.Release()
-	// WriteSnapshotRows reads each chunk twice, in order.
+	// The encoder reads each chunk twice, in order.
 	rows, next := v.Rows(), 0
 	ids := make([]relation.ValueID, len(snap.Attrs))
-	return wal.WriteSnapshotRows(w, snap, v.Len(), v.DictLen()+1, func(i int) wal.SnapTuple {
+	row := func(i int) wal.SnapTuple {
 		if i != next {
 			rows.Seek(i)
 		}
@@ -104,28 +123,15 @@ func (s *Session) Persist(name string, w io.Writer) error {
 		for a := range ids {
 			ids[a] = t.IDAt(a)
 		}
-		return wal.SnapTuple{ID: t.ID, Vals: t.Vals, W: t.W, IDs: ids}
-	})
-}
-
-// PersistSnapshot builds the session's full-state snapshot without
-// serializing it, every tuple copied into its Tuples — the hosting
-// service ships it to replicas, while Persist serves stream targets. Like
-// Persist it images one quiescent point, and copies the rows from the
-// pinned view after the session lock is released.
-func (s *Session) PersistSnapshot(name string) (*wal.Snapshot, error) {
-	s.mu.Lock()
-	snap, v, err := s.captureLocked(name)
-	s.mu.Unlock()
+		return wal.SnapTuple{ID: t.ID, W: t.W, IDs: ids}
+	}
+	if w != nil {
+		err = wal.WriteSnapshotRows(w, snap, v.Len(), dict, row)
+	} else {
+		err = snap.EncodeRows(v.Len(), dict, row)
+	}
 	if err != nil {
 		return nil, err
-	}
-	defer v.Release()
-	snap.Tuples = make([]wal.SnapTuple, v.Len())
-	rows := v.Rows()
-	for i := range snap.Tuples {
-		t := rows.Next()
-		snap.Tuples[i] = wal.SnapTuple{ID: t.ID, Vals: slices.Clone(t.Vals), W: slices.Clone(t.W)}
 	}
 	return snap, nil
 }
@@ -134,7 +140,7 @@ func (s *Session) PersistSnapshot(name string) (*wal.Snapshot, error) {
 // lock the caller holds: it builds the snapshot header and pins a view of
 // the relation at the header's version, and nothing else (PersistBoundary
 // also begins its store flush of the view before it lets go). What costs
-// O(|D|) — writing or copying the rows — reads the view after the lock is
+// O(|D|) — encoding the rows — reads the view after the lock is
 // released. The caller must Release the view.
 func (s *Session) captureLocked(name string) (*wal.Snapshot, *relation.View, error) {
 	if s.closed {
@@ -253,11 +259,16 @@ func RestoreSession(r io.Reader) (*Session, error) {
 	return RestoreFromSnapshotSource(snap, rows, rows.Dict())
 }
 
-// RestoreFromSnapshot is RestoreSession over an already-decoded
-// snapshot, which only the benchmark holds. workers drives nothing; it
-// stays until ROADMAP item 1(i)(b) folds the restore entry points.
+// RestoreFromSnapshot is RestoreSession over the stream of a snapshot
+// PersistSnapshot captured (wal.Snapshot.Stream), which only the
+// benchmark holds. workers drives nothing; it stays until ROADMAP item
+// 1(i)(b) folds the restore entry points.
 func RestoreFromSnapshot(snap *wal.Snapshot, workers int) (*Session, error) {
-	return RestoreFromSnapshotSource(snap, &sliceSource{ts: snap.Tuples}, nil)
+	img, _, err := snap.Stream()
+	if err != nil {
+		return nil, err
+	}
+	return RestoreSession(img)
 }
 
 // restoreTail finishes a restore once the relation is rebuilt: journal

@@ -124,7 +124,8 @@ func TestPersistRequiresSourceCFDs(t *testing.T) {
 }
 
 // TestRestoreRejectsDamage: structurally valid frames with semantically
-// broken payload fields fail cleanly.
+// broken payload fields fail cleanly, and so do rows whose ids a stream
+// cannot carry or the relation cannot take.
 func TestRestoreRejectsDamage(t *testing.T) {
 	sess, snapBytes := persistedSession(t, nil)
 	defer sess.Close()
@@ -135,7 +136,6 @@ func TestRestoreRejectsDamage(t *testing.T) {
 
 	mutate := func(f func(s *wal.Snapshot)) *wal.Snapshot {
 		c := *snap
-		c.Tuples = append([]wal.SnapTuple(nil), snap.Tuples...)
 		c.Attrs = append([]string(nil), snap.Attrs...)
 		f(&c)
 		return &c
@@ -144,12 +144,24 @@ func TestRestoreRejectsDamage(t *testing.T) {
 		"bad-ordering":    mutate(func(s *wal.Snapshot) { s.Ordering = 9 }),
 		"bad-cfds":        mutate(func(s *wal.Snapshot) { s.CFDs = "not a cfd spec" }),
 		"empty-attrs":     mutate(func(s *wal.Snapshot) { s.Attrs = nil }),
-		"zero-tuple-id":   mutate(func(s *wal.Snapshot) { s.Tuples[0].ID = 0 }),
-		"dup-tuple-id":    mutate(func(s *wal.Snapshot) { s.Tuples[1].ID = s.Tuples[0].ID }),
 		"low-watermark":   mutate(func(s *wal.Snapshot) { s.NextID = 1 }),
 		"cfd-wrong-attrs": mutate(func(s *wal.Snapshot) { s.CFDs = "cfd x: [nope] -> [CT]\n(_ || _)\n" }),
 	} {
 		if _, err := RestoreFromSnapshot(broken, 0); err == nil {
+			t.Errorf("%s: restore succeeded", name)
+		}
+	}
+	for name, edit := range map[string]func(rows []wal.SnapTuple){
+		"zero-tuple-id": func(rows []wal.SnapTuple) { rows[0].ID = 0 },
+		"dup-tuple-id":  func(rows []wal.SnapTuple) { rows[1].ID = rows[0].ID },
+	} {
+		head, rows, strs := idRows(t, snapBytes)
+		edit(rows)
+		dict := relation.NewDict()
+		for _, s := range strs {
+			dict.InternStr(s)
+		}
+		if _, err := RestoreFromSnapshotSource(head, &freshRows{ts: rows}, dict); err == nil {
 			t.Errorf("%s: restore succeeded", name)
 		}
 	}

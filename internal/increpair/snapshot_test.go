@@ -82,37 +82,61 @@ func frameEnds(t testing.TB, img []byte) []int {
 
 // TestPersistEqualsSnapshotCopy: Persist, writing from the live relation,
 // writes the bytes WriteSnapshot writes for the session's PersistSnapshot
-// copy — across deletes, cell updates, nulls, weighted and unweighted
+// image — across deletes, cell updates, nulls, weighted and unweighted
 // tuples and a second chunk — and the restored session persists to them
-// again and dumps the same rows.
+// again and dumps the same rows. A quota stamped into the image after
+// the capture, as the service stamps its own, lands in the header record
+// Stream renders, and every other byte stays Persist's.
 func TestPersistEqualsSnapshotCopy(t *testing.T) {
 	sess := snapshotSession(t, newGenChurn(t, 5200, 11), 5000, true)
 	defer sess.Close()
 	img := persisted(t, sess)
-	snap, err := sess.PersistSnapshot("s")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var nulls, weighted int
-	for _, st := range snap.Tuples {
-		if st.W != nil {
+	live := sess.Current().Tuples()
+	for _, tu := range live {
+		if tu.W != nil {
 			weighted++
 		}
-		for _, v := range st.Vals {
+		for _, v := range tu.Vals {
 			if v.Null {
 				nulls++
 			}
 		}
 	}
-	if chunks := len(frameEnds(t, img)) - 1; chunks < 2 || nulls == 0 || weighted == 0 || weighted == len(snap.Tuples) {
-		t.Fatalf("the image covers too little: %d chunks, %d null cells, %d of %d tuples weighted", chunks, nulls, weighted, len(snap.Tuples))
+	ends := frameEnds(t, img)
+	if chunks := len(ends) - 1; chunks < 2 || nulls == 0 || weighted == 0 || weighted == len(live) {
+		t.Fatalf("the image covers too little: %d chunks, %d null cells, %d of %d tuples weighted", chunks, nulls, weighted, len(live))
+	}
+	snap, err := sess.PersistSnapshot("s")
+	if err != nil {
+		t.Fatal(err)
 	}
 	var copied bytes.Buffer
 	if err := wal.WriteSnapshot(&copied, snap); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(img, copied.Bytes()) {
-		t.Fatalf("Persist wrote %d bytes, WriteSnapshot of the copy %d, and they differ", len(img), copied.Len())
+		t.Fatalf("Persist wrote %d bytes, WriteSnapshot of the image %d, and they differ", len(img), copied.Len())
+	}
+
+	snap.Quota = wal.Quota{OpsPerSec: 2.5, TuplesPerSec: 40, MaxRelationSize: 9000, MaxSubscribers: 3}
+	head, _, err := wal.NewSnapshotReader(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head.Quota = snap.Quota
+	want := wal.AppendFrame(wal.AppendHeader(nil, "CFDSNAP", wal.Version), wal.AppendSnapshotHeader(nil, head, len(live)))
+	want = append(want, img[ends[0]:]...)
+	stream, n, err := snap.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamped, err := io.ReadAll(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stamped, want) || int64(len(stamped)) != n {
+		t.Fatalf("the image with a quota stamped in streams %d bytes (%d announced), want Persist's %d with the quota in its header", len(stamped), n, len(want))
 	}
 
 	back, err := RestoreSession(bytes.NewReader(img))
@@ -123,14 +147,14 @@ func TestPersistEqualsSnapshotCopy(t *testing.T) {
 	if again := persisted(t, back); !bytes.Equal(img, again) {
 		t.Fatal("the restored session persists to other bytes")
 	}
-	var want, got bytes.Buffer
-	if err := sess.Dump(&want); err != nil {
+	var wantDump, gotDump bytes.Buffer
+	if err := sess.Dump(&wantDump); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Dump(&got); err != nil {
+	if err := back.Dump(&gotDump); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+	if !bytes.Equal(wantDump.Bytes(), gotDump.Bytes()) {
 		t.Fatal("the restored session dumps other rows")
 	}
 }
@@ -189,7 +213,7 @@ func TestBoundaryHeaderIsTheImageHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snap, want) || len(snap.Tuples) != 0 {
+	if !reflect.DeepEqual(snap, want) {
 		t.Fatalf("PersistBoundary's header\n%+v\nthe image's\n%+v", snap, want)
 	}
 }
@@ -204,11 +228,11 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// freshRows is a TupleSource that hands out a snapshot's rows each in
-// storage of its own — values, constants and weights — as a decoder must:
-// what a restore from rows already in memory allocates is the relation
-// and the engine, and a restore from a stream allocates that plus what
-// reading the stream costs.
+// freshRows is a TupleSource that hands out an image's rows each in
+// storage of its own — ids and weights — as a decoder must: what a
+// restore from rows already in memory allocates is the relation and the
+// engine, and a restore from a stream allocates that plus what reading
+// the stream costs.
 type freshRows struct {
 	ts []wal.SnapTuple
 	i  int
@@ -220,40 +244,63 @@ func (s *freshRows) Next() (wal.SnapTuple, bool, error) {
 	}
 	t := s.ts[s.i]
 	s.i++
-	vals := make([]relation.Value, len(t.Vals))
-	for a, v := range t.Vals {
-		vals[a] = relation.Value{Str: strings.Clone(v.Str), Null: v.Null}
-	}
 	var w []float64
 	if t.W != nil {
 		w = append([]float64(nil), t.W...)
 	}
-	return wal.SnapTuple{ID: t.ID, Vals: vals, W: w}, true, nil
+	return wal.SnapTuple{ID: t.ID, W: w, IDs: append([]relation.ValueID(nil), t.IDs...)}, true, nil
+}
+
+// idRows reads a snapshot image whole: its header, its rows and the
+// constants its rows' ids name, in id order.
+func idRows(t testing.TB, img []byte) (*wal.Snapshot, []wal.SnapTuple, []string) {
+	t.Helper()
+	head, rd, err := wal.NewSnapshotReader(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []wal.SnapTuple
+	for {
+		st, ok, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return head, rows, rd.Dict().StringsFrom(0, rd.Dict().Len())
+		}
+		rows = append(rows, st)
+	}
 }
 
 // TestSnapshotCostsOneChunk: Persist of a 2 000- and of a 20 000-tuple
 // session allocate within one chunk's bytes of each other, and so does
-// what RestoreSession allocates beyond a restore from rows already in
-// memory: neither end holds more than one chunk, whatever the relation's
-// size. One chunk is the 20 000-tuple image's first chunk record, 4 096
-// rows. Both sessions hold the same Σ, so their header records differ in
-// the counts alone.
+// what RestoreSession allocates beyond a restore from the image's id rows
+// already in memory (each in storage of its own, the constants interned
+// afresh): neither end holds more than one chunk, whatever the
+// relation's size. PersistSnapshot, which holds the encoded image,
+// allocates at 20 000 tuples no more than at 2 000 plus the larger
+// image's extra bytes and one chunk. One chunk is the 20 000-tuple
+// image's first chunk record, 4 096 rows. Both sessions hold the same Σ,
+// so their header records differ in the counts alone.
 func TestSnapshotCostsOneChunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens a 20 000-tuple session")
 	}
 	c := newGenChurn(t, 20200, 11)
-	var persist, restore [2]uint64
+	var persist, capture, restore [2]uint64
+	var size [2]int
 	var chunk int
 	for i, n := range []int{2000, 20000} {
 		sess := snapshotSession(t, c, n, false)
 		img := persisted(t, sess) // formats Σ once, before the measured call
+		size[i] = len(img)
 		persist[i] = allocated(func() {
 			if err := sess.Persist("s", io.Discard); err != nil {
 				t.Fatal(err)
 			}
 		})
-		snap, err := sess.PersistSnapshot("s")
+		var err error
+		capture[i] = allocated(func() { _, err = sess.PersistSnapshot("s") })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,16 +315,22 @@ func TestSnapshotCostsOneChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 		back.Close()
-		rows := &freshRows{ts: snap.Tuples}
-		snap.Tuples = nil
-		inMemory := allocated(func() { back, err = RestoreFromSnapshotSource(snap, rows, nil) })
+		head, rows, strs := idRows(t, img)
+		inMemory := allocated(func() {
+			dict := relation.NewDict()
+			for _, s := range strs {
+				dict.InternStr(strings.Clone(s))
+			}
+			back, err = RestoreFromSnapshotSource(head, &freshRows{ts: rows}, dict)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		back.Close()
 		restore[i] = streamed - min(streamed, inMemory)
 	}
-	t.Logf("one chunk %d B; Persist %d and %d B; RestoreSession beyond the rows %d and %d B", chunk, persist[0], persist[1], restore[0], restore[1])
+	t.Logf("one chunk %d B, images %d and %d B; Persist %d and %d B; PersistSnapshot %d and %d B; RestoreSession beyond the rows %d and %d B",
+		chunk, size[0], size[1], persist[0], persist[1], capture[0], capture[1], restore[0], restore[1])
 	for _, c := range []struct {
 		name string
 		b    [2]uint64
@@ -286,6 +339,32 @@ func TestSnapshotCostsOneChunk(t *testing.T) {
 			t.Errorf("%s allocates %d B at 20 000 tuples, %d B at 2 000: more than one chunk (%d B) apart", c.name, c.b[1], c.b[0], chunk)
 		}
 	}
+	if extra := uint64(size[1] - size[0]); capture[1] > capture[0]+extra+uint64(chunk) {
+		t.Errorf("PersistSnapshot allocates %d B at 20 000 tuples, %d B at 2 000: more than the image's %d extra bytes and one chunk (%d B) apart", capture[1], capture[0], extra, chunk)
+	}
+}
+
+// BenchmarkShipCapture is the follower image's capture, what a bootstrap
+// or a resync ships: PersistSnapshot and WriteSnapshot of it to
+// io.Discard, on a 20 000-tuple generated session (a third of its tuples
+// weighted), after a first Persist has formatted Σ. It reports the
+// image's bytes per tuple.
+func BenchmarkShipCapture(b *testing.B) {
+	sess := snapshotSession(b, newGenChurn(b, 20200, 11), 20000, true)
+	defer sess.Close()
+	img := persisted(b, sess)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := sess.PersistSnapshot("s")
+		if err == nil {
+			err = wal.WriteSnapshot(io.Discard, snap)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(img))/float64(sess.Snapshot().Size), "B/tuple")
 }
 
 // BenchmarkPersist is increpair.snapshot_ms's in-package cell: Persist
@@ -551,12 +630,12 @@ func TestPersistDoesNotBlockWriters(t *testing.T) {
 	requireImageOf(t, sess, back, want, version)
 }
 
-// TestPersistSnapshotDoesNotBlockWriters: PersistSnapshot copies the rows
-// from its pinned view after the session lock is released, so a batch
-// started once the view is pinned finishes while the copy of a
-// 20 000-tuple session runs, and the copy holds the session at the pin's
+// TestPersistSnapshotDoesNotBlockWriters: PersistSnapshot encodes the
+// rows from its pinned view after the session lock is released, so a
+// batch started once the view is pinned finishes while the encoding of a
+// 20 000-tuple session runs, and the image holds the session at the pin's
 // version, not the batch's. A batch that happens to finish after the
-// copy shows nothing, so the test tries up to five times.
+// encoding shows nothing, so the test tries up to five times.
 func TestPersistSnapshotDoesNotBlockWriters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("opens a 20 000-tuple session")
@@ -595,11 +674,11 @@ func TestPersistSnapshotDoesNotBlockWriters(t *testing.T) {
 		}
 		requireImageOf(t, sess, back, want, version)
 		if during {
-			t.Logf("a batch finished during the copy at attempt %d", attempt+1)
+			t.Logf("a batch finished during the encoding at attempt %d", attempt+1)
 			return
 		}
 		if attempt == 4 {
-			t.Fatal("in five attempts no batch finished while PersistSnapshot copied its rows")
+			t.Fatal("in five attempts no batch finished while PersistSnapshot encoded its rows")
 		}
 	}
 }

@@ -67,38 +67,20 @@ func (s *Session) PersistBoundary(name string) (*wal.Snapshot, *store.Flush, err
 // TupleSource streams snapshot rows in physical order. Next returns
 // ok=false at clean exhaustion; an error poisons the restore (the
 // caller falls back to an older generation). store.Iterator implements
-// it over page files, wal.SnapshotReader over a snapshot stream's chunk
-// records — both hand back the ids of their rows' values — and
-// sliceSource adapts a decoded snapshot's inline tuples, which carry
-// none.
+// it over page files and wal.SnapshotReader over a snapshot stream's
+// chunk records; both hand back each row as the ids of its values.
 type TupleSource interface {
 	Next() (wal.SnapTuple, bool, error)
 }
 
-type sliceSource struct {
-	ts []wal.SnapTuple
-	i  int
-}
-
-func (s *sliceSource) Next() (wal.SnapTuple, bool, error) {
-	if s.i >= len(s.ts) {
-		return wal.SnapTuple{}, false, nil
-	}
-	t := s.ts[s.i]
-	s.i++
-	return t, true, nil
-}
-
-// RestoreFromSnapshotSource is RestoreFromSnapshot with the rows
-// supplied by src instead of snap.Tuples. dict is the dictionary src's
-// row ids refer to, and the restored relation takes it as its own: a
-// snapshot stream's (wal.SnapshotReader.Dict), or the page store's
-// persisted one (store.Disk.Dict), which reproduces the ValueIDs the
-// store's rows were written under, so that the reopened store stays
-// valid against the restored relation. Every row is inserted by id:
-// Insert adopts the ids as they are. A nil dict stands for rows that
-// carry no ids (rows already in memory): their IDs are not read, and
-// their constants are interned here first, in row order.
+// RestoreFromSnapshotSource is RestoreSession with the header already
+// read and the rows supplied by src. dict is the dictionary src's row ids
+// refer to, and the restored relation takes it as its own: a snapshot
+// stream's (wal.SnapshotReader.Dict), or the page store's persisted one
+// (store.Disk.Dict), which reproduces the ValueIDs the store's rows were
+// written under, so that the reopened store stays valid against the
+// restored relation. Every row is inserted by id: its values are filled
+// from dict here, and Insert adopts the ids as they are.
 func RestoreFromSnapshotSource(snap *wal.Snapshot, src TupleSource, dict *relation.Dict) (*Session, error) {
 	if snap.Ordering > uint8(ByWeight) {
 		return nil, fmt.Errorf("increpair: restore: unknown ordering %d", snap.Ordering)
@@ -106,10 +88,6 @@ func RestoreFromSnapshotSource(snap *wal.Snapshot, src TupleSource, dict *relati
 	sch, err := relation.NewSchema(snap.Relname, snap.Attrs...)
 	if err != nil {
 		return nil, fmt.Errorf("increpair: restore: %w", err)
-	}
-	byID := dict != nil
-	if !byID {
-		dict = relation.NewDict()
 	}
 	rel := relation.NewWithDict(sch, dict)
 	for i := 0; ; i++ {
@@ -123,13 +101,9 @@ func RestoreFromSnapshotSource(snap *wal.Snapshot, src TupleSource, dict *relati
 		if st.ID == 0 {
 			return nil, fmt.Errorf("increpair: restore: snapshot tuple %d has no id", i)
 		}
-		if !byID {
-			st.IDs = make([]relation.ValueID, len(st.Vals))
-			for a, v := range st.Vals {
-				st.IDs[a] = dict.Intern(v)
-			}
-		}
-		if err := rel.Insert(dict.ProbeOf(st.ID, st.Vals, st.IDs, st.W)); err != nil {
+		vals := make([]relation.Value, len(st.IDs))
+		dict.Fill(vals, st.IDs)
+		if err := rel.Insert(dict.ProbeOf(st.ID, vals, st.IDs, st.W)); err != nil {
 			return nil, fmt.Errorf("increpair: restore: %w", err)
 		}
 	}

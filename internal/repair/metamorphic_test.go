@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"cfdclean/internal/cfd"
 	"cfdclean/internal/gen"
 	"cfdclean/internal/relation"
 )
@@ -14,7 +16,8 @@ import (
 // Metamorphic relations of BATCHREPAIR: properties of the algorithm that
 // need no second implementation to check, each a rewrite of the input
 // whose effect on the repair is known in advance. On §7.1's generator at
-// 500 and 2 500 tuples, seeds 1–3, weighted and unweighted:
+// 500 and 2 500 tuples, seeds 1–3, weighted and unweighted, and on 500
+// of FuzzBatchRepairVsWalk's small drawn instances:
 //
 //   - halving every weight halves Result.Cost exactly (halving is exact in
 //     floating point and the cost model is linear in w) and changes the
@@ -86,64 +89,102 @@ func TestBatchMetamorphicRelations(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					run := func(d *relation.Relation) *Result {
-						t.Helper()
-						res, err := Batch(d, ds.Sigma, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res
-					}
-					base := run(ds.Dirty)
-					want := changed(t, ds.Dirty, base.Repair, 0)
-					if len(want) == 0 || len(want) != base.Changes {
-						t.Fatalf("the repair changed %d cells, Result.Changes says %d", len(want), base.Changes)
-					}
-					same := func(what string, in *relation.Relation, res *Result, shift relation.TupleID) {
-						t.Helper()
-						if got := changed(t, in, res.Repair, shift); !maps.Equal(got, want) {
-							t.Errorf("%s: the repair changed %d cells, %d of them as the original's; want its %d", what, len(got), common(got, want), len(want))
-						}
-					}
-
-					arity := ds.Dirty.Schema().Arity()
-					halved := rebuild(t, ds.Dirty, false, func(tp *relation.Tuple) {
-						for a := 0; a < arity; a++ {
-							w := 1.0
-							if tp.W != nil {
-								w = tp.W[a]
-							}
-							tp.SetWeight(a, w/2)
-						}
-					})
-					res := run(halved)
-					same("halved weights", halved, res, 0)
-					if res.Cost != base.Cost/2 {
-						t.Errorf("halved weights: cost %v, want exactly half of %v", res.Cost, base.Cost)
-					}
-
-					const shift = 1_000_003
-					shifted := rebuild(t, ds.Dirty, false, func(tp *relation.Tuple) { tp.ID += shift })
-					res = run(shifted)
-					same("shifted ids", shifted, res, shift)
-					if res.Cost != base.Cost {
-						t.Errorf("shifted ids: cost %v, want %v", res.Cost, base.Cost)
-					}
-
-					reversed := rebuild(t, ds.Dirty, true, func(*relation.Tuple) {})
-					res = run(reversed)
-					same("reversed order", reversed, res, 0)
-					if math.Abs(res.Cost-base.Cost) > 1e-9*base.Cost {
-						t.Errorf("reversed order: cost %v, want %v within 1e-9 relative", res.Cost, base.Cost)
-					}
-
-					if again := run(base.Repair); again.Changes != 0 {
-						t.Errorf("a second pass changed %d cells", again.Changes)
+					if n := checkMetamorphic(t, "", ds.Dirty, ds.Sigma); n == 0 {
+						t.Fatal("the repair changed no cell")
 					}
 				})
 			}
 		}
 	}
+}
+
+// TestBatchMetamorphicOnDrawnInstances holds the four relations on the
+// instances FuzzBatchRepairVsWalk draws — drawInstance(rng, 8, 17), then
+// 0–3 deletes, which leave the physical order off id order — for seeds
+// 1–500 (1–100 under -short). The checks stay out of the fuzz body, so
+// the fuzzer's exec rate does not pay for four more repairs an input.
+func TestBatchMetamorphicOnDrawnInstances(t *testing.T) {
+	seeds := int64(500)
+	if testing.Short() {
+		seeds = 100
+	}
+	changing := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d, sigma := drawInstance(t, rng, 8, 17)
+		for range rng.Intn(4) {
+			d.Delete(d.Tuples()[rng.Intn(d.Size())].ID)
+		}
+		if checkMetamorphic(t, fmt.Sprintf("seed %d: ", seed), d, sigma) > 0 {
+			changing++
+		}
+	}
+	t.Logf("%d of %d draws change a cell", changing, seeds)
+	if changing < int(seeds)*9/10 {
+		t.Fatalf("only %d of %d draws change a cell", changing, seeds)
+	}
+}
+
+// checkMetamorphic repairs d under sigma and holds the four relations to
+// that repair, naming a failure with tag; it returns the cells the
+// repair changed.
+func checkMetamorphic(t *testing.T, tag string, d *relation.Relation, sigma []*cfd.Normal) int {
+	t.Helper()
+	run := func(d *relation.Relation) *Result {
+		t.Helper()
+		res, err := Batch(d, sigma, nil)
+		if err != nil {
+			t.Fatal(tag, err)
+		}
+		return res
+	}
+	base := run(d)
+	want := changed(t, d, base.Repair, 0)
+	if len(want) != base.Changes {
+		t.Errorf("%sthe repair changed %d cells, Result.Changes says %d", tag, len(want), base.Changes)
+	}
+	same := func(what string, in *relation.Relation, res *Result, shift relation.TupleID) {
+		t.Helper()
+		if got := changed(t, in, res.Repair, shift); !maps.Equal(got, want) {
+			t.Errorf("%s%s: the repair changed %d cells, %d of them as the original's; want its %d", tag, what, len(got), common(got, want), len(want))
+		}
+	}
+
+	arity := d.Schema().Arity()
+	halved := rebuild(t, d, false, func(tp *relation.Tuple) {
+		for a := 0; a < arity; a++ {
+			w := 1.0
+			if tp.W != nil {
+				w = tp.W[a]
+			}
+			tp.SetWeight(a, w/2)
+		}
+	})
+	res := run(halved)
+	same("halved weights", halved, res, 0)
+	if res.Cost != base.Cost/2 {
+		t.Errorf("%shalved weights: cost %v, want exactly half of %v", tag, res.Cost, base.Cost)
+	}
+
+	const shift = 1_000_003
+	shifted := rebuild(t, d, false, func(tp *relation.Tuple) { tp.ID += shift })
+	res = run(shifted)
+	same("shifted ids", shifted, res, shift)
+	if res.Cost != base.Cost {
+		t.Errorf("%sshifted ids: cost %v, want %v", tag, res.Cost, base.Cost)
+	}
+
+	reversed := rebuild(t, d, true, func(*relation.Tuple) {})
+	res = run(reversed)
+	same("reversed order", reversed, res, 0)
+	if math.Abs(res.Cost-base.Cost) > 1e-9*base.Cost {
+		t.Errorf("%sreversed order: cost %v, want %v within 1e-9 relative", tag, res.Cost, base.Cost)
+	}
+
+	if again := run(base.Repair); again.Changes != 0 {
+		t.Errorf("%sa second pass changed %d cells", tag, again.Changes)
+	}
+	return len(want)
 }
 
 // common counts the cells got changes to the value want does.

@@ -405,9 +405,10 @@ func (r *Registry) register(name string, sess *increpair.Session, schema *relati
 	return h, nil
 }
 
-// captureSnapshot is the session's full inline image, its quota
-// stamped in: what replication ships, since a slim header carries no
-// rows.
+// captureSnapshot is the session's image, its chunk records encoded
+// and held (PersistSnapshot) and its quota stamped in behind them, which
+// the header is rendered from when the image is sent: what replication
+// ships, since a slim header carries no rows.
 func (h *hosted) captureSnapshot() (*wal.Snapshot, error) {
 	snap, err := h.sess.PersistSnapshot(h.name)
 	if err != nil {

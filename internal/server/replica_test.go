@@ -26,9 +26,10 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// freshRows hands out a snapshot's rows each in storage of its own —
-// values, constants and weights — as a decoder must, so a restore from
-// it allocates what a restore from a stream does but the reading.
+// freshRows hands out an image's rows each in storage of its own — ids
+// and weights — as a decoder must, so a restore from it over a
+// dictionary interned afresh allocates what a restore from a stream does
+// but the reading.
 type freshRows struct {
 	ts []wal.SnapTuple
 	i  int
@@ -40,22 +41,19 @@ func (s *freshRows) Next() (wal.SnapTuple, bool, error) {
 	}
 	t := s.ts[s.i]
 	s.i++
-	vals := make([]relation.Value, len(t.Vals))
-	for a, v := range t.Vals {
-		vals[a] = relation.Value{Str: strings.Clone(v.Str), Null: v.Null}
-	}
 	var w []float64
 	if t.W != nil {
 		w = append([]float64(nil), t.W...)
 	}
-	return wal.SnapTuple{ID: t.ID, Vals: vals, W: w}, true, nil
+	return wal.SnapTuple{ID: t.ID, W: w, IDs: append([]relation.ValueID(nil), t.IDs...)}, true, nil
 }
 
 // TestInstallCostsOneChunk is increpair's TestSnapshotCostsOneChunk for
 // the service's end that restores a snapshot stream: InstallReplica from
 // a PUT body, behind the install bound's reader as the handler hands it
-// over. What it allocates beyond a restore from rows already in memory,
-// at 2 000 and at 20 000 generated tuples, must be within one chunk
+// over. What it allocates beyond a restore from the image's id rows
+// already in memory (the constants interned afresh), at 2 000 and at
+// 20 000 generated tuples, must be within one chunk
 // record — the 20 000-tuple image's first, 4 096 rows — of each other: it
 // holds no more than one chunk of the image, whatever its size.
 func TestInstallCostsOneChunk(t *testing.T) {
@@ -96,10 +94,30 @@ func TestInstallCostsOneChunk(t *testing.T) {
 			}
 			chunk = len(first)
 		}
-		rows := snap.Tuples
-		snap.Tuples = nil
+		head, rd, err := wal.NewSnapshotReader(bytes.NewReader(img.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []wal.SnapTuple
+		for {
+			st, ok, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			rows = append(rows, st)
+		}
+		strs := rd.Dict().StringsFrom(0, rd.Dict().Len())
 		var back *increpair.Session
-		inMemory := allocated(func() { back, err = increpair.RestoreFromSnapshotSource(snap, &freshRows{ts: rows}, nil) })
+		inMemory := allocated(func() {
+			dict := relation.NewDict()
+			for _, s := range strs {
+				dict.InternStr(strings.Clone(s))
+			}
+			back, err = increpair.RestoreFromSnapshotSource(head, &freshRows{ts: rows}, dict)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

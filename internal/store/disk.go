@@ -636,19 +636,18 @@ func (c *countReader) ReadByte() (byte, error) {
 // snapshot tuples — the recovery-time replacement for a snapshot file's
 // inline tuple records. It reads pages 0 … ⌈rows/PageRows⌉−1 of the
 // generation it was opened on, each once and in order, holds one page
-// image and decodes its rows in order. Each row hands back the value ids
-// it was written under (its IDs), which the dictionary Dict returns
-// resolves.
+// image and decodes its rows in order. A row is the value ids it was
+// written under (its IDs), which the dictionary Dict returns resolves.
 type Iterator struct {
-	d     *Disk
-	table map[uint64]pageLoc
-	strs  []string
-	rows  int
-	pos   int
-	page  *relation.Decoder // the current page image
-	left  int               // its rows not yet returned
-	prev  relation.TupleID  // the tuple id of its last row returned
-	err   error
+	d       *Disk
+	table   map[uint64]pageLoc
+	entries int // dict.log's entries: the largest value id a cell may name
+	rows    int
+	pos     int
+	page    *relation.Decoder // the current page image
+	left    int               // its rows not yet returned
+	prev    relation.TupleID  // the tuple id of its last row returned
+	err     error
 }
 
 // Source opens an iterator over the last committed generation's rows.
@@ -658,7 +657,7 @@ func (d *Disk) Source() (*Iterator, error) {
 	if d.closed {
 		return nil, ErrClosed
 	}
-	return &Iterator{d: d, table: d.table, strs: d.strs, rows: d.tupleCount}, nil
+	return &Iterator{d: d, table: d.table, entries: len(d.strs), rows: d.tupleCount}, nil
 }
 
 // Dict returns a fresh dictionary holding the persisted constants in
@@ -699,14 +698,9 @@ func (it *Iterator) Next() (wal.SnapTuple, bool, error) {
 	}
 	t := wal.DecodeRow(it.page, d.arity, it.prev)
 	it.prev = t.ID
-	for a, c := range t.IDs {
-		switch {
-		case c == relation.NullID:
-			t.Vals[a] = relation.NullValue
-		case int(c) > len(it.strs):
-			it.page.Failf("value id %d beyond the dictionary's %d entries", c, len(it.strs))
-		default:
-			t.Vals[a] = relation.Value{Str: it.strs[c-1]}
+	for _, c := range t.IDs {
+		if int(c) > it.entries {
+			it.page.Failf("value id %d beyond the dictionary's %d entries", c, it.entries)
 		}
 	}
 	it.left--

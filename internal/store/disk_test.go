@@ -29,10 +29,21 @@ func testRelation(t testing.TB) *relation.Relation {
 	return relation.New(s)
 }
 
+// streamed is a row the iterator returned, its values resolved in the
+// store's dictionary (Disk.Dict).
+type streamed struct {
+	wal.SnapTuple
+	Vals []relation.Value
+}
+
 // drain reads the iterator to exhaustion.
-func drain(t *testing.T, it *Iterator) []wal.SnapTuple {
+func drain(t *testing.T, it *Iterator) []streamed {
 	t.Helper()
-	var out []wal.SnapTuple
+	dict, err := it.d.Dict()
+	if err != nil {
+		t.Fatalf("dictionary: %v", err)
+	}
+	var out []streamed
 	for {
 		st, ok, err := it.Next()
 		if err != nil {
@@ -41,13 +52,15 @@ func drain(t *testing.T, it *Iterator) []wal.SnapTuple {
 		if !ok {
 			return out
 		}
-		out = append(out, st)
+		vals := make([]relation.Value, len(st.IDs))
+		dict.Fill(vals, st.IDs)
+		out = append(out, streamed{st, vals})
 	}
 }
 
 // expect compares the store's streamed rows against the relation's
 // physical order.
-func expect(t *testing.T, rel *relation.Relation, got []wal.SnapTuple) {
+func expect(t *testing.T, rel *relation.Relation, got []streamed) {
 	t.Helper()
 	want := rel.Tuples()
 	if len(got) != len(want) {

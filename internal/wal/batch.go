@@ -33,8 +33,8 @@ type Batch struct {
 
 // strTable numbers strings in the order a scope first uses them: entry k
 // is strs[k], and a cell naming it is k+1 (ids[s]). One table is the
-// scope of a WAL file's records (Log), of a shipped frame's one record
-// (Encode, DecodeBatch) and of the image WriteSnapshot copies.
+// scope of a WAL file's records (Log) and of a shipped frame's one record
+// (Encode, DecodeBatch).
 type strTable struct {
 	ids  map[string]uint32
 	strs []string

@@ -118,11 +118,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(byte(wal.Version), header, []byte(nil), []byte(nil))
 	// Rows out of id order holding "", null, a constant that is not
 	// UTF-8, and weights, one of them NaN.
-	header, chunks := snapshotRecords(f, mixedSnapshot(3))
+	header, chunks := snapshotRecords(f, mixedSnapshot(f, 3))
 	f.Add(byte(wal.Version), header, chunks[0], []byte(nil))
 	// Two chunks, the second using a constant of the first and one of its
 	// own.
-	header, chunks = snapshotRecords(f, mixedSnapshot(4097))
+	header, chunks = snapshotRecords(f, mixedSnapshot(f, 4097))
 	f.Add(byte(wal.Version), header, chunks[0], chunks[1])
 	// Every refusal of TestSnapshotRefusesNonCanonicalChunks.
 	for _, c := range nonCanonical(f) {
@@ -166,15 +166,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 // and rows with and without weights (one of them NaN); its constants
 // repeat with a period of 97 rows, and row 4 096 (the second chunk's
 // first) brings one of its own.
-func mixedSnapshot(n int) *wal.Snapshot {
+func mixedSnapshot(tb testing.TB, n int) *wal.Snapshot {
 	s := &wal.Snapshot{Name: "mixed", Relname: "r", Attrs: []string{"a", "b", "c"}, NextID: relation.TupleID(2*n + 1)}
 	alphabet := []relation.Value{relation.NullValue, relation.S(""), relation.S("\xff\xfeq"), relation.S("x")}
-	for i := 0; i < n; i++ {
+	rows := make([]row, n)
+	for i := range rows {
 		id := relation.TupleID(2*i + 1)
 		if i%2 == 1 {
 			id = relation.TupleID(2*i - 1 + 2*n)
 		}
-		t := wal.SnapTuple{ID: id, Vals: []relation.Value{
+		t := row{ID: id, Vals: []relation.Value{
 			alphabet[i%len(alphabet)],
 			relation.S(strconv.Itoa(i % 97)),
 			alphabet[(i/3)%len(alphabet)],
@@ -188,9 +189,9 @@ func mixedSnapshot(n int) *wal.Snapshot {
 		case 2:
 			t.W = []float64{math.NaN(), 0.25, 1}
 		}
-		s.Tuples = append(s.Tuples, t)
+		rows[i] = t
 	}
-	return s
+	return withRows(tb, s, rows)
 }
 
 // refusal is one non-canonical or damaged snapshot file: a header record
@@ -207,12 +208,12 @@ type refusal struct {
 func nonCanonical(tb testing.TB) []refusal {
 	tb.Helper()
 	s := &wal.Snapshot{Name: "c", Relname: "r", Attrs: []string{"a", "b"}}
-	header := func(rows int) []byte {
-		s.Tuples = make([]wal.SnapTuple, rows)
-		for i := range s.Tuples {
-			s.Tuples[i] = wal.SnapTuple{ID: relation.TupleID(i + 1), Vals: make([]relation.Value, 2)}
+	header := func(n int) []byte {
+		rows := make([]row, n)
+		for i := range rows {
+			rows[i] = row{ID: relation.TupleID(i + 1), Vals: make([]relation.Value, 2)}
 		}
-		h, _ := snapshotRecords(tb, s)
+		h, _ := snapshotRecords(tb, withRows(tb, s, rows))
 		return h
 	}
 	one := header(1)
@@ -278,9 +279,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		n := len(s.Attrs)
 		// Each row takes an id step, a byte per cell and a weight byte:
 		// odd for weights, 0xff for a NaN among them.
-		var pattern []wal.SnapTuple
+		var pattern []row
 		for ; len(b) >= n+2; b = b[n+2:] {
-			t := wal.SnapTuple{ID: relation.TupleID(int8(b[0])), Vals: make([]relation.Value, n)}
+			t := row{ID: relation.TupleID(int8(b[0])), Vals: make([]relation.Value, n)}
 			for a := range t.Vals {
 				t.Vals[a] = alphabet[int(b[1+a])%len(alphabet)]
 			}
@@ -295,7 +296,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 			pattern = append(pattern, t)
 		}
-		var rows []wal.SnapTuple
+		var rows []row
 		var id relation.TupleID
 		for r := 0; r <= int(repeat)%64 && len(rows)+len(pattern) <= 3*snapChunkRows; r++ {
 			for _, t := range pattern {
@@ -313,13 +314,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 		ids := make([]relation.ValueID, n)
 		var img bytes.Buffer
-		if err := wal.WriteSnapshotRows(&img, s, len(rows), dict.Len()+1, func(i int) wal.SnapTuple {
-			t := rows[i]
-			for a, v := range t.Vals {
+		if err := wal.WriteSnapshotRows(&img, s, len(rows), dict, func(i int) wal.SnapTuple {
+			for a, v := range rows[i].Vals {
 				ids[a] = dict.LookupValue(v)
 			}
-			t.IDs = ids
-			return t
+			return wal.SnapTuple{ID: rows[i].ID, W: rows[i].W, IDs: ids}
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -340,13 +339,12 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 				break
 			}
 			want := rows[i]
-			if got.ID != want.ID || !relation.StrictEqVals(got.Vals, want.Vals) || !sameBits(got.W, want.W) {
-				t.Fatalf("row %d: got %v %v %v, want %v %v %v", i, got.ID, got.Vals, got.W, want.ID, want.Vals, want.W)
+			vals := make([]relation.Value, len(got.IDs))
+			rd.Dict().Fill(vals, got.IDs)
+			if got.ID != want.ID || !relation.StrictEqVals(vals, want.Vals) || !sameBits(got.W, want.W) {
+				t.Fatalf("row %d: got %v %v %v, want %v %v %v", i, got.ID, vals, got.W, want.ID, want.Vals, want.W)
 			}
-			for a, v := range got.Vals {
-				if !relation.StrictEq(rd.Dict().Value(got.IDs[a]), v) {
-					t.Fatalf("row %d holds %v under id %d, which names %v", i, v, got.IDs[a], rd.Dict().Value(got.IDs[a]))
-				}
+			for _, v := range vals {
 				if !v.Null {
 					used[v.Str] = true
 				}
@@ -394,34 +392,70 @@ func snapshotRecords(tb testing.TB, s *wal.Snapshot) (header []byte, chunks [][]
 	return header, chunks
 }
 
-// readByChunks reads b through SnapshotReader, row by row, into one
-// Snapshot: the whole-stream read the tests of this package compare. It
-// checks that each row's IDs name its values in the reader's dictionary
-// and drops them, so that the snapshot is the one a writer is handed.
-func readByChunks(b []byte) (*wal.Snapshot, error) {
-	s, rows, err := wal.NewSnapshotReader(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
+// row is a snapshot row as its values: what the tests of this package
+// write, through a dictionary of their own (withRows), and read back
+// (readRows).
+type row struct {
+	ID   relation.TupleID
+	Vals []relation.Value
+	W    []float64
+}
+
+// withRows interns the values of rows into a fresh dictionary, in row
+// order, and keeps the rows in s as chunk records under those ids
+// (Snapshot.EncodeRows). It returns s.
+func withRows(tb testing.TB, s *wal.Snapshot, rows []row) *wal.Snapshot {
+	tb.Helper()
+	dict := relation.NewDict()
+	ids := make([][]relation.ValueID, len(rows))
+	for i, r := range rows {
+		for _, v := range r.Vals {
+			ids[i] = append(ids[i], dict.Intern(v))
+		}
 	}
+	if err := s.EncodeRows(len(rows), dict, func(i int) wal.SnapTuple {
+		return wal.SnapTuple{ID: rows[i].ID, W: rows[i].W, IDs: ids[i]}
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// readRows reads b through SnapshotReader, row by row: the whole-stream
+// read the tests of this package compare. It returns the header, holding
+// the rows re-encoded under the reader's dictionary (Snapshot.EncodeRows)
+// so that it is the snapshot a writer is handed, and the rows, each
+// resolved to its values in that dictionary.
+func readRows(b []byte) (*wal.Snapshot, []row, error) {
+	s, rd, err := wal.NewSnapshotReader(bytes.NewReader(b))
+	if err != nil {
+		return nil, nil, err
+	}
+	var read []wal.SnapTuple
+	var rows []row
 	for {
-		t, ok, err := rows.Next()
+		t, ok, err := rd.Next()
 		if err != nil {
-			if _, _, again := rows.Next(); again != err {
-				return nil, fmt.Errorf("Next after %v returned %v", err, again)
+			if _, _, again := rd.Next(); again != err {
+				return nil, nil, fmt.Errorf("Next after %v returned %v", err, again)
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		if !ok {
-			return s, nil
+			break
 		}
-		for a, v := range t.Vals {
-			if id := t.IDs[a]; !relation.StrictEq(rows.Dict().Value(id), v) {
-				return nil, fmt.Errorf("row %d: %v under id %d, which names %v", len(s.Tuples), v, id, rows.Dict().Value(id))
-			}
-		}
-		t.IDs = nil
-		s.Tuples = append(s.Tuples, t)
+		r := row{ID: t.ID, Vals: make([]relation.Value, len(t.IDs)), W: t.W}
+		rd.Dict().Fill(r.Vals, t.IDs)
+		read, rows = append(read, t), append(rows, r)
 	}
+	err = s.EncodeRows(len(read), rd.Dict(), func(i int) wal.SnapTuple { return read[i] })
+	return s, rows, err
+}
+
+// readByChunks is readRows' header.
+func readByChunks(b []byte) (*wal.Snapshot, error) {
+	s, _, err := readRows(b)
+	return s, err
 }
 
 func encodeSnapshot(t testing.TB, s *wal.Snapshot) []byte {

@@ -27,8 +27,8 @@
 // anything and sizes its buffer by the bytes that arrive, so a forged
 // length buys its sender nothing but the refusal.
 // WAL and snapshot records may be as long as the u32 length can state:
-// their readers pass that as the cap, and Log.Append and WriteSnapshot
-// refuse a longer payload rather than frame it with a wrapped length.
+// their readers pass that as the cap, and the WAL's and the snapshots'
+// writers refuse a longer payload rather than wrap its length.
 //
 // Four file kinds and the snapshot stream open with a header, and a
 // reader accepts exactly the version its writer stamps — any other is
@@ -52,8 +52,8 @@
 // the WAL the batches accepted after it. A snapshot stream streams the
 // same header record followed by bounded tuple-chunk records, so
 // snapshots of any size are written and read without a relation-sized
-// allocation; Batch (batch.go) and Snapshot (snapshot.go) define those
-// payloads.
+// allocation (an image held to ship is its chunk records' bytes); Batch
+// (batch.go) and Snapshot (snapshot.go) define those payloads.
 //
 // Both images of a relation, a snapshot's chunk records and the page
 // store's page records, hold rows in one form (AppendRow, DecodeRow):
@@ -347,19 +347,15 @@ func rowLen(prev relation.TupleID, t *SnapTuple, cells []uint32) int {
 }
 
 // DecodeRow reads the row AppendRow wrote behind the row whose tuple id
-// was prev. The row's IDs are its cells as written, NullID for null, and
-// its Vals are allocated but not filled: what a cell names is the
-// caller's to check and resolve. A tuple id of 0 and a cell no value id
-// can hold are refused here.
+// was prev. The row's IDs are its cells as written, NullID for null: what
+// a cell names is the caller's to check. A tuple id of 0 and a cell no
+// value id can hold are refused here.
 func DecodeRow(d *relation.Decoder, arity int, prev relation.TupleID) SnapTuple {
 	t := SnapTuple{ID: prev + relation.TupleID(d.Varint("tuple id"))}
 	if t.ID == 0 && d.Err() == nil {
 		d.Failf("tuple id 0")
 	}
-	if arity > 0 {
-		t.IDs = make([]relation.ValueID, arity)
-		t.Vals = make([]relation.Value, arity)
-	}
+	t.IDs = make([]relation.ValueID, arity)
 	for a := 0; a < arity && d.Err() == nil; a++ {
 		c := d.Uvarint("cell")
 		if c > math.MaxUint32 {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -32,17 +33,13 @@ type Quota struct {
 // swapping, so physical order diverges from id order as soon as anything
 // is deleted).
 //
-// IDs, when set, holds the id of each value in a dictionary the row's
-// producer and consumer share (NullID for null): a row SnapshotReader
-// returns carries the ids of its own dictionary (SnapshotReader.Dict), a
-// row the page store's reader returns those of the store's, and a row
-// WriteSnapshotRows reads the caller's. A row built in memory leaves it
-// nil.
+// A row is its ids: IDs holds each value's id (NullID for null) in the
+// dictionary its producer and consumer share — the reader's own
+// (SnapshotReader.Dict), the page store's, or WriteSnapshotRows' dict.
 type SnapTuple struct {
-	ID   relation.TupleID
-	Vals []relation.Value
-	W    []float64
-	IDs  []relation.ValueID
+	ID  relation.TupleID
+	W   []float64
+	IDs []relation.ValueID
 }
 
 // Snapshot is a full-state image of one streaming session at a quiescent
@@ -83,16 +80,14 @@ type Snapshot struct {
 	// (zero value: unlimited).
 	Quota Quota
 
-	// Tuples is the relation content in physical row order, for a
-	// snapshot built in memory; a stream's reader and the page store
-	// hand the rows back one at a time instead.
-	Tuples []SnapTuple
+	// rows and chunks are what EncodeRows encoded; a decoded header has none.
+	rows   int
+	chunks [][]byte
 }
 
-// AppendSnapshotHeader renders every field of s but its Tuples, then n,
-// the tuple count: the payload of a snapshot stream's header record, and
-// the head of the page store's manifest record, whose tuple count is its
-// row count.
+// AppendSnapshotHeader renders s's exported fields, then the tuple count
+// n: a snapshot stream's header record, and the head of the page store's
+// manifest record, whose tuple count is its row count.
 func AppendSnapshotHeader(out []byte, s *Snapshot, n int) []byte {
 	out = appendString(out, s.Name)
 	out = appendString(out, s.Relname)
@@ -120,37 +115,36 @@ func AppendSnapshotHeader(out []byte, s *Snapshot, n int) []byte {
 }
 
 // imageIDs numbers the distinct constants of a snapshot image in the
-// order its rows first use them: img[v] is 1 + the image entry of the
-// caller's value id v, 0 while v has not been written. One dense slice
-// over the caller's ids, so numbering a cell is one array read.
+// order its rows first use them: img[v] is 1 + the image entry of dict's
+// value id v, 0 while v has not been written (one array read a cell).
 type imageIDs struct {
+	dict    *relation.Dict
 	img     []uint32
 	entries uint32
 }
 
 // number gives every constant of t the image has not written yet the next
 // entry, in attribute order, and returns the bytes those entries take.
-func (m *imageIDs) number(arity int, t *SnapTuple) int {
+func (m *imageIDs) number(t *SnapTuple) int {
 	n := 0
-	for a := 0; a < arity; a++ {
-		if v := t.IDs[a]; v != relation.NullID && m.img[v] == 0 {
+	for _, v := range t.IDs {
+		if v != relation.NullID && m.img[v] == 0 {
 			m.entries++
 			m.img[v] = m.entries
-			str := t.Vals[a].Str
-			n += relation.UvarintLen(uint64(len(str))) + len(str)
+			l := len(m.dict.Str(v))
+			n += relation.UvarintLen(uint64(l)) + l
 		}
 	}
 	return n
 }
 
 // appendFresh appends the constants of t that number gave entries from
-// *next on, in entry order, advancing *next past them: called on a
-// chunk's rows in order, it writes the constants the chunk numbered, in
-// the order it numbered them.
-func (m *imageIDs) appendFresh(out []byte, arity int, t *SnapTuple, next *uint32) []byte {
-	for a := 0; a < arity; a++ {
-		if v := t.IDs[a]; v != relation.NullID && m.img[v] == *next {
-			out = appendString(out, t.Vals[a].Str)
+// *next on, advancing *next past them: called on a chunk's rows in
+// order, it writes the chunk's new constants in the order it numbered.
+func (m *imageIDs) appendFresh(out []byte, t *SnapTuple, next *uint32) []byte {
+	for _, v := range t.IDs {
+		if v != relation.NullID && m.img[v] == *next {
+			out = appendString(out, m.dict.Str(v))
 			*next++
 		}
 	}
@@ -188,57 +182,93 @@ func DecodeSnapshotHeader(d *relation.Decoder) (*Snapshot, uint64) {
 	return s, d.Uvarint("tuple count")
 }
 
-// snapChunkTuples bounds the tuples per chunk record in a snapshot
-// stream: large enough to amortize framing, small enough that the writer
-// (WriteSnapshotRows) and the reader (SnapshotReader), each holding one
-// chunk at a time, never hold more than one modest buffer.
+// snapChunkTuples bounds the tuples per chunk record of a snapshot
+// stream: enough to amortize framing, few enough that a writer or reader
+// holding one chunk at a time holds one modest buffer.
 const snapChunkTuples = 4096
 
-// WriteSnapshotRows writes a snapshot stream to w: magic and version, a
-// header record holding s's fields and the tuple count n, then the n rows
-// row(0) … row(n-1) returns, as chunk records of up to snapChunkTuples
-// rows (s.Tuples is not read). Every row must carry IDs, each below
-// idLimit: the writer numbers the constants by those ids through one
-// dense slice of idLimit entries, so that each distinct constant is
-// written once, in the chunk whose rows first use it, and every cell is
-// an id. A chunk is encoded straight into one frame buffer, reused from
-// chunk to chunk and sized before the chunk is filled, so the writer
-// holds that slice and one chunk's bytes whatever n is, and copies no
-// row. It reads a chunk's rows twice, in order — to number its new
-// constants and size the record, then to write them and the rows — so
-// row must return the same row for the same i: it may return a live
-// tuple's own slices, which must not change until WriteSnapshotRows
-// returns, and an IDs slice of its own it overwrites at the next call.
-func WriteSnapshotRows(w io.Writer, s *Snapshot, n, idLimit int, row func(i int) SnapTuple) error {
-	buf, at := beginFrame(AppendHeader(nil, snapMagic, Version))
-	buf = AppendSnapshotHeader(buf, s, n)
-	if err := checkPayload(len(buf) - at - frameHeaderLen); err != nil {
+// WriteSnapshotRows writes to w the snapshot stream of s's fields and the
+// n rows row(0) … row(n-1) returns, one chunk record at a time.
+func WriteSnapshotRows(w io.Writer, s *Snapshot, n int, dict *relation.Dict, row func(i int) SnapTuple) error {
+	head := *s
+	head.rows, head.chunks = n, nil
+	if err := WriteSnapshot(w, &head); err != nil {
 		return err
 	}
-	sealFrame(buf, at)
-	if _, err := w.Write(buf); err != nil {
-		return err
+	return writeChunks(w, nil, n, dict, row)
+}
+
+// EncodeRows keeps in s the chunk records WriteSnapshotRows would write,
+// each in storage of its exact size: an image held as its stream's bytes.
+func (s *Snapshot) EncodeRows(n int, dict *relation.Dict, row func(i int) SnapTuple) error {
+	s.rows, s.chunks = n, nil
+	return writeChunks(nil, &s.chunks, n, dict, row)
+}
+
+// stream returns s's snapshot stream as its parts: magic, version and
+// the header record rendered from s's fields as they stand (a quota
+// stamped in after EncodeRows lands), then the chunk records it kept.
+func (s *Snapshot) stream() ([][]byte, error) {
+	head, at := beginFrame(AppendHeader(nil, snapMagic, Version))
+	head = AppendSnapshotHeader(head, s, s.rows)
+	if err := checkPayload(len(head) - at - frameHeaderLen); err != nil {
+		return nil, err
 	}
-	arity := len(s.Attrs)
-	m := &imageIDs{img: make([]uint32, idLimit)}
+	sealFrame(head, at)
+	return append([][]byte{head}, s.chunks...), nil
+}
+
+// Stream returns a reader of s's snapshot stream and its length.
+func (s *Snapshot) Stream() (io.Reader, int64, error) {
+	parts, err := s.stream()
+	readers, n := make([]io.Reader, len(parts)), 0
+	for i, p := range parts {
+		readers[i], n = bytes.NewReader(p), n+len(p)
+	}
+	return io.MultiReader(readers...), int64(n), err
+}
+
+// WriteSnapshot writes s's stream to w: the one snapshot encoding, which
+// snapshot files and the images replication ships are.
+func WriteSnapshot(w io.Writer, s *Snapshot) error {
+	parts, err := s.stream()
+	for i := 0; err == nil && i < len(parts); i++ {
+		_, err = w.Write(parts[i])
+	}
+	return err
+}
+
+// writeChunks encodes the n rows as chunk records of up to
+// snapChunkTuples rows, writing each to w or, if keep is not nil,
+// appending it to *keep. Each distinct constant is written once, in the
+// chunk whose rows first use it, its bytes read from dict by id. A record
+// is encoded into a buffer sized first: its own for keep, one reused for
+// w, so the writer holds one chunk and one id a dict entry whatever n is.
+// It reads a chunk's rows twice, in order, so row must return the same
+// row for the same i (a live tuple's weights, an IDs slice it reuses).
+func writeChunks(w io.Writer, keep *[][]byte, n int, dict *relation.Dict, row func(i int) SnapTuple) error {
+	m := &imageIDs{dict: dict, img: make([]uint32, dict.Len()+1)}
+	var buf []byte
 	var prev relation.TupleID
 	for start := 0; start < n; start += snapChunkTuples {
 		end := min(start+snapChunkTuples, n)
 		// The first pass numbers the chunk's new constants and sizes the
-		// record. The second writes those constants and the rows side by
-		// side, each into its own region of the buffer.
+		// record; the second writes both, each into its own region.
 		first := m.entries + 1
 		strBytes, rowBytes, p := 0, 0, prev
 		for i := start; i < end; i++ {
 			t := row(i)
-			strBytes += m.number(arity, &t)
+			strBytes += m.number(&t)
 			rowBytes += rowLen(p, &t, m.img)
 			p = t.ID
 		}
 		fresh := uint64(m.entries + 1 - first)
 		head := frameHeaderLen + relation.UvarintLen(uint64(end-start)) + relation.UvarintLen(fresh)
 		size := head + strBytes + rowBytes
-		if cap(buf) < size {
+		switch {
+		case keep != nil:
+			buf = make([]byte, 0, size)
+		case cap(buf) < size:
 			buf = make([]byte, 0, size+size/8) // room for a slightly longer next chunk
 		}
 		buf = buf[:size]
@@ -247,7 +277,7 @@ func WriteSnapshotRows(w io.Writer, s *Snapshot, n, idLimit int, row func(i int)
 		rows := buf[head+strBytes : head+strBytes : size]
 		for i, next := start, first; i < end; i++ {
 			t := row(i)
-			strs = m.appendFresh(strs, arity, &t, &next)
+			strs = m.appendFresh(strs, &t, &next)
 			rows = AppendRow(rows, prev, &t, m.img)
 			prev = t.ID
 		}
@@ -258,32 +288,13 @@ func WriteSnapshotRows(w io.Writer, s *Snapshot, n, idLimit int, row func(i int)
 			return err
 		}
 		sealFrame(buf, 0)
-		if _, err := w.Write(buf); err != nil {
+		if keep != nil {
+			*keep = append(*keep, buf)
+		} else if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// WriteSnapshot writes s and its inline tuples as a snapshot stream
-// (WriteSnapshotRows), numbering their constants itself, in first-use
-// order; the tuples' IDs are not read. It is the one snapshot encoding:
-// snapshot files and the images replication ships to a follower are
-// these bytes.
-func WriteSnapshot(w io.Writer, s *Snapshot) error {
-	arity := len(s.Attrs)
-	var num strTable
-	ids := make([]relation.ValueID, arity*len(s.Tuples))
-	for i, t := range s.Tuples {
-		for a, v := range t.Vals[:arity] {
-			ids[i*arity+a] = relation.ValueID(num.cell(v))
-		}
-	}
-	return WriteSnapshotRows(w, s, len(s.Tuples), len(num.strs)+1, func(i int) SnapTuple {
-		t := s.Tuples[i]
-		t.IDs = ids[i*arity : (i+1)*arity]
-		return t
-	})
 }
 
 // SnapshotReader yields the rows of a snapshot stream in order, one chunk
@@ -292,11 +303,8 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 // reading a snapshot costs one chunk's bytes whatever the relation's
 // size. Each chunk's new constants go into the reader's dictionary as the
 // chunk arrives, image entry k as ValueID k+1, and every row comes back
-// with its IDs in that dictionary and its values the dictionary's own
-// strings: a restore builds its relation over the dictionary
-// (relation.NewWithDict) and inserts the rows by id. Snapshots are
-// atomic: the caller must drop everything it built from the rows when
-// Next fails.
+// as its IDs in it, which a restore builds its relation over. Snapshots
+// are atomic: the caller must drop what it built when Next fails.
 type SnapshotReader struct {
 	br    *bufio.Reader
 	arity int
@@ -315,8 +323,8 @@ type SnapshotReader struct {
 }
 
 // NewSnapshotReader reads and verifies a snapshot stream's magic, version
-// and header record from r. The returned snapshot holds every header
-// field and no Tuples; the reader yields the rows.
+// and header record from r: a snapshot of the header's fields, and a
+// reader of the rows.
 func NewSnapshotReader(r io.Reader) (*Snapshot, *SnapshotReader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if err := CheckHeader(br, snapMagic, Version); err != nil {
@@ -334,9 +342,8 @@ func NewSnapshotReader(r io.Reader) (*Snapshot, *SnapshotReader, error) {
 	return s, &SnapshotReader{br: br, arity: len(s.Attrs), rows: n, buf: p[:0], dict: relation.NewDict()}, nil
 }
 
-// Dict returns the dictionary the rows' IDs refer to. It holds the
-// constants of the chunks read so far, in the order the image first uses
-// them.
+// Dict returns the dictionary the rows' IDs refer to: the constants of
+// the chunks read so far, in the order the image first uses them.
 func (sr *SnapshotReader) Dict() *relation.Dict { return sr.dict }
 
 // Next returns the next row; ok is false, with no error, once every row
@@ -397,9 +404,6 @@ func (sr *SnapshotReader) row() SnapTuple {
 		case k > sr.used:
 			d.Failf("cell names image entry %d before entry %d is first used", k, sr.used)
 		}
-	}
-	if d.Err() == nil {
-		sr.dict.Fill(t.Vals, t.IDs)
 	}
 	return t
 }

@@ -23,11 +23,10 @@ func TestSnapTupleLen(t *testing.T) {
 		{img, []relation.ValueID{0, 1, 2, 3, 4, 5, 6}},
 		{nil, []relation.ValueID{0, 1, 127, 128, 1 << 14, 1 << 28, math.MaxUint32}},
 	} {
-		vals := make([]relation.Value, len(c.ids))
 		for _, prev := range []relation.TupleID{0, 5, -7, math.MaxInt64, math.MinInt64} {
 			for _, id := range []relation.TupleID{1, -1, 63, 64, -65, 1 << 20, math.MaxInt64, math.MinInt64} {
 				for _, w := range [][]float64{nil, make([]float64, len(c.ids))} {
-					st := SnapTuple{ID: id, Vals: vals, W: w, IDs: c.ids}
+					st := SnapTuple{ID: id, W: w, IDs: c.ids}
 					if got, want := rowLen(prev, &st, c.cells), len(AppendRow(nil, prev, &st, c.cells)); got != want {
 						t.Errorf("id %d after %d, image %v, weights %v: rowLen %d, encoding %d bytes", id, prev, c.cells != nil, w != nil, got, want)
 					}

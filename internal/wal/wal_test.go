@@ -202,8 +202,8 @@ func TestLogBadHeader(t *testing.T) {
 	}
 }
 
-func sampleSnapshot() *wal.Snapshot {
-	return &wal.Snapshot{
+func sampleSnapshot(tb testing.TB) *wal.Snapshot {
+	return withRows(tb, &wal.Snapshot{
 		Name:     "tenant-7",
 		Relname:  "order",
 		Attrs:    []string{"id", "name", "CT"},
@@ -219,26 +219,27 @@ func sampleSnapshot() *wal.Snapshot {
 		NextID:   77,
 		Version:  191,
 		Quota:    wal.Quota{OpsPerSec: 2.5, MaxSubscribers: 3},
-		Tuples: []wal.SnapTuple{
-			{ID: 3, Vals: []relation.Value{relation.S("a23"), relation.NullValue, relation.S("NYC")}},
-			{ID: 1, Vals: []relation.Value{relation.S(""), relation.S("quote'y,va|l"), relation.NullValue},
-				W: []float64{1, 0.25, 0.5}},
-		},
-	}
+	}, sampleRows)
+}
+
+var sampleRows = []row{
+	{ID: 3, Vals: []relation.Value{relation.S("a23"), relation.NullValue, relation.S("NYC")}},
+	{ID: 1, Vals: []relation.Value{relation.S(""), relation.S("quote'y,va|l"), relation.NullValue},
+		W: []float64{1, 0.25, 0.5}},
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	s := sampleSnapshot()
+	s := sampleSnapshot(t)
 	var buf bytes.Buffer
 	if err := wal.WriteSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readByChunks(buf.Bytes())
+	got, rows, err := readRows(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s, got) {
-		t.Fatalf("snapshot round trip:\n got %+v\nwant %+v", got, s)
+	if !reflect.DeepEqual(s, got) || !reflect.DeepEqual(rows, sampleRows) {
+		t.Fatalf("snapshot round trip:\n got %+v %+v\nwant %+v %+v", got, rows, s, sampleRows)
 	}
 }
 
@@ -248,7 +249,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotFile(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "snap-0000000000.snap")
-	s := sampleSnapshot()
+	s := sampleSnapshot(t)
 	if err := wal.WriteSnapshotFile(p, s); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestSnapshotFile(t *testing.T) {
 // each must be refused with ErrCorrupt rather than yield a snapshot.
 func TestSnapshotTruncationSafety(t *testing.T) {
 	var buf bytes.Buffer
-	if err := wal.WriteSnapshot(&buf, sampleSnapshot()); err != nil {
+	if err := wal.WriteSnapshot(&buf, sampleSnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
 	stream := buf.Bytes()
